@@ -18,3 +18,12 @@
 pub mod minionn;
 pub mod quotient;
 pub mod secureml;
+
+/// Layer dimensions `[in, hidden…, out]` of the fully-connected stack a
+/// public model describes (the baselines serve MLPs only).
+fn mlp_dims(model: &abnn2_core::PublicModel) -> Vec<usize> {
+    let graph = model.graph();
+    std::iter::once(graph.input_len())
+        .chain(graph.ops.iter().filter(|op| op.is_linear()).map(|op| op.out_len()))
+        .collect()
+}

@@ -20,15 +20,15 @@
 //! The online phase is byte-identical to ABNN²'s (shared linear step and
 //! GC activations), as in the paper's experimental setup.
 
-use abnn2_core::inference::{layer_share, PublicModelInfo};
+use abnn2_core::inference::layer_share;
 use abnn2_core::relu::{relu_client, relu_server, ReluVariant};
-use abnn2_core::ProtocolError;
+use abnn2_core::{ProtocolError, PublicModel};
 use abnn2_gc::{YaoEvaluator, YaoGarbler};
 use abnn2_he::paillier::{Ciphertext, Keypair, PublicKey};
 use abnn2_he::BigUint;
 use abnn2_math::Matrix;
 use abnn2_net::Transport;
-use abnn2_nn::quant::QuantizedNetwork;
+use abnn2_nn::quant::{QuantConfig, QuantizedNetwork};
 use rand::Rng;
 
 /// Key size used by the full-scale benchmarks (research-scale Paillier).
@@ -53,8 +53,8 @@ fn slots_per_ct(key_bits: usize, stride: usize) -> usize {
 }
 
 /// Weight span: bits of `hi − lo` for the scheme's weight range.
-fn weight_span_bits(info: &PublicModelInfo) -> usize {
-    let (lo, hi) = info.config.scheme.weight_range();
+fn weight_span_bits(config: &QuantConfig) -> usize {
+    let (lo, hi) = config.scheme.weight_range();
     64 - ((hi - lo) as u64).leading_zeros() as usize
 }
 
@@ -77,7 +77,8 @@ pub struct MinionnServerOffline {
 /// The MiniONN data-owning party.
 #[derive(Debug, Clone)]
 pub struct MinionnClient {
-    info: PublicModelInfo,
+    dims: Vec<usize>,
+    config: QuantConfig,
     variant: ReluVariant,
     key_bits: usize,
 }
@@ -101,8 +102,8 @@ impl MinionnServer {
 
     /// The public model description.
     #[must_use]
-    pub fn public_info(&self) -> PublicModelInfo {
-        PublicModelInfo::from(&self.net)
+    pub fn public_model(&self) -> PublicModel {
+        PublicModel::from(&self.net)
     }
 
     /// Offline phase: homomorphic triplet generation for `batch`
@@ -120,7 +121,6 @@ impl MinionnServer {
         if batch == 0 {
             return Err(ProtocolError::Dimension("batch must be positive"));
         }
-        let info = self.public_info();
         let ring = self.net.config.ring;
         // Receive the client's public key (modulus only — g = n + 1).
         let n_bytes = ch.recv()?;
@@ -128,8 +128,8 @@ impl MinionnServer {
             .map_err(|_| ProtocolError::Malformed("even Paillier modulus"))?;
         let yao = YaoEvaluator::setup(ch, rng)?;
 
-        let span = weight_span_bits(&info);
-        let (lo, _) = info.config.scheme.weight_range();
+        let span = weight_span_bits(&self.net.config);
+        let (lo, _) = self.net.config.scheme.weight_range();
         let mut us = Vec::with_capacity(self.net.layers.len());
         for layer in &self.net.layers {
             let st = stride(ring.bits() as usize, layer.in_dim, span);
@@ -230,8 +230,13 @@ impl MinionnServer {
 impl MinionnClient {
     /// Creates a client for a served model.
     #[must_use]
-    pub fn new(info: PublicModelInfo, key_bits: usize) -> Self {
-        MinionnClient { info, variant: ReluVariant::Oblivious, key_bits }
+    pub fn new(model: PublicModel, key_bits: usize) -> Self {
+        MinionnClient {
+            dims: crate::mlp_dims(&model),
+            config: model.config().clone(),
+            variant: ReluVariant::Oblivious,
+            key_bits,
+        }
     }
 
     /// Offline phase: generate a key, encrypt per-layer randomness, decrypt
@@ -249,18 +254,18 @@ impl MinionnClient {
         if batch == 0 {
             return Err(ProtocolError::Dimension("batch must be positive"));
         }
-        let ring = self.info.config.ring;
+        let ring = self.config.ring;
         let kp = Keypair::generate(self.key_bits, rng);
         ch.send(&kp.public.modulus().to_bytes_le())?;
         let yao = YaoGarbler::setup(ch, rng)?;
 
-        let span = weight_span_bits(&self.info);
-        let (lo, _) = self.info.config.scheme.weight_range();
-        let n_layers = self.info.dims.len() - 1;
+        let span = weight_span_bits(&self.config);
+        let (lo, _) = self.config.scheme.weight_range();
+        let n_layers = self.dims.len() - 1;
         let mut rs = Vec::with_capacity(n_layers);
         let mut vs = Vec::with_capacity(n_layers);
         for l in 0..n_layers {
-            let (n_l, m_l) = (self.info.dims[l], self.info.dims[l + 1]);
+            let (n_l, m_l) = (self.dims[l], self.dims[l + 1]);
             let st = stride(ring.bits() as usize, n_l, span);
             let slots = slots_per_ct(self.key_bits, st);
             let groups = batch.div_ceil(slots);
@@ -338,9 +343,9 @@ impl MinionnClient {
         rng: &mut R,
     ) -> Result<Matrix, ProtocolError> {
         let MinionnClientOffline { mut yao, rs, vs, batch } = state;
-        let ring = self.info.config.ring;
-        let fw = self.info.config.weight_frac_bits;
-        let n0 = self.info.dims[0];
+        let ring = self.config.ring;
+        let fw = self.config.weight_frac_bits;
+        let n0 = self.dims[0];
         if inputs_fp.len() != batch || inputs_fp.iter().any(|x| x.len() != n0) {
             return Err(ProtocolError::Dimension("inputs must be batch × n0"));
         }
@@ -353,11 +358,11 @@ impl MinionnClient {
         let x0 = x.sub(&rs[0], &ring);
         ch.send(&ring.encode_slice(x0.as_slice()))?;
 
-        let n_layers = self.info.dims.len() - 1;
+        let n_layers = self.dims.len() - 1;
         for l in 0..n_layers {
             let y1 = &vs[l];
             if l == n_layers - 1 {
-                let m = self.info.dims[n_layers];
+                let m = self.dims[n_layers];
                 let y0_bytes = ch.recv()?;
                 if y0_bytes.len() != m * batch * ring.byte_len() {
                     return Err(ProtocolError::Malformed("output share length"));
@@ -400,7 +405,6 @@ mod tests {
     use super::*;
     use abnn2_math::{FragmentScheme, Ring};
     use abnn2_net::{run_pair, NetworkModel};
-    use abnn2_nn::quant::QuantConfig;
     use abnn2_nn::{Network, SyntheticMnist};
     use rand::SeedableRng;
 
@@ -428,7 +432,7 @@ mod tests {
         let expected: Vec<Vec<u64>> = inputs_fp.iter().map(|x| q.forward_exact(x)).collect();
 
         let server = MinionnServer::new(q.clone(), 256);
-        let client = MinionnClient::new(server.public_info(), 256);
+        let client = MinionnClient::new(server.public_model(), 256);
         let inputs2 = inputs_fp.clone();
         let (srv, y, _) = run_pair(
             NetworkModel::instant(),
@@ -462,7 +466,7 @@ mod tests {
         let q = tiny_quantized(94);
         let batch = 1;
         let server = MinionnServer::new(q.clone(), 256);
-        let client = MinionnClient::new(server.public_info(), 256);
+        let client = MinionnClient::new(server.public_model(), 256);
         let (_, _, report) = run_pair(
             NetworkModel::instant(),
             move |ch| {

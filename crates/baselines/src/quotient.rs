@@ -150,13 +150,13 @@ pub use inference::{QuotientClient, QuotientServer};
 /// linear layers, ABNN²'s shared online machinery for everything else.
 pub mod inference {
     use super::{matmul_client, matmul_server};
-    use abnn2_core::inference::{layer_share, PublicModelInfo};
+    use abnn2_core::inference::layer_share;
     use abnn2_core::relu::{relu_client, relu_server, ReluVariant};
-    use abnn2_core::ProtocolError;
+    use abnn2_core::{ProtocolError, PublicModel};
     use abnn2_gc::{YaoEvaluator, YaoGarbler};
     use abnn2_math::Matrix;
     use abnn2_net::Transport;
-    use abnn2_nn::quant::QuantizedNetwork;
+    use abnn2_nn::quant::{QuantConfig, QuantizedNetwork};
     use abnn2_ot::{IknpReceiver, IknpSender};
     use rand::Rng;
 
@@ -169,7 +169,8 @@ pub mod inference {
     /// The QUOTIENT data-owning party.
     #[derive(Debug, Clone)]
     pub struct QuotientClient {
-        info: PublicModelInfo,
+        dims: Vec<usize>,
+        config: QuantConfig,
     }
 
     impl QuotientServer {
@@ -189,8 +190,8 @@ pub mod inference {
 
         /// The public model description.
         #[must_use]
-        pub fn public_info(&self) -> PublicModelInfo {
-            PublicModelInfo::from(&self.net)
+        pub fn public_model(&self) -> PublicModel {
+            PublicModel::from(&self.net)
         }
 
         /// Offline + online secure inference, server side.
@@ -244,8 +245,8 @@ pub mod inference {
     impl QuotientClient {
         /// Creates a client for a served ternary model.
         #[must_use]
-        pub fn new(info: PublicModelInfo) -> Self {
-            QuotientClient { info }
+        pub fn new(model: PublicModel) -> Self {
+            QuotientClient { dims: crate::mlp_dims(&model), config: model.config().clone() }
         }
 
         /// Offline + online secure inference, client side; returns the raw
@@ -260,21 +261,21 @@ pub mod inference {
             inputs_fp: &[Vec<u64>],
             rng: &mut R,
         ) -> Result<Matrix, ProtocolError> {
-            let ring = self.info.config.ring;
-            let fw = self.info.config.weight_frac_bits;
+            let ring = self.config.ring;
+            let fw = self.config.weight_frac_bits;
             let batch = inputs_fp.len();
-            let n0 = self.info.dims[0];
+            let n0 = self.dims[0];
             if batch == 0 || inputs_fp.iter().any(|x| x.len() != n0) {
                 return Err(ProtocolError::Dimension("inputs must be batch × n0"));
             }
             let mut ot = IknpSender::setup(ch, rng)?;
             let mut yao = YaoGarbler::setup(ch, rng)?;
-            let n_layers = self.info.dims.len() - 1;
+            let n_layers = self.dims.len() - 1;
             let mut rs = Vec::with_capacity(n_layers);
             let mut vs = Vec::with_capacity(n_layers);
             for l in 0..n_layers {
-                let r = Matrix::random(self.info.dims[l], batch, &ring, rng);
-                let v = matmul_client(ch, &mut ot, &r, self.info.dims[l + 1], ring)?;
+                let r = Matrix::random(self.dims[l], batch, &ring, rng);
+                let v = matmul_client(ch, &mut ot, &r, self.dims[l + 1], ring)?;
                 rs.push(r);
                 vs.push(v);
             }
@@ -289,7 +290,7 @@ pub mod inference {
             for l in 0..n_layers {
                 let y1 = &vs[l];
                 if l == n_layers - 1 {
-                    let m = self.info.dims[n_layers];
+                    let m = self.dims[n_layers];
                     let y0_bytes = ch.recv()?;
                     if y0_bytes.len() != m * batch * ring.byte_len() {
                         return Err(ProtocolError::Malformed("output share length"));
@@ -416,7 +417,7 @@ mod tests {
             data.train.iter().take(batch).map(|s| codec.encode_vec(&s.pixels)).collect();
         let expected: Vec<Vec<u64>> = inputs_fp.iter().map(|x| q.forward_exact(x)).collect();
         let server = inference::QuotientServer::new(q.clone());
-        let client = inference::QuotientClient::new(server.public_info());
+        let client = inference::QuotientClient::new(server.public_model());
         let inputs2 = inputs_fp.clone();
         let (srv, y, _) = run_pair(
             NetworkModel::instant(),

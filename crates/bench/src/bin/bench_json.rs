@@ -34,7 +34,7 @@ use abnn2_bench::{paper_quantized, run_abnn2_e2e, run_offline_triplets_with, run
 use abnn2_core::bundle::dealer_bundle_for;
 use abnn2_core::complexity;
 use abnn2_core::graph::{SecureGraph, ServedModel};
-use abnn2_core::inference::{PublicTransformerInfo, SecureClient, SecureServer};
+use abnn2_core::inference::{SecureClient, SecureServer};
 use abnn2_core::matmul::{triplet_client, triplet_server, TripletMode};
 use abnn2_core::relu::ReluVariant;
 use abnn2_crypto::{aes_ni_available, choose_backend, Aes128, Block, CryptoBackend};
@@ -135,7 +135,7 @@ fn transformer_entries(entries: &mut Vec<String>) {
     let mut cch = InstrumentedTransport::new(client_ep);
     let handle = cch.handle();
     let server = SecureServer::for_model(model.clone());
-    let client = SecureClient::for_model(PublicTransformerInfo::from(&model));
+    let client = SecureClient::for_model(&model);
     let t0 = Instant::now();
     std::thread::scope(|scope| {
         scope.spawn(move || {

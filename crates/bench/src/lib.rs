@@ -176,8 +176,8 @@ pub fn run_abnn2_e2e(
 ) -> E2eStats {
     let data = SyntheticMnist::generate(batch, 0, seed);
     let inputs: Vec<Vec<f64>> = data.train.iter().map(|s| s.pixels.clone()).collect();
-    let server = SecureServer::new(net.clone()).with_variant(variant);
-    let client = SecureClient::new(server.public_info()).with_variant(variant);
+    let server = SecureServer::for_model(net.clone()).with_variant(variant);
+    let client = SecureClient::for_model(server.public_model()).with_variant(variant);
     let (s_mid, c_mid, report) = run_pair(
         model,
         move |ch| {
@@ -212,7 +212,7 @@ pub fn run_minionn_e2e(
     let codec = net.config.activation_codec();
     let inputs_fp: Vec<Vec<u64>> = data.train.iter().map(|s| codec.encode_vec(&s.pixels)).collect();
     let server = MinionnServer::new(net.clone(), key_bits);
-    let client = MinionnClient::new(server.public_info(), key_bits);
+    let client = MinionnClient::new(server.public_model(), key_bits);
     let (s_mid, c_mid, report) = run_pair(
         model,
         move |ch| {
@@ -248,7 +248,7 @@ pub fn run_quotient_e2e(
     let codec = net.config.activation_codec();
     let inputs_fp: Vec<Vec<u64>> = data.train.iter().map(|s| codec.encode_vec(&s.pixels)).collect();
     let server = QuotientServer::new(net.clone());
-    let client = QuotientClient::new(server.public_info());
+    let client = QuotientClient::new(server.public_model());
     let ((), _, report) = run_pair(
         model,
         move |ch| {

@@ -31,7 +31,6 @@
 
 use crate::graph::{weight_product, SecureGraph, ServedModel};
 use crate::handshake::{graph_digests, SessionParams};
-use crate::inference::PublicModelInfo;
 use crate::matbeaver::{deal_matrix_triple, MatrixTriple};
 use crate::ProtocolError;
 use abnn2_math::{Matrix, Ring};
@@ -72,19 +71,11 @@ pub struct BundleKey {
 
 impl BundleKey {
     /// The key for a layer graph at a given batch size, in the portable
-    /// IKNP mode — the canonical derivation; the model-facing constructor
-    /// delegates here. Use [`with_mode`](Self::with_mode) for silent
-    /// sessions.
+    /// IKNP mode. Use [`with_mode`](Self::with_mode) for silent sessions.
     #[must_use]
     pub fn for_graph(graph: &LayerGraph, batch: usize) -> Self {
         let (scheme_digest, model_digest) = graph_digests(graph);
         BundleKey { model_digest, scheme_digest, batch: batch as u32, mode: OfflineMode::Iknp }
-    }
-
-    /// The key for a served MLP at a given batch size.
-    #[must_use]
-    pub fn for_model(info: &PublicModelInfo, batch: usize) -> Self {
-        Self::for_graph(&info.graph(), batch)
     }
 
     /// The key implied by a handshake's negotiated session parameters
@@ -301,8 +292,8 @@ pub fn dealer_bundle<R: Rng + ?Sized>(
     batch: usize,
     rng: &mut R,
 ) -> (ServerBundle, ClientBundle) {
-    let model = ServedModel::Mlp(net.clone());
-    let sg = SecureGraph::new(model.graph(), batch).expect("valid MLP graph");
+    let model = ServedModel::from(net.clone());
+    let sg = model.secure_graph(batch).expect("valid MLP graph");
     dealer_bundle_for(&model, &sg, rng)
 }
 
@@ -376,8 +367,8 @@ mod tests {
                 bias: vec![0; 4],
             }],
         };
-        let model = ServedModel::Cnn(cnn);
-        let sg = SecureGraph::new(model.graph(), 1).unwrap();
+        let model = ServedModel::from(cnn);
+        let sg = model.secure_graph(1).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(19);
         let (server, client) = dealer_bundle_for(&model, &sg, &mut rng);
         // Conv U is 2×36 (positions as batch); masks follow mask_shapes.
@@ -434,24 +425,25 @@ mod tests {
     #[test]
     fn keys_depend_on_model_scheme_and_batch() {
         let q = tiny(17);
-        let info = PublicModelInfo::from(&q);
-        let base = BundleKey::for_model(&info, 1);
-        assert_eq!(base, BundleKey::for_model(&info, 1));
-        assert_ne!(base, BundleKey::for_model(&info, 2));
+        let graph = LayerGraph::from(&q);
+        let base = BundleKey::for_graph(&graph, 1);
+        assert_eq!(base, BundleKey::for_graph(&graph, 1));
+        assert_ne!(base, BundleKey::for_graph(&graph, 2));
 
-        let mut other = info.clone();
+        let mut other = graph.clone();
         other.config.scheme = FragmentScheme::ternary();
-        assert_ne!(base.scheme_digest, BundleKey::for_model(&other, 1).scheme_digest);
+        assert_ne!(base.scheme_digest, BundleKey::for_graph(&other, 1).scheme_digest);
 
         let q2 = {
             let net = Network::new(&[6, 7, 3], 18);
             QuantizedNetwork::quantize(&net, q.config.clone())
         };
-        let info2 = PublicModelInfo::from(&q2);
-        assert_ne!(base.model_digest, BundleKey::for_model(&info2, 1).model_digest);
+        let graph2 = LayerGraph::from(&q2);
+        assert_ne!(base.model_digest, BundleKey::for_graph(&graph2, 1).model_digest);
 
         // The handshake's view and the pool's view agree.
-        let params = SessionParams::for_model(&info, crate::relu::ReluVariant::Oblivious, 1);
+        let params =
+            SessionParams::for_public(&(&q).into(), crate::relu::ReluVariant::Oblivious, 1);
         assert_eq!(BundleKey::from_params(&params), base);
     }
 
@@ -460,8 +452,7 @@ mod tests {
         // A bundle pooled for silent sessions must be invisible to an IKNP
         // session with otherwise identical parameters, and vice versa.
         let q = tiny(17);
-        let info = PublicModelInfo::from(&q);
-        let iknp = BundleKey::for_model(&info, 1);
+        let iknp = BundleKey::for_graph(&LayerGraph::from(&q), 1);
         let silent = iknp.with_mode(OfflineMode::Silent);
         assert_eq!(iknp.mode, OfflineMode::Iknp);
         assert_eq!(silent.mode, OfflineMode::Silent);

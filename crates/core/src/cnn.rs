@@ -9,73 +9,21 @@
 //! window maximum just like the ReLU layers.
 //!
 //! The pipeline (conv → ReLU(+truncation) → max-pool → dense stack) lowers
-//! to the [`LayerGraph`] IR and runs on the shared planner/executor in
-//! [`crate::graph`]; [`CnnServer`] and [`CnnClient`] are single-sample
-//! convenience adapters over [`SecureServer`]/[`SecureClient`], which
-//! accept CNN models directly via
-//! [`SecureServer::for_model`]/[`SecureClient::for_model`]. Results match
-//! [`QuantizedCnn::forward_exact`] share-for-share.
+//! to the [`LayerGraph`](abnn2_nn::graph::LayerGraph) IR and runs on the
+//! shared planner/executor in [`crate::graph`] through
+//! [`SecureServer`](crate::SecureServer)/[`SecureClient`](crate::SecureClient)
+//! like every other topology; this module owns only the max-pool
+//! subprotocol. Results match
+//! [`QuantizedCnn::forward_exact`](abnn2_nn::QuantizedCnn::forward_exact)
+//! share-for-share.
 
-use crate::config::ExecConfig;
-use crate::inference::{SecureClient, SecureServer};
-use crate::relu::ReluVariant;
 use crate::ProtocolError;
 use abnn2_gc::circuit::{bits_to_u64, u64_to_bits};
 use abnn2_gc::{circuits, YaoEvaluator, YaoGarbler};
 use abnn2_math::Ring;
 use abnn2_net::Transport;
-use abnn2_nn::conv::{pool_windows, ConvShape, QuantizedCnn};
-use abnn2_nn::graph::LayerGraph;
-use abnn2_nn::quant::QuantConfig;
+use abnn2_nn::conv::{pool_windows, ConvShape};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
-
-/// Public description of a served CNN (architecture, no weights).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PublicCnnInfo {
-    /// Fixed-point hyper-parameters.
-    pub config: QuantConfig,
-    /// Input feature-map shape.
-    pub in_shape: ConvShape,
-    /// Filter count of the conv layer.
-    pub out_channels: usize,
-    /// Kernel height / width / stride.
-    pub kernel: (usize, usize, usize),
-    /// Pooling window.
-    pub pool_window: usize,
-    /// Dense dims after flattening the pooled map: `[in, hidden…, out]`.
-    pub dense_dims: Vec<usize>,
-}
-
-impl From<&QuantizedCnn> for PublicCnnInfo {
-    fn from(net: &QuantizedCnn) -> Self {
-        let mut dense_dims = vec![net.dense[0].in_dim];
-        dense_dims.extend(net.dense.iter().map(|l| l.out_dim));
-        PublicCnnInfo {
-            config: net.config.clone(),
-            in_shape: net.conv.in_shape,
-            out_channels: net.conv.out_channels,
-            kernel: (net.conv.kh, net.conv.kw, net.conv.stride),
-            pool_window: net.pool_window,
-            dense_dims,
-        }
-    }
-}
-
-impl PublicCnnInfo {
-    /// The layer graph this architecture lowers to.
-    #[must_use]
-    pub fn graph(&self) -> LayerGraph {
-        LayerGraph::cnn(
-            self.in_shape,
-            self.out_channels,
-            self.kernel,
-            self.pool_window,
-            &self.dense_dims,
-            self.config.clone(),
-        )
-    }
-}
 
 /// Secure max-pool, server (evaluator) side: pools its shares of a CHW map
 /// into fresh shares of the window maxima.
@@ -146,142 +94,14 @@ pub fn maxpool_client<T: Transport, RNG: Rng + ?Sized>(
     Ok(())
 }
 
-/// The CNN-serving party: a single-sample adapter over [`SecureServer`]
-/// driving the shared graph executor.
-#[derive(Debug, Clone)]
-pub struct CnnServer {
-    inner: SecureServer,
-}
-
-impl CnnServer {
-    /// Serves a quantized CNN (batch size 1).
-    #[must_use]
-    pub fn new(net: QuantizedCnn) -> Self {
-        CnnServer { inner: SecureServer::for_model(net) }
-    }
-
-    /// Replaces the whole execution configuration.
-    #[must_use]
-    pub fn with_exec(mut self, exec: ExecConfig) -> Self {
-        self.inner = self.inner.with_exec(exec);
-        self
-    }
-
-    /// Selects the activation variant (must match the client's).
-    #[must_use]
-    pub fn with_variant(mut self, variant: ReluVariant) -> Self {
-        self.inner = self.inner.with_variant(variant);
-        self
-    }
-
-    /// Multi-core triplet generation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.inner = self.inner.with_threads(threads);
-        self
-    }
-
-    /// The public model description.
-    ///
-    /// # Panics
-    ///
-    /// Never panics: a `CnnServer` always serves a CNN.
-    #[must_use]
-    pub fn public_info(&self) -> PublicCnnInfo {
-        match self.inner.public_model() {
-            crate::graph::PublicModel::Cnn(info) => info,
-            _ => unreachable!("CnnServer serves a CNN"),
-        }
-    }
-
-    /// Runs one secure prediction, server side (handshake, offline
-    /// triplets, online graph walk, logits opened toward the client).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError`] on any subprotocol failure.
-    pub fn run<T: Transport, R: Rng + ?Sized>(
-        &self,
-        ch: &mut T,
-        rng: &mut R,
-    ) -> Result<(), ProtocolError> {
-        self.inner.run(ch, 1, rng)
-    }
-}
-
-/// The CNN data-owning party: a single-sample adapter over
-/// [`SecureClient`] driving the shared graph executor.
-#[derive(Debug, Clone)]
-pub struct CnnClient {
-    inner: SecureClient,
-}
-
-impl CnnClient {
-    /// Creates a client for a served CNN.
-    #[must_use]
-    pub fn new(info: PublicCnnInfo) -> Self {
-        CnnClient { inner: SecureClient::for_model(info) }
-    }
-
-    /// Replaces the whole execution configuration.
-    #[must_use]
-    pub fn with_exec(mut self, exec: ExecConfig) -> Self {
-        self.inner = self.inner.with_exec(exec);
-        self
-    }
-
-    /// Selects the activation variant (must match the server's).
-    #[must_use]
-    pub fn with_variant(mut self, variant: ReluVariant) -> Self {
-        self.inner = self.inner.with_variant(variant);
-        self
-    }
-
-    /// Multi-core triplet generation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.inner = self.inner.with_threads(threads);
-        self
-    }
-
-    /// Runs one secure prediction over a fixed-point CHW image; returns the
-    /// reconstructed raw outputs at `f + f_w` fractional bits.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError`] on any subprotocol failure, or
-    /// [`ProtocolError::Dimension`] if the image does not match the
-    /// model's input shape.
-    pub fn run<T: Transport, R: Rng + ?Sized>(
-        &self,
-        ch: &mut T,
-        image_fp: &[u64],
-        rng: &mut R,
-    ) -> Result<Vec<u64>, ProtocolError> {
-        if image_fp.len() != self.inner.public_model().graph().input_len() {
-            return Err(ProtocolError::Dimension("image length mismatch"));
-        }
-        let state = self.inner.offline(ch, 1, rng)?;
-        let y = self.inner.online_raw(ch, state, &[image_fp.to_vec()], rng)?;
-        Ok(y.col(0))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inference::{ClientJob, SecureClient, SecureServer};
     use abnn2_math::FragmentScheme;
     use abnn2_net::{run_pair, NetworkModel};
-    use abnn2_nn::conv::QuantizedConv;
-    use abnn2_nn::quant::QuantizedDense;
+    use abnn2_nn::conv::{QuantizedCnn, QuantizedConv};
+    use abnn2_nn::quant::{QuantConfig, QuantizedDense};
     use rand::SeedableRng;
 
     fn small_cnn(seed: u64, scheme: FragmentScheme) -> QuantizedCnn {
@@ -327,22 +147,22 @@ mod tests {
             .collect();
         let expect = cnn.forward_exact(&image);
 
-        let server = CnnServer::new(cnn.clone());
-        let client = CnnClient::new(server.public_info());
+        let server = SecureServer::for_model(cnn.clone());
+        let client = SecureClient::for_model(server.public_model());
         let image2 = image.clone();
         let (srv, got, _) = run_pair(
             NetworkModel::instant(),
             move |ch| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 2);
-                server.run(ch, &mut rng)
+                server.run(ch, 1, &mut rng)
             },
             move |ch| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 3);
-                client.run(ch, &image2, &mut rng).expect("client")
+                client.run_job(ch, &[image2], &mut ClientJob::default(), &mut rng).expect("client")
             },
         );
         srv.expect("server");
-        assert_eq!(got, expect, "secure CNN must equal forward_exact");
+        assert_eq!(got.col(0), expect, "secure CNN must equal forward_exact");
     }
 
     #[test]
@@ -358,12 +178,12 @@ mod tests {
     #[test]
     fn wrong_image_length_rejected_before_any_io() {
         let cnn = small_cnn(240, FragmentScheme::ternary());
-        let client = CnnClient::new(PublicCnnInfo::from(&cnn));
+        let client = SecureClient::for_model(&cnn);
         let (mut a, _b) = abnn2_net::Endpoint::pair(NetworkModel::instant());
         let mut rng = rand::rngs::StdRng::seed_from_u64(241);
         assert_eq!(
-            client.run(&mut a, &[0u64; 3], &mut rng).err(),
-            Some(ProtocolError::Dimension("image length mismatch"))
+            client.run_job(&mut a, &[vec![0u64; 3]], &mut ClientJob::default(), &mut rng).err(),
+            Some(ProtocolError::Dimension("input dimension mismatch"))
         );
         assert_eq!(a.snapshot().bytes_sent, 0, "no traffic before the check");
     }

@@ -1,9 +1,7 @@
 //! Shared execution options for the secure-inference parties.
 //!
-//! [`SecureServer`](crate::inference::SecureServer),
-//! [`SecureClient`](crate::inference::SecureClient),
-//! [`CnnServer`](crate::cnn::CnnServer) and [`CnnClient`](crate::cnn::CnnClient)
-//! all carry the same two knobs — the activation variant and the triplet
+//! [`SecureServer`](crate::inference::SecureServer) and
+//! [`SecureClient`](crate::inference::SecureClient) carry the same two knobs — the activation variant and the triplet
 //! worker-thread count — with the same defaults and the same validation.
 //! [`ExecConfig`] holds them once; the party types embed it and delegate
 //! their builder methods here.

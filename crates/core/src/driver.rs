@@ -50,14 +50,16 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Where a session's side data (parameters, resume checkpoints, warm
-/// bundles) comes from. The serving layer implements this over its
-/// per-worker stores; [`NullHost`] declines everything for the plain
-/// blocking flow.
+/// bundles) comes from, and where its checkpoint goes when it ends. The
+/// serving layer implements this over its per-worker stores,
+/// [`ResilientServer`](crate::ResilientServer) over its
+/// [`CheckpointStore`](crate::CheckpointStore); [`NullHost`] declines
+/// everything for the plain blocking flow.
 ///
-/// The driver consults each method at most once per session, during the
-/// handshake phase, and only for a parameter-matched peer — so a claim or
-/// take may have side effects (removal from a store) without risking
-/// double consumption on replay.
+/// The driver consults each of the three lookups at most once per
+/// session, during the handshake phase, and only for a parameter-matched
+/// peer — so a claim or take may have side effects (removal from a store)
+/// without risking double consumption on replay.
 pub trait SessionHost {
     /// Our session parameters for the batch size the client announced.
     fn params_for(&self, batch: usize) -> SessionParams;
@@ -76,6 +78,14 @@ pub trait SessionHost {
         params: &SessionParams,
         mode: OfflineMode,
     ) -> Option<(ServerBundle, ClientBundle)>;
+
+    /// Ends a session's hold on `token` ([`SessionDriver::settle`]):
+    /// `Some(bundle)` parks the offline state for a reconnecting client to
+    /// resume, `None` forgets the token. Hosts without a checkpoint store
+    /// keep the default, which drops both.
+    fn release_checkpoint(&self, token: ResumeToken, parked: Option<ServerBundle>) {
+        let _ = (token, parked);
+    }
 }
 
 /// A host that never resumes and never deals bundles: the
@@ -335,11 +345,24 @@ impl<H: SessionHost> SessionDriver<H> {
         self.batch
     }
 
-    /// Removes and returns the connection-independent offline state a
-    /// reconnecting client could resume from. The hosting layer inserts
-    /// it into a checkpoint store when the session dies retryably.
-    pub fn take_checkpoint(&mut self) -> Option<ServerBundle> {
-        self.checkpoint.take()
+    /// Settles the session's resume checkpoint with the host once the
+    /// session has ended, however it was driven: a session that died
+    /// retryably (`Some(e)` with [`ProtocolError::is_retryable`]) parks
+    /// its connection-independent offline state under the client's token
+    /// — the client will be back — while a completed one (`None`) forgets
+    /// the token. A fatal error leaves the store alone: a claimed
+    /// checkpoint already left it, and nothing will resume this session.
+    pub fn settle(&mut self, error: Option<&ProtocolError>) {
+        let Some(token) = self.token else { return };
+        match error {
+            None => self.host.release_checkpoint(token, None),
+            Some(e) if e.is_retryable() => {
+                if let Some(bundle) = self.checkpoint.take() {
+                    self.host.release_checkpoint(token, Some(bundle));
+                }
+            }
+            Some(_) => {}
+        }
     }
 
     /// The error a failed driver stopped with.
@@ -514,11 +537,25 @@ pub fn drive_frames<T: Transport, H: SessionHost>(
     driver: &mut SessionDriver<H>,
     mut observe: impl FnMut(&DriverEffect),
 ) -> Result<DriveStats, ProtocolError> {
+    drive_frames_with(ch, driver, |_, effect| {
+        observe(effect);
+        Ok(())
+    })
+}
+
+/// [`drive_frames`] whose observer may also act on the transport — arm a
+/// phase budget, inject a fault — at the exact protocol point an effect
+/// marks, and fail the session by returning an error.
+pub(crate) fn drive_frames_with<T: Transport, H: SessionHost>(
+    ch: &mut T,
+    driver: &mut SessionDriver<H>,
+    mut observe: impl FnMut(&mut T, &DriverEffect) -> Result<(), ProtocolError>,
+) -> Result<DriveStats, ProtocolError> {
     let mut stats = DriveStats::default();
     loop {
         let step = driver.step();
         for effect in driver.take_effects() {
-            observe(&effect);
+            observe(ch, &effect)?;
             match effect {
                 DriverEffect::Send(bytes) => ch.send_owned(bytes)?,
                 DriverEffect::Flush => ch.flush()?,
@@ -576,13 +613,8 @@ mod tests {
         )
     }
 
-    fn params_for(server: &SecureServer, batch: usize) -> SessionParams {
-        let sg = server.secure_graph(batch).expect("graph");
-        SessionParams::for_graph(sg.graph(), server.exec.variant, batch)
-    }
-
     fn driver_for(server: &Arc<SecureServer>, seed: u64) -> SessionDriver<NullHost> {
-        let ours = params_for(server, 1);
+        let ours = server.params_for(1);
         SessionDriver::new(Arc::clone(server), NullHost { ours }, StdRng::seed_from_u64(seed))
     }
 
@@ -591,7 +623,7 @@ mod tests {
     /// neither loops nor duplicates effects.
     #[test]
     fn empty_driver_parks_on_the_hello() {
-        let server = Arc::new(SecureServer::new(tiny_model()));
+        let server = Arc::new(SecureServer::for_model(tiny_model()));
         let mut driver = driver_for(&server, 1);
         assert_eq!(driver.step(), DriverStep::NeedRecv);
         assert_eq!(driver.take_effects(), vec![DriverEffect::Mark("handshake".into())]);
@@ -609,8 +641,8 @@ mod tests {
         let q = tiny_model();
         let x: Vec<u64> = (0..10).map(|j| (j * 37 + 5) & 0xFFF).collect();
         let expected = q.forward_exact(&x);
-        let server = Arc::new(SecureServer::new(q));
-        let client = SecureClient::new(server.public_info());
+        let server = Arc::new(SecureServer::for_model(q));
+        let client = SecureClient::for_model(server.public_model());
         let (mut sch, mut cch) = Endpoint::pair(NetworkModel::instant());
 
         let (suspensions, hello_replies, y) = std::thread::scope(|scope| {
@@ -648,8 +680,8 @@ mod tests {
         let q = tiny_model();
         let x: Vec<u64> = (0..10).map(|j| (j * 13 + 1) & 0xFFF).collect();
         let expected = q.forward_exact(&x);
-        let server = Arc::new(SecureServer::new(q));
-        let client = SecureClient::new(server.public_info());
+        let server = Arc::new(SecureServer::for_model(q));
+        let client = SecureClient::for_model(server.public_model());
         let (mut sch, mut cch) = Endpoint::pair(NetworkModel::instant());
         let y = std::thread::scope(|scope| {
             let x2 = x.clone();
@@ -673,8 +705,8 @@ mod tests {
     /// observes the symmetric error instead of hanging.
     #[test]
     fn negotiation_failure_externalizes_the_reply() {
-        let server = Arc::new(SecureServer::new(tiny_model()));
-        let other = SecureServer::new(QuantizedNetwork::quantize(
+        let server = Arc::new(SecureServer::for_model(tiny_model()));
+        let other = SecureServer::for_model(QuantizedNetwork::quantize(
             &Network::new(&[10, 8, 4], 78),
             QuantConfig {
                 ring: Ring::new(32),
@@ -683,7 +715,7 @@ mod tests {
                 scheme: FragmentScheme::signed_bit_fields(&[2, 2]),
             },
         ));
-        let theirs = params_for(&other, 1);
+        let theirs = other.params_for(1);
         let (mut sch, mut cch) = Endpoint::pair(NetworkModel::instant());
         std::thread::scope(|scope| {
             let cli = scope.spawn(move || handshake_client(&mut cch, theirs, &[0u8; 16], false));

@@ -153,9 +153,9 @@ mod tests {
     #[test]
     fn retryability_tracks_transience() {
         use crate::handshake::SessionParams;
-        use crate::inference::PublicModelInfo;
         use crate::relu::ReluVariant;
         use abnn2_math::{FragmentScheme, Ring};
+        use abnn2_nn::graph::LayerGraph;
         use abnn2_nn::quant::QuantConfig;
 
         assert!(ProtocolError::Channel.is_retryable());
@@ -167,16 +167,14 @@ mod tests {
         assert!(!ProtocolError::Dimension("x").is_retryable());
         assert!(!ProtocolError::Handshake("bad magic").is_retryable());
 
-        let info = PublicModelInfo {
-            dims: vec![4, 2],
-            config: QuantConfig {
-                ring: Ring::new(32),
-                frac_bits: 8,
-                weight_frac_bits: 4,
-                scheme: FragmentScheme::binary(),
-            },
+        let config = QuantConfig {
+            ring: Ring::new(32),
+            frac_bits: 8,
+            weight_frac_bits: 4,
+            scheme: FragmentScheme::binary(),
         };
-        let p = SessionParams::for_model(&info, ReluVariant::Oblivious, 1);
+        let p =
+            SessionParams::for_graph(&LayerGraph::mlp(&[4, 2], config), ReluVariant::Oblivious, 1);
         let e = ProtocolError::Negotiation { ours: p, theirs: p };
         assert!(!e.is_retryable());
         assert!(e.to_string().contains("negotiation"));

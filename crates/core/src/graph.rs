@@ -8,8 +8,8 @@
 //! linear op (dimensions, batch `o`, message-layout mode), and the
 //! **executor** halves ([`server_offline_with`] / [`server_online_to_logits`]
 //! and [`client_offline_with`] / [`client_online_to_logits`]) walk the same
-//! op sequence consuming planned state. `SecureServer`/`SecureClient` and
-//! `CnnServer`/`CnnClient` are thin adapters over these functions.
+//! op sequence consuming planned state. `SecureServer`/`SecureClient`
+//! drive these functions for every topology.
 //!
 //! The executor's state invariant, per party:
 //!
@@ -30,10 +30,11 @@
 //! `online:op2/relu`, so metering transports report bytes and time per
 //! layer while plain transports ignore the calls.
 
-use crate::cnn::{maxpool_client, maxpool_server, PublicCnnInfo};
+use crate::bundle::{ClientBundle, ServerBundle};
+use crate::cnn::{maxpool_client, maxpool_server};
 use crate::config::ExecConfig;
 use crate::frames::BlindedInput;
-use crate::inference::{ClientOffline, PublicModelInfo, PublicTransformerInfo, ServerOffline};
+use crate::inference::{ClientOffline, ServerOffline};
 use crate::matbeaver::{generate_matrix_p0, generate_matrix_p1, mul_matrix_shares, MatrixTriple};
 use crate::matmul::{triplet_client_with, triplet_server_with, TripletMode};
 use crate::nonlinear::{
@@ -52,131 +53,37 @@ use abnn2_nn::transformer::QuantizedTransformer;
 use abnn2_nn::QuantizedCnn;
 use abnn2_ot::{IknpReceiver, IknpSender};
 use rand::Rng;
+use std::sync::Arc;
 
-/// A server-side model of any supported topology, with its weights.
-#[derive(Debug, Clone)]
-pub enum ServedModel {
-    /// Fully-connected stack (the paper's evaluation target).
-    Mlp(QuantizedNetwork),
-    /// Convolutional extension: conv → ReLU → max-pool → dense stack.
-    Cnn(QuantizedCnn),
-    /// Quantized transformer encoder (attention + GELU feed-forward +
-    /// LayerNorm), served through the extended op family.
-    Transformer {
-        /// The model, with its per-token projection weights (boxed: the
-        /// transformer carries far more inline state than the other arms).
-        model: Box<QuantizedTransformer>,
-        /// Per-linear-op dense layers in graph order, with the per-token
-        /// projections expanded block-diagonally once at construction so
-        /// the executor's weight lookups can return borrows.
-        expanded: Vec<QuantizedDense>,
-    },
-}
-
-impl From<QuantizedNetwork> for ServedModel {
-    fn from(net: QuantizedNetwork) -> Self {
-        ServedModel::Mlp(net)
-    }
-}
-
-impl From<QuantizedCnn> for ServedModel {
-    fn from(net: QuantizedCnn) -> Self {
-        ServedModel::Cnn(net)
-    }
-}
-
-impl From<QuantizedTransformer> for ServedModel {
-    fn from(model: QuantizedTransformer) -> Self {
-        let expanded =
-            (0..model.graph().linear_count()).map(|li| model.linear_params(li)).collect();
-        ServedModel::Transformer { model: Box::new(model), expanded }
-    }
-}
-
-impl ServedModel {
-    /// The layer graph this model lowers to.
-    #[must_use]
-    pub fn graph(&self) -> LayerGraph {
-        match self {
-            ServedModel::Mlp(net) => LayerGraph::from(net),
-            ServedModel::Cnn(net) => LayerGraph::from(net),
-            ServedModel::Transformer { model, .. } => LayerGraph::from(model.as_ref()),
-        }
-    }
-
-    /// Fixed-point pipeline hyper-parameters.
-    #[must_use]
-    pub fn config(&self) -> &QuantConfig {
-        match self {
-            ServedModel::Mlp(net) => &net.config,
-            ServedModel::Cnn(net) => &net.config,
-            ServedModel::Transformer { model, .. } => &model.config,
-        }
-    }
-
-    /// The weight-free public description to hand to clients.
-    #[must_use]
-    pub fn public(&self) -> PublicModel {
-        match self {
-            ServedModel::Mlp(net) => PublicModel::Mlp(PublicModelInfo::from(net)),
-            ServedModel::Cnn(net) => PublicModel::Cnn(PublicCnnInfo::from(net)),
-            ServedModel::Transformer { model, .. } => {
-                PublicModel::Transformer(PublicTransformerInfo::from(model.as_ref()))
-            }
-        }
-    }
-
-    /// Weights and bias of the `index`-th linear op, in graph order
-    /// (row-major `m × n` weights, one bias entry per output row).
-    pub(crate) fn linear_params(&self, index: usize) -> (&[i64], &[u64]) {
-        match self {
-            ServedModel::Mlp(net) => {
-                let l = &net.layers[index];
-                (&l.weights, &l.bias)
-            }
-            ServedModel::Cnn(net) => {
-                if index == 0 {
-                    (&net.conv.weights, &net.conv.bias)
-                } else {
-                    let l = &net.dense[index - 1];
-                    (&l.weights, &l.bias)
-                }
-            }
-            ServedModel::Transformer { expanded, .. } => {
-                let l = &expanded[index];
-                (&l.weights, &l.bias)
-            }
-        }
-    }
-}
-
-/// The client-side view of a served model: architecture and fixed-point
-/// hyper-parameters, never weights.
+/// The client-side view of a served model: the layer graph it lowers to
+/// (architecture plus fixed-point hyper-parameters), never weights. Every
+/// topology has the same surface; the graph is lowered and validated once
+/// here, and every session pins it to a batch with
+/// [`secure_graph`](Self::secure_graph).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PublicModel {
-    /// Fully-connected stack.
-    Mlp(PublicModelInfo),
-    /// Convolutional extension.
-    Cnn(PublicCnnInfo),
-    /// Quantized transformer encoder.
-    Transformer(PublicTransformerInfo),
+pub struct PublicModel {
+    pub(crate) graph: Arc<LayerGraph>,
+    /// First structural violation found at construction. Kept instead of
+    /// failing the `From` impls so a degenerate model surfaces as a typed
+    /// error when a session is planned, never as a panic.
+    defect: Option<&'static str>,
 }
 
-impl From<PublicModelInfo> for PublicModel {
-    fn from(info: PublicModelInfo) -> Self {
-        PublicModel::Mlp(info)
+impl From<LayerGraph> for PublicModel {
+    fn from(graph: LayerGraph) -> Self {
+        let defect = graph.validate().err().map(|e| e.message());
+        PublicModel { graph: Arc::new(graph), defect }
     }
 }
 
-impl From<PublicCnnInfo> for PublicModel {
-    fn from(info: PublicCnnInfo) -> Self {
-        PublicModel::Cnn(info)
-    }
-}
-
-impl From<PublicTransformerInfo> for PublicModel {
-    fn from(info: PublicTransformerInfo) -> Self {
-        PublicModel::Transformer(info)
+/// Any model type that lowers to a [`LayerGraph`] (`QuantizedNetwork`,
+/// `QuantizedCnn`, `QuantizedTransformer`) has a public description.
+impl<'a, M> From<&'a M> for PublicModel
+where
+    LayerGraph: From<&'a M>,
+{
+    fn from(model: &'a M) -> Self {
+        LayerGraph::from(model).into()
     }
 }
 
@@ -184,21 +91,112 @@ impl PublicModel {
     /// The layer graph this model lowers to.
     #[must_use]
     pub fn graph(&self) -> LayerGraph {
-        match self {
-            PublicModel::Mlp(info) => info.graph(),
-            PublicModel::Cnn(info) => info.graph(),
-            PublicModel::Transformer(info) => info.graph(),
-        }
+        LayerGraph::clone(&self.graph)
     }
 
     /// Fixed-point pipeline hyper-parameters.
     #[must_use]
     pub fn config(&self) -> &QuantConfig {
-        match self {
-            PublicModel::Mlp(info) => &info.config,
-            PublicModel::Cnn(info) => &info.config,
-            PublicModel::Transformer(info) => info.config(),
+        &self.graph.config
+    }
+
+    /// Pins the graph to `batch` samples per prediction.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Dimension`] if the batch is zero, the graph is
+    /// structurally ill-formed, or a spatial graph (conv/max-pool) or a
+    /// graph with extended tape ops (transformer family) is asked for
+    /// multi-sample batching (those ops are laid out per-map/per-tape-slot
+    /// and run one sample at a time).
+    pub fn secure_graph(&self, batch: usize) -> Result<SecureGraph, ProtocolError> {
+        if batch == 0 {
+            return Err(ProtocolError::Dimension("batch must be positive"));
         }
+        if let Some(msg) = self.defect {
+            return Err(ProtocolError::Dimension(msg));
+        }
+        if batch > 1 && self.graph.has_spatial_ops() {
+            return Err(ProtocolError::Dimension("spatial graphs run with batch 1"));
+        }
+        if batch > 1 && self.graph.has_extended_ops() {
+            return Err(ProtocolError::Dimension("extended graphs run with batch 1"));
+        }
+        Ok(SecureGraph { graph: Arc::clone(&self.graph), batch })
+    }
+}
+
+/// A server-side model of any supported topology: its [`PublicModel`]
+/// plus the weights and bias of every linear op in graph order, lowered
+/// once at construction. Conv filters are stored as the
+/// `out_channels × (channels·kh·kw)` matrix im2col multiplies against;
+/// the transformer's per-token projections are expanded block-diagonally.
+#[derive(Debug, Clone)]
+pub struct ServedModel {
+    pub(crate) public: PublicModel,
+    linears: Vec<QuantizedDense>,
+}
+
+impl From<QuantizedNetwork> for ServedModel {
+    fn from(net: QuantizedNetwork) -> Self {
+        ServedModel { public: PublicModel::from(&net), linears: net.layers }
+    }
+}
+
+impl From<QuantizedCnn> for ServedModel {
+    fn from(net: QuantizedCnn) -> Self {
+        let public = PublicModel::from(&net);
+        let conv = net.conv;
+        let filters = QuantizedDense {
+            out_dim: conv.out_channels,
+            in_dim: conv.in_shape.channels * conv.kh * conv.kw,
+            weights: conv.weights,
+            bias: conv.bias,
+        };
+        ServedModel { public, linears: std::iter::once(filters).chain(net.dense).collect() }
+    }
+}
+
+impl From<QuantizedTransformer> for ServedModel {
+    fn from(model: QuantizedTransformer) -> Self {
+        let linears = (0..model.graph().linear_count()).map(|li| model.linear_params(li)).collect();
+        ServedModel { public: PublicModel::from(&model), linears }
+    }
+}
+
+impl ServedModel {
+    /// The layer graph this model lowers to.
+    #[must_use]
+    pub fn graph(&self) -> LayerGraph {
+        self.public.graph()
+    }
+
+    /// Fixed-point pipeline hyper-parameters.
+    #[must_use]
+    pub fn config(&self) -> &QuantConfig {
+        self.public.config()
+    }
+
+    /// The weight-free public description to hand to clients.
+    #[must_use]
+    pub fn public(&self) -> PublicModel {
+        self.public.clone()
+    }
+
+    /// [`PublicModel::secure_graph`] for the served graph.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Dimension`] if `batch` is invalid for the graph.
+    pub fn secure_graph(&self, batch: usize) -> Result<SecureGraph, ProtocolError> {
+        self.public.secure_graph(batch)
+    }
+
+    /// Weights and bias of the `index`-th linear op, in graph order
+    /// (row-major `m × n` weights, one bias entry per output row).
+    pub(crate) fn linear_params(&self, index: usize) -> (&[i64], &[u64]) {
+        let l = &self.linears[index];
+        (&l.weights, &l.bias)
     }
 }
 
@@ -245,32 +243,21 @@ pub struct MatmulPlan {
 /// planner and both executor halves operate on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SecureGraph {
-    graph: LayerGraph,
+    graph: Arc<LayerGraph>,
     batch: usize,
 }
 
 impl SecureGraph {
-    /// Validates `graph` and pins it to `batch` samples per prediction.
+    /// Validates `graph` and pins it to `batch` samples per prediction
+    /// (see [`PublicModel::secure_graph`], which does the same for an
+    /// already-validated model).
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::Dimension`] if the batch is zero, the graph is
-    /// structurally ill-formed, or a spatial graph (conv/max-pool) or a
-    /// graph with extended tape ops (transformer family) is asked for
-    /// multi-sample batching (those ops are laid out per-map/per-tape-slot
-    /// and run one sample at a time).
+    /// [`ProtocolError::Dimension`] if the graph is ill-formed or `batch`
+    /// is invalid for it.
     pub fn new(graph: LayerGraph, batch: usize) -> Result<Self, ProtocolError> {
-        if batch == 0 {
-            return Err(ProtocolError::Dimension("batch must be positive"));
-        }
-        graph.validate().map_err(|e| ProtocolError::Dimension(e.message()))?;
-        if batch > 1 && graph.has_spatial_ops() {
-            return Err(ProtocolError::Dimension("spatial graphs run with batch 1"));
-        }
-        if batch > 1 && graph.has_extended_ops() {
-            return Err(ProtocolError::Dimension("extended graphs run with batch 1"));
-        }
-        Ok(SecureGraph { graph, batch })
+        PublicModel::from(graph).secure_graph(batch)
     }
 
     /// The underlying graph.
@@ -591,7 +578,7 @@ pub fn server_offline_with<T: Transport, R: Rng + ?Sized>(
             OpResource::FreshMask { .. } | OpResource::Output => {}
         }
     }
-    Ok(ServerOffline { session, us, mats, batch: sg.batch() })
+    Ok(ServerOffline { session, bundle: ServerBundle { us, mats, batch: sg.batch() } })
 }
 
 /// Offline phase, client half: walks the graph as a tape machine sampling
@@ -705,7 +692,7 @@ pub fn client_offline_with<T: Transport, R: Rng + ?Sized>(
         };
         tape.push(out);
     }
-    Ok(ClientOffline { session, rs, vs, mats, batch })
+    Ok(ClientOffline { session, bundle: ClientBundle { rs, vs, mats, batch } })
 }
 
 /// Online phase, server half: receives the blinded input, walks the graph
@@ -726,7 +713,7 @@ pub fn server_online_to_logits<T: Transport>(
     sg: &SecureGraph,
     exec: ExecConfig,
 ) -> Result<(ServerSession, Matrix), ProtocolError> {
-    let ServerOffline { mut session, us, mats, batch } = state;
+    let ServerOffline { mut session, bundle: ServerBundle { us, mats, batch } } = state;
     let config = &sg.graph().config;
     let (ring, f, fw) = (config.ring, config.frac_bits, config.weight_frac_bits);
     if batch != sg.batch() {
@@ -843,7 +830,7 @@ pub fn client_online_to_logits<T: Transport, R: Rng + ?Sized>(
     x: &Matrix,
     rng: &mut R,
 ) -> Result<(ClientSession, Matrix), ProtocolError> {
-    let ClientOffline { mut session, rs, vs, mats, batch } = state;
+    let ClientOffline { mut session, bundle: ClientBundle { rs, vs, mats, batch } } = state;
     let config = &sg.graph().config;
     let (ring, f, fw) = (config.ring, config.frac_bits, config.weight_frac_bits);
     if batch != sg.batch() {

@@ -36,7 +36,6 @@
 
 use crate::frames::Hello;
 use crate::graph::PublicModel;
-use crate::inference::PublicModelInfo;
 use crate::relu::ReluVariant;
 use crate::ProtocolError;
 use abnn2_crypto::sha256::sha256;
@@ -137,18 +136,11 @@ pub fn graph_digests(graph: &LayerGraph) -> ([u8; 8], [u8; 8]) {
     (digest8(scheme_desc.as_bytes()), digest8(model_desc.as_bytes()))
 }
 
-/// The `(scheme_digest, model_digest)` pair for a served MLP — lowers the
-/// architecture to its layer graph and delegates to [`graph_digests`].
-#[must_use]
-pub fn model_digests(info: &PublicModelInfo) -> ([u8; 8], [u8; 8]) {
-    graph_digests(&info.graph())
-}
-
 impl SessionParams {
     /// Derives the parameters both parties must agree on from the layer
     /// graph a model lowers to, the chosen activation variant, and the
-    /// batch size. This is the canonical derivation; the model-facing
-    /// constructors delegate here.
+    /// batch size. This is the canonical derivation;
+    /// [`for_public`](Self::for_public) delegates here.
     #[must_use]
     pub fn for_graph(graph: &LayerGraph, variant: ReluVariant, batch: usize) -> Self {
         let (scheme_digest, model_digest) = graph_digests(graph);
@@ -167,15 +159,7 @@ impl SessionParams {
     /// Derives the parameters from a public model of any topology.
     #[must_use]
     pub fn for_public(model: &PublicModel, variant: ReluVariant, batch: usize) -> Self {
-        Self::for_graph(&model.graph(), variant, batch)
-    }
-
-    /// Derives the parameters both parties must agree on from the public
-    /// MLP description, the chosen activation variant, and the batch
-    /// size.
-    #[must_use]
-    pub fn for_model(info: &PublicModelInfo, variant: ReluVariant, batch: usize) -> Self {
-        Self::for_graph(&info.graph(), variant, batch)
+        Self::for_graph(&model.graph, variant, batch)
     }
 
     fn encode(&self, flags: u8, token: &ResumeToken) -> [u8; HELLO_LEN] {
@@ -471,21 +455,19 @@ mod tests {
     use abnn2_net::{Endpoint, NetworkModel};
     use abnn2_nn::quant::QuantConfig;
 
-    fn info(dims: &[usize], ring_bits: u32) -> PublicModelInfo {
-        PublicModelInfo {
-            dims: dims.to_vec(),
-            config: QuantConfig {
-                ring: Ring::new(ring_bits),
-                frac_bits: 8,
-                weight_frac_bits: 4,
-                scheme: FragmentScheme::signed_bit_fields(&[2, 2, 2, 2]),
-            },
-        }
+    fn info_with(dims: &[usize], ring_bits: u32, scheme: FragmentScheme) -> PublicModel {
+        let config =
+            QuantConfig { ring: Ring::new(ring_bits), frac_bits: 8, weight_frac_bits: 4, scheme };
+        LayerGraph::mlp(dims, config).into()
+    }
+
+    fn info(dims: &[usize], ring_bits: u32) -> PublicModel {
+        info_with(dims, ring_bits, FragmentScheme::signed_bit_fields(&[2, 2, 2, 2]))
     }
 
     #[test]
     fn encode_decode_round_trip() {
-        let p = SessionParams::for_model(&info(&[784, 16, 10], 32), ReluVariant::Optimized, 3);
+        let p = SessionParams::for_public(&info(&[784, 16, 10], 32), ReluVariant::Optimized, 3);
         let token: ResumeToken = [7; 16];
         let frame = p.encode(FLAG_RESUME, &token);
         assert_eq!(frame.len(), HELLO_LEN);
@@ -497,14 +479,13 @@ mod tests {
 
     #[test]
     fn digests_distinguish_models_and_schemes() {
-        let base = SessionParams::for_model(&info(&[784, 16, 10], 32), ReluVariant::Oblivious, 1);
+        let base = SessionParams::for_public(&info(&[784, 16, 10], 32), ReluVariant::Oblivious, 1);
         let other_dims =
-            SessionParams::for_model(&info(&[784, 12, 10], 32), ReluVariant::Oblivious, 1);
+            SessionParams::for_public(&info(&[784, 12, 10], 32), ReluVariant::Oblivious, 1);
         assert_ne!(base.model_digest, other_dims.model_digest);
 
-        let mut ternary = info(&[784, 16, 10], 32);
-        ternary.config.scheme = FragmentScheme::ternary();
-        let other_scheme = SessionParams::for_model(&ternary, ReluVariant::Oblivious, 1);
+        let ternary = info_with(&[784, 16, 10], 32, FragmentScheme::ternary());
+        let other_scheme = SessionParams::for_public(&ternary, ReluVariant::Oblivious, 1);
         assert_ne!(base.scheme_digest, other_scheme.scheme_digest);
     }
 
@@ -512,7 +493,7 @@ mod tests {
     fn matching_parties_agree_and_resume_flows_through() {
         let i = info(&[8, 4, 2], 32);
         let (mut c, mut s) = Endpoint::pair(NetworkModel::instant());
-        let ours = SessionParams::for_model(&i, ReluVariant::Oblivious, 2);
+        let ours = SessionParams::for_public(&i, ReluVariant::Oblivious, 2);
         let token: ResumeToken = [3; 16];
 
         let i2 = i.clone();
@@ -520,7 +501,7 @@ mod tests {
             let server = scope.spawn(move || {
                 handshake_server(
                     &mut s,
-                    |batch| SessionParams::for_model(&i2, ReluVariant::Oblivious, batch),
+                    |batch| SessionParams::for_public(&i2, ReluVariant::Oblivious, batch),
                     |t| *t == [3; 16],
                 )
             });
@@ -538,13 +519,13 @@ mod tests {
         let client_info = info(&[8, 4, 2], 32);
         let server_info = info(&[8, 4, 2], 16); // different ring width
         let (mut c, mut s) = Endpoint::pair(NetworkModel::instant());
-        let ours = SessionParams::for_model(&client_info, ReluVariant::Oblivious, 1);
+        let ours = SessionParams::for_public(&client_info, ReluVariant::Oblivious, 1);
 
         std::thread::scope(|scope| {
             let server = scope.spawn(move || {
                 handshake_server(
                     &mut s,
-                    |batch| SessionParams::for_model(&server_info, ReluVariant::Oblivious, batch),
+                    |batch| SessionParams::for_public(&server_info, ReluVariant::Oblivious, batch),
                     |_| false,
                 )
             });
@@ -569,13 +550,13 @@ mod tests {
     fn variant_mismatch_is_negotiation() {
         let i = info(&[8, 4, 2], 32);
         let (mut c, mut s) = Endpoint::pair(NetworkModel::instant());
-        let ours = SessionParams::for_model(&i, ReluVariant::Optimized, 1);
+        let ours = SessionParams::for_public(&i, ReluVariant::Optimized, 1);
         let i2 = i.clone();
         std::thread::scope(|scope| {
             scope.spawn(move || {
                 let _ = handshake_server(
                     &mut s,
-                    |batch| SessionParams::for_model(&i2, ReluVariant::Oblivious, batch),
+                    |batch| SessionParams::for_public(&i2, ReluVariant::Oblivious, batch),
                     |_| false,
                 );
             });
@@ -591,13 +572,13 @@ mod tests {
         // Negotiation.
         let i = info(&[8, 4, 2], 32);
         let (mut c, mut s) = Endpoint::pair(NetworkModel::instant());
-        let ours = SessionParams::for_model(&i, ReluVariant::Oblivious, 3);
+        let ours = SessionParams::for_public(&i, ReluVariant::Oblivious, 3);
         let i2 = i.clone();
         std::thread::scope(|scope| {
             scope.spawn(move || {
                 reject_busy_with(
                     &mut s,
-                    SessionParams::for_model(&i2, ReluVariant::Oblivious, 0),
+                    SessionParams::for_public(&i2, ReluVariant::Oblivious, 0),
                     250,
                 )
                 .unwrap();
@@ -616,11 +597,11 @@ mod tests {
     fn plain_busy_rejection_carries_no_hint() {
         let i = info(&[8, 4, 2], 32);
         let (mut c, mut s) = Endpoint::pair(NetworkModel::instant());
-        let ours = SessionParams::for_model(&i, ReluVariant::Oblivious, 1);
+        let ours = SessionParams::for_public(&i, ReluVariant::Oblivious, 1);
         let i2 = i.clone();
         std::thread::scope(|scope| {
             scope.spawn(move || {
-                reject_busy(&mut s, SessionParams::for_model(&i2, ReluVariant::Oblivious, 0))
+                reject_busy(&mut s, SessionParams::for_public(&i2, ReluVariant::Oblivious, 0))
                     .unwrap();
                 let _ = Transport::recv(&mut s);
             });
@@ -633,13 +614,13 @@ mod tests {
     fn bundle_request_honored_for_matching_peer() {
         let i = info(&[8, 4, 2], 32);
         let (mut c, mut s) = Endpoint::pair(NetworkModel::instant());
-        let ours = SessionParams::for_model(&i, ReluVariant::Oblivious, 2);
+        let ours = SessionParams::for_public(&i, ReluVariant::Oblivious, 2);
         let i2 = i.clone();
         std::thread::scope(|scope| {
             let server = scope.spawn(move || {
                 handshake_server_ext(
                     &mut s,
-                    |batch| SessionParams::for_model(&i2, ReluVariant::Oblivious, batch),
+                    |batch| SessionParams::for_public(&i2, ReluVariant::Oblivious, batch),
                     |_| false,
                     |params, _| params.batch == 2,
                 )
@@ -663,13 +644,13 @@ mod tests {
         // commit a bundle to a session that already has offline state.
         let i = info(&[8, 4, 2], 32);
         let (mut c, mut s) = Endpoint::pair(NetworkModel::instant());
-        let ours = SessionParams::for_model(&i, ReluVariant::Oblivious, 1);
+        let ours = SessionParams::for_public(&i, ReluVariant::Oblivious, 1);
         let i2 = i.clone();
         std::thread::scope(|scope| {
             let server = scope.spawn(move || {
                 handshake_server_ext(
                     &mut s,
-                    |batch| SessionParams::for_model(&i2, ReluVariant::Oblivious, batch),
+                    |batch| SessionParams::for_public(&i2, ReluVariant::Oblivious, batch),
                     |_| true,
                     |_, _| true,
                 )
@@ -694,13 +675,13 @@ mod tests {
         let i = info(&[8, 4, 2], 32);
         for client_silent in [true, false] {
             let (mut c, mut s) = Endpoint::pair(NetworkModel::instant());
-            let ours = SessionParams::for_model(&i, ReluVariant::Oblivious, 1);
+            let ours = SessionParams::for_public(&i, ReluVariant::Oblivious, 1);
             let i2 = i.clone();
             std::thread::scope(|scope| {
                 let server = scope.spawn(move || {
                     handshake_server_ext(
                         &mut s,
-                        |batch| SessionParams::for_model(&i2, ReluVariant::Oblivious, batch),
+                        |batch| SessionParams::for_public(&i2, ReluVariant::Oblivious, batch),
                         |_| false,
                         |_, _| false,
                     )
@@ -726,13 +707,13 @@ mod tests {
         let client_info = info(&[8, 4, 2], 32);
         let server_info = info(&[8, 4, 2], 16);
         let (mut c, mut s) = Endpoint::pair(NetworkModel::instant());
-        let ours = SessionParams::for_model(&client_info, ReluVariant::Oblivious, 1);
+        let ours = SessionParams::for_public(&client_info, ReluVariant::Oblivious, 1);
         std::thread::scope(|scope| {
             let server = scope.spawn(move || {
                 let consulted = std::cell::Cell::new(false);
                 let r = handshake_server_ext(
                     &mut s,
-                    |batch| SessionParams::for_model(&server_info, ReluVariant::Oblivious, batch),
+                    |batch| SessionParams::for_public(&server_info, ReluVariant::Oblivious, batch),
                     |_| {
                         consulted.set(true);
                         true
@@ -762,7 +743,7 @@ mod tests {
     fn garbage_hello_is_handshake_error() {
         let (mut c, mut s) = Endpoint::pair(NetworkModel::instant());
         let our_params =
-            |_: usize| SessionParams::for_model(&info(&[2, 2], 32), ReluVariant::Oblivious, 1);
+            |_: usize| SessionParams::for_public(&info(&[2, 2], 32), ReluVariant::Oblivious, 1);
 
         // Raw sends on purpose: these messages simulate a peer that does
         // not speak the framed protocol at all.

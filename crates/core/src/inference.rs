@@ -1,10 +1,11 @@
-//! End-to-end secure inference (Fig 2 of the paper) — thin adapters over
-//! the [`crate::graph`] planner/executor.
+//! End-to-end secure inference (Fig 2 of the paper): the two parties and
+//! the one session flow each of them runs over the [`crate::graph`]
+//! planner/executor.
 //!
-//! The server holds a [`QuantizedNetwork`]; the client holds inputs and the
-//! public [`PublicModelInfo`] (architecture + fixed-point hyper-parameters —
-//! never the weights). Both lower the model to the shared
-//! [`LayerGraph`] IR and drive the graph executor:
+//! The server holds a [`ServedModel`]; the client holds inputs and the
+//! [`PublicModel`] (the layer graph — architecture plus fixed-point
+//! hyper-parameters — never the weights). Every topology runs the same
+//! pipeline:
 //!
 //! * **offline** — data-independent: the planner emits one dot-product
 //!   triplet requirement `U + V = W·R` per linear op, generated from
@@ -15,99 +16,36 @@
 //!   *is* the next linear op's `R`, and the graph's terminal `Output` op
 //!   opens the final shares toward the client.
 //!
-//! The client's reconstructed outputs equal
-//! [`QuantizedNetwork::forward_exact`] bit for bit. The same adapters
-//! serve CNNs through [`crate::graph::ServedModel`]; see [`crate::cnn`]
-//! for the topology-specific convenience wrappers.
+//! The client's reconstructed outputs equal the model's `forward_exact`
+//! bit for bit.
+//!
+//! A session is hello → base-OT setup → {resume | dealt bundle | offline}
+//! → online. The client side of that sequence is written once, in
+//! [`SecureClient::run_job`]; the server side once, in
+//! [`SessionDriver`]. The plain, resilient
+//! and serving entry points differ only in how they mint connections and
+//! in the [`ClientJob`] they carry across them.
 
 use crate::bundle::{ClientBundle, ServerBundle};
-use crate::config::ExecConfig;
-use crate::frames::OutputShares;
+use crate::config::{ExecConfig, SessionDeadlines};
+use crate::driver::{drive_blocking, NullHost, SessionDriver};
+use crate::frames::{Bundle, OutputShares};
 use crate::graph::{
     client_offline_with, client_online_to_logits, server_offline_with, server_online_to_logits,
-    PublicModel, SecureGraph, ServedModel,
+    CommCeiling, PublicModel, ServedModel,
 };
-use crate::handshake::{handshake_client_ext, handshake_server_ext, HelloRequest, SessionParams};
-use crate::matbeaver::MatrixTriple;
+use crate::handshake::{
+    handshake_client_ext, handshake_server_ext, HelloRequest, ResumeToken, SessionParams,
+};
 use crate::relu::ReluVariant;
 use crate::session::{ClientSession, ServerSession};
 use crate::ProtocolError;
 use abnn2_math::{Matrix, Ring};
 use abnn2_net::Transport;
-use abnn2_nn::graph::LayerGraph;
-use abnn2_nn::quant::{QuantConfig, QuantizedDense, QuantizedNetwork};
-use abnn2_nn::transformer::QuantizedTransformer;
-use abnn2_ot::OfflineMode;
+use abnn2_nn::quant::QuantizedDense;
+use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-
-/// The public description of a served model: everything the client needs to
-/// run the protocol, nothing that reveals the weights.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PublicModelInfo {
-    /// Layer dimensions `[in, hidden…, out]`.
-    pub dims: Vec<usize>,
-    /// Fixed-point pipeline hyper-parameters (ring, fraction bits, scheme).
-    pub config: QuantConfig,
-}
-
-impl From<&QuantizedNetwork> for PublicModelInfo {
-    fn from(net: &QuantizedNetwork) -> Self {
-        PublicModelInfo { dims: net.dims(), config: net.config.clone() }
-    }
-}
-
-impl PublicModelInfo {
-    /// The layer graph this architecture lowers to.
-    #[must_use]
-    pub fn graph(&self) -> LayerGraph {
-        LayerGraph::mlp(&self.dims, self.config.clone())
-    }
-}
-
-/// The public description of a served transformer encoder: shape
-/// hyper-parameters and the validated layer graph, never weights. Unlike
-/// [`PublicModelInfo`] it stores the graph it was derived from (transformer
-/// graph construction is fallible; deriving once keeps `graph()`
-/// infallible and the handshake digests stable).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PublicTransformerInfo {
-    /// Sequence length (tokens).
-    pub seq: usize,
-    /// Model width per token.
-    pub d: usize,
-    /// Feed-forward hidden width per token.
-    pub d_ff: usize,
-    /// Classifier output classes.
-    pub n_classes: usize,
-    graph: LayerGraph,
-}
-
-impl From<&QuantizedTransformer> for PublicTransformerInfo {
-    fn from(model: &QuantizedTransformer) -> Self {
-        PublicTransformerInfo {
-            seq: model.seq,
-            d: model.d,
-            d_ff: model.d_ff,
-            n_classes: model.n_classes,
-            graph: model.graph().clone(),
-        }
-    }
-}
-
-impl PublicTransformerInfo {
-    /// The layer graph this architecture lowers to.
-    #[must_use]
-    pub fn graph(&self) -> LayerGraph {
-        self.graph.clone()
-    }
-
-    /// Fixed-point pipeline hyper-parameters.
-    #[must_use]
-    pub fn config(&self) -> &QuantConfig {
-        &self.graph.config
-    }
-}
+use std::sync::Arc;
 
 /// `W·X + b + U` — the server's online share of a dense layer; delegates to
 /// the op-generic [`crate::graph::linear_share`]. Exposed so baseline
@@ -118,92 +56,72 @@ pub fn layer_share(layer: &QuantizedDense, x: &Matrix, u: &Matrix, ring: Ring) -
     crate::graph::linear_share(&layer.weights, &layer.bias, layer.out_dim, layer.in_dim, x, u, ring)
 }
 
-/// Server-side state after the offline phase: one triplet share `U` per
-/// linear op of the graph, in graph order.
+/// Server-side state after the offline phase: the connection's session
+/// plus the connection-independent [`ServerBundle`] (one triplet share `U`
+/// per linear op of the graph, in graph order). Triplets survive a
+/// connection loss; the cheap per-connection session setup does not — so
+/// a bundle checkpointed after a cut, or manufactured ahead of time by a
+/// precompute pool, pairs with any fresh session.
 #[derive(Debug, Clone)]
 pub struct ServerOffline {
     pub(crate) session: ServerSession,
-    pub(crate) us: Vec<Matrix>,
-    pub(crate) mats: Vec<MatrixTriple>,
-    pub(crate) batch: usize,
+    pub(crate) bundle: ServerBundle,
 }
 
 impl ServerOffline {
-    /// Reassembles offline state from a fresh session and an offline
-    /// bundle — checkpointed after a connection loss (reconnect-and-resume)
-    /// or manufactured ahead of time by a precompute pool. Triplets survive
-    /// a connection loss; the cheap per-connection session setup does not.
+    /// Pairs a fresh session with an offline bundle.
     #[must_use]
     pub fn from_bundle(session: ServerSession, bundle: ServerBundle) -> Self {
-        ServerOffline { session, us: bundle.us, mats: bundle.mats, batch: bundle.batch }
+        ServerOffline { session, bundle }
     }
 
-    /// Copies the connection-independent part of this state into a bundle
-    /// (for checkpointing; the session is consumed by the online phase).
+    /// Copies out the bundle (for checkpointing; the state itself is
+    /// consumed by the online phase).
     #[must_use]
     pub fn to_bundle(&self) -> ServerBundle {
-        ServerBundle { us: self.us.clone(), mats: self.mats.clone(), batch: self.batch }
+        self.bundle.clone()
     }
 }
 
-/// Client-side state after the offline phase: the masks `R` (input mask
-/// plus one fresh mask per re-sharing op) and one triplet share `V` per
-/// linear op, in graph order.
+/// Client-side state after the offline phase: the connection's session
+/// plus the connection-independent [`ClientBundle`] (the masks `R` and one
+/// triplet share `V` per linear op, in graph order).
 #[derive(Debug)]
 pub struct ClientOffline {
     pub(crate) session: ClientSession,
-    pub(crate) rs: Vec<Matrix>,
-    pub(crate) vs: Vec<Matrix>,
-    pub(crate) mats: Vec<MatrixTriple>,
-    pub(crate) batch: usize,
+    pub(crate) bundle: ClientBundle,
 }
 
 impl ClientOffline {
-    /// Reassembles offline state from a fresh session and an offline
-    /// bundle (the reconnect-and-resume path, or a server-dealt bundle).
+    /// Pairs a fresh session with an offline bundle (the
+    /// reconnect-and-resume path, or a server-dealt bundle).
     #[must_use]
     pub fn from_bundle(session: ClientSession, bundle: ClientBundle) -> Self {
-        ClientOffline {
-            session,
-            rs: bundle.rs,
-            vs: bundle.vs,
-            mats: bundle.mats,
-            batch: bundle.batch,
-        }
+        ClientOffline { session, bundle }
     }
 
-    /// Copies the connection-independent part of this state into a bundle.
+    /// Copies out the bundle.
     #[must_use]
     pub fn to_bundle(&self) -> ClientBundle {
-        ClientBundle {
-            rs: self.rs.clone(),
-            vs: self.vs.clone(),
-            mats: self.mats.clone(),
-            batch: self.batch,
-        }
+        self.bundle.clone()
     }
 }
 
-/// The model-serving party. Holds any [`ServedModel`] topology; the MLP
-/// constructor [`SecureServer::new`] and the CNN-aware
-/// [`SecureServer::for_model`] drive the identical graph executor.
+/// The model-serving party, for any [`ServedModel`] topology. The model
+/// sits behind an `Arc`, so cloning a server (as [`run`](Self::run) does
+/// to hand the session driver its own handle) copies no weights.
 #[derive(Debug, Clone)]
 pub struct SecureServer {
-    pub(crate) model: ServedModel,
+    pub(crate) model: Arc<ServedModel>,
     pub(crate) exec: ExecConfig,
 }
 
 impl SecureServer {
-    /// Serves an MLP with the default (fully oblivious) activation protocol.
-    #[must_use]
-    pub fn new(net: QuantizedNetwork) -> Self {
-        Self::for_model(net)
-    }
-
-    /// Serves any supported model topology.
+    /// Serves a model with the default (fully oblivious) activation
+    /// protocol.
     #[must_use]
     pub fn for_model(model: impl Into<ServedModel>) -> Self {
-        SecureServer { model: model.into(), exec: ExecConfig::new() }
+        SecureServer { model: Arc::new(model.into()), exec: ExecConfig::new() }
     }
 
     /// Replaces the whole execution configuration.
@@ -232,44 +150,34 @@ impl SecureServer {
         self
     }
 
-    /// The public MLP description to hand to clients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the served model is not an MLP — use
-    /// [`public_model`](Self::public_model) for topology-generic code.
+    /// The served model (shared, so a precompute pool can deal bundles
+    /// from the same weights the sessions use).
     #[must_use]
-    pub fn public_info(&self) -> PublicModelInfo {
-        match &self.model {
-            ServedModel::Mlp(net) => PublicModelInfo::from(net),
-            ServedModel::Cnn(_) | ServedModel::Transformer { .. } => {
-                panic!("public_info is MLP-only; use public_model")
-            }
-        }
+    pub fn model(&self) -> &Arc<ServedModel> {
+        &self.model
     }
 
-    /// The public description of the served model, any topology.
+    /// The public description of the served model to hand to clients.
     #[must_use]
     pub fn public_model(&self) -> PublicModel {
         self.model.public()
     }
 
-    pub(crate) fn secure_graph(&self, batch: usize) -> Result<SecureGraph, ProtocolError> {
-        SecureGraph::new(self.model.graph(), batch)
+    /// The session parameters this server announces for a batch size.
+    #[must_use]
+    pub fn params_for(&self, batch: usize) -> SessionParams {
+        SessionParams::for_public(&self.model.public, self.exec.variant, batch)
     }
 
     /// Per-session inbound traffic quota for a negotiated batch size —
-    /// [`SecureGraph::inbound_ceiling`] for this model's plan. Serving
-    /// layers evict sessions that exceed it.
+    /// [`SecureGraph::inbound_ceiling`](crate::SecureGraph::inbound_ceiling)
+    /// for this model's plan. Serving layers evict sessions that exceed it.
     ///
     /// # Errors
     ///
     /// [`ProtocolError::Dimension`] if `batch` is invalid for the model.
-    pub fn inbound_ceiling(
-        &self,
-        batch: usize,
-    ) -> Result<crate::graph::CommCeiling, ProtocolError> {
-        Ok(self.secure_graph(batch)?.inbound_ceiling())
+    pub fn inbound_ceiling(&self, batch: usize) -> Result<CommCeiling, ProtocolError> {
+        Ok(self.model.secure_graph(batch)?.inbound_ceiling())
     }
 
     /// Offline phase: handshake, session setup, and per-op triplet
@@ -290,27 +198,14 @@ impl SecureServer {
         batch: usize,
         rng: &mut R,
     ) -> Result<ServerOffline, ProtocolError> {
-        let sg = self.secure_graph(batch)?;
-        // The server derives its parameters for *its own* expected batch:
-        // a client announcing a different batch is a negotiation failure,
+        let sg = self.model.secure_graph(batch)?;
+        // The server announces parameters for *its own* expected batch: a
+        // client announcing a different batch is a negotiation failure,
         // not something to silently adopt.
-        let ours = SessionParams::for_graph(sg.graph(), self.exec.variant, batch);
+        let ours = self.params_for(batch);
         let (_, _, reply) = handshake_server_ext(ch, |_| ours, |_| false, |_, _| false)?;
-        self.offline_after_handshake(ch, batch, reply.mode(), rng)
-    }
-
-    /// The post-handshake portion of the offline phase: base-OT session
-    /// setup plus triplet generation. Split out so the resilient driver can
-    /// run its own handshake (with resume tokens) first.
-    pub(crate) fn offline_after_handshake<T: Transport, R: Rng + ?Sized>(
-        &self,
-        ch: &mut T,
-        batch: usize,
-        mode: OfflineMode,
-        rng: &mut R,
-    ) -> Result<ServerOffline, ProtocolError> {
-        let session = ServerSession::setup_with(ch, mode, rng)?;
-        self.offline_with(ch, session, batch, rng)
+        let session = ServerSession::setup_with(ch, reply.mode(), rng)?;
+        server_offline_with(ch, session, &self.model, &sg, self.exec, rng)
     }
 
     /// Triplet generation over an already-established session. Split from
@@ -330,7 +225,7 @@ impl SecureServer {
         batch: usize,
         rng: &mut R,
     ) -> Result<ServerOffline, ProtocolError> {
-        let sg = self.secure_graph(batch)?;
+        let sg = self.model.secure_graph(batch)?;
         server_offline_with(ch, session, &self.model, &sg, self.exec, rng)
     }
 
@@ -346,7 +241,7 @@ impl SecureServer {
         state: ServerOffline,
     ) -> Result<(), ProtocolError> {
         let ring = self.model.config().ring;
-        let sg = self.secure_graph(state.batch)?;
+        let sg = self.model.secure_graph(state.bundle.batch)?;
         let (_, y0) = server_online_to_logits(ch, state, &self.model, &sg, self.exec)?;
         ch.send_frame(&OutputShares(ring.encode_slice(y0.as_slice())))?;
         Ok(())
@@ -365,8 +260,8 @@ impl SecureServer {
         state: ServerOffline,
     ) -> Result<(), ProtocolError> {
         let ring = self.model.config().ring;
-        let batch = state.batch;
-        let sg = self.secure_graph(batch)?;
+        let batch = state.bundle.batch;
+        let sg = self.model.secure_graph(batch)?;
         let (mut session, y0) = server_online_to_logits(ch, state, &self.model, &sg, self.exec)?;
         for k in 0..batch {
             crate::argmax::argmax_server(ch, &mut session.yao, &y0.col(k), ring)?;
@@ -374,11 +269,10 @@ impl SecureServer {
         Ok(())
     }
 
-    /// Convenience: offline followed by online, run through the
-    /// suspendable [`SessionDriver`](crate::driver::SessionDriver) so the
-    /// blocking and event-loop paths exercise one protocol
-    /// implementation (the wire transcript is unchanged — see
-    /// `tests/graph_parity.rs`).
+    /// One whole session for a batch of `batch` predictions, run through
+    /// the suspendable [`SessionDriver`] so the blocking and event-loop
+    /// paths exercise one protocol implementation (the wire transcript is
+    /// pinned by `tests/graph_parity.rs`).
     ///
     /// # Errors
     ///
@@ -389,19 +283,58 @@ impl SecureServer {
         batch: usize,
         rng: &mut R,
     ) -> Result<(), ProtocolError> {
-        let sg = self.secure_graph(batch)?;
-        let ours = SessionParams::for_graph(sg.graph(), self.exec.variant, batch);
-        let mut driver = crate::driver::SessionDriver::new(
-            std::sync::Arc::new(self.clone()),
-            crate::driver::NullHost { ours },
-            rand::rngs::StdRng::seed_from_u64(rng.next_u64()),
+        self.model.secure_graph(batch)?;
+        let mut driver = SessionDriver::new(
+            Arc::new(self.clone()),
+            NullHost { ours: self.params_for(batch) },
+            StdRng::seed_from_u64(rng.next_u64()),
         );
-        crate::driver::drive_blocking(ch, &mut driver)
+        drive_blocking(ch, &mut driver)
     }
 }
 
-/// The data-owning party. Holds any [`PublicModel`] topology; see
-/// [`SecureClient::new`] (MLP) and [`SecureClient::for_model`].
+/// What one logical prediction job carries across the connections it is
+/// attempted over: the resume token it presents, what it asks the server
+/// for, and the offline state a reconnect resumes from. A plain
+/// single-connection run uses [`ClientJob::default`].
+#[derive(Debug, Clone, Default)]
+pub struct ClientJob {
+    token: ResumeToken,
+    request_bundle: bool,
+    deadlines: SessionDeadlines,
+    resumed: bool,
+    warm: bool,
+    /// Offline state of the latest attempt that completed its offline
+    /// half; triplets are connection-independent, so a reconnect resumes
+    /// from here when the server still holds the matching half.
+    checkpoint: Option<ClientBundle>,
+}
+
+impl ClientJob {
+    /// A job presenting `token` in every hello, asking for a server-dealt
+    /// offline bundle (while it holds no checkpoint) iff `request_bundle`,
+    /// with `deadlines`' budgets armed around the offline and online
+    /// halves of each attempt.
+    #[must_use]
+    pub fn new(token: ResumeToken, request_bundle: bool, deadlines: SessionDeadlines) -> Self {
+        ClientJob { token, request_bundle, deadlines, ..ClientJob::default() }
+    }
+
+    /// Whether any attempt resumed from the job's checkpoint.
+    #[must_use]
+    pub fn resumed(&self) -> bool {
+        self.resumed
+    }
+
+    /// Whether the latest attempt installed a server-dealt bundle instead
+    /// of running the interactive offline phase.
+    #[must_use]
+    pub fn warm(&self) -> bool {
+        self.warm
+    }
+}
+
+/// The data-owning party, for any [`PublicModel`] topology.
 #[derive(Debug, Clone)]
 pub struct SecureClient {
     pub(crate) model: PublicModel,
@@ -410,13 +343,7 @@ pub struct SecureClient {
 }
 
 impl SecureClient {
-    /// Creates a client for a served MLP.
-    #[must_use]
-    pub fn new(info: PublicModelInfo) -> Self {
-        Self::for_model(info)
-    }
-
-    /// Creates a client for a served model of any supported topology.
+    /// Creates a client for a served model.
     #[must_use]
     pub fn for_model(model: impl Into<PublicModel>) -> Self {
         SecureClient { model: model.into(), exec: ExecConfig::new(), silent: false }
@@ -457,34 +384,93 @@ impl SecureClient {
         self
     }
 
-    /// The MLP description this client was built for.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model is not an MLP — use
-    /// [`public_model`](Self::public_model) for topology-generic code.
-    #[must_use]
-    pub fn public_info(&self) -> &PublicModelInfo {
-        match &self.model {
-            PublicModel::Mlp(info) => info,
-            PublicModel::Cnn(_) | PublicModel::Transformer(_) => {
-                panic!("public_info is MLP-only; use public_model")
-            }
-        }
-    }
-
-    /// The public model description, any topology.
+    /// The public model description this client was built for.
     #[must_use]
     pub fn public_model(&self) -> &PublicModel {
         &self.model
     }
 
-    pub(crate) fn secure_graph(&self, batch: usize) -> Result<SecureGraph, ProtocolError> {
-        SecureGraph::new(self.model.graph(), batch)
+    /// The first half of a session: hello, base-OT setup, and then
+    /// whichever source of offline state the server's reply selects —
+    /// the job's checkpoint (resume), a server-dealt bundle, or the
+    /// interactive offline phase. Marks the `handshake`/`setup`/`bundle`/
+    /// `offline` instrumentation phases and arms the offline budget.
+    fn establish<T: Transport, R: Rng + ?Sized>(
+        &self,
+        ch: &mut T,
+        batch: usize,
+        job: &mut ClientJob,
+        rng: &mut R,
+    ) -> Result<ClientOffline, ProtocolError> {
+        let sg = self.model.secure_graph(batch)?;
+        let ours = SessionParams::for_graph(sg.graph(), self.exec.variant, batch);
+
+        ch.mark_phase("handshake");
+        let request = HelloRequest {
+            resume: job.checkpoint.is_some(),
+            bundle: job.request_bundle && job.checkpoint.is_none(),
+            silent: self.silent,
+        };
+        let reply = handshake_client_ext(ch, ours, &job.token, request)?;
+
+        ch.set_phase_budget(job.deadlines.offline_budget)?;
+        ch.mark_phase("setup");
+        let session = ClientSession::setup_with(ch, reply.mode(), rng)?;
+
+        if reply.resume {
+            job.resumed = true;
+            let bundle =
+                job.checkpoint.clone().expect("resume is only requested with a checkpoint");
+            return Ok(ClientOffline { session, bundle });
+        }
+        job.warm = reply.bundle;
+        // The server holds neither our checkpoint nor (on the cold path)
+        // a pooled bundle: whatever we held is useless to it.
+        job.checkpoint = None;
+        let state = if reply.bundle {
+            ch.mark_phase("bundle");
+            let Bundle(bytes) = ch.recv_frame()?;
+            ClientOffline { session, bundle: ClientBundle::decode(&bytes, &sg)? }
+        } else {
+            ch.mark_phase("offline");
+            client_offline_with(ch, session, &sg, self.exec, rng)?
+        };
+        job.checkpoint = Some(state.bundle.clone());
+        Ok(state)
+    }
+
+    /// One attempt at `job` over one connection — the client side of the
+    /// whole session flow: hello → setup → {resume | bundle | offline}
+    /// (the half [`offline`](Self::offline) runs), then the online phase
+    /// under its own budget. Returns the raw logits (`out_dim × batch` ring elements at
+    /// `f + f_w` fractional bits). On failure the job keeps whatever
+    /// checkpoint the attempt reached, so the caller may retry it over a
+    /// fresh connection.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProtocolError`] on any subprotocol failure or if the
+    /// inputs do not match the model.
+    pub fn run_job<T: Transport, R: Rng + ?Sized>(
+        &self,
+        ch: &mut T,
+        inputs_fp: &[Vec<u64>],
+        job: &mut ClientJob,
+        rng: &mut R,
+    ) -> Result<Matrix, ProtocolError> {
+        // Reject inputs the model cannot take before any traffic flows.
+        self.check_inputs(inputs_fp, inputs_fp.len())?;
+        let state = self.establish(ch, inputs_fp.len(), job, rng)?;
+        ch.mark_phase("online");
+        ch.set_phase_budget(job.deadlines.online_budget)?;
+        let y = self.online_raw(ch, state, inputs_fp, rng)?;
+        ch.set_phase_budget(None)?;
+        Ok(y)
     }
 
     /// Offline phase: handshake, session setup, and per-op triplet
-    /// generation (see the server counterpart).
+    /// generation (see the server counterpart) — the first half of
+    /// [`run_job`](Self::run_job) for a plain job.
     ///
     /// # Errors
     ///
@@ -495,24 +481,7 @@ impl SecureClient {
         batch: usize,
         rng: &mut R,
     ) -> Result<ClientOffline, ProtocolError> {
-        let sg = self.secure_graph(batch)?;
-        let ours = SessionParams::for_graph(sg.graph(), self.exec.variant, batch);
-        let request = HelloRequest { silent: self.silent, ..HelloRequest::default() };
-        let reply = handshake_client_ext(ch, ours, &[0u8; 16], request)?;
-        self.offline_after_handshake(ch, batch, reply.mode(), rng)
-    }
-
-    /// The post-handshake portion of the offline phase (see the server
-    /// counterpart for why this is split out).
-    pub(crate) fn offline_after_handshake<T: Transport, R: Rng + ?Sized>(
-        &self,
-        ch: &mut T,
-        batch: usize,
-        mode: OfflineMode,
-        rng: &mut R,
-    ) -> Result<ClientOffline, ProtocolError> {
-        let session = ClientSession::setup_with(ch, mode, rng)?;
-        self.offline_with(ch, session, batch, rng)
+        self.establish(ch, batch, &mut ClientJob::default(), rng)
     }
 
     /// Triplet generation over an already-established session (see the
@@ -528,8 +497,18 @@ impl SecureClient {
         batch: usize,
         rng: &mut R,
     ) -> Result<ClientOffline, ProtocolError> {
-        let sg = self.secure_graph(batch)?;
+        let sg = self.model.secure_graph(batch)?;
         client_offline_with(ch, session, &sg, self.exec, rng)
+    }
+
+    fn check_inputs(&self, inputs_fp: &[Vec<u64>], batch: usize) -> Result<(), ProtocolError> {
+        if inputs_fp.len() != batch {
+            return Err(ProtocolError::Dimension("input count must equal batch"));
+        }
+        if inputs_fp.iter().any(|x| x.len() != self.model.graph.input_len()) {
+            return Err(ProtocolError::Dimension("input dimension mismatch"));
+        }
+        Ok(())
     }
 
     /// Runs the graph, returning the session and the client's share of the
@@ -541,16 +520,11 @@ impl SecureClient {
         inputs_fp: &[Vec<u64>],
         rng: &mut R,
     ) -> Result<(ClientSession, Matrix), ProtocolError> {
-        let batch = state.batch;
-        let sg = self.secure_graph(batch)?;
+        let batch = state.bundle.batch;
+        let sg = self.model.secure_graph(batch)?;
         let ring = self.model.config().ring;
         let n0 = sg.graph().input_len();
-        if inputs_fp.len() != batch {
-            return Err(ProtocolError::Dimension("input count must equal batch"));
-        }
-        if inputs_fp.iter().any(|x| x.len() != n0) {
-            return Err(ProtocolError::Dimension("input dimension mismatch"));
-        }
+        self.check_inputs(inputs_fp, batch)?;
 
         // x as a n0×batch matrix, one column per sample.
         let mut x = Matrix::zeros(n0, batch);
@@ -577,8 +551,8 @@ impl SecureClient {
         rng: &mut R,
     ) -> Result<Matrix, ProtocolError> {
         let ring = self.model.config().ring;
-        let batch = state.batch;
-        let m = self.model.graph().output_len();
+        let batch = state.bundle.batch;
+        let m = self.model.graph.output_len();
         let (_, y1) = self.online_to_logits(ch, state, inputs_fp, rng)?;
         let OutputShares(y0_bytes) = ch.recv_frame()?;
         if y0_bytes.len() != m * batch * ring.byte_len() {
@@ -602,7 +576,7 @@ impl SecureClient {
         rng: &mut R,
     ) -> Result<Vec<usize>, ProtocolError> {
         let ring = self.model.config().ring;
-        let batch = state.batch;
+        let batch = state.bundle.batch;
         let (mut session, y1) = self.online_to_logits(ch, state, inputs_fp, rng)?;
         (0..batch)
             .map(|k| crate::argmax::argmax_client(ch, &mut session.yao, &y1.col(k), ring, rng))
@@ -621,14 +595,12 @@ impl SecureClient {
         inputs: &[Vec<f64>],
         rng: &mut R,
     ) -> Result<Vec<Vec<f64>>, ProtocolError> {
-        let in_codec = self.model.config().activation_codec();
-        let out_codec = self.model.config().output_codec();
-        let inputs_fp: Vec<Vec<u64>> = inputs.iter().map(|x| in_codec.encode_vec(x)).collect();
-        let y = self.online_raw(ch, state, &inputs_fp, rng)?;
-        Ok((0..y.cols()).map(|k| out_codec.decode_vec(&y.col(k))).collect())
+        let y = self.online_raw(ch, state, &self.encode_inputs(inputs), rng)?;
+        Ok(self.decode_logits(&y))
     }
 
-    /// Convenience: offline followed by online.
+    /// One whole session over float inputs on one connection:
+    /// [`run_job`](Self::run_job) for a plain job.
     ///
     /// # Errors
     ///
@@ -639,17 +611,29 @@ impl SecureClient {
         inputs: &[Vec<f64>],
         rng: &mut R,
     ) -> Result<Vec<Vec<f64>>, ProtocolError> {
-        let state = self.offline(ch, inputs.len(), rng)?;
-        self.online(ch, state, inputs, rng)
+        let inputs_fp = self.encode_inputs(inputs);
+        let y = self.run_job(ch, &inputs_fp, &mut ClientJob::default(), rng)?;
+        Ok(self.decode_logits(&y))
+    }
+
+    fn encode_inputs(&self, inputs: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        let codec = self.model.config().activation_codec();
+        inputs.iter().map(|x| codec.encode_vec(x)).collect()
+    }
+
+    fn decode_logits(&self, y: &Matrix) -> Vec<Vec<f64>> {
+        let codec = self.model.config().output_codec();
+        (0..y.cols()).map(|k| codec.decode_vec(&y.col(k))).collect()
     }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use abnn2_math::FragmentScheme;
     use abnn2_net::{run_pair, Endpoint, NetworkModel};
+    use abnn2_nn::quant::{QuantConfig, QuantizedNetwork};
     use abnn2_nn::{Network, SyntheticMnist};
-    use rand::SeedableRng;
 
     fn tiny_quantized(seed: u64, scheme: FragmentScheme, fw: u32) -> QuantizedNetwork {
         let data = SyntheticMnist::generate(120, 0, seed);
@@ -668,8 +652,8 @@ mod tests {
         let inputs_fp: Vec<Vec<u64>> = inputs.iter().map(|x| codec.encode_vec(x)).collect();
         let expected: Vec<Vec<u64>> = inputs_fp.iter().map(|x| q.forward_exact(x)).collect();
 
-        let server = SecureServer::new(q.clone()).with_variant(variant);
-        let client = SecureClient::new(server.public_info()).with_variant(variant);
+        let server = SecureServer::for_model(q.clone()).with_variant(variant);
+        let client = SecureClient::for_model(server.public_model()).with_variant(variant);
         let inputs_fp2 = inputs_fp.clone();
         let (srv, y, _) = run_pair(
             NetworkModel::instant(),
@@ -718,8 +702,8 @@ mod tests {
         let q = tiny_quantized(54, FragmentScheme::signed_bit_fields(&[2, 2, 2, 2]), 4);
         let data = SyntheticMnist::generate(2, 0, 70);
         let inputs: Vec<Vec<f64>> = data.train.iter().map(|s| s.pixels.clone()).collect();
-        let server = SecureServer::new(q.clone());
-        let client = SecureClient::new(server.public_info());
+        let server = SecureServer::for_model(q.clone());
+        let client = SecureClient::for_model(server.public_model());
         let inputs2 = inputs.clone();
         let (_, logits, _) = run_pair(
             NetworkModel::instant(),
@@ -746,8 +730,8 @@ mod tests {
         let inputs: Vec<Vec<f64>> = data.train.iter().map(|s| s.pixels.clone()).collect();
         let codec = q.config.activation_codec();
         let inputs_fp: Vec<Vec<u64>> = inputs.iter().map(|x| codec.encode_vec(x)).collect();
-        let server = SecureServer::new(q.clone());
-        let client = SecureClient::new(server.public_info());
+        let server = SecureServer::for_model(q.clone());
+        let client = SecureClient::for_model(server.public_model());
         let inputs_fp2 = inputs_fp.clone();
         let (srv, classes, _) = run_pair(
             NetworkModel::instant(),
@@ -771,7 +755,7 @@ mod tests {
     #[test]
     fn zero_batch_rejected() {
         let q = tiny_quantized(55, FragmentScheme::binary(), 0);
-        let server = SecureServer::new(q);
+        let server = SecureServer::for_model(q);
         let (mut a, _b) = Endpoint::pair(NetworkModel::instant());
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         assert_eq!(

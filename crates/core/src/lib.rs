@@ -12,22 +12,25 @@
 //!   oblivious) and the optimized comparison-first ReLU,
 //! * [`graph`] — the secure planner and executor over the
 //!   [`abnn2_nn::LayerGraph`] IR: one offline plan and one online walk
-//!   shared by every served topology (MLP and CNN),
-//! * [`inference`] — the end-to-end offline/online pipeline of Fig 2, as
-//!   thin adapters over [`graph`],
+//!   shared by every served topology (MLP, CNN, encoder block), and the
+//!   one model surface ([`PublicModel`] / [`ServedModel`]) both wrap,
+//! * [`inference`] — the end-to-end offline/online pipeline of Fig 2: the
+//!   two parties and the one client session flow
+//!   ([`SecureClient::run_job`]),
 //! * [`complexity`] — the closed-form OT/communication counts of Table 1,
 //! * [`handshake`] — the versioned session hello exchanged before any base
 //!   OT, turning configuration mismatches into typed
 //!   [`ProtocolError::Negotiation`] errors at connect time,
-//! * [`driver`] — the suspendable session engine: the server-side
-//!   protocol re-expressed as a resumable state machine
+//! * [`driver`] — the suspendable session engine: the one server session
+//!   flow, expressed as a resumable state machine
 //!   ([`driver::SessionDriver`]) whose only I/O is an effect stream, so
 //!   one event-loop thread can multiplex many sessions over
 //!   readiness-based I/O, with the blocking path a thin
 //!   [`driver::drive_blocking`] adapter,
-//! * [`resilient`] — reconnect-and-resume drivers that checkpoint the
-//!   offline phase and replay the online phase after a connection loss,
-//!   producing logits bit-identical to an uninterrupted run,
+//! * [`resilient`] — reconnect loops around those two flows that
+//!   checkpoint the offline phase and replay the online phase after a
+//!   connection loss, producing logits bit-identical to an uninterrupted
+//!   run,
 //! * [`bundle`] — portable offline-phase state ([`ServerBundle`] /
 //!   [`ClientBundle`]) keyed by [`BundleKey`], plus [`dealer_bundle`]
 //!   dealer-mode generation — the substrate for `abnn2-serve`'s precompute
@@ -37,8 +40,9 @@
 //!
 //! See `examples/quickstart.rs` at the workspace root; the short version:
 //! quantize a trained [`abnn2_nn::Network`], hand the quantized model to
-//! [`inference::SecureServer`] and the public
-//! [`inference::PublicModelInfo`] to [`inference::SecureClient`], connect
+//! [`inference::SecureServer`] and its
+//! [`public_model`](inference::SecureServer::public_model) to
+//! [`inference::SecureClient`], connect
 //! them with [`abnn2_net::run_pair`], and the client learns exactly the
 //! logits of [`abnn2_nn::QuantizedNetwork::forward_exact`] — while neither
 //! party sees the other's data.
@@ -78,7 +82,7 @@ pub use driver::{
 pub use error::ProtocolError;
 pub use graph::{CommCeiling, PublicModel, SecureGraph, ServedModel, TripletPlan};
 pub use handshake::{HelloReply, HelloRequest, ResumeToken, SessionParams, PROTOCOL_VERSION};
-pub use inference::{PublicModelInfo, PublicTransformerInfo, SecureClient, SecureServer};
+pub use inference::{ClientJob, SecureClient, SecureServer};
 pub use matbeaver::MatrixTriple;
 pub use matmul::TripletMode;
 pub use relu::ReluVariant;

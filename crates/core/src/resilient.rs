@@ -12,6 +12,12 @@
 //! and the input (GC label randomness never reaches the opened shares),
 //! the resumed run produces logits bit-identical to an uninterrupted one.
 //!
+//! Neither driver implements the protocol: each is a
+//! [`ResilientDriver`] retry loop around the one session flow its party
+//! has — [`SecureClient::run_job`] over a [`ClientJob`] that carries the
+//! token and checkpoint between attempts, and a
+//! [`SessionDriver`] whose host is the server's [`CheckpointStore`].
+//!
 //! Failure handling is strictly typed: transient errors
 //! ([`ProtocolError::is_retryable`]) trigger reconnection until the policy
 //! is exhausted; fatal ones ([`ProtocolError::Negotiation`],
@@ -22,15 +28,16 @@
 
 use crate::bundle::{ClientBundle, ServerBundle};
 use crate::config::SessionDeadlines;
-use crate::handshake::{
-    handshake_client_ext, handshake_server_ext, HelloRequest, ResumeToken, SessionParams,
-};
-use crate::inference::{ClientOffline, SecureClient, SecureServer, ServerOffline};
-use crate::session::{ClientSession, ServerSession};
+use crate::driver::{drive_frames_with, DriverEffect, SessionDriver, SessionHost};
+use crate::handshake::{ResumeToken, SessionParams};
+use crate::inference::{ClientJob, SecureClient, SecureServer};
 use crate::ProtocolError;
 use abnn2_math::Matrix;
 use abnn2_net::{ResilientDriver, RetryPolicy, Transport, TransportError};
-use rand::Rng;
+use abnn2_ot::OfflineMode;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -125,6 +132,16 @@ impl CheckpointStore {
         self.inner.lock().expect("checkpoint lock").entries.remove(token);
     }
 
+    /// [`insert`](Self::insert) when a session parks a bundle,
+    /// [`remove`](Self::remove) when it has none to park — the store side
+    /// of [`SessionHost::release_checkpoint`].
+    pub fn release(&self, token: ResumeToken, parked: Option<ServerBundle>) {
+        match parked {
+            Some(bundle) => self.insert(token, bundle),
+            None => self.remove(&token),
+        }
+    }
+
     /// Whether the store currently holds `token` (refreshes its recency).
     #[must_use]
     pub fn contains(&self, token: &ResumeToken) -> bool {
@@ -151,13 +168,6 @@ impl CheckpointStore {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-fn apply_read_timeout<T: Transport>(
-    ch: &mut T,
-    deadlines: &SessionDeadlines,
-) -> Result<(), TransportError> {
-    ch.set_read_timeout(deadlines.read_timeout)
 }
 
 /// Client-side resilient driver: wraps a [`SecureClient`] with
@@ -216,54 +226,20 @@ impl ResilientClient {
         C: FnMut(u32) -> Result<T, TransportError>,
         R: Rng + ?Sized,
     {
-        let batch = inputs_fp.len();
-        if batch == 0 {
+        if inputs_fp.is_empty() {
             return Err(ProtocolError::Dimension("batch must be positive"));
         }
-        let ours = SessionParams::for_public(&self.client.model, self.client.exec.variant, batch);
         let mut token: ResumeToken = [0; 16];
         rng.fill(&mut token);
+        let mut job = ClientJob::new(token, false, self.deadlines);
 
-        // Checkpoint of a completed offline phase: client randomness R and
-        // triplet shares V per layer. Survives reconnects by construction.
-        let mut checkpoint: Option<ClientBundle> = None;
         let mut attempts = 0u32;
-        let mut resumed = false;
-
-        let driver = ResilientDriver::new(self.policy);
-        let logits = driver.run(connect, |ch, attempt| -> Result<Matrix, ProtocolError> {
+        let logits = ResilientDriver::new(self.policy).run(connect, |ch, attempt| {
             attempts = attempt + 1;
-            apply_read_timeout(ch, &self.deadlines)?;
-
-            let want_resume = checkpoint.is_some();
-            let request = HelloRequest {
-                resume: want_resume,
-                silent: self.client.silent,
-                ..HelloRequest::default()
-            };
-            let reply = handshake_client_ext(ch, ours, &token, request)?;
-
-            ch.set_phase_budget(self.deadlines.offline_budget)?;
-            let state = if reply.resume {
-                resumed = true;
-                let bundle = checkpoint.clone().expect("resume implies checkpoint");
-                let session = ClientSession::setup_with(ch, reply.mode(), rng)?;
-                ClientOffline::from_bundle(session, bundle)
-            } else {
-                // Server has no matching checkpoint (fresh run, or it lost
-                // state): drop ours and pay for a full offline phase.
-                checkpoint = None;
-                let state = self.client.offline_after_handshake(ch, batch, reply.mode(), rng)?;
-                checkpoint = Some(state.to_bundle());
-                state
-            };
-
-            ch.set_phase_budget(self.deadlines.online_budget)?;
-            let y = self.client.online_raw(ch, state, inputs_fp, rng)?;
-            ch.set_phase_budget(None)?;
-            Ok(y)
+            ch.set_read_timeout(self.deadlines.read_timeout)?;
+            self.client.run_job(ch, inputs_fp, &mut job, rng)
         })?;
-        Ok((logits, RunReport { attempts, resumed }))
+        Ok((logits, RunReport { attempts, resumed: job.resumed() }))
     }
 }
 
@@ -272,7 +248,7 @@ impl ResilientClient {
 /// bounded, shareable [`CheckpointStore`].
 #[derive(Debug)]
 pub struct ResilientServer {
-    server: SecureServer,
+    server: Arc<SecureServer>,
     policy: RetryPolicy,
     deadlines: SessionDeadlines,
     store: Arc<CheckpointStore>,
@@ -284,7 +260,7 @@ impl ResilientServer {
     #[must_use]
     pub fn new(server: SecureServer) -> Self {
         ResilientServer {
-            server,
+            server: Arc::new(server),
             policy: RetryPolicy::default(),
             deadlines: SessionDeadlines::lan(),
             store: Arc::new(CheckpointStore::new(DEFAULT_CHECKPOINT_CAPACITY)),
@@ -361,71 +337,76 @@ impl ResilientServer {
         // client's resume token, so any driver holding the same store can
         // pick the job up. Claims are single-use: the bundle leaves the
         // store while its session is live (a concurrently presented
-        // duplicate token therefore downgrades to a fresh run) and is
-        // re-inserted only when the session fails retryably.
+        // duplicate token therefore downgrades to a fresh run) and
+        // `SessionDriver::settle` decides whether it goes back.
         let mut attempts = 0u32;
-        let mut resumed = false;
+        let resumed = Cell::new(false);
 
-        let driver = ResilientDriver::new(self.policy);
-        driver.run(accept, |ch, attempt| -> Result<(), ProtocolError> {
+        ResilientDriver::new(self.policy).run(accept, |ch, attempt| {
             attempts = attempt + 1;
-            apply_read_timeout(ch, &self.deadlines)?;
-
-            let public = self.server.public_model();
-            let mut claimed: Option<ServerBundle> = None;
-            let (batch, token, reply) = handshake_server_ext(
-                ch,
-                // Adopt the client's announced batch: the server side of a
-                // prediction service has no a-priori batch expectation.
-                |b| SessionParams::for_public(&public, self.server.exec.variant, b),
-                |t| {
-                    claimed = self.store.claim(t);
-                    claimed.is_some()
-                },
-                |_, _| false,
-            )?;
-
-            // From here on, `checkpoint` holds the connection-independent
-            // state a reconnecting client could resume from; it goes back
-            // into the store only on a retryable failure.
-            let mut checkpoint: Option<ServerBundle> = claimed;
-            let outcome = (|| -> Result<(), ProtocolError> {
-                ch.set_phase_budget(self.deadlines.offline_budget)?;
-                let state = if reply.resume {
-                    resumed = true;
-                    let bundle = checkpoint.clone().expect("resume implies claimed checkpoint");
-                    let session = ServerSession::setup_with(ch, reply.mode(), rng)?;
-                    ServerOffline::from_bundle(session, bundle)
-                } else {
-                    let state =
-                        self.server.offline_after_handshake(ch, batch, reply.mode(), rng)?;
-                    checkpoint = Some(state.to_bundle());
-                    state
-                };
-
-                after_offline(ch, attempt);
-
-                ch.set_phase_budget(self.deadlines.online_budget)?;
-                self.server.online(ch, state)?;
-                ch.set_phase_budget(None)?;
-                Ok(())
-            })();
-            match outcome {
-                Ok(()) => {
-                    self.store.remove(&token);
-                    Ok(())
-                }
-                Err(e) => {
-                    if e.is_retryable() {
-                        if let Some(bundle) = checkpoint.take() {
-                            self.store.insert(token, bundle);
-                        }
+            ch.set_read_timeout(self.deadlines.read_timeout)?;
+            let host = StoreHost { server: &self.server, store: &self.store, resumed: &resumed };
+            let mut driver = SessionDriver::new(
+                Arc::clone(&self.server),
+                host,
+                StdRng::seed_from_u64(rng.next_u64()),
+            );
+            // The driver's phase marks are the protocol points the
+            // budgets and the hook key off: `setup` follows the hello
+            // exchange, `online` follows the last offline frame.
+            let outcome = drive_frames_with(ch, &mut driver, |ch, effect| {
+                match effect {
+                    DriverEffect::Mark(label) if label == "setup" => {
+                        ch.set_phase_budget(self.deadlines.offline_budget)?;
                     }
-                    Err(e)
+                    DriverEffect::Mark(label) if label == "online" => {
+                        after_offline(ch, attempt);
+                        ch.set_phase_budget(self.deadlines.online_budget)?;
+                    }
+                    _ => {}
                 }
-            }
+                Ok(())
+            })
+            .and_then(|_| Ok(ch.set_phase_budget(None)?));
+            driver.settle(outcome.as_ref().err());
+            outcome
         })?;
-        Ok(RunReport { attempts, resumed })
+        Ok(RunReport { attempts, resumed: resumed.get() })
+    }
+}
+
+/// [`SessionHost`] of one [`ResilientServer`] attempt: adopts the client's
+/// announced batch (a prediction service has no a-priori batch
+/// expectation), resumes from the store, never deals bundles.
+struct StoreHost<'a> {
+    server: &'a SecureServer,
+    store: &'a CheckpointStore,
+    resumed: &'a Cell<bool>,
+}
+
+impl SessionHost for StoreHost<'_> {
+    fn params_for(&self, batch: usize) -> SessionParams {
+        self.server.params_for(batch)
+    }
+
+    fn claim_checkpoint(&self, token: &ResumeToken) -> Option<ServerBundle> {
+        let claimed = self.store.claim(token);
+        if claimed.is_some() {
+            self.resumed.set(true);
+        }
+        claimed
+    }
+
+    fn take_bundle(
+        &self,
+        _params: &SessionParams,
+        _mode: OfflineMode,
+    ) -> Option<(ServerBundle, ClientBundle)> {
+        None
+    }
+
+    fn release_checkpoint(&self, token: ResumeToken, parked: Option<ServerBundle>) {
+        self.store.release(token, parked);
     }
 }
 
@@ -469,10 +450,10 @@ mod tests {
         let expected = q.forward_exact(&inputs[0]);
 
         let (dialer, listener) = sim_link(NetworkModel::instant());
-        let server = ResilientServer::new(SecureServer::new(q))
+        let server = ResilientServer::new(SecureServer::for_model(q))
             .with_policy(RetryPolicy::no_delay(2))
             .with_deadlines(fast_deadlines());
-        let client = ResilientClient::new(SecureClient::new(server.server.public_info()))
+        let client = ResilientClient::new(SecureClient::for_model(server.server.public_model()))
             .with_policy(RetryPolicy::no_delay(2))
             .with_deadlines(fast_deadlines());
 
@@ -497,10 +478,10 @@ mod tests {
         let expected: Vec<Vec<u64>> = inputs.iter().map(|x| q.forward_exact(x)).collect();
 
         let (dialer, listener) = sim_link(NetworkModel::instant());
-        let server = ResilientServer::new(SecureServer::new(q))
+        let server = ResilientServer::new(SecureServer::for_model(q))
             .with_policy(RetryPolicy::no_delay(3))
             .with_deadlines(fast_deadlines());
-        let client = ResilientClient::new(SecureClient::new(server.server.public_info()))
+        let client = ResilientClient::new(SecureClient::for_model(server.server.public_model()))
             .with_policy(RetryPolicy::no_delay(3))
             .with_deadlines(fast_deadlines());
 
@@ -598,7 +579,7 @@ mod tests {
         // Capacity-1 store: a rogue insert between the cut and the
         // reconnect evicts the job's own checkpoint.
         let store = Arc::new(CheckpointStore::new(1));
-        let server = ResilientServer::new(SecureServer::new(q))
+        let server = ResilientServer::new(SecureServer::for_model(q))
             .with_policy(RetryPolicy::no_delay(3))
             .with_deadlines(fast_deadlines())
             .with_checkpoint_store(Arc::clone(&store));
@@ -610,7 +591,7 @@ mod tests {
             max_delay: Duration::from_millis(300),
             jitter_seed: 1,
         };
-        let client = ResilientClient::new(SecureClient::new(server.server.public_info()))
+        let client = ResilientClient::new(SecureClient::for_model(server.server.public_model()))
             .with_policy(client_policy)
             .with_deadlines(fast_deadlines());
 
@@ -664,10 +645,9 @@ mod tests {
     fn retry_budget_exhaustion_reports_last_error() {
         let q = tiny_model(98);
         let inputs = sample_inputs(&q, 1, 99);
-        let client =
-            ResilientClient::new(SecureClient::new(crate::inference::PublicModelInfo::from(&q)))
-                .with_policy(RetryPolicy::no_delay(2))
-                .with_deadlines(fast_deadlines());
+        let client = ResilientClient::new(SecureClient::for_model(&q))
+            .with_policy(RetryPolicy::no_delay(2))
+            .with_deadlines(fast_deadlines());
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(100);
         let err = client

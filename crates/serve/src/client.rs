@@ -3,18 +3,15 @@
 //! [`ServeClient`] wraps a [`SecureClient`] with everything a caller
 //! talking to a [`Server`](crate::Server) needs: TCP connection minting,
 //! reconnect-and-resume under a [`RetryPolicy`], warm-bundle negotiation,
-//! and per-phase instrumentation. The returned [`ServeReport`] carries the
+//! and per-phase instrumentation. Each attempt is one
+//! [`SecureClient::run_job`] — the same session flow every other client
+//! entry point runs — over an instrumented TCP connection, whose phase
+//! marks become the report's phases. The returned [`ServeReport`] carries the
 //! merged phase stats across all attempts, so callers (and the acceptance
 //! tests) can verify a warm request moved *zero* offline-phase bytes.
 
-use abnn2_core::bundle::ClientBundle;
-use abnn2_core::frames::Bundle;
-use abnn2_core::handshake::{handshake_client_ext, HelloRequest, ResumeToken, SessionParams};
-use abnn2_core::inference::ClientOffline;
-use abnn2_core::session::ClientSession;
 use abnn2_core::{
-    ProtocolError, PublicModel, PublicModelInfo, ReluVariant, SecureClient, SecureGraph,
-    SessionDeadlines,
+    ClientJob, ProtocolError, PublicModel, ReluVariant, ResumeToken, SecureClient, SessionDeadlines,
 };
 use abnn2_math::Matrix;
 use abnn2_net::{
@@ -62,43 +59,30 @@ impl ServeReport {
 #[derive(Debug, Clone)]
 pub struct ServeClient {
     client: SecureClient,
-    variant: ReluVariant,
     policy: RetryPolicy,
     deadlines: SessionDeadlines,
     request_bundle: bool,
-    silent: bool,
 }
 
 impl ServeClient {
-    /// Client for the MLP described by `info`, requesting warm bundles,
-    /// with the default retry policy and LAN deadlines.
-    #[must_use]
-    pub fn new(info: PublicModelInfo) -> Self {
-        Self::for_model(info)
-    }
-
-    /// Client for any served topology (MLP or CNN) described by a
-    /// [`PublicModel`], requesting warm bundles, with the default retry
-    /// policy and LAN deadlines.
+    /// Client for any served topology described by a [`PublicModel`],
+    /// requesting warm bundles, with the default retry policy and LAN
+    /// deadlines. A default client and a default server negotiate
+    /// successfully out of the box: both start from
+    /// [`ExecConfig::new`](abnn2_core::ExecConfig::new).
     #[must_use]
     pub fn for_model(model: impl Into<PublicModel>) -> Self {
-        // Match ServeConfig's default ExecConfig so a default client and a
-        // default server negotiate successfully out of the box.
-        let variant = abnn2_core::ExecConfig::new().variant;
         ServeClient {
-            client: SecureClient::for_model(model).with_variant(variant),
-            variant,
+            client: SecureClient::for_model(model),
             policy: RetryPolicy::default(),
             deadlines: SessionDeadlines::lan(),
             request_bundle: true,
-            silent: false,
         }
     }
 
     /// Selects the activation variant (must match the server's).
     #[must_use]
     pub fn with_variant(mut self, variant: ReluVariant) -> Self {
-        self.variant = variant;
         self.client = self.client.with_variant(variant);
         self
     }
@@ -131,7 +115,7 @@ impl ServeClient {
     /// falls back to IKNP transparently against older servers.
     #[must_use]
     pub fn with_silent(mut self, silent: bool) -> Self {
-        self.silent = silent;
+        self.client = self.client.with_silent(silent);
         self
     }
 
@@ -156,19 +140,14 @@ impl ServeClient {
         inputs_fp: &[Vec<u64>],
         rng: &mut R,
     ) -> Result<(Matrix, ServeReport), ProtocolError> {
-        let batch = inputs_fp.len();
-        if batch == 0 {
+        if inputs_fp.is_empty() {
             return Err(ProtocolError::Dimension("batch must be positive"));
         }
-        let ours = SessionParams::for_public(self.client.public_model(), self.variant, batch);
-        let graph = SecureGraph::new(self.client.public_model().graph(), batch)?;
         let mut token: ResumeToken = [0; 16];
         rng.fill(&mut token);
+        let mut job = ClientJob::new(token, self.request_bundle, self.deadlines);
 
-        let mut checkpoint: Option<ClientBundle> = None;
         let mut attempts = 0u32;
-        let mut resumed = false;
-        let mut warm = false;
         let mut handles: Vec<InstrumentHandle> = Vec::new();
         let mut shed_waits = 0u32;
 
@@ -177,19 +156,17 @@ impl ServeClient {
         // queue), so it is retried out here, after honoring the server's
         // backoff hint.
         let result = loop {
-            match self.run_once(
-                addr,
-                ours,
-                &graph,
-                &token,
-                inputs_fp,
-                rng,
-                &mut checkpoint,
-                &mut attempts,
-                &mut resumed,
-                &mut warm,
-                &mut handles,
-            ) {
+            let base_attempts = attempts;
+            let pass = ResilientDriver::new(self.policy).run(
+                |_attempt| TcpTransport::connect(addr).map(InstrumentedTransport::new),
+                |ch, attempt| {
+                    attempts = base_attempts + attempt + 1;
+                    handles.push(ch.handle());
+                    ch.set_read_timeout(self.deadlines.read_timeout)?;
+                    self.client.run_job(ch, inputs_fp, &mut job, rng)
+                },
+            );
+            match pass {
                 Err(ProtocolError::Overloaded { retry_after_ms })
                     if shed_waits + 1 < self.policy.max_attempts.max(1) =>
                 {
@@ -209,78 +186,8 @@ impl ServeClient {
 
         let phases = merge_handles(&handles);
         let logits = result?;
-        Ok((logits, ServeReport { attempts, resumed, warm, phases }))
-    }
-
-    /// One pass of the resilient (reconnect-and-resume) driver; the
-    /// admission loop in [`run`](Self::run) re-invokes this after a busy
-    /// rejection.
-    #[allow(clippy::too_many_arguments)]
-    fn run_once<R: Rng + ?Sized>(
-        &self,
-        addr: SocketAddr,
-        ours: SessionParams,
-        graph: &SecureGraph,
-        token: &ResumeToken,
-        inputs_fp: &[Vec<u64>],
-        rng: &mut R,
-        checkpoint: &mut Option<ClientBundle>,
-        attempts: &mut u32,
-        resumed: &mut bool,
-        warm: &mut bool,
-        handles: &mut Vec<InstrumentHandle>,
-    ) -> Result<Matrix, ProtocolError> {
-        let batch = inputs_fp.len();
-        let base_attempts = *attempts;
-        let driver = ResilientDriver::new(self.policy);
-        driver.run(
-            |_attempt| TcpTransport::connect(addr).map(InstrumentedTransport::new),
-            |ch, attempt| -> Result<Matrix, ProtocolError> {
-                *attempts = base_attempts + attempt + 1;
-                handles.push(ch.handle());
-                ch.set_read_timeout(self.deadlines.read_timeout)?;
-
-                ch.enter_phase("handshake");
-                let request = HelloRequest {
-                    resume: checkpoint.is_some(),
-                    bundle: self.request_bundle && checkpoint.is_none(),
-                    silent: self.silent,
-                };
-                let reply = handshake_client_ext(ch, ours, token, request)?;
-
-                ch.set_phase_budget(self.deadlines.offline_budget)?;
-                ch.enter_phase("setup");
-                let session = ClientSession::setup_with(ch, reply.mode(), rng)?;
-
-                let state = if reply.resume {
-                    *resumed = true;
-                    let bundle = checkpoint.clone().expect("resume implies checkpoint");
-                    ClientOffline::from_bundle(session, bundle)
-                } else if reply.bundle {
-                    *warm = true;
-                    ch.enter_phase("bundle");
-                    let Bundle(bytes) = ch.recv_frame()?;
-                    let bundle = ClientBundle::decode(&bytes, graph)?;
-                    *checkpoint = Some(bundle.clone());
-                    ClientOffline::from_bundle(session, bundle)
-                } else {
-                    // Cold path: the server had neither our checkpoint nor
-                    // a pooled bundle.
-                    *warm = false;
-                    *checkpoint = None;
-                    ch.enter_phase("offline");
-                    let state = self.client.offline_with(ch, session, batch, rng)?;
-                    *checkpoint = Some(state.to_bundle());
-                    state
-                };
-
-                ch.enter_phase("online");
-                ch.set_phase_budget(self.deadlines.online_budget)?;
-                let y = self.client.online_raw(ch, state, inputs_fp, rng)?;
-                ch.set_phase_budget(None)?;
-                Ok(y)
-            },
-        )
+        let report = ServeReport { attempts, resumed: job.resumed(), warm: job.warm(), phases };
+        Ok((logits, report))
     }
 }
 

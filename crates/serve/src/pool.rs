@@ -103,16 +103,12 @@ impl PrecomputePool {
         assert!(depth > 0, "pool depth must be positive");
         assert!(!batches.is_empty(), "pool needs at least one batch size");
         assert!(!modes.is_empty(), "pool needs at least one offline mode");
-        let graph = model.graph();
         let entries: Vec<(BundleKey, SecureGraph)> = batches
             .iter()
             .flat_map(|&b| {
-                let sg = SecureGraph::new(graph.clone(), b)
-                    .expect("pool batch size must fit the served graph");
-                let graph = &graph;
-                modes
-                    .iter()
-                    .map(move |&m| (BundleKey::for_graph(graph, b).with_mode(m), sg.clone()))
+                let sg = model.secure_graph(b).expect("pool batch size must fit the served graph");
+                let key = BundleKey::for_graph(sg.graph(), b);
+                modes.iter().map(move |&m| (key.with_mode(m), sg.clone()))
             })
             .collect();
         let keys: Vec<BundleKey> = entries.iter().map(|(k, _)| *k).collect();

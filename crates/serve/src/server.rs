@@ -166,9 +166,9 @@ impl ShardedCheckpointStore {
         self.shard(token).claim(token)
     }
 
-    /// Drops the checkpoint for `token`, if present.
-    pub fn remove(&self, token: &ResumeToken) {
-        self.shard(token).remove(token);
+    /// [`CheckpointStore::release`] on the token's shard.
+    pub fn release(&self, token: ResumeToken, parked: Option<ServerBundle>) {
+        self.shard(&token).release(token, parked);
     }
 
     /// Whether a checkpoint for `token` is currently held.
@@ -199,7 +199,6 @@ struct Shared {
     queue: Mutex<QueueState>,
     work: Condvar,
     server: Arc<SecureServer>,
-    info_params: SessionParamsFactory,
     config: ServeConfig,
     store: ShardedCheckpointStore,
     /// One pool shard per worker (empty when `pool_depth` is zero).
@@ -223,19 +222,6 @@ fn now_millis(shared: &Shared) -> u64 {
     u64::try_from(shared.started.elapsed().as_millis()).unwrap_or(u64::MAX)
 }
 
-/// Pre-captured pieces for building `SessionParams` per announced batch
-/// without re-deriving digests on every connection.
-struct SessionParamsFactory {
-    model: abnn2_core::PublicModel,
-    variant: abnn2_core::ReluVariant,
-}
-
-impl SessionParamsFactory {
-    fn for_batch(&self, batch: usize) -> SessionParams {
-        SessionParams::for_public(&self.model, self.variant, batch)
-    }
-}
-
 /// A running multi-client inference service. Dropping the handle drains
 /// and joins all threads.
 pub struct Server {
@@ -257,8 +243,8 @@ impl std::fmt::Debug for Server {
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
     /// starts the acceptor, event-loop worker, and pool threads. Accepts
-    /// any served topology — a `QuantizedNetwork` (MLP) or a
-    /// `QuantizedCnn`.
+    /// any served topology (anything that converts into a
+    /// [`ServedModel`]).
     ///
     /// # Errors
     ///
@@ -279,12 +265,12 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let bound = listener.local_addr()?;
 
-        let model = Arc::new(model.into());
+        let server = Arc::new(SecureServer::for_model(model).with_exec(config.exec));
         let pools = if config.pool_depth > 0 {
             (0..config.workers)
                 .map(|i| {
                     PrecomputePool::start_with_modes(
-                        Arc::clone(&model),
+                        Arc::clone(server.model()),
                         &config.pool_batches,
                         &config.pool_modes,
                         config.pool_depth,
@@ -296,15 +282,11 @@ impl Server {
         } else {
             Vec::new()
         };
-        let public = model.public();
-        let server =
-            Arc::new(SecureServer::for_model(model.as_ref().clone()).with_exec(config.exec));
         let store = ShardedCheckpointStore::new(config.checkpoint_capacity, config.workers);
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState { conns: VecDeque::new(), draining: false }),
             work: Condvar::new(),
             server,
-            info_params: SessionParamsFactory { model: public, variant: config.exec.variant },
             config: config.clone(),
             store,
             pools,
@@ -374,7 +356,7 @@ impl Server {
         if self.shared.pools.is_empty() {
             return false;
         }
-        let base = BundleKey::for_graph(&self.shared.info_params.model.graph(), batch);
+        let base = BundleKey::from_params(&self.shared.server.params_for(batch));
         let deadline = Instant::now() + timeout;
         self.shared.pools.iter().all(|p| {
             self.shared.config.pool_modes.iter().all(|&mode| {
@@ -515,7 +497,7 @@ fn send_busy(shared: &Shared, stream: TcpStream) {
     let hint = retry_after_hint(shared);
     let _ = stream.set_nonblocking(false);
     if let Ok(mut ch) = TcpTransport::from_stream(stream) {
-        let _ = reject_busy_with(&mut ch, shared.info_params.for_batch(0), hint);
+        let _ = reject_busy_with(&mut ch, shared.server.params_for(0), hint);
     }
 }
 
@@ -554,8 +536,8 @@ impl Transport for SinkTransport {
     }
 }
 
-/// Per-worker [`SessionHost`]: parameters from the shared factory,
-/// checkpoints from the token-sharded store, warm bundles from this
+/// Per-worker [`SessionHost`]: parameters from the shared server,
+/// checkpoints from (and back to) the token-sharded store, warm bundles from this
 /// worker's pool shard first, stealing from siblings on a miss so a busy
 /// worker cannot strand warm bundles in an idle worker's shard.
 struct WorkerHost<'a> {
@@ -565,11 +547,15 @@ struct WorkerHost<'a> {
 
 impl SessionHost for WorkerHost<'_> {
     fn params_for(&self, batch: usize) -> SessionParams {
-        self.shared.info_params.for_batch(batch)
+        self.shared.server.params_for(batch)
     }
 
     fn claim_checkpoint(&self, token: &ResumeToken) -> Option<ServerBundle> {
         self.shared.store.claim(token)
+    }
+
+    fn release_checkpoint(&self, token: ResumeToken, parked: Option<ServerBundle>) {
+        self.shared.store.release(token, parked);
     }
 
     fn take_bundle(
@@ -778,21 +764,21 @@ impl<'a> LiveSession<'a> {
             // reads again after the output shares — but a failed final
             // write is a failed session, as it was on the blocking path.
             DriverStep::Done => match write_err {
-                Some(e) => self.finish_err(shared, e),
-                None => self.finish_ok(shared),
+                Some(e) => self.finish_err(e),
+                None => self.finish_ok(),
             },
-            DriverStep::Failed(e) => self.finish_err(shared, e),
+            DriverStep::Failed(e) => self.finish_err(e),
             DriverStep::NeedRecv => {
                 if let Some(e) = read_err.or(write_err) {
-                    return self.finish_err(shared, e);
+                    return self.finish_err(e);
                 }
                 let now = Instant::now();
                 if self.phase_deadline.is_some_and(|dl| now >= dl) {
-                    return self.finish_err(shared, ProtocolError::TimedOut);
+                    return self.finish_err(ProtocolError::TimedOut);
                 }
                 if let Some(rt) = shared.config.deadlines.read_timeout {
                     if now.duration_since(self.last_inbound) >= rt {
-                        return self.finish_err(shared, ProtocolError::TimedOut);
+                        return self.finish_err(ProtocolError::TimedOut);
                     }
                 }
                 let governor = &shared.config.governor;
@@ -885,38 +871,29 @@ impl<'a> LiveSession<'a> {
         }
     }
 
-    fn finish_ok(&mut self, shared: &Shared) -> Sweep {
-        if let Some(token) = self.driver.token() {
-            shared.store.remove(&token);
-        }
+    fn finish_ok(&mut self) -> Sweep {
+        self.driver.settle(None);
         self.flush_outbound();
         Sweep::Finished(true)
     }
 
-    fn finish_err(&mut self, shared: &Shared, e: ProtocolError) -> Sweep {
-        // Mirror the blocking server: a retryably dead session parks its
-        // connection-independent offline state for a future resume.
-        if e.is_retryable() {
-            if let (Some(token), Some(bundle)) =
-                (self.driver.token(), self.driver.take_checkpoint())
-            {
-                shared.store.insert(token, bundle);
-            }
-        }
+    fn finish_err(&mut self, e: ProtocolError) -> Sweep {
+        // A retryably dead session parks its connection-independent
+        // offline state for a future resume.
+        self.driver.settle(Some(&e));
         self.flush_outbound();
         Sweep::Finished(false)
     }
 
     /// Governor eviction: park the resumable offline state for a future
-    /// resume, count the eviction, and give the slot back. Unlike
-    /// [`finish_err`](Self::finish_err) this does NOT wait on
-    /// `flush_outbound` — the peer being evicted is by definition not
-    /// draining, and a 5-second courtesy flush per eviction would let
-    /// slow peers serialize the very sweep the governor protects.
+    /// resume (an evicted peer is a timed-out peer), count the eviction,
+    /// and give the slot back. Unlike [`finish_err`](Self::finish_err)
+    /// this does NOT wait on `flush_outbound` — the peer being evicted is
+    /// by definition not draining, and a 5-second courtesy flush per
+    /// eviction would let slow peers serialize the very sweep the
+    /// governor protects.
     fn finish_evict(&mut self, shared: &Shared) -> Sweep {
-        if let (Some(token), Some(bundle)) = (self.driver.token(), self.driver.take_checkpoint()) {
-            shared.store.insert(token, bundle);
-        }
+        self.driver.settle(Some(&ProtocolError::TimedOut));
         shared.metrics.session_evicted();
         Sweep::Finished(false)
     }
@@ -1004,7 +981,7 @@ fn worker_loop(shared: &Shared, worker: usize, seed: u64) {
             }
             Err(_) => {
                 if let Some(token) = live.driver.token() {
-                    shared.store.remove(&token);
+                    shared.store.release(token, None);
                 }
                 shared.metrics.session_panicked();
                 shared.metrics.session_ended(false);

@@ -2,14 +2,15 @@
 //! conv → ReLU → max-pool → dense — built entirely from the paper's
 //! machinery: the conv layer reduces to the §4.1 OT matmul through im2col
 //! (applied locally to shares) and max-pooling runs as a garbled circuit
-//! like the ReLU layers. Also shows the multi-core triplet option (the
-//! paper's stated future work).
+//! like the ReLU layers — so the CNN goes through the same
+//! `SecureServer`/`SecureClient` pair as an MLP. Also shows the multi-core
+//! triplet option (the paper's stated future work).
 //!
 //! ```sh
 //! cargo run --release --example cnn_inference
 //! ```
 
-use abnn2::core::cnn::{CnnClient, CnnServer};
+use abnn2::core::{ClientJob, SecureClient, SecureServer};
 use abnn2::math::{FixedPoint, FragmentScheme, Ring};
 use abnn2::net::{run_pair, NetworkModel};
 use abnn2::nn::conv::{ConvShape, QuantizedCnn, QuantizedConv};
@@ -50,22 +51,22 @@ fn main() {
     let expect = cnn.forward_exact(&image);
 
     for threads in [1usize, 4] {
-        let server = CnnServer::new(cnn.clone()).with_threads(threads);
-        let client = CnnClient::new(server.public_info()).with_threads(threads);
+        let server = SecureServer::for_model(cnn.clone()).with_threads(threads);
+        let client = SecureClient::for_model(server.public_model()).with_threads(threads);
         let image2 = image.clone();
         let (srv, got, report) = run_pair(
             NetworkModel::lan(),
             move |ch| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(100);
-                server.run(ch, &mut rng)
+                server.run(ch, 1, &mut rng)
             },
             move |ch| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(101);
-                client.run(ch, &image2, &mut rng).expect("client")
+                client.run_job(ch, &[image2], &mut ClientJob::default(), &mut rng).expect("client")
             },
         );
         srv.expect("server");
-        assert_eq!(got, expect, "secure CNN output must match the plaintext oracle");
+        assert_eq!(got.col(0), expect, "secure CNN output must match the plaintext oracle");
         println!(
             "threads = {threads}: {:.2}s simulated, {:.2} MiB — output matches plaintext exactly ✓",
             report.simulated_time().as_secs_f64(),

@@ -40,8 +40,8 @@ fn main() {
     );
     for (name, model) in settings {
         for variant in [ReluVariant::Oblivious, ReluVariant::Optimized] {
-            let server = SecureServer::new(q.clone()).with_variant(variant);
-            let client = SecureClient::new(server.public_info()).with_variant(variant);
+            let server = SecureServer::for_model(q.clone()).with_variant(variant);
+            let client = SecureClient::for_model(server.public_model()).with_variant(variant);
             let input = sample.clone();
             let (s_mid, c_mid, report) = run_pair(
                 model,

@@ -41,8 +41,8 @@ fn main() {
     println!("[3/4] running secure inference over a simulated LAN…");
     let sample = data.test[0].clone();
     let input = sample.pixels.clone();
-    let server = SecureServer::new(quantized.clone());
-    let client = SecureClient::new(server.public_info());
+    let server = SecureServer::for_model(quantized.clone());
+    let client = SecureClient::for_model(server.public_model());
     let (_, logits, report) = run_pair(
         NetworkModel::lan(),
         move |ch| {

@@ -31,8 +31,7 @@
 //! smoke test (`./scripts/check.sh --serve-smoke` / `--cnn-serve-smoke` /
 //! `--transformer-smoke`).
 
-use abnn2::core::cnn::PublicCnnInfo;
-use abnn2::core::{PublicModelInfo, PublicTransformerInfo};
+use abnn2::core::PublicModel;
 use abnn2::math::{FragmentScheme, Ring};
 use abnn2::nn::quant::{QuantConfig, QuantizedDense, QuantizedNetwork};
 use abnn2::nn::transformer::QuantizedTransformer;
@@ -246,7 +245,7 @@ fn report_metrics(
 fn run_mlp(args: &Args, metrics_out: Option<&Path>) {
     let (n_clients, n_requests, spw) = (args.clients, args.requests, args.sessions_per_worker);
     let q = build_model();
-    let info = PublicModelInfo::from(&q);
+    let info = PublicModel::from(&q);
     let codec = q.config.activation_codec();
 
     let deadlines = deadlines_for(spw);
@@ -275,7 +274,7 @@ fn run_mlp(args: &Args, metrics_out: Option<&Path>) {
     let per_client: Vec<(usize, usize, u32)> = std::thread::scope(|scope| {
         (0..n_clients)
             .map(|c| {
-                let client = ServeClient::new(info.clone()).with_deadlines(deadlines);
+                let client = ServeClient::for_model(info.clone()).with_deadlines(deadlines);
                 let q = &q;
                 let codec = &codec;
                 let samples = &data.train;
@@ -325,7 +324,7 @@ fn run_cnn(args: &Args, metrics_out: Option<&Path>) {
     let (n_clients, n_requests, spw) = (args.clients, args.requests, args.sessions_per_worker);
     let cnn = build_cnn();
     let ring = cnn.config.ring;
-    let info = PublicCnnInfo::from(&cnn);
+    let info = PublicModel::from(&cnn);
 
     let deadlines = deadlines_for(spw);
     let config = ServeConfig {
@@ -414,7 +413,7 @@ fn run_transformer(args: &Args, metrics_out: Option<&Path>) {
     let (n_clients, n_requests, spw) = (args.clients, args.requests, args.sessions_per_worker);
     let model = build_transformer();
     let ring = model.config.ring;
-    let info = PublicTransformerInfo::from(&model);
+    let info = PublicModel::from(&model);
 
     let deadlines = deadlines_for(spw);
     let config = ServeConfig {

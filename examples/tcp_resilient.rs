@@ -5,14 +5,17 @@
 //! One process, two threads, one localhost socket per connection attempt:
 //!
 //! * the **server** thread serves a single prediction job through
-//!   [`ResilientServer`]. On the first attempt it arms a [`Fault`] that
-//!   cuts the connection two messages into the online phase — after the
-//!   expensive offline triplet generation has completed and been
-//!   checkpointed.
-//! * the **client** (main thread) drives [`ResilientClient`]: when the cut
-//!   hits, it backs off, reconnects, re-handshakes presenting its
-//!   session-resume token, redoes only the cheap base-OT session setup,
-//!   and replays the online phase against the checkpointed triplets.
+//!   [`ResilientServer`] — a reconnect loop around the same
+//!   `SessionDriver` every server entry point runs. On the first attempt
+//!   its hook (fired when the driver marks the online phase) arms a
+//!   [`Fault`] that cuts the connection two messages into the online
+//!   phase — after the expensive offline triplet generation has
+//!   completed and been checkpointed.
+//! * the **client** (main thread) drives [`ResilientClient`] — a
+//!   reconnect loop around `SecureClient::run_job`: when the cut hits, it
+//!   backs off, reconnects, re-handshakes presenting its session-resume
+//!   token, redoes only the cheap base-OT session setup, and replays the
+//!   online phase against the checkpointed triplets.
 //!
 //! The final logits are asserted equal to
 //! [`QuantizedNetwork::forward_exact`] — the resumed run is
@@ -66,10 +69,9 @@ fn main() {
         jitter_seed: 7,
     };
 
-    let server = ResilientServer::new(SecureServer::new(q.clone()))
+    let server = ResilientServer::new(SecureServer::for_model(q.clone()))
         .with_policy(policy)
         .with_deadlines(deadlines);
-    let info = SecureServer::new(q.clone()).public_info();
 
     let server_thread = std::thread::spawn(move || {
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
@@ -92,8 +94,9 @@ fn main() {
         )
     });
 
-    let client =
-        ResilientClient::new(SecureClient::new(info)).with_policy(policy).with_deadlines(deadlines);
+    let client = ResilientClient::new(SecureClient::for_model(&q))
+        .with_policy(policy)
+        .with_deadlines(deadlines);
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
     let (y, report) = client
         .run_raw(

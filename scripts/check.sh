@@ -60,6 +60,11 @@
 # backend for AES/MMO/PRG plus the IKNP transpose wall time, with the
 # ≥4× AES-NI speedup asserted at generation time where the CPU has it).
 #
+# Every run also builds and unit-tests the standalone benchmark package
+# under bench/ (its own manifest and lock file, outside the workspace), so
+# an API change that breaks the benchmark fails here rather than in the
+# pipeline that runs it.
+#
 # The container has no network access to crates.io; all dependencies are
 # vendored as stubs under stubs/ (see stubs/README.md), so every cargo
 # invocation runs offline.
@@ -119,6 +124,10 @@ cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q --workspace
+
+echo "==> bench/: build and unit-test the standalone benchmark package"
+cargo build --release --offline --manifest-path bench/Cargo.toml
+cargo test --offline --manifest-path bench/Cargo.toml
 
 echo "==> cargo fmt --check"
 cargo fmt --check

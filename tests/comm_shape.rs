@@ -125,7 +125,7 @@ fn minionn_comm_is_bitwidth_independent_ours_is_not() {
             QuantConfig { ring: Ring::new(32), frac_bits: 8, weight_frac_bits: fw, scheme };
         let q = QuantizedNetwork::quantize(&net, config);
         let server = MinionnServer::new(q.clone(), 256);
-        let client = MinionnClient::new(server.public_info(), 256);
+        let client = MinionnClient::new(server.public_model(), 256);
         let (_, _, report) = run_pair(
             NetworkModel::instant(),
             move |ch| {

@@ -37,8 +37,8 @@ fn run_abnn2(
     seed: u64,
 ) -> Vec<Vec<u64>> {
     let batch = inputs.len();
-    let server = SecureServer::new(q.clone()).with_variant(variant);
-    let client = SecureClient::new(server.public_info()).with_variant(variant);
+    let server = SecureServer::for_model(q.clone()).with_variant(variant);
+    let client = SecureClient::for_model(server.public_model()).with_variant(variant);
     let inputs2 = inputs.to_vec();
     let (_, y, _) = run_pair(
         NetworkModel::instant(),
@@ -90,7 +90,7 @@ fn abnn2_and_minionn_produce_identical_predictions() {
     let ours = run_abnn2(&q, &inputs, ReluVariant::Oblivious, 122);
 
     let server = MinionnServer::new(q.clone(), 256);
-    let client = MinionnClient::new(server.public_info(), 256);
+    let client = MinionnClient::new(server.public_model(), 256);
     let inputs2 = inputs.clone();
     let (_, y, _) = run_pair(
         NetworkModel::instant(),
@@ -115,7 +115,7 @@ fn abnn2_and_quotient_produce_identical_predictions_on_ternary() {
     let ours = run_abnn2(&q, &inputs, ReluVariant::Oblivious, 132);
 
     let server = QuotientServer::new(q.clone());
-    let client = QuotientClient::new(server.public_info());
+    let client = QuotientClient::new(server.public_model());
     let inputs2 = inputs.clone();
     let (_, y, _) = run_pair(
         NetworkModel::instant(),
@@ -137,8 +137,8 @@ fn logits_track_plaintext_classification() {
     let q = trained_quantized(FragmentScheme::signed_bit_fields(&[2, 2, 2, 2]), 4, 32, 140);
     let data = SyntheticMnist::generate(3, 0, 141);
     let inputs: Vec<Vec<f64>> = data.train.iter().map(|s| s.pixels.clone()).collect();
-    let server = SecureServer::new(q.clone());
-    let client = SecureClient::new(server.public_info());
+    let server = SecureServer::for_model(q.clone());
+    let client = SecureClient::for_model(server.public_model());
     let inputs2 = inputs.clone();
     let (_, logits, _) = run_pair(
         NetworkModel::instant(),

@@ -37,8 +37,8 @@ fn client_abort_mid_inference_surfaces_to_server() {
             scheme: FragmentScheme::signed_bit_fields(&[2, 2]),
         },
     );
-    let server = SecureServer::new(q);
-    let info = server.public_info();
+    let server = SecureServer::for_model(q);
+    let info = server.public_model();
     let (server_result, (), _) = run_pair(
         NetworkModel::instant(),
         move |ch| {
@@ -49,7 +49,7 @@ fn client_abort_mid_inference_surfaces_to_server() {
             // The client handshakes and sets up the session, then walks
             // away before the offline phase.
             let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-            let ours = abnn2::core::SessionParams::for_model(
+            let ours = abnn2::core::SessionParams::for_public(
                 &info,
                 abnn2::core::ReluVariant::Oblivious,
                 1,
@@ -261,8 +261,8 @@ fn mismatched_batch_dimensions_rejected_before_io() {
             scheme: FragmentScheme::ternary(),
         },
     );
-    let server = SecureServer::new(q);
-    let client = SecureClient::new(server.public_info());
+    let server = SecureServer::for_model(q);
+    let client = SecureClient::for_model(server.public_model());
     let (mut a, _b) = Endpoint::pair(NetworkModel::instant());
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
     assert_eq!(

@@ -10,8 +10,7 @@
 //! `+2 × HELLO_LEN` delta because the graph refactor gives CNN sessions
 //! the same version/parameter handshake the MLP always had.
 
-use abnn2::core::cnn::{CnnClient, CnnServer};
-use abnn2::core::{PublicModelInfo, SecureClient, SecureServer};
+use abnn2::core::{ClientJob, SecureClient, SecureServer};
 use abnn2::math::{FragmentScheme, Ring};
 use abnn2::net::{run_pair, NetworkModel};
 use abnn2::nn::quant::{QuantConfig, QuantizedDense, QuantizedNetwork};
@@ -84,8 +83,8 @@ fn mlp_total_bytes(seed: u64, scheme: FragmentScheme) -> u64 {
         .collect();
     let expected: Vec<Vec<u64>> = inputs_fp.iter().map(|x| q.forward_exact(x)).collect();
 
-    let server = SecureServer::new(q.clone());
-    let client = SecureClient::new(PublicModelInfo::from(&q));
+    let server = SecureServer::for_model(q.clone());
+    let client = SecureClient::for_model(&q);
     let inputs2 = inputs_fp.clone();
     let (srv, y, report) = run_pair(
         NetworkModel::instant(),
@@ -117,22 +116,22 @@ fn cnn_total_bytes(seed: u64, scheme: FragmentScheme) -> u64 {
         .collect();
     let expect = cnn.forward_exact(&image);
 
-    let server = CnnServer::new(cnn.clone());
-    let client = CnnClient::new(server.public_info());
+    let server = SecureServer::for_model(cnn.clone());
+    let client = SecureClient::for_model(server.public_model());
     let image2 = image.clone();
     let (srv, got, report) = run_pair(
         NetworkModel::instant(),
         move |ch| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 2);
-            server.run(ch, &mut rng)
+            server.run(ch, 1, &mut rng)
         },
         move |ch| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 3);
-            client.run(ch, &image2, &mut rng).expect("client")
+            client.run_job(ch, &[image2], &mut ClientJob::default(), &mut rng).expect("client")
         },
     );
     srv.expect("server");
-    assert_eq!(got, expect, "secure CNN logits diverge from forward_exact");
+    assert_eq!(got.col(0), expect, "secure CNN logits diverge from forward_exact");
     report.total_bytes()
 }
 

@@ -4,10 +4,10 @@
 //! mid-online connection loss must be survivable with bit-identical
 //! logits via reconnect-and-resume.
 
-use abnn2::core::cnn::PublicCnnInfo;
 use abnn2::core::handshake::{handshake_client, SessionParams};
-use abnn2::core::inference::{PublicModelInfo, SecureClient, SecureServer};
+use abnn2::core::inference::{SecureClient, SecureServer};
 use abnn2::core::resilient::{ResilientClient, ResilientServer};
+use abnn2::core::PublicModel;
 use abnn2::core::{ProtocolError, ReluVariant, SessionDeadlines};
 use abnn2::gc::{GcError, YaoGarbler};
 use abnn2::math::{FragmentScheme, Ring};
@@ -91,7 +91,7 @@ fn silent_peer_times_out_yao_session() {
 #[test]
 fn silent_peer_times_out_full_inference() {
     let q = tiny_model(4);
-    let client = SecureClient::new(PublicModelInfo::from(&q));
+    let client = SecureClient::for_model(&q);
     let mut ch = silent_peer_transport(READ_TIMEOUT);
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
     let start = Instant::now();
@@ -103,8 +103,9 @@ fn silent_peer_times_out_full_inference() {
 #[test]
 fn variant_mismatch_fails_negotiation_on_both_sides() {
     let q = tiny_model(6);
-    let server = SecureServer::new(q.clone()).with_variant(ReluVariant::Oblivious);
-    let client = SecureClient::new(server.public_info()).with_variant(ReluVariant::Optimized);
+    let server = SecureServer::for_model(q.clone()).with_variant(ReluVariant::Oblivious);
+    let client =
+        SecureClient::for_model(server.public_model()).with_variant(ReluVariant::Optimized);
     let (server_result, client_result, _) = run_pair(
         NetworkModel::instant(),
         move |ch| {
@@ -132,8 +133,8 @@ fn variant_mismatch_fails_negotiation_on_both_sides() {
 #[test]
 fn batch_mismatch_fails_negotiation() {
     let q = tiny_model(9);
-    let server = SecureServer::new(q.clone());
-    let client = SecureClient::new(server.public_info());
+    let server = SecureServer::for_model(q.clone());
+    let client = SecureClient::for_model(server.public_model());
     let (server_result, client_result, _) = run_pair(
         NetworkModel::instant(),
         move |ch| {
@@ -152,7 +153,7 @@ fn batch_mismatch_fails_negotiation() {
 #[test]
 fn non_protocol_peer_is_handshake_error() {
     let q = tiny_model(12);
-    let server = SecureServer::new(q);
+    let server = SecureServer::for_model(q);
     let (server_result, (), _) = run_pair(
         NetworkModel::instant(),
         move |ch| {
@@ -172,8 +173,8 @@ fn handshake_rejects_stale_resume_token() {
     // A client presenting a resume token the server has never seen must be
     // answered with "fresh run", not an error.
     let q = tiny_model(14);
-    let info = PublicModelInfo::from(&q);
-    let ours = SessionParams::for_model(&info, ReluVariant::Oblivious, 1);
+    let info = PublicModel::from(&q);
+    let ours = SessionParams::for_public(&info, ReluVariant::Oblivious, 1);
     let (mut c, mut s) = abnn2::net::Endpoint::pair(NetworkModel::instant());
     std::thread::scope(|scope| {
         scope.spawn(move || {
@@ -195,14 +196,14 @@ fn reconnect_resume_is_bit_identical() {
 
     let deadlines = SessionDeadlines::uniform(Duration::from_secs(2));
     let (dialer, listener) = sim_link(NetworkModel::instant());
-    let server = ResilientServer::new(SecureServer::new(q))
+    let server = ResilientServer::new(SecureServer::for_model(q))
         .with_policy(RetryPolicy::no_delay(3))
         .with_deadlines(deadlines);
     let client_info = {
         let q2 = tiny_model(15);
-        PublicModelInfo::from(&q2)
+        PublicModel::from(&q2)
     };
-    let client = ResilientClient::new(SecureClient::new(client_info))
+    let client = ResilientClient::new(SecureClient::for_model(client_info))
         .with_policy(RetryPolicy::no_delay(3))
         .with_deadlines(deadlines);
 
@@ -282,7 +283,7 @@ fn cnn_reconnect_resume_is_bit_identical() {
     let server = ResilientServer::new(SecureServer::for_model(cnn.clone()))
         .with_policy(RetryPolicy::no_delay(3))
         .with_deadlines(deadlines);
-    let client = ResilientClient::new(SecureClient::for_model(PublicCnnInfo::from(&cnn)))
+    let client = ResilientClient::new(SecureClient::for_model(&cnn))
         .with_policy(RetryPolicy::no_delay(3))
         .with_deadlines(deadlines);
 
@@ -316,7 +317,7 @@ fn cnn_reconnect_resume_is_bit_identical() {
 #[test]
 fn retry_exhaustion_is_typed_not_a_hang() {
     let q = tiny_model(18);
-    let client = ResilientClient::new(SecureClient::new(PublicModelInfo::from(&q)))
+    let client = ResilientClient::new(SecureClient::for_model(&q))
         .with_policy(RetryPolicy::no_delay(3))
         .with_deadlines(SessionDeadlines::uniform(READ_TIMEOUT));
     let mut rng = rand::rngs::StdRng::seed_from_u64(19);

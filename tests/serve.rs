@@ -5,11 +5,10 @@
 //! state across sessions.
 
 use abnn2::core::bundle::{dealer_bundle, ClientBundle};
-use abnn2::core::cnn::PublicCnnInfo;
 use abnn2::core::handshake::{handshake_client_ext, HelloRequest, SessionParams};
 use abnn2::core::inference::ClientOffline;
 use abnn2::core::session::ClientSession;
-use abnn2::core::{ExecConfig, ProtocolError, PublicModelInfo, SecureClient, SessionDeadlines};
+use abnn2::core::{ExecConfig, ProtocolError, PublicModel, SecureClient, SessionDeadlines};
 use abnn2::math::{FragmentScheme, Ring};
 use abnn2::net::{RetryPolicy, TcpTransport, Transport};
 use abnn2::nn::quant::{QuantConfig, QuantizedDense, QuantizedNetwork};
@@ -56,7 +55,7 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
 fn eight_concurrent_clients_get_bit_identical_logits() {
     let q = tiny_model(200);
     let expected_for = |x: &Vec<u64>| q.forward_exact(x);
-    let info = PublicModelInfo::from(&q);
+    let info = PublicModel::from(&q);
     let config = ServeConfig {
         workers: 4,
         queue_capacity: 16,
@@ -73,7 +72,7 @@ fn eight_concurrent_clients_get_bit_identical_logits() {
             .iter()
             .enumerate()
             .map(|(i, x)| {
-                let client = ServeClient::new(info.clone()).with_deadlines(fast_deadlines());
+                let client = ServeClient::for_model(info.clone()).with_deadlines(fast_deadlines());
                 let x = x.clone();
                 scope.spawn(move || {
                     let mut rng = rand::rngs::StdRng::seed_from_u64(300 + i as u64);
@@ -106,7 +105,7 @@ fn warm_pool_skips_offline_phase_entirely() {
     let q = tiny_model(210);
     let x = sample_input(12, 211);
     let expected = q.forward_exact(&x);
-    let info = PublicModelInfo::from(&q);
+    let info = PublicModel::from(&q);
     let config = ServeConfig {
         workers: 2,
         pool_depth: 2,
@@ -120,7 +119,7 @@ fn warm_pool_skips_offline_phase_entirely() {
     );
 
     // Warm request: zero offline-phase bytes, nonzero bundle-phase bytes.
-    let client = ServeClient::new(info.clone()).with_deadlines(fast_deadlines());
+    let client = ServeClient::for_model(info.clone()).with_deadlines(fast_deadlines());
     let mut rng = rand::rngs::StdRng::seed_from_u64(212);
     let (y, report) =
         client.run(server.addr(), std::slice::from_ref(&x), &mut rng).expect("warm request");
@@ -138,7 +137,8 @@ fn warm_pool_skips_offline_phase_entirely() {
 
     // Cold request (bundles declined): the interactive offline phase runs
     // and dwarfs the warm path's bundle transfer.
-    let cold_client = ServeClient::new(info).with_deadlines(fast_deadlines()).with_bundles(false);
+    let cold_client =
+        ServeClient::for_model(info).with_deadlines(fast_deadlines()).with_bundles(false);
     let (y2, cold) = cold_client.run(server.addr(), &[x], &mut rng).expect("cold request");
     assert_eq!(y2.col(0), expected, "cold and warm paths must agree bit-for-bit");
     assert!(!cold.warm);
@@ -215,7 +215,7 @@ fn warm_pool_serves_cnn_with_zero_offline_bytes() {
         "pool must produce a CNN bundle for batch 1"
     );
 
-    let client = ServeClient::for_model(PublicCnnInfo::from(&cnn)).with_deadlines(fast_deadlines());
+    let client = ServeClient::for_model(&cnn).with_deadlines(fast_deadlines());
     let (y, report) =
         client.run(server.addr(), std::slice::from_ref(&image), &mut rng).expect("warm request");
     assert_eq!(y.col(0), expected, "served CNN logits must equal forward_exact");
@@ -234,7 +234,7 @@ fn warm_pool_serves_cnn_with_zero_offline_bytes() {
 #[test]
 fn overloaded_server_rejects_with_typed_error() {
     let q = tiny_model(220);
-    let info = PublicModelInfo::from(&q);
+    let info = PublicModel::from(&q);
     let config = ServeConfig {
         workers: 1,
         queue_capacity: 1,
@@ -253,7 +253,7 @@ fn overloaded_server_rejects_with_typed_error() {
     wait_until("second stall to be queued", || server.metrics().accepted >= 2);
 
     // A real client must now be refused in protocol, quickly and typed.
-    let client = ServeClient::new(info)
+    let client = ServeClient::for_model(info)
         .with_deadlines(fast_deadlines())
         .with_policy(RetryPolicy::no_delay(1));
     let mut rng = rand::rngs::StdRng::seed_from_u64(221);
@@ -275,7 +275,7 @@ fn overloaded_server_rejects_with_typed_error() {
 #[test]
 fn client_honors_retry_after_hint_instead_of_hot_looping() {
     let q = tiny_model(225);
-    let info = PublicModelInfo::from(&q);
+    let info = PublicModel::from(&q);
     let config = ServeConfig {
         workers: 1,
         queue_capacity: 1,
@@ -295,7 +295,7 @@ fn client_honors_retry_after_hint_instead_of_hot_looping() {
 
     // Zero client-side base delay: any spacing between dials comes from
     // the server's hint, not the policy.
-    let client = ServeClient::new(info)
+    let client = ServeClient::for_model(info)
         .with_deadlines(fast_deadlines())
         .with_policy(RetryPolicy::no_delay(4));
     let mut rng = rand::rngs::StdRng::seed_from_u64(226);
@@ -322,7 +322,7 @@ fn graceful_drain_completes_in_flight_and_rejects_new() {
     let q = tiny_model(230);
     let x = sample_input(12, 231);
     let expected = q.forward_exact(&x);
-    let info = PublicModelInfo::from(&q);
+    let info = PublicModel::from(&q);
     let config = ServeConfig {
         workers: 2,
         queue_capacity: 4,
@@ -334,7 +334,8 @@ fn graceful_drain_completes_in_flight_and_rejects_new() {
     let addr = server.addr();
 
     let (in_flight, rejected_err) = std::thread::scope(|scope| {
-        let in_flight_client = ServeClient::new(info.clone()).with_deadlines(fast_deadlines());
+        let in_flight_client =
+            ServeClient::for_model(info.clone()).with_deadlines(fast_deadlines());
         let xa = x.clone();
         let in_flight = scope.spawn(move || {
             let mut rng = rand::rngs::StdRng::seed_from_u64(232);
@@ -348,7 +349,7 @@ fn graceful_drain_completes_in_flight_and_rejects_new() {
         server.begin_drain();
 
         // New connections are now turned away in protocol.
-        let late_client = ServeClient::new(info.clone())
+        let late_client = ServeClient::for_model(info.clone())
             .with_deadlines(fast_deadlines())
             .with_policy(RetryPolicy::no_delay(1));
         let mut rng = rand::rngs::StdRng::seed_from_u64(233);
@@ -381,17 +382,17 @@ fn graceful_drain_completes_in_flight_and_rejects_new() {
 /// offline phase when the server declines. Returns (logits, resumed).
 fn manual_resume_request(
     addr: std::net::SocketAddr,
-    info: &PublicModelInfo,
+    info: &PublicModel,
     token: [u8; 16],
     bundle: ClientBundle,
     x: &[u64],
     seed: u64,
 ) -> Result<(Vec<u64>, bool), ProtocolError> {
-    let client = SecureClient::new(info.clone());
+    let client = SecureClient::for_model(info.clone());
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut ch = TcpTransport::connect(addr)?;
     ch.set_read_timeout(Some(Duration::from_secs(5)))?;
-    let ours = SessionParams::for_model(info, ExecConfig::new().variant, 1);
+    let ours = SessionParams::for_public(info, ExecConfig::new().variant, 1);
     let reply = handshake_client_ext(
         &mut ch,
         ours,
@@ -413,7 +414,7 @@ fn duplicate_resume_tokens_never_share_offline_state() {
     let q = tiny_model(240);
     let x = sample_input(12, 241);
     let expected = q.forward_exact(&x);
-    let info = PublicModelInfo::from(&q);
+    let info = PublicModel::from(&q);
     let config = ServeConfig {
         workers: 2,
         pool_depth: 0,
@@ -461,7 +462,7 @@ fn resume_against_evicted_checkpoint_downgrades_to_fresh() {
     let q = tiny_model(250);
     let x = sample_input(12, 251);
     let expected = q.forward_exact(&x);
-    let info = PublicModelInfo::from(&q);
+    let info = PublicModel::from(&q);
     let config = ServeConfig {
         workers: 1,
         pool_depth: 0,

@@ -5,7 +5,7 @@
 //! with the number of connected clients — the point of the readiness
 //! driven session engine.
 
-use abnn2::core::PublicModelInfo;
+use abnn2::core::PublicModel;
 use abnn2::core::SessionDeadlines;
 use abnn2::math::{FragmentScheme, Ring};
 use abnn2::nn::quant::{QuantConfig, QuantizedNetwork};
@@ -55,7 +55,7 @@ fn sixty_four_clients_multiplex_over_four_workers() {
     const WORKERS: usize = 4;
 
     let q = tiny_model(4242);
-    let info = PublicModelInfo::from(&q);
+    let info = PublicModel::from(&q);
     // 64 cold sessions time-share 4 CPUs: a session can legitimately wait
     // well past the 10 s LAN default for its worker's attention, so both
     // sides get deadlines sized for the load — this test is about thread
@@ -95,8 +95,9 @@ fn sixty_four_clients_multiplex_over_four_workers() {
 
         let total = (0..CLIENTS)
             .map(|c| {
-                let client =
-                    ServeClient::new(info.clone()).with_bundles(false).with_deadlines(generous);
+                let client = ServeClient::for_model(info.clone())
+                    .with_bundles(false)
+                    .with_deadlines(generous);
                 let q = &q;
                 scope.spawn(move || {
                     let mut rng = rand::rngs::StdRng::seed_from_u64(7000 + c as u64);

@@ -100,7 +100,7 @@ fn silent_mlp_logits_bit_exact_across_eta_sweep() {
             .collect();
         let expected: Vec<Vec<u64>> = inputs_fp.iter().map(|x| q.forward_exact(x)).collect();
 
-        let server = SecureServer::new(q.clone());
+        let server = SecureServer::for_model(q.clone());
         let silent = run_session(&server, &inputs_fp, true, 302);
         let iknp = run_session(&server, &inputs_fp, false, 302);
         for (k, want) in expected.iter().enumerate() {
