@@ -44,12 +44,26 @@ fn bench_prg_and_hash(c: &mut Criterion) {
 }
 
 fn bench_curve(c: &mut Criterion) {
-    use abnn2_crypto::curve::EdwardsPoint;
-    c.bench_function("curve25519_scalar_mul", |b| {
+    use abnn2_crypto::curve::{EdwardsPoint, PointTable};
+    let scalar = [0x5Au8; 32];
+    let mut g = c.benchmark_group("curve25519");
+    g.bench_function("scalar_mul_var", |b| {
         let base = EdwardsPoint::base();
-        let scalar = [0x5Au8; 32];
         b.iter(|| base.scalar_mul(&scalar));
     });
+    g.bench_function("scalar_mul_table", |b| {
+        b.iter(|| PointTable::base().mul(&scalar));
+    });
+    g.bench_function("table_build", |b| {
+        let base = EdwardsPoint::base();
+        b.iter(|| PointTable::new(&base));
+    });
+    g.throughput(Throughput::Elements(256));
+    g.bench_function("batch_encode_256", |b| {
+        let points = vec![PointTable::base().mul(&scalar); 256];
+        b.iter(|| EdwardsPoint::batch_to_bytes(&points));
+    });
+    g.finish();
 }
 
 fn bench_garbling(c: &mut Criterion) {

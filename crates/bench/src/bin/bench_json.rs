@@ -24,7 +24,9 @@
 //! With `--crypto` the file carries the primitive-layer microbench:
 //! blocks/sec per [`CryptoBackend`] for raw
 //! AES, MMO hashing, and CTR-mode PRG fill, plus the IKNP bit-matrix
-//! transpose wall time at one and four worker threads. When the CPU has
+//! transpose wall time at one and four worker threads, plus the `curve`
+//! group: the scalar-multiplication and encoding kernels under base-OT
+//! setup and a 128-OT batch, each a median of 11 runs. When the CPU has
 //! AES-NI the ≥ 4× speedup over the portable backend on AES and MMO is
 //! asserted at generation time, so a regression in the accelerated path
 //! can never be committed inside a fresh benchmark file.
@@ -37,14 +39,16 @@ use abnn2_core::graph::{SecureGraph, ServedModel};
 use abnn2_core::inference::{SecureClient, SecureServer};
 use abnn2_core::matmul::{triplet_client, triplet_server, TripletMode};
 use abnn2_core::relu::ReluVariant;
+use abnn2_crypto::curve::{EdwardsPoint, PointTable};
 use abnn2_crypto::{aes_ni_available, choose_backend, Aes128, Block, CryptoBackend};
 use abnn2_math::{FragmentScheme, Matrix, Ring};
 use abnn2_net::wire::tags;
-use abnn2_net::{Endpoint, InstrumentedTransport, NetworkModel};
+use abnn2_net::{run_pair, Endpoint, InstrumentedTransport, NetworkModel};
 use abnn2_nn::quant::QuantConfig;
 use abnn2_nn::transformer::QuantizedTransformer;
 use abnn2_ot::{FragmentChooser, FragmentSender, OfflineMode};
 use rand::{Rng, SeedableRng};
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Formats a metric value: integers stay integers, everything else gets
@@ -251,6 +255,83 @@ fn transpose_secs(m: usize, threads: usize) -> f64 {
     }
 }
 
+/// Timed repetitions behind every `curve` row: the median is reported
+/// with the min and max beside it.
+const CURVE_RUNS: usize = 11;
+
+/// Runs `sample` [`CURVE_RUNS`] times and appends `name` (median),
+/// `name_min` and `name_max` to `metrics`.
+fn push_spread(metrics: &mut Vec<(String, f64)>, name: &str, mut sample: impl FnMut() -> f64) {
+    let mut runs: Vec<f64> = (0..CURVE_RUNS).map(|_| sample()).collect();
+    runs.sort_by(f64::total_cmp);
+    let (median, min, max) = (runs[CURVE_RUNS / 2], runs[0], runs[CURVE_RUNS - 1]);
+    eprintln!("[curve] {name} {median:.2} (min {min:.2}, max {max:.2})");
+    metrics.push((name.to_owned(), median));
+    metrics.push((format!("{name}_min"), min));
+    metrics.push((format!("{name}_max"), max));
+}
+
+/// The `curve` group of `--crypto`: the three kernels under base-OT setup
+/// (variable-base windowed multiplication, fixed-base table multiplication,
+/// batch-normalised point encoding) and the 128-OT batch they add up to.
+fn curve_entry() -> String {
+    const OPS: usize = 64;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xC25519);
+    let scalars: Vec<[u8; 32]> = (0..OPS)
+        .map(|_| {
+            let mut s = [0u8; 32];
+            rng.fill(&mut s);
+            s
+        })
+        .collect();
+    let points: Vec<EdwardsPoint> = scalars.iter().map(|s| PointTable::base().mul(s)).collect();
+    let us_per_op = |t0: Instant| t0.elapsed().as_secs_f64() * 1e6 / OPS as f64;
+
+    let mut metrics = Vec::new();
+    push_spread(&mut metrics, "scalar_mul_var_us", || {
+        let t0 = Instant::now();
+        for s in &scalars {
+            black_box(black_box(&points[0]).scalar_mul(black_box(s)));
+        }
+        us_per_op(t0)
+    });
+    push_spread(&mut metrics, "scalar_mul_table_us", || {
+        let t0 = Instant::now();
+        for s in &scalars {
+            black_box(PointTable::base().mul(black_box(s)));
+        }
+        us_per_op(t0)
+    });
+    push_spread(&mut metrics, "point_encode_us", || {
+        let t0 = Instant::now();
+        black_box(EdwardsPoint::batch_to_bytes(black_box(&points)));
+        us_per_op(t0)
+    });
+    push_spread(&mut metrics, "base_ot_128_ms", || {
+        let pairs = vec![(Block::from(1u128), Block::from(2u128)); abnn2_ot::KAPPA];
+        let choices: Vec<bool> = (0..abnn2_ot::KAPPA).map(|i| i % 3 == 0).collect();
+        let (_, _, report) = run_pair(
+            NetworkModel::instant(),
+            |ch| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+                abnn2_ot::base::send(ch, &pairs, &mut rng).expect("base-OT sender");
+            },
+            |ch| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+                abnn2_ot::base::recv(ch, &choices, &mut rng).expect("base-OT chooser");
+            },
+        );
+        report.wall.as_secs_f64() * 1e3
+    });
+    let metrics: Vec<(&str, f64)> = metrics.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    entry(
+        "curve",
+        &format!("{OPS} ops per run, median of {CURVE_RUNS} runs with min/max, single core"),
+        "measured",
+        &metrics,
+    )
+}
+
 /// The `--crypto` workload: per-backend blocks/sec for the three
 /// [`CryptoBackend`] primitives plus the IKNP transpose wall time. With
 /// AES-NI present, asserts the ≥ 4× AES/MMO speedup the backend exists
@@ -316,6 +397,8 @@ fn crypto_entries(entries: &mut Vec<String>) {
         "measured",
         &[("wall_secs_1_thread", t1), ("wall_secs_4_threads", t4)],
     ));
+
+    entries.push(curve_entry());
 }
 
 fn main() {

@@ -43,8 +43,9 @@ use crate::handshake::{handshake_server_ext, HelloReply, ResumeToken, SessionPar
 use crate::inference::{SecureServer, ServerOffline};
 use crate::session::ServerSession;
 use crate::ProtocolError;
+use abnn2_gc::YaoEvaluator;
 use abnn2_net::{CommSnapshot, Transport, TransportError};
-use abnn2_ot::OfflineMode;
+use abnn2_ot::{FragmentChooser, OfflineMode};
 use rand::rngs::StdRng;
 use std::sync::Arc;
 use std::time::Duration;
@@ -260,6 +261,15 @@ enum State {
         claimed: Option<ServerBundle>,
         pooled: Option<(ServerBundle, ClientBundle)>,
     },
+    /// Second half of setup: the fragment-OT base batch is done and its
+    /// RNG draws committed, so a park on the Yao batch replays only that.
+    SetupYao {
+        kk: FragmentChooser,
+        batch: usize,
+        reply: HelloReply,
+        claimed: Option<ServerBundle>,
+        pooled: Option<(ServerBundle, ClientBundle)>,
+    },
     Offline {
         session: ServerSession,
         batch: usize,
@@ -381,7 +391,7 @@ impl<H: SessionHost> SessionDriver<H> {
     pub fn phase(&self) -> &'static str {
         match self.state {
             State::Handshake => "handshake",
-            State::Setup { .. } => "setup",
+            State::Setup { .. } | State::SetupYao { .. } => "setup",
             State::Offline { .. } => "offline",
             State::Online { .. } => "online",
             State::Done => "done",
@@ -469,9 +479,19 @@ impl<H: SessionHost> SessionDriver<H> {
                 Ok(State::Setup { batch, reply, claimed, pooled })
             }
             State::Setup { batch, reply, claimed, pooled } => {
-                let (batch, reply) = (*batch, *reply);
                 ch.mark_phase("setup");
-                let session = ServerSession::setup_with(ch, reply.mode(), rng)?;
+                let kk = FragmentChooser::setup(ch, reply.mode(), rng)?;
+                Ok(State::SetupYao {
+                    kk,
+                    batch: *batch,
+                    reply: *reply,
+                    claimed: claimed.take(),
+                    pooled: pooled.take(),
+                })
+            }
+            State::SetupYao { kk, batch, reply, claimed, pooled } => {
+                let (batch, reply) = (*batch, *reply);
+                let session = ServerSession { kk: kk.clone(), yao: YaoEvaluator::setup(ch, rng)? };
                 if reply.resume {
                     let bundle =
                         claimed.clone().expect("accepted resume implies a claimed checkpoint");

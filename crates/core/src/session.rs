@@ -113,6 +113,7 @@ impl ClientSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abnn2_crypto::sha256::sha256;
     use abnn2_net::{run_pair, NetworkModel};
     use rand::SeedableRng;
 
@@ -131,7 +132,64 @@ mod tests {
         );
         assert!(s && c);
         // 2κ + κ base OTs worth of points crossed the wire.
-        assert!(report.total_bytes() > 0);
+        assert_eq!(report.total_bytes(), 36_998);
+        assert_eq!(report.server.messages_sent + report.client.messages_sent, 6);
+    }
+
+    /// Hashes every frame the wrapped party sends and receives, in the
+    /// order that party sees them.
+    struct Tap<'a, T> {
+        inner: &'a mut T,
+        log: Vec<u8>,
+    }
+
+    impl<T: Transport> Transport for Tap<'_, T> {
+        fn send(&mut self, payload: &[u8]) -> Result<(), abnn2_net::TransportError> {
+            self.log.push(b'>');
+            self.log.extend_from_slice(&sha256(payload));
+            self.inner.send(payload)
+        }
+        fn recv(&mut self) -> Result<Vec<u8>, abnn2_net::TransportError> {
+            let frame = self.inner.recv()?;
+            self.log.push(b'<');
+            self.log.extend_from_slice(&sha256(&frame));
+            Ok(frame)
+        }
+        fn snapshot(&self) -> abnn2_net::CommSnapshot {
+            self.inner.snapshot()
+        }
+    }
+
+    /// The seeded setup transcript of both offline modes, pinned on the
+    /// commit before the base-OT curve kernels were rebuilt: the kernels
+    /// may change how points are computed, never which bytes cross the
+    /// wire.
+    #[test]
+    fn seeded_setup_transcripts_are_pinned() {
+        for (mode, pin) in [
+            (OfflineMode::Iknp, "89c0a01493f3d238adac70127c63295b1598aa76b6440ef01eafbfd68bef2e6d"),
+            (
+                OfflineMode::Silent,
+                "0aff02881d869072c332e5bdf922b7f39c2c18e8fc0b978cd29bc9b7ff5dce66",
+            ),
+        ] {
+            let (log, _, _) = run_pair(
+                NetworkModel::instant(),
+                |ch| {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5E7);
+                    let mut tap = Tap { inner: ch, log: Vec::new() };
+                    ServerSession::setup_with(&mut tap, mode, &mut rng).expect("server setup");
+                    tap.log
+                },
+                |ch| {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5E8);
+                    ClientSession::setup_with(ch, mode, &mut rng).expect("client setup");
+                },
+            );
+            assert_eq!(log.len(), 6 * 33, "two batches of A, R batch, ciphertext batch");
+            let hex: String = sha256(&log).iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, pin, "{mode:?} setup transcript changed");
+        }
     }
 
     #[test]

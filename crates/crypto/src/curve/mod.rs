@@ -8,12 +8,32 @@
 //! uncompressed (64 bytes, validated on receipt) to avoid needing a field
 //! square root; base OT bandwidth is negligible so the 2× size is harmless.
 //!
-//! Not constant-time; see the crate-level security note.
+//! # Kernels
+//!
+//! Base-OT setup is the largest fixed cost of a session, so the three
+//! operations it is made of each have a dedicated kernel:
+//!
+//! * **Variable base** — [`EdwardsPoint::scalar_mul`]: signed radix-16
+//!   fixed window over eight cached multiples `(Y+X, Y−X, Z, 2dT)` of the
+//!   point; 256 doublings, three in four of which skip `T`, and at most 65
+//!   additions, for any 256-bit scalar.
+//! * **Fixed base** — [`PointTable`]: 64 × 8 cached multiples of `16ⁱ·P`
+//!   (≈ 80 KB), so a multiplication is at most 65 additions and no
+//!   doublings. [`PointTable::base`] is built once per process; the base
+//!   OT builds one per batch for the sender's point.
+//! * **Encoding** — [`EdwardsPoint::batch_to_bytes`]: Montgomery's trick
+//!   normalises a whole slice with one field inversion, itself the
+//!   254-squaring addition chain rather than a generic exponentiation.
+//!
+//! None of this is constant-time: window digits are skipped when zero and
+//! table lookups are indexed by secret digits, as the bit-at-a-time
+//! double-and-add they replace branched on secret bits. See the crate-level
+//! security note.
 
 pub mod edwards;
 pub mod field;
 
-pub use edwards::EdwardsPoint;
+pub use edwards::{EdwardsPoint, PointTable};
 pub use field::Fe;
 
 /// Parses a big-endian hex string into 32 little-endian bytes.

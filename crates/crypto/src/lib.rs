@@ -20,7 +20,10 @@
 //!
 //! This is a research reproduction: the implementations are tested for
 //! correctness against standard vectors but are **not** constant-time and
-//! have not been audited. Do not reuse for production secrets.
+//! have not been audited. Do not reuse for production secrets. In
+//! particular the T-table AES and the curve's windowed and fixed-base
+//! scalar multiplications ([`curve`]) index tables by secret values, and
+//! the latter also skip work on zero digits.
 
 pub mod aes;
 pub mod backend;

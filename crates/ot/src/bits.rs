@@ -180,9 +180,9 @@ mod tests {
             }).collect();
             let rows = transpose_columns(&cols, m);
             prop_assert_eq!(rows.len(), m);
-            for i in 0..k {
-                for j in 0..m {
-                    prop_assert_eq!(get_bit(&rows[j], i), get_bit(&cols[i], j));
+            for (i, col) in cols.iter().enumerate() {
+                for (j, row) in rows.iter().enumerate() {
+                    prop_assert_eq!(get_bit(row, i), get_bit(col, j));
                 }
             }
         }

@@ -410,12 +410,12 @@ mod tests {
             move |s, ch| s.extend(ch, m).expect("extend"),
             move |c, ch| c.extend(ch, &choices2, n).expect("extend"),
         );
-        for j in 0..m {
-            let want = sender_keys.mask(j, choices[j], 24);
+        for (j, &choice) in choices.iter().enumerate() {
+            let want = sender_keys.mask(j, choice, 24);
             assert_eq!(chooser_keys.mask(j, 24), want, "ot {j}");
             // Masks for other symbols must differ.
             for v in 0..n {
-                if v != choices[j] {
+                if v != choice {
                     assert_ne!(sender_keys.mask(j, v, 24), chooser_keys.mask(j, 24));
                 }
             }
@@ -432,8 +432,8 @@ mod tests {
                 move |s, ch| s.extend(ch, m).expect("extend"),
                 move |c, ch| c.extend(ch, &choices2, n).expect("extend"),
             );
-            for j in 0..m {
-                assert_eq!(ck.mask(j, 8), sk.mask(j, choices[j], 8), "n={n} ot={j}");
+            for (j, &choice) in choices.iter().enumerate() {
+                assert_eq!(ck.mask(j, 8), sk.mask(j, choice, 8), "n={n} ot={j}");
             }
         }
     }

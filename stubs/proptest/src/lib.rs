@@ -202,6 +202,12 @@ impl Arbitrary for f64 {
     }
 }
 
+impl<T: Arbitrary, const N: usize> Arbitrary for [T; N] {
+    fn arbitrary(rng: &mut TestRng) -> Self {
+        core::array::from_fn(|_| T::arbitrary(rng))
+    }
+}
+
 /// `any::<T>()` strategy over the full value domain of `T`.
 pub fn any<T: Arbitrary>() -> Any<T> {
     Any(core::marker::PhantomData)

@@ -10,6 +10,7 @@ use abnn2::core::driver::{drive_frames, DriverEffect, NullHost, SessionDriver};
 use abnn2::core::resilient::{ResilientClient, ResilientServer, RunReport};
 use abnn2::core::{SecureClient, SecureServer, SessionDeadlines};
 use abnn2::math::{FragmentScheme, Ring};
+use abnn2::net::wire::tags;
 use abnn2::net::{
     sim_link, Endpoint, Fault, FaultyTransport, InstrumentHandle, InstrumentedTransport,
     NetworkModel, RetryPolicy, TagStats,
@@ -136,7 +137,9 @@ fn every_entry_point_moves_the_same_frames() {
 
 /// `drive_frames` feeds one inbound frame per suspension, so the driver
 /// replays its offline phase once per frame — and still externalizes each
-/// phase mark exactly once.
+/// phase mark exactly once. Setup is two driver states, one per base-OT
+/// batch, that share the one `setup` mark: each batch's frames go out
+/// once, in order, under it.
 #[test]
 fn phase_marks_survive_replay_exactly_once() {
     let q = tiny_model();
@@ -145,6 +148,7 @@ fn phase_marks_survive_replay_exactly_once() {
     let client = SecureClient::for_model(&q);
     let (mut server_ep, mut client_ep) = Endpoint::pair(NetworkModel::instant());
     let mut marks: Vec<String> = Vec::new();
+    let mut setup_sends: Vec<u8> = Vec::new();
     let stats = std::thread::scope(|scope| {
         scope.spawn(move || {
             client
@@ -161,17 +165,22 @@ fn phase_marks_survive_replay_exactly_once() {
             NullHost { ours: server.params_for(1) },
             StdRng::seed_from_u64(6),
         );
-        drive_frames(&mut server_ep, &mut driver, |effect| {
-            if let DriverEffect::Mark(label) = effect {
-                if !label.contains(':') {
-                    marks.push(label.clone());
-                }
+        drive_frames(&mut server_ep, &mut driver, |effect| match effect {
+            DriverEffect::Mark(label) if !label.contains(':') => marks.push(label.clone()),
+            DriverEffect::Send(frame) if marks.last().is_some_and(|m| m == "setup") => {
+                setup_sends.push(frame[0]);
             }
+            _ => {}
         })
         .expect("server")
     });
     assert!(stats.suspensions >= 8, "expected many replays, got {}", stats.suspensions);
     assert_eq!(marks, ["handshake", "setup", "offline", "online"]);
+    assert_eq!(
+        setup_sends,
+        [tags::BASE_POINT, tags::BASE_CT_BATCH, tags::BASE_POINT, tags::BASE_CT_BATCH],
+        "fragment-OT batch, then Yao batch, each externalized once"
+    );
 }
 
 /// The `after_offline` hook rides the externalized `online` mark: once per
