@@ -796,6 +796,160 @@ mod tests {
         }
     }
 
+    // -----------------------------------------------------------------------
+    // Pins for the six Algorithm-2 builders: gate count, input/output wire
+    // counts (the garbler `y₁… ‖ z₁`, evaluator `y₀…` layout) and plaintext
+    // evaluation against the integer reference, at two shapes each — the
+    // first of every pair is the shape the benchmark's `gc.*_ands` rows and
+    // the served models use.
+    // -----------------------------------------------------------------------
+
+    fn structure(c: &Circuit) -> [usize; 4] {
+        [c.and_count(), c.garbler_inputs().len(), c.evaluator_inputs().len(), c.outputs().len()]
+    }
+
+    /// `n` seeded signed values in `[-lim, lim)`.
+    fn seeded_values(ring: Ring, n: usize, lim: i64, seed: u64) -> Vec<u64> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..n).map(|_| ring.from_i64(rng.gen_range(-lim..lim))).collect()
+    }
+
+    /// Shares every operand under a seeded mask, evaluates `c` with the
+    /// garbler holding all operand-1 shares then `z₁` and the evaluator all
+    /// operand-0 shares, and returns the reconstructed outputs `z₀ + z₁`.
+    fn eval_reshare(c: &Circuit, ring: Ring, operands: &[&[u64]], seed: u64) -> Vec<u64> {
+        use rand::SeedableRng;
+        let bits = ring.bits() as usize;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (mut g, mut e) = (Vec::new(), Vec::new());
+        for v in operands {
+            let s1 = ring.sample_vec(&mut rng, v.len());
+            e.extend(ring.sub_vec(v, &s1));
+            g.extend(s1);
+        }
+        let z1 = ring.sample_vec(&mut rng, c.outputs().len() / bits);
+        g.extend(&z1);
+        let gbits: Vec<bool> = g.iter().flat_map(|&x| u64_to_bits(x, bits)).collect();
+        let ebits: Vec<bool> = e.iter().flat_map(|&x| u64_to_bits(x, bits)).collect();
+        let out = c.eval(&gbits, &ebits);
+        out.chunks(bits).zip(&z1).map(|(z0, &z1)| ring.add(bits_to_u64(z0), z1)).collect()
+    }
+
+    #[test]
+    fn relu_trunc_reshare_vec_is_pinned() {
+        use abnn2_math::fixedops::{relu as relu_ref, sar};
+        for (bits, n, shift, pin) in [
+            (32usize, 128usize, 4usize, [12032usize, 8192, 4096, 4096]),
+            (16, 3, 0, [138, 96, 48, 48]),
+        ] {
+            let ring = Ring::new(bits as u32);
+            let c = relu_trunc_reshare_vec_circuit(bits, n, shift);
+            assert_eq!(structure(&c), pin, "relu_trunc {bits}/{n}/{shift}");
+            let y = seeded_values(ring, n, 1 << 12, 0xA1);
+            let want: Vec<u64> =
+                y.iter().map(|&v| relu_ref(&ring, sar(&ring, v, shift as u32))).collect();
+            assert_eq!(eval_reshare(&c, ring, &[&y], 0xA2), want);
+        }
+    }
+
+    #[test]
+    fn reconstruct_trunc_reshare_vec_is_pinned() {
+        use abnn2_math::fixedops::sar;
+        for (bits, n, shift, pin) in [
+            (16usize, 64usize, 11usize, [1920usize, 2048, 1024, 1024]),
+            (32, 5, 2, [310, 320, 160, 160]),
+        ] {
+            let ring = Ring::new(bits as u32);
+            let c = reconstruct_trunc_reshare_vec_circuit(bits, n, shift);
+            assert_eq!(structure(&c), pin, "reconstruct_trunc {bits}/{n}/{shift}");
+            let y = seeded_values(ring, n, 1 << 14, 0xB1);
+            let want: Vec<u64> = y.iter().map(|&v| sar(&ring, v, shift as u32)).collect();
+            assert_eq!(eval_reshare(&c, ring, &[&y], 0xB2), want);
+        }
+    }
+
+    #[test]
+    fn max_pool_reshare_vec_is_pinned() {
+        for (bits, window, n_windows, pin) in [
+            (32usize, 4usize, 18usize, [6246usize, 2880, 2304, 576]),
+            (16, 9, 2, [812, 320, 288, 32]),
+        ] {
+            let ring = Ring::new(bits as u32);
+            let c = max_pool_reshare_vec_circuit(bits, window, n_windows);
+            assert_eq!(structure(&c), pin, "max_pool {bits}/{window}/{n_windows}");
+            let y = seeded_values(ring, window * n_windows, 1 << 12, 0xC1);
+            let want: Vec<u64> = y
+                .chunks(window)
+                .map(|w| ring.from_i64(w.iter().map(|&v| ring.to_i64(v)).max().expect("window")))
+                .collect();
+            assert_eq!(eval_reshare(&c, ring, &[&y], 0xC2), want);
+        }
+    }
+
+    #[test]
+    fn softmax_reshare_vec_is_pinned() {
+        use abnn2_math::fixedops::{sar, softmax_row};
+        for (bits, rows, cols, shift, f, pin) in [
+            (16usize, 8usize, 8usize, 0usize, 6usize, [89416usize, 2048, 1024, 1024]),
+            (16, 2, 3, 1, 6, [8324, 192, 96, 96]),
+        ] {
+            let ring = Ring::new(bits as u32);
+            let c = softmax_reshare_vec_circuit(bits, rows, cols, shift, f);
+            assert_eq!(structure(&c), pin, "softmax {bits}/{rows}x{cols}/{shift}/{f}");
+            // Logits within ±8.0 at f fraction bits after the shift.
+            let y = seeded_values(ring, rows * cols, 1 << (f + 3 + shift), 0xD1);
+            let want: Vec<u64> = y
+                .chunks(cols)
+                .flat_map(|row| {
+                    let row: Vec<u64> = row.iter().map(|&v| sar(&ring, v, shift as u32)).collect();
+                    softmax_row(&ring, f as u32, &row)
+                })
+                .collect();
+            assert_eq!(eval_reshare(&c, ring, &[&y], 0xD2), want);
+        }
+    }
+
+    #[test]
+    fn gelu_trunc_reshare_vec_is_pinned() {
+        use abnn2_math::fixedops::{gelu, sar};
+        for (bits, n, shift, f, pin) in [
+            (16usize, 128usize, 2usize, 6usize, [110208usize, 4096, 2048, 2048]),
+            (16, 1, 0, 6, [861, 32, 16, 16]),
+        ] {
+            let ring = Ring::new(bits as u32);
+            let c = gelu_trunc_reshare_vec_circuit(bits, n, shift, f);
+            assert_eq!(structure(&c), pin, "gelu {bits}/{n}/{shift}/{f}");
+            let y = seeded_values(ring, n, 1 << (f + 3 + shift), 0xE1);
+            let want: Vec<u64> =
+                y.iter().map(|&v| gelu(&ring, f as u32, sar(&ring, v, shift as u32))).collect();
+            assert_eq!(eval_reshare(&c, ring, &[&y], 0xE2), want);
+        }
+    }
+
+    #[test]
+    fn layernorm_reshare_vec_is_pinned() {
+        use abnn2_math::fixedops::layernorm_token;
+        for (bits, tokens, d, shift_a, shift_b, f, pin) in [
+            (16usize, 8usize, 8usize, 2usize, 0usize, 6usize, [69832usize, 3072, 2048, 1024]),
+            (16, 2, 4, 0, 1, 6, [8890, 384, 256, 128]),
+        ] {
+            let ring = Ring::new(bits as u32);
+            let c = layernorm_reshare_vec_circuit(bits, tokens, d, shift_a, shift_b, f);
+            assert_eq!(structure(&c), pin, "layernorm {bits}/{tokens}x{d}/{shift_a},{shift_b}/{f}");
+            let a = seeded_values(ring, tokens * d, 1 << (f + 2 + shift_a), 0xF1);
+            let b = seeded_values(ring, tokens * d, 1 << (f + 1 + shift_b), 0xF2);
+            let want: Vec<u64> = a
+                .chunks(d)
+                .zip(b.chunks(d))
+                .flat_map(|(a, b)| {
+                    layernorm_token(&ring, f as u32, a, b, shift_a as u32, shift_b as u32)
+                })
+                .collect();
+            assert_eq!(eval_reshare(&c, ring, &[&a, &b], 0xF3), want);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
