@@ -29,13 +29,15 @@
 //! privacy implications and when the interactive §4.1 OT offline phase
 //! must be used instead.
 
-use crate::graph::{weight_product, SecureGraph, ServedModel};
+use crate::graph::{
+    client_offline_walk, weight_product, Correlations, MatmulPlan, SecureGraph, ServedModel,
+    TripletPlan,
+};
 use crate::handshake::{graph_digests, SessionParams};
 use crate::matbeaver::{deal_matrix_triple, MatrixTriple};
 use crate::ProtocolError;
 use abnn2_math::{Matrix, Ring};
-use abnn2_nn::conv::im2col;
-use abnn2_nn::graph::{LayerGraph, LayerOp};
+use abnn2_nn::graph::LayerGraph;
 use abnn2_nn::quant::QuantizedNetwork;
 use abnn2_ot::OfflineMode;
 use rand::Rng;
@@ -198,9 +200,43 @@ impl ClientBundle {
     }
 }
 
+/// [`Correlations`] without a peer: the dealer samples each client share
+/// and solves for the server's, which it keeps.
+struct Dealer<'a> {
+    model: &'a ServedModel,
+    ring: Ring,
+    us: Vec<Matrix>,
+    mats: Vec<MatrixTriple>,
+}
+
+impl<R: Rng + ?Sized> Correlations<R> for Dealer<'_> {
+    fn triplet(
+        &mut self,
+        plan: &TripletPlan,
+        r: &Matrix,
+        rng: &mut R,
+    ) -> Result<Matrix, ProtocolError> {
+        let (weights, _) = self.model.linear_params(plan.linear);
+        let v = Matrix::random(plan.m, plan.o, &self.ring, rng);
+        self.us.push(weight_product(weights, plan.m, plan.n, r, self.ring).sub(&v, &self.ring));
+        Ok(v)
+    }
+
+    fn matrix_triple(
+        &mut self,
+        plan: &MatmulPlan,
+        rng: &mut R,
+    ) -> Result<MatrixTriple, ProtocolError> {
+        let (t0, t1) = deal_matrix_triple(plan.m, plan.k, plan.n, self.ring, rng);
+        self.mats.push(t0);
+        Ok(t1)
+    }
+}
+
 /// Manufactures a matched offline-triplet bundle pair locally (dealer
-/// style) for any served topology: walking the graph, every mask `R` and
-/// triplet share `V` is sampled uniformly and `U = W·R − V` (with `R`
+/// style) for any served topology: the same tape walk as the interactive
+/// client offline phase (`graph::client_offline_walk`), with every triplet share
+/// `V` sampled uniformly and `U = W·R − V` solved directly (with `R`
 /// im2col'ed for conv ops), so `U + V = W·R` holds by construction — the
 /// same invariant the interactive §4.1 OT protocols establish, at a
 /// fraction of the cost, in exchange for the dealer knowing both halves
@@ -216,69 +252,9 @@ pub fn dealer_bundle_for<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> (ServerBundle, ClientBundle) {
     let ring = sg.graph().config.ring;
-    let batch = sg.batch();
-    let mut rs = Vec::with_capacity(sg.graph().mask_count());
-    let mut vs = Vec::with_capacity(sg.graph().linear_count());
-    let mut us = Vec::with_capacity(sg.graph().linear_count());
-    let mut mats0 = Vec::with_capacity(sg.graph().matmul_count());
-    let mut mats1 = Vec::with_capacity(sg.graph().matmul_count());
-    let mut tape: Vec<Matrix> = Vec::with_capacity(sg.graph().ops.len() + 1);
-    tape.push(Matrix::random(sg.graph().input_len(), batch, &ring, rng));
-    rs.push(tape[0].clone());
-    let mut li = 0usize;
-    for (i, op) in sg.graph().ops.iter().enumerate() {
-        let out = match *op {
-            LayerOp::Dense { out_dim, in_dim } => {
-                let (weights, _) = model.linear_params(li);
-                let v = Matrix::random(out_dim, batch, &ring, rng);
-                let u = weight_product(weights, out_dim, in_dim, &tape[i], ring).sub(&v, &ring);
-                us.push(u);
-                vs.push(v.clone());
-                li += 1;
-                v
-            }
-            LayerOp::Linear { out_dim, in_dim, src } => {
-                let (weights, _) = model.linear_params(li);
-                let v = Matrix::random(out_dim, batch, &ring, rng);
-                let u = weight_product(weights, out_dim, in_dim, &tape[src], ring).sub(&v, &ring);
-                us.push(u);
-                vs.push(v.clone());
-                li += 1;
-                v
-            }
-            LayerOp::Conv { out_channels, in_shape, kh, kw, stride } => {
-                let (weights, _) = model.linear_params(li);
-                let r_col = im2col(tape[i].as_slice(), in_shape, kh, kw, stride);
-                let patch = in_shape.channels * kh * kw;
-                let v = Matrix::random(out_channels, r_col.cols(), &ring, rng);
-                let u = weight_product(weights, out_channels, patch, &r_col, ring).sub(&v, &ring);
-                us.push(u);
-                vs.push(v.clone());
-                li += 1;
-                v
-            }
-            LayerOp::MatMulSS { m, k, n, .. } => {
-                let (t0, t1) = deal_matrix_triple(m, k, n, ring, rng);
-                mats0.push(t0);
-                mats1.push(t1);
-                let fresh = Matrix::random(m * n, batch, &ring, rng);
-                rs.push(fresh.clone());
-                fresh
-            }
-            LayerOp::Relu { .. }
-            | LayerOp::MaxPool { .. }
-            | LayerOp::Softmax { .. }
-            | LayerOp::Gelu { .. }
-            | LayerOp::LayerNorm { .. } => {
-                let fresh = Matrix::random(op.out_len(), batch, &ring, rng);
-                rs.push(fresh.clone());
-                fresh
-            }
-            LayerOp::Output { .. } => break,
-        };
-        tape.push(out);
-    }
-    (ServerBundle { us, mats: mats0, batch }, ClientBundle { rs, vs, mats: mats1, batch })
+    let mut dealer = Dealer { model, ring, us: Vec::new(), mats: Vec::new() };
+    let client = client_offline_walk(sg, &mut dealer, rng).expect("the dealer cannot fail");
+    (ServerBundle { us: dealer.us, mats: dealer.mats, batch: sg.batch() }, client)
 }
 
 /// [`dealer_bundle_for`] specialized to the paper's MLP topology.

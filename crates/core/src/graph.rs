@@ -31,28 +31,24 @@
 //! layer while plain transports ignore the calls.
 
 use crate::bundle::{ClientBundle, ServerBundle};
-use crate::cnn::{maxpool_client, maxpool_server};
 use crate::config::ExecConfig;
 use crate::frames::BlindedInput;
 use crate::inference::{ClientOffline, ServerOffline};
 use crate::matbeaver::{generate_matrix_p0, generate_matrix_p1, mul_matrix_shares, MatrixTriple};
 use crate::matmul::{triplet_client_with, triplet_server_with, TripletMode};
-use crate::nonlinear::{
-    gelu_client, gelu_server, layernorm_client, layernorm_server, matmul_close_client,
-    matmul_close_server, softmax_client, softmax_server,
-};
-use crate::relu::{relu_client, relu_server};
+use crate::nonlinear::Lowering;
 use crate::session::{ClientSession, ServerSession};
 use crate::ProtocolError;
-use abnn2_math::{Matrix, Ring};
+use abnn2_math::{FragmentScheme, Matrix, Ring};
 use abnn2_net::Transport;
 use abnn2_nn::conv::im2col;
 use abnn2_nn::graph::{LayerGraph, LayerOp, OpResource};
 use abnn2_nn::quant::{QuantConfig, QuantizedDense, QuantizedNetwork};
 use abnn2_nn::transformer::QuantizedTransformer;
 use abnn2_nn::QuantizedCnn;
-use abnn2_ot::{IknpReceiver, IknpSender};
+use abnn2_ot::{FragmentSender, IknpReceiver, IknpSender};
 use rand::Rng;
+use std::borrow::{Borrow, Cow};
 use std::sync::Arc;
 
 /// The client-side view of a served model: the layer graph it lowers to
@@ -278,16 +274,9 @@ impl SecureGraph {
     pub fn plan(&self) -> Vec<TripletPlan> {
         let mut plans = Vec::with_capacity(self.graph.linear_count());
         for (i, op) in self.graph.ops.iter().enumerate() {
-            let (m, n, o) = match *op {
-                LayerOp::Dense { out_dim, in_dim } | LayerOp::Linear { out_dim, in_dim, .. } => {
-                    (out_dim, in_dim, self.batch)
-                }
-                LayerOp::Conv { out_channels, in_shape, kh, kw, .. } => {
-                    let positions = op.out_len() / out_channels;
-                    (out_channels, in_shape.channels * kh * kw, positions)
-                }
-                _ => continue,
-            };
+            let OpResource::Triplet { m, n } = op.resource() else { continue };
+            // One input column per sample, or per output position for conv.
+            let o = op.out_len().checked_div(m).unwrap_or(0) * self.batch;
             plans.push(TripletPlan {
                 op: i,
                 linear: plans.len(),
@@ -497,18 +486,48 @@ fn check_mat_shapes(mats: &[MatrixTriple], plans: &[MatmulPlan]) -> Result<(), P
     Ok(())
 }
 
-/// Reshapes a party's flat tape slot into the effective `k × n` right
-/// operand of a secret×secret matmul. With `transpose_b` the slot stores
-/// `B` row-major as `n × k`; transposition is linear, so each party
-/// transposes its share locally and the matrix triple never sees the
-/// storage layout.
-fn reshape_rhs(slot: &Matrix, k: usize, n: usize, transpose_b: bool) -> Matrix {
-    let data = slot.as_slice().to_vec();
-    if transpose_b {
-        Matrix::new(n, k, data).transpose()
-    } else {
-        Matrix::new(k, n, data)
+/// The input-column matrix a linear op multiplies its weights against:
+/// its source slot as it is, or im2col'ed for conv — a local linear
+/// rearrangement, so each party applies it to its own share.
+fn linear_input<'a>(op: &LayerOp, slot: &'a Matrix) -> Cow<'a, Matrix> {
+    match *op {
+        LayerOp::Conv { in_shape, kh, kw, stride, .. } => {
+            Cow::Owned(im2col(slot.as_slice(), in_shape, kh, kw, stride))
+        }
+        _ => Cow::Borrowed(slot),
     }
+}
+
+/// The shares entering op `i`'s re-sharing circuit: its source slots as
+/// they are, or — for a secret×secret matmul — this party's share of the
+/// untruncated product, after the matrix-Beaver open-and-combine over the
+/// next triple of `mats`. With `transpose_b` the right operand is stored
+/// `n × k`; transposition is linear, so each party transposes its share
+/// locally and the triple never sees the storage layout.
+fn reshare_inputs<'a, T: Transport, M: Borrow<Matrix>>(
+    ch: &mut T,
+    op: &LayerOp,
+    i: usize,
+    tape: &'a [M],
+    mats: &mut std::slice::Iter<'_, MatrixTriple>,
+    ring: Ring,
+    party: u8,
+) -> Result<Vec<Cow<'a, [u64]>>, ProtocolError> {
+    let slot = |s: usize| Borrow::<Matrix>::borrow(&tape[s]).as_slice();
+    let src = op.sources(i);
+    let OpResource::MatTriple { m, k, n } = op.resource() else {
+        return Ok(src.iter().map(|&s| Cow::Borrowed(slot(s))).collect());
+    };
+    let a = Matrix::new(m, k, slot(src[0]).to_vec());
+    let b = if matches!(op, LayerOp::MatMulSS { transpose_b: true, .. }) {
+        Matrix::new(n, k, slot(src[1]).to_vec()).transpose()
+    } else {
+        Matrix::new(k, n, slot(src[1]).to_vec())
+    };
+    let triple =
+        mats.next().ok_or(ProtocolError::Malformed("offline state does not fit the graph"))?;
+    let product = mul_matrix_shares(ch, triple, &a, &b, ring, party)?;
+    Ok(vec![Cow::Owned(product.into_vec())])
 }
 
 /// Offline phase, server half: walks the op sequence generating one §4.1
@@ -534,16 +553,14 @@ pub fn server_offline_with<T: Transport, R: Rng + ?Sized>(
     // Parallel offline schedule: worker threads for local OT compute only,
     // the wire transcript is byte-identical for any thread count.
     session.kk.set_threads(exec.threads);
-    let plans = sg.plan();
-    let mut pi = 0usize;
+    let mut plans = sg.plan().into_iter();
     let mut us = Vec::with_capacity(sg.graph().linear_count());
     let mut mats = Vec::with_capacity(sg.graph().matmul_count());
     let mut ots: Option<(IknpReceiver, IknpSender)> = None;
     for (i, op) in sg.graph().ops.iter().enumerate() {
         match op.resource() {
             OpResource::Triplet { m, n } => {
-                let plan = plans[pi];
-                pi += 1;
+                let plan = plans.next().expect("one plan per linear op");
                 let (weights, _) = model.linear_params(plan.linear);
                 if weights.len() != m * n {
                     return Err(ProtocolError::Dimension("model does not match graph"));
@@ -562,7 +579,7 @@ pub fn server_offline_with<T: Transport, R: Rng + ?Sized>(
                 )?);
             }
             OpResource::MatTriple { m, k, n } => {
-                ch.mark_phase(&format!("offline:op{i}/matmulss"));
+                ch.mark_phase(&format!("offline:op{i}/{}", op.kind()));
                 let pair = match &mut ots {
                     Some(pair) => pair,
                     slot @ None => {
@@ -581,13 +598,129 @@ pub fn server_offline_with<T: Transport, R: Rng + ?Sized>(
     Ok(ServerOffline { session, bundle: ServerBundle { us, mats, batch: sg.batch() } })
 }
 
-/// Offline phase, client half: walks the graph as a tape machine sampling
-/// the input mask, one fresh mask per re-sharing op, one §4.1 triplet per
-/// linear op, and one matrix Beaver triple per secret×secret matmul op.
+/// Where the client-side offline walk gets its correlated randomness: the
+/// interactive §4.1 protocols ([`client_offline_with`]) or a local dealer
+/// ([`crate::bundle::dealer_bundle_for`]). Everything else about the
+/// client's offline state — which masks exist, which tape slot each linear
+/// op's randomness is, the RNG draw order — is [`client_offline_walk`].
+pub(crate) trait Correlations<R: Rng + ?Sized> {
+    /// The client share `V` of `U + V = W·r` for the linear op whose
+    /// triplet requirement is `plan`.
+    fn triplet(
+        &mut self,
+        plan: &TripletPlan,
+        r: &Matrix,
+        rng: &mut R,
+    ) -> Result<Matrix, ProtocolError>;
+
+    /// The client share of the matrix Beaver triple `plan` asks for.
+    fn matrix_triple(
+        &mut self,
+        plan: &MatmulPlan,
+        rng: &mut R,
+    ) -> Result<MatrixTriple, ProtocolError>;
+}
+
+/// The client's offline state, by one walk of the graph as a tape machine.
 /// The tape carries the client's offline-known share of every activation:
-/// the input mask `R⁰`, `V` after each linear op (im2col'ed for conv), and
-/// the fresh mask after each re-sharing op — which is exactly the triplet
-/// randomness each downstream linear op consumes.
+/// the input mask `R⁰`, `V` after each linear op, and a fresh mask after
+/// each re-sharing op — which is exactly the triplet randomness each
+/// downstream linear op consumes (im2col'ed for conv).
+pub(crate) fn client_offline_walk<R: Rng + ?Sized>(
+    sg: &SecureGraph,
+    source: &mut impl Correlations<R>,
+    rng: &mut R,
+) -> Result<ClientBundle, ProtocolError> {
+    let graph = sg.graph();
+    let (ring, batch) = (graph.config.ring, sg.batch());
+    let (mut plans, mut matmuls) = (sg.plan().into_iter(), sg.matmul_plans().into_iter());
+    let mut vs = Vec::with_capacity(graph.linear_count());
+    let mut mats = Vec::with_capacity(graph.matmul_count());
+    let mut tape: Vec<Matrix> = Vec::with_capacity(graph.ops.len() + 1);
+    tape.push(Matrix::random(graph.input_len(), batch, &ring, rng));
+    let mut rs = vec![tape[0].clone()];
+    for (i, op) in graph.ops.iter().enumerate() {
+        let out = match op.resource() {
+            OpResource::Triplet { .. } => {
+                let plan = plans.next().expect("one plan per linear op");
+                let r = linear_input(op, &tape[op.sources(i)[0]]);
+                let v = source.triplet(&plan, &r, rng)?;
+                vs.push(v.clone());
+                v
+            }
+            OpResource::Output => break,
+            resource => {
+                if let OpResource::MatTriple { .. } = resource {
+                    let plan = matmuls.next().expect("one plan per matmul op");
+                    mats.push(source.matrix_triple(&plan, rng)?);
+                }
+                let fresh = Matrix::random(op.out_len(), batch, &ring, rng);
+                rs.push(fresh.clone());
+                fresh
+            }
+        };
+        tape.push(out);
+    }
+    Ok(ClientBundle { rs, vs, mats, batch })
+}
+
+/// [`Correlations`] over the wire: the client halves of the §4.1 triplet
+/// protocol and of interactive matrix-triple generation.
+struct Interactive<'a, T> {
+    ch: &'a mut T,
+    kk: &'a mut FragmentSender,
+    /// Mirror of the server's lazily set-up IKNP pair (sender first).
+    ots: Option<(IknpSender, IknpReceiver)>,
+    scheme: FragmentScheme,
+    ring: Ring,
+    exec: ExecConfig,
+}
+
+impl<T: Transport, R: Rng + ?Sized> Correlations<R> for Interactive<'_, T> {
+    fn triplet(
+        &mut self,
+        plan: &TripletPlan,
+        r: &Matrix,
+        rng: &mut R,
+    ) -> Result<Matrix, ProtocolError> {
+        self.ch.mark_phase(&format!("offline:op{}/{}", plan.op, plan.kind));
+        let cfg = self.exec.triplet(plan.mode);
+        triplet_client_with(self.ch, self.kk, r, plan.m, &self.scheme, self.ring, cfg, rng)
+    }
+
+    fn matrix_triple(
+        &mut self,
+        plan: &MatmulPlan,
+        rng: &mut R,
+    ) -> Result<MatrixTriple, ProtocolError> {
+        self.ch.mark_phase(&format!("offline:op{}/matmulss", plan.op));
+        let pair = match &mut self.ots {
+            Some(pair) => pair,
+            slot @ None => {
+                let mut s = IknpSender::setup(self.ch, rng)?;
+                let mut r = IknpReceiver::setup(self.ch, rng)?;
+                s.set_threads(self.exec.threads);
+                r.set_threads(self.exec.threads);
+                slot.insert((s, r))
+            }
+        };
+        generate_matrix_p1(
+            self.ch,
+            &mut pair.0,
+            &mut pair.1,
+            plan.m,
+            plan.k,
+            plan.n,
+            self.ring,
+            rng,
+        )
+    }
+}
+
+/// Offline phase, client half: `client_offline_walk` over the interactive
+/// protocols — the input mask, one fresh mask per re-sharing op, one §4.1
+/// triplet per linear op, and one matrix Beaver triple per secret×secret
+/// matmul op.
 ///
 /// # Errors
 ///
@@ -600,99 +733,19 @@ pub fn client_offline_with<T: Transport, R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<ClientOffline, ProtocolError> {
     let config = &sg.graph().config;
-    let (ring, scheme) = (config.ring, config.scheme.clone());
     // Parallel offline schedule: worker threads for local OT compute only,
     // the wire transcript is byte-identical for any thread count.
     session.kk.set_threads(exec.threads);
-    let batch = sg.batch();
-    let mut rs = Vec::with_capacity(sg.graph().mask_count());
-    let mut vs = Vec::with_capacity(sg.graph().linear_count());
-    let mut mats = Vec::with_capacity(sg.graph().matmul_count());
-    let mut ots: Option<(IknpSender, IknpReceiver)> = None;
-    let mut tape: Vec<Matrix> = Vec::with_capacity(sg.graph().ops.len() + 1);
-    tape.push(Matrix::random(sg.graph().input_len(), batch, &ring, rng));
-    rs.push(tape[0].clone());
-    for (i, op) in sg.graph().ops.iter().enumerate() {
-        let out = match *op {
-            LayerOp::Dense { out_dim, .. } => {
-                ch.mark_phase(&format!("offline:op{i}/dense"));
-                let v = triplet_client_with(
-                    ch,
-                    &mut session.kk,
-                    &tape[i],
-                    out_dim,
-                    &scheme,
-                    ring,
-                    exec.triplet(TripletMode::for_batch(batch)),
-                    rng,
-                )?;
-                vs.push(v.clone());
-                v
-            }
-            LayerOp::Linear { out_dim, src, .. } => {
-                ch.mark_phase(&format!("offline:op{i}/linear"));
-                let v = triplet_client_with(
-                    ch,
-                    &mut session.kk,
-                    &tape[src],
-                    out_dim,
-                    &scheme,
-                    ring,
-                    exec.triplet(TripletMode::for_batch(batch)),
-                    rng,
-                )?;
-                vs.push(v.clone());
-                v
-            }
-            LayerOp::Conv { out_channels, in_shape, kh, kw, stride } => {
-                ch.mark_phase(&format!("offline:op{i}/conv"));
-                let r_col = im2col(tape[i].as_slice(), in_shape, kh, kw, stride);
-                let mode = TripletMode::for_batch(r_col.cols());
-                let v = triplet_client_with(
-                    ch,
-                    &mut session.kk,
-                    &r_col,
-                    out_channels,
-                    &scheme,
-                    ring,
-                    exec.triplet(mode),
-                    rng,
-                )?;
-                vs.push(v.clone());
-                v
-            }
-            LayerOp::MatMulSS { m, k, n, .. } => {
-                ch.mark_phase(&format!("offline:op{i}/matmulss"));
-                let pair = match &mut ots {
-                    Some(pair) => pair,
-                    slot @ None => {
-                        // Mirror of the server's lazy setup: sender first.
-                        let mut s = IknpSender::setup(ch, rng)?;
-                        let mut r = IknpReceiver::setup(ch, rng)?;
-                        s.set_threads(exec.threads);
-                        r.set_threads(exec.threads);
-                        slot.insert((s, r))
-                    }
-                };
-                mats.push(generate_matrix_p1(ch, &mut pair.0, &mut pair.1, m, k, n, ring, rng)?);
-                let fresh = Matrix::random(m * n, batch, &ring, rng);
-                rs.push(fresh.clone());
-                fresh
-            }
-            LayerOp::Relu { .. }
-            | LayerOp::MaxPool { .. }
-            | LayerOp::Softmax { .. }
-            | LayerOp::Gelu { .. }
-            | LayerOp::LayerNorm { .. } => {
-                let fresh = Matrix::random(op.out_len(), batch, &ring, rng);
-                rs.push(fresh.clone());
-                fresh
-            }
-            LayerOp::Output { .. } => break,
-        };
-        tape.push(out);
-    }
-    Ok(ClientOffline { session, bundle: ClientBundle { rs, vs, mats, batch } })
+    let mut source = Interactive {
+        ch,
+        kk: &mut session.kk,
+        ots: None,
+        scheme: config.scheme.clone(),
+        ring: config.ring,
+        exec,
+    };
+    let bundle = client_offline_walk(sg, &mut source, rng)?;
+    Ok(ClientOffline { session, bundle })
 }
 
 /// Online phase, server half: receives the blinded input, walks the graph
@@ -715,7 +768,7 @@ pub fn server_online_to_logits<T: Transport>(
 ) -> Result<(ServerSession, Matrix), ProtocolError> {
     let ServerOffline { mut session, bundle: ServerBundle { us, mats, batch } } = state;
     let config = &sg.graph().config;
-    let (ring, f, fw) = (config.ring, config.frac_bits, config.weight_frac_bits);
+    let ring = config.ring;
     if batch != sg.batch() {
         return Err(ProtocolError::Malformed("offline state batch mismatch"));
     }
@@ -731,81 +784,26 @@ pub fn server_online_to_logits<T: Transport>(
     let mut tape: Vec<Matrix> = Vec::with_capacity(sg.graph().ops.len() + 1);
     tape.push(Matrix::new(n0, batch, ring.decode_slice(&x0_bytes)));
 
-    let (mut li, mut qi) = (0usize, 0usize);
+    let (mut us, mut mats) = (us.iter(), mats.iter());
+    let mut li = 0usize;
     for (i, op) in sg.graph().ops.iter().enumerate() {
         ch.mark_phase(&format!("online:op{i}/{}", op.kind()));
-        let out = match *op {
-            LayerOp::Dense { out_dim, in_dim } => {
+        let out = match op.resource() {
+            OpResource::Triplet { m, n } => {
                 let (weights, bias) = model.linear_params(li);
-                let y = linear_share(weights, bias, out_dim, in_dim, &tape[i], &us[li], ring);
                 li += 1;
-                y
+                let x = linear_input(op, &tape[op.sources(i)[0]]);
+                let u = us.next().expect("triplet shapes were checked");
+                linear_share(weights, bias, m, n, &x, u, ring)
             }
-            LayerOp::Linear { out_dim, in_dim, src } => {
-                let (weights, bias) = model.linear_params(li);
-                let y = linear_share(weights, bias, out_dim, in_dim, &tape[src], &us[li], ring);
-                li += 1;
-                y
+            OpResource::Output => return Ok((session, tape[i].clone())),
+            OpResource::MatTriple { .. } | OpResource::FreshMask { .. } => {
+                let shares = reshare_inputs(ch, op, i, &tape, &mut mats, ring, 0)?;
+                let lowering = Lowering::of(op, config, batch, exec.variant)
+                    .ok_or(ProtocolError::Dimension("op has no re-sharing circuit"))?;
+                let z0 = lowering.server(ch, &mut session.yao, &shares, ring)?;
+                Matrix::new(op.out_len(), batch, z0)
             }
-            LayerOp::Conv { out_channels, in_shape, kh, kw, stride } => {
-                let (weights, bias) = model.linear_params(li);
-                let x_col = im2col(tape[i].as_slice(), in_shape, kh, kw, stride);
-                let patch = in_shape.channels * kh * kw;
-                let y = linear_share(weights, bias, out_channels, patch, &x_col, &us[li], ring);
-                li += 1;
-                y
-            }
-            LayerOp::Relu { dim } => {
-                let z0 =
-                    relu_server(ch, &mut session.yao, tape[i].as_slice(), ring, fw, exec.variant)?;
-                Matrix::new(dim, batch, z0)
-            }
-            LayerOp::MaxPool { shape, window } => {
-                let pooled =
-                    maxpool_server(ch, &mut session.yao, tape[i].as_slice(), shape, window, ring)?;
-                Matrix::column(pooled)
-            }
-            LayerOp::MatMulSS { m, k, n, transpose_b, shift, a_src, b_src } => {
-                let a = Matrix::new(m, k, tape[a_src].as_slice().to_vec());
-                let b = reshape_rhs(&tape[b_src], k, n, transpose_b);
-                let p0 = mul_matrix_shares(ch, &mats[qi], &a, &b, ring, 0)?;
-                qi += 1;
-                let z0 = matmul_close_server(ch, &mut session.yao, p0.as_slice(), ring, shift)?;
-                Matrix::new(m * n, batch, z0)
-            }
-            LayerOp::Softmax { rows, cols, shift } => {
-                let z0 = softmax_server(
-                    ch,
-                    &mut session.yao,
-                    tape[i].as_slice(),
-                    rows,
-                    cols,
-                    ring,
-                    shift,
-                    f,
-                )?;
-                Matrix::new(rows * cols, batch, z0)
-            }
-            LayerOp::Gelu { dim, shift } => {
-                let z0 = gelu_server(ch, &mut session.yao, tape[i].as_slice(), ring, shift, f)?;
-                Matrix::new(dim, batch, z0)
-            }
-            LayerOp::LayerNorm { tokens, dim, a_src, b_src, shift_a, shift_b } => {
-                let z0 = layernorm_server(
-                    ch,
-                    &mut session.yao,
-                    tape[a_src].as_slice(),
-                    tape[b_src].as_slice(),
-                    tokens,
-                    dim,
-                    ring,
-                    shift_a,
-                    shift_b,
-                    f,
-                )?;
-                Matrix::new(tokens * dim, batch, z0)
-            }
-            LayerOp::Output { .. } => return Ok((session, tape[i].clone())),
         };
         tape.push(out);
     }
@@ -832,7 +830,7 @@ pub fn client_online_to_logits<T: Transport, R: Rng + ?Sized>(
 ) -> Result<(ClientSession, Matrix), ProtocolError> {
     let ClientOffline { mut session, bundle: ClientBundle { rs, vs, mats, batch } } = state;
     let config = &sg.graph().config;
-    let (ring, f, fw) = (config.ring, config.frac_bits, config.weight_frac_bits);
+    let ring = config.ring;
     if batch != sg.batch() {
         return Err(ProtocolError::Malformed("offline state batch mismatch"));
     }
@@ -847,112 +845,23 @@ pub fn client_online_to_logits<T: Transport, R: Rng + ?Sized>(
     let x0 = x.sub(&rs[0], &ring);
     ch.send_frame(&BlindedInput(ring.encode_slice(x0.as_slice())))?;
 
-    let (mut li, mut mi, mut qi) = (0usize, 1usize, 0usize);
+    // The client's share of every slot was fixed offline: the walk only
+    // picks it — the input mask, then `V` or the fresh mask per op.
+    let (mut rs, mut vs, mut mats) = (rs.iter(), vs.iter(), mats.iter());
     let mut tape: Vec<&Matrix> = Vec::with_capacity(sg.graph().ops.len() + 1);
-    tape.push(&rs[0]);
+    tape.push(rs.next().expect("mask shapes were checked"));
     for (i, op) in sg.graph().ops.iter().enumerate() {
         ch.mark_phase(&format!("online:op{i}/{}", op.kind()));
-        let out = match *op {
-            LayerOp::Dense { .. } | LayerOp::Linear { .. } | LayerOp::Conv { .. } => {
-                li += 1;
-                &vs[li - 1]
-            }
-            LayerOp::Relu { .. } => {
-                relu_client(
-                    ch,
-                    &mut session.yao,
-                    tape[i].as_slice(),
-                    rs[mi].as_slice(),
-                    ring,
-                    fw,
-                    exec.variant,
-                    rng,
-                )?;
-                mi += 1;
-                &rs[mi - 1]
-            }
-            LayerOp::MaxPool { shape, window } => {
-                maxpool_client(
-                    ch,
-                    &mut session.yao,
-                    tape[i].as_slice(),
-                    rs[mi].as_slice(),
-                    shape,
-                    window,
-                    ring,
-                    rng,
-                )?;
-                mi += 1;
-                &rs[mi - 1]
-            }
-            LayerOp::MatMulSS { m, k, n, transpose_b, shift, a_src, b_src } => {
-                let a = Matrix::new(m, k, tape[a_src].as_slice().to_vec());
-                let b = reshape_rhs(tape[b_src], k, n, transpose_b);
-                let p1 = mul_matrix_shares(ch, &mats[qi], &a, &b, ring, 1)?;
-                qi += 1;
-                matmul_close_client(
-                    ch,
-                    &mut session.yao,
-                    p1.as_slice(),
-                    rs[mi].as_slice(),
-                    ring,
-                    shift,
-                    rng,
-                )?;
-                mi += 1;
-                &rs[mi - 1]
-            }
-            LayerOp::Softmax { rows, cols, shift } => {
-                softmax_client(
-                    ch,
-                    &mut session.yao,
-                    tape[i].as_slice(),
-                    rs[mi].as_slice(),
-                    rows,
-                    cols,
-                    ring,
-                    shift,
-                    f,
-                    rng,
-                )?;
-                mi += 1;
-                &rs[mi - 1]
-            }
-            LayerOp::Gelu { shift, .. } => {
-                gelu_client(
-                    ch,
-                    &mut session.yao,
-                    tape[i].as_slice(),
-                    rs[mi].as_slice(),
-                    ring,
-                    shift,
-                    f,
-                    rng,
-                )?;
-                mi += 1;
-                &rs[mi - 1]
-            }
-            LayerOp::LayerNorm { tokens, dim, a_src, b_src, shift_a, shift_b } => {
-                layernorm_client(
-                    ch,
-                    &mut session.yao,
-                    tape[a_src].as_slice(),
-                    tape[b_src].as_slice(),
-                    rs[mi].as_slice(),
-                    tokens,
-                    dim,
-                    ring,
-                    shift_a,
-                    shift_b,
-                    f,
-                    rng,
-                )?;
-                mi += 1;
-                &rs[mi - 1]
-            }
-            LayerOp::Output { .. } => {
-                let y1 = tape[i].clone();
-                return Ok((session, y1));
+        let out = match op.resource() {
+            OpResource::Triplet { .. } => vs.next().expect("triplet shapes were checked"),
+            OpResource::Output => return Ok((session, tape[i].clone())),
+            OpResource::MatTriple { .. } | OpResource::FreshMask { .. } => {
+                let shares = reshare_inputs(ch, op, i, &tape, &mut mats, ring, 1)?;
+                let lowering = Lowering::of(op, config, batch, exec.variant)
+                    .ok_or(ProtocolError::Dimension("op has no re-sharing circuit"))?;
+                let z1 = rs.next().expect("mask shapes were checked");
+                lowering.client(ch, &mut session.yao, &shares, z1.as_slice(), ring, rng)?;
+                z1
             }
         };
         tape.push(out);
@@ -1015,6 +924,19 @@ mod tests {
     }
 
     #[test]
+    fn oversized_relu_shift_is_a_typed_error_not_a_session_panic() {
+        // Hand-built graph: nothing but `validate` stands between this
+        // config and `circuits::sar_word`'s shift assertion.
+        let mut cfg = config();
+        cfg.weight_frac_bits = cfg.ring.bits();
+        let g = LayerGraph::mlp(&[12, 8, 4], cfg);
+        assert_eq!(
+            PublicModel::from(g).secure_graph(1).err(),
+            Some(ProtocolError::Dimension("relu shift does not fit the ring"))
+        );
+    }
+
+    #[test]
     fn linear_share_and_weight_product_agree_with_triplet_relation() {
         let ring = Ring::new(32);
         let weights: Vec<i64> = vec![1, -2, 3, 0, 5, -1];
@@ -1023,9 +945,9 @@ mod tests {
         let u = Matrix::new(2, 2, vec![9, 8, 7, 6]);
         let y = linear_share(&weights, &bias, 2, 3, &r, &u, ring);
         let wr = weight_product(&weights, 2, 3, &r, ring);
-        for i in 0..2 {
+        for (i, &b) in bias.iter().enumerate() {
             for k in 0..2 {
-                let expect = ring.add(ring.add(wr.get(i, k), bias[i]), u.get(i, k));
+                let expect = ring.add(ring.add(wr.get(i, k), b), u.get(i, k));
                 assert_eq!(y.get(i, k), expect);
             }
         }

@@ -632,7 +632,8 @@ mod tests {
     use super::*;
     use abnn2_math::FragmentScheme;
     use abnn2_net::{run_pair, Endpoint, NetworkModel};
-    use abnn2_nn::quant::{QuantConfig, QuantizedNetwork};
+    use abnn2_nn::conv::{ConvShape, QuantizedCnn, QuantizedConv};
+    use abnn2_nn::quant::{QuantConfig, QuantizedDense, QuantizedNetwork};
     use abnn2_nn::{Network, SyntheticMnist};
 
     fn tiny_quantized(seed: u64, scheme: FragmentScheme, fw: u32) -> QuantizedNetwork {
@@ -668,8 +669,9 @@ mod tests {
             },
         );
         srv.expect("server");
-        for k in 0..batch {
-            assert_eq!(y.col(k), expected[k], "sample {k} must match forward_exact");
+        assert_eq!(expected.len(), batch);
+        for (k, want) in expected.iter().enumerate() {
+            assert_eq!(&y.col(k), want, "sample {k} must match forward_exact");
         }
     }
 
@@ -762,5 +764,88 @@ mod tests {
             server.offline(&mut a, 0, &mut rng).err(),
             Some(ProtocolError::Dimension("batch must be positive"))
         );
+    }
+
+    fn small_cnn(seed: u64, scheme: FragmentScheme) -> QuantizedCnn {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (lo, hi) = scheme.weight_range();
+        let in_shape = ConvShape { channels: 1, height: 8, width: 8 };
+        let conv = QuantizedConv {
+            out_channels: 2,
+            in_shape,
+            kh: 3,
+            kw: 3,
+            stride: 1,
+            weights: (0..2 * 9).map(|_| rng.gen_range(lo..=hi)).collect(),
+            bias: vec![5, 3],
+        };
+        // conv out 2×6×6 → pool 2 → 2×3×3 = 18 → dense 18→6→4.
+        let mk_dense =
+            |out_dim: usize, in_dim: usize, rng: &mut rand::rngs::StdRng| QuantizedDense {
+                out_dim,
+                in_dim,
+                weights: (0..out_dim * in_dim).map(|_| rng.gen_range(lo..=hi)).collect(),
+                bias: (0..out_dim as u64).collect(),
+            };
+        let d1 = mk_dense(6, 18, &mut rng);
+        let d2 = mk_dense(4, 6, &mut rng);
+        let config = QuantConfig {
+            ring: Ring::new(32),
+            frac_bits: 6,
+            weight_frac_bits: if scheme.eta() <= 2 { 0 } else { 3 },
+            scheme,
+        };
+        QuantizedCnn { config, conv, pool_window: 2, dense: vec![d1, d2] }
+    }
+
+    fn check_cnn(scheme: FragmentScheme, seed: u64) {
+        let cnn = small_cnn(seed, scheme);
+        let ring = cnn.config.ring;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 1);
+        // A mildly-scaled fixed-point image.
+        let image: Vec<u64> = (0..cnn.conv.in_shape.len())
+            .map(|_| ring.reduce(rng.gen_range(0..1u64 << cnn.config.frac_bits)))
+            .collect();
+        let expect = cnn.forward_exact(&image);
+
+        let server = SecureServer::for_model(cnn.clone());
+        let client = SecureClient::for_model(server.public_model());
+        let image2 = image.clone();
+        let (srv, got, _) = run_pair(
+            NetworkModel::instant(),
+            move |ch| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 2);
+                server.run(ch, 1, &mut rng)
+            },
+            move |ch| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 3);
+                client.run_job(ch, &[image2], &mut ClientJob::default(), &mut rng).expect("client")
+            },
+        );
+        srv.expect("server");
+        assert_eq!(got.col(0), expect, "secure CNN must equal forward_exact");
+    }
+
+    #[test]
+    fn secure_cnn_matches_plaintext_8bit() {
+        check_cnn(FragmentScheme::signed_bit_fields(&[2, 2, 2, 2]), 200);
+    }
+
+    #[test]
+    fn secure_cnn_matches_plaintext_ternary() {
+        check_cnn(FragmentScheme::ternary(), 210);
+    }
+
+    #[test]
+    fn wrong_image_length_rejected_before_any_io() {
+        let cnn = small_cnn(240, FragmentScheme::ternary());
+        let client = SecureClient::for_model(&cnn);
+        let (mut a, _b) = abnn2_net::Endpoint::pair(NetworkModel::instant());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(241);
+        assert_eq!(
+            client.run_job(&mut a, &[vec![0u64; 3]], &mut ClientJob::default(), &mut rng).err(),
+            Some(ProtocolError::Dimension("input dimension mismatch"))
+        );
+        assert_eq!(a.snapshot().bytes_sent, 0, "no traffic before the check");
     }
 }

@@ -8,8 +8,10 @@
 //!   §4.1: the fragment-wise 1-out-of-N OT method, the **multi-batch**
 //!   message packing (§4.1.2), and the **one-batch** correlated-OT trick
 //!   that sends N−1 instead of N messages (§4.1.3),
-//! * [`relu`] — the online activation protocols of §4.2: Algorithm 2 (fully
-//!   oblivious) and the optimized comparison-first ReLU,
+//! * [`nonlinear`] — Algorithm 2 (§4.2) once: the re-share run for any
+//!   circuit, and the one lowering from a graph op to its circuit,
+//! * [`relu`] — the ReLU entry points: Algorithm 2 (fully oblivious) and
+//!   the optimized comparison-first variant,
 //! * [`graph`] — the secure planner and executor over the
 //!   [`abnn2_nn::LayerGraph`] IR: one offline plan and one online walk
 //!   shared by every served topology (MLP, CNN, encoder block), and the
@@ -50,7 +52,6 @@
 pub mod argmax;
 pub mod beaver;
 pub mod bundle;
-pub mod cnn;
 pub mod complexity;
 pub mod config;
 pub mod driver;

@@ -392,6 +392,7 @@ mod tests {
 
     /// Runs the full triplet protocol (including session setup) over the
     /// portable KK13 backend and returns (U, V, R, traffic).
+    #[allow(clippy::too_many_arguments)]
     fn run_triplet(
         weights: Vec<i64>,
         m: usize,
@@ -498,13 +499,12 @@ mod tests {
         // The optimizer's balanced base-7 scheme and a signed base-6 scheme
         // run through the same KK13 machinery (any N ≤ 256).
         let ring = Ring::new(32);
-        let mut seed = 600;
-        for scheme in [
+        for (seed, scheme) in (600..).zip([
             FragmentScheme::balanced(7, 3),
             FragmentScheme::base_n_signed(6, 3),
             FragmentScheme::base_n(5, 2),
             FragmentScheme::optimize(8, 1, 32),
-        ] {
+        ]) {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let (lo, hi) = scheme.weight_range();
             let weights: Vec<i64> = (0..12).map(|_| rng.gen_range(lo..=hi)).collect();
@@ -520,7 +520,6 @@ mod tests {
             );
             let expect = expected_product(&weights, 3, 4, &r, ring);
             assert_eq!(u.add(&v, &ring), expect, "scheme {scheme}");
-            seed += 1;
         }
     }
 

@@ -1,94 +1,235 @@
-//! Online protocols for the nonlinear-op family (transformer extension).
+//! Algorithm 2, once: the single re-share path every nonlinear op runs.
 //!
-//! Each op follows the same shape as the §4.2 ReLU: the client garbles one
-//! circuit that reconstructs the shared input, applies the fixed-point
-//! function, and re-shares under a fresh client mask `z₁` chosen offline —
-//! so the invariant that the client knows its share of every activation
-//! before the online phase starts is preserved. The server evaluates and
-//! learns only its share `z₀ = f(y) − z₁`.
+//! The paper states its non-linear layer as one generic procedure (§4.2,
+//! Algorithm 2): the client garbles a circuit that reconstructs the shared
+//! input `y₀ + y₁`, applies `f`, and re-shares the result under a fresh
+//! mask `z₁` it chose offline; the server evaluates and learns only
+//! `z₀ = f(y) − z₁`. The invariant that the client knows its share of every
+//! activation before the online phase starts is preserved by construction.
 //!
-//! * [`matmul_close_server`]/[`matmul_close_client`] — the closing step of
-//!   a secret×secret matmul: after the matrix-Beaver open-and-combine
-//!   ([`crate::matbeaver::mul_matrix_shares`]) both parties hold shares of
-//!   the *untruncated* product; one reconstruct-truncate-reshare circuit
-//!   applies the fixed-point shift and refreshes the sharing.
-//! * [`softmax_server`]/[`softmax_client`] — row-wise fixed-point softmax
-//!   over a `rows × cols` score matrix.
-//! * [`gelu_server`]/[`gelu_client`] — elementwise fixed-point GELU.
-//! * [`layernorm_server`]/[`layernorm_client`] — per-token LayerNorm with
-//!   the residual add folded in at mismatched scales (`a ≫ₐ shift_a` plus
-//!   `b ≫ₐ shift_b`).
+//! * [`reshare_server`]/[`reshare_client`] are that procedure for *any*
+//!   circuit built on [`circuits::reshare_circuit`]'s wire frame: words →
+//!   bits, one Yao run, bits → words.
+//! * `Lowering::of` is the only code that knows an op by name: it maps a
+//!   [`LayerOp`] to its circuit (plus, for max-pool, the gather that lays
+//!   the source slot out window-major). The graph walks in [`crate::graph`]
+//!   call it per re-sharing op and never match on op kinds themselves — a
+//!   new op kind (ROADMAP item 3's `Lut`) is one arm there, and a per-shape
+//!   circuit cache is one lookup in front of it.
+//! * The paper's two-round optimized ReLU ([`crate::relu`]) is the one
+//!   lowering that is not a single circuit.
+//! * [`softmax_server`]/[`softmax_client`], [`gelu_server`]/[`gelu_client`]
+//!   and [`layernorm_server`]/[`layernorm_client`] run one op standalone on
+//!   explicit shapes, for the benchmark probes.
 
-use crate::relu::{bits_to_words, words_to_bits};
+use crate::relu::{relu_client, relu_server, ReluVariant};
 use crate::ProtocolError;
-use abnn2_gc::{circuits, YaoEvaluator, YaoGarbler};
+use abnn2_gc::circuit::{bits_to_u64, u64_to_bits};
+use abnn2_gc::{circuits, Circuit, YaoEvaluator, YaoGarbler};
 use abnn2_math::Ring;
 use abnn2_net::Transport;
+use abnn2_nn::conv::pool_windows;
+use abnn2_nn::graph::LayerOp;
+use abnn2_nn::quant::QuantConfig;
 use rand::Rng;
 
-/// Server (evaluator) side of the matmul closing step: holds product
-/// shares `p0`, obtains fresh shares `z0` of the truncated product.
-///
-/// # Errors
-///
-/// Returns [`ProtocolError`] on disconnection or garbling failures.
-pub fn matmul_close_server<T: Transport>(
-    ch: &mut T,
-    yao: &mut YaoEvaluator,
-    p0: &[u64],
-    ring: Ring,
-    shift: u32,
-) -> Result<Vec<u64>, ProtocolError> {
-    let bits = ring.bits() as usize;
-    if p0.is_empty() {
-        return Ok(Vec::new());
-    }
-    let circuit = circuits::reconstruct_trunc_reshare_vec_circuit(bits, p0.len(), shift as usize);
-    let out = yao.run(ch, &circuit, &words_to_bits(p0, bits))?;
-    Ok(bits_to_words(&out, bits))
+/// Flattens ring words into the little-endian bit vector a Yao circuit
+/// consumes.
+pub(crate) fn words_to_bits(words: &[u64], bits: usize) -> Vec<bool> {
+    words.iter().flat_map(|&w| u64_to_bits(w, bits)).collect()
 }
 
-/// Client (garbler) side of the matmul closing step: holds product shares
-/// `p1` and its fresh output mask `z1`.
+const MISFIT: ProtocolError = ProtocolError::Dimension("shares do not fit the re-share circuit");
+
+/// Server (evaluator) half of Algorithm 2 for any re-share circuit: holds
+/// one share-0 vector per circuit operand, obtains the fresh shares `z₀`.
+/// An empty circuit (no outputs) is a no-op without I/O on both sides.
 ///
 /// # Errors
 ///
-/// Returns [`ProtocolError`] on disconnection or garbling failures.
+/// [`ProtocolError::Dimension`] if `shares` do not fill the circuit's
+/// evaluator inputs exactly; otherwise disconnection or garbling failures.
+pub fn reshare_server<T: Transport, S: AsRef<[u64]>>(
+    ch: &mut T,
+    yao: &mut YaoEvaluator,
+    circuit: &Circuit,
+    shares: &[S],
+    ring: Ring,
+) -> Result<Vec<u64>, ProtocolError> {
+    let bits = ring.bits() as usize;
+    let ebits: Vec<bool> = shares.iter().flat_map(|s| words_to_bits(s.as_ref(), bits)).collect();
+    if ebits.len() != circuit.evaluator_inputs().len() {
+        return Err(MISFIT);
+    }
+    if circuit.outputs().is_empty() {
+        return Ok(Vec::new());
+    }
+    let out = yao.run(ch, circuit, &ebits)?;
+    Ok(out.chunks(bits).map(bits_to_u64).collect())
+}
+
+/// Client (garbler) half of Algorithm 2 for any re-share circuit: holds
+/// one share-1 vector per circuit operand and its fresh output mask `z1`
+/// (which in the full pipeline is the next layer's offline randomness).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `p1.len() != z1.len()`.
-pub fn matmul_close_client<T: Transport, RNG: Rng + ?Sized>(
+/// [`ProtocolError::Dimension`] if `shares` and `z1` do not fill the
+/// circuit's garbler inputs exactly; otherwise disconnection or garbling
+/// failures.
+pub fn reshare_client<T: Transport, S: AsRef<[u64]>, RNG: Rng + ?Sized>(
     ch: &mut T,
     yao: &mut YaoGarbler,
-    p1: &[u64],
+    circuit: &Circuit,
+    shares: &[S],
     z1: &[u64],
     ring: Ring,
-    shift: u32,
     rng: &mut RNG,
 ) -> Result<(), ProtocolError> {
-    assert_eq!(p1.len(), z1.len(), "share vectors must align");
     let bits = ring.bits() as usize;
-    if p1.is_empty() {
+    let mut gbits: Vec<bool> =
+        shares.iter().flat_map(|s| words_to_bits(s.as_ref(), bits)).collect();
+    if gbits.len() + z1.len() * bits != circuit.garbler_inputs().len()
+        || z1.len() * bits != circuit.outputs().len()
+    {
+        return Err(MISFIT);
+    }
+    if circuit.outputs().is_empty() {
         return Ok(());
     }
-    let circuit = circuits::reconstruct_trunc_reshare_vec_circuit(bits, p1.len(), shift as usize);
-    let mut gbits = words_to_bits(p1, bits);
     gbits.extend(words_to_bits(z1, bits));
-    yao.run(ch, &circuit, &gbits, rng)?;
+    yao.run(ch, circuit, &gbits, rng)?;
     Ok(())
 }
 
+/// How one re-sharing op runs online.
+pub(crate) enum Lowering {
+    /// Algorithm 2: one circuit over the op's operand shares. `gather`,
+    /// when present, lists for each circuit input word the element of the
+    /// operand it reads (max-pool's window-major layout).
+    Reshare { circuit: Circuit, gather: Option<Vec<usize>> },
+    /// The paper's optimized ReLU: reveal signs first, re-share only the
+    /// non-negative neurons.
+    SignFirst { shift: u32 },
+}
+
+impl Lowering {
+    /// Lowers `op` at `batch` samples; `None` for ops that do not re-share
+    /// (linear and output ops). This is the one place an op kind becomes a
+    /// circuit.
+    pub(crate) fn of(
+        op: &LayerOp,
+        config: &QuantConfig,
+        batch: usize,
+        variant: ReluVariant,
+    ) -> Option<Lowering> {
+        let bits = config.ring.bits() as usize;
+        let f = config.frac_bits as usize;
+        let circuit = match *op {
+            LayerOp::Relu { .. } if variant == ReluVariant::Optimized => {
+                return Some(Lowering::SignFirst { shift: config.weight_frac_bits });
+            }
+            LayerOp::Relu { dim } => circuits::relu_trunc_reshare_vec_circuit(
+                bits,
+                dim * batch,
+                config.weight_frac_bits as usize,
+            ),
+            LayerOp::MaxPool { shape, window } => {
+                let windows = pool_windows(shape, window);
+                let circuit =
+                    circuits::max_pool_reshare_vec_circuit(bits, window * window, windows.len());
+                return Some(Lowering::Reshare { circuit, gather: Some(windows.concat()) });
+            }
+            // The operand is the untruncated product share left by the
+            // matrix-Beaver open-and-combine, not a tape slot.
+            LayerOp::MatMulSS { m, n, shift, .. } => {
+                circuits::reconstruct_trunc_reshare_vec_circuit(bits, m * n, shift as usize)
+            }
+            LayerOp::Softmax { rows, cols, shift } => {
+                circuits::softmax_reshare_vec_circuit(bits, rows, cols, shift as usize, f)
+            }
+            LayerOp::Gelu { dim, shift } => {
+                circuits::gelu_trunc_reshare_vec_circuit(bits, dim, shift as usize, f)
+            }
+            LayerOp::LayerNorm { tokens, dim, shift_a, shift_b, .. } => {
+                circuits::layernorm_reshare_vec_circuit(
+                    bits,
+                    tokens,
+                    dim,
+                    shift_a as usize,
+                    shift_b as usize,
+                    f,
+                )
+            }
+            LayerOp::Dense { .. }
+            | LayerOp::Linear { .. }
+            | LayerOp::Conv { .. }
+            | LayerOp::Output { .. } => return None,
+        };
+        Some(Lowering::Reshare { circuit, gather: None })
+    }
+
+    /// Server half of the lowered op over its operand shares.
+    pub(crate) fn server<T: Transport, S: AsRef<[u64]>>(
+        &self,
+        ch: &mut T,
+        yao: &mut YaoEvaluator,
+        shares: &[S],
+        ring: Ring,
+    ) -> Result<Vec<u64>, ProtocolError> {
+        match self {
+            Lowering::Reshare { circuit, gather: None } => {
+                reshare_server(ch, yao, circuit, shares, ring)
+            }
+            Lowering::Reshare { circuit, gather: Some(idx) } => {
+                reshare_server(ch, yao, circuit, &gathered(shares, idx)?, ring)
+            }
+            Lowering::SignFirst { shift } => {
+                let [y0] = shares else { return Err(MISFIT) };
+                relu_server(ch, yao, y0.as_ref(), ring, *shift, ReluVariant::Optimized)
+            }
+        }
+    }
+
+    /// Client half of the lowered op; `z1` is the op's fresh output mask.
+    pub(crate) fn client<T: Transport, S: AsRef<[u64]>, RNG: Rng + ?Sized>(
+        &self,
+        ch: &mut T,
+        yao: &mut YaoGarbler,
+        shares: &[S],
+        z1: &[u64],
+        ring: Ring,
+        rng: &mut RNG,
+    ) -> Result<(), ProtocolError> {
+        match self {
+            Lowering::Reshare { circuit, gather: None } => {
+                reshare_client(ch, yao, circuit, shares, z1, ring, rng)
+            }
+            Lowering::Reshare { circuit, gather: Some(idx) } => {
+                reshare_client(ch, yao, circuit, &gathered(shares, idx)?, z1, ring, rng)
+            }
+            Lowering::SignFirst { shift } => {
+                let [y1] = shares else { return Err(MISFIT) };
+                let y1 = y1.as_ref();
+                relu_client(ch, yao, y1, z1, ring, *shift, ReluVariant::Optimized, rng)
+            }
+        }
+    }
+}
+
+fn gathered<S: AsRef<[u64]>>(shares: &[S], idx: &[usize]) -> Result<Vec<Vec<u64>>, ProtocolError> {
+    shares
+        .iter()
+        .map(|s| idx.iter().map(|&j| s.as_ref().get(j).copied().ok_or(MISFIT)).collect())
+        .collect()
+}
+
 /// Server side of the softmax op over a `rows × cols` score matrix
-/// (row-major shares `y0`, `rows * cols` elements).
+/// (row-major shares `y0`).
 ///
 /// # Errors
 ///
-/// Returns [`ProtocolError`] on disconnection or garbling failures.
-///
-/// # Panics
-///
-/// Panics if `y0.len() != rows * cols`.
+/// As [`reshare_server`].
 #[allow(clippy::too_many_arguments)]
 pub fn softmax_server<T: Transport>(
     ch: &mut T,
@@ -100,23 +241,15 @@ pub fn softmax_server<T: Transport>(
     shift: u32,
     f: u32,
 ) -> Result<Vec<u64>, ProtocolError> {
-    assert_eq!(y0.len(), rows * cols, "softmax input must be rows*cols");
-    let bits = ring.bits() as usize;
-    let circuit =
-        circuits::softmax_reshare_vec_circuit(bits, rows, cols, shift as usize, f as usize);
-    let out = yao.run(ch, &circuit, &words_to_bits(y0, bits))?;
-    Ok(bits_to_words(&out, bits))
+    let circuit = softmax_circuit(rows, cols, ring, shift, f);
+    reshare_server(ch, yao, &circuit, &[y0], ring)
 }
 
 /// Client side of the softmax op; `z1` is the fresh output mask.
 ///
 /// # Errors
 ///
-/// Returns [`ProtocolError`] on disconnection or garbling failures.
-///
-/// # Panics
-///
-/// Panics if the share vectors do not match `rows * cols`.
+/// As [`reshare_client`].
 #[allow(clippy::too_many_arguments)]
 pub fn softmax_client<T: Transport, RNG: Rng + ?Sized>(
     ch: &mut T,
@@ -130,22 +263,20 @@ pub fn softmax_client<T: Transport, RNG: Rng + ?Sized>(
     f: u32,
     rng: &mut RNG,
 ) -> Result<(), ProtocolError> {
-    assert_eq!(y1.len(), rows * cols, "softmax input must be rows*cols");
-    assert_eq!(y1.len(), z1.len(), "share vectors must align");
+    let circuit = softmax_circuit(rows, cols, ring, shift, f);
+    reshare_client(ch, yao, &circuit, &[y1], z1, ring, rng)
+}
+
+fn softmax_circuit(rows: usize, cols: usize, ring: Ring, shift: u32, f: u32) -> Circuit {
     let bits = ring.bits() as usize;
-    let circuit =
-        circuits::softmax_reshare_vec_circuit(bits, rows, cols, shift as usize, f as usize);
-    let mut gbits = words_to_bits(y1, bits);
-    gbits.extend(words_to_bits(z1, bits));
-    yao.run(ch, &circuit, &gbits, rng)?;
-    Ok(())
+    circuits::softmax_reshare_vec_circuit(bits, rows, cols, shift as usize, f as usize)
 }
 
 /// Server side of the elementwise GELU op.
 ///
 /// # Errors
 ///
-/// Returns [`ProtocolError`] on disconnection or garbling failures.
+/// As [`reshare_server`].
 pub fn gelu_server<T: Transport>(
     ch: &mut T,
     yao: &mut YaoEvaluator,
@@ -154,25 +285,15 @@ pub fn gelu_server<T: Transport>(
     shift: u32,
     f: u32,
 ) -> Result<Vec<u64>, ProtocolError> {
-    let bits = ring.bits() as usize;
-    if y0.is_empty() {
-        return Ok(Vec::new());
-    }
-    let circuit =
-        circuits::gelu_trunc_reshare_vec_circuit(bits, y0.len(), shift as usize, f as usize);
-    let out = yao.run(ch, &circuit, &words_to_bits(y0, bits))?;
-    Ok(bits_to_words(&out, bits))
+    let circuit = gelu_circuit(y0.len(), ring, shift, f);
+    reshare_server(ch, yao, &circuit, &[y0], ring)
 }
 
 /// Client side of the elementwise GELU op; `z1` is the fresh output mask.
 ///
 /// # Errors
 ///
-/// Returns [`ProtocolError`] on disconnection or garbling failures.
-///
-/// # Panics
-///
-/// Panics if `y1.len() != z1.len()`.
+/// As [`reshare_client`].
 #[allow(clippy::too_many_arguments)]
 pub fn gelu_client<T: Transport, RNG: Rng + ?Sized>(
     ch: &mut T,
@@ -184,17 +305,12 @@ pub fn gelu_client<T: Transport, RNG: Rng + ?Sized>(
     f: u32,
     rng: &mut RNG,
 ) -> Result<(), ProtocolError> {
-    assert_eq!(y1.len(), z1.len(), "share vectors must align");
-    let bits = ring.bits() as usize;
-    if y1.is_empty() {
-        return Ok(());
-    }
-    let circuit =
-        circuits::gelu_trunc_reshare_vec_circuit(bits, y1.len(), shift as usize, f as usize);
-    let mut gbits = words_to_bits(y1, bits);
-    gbits.extend(words_to_bits(z1, bits));
-    yao.run(ch, &circuit, &gbits, rng)?;
-    Ok(())
+    let circuit = gelu_circuit(y1.len(), ring, shift, f);
+    reshare_client(ch, yao, &circuit, &[y1], z1, ring, rng)
+}
+
+fn gelu_circuit(n: usize, ring: Ring, shift: u32, f: u32) -> Circuit {
+    circuits::gelu_trunc_reshare_vec_circuit(ring.bits() as usize, n, shift as usize, f as usize)
 }
 
 /// Server side of the LayerNorm op over `tokens` tokens of `d` values:
@@ -202,11 +318,7 @@ pub fn gelu_client<T: Transport, RNG: Rng + ?Sized>(
 ///
 /// # Errors
 ///
-/// Returns [`ProtocolError`] on disconnection or garbling failures.
-///
-/// # Panics
-///
-/// Panics if the share vectors do not match `tokens * d`.
+/// As [`reshare_server`].
 #[allow(clippy::too_many_arguments)]
 pub fn layernorm_server<T: Transport>(
     ch: &mut T,
@@ -220,32 +332,15 @@ pub fn layernorm_server<T: Transport>(
     shift_b: u32,
     f: u32,
 ) -> Result<Vec<u64>, ProtocolError> {
-    assert_eq!(a0.len(), tokens * d, "layernorm input must be tokens*d");
-    assert_eq!(a0.len(), b0.len(), "residual must align with input");
-    let bits = ring.bits() as usize;
-    let circuit = circuits::layernorm_reshare_vec_circuit(
-        bits,
-        tokens,
-        d,
-        shift_a as usize,
-        shift_b as usize,
-        f as usize,
-    );
-    let mut ebits = words_to_bits(a0, bits);
-    ebits.extend(words_to_bits(b0, bits));
-    let out = yao.run(ch, &circuit, &ebits)?;
-    Ok(bits_to_words(&out, bits))
+    let circuit = layernorm_circuit(tokens, d, ring, shift_a, shift_b, f);
+    reshare_server(ch, yao, &circuit, &[a0, b0], ring)
 }
 
 /// Client side of the LayerNorm op; `z1` is the fresh output mask.
 ///
 /// # Errors
 ///
-/// Returns [`ProtocolError`] on disconnection or garbling failures.
-///
-/// # Panics
-///
-/// Panics if the share vectors do not match `tokens * d`.
+/// As [`reshare_client`].
 #[allow(clippy::too_many_arguments)]
 pub fn layernorm_client<T: Transport, RNG: Rng + ?Sized>(
     ch: &mut T,
@@ -261,30 +356,35 @@ pub fn layernorm_client<T: Transport, RNG: Rng + ?Sized>(
     f: u32,
     rng: &mut RNG,
 ) -> Result<(), ProtocolError> {
-    assert_eq!(a1.len(), tokens * d, "layernorm input must be tokens*d");
-    assert_eq!(a1.len(), b1.len(), "residual must align with input");
-    assert_eq!(a1.len(), z1.len(), "share vectors must align");
-    let bits = ring.bits() as usize;
-    let circuit = circuits::layernorm_reshare_vec_circuit(
-        bits,
+    let circuit = layernorm_circuit(tokens, d, ring, shift_a, shift_b, f);
+    reshare_client(ch, yao, &circuit, &[a1, b1], z1, ring, rng)
+}
+
+fn layernorm_circuit(
+    tokens: usize,
+    d: usize,
+    ring: Ring,
+    shift_a: u32,
+    shift_b: u32,
+    f: u32,
+) -> Circuit {
+    circuits::layernorm_reshare_vec_circuit(
+        ring.bits() as usize,
         tokens,
         d,
         shift_a as usize,
         shift_b as usize,
         f as usize,
-    );
-    let mut gbits = words_to_bits(a1, bits);
-    gbits.extend(words_to_bits(b1, bits));
-    gbits.extend(words_to_bits(z1, bits));
-    yao.run(ch, &circuit, &gbits, rng)?;
-    Ok(())
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use abnn2_math::fixedops;
+    use abnn2_math::FragmentScheme;
     use abnn2_net::{run_pair, NetworkModel};
+    use abnn2_nn::conv::ConvShape;
     use rand::SeedableRng;
 
     const BITS: u32 = 16;
@@ -295,7 +395,7 @@ mod tests {
         vals: &[u64],
         seed: u64,
         server: impl FnOnce(&mut abnn2_net::Endpoint, &mut YaoEvaluator, &[u64]) -> Vec<u64> + Send,
-        client: impl FnOnce(&mut abnn2_net::Endpoint, &mut YaoGarbler, &[u64], &[u64]) -> () + Send,
+        client: impl FnOnce(&mut abnn2_net::Endpoint, &mut YaoGarbler, &[u64], &[u64]) + Send,
     ) -> Vec<u64> {
         let ring = Ring::new(BITS);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -320,6 +420,21 @@ mod tests {
         ring.add_vec(&z0, &z1s)
     }
 
+    /// The lowering of `op` at batch 1 under a 16-bit, f = 6 config.
+    fn lower(op: &LayerOp, bits: u32) -> Lowering {
+        let config = QuantConfig {
+            ring: Ring::new(bits),
+            frac_bits: 6,
+            weight_frac_bits: 2,
+            scheme: FragmentScheme::ternary(),
+        };
+        Lowering::of(op, &config, 1, ReluVariant::Oblivious).expect("a re-sharing op")
+    }
+
+    fn matmul_op(m: usize, n: usize, shift: u32) -> LayerOp {
+        LayerOp::MatMulSS { m, k: 1, n, transpose_b: false, shift, a_src: 0, b_src: 0 }
+    }
+
     #[test]
     fn matmul_close_truncates_and_reshares() {
         let ring = Ring::new(BITS);
@@ -328,10 +443,14 @@ mod tests {
         let got = run_op(
             &vals,
             900,
-            |ch, yao, p0| matmul_close_server(ch, yao, p0, Ring::new(BITS), 4).expect("server"),
+            |ch, yao, p0| {
+                lower(&matmul_op(5, 1, 4), BITS).server(ch, yao, &[p0], ring).expect("server")
+            },
             |ch, yao, p1, z1| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(902);
-                matmul_close_client(ch, yao, p1, z1, Ring::new(BITS), 4, &mut rng).expect("client");
+                lower(&matmul_op(5, 1, 4), BITS)
+                    .client(ch, yao, &[p1], z1, ring, &mut rng)
+                    .expect("client");
             },
         );
         for (i, (&g, &v)) in got.iter().zip(&vals).enumerate() {
@@ -448,15 +567,84 @@ mod tests {
 
     #[test]
     fn empty_inputs_are_noops() {
+        let ring = Ring::new(BITS);
         let got = run_op(
             &[],
             940,
-            |ch, yao, p0| matmul_close_server(ch, yao, p0, Ring::new(BITS), 0).expect("server"),
+            |ch, yao, p0| {
+                lower(&matmul_op(0, 0, 0), BITS).server(ch, yao, &[p0], ring).expect("server")
+            },
             |ch, yao, p1, z1| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(942);
-                matmul_close_client(ch, yao, p1, z1, Ring::new(BITS), 0, &mut rng).expect("client");
+                lower(&matmul_op(0, 0, 0), BITS)
+                    .client(ch, yao, &[p1], z1, ring, &mut rng)
+                    .expect("client");
             },
         );
         assert!(got.is_empty());
+    }
+
+    #[test]
+    fn secure_maxpool_standalone() {
+        let ring = Ring::new(32);
+        let shape = ConvShape { channels: 2, height: 4, width: 4 };
+        let pool = LayerOp::MaxPool { shape, window: 2 };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(220);
+        let values: Vec<i64> = (0..shape.len() as i64).map(|i| (i * 37 % 101) - 50).collect();
+        let x: Vec<u64> = values.iter().map(|&v| ring.from_i64(v)).collect();
+        let x1 = ring.sample_vec(&mut rng, x.len());
+        let x0 = ring.sub_vec(&x, &x1);
+        let z1 = ring.sample_vec(&mut rng, 2 * 2 * 2);
+        let (x1c, z1c, pool2) = (x1.clone(), z1.clone(), pool.clone());
+        let (z0, (), _) = run_pair(
+            NetworkModel::instant(),
+            move |ch| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(221);
+                let mut yao = YaoEvaluator::setup(ch, &mut rng).expect("setup");
+                lower(&pool, 32).server(ch, &mut yao, &[x0], ring).expect("server")
+            },
+            move |ch| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(222);
+                let mut yao = YaoGarbler::setup(ch, &mut rng).expect("setup");
+                lower(&pool2, 32)
+                    .client(ch, &mut yao, &[x1c], &z1c, ring, &mut rng)
+                    .expect("client");
+            },
+        );
+        let (expect, _) = abnn2_nn::conv::maxpool_ring(&x, shape, 2, ring);
+        for (w, &e) in expect.iter().enumerate() {
+            assert_eq!(ring.add(z0[w], z1[w]), e, "window {w}");
+        }
+    }
+
+    #[test]
+    fn mismatched_mask_count_rejected() {
+        // z1 must have one entry per pooling window and the share map one
+        // entry per pixel; mismatches are caught before any I/O.
+        let ring = Ring::new(32);
+        let shape = ConvShape { channels: 1, height: 4, width: 4 };
+        let pool = LayerOp::MaxPool { shape, window: 2 };
+        let pool2 = pool.clone();
+        let (z0_res, (), _) = run_pair(
+            NetworkModel::instant(),
+            move |ch| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(230);
+                let mut yao = YaoEvaluator::setup(ch, &mut rng).expect("setup");
+                let short = lower(&pool, 32).server(ch, &mut yao, &[[0u64; 15]], ring);
+                assert!(matches!(short, Err(ProtocolError::Dimension(_))));
+                lower(&pool, 32).server(ch, &mut yao, &[[0u64; 16]], ring)
+            },
+            move |ch| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(231);
+                let mut yao = YaoGarbler::setup(ch, &mut rng).expect("setup");
+                // 3 masks instead of 4 windows: dimension error, no I/O.
+                let err = lower(&pool2, 32)
+                    .client(ch, &mut yao, &[[0u64; 16]], &[0u64; 3], ring, &mut rng)
+                    .expect_err("must reject");
+                assert!(matches!(err, ProtocolError::Dimension(_)));
+            },
+        );
+        // Server fails because the garbler never sent material.
+        assert!(z0_res.is_err());
     }
 }

@@ -16,8 +16,8 @@
 //!   (the paper accepts this; we default to `Oblivious`).
 
 use crate::frames::{NegShares, SignBits};
+use crate::nonlinear::{reshare_client, reshare_server, words_to_bits};
 use crate::ProtocolError;
-use abnn2_gc::circuit::{bits_to_u64, u64_to_bits};
 use abnn2_gc::{circuits, YaoEvaluator, YaoGarbler};
 use abnn2_math::Ring;
 use abnn2_net::Transport;
@@ -34,18 +34,6 @@ pub enum ReluVariant {
     Optimized,
 }
 
-/// Flattens ring words into the little-endian bit vector a Yao circuit
-/// consumes. Shared with the nonlinear-op family in [`crate::nonlinear`].
-pub(crate) fn words_to_bits(words: &[u64], bits: usize) -> Vec<bool> {
-    words.iter().flat_map(|&w| u64_to_bits(w, bits)).collect()
-}
-
-/// Inverse of [`words_to_bits`]: repacks circuit output bits into ring
-/// words. Shared with [`crate::nonlinear`].
-pub(crate) fn bits_to_words(bits_vec: &[bool], bits: usize) -> Vec<u64> {
-    bits_vec.chunks(bits).map(bits_to_u64).collect()
-}
-
 /// Server (evaluator) side: holds shares `y0`, obtains fresh shares `z0` of
 /// the activated, truncated values.
 ///
@@ -60,60 +48,35 @@ pub fn relu_server<T: Transport>(
     shift: u32,
     variant: ReluVariant,
 ) -> Result<Vec<u64>, ProtocolError> {
-    let bits = ring.bits() as usize;
+    let (bits, shift) = (ring.bits() as usize, shift as usize);
     let n = y0.len();
+    if variant == ReluVariant::Oblivious {
+        let circuit = circuits::relu_trunc_reshare_vec_circuit(bits, n, shift);
+        return reshare_server(ch, yao, &circuit, &[y0], ring);
+    }
     if n == 0 {
         return Ok(Vec::new());
     }
-    match variant {
-        ReluVariant::Oblivious => {
-            let circuit = circuits::relu_trunc_reshare_vec_circuit(bits, n, shift as usize);
-            let out = yao.run(ch, &circuit, &words_to_bits(y0, bits))?;
-            Ok(bits_to_words(&out, bits))
-        }
-        ReluVariant::Optimized => {
-            // Phase 1: comparison circuit reveals per-neuron signs.
-            let sign_circuit = circuits::relu_sign_vec_circuit(bits, n);
-            let non_neg = yao.run(ch, &sign_circuit, &words_to_bits(y0, bits))?;
-            ch.send_frame(&SignBits(pack_bits(&non_neg)))?;
+    // Phase 1: comparison circuit reveals per-neuron signs.
+    let sign_circuit = circuits::relu_sign_vec_circuit(bits, n);
+    let non_neg = yao.run(ch, &sign_circuit, &words_to_bits(y0, bits))?;
+    ch.send_frame(&SignBits(pack_bits(&non_neg)))?;
 
-            // Negative neurons: the client re-shares zero by sending −z1.
-            let neg_count = non_neg.iter().filter(|&&b| !b).count();
-            let NegShares(neg_bytes) = ch.recv_frame()?;
-            if neg_bytes.len() != neg_count * ring.byte_len() {
-                return Err(ProtocolError::Malformed("negative-neuron share batch length"));
-            }
-            let neg_shares = ring.decode_slice(&neg_bytes);
-
-            // Phase 2: reconstruct-and-reshare only the non-negative subset.
-            let pos: Vec<usize> = (0..n).filter(|&j| non_neg[j]).collect();
-            let pos_shares = if pos.is_empty() {
-                Vec::new()
-            } else {
-                let y0_pos: Vec<u64> = pos.iter().map(|&j| y0[j]).collect();
-                let circuit = circuits::reconstruct_trunc_reshare_vec_circuit(
-                    bits,
-                    pos.len(),
-                    shift as usize,
-                );
-                let out = yao.run(ch, &circuit, &words_to_bits(&y0_pos, bits))?;
-                bits_to_words(&out, bits)
-            };
-
-            let mut z0 = vec![0u64; n];
-            let (mut pi, mut ni) = (0usize, 0usize);
-            for (j, z) in z0.iter_mut().enumerate() {
-                if non_neg[j] {
-                    *z = pos_shares[pi];
-                    pi += 1;
-                } else {
-                    *z = neg_shares[ni];
-                    ni += 1;
-                }
-            }
-            Ok(z0)
-        }
+    // Negative neurons: the client re-shares zero by sending −z1.
+    let neg_count = non_neg.iter().filter(|&&b| !b).count();
+    let NegShares(neg_bytes) = ch.recv_frame()?;
+    if neg_bytes.len() != neg_count * ring.byte_len() {
+        return Err(ProtocolError::Malformed("negative-neuron share batch length"));
     }
+    let mut neg_shares = ring.decode_slice(&neg_bytes).into_iter();
+
+    // Phase 2: reconstruct-and-reshare only the non-negative subset.
+    let y0_pos: Vec<u64> = (0..n).filter(|&j| non_neg[j]).map(|j| y0[j]).collect();
+    let circuit = circuits::reconstruct_trunc_reshare_vec_circuit(bits, y0_pos.len(), shift);
+    let mut pos_shares = reshare_server(ch, yao, &circuit, &[y0_pos], ring)?.into_iter();
+
+    let z0 = non_neg.iter().map(|&p| if p { pos_shares.next() } else { neg_shares.next() });
+    Ok(z0.map(|z| z.expect("one share per neuron")).collect())
 }
 
 /// Client (garbler) side: holds shares `y1` and supplies its fresh output
@@ -122,11 +85,8 @@ pub fn relu_server<T: Transport>(
 ///
 /// # Errors
 ///
-/// Returns [`ProtocolError`] on disconnection or garbling failures.
-///
-/// # Panics
-///
-/// Panics if `y1.len() != z1.len()`.
+/// [`ProtocolError::Dimension`] if `y1.len() != z1.len()`; otherwise
+/// disconnection or garbling failures.
 #[allow(clippy::too_many_arguments)]
 pub fn relu_client<T: Transport, RNG: Rng + ?Sized>(
     ch: &mut T,
@@ -138,53 +98,34 @@ pub fn relu_client<T: Transport, RNG: Rng + ?Sized>(
     variant: ReluVariant,
     rng: &mut RNG,
 ) -> Result<(), ProtocolError> {
-    assert_eq!(y1.len(), z1.len(), "share vectors must align");
-    let bits = ring.bits() as usize;
+    let (bits, shift) = (ring.bits() as usize, shift as usize);
     let n = y1.len();
+    if variant == ReluVariant::Oblivious {
+        let circuit = circuits::relu_trunc_reshare_vec_circuit(bits, n, shift);
+        return reshare_client(ch, yao, &circuit, &[y1], z1, ring, rng);
+    }
+    if z1.len() != n {
+        return Err(ProtocolError::Dimension("share vectors must align"));
+    }
     if n == 0 {
         return Ok(());
     }
-    match variant {
-        ReluVariant::Oblivious => {
-            let circuit = circuits::relu_trunc_reshare_vec_circuit(bits, n, shift as usize);
-            let mut gbits = words_to_bits(y1, bits);
-            gbits.extend(words_to_bits(z1, bits));
-            yao.run(ch, &circuit, &gbits, rng)?;
-            Ok(())
-        }
-        ReluVariant::Optimized => {
-            let sign_circuit = circuits::relu_sign_vec_circuit(bits, n);
-            yao.run(ch, &sign_circuit, &words_to_bits(y1, bits), rng)?;
-            let SignBits(sign_bytes) = ch.recv_frame()?;
-            if sign_bytes.len() != n.div_ceil(8) {
-                return Err(ProtocolError::Malformed("sign-bit batch length"));
-            }
-            let non_neg: Vec<bool> = (0..n).map(|j| get_bit(&sign_bytes, j)).collect();
-
-            // z = 0 for negative neurons: z0 must equal −z1.
-            let neg_shares: Vec<u64> =
-                (0..n).filter(|&j| !non_neg[j]).map(|j| ring.neg(z1[j])).collect();
-            ch.send_frame(&NegShares(ring.encode_slice(&neg_shares)))?;
-
-            let pos: Vec<usize> = (0..n).filter(|&j| non_neg[j]).collect();
-            if !pos.is_empty() {
-                let circuit = circuits::reconstruct_trunc_reshare_vec_circuit(
-                    bits,
-                    pos.len(),
-                    shift as usize,
-                );
-                let mut gbits: Vec<bool> = Vec::with_capacity(2 * pos.len() * bits);
-                for &j in &pos {
-                    gbits.extend(u64_to_bits(y1[j], bits));
-                }
-                for &j in &pos {
-                    gbits.extend(u64_to_bits(z1[j], bits));
-                }
-                yao.run(ch, &circuit, &gbits, rng)?;
-            }
-            Ok(())
-        }
+    let sign_circuit = circuits::relu_sign_vec_circuit(bits, n);
+    yao.run(ch, &sign_circuit, &words_to_bits(y1, bits), rng)?;
+    let SignBits(sign_bytes) = ch.recv_frame()?;
+    if sign_bytes.len() != n.div_ceil(8) {
+        return Err(ProtocolError::Malformed("sign-bit batch length"));
     }
+    let (pos, neg): (Vec<usize>, Vec<usize>) = (0..n).partition(|&j| get_bit(&sign_bytes, j));
+
+    // z = 0 for negative neurons: z0 must equal −z1.
+    let neg_shares: Vec<u64> = neg.iter().map(|&j| ring.neg(z1[j])).collect();
+    ch.send_frame(&NegShares(ring.encode_slice(&neg_shares)))?;
+
+    let y1_pos: Vec<u64> = pos.iter().map(|&j| y1[j]).collect();
+    let z1_pos: Vec<u64> = pos.iter().map(|&j| z1[j]).collect();
+    let circuit = circuits::reconstruct_trunc_reshare_vec_circuit(bits, pos.len(), shift);
+    reshare_client(ch, yao, &circuit, &[y1_pos], &z1_pos, ring, rng)
 }
 
 #[cfg(test)]

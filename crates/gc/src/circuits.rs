@@ -122,23 +122,71 @@ pub fn is_negative(x: &Word) -> WireId {
     x.msb()
 }
 
-/// Algorithm 2's circuit for `f = ReLU` (the fully-oblivious activation):
+/// Algorithm 2's wire frame, once: the circuit that reconstructs shared
+/// values, applies a function to them, and re-shares the results under the
+/// garbler's fresh masks `z₁`, so the evaluator learns only
+/// `z₀ = f(y₀ + y₁) − z₁  (mod 2^ℓ)`.
 ///
-/// * evaluator (server) input: share `y₀`,
-/// * garbler (client) inputs: share `y₁` and fresh mask `z₁`,
-/// * output to evaluator: `z₀ = ReLU(y₀ + y₁) − z₁  (mod 2^ℓ)`.
+/// The function sees `operands` shared vectors, each `groups · n_in` words
+/// long, and is applied group by group: `body` receives, per operand, the
+/// `n_in` reconstructed words of one group and returns that group's `n_out`
+/// result words. Wire layout (the order both parties serialize their
+/// shares in):
+///
+/// * garbler (client) inputs: for each operand all its share-1 words, then
+///   all `groups · n_out` mask words `z₁`,
+/// * evaluator (server) inputs: for each operand all its share-0 words,
+/// * outputs: all `z₀` words, in group order.
+///
+/// Cost on top of `body`: ℓ − 1 ANDs per reconstructed word and per output
+/// word (one adder, one subtractor).
+///
+/// # Panics
+///
+/// Panics if `body` returns other than `n_out` words.
+pub fn reshare_circuit<F>(
+    bits: usize,
+    operands: usize,
+    groups: usize,
+    n_in: usize,
+    n_out: usize,
+    mut body: F,
+) -> Circuit
+where
+    F: FnMut(&mut CircuitBuilder, &[Vec<Word>]) -> Vec<Word>,
+{
+    let mut b = CircuitBuilder::new();
+    let s1: Vec<Vec<Word>> =
+        (0..operands).map(|_| (0..groups * n_in).map(|_| b.garbler_word(bits)).collect()).collect();
+    let z1: Vec<Word> = (0..groups * n_out).map(|_| b.garbler_word(bits)).collect();
+    let s0: Vec<Vec<Word>> = (0..operands)
+        .map(|_| (0..groups * n_in).map(|_| b.evaluator_word(bits)).collect())
+        .collect();
+    let mut outs = Vec::with_capacity(groups * n_out * bits);
+    for g in 0..groups {
+        let ys: Vec<Vec<Word>> = s0
+            .iter()
+            .zip(&s1)
+            .map(|(s0, s1)| {
+                (g * n_in..(g + 1) * n_in).map(|j| add(&mut b, &s0[j], &s1[j])).collect()
+            })
+            .collect();
+        let fs = body(&mut b, &ys);
+        assert_eq!(fs.len(), n_out, "re-share body must return n_out words per group");
+        for (f, z) in fs.iter().zip(&z1[g * n_out..]) {
+            outs.extend(sub(&mut b, f, z).0);
+        }
+    }
+    b.build(outs)
+}
+
+/// Algorithm 2's circuit for `f = ReLU` on one neuron (the fully-oblivious
+/// activation): `z₀ = ReLU(y₀ + y₁) − z₁`.
 ///
 /// AND-gate cost: (ℓ−1) add + ℓ relu + (ℓ−1) sub = 3ℓ − 2.
 #[must_use]
 pub fn relu_reshare_circuit(bits: usize) -> Circuit {
-    let mut b = CircuitBuilder::new();
-    let y1 = b.garbler_word(bits);
-    let z1 = b.garbler_word(bits);
-    let y0 = b.evaluator_word(bits);
-    let y = add(&mut b, &y0, &y1);
-    let r = relu(&mut b, &y);
-    let z0 = sub(&mut b, &r, &z1);
-    b.build(z0.0)
+    relu_trunc_reshare_vec_circuit(bits, 1, 0)
 }
 
 /// Phase 1 of the paper's *optimized* ReLU: only the comparison
@@ -157,35 +205,11 @@ pub fn relu_sign_circuit(bits: usize) -> Circuit {
     b.build(vec![non_neg])
 }
 
-/// Phase 2 of the optimized ReLU, run only for non-negative neurons:
-/// reconstruct and re-share, `z₀ = (y₀ + y₁) − z₁` (2ℓ−2 ANDs).
+/// Phase 2 of the optimized ReLU on one neuron: reconstruct and re-share,
+/// `z₀ = (y₀ + y₁) − z₁` (2ℓ−2 ANDs).
 #[must_use]
 pub fn reconstruct_reshare_circuit(bits: usize) -> Circuit {
-    let mut b = CircuitBuilder::new();
-    let y1 = b.garbler_word(bits);
-    let z1 = b.garbler_word(bits);
-    let y0 = b.evaluator_word(bits);
-    let y = add(&mut b, &y0, &y1);
-    let z0 = sub(&mut b, &y, &z1);
-    b.build(z0.0)
-}
-
-/// A generic activation circuit à la Algorithm 2 for any bitwise function
-/// `f` expressible over the reconstructed word. Provided with `f = max(0,·)`
-/// this equals [`relu_reshare_circuit`]; it also serves for variants such as
-/// leaky-style gating in tests.
-pub fn activation_circuit<F>(bits: usize, f: F) -> Circuit
-where
-    F: FnOnce(&mut CircuitBuilder, &Word) -> Word,
-{
-    let mut b = CircuitBuilder::new();
-    let y1 = b.garbler_word(bits);
-    let z1 = b.garbler_word(bits);
-    let y0 = b.evaluator_word(bits);
-    let y = add(&mut b, &y0, &y1);
-    let fy = f(&mut b, &y);
-    let z0 = sub(&mut b, &fy, &z1);
-    b.build(z0.0)
+    reconstruct_trunc_reshare_vec_circuit(bits, 1, 0)
 }
 
 /// Arithmetic shift right by `k` bits — free (pure rewiring): low bits are
@@ -220,19 +244,7 @@ pub fn relu_reshare_vec_circuit(bits: usize, n: usize) -> Circuit {
 /// probabilistic local share truncation.
 #[must_use]
 pub fn relu_trunc_reshare_vec_circuit(bits: usize, n: usize, shift: usize) -> Circuit {
-    let mut b = CircuitBuilder::new();
-    let y1: Vec<Word> = (0..n).map(|_| b.garbler_word(bits)).collect();
-    let z1: Vec<Word> = (0..n).map(|_| b.garbler_word(bits)).collect();
-    let y0: Vec<Word> = (0..n).map(|_| b.evaluator_word(bits)).collect();
-    let mut outs = Vec::with_capacity(n * bits);
-    for j in 0..n {
-        let y = add(&mut b, &y0[j], &y1[j]);
-        let t = sar_word(&y, shift);
-        let r = relu(&mut b, &t);
-        let z0 = sub(&mut b, &r, &z1[j]);
-        outs.extend(z0.0);
-    }
-    b.build(outs)
+    reshare_circuit(bits, 1, n, 1, 1, |b, y| vec![relu(b, &sar_word(&y[0][0], shift))])
 }
 
 /// Vectorized phase-1 comparison for the optimized ReLU: one output bit per
@@ -261,18 +273,7 @@ pub fn reconstruct_reshare_vec_circuit(bits: usize, n: usize) -> Circuit {
 /// `z₀ = ((y₀ + y₁) ≫ₐ shift) − z₁` per neuron.
 #[must_use]
 pub fn reconstruct_trunc_reshare_vec_circuit(bits: usize, n: usize, shift: usize) -> Circuit {
-    let mut b = CircuitBuilder::new();
-    let y1: Vec<Word> = (0..n).map(|_| b.garbler_word(bits)).collect();
-    let z1: Vec<Word> = (0..n).map(|_| b.garbler_word(bits)).collect();
-    let y0: Vec<Word> = (0..n).map(|_| b.evaluator_word(bits)).collect();
-    let mut outs = Vec::with_capacity(n * bits);
-    for j in 0..n {
-        let y = add(&mut b, &y0[j], &y1[j]);
-        let t = sar_word(&y, shift);
-        let z0 = sub(&mut b, &t, &z1[j]);
-        outs.extend(z0.0);
-    }
-    b.build(outs)
+    reshare_circuit(bits, 1, n, 1, 1, |_, y| vec![sar_word(&y[0][0], shift)])
 }
 
 /// Word-wise XOR (free).
@@ -328,12 +329,8 @@ pub fn argmax_index_bits(n: usize) -> usize {
 }
 
 /// Vectorized max-pool-and-reshare circuit for the CNN extension: for each
-/// of `n_windows` windows of `window` shared values, reconstruct the
-/// values, take the (signed) maximum, and re-share it as `z₀ = max − z₁`.
-///
-/// Garbler inputs: all `y₁` window values (window-major), then one `z₁`
-/// word per window; evaluator inputs: all `y₀` window values; outputs: one
-/// `z₀` word per window.
+/// of `n_windows` windows of `window` shared values (window-major), take
+/// the (signed) maximum and re-share it as `z₀ = max − z₁`.
 ///
 /// # Panics
 ///
@@ -341,25 +338,10 @@ pub fn argmax_index_bits(n: usize) -> usize {
 #[must_use]
 pub fn max_pool_reshare_vec_circuit(bits: usize, window: usize, n_windows: usize) -> Circuit {
     assert!(window > 0, "window must be positive");
-    let mut b = CircuitBuilder::new();
-    let y1: Vec<Word> = (0..n_windows * window).map(|_| b.garbler_word(bits)).collect();
-    let z1: Vec<Word> = (0..n_windows).map(|_| b.garbler_word(bits)).collect();
-    let y0: Vec<Word> = (0..n_windows * window).map(|_| b.evaluator_word(bits)).collect();
-    let mut outs = Vec::with_capacity(n_windows * bits);
-    for (w, z1w) in z1.iter().enumerate() {
-        let mut m: Option<Word> = None;
-        for e in 0..window {
-            let idx = w * window + e;
-            let v = add(&mut b, &y0[idx], &y1[idx]);
-            m = Some(match m {
-                None => v,
-                Some(cur) => max(&mut b, &cur, &v),
-            });
-        }
-        let z0 = sub(&mut b, &m.expect("window non-empty"), z1w);
-        outs.extend(z0.0);
-    }
-    b.build(outs)
+    reshare_circuit(bits, 1, n_windows, window, 1, |b, y| {
+        let (first, rest) = y[0].split_first().expect("window non-empty");
+        vec![rest.iter().fold(first.clone(), |m, v| max(b, &m, v))]
+    })
 }
 
 /// Signed comparison `x < y` for two's-complement words (ℓ AND gates).
@@ -622,11 +604,8 @@ fn layernorm_token_words(b: &mut CircuitBuilder, xs: &[Word], f: usize) -> Vec<W
 }
 
 /// Softmax-and-reshare circuit for the `Softmax` op: reconstructs
-/// `rows × cols` shared logits, truncates each by `shift`, applies the
-/// fixed-point row softmax at `f` fraction bits, and re-shares.
-///
-/// Garbler inputs: all `y₁` words (row-major), then all `z₁` mask words;
-/// evaluator inputs: all `y₀` words; outputs: all `z₀ = p − z₁` words.
+/// `rows × cols` shared logits (row-major), truncates each by `shift`,
+/// applies the fixed-point row softmax at `f` fraction bits, and re-shares.
 #[must_use]
 pub fn softmax_reshare_vec_circuit(
     bits: usize,
@@ -636,59 +615,26 @@ pub fn softmax_reshare_vec_circuit(
     f: usize,
 ) -> Circuit {
     assert!(rows > 0 && cols > 0, "softmax needs a non-empty matrix");
-    let n = rows * cols;
-    let mut b = CircuitBuilder::new();
-    let y1: Vec<Word> = (0..n).map(|_| b.garbler_word(bits)).collect();
-    let z1: Vec<Word> = (0..n).map(|_| b.garbler_word(bits)).collect();
-    let y0: Vec<Word> = (0..n).map(|_| b.evaluator_word(bits)).collect();
-    let mut outs = Vec::with_capacity(n * bits);
-    for r in 0..rows {
-        let vs: Vec<Word> = (0..cols)
-            .map(|c| {
-                let j = r * cols + c;
-                let y = add(&mut b, &y0[j], &y1[j]);
-                sar_word(&y, shift)
-            })
-            .collect();
-        let ps = softmax_row_words(&mut b, &vs, f);
-        for (c, p) in ps.iter().enumerate() {
-            let z0 = sub(&mut b, p, &z1[r * cols + c]);
-            outs.extend(z0.0.clone());
-        }
-    }
-    b.build(outs)
+    reshare_circuit(bits, 1, rows, cols, cols, |b, y| {
+        let vs: Vec<Word> = y[0].iter().map(|v| sar_word(v, shift)).collect();
+        softmax_row_words(b, &vs, f)
+    })
 }
 
 /// GELU-and-reshare circuit for the `Gelu` op:
 /// `z₀ = gelu((y₀ + y₁) ≫ₐ shift) − z₁` per neuron, gelu at `f` fraction
 /// bits.
-///
-/// Garbler inputs: all `y₁` then all `z₁`; evaluator: all `y₀`.
 #[must_use]
 pub fn gelu_trunc_reshare_vec_circuit(bits: usize, n: usize, shift: usize, f: usize) -> Circuit {
-    let mut b = CircuitBuilder::new();
-    let y1: Vec<Word> = (0..n).map(|_| b.garbler_word(bits)).collect();
-    let z1: Vec<Word> = (0..n).map(|_| b.garbler_word(bits)).collect();
-    let y0: Vec<Word> = (0..n).map(|_| b.evaluator_word(bits)).collect();
-    let mut outs = Vec::with_capacity(n * bits);
-    for j in 0..n {
-        let y = add(&mut b, &y0[j], &y1[j]);
-        let v = sar_word(&y, shift);
-        let g = gelu_word(&mut b, &v, f);
-        let z0 = sub(&mut b, &g, &z1[j]);
-        outs.extend(z0.0);
-    }
-    b.build(outs)
+    reshare_circuit(bits, 1, n, 1, 1, |b, y| vec![gelu_word(b, &sar_word(&y[0][0], shift), f)])
 }
 
 /// LayerNorm-and-reshare circuit for the `LayerNorm` op over `tokens`
-/// tokens of `d` values each (`d` a power of two). The op folds a residual
-/// add at mismatched scales into the normalization:
-/// `x = ((a₀+a₁) ≫ₐ shift_a) + ((b₀+b₁) ≫ₐ shift_b)` per element, then each
-/// token is normalized at `f` fraction bits and re-shared.
-///
-/// Garbler inputs: all `a₁`, all `b₁`, then all `z₁` (token-major);
-/// evaluator inputs: all `a₀`, then all `b₀`.
+/// tokens of `d` values each (`d` a power of two, token-major). The op
+/// folds a residual add at mismatched scales into the normalization — its
+/// two operands are the primary input `a` and the residual `b`:
+/// `x = (a ≫ₐ shift_a) + (b ≫ₐ shift_b)` per element, then each token is
+/// normalized at `f` fraction bits and re-shared.
 #[must_use]
 pub fn layernorm_reshare_vec_circuit(
     bits: usize,
@@ -699,32 +645,14 @@ pub fn layernorm_reshare_vec_circuit(
     f: usize,
 ) -> Circuit {
     assert!(tokens > 0 && d > 0, "layernorm needs a non-empty matrix");
-    let n = tokens * d;
-    let mut b = CircuitBuilder::new();
-    let a1: Vec<Word> = (0..n).map(|_| b.garbler_word(bits)).collect();
-    let b1: Vec<Word> = (0..n).map(|_| b.garbler_word(bits)).collect();
-    let z1: Vec<Word> = (0..n).map(|_| b.garbler_word(bits)).collect();
-    let a0: Vec<Word> = (0..n).map(|_| b.evaluator_word(bits)).collect();
-    let b0: Vec<Word> = (0..n).map(|_| b.evaluator_word(bits)).collect();
-    let mut outs = Vec::with_capacity(n * bits);
-    for t in 0..tokens {
-        let xs: Vec<Word> = (0..d)
-            .map(|i| {
-                let j = t * d + i;
-                let a = add(&mut b, &a0[j], &a1[j]);
-                let bb = add(&mut b, &b0[j], &b1[j]);
-                let at = sar_word(&a, shift_a);
-                let bt = sar_word(&bb, shift_b);
-                add(&mut b, &at, &bt)
-            })
+    reshare_circuit(bits, 2, tokens, d, d, |b, y| {
+        let xs: Vec<Word> = y[0]
+            .iter()
+            .zip(&y[1])
+            .map(|(a, r)| add(b, &sar_word(a, shift_a), &sar_word(r, shift_b)))
             .collect();
-        let ys = layernorm_token_words(&mut b, &xs, f);
-        for (i, y) in ys.iter().enumerate() {
-            let z0 = sub(&mut b, y, &z1[t * d + i]);
-            outs.extend(z0.0.clone());
-        }
-    }
-    b.build(outs)
+        layernorm_token_words(b, &xs, f)
+    })
 }
 
 #[cfg(test)]
@@ -1026,7 +954,7 @@ mod tests {
             let y1: Vec<u64> = ring.sample_vec(&mut rng, n);
             let y0: Vec<u64> = ring.sub_vec(&values, &y1);
             let idx_bits = argmax_index_bits(n);
-            let mask = (seed % (1 << idx_bits)) as u64;
+            let mask = seed % (1 << idx_bits);
             let c = argmax_mask_circuit(bits, n);
             let mut gbits: Vec<bool> = y1.iter().flat_map(|&v| u64_to_bits(v, bits)).collect();
             gbits.extend(u64_to_bits(mask, idx_bits));
@@ -1185,10 +1113,10 @@ mod tests {
             for r in 0..rows {
                 let expect =
                     abnn2_math::fixedops::softmax_row(&ring, f as u32, &v[r * cols..(r + 1) * cols]);
-                for cc in 0..cols {
+                for (cc, &want) in expect.iter().enumerate() {
                     let j = r * cols + cc;
                     let z0 = bits_to_u64(&out[j * bits..(j + 1) * bits]);
-                    prop_assert_eq!(ring.add(z0, z1[j]), expect[cc], "row {} col {}", r, cc);
+                    prop_assert_eq!(ring.add(z0, z1[j]), want, "row {} col {}", r, cc);
                 }
             }
         }
@@ -1231,10 +1159,10 @@ mod tests {
                     shift_a as u32,
                     shift_b as u32,
                 );
-                for i in 0..d {
+                for (i, &want) in expect.iter().enumerate() {
                     let j = t * d + i;
                     let z0 = bits_to_u64(&out[j * bits..(j + 1) * bits]);
-                    prop_assert_eq!(ring.add(z0, z1[j]), expect[i], "token {} elem {}", t, i);
+                    prop_assert_eq!(ring.add(z0, z1[j]), want, "token {} elem {}", t, i);
                 }
             }
         }

@@ -85,30 +85,104 @@ impl TagStats {
     }
 }
 
-/// Shared, cloneable read handle onto an [`InstrumentedTransport`]'s phase
-/// counters. Snapshots never block the transport for longer than a counter
-/// update, and remain valid after the transport is dropped (they report the
-/// final state).
-#[derive(Debug, Clone, Default)]
+/// Shared, cloneable handle onto one session's phase and tag counters.
+/// An [`InstrumentedTransport`] counts into it as frames cross; an event
+/// loop that meters frames it never holds as a transport counts into it
+/// directly ([`record_send`](Self::record_send),
+/// [`record_recv`](Self::record_recv), [`enter_phase`](Self::enter_phase)).
+/// Snapshots never block the session for longer than a counter update, and
+/// remain valid after the transport is dropped (they report the final
+/// state).
+#[derive(Debug, Clone)]
 pub struct InstrumentHandle {
-    phases: Arc<Mutex<Vec<(String, PhaseStats)>>>,
+    phases: Arc<Mutex<PhaseLog>>,
     /// Per-frame-tag counters, keyed by each message's leading tag byte.
     tags: Arc<Mutex<BTreeMap<u8, TagStats>>>,
 }
 
+/// Chronological phase entries plus the instant up to which the current
+/// (last) entry's clock has been rolled.
+#[derive(Debug)]
+struct PhaseLog {
+    entries: Vec<(String, PhaseStats)>,
+    rolled_to: Instant,
+}
+
+impl PhaseLog {
+    /// The current phase, with its clock rolled up to now.
+    fn current(&mut self) -> &mut PhaseStats {
+        let now = Instant::now();
+        let stats = &mut self.entries.last_mut().expect("at least one phase").1;
+        stats.elapsed += now.duration_since(self.rolled_to);
+        self.rolled_to = now;
+        stats
+    }
+}
+
+impl Default for InstrumentHandle {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl InstrumentHandle {
-    fn new() -> Self {
+    /// A fresh set of counters, opening an initial phase named `"setup"`.
+    #[must_use]
+    pub fn new() -> Self {
+        let entries = vec![("setup".to_string(), PhaseStats::default())];
         InstrumentHandle {
-            phases: Arc::new(Mutex::new(vec![("setup".to_string(), PhaseStats::default())])),
+            phases: Arc::new(Mutex::new(PhaseLog { entries, rolled_to: Instant::now() })),
             tags: Arc::new(Mutex::new(BTreeMap::new())),
         }
+    }
+
+    /// Counts one sent frame of `len` bytes in total whose leading byte is
+    /// `tag`. The current phase counts all `len` bytes; the tag counts the
+    /// payload without its tag byte. An empty frame has no tag to count.
+    pub fn record_send(&self, tag: u8, len: usize) {
+        {
+            let mut log = self.phases.lock().expect("instrument lock");
+            let phase = log.current();
+            phase.bytes_sent += len as u64;
+            phase.messages_sent += 1;
+        }
+        if let Some(payload) = len.checked_sub(1) {
+            let mut tags = self.tags.lock().expect("instrument lock");
+            let entry = tags.entry(tag).or_default();
+            entry.bytes_sent += payload as u64;
+            entry.messages_sent += 1;
+        }
+    }
+
+    /// Counts one received frame; see [`record_send`](Self::record_send).
+    pub fn record_recv(&self, tag: u8, len: usize) {
+        {
+            let mut log = self.phases.lock().expect("instrument lock");
+            let phase = log.current();
+            phase.bytes_received += len as u64;
+            phase.messages_received += 1;
+        }
+        if let Some(payload) = len.checked_sub(1) {
+            let mut tags = self.tags.lock().expect("instrument lock");
+            let entry = tags.entry(tag).or_default();
+            entry.bytes_received += payload as u64;
+            entry.messages_received += 1;
+        }
+    }
+
+    /// Closes the current phase and opens a new one. Re-entering a name
+    /// opens a fresh entry; entries are reported in chronological order.
+    pub fn enter_phase(&self, name: &str) {
+        let mut log = self.phases.lock().expect("instrument lock");
+        log.current();
+        log.entries.push((name.to_string(), PhaseStats::default()));
     }
 
     /// Snapshot of all phases in chronological order (current phase last,
     /// with its clock up to date as of the last channel operation).
     #[must_use]
     pub fn phases(&self) -> Vec<(String, PhaseStats)> {
-        self.phases.lock().expect("instrument lock").clone()
+        self.phases.lock().expect("instrument lock").entries.clone()
     }
 
     /// Stats for the most recent phase with this name, if any.
@@ -117,6 +191,7 @@ impl InstrumentHandle {
         self.phases
             .lock()
             .expect("instrument lock")
+            .entries
             .iter()
             .rev()
             .find(|(n, _)| n == name)
@@ -128,7 +203,7 @@ impl InstrumentHandle {
     #[must_use]
     pub fn phase_total(&self, name: &str) -> PhaseStats {
         let mut total = PhaseStats::default();
-        for (n, s) in self.phases.lock().expect("instrument lock").iter() {
+        for (n, s) in self.phases.lock().expect("instrument lock").entries.iter() {
             if n == name {
                 total.merge(s);
             }
@@ -140,7 +215,7 @@ impl InstrumentHandle {
     #[must_use]
     pub fn total(&self) -> PhaseStats {
         let mut total = PhaseStats::default();
-        for (_, s) in self.phases.lock().expect("instrument lock").iter() {
+        for (_, s) in self.phases.lock().expect("instrument lock").entries.iter() {
             total.merge(s);
         }
         total
@@ -166,40 +241,6 @@ impl InstrumentHandle {
     pub fn tags(&self) -> Vec<(u8, TagStats)> {
         self.tags.lock().expect("instrument lock").iter().map(|(&t, &s)| (t, s)).collect()
     }
-
-    fn with_current<F: FnOnce(&mut PhaseStats)>(&self, f: F) {
-        let mut phases = self.phases.lock().expect("instrument lock");
-        f(&mut phases.last_mut().expect("at least one phase").1)
-    }
-
-    /// Attributes one sent message to its leading tag byte. Payload bytes
-    /// are counted without the tag byte itself; empty (untagged) messages
-    /// are skipped.
-    fn record_tag_send(&self, payload: &[u8]) {
-        if let Some((&tag, rest)) = payload.split_first() {
-            let mut tags = self.tags.lock().expect("instrument lock");
-            let entry = tags.entry(tag).or_default();
-            entry.bytes_sent += rest.len() as u64;
-            entry.messages_sent += 1;
-        }
-    }
-
-    /// Attributes one received message to its leading tag byte.
-    fn record_tag_recv(&self, payload: &[u8]) {
-        if let Some((&tag, rest)) = payload.split_first() {
-            let mut tags = self.tags.lock().expect("instrument lock");
-            let entry = tags.entry(tag).or_default();
-            entry.bytes_received += rest.len() as u64;
-            entry.messages_received += 1;
-        }
-    }
-
-    fn push(&self, name: &str) {
-        self.phases
-            .lock()
-            .expect("instrument lock")
-            .push((name.to_string(), PhaseStats::default()));
-    }
 }
 
 /// Decorator recording per-phase byte/message/time counters, readable
@@ -207,13 +248,12 @@ impl InstrumentHandle {
 pub struct InstrumentedTransport<T> {
     inner: T,
     handle: InstrumentHandle,
-    phase_started: Instant,
 }
 
 impl<T: Transport> InstrumentedTransport<T> {
     /// Wraps `inner`, opening an initial phase named `"setup"`.
     pub fn new(inner: T) -> Self {
-        Self { inner, handle: InstrumentHandle::new(), phase_started: Instant::now() }
+        Self { inner, handle: InstrumentHandle::new() }
     }
 
     /// A cloneable read handle onto this transport's phase counters.
@@ -225,8 +265,7 @@ impl<T: Transport> InstrumentedTransport<T> {
     /// Closes the current phase and opens a new one. Re-entering a name
     /// opens a fresh entry; entries are reported in chronological order.
     pub fn enter_phase(&mut self, name: &str) {
-        self.roll_clock();
-        self.handle.push(name);
+        self.handle.enter_phase(name);
     }
 
     /// Stats for the most recent phase with this name, if any.
@@ -247,60 +286,25 @@ impl<T: Transport> InstrumentedTransport<T> {
     pub fn into_inner(self) -> T {
         self.inner
     }
-
-    /// Mutable access to the inner transport — e.g. to stage data a
-    /// subsequent metered `recv` will observe. Operations through this
-    /// reference bypass the counters.
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-
-    fn roll_clock(&mut self) {
-        let now = Instant::now();
-        let delta = now.duration_since(self.phase_started);
-        self.handle.with_current(|s| s.elapsed += delta);
-        self.phase_started = now;
-    }
 }
 
 impl<T: Transport> Transport for InstrumentedTransport<T> {
     fn send(&mut self, payload: &[u8]) -> Result<(), TransportError> {
         self.inner.send(payload)?;
-        self.roll_clock();
-        self.handle.with_current(|s| {
-            s.bytes_sent += payload.len() as u64;
-            s.messages_sent += 1;
-        });
-        self.handle.record_tag_send(payload);
+        self.handle.record_send(payload.first().copied().unwrap_or(0), payload.len());
         Ok(())
     }
 
     fn send_owned(&mut self, payload: Vec<u8>) -> Result<(), TransportError> {
-        let len = payload.len() as u64;
-        let tag_prefix: Option<u8> = payload.first().copied();
+        let (tag, len) = (payload.first().copied().unwrap_or(0), payload.len());
         self.inner.send_owned(payload)?;
-        self.roll_clock();
-        self.handle.with_current(|s| {
-            s.bytes_sent += len;
-            s.messages_sent += 1;
-        });
-        if let Some(tag) = tag_prefix {
-            let mut tags = self.handle.tags.lock().expect("instrument lock");
-            let entry = tags.entry(tag).or_default();
-            entry.bytes_sent += len - 1;
-            entry.messages_sent += 1;
-        }
+        self.handle.record_send(tag, len);
         Ok(())
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
         let payload = self.inner.recv()?;
-        self.roll_clock();
-        self.handle.with_current(|s| {
-            s.bytes_received += payload.len() as u64;
-            s.messages_received += 1;
-        });
-        self.handle.record_tag_recv(&payload);
+        self.handle.record_recv(payload.first().copied().unwrap_or(0), payload.len());
         Ok(payload)
     }
 

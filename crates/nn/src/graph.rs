@@ -3,9 +3,9 @@
 //! All served topologies — the paper's fully-connected stack
 //! ([`QuantizedNetwork`]), the CNN extension ([`QuantizedCnn`]) and the
 //! transformer-encoder extension (`QuantizedTransformer`) — lower to the
-//! same sequence of typed ops. The op family is open-ended along three
-//! axes that the planner and executors consume *generically* instead of
-//! matching on a closed five-way enum:
+//! same sequence of typed ops. An op kind is defined here along three axes
+//! that the planner and executors consume *generically* instead of
+//! matching on op names:
 //!
 //! * [`LayerOp::sources`] — which tape slots an op reads (the executor is a
 //!   tape machine: slot 0 is the graph input, slot `i + 1` is op `i`'s
@@ -21,7 +21,11 @@
 //! feed into handshake/bundle digests.
 //!
 //! The secure planner and executor over this IR live in
-//! `abnn2-core::graph`; this module owns only the shape.
+//! `abnn2-core::graph`; this module owns only the shape. Their walks branch
+//! on [`OpResource`] and read inputs through [`LayerOp::sources`], so a new
+//! op kind is its arms in this module plus — if it re-shares — one arm in
+//! `abnn2-core::nonlinear`'s lowering, the only function that turns an op
+//! into a circuit.
 
 use crate::conv::{conv_out_dims, ConvShape, QuantizedCnn};
 use crate::quant::{QuantConfig, QuantizedNetwork};
@@ -61,10 +65,10 @@ impl std::fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-/// Which offline precomputation an op consumes. The planner, mask/bundle
-/// walks and the communication-ceiling accounting all branch on this
-/// classification instead of on concrete op variants, so adding an op kind
-/// means adding one `resource()` arm — not editing five match sites.
+/// Which offline precomputation an op consumes. The planner, the offline
+/// and online walks of both parties, the dealer and the
+/// communication-ceiling accounting all branch on this classification
+/// instead of on concrete op variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpResource {
     /// A §4.1 dot-product triplet for public-weight matrices of shape
@@ -704,6 +708,10 @@ impl LayerGraph {
                             "op input length does not match predecessor output",
                         ));
                     }
+                    // ReLU truncates in-circuit by the weight fraction bits.
+                    if matches!(op, LayerOp::Relu { .. }) && self.config.weight_frac_bits >= bits {
+                        return Err(GraphError::Invalid("relu shift does not fit the ring"));
+                    }
                 }
             }
             tape.push(op.out_len());
@@ -851,6 +859,16 @@ mod tests {
             g2.validate(),
             Err(GraphError::Invalid("output op must be exactly the last op"))
         );
+    }
+
+    #[test]
+    fn relu_shift_must_fit_the_ring() {
+        let mut cfg = config();
+        cfg.weight_frac_bits = cfg.ring.bits();
+        let g = LayerGraph::mlp(&[12, 8, 4], cfg.clone());
+        assert_eq!(g.validate(), Err(GraphError::Invalid("relu shift does not fit the ring")));
+        // Without a ReLU nothing shifts by the weight fraction bits.
+        assert!(LayerGraph::mlp(&[12, 4], cfg).validate().is_ok());
     }
 
     #[test]

@@ -308,13 +308,14 @@ mod tests {
             let q = QuantizedNetwork { config, layers: vec![layer.clone()] };
             let x: Vec<u64> = ring.sample_vec(&mut rng, 3);
             let got = q.forward_exact(&x);
-            for i in 0..2 {
+            for (i, &got_i) in got.iter().enumerate() {
                 let mut acc = layer.bias[i];
-                for j in 0..3 {
-                    acc = ring.add(acc, ring.mul_signed(x[j], layer.weights[i * 3 + j]));
+                for (j, &xj) in x.iter().enumerate() {
+                    acc = ring.add(acc, ring.mul_signed(xj, layer.weights[i * 3 + j]));
                 }
-                prop_assert_eq!(got[i], acc);
+                prop_assert_eq!(got_i, acc);
             }
+            prop_assert_eq!(got.len(), 2);
         }
     }
 }

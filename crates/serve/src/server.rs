@@ -39,9 +39,9 @@
 //!    shard re-home automatically. Busy rejections carry a
 //!    `retry_after_ms` hint derived from queue depth and occupancy.
 //!
-//! Byte accounting is preserved exactly: every driver effect is mirrored
-//! through a per-session [`InstrumentedTransport`] meter, so per-phase
-//! and per-tag counters equal the pre-event-loop blocking server's.
+//! Byte accounting is preserved exactly: every driver effect is counted
+//! into a per-session [`InstrumentHandle`] meter, so per-phase and per-tag
+//! counters equal the pre-event-loop blocking server's.
 //!
 //! [`CheckpointStore`]: abnn2_core::CheckpointStore
 
@@ -57,9 +57,7 @@ use abnn2_core::{
     CheckpointStore, CommCeiling, ExecConfig, ProtocolError, SecureServer, ServedModel,
     SessionDeadlines,
 };
-use abnn2_net::{
-    CommSnapshot, FrameBuffer, InstrumentedTransport, TcpTransport, Transport, TransportError,
-};
+use abnn2_net::{FrameBuffer, InstrumentHandle, TcpTransport, TransportError};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::collections::VecDeque;
@@ -514,28 +512,6 @@ fn retry_after_hint(shared: &Shared) -> u32 {
     u32::try_from(hint.min(5_000)).expect("capped at 5000")
 }
 
-/// Sink inner transport for the per-session metrics meter: sends vanish
-/// (the real bytes ride the [`FrameBuffer`]), and `recv` serves the one
-/// frame the event loop stuffed in to mirror a driver `Recv` effect.
-#[derive(Debug, Default)]
-struct SinkTransport {
-    queued: Option<Vec<u8>>,
-}
-
-impl Transport for SinkTransport {
-    fn send(&mut self, _payload: &[u8]) -> Result<(), TransportError> {
-        Ok(())
-    }
-
-    fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
-        self.queued.take().ok_or(TransportError::WouldBlock)
-    }
-
-    fn snapshot(&self) -> CommSnapshot {
-        CommSnapshot { bytes_sent: 0, bytes_received: 0, messages_sent: 0, vtime: Duration::ZERO }
-    }
-}
-
 /// Per-worker [`SessionHost`]: parameters from the shared server,
 /// checkpoints from (and back to) the token-sharded store, warm bundles from this
 /// worker's pool shard first, stealing from siblings on a miss so a busy
@@ -666,7 +642,7 @@ fn supervisor_loop(shared: &Arc<Shared>, table: &Mutex<Vec<Option<JoinHandle<()>
 struct LiveSession<'a> {
     driver: SessionDriver<WorkerHost<'a>>,
     fb: FrameBuffer,
-    meter: InstrumentedTransport<SinkTransport>,
+    meter: InstrumentHandle,
     /// Wall-clock of the last inbound frame, for the read timeout while
     /// the driver is parked.
     last_inbound: Instant,
@@ -696,8 +672,8 @@ impl<'a> LiveSession<'a> {
         rng: &mut StdRng,
     ) -> Result<Self, TransportError> {
         let fb = FrameBuffer::new(stream)?;
-        let meter = InstrumentedTransport::new(SinkTransport::default());
-        shared.metrics.register(meter.handle());
+        let meter = InstrumentHandle::new();
+        shared.metrics.register(meter.clone());
         let driver = SessionDriver::new(
             Arc::clone(&shared.server),
             WorkerHost { shared, worker },
@@ -836,21 +812,10 @@ impl<'a> LiveSession<'a> {
             match effect {
                 DriverEffect::Send(bytes) => {
                     self.fb.queue_send(&bytes);
-                    // The sink cannot fail; metering counts phase + tag.
-                    let _ = self.meter.send(&bytes);
+                    self.meter.record_send(bytes.first().copied().unwrap_or(0), bytes.len());
                 }
                 DriverEffect::Flush => {}
-                DriverEffect::Recv { tag, len } => {
-                    // Synthesize a frame of the consumed shape: phase
-                    // stats count the full payload, tag stats key off the
-                    // leading byte.
-                    let mut frame = vec![0u8; len];
-                    if let Some(first) = frame.first_mut() {
-                        *first = tag;
-                    }
-                    self.meter.inner_mut().queued = Some(frame);
-                    let _ = self.meter.recv();
-                }
+                DriverEffect::Recv { tag, len } => self.meter.record_recv(tag, len),
                 DriverEffect::Mark(label) => {
                     self.meter.enter_phase(&label);
                     let deadlines = &shared.config.deadlines;

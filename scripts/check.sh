@@ -133,8 +133,12 @@ cargo test --offline --manifest-path bench/Cargo.toml
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# The root package plus every crate whose test targets are lint-clean, so
+# they cannot regress (math, he, baselines and the table binaries are not
+# there yet).
 echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+cargo clippy --all-targets -p abnn2 -p abnn2-crypto -p abnn2-ot -p abnn2-gc -p abnn2-nn \
+  -p abnn2-core -p abnn2-net -p abnn2-serve -- -D warnings
 
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
