@@ -14,31 +14,40 @@
 //! The protocol stack (base OT, IKNP, KK13, garbled circuits) is written
 //! as straight-line blocking code against the [`Transport`] trait, and
 //! rewriting it in continuation-passing style would fork every
-//! cryptographic code path. The driver instead exploits three properties
-//! of the *server* side:
+//! cryptographic code path. The driver instead cuts the server side into
+//! **steps** — the hello, each base-OT batch, each unit of the offline and
+//! online walks in [`crate::graph`] (one fragment group of a linear op, one
+//! matrix triple, the blinded input, one tape op) — and exploits three
+//! properties of a step:
 //!
-//! 1. every phase is a **deterministic** function of its entry state, the
-//!    RNG stream, and the prefix of inbound frames it consumes (the server
-//!    phases after base-OT setup consume no randomness at all);
-//! 2. all server session state ([`ServerSession`], [`ServerOffline`]) is
-//!    cheaply cloneable, so each phase keeps its entry snapshot;
-//! 3. the protocol is strictly turn-based, so a phase consumes a small,
-//!    bounded number of frames.
+//! 1. it is a **deterministic** function of the state it starts from, the
+//!    RNG stream, and the few inbound frames it consumes;
+//! 2. the state it starts from is a plain value that is cheap to copy: the
+//!    session's OT state, the tape and the partial triplet share (the
+//!    offline bundle and the pending op's circuit are shared, not copied);
+//! 3. the cuts sit where the server starts waiting, so nearly every step
+//!    receives first and computes afterwards.
 //!
-//! Each [`step`](SessionDriver::step) therefore *replays* the current
-//! phase from its entry snapshot against the buffered inbox. A recv past
-//! the end of the inbox raises [`TransportError::WouldBlock`], marks the
-//! attempt starved, and parks the driver; effects performed before the
-//! starvation point are externalized once and suppressed by count on the
-//! next attempt. When the phase function returns `Ok`, its consumed
-//! frames leave the inbox and the machine advances. The transcript this
-//! produces is byte-identical to the blocking path — `tests/graph_parity.rs`
-//! pins that equivalence against pre-refactor goldens — and
-//! [`drive_blocking`] reimplements the blocking flow as a thin adapter
+//! Each [`step`](SessionDriver::step) call runs the current step on a
+//! *trial copy* of that state against the buffered inbox. A recv past the
+//! end of the inbox raises [`TransportError::WouldBlock`], marks the
+//! attempt starved, discards the copy and parks the driver; effects
+//! performed before the starvation point are externalized once and
+//! suppressed by count when the step is attempted again. When the step
+//! returns `Ok`, the copy becomes the state, the frames it consumed leave
+//! the inbox, and the machine goes on to the next step — so an inbox that
+//! already holds the whole session runs to `Done` in one call, and a
+//! starved attempt repeats at most the part of one step that precedes its
+//! last receive (inside a re-share op: frame parsing and the IKNP column
+//! PRG). [`ReplayCounters`] measures exactly that repetition. The
+//! transcript is byte-identical to the blocking path —
+//! `tests/graph_parity.rs` pins that equivalence against pre-refactor
+//! goldens — and [`drive_blocking`] is the blocking flow as a thin adapter
 //! over the driver.
 
 use crate::bundle::{ClientBundle, ServerBundle};
 use crate::frames::Bundle;
+use crate::graph::{ServerOfflineWalk, ServerOnlineWalk};
 use crate::handshake::{handshake_server_ext, HelloReply, ResumeToken, SessionParams};
 use crate::inference::{SecureServer, ServerOffline};
 use crate::session::ServerSession;
@@ -48,7 +57,7 @@ use abnn2_net::{CommSnapshot, Transport, TransportError};
 use abnn2_ot::{FragmentChooser, OfflineMode};
 use rand::rngs::StdRng;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Where a session's side data (parameters, resume checkpoints, warm
 /// bundles) comes from, and where its checkpoint goes when it ends. The
@@ -152,20 +161,41 @@ pub enum DriverStep {
     Failed(ProtocolError),
 }
 
+/// What a driver has spent on running steps more than once, so far. The
+/// three counts are deterministic for a given feed schedule; the two
+/// clocks are wall time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ReplayCounters {
+    /// Step attempts: one per step, plus one per park inside it.
+    pub attempts: u64,
+    /// Inbound frames handed to protocol code, re-reads by later attempts
+    /// of the same step included.
+    pub frames_read: u64,
+    /// Inbound frames consumed by completed steps.
+    pub frames_consumed: u64,
+    /// Time attempts spent re-running what an earlier attempt of the same
+    /// step had already done: from the attempt's start until it has
+    /// repeated every event its predecessors externalized. Zero for a
+    /// step's first attempt.
+    pub replayed_ns: u64,
+    /// All other time inside attempts.
+    pub step_ns: u64,
+}
+
 /// Deterministic replay channel: protocol code runs against the buffered
 /// inbox; a recv past its end raises [`TransportError::WouldBlock`] and
 /// flags starvation, and outbound traffic is captured as
 /// [`DriverEffect`]s. Events performed by an earlier starved attempt of
-/// the same phase are suppressed by count on replay — sound because each
-/// phase is a deterministic function of its entry snapshot and the inbox
-/// prefix it reads.
+/// the same step are suppressed by count on replay — sound because each
+/// step is a deterministic function of the state it starts from and the
+/// inbox prefix it reads.
 #[derive(Debug, Default)]
 struct ReplayTransport {
-    /// Buffered inbound frames; consumed only when a phase completes.
+    /// Buffered inbound frames; consumed only when a step completes.
     inbox: Vec<Vec<u8>>,
     /// Next inbox index the current attempt will read.
     cursor: usize,
-    /// Events already externalized by earlier attempts of this phase.
+    /// Events already externalized by earlier attempts of this step.
     committed: usize,
     /// Events performed so far by the current attempt.
     events: usize,
@@ -176,6 +206,11 @@ struct ReplayTransport {
     sent: u64,
     received: u64,
     messages_sent: u64,
+    counters: ReplayCounters,
+    /// When the current attempt began, and how long it then took to catch
+    /// up with `committed`.
+    attempt_start: Option<Instant>,
+    catch_up: Duration,
 }
 
 impl ReplayTransport {
@@ -184,6 +219,25 @@ impl ReplayTransport {
         self.cursor = 0;
         self.events = 0;
         self.starved = false;
+        self.counters.attempts += 1;
+        self.attempt_start = Some(Instant::now());
+        self.catch_up = Duration::ZERO;
+    }
+
+    /// Closes the attempt's clocks; a completed step (`done`) releases the
+    /// frames it consumed, a starved one remembers how far it got.
+    fn end_attempt(&mut self, done: bool) {
+        let elapsed = self.attempt_start.take().map_or(Duration::ZERO, |t| t.elapsed());
+        let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        self.counters.replayed_ns += ns(self.catch_up);
+        self.counters.step_ns += ns(elapsed.saturating_sub(self.catch_up));
+        if done {
+            self.inbox.drain(..self.cursor);
+            self.counters.frames_consumed += self.cursor as u64;
+            self.committed = 0;
+        } else {
+            self.committed = self.events;
+        }
     }
 
     /// Counts one event; returns whether it is fresh (not yet
@@ -193,6 +247,8 @@ impl ReplayTransport {
         self.events += 1;
         if fresh {
             self.effects.push(effect());
+        } else if self.events == self.committed {
+            self.catch_up = self.attempt_start.map_or(Duration::ZERO, |t| t.elapsed());
         }
         fresh
     }
@@ -224,6 +280,7 @@ impl Transport for ReplayTransport {
         };
         let frame = frame.clone();
         self.cursor += 1;
+        self.counters.frames_read += 1;
         let (tag, len) = (frame.first().copied().unwrap_or(0), frame.len());
         if self.note_event(|| DriverEffect::Recv { tag, len }) {
             self.received += len as u64;
@@ -252,7 +309,7 @@ impl Transport for ReplayTransport {
 }
 
 /// The machine's position in the protocol. Each live variant holds the
-/// entry snapshot its phase replays from.
+/// state its next step starts from.
 enum State {
     Handshake,
     Setup {
@@ -262,7 +319,7 @@ enum State {
         pooled: Option<(ServerBundle, ClientBundle)>,
     },
     /// Second half of setup: the fragment-OT base batch is done and its
-    /// RNG draws committed, so a park on the Yao batch replays only that.
+    /// RNG draws committed, so a park on the Yao batch re-runs only that.
     SetupYao {
         kk: FragmentChooser,
         batch: usize,
@@ -271,18 +328,17 @@ enum State {
         pooled: Option<(ServerBundle, ClientBundle)>,
     },
     Offline {
-        session: ServerSession,
-        batch: usize,
+        walk: Box<ServerOfflineWalk>,
     },
     Online {
-        state: ServerOffline,
+        walk: Box<ServerOnlineWalk>,
     },
     Done,
     Failed(ProtocolError),
 }
 
 /// Resumable server-side protocol session. See the module docs for the
-/// replay mechanics; see [`drive_blocking`] for the synchronous adapter
+/// step mechanics; see [`drive_blocking`] for the synchronous adapter
 /// and `abnn2-serve` for the event-loop host.
 pub struct SessionDriver<H: SessionHost> {
     server: Arc<SecureServer>,
@@ -294,7 +350,7 @@ pub struct SessionDriver<H: SessionHost> {
     batch: Option<usize>,
     checkpoint: Option<ServerBundle>,
     pending: Vec<DriverEffect>,
-    /// Inbox length at the last starvation, to skip no-progress replays.
+    /// Inbox length at the last starvation, to skip no-progress attempts.
     parked_at: Option<usize>,
 }
 
@@ -375,6 +431,12 @@ impl<H: SessionHost> SessionDriver<H> {
         }
     }
 
+    /// What the session has spent on re-running starved steps so far.
+    #[must_use]
+    pub fn replay_counters(&self) -> ReplayCounters {
+        self.replay.counters
+    }
+
     /// The error a failed driver stopped with.
     #[must_use]
     pub fn error(&self) -> Option<ProtocolError> {
@@ -399,7 +461,7 @@ impl<H: SessionHost> SessionDriver<H> {
         }
     }
 
-    /// Advances the machine as far as the buffered inbox allows: phases
+    /// Advances the machine as far as the buffered inbox allows: steps
     /// complete and chain until one parks on a missing frame, fails, or
     /// the session finishes. Idempotent once `Done`/`Failed` is reached.
     pub fn step(&mut self) -> DriverStep {
@@ -409,7 +471,7 @@ impl<H: SessionHost> SessionDriver<H> {
                 State::Failed(e) => return DriverStep::Failed(e),
                 _ => {}
             }
-            // Replaying with no new frames since the last starvation
+            // Another attempt with no new frames since the last starvation
             // cannot make progress; skip the wasted work.
             if let Some(n) = self.parked_at {
                 if self.replay.inbox.len() == n {
@@ -419,23 +481,19 @@ impl<H: SessionHost> SessionDriver<H> {
             self.parked_at = None;
 
             // Each attempt runs on a clone of the RNG so a starved
-            // attempt leaves the stream untouched and the replay is
+            // attempt leaves the stream untouched and the next one is
             // bit-reproducible.
             let mut rng = self.rng.clone();
             self.replay.begin_attempt();
-            let outcome = self.run_phase(&mut rng);
-            let cursor = self.replay.cursor;
-            let events = self.replay.events;
+            let outcome = self.run_step(&mut rng);
+            self.replay.end_attempt(outcome.is_ok());
             self.pending.append(&mut self.replay.effects);
             match outcome {
                 Ok(next) => {
-                    self.replay.inbox.drain(..cursor);
-                    self.replay.committed = 0;
                     self.rng = rng;
                     self.state = next;
                 }
                 Err(_) if self.replay.starved => {
-                    self.replay.committed = events;
                     self.parked_at = Some(self.replay.inbox.len());
                     return DriverStep::NeedRecv;
                 }
@@ -446,11 +504,11 @@ impl<H: SessionHost> SessionDriver<H> {
         }
     }
 
-    /// Runs the current phase over the replay channel, returning the next
-    /// state. Mutations of driver fields other than the replay channel
-    /// happen only after the phase's last recv, so starved attempts leave
-    /// the driver unchanged.
-    fn run_phase(&mut self, rng: &mut StdRng) -> Result<State, ProtocolError> {
+    /// Runs the current step over the replay channel, returning the state
+    /// the next one starts from. A walk step runs on a copy of the walk
+    /// and the other steps change driver fields only after their last
+    /// recv, so a starved attempt leaves the driver unchanged.
+    fn run_step(&mut self, rng: &mut StdRng) -> Result<State, ProtocolError> {
         let ch = &mut self.replay;
         match &mut self.state {
             State::Handshake => {
@@ -499,35 +557,57 @@ impl<H: SessionHost> SessionDriver<H> {
                         return Err(ProtocolError::Malformed("resumed checkpoint batch mismatch"));
                     }
                     self.checkpoint = Some(bundle.clone());
-                    Ok(State::Online { state: ServerOffline::from_bundle(session, bundle) })
+                    enter_online(ch, &self.server, ServerOffline::from_bundle(session, bundle))
                 } else if reply.bundle {
                     let (sb, cb) = pooled.clone().expect("accepted bundle implies a pooled pair");
                     ch.mark_phase("bundle");
                     ch.send_frame(&Bundle(cb.encode(self.server.model.config().ring)))?;
                     ch.flush()?;
-                    let state = ServerOffline::from_bundle(session, sb);
-                    self.checkpoint = Some(state.to_bundle());
-                    Ok(State::Online { state })
+                    self.checkpoint = Some(sb.clone());
+                    enter_online(ch, &self.server, ServerOffline::from_bundle(session, sb))
                 } else {
-                    Ok(State::Offline { session, batch })
+                    ch.mark_phase("offline");
+                    let sg = self.server.model.secure_graph(batch)?;
+                    let walk = ServerOfflineWalk::new(session, sg, self.server.exec);
+                    Ok(State::Offline { walk: Box::new(walk) })
                 }
             }
-            State::Offline { session, batch } => {
-                let batch = *batch;
-                ch.mark_phase("offline");
-                let state = self.server.offline_with(ch, session.clone(), batch, rng)?;
+            State::Offline { walk } => {
+                let mut walk = walk.clone();
+                walk.step(ch, &self.server.model, rng)?;
+                if !walk.done() {
+                    return Ok(State::Offline { walk });
+                }
+                let state = walk.finish();
                 self.checkpoint = Some(state.to_bundle());
-                Ok(State::Online { state })
+                enter_online(ch, &self.server, state)
             }
-            State::Online { state } => {
-                ch.mark_phase("online");
-                self.server.online(ch, state.clone())?;
+            State::Online { walk } => {
+                let mut walk = walk.clone();
+                walk.step(ch, &self.server.model)?;
+                if !walk.done() {
+                    return Ok(State::Online { walk });
+                }
+                let (_, y0) = walk.finish();
+                self.server.open_logits(ch, &y0)?;
                 ch.flush()?;
                 Ok(State::Done)
             }
-            State::Done | State::Failed(_) => unreachable!("step() returns before run_phase"),
+            State::Done | State::Failed(_) => unreachable!("step() returns before run_step"),
         }
     }
+}
+
+/// The Offline→Online edge (or Setup→Online for a resumed or dealt
+/// bundle): marks the phase and starts the online walk over `state`.
+fn enter_online(
+    ch: &mut ReplayTransport,
+    server: &SecureServer,
+    state: ServerOffline,
+) -> Result<State, ProtocolError> {
+    ch.mark_phase("online");
+    let sg = server.model.secure_graph(state.bundle.batch)?;
+    Ok(State::Online { walk: Box::new(ServerOnlineWalk::new(state, sg, server.exec)?) })
 }
 
 /// What a completed [`drive_frames`] run observed about the driver's
@@ -537,6 +617,12 @@ pub struct DriveStats {
     /// How many times the driver parked on a missing frame and was fed
     /// one from the transport.
     pub suspensions: u32,
+    /// [`ReplayCounters::attempts`] of the finished session.
+    pub attempts: u64,
+    /// [`ReplayCounters::frames_read`] of the finished session.
+    pub frames_read: u64,
+    /// [`ReplayCounters::frames_consumed`] of the finished session.
+    pub frames_consumed: u64,
 }
 
 /// Runs a [`SessionDriver`] to completion over a blocking transport,
@@ -571,7 +657,7 @@ pub(crate) fn drive_frames_with<T: Transport, H: SessionHost>(
     driver: &mut SessionDriver<H>,
     mut observe: impl FnMut(&mut T, &DriverEffect) -> Result<(), ProtocolError>,
 ) -> Result<DriveStats, ProtocolError> {
-    let mut stats = DriveStats::default();
+    let mut suspensions = 0;
     loop {
         let step = driver.step();
         for effect in driver.take_effects() {
@@ -584,10 +670,14 @@ pub(crate) fn drive_frames_with<T: Transport, H: SessionHost>(
             }
         }
         match step {
-            DriverStep::Done => return Ok(stats),
+            DriverStep::Done => {
+                let ReplayCounters { attempts, frames_read, frames_consumed, .. } =
+                    driver.replay_counters();
+                return Ok(DriveStats { suspensions, attempts, frames_read, frames_consumed });
+            }
             DriverStep::Failed(e) => return Err(e),
             DriverStep::NeedRecv => {
-                stats.suspensions += 1;
+                suspensions += 1;
                 driver.feed(ch.recv()?);
             }
         }
@@ -654,7 +744,7 @@ mod tests {
 
     /// Frame-at-a-time event pump: every inbound frame is fed
     /// individually, so the driver suspends at each protocol recv and
-    /// replays each phase many times — yet the session produces
+    /// attempts many steps more than once — yet the session produces
     /// bit-exact logits and sends the hello reply exactly once.
     #[test]
     fn suspension_at_every_recv_is_bit_exact() {
@@ -665,7 +755,7 @@ mod tests {
         let client = SecureClient::for_model(server.public_model());
         let (mut sch, mut cch) = Endpoint::pair(NetworkModel::instant());
 
-        let (suspensions, hello_replies, y) = std::thread::scope(|scope| {
+        let (stats, hello_replies, y) = std::thread::scope(|scope| {
             let x2 = x.clone();
             let cli = scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(11);
@@ -684,14 +774,19 @@ mod tests {
                 }
             })
             .expect("server");
-            (stats.suspensions, hello_replies, cli.join().expect("client thread"))
+            (stats, hello_replies, cli.join().expect("client thread"))
         });
 
         assert_eq!(y.col(0), expected, "driver-served logits must equal forward_exact");
         assert_eq!(hello_replies, 1, "replay must suppress duplicate hello replies");
         // The session has real protocol depth: hello, base OTs, KK13
         // extensions, GC rounds, blinded input — each a separate park.
-        assert!(suspensions >= 8, "expected many suspension points, got {suspensions}");
+        assert!(stats.suspensions >= 8, "expected many suspension points, got {stats:?}");
+        // Every frame was parked for and consumed once; what was read
+        // twice is bounded per step, not by the length of a phase.
+        assert_eq!(u64::from(stats.suspensions), stats.frames_consumed);
+        assert!(stats.frames_read <= 3 * stats.frames_consumed, "{stats:?}");
+        assert!(stats.attempts > stats.frames_consumed, "parks mean repeated attempts");
     }
 
     /// `drive_blocking` replaces the old straight-line server flow.

@@ -35,7 +35,7 @@ use crate::config::ExecConfig;
 use crate::frames::BlindedInput;
 use crate::inference::{ClientOffline, ServerOffline};
 use crate::matbeaver::{generate_matrix_p0, generate_matrix_p1, mul_matrix_shares, MatrixTriple};
-use crate::matmul::{triplet_client_with, triplet_server_with, TripletMode};
+use crate::matmul::{triplet_client_with, TripletMode, TripletWalk};
 use crate::nonlinear::Lowering;
 use crate::session::{ClientSession, ServerSession};
 use crate::ProtocolError;
@@ -49,7 +49,7 @@ use abnn2_nn::QuantizedCnn;
 use abnn2_ot::{FragmentSender, IknpReceiver, IknpSender};
 use rand::Rng;
 use std::borrow::{Borrow, Cow};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The client-side view of a served model: the layer graph it lowers to
 /// (architecture plus fixed-point hyper-parameters), never weights. Every
@@ -530,72 +530,164 @@ fn reshare_inputs<'a, T: Transport, M: Borrow<Matrix>>(
     Ok(vec![Cow::Owned(product.into_vec())])
 }
 
-/// Offline phase, server half: walks the op sequence generating one §4.1
-/// triplet per linear op and one matrix Beaver triple per secret×secret
-/// matmul op over an established session. The Gilboa cross products behind
-/// matrix triples run over a dedicated IKNP pair, set up lazily at the
-/// first matmul op — graphs without matmul ops (MLP/CNN) send exactly the
-/// same bytes as before the extension.
+/// Offline phase, server half: the loop over `ServerOfflineWalk::step`.
+/// One §4.1 triplet per linear op and one matrix Beaver triple per
+/// secret×secret matmul op over an established session. The Gilboa cross
+/// products behind matrix triples run over a dedicated IKNP pair, set up
+/// lazily at the first matmul op — graphs without matmul ops (MLP/CNN)
+/// send exactly the same bytes as before the extension.
 ///
 /// # Errors
 ///
 /// Returns [`ProtocolError`] on any subprotocol failure.
 pub fn server_offline_with<T: Transport, R: Rng + ?Sized>(
     ch: &mut T,
-    mut session: ServerSession,
+    session: ServerSession,
     model: &ServedModel,
     sg: &SecureGraph,
     exec: ExecConfig,
     rng: &mut R,
 ) -> Result<ServerOffline, ProtocolError> {
-    let config = &sg.graph().config;
-    let (ring, scheme) = (config.ring, config.scheme.clone());
-    // Parallel offline schedule: worker threads for local OT compute only,
-    // the wire transcript is byte-identical for any thread count.
-    session.kk.set_threads(exec.threads);
-    let mut plans = sg.plan().into_iter();
-    let mut us = Vec::with_capacity(sg.graph().linear_count());
-    let mut mats = Vec::with_capacity(sg.graph().matmul_count());
-    let mut ots: Option<(IknpReceiver, IknpSender)> = None;
-    for (i, op) in sg.graph().ops.iter().enumerate() {
+    let mut walk = ServerOfflineWalk::new(session, sg.clone(), exec);
+    while !walk.done() {
+        walk.step(ch, model, rng)?;
+    }
+    Ok(walk.finish())
+}
+
+/// The server's offline phase as a resumable walk: the position in the op
+/// sequence plus everything generated so far. [`step`](Self::step) runs
+/// one unit — one [`TripletWalk`] step of a linear op, or one matrix
+/// triple — so the server waits on the client at most once per call
+/// (matrix triples and silent refills aside, only at its start). Blocking
+/// callers loop on it ([`server_offline_with`]); the session driver steps
+/// a copy and keeps it only if the step did not starve, which is why the
+/// walk is `Clone` and holds the model by parameter, not by reference.
+#[derive(Debug, Clone)]
+pub(crate) struct ServerOfflineWalk {
+    sg: SecureGraph,
+    exec: ExecConfig,
+    plans: Arc<[TripletPlan]>,
+    session: ServerSession,
+    /// The IKNP pair behind matrix triples, set up at the first matmul op.
+    ots: Option<(IknpReceiver, IknpSender)>,
+    us: Vec<Matrix>,
+    mats: Vec<MatrixTriple>,
+    /// Index of the op the next unit belongs to.
+    next: usize,
+    /// The linear op in progress, between its fragment groups.
+    triplet: Option<TripletWalk>,
+}
+
+impl ServerOfflineWalk {
+    pub(crate) fn new(mut session: ServerSession, sg: SecureGraph, exec: ExecConfig) -> Self {
+        // Parallel offline schedule: worker threads for local OT compute only,
+        // the wire transcript is byte-identical for any thread count.
+        session.kk.set_threads(exec.threads);
+        let mut walk = ServerOfflineWalk {
+            plans: sg.plan().into(),
+            us: Vec::with_capacity(sg.graph().linear_count()),
+            mats: Vec::with_capacity(sg.graph().matmul_count()),
+            sg,
+            exec,
+            session,
+            ots: None,
+            next: 0,
+            triplet: None,
+        };
+        walk.skip_idle_ops();
+        walk
+    }
+
+    /// Advances past ops that need nothing generated offline.
+    fn skip_idle_ops(&mut self) {
+        let ops = &self.sg.graph().ops;
+        while ops.get(self.next).is_some_and(|op| {
+            matches!(op.resource(), OpResource::FreshMask { .. } | OpResource::Output)
+        }) {
+            self.next += 1;
+        }
+    }
+
+    /// Whether every op's offline state has been generated.
+    pub(crate) fn done(&self) -> bool {
+        self.next == self.sg.graph().ops.len()
+    }
+
+    /// Runs the next unit; a no-op once [`done`](Self::done). `rng` feeds
+    /// the matrix-triple shares and their IKNP setup only.
+    pub(crate) fn step<T: Transport, R: Rng + ?Sized>(
+        &mut self,
+        ch: &mut T,
+        model: &ServedModel,
+        rng: &mut R,
+    ) -> Result<(), ProtocolError> {
+        let i = self.next;
+        let Some(op) = self.sg.graph().ops.get(i) else { return Ok(()) };
+        let config = &self.sg.graph().config;
         match op.resource() {
             OpResource::Triplet { m, n } => {
-                let plan = plans.next().expect("one plan per linear op");
-                let (weights, _) = model.linear_params(plan.linear);
-                if weights.len() != m * n {
-                    return Err(ProtocolError::Dimension("model does not match graph"));
-                }
-                ch.mark_phase(&format!("offline:op{i}/{}", plan.kind));
-                us.push(triplet_server_with(
-                    ch,
-                    &mut session.kk,
-                    weights,
-                    plan.m,
-                    plan.n,
-                    plan.o,
-                    &scheme,
-                    ring,
-                    exec.triplet(plan.mode),
-                )?);
+                let triplet = match &mut self.triplet {
+                    Some(triplet) => triplet,
+                    slot @ None => {
+                        let plan = &self.plans[self.us.len()];
+                        let (weights, _) = model.linear_params(plan.linear);
+                        if weights.len() != m * n {
+                            return Err(ProtocolError::Dimension("model does not match graph"));
+                        }
+                        ch.mark_phase(&format!("offline:op{i}/{}", plan.kind));
+                        let cfg = self.exec.triplet(plan.mode);
+                        slot.insert(TripletWalk::new(
+                            weights,
+                            plan.m,
+                            plan.n,
+                            plan.o,
+                            &config.scheme,
+                            config.ring,
+                            cfg,
+                        )?)
+                    }
+                };
+                let Some(u) = triplet.step(ch, &mut self.session.kk)? else { return Ok(()) };
+                self.us.push(u);
+                self.triplet = None;
             }
             OpResource::MatTriple { m, k, n } => {
                 ch.mark_phase(&format!("offline:op{i}/{}", op.kind()));
-                let pair = match &mut ots {
+                let pair = match &mut self.ots {
                     Some(pair) => pair,
                     slot @ None => {
                         let mut r = IknpReceiver::setup(ch, rng)?;
                         let mut s = IknpSender::setup(ch, rng)?;
-                        r.set_threads(exec.threads);
-                        s.set_threads(exec.threads);
+                        r.set_threads(self.exec.threads);
+                        s.set_threads(self.exec.threads);
                         slot.insert((r, s))
                     }
                 };
-                mats.push(generate_matrix_p0(ch, &mut pair.0, &mut pair.1, m, k, n, ring, rng)?);
+                let ring = config.ring;
+                self.mats.push(generate_matrix_p0(
+                    ch,
+                    &mut pair.0,
+                    &mut pair.1,
+                    m,
+                    k,
+                    n,
+                    ring,
+                    rng,
+                )?);
             }
             OpResource::FreshMask { .. } | OpResource::Output => {}
         }
+        self.next += 1;
+        self.skip_idle_ops();
+        Ok(())
     }
-    Ok(ServerOffline { session, bundle: ServerBundle { us, mats, batch: sg.batch() } })
+
+    /// The finished offline state.
+    pub(crate) fn finish(self) -> ServerOffline {
+        let bundle = ServerBundle { us: self.us, mats: self.mats, batch: self.sg.batch() };
+        ServerOffline::from_bundle(self.session, bundle)
+    }
 }
 
 /// Where the client-side offline walk gets its correlated randomness: the
@@ -748,11 +840,12 @@ pub fn client_offline_with<T: Transport, R: Rng + ?Sized>(
     Ok(ClientOffline { session, bundle })
 }
 
-/// Online phase, server half: receives the blinded input, walks the graph
-/// combining planned triplets with garbled-circuit re-shares, and returns
-/// the session plus the server's share of the output op's input — the
-/// caller decides whether to open it ([`crate::SecureServer::online`]) or
-/// feed it to a masked argmax ([`crate::SecureServer::online_classify`]).
+/// Online phase, server half: the loop over `ServerOnlineWalk::step`.
+/// Receives the blinded input, walks the graph combining planned triplets
+/// with garbled-circuit re-shares, and returns the session plus the
+/// server's share of the output op's input — the caller decides whether to
+/// open it ([`crate::SecureServer::online`]) or feed it to a masked argmax
+/// ([`crate::SecureServer::online_classify`]).
 ///
 /// # Errors
 ///
@@ -766,48 +859,135 @@ pub fn server_online_to_logits<T: Transport>(
     sg: &SecureGraph,
     exec: ExecConfig,
 ) -> Result<(ServerSession, Matrix), ProtocolError> {
-    let ServerOffline { mut session, bundle: ServerBundle { us, mats, batch } } = state;
-    let config = &sg.graph().config;
-    let ring = config.ring;
-    if batch != sg.batch() {
-        return Err(ProtocolError::Malformed("offline state batch mismatch"));
+    let mut walk = ServerOnlineWalk::new(state, sg.clone(), exec)?;
+    while !walk.done() {
+        walk.step(ch, model)?;
     }
-    check_shapes(&us, &sg.triplet_shapes(), "offline state does not fit the graph")?;
-    check_mat_shapes(&mats, &sg.matmul_plans())?;
+    Ok(walk.finish())
+}
 
-    ch.mark_phase("online:input");
-    let n0 = sg.graph().input_len();
-    let BlindedInput(x0_bytes) = ch.recv_frame()?;
-    if x0_bytes.len() != n0 * batch * ring.byte_len() {
-        return Err(ProtocolError::Malformed("blinded input length"));
+/// The server's online phase as a resumable walk over the tape machine.
+/// [`step`](Self::step) runs one unit: the blinded input, then one tape op
+/// — a local [`linear_share`], or a re-share op's opening and circuit,
+/// which is where the server waits. The walk is `Clone` for the same
+/// reason as [`ServerOfflineWalk`]; a copy shares the offline bundle and
+/// the pending op's circuit and duplicates only the session and the tape.
+#[derive(Debug, Clone)]
+pub(crate) struct ServerOnlineWalk {
+    sg: SecureGraph,
+    exec: ExecConfig,
+    bundle: Arc<ServerBundle>,
+    session: ServerSession,
+    /// The server's share of every slot computed so far; empty until the
+    /// blinded input has arrived.
+    tape: Vec<Matrix>,
+    /// Triplet shares and matrix triples consumed so far.
+    linears: usize,
+    matmuls: usize,
+    /// The circuit of the op the next step runs, built by the first
+    /// attempt at that step and shared with every copy of the walk, so a
+    /// step that is re-run after starving does not build it again.
+    lowering: Arc<OnceLock<Option<Lowering>>>,
+    done: bool,
+}
+
+impl ServerOnlineWalk {
+    /// # Errors
+    ///
+    /// [`ProtocolError::Malformed`] if the offline state does not fit the
+    /// graph.
+    pub(crate) fn new(
+        state: ServerOffline,
+        sg: SecureGraph,
+        exec: ExecConfig,
+    ) -> Result<Self, ProtocolError> {
+        let ServerOffline { session, bundle } = state;
+        if bundle.batch != sg.batch() {
+            return Err(ProtocolError::Malformed("offline state batch mismatch"));
+        }
+        check_shapes(&bundle.us, &sg.triplet_shapes(), "offline state does not fit the graph")?;
+        check_mat_shapes(&bundle.mats, &sg.matmul_plans())?;
+        Ok(ServerOnlineWalk {
+            tape: Vec::with_capacity(sg.graph().ops.len() + 1),
+            sg,
+            exec,
+            bundle,
+            session,
+            linears: 0,
+            matmuls: 0,
+            lowering: Arc::default(),
+            done: false,
+        })
     }
-    let mut tape: Vec<Matrix> = Vec::with_capacity(sg.graph().ops.len() + 1);
-    tape.push(Matrix::new(n0, batch, ring.decode_slice(&x0_bytes)));
 
-    let (mut us, mut mats) = (us.iter(), mats.iter());
-    let mut li = 0usize;
-    for (i, op) in sg.graph().ops.iter().enumerate() {
+    /// Whether the walk has reached the output op.
+    pub(crate) fn done(&self) -> bool {
+        self.done
+    }
+
+    /// Runs the next unit; a no-op once [`done`](Self::done).
+    pub(crate) fn step<T: Transport>(
+        &mut self,
+        ch: &mut T,
+        model: &ServedModel,
+    ) -> Result<(), ProtocolError> {
+        let graph = self.sg.graph();
+        let (config, batch) = (&graph.config, self.sg.batch());
+        let ring = config.ring;
+        let Some(i) = self.tape.len().checked_sub(1) else {
+            ch.mark_phase("online:input");
+            let n0 = graph.input_len();
+            let BlindedInput(x0_bytes) = ch.recv_frame()?;
+            if x0_bytes.len() != n0 * batch * ring.byte_len() {
+                return Err(ProtocolError::Malformed("blinded input length"));
+            }
+            self.tape.push(Matrix::new(n0, batch, ring.decode_slice(&x0_bytes)));
+            return Ok(());
+        };
+        if self.done {
+            return Ok(());
+        }
+        let op = graph.ops.get(i).ok_or(ProtocolError::Dimension("graph missing output op"))?;
         ch.mark_phase(&format!("online:op{i}/{}", op.kind()));
         let out = match op.resource() {
             OpResource::Triplet { m, n } => {
-                let (weights, bias) = model.linear_params(li);
-                li += 1;
-                let x = linear_input(op, &tape[op.sources(i)[0]]);
-                let u = us.next().expect("triplet shapes were checked");
+                let (weights, bias) = model.linear_params(self.linears);
+                let x = linear_input(op, &self.tape[op.sources(i)[0]]);
+                let u = &self.bundle.us[self.linears];
+                self.linears += 1;
                 linear_share(weights, bias, m, n, &x, u, ring)
             }
-            OpResource::Output => return Ok((session, tape[i].clone())),
+            OpResource::Output => {
+                self.done = true;
+                return Ok(());
+            }
             OpResource::MatTriple { .. } | OpResource::FreshMask { .. } => {
-                let shares = reshare_inputs(ch, op, i, &tape, &mut mats, ring, 0)?;
-                let lowering = Lowering::of(op, config, batch, exec.variant)
+                let lowering = self
+                    .lowering
+                    .get_or_init(|| Lowering::of(op, config, batch, self.exec.variant))
+                    .as_ref()
                     .ok_or(ProtocolError::Dimension("op has no re-sharing circuit"))?;
-                let z0 = lowering.server(ch, &mut session.yao, &shares, ring)?;
+                let mut mats = self.bundle.mats[self.matmuls..].iter();
+                let shares = reshare_inputs(ch, op, i, &self.tape, &mut mats, ring, 0)?;
+                let z0 = lowering.server(ch, &mut self.session.yao, &shares, ring)?;
+                self.matmuls = self.bundle.mats.len() - mats.len();
+                self.lowering = Arc::default();
                 Matrix::new(op.out_len(), batch, z0)
             }
         };
-        tape.push(out);
+        self.tape.push(out);
+        Ok(())
     }
-    Err(ProtocolError::Dimension("graph missing output op"))
+
+    /// The session and the server's share of the output op's input.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the walk is [`done`](Self::done).
+    pub(crate) fn finish(mut self) -> (ServerSession, Matrix) {
+        assert!(self.done, "online walk finished before the output op");
+        (self.session, self.tape.pop().expect("the output op's input slot"))
+    }
 }
 
 /// Online phase, client half: blinds the input with the offline mask,

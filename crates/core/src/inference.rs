@@ -65,21 +65,22 @@ pub fn layer_share(layer: &QuantizedDense, x: &Matrix, u: &Matrix, ring: Ring) -
 #[derive(Debug, Clone)]
 pub struct ServerOffline {
     pub(crate) session: ServerSession,
-    pub(crate) bundle: ServerBundle,
+    /// Read-only from here on, so the online walk and its copies share it.
+    pub(crate) bundle: Arc<ServerBundle>,
 }
 
 impl ServerOffline {
     /// Pairs a fresh session with an offline bundle.
     #[must_use]
     pub fn from_bundle(session: ServerSession, bundle: ServerBundle) -> Self {
-        ServerOffline { session, bundle }
+        ServerOffline { session, bundle: Arc::new(bundle) }
     }
 
     /// Copies out the bundle (for checkpointing; the state itself is
     /// consumed by the online phase).
     #[must_use]
     pub fn to_bundle(&self) -> ServerBundle {
-        self.bundle.clone()
+        ServerBundle::clone(&self.bundle)
     }
 }
 
@@ -240,9 +241,19 @@ impl SecureServer {
         ch: &mut T,
         state: ServerOffline,
     ) -> Result<(), ProtocolError> {
-        let ring = self.model.config().ring;
         let sg = self.model.secure_graph(state.bundle.batch)?;
         let (_, y0) = server_online_to_logits(ch, state, &self.model, &sg, self.exec)?;
+        self.open_logits(ch, &y0)
+    }
+
+    /// Opens the server's logit share `y0` toward the client: the last
+    /// frame of the Fig-2 online phase.
+    pub(crate) fn open_logits<T: Transport>(
+        &self,
+        ch: &mut T,
+        y0: &Matrix,
+    ) -> Result<(), ProtocolError> {
+        let ring = self.model.config().ring;
         ch.send_frame(&OutputShares(ring.encode_slice(y0.as_slice())))?;
         Ok(())
     }

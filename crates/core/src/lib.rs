@@ -77,8 +77,8 @@ pub use bundle::{
 };
 pub use config::{ExecConfig, SessionDeadlines};
 pub use driver::{
-    drive_blocking, drive_frames, DriveStats, DriverEffect, DriverStep, NullHost, SessionDriver,
-    SessionHost,
+    drive_blocking, drive_frames, DriveStats, DriverEffect, DriverStep, NullHost, ReplayCounters,
+    SessionDriver, SessionHost,
 };
 pub use error::ProtocolError;
 pub use graph::{CommCeiling, PublicModel, SecureGraph, ServedModel, TripletPlan};

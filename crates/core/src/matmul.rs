@@ -17,8 +17,9 @@ use crate::frames::TripletMasked;
 use crate::ProtocolError;
 use abnn2_math::{FragmentScheme, Matrix, Ring};
 use abnn2_net::Transport;
-use abnn2_ot::{FragmentChooser, FragmentSender};
+use abnn2_ot::{FragmentChooser, FragmentChooserKeys, FragmentSender};
 use rand::Rng;
+use std::sync::Arc;
 
 /// Which §4.1 message layout to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,7 +114,8 @@ pub fn triplet_server<T: Transport>(
     triplet_server_with(ch, kk, weights, m, n, o, scheme, ring, mode.into())
 }
 
-/// [`triplet_server`] with explicit execution options (thread count).
+/// [`triplet_server`] with explicit execution options (thread count): the
+/// loop over `TripletWalk::step`.
 ///
 /// # Errors
 ///
@@ -130,24 +132,106 @@ pub fn triplet_server_with<T: Transport>(
     ring: Ring,
     cfg: TripletConfig,
 ) -> Result<Matrix, ProtocolError> {
-    if weights.len() != m * n {
-        return Err(ProtocolError::Dimension("weights length must be m*n"));
+    let mut walk = TripletWalk::new(weights, m, n, o, scheme, ring, cfg)?;
+    loop {
+        if let Some(u) = walk.step(ch, kk)? {
+            return Ok(u);
+        }
     }
-    if !weights.iter().all(|&w| scheme.contains(w)) {
-        return Err(ProtocolError::Dimension("weight outside scheme domain"));
-    }
-    let mode = cfg.mode;
-    let digits: Vec<Vec<u64>> = weights.iter().map(|&w| scheme.decompose(w)).collect();
-    let elem_len = o * ring.byte_len();
-    let mut u = Matrix::zeros(m, o);
+}
 
-    for (g, frag) in scheme.fragments().iter().enumerate() {
-        let choices: Vec<u64> = digits.iter().map(|d| d[g]).collect();
-        let keys = kk.extend(ch, &choices, frag.n)?;
+/// The server half of one triplet as a resumable walk over the scheme's
+/// fragment groups. Every [`step`](Self::step) waits on the peer at most
+/// once and only at its start, so a suspended caller that re-runs a
+/// starved step from a copy of this state has next to nothing to redo:
+///
+/// * with no fragment in flight, extend the next one and send its columns
+///   (KK13 never waits here; a silent chooser whose COT pool runs short
+///   spends the step on one refill instead);
+/// * with one in flight, receive its [`TripletMasked`] batch and decode it
+///   into the partial share `U`.
+#[derive(Debug, Clone)]
+pub(crate) struct TripletWalk {
+    m: usize,
+    n: usize,
+    o: usize,
+    ring: Ring,
+    cfg: TripletConfig,
+    /// Each fragment group's radix, then each weight's digit in every
+    /// group. Never written after construction, so copies share them.
+    radices: Arc<[u64]>,
+    digits: Arc<[Vec<u64>]>,
+    /// Next fragment group to extend.
+    next: usize,
+    /// OT keys of the fragment in flight (written once, shared likewise).
+    pending: Option<Arc<FragmentChooserKeys>>,
+    /// Sum of the fragments decoded so far.
+    u: Matrix,
+}
+
+impl TripletWalk {
+    /// Checks `weights` (row-major `m×n`) against the scheme's domain.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Dimension`] on a length or domain mismatch.
+    pub(crate) fn new(
+        weights: &[i64],
+        m: usize,
+        n: usize,
+        o: usize,
+        scheme: &FragmentScheme,
+        ring: Ring,
+        cfg: TripletConfig,
+    ) -> Result<Self, ProtocolError> {
+        if weights.len() != m * n {
+            return Err(ProtocolError::Dimension("weights length must be m*n"));
+        }
+        if !weights.iter().all(|&w| scheme.contains(w)) {
+            return Err(ProtocolError::Dimension("weight outside scheme domain"));
+        }
+        Ok(TripletWalk {
+            m,
+            n,
+            o,
+            ring,
+            cfg,
+            radices: scheme.fragments().iter().map(|f| f.n).collect(),
+            digits: weights.iter().map(|&w| scheme.decompose(w)).collect(),
+            next: 0,
+            pending: None,
+            u: Matrix::zeros(m, o),
+        })
+    }
+
+    /// Runs one unit (see the type docs) and returns the finished share
+    /// `U` after the last fragment's.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProtocolError`] on disconnection or malformed client
+    /// messages.
+    pub(crate) fn step<T: Transport>(
+        &mut self,
+        ch: &mut T,
+        kk: &mut FragmentChooser,
+    ) -> Result<Option<Matrix>, ProtocolError> {
+        let Some(keys) = self.pending.take() else {
+            let (g, radix) = (self.next, self.radices[self.next]);
+            if kk.prepare(ch, self.digits.len(), radix)? {
+                let choices: Vec<u64> = self.digits.iter().map(|d| d[g]).collect();
+                self.pending = Some(Arc::new(kk.extend(ch, &choices, radix)?));
+                self.next += 1;
+            }
+            return Ok(None);
+        };
+        let (g, digits) = (self.next - 1, &self.digits);
+        let (m, n, o, ring, mode) = (self.m, self.n, self.o, self.ring, self.cfg.mode);
+        let elem_len = o * ring.byte_len();
         let TripletMasked(data) = ch.recv_frame()?;
         let per_ot = match mode {
-            TripletMode::MultiBatch => frag.n as usize,
-            TripletMode::OneBatch => frag.n as usize - 1,
+            TripletMode::MultiBatch => self.radices[g] as usize,
+            TripletMode::OneBatch => self.radices[g] as usize - 1,
         };
         if data.len() != m * n * per_ot * elem_len {
             return Err(ProtocolError::Malformed("triplet ciphertext batch length"));
@@ -158,7 +242,7 @@ pub fn triplet_server_with<T: Transport>(
         let decode_range = |range: std::ops::Range<usize>| -> Matrix {
             let mut u_part = Matrix::zeros(m, o);
             for idx in range {
-                let digit = choices[idx];
+                let digit = digits[idx][g];
                 let mut mask = keys.mask(idx, elem_len);
                 let vals = match (mode, digit) {
                     (TripletMode::OneBatch, 0) => {
@@ -188,12 +272,12 @@ pub fn triplet_server_with<T: Transport>(
             }
             u_part
         };
-        let u_frag = run_sharded(m * n, cfg.threads, &decode_range)
+        let u_frag = run_sharded(m * n, self.cfg.threads, &decode_range)
             .into_iter()
             .fold(Matrix::zeros(m, o), |acc, part| acc.add(&part, &ring));
-        u = u.add(&u_frag, &ring);
+        self.u = self.u.add(&u_frag, &ring);
+        Ok((self.next == self.radices.len()).then(|| self.u.clone()))
     }
-    Ok(u)
 }
 
 /// SplitMix64 finalizer: decorrelates the per-OT mask streams derived

@@ -103,6 +103,7 @@ pub fn reshare_client<T: Transport, S: AsRef<[u64]>, RNG: Rng + ?Sized>(
 }
 
 /// How one re-sharing op runs online.
+#[derive(Debug)]
 pub(crate) enum Lowering {
     /// Algorithm 2: one circuit over the op's operand shares. `gather`,
     /// when present, lists for each circuit input word the element of the

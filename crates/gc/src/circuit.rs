@@ -26,14 +26,31 @@ impl Word {
 }
 
 /// A gate in topological order. Input wires always precede the output wire.
+///
+/// Wires are stored as `u32`: a gate is 16 bytes instead of 32, and the
+/// gate list is the largest allocation either party makes per re-share op
+/// (13 MB at 32 bytes for a 128-wide GELU). [`CircuitBuilder`] refuses to
+/// number a wire past `u32::MAX`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Gate {
     /// `out = a ⊕ b` — free under free-XOR garbling.
-    Xor { a: WireId, b: WireId, out: WireId },
+    Xor { a: u32, b: u32, out: u32 },
     /// `out = a ∧ b` — two ciphertexts under half-gates.
-    And { a: WireId, b: WireId, out: WireId },
+    And { a: u32, b: u32, out: u32 },
     /// `out = ¬a` — free (label semantics flip).
-    Inv { a: WireId, out: WireId },
+    Inv { a: u32, out: u32 },
+}
+
+impl Gate {
+    /// The gate's wires as indices: `(a, b, out)`, with `b = a` for `Inv`.
+    #[must_use]
+    pub fn wires(&self) -> (WireId, WireId, WireId) {
+        let (a, b, out) = match *self {
+            Gate::Xor { a, b, out } | Gate::And { a, b, out } => (a, b, out),
+            Gate::Inv { a, out } => (a, a, out),
+        };
+        (a as WireId, b as WireId, out as WireId)
+    }
 }
 
 /// An immutable boolean circuit with two-party input ownership.
@@ -100,11 +117,12 @@ impl Circuit {
             values[w] = b;
         }
         for gate in &self.gates {
-            match *gate {
-                Gate::Xor { a, b, out } => values[out] = values[a] ^ values[b],
-                Gate::And { a, b, out } => values[out] = values[a] & values[b],
-                Gate::Inv { a, out } => values[out] = !values[a],
-            }
+            let (a, b, out) = gate.wires();
+            values[out] = match gate {
+                Gate::Xor { .. } => values[a] ^ values[b],
+                Gate::And { .. } => values[a] & values[b],
+                Gate::Inv { .. } => !values[a],
+            };
         }
         self.outputs.iter().map(|&w| values[w]).collect()
     }
@@ -138,8 +156,15 @@ impl CircuitBuilder {
 
     fn fresh(&mut self) -> WireId {
         let w = self.n_wires;
+        assert!(u32::try_from(w).is_ok(), "circuit exceeds 2^32 wires");
         self.n_wires += 1;
         w
+    }
+
+    /// `w` as a gate stores it; every wire `fresh` handed out fits.
+    fn stored(&self, w: WireId) -> u32 {
+        assert!(w < self.n_wires, "undefined wire");
+        w as u32
     }
 
     /// Declares one garbler-owned input bit.
@@ -169,21 +194,21 @@ impl CircuitBuilder {
     /// Adds an XOR gate (free).
     pub fn xor(&mut self, a: WireId, b: WireId) -> WireId {
         let out = self.fresh();
-        self.gates.push(Gate::Xor { a, b, out });
+        self.gates.push(Gate::Xor { a: self.stored(a), b: self.stored(b), out: self.stored(out) });
         out
     }
 
     /// Adds an AND gate (two garbled ciphertexts).
     pub fn and(&mut self, a: WireId, b: WireId) -> WireId {
         let out = self.fresh();
-        self.gates.push(Gate::And { a, b, out });
+        self.gates.push(Gate::And { a: self.stored(a), b: self.stored(b), out: self.stored(out) });
         out
     }
 
     /// Adds an inverter (free).
     pub fn inv(&mut self, a: WireId) -> WireId {
         let out = self.fresh();
-        self.gates.push(Gate::Inv { a, out });
+        self.gates.push(Gate::Inv { a: self.stored(a), out: self.stored(out) });
         out
     }
 

@@ -55,10 +55,11 @@ pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, rng: &mut R) -> (GarbledCircui
     let mut and_tables = Vec::with_capacity(circuit.and_count());
     let mut and_idx: u128 = 0;
     for gate in &circuit.gates {
-        match *gate {
-            Gate::Xor { a, b, out } => zero[out] = zero[a] ^ zero[b],
-            Gate::Inv { a, out } => zero[out] = zero[a] ^ delta,
-            Gate::And { a, b, out } => {
+        let (a, b, out) = gate.wires();
+        match gate {
+            Gate::Xor { .. } => zero[out] = zero[a] ^ zero[b],
+            Gate::Inv { .. } => zero[out] = zero[a] ^ delta,
+            Gate::And { .. } => {
                 let (t0, t1) = (2 * and_idx, 2 * and_idx + 1);
                 and_idx += 1;
                 let (za, zb) = (zero[a], zero[b]);
@@ -130,10 +131,11 @@ pub fn evaluate(
 
     let mut and_idx: u128 = 0;
     for gate in &circuit.gates {
-        match *gate {
-            Gate::Xor { a, b, out } => label[out] = label[a] ^ label[b],
-            Gate::Inv { a, out } => label[out] = label[a],
-            Gate::And { a, b, out } => {
+        let (a, b, out) = gate.wires();
+        match gate {
+            Gate::Xor { .. } => label[out] = label[a] ^ label[b],
+            Gate::Inv { .. } => label[out] = label[a],
+            Gate::And { .. } => {
                 let (t0, t1) = (2 * and_idx, 2 * and_idx + 1);
                 let (tg, te) = garbled.and_tables[and_idx as usize];
                 and_idx += 1;

@@ -119,6 +119,9 @@ impl YaoEvaluator {
         }
         let and_tables: Vec<(Block, Block)> =
             table_blocks.chunks_exact(2).map(|p| (p[0], p[1])).collect();
+        // The tables are the op's largest frame: hold one copy, not two,
+        // through the label OTs and the evaluation.
+        drop(table_blocks);
         let output_decode: Vec<bool> =
             (0..circuit.outputs().len()).map(|i| get_bit(&decode_bytes, i)).collect();
         let my_labels = self.ot.recv(ch, my_bits)?;

@@ -22,6 +22,9 @@
 //! * [`FrameBuffer`] — incremental, non-blocking reassembly and draining
 //!   of the same length-prefixed frames over a readiness-driven socket,
 //!   for event-loop servers that multiplex many sessions per thread,
+//! * [`ready`] (Unix) — one blocking `poll(2)` over those sockets plus a
+//!   cross-thread [`ready::Waker`], so such a loop sleeps until there is
+//!   something to sweep,
 //! * [`NetworkModel`] — latency/bandwidth profiles ([`NetworkModel::lan`],
 //!   [`NetworkModel::wan_secureml`], [`NetworkModel::wan_quotient`]) for the
 //!   simulated endpoint,
@@ -68,6 +71,8 @@ pub mod fault;
 pub mod instrument;
 pub mod model;
 pub mod pump;
+#[cfg(unix)]
+pub mod ready;
 pub mod runner;
 pub mod tcp;
 pub mod transport;

@@ -160,6 +160,26 @@ impl FragmentChooser {
         }
     }
 
+    /// Runs at most one round of the waiting on the peer that an
+    /// [`extend`](Self::extend) of `m` OTs at radix `n` would otherwise do
+    /// inline — one silent-OT refill; KK13 never waits — and returns
+    /// whether that `extend` will now send without receiving. A resumable
+    /// caller loops on this so each wait is a step of its own.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on disconnection or malformed peer messages.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is outside `2..=256`.
+    pub fn prepare<T: Transport>(&mut self, ch: &mut T, m: usize, n: u64) -> Result<bool, OtError> {
+        match self {
+            FragmentChooser::Kk(_) => Ok(true),
+            FragmentChooser::Silent(c) => c.prepare(ch, m, n),
+        }
+    }
+
     /// Extends with one choice symbol per OT; all symbols must be below `n`.
     ///
     /// # Errors

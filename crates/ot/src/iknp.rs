@@ -20,6 +20,7 @@ use rand::Rng;
 pub(crate) const PAR_MIN_OTS: usize = 4096;
 
 /// Sender side of IKNP extension (holds the message pairs).
+#[derive(Clone)]
 pub struct IknpSender {
     s_bits: Vec<bool>,
     s_block: Block,
@@ -330,16 +331,20 @@ impl IknpReceiver {
         self.threads = threads.max(1);
     }
 
-    /// Core extension step: sends masked columns, returns per-row blocks
-    /// `t_j` (the key for the chosen message).
-    fn extend_rows<T: Transport>(
+    /// Core extension step of the variants the sender answers: sends the
+    /// masked columns and returns this party's `t` columns still
+    /// untransposed. The caller receives the reply first and transposes
+    /// afterwards ([`rows_of`](Self::rows_of)): the sender gets to start
+    /// on its own transpose one transpose sooner, and a suspended caller
+    /// that is re-run up to its receive repeats only the column PRG.
+    fn extend_columns<T: Transport>(
         &mut self,
         ch: &mut T,
         choices: &[bool],
-    ) -> Result<Vec<Block>, OtError> {
-        let (u, rows) = self.derive_rows(choices);
+    ) -> Result<Vec<Vec<u8>>, OtError> {
+        let (u, t_cols) = self.derive_columns(choices);
         ch.send_frame(&IknpColumns(u))?;
-        Ok(rows)
+        Ok(t_cols)
     }
 
     /// Raw correlated-OT extension for the silent-OT bootstrap: returns the
@@ -354,20 +359,23 @@ impl IknpReceiver {
         ch: &mut T,
         choices: &[bool],
     ) -> Result<Vec<Block>, OtError> {
-        let (u, rows) = self.derive_rows(choices);
+        let (u, t_cols) = self.derive_columns(choices);
+        let rows = self.rows_of(&t_cols, choices.len());
         ch.send_frame(&SilentBaseColumns(u))?;
         self.bump_tweak(choices.len());
         Ok(rows)
     }
 
-    fn derive_rows(&mut self, choices: &[bool]) -> (Vec<u8>, Vec<Block>) {
+    /// Expands both PRGs of every base pair by one column: the masked
+    /// column message `u` and this party's own `t` columns.
+    fn derive_columns(&mut self, choices: &[bool]) -> (Vec<u8>, Vec<Vec<u8>>) {
         let m = choices.len();
         if m == 0 {
             return (Vec::new(), Vec::new());
         }
         let col_bytes = m.div_ceil(8);
         let b = pack_bits(choices);
-        let threads = if m < PAR_MIN_OTS { 1 } else { self.threads };
+        let threads = self.threads_for(m);
         let mut t_cols: Vec<Vec<u8>> = vec![Vec::new(); KAPPA];
         let mut u = vec![0u8; KAPPA * col_bytes];
         if threads <= 1 {
@@ -408,11 +416,27 @@ impl IknpReceiver {
                 }
             });
         }
-        let rows = transpose_columns_par(&t_cols, m, threads)
+        (u, t_cols)
+    }
+
+    /// The per-row blocks `t_j` (the key for the chosen message) of `m`
+    /// OTs' worth of `t` columns.
+    fn rows_of(&self, t_cols: &[Vec<u8>], m: usize) -> Vec<Block> {
+        if m == 0 {
+            return Vec::new();
+        }
+        transpose_columns_par(t_cols, m, self.threads_for(m))
             .into_iter()
             .map(|r| Block::from_bytes(r.try_into().expect("16-byte row")))
-            .collect();
-        (u, rows)
+            .collect()
+    }
+
+    fn threads_for(&self, m: usize) -> usize {
+        if m < PAR_MIN_OTS {
+            1
+        } else {
+            self.threads
+        }
     }
 
     /// One batched hash pass over `H(t, t_j)` for every row.
@@ -436,13 +460,13 @@ impl IknpReceiver {
         ch: &mut T,
         choices: &[bool],
     ) -> Result<Vec<Block>, OtError> {
-        let ts = self.extend_rows(ch, choices)?;
+        let t_cols = self.extend_columns(ch, choices)?;
         let base_tweak = self.bump_tweak(choices.len());
         let IknpCts(cts) = ch.recv_frame()?;
         if cts.len() != 2 * choices.len() {
             return Err(OtError::Malformed("IKNP ciphertext batch has wrong length"));
         }
-        let hs = self.hash_rows(&ts, base_tweak);
+        let hs = self.hash_rows(&self.rows_of(&t_cols, choices.len()), base_tweak);
         Ok(hs
             .iter()
             .zip(choices)
@@ -461,7 +485,10 @@ impl IknpReceiver {
         ch: &mut T,
         choices: &[bool],
     ) -> Result<Vec<Block>, OtError> {
-        let ts = self.extend_rows(ch, choices)?;
+        // No reply to wait for, so nothing to overlap the transpose with.
+        let (u, t_cols) = self.derive_columns(choices);
+        let ts = self.rows_of(&t_cols, choices.len());
+        ch.send_frame(&IknpColumns(u))?;
         let base_tweak = self.bump_tweak(choices.len());
         Ok(self.hash_rows(&ts, base_tweak))
     }
@@ -477,14 +504,14 @@ impl IknpReceiver {
         choices: &[bool],
         ring: Ring,
     ) -> Result<Vec<u64>, OtError> {
-        let ts = self.extend_rows(ch, choices)?;
+        let t_cols = self.extend_columns(ch, choices)?;
         let base_tweak = self.bump_tweak(choices.len());
         let OtCorrections(corr_bytes) = ch.recv_frame()?;
         if corr_bytes.len() != ring.byte_len() * choices.len() {
             return Err(OtError::Malformed("C-OT correction batch has wrong length"));
         }
         let corrections = ring.decode_slice(&corr_bytes);
-        let hs = self.hash_rows(&ts, base_tweak);
+        let hs = self.hash_rows(&self.rows_of(&t_cols, choices.len()), base_tweak);
         Ok(hs
             .iter()
             .zip(choices)
@@ -513,14 +540,15 @@ impl IknpReceiver {
         width: usize,
         ring: Ring,
     ) -> Result<Vec<Vec<u64>>, OtError> {
-        let ts = self.extend_rows(ch, choices)?;
+        let t_cols = self.extend_columns(ch, choices)?;
         let base_tweak = self.bump_tweak(choices.len());
         let elem_len = width * ring.byte_len();
         let OtVecPayload(payload) = ch.recv_frame()?;
         if payload.len() != elem_len * choices.len() {
             return Err(OtError::Malformed("vector C-OT correction batch length"));
         }
-        Ok(ts
+        Ok(self
+            .rows_of(&t_cols, choices.len())
             .iter()
             .zip(choices)
             .enumerate()

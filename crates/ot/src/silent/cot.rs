@@ -258,10 +258,27 @@ impl SilentCotReceiver {
         ch: &mut T,
         count: usize,
     ) -> Result<Vec<(bool, Block)>, OtError> {
-        while self.pool.len() < count {
+        while !self.refill_toward(ch, count)? {}
+        Ok(self.pool.drain(..count).collect())
+    }
+
+    /// Runs at most one refill toward a pool of `count` COTs and returns
+    /// whether the pool now holds them. A refill is the only point where
+    /// [`take`](Self::take) waits on the peer, so a caller that must not
+    /// wait twice in one call advances the pool with this first.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on disconnection or malformed refill messages.
+    pub fn refill_toward<T: Transport>(
+        &mut self,
+        ch: &mut T,
+        count: usize,
+    ) -> Result<bool, OtError> {
+        if self.pool.len() < count {
             self.refill(ch)?;
         }
-        Ok(self.pool.drain(..count).collect())
+        Ok(self.pool.len() >= count)
     }
 
     fn refill<T: Transport>(&mut self, ch: &mut T) -> Result<(), OtError> {

@@ -132,6 +132,21 @@ impl SilentKkChooser {
         Ok(SilentKkChooser { cot: SilentCotReceiver::setup(ch, rng)?, tweak: 0 })
     }
 
+    /// Runs at most one COT refill toward an [`extend`](Self::extend) of
+    /// `m` OTs at radix `n` and returns whether that `extend` will now run
+    /// without waiting on the peer.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on disconnection or malformed refill messages.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is outside `2..=256`.
+    pub fn prepare<T: Transport>(&mut self, ch: &mut T, m: usize, n: u64) -> Result<bool, OtError> {
+        self.cot.refill_toward(ch, m * choice_bits(n))
+    }
+
     /// Extends with one choice symbol per OT; all symbols must be below `n`.
     ///
     /// # Errors

@@ -11,7 +11,9 @@
 //!   [`SessionDriver`](abnn2_core::driver::SessionDriver) state machine
 //!   (handshake → base-OT setup → offline-or-bundle → online) fed by a
 //!   non-blocking [`FrameBuffer`](abnn2_net::FrameBuffer), so peak thread
-//!   count scales with workers, not connected clients. When the queue is
+//!   count scales with workers, not connected clients; a worker whose
+//!   sessions are all waiting sleeps in `poll(2)`
+//!   ([`abnn2_net::ready`]) until a socket or the acceptor wakes it. When the queue is
 //!   full or the server is draining, new connections are rejected *in
 //!   protocol* (a busy hello frame) so clients see a typed
 //!   [`ProtocolError::Overloaded`], never a hang. Resume checkpoints live
@@ -25,8 +27,11 @@
 //!   asks for a bundle in its hello skips the interactive offline phase
 //!   entirely: the server pops a pair, sends the client half in a
 //!   dedicated `"bundle"` instrumentation phase, and proceeds straight to
-//!   the online phase. See DESIGN.md §6 for the dealer trust model this
-//!   implies — the pool is an opt-in trade of offline latency for trust.
+//!   the online phase. The pool is a dealer inside the server process:
+//!   it samples the client's input mask itself, so **a warm session does
+//!   not hide the client's input from the server** (DESIGN.md §6); cold
+//!   sessions ([`ServeClient::with_bundles`]`(false)`) keep the paper's
+//!   guarantee.
 //! * [`GovernorConfig`] — per-session resource budgets enforced by every
 //!   worker sweep (idle-park eviction, outbound-queue byte cap,
 //!   plan-keyed inbound quotas) plus the supervisor rules: each session
@@ -37,8 +42,10 @@
 //!   `retry_after_ms` hint derived from queue depth and occupancy, which
 //!   [`ServeClient`] honors with bounded backoff.
 //! * [`MetricsRegistry`] — thread-safe serving metrics: admission
-//!   counters, live session gauge, pool hit/miss counters, and per-phase
-//!   traffic aggregated across every connection's
+//!   counters, live session gauge, pool hit/miss counters, what the
+//!   session drivers spent re-running parked steps
+//!   ([`ReplayCounters`](abnn2_core::driver::ReplayCounters)), and
+//!   per-phase traffic aggregated across every connection's
 //!   [`InstrumentHandle`](abnn2_net::InstrumentHandle).
 //! * [`ServeClient`] — the matching client driver: reconnect-and-resume
 //!   (shared with PR 2), warm-bundle negotiation, and a per-request
@@ -49,6 +56,9 @@
 //! on every path — cold, warm, resumed, or downgraded.
 //!
 //! [`ProtocolError::Overloaded`]: abnn2_core::ProtocolError::Overloaded
+
+#[cfg(not(unix))]
+compile_error!("abnn2-serve's workers wait in poll(2) (abnn2_net::ready): Unix only");
 
 pub mod client;
 pub mod governor;

@@ -8,6 +8,7 @@
 //! registration, so the registry's memory stays proportional to *live*
 //! sessions, not total sessions served.
 
+use abnn2_core::driver::ReplayCounters;
 use abnn2_net::{InstrumentHandle, PhaseStats, TagStats};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,6 +41,9 @@ pub struct MetricsSnapshot {
     pub active: u64,
     /// Precompute-pool counters (zeroed when the pool is disabled).
     pub pool: PoolSnapshot,
+    /// What the session drivers spent on re-running starved steps, summed
+    /// over every session that has ended.
+    pub driver: ReplayCounters,
     /// Per-phase traffic summed over every session ever registered, in
     /// first-seen phase order (`handshake`, `setup`, `bundle`/`offline`,
     /// `online` for a typical server).
@@ -76,10 +80,11 @@ impl MetricsSnapshot {
     }
 
     /// Renders the snapshot in the Prometheus text exposition format
-    /// (version 0.0.4): admission counters, the active-session and
-    /// pool-ready gauges, and per-phase / per-frame-tag traffic as
-    /// labelled counters. Tags are labelled with both the raw byte and the
-    /// wire name from [`abnn2_net::wire::tags::name`]; tag byte counts
+    /// (version 0.0.4): admission counters, the session drivers' replay
+    /// counters, the active-session and pool-ready gauges, and per-phase /
+    /// per-frame-tag traffic as labelled counters. Tags are labelled with
+    /// both the raw byte and the wire name from
+    /// [`abnn2_net::wire::tags::name`]; tag byte counts
     /// exclude the tag byte itself, exactly as [`MetricsSnapshot::tags`]
     /// reports them.
     #[must_use]
@@ -141,6 +146,32 @@ impl MetricsSnapshot {
             "Bundle requests that fell back to the cold offline phase.",
             self.pool.misses,
         );
+        counter(
+            "abnn2_serve_driver_attempts_total",
+            "Session-driver step attempts: one per step plus one per park inside it.",
+            self.driver.attempts,
+        );
+        counter(
+            "abnn2_serve_driver_frames_reread_total",
+            "Inbound frames handed to protocol code again after a starved attempt.",
+            self.driver.frames_read - self.driver.frames_consumed,
+        );
+        for (name, help, ns) in [
+            (
+                "abnn2_serve_driver_replayed_seconds_total",
+                "Time attempts spent repeating what an earlier attempt of the same step did.",
+                self.driver.replayed_ns,
+            ),
+            (
+                "abnn2_serve_driver_step_seconds_total",
+                "All other time session drivers spent inside step attempts.",
+                self.driver.step_ns,
+            ),
+        ] {
+            let _ = writeln!(out, "# HELP {name} {help}");
+            let _ = writeln!(out, "# TYPE {name} counter");
+            let _ = writeln!(out, "{name} {:.6}", ns as f64 / 1e9);
+        }
 
         let _ =
             writeln!(out, "# HELP abnn2_serve_sessions_active Sessions currently being served.");
@@ -303,6 +334,7 @@ pub struct MetricsRegistry {
     panicked: AtomicU64,
     worker_respawns: AtomicU64,
     active: AtomicU64,
+    driver: Mutex<ReplayCounters>,
     phases: Mutex<PhaseAggregate>,
 }
 
@@ -363,6 +395,16 @@ impl MetricsRegistry {
         self.worker_respawns.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Adds an ended session's driver counters to the totals.
+    pub fn driver_finished(&self, c: ReplayCounters) {
+        let mut total = self.driver.lock().expect("metrics lock");
+        total.attempts += c.attempts;
+        total.frames_read += c.frames_read;
+        total.frames_consumed += c.frames_consumed;
+        total.replayed_ns += c.replayed_ns;
+        total.step_ns += c.step_ns;
+    }
+
     /// Adds a session's instrument handle to the per-phase aggregation.
     /// Finished sessions are folded into the frozen totals as a side
     /// effect, bounding live-handle growth.
@@ -387,6 +429,7 @@ impl MetricsRegistry {
             worker_respawns: self.worker_respawns.load(Ordering::Relaxed),
             active: self.active.load(Ordering::Relaxed),
             pool,
+            driver: *self.driver.lock().expect("metrics lock"),
             phases: agg.totals(),
             tags: agg.tag_totals(),
         }
@@ -446,7 +489,19 @@ mod tests {
         t.send_u64(42).unwrap();
         let _ = b.recv_u64().unwrap();
 
+        reg.driver_finished(ReplayCounters {
+            attempts: 7,
+            frames_read: 12,
+            frames_consumed: 9,
+            replayed_ns: 1_500_000,
+            step_ns: 2_000_000_000,
+        });
+
         let text = reg.snapshot(PoolSnapshot::default()).render_prometheus();
+        assert!(text.contains("abnn2_serve_driver_attempts_total 7"));
+        assert!(text.contains("abnn2_serve_driver_frames_reread_total 3"));
+        assert!(text.contains("abnn2_serve_driver_replayed_seconds_total 0.001500"));
+        assert!(text.contains("abnn2_serve_driver_step_seconds_total 2.000000"));
         assert!(text.contains("abnn2_serve_connections_accepted_total 1"));
         assert!(text.contains("abnn2_serve_connections_rejected_total 1"));
         assert!(text.contains("abnn2_serve_sessions_completed_total 1"));

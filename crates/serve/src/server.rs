@@ -14,23 +14,31 @@
 //!    [`SessionDriver`] — the server-side protocol as a resumable state
 //!    machine. Each worker sweeps up to `sessions_per_worker` live
 //!    drivers: complete inbound frames are fed in, the driver advances as
-//!    far as it can, and its effects (sends, phase marks) are applied to
+//!    far as it can — one protocol step at a time, each run once (§3g of
+//!    DESIGN.md) — and its effects (sends, phase marks) are applied to
 //!    the socket and the metrics meter. A driver waiting on the peer
-//!    costs no thread — it is simply parked until its socket turns
-//!    readable — so peak thread count scales with *workers*, not clients.
+//!    costs no thread: it is parked, and the worker sleeps in one
+//!    `poll(2)` ([`abnn2_net::ready`]) over every parked session's socket
+//!    and its own [`Waker`], which the acceptor signals after queueing a
+//!    connection. Peak thread count scales with *workers*, not clients,
+//!    and an idle worker wakes for work, not on a timer.
 //! 3. The [`PrecomputePool`] and the resume [`CheckpointStore`] are
 //!    sharded per worker: each worker prefers its own pool shard (and
 //!    steals from siblings rather than strand warm bundles), and
 //!    checkpoints hash onto a shard by token, so any worker can resume a
 //!    session that died on another.
 //! 4. [`Server::begin_drain`] flips admission off while in-flight
-//!    sessions run to completion; the acceptor is woken by a throwaway
-//!    self-connection when the drain completes — no sleep-polling —
-//!    and [`Server::shutdown`] additionally joins every thread.
+//!    sessions run to completion and wakes every worker to see it; the
+//!    acceptor is woken by a throwaway self-connection when the drain
+//!    completes — no sleep-polling — and [`Server::shutdown`]
+//!    additionally joins every thread.
 //! 5. A **governor** ([`GovernorConfig`]) budgets every sweep: idle-parked
 //!    sessions, non-draining peers, and inbound-quota violators are
 //!    checkpointed (when resumable) and evicted, so one bad peer cannot
-//!    pin a slot its warm siblings need. Each session sweep runs under
+//!    pin a slot its warm siblings need. The read and idle clocks measure
+//!    the *peer's* silence: they start when a sweep leaves the session
+//!    parked, never while the worker is computing for it or a sibling.
+//!    Each session sweep runs under
 //!    `catch_unwind`: a panicking session is quarantined — torn down, its
 //!    possibly-poisoned checkpoint discarded — while the worker and its
 //!    sibling sessions keep running. A **supervisor** thread watches
@@ -57,6 +65,7 @@ use abnn2_core::{
     CheckpointStore, CommCeiling, ExecConfig, ProtocolError, SecureServer, ServedModel,
     SessionDeadlines,
 };
+use abnn2_net::ready::{self, Interest, Waker};
 use abnn2_net::{FrameBuffer, InstrumentHandle, TcpTransport, TransportError};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -64,7 +73,7 @@ use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -195,7 +204,9 @@ struct QueueState {
 
 struct Shared {
     queue: Mutex<QueueState>,
-    work: Condvar,
+    /// One per worker, by index (a respawned worker inherits its
+    /// predecessor's): signalled when the queue or the drain flag changed.
+    wakers: Vec<Waker>,
     server: Arc<SecureServer>,
     config: ServeConfig,
     store: ShardedCheckpointStore,
@@ -215,6 +226,16 @@ struct Shared {
     /// Latch so a chaos injection (session or worker panic) fires once.
     chaos_fired: AtomicBool,
 }
+
+impl Shared {
+    fn wake_workers(&self) {
+        self.wakers.iter().for_each(Waker::wake);
+    }
+}
+
+/// How long a worker sleeps at most with nothing to do, so its heartbeat
+/// keeps beating and a lost wake costs a bounded delay, never a hang.
+const HEARTBEAT_SLICE: Duration = Duration::from_millis(100);
 
 fn now_millis(shared: &Shared) -> u64 {
     u64::try_from(shared.started.elapsed().as_millis()).unwrap_or(u64::MAX)
@@ -246,7 +267,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// I/O errors from binding the listener.
+    /// I/O errors from binding the listener or creating the workers'
+    /// wake channels.
     ///
     /// # Panics
     ///
@@ -262,6 +284,7 @@ impl Server {
         assert!(config.sessions_per_worker > 0, "need at least one session per worker");
         let listener = TcpListener::bind(addr)?;
         let bound = listener.local_addr()?;
+        let wakers = (0..config.workers).map(|_| Waker::new()).collect::<Result<_, _>>()?;
 
         let server = Arc::new(SecureServer::for_model(model).with_exec(config.exec));
         let pools = if config.pool_depth > 0 {
@@ -283,7 +306,7 @@ impl Server {
         let store = ShardedCheckpointStore::new(config.checkpoint_capacity, config.workers);
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState { conns: VecDeque::new(), draining: false }),
-            work: Condvar::new(),
+            wakers,
             server,
             config: config.clone(),
             store,
@@ -372,7 +395,7 @@ impl Server {
             let mut q = self.shared.queue.lock().expect("queue lock");
             q.draining = true;
         }
-        self.shared.work.notify_all();
+        self.shared.wake_workers();
         for pool in &self.shared.pools {
             pool.shutdown();
         }
@@ -464,7 +487,9 @@ fn acceptor_loop(listener: &TcpListener, shared: &Shared) {
                 match rejected {
                     None => {
                         shared.metrics.connection_accepted();
-                        shared.work.notify_one();
+                        // Every worker, not one: only the workers know
+                        // which of them has a free slot.
+                        shared.wake_workers();
                     }
                     Some(stream) => {
                         shared.metrics.connection_rejected();
@@ -553,12 +578,62 @@ impl SessionHost for WorkerHost<'_> {
 
 /// Outcome of one sweep of one live session.
 enum Sweep {
-    /// Still parked waiting for the peer; nothing happened.
-    Idle,
-    /// Frames moved or the driver advanced; still live.
-    Progress,
+    /// Still live, parked until its socket is ready again.
+    Parked,
     /// The session ended (`true` = completed successfully).
     Finished(bool),
+}
+
+/// Why a parked session's time is up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Expiry {
+    /// A phase budget or the read timeout ran out: the session fails with
+    /// [`ProtocolError::TimedOut`], as it would on the blocking path.
+    TimedOut,
+    /// The governor's idle-park budget ran out: the session is evicted.
+    Evict,
+}
+
+/// The instants at which a parked session's time is up, as a value, so
+/// the decision is made without reading a clock (and is tested that way).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ParkClocks {
+    timed_out_at: Option<Instant>,
+    evict_at: Option<Instant>,
+}
+
+impl ParkClocks {
+    /// The phase budget runs from the phase's mark; the read timeout and
+    /// the idle-park budget from `waiting_since`, the moment the session
+    /// was last left waiting on its peer.
+    fn new(
+        waiting_since: Instant,
+        phase_deadline: Option<Instant>,
+        read_timeout: Option<Duration>,
+        idle_timeout: Option<Duration>,
+    ) -> Self {
+        let read_deadline = read_timeout.map(|rt| waiting_since + rt);
+        ParkClocks {
+            timed_out_at: phase_deadline.into_iter().chain(read_deadline).min(),
+            evict_at: idle_timeout.map(|it| waiting_since + it),
+        }
+    }
+
+    fn expired(&self, now: Instant) -> Option<Expiry> {
+        if self.timed_out_at.is_some_and(|at| now >= at) {
+            Some(Expiry::TimedOut)
+        } else if self.evict_at.is_some_and(|at| now >= at) {
+            Some(Expiry::Evict)
+        } else {
+            None
+        }
+    }
+
+    /// The first instant at which [`expired`](Self::expired) can turn
+    /// `Some`: how long the worker may sleep on this session's account.
+    fn next(&self) -> Option<Instant> {
+        self.timed_out_at.into_iter().chain(self.evict_at).min()
+    }
 }
 
 fn spawn_worker(shared: &Arc<Shared>, worker: usize, seed: u64) -> JoinHandle<()> {
@@ -643,9 +718,13 @@ struct LiveSession<'a> {
     driver: SessionDriver<WorkerHost<'a>>,
     fb: FrameBuffer,
     meter: InstrumentHandle,
-    /// Wall-clock of the last inbound frame, for the read timeout while
-    /// the driver is parked.
-    last_inbound: Instant,
+    /// When the session last started waiting on its peer: the end of the
+    /// latest sweep in which the driver produced an effect (every frame it
+    /// is fed and reads is one). The read and
+    /// idle timeouts run from here, so they measure the peer's silence
+    /// and not the worker's own compute (this session's or a sibling's)
+    /// — what `SO_RCVTIMEO` measures on the blocking path.
+    waiting_since: Instant,
     /// Deadline of the current phase budget (`Mark("setup")` arms the
     /// offline budget across setup+bundle+offline, `Mark("online")` the
     /// online budget — mirroring the blocking server's placement).
@@ -683,7 +762,7 @@ impl<'a> LiveSession<'a> {
             driver,
             fb,
             meter,
-            last_inbound: Instant::now(),
+            waiting_since: Instant::now(),
             phase_deadline: None,
             ordinal: shared.session_seq.fetch_add(1, Ordering::Relaxed),
             inbound_frames: 0,
@@ -711,16 +790,13 @@ impl<'a> LiveSession<'a> {
         // peer's close, and the driver must consume them before the error
         // is allowed to matter — exactly when the blocking path would have
         // seen it, at the next starved recv.
-        let mut fed = false;
         let mut read_err: Option<ProtocolError> = None;
         loop {
             match self.fb.poll_read() {
                 Ok(Some(frame)) => {
-                    self.last_inbound = Instant::now();
                     self.inbound_frames += 1;
                     self.inbound_bytes += frame.len() as u64;
                     self.driver.feed(frame);
-                    fed = true;
                 }
                 Ok(None) => break,
                 Err(e) => {
@@ -731,7 +807,7 @@ impl<'a> LiveSession<'a> {
         }
 
         let step = self.driver.step();
-        self.apply_effects(shared);
+        let emitted = self.apply_effects(shared);
         // Push freshly queued (and any previously unfinished) output.
         let write_err: Option<ProtocolError> = self.fb.poll_write().err().map(Into::into);
 
@@ -748,25 +824,18 @@ impl<'a> LiveSession<'a> {
                 if let Some(e) = read_err.or(write_err) {
                     return self.finish_err(e);
                 }
+                // Whatever this sweep took, the peer has had nothing new
+                // to answer until now.
                 let now = Instant::now();
-                if self.phase_deadline.is_some_and(|dl| now >= dl) {
-                    return self.finish_err(ProtocolError::TimedOut);
+                if emitted {
+                    self.waiting_since = now;
                 }
-                if let Some(rt) = shared.config.deadlines.read_timeout {
-                    if now.duration_since(self.last_inbound) >= rt {
-                        return self.finish_err(ProtocolError::TimedOut);
-                    }
+                match self.park_clocks(shared).expired(now) {
+                    Some(Expiry::TimedOut) => return self.finish_err(ProtocolError::TimedOut),
+                    Some(Expiry::Evict) => return self.finish_evict(shared),
+                    None => {}
                 }
                 let governor = &shared.config.governor;
-                // Idle park budget: a parked session whose peer has sent
-                // nothing for idle_timeout gives its slot back. Distinct
-                // from read_timeout so operators can run generous blocking
-                // deadlines with a tight multiplexing budget.
-                if let Some(it) = governor.idle_timeout {
-                    if now.duration_since(self.last_inbound) >= it {
-                        return self.finish_evict(shared);
-                    }
-                }
                 // Outbound cap: the peer is not draining its socket and
                 // the frame buffer is absorbing the difference.
                 if let Some(cap) = governor.max_outbound_bytes {
@@ -777,11 +846,7 @@ impl<'a> LiveSession<'a> {
                 if governor.inbound_quota && self.over_inbound_quota(shared) {
                     return self.finish_evict(shared);
                 }
-                if fed {
-                    Sweep::Progress
-                } else {
-                    Sweep::Idle
-                }
+                Sweep::Parked
             }
         }
     }
@@ -805,10 +870,28 @@ impl<'a> LiveSession<'a> {
         }
     }
 
+    fn park_clocks(&self, shared: &Shared) -> ParkClocks {
+        ParkClocks::new(
+            self.waiting_since,
+            self.phase_deadline,
+            shared.config.deadlines.read_timeout,
+            shared.config.governor.idle_timeout,
+        )
+    }
+
+    /// What the worker's `poll` watches for this session: its socket, for
+    /// input and — while output is queued — for room to write.
+    fn interest(&self) -> Interest {
+        Interest::new(self.fb.stream(), true, self.fb.has_pending_write())
+    }
+
     /// Mirrors the driver's effects onto the socket (sends) and the
     /// metrics meter (everything), and arms phase budgets off the marks.
-    fn apply_effects(&mut self, shared: &Shared) {
-        for effect in self.driver.take_effects() {
+    /// Returns whether there were any.
+    fn apply_effects(&mut self, shared: &Shared) -> bool {
+        let effects = self.driver.take_effects();
+        let any = !effects.is_empty();
+        for effect in effects {
             match effect {
                 DriverEffect::Send(bytes) => {
                     self.fb.queue_send(&bytes);
@@ -834,6 +917,7 @@ impl<'a> LiveSession<'a> {
                 }
             }
         }
+        any
     }
 
     fn finish_ok(&mut self) -> Sweep {
@@ -867,11 +951,14 @@ impl<'a> LiveSession<'a> {
     /// the final logit shares) before the socket closes.
     fn flush_outbound(&mut self) {
         let deadline = Instant::now() + Duration::from_secs(5);
-        while self.fb.has_pending_write() && Instant::now() < deadline {
-            match self.fb.poll_write() {
-                Ok(true) | Err(_) => break,
-                Ok(false) => std::thread::sleep(Duration::from_millis(1)),
+        while let Ok(false) = self.fb.poll_write() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
             }
+            // Room to write only: input the session will never read must
+            // not turn this wait into a spin.
+            ready::wait(None, &[Interest::new(self.fb.stream(), false, true)], left);
         }
     }
 }
@@ -892,36 +979,27 @@ fn worker_loop(shared: &Shared, worker: usize, seed: u64) {
             }
         }
 
-        // Claim queued connections up to the multiplexing cap; block on
-        // the condvar only when there is nothing at all to do — and only
-        // in bounded slices, so the heartbeat keeps beating while idle.
+        // Claim queued connections up to the multiplexing cap.
         {
             let mut q = shared.queue.lock().expect("queue lock");
-            loop {
-                while sessions.len() < shared.config.sessions_per_worker {
-                    let Some(stream) = q.conns.pop_front() else {
-                        break;
-                    };
-                    // Counted before the lock drops so `drain_complete`
-                    // never sees an empty queue with the pop unaccounted.
-                    shared.metrics.session_started();
-                    match LiveSession::new(shared, worker, stream, &mut rng) {
-                        Ok(live) => sessions.push(live),
-                        Err(_) => shared.metrics.session_ended(false),
-                    }
-                }
-                if !sessions.is_empty() {
+            while sessions.len() < shared.config.sessions_per_worker {
+                let Some(stream) = q.conns.pop_front() else {
                     break;
+                };
+                // Counted before the lock drops so `drain_complete`
+                // never sees an empty queue with the pop unaccounted.
+                shared.metrics.session_started();
+                match LiveSession::new(shared, worker, stream, &mut rng) {
+                    Ok(live) => sessions.push(live),
+                    Err(_) => shared.metrics.session_ended(false),
                 }
-                if q.draining {
-                    drop(q);
-                    if drain_complete(shared) {
-                        wake_acceptor(shared);
-                    }
-                    return;
+            }
+            if sessions.is_empty() && q.draining {
+                drop(q);
+                if drain_complete(shared) {
+                    wake_acceptor(shared);
                 }
-                q = shared.work.wait_timeout(q, Duration::from_millis(100)).expect("queue lock").0;
-                shared.hearts[worker].store(now_millis(shared), Ordering::Relaxed);
+                return;
             }
         }
 
@@ -930,38 +1008,96 @@ fn worker_loop(shared: &Shared, worker: usize, seed: u64) {
         // checkpoint discarded so a resume can never replay the state
         // that panicked — while this worker and the sibling sessions in
         // this very Vec keep running.
-        let mut progressed = false;
         let mut ended = 0usize;
-        sessions.retain_mut(|live| match catch_unwind(AssertUnwindSafe(|| live.sweep(shared))) {
-            Ok(Sweep::Idle) => true,
-            Ok(Sweep::Progress) => {
-                progressed = true;
-                true
-            }
-            Ok(Sweep::Finished(ok)) => {
-                shared.metrics.session_ended(ok);
-                progressed = true;
-                ended += 1;
-                false
-            }
-            Err(_) => {
-                if let Some(token) = live.driver.token() {
-                    shared.store.release(token, None);
+        sessions.retain_mut(|live| {
+            let ok = match catch_unwind(AssertUnwindSafe(|| live.sweep(shared))) {
+                Ok(Sweep::Parked) => return true,
+                Ok(Sweep::Finished(ok)) => ok,
+                Err(_) => {
+                    if let Some(token) = live.driver.token() {
+                        shared.store.release(token, None);
+                    }
+                    shared.metrics.session_panicked();
+                    false
                 }
-                shared.metrics.session_panicked();
-                shared.metrics.session_ended(false);
-                progressed = true;
-                ended += 1;
-                false
-            }
+            };
+            shared.metrics.driver_finished(live.driver.replay_counters());
+            shared.metrics.session_ended(ok);
+            ended += 1;
+            false
         });
-        if ended > 0 && drain_complete(shared) {
-            wake_acceptor(shared);
+        if ended > 0 {
+            if drain_complete(shared) {
+                wake_acceptor(shared);
+            }
+            // A slot came free: look at the queue before sleeping, since
+            // the wake for a connection queued while this worker was full
+            // has already been consumed.
+            continue;
         }
-        if !progressed {
-            // Every session is parked on its socket: yield briefly
-            // instead of spinning the sweep loop hot.
-            std::thread::sleep(Duration::from_micros(500));
-        }
+
+        // Every session is parked: sleep until a socket is ready, the
+        // acceptor or a drain wakes us, or the nearest session deadline —
+        // in bounded slices, so the heartbeat keeps beating while idle.
+        let now = Instant::now();
+        let timeout = sessions
+            .iter()
+            .filter_map(|live| live.park_clocks(shared).next())
+            .map(|at| at.saturating_duration_since(now))
+            .fold(HEARTBEAT_SLICE, Duration::min);
+        let interests: Vec<Interest> = sessions.iter().map(LiveSession::interest).collect();
+        ready::wait(Some(&shared.wakers[worker]), &interests, timeout);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const MS: Duration = Duration::from_millis(1);
+
+    /// The bug this pins: the clocks used to run from the last inbound
+    /// frame, so a server step (or sibling sweeps) longer than the timeout
+    /// expired a peer that had not yet been sent anything to answer.
+    #[test]
+    fn read_and_idle_clocks_start_when_the_session_parks_not_when_the_frame_arrived() {
+        let frame_arrived = Instant::now();
+        // The step that consumed the frame took 80 ms; both timeouts are
+        // shorter than that.
+        let parked = frame_arrived + 80 * MS;
+        let clocks = ParkClocks::new(parked, None, Some(20 * MS), Some(30 * MS));
+        assert_eq!(clocks.expired(parked), None, "the peer has had no time to answer yet");
+        assert_eq!(clocks.expired(parked + 19 * MS), None);
+        assert_eq!(clocks.expired(parked + 20 * MS), Some(Expiry::TimedOut));
+        assert_eq!(clocks.next(), Some(parked + 20 * MS));
+    }
+
+    #[test]
+    fn idle_budget_evicts_when_it_is_the_tighter_one() {
+        let parked = Instant::now();
+        let clocks = ParkClocks::new(parked, None, Some(50 * MS), Some(10 * MS));
+        assert_eq!(clocks.expired(parked + 9 * MS), None);
+        assert_eq!(clocks.expired(parked + 10 * MS), Some(Expiry::Evict));
+        // Once both have passed, the timeout wins, as on the blocking path.
+        assert_eq!(clocks.expired(parked + 50 * MS), Some(Expiry::TimedOut));
+        assert_eq!(clocks.next(), Some(parked + 10 * MS));
+    }
+
+    #[test]
+    fn phase_budget_runs_from_its_mark_whatever_the_park_time() {
+        let marked = Instant::now();
+        let deadline = marked + 100 * MS;
+        // Parked late in the phase: the budget does not restart.
+        let clocks = ParkClocks::new(marked + 95 * MS, Some(deadline), Some(50 * MS), None);
+        assert_eq!(clocks.expired(marked + 99 * MS), None);
+        assert_eq!(clocks.expired(deadline), Some(Expiry::TimedOut));
+        assert_eq!(clocks.next(), Some(deadline));
+    }
+
+    #[test]
+    fn no_budgets_means_no_deadline() {
+        let clocks = ParkClocks::new(Instant::now(), None, None, None);
+        assert_eq!(clocks.expired(Instant::now() + Duration::from_secs(3600)), None);
+        assert_eq!(clocks.next(), None);
     }
 }

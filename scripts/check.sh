@@ -64,7 +64,11 @@
 # Every run also builds and unit-tests the standalone benchmark package
 # under bench/ (its own manifest and lock file, outside the workspace), so
 # an API change that breaks the benchmark fails here rather than in the
-# pipeline that runs it.
+# pipeline that runs it, and then runs its smoke test (bench/run.sh
+# --quick: 5 predictions on each of the four served workloads, ~10 s) —
+# the only place the event loop is checked bit-exact on the warm MLP, the
+# warm encoder, and cold IKNP and cold silent sessions over real TCP. It
+# fails on any wrong or failed prediction or missing metric.
 #
 # The container has no network access to crates.io; all dependencies are
 # vendored as stubs under stubs/ (see stubs/README.md), so every cargo
@@ -129,6 +133,9 @@ cargo test -q --workspace
 echo "==> bench/: build and unit-test the standalone benchmark package"
 cargo build --release --offline --manifest-path bench/Cargo.toml
 cargo test --offline --manifest-path bench/Cargo.toml
+
+echo "==> bench/run.sh --quick: 5 served predictions per workload, every logit checked"
+bash bench/run.sh --quick
 
 echo "==> cargo fmt --check"
 cargo fmt --check
