@@ -23,8 +23,9 @@
 //! 1. it is a **deterministic** function of the state it starts from, the
 //!    RNG stream, and the few inbound frames it consumes;
 //! 2. the state it starts from is a plain value that is cheap to copy: the
-//!    session's OT state, the tape and the partial triplet share (the
-//!    offline bundle and the pending op's circuit are shared, not copied);
+//!    half of the session's OT state its phase writes, the tape and the
+//!    partial triplet share (the other half, the offline bundle and the
+//!    pending op's circuit are shared, not copied);
 //! 3. the cuts sit where the server starts waiting, so nearly every step
 //!    receives first and computes afterwards.
 //!
@@ -549,7 +550,10 @@ impl<H: SessionHost> SessionDriver<H> {
             }
             State::SetupYao { kk, batch, reply, claimed, pooled } => {
                 let (batch, reply) = (*batch, *reply);
-                let session = ServerSession { kk: kk.clone(), yao: YaoEvaluator::setup(ch, rng)? };
+                // The Yao batch first: an attempt that starves in it copies
+                // nothing.
+                let yao = YaoEvaluator::setup(ch, rng)?;
+                let session = ServerSession { kk: kk.clone(), yao };
                 if reply.resume {
                     let bundle =
                         claimed.clone().expect("accepted resume implies a claimed checkpoint");

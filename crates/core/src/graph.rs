@@ -39,6 +39,7 @@ use crate::matmul::{triplet_client_with, TripletMode, TripletWalk};
 use crate::nonlinear::Lowering;
 use crate::session::{ClientSession, ServerSession};
 use crate::ProtocolError;
+use abnn2_gc::YaoEvaluator;
 use abnn2_math::{FragmentScheme, Matrix, Ring};
 use abnn2_net::Transport;
 use abnn2_nn::conv::im2col;
@@ -46,7 +47,7 @@ use abnn2_nn::graph::{LayerGraph, LayerOp, OpResource};
 use abnn2_nn::quant::{QuantConfig, QuantizedDense, QuantizedNetwork};
 use abnn2_nn::transformer::QuantizedTransformer;
 use abnn2_nn::QuantizedCnn;
-use abnn2_ot::{FragmentSender, IknpReceiver, IknpSender};
+use abnn2_ot::{FragmentChooser, FragmentSender, IknpReceiver, IknpSender};
 use rand::Rng;
 use std::borrow::{Borrow, Cow};
 use std::sync::{Arc, OnceLock};
@@ -568,7 +569,10 @@ pub(crate) struct ServerOfflineWalk {
     sg: SecureGraph,
     exec: ExecConfig,
     plans: Arc<[TripletPlan]>,
-    session: ServerSession,
+    /// The half of the session the triplets extend, copied with the walk.
+    kk: FragmentChooser,
+    /// The other half, untouched until the online phase: copies share it.
+    yao: Arc<YaoEvaluator>,
     /// The IKNP pair behind matrix triples, set up at the first matmul op.
     ots: Option<(IknpReceiver, IknpSender)>,
     us: Vec<Matrix>,
@@ -590,7 +594,8 @@ impl ServerOfflineWalk {
             mats: Vec::with_capacity(sg.graph().matmul_count()),
             sg,
             exec,
-            session,
+            kk: session.kk,
+            yao: Arc::new(session.yao),
             ots: None,
             next: 0,
             triplet: None,
@@ -648,7 +653,7 @@ impl ServerOfflineWalk {
                         )?)
                     }
                 };
-                let Some(u) = triplet.step(ch, &mut self.session.kk)? else { return Ok(()) };
+                let Some(u) = triplet.step(ch, &mut self.kk)? else { return Ok(()) };
                 self.us.push(u);
                 self.triplet = None;
             }
@@ -686,7 +691,8 @@ impl ServerOfflineWalk {
     /// The finished offline state.
     pub(crate) fn finish(self) -> ServerOffline {
         let bundle = ServerBundle { us: self.us, mats: self.mats, batch: self.sg.batch() };
-        ServerOffline::from_bundle(self.session, bundle)
+        let session = ServerSession { kk: self.kk, yao: Arc::unwrap_or_clone(self.yao) };
+        ServerOffline::from_bundle(session, bundle)
     }
 }
 
@@ -870,14 +876,18 @@ pub fn server_online_to_logits<T: Transport>(
 /// [`step`](Self::step) runs one unit: the blinded input, then one tape op
 /// — a local [`linear_share`], or a re-share op's opening and circuit,
 /// which is where the server waits. The walk is `Clone` for the same
-/// reason as [`ServerOfflineWalk`]; a copy shares the offline bundle and
-/// the pending op's circuit and duplicates only the session and the tape.
+/// reason as [`ServerOfflineWalk`]; a copy shares the offline bundle, the
+/// pending op's circuit and the session's spent fragment chooser, and
+/// duplicates only the evaluator and the tape.
 #[derive(Debug, Clone)]
 pub(crate) struct ServerOnlineWalk {
     sg: SecureGraph,
     exec: ExecConfig,
     bundle: Arc<ServerBundle>,
-    session: ServerSession,
+    /// The half of the session the re-share ops run, copied with the walk.
+    yao: YaoEvaluator,
+    /// The other half, carried for [`finish`](Self::finish): copies share it.
+    kk: Arc<FragmentChooser>,
     /// The server's share of every slot computed so far; empty until the
     /// blinded input has arrived.
     tape: Vec<Matrix>,
@@ -912,7 +922,8 @@ impl ServerOnlineWalk {
             sg,
             exec,
             bundle,
-            session,
+            yao: session.yao,
+            kk: Arc::new(session.kk),
             linears: 0,
             matmuls: 0,
             lowering: Arc::default(),
@@ -969,7 +980,7 @@ impl ServerOnlineWalk {
                     .ok_or(ProtocolError::Dimension("op has no re-sharing circuit"))?;
                 let mut mats = self.bundle.mats[self.matmuls..].iter();
                 let shares = reshare_inputs(ch, op, i, &self.tape, &mut mats, ring, 0)?;
-                let z0 = lowering.server(ch, &mut self.session.yao, &shares, ring)?;
+                let z0 = lowering.server(ch, &mut self.yao, &shares, ring)?;
                 self.matmuls = self.bundle.mats.len() - mats.len();
                 self.lowering = Arc::default();
                 Matrix::new(op.out_len(), batch, z0)
@@ -986,7 +997,8 @@ impl ServerOnlineWalk {
     /// Panics unless the walk is [`done`](Self::done).
     pub(crate) fn finish(mut self) -> (ServerSession, Matrix) {
         assert!(self.done, "online walk finished before the output op");
-        (self.session, self.tape.pop().expect("the output op's input slot"))
+        let session = ServerSession { kk: Arc::unwrap_or_clone(self.kk), yao: self.yao };
+        (session, self.tape.pop().expect("the output op's input slot"))
     }
 }
 
