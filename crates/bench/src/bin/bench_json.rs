@@ -24,7 +24,7 @@
 //! With `--crypto` the file carries the primitive-layer microbench:
 //! blocks/sec per [`CryptoBackend`] for raw
 //! AES, MMO hashing, and CTR-mode PRG fill, plus the IKNP bit-matrix
-//! transpose wall time at one and four worker threads, plus the `curve`
+//! transpose wall time, plus the `curve`
 //! group: the scalar-multiplication and encoding kernels under base-OT
 //! setup and a 128-OT batch, each a median of 11 runs. When the CPU has
 //! AES-NI the ≥ 4× speedup over the portable backend on AES and MMO is
@@ -232,8 +232,8 @@ fn blocks_per_sec(mut op: impl FnMut(&mut [Block])) -> f64 {
 }
 
 /// Times one IKNP-shaped bit-matrix transpose (κ = 128 columns of `m`
-/// bits) under `threads` workers, returning seconds per transpose.
-fn transpose_secs(m: usize, threads: usize) -> f64 {
+/// bits), returning seconds per transpose.
+fn transpose_secs(m: usize) -> f64 {
     let cols: Vec<Vec<u8>> = (0..abnn2_ot::KAPPA)
         .map(|i| (0..m.div_ceil(8)).map(|j| (i * 31 + j * 7) as u8).collect())
         .collect();
@@ -244,7 +244,7 @@ fn transpose_secs(m: usize, threads: usize) -> f64 {
             std::hint::black_box(abnn2_ot::bits::transpose_columns_par(
                 std::hint::black_box(&cols),
                 m,
-                threads,
+                1,
             ));
         }
         let secs = t0.elapsed().as_secs_f64();
@@ -385,17 +385,15 @@ fn crypto_entries(entries: &mut Vec<String>) {
     }
 
     // The other half of the offline hot path: the KAPPA-column bit-matrix
-    // transpose, at the silent-OT refill size, single-threaded and with
-    // the parallel schedule's sharded workers.
+    // transpose, at the silent-OT refill size.
     let m = 1 << 13;
-    let t1 = transpose_secs(m, 1);
-    let t4 = transpose_secs(m, 4);
-    eprintln!("[iknp_transpose] {m} OTs: {:.3} ms at 1 thread, {:.3} ms at 4", t1 * 1e3, t4 * 1e3);
+    let us = transpose_secs(m) * 1e6;
+    eprintln!("[iknp_transpose] {m} OTs: {us:.1} us");
     entries.push(entry(
         "iknp_transpose",
-        &format!("128 columns x {m} bits, sharded rows"),
+        &format!("128 columns x {m} bits to {m} heap rows, one thread"),
         "measured",
-        &[("wall_secs_1_thread", t1), ("wall_secs_4_threads", t4)],
+        &[("wall_us", us)],
     ));
 
     entries.push(curve_entry());

@@ -584,10 +584,7 @@ pub(crate) struct ServerOfflineWalk {
 }
 
 impl ServerOfflineWalk {
-    pub(crate) fn new(mut session: ServerSession, sg: SecureGraph, exec: ExecConfig) -> Self {
-        // Parallel offline schedule: worker threads for local OT compute only,
-        // the wire transcript is byte-identical for any thread count.
-        session.kk.set_threads(exec.threads);
+    pub(crate) fn new(session: ServerSession, sg: SecureGraph, exec: ExecConfig) -> Self {
         let mut walk = ServerOfflineWalk {
             plans: sg.plan().into(),
             us: Vec::with_capacity(sg.graph().linear_count()),
@@ -662,10 +659,8 @@ impl ServerOfflineWalk {
                 let pair = match &mut self.ots {
                     Some(pair) => pair,
                     slot @ None => {
-                        let mut r = IknpReceiver::setup(ch, rng)?;
-                        let mut s = IknpSender::setup(ch, rng)?;
-                        r.set_threads(self.exec.threads);
-                        s.set_threads(self.exec.threads);
+                        let r = IknpReceiver::setup(ch, rng)?;
+                        let s = IknpSender::setup(ch, rng)?;
                         slot.insert((r, s))
                     }
                 };
@@ -795,10 +790,8 @@ impl<T: Transport, R: Rng + ?Sized> Correlations<R> for Interactive<'_, T> {
         let pair = match &mut self.ots {
             Some(pair) => pair,
             slot @ None => {
-                let mut s = IknpSender::setup(self.ch, rng)?;
-                let mut r = IknpReceiver::setup(self.ch, rng)?;
-                s.set_threads(self.exec.threads);
-                r.set_threads(self.exec.threads);
+                let s = IknpSender::setup(self.ch, rng)?;
+                let r = IknpReceiver::setup(self.ch, rng)?;
                 slot.insert((s, r))
             }
         };
@@ -831,9 +824,6 @@ pub fn client_offline_with<T: Transport, R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<ClientOffline, ProtocolError> {
     let config = &sg.graph().config;
-    // Parallel offline schedule: worker threads for local OT compute only,
-    // the wire transcript is byte-identical for any thread count.
-    session.kk.set_threads(exec.threads);
     let mut source = Interactive {
         ch,
         kk: &mut session.kk,

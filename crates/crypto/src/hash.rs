@@ -58,24 +58,6 @@ impl RoHash {
         crate::backend::backend().mmo_hash_blocks(&self.pi, sigmas);
     }
 
-    /// [`hash_blocks`](Self::hash_blocks) sharded over `threads` scoped
-    /// workers. Each lane is independent, so the output is byte-identical
-    /// for any thread count; small batches stay on the calling thread.
-    pub fn hash_blocks_par(&self, sigmas: &mut [Block], threads: usize) {
-        // Below this, thread spawn/join overhead beats the hashing itself.
-        const MIN_PAR: usize = 4096;
-        if threads <= 1 || sigmas.len() < MIN_PAR {
-            self.hash_blocks(sigmas);
-            return;
-        }
-        let shard = sigmas.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for chunk in sigmas.chunks_mut(shard) {
-                scope.spawn(move || self.hash_blocks(chunk));
-            }
-        });
-    }
-
     /// Hashes an arbitrary byte string to one block under a tweak.
     ///
     /// Zero-padded Merkle–Damgård over the MMO compression function, with the

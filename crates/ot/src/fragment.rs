@@ -90,14 +90,11 @@ impl FragmentSender {
         }
     }
 
-    /// Sets the worker-thread count for local offline compute. The silent
-    /// backend's GGM expansion is sequential by construction (each level
-    /// feeds the next), so only the KK13 path fans out; transcripts are
-    /// byte-identical for any value either way.
+    /// Accepted and ignored: nothing below `core::matmul::run_sharded` is
+    /// threaded. Exists for `bench/`, which still calls it; to be dropped
+    /// by the next `[benchmark]` PR.
     pub fn set_threads(&mut self, threads: usize) {
-        if let FragmentSender::Kk(s) = self {
-            s.set_threads(threads);
-        }
+        let _ = threads;
     }
 
     /// Extends to `m` fresh 1-out-of-`n` fragment OTs.
@@ -150,14 +147,11 @@ impl FragmentChooser {
         }
     }
 
-    /// Sets the worker-thread count for local offline compute. The silent
-    /// backend's GGM expansion is sequential by construction (each level
-    /// feeds the next), so only the KK13 path fans out; transcripts are
-    /// byte-identical for any value either way.
+    /// Accepted and ignored: nothing below `core::matmul::run_sharded` is
+    /// threaded. Exists for `bench/`, which still calls it; to be dropped
+    /// by the next `[benchmark]` PR.
     pub fn set_threads(&mut self, threads: usize) {
-        if let FragmentChooser::Kk(c) = self {
-            c.set_threads(threads);
-        }
+        let _ = threads;
     }
 
     /// Runs at most one round of the waiting on the peer that an

@@ -6,28 +6,20 @@
 //! generation uses: the sender's first message is pseudorandom and only an
 //! ℓ-bit correction word crosses the wire.
 
-use crate::bits::{pack_bits, transpose_columns_par, xor_in_place};
+use crate::bits::pack_bits;
 use crate::frames::{IknpColumns, IknpCts, OtCorrections, OtVecPayload, SilentBaseColumns};
-use crate::{base, OtError, KAPPA};
-use abnn2_crypto::{Block, Prg, RoHash};
+use crate::{ext, OtError, KAPPA};
+use abnn2_crypto::{Block, RoHash};
 use abnn2_math::Ring;
-use abnn2_net::Transport;
+use abnn2_net::{Frame, Transport};
 use rand::Rng;
-
-/// Extensions below this many OTs run single-threaded regardless of the
-/// configured worker count: spawn/join overhead would dominate. The gate
-/// depends only on the batch size, so the schedule stays deterministic.
-pub(crate) const PAR_MIN_OTS: usize = 4096;
 
 /// Sender side of IKNP extension (holds the message pairs).
 #[derive(Clone)]
 pub struct IknpSender {
-    s_bits: Vec<bool>,
-    s_block: Block,
-    prgs: Vec<Prg>,
+    ext: ext::Sender<{ KAPPA / 8 }>,
     hash: RoHash,
     tweak: u64,
-    threads: usize,
 }
 
 impl std::fmt::Debug for IknpSender {
@@ -39,16 +31,19 @@ impl std::fmt::Debug for IknpSender {
 /// Receiver side of IKNP extension (holds the choice bits).
 #[derive(Clone)]
 pub struct IknpReceiver {
-    prg_pairs: Vec<(Prg, Prg)>,
+    ext: ext::Receiver,
     hash: RoHash,
     tweak: u64,
-    threads: usize,
 }
 
 impl std::fmt::Debug for IknpReceiver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IknpReceiver").field("tweak", &self.tweak).finish()
     }
+}
+
+fn blocks(rows: Vec<[u8; KAPPA / 8]>) -> Vec<Block> {
+    rows.into_iter().map(Block::from_bytes).collect()
 }
 
 impl IknpSender {
@@ -59,38 +54,21 @@ impl IknpSender {
     ///
     /// Propagates base-OT failures.
     pub fn setup<T: Transport, R: Rng + ?Sized>(ch: &mut T, rng: &mut R) -> Result<Self, OtError> {
-        let s_bits: Vec<bool> = (0..KAPPA).map(|_| rng.gen()).collect();
-        let seeds = base::recv(ch, &s_bits, rng)?;
-        let s_block = Block::from_bytes(pack_bits(&s_bits).try_into().expect("16 bytes"));
-        Ok(IknpSender {
-            s_bits,
-            s_block,
-            prgs: seeds.into_iter().map(Prg::from_seed).collect(),
-            hash: RoHash::new(),
-            tweak: 0,
-            threads: 1,
-        })
-    }
-
-    /// Sets the worker-thread count for column expansion, transposes and
-    /// per-OT hashing. Local compute only: the transcript is byte-identical
-    /// for any value.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
+        Ok(IknpSender { ext: ext::Sender::setup(ch, rng)?, hash: RoHash::new(), tweak: 0 })
     }
 
     /// The global correlation block `s`: for every extension row,
     /// `q_j = t_j ⊕ c_j·s`. The silent-OT bootstrap reads this as its Δ.
     #[must_use]
     pub fn delta(&self) -> Block {
-        self.s_block
+        Block::from_bytes(self.ext.s)
     }
 
     /// Core extension step: receives the masked columns and returns the row
     /// values `q_j`, from which both message keys derive.
     fn extend_rows<T: Transport>(&mut self, ch: &mut T, m: usize) -> Result<Vec<Block>, OtError> {
         let IknpColumns(u) = ch.recv_frame()?;
-        self.rows_from_columns(&u, m)
+        Ok(blocks(self.ext.rows(&u, m)?))
     }
 
     /// Raw correlated-OT extension for the silent-OT bootstrap: returns the
@@ -107,67 +85,9 @@ impl IknpSender {
         m: usize,
     ) -> Result<Vec<Block>, OtError> {
         let SilentBaseColumns(u) = ch.recv_frame()?;
-        let rows = self.rows_from_columns(&u, m)?;
+        let rows = blocks(self.ext.rows(&u, m)?);
         self.bump_tweak(m);
         Ok(rows)
-    }
-
-    fn rows_from_columns(&mut self, u: &[u8], m: usize) -> Result<Vec<Block>, OtError> {
-        let col_bytes = m.div_ceil(8);
-        if u.len() != KAPPA * col_bytes {
-            return Err(OtError::Malformed("IKNP column batch has wrong length"));
-        }
-        if m == 0 {
-            return Ok(Vec::new());
-        }
-        let threads = if m < PAR_MIN_OTS { 1 } else { self.threads };
-        let mut cols: Vec<Vec<u8>> = vec![Vec::new(); KAPPA];
-        if threads <= 1 {
-            for ((prg, &bit), (out, ui)) in self
-                .prgs
-                .iter_mut()
-                .zip(&self.s_bits)
-                .zip(cols.iter_mut().zip(u.chunks_exact(col_bytes)))
-            {
-                let mut col = prg.bytes(col_bytes);
-                if bit {
-                    xor_in_place(&mut col, ui);
-                }
-                *out = col;
-            }
-        } else {
-            // Each worker owns a contiguous column shard: PRG states,
-            // output slots and `u` slices split identically, so the result
-            // matches the sequential loop byte for byte.
-            let shard = KAPPA.div_ceil(threads);
-            std::thread::scope(|scope| {
-                for ((prgs, bits), (outs, us)) in self
-                    .prgs
-                    .chunks_mut(shard)
-                    .zip(self.s_bits.chunks(shard))
-                    .zip(cols.chunks_mut(shard).zip(u.chunks(shard * col_bytes)))
-                {
-                    scope.spawn(move || {
-                        for ((prg, &bit), (out, ui)) in prgs
-                            .iter_mut()
-                            .zip(bits)
-                            .zip(outs.iter_mut().zip(us.chunks_exact(col_bytes)))
-                        {
-                            let mut col = prg.bytes(col_bytes);
-                            if bit {
-                                xor_in_place(&mut col, ui);
-                            }
-                            *out = col;
-                        }
-                    });
-                }
-            });
-        }
-        let rows = transpose_columns_par(&cols, m, threads);
-        Ok(rows
-            .into_iter()
-            .map(|r| Block::from_bytes(r.try_into().expect("16-byte row")))
-            .collect())
     }
 
     /// Sends `pairs.len()` chosen-message OTs of one block each.
@@ -195,13 +115,14 @@ impl IknpSender {
     /// One batched hash pass over `H(t, q)` and `H(t, q ⊕ s)` for every
     /// row, interleaved `[h0, h1, h0, h1, …]`.
     fn hash_both(&self, qs: &[Block], base_tweak: u64) -> Vec<Block> {
+        let s = self.delta();
         let mut sigmas = Vec::with_capacity(qs.len() * 2);
         for (j, q) in qs.iter().enumerate() {
             let t = Block::from((base_tweak + j as u64) as u128);
             sigmas.push(*q ^ t);
-            sigmas.push(*q ^ self.s_block ^ t);
+            sigmas.push(*q ^ s ^ t);
         }
-        self.hash.hash_blocks_par(&mut sigmas, self.threads);
+        self.hash.hash_blocks(&mut sigmas);
         sigmas
     }
 
@@ -281,7 +202,7 @@ impl IknpSender {
             let x0 = ring.decode_slice(&self.hash.hash_expand(t, &q.to_bytes(), elem_len));
             let mask1 = ring.decode_slice(&self.hash.hash_expand(
                 t,
-                &(*q ^ self.s_block).to_bytes(),
+                &(*q ^ self.delta()).to_bytes(),
                 elem_len,
             ));
             for k in 0..width {
@@ -310,40 +231,31 @@ impl IknpReceiver {
     ///
     /// Propagates base-OT failures.
     pub fn setup<T: Transport, R: Rng + ?Sized>(ch: &mut T, rng: &mut R) -> Result<Self, OtError> {
-        let seed_pairs: Vec<(Block, Block)> =
-            (0..KAPPA).map(|_| (Block::random(rng), Block::random(rng))).collect();
-        base::send(ch, &seed_pairs, rng)?;
         Ok(IknpReceiver {
-            prg_pairs: seed_pairs
-                .into_iter()
-                .map(|(a, b)| (Prg::from_seed(a), Prg::from_seed(b)))
-                .collect(),
+            ext: ext::Receiver::setup(ch, KAPPA, rng)?,
             hash: RoHash::new(),
             tweak: 0,
-            threads: 1,
         })
     }
 
-    /// Sets the worker-thread count for column expansion, transposes and
-    /// per-OT hashing. Local compute only: the transcript is byte-identical
-    /// for any value.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// Core extension step of the variants the sender answers: sends the
-    /// masked columns and returns this party's `t` columns still
-    /// untransposed. The caller receives the reply first and transposes
-    /// afterwards ([`rows_of`](Self::rows_of)): the sender gets to start
-    /// on its own transpose one transpose sooner, and a suspended caller
-    /// that is re-run up to its receive repeats only the column PRG.
-    fn extend_columns<T: Transport>(
+    /// Core extension step, the same for every variant: sends the masked
+    /// columns as frame `F` and returns this party's `t` columns still
+    /// untransposed, to be turned into rows ([`rows_of`](Self::rows_of))
+    /// after the send and, where the sender answers, after the receive. The
+    /// sender gets to start on its own transpose one transpose sooner, and
+    /// a suspended caller that is re-run up to its receive repeats only the
+    /// column PRG. Which frames cross the wire, their order and their bytes
+    /// do not depend on where the transpose runs.
+    fn extend_columns<T: Transport, F: Frame>(
         &mut self,
         ch: &mut T,
         choices: &[bool],
-    ) -> Result<Vec<Vec<u8>>, OtError> {
-        let (u, t_cols) = self.derive_columns(choices);
-        ch.send_frame(&IknpColumns(u))?;
+        frame: impl FnOnce(Vec<u8>) -> F,
+    ) -> Result<Vec<u8>, OtError> {
+        // IKNP's code is repetition: every column of `D` is the choice
+        // vector.
+        let (u, t_cols) = self.ext.columns(&pack_bits(choices), choices.len());
+        ch.send_frame(&frame(u))?;
         Ok(t_cols)
     }
 
@@ -359,84 +271,15 @@ impl IknpReceiver {
         ch: &mut T,
         choices: &[bool],
     ) -> Result<Vec<Block>, OtError> {
-        let (u, t_cols) = self.derive_columns(choices);
-        let rows = self.rows_of(&t_cols, choices.len());
-        ch.send_frame(&SilentBaseColumns(u))?;
+        let t_cols = self.extend_columns(ch, choices, SilentBaseColumns)?;
         self.bump_tweak(choices.len());
-        Ok(rows)
-    }
-
-    /// Expands both PRGs of every base pair by one column: the masked
-    /// column message `u` and this party's own `t` columns.
-    fn derive_columns(&mut self, choices: &[bool]) -> (Vec<u8>, Vec<Vec<u8>>) {
-        let m = choices.len();
-        if m == 0 {
-            return (Vec::new(), Vec::new());
-        }
-        let col_bytes = m.div_ceil(8);
-        let b = pack_bits(choices);
-        let threads = self.threads_for(m);
-        let mut t_cols: Vec<Vec<u8>> = vec![Vec::new(); KAPPA];
-        let mut u = vec![0u8; KAPPA * col_bytes];
-        if threads <= 1 {
-            for ((prg0, prg1), (out, ui)) in
-                self.prg_pairs.iter_mut().zip(t_cols.iter_mut().zip(u.chunks_exact_mut(col_bytes)))
-            {
-                let t0 = prg0.bytes(col_bytes);
-                let t1 = prg1.bytes(col_bytes);
-                ui.copy_from_slice(&t0);
-                xor_in_place(ui, &t1);
-                xor_in_place(ui, &b);
-                *out = t0;
-            }
-        } else {
-            // Each worker owns a contiguous column shard: PRG states,
-            // output slots and `u` slices split identically, so the result
-            // matches the sequential loop byte for byte.
-            let shard = KAPPA.div_ceil(threads);
-            let b = &b;
-            std::thread::scope(|scope| {
-                for (prgs, (outs, us)) in self
-                    .prg_pairs
-                    .chunks_mut(shard)
-                    .zip(t_cols.chunks_mut(shard).zip(u.chunks_mut(shard * col_bytes)))
-                {
-                    scope.spawn(move || {
-                        for ((prg0, prg1), (out, ui)) in
-                            prgs.iter_mut().zip(outs.iter_mut().zip(us.chunks_exact_mut(col_bytes)))
-                        {
-                            let t0 = prg0.bytes(col_bytes);
-                            let t1 = prg1.bytes(col_bytes);
-                            ui.copy_from_slice(&t0);
-                            xor_in_place(ui, &t1);
-                            xor_in_place(ui, b);
-                            *out = t0;
-                        }
-                    });
-                }
-            });
-        }
-        (u, t_cols)
+        Ok(Self::rows_of(&t_cols, choices.len()))
     }
 
     /// The per-row blocks `t_j` (the key for the chosen message) of `m`
     /// OTs' worth of `t` columns.
-    fn rows_of(&self, t_cols: &[Vec<u8>], m: usize) -> Vec<Block> {
-        if m == 0 {
-            return Vec::new();
-        }
-        transpose_columns_par(t_cols, m, self.threads_for(m))
-            .into_iter()
-            .map(|r| Block::from_bytes(r.try_into().expect("16-byte row")))
-            .collect()
-    }
-
-    fn threads_for(&self, m: usize) -> usize {
-        if m < PAR_MIN_OTS {
-            1
-        } else {
-            self.threads
-        }
+    fn rows_of(t_cols: &[u8], m: usize) -> Vec<Block> {
+        blocks(ext::rows(t_cols, m))
     }
 
     /// One batched hash pass over `H(t, t_j)` for every row.
@@ -446,7 +289,7 @@ impl IknpReceiver {
             .enumerate()
             .map(|(j, t)| *t ^ Block::from((base_tweak + j as u64) as u128))
             .collect();
-        self.hash.hash_blocks_par(&mut sigmas, self.threads);
+        self.hash.hash_blocks(&mut sigmas);
         sigmas
     }
 
@@ -460,13 +303,13 @@ impl IknpReceiver {
         ch: &mut T,
         choices: &[bool],
     ) -> Result<Vec<Block>, OtError> {
-        let t_cols = self.extend_columns(ch, choices)?;
+        let t_cols = self.extend_columns(ch, choices, IknpColumns)?;
         let base_tweak = self.bump_tweak(choices.len());
         let IknpCts(cts) = ch.recv_frame()?;
         if cts.len() != 2 * choices.len() {
             return Err(OtError::Malformed("IKNP ciphertext batch has wrong length"));
         }
-        let hs = self.hash_rows(&self.rows_of(&t_cols, choices.len()), base_tweak);
+        let hs = self.hash_rows(&Self::rows_of(&t_cols, choices.len()), base_tweak);
         Ok(hs
             .iter()
             .zip(choices)
@@ -485,12 +328,9 @@ impl IknpReceiver {
         ch: &mut T,
         choices: &[bool],
     ) -> Result<Vec<Block>, OtError> {
-        // No reply to wait for, so nothing to overlap the transpose with.
-        let (u, t_cols) = self.derive_columns(choices);
-        let ts = self.rows_of(&t_cols, choices.len());
-        ch.send_frame(&IknpColumns(u))?;
+        let t_cols = self.extend_columns(ch, choices, IknpColumns)?;
         let base_tweak = self.bump_tweak(choices.len());
-        Ok(self.hash_rows(&ts, base_tweak))
+        Ok(self.hash_rows(&Self::rows_of(&t_cols, choices.len()), base_tweak))
     }
 
     /// Correlated OT receiver: learns `x0 + c·delta` per OT.
@@ -504,14 +344,14 @@ impl IknpReceiver {
         choices: &[bool],
         ring: Ring,
     ) -> Result<Vec<u64>, OtError> {
-        let t_cols = self.extend_columns(ch, choices)?;
+        let t_cols = self.extend_columns(ch, choices, IknpColumns)?;
         let base_tweak = self.bump_tweak(choices.len());
         let OtCorrections(corr_bytes) = ch.recv_frame()?;
         if corr_bytes.len() != ring.byte_len() * choices.len() {
             return Err(OtError::Malformed("C-OT correction batch has wrong length"));
         }
         let corrections = ring.decode_slice(&corr_bytes);
-        let hs = self.hash_rows(&self.rows_of(&t_cols, choices.len()), base_tweak);
+        let hs = self.hash_rows(&Self::rows_of(&t_cols, choices.len()), base_tweak);
         Ok(hs
             .iter()
             .zip(choices)
@@ -540,15 +380,14 @@ impl IknpReceiver {
         width: usize,
         ring: Ring,
     ) -> Result<Vec<Vec<u64>>, OtError> {
-        let t_cols = self.extend_columns(ch, choices)?;
+        let t_cols = self.extend_columns(ch, choices, IknpColumns)?;
         let base_tweak = self.bump_tweak(choices.len());
         let elem_len = width * ring.byte_len();
         let OtVecPayload(payload) = ch.recv_frame()?;
         if payload.len() != elem_len * choices.len() {
             return Err(OtError::Malformed("vector C-OT correction batch length"));
         }
-        Ok(self
-            .rows_of(&t_cols, choices.len())
+        Ok(Self::rows_of(&t_cols, choices.len())
             .iter()
             .zip(choices)
             .enumerate()

@@ -13,11 +13,9 @@
 //! symbol masks to implement the one-batch "N−1 messages" optimization
 //! (§4.1.3), where the mask for symbol 0 is itself the sender's share.
 
-use crate::bits::{get_bit, transpose_columns_par, xor_in_place};
 use crate::frames::KkColumns;
-use crate::iknp::PAR_MIN_OTS;
-use crate::{base, OtError};
-use abnn2_crypto::{Block, Prg, RoHash};
+use crate::{ext, OtError};
+use abnn2_crypto::RoHash;
 use abnn2_net::Transport;
 use rand::Rng;
 
@@ -47,10 +45,8 @@ pub fn codeword(v: u64) -> [u8; 32] {
 /// OT-extension **sender**: after `extend`, can derive the mask for *every*
 /// symbol of every OT. In ABNN² this is the client (data owner).
 pub struct KkSender {
-    s: [u8; 32],
-    prgs: Vec<Prg>,
+    ext: ext::Sender<{ CODE_LEN / 8 }>,
     tweak: u64,
-    threads: usize,
 }
 
 impl std::fmt::Debug for KkSender {
@@ -63,9 +59,8 @@ impl std::fmt::Debug for KkSender {
 /// OT. In ABNN² this is the server (model owner) choosing weight fragments.
 #[derive(Clone)]
 pub struct KkChooser {
-    prg_pairs: Vec<(Prg, Prg)>,
+    ext: ext::Receiver,
     tweak: u64,
-    threads: usize,
 }
 
 impl std::fmt::Debug for KkChooser {
@@ -99,26 +94,7 @@ impl KkSender {
     ///
     /// Propagates base-OT failures.
     pub fn setup<T: Transport, R: Rng + ?Sized>(ch: &mut T, rng: &mut R) -> Result<Self, OtError> {
-        let s_bits: Vec<bool> = (0..CODE_LEN).map(|_| rng.gen()).collect();
-        let seeds = base::recv(ch, &s_bits, rng)?;
-        let mut s = [0u8; 32];
-        for (i, &b) in s_bits.iter().enumerate() {
-            if b {
-                s[i / 8] |= 1 << (i % 8);
-            }
-        }
-        Ok(KkSender {
-            s,
-            prgs: seeds.into_iter().map(Prg::from_seed).collect(),
-            tweak: 0,
-            threads: 1,
-        })
-    }
-
-    /// Sets the worker-thread count for column expansion and transposes.
-    /// Local compute only: the transcript is byte-identical for any value.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
+        Ok(KkSender { ext: ext::Sender::setup(ch, rng)?, tweak: 0 })
     }
 
     /// Extends to `m` fresh 1-out-of-N OTs (any N ≤ 256 at mask time),
@@ -128,62 +104,11 @@ impl KkSender {
     ///
     /// Returns an error on disconnection or malformed chooser messages.
     pub fn extend<T: Transport>(&mut self, ch: &mut T, m: usize) -> Result<KkSenderKeys, OtError> {
-        let col_bytes = m.div_ceil(8);
         let KkColumns(u) = ch.recv_frame()?;
-        if u.len() != CODE_LEN * col_bytes {
-            return Err(OtError::Malformed("KK13 column batch has wrong length"));
-        }
-        let threads = if m < PAR_MIN_OTS { 1 } else { self.threads };
-        let mut cols: Vec<Vec<u8>> = vec![Vec::new(); CODE_LEN];
-        if threads <= 1 {
-            for (i, (prg, out)) in self.prgs.iter_mut().zip(cols.iter_mut()).enumerate() {
-                let mut col = prg.bytes(col_bytes);
-                if get_bit(&self.s, i) {
-                    xor_in_place(&mut col, &u[i * col_bytes..(i + 1) * col_bytes]);
-                }
-                *out = col;
-            }
-        } else {
-            // Contiguous column shards per worker: identical output to the
-            // sequential loop, so the derived keys (and hence any masked
-            // traffic) cannot change.
-            let shard = CODE_LEN.div_ceil(threads);
-            let s = &self.s;
-            std::thread::scope(|scope| {
-                for (w, (prgs, (outs, us))) in self
-                    .prgs
-                    .chunks_mut(shard)
-                    .zip(cols.chunks_mut(shard).zip(u.chunks(shard * col_bytes)))
-                    .enumerate()
-                {
-                    let start = w * shard;
-                    scope.spawn(move || {
-                        for (k, ((prg, out), ui)) in prgs
-                            .iter_mut()
-                            .zip(outs.iter_mut())
-                            .zip(us.chunks(col_bytes))
-                            .enumerate()
-                        {
-                            let mut col = prg.bytes(col_bytes);
-                            if get_bit(s, start + k) {
-                                xor_in_place(&mut col, ui);
-                            }
-                            *out = col;
-                        }
-                    });
-                }
-            });
-        }
-        let rows = transpose_columns_par(&cols, m, threads)
-            .into_iter()
-            .map(|r| {
-                let arr: [u8; 32] = r.try_into().expect("32-byte row");
-                arr
-            })
-            .collect();
+        let rows = self.ext.rows(&u, m)?;
         let base_tweak = self.tweak;
         self.tweak += m as u64;
-        Ok(KkSenderKeys { rows, s: self.s, base_tweak, hash: RoHash::new() })
+        Ok(KkSenderKeys { rows, s: self.ext.s, base_tweak, hash: RoHash::new() })
     }
 }
 
@@ -251,23 +176,7 @@ impl KkChooser {
     ///
     /// Propagates base-OT failures.
     pub fn setup<T: Transport, R: Rng + ?Sized>(ch: &mut T, rng: &mut R) -> Result<Self, OtError> {
-        let seed_pairs: Vec<(Block, Block)> =
-            (0..CODE_LEN).map(|_| (Block::random(rng), Block::random(rng))).collect();
-        base::send(ch, &seed_pairs, rng)?;
-        Ok(KkChooser {
-            prg_pairs: seed_pairs
-                .into_iter()
-                .map(|(a, b)| (Prg::from_seed(a), Prg::from_seed(b)))
-                .collect(),
-            tweak: 0,
-            threads: 1,
-        })
-    }
-
-    /// Sets the worker-thread count for column expansion and transposes.
-    /// Local compute only: the transcript is byte-identical for any value.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
+        Ok(KkChooser { ext: ext::Receiver::setup(ch, CODE_LEN, rng)?, tweak: 0 })
     }
 
     /// Extends with one choice symbol per OT; all symbols must be below `n`.
@@ -288,70 +197,14 @@ impl KkChooser {
         assert!((2..=MAX_N).contains(&n), "radix {n} out of range");
         assert!(choices.iter().all(|&c| c < n), "choice symbol out of range");
         let m = choices.len();
-        let col_bytes = m.div_ceil(8);
 
-        // D matrix: row j is codeword(w_j); build its columns directly.
+        // D matrix: row j is codeword(w_j); the extension wants its columns.
         let codewords: Vec<[u8; 32]> = (0..n).map(codeword).collect();
-        let threads = if m < PAR_MIN_OTS { 1 } else { self.threads };
-        let mut t0_cols: Vec<Vec<u8>> = vec![Vec::new(); CODE_LEN];
-        let mut u = vec![0u8; CODE_LEN * col_bytes];
-        let expand_col =
-            |i: usize, prg0: &mut Prg, prg1: &mut Prg, out: &mut Vec<u8>, ui: &mut [u8]| {
-                let t0 = prg0.bytes(col_bytes);
-                let t1 = prg1.bytes(col_bytes);
-                ui.copy_from_slice(&t0);
-                xor_in_place(ui, &t1);
-                // XOR in column i of D.
-                for (j, &w) in choices.iter().enumerate() {
-                    if get_bit(&codewords[w as usize], i) {
-                        ui[j / 8] ^= 1 << (j % 8);
-                    }
-                }
-                *out = t0;
-            };
-        if threads <= 1 {
-            for (i, ((prg0, prg1), (out, ui))) in self
-                .prg_pairs
-                .iter_mut()
-                .zip(t0_cols.iter_mut().zip(u.chunks_exact_mut(col_bytes)))
-                .enumerate()
-            {
-                expand_col(i, prg0, prg1, out, ui);
-            }
-        } else {
-            // Contiguous column shards per worker: identical to the
-            // sequential loop, so the wire message is byte-identical.
-            let shard = CODE_LEN.div_ceil(threads);
-            let expand_col = &expand_col;
-            std::thread::scope(|scope| {
-                for (w, (prgs, (outs, us))) in self
-                    .prg_pairs
-                    .chunks_mut(shard)
-                    .zip(t0_cols.chunks_mut(shard).zip(u.chunks_mut(shard * col_bytes)))
-                    .enumerate()
-                {
-                    let start = w * shard;
-                    scope.spawn(move || {
-                        for (k, ((prg0, prg1), (out, ui))) in prgs
-                            .iter_mut()
-                            .zip(outs.iter_mut().zip(us.chunks_exact_mut(col_bytes)))
-                            .enumerate()
-                        {
-                            expand_col(start + k, prg0, prg1, out, ui);
-                        }
-                    });
-                }
-            });
-        }
+        let d: Vec<[u8; 32]> = choices.iter().map(|&w| codewords[w as usize]).collect();
+        let (u, t_cols) = self.ext.columns(&ext::columns(&d), m);
         ch.send_frame(&KkColumns(u))?;
 
-        let rows = transpose_columns_par(&t0_cols, m, threads)
-            .into_iter()
-            .map(|r| {
-                let arr: [u8; 32] = r.try_into().expect("32-byte row");
-                arr
-            })
-            .collect();
+        let rows = ext::rows(&t_cols, m);
         let base_tweak = self.tweak;
         self.tweak += m as u64;
         Ok(KkChooserKeys { rows, base_tweak, hash: RoHash::new() })
@@ -460,22 +313,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "choice symbol out of range")]
     fn oversized_choice_rejected() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let (mut a, _b) = Endpoint::pair(NetworkModel::instant());
-        // Construct a chooser directly to test the assertion without a peer.
-        let mut chooser = KkChooser {
-            prg_pairs: (0..CODE_LEN)
-                .map(|_| {
-                    (
-                        Prg::from_seed(Block::random(&mut rng)),
-                        Prg::from_seed(Block::random(&mut rng)),
-                    )
-                })
-                .collect(),
-            tweak: 0,
-            threads: 1,
-        };
-        let _ = chooser.extend(&mut a, &[4], 4);
+        let (mut a, mut b) = Endpoint::pair(NetworkModel::instant());
+        // The chooser runs on this thread so its panic is the test's; the
+        // scope joins the peer, then resumes it.
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                KkSender::setup(&mut b, &mut rand::rngs::StdRng::seed_from_u64(11)).expect("setup")
+            });
+            let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+            let mut chooser = KkChooser::setup(&mut a, &mut rng).expect("chooser setup");
+            let _ = chooser.extend(&mut a, &[4], 4);
+        });
     }
 
     #[test]

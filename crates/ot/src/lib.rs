@@ -13,6 +13,13 @@
 //!    matrix multiplication: the model holder plays the *chooser* with its
 //!    weight fragment as the choice symbol.
 //!
+//! [`iknp`], [`kk13`] and the silent bootstrap share one extension matrix:
+//! the crate-private `ext` module expands the base-OT PRGs into bit
+//! columns, applies the correction column and transposes to one row per
+//! OT, generic over the row width (16 bytes for IKNP, 32 for KK13),
+//! through the one transpose kernel in [`bits`]. The protocol modules add
+//! frames, tweaks and hashing. Nothing in this crate spawns threads.
+//!
 //! Party naming follows the OT literature: the **sender** holds the N
 //! messages, the **chooser** (receiver) learns exactly one. Note the role
 //! reversal in ABNN² itself: the *client* is the OT sender and the *server*
@@ -29,6 +36,7 @@
 pub mod base;
 pub mod bits;
 pub mod error;
+mod ext;
 pub mod fragment;
 pub mod frames;
 pub mod iknp;

@@ -57,9 +57,9 @@
 # generation time), BENCH_transformer.json (cold vs warm offline and
 # online costs of one encoder-block prediction, bit-exactness asserted
 # at generation time), and BENCH_crypto.json (blocks/sec per crypto
-# backend for AES/MMO/PRG, the IKNP transpose wall time and the curve
-# kernels under base-OT setup, with the ≥4× AES-NI speedup asserted at
-# generation time where the CPU has it).
+# backend for AES/MMO/PRG, the wall time of the one IKNP transpose
+# kernel and the curve kernels under base-OT setup, with the ≥4× AES-NI
+# speedup asserted at generation time where the CPU has it).
 #
 # Every run also builds and unit-tests the standalone benchmark package
 # under bench/ (its own manifest and lock file, outside the workspace), so

@@ -1,16 +1,12 @@
 //! Backend parity: every [`CryptoBackend`] method must be bit-identical
 //! to the portable oracle for random inputs, across batch lengths that
 //! exercise the AES-NI 8-lane main loop, its scalar remainder, and the
-//! empty batch. Also pins the determinism of the parallel MMO helper
-//! (`hash_blocks_par`): sharding across worker threads can never change
-//! a digest, which is what lets the parallel offline schedule keep
-//! transcripts byte-identical.
+//! empty batch.
 
 use abnn2::crypto::{aes_ni_available, backend, choose_backend, Aes128, Block, RoHash};
 use rand::{Rng, SeedableRng};
 
-/// Batch lengths around the 8-lane boundary, plus the parallel-hash
-/// threshold region.
+/// Batch lengths around the 8-lane boundary, plus two long batches.
 const LENS: [usize; 10] = [0, 1, 7, 8, 9, 16, 63, 257, 4096, 4099];
 
 #[test]
@@ -61,24 +57,6 @@ fn batched_mmo_matches_scalar_oracle_under_process_backend() {
         hash.hash_blocks(&mut batch);
         for (i, (s, h)) in sigmas.iter().zip(&batch).enumerate() {
             assert_eq!(*h, hash.hash_block(0, *s), "block {i} of {len} under {}", backend().name());
-        }
-    }
-}
-
-#[test]
-fn parallel_hash_is_thread_count_invariant() {
-    let hash = RoHash::new();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0xFACE);
-    // Straddle the internal parallel threshold (4096 blocks) with shard
-    // splits that do and do not divide the batch evenly.
-    for len in [0usize, 1, 4095, 4096, 4097, 9001] {
-        let sigmas: Vec<Block> = (0..len).map(|_| Block::random(&mut rng)).collect();
-        let mut want = sigmas.clone();
-        hash.hash_blocks(&mut want);
-        for threads in [1usize, 2, 3, 4, 7] {
-            let mut got = sigmas.clone();
-            hash.hash_blocks_par(&mut got, threads);
-            assert_eq!(got, want, "len {len} threads {threads}");
         }
     }
 }

@@ -1,14 +1,15 @@
 //! Golden-transcript pin for the parallel offline schedule.
 //!
-//! `ExecConfig::threads` may only change *local* compute — sharded PRG
-//! expansion, bit-matrix transposes, batched MMO hashing, triplet mask
-//! work. The frames a session emits, their order, and every payload byte
-//! must be identical for any thread count. This suite records the exact
-//! byte stream each party sends during a full session and asserts the
-//! multi-threaded transcript equals the single-threaded one, for an MLP
-//! (whose first layer is large enough to cross the internal 4096-OT
-//! parallelism threshold, so the sharded KK13/IKNP paths really run) and
-//! for a transformer graph (matrix-triple offline phase).
+//! `ExecConfig::threads` shards exactly one thing: the triplet mask work
+//! in `core::matmul::run_sharded` (decoding on the server, packing on the
+//! client). Nothing below `core` is threaded. The frames a session emits,
+//! their order, and every payload byte must be identical for any thread
+//! count. This suite records the exact byte stream each party sends during
+//! a full session and asserts the multi-threaded transcript equals the
+//! single-threaded one, for an MLP (4160 fragment OTs per group in the
+//! first layer, so every shard has real work) and for a transformer graph
+//! (matrix-triple offline phase, which takes no threads at all and must
+//! not notice the setting).
 
 use abnn2::core::{ExecConfig, SecureClient, SecureServer};
 use abnn2::math::{FragmentScheme, Ring};
@@ -93,8 +94,7 @@ fn assert_transcripts_equal(party: &str, base: &[Vec<u8>], par: &[Vec<u8>]) {
 /// One full MLP session under `threads` workers; returns (server-sent,
 /// client-sent) transcripts, asserting logits against the plaintext
 /// oracle on the way. The 260→16 first layer yields 4160 fragment OTs
-/// per group — past the 4096-OT threshold, so the sharded PRG/transpose/
-/// hash paths execute when `threads > 1`.
+/// per group for `run_sharded` to split when `threads > 1`.
 fn mlp_transcripts(threads: usize) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
     let net = Network::new(&[260, 16, 4], 0x51);
     let config = QuantConfig {
