@@ -40,6 +40,14 @@ fn bench_prg_and_hash(c: &mut Criterion) {
         let h = RoHash::new();
         b.iter(|| h.hash_expand(3, b"0123456789abcdef0123456789abcdef", 64));
     });
+    // The same oracle call for 1024 rows in one batch: per-row cost is
+    // this time over 1024.
+    g.bench_function("ro_hash_expand_rows_1024x64B", |b| {
+        let h = RoHash::new();
+        let rows = b"0123456789abcdef0123456789abcdef".repeat(1024);
+        let mut out = vec![0u8; 1024 * 64];
+        b.iter(|| h.hash_expand_rows(&rows, 32, |i| i as u128, 64, &mut out));
+    });
     g.finish();
 }
 

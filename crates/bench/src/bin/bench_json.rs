@@ -26,10 +26,16 @@
 //! AES, MMO hashing, and CTR-mode PRG fill, plus the IKNP bit-matrix
 //! transpose wall time, plus the `curve`
 //! group: the scalar-multiplication and encoding kernels under base-OT
-//! setup and a 128-OT batch, each a median of 11 runs. When the CPU has
-//! AES-NI the ≥ 4× speedup over the portable backend on AES and MMO is
-//! asserted at generation time, so a regression in the accelerated path
-//! can never be committed inside a fresh benchmark file.
+//! setup and a 128-OT batch, each a median of 11 runs, plus what sits
+//! between OT extension and a triplet: the `fragment_masks` group (ns per
+//! (OT, symbol) mask for sender and chooser, KK13 and silent, the batched
+//! call beside a loop of one-row calls) and `triplet_attribution` (one
+//! 128×128 o=1 triplet split into extension, masks and pack+decode per
+//! offline mode). When the CPU has AES-NI the ≥ 4× speedup over the
+//! portable backend on AES and MMO and the ≥ 3× of every batched mask
+//! derivation over its one-row loop are asserted at generation time, so a
+//! regression in the accelerated path can never be committed inside a
+//! fresh benchmark file.
 //! `scripts/check.sh --bench` writes all three files.
 
 use abnn2_bench::{paper_quantized, run_abnn2_e2e, run_offline_triplets_with, run_quotient_e2e};
@@ -37,7 +43,10 @@ use abnn2_core::bundle::dealer_bundle_for;
 use abnn2_core::complexity;
 use abnn2_core::graph::{SecureGraph, ServedModel};
 use abnn2_core::inference::{SecureClient, SecureServer};
-use abnn2_core::matmul::{triplet_client, triplet_server, TripletMode};
+use abnn2_core::matmul::{
+    triplet_client, triplet_client_with, triplet_server, triplet_server_with, TripletConfig,
+    TripletMode, MASKS_PER_CHUNK,
+};
 use abnn2_core::relu::ReluVariant;
 use abnn2_crypto::curve::{EdwardsPoint, PointTable};
 use abnn2_crypto::{aes_ni_available, choose_backend, Aes128, Block, CryptoBackend};
@@ -46,9 +55,12 @@ use abnn2_net::wire::tags;
 use abnn2_net::{run_pair, Endpoint, InstrumentedTransport, NetworkModel};
 use abnn2_nn::quant::QuantConfig;
 use abnn2_nn::transformer::QuantizedTransformer;
-use abnn2_ot::{FragmentChooser, FragmentSender, OfflineMode};
+use abnn2_ot::{
+    FragmentChooser, FragmentChooserKeys, FragmentSender, FragmentSenderKeys, OfflineMode,
+};
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
+use std::sync::Barrier;
 use std::time::Instant;
 
 /// Formats a metric value: integers stay integers, everything else gets
@@ -255,20 +267,239 @@ fn transpose_secs(m: usize) -> f64 {
     }
 }
 
-/// Timed repetitions behind every `curve` row: the median is reported
-/// with the min and max beside it.
+/// Timed repetitions behind every `curve`, `fragment_masks` and
+/// `triplet_attribution` row: the median is reported with the min and max
+/// beside it.
 const CURVE_RUNS: usize = 11;
 
-/// Runs `sample` [`CURVE_RUNS`] times and appends `name` (median),
-/// `name_min` and `name_max` to `metrics`.
-fn push_spread(metrics: &mut Vec<(String, f64)>, name: &str, mut sample: impl FnMut() -> f64) {
-    let mut runs: Vec<f64> = (0..CURVE_RUNS).map(|_| sample()).collect();
+/// Runs `sample` [`CURVE_RUNS`] times and records them with
+/// [`push_runs`].
+fn push_spread(
+    metrics: &mut Vec<(String, f64)>,
+    name: &str,
+    mut sample: impl FnMut() -> f64,
+) -> f64 {
+    push_runs(metrics, name, (0..CURVE_RUNS).map(|_| sample()).collect())
+}
+
+/// Appends `name` (the median of `runs`), `name_min` and `name_max` to
+/// `metrics` and returns the median.
+fn push_runs(metrics: &mut Vec<(String, f64)>, name: &str, mut runs: Vec<f64>) -> f64 {
     runs.sort_by(f64::total_cmp);
-    let (median, min, max) = (runs[CURVE_RUNS / 2], runs[0], runs[CURVE_RUNS - 1]);
-    eprintln!("[curve] {name} {median:.2} (min {min:.2}, max {max:.2})");
+    let (median, min, max) = (runs[runs.len() / 2], runs[0], runs[runs.len() - 1]);
+    eprintln!("[spread] {name} {median:.2} (min {min:.2}, max {max:.2})");
     metrics.push((name.to_owned(), median));
     metrics.push((format!("{name}_min"), min));
     metrics.push((format!("{name}_max"), max));
+    median
+}
+
+/// Runs both parties of a fragment-OT session on their own threads over
+/// an in-memory channel — setup, a barrier, then the timed part — and
+/// returns what each timed part returned with the seconds the slower took.
+fn fragment_duet<A: Send, B: Send>(
+    ot: OfflineMode,
+    chooser: impl FnOnce(&mut Endpoint, &mut FragmentChooser) -> A + Send,
+    sender: impl FnOnce(&mut Endpoint, &mut FragmentSender) -> B + Send,
+) -> (A, B, f64) {
+    let (mut server_ep, mut client_ep) = Endpoint::pair(NetworkModel::instant());
+    let start = Barrier::new(2);
+    std::thread::scope(|scope| {
+        let server = scope.spawn(|| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(42);
+            let mut kk = FragmentChooser::setup(&mut server_ep, ot, &mut rng).expect("setup");
+            start.wait();
+            let t0 = Instant::now();
+            (chooser(&mut server_ep, &mut kk), t0.elapsed().as_secs_f64())
+        });
+        let mut rng = rand::rngs::StdRng::seed_from_u64(43);
+        let mut kk = FragmentSender::setup(&mut client_ep, ot, &mut rng).expect("setup");
+        start.wait();
+        let t0 = Instant::now();
+        let b = sender(&mut client_ep, &mut kk);
+        let client_secs = t0.elapsed().as_secs_f64();
+        let (a, server_secs) = server.join().expect("chooser thread");
+        (a, b, server_secs.max(client_secs))
+    })
+}
+
+/// Derives every sender mask of `keys` at radix `n` the way a triplet
+/// does — bounded batches — and returns the seconds it took.
+fn time_sender_masks(keys: &FragmentSenderKeys, n: u64, len: usize) -> f64 {
+    let per_chunk = MASKS_PER_CHUNK / n as usize;
+    let mut out = vec![0u8; MASKS_PER_CHUNK * len];
+    let t0 = Instant::now();
+    for at in (0..keys.len()).step_by(per_chunk) {
+        let ots = at..(at + per_chunk).min(keys.len());
+        let out = &mut out[..ots.len() * n as usize * len];
+        keys.masks(ots, 0..n, len, black_box(out));
+    }
+    t0.elapsed().as_secs_f64()
+}
+
+/// [`time_sender_masks`] for the chooser's one mask per OT.
+fn time_chooser_masks(keys: &FragmentChooserKeys, len: usize) -> f64 {
+    let mut out = vec![0u8; MASKS_PER_CHUNK * len];
+    let t0 = Instant::now();
+    for at in (0..keys.len()).step_by(MASKS_PER_CHUNK) {
+        let ots = at..(at + MASKS_PER_CHUNK).min(keys.len());
+        let out = &mut out[..ots.len() * len];
+        keys.masks(ots, len, black_box(out));
+    }
+    t0.elapsed().as_secs_f64()
+}
+
+/// The `fragment_masks` group of `--crypto`: what one (OT, symbol) mask
+/// costs each party under each OT mode, derived in bounded batches as
+/// `core::matmul` does and, beside it, by one call per (OT, symbol).
+/// With AES-NI present, asserts the ≥ 3× the batch exists to deliver.
+fn fragment_masks_entry() -> String {
+    const OTS: usize = 4096;
+    let mut metrics = Vec::new();
+    for (ot, ot_name) in [(OfflineMode::Iknp, "kk13"), (OfflineMode::Silent, "silent")] {
+        for n in [4u64, 16] {
+            let symbols: Vec<u64> = {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(44);
+                (0..OTS).map(|_| rng.gen_range(0..n)).collect()
+            };
+            let (ck, sk, _) = fragment_duet(
+                ot,
+                |ch, kk| kk.extend(ch, &symbols, n).expect("chooser extend"),
+                |ch, kk| kk.extend(ch, OTS, n).expect("sender extend"),
+            );
+            for len in [4usize, 32] {
+                let per_mask = |secs: f64, masks: usize| secs * 1e9 / masks as f64;
+                let mut one = vec![0u8; len];
+                let row = format!("{ot_name}_n{n}_len{len}");
+                let pairs = [
+                    (
+                        push_spread(&mut metrics, &format!("{row}_sender_batched_ns"), || {
+                            per_mask(time_sender_masks(&sk, n, len), OTS * n as usize)
+                        }),
+                        push_spread(&mut metrics, &format!("{row}_sender_one_row_ns"), || {
+                            let t0 = Instant::now();
+                            for j in 0..OTS {
+                                for v in 0..n {
+                                    sk.masks(j..j + 1, v..v + 1, len, black_box(&mut one));
+                                }
+                            }
+                            per_mask(t0.elapsed().as_secs_f64(), OTS * n as usize)
+                        }),
+                    ),
+                    (
+                        push_spread(&mut metrics, &format!("{row}_chooser_batched_ns"), || {
+                            per_mask(time_chooser_masks(&ck, len), OTS)
+                        }),
+                        push_spread(&mut metrics, &format!("{row}_chooser_one_row_ns"), || {
+                            let t0 = Instant::now();
+                            for j in 0..OTS {
+                                ck.masks(j..j + 1, len, black_box(&mut one));
+                            }
+                            per_mask(t0.elapsed().as_secs_f64(), OTS)
+                        }),
+                    ),
+                ];
+                for (batched, one_row) in pairs {
+                    assert!(
+                        !aes_ni_available() || one_row >= 3.0 * batched,
+                        "{row}: batched masks must be >= 3x the one-row loop with AES-NI: \
+                         {batched:.1} vs {one_row:.1} ns"
+                    );
+                }
+            }
+        }
+    }
+    let metrics: Vec<(&str, f64)> = metrics.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    entry(
+        "fragment_masks",
+        &format!(
+            "ns per (OT, symbol) mask over {OTS} OTs, batches of {MASKS_PER_CHUNK} masks beside \
+             one call per mask, median of {CURVE_RUNS} runs with min/max, single core"
+        ),
+        "measured",
+        &metrics,
+    )
+}
+
+/// The `triplet_attribution` row of `--crypto`: one 128×128 triplet at
+/// o = 1 over the served (2,2) scheme per offline mode, beside the same
+/// session running only its two fragment-OT extensions and the mask
+/// derivation of both parties on the keys those return. Both are on the
+/// triplet's critical path (the parties alternate), so what is left —
+/// `pack_decode_ms`, from the medians — is message packing, decoding and
+/// the hand-off of the two ciphertext frames.
+fn triplet_attribution_entry() -> String {
+    let (m, n) = (128usize, 128usize);
+    let scheme = FragmentScheme::signed_bit_fields(&[2, 2]);
+    let ring = Ring::new(32);
+    let cfg = TripletConfig::new(TripletMode::OneBatch);
+    let weights: Vec<i64> = {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(41);
+        let (lo, hi) = scheme.weight_range();
+        (0..m * n).map(|_| rng.gen_range(lo..=hi)).collect()
+    };
+    let digits: Vec<Vec<u64>> = weights.iter().map(|&w| scheme.decompose(w)).collect();
+    let r = Matrix::random(n, 1, &ring, &mut rand::rngs::StdRng::seed_from_u64(45));
+    let ms = |secs: f64| secs * 1e3;
+
+    let mut metrics = Vec::new();
+    for (ot, ot_name) in [(OfflineMode::Iknp, "iknp"), (OfflineMode::Silent, "silent")] {
+        let total = push_spread(&mut metrics, &format!("{ot_name}_total_ms"), || {
+            let (.., secs) = fragment_duet(
+                ot,
+                |ch, kk| {
+                    triplet_server_with(ch, kk, &weights, m, n, 1, &scheme, ring, cfg)
+                        .expect("triplet server")
+                },
+                |ch, kk| {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(46);
+                    triplet_client_with(ch, kk, &r, m, &scheme, ring, cfg, &mut rng)
+                        .expect("triplet client")
+                },
+            );
+            ms(secs)
+        });
+        // Each run times the two extensions, then mask derivation on the
+        // keys they returned.
+        let run = |_| {
+            let (chooser_keys, sender_keys, secs) = fragment_duet(
+                ot,
+                |ch, kk| {
+                    (scheme.fragments().iter().enumerate())
+                        .map(|(g, frag)| {
+                            let choices: Vec<u64> = digits.iter().map(|d| d[g]).collect();
+                            kk.extend(ch, &choices, frag.n).expect("chooser extend")
+                        })
+                        .collect::<Vec<_>>()
+                },
+                |ch, kk| {
+                    (scheme.fragments().iter())
+                        .map(|frag| kk.extend(ch, m * n, frag.n).expect("sender extend"))
+                        .collect::<Vec<_>>()
+                },
+            );
+            let len = ring.byte_len();
+            let sender: f64 = (sender_keys.iter().zip(scheme.fragments()))
+                .map(|(keys, frag)| time_sender_masks(keys, frag.n, len))
+                .sum();
+            let chooser: f64 = chooser_keys.iter().map(|keys| time_chooser_masks(keys, len)).sum();
+            (ms(secs), ms(sender + chooser))
+        };
+        let (extension, masks): (Vec<f64>, Vec<f64>) = (0..CURVE_RUNS).map(run).unzip();
+        let extension = push_runs(&mut metrics, &format!("{ot_name}_extension_ms"), extension);
+        let masks = push_runs(&mut metrics, &format!("{ot_name}_masks_ms"), masks);
+        metrics.push((format!("{ot_name}_pack_decode_ms"), total - extension - masks));
+    }
+    let metrics: Vec<(&str, f64)> = metrics.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    entry(
+        "triplet_attribution",
+        &format!(
+            "128x128 triplet, o=1, (2,2), ring 2^32, one thread a party, setup excluded; \
+             median of {CURVE_RUNS} runs with min/max, pack_decode = total - extension - masks"
+        ),
+        "measured",
+        &metrics,
+    )
 }
 
 /// The `curve` group of `--crypto`: the three kernels under base-OT setup
@@ -333,9 +564,10 @@ fn curve_entry() -> String {
 }
 
 /// The `--crypto` workload: per-backend blocks/sec for the three
-/// [`CryptoBackend`] primitives plus the IKNP transpose wall time. With
-/// AES-NI present, asserts the ≥ 4× AES/MMO speedup the backend exists
-/// to deliver.
+/// fixed-key [`CryptoBackend`] primitives, the IKNP transpose wall time,
+/// the curve kernels, and the mask derivation between OT extension and a
+/// triplet. With AES-NI present, asserts the ≥ 4× AES/MMO speedup the
+/// backend exists to deliver.
 fn crypto_entries(entries: &mut Vec<String>) {
     let workload = format!("{CRYPTO_BATCH} blocks/batch, fixed key, single core per backend");
     let mut throughput = Vec::new(); // (backend name, aes, mmo, prg)
@@ -397,6 +629,8 @@ fn crypto_entries(entries: &mut Vec<String>) {
     ));
 
     entries.push(curve_entry());
+    entries.push(fragment_masks_entry());
+    entries.push(triplet_attribution_entry());
 }
 
 fn main() {

@@ -42,6 +42,13 @@ impl TripletMode {
             TripletMode::MultiBatch
         }
     }
+
+    /// The lowest symbol whose ciphertext crosses the wire — the one place
+    /// the two layouts differ: `OneBatch` is `MultiBatch` from symbol 1,
+    /// with the client's share taken from mask 0 instead of sampled.
+    fn first_sent(self) -> usize {
+        usize::from(self == TripletMode::OneBatch)
+    }
 }
 
 /// Execution options for the triplet protocols.
@@ -226,57 +233,64 @@ impl TripletWalk {
             return Ok(None);
         };
         let (g, digits) = (self.next - 1, &self.digits);
-        let (m, n, o, ring, mode) = (self.m, self.n, self.o, self.ring, self.cfg.mode);
-        let elem_len = o * ring.byte_len();
+        let (m, n, o, ring) = (self.m, self.n, self.o, self.ring);
+        let (radix, t_start) = (self.radices[g] as usize, self.cfg.mode.first_sent());
+        let (width, elem_len) = (ring.byte_len(), o * ring.byte_len());
+        let per_ot = radix - t_start;
         let TripletMasked(data) = ch.recv_frame()?;
-        let per_ot = match mode {
-            TripletMode::MultiBatch => self.radices[g] as usize,
-            TripletMode::OneBatch => self.radices[g] as usize - 1,
-        };
         if data.len() != m * n * per_ot * elem_len {
             return Err(ProtocolError::Malformed("triplet ciphertext batch length"));
         }
 
         // Per-OT decryption is independent; shard it across workers and
-        // merge the partial share matrices.
-        let decode_range = |range: std::ops::Range<usize>| -> Matrix {
-            let mut u_part = Matrix::zeros(m, o);
-            for idx in range {
-                let digit = digits[idx][g];
-                let mut mask = keys.mask(idx, elem_len);
-                let vals = match (mode, digit) {
-                    (TripletMode::OneBatch, 0) => {
-                        // Symbol 0: the plaintext *is* the chooser's mask.
-                        ring.decode_slice(&mask)
+        // sum the partial shares.
+        let decode_range = |range: std::ops::Range<usize>| -> Vec<u64> {
+            let mut u_part = vec![0u64; m * o];
+            let mut masks = Vec::new();
+            for ots in chunks(range, MASKS_PER_CHUNK) {
+                masks.resize(ots.len() * elem_len, 0);
+                keys.masks(ots.clone(), elem_len, &mut masks);
+                for (k, idx) in ots.enumerate() {
+                    let mask = &mut masks[k * elem_len..][..elem_len];
+                    // A symbol below `t_start` is not on the wire: its
+                    // plaintext *is* the chooser's mask.
+                    if let Some(t) = (digits[idx][g] as usize).checked_sub(t_start) {
+                        let off = (idx * per_ot + t) * elem_len;
+                        mask.iter_mut().zip(&data[off..off + elem_len]).for_each(|(m, c)| *m ^= c);
                     }
-                    (TripletMode::OneBatch, d) => {
-                        let off = (idx * per_ot + (d as usize - 1)) * elem_len;
-                        for (mb, db) in mask.iter_mut().zip(&data[off..off + elem_len]) {
-                            *mb ^= db;
-                        }
-                        ring.decode_slice(&mask)
+                    let row = &mut u_part[idx / n * o..][..o];
+                    for (acc, bytes) in row.iter_mut().zip(mask.chunks_exact(width)) {
+                        *acc = ring.add(*acc, ring.decode(bytes));
                     }
-                    (TripletMode::MultiBatch, d) => {
-                        let off = (idx * per_ot + d as usize) * elem_len;
-                        for (mb, db) in mask.iter_mut().zip(&data[off..off + elem_len]) {
-                            *mb ^= db;
-                        }
-                        ring.decode_slice(&mask)
-                    }
-                };
-                let i = idx / n;
-                for (k, &v) in vals.iter().enumerate() {
-                    let cur = u_part.get(i, k);
-                    u_part.set(i, k, ring.add(cur, v));
                 }
             }
             u_part
         };
-        let u_frag = run_sharded(m * n, self.cfg.threads, &decode_range)
-            .into_iter()
-            .fold(Matrix::zeros(m, o), |acc, part| acc.add(&part, &ring));
-        self.u = self.u.add(&u_frag, &ring);
+        for part in run_sharded(m * n, self.cfg.threads, &decode_range) {
+            add_assign(self.u.as_mut_slice(), &part, ring);
+        }
         Ok((self.next == self.radices.len()).then(|| self.u.clone()))
+    }
+}
+
+/// Masks derived per oracle batch by both parties' loops: bounds what a
+/// shard holds at once (rows, seeds and masks of one batch, a few hundred
+/// KB at the served shapes) whatever the layer's size. Public for the
+/// probes that time mask derivation the way a triplet runs it.
+pub const MASKS_PER_CHUNK: usize = 4096;
+
+/// `range` cut into consecutive pieces of at most `len`.
+fn chunks(
+    range: std::ops::Range<usize>,
+    len: usize,
+) -> impl Iterator<Item = std::ops::Range<usize>> {
+    range.clone().step_by(len).map(move |at| at..(at + len).min(range.end))
+}
+
+/// `acc += part` element-wise over `ring`.
+fn add_assign(acc: &mut [u64], part: &[u64], ring: Ring) {
+    for (a, &p) in acc.iter_mut().zip(part) {
+        *a = ring.add(*a, p);
     }
 }
 
@@ -352,19 +366,15 @@ pub fn triplet_client_with<T: Transport, RNG: Rng + ?Sized>(
     cfg: TripletConfig,
     rng: &mut RNG,
 ) -> Result<Matrix, ProtocolError> {
-    let mode = cfg.mode;
-    let n = r.rows();
-    let o = r.cols();
-    let elem_len = o * ring.byte_len();
+    let (n, o) = (r.rows(), r.cols());
+    let (width, elem_len) = (ring.byte_len(), o * ring.byte_len());
+    let t_start = cfg.mode.first_sent();
     let mut v = Matrix::zeros(m, o);
 
     for frag in scheme.fragments() {
-        let nn = frag.n as usize;
+        let radix = frag.n as usize;
         let keys = kk.extend(ch, m * n, frag.n)?;
-        let per_ot = match mode {
-            TripletMode::MultiBatch => nn,
-            TripletMode::OneBatch => nn - 1,
-        };
+        let per_ot = radix - t_start;
 
         // Message packing per OT is independent; shard across workers and
         // concatenate the buffers in index order. One group seed is drawn
@@ -372,60 +382,51 @@ pub fn triplet_client_with<T: Transport, RNG: Rng + ?Sized>(
         // OT derives its own mask stream from (seed, index), so the frame
         // is byte-identical no matter how the index range is sharded.
         let mask_seed: u64 = rng.gen();
-        let pack_range = |range: std::ops::Range<usize>| -> (Vec<u8>, Matrix) {
+        let pack_range = |range: std::ops::Range<usize>| -> (Vec<u8>, Vec<u64>) {
             use rand::SeedableRng;
-            let mut v_part = Matrix::zeros(m, o);
+            let mut v_part = vec![0u64; m * o];
             let mut data = Vec::with_capacity(range.len() * per_ot * elem_len);
-            for idx in range {
-                let i = idx / n;
-                let j = idx % n;
-                let r_row = r.row(j);
-                // The client's per-OT masks s_k and the symbols it encrypts.
-                let (s_vec, t_start) = match mode {
-                    TripletMode::MultiBatch => {
+            let mut masks = Vec::new();
+            let mut s = vec![0u64; o];
+            for ots in chunks(range, (MASKS_PER_CHUNK / radix).max(1)) {
+                masks.resize(ots.len() * radix * elem_len, 0);
+                keys.masks(ots.clone(), 0..frag.n, elem_len, &mut masks);
+                for (k, idx) in ots.enumerate() {
+                    let mask = |t: usize| &masks[(k * radix + t) * elem_len..][..elem_len];
+                    let r_row = r.row(idx % n);
+                    // The client's per-OT shares s_k.
+                    if t_start == 0 {
                         let mut ot_rng = rand::rngs::StdRng::seed_from_u64(splitmix64(
                             mask_seed ^ splitmix64(idx as u64),
                         ));
-                        (ring.sample_vec(&mut ot_rng, o), 0u64)
-                    }
-                    TripletMode::OneBatch => {
+                        s.iter_mut().for_each(|sk| *sk = ring.sample(&mut ot_rng));
+                    } else {
                         // s_k := contribution(0, r_k) − decode(mask₀)_k, so
                         // the chooser's symbol-0 plaintext equals its own
                         // mask and needs no transmission.
-                        let mask0 = ring.decode_slice(&keys.mask(idx, 0, elem_len));
-                        let s: Vec<u64> = r_row
-                            .iter()
-                            .zip(&mask0)
-                            .map(|(&rk, &m0)| ring.sub(frag.contribution(0, rk, &ring), m0))
-                            .collect();
-                        (s, 1u64)
+                        for ((sk, &rk), m0) in
+                            s.iter_mut().zip(r_row).zip(mask(0).chunks_exact(width))
+                        {
+                            *sk = ring.sub(frag.contribution(0, rk, &ring), ring.decode(m0));
+                        }
                     }
-                };
-                for (k, &sk) in s_vec.iter().enumerate() {
-                    let cur = v_part.get(i, k);
-                    v_part.set(i, k, ring.add(cur, sk));
-                }
-                for t in t_start..frag.n {
-                    let plain: Vec<u64> = r_row
-                        .iter()
-                        .zip(&s_vec)
-                        .map(|(&rk, &sk)| ring.sub(frag.contribution(t, rk, &ring), sk))
-                        .collect();
-                    let mut ct = ring.encode_slice(&plain);
-                    let mask = keys.mask(idx, t, elem_len);
-                    for (c, mb) in ct.iter_mut().zip(&mask) {
-                        *c ^= mb;
+                    add_assign(&mut v_part[idx / n * o..][..o], &s, ring);
+                    for t in t_start..radix {
+                        for ((&rk, &sk), mask) in
+                            r_row.iter().zip(&s).zip(mask(t).chunks_exact(width))
+                        {
+                            let plain = ring.sub(frag.contribution(t as u64, rk, &ring), sk);
+                            data.extend(plain.to_le_bytes().iter().zip(mask).map(|(p, m)| p ^ m));
+                        }
                     }
-                    data.extend_from_slice(&ct);
                 }
             }
             (data, v_part)
         };
-        let parts = run_sharded(m * n, cfg.threads, &pack_range);
         let mut data = Vec::with_capacity(m * n * per_ot * elem_len);
-        for (buf, v_part) in parts {
+        for (buf, v_part) in run_sharded(m * n, cfg.threads, &pack_range) {
             data.extend_from_slice(&buf);
-            v = v.add(&v_part, &ring);
+            add_assign(v.as_mut_slice(), &v_part, ring);
         }
         ch.send_frame(&TripletMasked(data))?;
     }

@@ -121,8 +121,10 @@ impl Aes128 {
 
     /// Encrypts one 16-byte block.
     ///
-    /// Always the portable T-table path — scalar call sites keep zero
-    /// dispatch overhead and double as the oracle for the batched API.
+    /// Always the portable T-table path, on AES-NI hosts too: this is the
+    /// definition the batched [`mod@crate::backend`] shapes are tested against,
+    /// not a production path. No protocol code calls it (`scripts/check.sh`
+    /// greps for that); everything hot goes through a slice.
     #[must_use]
     pub fn encrypt_block(&self, pt: Block) -> Block {
         let te = te_tables();

@@ -1,16 +1,19 @@
 //! Backend-dispatched batched crypto primitives.
 //!
-//! Every hot loop in the OT and garbling stacks bottoms out in one of three
-//! fixed-key-AES shapes: raw block encryption (PRG, label encryption), the
-//! MMO compression `π(σ) ⊕ σ` (random-oracle hashing), and CTR-mode stream
-//! expansion. [`CryptoBackend`] exposes exactly those three as slice-batched
-//! operations so one implementation choice accelerates all of them:
+//! Every hot loop in the OT and garbling stacks bottoms out in one of four
+//! AES shapes: raw block encryption (label encryption), the MMO compression
+//! `π(σ) ⊕ σ` (random-oracle hashing), CTR-mode stream expansion under one
+//! key (the column PRGs), and CTR-mode expansion under a fresh key per
+//! output (one mask per oracle digest). [`CryptoBackend`] exposes exactly
+//! those four as slice-batched operations so one implementation choice
+//! accelerates all of them:
 //!
 //! * [`Portable`] — the T-table software AES that has always been here. It
 //!   is the test oracle: every other backend must be bit-identical to it.
 //! * [`AesNi`] — hardware AES via `aesenc`/`aesenclast`, 8 blocks in
-//!   flight per iteration to cover the instruction latency. Only
-//!   constructed after `is_x86_feature_detected!("aes")` succeeds.
+//!   flight per iteration to cover the instruction latency, and a key
+//!   schedule built on `aesenclast` where every output has its own key.
+//!   Only constructed after `is_x86_feature_detected!("aes")` succeeds.
 //!
 //! The process-wide backend is chosen once, on first use, by [`backend`]:
 //! AES-NI when the CPU has it, otherwise portable. The `ABNN2_CRYPTO_BACKEND`
@@ -45,6 +48,16 @@ pub trait CryptoBackend: Send + Sync {
         }
         self.aes_encrypt_blocks(aes, out);
     }
+
+    /// Per-seed keyed CTR: `out` holds one `len`-byte mask per seed, back
+    /// to back, mask `i` being the first `len` bytes of
+    /// `AES_{seeds[i]}(0), AES_{seeds[i]}(1), …` — what
+    /// `Prg::from_seed(seeds[i]).bytes(len)` returns, without the `Prg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != seeds.len() * len`.
+    fn expand_seeds(&self, seeds: &[Block], len: usize, out: &mut [u8]);
 }
 
 /// The software T-table backend — always available, and the oracle the
@@ -68,6 +81,20 @@ impl CryptoBackend for Portable {
             *s = pi.encrypt_block(*s) ^ *s;
         }
     }
+
+    fn expand_seeds(&self, seeds: &[Block], len: usize, out: &mut [u8]) {
+        assert_eq!(out.len(), seeds.len() * len, "one len-byte mask per seed");
+        if len == 0 {
+            return;
+        }
+        for (seed, mask) in seeds.iter().zip(out.chunks_exact_mut(len)) {
+            let aes = Aes128::new(*seed);
+            for (counter, chunk) in mask.chunks_mut(16).enumerate() {
+                let block = aes.encrypt_block(Block::from(counter as u128)).to_bytes();
+                chunk.copy_from_slice(&block[..chunk.len()]);
+            }
+        }
+    }
 }
 
 /// Hardware AES-NI backend. Not publicly constructible: the only instance
@@ -81,8 +108,9 @@ pub struct AesNi(());
 mod aesni {
     use super::{Aes128, Block};
     use core::arch::x86_64::{
-        __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_loadu_si128, _mm_setzero_si128,
-        _mm_storeu_si128, _mm_xor_si128,
+        __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_loadu_si128, _mm_or_si128,
+        _mm_set1_epi32, _mm_set_epi64x, _mm_setzero_si128, _mm_shuffle_epi32, _mm_slli_epi32,
+        _mm_slli_si128, _mm_srli_epi32, _mm_storeu_si128, _mm_xor_si128,
     };
 
     /// Blocks kept in flight per main-loop iteration: enough independent
@@ -184,6 +212,82 @@ mod aesni {
             i += 1;
         }
     }
+
+    /// The round key after `key` under the round constant `rcon`: with
+    /// `g = SubWord(RotWord(w₃)) ⊕ rcon`, the next words are `w₀ ⊕ g`,
+    /// `w₀ ⊕ w₁ ⊕ g`, … — a prefix XOR of the old ones. `SubWord` is
+    /// `aesenclast` on `w₃` broadcast under a zero key (ShiftRows moves
+    /// nothing when all four columns are equal); `aeskeygenassist` returns
+    /// the same `g`, but is microcoded on Intel cores: 46 ns a key against
+    /// 17 this way, eight keys interleaved.
+    #[inline]
+    #[target_feature(enable = "aes,sse2")]
+    unsafe fn next_round_key(key: __m128i, rcon: i32) -> __m128i {
+        let sub = _mm_aesenclast_si128(_mm_shuffle_epi32::<0xff>(key), _mm_setzero_si128());
+        let rot = _mm_or_si128(_mm_srli_epi32::<8>(sub), _mm_slli_epi32::<24>(sub));
+        let g = _mm_xor_si128(rot, _mm_set1_epi32(rcon));
+        let pairs = _mm_xor_si128(key, _mm_slli_si128::<4>(key));
+        let prefix = _mm_xor_si128(pairs, _mm_slli_si128::<8>(pairs));
+        _mm_xor_si128(prefix, g)
+    }
+
+    /// The FIPS-197 key expansion of `LANES` keys at once, `rk[round][lane]`:
+    /// what [`Aes128::new`] computes in software for one.
+    ///
+    /// # Safety
+    ///
+    /// Requires the `aes` and `sse2` CPU features.
+    #[inline]
+    #[target_feature(enable = "aes,sse2")]
+    pub(super) unsafe fn key_schedules(keys: [__m128i; LANES]) -> [[__m128i; LANES]; 11] {
+        const RCON: [i32; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
+        let mut rk = [keys; 11];
+        for (r, rcon) in RCON.into_iter().enumerate() {
+            let prev = rk[r];
+            for (next, key) in rk[r + 1].iter_mut().zip(prev) {
+                *next = next_round_key(key, rcon);
+            }
+        }
+        rk
+    }
+
+    /// # Safety
+    ///
+    /// Requires the `aes` and `sse2` CPU features.
+    #[target_feature(enable = "aes,sse2")]
+    pub unsafe fn expand_seeds(seeds: &[Block], len: usize, out: &mut [u8]) {
+        assert_eq!(out.len(), seeds.len() * len, "one len-byte mask per seed");
+        if len == 0 {
+            return;
+        }
+        // One lane per seed, so a one-block mask still keeps `LANES` chains
+        // in flight; a short last group runs its first seed in the spare
+        // lanes.
+        for (group, masks) in seeds.chunks(LANES).zip(out.chunks_mut(LANES * len)) {
+            let mut keys = [_mm_loadu_si128(group.as_ptr().cast()); LANES];
+            for (key, seed) in keys.iter_mut().zip(group) {
+                *key = _mm_loadu_si128(std::ptr::from_ref(seed).cast());
+            }
+            let rk = key_schedules(keys);
+            for counter in 0..len.div_ceil(16) {
+                let mut s = [_mm_set_epi64x(0, counter as i64); LANES];
+                for (x, key) in s.iter_mut().zip(&rk[0]) {
+                    *x = _mm_xor_si128(*x, *key);
+                }
+                for round in &rk[1..10] {
+                    for (x, key) in s.iter_mut().zip(round) {
+                        *x = _mm_aesenc_si128(*x, *key);
+                    }
+                }
+                for ((x, key), mask) in s.iter().zip(&rk[10]).zip(masks.chunks_exact_mut(len)) {
+                    let mut block = [0u8; 16];
+                    _mm_storeu_si128(block.as_mut_ptr().cast(), _mm_aesenclast_si128(*x, *key));
+                    let chunk = &mut mask[16 * counter..len.min(16 * counter + 16)];
+                    chunk.copy_from_slice(&block[..chunk.len()]);
+                }
+            }
+        }
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -200,6 +304,11 @@ impl CryptoBackend for AesNi {
     fn mmo_hash_blocks(&self, pi: &Aes128, sigmas: &mut [Block]) {
         // SAFETY: AesNi is only handed out after `aes_ni_available()`.
         unsafe { aesni::mmo_hash_blocks(pi, sigmas) }
+    }
+
+    fn expand_seeds(&self, seeds: &[Block], len: usize, out: &mut [u8]) {
+        // SAFETY: AesNi is only handed out after `aes_ni_available()`.
+        unsafe { aesni::expand_seeds(seeds, len, out) }
     }
 }
 
@@ -365,6 +474,68 @@ mod tests {
             Portable.prg_fill(&aes, ctr, &mut a);
             ni.prg_fill(&aes, ctr, &mut b);
             assert_eq!(a, b, "prg len={len}");
+            for mask_len in [0usize, 1, 16, 40] {
+                let mut a = vec![0u8; len * mask_len];
+                let mut b = a.clone();
+                Portable.expand_seeds(&inputs, mask_len, &mut a);
+                ni.expand_seeds(&inputs, mask_len, &mut b);
+                assert_eq!(a, b, "expand {len} seeds to {mask_len} bytes");
+            }
+        }
+    }
+
+    #[test]
+    fn expand_seeds_is_a_prg_per_seed() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let seeds: Vec<Block> = (0..11).map(|_| Block::random(&mut rng)).collect();
+        for len in [0usize, 5, 16, 33] {
+            let mut out = vec![0u8; seeds.len() * len];
+            backend().expand_seeds(&seeds, len, &mut out);
+            let want: Vec<u8> =
+                seeds.iter().flat_map(|&s| crate::Prg::from_seed(s).bytes(len)).collect();
+            assert_eq!(out, want, "len={len}");
+        }
+    }
+
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn aesni_key_schedule_equals_software_expansion() {
+        use core::arch::x86_64::{__m128i, _mm_loadu_si128, _mm_storeu_si128};
+        if !aes_ni_available() {
+            return;
+        }
+        // FIPS-197 Appendix A.1, then seeded keys, eight to a call.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+        let mut keys = vec![Block::from_bytes([
+            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
+            0x4f, 0x3c,
+        ])];
+        keys.extend((0..263).map(|_| Block::random(&mut rng)));
+        let a1_last = [
+            0xd0, 0x14, 0xf9, 0xa8, 0xc9, 0xee, 0x25, 0x89, 0xe1, 0x3f, 0x0c, 0xc8, 0xb6, 0x63,
+            0x0c, 0xa6,
+        ];
+        assert_eq!(Aes128::new(keys[0]).round_keys()[10], a1_last, "the oracle itself");
+        for group in keys.chunks_exact(8) {
+            // SAFETY: `aes_ni_available()` was checked above; the loads and
+            // stores go through references to 16-byte values.
+            let got: Vec<[[u8; 16]; 11]> = unsafe {
+                let lanes: [__m128i; 8] =
+                    std::array::from_fn(|i| _mm_loadu_si128(std::ptr::from_ref(&group[i]).cast()));
+                let rk = aesni::key_schedules(lanes);
+                (0..8)
+                    .map(|lane| {
+                        std::array::from_fn(|r| {
+                            let mut bytes = [0u8; 16];
+                            _mm_storeu_si128(bytes.as_mut_ptr().cast(), rk[r][lane]);
+                            bytes
+                        })
+                    })
+                    .collect()
+            };
+            for (key, got) in group.iter().zip(&got) {
+                assert_eq!(got, Aes128::new(*key).round_keys(), "key {key}");
+            }
         }
     }
 }

@@ -14,7 +14,8 @@
 //! constant. This is *heuristically* a random oracle (as in the paper's RO
 //! model); see the crate-level security note.
 
-use crate::{Aes128, Block, Prg};
+use crate::{Aes128, Block};
+use std::sync::OnceLock;
 
 /// Tweakable hash with 128-bit output backed by fixed-key AES.
 ///
@@ -39,6 +40,15 @@ impl RoHash {
         RoHash { pi: Aes128::new(key) }
     }
 
+    /// The process-wide oracle: the fixed key is public, so every caller
+    /// can share one expanded schedule instead of running [`new`](Self::new)
+    /// per batch.
+    #[must_use]
+    pub fn shared() -> &'static RoHash {
+        static SHARED: OnceLock<RoHash> = OnceLock::new();
+        SHARED.get_or_init(RoHash::new)
+    }
+
     /// One-block hash `H(tweak, x)` (MMO with tweak).
     #[must_use]
     pub fn hash_block(&self, tweak: u128, x: Block) -> Block {
@@ -58,31 +68,78 @@ impl RoHash {
         crate::backend::backend().mmo_hash_blocks(&self.pi, sigmas);
     }
 
-    /// Hashes an arbitrary byte string to one block under a tweak.
-    ///
-    /// Zero-padded Merkle–Damgård over the MMO compression function, with the
-    /// input length mixed into the finalization so padding cannot collide.
-    #[must_use]
-    pub fn hash_bytes(&self, tweak: u128, data: &[u8]) -> Block {
-        let mut h = Block::ZERO;
-        for chunk in data.chunks(16) {
-            let mut buf = [0u8; 16];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            h = self.hash_block(0, h ^ Block::from_bytes(buf));
+    /// The Merkle–Damgård digest of `n` rows of `width` bytes back to back
+    /// in `rows`, row `i` under `tweak(i)`, chained column by column — one
+    /// [`hash_blocks`](Self::hash_blocks) pass over all rows per 16-byte
+    /// column (the last zero-padded), then the finalization pass that
+    /// mixes in each row's tweak and the width, so padding cannot collide.
+    fn digests(
+        &self,
+        rows: &[u8],
+        width: usize,
+        n: usize,
+        tweak: impl Fn(usize) -> u128,
+    ) -> Vec<Block> {
+        assert_eq!(rows.len(), width * n, "n rows of width bytes");
+        let mut h = vec![Block::ZERO; n];
+        for col in (0..width).step_by(16) {
+            let take = (width - col).min(16);
+            for (h, row) in h.iter_mut().zip(rows.chunks_exact(width)) {
+                let mut buf = [0u8; 16];
+                buf[..take].copy_from_slice(&row[col..col + take]);
+                *h ^= Block::from_bytes(buf);
+            }
+            self.hash_blocks(&mut h);
         }
-        self.hash_block(tweak ^ ((data.len() as u128) << 64).rotate_left(32), h)
+        let length = ((width as u128) << 64).rotate_left(32);
+        for (i, h) in h.iter_mut().enumerate() {
+            *h ^= Block::from(tweak(i) ^ length);
+        }
+        self.hash_blocks(&mut h);
+        h
     }
 
-    /// Hashes a byte string and expands the digest to `out_len` bytes via an
-    /// AES-CTR PRG keyed by the digest.
+    /// Hashes an arbitrary byte string to one block under a tweak: the
+    /// one-row case of the chain under
+    /// [`hash_expand_rows`](Self::hash_expand_rows).
+    #[must_use]
+    pub fn hash_bytes(&self, tweak: u128, data: &[u8]) -> Block {
+        self.digests(data, data.len(), 1, |_| tweak)[0]
+    }
+
+    /// Hashes every `width`-byte row of `rows`, row `i` under `tweak(i)`,
+    /// and expands each digest to a `len`-byte mask via AES-CTR keyed by
+    /// the digest: mask `i` lands in `out[i·len..(i+1)·len]`.
     ///
     /// This is the "output of the random oracle can pack multiple
-    /// multiplications" packing from SecureML/§4.1.3: one oracle call yields
-    /// a mask of arbitrary width.
+    /// multiplications" packing from SecureML/§4.1.3 — one oracle call
+    /// yields a mask of arbitrary width — for a whole batch of OT keys at
+    /// once: `2 + ⌈width/16⌉` backend calls however many rows there are.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `width` is positive, `rows` a whole number of
+    /// `width`-byte rows and `out` as many masks of `len` bytes.
+    pub fn hash_expand_rows(
+        &self,
+        rows: &[u8],
+        width: usize,
+        tweak: impl Fn(usize) -> u128,
+        len: usize,
+        out: &mut [u8],
+    ) {
+        let seeds = self.digests(rows, width, rows.len() / width, tweak);
+        crate::backend::backend().expand_seeds(&seeds, len, out);
+    }
+
+    /// [`hash_expand_rows`](Self::hash_expand_rows) of one row of any
+    /// length, the empty one included.
     #[must_use]
     pub fn hash_expand(&self, tweak: u128, data: &[u8], out_len: usize) -> Vec<u8> {
         let seed = self.hash_bytes(tweak, data);
-        Prg::from_seed(seed).bytes(out_len)
+        let mut out = vec![0u8; out_len];
+        crate::backend::backend().expand_seeds(&[seed], out_len, &mut out);
+        out
     }
 }
 

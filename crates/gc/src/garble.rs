@@ -44,7 +44,7 @@ impl GarblerLabels {
 /// Garbles a circuit, returning the evaluator material and the garbler's
 /// input label pairs.
 pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, rng: &mut R) -> (GarbledCircuit, GarblerLabels) {
-    let hash = RoHash::new();
+    let hash = RoHash::shared();
     let delta = Block::random(rng).with_lsb(true);
     let mut zero = vec![Block::ZERO; circuit.n_wires];
 
@@ -120,7 +120,7 @@ pub fn evaluate(
         return Err(GcError::Malformed("output decode count"));
     }
 
-    let hash = RoHash::new();
+    let hash = RoHash::shared();
     let mut label = vec![Block::ZERO; circuit.n_wires];
     for (&w, &l) in circuit.garbler_inputs.iter().zip(garbler_labels) {
         label[w] = l;

@@ -198,14 +198,15 @@ impl Ring {
     pub fn decode_slice(self, bytes: &[u8]) -> Vec<u64> {
         let w = self.byte_len();
         assert_eq!(bytes.len() % w, 0, "byte buffer not a multiple of element width");
-        bytes
-            .chunks_exact(w)
-            .map(|c| {
-                let mut b = [0u8; 8];
-                b[..w].copy_from_slice(c);
-                u64::from_le_bytes(b) & self.mask
-            })
-            .collect()
+        bytes.chunks_exact(w).map(|c| self.decode(c)).collect()
+    }
+
+    /// One element from its little-endian wire bytes (at most eight).
+    #[must_use]
+    pub fn decode(self, bytes: &[u8]) -> u64 {
+        let mut b = [0u8; 8];
+        b[..bytes.len()].copy_from_slice(bytes);
+        u64::from_le_bytes(b) & self.mask
     }
 }
 

@@ -12,6 +12,7 @@ use crate::silent::{SilentChooserKeys, SilentKkChooser, SilentKkSender, SilentSe
 use crate::OtError;
 use abnn2_net::Transport;
 use rand::Rng;
+use std::ops::Range;
 
 /// Which OT machinery drives the offline phase — negotiated at handshake,
 /// baked into bundle keys so pools never cross-serve modes.
@@ -212,16 +213,20 @@ impl FragmentSenderKeys {
         self.len() == 0
     }
 
-    /// The `len`-byte mask of symbol `v` in OT `j`.
+    /// The `len`-byte masks of the symbols in `symbols` for the OTs in
+    /// `ots`, back to back in `out`: the mask of symbol `v` in OT `j` at
+    /// `((j − ots.start) · symbols.len() + v − symbols.start) · len`. One
+    /// oracle batch for the whole range, so callers bound their memory by
+    /// the ranges they ask for.
     ///
     /// # Panics
     ///
-    /// Panics if `j` or `v` is out of range.
-    #[must_use]
-    pub fn mask(&self, j: usize, v: u64, len: usize) -> Vec<u8> {
+    /// Panics if a range is out of bounds or `out` is not
+    /// `ots.len() · symbols.len() · len` bytes.
+    pub fn masks(&self, ots: Range<usize>, symbols: Range<u64>, len: usize, out: &mut [u8]) {
         match self {
-            FragmentSenderKeys::Kk(k) => k.mask(j, v, len),
-            FragmentSenderKeys::Silent(k) => k.mask(j, v, len),
+            FragmentSenderKeys::Kk(k) => k.masks(ots, symbols, len, out),
+            FragmentSenderKeys::Silent(k) => k.masks(ots, symbols, len, out),
         }
     }
 }
@@ -242,16 +247,18 @@ impl FragmentChooserKeys {
         self.len() == 0
     }
 
-    /// The `len`-byte mask of the symbol this chooser selected in OT `j`.
+    /// The `len`-byte masks of the symbols this chooser selected in the
+    /// OTs in `ots`, back to back in `out`. One oracle batch for the whole
+    /// range.
     ///
     /// # Panics
     ///
-    /// Panics if `j` is out of range.
-    #[must_use]
-    pub fn mask(&self, j: usize, len: usize) -> Vec<u8> {
+    /// Panics if `ots` is out of range or `out` is not `ots.len() · len`
+    /// bytes.
+    pub fn masks(&self, ots: Range<usize>, len: usize, out: &mut [u8]) {
         match self {
-            FragmentChooserKeys::Kk(k) => k.mask(j, len),
-            FragmentChooserKeys::Silent(k) => k.mask(j, len),
+            FragmentChooserKeys::Kk(k) => k.masks(ots, len, out),
+            FragmentChooserKeys::Silent(k) => k.masks(ots, len, out),
         }
     }
 }
@@ -292,9 +299,24 @@ mod tests {
             assert_eq!(smode, mode);
             assert_eq!(sk.len(), m);
             assert_eq!(ck.len(), m);
+            // Every sender mask at symbols 1 and 2, every chooser mask: the
+            // chooser's equals the sender's at its choice and no other.
+            let (mut s_all, mut c_all) = (vec![0u8; m * 2 * 24], vec![0u8; m * 24]);
+            sk.masks(0..m, 1..3, 24, &mut s_all);
+            ck.masks(0..m, 24, &mut c_all);
             for (j, &w) in choices.iter().enumerate() {
-                assert_eq!(ck.mask(j, 24), sk.mask(j, w, 24), "mode={mode:?} ot={j}");
+                for v in 1..3 {
+                    let sender = &s_all[(j * 2 + v - 1) * 24..][..24];
+                    assert_eq!(sender == &c_all[j * 24..][..24], v as u64 == w, "{mode:?} {j} {v}");
+                }
             }
+            // A sub-range call is the matching slice of the whole.
+            let (mut s_part, mut c_part) = (vec![0u8; 3 * 24], vec![0u8; 3 * 24]);
+            sk.masks(1..4, 2..3, 24, &mut s_part);
+            ck.masks(1..4, 24, &mut c_part);
+            let want: Vec<u8> =
+                (1..4).flat_map(|j| s_all[(j * 2 + 1) * 24..][..24].to_vec()).collect();
+            assert_eq!((s_part, &c_part[..]), (want, &c_all[24..4 * 24]), "mode={mode:?}");
         }
     }
 }

@@ -18,7 +18,6 @@ use rand::Rng;
 #[derive(Clone)]
 pub struct IknpSender {
     ext: ext::Sender<{ KAPPA / 8 }>,
-    hash: RoHash,
     tweak: u64,
 }
 
@@ -32,7 +31,6 @@ impl std::fmt::Debug for IknpSender {
 #[derive(Clone)]
 pub struct IknpReceiver {
     ext: ext::Receiver,
-    hash: RoHash,
     tweak: u64,
 }
 
@@ -54,7 +52,7 @@ impl IknpSender {
     ///
     /// Propagates base-OT failures.
     pub fn setup<T: Transport, R: Rng + ?Sized>(ch: &mut T, rng: &mut R) -> Result<Self, OtError> {
-        Ok(IknpSender { ext: ext::Sender::setup(ch, rng)?, hash: RoHash::new(), tweak: 0 })
+        Ok(IknpSender { ext: ext::Sender::setup(ch, rng)?, tweak: 0 })
     }
 
     /// The global correlation block `s`: for every extension row,
@@ -122,7 +120,7 @@ impl IknpSender {
             sigmas.push(*q ^ t);
             sigmas.push(*q ^ s ^ t);
         }
-        self.hash.hash_blocks(&mut sigmas);
+        RoHash::shared().hash_blocks(&mut sigmas);
         sigmas
     }
 
@@ -195,21 +193,22 @@ impl IknpSender {
         let qs = self.extend_rows(ch, deltas.len())?;
         let base_tweak = self.bump_tweak(deltas.len());
         let elem_len = width * ring.byte_len();
+        // Both keys of every OT, `H(t, q)` then `H(t, q ⊕ s)`, in one
+        // oracle batch.
+        let rows: Vec<u8> =
+            qs.iter().flat_map(|q| [*q, *q ^ self.delta()]).flat_map(Block::to_bytes).collect();
+        let tweak = |i| u128::from(base_tweak + (i / 2) as u64);
+        let mut masks = vec![0u8; 2 * qs.len() * elem_len];
+        RoHash::shared().hash_expand_rows(&rows, 16, tweak, elem_len, &mut masks);
         let mut x0s = Vec::with_capacity(deltas.len());
         let mut payload = Vec::with_capacity(deltas.len() * elem_len);
-        for (j, (q, delta)) in qs.iter().zip(deltas).enumerate() {
-            let t = (base_tweak + j as u64) as u128;
-            let x0 = ring.decode_slice(&self.hash.hash_expand(t, &q.to_bytes(), elem_len));
-            let mask1 = ring.decode_slice(&self.hash.hash_expand(
-                t,
-                &(*q ^ self.delta()).to_bytes(),
-                elem_len,
-            ));
-            for k in 0..width {
-                payload.extend_from_slice(
-                    &ring.encode_slice(&[ring.sub(ring.add(x0[k], delta[k]), mask1[k])]),
-                );
-            }
+        for (j, delta) in deltas.iter().enumerate() {
+            let pair = &masks[2 * j * elem_len..2 * (j + 1) * elem_len];
+            let x0 = ring.decode_slice(&pair[..elem_len]);
+            let mask1 = ring.decode_slice(&pair[elem_len..]);
+            let corr: Vec<u64> =
+                (0..width).map(|k| ring.sub(ring.add(x0[k], delta[k]), mask1[k])).collect();
+            payload.extend(ring.encode_slice(&corr));
             x0s.push(x0);
         }
         ch.send_frame(&OtVecPayload(payload))?;
@@ -231,11 +230,7 @@ impl IknpReceiver {
     ///
     /// Propagates base-OT failures.
     pub fn setup<T: Transport, R: Rng + ?Sized>(ch: &mut T, rng: &mut R) -> Result<Self, OtError> {
-        Ok(IknpReceiver {
-            ext: ext::Receiver::setup(ch, KAPPA, rng)?,
-            hash: RoHash::new(),
-            tweak: 0,
-        })
+        Ok(IknpReceiver { ext: ext::Receiver::setup(ch, KAPPA, rng)?, tweak: 0 })
     }
 
     /// Core extension step, the same for every variant: sends the masked
@@ -289,7 +284,7 @@ impl IknpReceiver {
             .enumerate()
             .map(|(j, t)| *t ^ Block::from((base_tweak + j as u64) as u128))
             .collect();
-        self.hash.hash_blocks(&mut sigmas);
+        RoHash::shared().hash_blocks(&mut sigmas);
         sigmas
     }
 
@@ -387,16 +382,18 @@ impl IknpReceiver {
         if payload.len() != elem_len * choices.len() {
             return Err(OtError::Malformed("vector C-OT correction batch length"));
         }
-        Ok(Self::rows_of(&t_cols, choices.len())
+        let rows = ext::rows::<{ KAPPA / 8 }>(&t_cols, choices.len());
+        let tweak = |i| u128::from(base_tweak + i as u64);
+        let mut masks = vec![0u8; payload.len()];
+        RoHash::shared().hash_expand_rows(rows.as_flattened(), 16, tweak, elem_len, &mut masks);
+        Ok(choices
             .iter()
-            .zip(choices)
             .enumerate()
-            .map(|(j, (t, &c))| {
-                let tw = (base_tweak + j as u64) as u128;
-                let mask = ring.decode_slice(&self.hash.hash_expand(tw, &t.to_bytes(), elem_len));
+            .map(|(j, &c)| {
+                let at = j * elem_len..(j + 1) * elem_len;
+                let mask = ring.decode_slice(&masks[at.clone()]);
                 if c {
-                    let corr = ring.decode_slice(&payload[j * elem_len..(j + 1) * elem_len]);
-                    ring.add_vec(&corr, &mask)
+                    ring.add_vec(&ring.decode_slice(&payload[at]), &mask)
                 } else {
                     mask
                 }

@@ -18,6 +18,7 @@ use crate::{ext, OtError};
 use abnn2_crypto::RoHash;
 use abnn2_net::Transport;
 use rand::Rng;
+use std::ops::Range;
 
 /// Code length 2κ = 256: the column count of the extension matrix.
 pub const CODE_LEN: usize = 256;
@@ -33,13 +34,21 @@ pub const MAX_N: u64 = 256;
 #[must_use]
 pub fn codeword(v: u64) -> [u8; 32] {
     assert!(v < MAX_N, "symbol {v} exceeds the WH code domain");
-    let mut out = [0u8; 32];
-    for i in 0..CODE_LEN {
-        if ((v & i as u64).count_ones() & 1) == 1 {
-            out[i / 8] |= 1 << (i % 8);
-        }
-    }
-    out
+    // Bit 8b + k is parity(v & 8b) ⊕ parity(v & k): byte b is the byte of
+    // the eight low parities, complemented where the high parity is odd.
+    let parity = |x: u64| (x.count_ones() & 1) as u8;
+    let low = (0..8).fold(0u8, |byte, k| byte | parity(v & k) << k);
+    std::array::from_fn(|b| if parity((v >> 3) & b as u64) == 1 { !low } else { low })
+}
+
+/// The codewords of `symbols`, each ANDed with `and`: the chooser's code
+/// table (`and` all ones) and the sender's `c(v) ∧ s`.
+fn codewords(symbols: Range<u64>, and: &[u8; 32]) -> Vec<[u8; 32]> {
+    let masked = |v| {
+        let c = codeword(v);
+        std::array::from_fn(|i| c[i] & and[i])
+    };
+    symbols.map(masked).collect()
 }
 
 /// OT-extension **sender**: after `extend`, can derive the mask for *every*
@@ -75,7 +84,6 @@ pub struct KkSenderKeys {
     rows: Vec<[u8; 32]>,
     s: [u8; 32],
     base_tweak: u64,
-    hash: RoHash,
 }
 
 /// Key material the chooser obtains from one `extend` call.
@@ -83,7 +91,6 @@ pub struct KkSenderKeys {
 pub struct KkChooserKeys {
     rows: Vec<[u8; 32]>,
     base_tweak: u64,
-    hash: RoHash,
 }
 
 impl KkSender {
@@ -108,7 +115,7 @@ impl KkSender {
         let rows = self.ext.rows(&u, m)?;
         let base_tweak = self.tweak;
         self.tweak += m as u64;
-        Ok(KkSenderKeys { rows, s: self.ext.s, base_tweak, hash: RoHash::new() })
+        Ok(KkSenderKeys { rows, s: self.ext.s, base_tweak })
     }
 }
 
@@ -125,22 +132,35 @@ impl KkSenderKeys {
         self.rows.is_empty()
     }
 
-    /// The `len`-byte mask of symbol `v` in OT `j` — XOR a plaintext with
-    /// this before sending; only a chooser that picked `v` can remove it.
+    /// The `len`-byte masks of the symbols in `symbols` for the OTs in
+    /// `ots`, OT-major, back to back in `out` — XOR a plaintext with one
+    /// before sending; only a chooser that picked that symbol can remove
+    /// it. One oracle batch for the whole range.
     ///
     /// # Panics
     ///
-    /// Panics if `j` or `v` is out of range.
+    /// Panics if a range is out of bounds or `out` is not
+    /// `ots.len() · symbols.len() · len` bytes.
+    pub fn masks(&self, ots: Range<usize>, symbols: Range<u64>, len: usize, out: &mut [u8]) {
+        let codewords = codewords(symbols, &self.s);
+        let mut rows = Vec::with_capacity(ots.len() * codewords.len() * 32);
+        for j in ots.clone() {
+            // Sender key for symbol v: H(j, q_j ⊕ (c(v) ∧ s)). For the
+            // chooser's actual symbol this cancels to its t0 row.
+            for c in &codewords {
+                rows.extend(self.rows[j].iter().zip(c).map(|(q, c)| q ^ c));
+            }
+        }
+        let tweak = |i| u128::from(self.base_tweak + (ots.start + i / codewords.len()) as u64);
+        RoHash::shared().hash_expand_rows(&rows, 32, tweak, len, out);
+    }
+
+    /// [`masks`](Self::masks) of one symbol in one OT.
     #[must_use]
     pub fn mask(&self, j: usize, v: u64, len: usize) -> Vec<u8> {
-        // Sender key for symbol v: H(j, q_j ⊕ (c(v) ∧ s)). For the chooser's
-        // actual symbol this cancels to its t0 row.
-        let mut row = self.rows[j];
-        let cw = codeword(v);
-        for (i, r) in row.iter_mut().enumerate() {
-            *r ^= cw[i] & self.s[i];
-        }
-        self.hash.hash_expand((self.base_tweak + j as u64) as u128, &row, len)
+        let mut out = vec![0u8; len];
+        self.masks(j..j + 1, v..v + 1, len, &mut out);
+        out
     }
 }
 
@@ -157,14 +177,26 @@ impl KkChooserKeys {
         self.rows.is_empty()
     }
 
-    /// The `len`-byte mask of the symbol this chooser selected in OT `j`.
+    /// The `len`-byte masks of the symbols this chooser selected in the
+    /// OTs in `ots`, back to back in `out`. One oracle batch for the whole
+    /// range.
     ///
     /// # Panics
     ///
-    /// Panics if `j` is out of range.
+    /// Panics if `ots` is out of range or `out` is not `ots.len() · len`
+    /// bytes.
+    pub fn masks(&self, ots: Range<usize>, len: usize, out: &mut [u8]) {
+        let rows = self.rows[ots.clone()].as_flattened();
+        let tweak = |i| u128::from(self.base_tweak + (ots.start + i) as u64);
+        RoHash::shared().hash_expand_rows(rows, 32, tweak, len, out);
+    }
+
+    /// [`masks`](Self::masks) of one OT.
     #[must_use]
     pub fn mask(&self, j: usize, len: usize) -> Vec<u8> {
-        self.hash.hash_expand((self.base_tweak + j as u64) as u128, &self.rows[j], len)
+        let mut out = vec![0u8; len];
+        self.masks(j..j + 1, len, &mut out);
+        out
     }
 }
 
@@ -199,7 +231,7 @@ impl KkChooser {
         let m = choices.len();
 
         // D matrix: row j is codeword(w_j); the extension wants its columns.
-        let codewords: Vec<[u8; 32]> = (0..n).map(codeword).collect();
+        let codewords = codewords(0..n, &[0xff; 32]);
         let d: Vec<[u8; 32]> = choices.iter().map(|&w| codewords[w as usize]).collect();
         let (u, t_cols) = self.ext.columns(&ext::columns(&d), m);
         ch.send_frame(&KkColumns(u))?;
@@ -207,7 +239,7 @@ impl KkChooser {
         let rows = ext::rows(&t_cols, m);
         let base_tweak = self.tweak;
         self.tweak += m as u64;
-        Ok(KkChooserKeys { rows, base_tweak, hash: RoHash::new() })
+        Ok(KkChooserKeys { rows, base_tweak })
     }
 }
 
@@ -235,6 +267,17 @@ mod tests {
             },
         );
         (a, b)
+    }
+
+    #[test]
+    fn codeword_bits_are_inner_product_parities() {
+        for v in 0..MAX_N {
+            let c = codeword(v);
+            for i in 0..CODE_LEN {
+                let want = (v & i as u64).count_ones() % 2 == 1;
+                assert_eq!(crate::bits::get_bit(&c, i), want, "symbol {v} bit {i}");
+            }
+        }
     }
 
     #[test]

@@ -33,9 +33,16 @@ const LPN_CODE_SEED: [u8; 16] = *b"ABNN2 LPN code.\0";
 /// The public `D`-local code: `params.d` base indices per output position,
 /// derived from a fixed PRG seed so both parties expand identically.
 fn lpn_indices(params: LpnParams) -> Vec<u16> {
-    let bytes = Prg::from_seed(Block::from_bytes(LPN_CODE_SEED)).bytes(params.n * params.d * 2);
+    // Eight little-endian 16-bit words per stream block.
+    let mut blocks = vec![Block::ZERO; (params.n * params.d).div_ceil(8)];
+    Prg::from_seed(Block::from_bytes(LPN_CODE_SEED)).fill_blocks(&mut blocks);
     let mask = (params.k - 1) as u16;
-    bytes.chunks_exact(2).map(|c| u16::from_le_bytes([c[0], c[1]]) & mask).collect()
+    let mut indices = Vec::with_capacity(blocks.len() * 8);
+    for b in &blocks {
+        indices.extend((0..8).map(|i| (b.as_u128() >> (16 * i)) as u16 & mask));
+    }
+    indices.truncate(params.n * params.d);
+    indices
 }
 
 /// Sender side of the silent COT generator: holds Δ and one `y` block per
@@ -44,7 +51,6 @@ pub struct SilentCotSender {
     iknp: IknpSender,
     params: LpnParams,
     delta: Block,
-    hash: RoHash,
     rng: StdRng,
     reserve: Vec<Block>,
     pool: VecDeque<Block>,
@@ -66,7 +72,6 @@ impl std::fmt::Debug for SilentCotSender {
 pub struct SilentCotReceiver {
     iknp: IknpReceiver,
     params: LpnParams,
-    hash: RoHash,
     rng: StdRng,
     reserve: Vec<(bool, Block)>,
     pool: VecDeque<(bool, Block)>,
@@ -116,7 +121,6 @@ impl SilentCotSender {
             iknp,
             params,
             delta,
-            hash: RoHash::new(),
             rng: StdRng::seed_from_u64(rng.next_u64()),
             reserve: Vec::new(),
             pool: VecDeque::new(),
@@ -160,7 +164,7 @@ impl SilentCotSender {
         let mut s = Vec::with_capacity(p.n);
         for tree in 0..p.t {
             let root = Block::random(&mut self.rng);
-            let (leaves, level_sums) = spcot::expand(&self.hash, root, p.tree_depth);
+            let (leaves, level_sums) = spcot::expand(RoHash::shared(), root, p.tree_depth);
             let mut correction = self.delta;
             for &leaf in &leaves {
                 correction ^= leaf;
@@ -175,7 +179,7 @@ impl SilentCotSender {
                 h.push(if d { y ^ self.delta } else { y } ^ tw);
                 h.push(if d { y } else { y ^ self.delta } ^ tw);
             }
-            self.hash.hash_blocks(&mut h);
+            RoHash::shared().hash_blocks(&mut h);
             for (&(k0, k1), hm) in level_sums.iter().zip(h.chunks_exact(2)) {
                 masks.extend_from_slice(&(k0 ^ hm[0]).to_bytes());
                 masks.extend_from_slice(&(k1 ^ hm[1]).to_bytes());
@@ -239,7 +243,6 @@ impl SilentCotReceiver {
         Ok(SilentCotReceiver {
             iknp,
             params,
-            hash: RoHash::new(),
             rng: StdRng::seed_from_u64(rng.next_u64()),
             reserve: Vec::new(),
             pool: VecDeque::new(),
@@ -320,7 +323,7 @@ impl SilentCotReceiver {
                 let tw = Block::from(SPCOT_TWEAK | u128::from(self.bump_tweak()));
                 h.push(z ^ tw);
             }
-            self.hash.hash_blocks(&mut h);
+            RoHash::shared().hash_blocks(&mut h);
             let mut ks = Vec::with_capacity(p.tree_depth);
             for (l, &hz) in h.iter().enumerate() {
                 let complement = ((alpha >> (p.tree_depth - 1 - l)) & 1) ^ 1;
@@ -328,7 +331,7 @@ impl SilentCotReceiver {
                 let m = Block::from_bytes(masks[off..off + 16].try_into().expect("16 bytes"));
                 ks.push(m ^ hz);
             }
-            let mut leaves = spcot::reconstruct(&self.hash, alpha, p.tree_depth, &ks);
+            let mut leaves = spcot::reconstruct(RoHash::shared(), alpha, p.tree_depth, &ks);
             let mut punctured =
                 Block::from_bytes(sums[tree * 16..(tree + 1) * 16].try_into().expect("16 bytes"));
             for (j, &leaf) in leaves.iter().enumerate() {
@@ -436,6 +439,7 @@ mod tests {
     #[test]
     fn lpn_code_is_deterministic_and_in_range() {
         let p = LpnParams::CI;
+
         let a = lpn_indices(p);
         let b = lpn_indices(p);
         assert_eq!(a, b);

@@ -8,9 +8,9 @@
 //! it for every `u`, while the chooser's COT block `z_b = y_b ⊕ x_b·Δ`
 //! *is* the key for its own bit — and for `u ≠ v_b` the key hides behind
 //! the correlation-robust hash of an unknown `Δ`-shifted block. The symbol
-//! mask is `hash_expand` over the concatenated per-bit keys, mirroring the
-//! KK13 key-handle API so the γ(N−1) triplet protocol is oblivious to which
-//! extension produced its masks.
+//! mask is the oracle expansion of the concatenated per-bit keys, mirroring
+//! the KK13 key-handle API so the γ(N−1) triplet protocol is oblivious to
+//! which extension produced its masks.
 
 use super::{SilentCotReceiver, SilentCotSender};
 use crate::bits::{get_bit, pack_bits};
@@ -20,6 +20,7 @@ use crate::OtError;
 use abnn2_crypto::{Block, RoHash};
 use abnn2_net::Transport;
 use rand::Rng;
+use std::ops::Range;
 
 /// Tweak domain for per-bit keys: bit 126 set, bit 127 clear.
 const BIT_TWEAK: u128 = 1 << 126;
@@ -38,8 +39,10 @@ pub fn choice_bits(n: u64) -> usize {
     (64 - (n - 1).leading_zeros()) as usize
 }
 
-fn bit_tweak(ot: u64, b: usize) -> u128 {
-    BIT_TWEAK | (u128::from(ot) << 8) | b as u128
+/// The key tweak of COT `at` in a batch that spends `bits` COTs per OT
+/// and whose first OT is number `base`: (OT number, bit position).
+fn bit_tweak(base: u64, bits: usize, at: usize) -> Block {
+    Block::from(BIT_TWEAK | (u128::from(base + (at / bits) as u64) << 8) | (at % bits) as u128)
 }
 
 /// Fragment-OT **sender** over silent COTs (the ABNN² client).
@@ -64,7 +67,6 @@ pub struct SilentSenderKeys {
     delta: Block,
     bits: usize,
     base_tweak: u64,
-    hash: RoHash,
 }
 
 /// Key material the chooser obtains from one `extend` call.
@@ -73,7 +75,6 @@ pub struct SilentChooserKeys {
     zs: Vec<Block>,
     bits: usize,
     base_tweak: u64,
-    hash: RoHash,
 }
 
 impl SilentKkSender {
@@ -110,14 +111,7 @@ impl SilentKkSender {
         }
         let base_tweak = self.tweak;
         self.tweak += m as u64;
-        Ok(SilentSenderKeys {
-            ys,
-            derand,
-            delta: self.cot.delta(),
-            bits,
-            base_tweak,
-            hash: RoHash::new(),
-        })
+        Ok(SilentSenderKeys { ys, derand, delta: self.cot.delta(), bits, base_tweak })
     }
 }
 
@@ -175,12 +169,7 @@ impl SilentKkChooser {
         ch.send_frame(&SilentDerand(pack_bits(&derand)))?;
         let base_tweak = self.tweak;
         self.tweak += m as u64;
-        Ok(SilentChooserKeys {
-            zs: xz.into_iter().map(|(_, z)| z).collect(),
-            bits,
-            base_tweak,
-            hash: RoHash::new(),
-        })
+        Ok(SilentChooserKeys { zs: xz.into_iter().map(|(_, z)| z).collect(), bits, base_tweak })
     }
 }
 
@@ -197,32 +186,46 @@ impl SilentSenderKeys {
         self.ys.is_empty()
     }
 
-    /// The `len`-byte mask of symbol `v` in OT `j`.
+    /// The `len`-byte masks of the symbols in `symbols` for the OTs in
+    /// `ots`, OT-major, back to back in `out`: both per-bit keys of every
+    /// choice bit in one hash batch, then one oracle batch over each
+    /// symbol's concatenation of them.
     ///
     /// # Panics
     ///
-    /// Panics if `j` or `v` is out of range.
+    /// Panics if a range is out of bounds or `out` is not
+    /// `ots.len() · symbols.len() · len` bytes.
+    pub fn masks(&self, ots: Range<usize>, symbols: Range<u64>, len: usize, out: &mut [u8]) {
+        let bits = self.bits;
+        assert!(symbols.end <= 1 << bits, "symbol range exceeds the fragment radix");
+        // κ_{b,0} then κ_{b,1} for every choice bit b of every OT.
+        let mut keys = Vec::with_capacity(ots.len() * bits * 2);
+        for at in ots.start * bits..ots.end * bits {
+            let tweak = bit_tweak(self.base_tweak, bits, at);
+            let zero =
+                if get_bit(&self.derand, at) { self.ys[at] ^ self.delta } else { self.ys[at] };
+            keys.extend([zero ^ tweak, zero ^ self.delta ^ tweak]);
+        }
+        RoHash::shared().hash_blocks(&mut keys);
+        let nsym = (symbols.end - symbols.start) as usize;
+        let mut rows = Vec::with_capacity(ots.len() * nsym * bits * 16);
+        for keys in keys.chunks_exact(bits * 2) {
+            for v in symbols.clone() {
+                for (b, pair) in keys.chunks_exact(2).enumerate() {
+                    rows.extend_from_slice(&pair[(v >> b) as usize & 1].to_bytes());
+                }
+            }
+        }
+        let tweak = |i| MASK_TWEAK | u128::from(self.base_tweak + (ots.start + i / nsym) as u64);
+        RoHash::shared().hash_expand_rows(&rows, bits * 16, tweak, len, out);
+    }
+
+    /// [`masks`](Self::masks) of one symbol in one OT.
     #[must_use]
     pub fn mask(&self, j: usize, v: u64, len: usize) -> Vec<u8> {
-        assert!(v < 1 << self.bits, "symbol {v} exceeds the fragment radix");
-        let ot = self.base_tweak + j as u64;
-        // All per-bit key hashes in one backend batch.
-        let mut h = Vec::with_capacity(self.bits);
-        for b in 0..self.bits {
-            let d = get_bit(&self.derand, j * self.bits + b);
-            let u = (v >> b) & 1 == 1;
-            let mut block = self.ys[j * self.bits + b];
-            if u != d {
-                block ^= self.delta;
-            }
-            h.push(block ^ Block::from(bit_tweak(ot, b)));
-        }
-        self.hash.hash_blocks(&mut h);
-        let mut keys = Vec::with_capacity(self.bits * 16);
-        for k in &h {
-            keys.extend_from_slice(&k.to_bytes());
-        }
-        self.hash.hash_expand(MASK_TWEAK | u128::from(ot), &keys, len)
+        let mut out = vec![0u8; len];
+        self.masks(j..j + 1, v..v + 1, len, &mut out);
+        out
     }
 }
 
@@ -239,24 +242,31 @@ impl SilentChooserKeys {
         self.zs.is_empty()
     }
 
-    /// The `len`-byte mask of the symbol this chooser selected in OT `j`.
+    /// The `len`-byte masks of the symbols this chooser selected in the
+    /// OTs in `ots`, back to back in `out`: every per-bit key in one hash
+    /// batch, then one oracle batch over each OT's concatenation of them.
     ///
     /// # Panics
     ///
-    /// Panics if `j` is out of range.
+    /// Panics if `ots` is out of range or `out` is not `ots.len() · len`
+    /// bytes.
+    pub fn masks(&self, ots: Range<usize>, len: usize, out: &mut [u8]) {
+        let bits = self.bits;
+        let mut keys: Vec<Block> = (ots.start * bits..ots.end * bits)
+            .map(|at| self.zs[at] ^ bit_tweak(self.base_tweak, bits, at))
+            .collect();
+        RoHash::shared().hash_blocks(&mut keys);
+        let rows = keys.iter().map(|k| k.to_bytes()).collect::<Vec<_>>();
+        let tweak = |i| MASK_TWEAK | u128::from(self.base_tweak + (ots.start + i) as u64);
+        RoHash::shared().hash_expand_rows(rows.as_flattened(), bits * 16, tweak, len, out);
+    }
+
+    /// [`masks`](Self::masks) of one OT.
     #[must_use]
     pub fn mask(&self, j: usize, len: usize) -> Vec<u8> {
-        let ot = self.base_tweak + j as u64;
-        // All per-bit key hashes in one backend batch.
-        let mut h: Vec<Block> = (0..self.bits)
-            .map(|b| self.zs[j * self.bits + b] ^ Block::from(bit_tweak(ot, b)))
-            .collect();
-        self.hash.hash_blocks(&mut h);
-        let mut keys = Vec::with_capacity(self.bits * 16);
-        for k in &h {
-            keys.extend_from_slice(&k.to_bytes());
-        }
-        self.hash.hash_expand(MASK_TWEAK | u128::from(ot), &keys, len)
+        let mut out = vec![0u8; len];
+        self.masks(j..j + 1, len, &mut out);
+        out
     }
 }
 

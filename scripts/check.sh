@@ -58,10 +58,17 @@
 # online costs of one encoder-block prediction, bit-exactness asserted
 # at generation time), and BENCH_crypto.json (blocks/sec per crypto
 # backend for AES/MMO/PRG, the wall time of the one IKNP transpose
-# kernel and the curve kernels under base-OT setup, with the ≥4× AES-NI
-# speedup asserted at generation time where the CPU has it).
+# kernel, the curve kernels under base-OT setup, ns per fragment-OT mask
+# batched and one row at a time, and a 128x128 triplet split into
+# extension, masks and pack+decode; with the ≥4× AES-NI speedup and the
+# ≥3× of batched masks over the one-row loop asserted at generation time
+# where the CPU has AES-NI).
 #
-# Every run also builds and unit-tests the standalone benchmark package
+# Every run also greps the protocol crates for scalar AES calls
+# (`encrypt_block`, `hash_block`, `next_block`, a one-shot
+# `Prg::from_seed(..).bytes(..)`), which belong to crates/crypto, test
+# modules and benches only, and builds and unit-tests the standalone
+# benchmark package
 # under bench/ (its own manifest and lock file, outside the workspace), so
 # an API change that breaks the benchmark fails here rather than in the
 # pipeline that runs it, and then runs its smoke test (bench/run.sh
@@ -136,6 +143,27 @@ cargo test --offline --manifest-path bench/Cargo.toml
 
 echo "==> bench/run.sh --quick: 5 served predictions per workload, every logit checked"
 bash bench/run.sh --quick
+
+# Scalar AES stays an oracle: a protocol path that hashes or expands one
+# block at a time runs software AES on AES-NI hosts and pays a key schedule
+# or a dispatch per block. Everything outside the crypto crate, the test
+# modules and the bench binaries goes through a slice (`hash_blocks`,
+# `hash_expand_rows`, `fill_blocks`, `encrypt_blocks`).
+echo "==> scalar-AES gate: no one-block crypto call in a protocol path"
+scalar_aes=$(find src examples crates -name '*.rs' \
+  -not -path 'crates/crypto/*' -not -path 'crates/bench/*' -print0 |
+  xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && !/^[[:space:]]*\/\// &&
+      /(\.|Aes128::)encrypt_block\(|(\.|RoHash::)hash_block\(|(\.|Prg::)next_block\(|Prg::from_seed\(.*\)[[:space:]]*\.bytes\(/ {
+        print FILENAME ":" FNR ": " $0
+      }')
+if [[ -n "$scalar_aes" ]]; then
+  echo "$scalar_aes" >&2
+  echo "scalar AES call outside crates/crypto, test modules and benches (see above)" >&2
+  exit 1
+fi
 
 echo "==> cargo fmt --check"
 cargo fmt --check

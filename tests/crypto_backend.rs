@@ -1,9 +1,13 @@
 //! Backend parity: every [`CryptoBackend`] method must be bit-identical
 //! to the portable oracle for random inputs, across batch lengths that
 //! exercise the AES-NI 8-lane main loop, its scalar remainder, and the
-//! empty batch.
+//! empty batch; and the batched oracle expansion on top of them must
+//! equal the scalar chain it replaced, written out here block by block.
+
+mod common;
 
 use abnn2::crypto::{aes_ni_available, backend, choose_backend, Aes128, Block, RoHash};
+use common::{scalar_hash_expand, BATCHES, MASK_LENS, WIDTHS};
 use rand::{Rng, SeedableRng};
 
 /// Batch lengths around the 8-lane boundary, plus two long batches.
@@ -40,6 +44,51 @@ fn aesni_bit_equals_portable_for_every_trait_method() {
             aesni.prg_fill(&aes, ctr, &mut b);
             assert_eq!(a, b, "prg_fill trial {trial} len {len}");
         }
+    }
+    // The fourth shape: a fresh key per output. Seed 0 is the FIPS-197
+    // Appendix A.1 key, so the first mask is that schedule's keystream.
+    let mut seeds = vec![Block::from_bytes([
+        0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f,
+        0x3c,
+    ])];
+    seeds.extend((1..1000).map(|_| Block::random(&mut rng)));
+    for n in BATCHES {
+        for len in MASK_LENS {
+            let (mut a, mut b) = (vec![0u8; n * len], vec![0u8; n * len]);
+            portable.expand_seeds(&seeds[..n], len, &mut a);
+            aesni.expand_seeds(&seeds[..n], len, &mut b);
+            assert_eq!(a, b, "expand_seeds of {n} seeds to {len} bytes");
+        }
+    }
+}
+
+#[test]
+fn batched_expansion_matches_the_scalar_chain_under_process_backend() {
+    let hash = RoHash::new();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xFEED);
+    for width in WIDTHS {
+        for n in BATCHES {
+            let rows: Vec<u8> = (0..n * width).map(|_| rng.gen()).collect();
+            let tweaks: Vec<u128> = (0..n).map(|_| rng.gen()).collect();
+            for len in MASK_LENS {
+                let mut out = vec![0u8; n * len];
+                hash.hash_expand_rows(&rows, width, |i| tweaks[i], len, &mut out);
+                let want: Vec<u8> = (rows.chunks_exact(width).zip(&tweaks))
+                    .flat_map(|(row, &tweak)| scalar_hash_expand(&hash, tweak, row, len))
+                    .collect();
+                assert_eq!(out, want, "{n} rows of {width} to {len} under {}", backend().name());
+            }
+        }
+    }
+    // The scalar entry points are the one-row case, at any input length.
+    for data_len in [0usize, 3, 16, 40] {
+        let data: Vec<u8> = (0..data_len).map(|_| rng.gen()).collect();
+        assert_eq!(hash.hash_expand(9, &data, 24), scalar_hash_expand(&hash, 9, &data, 24));
+        let digest = hash.hash_bytes(9, &data);
+        assert_eq!(
+            Aes128::new(digest).encrypt_block(Block::ZERO).to_bytes()[..],
+            hash.hash_expand(9, &data, 16)
+        );
     }
 }
 

@@ -9,7 +9,10 @@
 //! first on another thread could resolve the backend early and turn the
 //! override into a no-op.
 
+mod common;
+
 use abnn2::crypto::{backend, Aes128, Block, RoHash};
+use common::{scalar_hash_expand, BATCHES, MASK_LENS, WIDTHS};
 
 #[test]
 fn env_knob_forces_the_portable_backend() {
@@ -36,5 +39,22 @@ fn env_knob_forces_the_portable_backend() {
     hash.hash_blocks(&mut sigmas);
     for (x, y) in inputs.iter().zip(&sigmas) {
         assert_eq!(*y, hash.hash_block(0, *x));
+    }
+
+    // The same for the oracle expansion under every fragment-OT mask: the
+    // batch equals the scalar chain, row by row.
+    for width in WIDTHS {
+        for n in BATCHES {
+            let rows: Vec<u8> = (0..n * width).map(|i| (i * i + 7 * width + n) as u8).collect();
+            let tweaks: Vec<u128> = (0..n as u128).map(|j| (j << 70) ^ (j * j + 5)).collect();
+            for len in MASK_LENS {
+                let mut out = vec![0u8; n * len];
+                hash.hash_expand_rows(&rows, width, |i| tweaks[i], len, &mut out);
+                let want: Vec<u8> = (rows.chunks_exact(width).zip(&tweaks))
+                    .flat_map(|(row, &tweak)| scalar_hash_expand(&hash, tweak, row, len))
+                    .collect();
+                assert_eq!(out, want, "{n} rows of {width} bytes to {len}");
+            }
+        }
     }
 }
