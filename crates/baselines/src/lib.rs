@@ -11,9 +11,10 @@
 //! * [`quotient`] — QUOTIENT's (CCS'19) ternary multiplication via two
 //!   binary correlated OTs per weight (Table 5's comparison).
 //!
-//! All baselines share ABNN²'s online machinery (`abnn2_core::relu`,
-//! `abnn2_core::inference::layer_share`) exactly as the paper shares its GC
-//! layer across systems.
+//! The end-to-end baselines (MiniONN, QUOTIENT) run ABNN²'s online phase
+//! itself: each offline protocol ends in the `(Yao party, bundle)` pair
+//! that `abnn2_core`'s `SecureServer::online` / `SecureClient::online_raw`
+//! take, exactly as the paper shares its online phase across systems.
 
 pub mod minionn;
 pub mod quotient;

@@ -17,12 +17,15 @@
 //!   with the client removing the `lo·Σⱼ rⱼ` correction locally (it knows
 //!   `R`).
 //!
-//! The online phase is byte-identical to ABNN²'s (shared linear step and
-//! GC activations), as in the paper's experimental setup.
+//! The online phase *is* ABNN²'s, as in the paper's experimental setup: the
+//! offline halves here end in the `(Yao party, bundle)` pair that
+//! [`SecureServer::online`] and [`SecureClient::online_raw`] take, so
+//! Table 4 compares two offline protocols over one online engine.
 
-use abnn2_core::inference::layer_share;
-use abnn2_core::relu::{relu_client, relu_server, ReluVariant};
-use abnn2_core::{ProtocolError, PublicModel};
+use abnn2_core::inference::{ClientOffline, ServerOffline};
+use abnn2_core::{
+    ClientBundle, ProtocolError, PublicModel, ReluVariant, SecureClient, SecureServer, ServerBundle,
+};
 use abnn2_gc::{YaoEvaluator, YaoGarbler};
 use abnn2_he::paillier::{Ciphertext, Keypair, PublicKey};
 use abnn2_he::BigUint;
@@ -62,34 +65,18 @@ fn weight_span_bits(config: &QuantConfig) -> usize {
 #[derive(Debug, Clone)]
 pub struct MinionnServer {
     net: QuantizedNetwork,
-    variant: ReluVariant,
+    /// The online party over the same model, lowered once.
+    online: SecureServer,
     key_bits: usize,
-}
-
-/// Server state after the offline phase.
-#[derive(Debug)]
-pub struct MinionnServerOffline {
-    yao: YaoEvaluator,
-    us: Vec<Matrix>,
-    batch: usize,
 }
 
 /// The MiniONN data-owning party.
 #[derive(Debug, Clone)]
 pub struct MinionnClient {
     dims: Vec<usize>,
-    config: QuantConfig,
-    variant: ReluVariant,
+    /// The online party over the same public model.
+    online: SecureClient,
     key_bits: usize,
-}
-
-/// Client state after the offline phase.
-#[derive(Debug)]
-pub struct MinionnClientOffline {
-    yao: YaoGarbler,
-    rs: Vec<Matrix>,
-    vs: Vec<Matrix>,
-    batch: usize,
 }
 
 impl MinionnServer {
@@ -97,13 +84,20 @@ impl MinionnServer {
     /// [`DEFAULT_KEY_BITS`] for benchmark fidelity, smaller for tests).
     #[must_use]
     pub fn new(net: QuantizedNetwork, key_bits: usize) -> Self {
-        MinionnServer { net, variant: ReluVariant::Oblivious, key_bits }
+        MinionnServer { online: SecureServer::for_model(net.clone()), net, key_bits }
+    }
+
+    /// Selects the online activation variant (must match the client's).
+    #[must_use]
+    pub fn with_variant(mut self, variant: ReluVariant) -> Self {
+        self.online = self.online.with_variant(variant);
+        self
     }
 
     /// The public model description.
     #[must_use]
     pub fn public_model(&self) -> PublicModel {
-        PublicModel::from(&self.net)
+        self.online.public_model()
     }
 
     /// Offline phase: homomorphic triplet generation for `batch`
@@ -117,7 +111,7 @@ impl MinionnServer {
         ch: &mut T,
         batch: usize,
         rng: &mut R,
-    ) -> Result<MinionnServerOffline, ProtocolError> {
+    ) -> Result<ServerOffline, ProtocolError> {
         if batch == 0 {
             return Err(ProtocolError::Dimension("batch must be positive"));
         }
@@ -176,10 +170,10 @@ impl MinionnServer {
             ch.send(&reply)?;
             us.push(u);
         }
-        Ok(MinionnServerOffline { yao, us, batch })
+        Ok(ServerOffline::from_bundle(yao, ServerBundle { us, mats: Vec::new(), batch }))
     }
 
-    /// Online phase (identical to ABNN²'s: shared linear step, GC ReLU).
+    /// Online phase: ABNN²'s, over the homomorphically generated triplets.
     ///
     /// # Errors
     ///
@@ -187,28 +181,9 @@ impl MinionnServer {
     pub fn online<T: Transport>(
         &self,
         ch: &mut T,
-        state: MinionnServerOffline,
+        state: ServerOffline,
     ) -> Result<(), ProtocolError> {
-        let MinionnServerOffline { mut yao, us, batch } = state;
-        let ring = self.net.config.ring;
-        let fw = self.net.config.weight_frac_bits;
-        let n0 = self.net.layers[0].in_dim;
-        let x0_bytes = ch.recv()?;
-        if x0_bytes.len() != n0 * batch * ring.byte_len() {
-            return Err(ProtocolError::Malformed("blinded input length"));
-        }
-        let mut cur = Matrix::new(n0, batch, ring.decode_slice(&x0_bytes));
-        let last = self.net.layers.len() - 1;
-        for (l, layer) in self.net.layers.iter().enumerate() {
-            let y0 = layer_share(layer, &cur, &us[l], ring);
-            if l == last {
-                ch.send(&ring.encode_slice(y0.as_slice()))?;
-                return Ok(());
-            }
-            let z0 = relu_server(ch, &mut yao, y0.as_slice(), ring, fw, self.variant)?;
-            cur = Matrix::new(layer.out_dim, batch, z0);
-        }
-        unreachable!("loop returns at the last layer")
+        self.online.online(ch, state)
     }
 
     /// Offline followed by online.
@@ -233,10 +208,16 @@ impl MinionnClient {
     pub fn new(model: PublicModel, key_bits: usize) -> Self {
         MinionnClient {
             dims: crate::mlp_dims(&model),
-            config: model.config().clone(),
-            variant: ReluVariant::Oblivious,
+            online: SecureClient::for_model(model),
             key_bits,
         }
+    }
+
+    /// Selects the online activation variant (must match the server's).
+    #[must_use]
+    pub fn with_variant(mut self, variant: ReluVariant) -> Self {
+        self.online = self.online.with_variant(variant);
+        self
     }
 
     /// Offline phase: generate a key, encrypt per-layer randomness, decrypt
@@ -250,17 +231,18 @@ impl MinionnClient {
         ch: &mut T,
         batch: usize,
         rng: &mut R,
-    ) -> Result<MinionnClientOffline, ProtocolError> {
+    ) -> Result<ClientOffline, ProtocolError> {
         if batch == 0 {
             return Err(ProtocolError::Dimension("batch must be positive"));
         }
-        let ring = self.config.ring;
+        let config = self.online.public_model().config();
+        let ring = config.ring;
         let kp = Keypair::generate(self.key_bits, rng);
         ch.send(&kp.public.modulus().to_bytes_le())?;
         let yao = YaoGarbler::setup(ch, rng)?;
 
-        let span = weight_span_bits(&self.config);
-        let (lo, _) = self.config.scheme.weight_range();
+        let span = weight_span_bits(config);
+        let (lo, _) = config.scheme.weight_range();
         let n_layers = self.dims.len() - 1;
         let mut rs = Vec::with_capacity(n_layers);
         let mut vs = Vec::with_capacity(n_layers);
@@ -326,11 +308,11 @@ impl MinionnClient {
             rs.push(r);
             vs.push(v);
         }
-        Ok(MinionnClientOffline { yao, rs, vs, batch })
+        Ok(ClientOffline::from_bundle(yao, ClientBundle { rs, vs, mats: Vec::new(), batch }))
     }
 
-    /// Online phase over ring-encoded inputs; returns reconstructed raw
-    /// outputs (`out_dim × batch` at `f + f_w` fractional bits).
+    /// Online phase over ring-encoded inputs: ABNN²'s; returns reconstructed
+    /// raw outputs (`out_dim × batch` at `f + f_w` fractional bits).
     ///
     /// # Errors
     ///
@@ -338,50 +320,11 @@ impl MinionnClient {
     pub fn online_raw<T: Transport, R: Rng + ?Sized>(
         &self,
         ch: &mut T,
-        state: MinionnClientOffline,
+        state: ClientOffline,
         inputs_fp: &[Vec<u64>],
         rng: &mut R,
     ) -> Result<Matrix, ProtocolError> {
-        let MinionnClientOffline { mut yao, rs, vs, batch } = state;
-        let ring = self.config.ring;
-        let fw = self.config.weight_frac_bits;
-        let n0 = self.dims[0];
-        if inputs_fp.len() != batch || inputs_fp.iter().any(|x| x.len() != n0) {
-            return Err(ProtocolError::Dimension("inputs must be batch × n0"));
-        }
-        let mut x = Matrix::zeros(n0, batch);
-        for (k, sample) in inputs_fp.iter().enumerate() {
-            for (j, &val) in sample.iter().enumerate() {
-                x.set(j, k, ring.reduce(val));
-            }
-        }
-        let x0 = x.sub(&rs[0], &ring);
-        ch.send(&ring.encode_slice(x0.as_slice()))?;
-
-        let n_layers = self.dims.len() - 1;
-        for l in 0..n_layers {
-            let y1 = &vs[l];
-            if l == n_layers - 1 {
-                let m = self.dims[n_layers];
-                let y0_bytes = ch.recv()?;
-                if y0_bytes.len() != m * batch * ring.byte_len() {
-                    return Err(ProtocolError::Malformed("output share length"));
-                }
-                let y0 = Matrix::new(m, batch, ring.decode_slice(&y0_bytes));
-                return Ok(y0.add(y1, &ring));
-            }
-            relu_client(
-                ch,
-                &mut yao,
-                y1.as_slice(),
-                rs[l + 1].as_slice(),
-                ring,
-                fw,
-                self.variant,
-                rng,
-            )?;
-        }
-        unreachable!("loop returns at the last layer")
+        self.online.online_raw(ch, state, inputs_fp, rng)
     }
 
     /// Offline followed by online.

@@ -147,16 +147,19 @@ pub fn matmul_client<T: Transport>(
 pub use inference::{QuotientClient, QuotientServer};
 
 /// End-to-end QUOTIENT inference: their ternary triplets for the offline
-/// linear layers, ABNN²'s shared online machinery for everything else.
+/// linear layers, then ABNN²'s online phase itself — the offline loops end
+/// in the `(Yao party, bundle)` pair [`abnn2_core::SecureServer::online`]
+/// and [`abnn2_core::SecureClient::online_raw`] take.
 pub mod inference {
     use super::{matmul_client, matmul_server};
-    use abnn2_core::inference::layer_share;
-    use abnn2_core::relu::{relu_client, relu_server, ReluVariant};
-    use abnn2_core::{ProtocolError, PublicModel};
+    use abnn2_core::inference::{ClientOffline, ServerOffline};
+    use abnn2_core::{
+        ClientBundle, ProtocolError, PublicModel, SecureClient, SecureServer, ServerBundle,
+    };
     use abnn2_gc::{YaoEvaluator, YaoGarbler};
     use abnn2_math::Matrix;
     use abnn2_net::Transport;
-    use abnn2_nn::quant::{QuantConfig, QuantizedNetwork};
+    use abnn2_nn::quant::QuantizedNetwork;
     use abnn2_ot::{IknpReceiver, IknpSender};
     use rand::Rng;
 
@@ -164,13 +167,16 @@ pub mod inference {
     #[derive(Debug, Clone)]
     pub struct QuotientServer {
         net: QuantizedNetwork,
+        /// The online party over the same model, lowered once.
+        online: SecureServer,
     }
 
     /// The QUOTIENT data-owning party.
     #[derive(Debug, Clone)]
     pub struct QuotientClient {
         dims: Vec<usize>,
-        config: QuantConfig,
+        /// The online party over the same public model.
+        online: SecureClient,
     }
 
     impl QuotientServer {
@@ -185,13 +191,13 @@ pub mod inference {
                 net.layers.iter().all(|l| l.weights.iter().all(|&w| (-1..=1).contains(&w))),
                 "QUOTIENT requires ternary weights"
             );
-            QuotientServer { net }
+            QuotientServer { online: SecureServer::for_model(net.clone()), net }
         }
 
         /// The public model description.
         #[must_use]
         pub fn public_model(&self) -> PublicModel {
-            PublicModel::from(&self.net)
+            self.online.public_model()
         }
 
         /// Offline + online secure inference, server side.
@@ -206,9 +212,8 @@ pub mod inference {
             rng: &mut R,
         ) -> Result<(), ProtocolError> {
             let ring = self.net.config.ring;
-            let fw = self.net.config.weight_frac_bits;
             let mut ot = IknpReceiver::setup(ch, rng)?;
-            let mut yao = YaoEvaluator::setup(ch, rng)?;
+            let yao = YaoEvaluator::setup(ch, rng)?;
             let mut us = Vec::with_capacity(self.net.layers.len());
             for layer in &self.net.layers {
                 us.push(matmul_server(
@@ -221,24 +226,8 @@ pub mod inference {
                     ring,
                 )?);
             }
-            let n0 = self.net.layers[0].in_dim;
-            let x0_bytes = ch.recv()?;
-            if x0_bytes.len() != n0 * batch * ring.byte_len() {
-                return Err(ProtocolError::Malformed("blinded input length"));
-            }
-            let mut cur = Matrix::new(n0, batch, ring.decode_slice(&x0_bytes));
-            let last = self.net.layers.len() - 1;
-            for (l, layer) in self.net.layers.iter().enumerate() {
-                let y0 = layer_share(layer, &cur, &us[l], ring);
-                if l == last {
-                    ch.send(&ring.encode_slice(y0.as_slice()))?;
-                    return Ok(());
-                }
-                let z0 =
-                    relu_server(ch, &mut yao, y0.as_slice(), ring, fw, ReluVariant::Oblivious)?;
-                cur = Matrix::new(layer.out_dim, batch, z0);
-            }
-            unreachable!("loop returns at the last layer")
+            let bundle = ServerBundle { us, mats: Vec::new(), batch };
+            self.online.online(ch, ServerOffline::from_bundle(yao, bundle))
         }
     }
 
@@ -246,7 +235,7 @@ pub mod inference {
         /// Creates a client for a served ternary model.
         #[must_use]
         pub fn new(model: PublicModel) -> Self {
-            QuotientClient { dims: crate::mlp_dims(&model), config: model.config().clone() }
+            QuotientClient { dims: crate::mlp_dims(&model), online: SecureClient::for_model(model) }
         }
 
         /// Offline + online secure inference, client side; returns the raw
@@ -261,15 +250,13 @@ pub mod inference {
             inputs_fp: &[Vec<u64>],
             rng: &mut R,
         ) -> Result<Matrix, ProtocolError> {
-            let ring = self.config.ring;
-            let fw = self.config.weight_frac_bits;
+            let ring = self.online.public_model().config().ring;
             let batch = inputs_fp.len();
-            let n0 = self.dims[0];
-            if batch == 0 || inputs_fp.iter().any(|x| x.len() != n0) {
+            if batch == 0 || inputs_fp.iter().any(|x| x.len() != self.dims[0]) {
                 return Err(ProtocolError::Dimension("inputs must be batch × n0"));
             }
             let mut ot = IknpSender::setup(ch, rng)?;
-            let mut yao = YaoGarbler::setup(ch, rng)?;
+            let yao = YaoGarbler::setup(ch, rng)?;
             let n_layers = self.dims.len() - 1;
             let mut rs = Vec::with_capacity(n_layers);
             let mut vs = Vec::with_capacity(n_layers);
@@ -279,37 +266,8 @@ pub mod inference {
                 rs.push(r);
                 vs.push(v);
             }
-            let mut x = Matrix::zeros(n0, batch);
-            for (k, sample) in inputs_fp.iter().enumerate() {
-                for (j, &val) in sample.iter().enumerate() {
-                    x.set(j, k, ring.reduce(val));
-                }
-            }
-            let x0 = x.sub(&rs[0], &ring);
-            ch.send(&ring.encode_slice(x0.as_slice()))?;
-            for l in 0..n_layers {
-                let y1 = &vs[l];
-                if l == n_layers - 1 {
-                    let m = self.dims[n_layers];
-                    let y0_bytes = ch.recv()?;
-                    if y0_bytes.len() != m * batch * ring.byte_len() {
-                        return Err(ProtocolError::Malformed("output share length"));
-                    }
-                    let y0 = Matrix::new(m, batch, ring.decode_slice(&y0_bytes));
-                    return Ok(y0.add(y1, &ring));
-                }
-                relu_client(
-                    ch,
-                    &mut yao,
-                    y1.as_slice(),
-                    rs[l + 1].as_slice(),
-                    ring,
-                    fw,
-                    ReluVariant::Oblivious,
-                    rng,
-                )?;
-            }
-            unreachable!("loop returns at the last layer")
+            let bundle = ClientBundle { rs, vs, mats: Vec::new(), batch };
+            self.online.online_raw(ch, ClientOffline::from_bundle(yao, bundle), inputs_fp, rng)
         }
     }
 }

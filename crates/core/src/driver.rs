@@ -23,9 +23,11 @@
 //! 1. it is a **deterministic** function of the state it starts from, the
 //!    RNG stream, and the few inbound frames it consumes;
 //! 2. the state it starts from is a plain value that is cheap to copy: the
-//!    half of the session's OT state its phase writes, the tape and the
-//!    partial triplet share (the other half, the offline bundle and the
-//!    pending op's circuit are shared, not copied);
+//!    OT state its phase writes (the fragment chooser offline, the Yao
+//!    evaluator online — each walk owns that and nothing of the other),
+//!    the tape and the partial triplet share; the offline bundle and the
+//!    pending op's circuit are shared, not copied, and the evaluator waits
+//!    beside the offline walk until the edge;
 //! 3. the cuts sit where the server starts waiting, so nearly every step
 //!    receives first and computes afterwards.
 //!
@@ -51,7 +53,6 @@ use crate::frames::Bundle;
 use crate::graph::{ServerOfflineWalk, ServerOnlineWalk};
 use crate::handshake::{handshake_server_ext, HelloReply, ResumeToken, SessionParams};
 use crate::inference::{SecureServer, ServerOffline};
-use crate::session::ServerSession;
 use crate::ProtocolError;
 use abnn2_gc::YaoEvaluator;
 use abnn2_net::{CommSnapshot, Transport, TransportError};
@@ -328,8 +329,11 @@ enum State {
         claimed: Option<ServerBundle>,
         pooled: Option<(ServerBundle, ClientBundle)>,
     },
+    /// The walk owns the fragment chooser; the evaluator waits beside it
+    /// for the online phase, untouched and never copied with the walk.
     Offline {
         walk: Box<ServerOfflineWalk>,
+        yao: Box<YaoEvaluator>,
     },
     Online {
         walk: Box<ServerOnlineWalk>,
@@ -492,7 +496,9 @@ impl<H: SessionHost> SessionDriver<H> {
             match outcome {
                 Ok(next) => {
                     self.rng = rng;
-                    self.state = next;
+                    if let Some(next) = next {
+                        self.state = next;
+                    }
                 }
                 Err(_) if self.replay.starved => {
                     self.parked_at = Some(self.replay.inbox.len());
@@ -506,12 +512,13 @@ impl<H: SessionHost> SessionDriver<H> {
     }
 
     /// Runs the current step over the replay channel, returning the state
-    /// the next one starts from. A walk step runs on a copy of the walk
-    /// and the other steps change driver fields only after their last
-    /// recv, so a starved attempt leaves the driver unchanged.
-    fn run_step(&mut self, rng: &mut StdRng) -> Result<State, ProtocolError> {
+    /// the next one starts from (`None`: the current state, advanced in
+    /// place). A walk step runs on a copy of the walk and the other steps
+    /// change driver fields only after their last recv, so a starved
+    /// attempt leaves the driver unchanged.
+    fn run_step(&mut self, rng: &mut StdRng) -> Result<Option<State>, ProtocolError> {
         let ch = &mut self.replay;
-        match &mut self.state {
+        let next = match &mut self.state {
             State::Handshake => {
                 ch.mark_phase("handshake");
                 let host = &self.host;
@@ -535,25 +542,26 @@ impl<H: SessionHost> SessionDriver<H> {
                 )?;
                 self.token = Some(token);
                 self.batch = Some(batch);
-                Ok(State::Setup { batch, reply, claimed, pooled })
+                State::Setup { batch, reply, claimed, pooled }
             }
             State::Setup { batch, reply, claimed, pooled } => {
                 ch.mark_phase("setup");
                 let kk = FragmentChooser::setup(ch, reply.mode(), rng)?;
-                Ok(State::SetupYao {
+                State::SetupYao {
                     kk,
                     batch: *batch,
                     reply: *reply,
                     claimed: claimed.take(),
                     pooled: pooled.take(),
-                })
+                }
             }
             State::SetupYao { kk, batch, reply, claimed, pooled } => {
                 let (batch, reply) = (*batch, *reply);
                 // The Yao batch first: an attempt that starves in it copies
                 // nothing.
                 let yao = YaoEvaluator::setup(ch, rng)?;
-                let session = ServerSession { kk: kk.clone(), yao };
+                // A resumed or dealt bundle goes straight to the edge: the
+                // fragment chooser this connection set up is never used.
                 if reply.resume {
                     let bundle =
                         claimed.clone().expect("accepted resume implies a claimed checkpoint");
@@ -561,44 +569,50 @@ impl<H: SessionHost> SessionDriver<H> {
                         return Err(ProtocolError::Malformed("resumed checkpoint batch mismatch"));
                     }
                     self.checkpoint = Some(bundle.clone());
-                    enter_online(ch, &self.server, ServerOffline::from_bundle(session, bundle))
+                    enter_online(ch, &self.server, ServerOffline::from_bundle(yao, bundle))?
                 } else if reply.bundle {
                     let (sb, cb) = pooled.clone().expect("accepted bundle implies a pooled pair");
                     ch.mark_phase("bundle");
                     ch.send_frame(&Bundle(cb.encode(self.server.model.config().ring)))?;
                     ch.flush()?;
                     self.checkpoint = Some(sb.clone());
-                    enter_online(ch, &self.server, ServerOffline::from_bundle(session, sb))
+                    enter_online(ch, &self.server, ServerOffline::from_bundle(yao, sb))?
                 } else {
                     ch.mark_phase("offline");
                     let sg = self.server.model.secure_graph(batch)?;
-                    let walk = ServerOfflineWalk::new(session, sg, self.server.exec);
-                    Ok(State::Offline { walk: Box::new(walk) })
+                    let walk = ServerOfflineWalk::new(kk.clone(), sg, self.server.exec);
+                    State::Offline { walk: Box::new(walk), yao: Box::new(yao) }
                 }
             }
-            State::Offline { walk } => {
-                let mut walk = walk.clone();
-                walk.step(ch, &self.server.model, rng)?;
-                if !walk.done() {
-                    return Ok(State::Offline { walk });
+            State::Offline { walk, yao } => {
+                let mut trial = walk.clone();
+                trial.step(ch, &self.server.model, rng)?;
+                if !trial.done() {
+                    *walk = trial;
+                    return Ok(None);
                 }
-                let state = walk.finish();
-                self.checkpoint = Some(state.to_bundle());
-                enter_online(ch, &self.server, state)
+                // The edge: the walk's bundle and the evaluator cross, the
+                // spent chooser does not.
+                let bundle = trial.finish();
+                self.checkpoint = Some(bundle.clone());
+                let yao = YaoEvaluator::clone(yao);
+                enter_online(ch, &self.server, ServerOffline::from_bundle(yao, bundle))?
             }
             State::Online { walk } => {
-                let mut walk = walk.clone();
-                walk.step(ch, &self.server.model)?;
-                if !walk.done() {
-                    return Ok(State::Online { walk });
+                let mut trial = walk.clone();
+                trial.step(ch, &self.server.model)?;
+                if !trial.done() {
+                    *walk = trial;
+                    return Ok(None);
                 }
-                let (_, y0) = walk.finish();
+                let (_, y0) = trial.finish();
                 self.server.open_logits(ch, &y0)?;
                 ch.flush()?;
-                Ok(State::Done)
+                State::Done
             }
             State::Done | State::Failed(_) => unreachable!("step() returns before run_step"),
-        }
+        };
+        Ok(Some(next))
     }
 }
 

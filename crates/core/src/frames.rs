@@ -58,11 +58,6 @@ byte_frame! {
 }
 
 byte_frame! {
-    /// One party's Beaver-triple openings `(d, e)`, ring-encoded.
-    pub struct BeaverOpenings, tag = tags::BEAVER_OPENINGS, name = "beaver opening batch", unit = 1
-}
-
-byte_frame! {
     /// A serialized offline bundle (dealer mode / warm-pool transfer).
     pub struct Bundle, tag = tags::BUNDLE, name = "offline bundle", unit = 1
 }

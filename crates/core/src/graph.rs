@@ -39,7 +39,7 @@ use crate::matmul::{triplet_client_with, TripletMode, TripletWalk};
 use crate::nonlinear::Lowering;
 use crate::session::{ClientSession, ServerSession};
 use crate::ProtocolError;
-use abnn2_gc::YaoEvaluator;
+use abnn2_gc::{YaoEvaluator, YaoGarbler};
 use abnn2_math::{FragmentScheme, Matrix, Ring};
 use abnn2_net::Transport;
 use abnn2_nn::conv::im2col;
@@ -410,8 +410,7 @@ pub struct CommCeiling {
 
 /// `W·X + b + U` — the server's online share of any linear op. `weights`
 /// is row-major `m × n`, `bias` has one entry per output row (broadcast
-/// over the `o` input columns). Exposed so baseline protocols can share
-/// the identical online linear step with their own offline triplets.
+/// over the `o` input columns).
 ///
 /// # Panics
 ///
@@ -533,7 +532,9 @@ fn reshare_inputs<'a, T: Transport, M: Borrow<Matrix>>(
 
 /// Offline phase, server half: the loop over `ServerOfflineWalk::step`.
 /// One §4.1 triplet per linear op and one matrix Beaver triple per
-/// secret×secret matmul op over an established session. The Gilboa cross
+/// secret×secret matmul op over an established session, which is split
+/// here: the fragment chooser drives the walk and ends with it, the Yao
+/// evaluator crosses into the returned [`ServerOffline`] beside the bundle. The Gilboa cross
 /// products behind matrix triples run over a dedicated IKNP pair, set up
 /// lazily at the first matmul op — graphs without matmul ops (MLP/CNN)
 /// send exactly the same bytes as before the extension.
@@ -549,15 +550,16 @@ pub fn server_offline_with<T: Transport, R: Rng + ?Sized>(
     exec: ExecConfig,
     rng: &mut R,
 ) -> Result<ServerOffline, ProtocolError> {
-    let mut walk = ServerOfflineWalk::new(session, sg.clone(), exec);
+    let mut walk = ServerOfflineWalk::new(session.kk, sg.clone(), exec);
     while !walk.done() {
         walk.step(ch, model, rng)?;
     }
-    Ok(walk.finish())
+    Ok(ServerOffline::from_bundle(session.yao, walk.finish()))
 }
 
-/// The server's offline phase as a resumable walk: the position in the op
-/// sequence plus everything generated so far. [`step`](Self::step) runs
+/// The server's offline phase as a resumable walk: the fragment chooser,
+/// the position in the op sequence and everything generated so far —
+/// nothing of Yao, which this phase never touches. [`step`](Self::step) runs
 /// one unit — one [`TripletWalk`] step of a linear op, or one matrix
 /// triple — so the server waits on the client at most once per call
 /// (matrix triples and silent refills aside, only at its start). Blocking
@@ -571,8 +573,6 @@ pub(crate) struct ServerOfflineWalk {
     plans: Arc<[TripletPlan]>,
     /// The half of the session the triplets extend, copied with the walk.
     kk: FragmentChooser,
-    /// The other half, untouched until the online phase: copies share it.
-    yao: Arc<YaoEvaluator>,
     /// The IKNP pair behind matrix triples, set up at the first matmul op.
     ots: Option<(IknpReceiver, IknpSender)>,
     us: Vec<Matrix>,
@@ -584,15 +584,14 @@ pub(crate) struct ServerOfflineWalk {
 }
 
 impl ServerOfflineWalk {
-    pub(crate) fn new(session: ServerSession, sg: SecureGraph, exec: ExecConfig) -> Self {
+    pub(crate) fn new(kk: FragmentChooser, sg: SecureGraph, exec: ExecConfig) -> Self {
         let mut walk = ServerOfflineWalk {
             plans: sg.plan().into(),
             us: Vec::with_capacity(sg.graph().linear_count()),
             mats: Vec::with_capacity(sg.graph().matmul_count()),
             sg,
             exec,
-            kk: session.kk,
-            yao: Arc::new(session.yao),
+            kk,
             ots: None,
             next: 0,
             triplet: None,
@@ -683,11 +682,10 @@ impl ServerOfflineWalk {
         Ok(())
     }
 
-    /// The finished offline state.
-    pub(crate) fn finish(self) -> ServerOffline {
-        let bundle = ServerBundle { us: self.us, mats: self.mats, batch: self.sg.batch() };
-        let session = ServerSession { kk: self.kk, yao: Arc::unwrap_or_clone(self.yao) };
-        ServerOffline::from_bundle(session, bundle)
+    /// Everything generated: the server half of what crosses into the
+    /// online phase. The spent chooser is dropped here.
+    pub(crate) fn finish(self) -> ServerBundle {
+        ServerBundle { us: self.us, mats: self.mats, batch: self.sg.batch() }
     }
 }
 
@@ -833,12 +831,12 @@ pub fn client_offline_with<T: Transport, R: Rng + ?Sized>(
         exec,
     };
     let bundle = client_offline_walk(sg, &mut source, rng)?;
-    Ok(ClientOffline { session, bundle })
+    Ok(ClientOffline::from_bundle(session.yao, bundle))
 }
 
 /// Online phase, server half: the loop over `ServerOnlineWalk::step`.
 /// Receives the blinded input, walks the graph combining planned triplets
-/// with garbled-circuit re-shares, and returns the session plus the
+/// with garbled-circuit re-shares, and returns the evaluator plus the
 /// server's share of the output op's input — the caller decides whether to
 /// open it ([`crate::SecureServer::online`]) or feed it to a masked argmax
 /// ([`crate::SecureServer::online_classify`]).
@@ -854,7 +852,7 @@ pub fn server_online_to_logits<T: Transport>(
     model: &ServedModel,
     sg: &SecureGraph,
     exec: ExecConfig,
-) -> Result<(ServerSession, Matrix), ProtocolError> {
+) -> Result<(YaoEvaluator, Matrix), ProtocolError> {
     let mut walk = ServerOnlineWalk::new(state, sg.clone(), exec)?;
     while !walk.done() {
         walk.step(ch, model)?;
@@ -866,18 +864,16 @@ pub fn server_online_to_logits<T: Transport>(
 /// [`step`](Self::step) runs one unit: the blinded input, then one tape op
 /// — a local [`linear_share`], or a re-share op's opening and circuit,
 /// which is where the server waits. The walk is `Clone` for the same
-/// reason as [`ServerOfflineWalk`]; a copy shares the offline bundle, the
-/// pending op's circuit and the session's spent fragment chooser, and
-/// duplicates only the evaluator and the tape.
+/// reason as [`ServerOfflineWalk`]; a copy shares the offline bundle and
+/// the pending op's circuit, and duplicates only the evaluator and the
+/// tape.
 #[derive(Debug, Clone)]
 pub(crate) struct ServerOnlineWalk {
     sg: SecureGraph,
     exec: ExecConfig,
     bundle: Arc<ServerBundle>,
-    /// The half of the session the re-share ops run, copied with the walk.
+    /// The Yao party the re-share ops run, copied with the walk.
     yao: YaoEvaluator,
-    /// The other half, carried for [`finish`](Self::finish): copies share it.
-    kk: Arc<FragmentChooser>,
     /// The server's share of every slot computed so far; empty until the
     /// blinded input has arrived.
     tape: Vec<Matrix>,
@@ -901,7 +897,7 @@ impl ServerOnlineWalk {
         sg: SecureGraph,
         exec: ExecConfig,
     ) -> Result<Self, ProtocolError> {
-        let ServerOffline { session, bundle } = state;
+        let ServerOffline { yao, bundle } = state;
         if bundle.batch != sg.batch() {
             return Err(ProtocolError::Malformed("offline state batch mismatch"));
         }
@@ -912,8 +908,7 @@ impl ServerOnlineWalk {
             sg,
             exec,
             bundle,
-            yao: session.yao,
-            kk: Arc::new(session.kk),
+            yao,
             linears: 0,
             matmuls: 0,
             lowering: Arc::default(),
@@ -980,21 +975,20 @@ impl ServerOnlineWalk {
         Ok(())
     }
 
-    /// The session and the server's share of the output op's input.
+    /// The evaluator and the server's share of the output op's input.
     ///
     /// # Panics
     ///
     /// Panics unless the walk is [`done`](Self::done).
-    pub(crate) fn finish(mut self) -> (ServerSession, Matrix) {
+    pub(crate) fn finish(mut self) -> (YaoEvaluator, Matrix) {
         assert!(self.done, "online walk finished before the output op");
-        let session = ServerSession { kk: Arc::unwrap_or_clone(self.kk), yao: self.yao };
-        (session, self.tape.pop().expect("the output op's input slot"))
+        (self.yao, self.tape.pop().expect("the output op's input slot"))
     }
 }
 
 /// Online phase, client half: blinds the input with the offline mask,
 /// walks the graph supplying its half of each re-sharing circuit, and
-/// returns the session plus the client's share of the output op's input
+/// returns the garbler plus the client's share of the output op's input
 /// (the final linear op's `V`).
 ///
 /// # Errors
@@ -1009,8 +1003,8 @@ pub fn client_online_to_logits<T: Transport, R: Rng + ?Sized>(
     exec: ExecConfig,
     x: &Matrix,
     rng: &mut R,
-) -> Result<(ClientSession, Matrix), ProtocolError> {
-    let ClientOffline { mut session, bundle: ClientBundle { rs, vs, mats, batch } } = state;
+) -> Result<(YaoGarbler, Matrix), ProtocolError> {
+    let ClientOffline { mut yao, bundle: ClientBundle { rs, vs, mats, batch } } = state;
     let config = &sg.graph().config;
     let ring = config.ring;
     if batch != sg.batch() {
@@ -1036,13 +1030,13 @@ pub fn client_online_to_logits<T: Transport, R: Rng + ?Sized>(
         ch.mark_phase(&format!("online:op{i}/{}", op.kind()));
         let out = match op.resource() {
             OpResource::Triplet { .. } => vs.next().expect("triplet shapes were checked"),
-            OpResource::Output => return Ok((session, tape[i].clone())),
+            OpResource::Output => return Ok((yao, tape[i].clone())),
             OpResource::MatTriple { .. } | OpResource::FreshMask { .. } => {
                 let shares = reshare_inputs(ch, op, i, &tape, &mut mats, ring, 1)?;
                 let lowering = Lowering::of(op, config, batch, exec.variant)
                     .ok_or(ProtocolError::Dimension("op has no re-sharing circuit"))?;
                 let z1 = rs.next().expect("mask shapes were checked");
-                lowering.client(ch, &mut session.yao, &shares, z1.as_slice(), ring, rng)?;
+                lowering.client(ch, &mut yao, &shares, z1.as_slice(), ring, rng)?;
                 z1
             }
         };

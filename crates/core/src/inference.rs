@@ -40,40 +40,35 @@ use crate::handshake::{
 use crate::relu::ReluVariant;
 use crate::session::{ClientSession, ServerSession};
 use crate::ProtocolError;
-use abnn2_math::{Matrix, Ring};
+use abnn2_gc::{YaoEvaluator, YaoGarbler};
+use abnn2_math::Matrix;
 use abnn2_net::Transport;
-use abnn2_nn::quant::QuantizedDense;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-/// `W·X + b + U` — the server's online share of a dense layer; delegates to
-/// the op-generic [`crate::graph::linear_share`]. Exposed so baseline
-/// protocols (MiniONN, QUOTIENT) can share the identical online linear step
-/// while substituting their own offline triplets.
-#[must_use]
-pub fn layer_share(layer: &QuantizedDense, x: &Matrix, u: &Matrix, ring: Ring) -> Matrix {
-    crate::graph::linear_share(&layer.weights, &layer.bias, layer.out_dim, layer.in_dim, x, u, ring)
-}
-
-/// Server-side state after the offline phase: the connection's session
-/// plus the connection-independent [`ServerBundle`] (one triplet share `U`
-/// per linear op of the graph, in graph order). Triplets survive a
-/// connection loss; the cheap per-connection session setup does not — so
-/// a bundle checkpointed after a cut, or manufactured ahead of time by a
-/// precompute pool, pairs with any fresh session.
+/// What crosses the server's offline→online edge, and all the online
+/// phase takes: the connection's Yao evaluator plus the
+/// connection-independent [`ServerBundle`] (one triplet share `U` per
+/// linear op and one matrix triple per secret×secret matmul, in graph
+/// order). The fragment-OT half of the session ends with the offline
+/// phase. Triplets survive a connection loss; the cheap per-connection
+/// Yao setup does not — so a bundle checkpointed after a cut,
+/// manufactured ahead of time by a precompute pool, or produced by another
+/// offline protocol altogether (`abnn2-baselines`) pairs with any fresh
+/// evaluator.
 #[derive(Debug, Clone)]
 pub struct ServerOffline {
-    pub(crate) session: ServerSession,
+    pub(crate) yao: YaoEvaluator,
     /// Read-only from here on, so the online walk and its copies share it.
     pub(crate) bundle: Arc<ServerBundle>,
 }
 
 impl ServerOffline {
-    /// Pairs a fresh session with an offline bundle.
+    /// Pairs a Yao evaluator with an offline bundle.
     #[must_use]
-    pub fn from_bundle(session: ServerSession, bundle: ServerBundle) -> Self {
-        ServerOffline { session, bundle: Arc::new(bundle) }
+    pub fn from_bundle(yao: YaoEvaluator, bundle: ServerBundle) -> Self {
+        ServerOffline { yao, bundle: Arc::new(bundle) }
     }
 
     /// Copies out the bundle (for checkpointing; the state itself is
@@ -84,21 +79,22 @@ impl ServerOffline {
     }
 }
 
-/// Client-side state after the offline phase: the connection's session
-/// plus the connection-independent [`ClientBundle`] (the masks `R` and one
-/// triplet share `V` per linear op, in graph order).
+/// What crosses the client's offline→online edge: the connection's Yao
+/// garbler plus the connection-independent [`ClientBundle`] (the masks `R`,
+/// one triplet share `V` per linear op and one matrix triple per
+/// secret×secret matmul, in graph order).
 #[derive(Debug)]
 pub struct ClientOffline {
-    pub(crate) session: ClientSession,
+    pub(crate) yao: YaoGarbler,
     pub(crate) bundle: ClientBundle,
 }
 
 impl ClientOffline {
-    /// Pairs a fresh session with an offline bundle (the
-    /// reconnect-and-resume path, or a server-dealt bundle).
+    /// Pairs a Yao garbler with an offline bundle (the reconnect-and-resume
+    /// path, a server-dealt bundle, or another offline protocol's output).
     #[must_use]
-    pub fn from_bundle(session: ClientSession, bundle: ClientBundle) -> Self {
-        ClientOffline { session, bundle }
+    pub fn from_bundle(yao: YaoGarbler, bundle: ClientBundle) -> Self {
+        ClientOffline { yao, bundle }
     }
 
     /// Copies out the bundle.
@@ -273,9 +269,9 @@ impl SecureServer {
         let ring = self.model.config().ring;
         let batch = state.bundle.batch;
         let sg = self.model.secure_graph(batch)?;
-        let (mut session, y0) = server_online_to_logits(ch, state, &self.model, &sg, self.exec)?;
+        let (mut yao, y0) = server_online_to_logits(ch, state, &self.model, &sg, self.exec)?;
         for k in 0..batch {
-            crate::argmax::argmax_server(ch, &mut session.yao, &y0.col(k), ring)?;
+            crate::argmax::argmax_server(ch, &mut yao, &y0.col(k), ring)?;
         }
         Ok(())
     }
@@ -432,7 +428,7 @@ impl SecureClient {
             job.resumed = true;
             let bundle =
                 job.checkpoint.clone().expect("resume is only requested with a checkpoint");
-            return Ok(ClientOffline { session, bundle });
+            return Ok(ClientOffline::from_bundle(session.yao, bundle));
         }
         job.warm = reply.bundle;
         // The server holds neither our checkpoint nor (on the cold path)
@@ -441,7 +437,7 @@ impl SecureClient {
         let state = if reply.bundle {
             ch.mark_phase("bundle");
             let Bundle(bytes) = ch.recv_frame()?;
-            ClientOffline { session, bundle: ClientBundle::decode(&bytes, &sg)? }
+            ClientOffline::from_bundle(session.yao, ClientBundle::decode(&bytes, &sg)?)
         } else {
             ch.mark_phase("offline");
             client_offline_with(ch, session, &sg, self.exec, rng)?
@@ -522,7 +518,7 @@ impl SecureClient {
         Ok(())
     }
 
-    /// Runs the graph, returning the session and the client's share of the
+    /// Runs the graph, returning the garbler and the client's share of the
     /// final-layer outputs.
     fn online_to_logits<T: Transport, R: Rng + ?Sized>(
         &self,
@@ -530,7 +526,7 @@ impl SecureClient {
         state: ClientOffline,
         inputs_fp: &[Vec<u64>],
         rng: &mut R,
-    ) -> Result<(ClientSession, Matrix), ProtocolError> {
+    ) -> Result<(YaoGarbler, Matrix), ProtocolError> {
         let batch = state.bundle.batch;
         let sg = self.model.secure_graph(batch)?;
         let ring = self.model.config().ring;
@@ -588,9 +584,9 @@ impl SecureClient {
     ) -> Result<Vec<usize>, ProtocolError> {
         let ring = self.model.config().ring;
         let batch = state.bundle.batch;
-        let (mut session, y1) = self.online_to_logits(ch, state, inputs_fp, rng)?;
+        let (mut yao, y1) = self.online_to_logits(ch, state, inputs_fp, rng)?;
         (0..batch)
-            .map(|k| crate::argmax::argmax_client(ch, &mut session.yao, &y1.col(k), ring, rng))
+            .map(|k| crate::argmax::argmax_client(ch, &mut yao, &y1.col(k), ring, rng))
             .collect()
     }
 
@@ -641,7 +637,7 @@ impl SecureClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abnn2_math::FragmentScheme;
+    use abnn2_math::{FragmentScheme, Ring};
     use abnn2_net::{run_pair, Endpoint, NetworkModel};
     use abnn2_nn::conv::{ConvShape, QuantizedCnn, QuantizedConv};
     use abnn2_nn::quant::{QuantConfig, QuantizedDense, QuantizedNetwork};

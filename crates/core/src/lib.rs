@@ -50,7 +50,6 @@
 //! party sees the other's data.
 
 pub mod argmax;
-pub mod beaver;
 pub mod bundle;
 pub mod complexity;
 pub mod config;

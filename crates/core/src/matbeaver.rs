@@ -1,7 +1,6 @@
 //! Matrix Beaver triples: the offline resource behind [`LayerOp::MatMulSS`].
 //!
-//! The scalar Beaver triples in [`crate::beaver`] generalize to matrices:
-//! a triple is `(X, Y, Z)` with `X` of shape `m × k`, `Y` of shape `k × n`
+//! Beaver's multiplication triples, over matrices: a triple is `(X, Y, Z)` with `X` of shape `m × k`, `Y` of shape `k × n`
 //! and `Z₀ + Z₁ = (X₀ + X₁)·(Y₀ + Y₁)` over the ring. The online
 //! open-and-combine ([`mul_matrix_shares`]) costs one
 //! [`MatmulOpenings`] frame each way — both parties open `D = A − X`,
@@ -15,8 +14,8 @@
 //!
 //! * **interactive** ([`generate_matrix_p0`]/[`generate_matrix_p1`]) — the
 //!   cross terms `X₀·Y₁` and `X₁·Y₀` reduce to `m·n·k` scalar Gilboa OT
-//!   products over dedicated IKNP sessions, reusing the exact
-//!   chooser/sender halves of [`crate::beaver`]; the flattening order
+//!   products (ℓ correlated OTs per cross term) over dedicated IKNP
+//!   sessions; the flattening order
 //!   `((i·n) + j)·k + κ` is part of the wire contract and must match on
 //!   both sides,
 //! * **dealer** ([`deal_matrix_triple`]) — a trusted dealer samples both
@@ -30,7 +29,6 @@
 //! [`LayerOp::MatMulSS`]: abnn2_nn::graph::LayerOp::MatMulSS
 //! [`MatmulOpenings`]: crate::frames::MatmulOpenings
 
-use crate::beaver::{gilboa_chooser, gilboa_sender};
 use crate::frames::MatmulOpenings;
 use crate::ProtocolError;
 use abnn2_math::{Matrix, Ring};
@@ -61,6 +59,44 @@ impl MatrixTriple {
     pub fn fits(&self, m: usize, k: usize, n: usize) -> bool {
         self.dims() == (m, k, n)
     }
+}
+
+/// Gilboa OT product: this party holds `xs`; the peer holds `ys`; outputs
+/// are shares of `xs[i]·ys[i]`. This side is the *chooser* on its bits.
+fn gilboa_chooser<T: Transport>(
+    ch: &mut T,
+    ot: &mut IknpReceiver,
+    xs: &[u64],
+    ring: Ring,
+) -> Result<Vec<u64>, ProtocolError> {
+    let l = ring.bits() as usize;
+    let choices: Vec<bool> =
+        xs.iter().flat_map(|&x| (0..l).map(move |b| (x >> b) & 1 == 1)).collect();
+    let got = ot.recv_correlated(ch, &choices, ring)?;
+    Ok(got
+        .chunks_exact(l)
+        .map(|chunk| chunk.iter().fold(0u64, |acc, &v| ring.add(acc, v)))
+        .collect())
+}
+
+/// Gilboa OT product, sender side: supplies correlations `2^b·ys[i]`.
+fn gilboa_sender<T: Transport>(
+    ch: &mut T,
+    ot: &mut IknpSender,
+    ys: &[u64],
+    ring: Ring,
+) -> Result<Vec<u64>, ProtocolError> {
+    let l = ring.bits() as usize;
+    let deltas: Vec<u64> = ys
+        .iter()
+        .flat_map(|&y| (0..l).map(move |b| y.wrapping_shl(b as u32)))
+        .map(|d| ring.reduce(d))
+        .collect();
+    let x0s = ot.send_correlated(ch, &deltas, ring)?;
+    Ok(x0s
+        .chunks_exact(l)
+        .map(|chunk| ring.neg(chunk.iter().fold(0u64, |acc, &v| ring.add(acc, v))))
+        .collect())
 }
 
 /// Flattens the cross-term operands in the shared `((i·n) + j)·k + κ`

@@ -433,41 +433,6 @@ pub fn triplet_client_with<T: Transport, RNG: Rng + ?Sized>(
     Ok(v)
 }
 
-/// Algorithm 1 (dot-product triplets): the `m = 1`, `o = 1` special case.
-/// Server output `u` with `u + v = w·r`.
-///
-/// # Errors
-///
-/// Propagates [`triplet_server`] failures.
-pub fn dot_product_server<T: Transport>(
-    ch: &mut T,
-    kk: &mut FragmentChooser,
-    w: &[i64],
-    scheme: &FragmentScheme,
-    ring: Ring,
-) -> Result<u64, ProtocolError> {
-    let u = triplet_server(ch, kk, w, 1, w.len(), 1, scheme, ring, TripletMode::OneBatch)?;
-    Ok(u.get(0, 0))
-}
-
-/// Algorithm 1, client side: `v` with `u + v = w·r` for the client's `r`.
-///
-/// # Errors
-///
-/// Propagates [`triplet_client`] failures.
-pub fn dot_product_client<T: Transport, RNG: Rng + ?Sized>(
-    ch: &mut T,
-    kk: &mut FragmentSender,
-    r: &[u64],
-    scheme: &FragmentScheme,
-    ring: Ring,
-    rng: &mut RNG,
-) -> Result<u64, ProtocolError> {
-    let rm = Matrix::column(r.to_vec());
-    let v = triplet_client(ch, kk, &rm, 1, scheme, ring, TripletMode::OneBatch, rng)?;
-    Ok(v.get(0, 0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -660,34 +625,6 @@ mod tests {
             rep1.total_bytes(),
             rep2.total_bytes()
         );
-    }
-
-    #[test]
-    fn dot_product_wrappers() {
-        let ring = Ring::new(32);
-        let scheme = FragmentScheme::binary();
-        let w = vec![1i64, 0, 1, 1];
-        let w2 = w.clone();
-        let scheme2 = scheme.clone();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let r: Vec<u64> = ring.sample_vec(&mut rng, 4);
-        let r2 = r.clone();
-        let (u, v, _) = run_pair(
-            NetworkModel::instant(),
-            move |ch| {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-                let mut kk =
-                    FragmentChooser::setup(ch, OfflineMode::Iknp, &mut rng).expect("setup");
-                dot_product_server(ch, &mut kk, &w2, &scheme, ring).expect("server")
-            },
-            move |ch| {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-                let mut kk = FragmentSender::setup(ch, OfflineMode::Iknp, &mut rng).expect("setup");
-                dot_product_client(ch, &mut kk, &r2, &scheme2, ring, &mut rng).expect("client")
-            },
-        );
-        let expect = ring.dot(&w.iter().map(|&x| x as u64).collect::<Vec<_>>(), &r);
-        assert_eq!(ring.add(u, v), expect);
     }
 
     #[test]

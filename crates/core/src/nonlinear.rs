@@ -24,7 +24,7 @@
 
 use crate::relu::{relu_client, relu_server, ReluVariant};
 use crate::ProtocolError;
-use abnn2_gc::circuit::{bits_to_u64, u64_to_bits};
+use abnn2_gc::circuit::bits_to_u64;
 use abnn2_gc::{circuits, Circuit, YaoEvaluator, YaoGarbler};
 use abnn2_math::Ring;
 use abnn2_net::Transport;
@@ -33,10 +33,26 @@ use abnn2_nn::graph::LayerOp;
 use abnn2_nn::quant::QuantConfig;
 use rand::Rng;
 
-/// Flattens ring words into the little-endian bit vector a Yao circuit
-/// consumes.
+/// The words→wires codec, the one place a ring word becomes the `bool` per
+/// wire a Yao run takes: appends `words` to `wires`, `bits` little-endian
+/// bits each.
+pub(crate) fn push_words(wires: &mut Vec<bool>, words: &[u64], bits: usize) {
+    wires.reserve(words.len() * bits);
+    for &w in words {
+        wires.extend((0..bits).map(|i| (w >> i) & 1 == 1));
+    }
+}
+
+/// [`push_words`] into a fresh vector.
 pub(crate) fn words_to_bits(words: &[u64], bits: usize) -> Vec<bool> {
-    words.iter().flat_map(|&w| u64_to_bits(w, bits)).collect()
+    let mut wires = Vec::new();
+    push_words(&mut wires, words, bits);
+    wires
+}
+
+/// The inverse: one word per `bits` output wires.
+pub(crate) fn bits_to_words(wires: &[bool], bits: usize) -> Vec<u64> {
+    wires.chunks(bits).map(bits_to_u64).collect()
 }
 
 const MISFIT: ProtocolError = ProtocolError::Dimension("shares do not fit the re-share circuit");
@@ -57,15 +73,17 @@ pub fn reshare_server<T: Transport, S: AsRef<[u64]>>(
     ring: Ring,
 ) -> Result<Vec<u64>, ProtocolError> {
     let bits = ring.bits() as usize;
-    let ebits: Vec<bool> = shares.iter().flat_map(|s| words_to_bits(s.as_ref(), bits)).collect();
+    let mut ebits = Vec::with_capacity(circuit.evaluator_inputs().len());
+    for s in shares {
+        push_words(&mut ebits, s.as_ref(), bits);
+    }
     if ebits.len() != circuit.evaluator_inputs().len() {
         return Err(MISFIT);
     }
     if circuit.outputs().is_empty() {
         return Ok(Vec::new());
     }
-    let out = yao.run(ch, circuit, &ebits)?;
-    Ok(out.chunks(bits).map(bits_to_u64).collect())
+    Ok(bits_to_words(&yao.run(ch, circuit, &ebits)?, bits))
 }
 
 /// Client (garbler) half of Algorithm 2 for any re-share circuit: holds
@@ -87,8 +105,10 @@ pub fn reshare_client<T: Transport, S: AsRef<[u64]>, RNG: Rng + ?Sized>(
     rng: &mut RNG,
 ) -> Result<(), ProtocolError> {
     let bits = ring.bits() as usize;
-    let mut gbits: Vec<bool> =
-        shares.iter().flat_map(|s| words_to_bits(s.as_ref(), bits)).collect();
+    let mut gbits = Vec::with_capacity(circuit.garbler_inputs().len());
+    for s in shares {
+        push_words(&mut gbits, s.as_ref(), bits);
+    }
     if gbits.len() + z1.len() * bits != circuit.garbler_inputs().len()
         || z1.len() * bits != circuit.outputs().len()
     {
@@ -97,7 +117,7 @@ pub fn reshare_client<T: Transport, S: AsRef<[u64]>, RNG: Rng + ?Sized>(
     if circuit.outputs().is_empty() {
         return Ok(());
     }
-    gbits.extend(words_to_bits(z1, bits));
+    push_words(&mut gbits, z1, bits);
     yao.run(ch, circuit, &gbits, rng)?;
     Ok(())
 }

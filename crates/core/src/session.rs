@@ -11,6 +11,11 @@
 //!   receiver for its input labels).
 //!
 //! Both are seeded once per connection by base OTs over the Edwards curve.
+//! A session is what setup returns and no more: it is split at the
+//! offline→online edge, the fragment-OT half going to the offline phase
+//! ([`crate::graph::server_offline_with`]) and ending with it, the Yao half
+//! going on into [`crate::inference::ServerOffline`] /
+//! [`crate::inference::ClientOffline`].
 
 use crate::ProtocolError;
 use abnn2_gc::{YaoEvaluator, YaoGarbler};

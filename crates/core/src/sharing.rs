@@ -1,6 +1,6 @@
 //! Additive secret sharing over ℤ_{2^ℓ} (§2.3 of the paper).
 
-use abnn2_math::{Matrix, Ring};
+use abnn2_math::Ring;
 use rand::Rng;
 
 /// Splits `x` into two additive shares: `⟨x⟩₀ + ⟨x⟩₁ = x (mod 2^ℓ)`.
@@ -24,16 +24,6 @@ pub fn reconstruct(s0: u64, s1: u64, ring: Ring) -> u64 {
 pub fn share_vec<R: Rng + ?Sized>(xs: &[u64], ring: Ring, rng: &mut R) -> (Vec<u64>, Vec<u64>) {
     let r = ring.sample_vec(rng, xs.len());
     (ring.sub_vec(xs, &r), r)
-}
-
-/// Reconstructs a shared matrix.
-///
-/// # Panics
-///
-/// Panics if the shapes differ.
-#[must_use]
-pub fn reconstruct_matrix(s0: &Matrix, s1: &Matrix, ring: Ring) -> Matrix {
-    s0.add(s1, &ring)
 }
 
 #[cfg(test)]

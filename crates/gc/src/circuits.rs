@@ -262,13 +262,6 @@ pub fn relu_sign_vec_circuit(bits: usize, n: usize) -> Circuit {
     b.build(outs)
 }
 
-/// Vectorized phase-2 reconstruct-and-reshare for the optimized ReLU, over
-/// the subset of non-negative neurons only.
-#[must_use]
-pub fn reconstruct_reshare_vec_circuit(bits: usize, n: usize) -> Circuit {
-    reconstruct_trunc_reshare_vec_circuit(bits, n, 0)
-}
-
 /// Vectorized phase-2 reconstruct-truncate-reshare:
 /// `z₀ = ((y₀ + y₁) ≫ₐ shift) − z₁` per neuron.
 #[must_use]

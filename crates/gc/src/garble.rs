@@ -8,15 +8,36 @@
 use crate::circuit::{Circuit, Gate, WireId};
 use crate::GcError;
 use abnn2_crypto::{Block, RoHash};
+use abnn2_ot::bits::{get_bit, set_bit};
 use rand::Rng;
 
-/// The material the garbler ships to the evaluator (besides input labels).
+/// The material the garbler ships to the evaluator (besides input labels),
+/// held as the wire holds it: the two fields are the payloads of the
+/// [`GcTables`](crate::frames::GcTables) and
+/// [`GcDecodeMap`](crate::frames::GcDecodeMap) frames, so neither party
+/// converts between the garbling and the transfer. This module is the only
+/// one that knows the layout inside them.
 #[derive(Debug, Clone)]
 pub struct GarbledCircuit {
-    /// Two blocks per AND gate, in gate order.
-    pub and_tables: Vec<(Block, Block)>,
-    /// Decode bit per output wire: `value = lsb(label) ⊕ decode`.
-    pub output_decode: Vec<bool>,
+    /// Two blocks per AND gate, in gate order: gate `i`'s generator and
+    /// evaluator rows are `tables[2i]` and `tables[2i + 1]`.
+    pub tables: Vec<Block>,
+    /// One decode bit per output wire, packed little-endian:
+    /// `value = lsb(label) ⊕ decode`.
+    pub decode: Vec<u8>,
+}
+
+impl GarbledCircuit {
+    /// Whether the material has the sizes `circuit` garbles to.
+    pub(crate) fn check(&self, circuit: &Circuit) -> Result<(), GcError> {
+        if self.tables.len() != 2 * circuit.and_count() {
+            return Err(GcError::Malformed("AND table stream length"));
+        }
+        if self.decode.len() != circuit.outputs.len().div_ceil(8) {
+            return Err(GcError::Malformed("output decode length"));
+        }
+        Ok(())
+    }
 }
 
 /// The garbler's private label material.
@@ -52,7 +73,7 @@ pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, rng: &mut R) -> (GarbledCircui
         zero[w] = Block::random(rng);
     }
 
-    let mut and_tables = Vec::with_capacity(circuit.and_count());
+    let mut tables = Vec::with_capacity(2 * circuit.and_count());
     let mut and_idx: u128 = 0;
     for gate in &circuit.gates {
         let (a, b, out) = gate.wires();
@@ -80,18 +101,22 @@ pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, rng: &mut R) -> (GarbledCircui
                 let te = hb0 ^ hb1 ^ za;
                 let we = hb0 ^ if pb { te ^ za } else { Block::ZERO };
                 zero[out] = wg ^ we;
-                and_tables.push((tg, te));
+                tables.push(tg);
+                tables.push(te);
             }
         }
     }
 
-    let output_decode = circuit.outputs.iter().map(|&w| zero[w].lsb()).collect();
+    let mut decode = vec![0u8; circuit.outputs.len().div_ceil(8)];
+    for (i, &w) in circuit.outputs.iter().enumerate() {
+        set_bit(&mut decode, i, zero[w].lsb());
+    }
     let pair = |w: WireId| (zero[w], zero[w] ^ delta);
     let labels = GarblerLabels {
         garbler_inputs: circuit.garbler_inputs.iter().map(|&w| pair(w)).collect(),
         evaluator_inputs: circuit.evaluator_inputs.iter().map(|&w| pair(w)).collect(),
     };
-    (GarbledCircuit { and_tables, output_decode }, labels)
+    (GarbledCircuit { tables, decode }, labels)
 }
 
 /// Evaluates a garbled circuit given one label per input wire, returning
@@ -113,12 +138,7 @@ pub fn evaluate(
     if evaluator_labels.len() != circuit.evaluator_inputs.len() {
         return Err(GcError::Malformed("evaluator label count"));
     }
-    if garbled.and_tables.len() != circuit.and_count() {
-        return Err(GcError::Malformed("AND table count"));
-    }
-    if garbled.output_decode.len() != circuit.outputs.len() {
-        return Err(GcError::Malformed("output decode count"));
-    }
+    garbled.check(circuit)?;
 
     let hash = RoHash::shared();
     let mut label = vec![Block::ZERO; circuit.n_wires];
@@ -129,18 +149,19 @@ pub fn evaluate(
         label[w] = l;
     }
 
-    let mut and_idx: u128 = 0;
+    let mut row = 0;
     for gate in &circuit.gates {
         let (a, b, out) = gate.wires();
         match gate {
             Gate::Xor { .. } => label[out] = label[a] ^ label[b],
             Gate::Inv { .. } => label[out] = label[a],
             Gate::And { .. } => {
-                let (t0, t1) = (2 * and_idx, 2 * and_idx + 1);
-                let (tg, te) = garbled.and_tables[and_idx as usize];
-                and_idx += 1;
+                // A gate's two table rows are tweaked by their own indices.
+                let (t0, t1) = (row, row + 1);
+                let (tg, te) = (garbled.tables[t0], garbled.tables[t1]);
+                row += 2;
                 let (wa, wb) = (label[a], label[b]);
-                let mut h = [wa ^ Block::from(t0), wb ^ Block::from(t1)];
+                let mut h = [wa ^ Block::from(t0 as u128), wb ^ Block::from(t1 as u128)];
                 hash.hash_blocks(&mut h);
                 let wg = h[0] ^ if wa.lsb() { tg } else { Block::ZERO };
                 let we = h[1] ^ if wb.lsb() { te ^ wa } else { Block::ZERO };
@@ -152,8 +173,8 @@ pub fn evaluate(
     Ok(circuit
         .outputs
         .iter()
-        .zip(&garbled.output_decode)
-        .map(|(&w, &d)| label[w].lsb() ^ d)
+        .enumerate()
+        .map(|(i, &w)| label[w].lsb() ^ get_bit(&garbled.decode, i))
         .collect())
 }
 
@@ -219,9 +240,8 @@ mod tests {
         .expect("evaluate");
         // Flip both half-gate ciphertexts of every AND gate so the tampering
         // hits rows the evaluator actually uses regardless of select bits.
-        for table in gc.and_tables.iter_mut() {
-            table.0 ^= Block::from(1u128);
-            table.1 ^= Block::from(1u128);
+        for row in gc.tables.iter_mut() {
+            *row ^= Block::from(1u128);
         }
         // Surfacing an error also counts as detection.
         if let Ok(corrupted) = evaluate(&c, &gc, &labels.select_garbler(&g_bits), &{

@@ -8,11 +8,9 @@
 
 use crate::circuit::Circuit;
 use crate::frames::{GcDecodeMap, GcLabels, GcTables};
-use crate::garble::{evaluate, garble};
+use crate::garble::{evaluate, garble, GarbledCircuit};
 use crate::GcError;
-use abnn2_crypto::Block;
 use abnn2_net::Transport;
-use abnn2_ot::bits::{get_bit, pack_bits};
 use abnn2_ot::{IknpReceiver, IknpSender};
 use rand::Rng;
 
@@ -64,16 +62,10 @@ impl YaoGarbler {
         my_bits: &[bool],
         rng: &mut R,
     ) -> Result<(), GcError> {
-        let (gc, labels) = garble(circuit, rng);
-        let own = labels.select_garbler(my_bits);
-        ch.send_frame(&GcLabels(own))?;
-        let mut tables = Vec::with_capacity(gc.and_tables.len() * 2);
-        for (tg, te) in &gc.and_tables {
-            tables.push(*tg);
-            tables.push(*te);
-        }
+        let (GarbledCircuit { tables, decode }, labels) = garble(circuit, rng);
+        ch.send_frame(&GcLabels(labels.select_garbler(my_bits)))?;
         ch.send_frame(&GcTables(tables))?;
-        ch.send_frame(&GcDecodeMap(pack_bits(&gc.output_decode)))?;
+        ch.send_frame(&GcDecodeMap(decode))?;
         self.ot.send_chosen(ch, &labels.evaluator_inputs)?;
         Ok(())
     }
@@ -109,23 +101,12 @@ impl YaoEvaluator {
         my_bits: &[bool],
     ) -> Result<Vec<bool>, GcError> {
         let GcLabels(garbler_labels) = ch.recv_frame()?;
-        let GcTables(table_blocks) = ch.recv_frame()?;
-        if table_blocks.len() != 2 * circuit.and_count() {
-            return Err(GcError::Malformed("AND table stream length"));
-        }
-        let GcDecodeMap(decode_bytes) = ch.recv_frame()?;
-        if decode_bytes.len() != circuit.outputs().len().div_ceil(8) {
-            return Err(GcError::Malformed("output decode length"));
-        }
-        let and_tables: Vec<(Block, Block)> =
-            table_blocks.chunks_exact(2).map(|p| (p[0], p[1])).collect();
-        // The tables are the op's largest frame: hold one copy, not two,
-        // through the label OTs and the evaluation.
-        drop(table_blocks);
-        let output_decode: Vec<bool> =
-            (0..circuit.outputs().len()).map(|i| get_bit(&decode_bytes, i)).collect();
+        let GcTables(tables) = ch.recv_frame()?;
+        let GcDecodeMap(decode) = ch.recv_frame()?;
+        // Reject material for another circuit before spending the label OTs.
+        let gc = GarbledCircuit { tables, decode };
+        gc.check(circuit)?;
         let my_labels = self.ot.recv(ch, my_bits)?;
-        let gc = crate::garble::GarbledCircuit { and_tables, output_decode };
         evaluate(circuit, &gc, &garbler_labels, &my_labels)
     }
 }

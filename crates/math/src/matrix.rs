@@ -218,13 +218,6 @@ impl Matrix {
         }
         out
     }
-
-    /// Applies `f` to every element in place.
-    pub fn map_in_place<F: FnMut(u64) -> u64>(&mut self, mut f: F) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -206,11 +206,6 @@ impl<T: Transport> FaultyTransport<T> {
         self.plan = FaultPlan::single(fault);
     }
 
-    /// Replaces the whole plan mid-stream (counters keep running).
-    pub fn set_plan(&mut self, plan: FaultPlan) {
-        self.plan = plan;
-    }
-
     /// Applies the send-side faults for the current send index.
     /// `Ok(None)` means "deliver unchanged".
     fn perturb(&mut self, payload: &[u8]) -> Result<Option<Vec<u8>>, TransportError> {

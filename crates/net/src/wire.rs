@@ -167,7 +167,8 @@ pub mod tags {
     pub const NEG_SHARES: u8 = 0x35;
     /// Masked argmax class index (single byte).
     pub const MASKED_CLASS: u8 = 0x36;
-    /// Beaver multiplication openings (ε, δ batch).
+    /// Reserved: the scalar Beaver openings frame, removed with its only
+    /// sender. The tag stays registered so no later frame reuses it.
     pub const BEAVER_OPENINGS: u8 = 0x37;
     /// Precomputed triplet bundle (warm-pool serving).
     pub const BUNDLE: u8 = 0x38;

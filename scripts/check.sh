@@ -67,9 +67,12 @@
 # Every run also greps the protocol crates for scalar AES calls
 # (`encrypt_block`, `hash_block`, `next_block`, a one-shot
 # `Prg::from_seed(..).bytes(..)`), which belong to crates/crypto, test
-# modules and benches only, and builds and unit-tests the standalone
-# benchmark package
-# under bench/ (its own manifest and lock file, outside the workspace), so
+# modules and benches only, and crates/baselines for the per-layer online
+# helpers (`layer_share`, `relu_server`, `relu_client`: the online phase is
+# core's, the baselines call it whole), reruns the pinned Yao, triplet and
+# OT-extension transcripts in release under the portable crypto backend,
+# and builds and unit-tests the standalone benchmark package under bench/
+# (its own manifest and lock file, outside the workspace), so
 # an API change that breaks the benchmark fails here rather than in the
 # pipeline that runs it, and then runs its smoke test (bench/run.sh
 # --quick: 5 predictions on each of the four served workloads, ~10 s) —
@@ -164,6 +167,31 @@ if [[ -n "$scalar_aes" ]]; then
   echo "scalar AES call outside crates/crypto, test modules and benches (see above)" >&2
   exit 1
 fi
+
+# The online phase lives in core: a baseline differs from ABNN2 in how it
+# makes triplets and hands `SecureServer::online` / `SecureClient::online_raw`
+# a (Yao party, bundle) pair. A layer loop over the per-op helpers in
+# crates/baselines would be a second online phase again.
+echo "==> one-online-phase gate: no per-layer online helper in crates/baselines"
+online_copy=$(find crates/baselines/src -name '*.rs' -print0 |
+  xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && !/^[[:space:]]*\/\// && /layer_share\(|relu_server\(|relu_client\(/ {
+      print FILENAME ":" FNR ": " $0
+    }')
+if [[ -n "$online_copy" ]]; then
+  echo "$online_copy" >&2
+  echo "online-phase helper called from crates/baselines (see above)" >&2
+  exit 1
+fi
+
+# The dev profile keeps overflow checks and debug assertions on and the
+# default backend is AES-NI where the CPU has it: the pinned transcripts
+# must also hold as the served binaries are built, over the software path.
+echo "==> pinned Yao, triplet and OT-extension transcripts: release, portable backend"
+ABNN2_CRYPTO_BACKEND=portable cargo test -q --release \
+  --test yao_pins --test triplet_pins --test ot_extension_pins
 
 echo "==> cargo fmt --check"
 cargo fmt --check

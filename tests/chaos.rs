@@ -391,7 +391,7 @@ fn event_loop_cut_while_parked_checkpoints_and_resumes_bit_exact() {
     .expect("resume handshake");
     assert!(reply.resume, "server must offer to resume the checkpointed session");
     let session = ClientSession::setup(&mut ch, &mut rng).expect("setup");
-    let state = ClientOffline::from_bundle(session, checkpoint);
+    let state = ClientOffline::from_bundle(session.yao, checkpoint);
     let y = client.online_raw(&mut ch, state, std::slice::from_ref(&x), &mut rng).expect("online");
     assert_eq!(y.col(0), expected, "resumed logits diverge from forward_exact");
 }
@@ -814,7 +814,7 @@ fn silent_cut_after_expansion_checkpoints_and_resumes_bit_exact() {
     assert!(reply.resume, "server must offer to resume the checkpointed session");
     assert!(reply.silent, "resumed session must stay on the silent backend");
     let session = ClientSession::setup_with(&mut ch, reply.mode(), &mut rng).expect("setup");
-    let state = ClientOffline::from_bundle(session, checkpoint);
+    let state = ClientOffline::from_bundle(session.yao, checkpoint);
     let y = client.online_raw(&mut ch, state, std::slice::from_ref(&x), &mut rng).expect("online");
     assert_eq!(y.col(0), expected, "resumed silent logits diverge from forward_exact");
 }
@@ -995,7 +995,7 @@ fn cut_during_matmul_opening_checkpoints_and_resumes_bit_exact() {
     .expect("resume handshake");
     assert!(reply.resume, "server must offer to resume the checkpointed session");
     let session = ClientSession::setup(&mut ch, &mut rng).expect("setup");
-    let state = ClientOffline::from_bundle(session, checkpoint);
+    let state = ClientOffline::from_bundle(session.yao, checkpoint);
     let y = client.online_raw(&mut ch, state, std::slice::from_ref(&x), &mut rng).expect("online");
     assert_eq!(y.col(0), expected, "resumed transformer logits diverge from forward_exact");
 }

@@ -5,7 +5,10 @@
 
 use abnn2::core::matmul::{triplet_client, triplet_server, TripletMode};
 use abnn2::math::{FragmentScheme, Matrix, Ring};
-use abnn2::net::{run_pair, Endpoint, InstrumentedTransport, NetworkModel};
+use abnn2::net::{
+    run_pair, CommSnapshot, Endpoint, InstrumentedTransport, NetworkModel, TagStats, Transport,
+    TransportError,
+};
 use abnn2::ot::{FragmentChooser, FragmentSender, IknpReceiver, IknpSender, OfflineMode};
 use rand::SeedableRng;
 
@@ -154,6 +157,136 @@ fn minionn_comm_is_bitwidth_independent_ours_is_not() {
         ot_ratio > 2.0,
         "ABNN² bytes must scale with bitwidth: binary {ours_binary} vs 8-bit {ours_8bit}"
     );
+}
+
+/// Records, on the server's side of a session, what crossed under each
+/// frame tag up to the offline→online edge — the first phase mark of
+/// `core::graph`'s online walk, which is where every system's online phase
+/// starts now that there is one.
+struct EdgeTap {
+    inner: InstrumentedTransport<Endpoint>,
+    at_edge: Option<Vec<(u8, TagStats)>>,
+}
+
+impl Transport for EdgeTap {
+    fn send(&mut self, payload: &[u8]) -> Result<(), TransportError> {
+        self.inner.send(payload)
+    }
+    fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
+        self.inner.recv()
+    }
+    fn flush(&mut self) -> Result<(), TransportError> {
+        self.inner.flush()
+    }
+    fn snapshot(&self) -> CommSnapshot {
+        self.inner.snapshot()
+    }
+    fn mark_phase(&mut self, label: &str) {
+        if label == "online:input" {
+            self.at_edge = Some(self.inner.handle().tags());
+        }
+        self.inner.mark_phase(label);
+    }
+}
+
+impl EdgeTap {
+    /// Frames and payload bytes per tag, both directions, since the edge.
+    fn online_frames(self) -> Vec<(u8, TagStats)> {
+        let before = self.at_edge.expect("the session reached its online phase");
+        let at =
+            |tag: u8| before.iter().find(|(t, _)| *t == tag).map_or(TagStats::default(), |e| e.1);
+        let since = |s: TagStats, b: TagStats| TagStats {
+            bytes_sent: s.bytes_sent - b.bytes_sent,
+            bytes_received: s.bytes_received - b.bytes_received,
+            messages_sent: s.messages_sent - b.messages_sent,
+            messages_received: s.messages_received - b.messages_received,
+        };
+        let tags = self.inner.handle().tags();
+        tags.into_iter()
+            .map(|(tag, s)| (tag, since(s, at(tag))))
+            .filter(|(_, s)| *s != TagStats::default())
+            .collect()
+    }
+}
+
+/// Tables 3-5 compare *offline* protocols: the online phase is one engine
+/// (`core::graph`'s walks) that ABNN², MiniONN and QUOTIENT all run over
+/// their own triplets, so on one model and batch its frames agree tag for
+/// tag and byte for byte.
+#[test]
+fn online_phase_is_the_same_frames_under_all_three_offline_protocols() {
+    use abnn2::baselines::minionn::{MinionnClient, MinionnServer};
+    use abnn2::baselines::quotient::{QuotientClient, QuotientServer};
+    use abnn2::core::{SecureClient, SecureServer};
+    use abnn2::net::wire::tags;
+    use abnn2::nn::quant::{QuantConfig, QuantizedNetwork};
+    use abnn2::nn::{Network, SyntheticMnist};
+    let batch = 2;
+    let data = SyntheticMnist::generate(50, 0, 31);
+    let mut net = Network::new(&[784, 8, 6, 10], 31);
+    net.train_epoch(&data.train, 0.05);
+    let config = QuantConfig {
+        ring: Ring::new(32),
+        frac_bits: 8,
+        weight_frac_bits: 0,
+        scheme: FragmentScheme::ternary(),
+    };
+    let q = QuantizedNetwork::quantize(&net, config);
+    let codec = q.config.activation_codec();
+    let inputs: Vec<Vec<u64>> =
+        data.train.iter().take(batch).map(|s| codec.encode_vec(&s.pixels)).collect();
+    let expected: Vec<Vec<u64>> = inputs.iter().map(|x| q.forward_exact(x)).collect();
+
+    // One session per system: the server's online frames, the client's logits.
+    let session = |server: &(dyn Fn(&mut EdgeTap) + Sync),
+                   client: &(dyn Fn(&mut Endpoint) -> Matrix + Sync)| {
+        let (server_ep, mut client_ep) = Endpoint::pair(NetworkModel::instant());
+        let (frames, y) = std::thread::scope(|scope| {
+            let srv = scope.spawn(move || {
+                let mut tap =
+                    EdgeTap { inner: InstrumentedTransport::new(server_ep), at_edge: None };
+                server(&mut tap);
+                tap.online_frames()
+            });
+            let y = client(&mut client_ep);
+            (srv.join().expect("server thread"), y)
+        });
+        let got: Vec<Vec<u64>> = (0..batch).map(|k| y.col(k)).collect();
+        assert_eq!(got, expected, "bit-exact against the plaintext oracle");
+        frames
+    };
+    let rng = rand::rngs::StdRng::seed_from_u64;
+
+    let (s, c) = (SecureServer::for_model(q.clone()), SecureClient::for_model(&q));
+    let ours = session(&|ch| s.run(ch, batch, &mut rng(32)).expect("server"), &|ch| {
+        let mut rng = rng(33);
+        let state = c.offline(ch, batch, &mut rng).expect("offline");
+        c.online_raw(ch, state, &inputs, &mut rng).expect("online")
+    });
+    let s = MinionnServer::new(q.clone(), 256);
+    let c = MinionnClient::new(s.public_model(), 256);
+    let minionn = session(&|ch| s.run(ch, batch, &mut rng(34)).expect("server"), &|ch| {
+        c.run(ch, &inputs, &mut rng(35)).expect("client")
+    });
+    let s = QuotientServer::new(q.clone());
+    let c = QuotientClient::new(s.public_model());
+    let quotient = session(&|ch| s.run(ch, batch, &mut rng(36)).expect("server"), &|ch| {
+        c.run(ch, &inputs, &mut rng(37)).expect("client")
+    });
+
+    assert_eq!(ours, minionn, "MiniONN's online frames");
+    assert_eq!(ours, quotient, "QUOTIENT's online frames");
+    // What those frames are: the blinded input in, the output shares out,
+    // and one Yao transfer per hidden layer between them.
+    let count = |tag: u8| {
+        let s = ours.iter().find(|(t, _)| *t == tag).map_or(TagStats::default(), |e| e.1);
+        (s.messages_received, s.messages_sent)
+    };
+    assert_eq!(count(tags::BLINDED_INPUT), (1, 0));
+    assert_eq!(count(tags::OUTPUT_SHARES), (0, 1));
+    assert_eq!(count(tags::GC_TABLES), (2, 0));
+    assert_eq!(count(tags::IKNP_COLUMNS), (0, 2));
+    assert_eq!(ours.len(), 7, "and the labels, decode maps and label OTs: {ours:?}");
 }
 
 /// Section 4.2's message count, now measurable *per frame tag* on the

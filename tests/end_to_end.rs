@@ -87,24 +87,30 @@ fn abnn2_and_minionn_produce_identical_predictions() {
     use abnn2::baselines::minionn::{MinionnClient, MinionnServer};
     let q = trained_quantized(FragmentScheme::signed_bit_fields(&[2, 2, 2, 2]), 4, 32, 120);
     let inputs = inputs_fp(&q, 2, 121);
+    let expected: Vec<Vec<u64>> = inputs.iter().map(|x| q.forward_exact(x)).collect();
     let ours = run_abnn2(&q, &inputs, ReluVariant::Oblivious, 122);
+    assert_eq!(ours, expected);
 
-    let server = MinionnServer::new(q.clone(), 256);
-    let client = MinionnClient::new(server.public_model(), 256);
-    let inputs2 = inputs.clone();
-    let (_, y, _) = run_pair(
-        NetworkModel::instant(),
-        move |ch| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(123);
-            server.run(ch, 2, &mut rng).expect("server");
-        },
-        move |ch| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(124);
-            client.run(ch, &inputs2, &mut rng).expect("client")
-        },
-    );
-    let theirs: Vec<Vec<u64>> = (0..2).map(|k| y.col(k)).collect();
-    assert_eq!(ours, theirs, "two different offline protocols, same function");
+    // MiniONN's offline phase hands its triplets to the same online engine,
+    // so both activation variants come with it.
+    for variant in [ReluVariant::Oblivious, ReluVariant::Optimized] {
+        let server = MinionnServer::new(q.clone(), 256).with_variant(variant);
+        let client = MinionnClient::new(server.public_model(), 256).with_variant(variant);
+        let inputs2 = inputs.clone();
+        let (_, y, _) = run_pair(
+            NetworkModel::instant(),
+            move |ch| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(123);
+                server.run(ch, 2, &mut rng).expect("server");
+            },
+            move |ch| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(124);
+                client.run(ch, &inputs2, &mut rng).expect("client")
+            },
+        );
+        let theirs: Vec<Vec<u64>> = (0..2).map(|k| y.col(k)).collect();
+        assert_eq!(ours, theirs, "two different offline protocols, same function ({variant:?})");
+    }
 }
 
 #[test]
@@ -130,6 +136,8 @@ fn abnn2_and_quotient_produce_identical_predictions_on_ternary() {
     );
     let theirs: Vec<Vec<u64>> = (0..2).map(|k| y.col(k)).collect();
     assert_eq!(ours, theirs);
+    let expected: Vec<Vec<u64>> = inputs.iter().map(|x| q.forward_exact(x)).collect();
+    assert_eq!(theirs, expected);
 }
 
 #[test]

@@ -273,7 +273,7 @@ fn run_session(
             let mut rng = StdRng::seed_from_u64(seed);
             let session = ServerSession::setup_with(&mut ch, mode, &mut rng).expect("setup");
             let state = match dealt_s {
-                Some(bundle) => ServerOffline::from_bundle(session, bundle),
+                Some(bundle) => ServerOffline::from_bundle(session.yao, bundle),
                 None => server.offline_with(&mut ch, session, batch, &mut rng).expect("offline"),
             };
             let (bundle, before) = (state.to_bundle(), ch.handle().tags());
@@ -283,7 +283,7 @@ fn run_session(
         let mut rng = StdRng::seed_from_u64(seed + 1);
         let session = ClientSession::setup_with(&mut ep_c, mode, &mut rng).expect("setup");
         let state = match dealt_c {
-            Some(bundle) => ClientOffline::from_bundle(session, bundle),
+            Some(bundle) => ClientOffline::from_bundle(session.yao, bundle),
             None => client.offline_with(&mut ep_c, session, batch, &mut rng).expect("offline"),
         };
         let client_bundle = state.to_bundle();

@@ -401,7 +401,7 @@ fn manual_resume_request(
     )?;
     let session = ClientSession::setup(&mut ch, &mut rng)?;
     let state = if reply.resume {
-        ClientOffline::from_bundle(session, bundle)
+        ClientOffline::from_bundle(session.yao, bundle)
     } else {
         client.offline_with(&mut ch, session, 1, &mut rng)?
     };

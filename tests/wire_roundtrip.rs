@@ -174,7 +174,6 @@ fn core_frames_round_trip_and_are_total() {
     check_byte_frame(SignBits, 1, 0x34);
     check_byte_frame(NegShares, 1, 0x35);
     check_exact_frame(MaskedClass, 1, 0x36);
-    check_byte_frame(BeaverOpenings, 1, 0x37);
     check_byte_frame(Bundle, 1, 0x38);
     check_byte_frame(MatmulOpenings, 1, 0x39);
 }
@@ -225,7 +224,6 @@ fn frame_tags_match_the_registry() {
         check::<SignBits>();
         check::<NegShares>();
         check::<MaskedClass>();
-        check::<BeaverOpenings>();
         check::<Bundle>();
         check::<MatmulOpenings>();
     }
