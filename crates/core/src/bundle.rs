@@ -398,6 +398,56 @@ mod tests {
         );
     }
 
+    proptest::proptest! {
+        /// `decode` is total over what a peer can put in a `Bundle` frame:
+        /// random bytes, a truncated or extended encoding, a bit-flipped
+        /// one. It answers with a typed error or with a bundle of exactly
+        /// the graph's shapes whose elements are in the ring, never a panic.
+        #[test]
+        fn client_bundle_decode_is_total(seed: u64) {
+            use rand::Rng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            // 20 bits: three wire bytes per element, the top four unused.
+            let mut q = tiny(13);
+            q.config.ring = Ring::new(20);
+            let ring = q.config.ring;
+            let sg = graph_of(&q, 1 + seed as usize % 2);
+            let (_, client) = dealer_bundle_for(&ServedModel::from(q), &sg, &mut rng);
+            let good = client.encode(ring);
+
+            let mut bytes = good.clone();
+            match rng.gen_range(0..4u32) {
+                0 => bytes = (0..rng.gen_range(0..2 * good.len())).map(|_| rng.gen()).collect(),
+                1 => bytes.truncate(rng.gen_range(0..good.len())),
+                2 => bytes.extend((0..rng.gen_range(1..9usize)).map(|_| rng.gen::<u8>())),
+                _ => {
+                    let bit = rng.gen_range(0..8 * good.len());
+                    bytes[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+            match ClientBundle::decode(&bytes, &sg) {
+                Err(e) => proptest::prop_assert!(
+                    matches!(e, ProtocolError::Malformed(_)),
+                    "untyped failure {e:?}"
+                ),
+                Ok(decoded) => {
+                    proptest::prop_assert_eq!(bytes.len(), good.len());
+                    proptest::prop_assert_eq!(bytes[0], BUNDLE_LAYOUT_VERSION);
+                    let shapes = |ms: &[Matrix]| -> Vec<(usize, usize)> {
+                        ms.iter().map(|m| (m.rows(), m.cols())).collect()
+                    };
+                    proptest::prop_assert_eq!(shapes(&decoded.rs), sg.mask_shapes());
+                    proptest::prop_assert_eq!(shapes(&decoded.vs), sg.triplet_shapes());
+                    proptest::prop_assert_eq!(decoded.batch, sg.batch());
+                    // Bits above the ring are dropped, so the value is
+                    // canonical: it survives its own encoding.
+                    let again = ClientBundle::decode(&decoded.encode(ring), &sg);
+                    proptest::prop_assert_eq!(again, Ok(decoded));
+                }
+            }
+        }
+    }
+
     #[test]
     fn keys_depend_on_model_scheme_and_batch() {
         let q = tiny(17);

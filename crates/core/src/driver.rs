@@ -720,7 +720,7 @@ pub fn drive_blocking<T: Transport, H: SessionHost>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::handshake::handshake_client;
+    use crate::handshake::{handshake_client_ext, HelloRequest};
     use crate::inference::SecureClient;
     use abnn2_math::{FragmentScheme, Ring};
     use abnn2_net::{wire, Endpoint, NetworkModel};
@@ -851,7 +851,9 @@ mod tests {
         let theirs = other.params_for(1);
         let (mut sch, mut cch) = Endpoint::pair(NetworkModel::instant());
         std::thread::scope(|scope| {
-            let cli = scope.spawn(move || handshake_client(&mut cch, theirs, &[0u8; 16], false));
+            let cli = scope.spawn(move || {
+                handshake_client_ext(&mut cch, theirs, &[0u8; 16], HelloRequest::default())
+            });
             let mut driver = driver_for(&server, 30);
             let mut sent_reply = false;
             let err = drive_frames(&mut sch, &mut driver, |effect| {

@@ -307,29 +307,6 @@ pub fn handshake_client_ext<T: Transport>(
     })
 }
 
-/// Client side of the handshake: sends our hello (optionally requesting
-/// resumption of the checkpoint identified by `token`), receives the
-/// server's hello, and verifies agreement.
-///
-/// Returns whether the server accepted the resume request (always `false`
-/// when `resume` was not requested).
-///
-/// # Errors
-///
-/// [`ProtocolError::Handshake`] if the reply is not a valid hello frame,
-/// [`ProtocolError::Negotiation`] if the parameters disagree, or a
-/// transport-level error.
-pub fn handshake_client<T: Transport>(
-    ch: &mut T,
-    ours: SessionParams,
-    token: &ResumeToken,
-    resume: bool,
-) -> Result<bool, ProtocolError> {
-    let request = HelloRequest { resume, ..HelloRequest::default() };
-    let reply = handshake_client_ext(ch, ours, token, request)?;
-    Ok(reply.resume)
-}
-
 /// Server side of the handshake: receives the client hello, derives our
 /// own parameters for the announced batch via `ours_for`, decides on the
 /// client's [`HelloRequest`] via `can_resume`/`offer_bundle`, and replies.
@@ -390,26 +367,6 @@ pub fn handshake_server_ext<T: Transport>(
     Ok((batch, token, HelloReply { resume: resume_ok, bundle: bundle_ok, silent: silent_ok }))
 }
 
-/// Server side of the handshake: receives the client hello, derives our
-/// own parameters for the announced batch via `ours_for`, decides on the
-/// resume request via `can_resume`, and replies.
-///
-/// Returns `(batch, client_token, resume_accepted)`.
-///
-/// # Errors
-///
-/// [`ProtocolError::Handshake`] if the hello is not a valid frame,
-/// [`ProtocolError::Negotiation`] if the parameters disagree, or a
-/// transport-level error.
-pub fn handshake_server<T: Transport>(
-    ch: &mut T,
-    ours_for: impl FnOnce(usize) -> SessionParams,
-    can_resume: impl FnOnce(&ResumeToken) -> bool,
-) -> Result<(usize, ResumeToken, bool), ProtocolError> {
-    let (batch, token, reply) = handshake_server_ext(ch, ours_for, can_resume, |_, _| false)?;
-    Ok((batch, token, reply.resume))
-}
-
 /// Admission-control rejection: sent by a server that will not serve this
 /// connection (accept queue full, or draining for shutdown), *without*
 /// reading the client's hello. The busy frame carries the server's
@@ -417,16 +374,8 @@ pub fn handshake_server<T: Transport>(
 /// checks the busy flag before anything else and surfaces
 /// [`ProtocolError::Overloaded`].
 ///
-/// # Errors
-///
-/// Transport-level errors only; a peer that vanished mid-rejection is not
-/// worth reporting beyond that.
-pub fn reject_busy<T: Transport>(ch: &mut T, ours: SessionParams) -> Result<(), ProtocolError> {
-    reject_busy_with(ch, ours, 0)
-}
-
-/// [`reject_busy`] with a load-shedding hint: the client should wait at
-/// least `retry_after_ms` before its next admission attempt. The hint
+/// `retry_after_ms` is a load-shedding hint (zero for none): the client
+/// should wait at least that long before its next admission attempt. It
 /// rides in the leading four bytes of the busy frame's otherwise-unused
 /// token field, so the frame format and protocol version are unchanged;
 /// clients that predate the hint see only the busy flag they already
@@ -477,6 +426,41 @@ mod tests {
         assert_eq!(t, token);
     }
 
+    proptest::proptest! {
+        /// `decode` is total over what a peer can put in a `Hello` frame:
+        /// random bytes of any length, a truncated or extended hello, a
+        /// bit-flipped one. It answers with a typed handshake error or
+        /// with exactly the fields the bytes spell, never a panic.
+        #[test]
+        fn hello_decode_is_total(seed: u64) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let p = SessionParams::for_public(&info(&[8, 4, 2], 32), ReluVariant::Optimized, 3);
+            let good = p.encode(rng.gen(), &rng.gen::<u128>().to_le_bytes());
+            let mut bytes = good.to_vec();
+            match rng.gen_range(0..4u32) {
+                0 => bytes = (0..rng.gen_range(0..2 * HELLO_LEN)).map(|_| rng.gen()).collect(),
+                1 => bytes.truncate(rng.gen_range(0..HELLO_LEN)),
+                2 => bytes.extend((0..rng.gen_range(1..9usize)).map(|_| rng.gen::<u8>())),
+                _ => {
+                    let bit = rng.gen_range(0..8 * HELLO_LEN);
+                    bytes[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+            match SessionParams::decode(&bytes) {
+                Err(e) => proptest::prop_assert!(
+                    matches!(e, ProtocolError::Handshake(_)),
+                    "untyped failure {e:?}"
+                ),
+                // Every byte of a hello is a field: what decodes re-encodes
+                // to the same frame.
+                Ok((q, flags, token)) => {
+                    proptest::prop_assert_eq!(&q.encode(flags, &token)[..], &bytes[..]);
+                }
+            }
+        }
+    }
+
     #[test]
     fn digests_distinguish_models_and_schemes() {
         let base = SessionParams::for_public(&info(&[784, 16, 10], 32), ReluVariant::Oblivious, 1);
@@ -499,18 +483,20 @@ mod tests {
         let i2 = i.clone();
         std::thread::scope(|scope| {
             let server = scope.spawn(move || {
-                handshake_server(
+                handshake_server_ext(
                     &mut s,
                     |batch| SessionParams::for_public(&i2, ReluVariant::Oblivious, batch),
                     |t| *t == [3; 16],
+                    |_, _| false,
                 )
             });
-            let accepted = handshake_client(&mut c, ours, &token, true).unwrap();
-            assert!(accepted);
-            let (batch, seen_token, resumed) = server.join().unwrap().unwrap();
+            let request = HelloRequest { resume: true, ..HelloRequest::default() };
+            let accepted = handshake_client_ext(&mut c, ours, &token, request).unwrap();
+            assert!(accepted.resume);
+            let (batch, seen_token, reply) = server.join().unwrap().unwrap();
             assert_eq!(batch, 2);
             assert_eq!(seen_token, token);
-            assert!(resumed);
+            assert!(reply.resume);
         });
     }
 
@@ -523,13 +509,15 @@ mod tests {
 
         std::thread::scope(|scope| {
             let server = scope.spawn(move || {
-                handshake_server(
+                handshake_server_ext(
                     &mut s,
                     |batch| SessionParams::for_public(&server_info, ReluVariant::Oblivious, batch),
                     |_| false,
+                    |_, _| false,
                 )
             });
-            let client_err = handshake_client(&mut c, ours, &[0; 16], false).unwrap_err();
+            let client_err =
+                handshake_client_ext(&mut c, ours, &[0; 16], HelloRequest::default()).unwrap_err();
             let server_err = server.join().unwrap().unwrap_err();
             match (client_err, server_err) {
                 (
@@ -554,13 +542,15 @@ mod tests {
         let i2 = i.clone();
         std::thread::scope(|scope| {
             scope.spawn(move || {
-                let _ = handshake_server(
+                let _ = handshake_server_ext(
                     &mut s,
                     |batch| SessionParams::for_public(&i2, ReluVariant::Oblivious, batch),
                     |_| false,
+                    |_, _| false,
                 );
             });
-            let err = handshake_client(&mut c, ours, &[0; 16], false).unwrap_err();
+            let err =
+                handshake_client_ext(&mut c, ours, &[0; 16], HelloRequest::default()).unwrap_err();
             assert!(matches!(err, ProtocolError::Negotiation { .. }));
         });
     }
@@ -588,7 +578,8 @@ mod tests {
                 // recv on purpose: the frame is discarded unparsed.
                 let _ = Transport::recv(&mut s);
             });
-            let err = handshake_client(&mut c, ours, &[0; 16], false).unwrap_err();
+            let err =
+                handshake_client_ext(&mut c, ours, &[0; 16], HelloRequest::default()).unwrap_err();
             assert_eq!(err, ProtocolError::Overloaded { retry_after_ms: 250 });
         });
     }
@@ -601,11 +592,16 @@ mod tests {
         let i2 = i.clone();
         std::thread::scope(|scope| {
             scope.spawn(move || {
-                reject_busy(&mut s, SessionParams::for_public(&i2, ReluVariant::Oblivious, 0))
-                    .unwrap();
+                reject_busy_with(
+                    &mut s,
+                    SessionParams::for_public(&i2, ReluVariant::Oblivious, 0),
+                    0,
+                )
+                .unwrap();
                 let _ = Transport::recv(&mut s);
             });
-            let err = handshake_client(&mut c, ours, &[0; 16], false).unwrap_err();
+            let err =
+                handshake_client_ext(&mut c, ours, &[0; 16], HelloRequest::default()).unwrap_err();
             assert_eq!(err, ProtocolError::Overloaded { retry_after_ms: 0 });
         });
     }
@@ -748,12 +744,12 @@ mod tests {
         // Raw sends on purpose: these messages simulate a peer that does
         // not speak the framed protocol at all.
         Transport::send(&mut c, b"GET / HTTP/1.1\r\n").unwrap();
-        let err = handshake_server(&mut s, our_params, |_| false).unwrap_err();
+        let err = handshake_server_ext(&mut s, our_params, |_| false, |_, _| false).unwrap_err();
         assert_eq!(err, ProtocolError::Handshake("hello frame tag"));
 
         // Right tag, wrong payload length.
         Transport::send(&mut c, &[abnn2_net::wire::tags::HELLO, 1, 2, 3]).unwrap();
-        let err = handshake_server(&mut s, our_params, |_| false).unwrap_err();
+        let err = handshake_server_ext(&mut s, our_params, |_| false, |_, _| false).unwrap_err();
         assert_eq!(err, ProtocolError::Handshake("hello frame length"));
 
         // Right tag and length, wrong magic.
@@ -761,7 +757,7 @@ mod tests {
         msg.extend_from_slice(&[0u8; HELLO_LEN]);
         msg[1..5].copy_from_slice(b"HTTP");
         Transport::send(&mut c, &msg).unwrap();
-        let err = handshake_server(&mut s, our_params, |_| false).unwrap_err();
+        let err = handshake_server_ext(&mut s, our_params, |_| false, |_, _| false).unwrap_err();
         assert_eq!(err, ProtocolError::Handshake("bad magic (peer is not ABNN2)"));
     }
 }

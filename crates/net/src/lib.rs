@@ -21,7 +21,10 @@
 //!   protocol phases over any inner transport,
 //! * [`FrameBuffer`] — incremental, non-blocking reassembly and draining
 //!   of the same length-prefixed frames over a readiness-driven socket,
-//!   for event-loop servers that multiplex many sessions per thread,
+//!   for event-loop servers that multiplex many sessions per thread. It
+//!   and [`TcpTransport`] are two faces of one crate-private codec
+//!   (`framing.rs`): one parser with its length bounds, one write queue,
+//!   one sticky error latch,
 //! * [`ready`] (Unix) — one blocking `poll(2)` over those sockets plus a
 //!   cross-thread [`ready::Waker`], so such a loop sleeps until there is
 //!   something to sweep,
@@ -68,6 +71,7 @@
 
 pub mod channel;
 pub mod fault;
+mod framing;
 pub mod instrument;
 pub mod model;
 pub mod pump;

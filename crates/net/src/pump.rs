@@ -1,39 +1,23 @@
 //! Non-blocking frame pump for readiness-based event loops.
 //!
-//! [`FrameBuffer`] speaks the same wire format as
-//! [`TcpTransport`](crate::TcpTransport) — a 4-byte little-endian payload
-//! length followed by the payload, bounded by
-//! [`MAX_FRAME_LEN`] — but over a socket in
-//! non-blocking mode. Instead of looping until a frame is complete, it
-//! accumulates whatever bytes the kernel has and reports `None` when a
-//! frame is still partial, so one event-loop thread can sweep many
-//! connections without ever parking on any single one. The outbound side
-//! mirrors `TcpTransport`'s write coalescing: queued frames accumulate in
-//! one buffer that drains with as few `write(2)` calls as the socket
-//! accepts, surviving partial writes across sweeps.
+//! [`FrameBuffer`] is the event-loop face of the one length-prefixed
+//! stream codec (`framing.rs`) that [`TcpTransport`](crate::TcpTransport)
+//! is the blocking face of: same wire format (a 4-byte little-endian
+//! payload length followed by the payload), same
+//! [`MAX_FRAME_LEN`](crate::tcp::MAX_FRAME_LEN) and per-tag ceilings, same
+//! code. The difference is only what "no bytes right now" means: over a
+//! socket in non-blocking mode it is `Ok(None)` with the partial frame
+//! kept, so one event-loop thread can sweep many connections without ever
+//! parking on any single one, and queued output survives partial writes
+//! across sweeps.
 //!
-//! Errors are latched ("sticky") exactly like the blocking transport:
-//! once a connection reports `Closed` or `Malformed`, every later poll
-//! reports the same error.
+//! Errors are latched ("sticky") exactly like the blocking transport,
+//! because it is the same latch: once a connection reports `Closed` or a
+//! framing-level `Malformed`, every later poll reports the same error.
 
-use crate::tcp::MAX_FRAME_LEN;
+use crate::framing::FrameCodec;
 use crate::transport::TransportError;
-use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-
-/// Inbound reassembly position: which part of the current frame the next
-/// readable bytes belong to.
-#[derive(Debug)]
-enum ReadState {
-    /// Accumulating the 4-byte length prefix.
-    Header { buf: [u8; 4], filled: usize },
-    /// Length known; awaiting the tag byte so the payload allocation can
-    /// be bounded by the tag's registry ceiling before it happens.
-    Tag { len: usize },
-    /// Accumulating the payload of a frame whose length and tag passed
-    /// their bounds.
-    Payload { buf: Vec<u8>, filled: usize },
-}
 
 /// Incremental length-prefixed framing over a non-blocking [`TcpStream`].
 ///
@@ -47,13 +31,7 @@ enum ReadState {
 #[derive(Debug)]
 pub struct FrameBuffer {
     stream: TcpStream,
-    read: ReadState,
-    /// Framed outbound bytes not yet accepted by the socket.
-    wbuf: Vec<u8>,
-    /// Prefix of `wbuf` already written (compacted when fully drained).
-    wpos: usize,
-    /// First fatal error observed; latched and re-reported thereafter.
-    sticky: Option<TransportError>,
+    codec: FrameCodec,
 }
 
 impl FrameBuffer {
@@ -67,33 +45,13 @@ impl FrameBuffer {
     pub fn new(stream: TcpStream) -> Result<Self, TransportError> {
         stream.set_nonblocking(true).map_err(|_| TransportError::Closed)?;
         stream.set_nodelay(true).map_err(|_| TransportError::Closed)?;
-        Ok(FrameBuffer {
-            stream,
-            read: ReadState::Header { buf: [0; 4], filled: 0 },
-            wbuf: Vec::new(),
-            wpos: 0,
-            sticky: None,
-        })
+        Ok(FrameBuffer { stream, codec: FrameCodec::new(0) })
     }
 
     /// The underlying stream (e.g. to inspect the peer address).
     #[must_use]
     pub fn stream(&self) -> &TcpStream {
         &self.stream
-    }
-
-    fn fail(&mut self, err: TransportError) -> TransportError {
-        if self.sticky.is_none() {
-            self.sticky = Some(err);
-        }
-        err
-    }
-
-    fn check_sticky(&self) -> Result<(), TransportError> {
-        match self.sticky {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
     }
 
     /// Reads whatever the socket has toward the current frame. Returns
@@ -110,83 +68,13 @@ impl FrameBuffer {
     /// ([`wire::tags::max_len`](crate::wire::tags::max_len)). All are
     /// sticky.
     pub fn poll_read(&mut self) -> Result<Option<Vec<u8>>, TransportError> {
-        self.check_sticky()?;
-        loop {
-            match &mut self.read {
-                ReadState::Header { buf, filled } => {
-                    while *filled < buf.len() {
-                        match self.stream.read(&mut buf[*filled..]) {
-                            Ok(0) => return Err(self.fail(TransportError::Closed)),
-                            Ok(n) => *filled += n,
-                            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
-                            Err(_) => return Err(self.fail(TransportError::Closed)),
-                        }
-                    }
-                    let len = u32::from_le_bytes(*buf) as usize;
-                    if len > MAX_FRAME_LEN {
-                        return Err(
-                            self.fail(TransportError::Malformed("frame length exceeds maximum"))
-                        );
-                    }
-                    if len == 0 {
-                        // Empty message: no tag byte to bound against; the
-                        // decoder surfaces it as a typed Empty error.
-                        self.read = ReadState::Header { buf: [0; 4], filled: 0 };
-                        return Ok(Some(Vec::new()));
-                    }
-                    self.read = ReadState::Tag { len };
-                }
-                ReadState::Tag { len } => {
-                    let len = *len;
-                    let mut tag = [0u8; 1];
-                    loop {
-                        match self.stream.read(&mut tag) {
-                            Ok(0) => return Err(self.fail(TransportError::Closed)),
-                            Ok(_) => break,
-                            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
-                            Err(_) => return Err(self.fail(TransportError::Closed)),
-                        }
-                    }
-                    let ceiling = crate::wire::tags::max_len(tag[0])
-                        .unwrap_or(crate::wire::tags::UNREGISTERED_MAX_LEN);
-                    if len - 1 > ceiling {
-                        return Err(self
-                            .fail(TransportError::Malformed("frame length exceeds tag ceiling")));
-                    }
-                    let mut buf = vec![0u8; len];
-                    buf[0] = tag[0];
-                    self.read = ReadState::Payload { buf, filled: 1 };
-                }
-                ReadState::Payload { buf, filled } => {
-                    while *filled < buf.len() {
-                        match self.stream.read(&mut buf[*filled..]) {
-                            Ok(0) => return Err(self.fail(TransportError::Closed)),
-                            Ok(n) => *filled += n,
-                            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(None),
-                            Err(_) => return Err(self.fail(TransportError::Closed)),
-                        }
-                    }
-                    let ReadState::Payload { buf, .. } = std::mem::replace(
-                        &mut self.read,
-                        ReadState::Header { buf: [0; 4], filled: 0 },
-                    ) else {
-                        unreachable!("state checked above");
-                    };
-                    return Ok(Some(buf));
-                }
-            }
-        }
+        self.codec.read_from(&mut &self.stream)
     }
 
     /// Queues one frame (length prefix added here) for a later
     /// [`poll_write`](Self::poll_write).
     pub fn queue_send(&mut self, payload: &[u8]) {
-        debug_assert!(payload.len() <= MAX_FRAME_LEN, "oversized frame");
-        self.wbuf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.wbuf.extend_from_slice(payload);
+        self.codec.push(payload);
     }
 
     /// Writes as much queued output as the socket accepts. Returns whether
@@ -197,26 +85,13 @@ impl FrameBuffer {
     ///
     /// [`TransportError::Closed`] (sticky) on a socket error.
     pub fn poll_write(&mut self) -> Result<bool, TransportError> {
-        self.check_sticky()?;
-        while self.wpos < self.wbuf.len() {
-            match self.stream.write(&self.wbuf[self.wpos..]) {
-                Ok(0) => return Err(self.fail(TransportError::Closed)),
-                Ok(n) => self.wpos += n,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(false),
-                Err(_) => return Err(self.fail(TransportError::Closed)),
-            }
-        }
-        // Fully drained: recycle the buffer's capacity for the next batch.
-        self.wbuf.clear();
-        self.wpos = 0;
-        Ok(true)
+        self.codec.drain_into(&mut &self.stream)
     }
 
     /// Whether queued output is still waiting for the socket.
     #[must_use]
     pub fn has_pending_write(&self) -> bool {
-        self.wpos < self.wbuf.len()
+        self.codec.queued() > 0
     }
 
     /// Bytes of framed output queued but not yet accepted by the socket —
@@ -224,13 +99,14 @@ impl FrameBuffer {
     /// draining their connection.
     #[must_use]
     pub fn pending_write_bytes(&self) -> usize {
-        self.wbuf.len() - self.wpos
+        self.codec.queued()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Read, Write};
     use std::net::TcpListener;
     use std::time::{Duration, Instant};
 

@@ -4,9 +4,14 @@
 //! ## Framing
 //!
 //! Each message is one frame: a 4-byte little-endian payload length followed
-//! by the payload. Frames longer than [`MAX_FRAME_LEN`] are rejected as
-//! malformed on receive, bounding allocation against a corrupt or hostile
-//! peer.
+//! by the payload. Frames longer than [`MAX_FRAME_LEN`], or longer than the
+//! registry ceiling of their tag byte, are rejected as malformed on receive,
+//! before the payload is allocated, bounding allocation against a corrupt or
+//! hostile peer. The parser, the write queue and the error latch are the one
+//! codec in `framing.rs`, shared with the event-loop
+//! [`FrameBuffer`](crate::FrameBuffer); this type is its blocking face and
+//! adds only what blocking needs: read deadlines, byte counters and the
+//! scratch slot.
 //!
 //! ## Write coalescing
 //!
@@ -25,6 +30,7 @@
 //! real wall-clock time since the transport was created.
 
 use crate::channel::CommSnapshot;
+use crate::framing::FrameCodec;
 use crate::transport::{Transport, TransportError};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -49,30 +55,63 @@ const FLUSH_THRESHOLD: usize = 1 << 16;
 ///
 /// ## Error stickiness
 ///
-/// Once the connection fails (`Closed`, or a timeout that interrupted a
+/// Once the connection fails (`Closed`; a length prefix over
+/// [`MAX_FRAME_LEN`] or over its tag's ceiling, after which the unread
+/// payload would parse as the next header; or a timeout that interrupted a
 /// frame mid-read, after which the framing boundary is lost), the error is
-/// latched and every subsequent operation reports it. This also surfaces
-/// write/flush failures that would otherwise only be observable — and
-/// silently swallowed — during drop.
+/// latched and every subsequent operation reports it, exactly as
+/// [`FrameBuffer`](crate::FrameBuffer) does. This also surfaces write/flush
+/// failures that would otherwise only be observable — and silently
+/// swallowed — during drop. A timeout at a frame boundary, and a tag
+/// mismatch reported by [`recv_frame`](Transport::recv_frame) over an
+/// intact frame, leave the connection usable.
 pub struct TcpTransport {
     stream: TcpStream,
-    /// Pending framed bytes not yet written to the socket.
-    wbuf: Vec<u8>,
+    /// Frame reader, pending framed output and the sticky error latch.
+    codec: FrameCodec,
     /// Reusable frame-serialization buffer (see [`Transport::take_scratch`]).
     scratch: Vec<u8>,
     bytes_sent: u64,
     bytes_received: u64,
     messages_sent: u64,
     created: Instant,
+    deadline: ReadDeadline,
+}
+
+/// The `SO_RCVTIMEO` bookkeeping of one socket.
+#[derive(Default)]
+struct ReadDeadline {
     /// Per-read timeout requested via `set_read_timeout`.
-    read_timeout: Option<Duration>,
+    per_read: Option<Duration>,
     /// Wall-clock deadline of the current phase budget, if any.
-    phase_deadline: Option<Instant>,
+    phase: Option<Instant>,
     /// `SO_RCVTIMEO` currently applied to the socket (avoids a syscall per
     /// read when the effective timeout has not changed).
-    applied_timeout: Option<Duration>,
-    /// First fatal error observed; latched and re-reported thereafter.
-    sticky: Option<TransportError>,
+    applied: Option<Duration>,
+}
+
+/// The socket as the codec's source: every `read` first applies the
+/// effective `SO_RCVTIMEO`, the tighter of the per-read timeout and the
+/// remaining phase budget, and is `TimedOut` if the budget is already spent.
+struct Deadlined<'a>(&'a TcpStream, &'a mut ReadDeadline);
+
+impl Read for Deadlined<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let Deadlined(stream, deadline) = self;
+        let mut effective = deadline.per_read;
+        if let Some(dl) = deadline.phase {
+            let remaining = dl
+                .checked_duration_since(Instant::now())
+                .filter(|r| !r.is_zero())
+                .ok_or(ErrorKind::TimedOut)?;
+            effective = Some(effective.map_or(remaining, |t| t.min(remaining)));
+        }
+        if effective != deadline.applied {
+            stream.set_read_timeout(effective)?;
+            deadline.applied = effective;
+        }
+        stream.read(buf)
+    }
 }
 
 impl std::fmt::Debug for TcpTransport {
@@ -98,16 +137,15 @@ impl TcpTransport {
         stream.set_nodelay(true).map_err(|_| TransportError::Closed)?;
         Ok(Self {
             stream,
-            wbuf: Vec::with_capacity(FLUSH_THRESHOLD),
+            // Room for one flush's worth up front: the small frames that
+            // coalesce here never grow the queue by reallocation.
+            codec: FrameCodec::new(FLUSH_THRESHOLD),
             scratch: Vec::new(),
             bytes_sent: 0,
             bytes_received: 0,
             messages_sent: 0,
             created: Instant::now(),
-            read_timeout: None,
-            phase_deadline: None,
-            applied_timeout: None,
-            sticky: None,
+            deadline: ReadDeadline::default(),
         })
     }
 
@@ -142,165 +180,59 @@ impl TcpTransport {
         self.stream.local_addr().map_err(|_| TransportError::Closed)
     }
 
-    /// Latches `err` as the connection's terminal state and returns it.
-    fn fail(&mut self, err: TransportError) -> TransportError {
-        if self.sticky.is_none() {
-            self.sticky = Some(err);
+    /// Writes every queued frame to the socket. A blocking socket that
+    /// refuses bytes has hit a send timeout, which loses the boundary.
+    fn flush_queue(&mut self) -> Result<(), TransportError> {
+        if self.codec.drain_into(&mut &self.stream)? {
+            Ok(())
+        } else {
+            Err(self.codec.fail(TransportError::TimedOut))
         }
-        err
-    }
-
-    /// Re-reports a previously latched failure, if any.
-    fn check_sticky(&self) -> Result<(), TransportError> {
-        match self.sticky {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Appends one framed message to the write buffer, flushing if the
-    /// buffer has grown past the threshold.
-    fn enqueue_frame(&mut self, payload: &[u8]) -> Result<(), TransportError> {
-        debug_assert!(payload.len() <= MAX_FRAME_LEN, "oversized frame");
-        self.check_sticky()?;
-        if self.phase_expired() {
-            return Err(self.fail(TransportError::TimedOut));
-        }
-        self.wbuf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.wbuf.extend_from_slice(payload);
-        self.bytes_sent += payload.len() as u64;
-        self.messages_sent += 1;
-        if self.wbuf.len() >= FLUSH_THRESHOLD {
-            self.flush_wbuf()?;
-        }
-        Ok(())
-    }
-
-    fn flush_wbuf(&mut self) -> Result<(), TransportError> {
-        self.check_sticky()?;
-        if !self.wbuf.is_empty() {
-            match self.stream.write_all(&self.wbuf) {
-                Ok(()) => self.wbuf.clear(),
-                Err(e) => {
-                    let err = if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) {
-                        TransportError::TimedOut
-                    } else {
-                        TransportError::Closed
-                    };
-                    return Err(self.fail(err));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Whether the phase deadline budget has been exhausted.
-    fn phase_expired(&self) -> bool {
-        self.phase_deadline.is_some_and(|dl| Instant::now() >= dl)
-    }
-
-    /// Applies the effective `SO_RCVTIMEO` for the next read: the tighter of
-    /// the per-read timeout and the remaining phase budget. Fails with
-    /// `TimedOut` if the budget is already spent.
-    fn apply_read_deadline(&mut self) -> Result<(), TransportError> {
-        let mut effective = self.read_timeout;
-        if let Some(dl) = self.phase_deadline {
-            let Some(remaining) =
-                dl.checked_duration_since(Instant::now()).filter(|r| !r.is_zero())
-            else {
-                return Err(TransportError::TimedOut);
-            };
-            effective = Some(effective.map_or(remaining, |t| t.min(remaining)));
-        }
-        if effective != self.applied_timeout {
-            self.stream.set_read_timeout(effective).map_err(|_| TransportError::Closed)?;
-            self.applied_timeout = effective;
-        }
-        Ok(())
-    }
-
-    /// Fills `buf` completely, looping on short reads: a frame header or
-    /// payload split across TCP segments is reassembled rather than
-    /// misreported. EOF mid-frame is `Closed`; a deadline expiry is
-    /// `TimedOut`. A timeout that strikes *mid-frame* (after some bytes of
-    /// the frame arrived) loses the framing boundary, so it is latched as
-    /// sticky; a timeout at a frame boundary leaves the connection usable.
-    fn read_full(&mut self, buf: &mut [u8], mid_frame: bool) -> Result<(), TransportError> {
-        let mut filled = 0;
-        while filled < buf.len() {
-            if let Err(e) = self.apply_read_deadline() {
-                if mid_frame || filled > 0 {
-                    return Err(self.fail(e));
-                }
-                return Err(e);
-            }
-            match self.stream.read(&mut buf[filled..]) {
-                Ok(0) => return Err(self.fail(TransportError::Closed)),
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    if mid_frame || filled > 0 {
-                        return Err(self.fail(TransportError::TimedOut));
-                    }
-                    return Err(TransportError::TimedOut);
-                }
-                Err(_) => return Err(self.fail(TransportError::Closed)),
-            }
-        }
-        Ok(())
     }
 }
 
 impl Transport for TcpTransport {
     fn send(&mut self, payload: &[u8]) -> Result<(), TransportError> {
-        self.enqueue_frame(payload)
+        self.codec.check()?;
+        if self.deadline.phase.is_some_and(|dl| Instant::now() >= dl) {
+            return Err(self.codec.fail(TransportError::TimedOut));
+        }
+        self.codec.push(payload);
+        self.bytes_sent += payload.len() as u64;
+        self.messages_sent += 1;
+        if self.codec.queued() >= FLUSH_THRESHOLD {
+            self.flush_queue()?;
+        }
+        Ok(())
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
         // Push our pending requests out before blocking on the peer's reply.
-        self.flush_wbuf()?;
-        let mut len_bytes = [0u8; 4];
-        self.read_full(&mut len_bytes, false)?;
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(TransportError::Malformed("frame length exceeds maximum"));
-        }
-        let payload = if len == 0 {
-            Vec::new()
-        } else {
-            // Read the tag byte first so the allocation is bounded by the
-            // tag's registry ceiling, not the blanket MAX_FRAME_LEN.
-            let mut tag = [0u8; 1];
-            self.read_full(&mut tag, true)?;
-            let ceiling = crate::wire::tags::max_len(tag[0])
-                .unwrap_or(crate::wire::tags::UNREGISTERED_MAX_LEN);
-            if len - 1 > ceiling {
-                return Err(TransportError::Malformed("frame length exceeds tag ceiling"));
+        self.flush_queue()?;
+        match self.codec.read_from(&mut Deadlined(&self.stream, &mut self.deadline))? {
+            Some(payload) => {
+                self.bytes_received += payload.len() as u64;
+                Ok(payload)
             }
-            let mut payload = vec![0u8; len];
-            payload[0] = tag[0];
-            self.read_full(&mut payload[1..], true)?;
-            payload
-        };
-        self.bytes_received += len as u64;
-        Ok(payload)
+            // A deadline expired. Mid-frame the boundary is lost, so the
+            // timeout is latched; at a boundary the connection stays usable.
+            None if self.codec.mid_frame() => Err(self.codec.fail(TransportError::TimedOut)),
+            None => Err(TransportError::TimedOut),
+        }
     }
 
     fn flush(&mut self) -> Result<(), TransportError> {
-        self.flush_wbuf()?;
-        match self.stream.flush() {
-            Ok(()) => Ok(()),
-            Err(_) => Err(self.fail(TransportError::Closed)),
-        }
+        self.flush_queue()?;
+        (&self.stream).flush().map_err(|_| self.codec.fail(TransportError::Closed))
     }
 
     fn set_read_timeout(&mut self, timeout: Option<Duration>) -> Result<(), TransportError> {
-        self.read_timeout = timeout;
+        self.deadline.per_read = timeout;
         Ok(())
     }
 
     fn set_phase_budget(&mut self, budget: Option<Duration>) -> Result<(), TransportError> {
-        self.phase_deadline = budget.map(|b| Instant::now() + b);
+        self.deadline.phase = budget.map(|b| Instant::now() + b);
         Ok(())
     }
 
@@ -331,8 +263,7 @@ impl Drop for TcpTransport {
         // FIN. A failure here is already latched as sticky (and was thus
         // observable on the explicit send/recv/flush paths); there is no one
         // left to report to during drop.
-        let _ = self.flush_wbuf();
-        let _ = self.stream.flush();
+        let _ = self.flush();
     }
 }
 
@@ -410,6 +341,30 @@ mod tests {
         raw.write_all(&u32::MAX.to_le_bytes()).unwrap();
         raw.flush().unwrap();
         assert_eq!(c.recv(), Err(TransportError::Malformed("frame length exceeds maximum")));
+    }
+
+    /// A rejected length prefix leaves its payload unread, so the framing
+    /// boundary is gone: the same `Malformed` is reported from then on, as
+    /// on `FrameBuffer`, instead of the payload bytes parsing as a header.
+    #[test]
+    fn rejected_prefix_is_malformed_and_sticky() {
+        let over_ceiling = [&10u32.to_le_bytes()[..], &[crate::wire::tags::U64]].concat();
+        for (prefix, what) in [
+            (u32::MAX.to_le_bytes().to_vec(), "frame length exceeds maximum"),
+            (over_ceiling, "frame length exceeds tag ceiling"),
+        ] {
+            let (s, mut c) = tcp_pair();
+            let mut raw = s.stream.try_clone().expect("clone");
+            drop(s);
+            raw.write_all(&prefix).unwrap();
+            // What follows would read as a well-formed frame "abc".
+            raw.write_all(&3u32.to_le_bytes()).unwrap();
+            raw.write_all(b"abc").unwrap();
+            raw.flush().unwrap();
+            assert_eq!(c.recv(), Err(TransportError::Malformed(what)));
+            assert_eq!(c.recv(), Err(TransportError::Malformed(what)));
+            assert_eq!(c.send(b"x"), Err(TransportError::Malformed(what)));
+        }
     }
 
     /// A frame whose header and payload arrive in four separate TCP

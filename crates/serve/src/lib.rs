@@ -17,8 +17,8 @@
 //!   full or the server is draining, new connections are rejected *in
 //!   protocol* (a busy hello frame) so clients see a typed
 //!   [`ProtocolError::Overloaded`], never a hang. Resume checkpoints live
-//!   in a [`ShardedCheckpointStore`] (one shard per worker, tokens hashed
-//!   to shards) reachable from any worker.
+//!   in one [`CheckpointStore`](abnn2_core::CheckpointStore) reachable
+//!   from any worker, LRU-bounded by `ServeConfig::checkpoint_capacity`.
 //! * [`PrecomputePool`] — a background producer thread that keeps a
 //!   bounded buffer of ready offline-triplet bundle pairs per
 //!   [`BundleKey`] (model digest, scheme digest, batch). The server runs
@@ -71,4 +71,4 @@ pub use client::{ServeClient, ServeReport};
 pub use governor::GovernorConfig;
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use pool::{PoolSnapshot, PrecomputePool};
-pub use server::{ServeConfig, Server, ShardedCheckpointStore};
+pub use server::{ServeConfig, Server};

@@ -68,30 +68,19 @@ impl std::fmt::Debug for PrecomputePool {
 
 impl PrecomputePool {
     /// Starts a pool keeping up to `depth` ready pairs for each batch size
-    /// in `batches`, producing from `model` (MLP or CNN) with a
-    /// deterministic RNG seeded by `seed`.
+    /// in `batches` under each offline mode in `modes` (their cross
+    /// product), producing from `model` (MLP or CNN) with a deterministic
+    /// RNG seeded by `seed`. The dealer bundle *content* is
+    /// mode-independent — only the key differs — but keying per mode means
+    /// a session can only ever drain a bundle pooled for its own
+    /// negotiated mode.
     ///
     /// # Panics
     ///
-    /// Panics if `depth` is zero, `batches` is empty, or a batch size does
-    /// not fit the model's graph (spatial graphs run with batch 1) — a
-    /// pool that can hold nothing is a configuration bug, not a runtime
-    /// condition.
-    #[must_use]
-    pub fn start(model: Arc<ServedModel>, batches: &[usize], depth: usize, seed: u64) -> Self {
-        Self::start_with_modes(model, batches, &[OfflineMode::Iknp], depth, seed)
-    }
-
-    /// Like [`start`](Self::start), but keys bundles under every offline
-    /// mode in `modes` (cross product with `batches`). The dealer bundle
-    /// *content* is mode-independent — only the key differs — but keying
-    /// per mode means a session can only ever drain a bundle pooled for
-    /// its own negotiated mode.
-    ///
-    /// # Panics
-    ///
-    /// As [`start`](Self::start); additionally panics when `modes` is
-    /// empty.
+    /// Panics if `depth` is zero, `batches` or `modes` is empty, or a batch
+    /// size does not fit the model's graph (spatial graphs run with batch
+    /// one): a pool that can hold nothing is a configuration bug, not a
+    /// runtime condition.
     #[must_use]
     pub fn start_with_modes(
         model: Arc<ServedModel>,
@@ -280,7 +269,13 @@ mod tests {
     fn pool_fills_serves_hits_and_refills() {
         let model = Arc::new(ServedModel::from(tiny()));
         let graph = model.graph();
-        let pool = PrecomputePool::start(Arc::clone(&model), &[1, 2], 2, 99);
+        let pool = PrecomputePool::start_with_modes(
+            Arc::clone(&model),
+            &[1, 2],
+            &[OfflineMode::Iknp],
+            2,
+            99,
+        );
         let k1 = BundleKey::for_graph(&graph, 1);
         let k2 = BundleKey::for_graph(&graph, 2);
 
@@ -311,7 +306,8 @@ mod tests {
     fn shutdown_unblocks_promptly() {
         let model = Arc::new(ServedModel::from(tiny()));
         let key = BundleKey::for_graph(&model.graph(), 1);
-        let pool = PrecomputePool::start(Arc::clone(&model), &[1], 1, 7);
+        let pool =
+            PrecomputePool::start_with_modes(Arc::clone(&model), &[1], &[OfflineMode::Iknp], 1, 7);
         assert!(pool.wait_ready(&key, 1, Duration::from_secs(10)));
         pool.shutdown();
         // Post-shutdown takes drain what is buffered, then miss.

@@ -6,7 +6,7 @@
 //!
 //! 1. The acceptor thread takes it off the (blocking) listener. If the
 //!    server is draining or the accept queue is full, it answers with a
-//!    busy hello frame ([`abnn2_core::handshake::reject_busy`]) and closes
+//!    busy hello frame ([`abnn2_core::handshake::reject_busy_with`]) and closes
 //!    — the client surfaces [`ProtocolError::Overloaded`]. Otherwise the
 //!    raw stream is queued.
 //! 2. An **event-loop worker** claims it, wraps the socket in a
@@ -22,11 +22,12 @@
 //!    and its own [`Waker`], which the acceptor signals after queueing a
 //!    connection. Peak thread count scales with *workers*, not clients,
 //!    and an idle worker wakes for work, not on a timer.
-//! 3. The [`PrecomputePool`] and the resume [`CheckpointStore`] are
-//!    sharded per worker: each worker prefers its own pool shard (and
-//!    steals from siblings rather than strand warm bundles), and
-//!    checkpoints hash onto a shard by token, so any worker can resume a
-//!    session that died on another.
+//! 3. The [`PrecomputePool`] is sharded per worker: each worker prefers
+//!    its own pool shard (and steals from siblings rather than strand
+//!    warm bundles). Resume checkpoints live in one [`CheckpointStore`]
+//!    shared by every worker (a session touches it at most twice, at its
+//!    hello and when it settles), so any worker can resume a session that
+//!    died on another.
 //! 4. [`Server::begin_drain`] flips admission off while in-flight
 //!    sessions run to completion and wakes every worker to see it; the
 //!    acceptor is woken by a throwaway self-connection when the drain
@@ -43,8 +44,8 @@
 //!    possibly-poisoned checkpoint discarded — while the worker and its
 //!    sibling sessions keep running. A **supervisor** thread watches
 //!    per-worker heartbeats and respawns dead or wedged workers; the
-//!    respawned worker reuses its index, so its pool shard and checkpoint
-//!    shard re-home automatically. Busy rejections carry a
+//!    respawned worker reuses its index, so its pool shard re-homes
+//!    automatically. Busy rejections carry a
 //!    `retry_after_ms` hint derived from queue depth and occupancy.
 //!
 //! Byte accounting is preserved exactly: every driver effect is counted
@@ -103,8 +104,8 @@ pub struct ServeConfig {
     pub pool_modes: Vec<OfflineMode>,
     /// Per-session transport deadlines.
     pub deadlines: SessionDeadlines,
-    /// Total capacity of the resume-checkpoint store, split across one
-    /// shard per worker (each shard holds at least one entry).
+    /// Capacity of the resume-checkpoint store: one LRU bound over every
+    /// parked session, whichever worker parked it.
     pub checkpoint_capacity: usize,
     /// Execution options (activation variant must match the clients').
     pub exec: ExecConfig,
@@ -132,71 +133,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// Resume checkpoints sharded by token hash: one
-/// [`CheckpointStore`] per worker, so checkpoint traffic from different
-/// sessions contends on different locks. A token always hashes to the
-/// same shard, which means any worker can claim a checkpoint no matter
-/// which worker inserted it, and per-shard LRU eviction is deterministic
-/// per token.
-#[derive(Debug)]
-pub struct ShardedCheckpointStore {
-    shards: Vec<CheckpointStore>,
-}
-
-impl ShardedCheckpointStore {
-    /// `capacity` is the total budget; each of the `shards` stores gets an
-    /// equal slice (at least one entry each).
-    #[must_use]
-    pub fn new(capacity: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let per_shard = capacity.div_ceil(shards).max(1);
-        ShardedCheckpointStore {
-            shards: (0..shards).map(|_| CheckpointStore::new(per_shard)).collect(),
-        }
-    }
-
-    fn shard(&self, token: &ResumeToken) -> &CheckpointStore {
-        let lo = u64::from_le_bytes(token[..8].try_into().expect("8 bytes"));
-        let hi = u64::from_le_bytes(token[8..].try_into().expect("8 bytes"));
-        // Multiply-fold the halves so shard choice uses every token byte.
-        let mixed = (lo ^ hi).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.shards[(mixed % self.shards.len() as u64) as usize]
-    }
-
-    /// Inserts (or refreshes) the checkpoint for `token` in its shard.
-    pub fn insert(&self, token: ResumeToken, bundle: ServerBundle) {
-        self.shard(&token).insert(token, bundle);
-    }
-
-    /// Removes and returns the checkpoint for `token`, if present.
-    pub fn claim(&self, token: &ResumeToken) -> Option<ServerBundle> {
-        self.shard(token).claim(token)
-    }
-
-    /// [`CheckpointStore::release`] on the token's shard.
-    pub fn release(&self, token: ResumeToken, parked: Option<ServerBundle>) {
-        self.shard(&token).release(token, parked);
-    }
-
-    /// Whether a checkpoint for `token` is currently held.
-    #[must_use]
-    pub fn contains(&self, token: &ResumeToken) -> bool {
-        self.shard(token).contains(token)
-    }
-
-    /// Total checkpoints held across every shard.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(CheckpointStore::len).sum()
-    }
-
-    /// Whether every shard is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(CheckpointStore::is_empty)
-    }
-}
-
 struct QueueState {
     conns: VecDeque<TcpStream>,
     draining: bool,
@@ -209,7 +145,7 @@ struct Shared {
     wakers: Vec<Waker>,
     server: Arc<SecureServer>,
     config: ServeConfig,
-    store: ShardedCheckpointStore,
+    store: CheckpointStore,
     /// One pool shard per worker (empty when `pool_depth` is zero).
     pools: Vec<PrecomputePool>,
     metrics: MetricsRegistry,
@@ -303,13 +239,12 @@ impl Server {
         } else {
             Vec::new()
         };
-        let store = ShardedCheckpointStore::new(config.checkpoint_capacity, config.workers);
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState { conns: VecDeque::new(), draining: false }),
             wakers,
             server,
             config: config.clone(),
-            store,
+            store: CheckpointStore::new(config.checkpoint_capacity),
             pools,
             metrics: MetricsRegistry::new(),
             addr: bound,
@@ -361,9 +296,9 @@ impl Server {
         self.shared.metrics.snapshot(pool_totals(&self.shared))
     }
 
-    /// The sharded resume-checkpoint store reachable from all workers.
+    /// The resume-checkpoint store shared by all workers.
     #[must_use]
-    pub fn checkpoint_store(&self) -> &ShardedCheckpointStore {
+    pub fn checkpoint_store(&self) -> &CheckpointStore {
         &self.shared.store
     }
 

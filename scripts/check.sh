@@ -25,8 +25,9 @@
 # --wire-fuzz-smoke runs the typed-wire-layer adversarial suites in
 # release mode: frame round-trip/truncation/corruption totality
 # (tests/wire_roundtrip.rs), the tag-flip sweep over a live session
-# (tests/chaos.rs), and the per-transport malformed-frame contract
-# (tests/transport_contract.rs).
+# (tests/chaos.rs), the per-transport malformed-frame contract
+# (tests/transport_contract.rs), and the blocking-vs-event-loop framing
+# parity corpus (tests/framing_parity.rs).
 #
 # --governor-smoke exercises the session governor and worker supervisor:
 # the hostile-peer chaos tests (slowloris eviction, never-draining
@@ -69,7 +70,11 @@
 # `Prg::from_seed(..).bytes(..)`), which belong to crates/crypto, test
 # modules and benches only, and crates/baselines for the per-layer online
 # helpers (`layer_share`, `relu_server`, `relu_client`: the online phase is
-# core's, the baselines call it whole), reruns the pinned Yao, triplet and
+# core's, the baselines call it whole), and crates/net/src for a second file
+# that checks a frame length (`MAX_FRAME_LEN`, `tags::max_len(`,
+# `UNREGISTERED_MAX_LEN`: the length-prefixed stream is parsed in
+# framing.rs, TcpTransport and FrameBuffer are its two faces), reruns the
+# pinned Yao, triplet and
 # OT-extension transcripts in release under the portable crypto backend,
 # and builds and unit-tests the standalone benchmark package under bench/
 # (its own manifest and lock file, outside the workspace), so
@@ -186,6 +191,25 @@ if [[ -n "$online_copy" ]]; then
   exit 1
 fi
 
+# The length-prefixed stream is parsed once: `framing.rs` holds the
+# header/tag/payload state machine with its `MAX_FRAME_LEN` and tag-ceiling
+# checks, and `TcpTransport` and `FrameBuffer` are that codec over a
+# blocking and a non-blocking socket. A second file that uses one of the
+# three bounds (beyond defining or importing it) is a second parser.
+echo "==> one-framing gate: frame lengths are checked in one file of crates/net/src"
+for bound in 'MAX_FRAME_LEN' 'tags::max_len(' 'UNREGISTERED_MAX_LEN'; do
+  checked_in=$(find crates/net/src -name '*.rs' -print0 |
+    xargs -0 awk -v bound="$bound" '
+      FNR == 1 { in_tests = 0 }
+      /#\[cfg\(test\)\]/ { in_tests = 1 }
+      !in_tests && !/^[[:space:]]*\/\// && !/^[[:space:]]*(pub )?(use|const) / &&
+        index($0, bound) { print FILENAME }' | sort -u | tr '\n' ' ')
+  if [[ "$checked_in" != "crates/net/src/framing.rs " ]]; then
+    echo "$bound is checked in: ${checked_in:-no file} (expected crates/net/src/framing.rs only)" >&2
+    exit 1
+  fi
+done
+
 # The dev profile keeps overflow checks and debug assertions on and the
 # default backend is AES-NI where the CPU has it: the pinned transcripts
 # must also hold as the served binaries are built, over the software path.
@@ -224,10 +248,11 @@ if [[ "${ASYNC_SERVE_SMOKE:-0}" == "1" ]]; then
 fi
 
 if [[ "${WIRE_FUZZ_SMOKE:-0}" == "1" ]]; then
-  echo "==> wire fuzz smoke: frame totality, tag-flip sweep, transport contract"
+  echo "==> wire fuzz smoke: frame totality, tag-flip sweep, transport contract, framing parity"
   cargo test --release --test wire_roundtrip
   cargo test --release --test chaos tag_flip_at_every_entry_point_names_the_expected_frame
   cargo test --release --test transport_contract
+  cargo test --release --test framing_parity
 fi
 
 if [[ "${GOVERNOR_SMOKE:-0}" == "1" ]]; then

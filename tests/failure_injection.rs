@@ -54,7 +54,9 @@ fn client_abort_mid_inference_surfaces_to_server() {
                 abnn2::core::ReluVariant::Oblivious,
                 1,
             );
-            abnn2::core::handshake::handshake_client(ch, ours, &[0; 16], false).expect("handshake");
+            let plain = abnn2::core::handshake::HelloRequest::default();
+            abnn2::core::handshake::handshake_client_ext(ch, ours, &[0; 16], plain)
+                .expect("handshake");
             let _ = abnn2::core::session::ClientSession::setup(ch, &mut rng).expect("setup");
         },
     );

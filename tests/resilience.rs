@@ -4,7 +4,9 @@
 //! mid-online connection loss must be survivable with bit-identical
 //! logits via reconnect-and-resume.
 
-use abnn2::core::handshake::{handshake_client, SessionParams};
+use abnn2::core::handshake::{
+    handshake_client_ext, handshake_server_ext, HelloRequest, SessionParams,
+};
 use abnn2::core::inference::{SecureClient, SecureServer};
 use abnn2::core::resilient::{ResilientClient, ResilientServer};
 use abnn2::core::PublicModel;
@@ -178,10 +180,11 @@ fn handshake_rejects_stale_resume_token() {
     let (mut c, mut s) = abnn2::net::Endpoint::pair(NetworkModel::instant());
     std::thread::scope(|scope| {
         scope.spawn(move || {
-            abnn2::core::handshake::handshake_server(&mut s, |_| ours, |_| false).unwrap();
+            handshake_server_ext(&mut s, |_| ours, |_| false, |_, _| false).unwrap();
         });
-        let accepted = handshake_client(&mut c, ours, &[9; 16], true).unwrap();
-        assert!(!accepted, "unknown token must downgrade to a fresh run");
+        let request = HelloRequest { resume: true, ..HelloRequest::default() };
+        let reply = handshake_client_ext(&mut c, ours, &[9; 16], request).unwrap();
+        assert!(!reply.resume, "unknown token must downgrade to a fresh run");
     });
 }
 
