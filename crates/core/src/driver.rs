@@ -832,6 +832,60 @@ mod tests {
         assert_eq!(y.col(0), expected);
     }
 
+    /// Two sessions over one model, one blocking and one parked at every
+    /// frame: the first lowers each re-share op into the model's slot, the
+    /// second (and the client, whose `PublicModel` came from the server's)
+    /// finds it there, and both produce the oracle's logits.
+    #[test]
+    fn sessions_of_one_model_lower_each_op_once() {
+        use crate::relu::ReluVariant::Oblivious;
+        let q = tiny_model();
+        let x: Vec<u64> = (0..10).map(|j| (j * 29 + 3) & 0xFFF).collect();
+        let expected = q.forward_exact(&x);
+        let server = Arc::new(SecureServer::for_model(q));
+        let client = SecureClient::for_model(server.public_model());
+        let server_sg = server.model.secure_graph(1).expect("batch 1");
+        let client_sg = client.model.secure_graph(1).expect("batch 1");
+        let reshares: Vec<usize> = (0..server_sg.graph().ops.len())
+            .filter(|&i| server_sg.graph().ops[i].is_reshare())
+            .collect();
+        assert!(!reshares.is_empty());
+        assert!(reshares.iter().all(|&i| server_sg.lowered(i, Oblivious).is_none()));
+
+        let session = |blocking: bool, seed: u64| {
+            let (mut sch, mut cch) = Endpoint::pair(NetworkModel::instant());
+            std::thread::scope(|scope| {
+                let cli = scope.spawn(|| {
+                    let mut rng = StdRng::seed_from_u64(seed + 1);
+                    let state = client.offline(&mut cch, 1, &mut rng).expect("offline");
+                    client
+                        .online_raw(&mut cch, state, std::slice::from_ref(&x), &mut rng)
+                        .expect("online")
+                });
+                let mut driver = driver_for(&server, seed);
+                if blocking {
+                    drive_blocking(&mut sch, &mut driver).expect("server");
+                } else {
+                    drive_frames(&mut sch, &mut driver, |_| {}).expect("server");
+                }
+                cli.join().expect("client thread")
+            })
+        };
+
+        assert_eq!(session(true, 40).col(0), expected);
+        let first: Vec<*const crate::nonlinear::Lowering> = reshares
+            .iter()
+            .map(|&i| std::ptr::from_ref(server_sg.lowered(i, Oblivious).expect("lowered")))
+            .collect();
+        assert_eq!(session(false, 50).col(0), expected);
+        for (&i, &built) in reshares.iter().zip(&first) {
+            let now = server_sg.lowered(i, Oblivious).expect("still lowered");
+            assert!(std::ptr::eq(now, built), "op {i} was lowered again");
+            let clients = client_sg.lowered(i, Oblivious).expect("the client read the same slot");
+            assert!(std::ptr::eq(clients, built), "op {i}: the client lowered its own copy");
+        }
+    }
+
     /// A mismatched client fails negotiation on both sides: the drive
     /// loop returns the typed error — it never panics on a peer fault —
     /// and still externalizes the hello reply after `Failed` so the peer

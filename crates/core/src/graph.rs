@@ -37,6 +37,7 @@ use crate::inference::{ClientOffline, ServerOffline};
 use crate::matbeaver::{generate_matrix_p0, generate_matrix_p1, mul_matrix_shares, MatrixTriple};
 use crate::matmul::{triplet_client_with, TripletMode, TripletWalk};
 use crate::nonlinear::Lowering;
+use crate::relu::ReluVariant;
 use crate::session::{ClientSession, ServerSession};
 use crate::ProtocolError;
 use abnn2_gc::{YaoEvaluator, YaoGarbler};
@@ -57,19 +58,37 @@ use std::sync::{Arc, OnceLock};
 /// topology has the same surface; the graph is lowered and validated once
 /// here, and every session pins it to a batch with
 /// [`secure_graph`](Self::secure_graph).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct PublicModel {
     pub(crate) graph: Arc<LayerGraph>,
     /// First structural violation found at construction. Kept instead of
     /// failing the `From` impls so a degenerate model surfaces as a typed
     /// error when a session is planned, never as a panic.
     defect: Option<&'static str>,
+    lowered: Arc<[LoweredOp]>,
 }
+
+/// What a model keeps of one op once a session has run it: its lowering
+/// for one sample under either ReLU variant (see `Lowering::slot`), built
+/// by the first walk that reaches the op and read by every session after
+/// it, of either party, at any batch.
+type LoweredOp = [OnceLock<Option<Lowering>>; 2];
+
+/// Two descriptions are equal when they describe the same graph, whatever
+/// either has lowered so far.
+impl PartialEq for PublicModel {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.graph, self.defect) == (&other.graph, other.defect)
+    }
+}
+
+impl Eq for PublicModel {}
 
 impl From<LayerGraph> for PublicModel {
     fn from(graph: LayerGraph) -> Self {
         let defect = graph.validate().err().map(|e| e.message());
-        PublicModel { graph: Arc::new(graph), defect }
+        let lowered = graph.ops.iter().map(|_| LoweredOp::default()).collect();
+        PublicModel { graph: Arc::new(graph), defect, lowered }
     }
 }
 
@@ -119,7 +138,11 @@ impl PublicModel {
         if batch > 1 && self.graph.has_extended_ops() {
             return Err(ProtocolError::Dimension("extended graphs run with batch 1"));
         }
-        Ok(SecureGraph { graph: Arc::clone(&self.graph), batch })
+        Ok(SecureGraph {
+            graph: Arc::clone(&self.graph),
+            batch,
+            lowered: Arc::clone(&self.lowered),
+        })
     }
 }
 
@@ -238,11 +261,21 @@ pub struct MatmulPlan {
 
 /// A validated [`LayerGraph`] pinned to a batch size — the unit the
 /// planner and both executor halves operate on.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct SecureGraph {
     graph: Arc<LayerGraph>,
     batch: usize,
+    /// The model's per-op circuits, shared with every other pinning of it.
+    lowered: Arc<[LoweredOp]>,
 }
+
+impl PartialEq for SecureGraph {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.graph, self.batch) == (&other.graph, other.batch)
+    }
+}
+
+impl Eq for SecureGraph {}
 
 impl SecureGraph {
     /// Validates `graph` and pins it to `batch` samples per prediction
@@ -267,6 +300,25 @@ impl SecureGraph {
     #[must_use]
     pub fn batch(&self) -> usize {
         self.batch
+    }
+
+    /// How re-sharing op `i` runs online under `variant`: lowered by the
+    /// first session of the model to get here, read from the model's slot
+    /// by every one after it.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Dimension`] if op `i` does not re-share.
+    pub(crate) fn lowering(
+        &self,
+        i: usize,
+        variant: ReluVariant,
+    ) -> Result<&Lowering, ProtocolError> {
+        let op = &self.graph.ops[i];
+        self.lowered[i][Lowering::slot(op, variant)]
+            .get_or_init(|| Lowering::of(op, &self.graph.config, variant))
+            .as_ref()
+            .ok_or(ProtocolError::Dimension("op has no re-sharing circuit"))
     }
 
     /// The offline plan: one triplet requirement per linear op, in graph
@@ -865,8 +917,7 @@ pub fn server_online_to_logits<T: Transport>(
 /// — a local [`linear_share`], or a re-share op's opening and circuit,
 /// which is where the server waits. The walk is `Clone` for the same
 /// reason as [`ServerOfflineWalk`]; a copy shares the offline bundle and
-/// the pending op's circuit, and duplicates only the evaluator and the
-/// tape.
+/// the model's circuits, and duplicates only the evaluator and the tape.
 #[derive(Debug, Clone)]
 pub(crate) struct ServerOnlineWalk {
     sg: SecureGraph,
@@ -880,10 +931,6 @@ pub(crate) struct ServerOnlineWalk {
     /// Triplet shares and matrix triples consumed so far.
     linears: usize,
     matmuls: usize,
-    /// The circuit of the op the next step runs, built by the first
-    /// attempt at that step and shared with every copy of the walk, so a
-    /// step that is re-run after starving does not build it again.
-    lowering: Arc<OnceLock<Option<Lowering>>>,
     done: bool,
 }
 
@@ -911,7 +958,6 @@ impl ServerOnlineWalk {
             yao,
             linears: 0,
             matmuls: 0,
-            lowering: Arc::default(),
             done: false,
         })
     }
@@ -958,16 +1004,11 @@ impl ServerOnlineWalk {
                 return Ok(());
             }
             OpResource::MatTriple { .. } | OpResource::FreshMask { .. } => {
-                let lowering = self
-                    .lowering
-                    .get_or_init(|| Lowering::of(op, config, batch, self.exec.variant))
-                    .as_ref()
-                    .ok_or(ProtocolError::Dimension("op has no re-sharing circuit"))?;
+                let lowering = self.sg.lowering(i, self.exec.variant)?;
                 let mut mats = self.bundle.mats[self.matmuls..].iter();
                 let shares = reshare_inputs(ch, op, i, &self.tape, &mut mats, ring, 0)?;
-                let z0 = lowering.server(ch, &mut self.yao, &shares, ring)?;
+                let z0 = lowering.server(ch, &mut self.yao, &shares, ring, batch)?;
                 self.matmuls = self.bundle.mats.len() - mats.len();
-                self.lowering = Arc::default();
                 Matrix::new(op.out_len(), batch, z0)
             }
         };
@@ -1033,10 +1074,9 @@ pub fn client_online_to_logits<T: Transport, R: Rng + ?Sized>(
             OpResource::Output => return Ok((yao, tape[i].clone())),
             OpResource::MatTriple { .. } | OpResource::FreshMask { .. } => {
                 let shares = reshare_inputs(ch, op, i, &tape, &mut mats, ring, 1)?;
-                let lowering = Lowering::of(op, config, batch, exec.variant)
-                    .ok_or(ProtocolError::Dimension("op has no re-sharing circuit"))?;
+                let lowering = sg.lowering(i, exec.variant)?;
                 let z1 = rs.next().expect("mask shapes were checked");
-                lowering.client(ch, &mut yao, &shares, z1.as_slice(), ring, rng)?;
+                lowering.client(ch, &mut yao, &shares, z1.as_slice(), ring, batch, rng)?;
                 z1
             }
         };
@@ -1049,6 +1089,14 @@ pub fn client_online_to_logits<T: Transport, R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use abnn2_math::FragmentScheme;
+
+    impl SecureGraph {
+        /// What op `i`'s slot for `variant` holds so far, without lowering
+        /// it (for the tests of other modules too).
+        pub(crate) fn lowered(&self, i: usize, variant: ReluVariant) -> Option<&Lowering> {
+            self.lowered[i][Lowering::slot(&self.graph.ops[i], variant)].get()?.as_ref()
+        }
+    }
 
     fn config() -> QuantConfig {
         QuantConfig {

@@ -12,17 +12,19 @@
 //!   bits, one Yao run, bits → words.
 //! * `Lowering::of` is the only code that knows an op by name: it maps a
 //!   [`LayerOp`] to its circuit (plus, for max-pool, the gather that lays
-//!   the source slot out window-major). The graph walks in [`crate::graph`]
-//!   call it per re-sharing op and never match on op kinds themselves — a
-//!   new op kind (ROADMAP item 3's `Lut`) is one arm there, and a per-shape
-//!   circuit cache is one lookup in front of it.
+//!   the source slot out window-major). It runs once per op of a model:
+//!   the graph walks in [`crate::graph`] read the result from the model's
+//!   slot for that op and never match on op kinds themselves — a new op
+//!   kind (ROADMAP item 3's `Lut`) is one arm there. A circuit is one
+//!   sample's; the walk widens it to its batch when it runs
+//!   ([`Circuit::with_lanes`] shares the gates).
 //! * The paper's two-round optimized ReLU ([`crate::relu`]) is the one
 //!   lowering that is not a single circuit.
 //! * [`softmax_server`]/[`softmax_client`], [`gelu_server`]/[`gelu_client`]
 //!   and [`layernorm_server`]/[`layernorm_client`] run one op standalone on
 //!   explicit shapes, for the benchmark probes.
 
-use crate::relu::{relu_client, relu_server, ReluVariant};
+use crate::relu::{sign_first_client, sign_first_server, ReluVariant};
 use crate::ProtocolError;
 use abnn2_gc::circuit::bits_to_u64;
 use abnn2_gc::{circuits, Circuit, YaoEvaluator, YaoGarbler};
@@ -73,14 +75,14 @@ pub fn reshare_server<T: Transport, S: AsRef<[u64]>>(
     ring: Ring,
 ) -> Result<Vec<u64>, ProtocolError> {
     let bits = ring.bits() as usize;
-    let mut ebits = Vec::with_capacity(circuit.evaluator_inputs().len());
+    let mut ebits = Vec::with_capacity(circuit.evaluator_input_count());
     for s in shares {
         push_words(&mut ebits, s.as_ref(), bits);
     }
-    if ebits.len() != circuit.evaluator_inputs().len() {
+    if ebits.len() != circuit.evaluator_input_count() {
         return Err(MISFIT);
     }
-    if circuit.outputs().is_empty() {
+    if circuit.output_count() == 0 {
         return Ok(Vec::new());
     }
     Ok(bits_to_words(&yao.run(ch, circuit, &ebits)?, bits))
@@ -105,16 +107,16 @@ pub fn reshare_client<T: Transport, S: AsRef<[u64]>, RNG: Rng + ?Sized>(
     rng: &mut RNG,
 ) -> Result<(), ProtocolError> {
     let bits = ring.bits() as usize;
-    let mut gbits = Vec::with_capacity(circuit.garbler_inputs().len());
+    let mut gbits = Vec::with_capacity(circuit.garbler_input_count());
     for s in shares {
         push_words(&mut gbits, s.as_ref(), bits);
     }
-    if gbits.len() + z1.len() * bits != circuit.garbler_inputs().len()
-        || z1.len() * bits != circuit.outputs().len()
+    if gbits.len() + z1.len() * bits != circuit.garbler_input_count()
+        || z1.len() * bits != circuit.output_count()
     {
         return Err(MISFIT);
     }
-    if circuit.outputs().is_empty() {
+    if circuit.output_count() == 0 {
         return Ok(());
     }
     push_words(&mut gbits, z1, bits);
@@ -122,7 +124,8 @@ pub fn reshare_client<T: Transport, S: AsRef<[u64]>, RNG: Rng + ?Sized>(
     Ok(())
 }
 
-/// How one re-sharing op runs online.
+/// How one re-sharing op runs online, for one sample: the walks widen the
+/// circuits to their batch.
 #[derive(Debug)]
 pub(crate) enum Lowering {
     /// Algorithm 2: one circuit over the op's operand shares. `gather`,
@@ -130,29 +133,34 @@ pub(crate) enum Lowering {
     /// operand it reads (max-pool's window-major layout).
     Reshare { circuit: Circuit, gather: Option<Vec<usize>> },
     /// The paper's optimized ReLU: reveal signs first, re-share only the
-    /// non-negative neurons.
-    SignFirst { shift: u32 },
+    /// non-negative neurons. Both circuits are one neuron's.
+    SignFirst { sign: Circuit, reshare: Circuit },
 }
 
 impl Lowering {
-    /// Lowers `op` at `batch` samples; `None` for ops that do not re-share
+    /// Which of an op's two slots on the model `variant` lowers it into:
+    /// only ReLU lowers differently under the optimized variant.
+    pub(crate) fn slot(op: &LayerOp, variant: ReluVariant) -> usize {
+        usize::from(matches!(op, LayerOp::Relu { .. }) && variant == ReluVariant::Optimized)
+    }
+
+    /// Lowers `op` for one sample; `None` for ops that do not re-share
     /// (linear and output ops). This is the one place an op kind becomes a
     /// circuit.
-    pub(crate) fn of(
-        op: &LayerOp,
-        config: &QuantConfig,
-        batch: usize,
-        variant: ReluVariant,
-    ) -> Option<Lowering> {
+    pub(crate) fn of(op: &LayerOp, config: &QuantConfig, variant: ReluVariant) -> Option<Lowering> {
         let bits = config.ring.bits() as usize;
         let f = config.frac_bits as usize;
         let circuit = match *op {
             LayerOp::Relu { .. } if variant == ReluVariant::Optimized => {
-                return Some(Lowering::SignFirst { shift: config.weight_frac_bits });
+                let shift = config.weight_frac_bits as usize;
+                return Some(Lowering::SignFirst {
+                    sign: circuits::relu_sign_vec_circuit(bits, 1),
+                    reshare: circuits::reconstruct_trunc_reshare_vec_circuit(bits, 1, shift),
+                });
             }
             LayerOp::Relu { dim } => circuits::relu_trunc_reshare_vec_circuit(
                 bits,
-                dim * batch,
+                dim,
                 config.weight_frac_bits as usize,
             ),
             LayerOp::MaxPool { shape, window } => {
@@ -190,29 +198,33 @@ impl Lowering {
         Some(Lowering::Reshare { circuit, gather: None })
     }
 
-    /// Server half of the lowered op over its operand shares.
+    /// Server half of the lowered op over its operand shares, `batch`
+    /// samples wide.
     pub(crate) fn server<T: Transport, S: AsRef<[u64]>>(
         &self,
         ch: &mut T,
         yao: &mut YaoEvaluator,
         shares: &[S],
         ring: Ring,
+        batch: usize,
     ) -> Result<Vec<u64>, ProtocolError> {
         match self {
-            Lowering::Reshare { circuit, gather: None } => {
-                reshare_server(ch, yao, circuit, shares, ring)
+            Lowering::Reshare { circuit, gather } => {
+                let circuit = circuit.with_lanes(circuit.lanes() * batch);
+                match gather {
+                    None => reshare_server(ch, yao, &circuit, shares, ring),
+                    Some(idx) => reshare_server(ch, yao, &circuit, &gathered(shares, idx)?, ring),
+                }
             }
-            Lowering::Reshare { circuit, gather: Some(idx) } => {
-                reshare_server(ch, yao, circuit, &gathered(shares, idx)?, ring)
-            }
-            Lowering::SignFirst { shift } => {
+            Lowering::SignFirst { sign, reshare } => {
                 let [y0] = shares else { return Err(MISFIT) };
-                relu_server(ch, yao, y0.as_ref(), ring, *shift, ReluVariant::Optimized)
+                sign_first_server(ch, yao, sign, reshare, y0.as_ref(), ring)
             }
         }
     }
 
     /// Client half of the lowered op; `z1` is the op's fresh output mask.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn client<T: Transport, S: AsRef<[u64]>, RNG: Rng + ?Sized>(
         &self,
         ch: &mut T,
@@ -220,19 +232,22 @@ impl Lowering {
         shares: &[S],
         z1: &[u64],
         ring: Ring,
+        batch: usize,
         rng: &mut RNG,
     ) -> Result<(), ProtocolError> {
         match self {
-            Lowering::Reshare { circuit, gather: None } => {
-                reshare_client(ch, yao, circuit, shares, z1, ring, rng)
+            Lowering::Reshare { circuit, gather } => {
+                let circuit = circuit.with_lanes(circuit.lanes() * batch);
+                match gather {
+                    None => reshare_client(ch, yao, &circuit, shares, z1, ring, rng),
+                    Some(idx) => {
+                        reshare_client(ch, yao, &circuit, &gathered(shares, idx)?, z1, ring, rng)
+                    }
+                }
             }
-            Lowering::Reshare { circuit, gather: Some(idx) } => {
-                reshare_client(ch, yao, circuit, &gathered(shares, idx)?, z1, ring, rng)
-            }
-            Lowering::SignFirst { shift } => {
+            Lowering::SignFirst { sign, reshare } => {
                 let [y1] = shares else { return Err(MISFIT) };
-                let y1 = y1.as_ref();
-                relu_client(ch, yao, y1, z1, ring, *shift, ReluVariant::Optimized, rng)
+                sign_first_client(ch, yao, sign, reshare, y1.as_ref(), z1, ring, rng)
             }
         }
     }
@@ -449,7 +464,7 @@ mod tests {
             weight_frac_bits: 2,
             scheme: FragmentScheme::ternary(),
         };
-        Lowering::of(op, &config, 1, ReluVariant::Oblivious).expect("a re-sharing op")
+        Lowering::of(op, &config, ReluVariant::Oblivious).expect("a re-sharing op")
     }
 
     fn matmul_op(m: usize, n: usize, shift: u32) -> LayerOp {
@@ -465,12 +480,12 @@ mod tests {
             &vals,
             900,
             |ch, yao, p0| {
-                lower(&matmul_op(5, 1, 4), BITS).server(ch, yao, &[p0], ring).expect("server")
+                lower(&matmul_op(5, 1, 4), BITS).server(ch, yao, &[p0], ring, 1).expect("server")
             },
             |ch, yao, p1, z1| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(902);
                 lower(&matmul_op(5, 1, 4), BITS)
-                    .client(ch, yao, &[p1], z1, ring, &mut rng)
+                    .client(ch, yao, &[p1], z1, ring, 1, &mut rng)
                     .expect("client");
             },
         );
@@ -588,18 +603,26 @@ mod tests {
 
     #[test]
     fn empty_inputs_are_noops() {
+        // A circuit of no lanes has a body but nothing to run it on:
+        // neither half may touch the channel.
         let ring = Ring::new(BITS);
         let got = run_op(
             &[],
             940,
             |ch, yao, p0| {
-                lower(&matmul_op(0, 0, 0), BITS).server(ch, yao, &[p0], ring).expect("server")
+                let before = ch.snapshot();
+                let lowering = lower(&matmul_op(0, 0, 0), BITS);
+                let z0 = lowering.server(ch, yao, &[p0], ring, 1).expect("server");
+                assert_eq!(ch.snapshot(), before, "server half moved bytes");
+                z0
             },
             |ch, yao, p1, z1| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(942);
+                let before = ch.snapshot();
                 lower(&matmul_op(0, 0, 0), BITS)
-                    .client(ch, yao, &[p1], z1, ring, &mut rng)
+                    .client(ch, yao, &[p1], z1, ring, 1, &mut rng)
                     .expect("client");
+                assert_eq!(ch.snapshot(), before, "client half moved bytes");
             },
         );
         assert!(got.is_empty());
@@ -622,13 +645,13 @@ mod tests {
             move |ch| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(221);
                 let mut yao = YaoEvaluator::setup(ch, &mut rng).expect("setup");
-                lower(&pool, 32).server(ch, &mut yao, &[x0], ring).expect("server")
+                lower(&pool, 32).server(ch, &mut yao, &[x0], ring, 1).expect("server")
             },
             move |ch| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(222);
                 let mut yao = YaoGarbler::setup(ch, &mut rng).expect("setup");
                 lower(&pool2, 32)
-                    .client(ch, &mut yao, &[x1c], &z1c, ring, &mut rng)
+                    .client(ch, &mut yao, &[x1c], &z1c, ring, 1, &mut rng)
                     .expect("client");
             },
         );
@@ -651,16 +674,16 @@ mod tests {
             move |ch| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(230);
                 let mut yao = YaoEvaluator::setup(ch, &mut rng).expect("setup");
-                let short = lower(&pool, 32).server(ch, &mut yao, &[[0u64; 15]], ring);
+                let short = lower(&pool, 32).server(ch, &mut yao, &[[0u64; 15]], ring, 1);
                 assert!(matches!(short, Err(ProtocolError::Dimension(_))));
-                lower(&pool, 32).server(ch, &mut yao, &[[0u64; 16]], ring)
+                lower(&pool, 32).server(ch, &mut yao, &[[0u64; 16]], ring, 1)
             },
             move |ch| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(231);
                 let mut yao = YaoGarbler::setup(ch, &mut rng).expect("setup");
                 // 3 masks instead of 4 windows: dimension error, no I/O.
                 let err = lower(&pool2, 32)
-                    .client(ch, &mut yao, &[[0u64; 16]], &[0u64; 3], ring, &mut rng)
+                    .client(ch, &mut yao, &[[0u64; 16]], &[0u64; 3], ring, 1, &mut rng)
                     .expect_err("must reject");
                 assert!(matches!(err, ProtocolError::Dimension(_)));
             },

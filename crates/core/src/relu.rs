@@ -18,7 +18,7 @@
 use crate::frames::{NegShares, SignBits};
 use crate::nonlinear::{reshare_client, reshare_server, words_to_bits};
 use crate::ProtocolError;
-use abnn2_gc::{circuits, YaoEvaluator, YaoGarbler};
+use abnn2_gc::{circuits, Circuit, YaoEvaluator, YaoGarbler};
 use abnn2_math::Ring;
 use abnn2_net::Transport;
 use abnn2_ot::bits::{get_bit, pack_bits};
@@ -49,17 +49,36 @@ pub fn relu_server<T: Transport>(
     variant: ReluVariant,
 ) -> Result<Vec<u64>, ProtocolError> {
     let (bits, shift) = (ring.bits() as usize, shift as usize);
-    let n = y0.len();
-    if variant == ReluVariant::Oblivious {
-        let circuit = circuits::relu_trunc_reshare_vec_circuit(bits, n, shift);
-        return reshare_server(ch, yao, &circuit, &[y0], ring);
+    match variant {
+        ReluVariant::Oblivious => {
+            let circuit = circuits::relu_trunc_reshare_vec_circuit(bits, y0.len(), shift);
+            reshare_server(ch, yao, &circuit, &[y0], ring)
+        }
+        ReluVariant::Optimized => {
+            let sign = circuits::relu_sign_vec_circuit(bits, 1);
+            let reshare = circuits::reconstruct_trunc_reshare_vec_circuit(bits, 1, shift);
+            sign_first_server(ch, yao, &sign, &reshare, y0, ring)
+        }
     }
+}
+
+/// Server half of the optimized ReLU over one neuron's `sign` and `reshare`
+/// circuits, widened here to the neurons each phase runs on.
+pub(crate) fn sign_first_server<T: Transport>(
+    ch: &mut T,
+    yao: &mut YaoEvaluator,
+    sign: &Circuit,
+    reshare: &Circuit,
+    y0: &[u64],
+    ring: Ring,
+) -> Result<Vec<u64>, ProtocolError> {
+    let n = y0.len();
     if n == 0 {
         return Ok(Vec::new());
     }
     // Phase 1: comparison circuit reveals per-neuron signs.
-    let sign_circuit = circuits::relu_sign_vec_circuit(bits, n);
-    let non_neg = yao.run(ch, &sign_circuit, &words_to_bits(y0, bits))?;
+    let bits = ring.bits() as usize;
+    let non_neg = yao.run(ch, &sign.with_lanes(n), &words_to_bits(y0, bits))?;
     ch.send_frame(&SignBits(pack_bits(&non_neg)))?;
 
     // Negative neurons: the client re-shares zero by sending −z1.
@@ -72,7 +91,7 @@ pub fn relu_server<T: Transport>(
 
     // Phase 2: reconstruct-and-reshare only the non-negative subset.
     let y0_pos: Vec<u64> = (0..n).filter(|&j| non_neg[j]).map(|j| y0[j]).collect();
-    let circuit = circuits::reconstruct_trunc_reshare_vec_circuit(bits, y0_pos.len(), shift);
+    let circuit = reshare.with_lanes(y0_pos.len());
     let mut pos_shares = reshare_server(ch, yao, &circuit, &[y0_pos], ring)?.into_iter();
 
     let z0 = non_neg.iter().map(|&p| if p { pos_shares.next() } else { neg_shares.next() });
@@ -99,19 +118,40 @@ pub fn relu_client<T: Transport, RNG: Rng + ?Sized>(
     rng: &mut RNG,
 ) -> Result<(), ProtocolError> {
     let (bits, shift) = (ring.bits() as usize, shift as usize);
-    let n = y1.len();
-    if variant == ReluVariant::Oblivious {
-        let circuit = circuits::relu_trunc_reshare_vec_circuit(bits, n, shift);
-        return reshare_client(ch, yao, &circuit, &[y1], z1, ring, rng);
+    match variant {
+        ReluVariant::Oblivious => {
+            let circuit = circuits::relu_trunc_reshare_vec_circuit(bits, y1.len(), shift);
+            reshare_client(ch, yao, &circuit, &[y1], z1, ring, rng)
+        }
+        ReluVariant::Optimized => {
+            let sign = circuits::relu_sign_vec_circuit(bits, 1);
+            let reshare = circuits::reconstruct_trunc_reshare_vec_circuit(bits, 1, shift);
+            sign_first_client(ch, yao, &sign, &reshare, y1, z1, ring, rng)
+        }
     }
+}
+
+/// Client half of the optimized ReLU, see [`sign_first_server`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sign_first_client<T: Transport, RNG: Rng + ?Sized>(
+    ch: &mut T,
+    yao: &mut YaoGarbler,
+    sign: &Circuit,
+    reshare: &Circuit,
+    y1: &[u64],
+    z1: &[u64],
+    ring: Ring,
+    rng: &mut RNG,
+) -> Result<(), ProtocolError> {
+    let n = y1.len();
     if z1.len() != n {
         return Err(ProtocolError::Dimension("share vectors must align"));
     }
     if n == 0 {
         return Ok(());
     }
-    let sign_circuit = circuits::relu_sign_vec_circuit(bits, n);
-    yao.run(ch, &sign_circuit, &words_to_bits(y1, bits), rng)?;
+    let bits = ring.bits() as usize;
+    yao.run(ch, &sign.with_lanes(n), &words_to_bits(y1, bits), rng)?;
     let SignBits(sign_bytes) = ch.recv_frame()?;
     if sign_bytes.len() != n.div_ceil(8) {
         return Err(ProtocolError::Malformed("sign-bit batch length"));
@@ -124,7 +164,7 @@ pub fn relu_client<T: Transport, RNG: Rng + ?Sized>(
 
     let y1_pos: Vec<u64> = pos.iter().map(|&j| y1[j]).collect();
     let z1_pos: Vec<u64> = pos.iter().map(|&j| z1[j]).collect();
-    let circuit = circuits::reconstruct_trunc_reshare_vec_circuit(bits, pos.len(), shift);
+    let circuit = reshare.with_lanes(pos.len());
     reshare_client(ch, yao, &circuit, &[y1_pos], &z1_pos, ring, rng)
 }
 

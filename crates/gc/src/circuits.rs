@@ -128,9 +128,10 @@ pub fn is_negative(x: &Word) -> WireId {
 /// `z₀ = f(y₀ + y₁) − z₁  (mod 2^ℓ)`.
 ///
 /// The function sees `operands` shared vectors, each `groups · n_in` words
-/// long, and is applied group by group: `body` receives, per operand, the
-/// `n_in` reconstructed words of one group and returns that group's `n_out`
-/// result words. Wire layout (the order both parties serialize their
+/// long, and is applied group by group: `body` is called once, receives per
+/// operand the `n_in` reconstructed words of one group and returns that
+/// group's `n_out` result words, and the circuit runs what it built over
+/// `groups` lanes. Wire layout (the order both parties serialize their
 /// shares in):
 ///
 /// * garbler (client) inputs: for each operand all its share-1 words, then
@@ -157,27 +158,23 @@ where
 {
     let mut b = CircuitBuilder::new();
     let s1: Vec<Vec<Word>> =
-        (0..operands).map(|_| (0..groups * n_in).map(|_| b.garbler_word(bits)).collect()).collect();
-    let z1: Vec<Word> = (0..groups * n_out).map(|_| b.garbler_word(bits)).collect();
-    let s0: Vec<Vec<Word>> = (0..operands)
-        .map(|_| (0..groups * n_in).map(|_| b.evaluator_word(bits)).collect())
+        (0..operands).map(|_| (0..n_in).map(|_| b.garbler_word(bits)).collect()).collect();
+    let z1: Vec<Word> = (0..n_out).map(|_| b.garbler_word(bits)).collect();
+    let s0: Vec<Vec<Word>> =
+        (0..operands).map(|_| (0..n_in).map(|_| b.evaluator_word(bits)).collect()).collect();
+    let ys: Vec<Vec<Word>> = s0
+        .iter()
+        .zip(&s1)
+        .map(|(s0, s1)| s0.iter().zip(s1).map(|(w0, w1)| add(&mut b, w0, w1)).collect())
         .collect();
-    let mut outs = Vec::with_capacity(groups * n_out * bits);
-    for g in 0..groups {
-        let ys: Vec<Vec<Word>> = s0
-            .iter()
-            .zip(&s1)
-            .map(|(s0, s1)| {
-                (g * n_in..(g + 1) * n_in).map(|j| add(&mut b, &s0[j], &s1[j])).collect()
-            })
-            .collect();
-        let fs = body(&mut b, &ys);
-        assert_eq!(fs.len(), n_out, "re-share body must return n_out words per group");
-        for (f, z) in fs.iter().zip(&z1[g * n_out..]) {
-            outs.extend(sub(&mut b, f, z).0);
-        }
-    }
-    b.build(outs)
+    let fs = body(&mut b, &ys);
+    assert_eq!(fs.len(), n_out, "re-share body must return n_out words per group");
+    let outs = fs.iter().zip(&z1).flat_map(|(f, z)| sub(&mut b, f, z).0).collect();
+    // One run per operand, then the masks: each is laid out for all groups
+    // before the next starts.
+    let share_runs = vec![n_in * bits; operands];
+    let garbler_runs: Vec<usize> = share_runs.iter().copied().chain([n_out * bits]).collect();
+    b.build_lanes(outs, groups, &garbler_runs, &share_runs)
 }
 
 /// Algorithm 2's circuit for `f = ReLU` on one neuron (the fully-oblivious
@@ -197,12 +194,7 @@ pub fn relu_reshare_circuit(bits: usize) -> Circuit {
 /// neurons then skip the reconstruction circuit entirely.
 #[must_use]
 pub fn relu_sign_circuit(bits: usize) -> Circuit {
-    let mut b = CircuitBuilder::new();
-    let y1 = b.garbler_word(bits);
-    let y0 = b.evaluator_word(bits);
-    let y = add(&mut b, &y0, &y1);
-    let non_neg = b.inv(y.msb());
-    b.build(vec![non_neg])
+    relu_sign_vec_circuit(bits, 1)
 }
 
 /// Phase 2 of the optimized ReLU on one neuron: reconstruct and re-share,
@@ -252,14 +244,11 @@ pub fn relu_trunc_reshare_vec_circuit(bits: usize, n: usize, shift: usize) -> Ci
 #[must_use]
 pub fn relu_sign_vec_circuit(bits: usize, n: usize) -> Circuit {
     let mut b = CircuitBuilder::new();
-    let y1: Vec<Word> = (0..n).map(|_| b.garbler_word(bits)).collect();
-    let y0: Vec<Word> = (0..n).map(|_| b.evaluator_word(bits)).collect();
-    let mut outs = Vec::with_capacity(n);
-    for j in 0..n {
-        let y = add(&mut b, &y0[j], &y1[j]);
-        outs.push(b.inv(y.msb()));
-    }
-    b.build(outs)
+    let y1 = b.garbler_word(bits);
+    let y0 = b.evaluator_word(bits);
+    let y = add(&mut b, &y0, &y1);
+    let non_neg = b.inv(y.msb());
+    b.build_lanes(vec![non_neg], n, &[bits], &[bits])
 }
 
 /// Vectorized phase-2 reconstruct-truncate-reshare:

@@ -73,10 +73,13 @@
 # core's, the baselines call it whole), and crates/net/src for a second file
 # that checks a frame length (`MAX_FRAME_LEN`, `tags::max_len(`,
 # `UNREGISTERED_MAX_LEN`: the length-prefixed stream is parsed in
-# framing.rs, TcpTransport and FrameBuffer are its two faces), reruns the
-# pinned Yao, triplet and
-# OT-extension transcripts in release under the portable crypto backend,
-# and builds and unit-tests the standalone benchmark package under bench/
+# framing.rs, TcpTransport and FrameBuffer are its two faces), crates/gc/src
+# for a second file that hashes (`hash_blocks(`: garble.rs holds the one
+# garbling loop and the one evaluation loop) and crates/core/src for a
+# second `Lowering::of(` (an op becomes a circuit once, in the model's slot
+# for it), reruns the pinned Yao, triplet and OT-extension transcripts and
+# the garbling loops' parity with their per-gate reference in release under
+# the portable crypto backend, and builds and unit-tests the standalone benchmark package under bench/
 # (its own manifest and lock file, outside the workspace), so
 # an API change that breaks the benchmark fails here rather than in the
 # pipeline that runs it, and then runs its smoke test (bench/run.sh
@@ -210,12 +213,43 @@ for bound in 'MAX_FRAME_LEN' 'tags::max_len(' 'UNREGISTERED_MAX_LEN'; do
   fi
 done
 
+# Garbling runs one group's gates across all lanes, in one place: the loop
+# in `garble` and the loop in `evaluate`, both in garble.rs, are the only
+# code of the crate that hashes, so a per-gate or per-circuit copy next to
+# them shows up as a second file. And an op is lowered to its circuit in
+# one place, `SecureGraph::lowering`, which fills the model's slot for it;
+# a second `Lowering::of(` is a session building circuits of its own again.
+echo "==> one-garbling-loop gate: crates/gc/src hashes in one file, crates/core/src lowers in one place"
+hashing=$(find crates/gc/src -name '*.rs' -print0 |
+  xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && !/^[[:space:]]*\/\// && /hash_blocks\(/ { print FILENAME }' | sort -u | tr '\n' ' ')
+if [[ "$hashing" != "crates/gc/src/garble.rs " ]]; then
+  echo "hash_blocks( is called in: ${hashing:-no file} (expected crates/gc/src/garble.rs only)" >&2
+  exit 1
+fi
+lowerings=$(find crates/core/src -name '*.rs' -print0 |
+  xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && !/^[[:space:]]*\/\// && /Lowering::of\(/ { print FILENAME ":" FNR ": " $0 }')
+if [[ $(grep -c . <<<"$lowerings") != 1 ]]; then
+  echo "$lowerings" >&2
+  echo "Lowering::of( is called in the places above (expected exactly one)" >&2
+  exit 1
+fi
+
 # The dev profile keeps overflow checks and debug assertions on and the
 # default backend is AES-NI where the CPU has it: the pinned transcripts
 # must also hold as the served binaries are built, over the software path.
 echo "==> pinned Yao, triplet and OT-extension transcripts: release, portable backend"
 ABNN2_CRYPTO_BACKEND=portable cargo test -q --release \
   --test yao_pins --test triplet_pins --test ot_extension_pins
+# Same build, same backend: the lane-wise garbling against its per-gate
+# reference (tables, decode map, both label sets, outputs) and the slot
+# allocator's tests.
+ABNN2_CRYPTO_BACKEND=portable cargo test -q --release -p abnn2-gc --lib -- garble:: slot
 
 echo "==> cargo fmt --check"
 cargo fmt --check

@@ -253,9 +253,11 @@ fn frames_between(before: &[(u8, TagStats)], after: &[(u8, TagStats)]) -> Vec<(u
 
 /// One session over an in-memory link: session setup in `mode`, then the
 /// offline phase — interactive, or skipped in favour of the `dealt` pair —
-/// then the online phase on `inputs`.
+/// then the online phase on `inputs`. Both parties read `served`'s circuit
+/// slots: a fresh `model.served()` lowers every op again, a shared one only
+/// what no earlier session has.
 fn run_session(
-    model: &Model,
+    served: &ServedModel,
     batch: usize,
     variant: ReluVariant,
     mode: OfflineMode,
@@ -263,7 +265,7 @@ fn run_session(
     inputs: &[Vec<u64>],
     seed: u64,
 ) -> Outcome {
-    let server = SecureServer::for_model(model.served()).with_variant(variant);
+    let server = SecureServer::for_model(served.clone()).with_variant(variant);
     let client = SecureClient::for_model(server.public_model()).with_variant(variant);
     let (dealt_s, dealt_c) = dealt.unzip();
     let (ep_s, mut ep_c) = Endpoint::pair(NetworkModel::instant());
@@ -312,7 +314,7 @@ fn check_graph(model: &Model, batch: usize, rng: &mut StdRng) {
         let mut interactive_frames = Vec::new();
         for mode in [OfflineMode::Iknp, OfflineMode::Silent] {
             let path = format!("{variant:?}/{mode:?}");
-            let o = run_session(model, batch, variant, mode, None, &inputs, rng.gen());
+            let o = run_session(&model.served(), batch, variant, mode, None, &inputs, rng.gen());
             assert_exact(&o, &path);
             assert_correlated(model, &o.server, &o.client, &format!("{what} [{path}]"));
             assert_eq!(shapes(&o.server.us), shapes(&dealt_s.us), "{what} [{path}]: U shapes");
@@ -326,7 +328,15 @@ fn check_graph(model: &Model, batch: usize, rng: &mut StdRng) {
         }
         assert!(!interactive_frames.is_empty(), "{what}: the online phase exchanges frames");
         let dealt = Some((dealt_s.clone(), dealt_c.clone()));
-        let o = run_session(model, batch, variant, OfflineMode::Iknp, dealt, &inputs, rng.gen());
+        let o = run_session(
+            &model.served(),
+            batch,
+            variant,
+            OfflineMode::Iknp,
+            dealt,
+            &inputs,
+            rng.gen(),
+        );
         assert_exact(&o, &format!("{variant:?}/dealt"));
         assert_eq!(
             o.online_frames, interactive_frames,
@@ -336,8 +346,35 @@ fn check_graph(model: &Model, batch: usize, rng: &mut StdRng) {
     }
 }
 
+/// Sessions that share one `ServedModel`: each op is lowered by the first
+/// session that reaches it under its variant and widened by the rest, at
+/// whatever batch the graph drew, with fresh inputs every time so the
+/// optimized ReLU's second phase changes width between sessions.
+fn check_shared_model(model: &Model, batch: usize, rng: &mut StdRng) {
+    let what = model.graph().describe();
+    let served = model.served();
+    use ReluVariant::{Oblivious, Optimized};
+    for (round, variant) in [Oblivious, Optimized, Optimized, Oblivious].into_iter().enumerate() {
+        let inputs: Vec<Vec<u64>> = (0..batch).map(|_| model.input(rng)).collect();
+        let o = run_session(&served, batch, variant, OfflineMode::Iknp, None, &inputs, rng.gen());
+        for (k, x) in inputs.iter().enumerate() {
+            let want = model.forward_exact(x);
+            assert_eq!(o.logits.col(k), want, "{what} [shared, round {round}, {variant:?}]: {k}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn generated_graphs_stay_exact_when_sessions_share_a_model(seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for generate in [random_mlp, random_cnn, random_encoder] {
+            let (model, batch) = generate(&mut rng);
+            check_shared_model(&model, batch, &mut rng);
+        }
+    }
 
     #[test]
     fn generated_graphs_agree_across_offline_paths_and_with_the_oracle(seed: u64) {
