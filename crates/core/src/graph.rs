@@ -58,36 +58,37 @@ use std::sync::{Arc, OnceLock};
 /// topology has the same surface; the graph is lowered and validated once
 /// here, and every session pins it to a batch with
 /// [`secure_graph`](Self::secure_graph).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PublicModel {
     pub(crate) graph: Arc<LayerGraph>,
     /// First structural violation found at construction. Kept instead of
     /// failing the `From` impls so a degenerate model surfaces as a typed
     /// error when a session is planned, never as a panic.
     defect: Option<&'static str>,
-    lowered: Arc<[LoweredOp]>,
+    lowered: LoweredOps,
 }
 
-/// What a model keeps of one op once a session has run it: its lowering
-/// for one sample under either ReLU variant (see `Lowering::slot`), built
-/// by the first walk that reaches the op and read by every session after
-/// it, of either party, at any batch.
-type LoweredOp = [OnceLock<Option<Lowering>>; 2];
+/// What a model keeps of its ops once sessions have run them: per op, its
+/// lowering for one sample under either ReLU variant (see
+/// `Lowering::slot`), built by the first walk that reaches the op and read
+/// by every session after it, of either party, at any batch. Shared by
+/// every clone and pinning of the model, and no part of what makes two
+/// models equal.
+#[derive(Debug, Clone)]
+struct LoweredOps(Arc<[[OnceLock<Option<Lowering>>; 2]]>);
 
-/// Two descriptions are equal when they describe the same graph, whatever
-/// either has lowered so far.
-impl PartialEq for PublicModel {
-    fn eq(&self, other: &Self) -> bool {
-        (&self.graph, self.defect) == (&other.graph, other.defect)
+impl PartialEq for LoweredOps {
+    fn eq(&self, _: &Self) -> bool {
+        true
     }
 }
 
-impl Eq for PublicModel {}
+impl Eq for LoweredOps {}
 
 impl From<LayerGraph> for PublicModel {
     fn from(graph: LayerGraph) -> Self {
         let defect = graph.validate().err().map(|e| e.message());
-        let lowered = graph.ops.iter().map(|_| LoweredOp::default()).collect();
+        let lowered = LoweredOps(graph.ops.iter().map(|_| Default::default()).collect());
         PublicModel { graph: Arc::new(graph), defect, lowered }
     }
 }
@@ -138,11 +139,7 @@ impl PublicModel {
         if batch > 1 && self.graph.has_extended_ops() {
             return Err(ProtocolError::Dimension("extended graphs run with batch 1"));
         }
-        Ok(SecureGraph {
-            graph: Arc::clone(&self.graph),
-            batch,
-            lowered: Arc::clone(&self.lowered),
-        })
+        Ok(SecureGraph { graph: Arc::clone(&self.graph), batch, lowered: self.lowered.clone() })
     }
 }
 
@@ -261,21 +258,13 @@ pub struct MatmulPlan {
 
 /// A validated [`LayerGraph`] pinned to a batch size — the unit the
 /// planner and both executor halves operate on.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SecureGraph {
     graph: Arc<LayerGraph>,
     batch: usize,
     /// The model's per-op circuits, shared with every other pinning of it.
-    lowered: Arc<[LoweredOp]>,
+    lowered: LoweredOps,
 }
-
-impl PartialEq for SecureGraph {
-    fn eq(&self, other: &Self) -> bool {
-        (&self.graph, self.batch) == (&other.graph, other.batch)
-    }
-}
-
-impl Eq for SecureGraph {}
 
 impl SecureGraph {
     /// Validates `graph` and pins it to `batch` samples per prediction
@@ -315,7 +304,7 @@ impl SecureGraph {
         variant: ReluVariant,
     ) -> Result<&Lowering, ProtocolError> {
         let op = &self.graph.ops[i];
-        self.lowered[i][Lowering::slot(op, variant)]
+        self.lowered.0[i][Lowering::slot(op, variant)]
             .get_or_init(|| Lowering::of(op, &self.graph.config, variant))
             .as_ref()
             .ok_or(ProtocolError::Dimension("op has no re-sharing circuit"))
@@ -1094,7 +1083,7 @@ mod tests {
         /// What op `i`'s slot for `variant` holds so far, without lowering
         /// it (for the tests of other modules too).
         pub(crate) fn lowered(&self, i: usize, variant: ReluVariant) -> Option<&Lowering> {
-            self.lowered[i][Lowering::slot(&self.graph.ops[i], variant)].get()?.as_ref()
+            self.lowered.0[i][Lowering::slot(&self.graph.ops[i], variant)].get()?.as_ref()
         }
     }
 

@@ -24,7 +24,7 @@
 //!   and [`layernorm_server`]/[`layernorm_client`] run one op standalone on
 //!   explicit shapes, for the benchmark probes.
 
-use crate::relu::{sign_first_client, sign_first_server, ReluVariant};
+use crate::relu::{sign_first_circuits, sign_first_client, sign_first_server, ReluVariant};
 use crate::ProtocolError;
 use abnn2_gc::circuit::bits_to_u64;
 use abnn2_gc::{circuits, Circuit, YaoEvaluator, YaoGarbler};
@@ -152,11 +152,8 @@ impl Lowering {
         let f = config.frac_bits as usize;
         let circuit = match *op {
             LayerOp::Relu { .. } if variant == ReluVariant::Optimized => {
-                let shift = config.weight_frac_bits as usize;
-                return Some(Lowering::SignFirst {
-                    sign: circuits::relu_sign_vec_circuit(bits, 1),
-                    reshare: circuits::reconstruct_trunc_reshare_vec_circuit(bits, 1, shift),
-                });
+                let (sign, reshare) = sign_first_circuits(bits, config.weight_frac_bits as usize);
+                return Some(Lowering::SignFirst { sign, reshare });
             }
             LayerOp::Relu { dim } => circuits::relu_trunc_reshare_vec_circuit(
                 bits,

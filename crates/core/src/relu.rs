@@ -55,11 +55,17 @@ pub fn relu_server<T: Transport>(
             reshare_server(ch, yao, &circuit, &[y0], ring)
         }
         ReluVariant::Optimized => {
-            let sign = circuits::relu_sign_vec_circuit(bits, 1);
-            let reshare = circuits::reconstruct_trunc_reshare_vec_circuit(bits, 1, shift);
+            let (sign, reshare) = sign_first_circuits(bits, shift);
             sign_first_server(ch, yao, &sign, &reshare, y0, ring)
         }
     }
+}
+
+/// The optimized ReLU's two circuits for one neuron: the sign comparison
+/// and the reconstruct-truncate-reshare of a neuron that passed it.
+pub(crate) fn sign_first_circuits(bits: usize, shift: usize) -> (Circuit, Circuit) {
+    let sign = circuits::relu_sign_vec_circuit(bits, 1);
+    (sign, circuits::reconstruct_trunc_reshare_vec_circuit(bits, 1, shift))
 }
 
 /// Server half of the optimized ReLU over one neuron's `sign` and `reshare`
@@ -124,8 +130,7 @@ pub fn relu_client<T: Transport, RNG: Rng + ?Sized>(
             reshare_client(ch, yao, &circuit, &[y1], z1, ring, rng)
         }
         ReluVariant::Optimized => {
-            let sign = circuits::relu_sign_vec_circuit(bits, 1);
-            let reshare = circuits::reconstruct_trunc_reshare_vec_circuit(bits, 1, shift);
+            let (sign, reshare) = sign_first_circuits(bits, shift);
             sign_first_client(ch, yao, &sign, &reshare, y1, z1, ring, rng)
         }
     }

@@ -1,5 +1,6 @@
 //! Boolean circuits: representation, builder, and plaintext evaluation.
 
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// Index of a wire in a [`Circuit`].
@@ -71,8 +72,31 @@ pub(crate) struct Body {
     /// every lane, then the second run of every lane, and so on.
     pub(crate) garbler: Vec<Vec<u32>>,
     pub(crate) evaluator: Vec<Vec<u32>>,
-    /// Output wires; the flat output order lists them lane by lane.
-    pub(crate) outputs: Vec<u32>,
+    /// Output wires, one run: the flat output order lists them lane by lane.
+    pub(crate) outputs: [Vec<u32>; 1],
+}
+
+impl Body {
+    /// Walks `runs` (a party's inputs, or the outputs as one run) over the
+    /// lanes `pass` of `lanes`, calling `f(flat, lane, wire)` with each
+    /// wire's place in the flat order: the runs one after another, each
+    /// laid out lane by lane. This is the only code that knows that order.
+    pub(crate) fn for_each(
+        runs: &[Vec<u32>],
+        lanes: usize,
+        pass: Range<usize>,
+        mut f: impl FnMut(usize, usize, usize),
+    ) {
+        let mut base = 0;
+        for run in runs {
+            for lane in pass.clone() {
+                for (j, &w) in run.iter().enumerate() {
+                    f(base + lane * run.len() + j, lane, w as usize);
+                }
+            }
+            base += lanes * run.len();
+        }
+    }
 }
 
 /// Gives every wire of one lane a label slot, so garbling holds
@@ -186,22 +210,24 @@ impl Circuit {
     /// Number of output wires, `outputs().len()`.
     #[must_use]
     pub fn output_count(&self) -> usize {
-        self.lanes * self.body.outputs.len()
+        self.lanes * self.body.outputs[0].len()
     }
 
     fn wires(&self) -> &[Vec<WireId>; 3] {
         let body = &*self.body;
-        let flat = |runs: &[Vec<u32>]| -> Vec<WireId> {
-            let mut ids = Vec::new();
-            for run in runs {
-                for lane in 0..self.lanes {
-                    ids.extend(run.iter().map(|&w| lane * body.n_wires + w as WireId));
-                }
-            }
+        let flat = |runs: &[Vec<u32>], count: usize| -> Vec<WireId> {
+            let mut ids = Vec::with_capacity(count);
+            Body::for_each(runs, self.lanes, 0..self.lanes, |_, lane, w| {
+                ids.push(lane * body.n_wires + w);
+            });
             ids
         };
         self.wires.get_or_init(|| {
-            [flat(&body.garbler), flat(&body.evaluator), flat(std::slice::from_ref(&body.outputs))]
+            [
+                flat(&body.garbler, self.garbler_input_count()),
+                flat(&body.evaluator, self.evaluator_input_count()),
+                flat(&body.outputs, self.output_count()),
+            ]
         })
     }
 
@@ -235,18 +261,15 @@ impl Circuit {
         assert_eq!(evaluator_bits.len(), self.evaluator_input_count(), "evaluator input count");
         let body = &*self.body;
         let mut values = vec![false; body.n_wires];
-        let mut outputs = Vec::with_capacity(self.output_count());
+        let mut outputs = vec![false; self.output_count()];
         for lane in 0..self.lanes {
-            for (runs, bits) in [(&body.garbler, garbler_bits), (&body.evaluator, evaluator_bits)] {
-                let mut base = 0;
-                for run in runs {
-                    let at = base + lane * run.len();
-                    for (&w, &b) in run.iter().zip(&bits[at..]) {
-                        values[w as usize] = b;
-                    }
-                    base += self.lanes * run.len();
-                }
-            }
+            let only = lane..lane + 1;
+            Body::for_each(&body.garbler, self.lanes, only.clone(), |i, _, w| {
+                values[w] = garbler_bits[i];
+            });
+            Body::for_each(&body.evaluator, self.lanes, only.clone(), |i, _, w| {
+                values[w] = evaluator_bits[i];
+            });
             for gate in &body.gates {
                 let (a, b, out) = gate.wires();
                 values[out] = match gate {
@@ -255,7 +278,7 @@ impl Circuit {
                     Gate::Inv { .. } => !values[a],
                 };
             }
-            outputs.extend(body.outputs.iter().map(|&w| values[w as usize]));
+            Body::for_each(&body.outputs, self.lanes, only, |i, _, w| outputs[i] = values[w]);
         }
         outputs
     }
@@ -408,7 +431,7 @@ impl CircuitBuilder {
             n_wires: self.n_wires,
             slot,
             n_slots,
-            outputs,
+            outputs: [outputs],
         };
         Circuit { body: Arc::new(body), lanes, wires: OnceLock::new() }
     }
@@ -535,8 +558,7 @@ mod tests {
         let c = crate::circuits::relu_trunc_reshare_vec_circuit(32, 128, 4);
         let body = &*c.body;
         let mut pinned = vec![false; body.n_wires];
-        let inputs = body.garbler.iter().chain(&body.evaluator).flatten();
-        for &w in inputs.chain(&body.outputs) {
+        for &w in body.garbler.iter().chain(&body.evaluator).chain(&body.outputs).flatten() {
             pinned[w as usize] = true;
         }
         assert_eq!(assert_slots_hold_their_wires(&body.gates, &pinned), body.n_slots);

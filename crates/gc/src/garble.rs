@@ -99,27 +99,20 @@ impl<'a> Rows<'a> {
     /// Scatters this pass's lanes of one party's input labels into their
     /// rows; `flat(i)` is the label of that party's `i`-th input.
     fn load(&mut self, runs: &[Vec<u32>], flat: impl Fn(usize) -> Block) {
-        let mut base = 0;
-        for run in runs {
-            for lane in 0..self.width {
-                let at = base + (self.first + lane) * run.len();
-                for (j, &w) in run.iter().enumerate() {
-                    let row = self.row(w as usize);
-                    self.labels[row + lane] = flat(at + j);
-                }
-            }
-            base += self.lanes * run.len();
-        }
+        let pass = self.first..self.first + self.width;
+        Body::for_each(runs, self.lanes, pass, |i, lane, w| {
+            let row = self.row(w);
+            self.labels[row + lane - self.first] = flat(i);
+        });
     }
 
-    /// The label of every output of this pass with its flat output index.
-    fn outputs(&self) -> impl Iterator<Item = (usize, Block)> + '_ {
-        let outs = &self.body.outputs;
-        (0..self.width).flat_map(move |lane| {
-            let at = (self.first + lane) * outs.len();
-            let labels = outs.iter().map(move |&w| self.labels[self.row(w as usize) + lane]);
-            (at..).zip(labels)
-        })
+    /// Hands `f` the label of every output of this pass with its flat
+    /// output index.
+    fn outputs(&self, mut f: impl FnMut(usize, Block)) {
+        let pass = self.first..self.first + self.width;
+        Body::for_each(&self.body.outputs, self.lanes, pass, |i, lane, w| {
+            f(i, self.labels[self.row(w) + lane - self.first]);
+        });
     }
 }
 
@@ -198,9 +191,7 @@ pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, rng: &mut R) -> (GarbledCircui
                 }
             }
         }
-        for (i, label) in rows.outputs() {
-            set_bit(&mut decode, i, label.lsb());
-        }
+        rows.outputs(|i, label| set_bit(&mut decode, i, label.lsb()));
     }
     (GarbledCircuit { tables, decode }, labels)
 }
@@ -269,9 +260,7 @@ pub fn evaluate(
                 }
             }
         }
-        for (i, label) in rows.outputs() {
-            values[i] = label.lsb() ^ get_bit(&garbled.decode, i);
-        }
+        rows.outputs(|i, label| values[i] = label.lsb() ^ get_bit(&garbled.decode, i));
     }
     Ok(values)
 }
