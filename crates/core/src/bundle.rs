@@ -113,6 +113,16 @@ pub struct ServerBundle {
     pub batch: usize,
 }
 
+impl ServerBundle {
+    /// Bytes a checkpoint store holds while this bundle is parked.
+    #[must_use]
+    pub fn parked_bytes(&self) -> usize {
+        let elements = self.us.iter().map(Matrix::len).sum::<usize>()
+            + self.mats.iter().map(|t| t.x.len() + t.y.len() + t.z.len()).sum::<usize>();
+        elements * std::mem::size_of::<u64>()
+    }
+}
+
 /// The client's half of an offline-triplet bundle: the masks `R` and the
 /// per-linear-op triplet shares `V`.
 #[derive(Debug, Clone, PartialEq, Eq)]

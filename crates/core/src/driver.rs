@@ -1,8 +1,9 @@
 //! Suspendable server-side session engine (§3g of DESIGN.md).
 //!
 //! [`SessionDriver`] re-expresses the server side of the protocol —
-//! hello/handshake → base OT → IKNP/KK13 offline → blinded-input/online →
-//! output — as a resumable state machine whose only I/O is a stream of
+//! hello/handshake → base OT (for whichever lineage half is missing and
+//! needed) → IKNP/KK13 offline → blinded-input/online → output, lineage
+//! parked — as a resumable state machine whose only I/O is a stream of
 //! [`DriverEffect`]s: frames to send, flushes, and phase marks. Inbound
 //! frames are [`fed`](SessionDriver::feed) in whole; when the driver needs
 //! a frame that has not arrived it parks with [`DriverStep::NeedRecv`]
@@ -53,6 +54,7 @@ use crate::frames::Bundle;
 use crate::graph::{ServerOfflineWalk, ServerOnlineWalk};
 use crate::handshake::{handshake_server_ext, HelloReply, ResumeToken, SessionParams};
 use crate::inference::{SecureServer, ServerOffline};
+use crate::session::ServerLineage;
 use crate::ProtocolError;
 use abnn2_gc::YaoEvaluator;
 use abnn2_net::{CommSnapshot, Transport, TransportError};
@@ -62,13 +64,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Where a session's side data (parameters, resume checkpoints, warm
-/// bundles) comes from, and where its checkpoint goes when it ends. The
+/// bundles, a parked lineage) comes from, and where its checkpoint or its
+/// lineage goes when it ends. The
 /// serving layer implements this over its per-worker stores,
 /// [`ResilientServer`](crate::ResilientServer) over its
 /// [`CheckpointStore`](crate::CheckpointStore); [`NullHost`] declines
 /// everything for the plain blocking flow.
 ///
-/// The driver consults each of the three lookups at most once per
+/// The driver consults each of the lookups at most once per
 /// session, during the handshake phase, and only for a parameter-matched
 /// peer — so a claim or take may have side effects (removal from a store)
 /// without risking double consumption on replay.
@@ -97,6 +100,28 @@ pub trait SessionHost {
     /// keep the default, which drops both.
     fn release_checkpoint(&self, token: ResumeToken, parked: Option<ServerBundle>) {
         let _ = (token, parked);
+    }
+
+    /// Whether [`park_lineage`](Self::park_lineage) keeps what it is
+    /// given. The hello reply tells the client, which keeps its own halves
+    /// only then. Hosts without a store keep the default: every session
+    /// sets up afresh.
+    fn parks_lineages(&self) -> bool {
+        false
+    }
+
+    /// Claims (removes) the lineage parked under `token`, if held.
+    fn claim_lineage(&self, token: &ResumeToken) -> Option<ServerLineage> {
+        let _ = token;
+        None
+    }
+
+    /// Takes the OT-extension state of a session that ended cleanly, for
+    /// the one later session that presents `token` as its lineage. Called
+    /// before the session's last frame can leave, so a client that has its
+    /// logits can always claim.
+    fn park_lineage(&self, token: ResumeToken, lineage: ServerLineage) {
+        let _ = (token, lineage);
     }
 }
 
@@ -310,33 +335,40 @@ impl Transport for ReplayTransport {
     }
 }
 
+/// What the hello exchange settled, for the setup steps to act on.
+#[derive(Default)]
+struct Admitted {
+    batch: usize,
+    reply: HelloReply,
+    claimed: Option<ServerBundle>,
+    pooled: Option<(ServerBundle, ClientBundle)>,
+    /// The halves this session continues; setup fills in the rest.
+    lineage: ServerLineage,
+}
+
 /// The machine's position in the protocol. Each live variant holds the
 /// state its next step starts from.
 enum State {
     Handshake,
-    Setup {
-        batch: usize,
-        reply: HelloReply,
-        claimed: Option<ServerBundle>,
-        pooled: Option<(ServerBundle, ClientBundle)>,
-    },
-    /// Second half of setup: the fragment-OT base batch is done and its
-    /// RNG draws committed, so a park on the Yao batch re-runs only that.
-    SetupYao {
-        kk: FragmentChooser,
-        batch: usize,
-        reply: HelloReply,
-        claimed: Option<ServerBundle>,
-        pooled: Option<(ServerBundle, ClientBundle)>,
-    },
+    /// The fragment base-OT batch, if the session runs the interactive
+    /// offline phase and continues no fragment half.
+    Setup(Admitted),
+    /// The Yao base-OT batch, if the session continues no Yao half. A step
+    /// of its own: the fragment batch's RNG draws are committed, so a park
+    /// here re-runs only this batch.
+    SetupYao(Admitted),
     /// The walk owns the fragment chooser; the evaluator waits beside it
     /// for the online phase, untouched and never copied with the walk.
     Offline {
         walk: Box<ServerOfflineWalk>,
         yao: Box<YaoEvaluator>,
     },
+    /// The walk owns the evaluator; the fragment chooser (spent by the
+    /// offline phase, or continued past a session that had no use for it)
+    /// waits beside it to be parked.
     Online {
         walk: Box<ServerOnlineWalk>,
+        kk: Option<FragmentChooser>,
     },
     Done,
     Failed(ProtocolError),
@@ -354,6 +386,8 @@ pub struct SessionDriver<H: SessionHost> {
     token: Option<ResumeToken>,
     batch: Option<usize>,
     checkpoint: Option<ServerBundle>,
+    /// The hello reply promised to park this session's lineage.
+    park: bool,
     pending: Vec<DriverEffect>,
     /// Inbox length at the last starvation, to skip no-progress attempts.
     parked_at: Option<usize>,
@@ -383,6 +417,7 @@ impl<H: SessionHost> SessionDriver<H> {
             token: None,
             batch: None,
             checkpoint: None,
+            park: false,
             pending: Vec::new(),
             parked_at: None,
         }
@@ -421,8 +456,16 @@ impl<H: SessionHost> SessionDriver<H> {
     /// retryably (`Some(e)` with [`ProtocolError::is_retryable`]) parks
     /// its connection-independent offline state under the client's token
     /// — the client will be back — while a completed one (`None`) forgets
-    /// the token. A fatal error leaves the store alone: a claimed
-    /// checkpoint already left it, and nothing will resume this session.
+    /// any checkpoint under the token. A fatal error leaves the store
+    /// alone: a claimed checkpoint already left it, and nothing will
+    /// resume this session.
+    ///
+    /// The lineage is not settled here. A session that reached `Done`
+    /// parked it in that step, and `release_checkpoint(token, None)`
+    /// leaves it be; a session that ended any other way drops the halves
+    /// it held with the driver, and a checkpoint parked under the token
+    /// replaces what a late failure (the last write) left there. Either
+    /// way no lineage survives a session that did not end cleanly.
     pub fn settle(&mut self, error: Option<&ProtocolError>) {
         let Some(token) = self.token else { return };
         match error {
@@ -458,7 +501,7 @@ impl<H: SessionHost> SessionDriver<H> {
     pub fn phase(&self) -> &'static str {
         match self.state {
             State::Handshake => "handshake",
-            State::Setup { .. } | State::SetupYao { .. } => "setup",
+            State::Setup(_) | State::SetupYao(_) => "setup",
             State::Offline { .. } => "offline",
             State::Online { .. } => "online",
             State::Done => "done",
@@ -522,8 +565,7 @@ impl<H: SessionHost> SessionDriver<H> {
             State::Handshake => {
                 ch.mark_phase("handshake");
                 let host = &self.host;
-                let mut claimed = None;
-                let mut pooled = None;
+                let mut admitted = Admitted::default();
                 // The host closures run exactly once: the handshake's
                 // only suspension point is its initial recv, before they
                 // are consulted, and everything after that recv is
@@ -532,55 +574,66 @@ impl<H: SessionHost> SessionDriver<H> {
                     ch,
                     |b| host.params_for(b),
                     |t| {
-                        claimed = host.claim_checkpoint(t);
-                        claimed.is_some()
+                        admitted.claimed = host.claim_checkpoint(t);
+                        admitted.claimed.is_some()
                     },
                     |p, mode| {
-                        pooled = host.take_bundle(p, mode);
-                        pooled.is_some()
+                        admitted.pooled = host.take_bundle(p, mode);
+                        admitted.pooled.is_some()
+                    },
+                    host.parks_lineages(),
+                    |t, mode| {
+                        let mut held = host.claim_lineage(t).unwrap_or_default();
+                        // A fragment half of the other mode is no use to a
+                        // session in this one.
+                        if held.mode().is_some_and(|m| m != mode) {
+                            held.kk = None;
+                        }
+                        admitted.lineage = held;
+                        admitted.lineage.halves()
                     },
                 )?;
+                // What the client did not offer it does not hold.
+                admitted.lineage.retain(reply.continued);
                 self.token = Some(token);
                 self.batch = Some(batch);
-                State::Setup { batch, reply, claimed, pooled }
+                self.park = reply.park;
+                State::Setup(Admitted { batch, reply, ..admitted })
             }
-            State::Setup { batch, reply, claimed, pooled } => {
+            State::Setup(admitted) => {
                 ch.mark_phase("setup");
-                let kk = FragmentChooser::setup(ch, reply.mode(), rng)?;
-                State::SetupYao {
-                    kk,
-                    batch: *batch,
-                    reply: *reply,
-                    claimed: claimed.take(),
-                    pooled: pooled.take(),
+                if let Some(mode) = admitted.reply.offline() {
+                    admitted.lineage.ensure_kk(ch, mode, rng)?;
                 }
+                State::SetupYao(std::mem::take(admitted))
             }
-            State::SetupYao { kk, batch, reply, claimed, pooled } => {
-                let (batch, reply) = (*batch, *reply);
-                // The Yao batch first: an attempt that starves in it copies
-                // nothing.
-                let yao = YaoEvaluator::setup(ch, rng)?;
-                // A resumed or dealt bundle goes straight to the edge: the
-                // fragment chooser this connection set up is never used.
+            State::SetupYao(admitted) => {
+                admitted.lineage.ensure_yao(ch, rng)?;
+                let Admitted { batch, reply, claimed, pooled, lineage } = std::mem::take(admitted);
+                let ServerLineage { kk, yao } = lineage;
+                let yao = yao.expect("the Yao half is continued or was just set up");
+                // A resumed or dealt bundle goes straight to the edge, with
+                // whatever fragment chooser the lineage carries riding along
+                // unused.
                 if reply.resume {
-                    let bundle =
-                        claimed.clone().expect("accepted resume implies a claimed checkpoint");
+                    let bundle = claimed.expect("accepted resume implies a claimed checkpoint");
                     if bundle.batch != batch {
                         return Err(ProtocolError::Malformed("resumed checkpoint batch mismatch"));
                     }
                     self.checkpoint = Some(bundle.clone());
-                    enter_online(ch, &self.server, ServerOffline::from_bundle(yao, bundle))?
+                    enter_online(ch, &self.server, ServerOffline::from_bundle(yao, bundle), kk)?
                 } else if reply.bundle {
-                    let (sb, cb) = pooled.clone().expect("accepted bundle implies a pooled pair");
+                    let (sb, cb) = pooled.expect("accepted bundle implies a pooled pair");
                     ch.mark_phase("bundle");
                     ch.send_frame(&Bundle(cb.encode(self.server.model.config().ring)))?;
                     ch.flush()?;
                     self.checkpoint = Some(sb.clone());
-                    enter_online(ch, &self.server, ServerOffline::from_bundle(yao, sb))?
+                    enter_online(ch, &self.server, ServerOffline::from_bundle(yao, sb), kk)?
                 } else {
                     ch.mark_phase("offline");
                     let sg = self.server.model.secure_graph(batch)?;
-                    let walk = ServerOfflineWalk::new(kk.clone(), sg, self.server.exec);
+                    let kk = kk.expect("the fragment half is continued or was just set up");
+                    let walk = ServerOfflineWalk::new(kk, sg, self.server.exec);
                     State::Offline { walk: Box::new(walk), yao: Box::new(yao) }
                 }
             }
@@ -591,21 +644,28 @@ impl<H: SessionHost> SessionDriver<H> {
                     *walk = trial;
                     return Ok(None);
                 }
-                // The edge: the walk's bundle and the evaluator cross, the
-                // spent chooser does not.
-                let bundle = trial.finish();
+                // The edge: the walk's bundle and the evaluator cross into
+                // the online walk, the chooser waits beside it.
+                let (bundle, kk) = trial.finish();
                 self.checkpoint = Some(bundle.clone());
                 let yao = YaoEvaluator::clone(yao);
-                enter_online(ch, &self.server, ServerOffline::from_bundle(yao, bundle))?
+                enter_online(ch, &self.server, ServerOffline::from_bundle(yao, bundle), Some(kk))?
             }
-            State::Online { walk } => {
+            State::Online { walk, kk } => {
                 let mut trial = walk.clone();
                 trial.step(ch, &self.server.model)?;
                 if !trial.done() {
                     *walk = trial;
                     return Ok(None);
                 }
-                let (_, y0) = trial.finish();
+                let (yao, y0) = trial.finish();
+                // Parked before the output shares are even queued: a client
+                // that holds its logits finds the lineage in the store.
+                if let (true, Some(token)) = (self.park, self.token) {
+                    let mut lineage = ServerLineage { kk: kk.take(), yao: Some(yao) };
+                    lineage.park();
+                    self.host.park_lineage(token, lineage);
+                }
                 self.server.open_logits(ch, &y0)?;
                 ch.flush()?;
                 State::Done
@@ -617,15 +677,17 @@ impl<H: SessionHost> SessionDriver<H> {
 }
 
 /// The Offline→Online edge (or Setup→Online for a resumed or dealt
-/// bundle): marks the phase and starts the online walk over `state`.
+/// bundle): marks the phase and starts the online walk over `state`, with
+/// the lineage's fragment half kept for the park.
 fn enter_online(
     ch: &mut ReplayTransport,
     server: &SecureServer,
     state: ServerOffline,
+    kk: Option<FragmentChooser>,
 ) -> Result<State, ProtocolError> {
     ch.mark_phase("online");
     let sg = server.model.secure_graph(state.bundle.batch)?;
-    Ok(State::Online { walk: Box::new(ServerOnlineWalk::new(state, sg, server.exec)?) })
+    Ok(State::Online { walk: Box::new(ServerOnlineWalk::new(state, sg, server.exec)?), kk })
 }
 
 /// What a completed [`drive_frames`] run observed about the driver's

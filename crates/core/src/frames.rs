@@ -3,7 +3,7 @@
 //! Every message the handshake, offline phase, and online phase exchange is
 //! one of the frames below, moved exclusively through
 //! [`Transport::send_frame`]/[`Transport::recv_frame`]. Frame-level checks
-//! cover each payload's *shape* (the hello is exactly [`HELLO_LEN`] bytes,
+//! cover each payload's *shape* (the hello is [`HELLO_LEN`] bytes,
 //! the masked class index is one byte); batch- and ring-dependent exact
 //! lengths stay with the protocol code, which reports them as
 //! [`ProtocolError::Malformed`](crate::ProtocolError::Malformed).
@@ -12,14 +12,38 @@
 //! [`Transport::recv_frame`]: abnn2_net::Transport::recv_frame
 //! [`HELLO_LEN`]: crate::handshake::HELLO_LEN
 
-use crate::handshake::HELLO_LEN;
+use crate::handshake::{HELLO_LEN, LEGACY_HELLO_LEN};
 use abnn2_net::byte_frame;
-use abnn2_net::wire::tags;
+use abnn2_net::wire::{tags, Frame, WireError, WireGot};
 
-byte_frame! {
-    /// A handshake hello: magic, version, negotiated parameters, and the
-    /// resume token ([`crate::handshake`] documents the layout).
-    pub struct Hello, tag = tags::HELLO, name = "hello", exact = HELLO_LEN
+/// A handshake hello: magic, version, negotiated parameters, the session's
+/// token and the lineage token ([`crate::handshake`] documents the
+/// layout). Exactly [`HELLO_LEN`] bytes, or [`LEGACY_HELLO_LEN`] from a
+/// peer older than protocol v6, which is answered in kind.
+///
+/// [`LEGACY_HELLO_LEN`]: crate::handshake::LEGACY_HELLO_LEN
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Hello(pub Vec<u8>);
+
+impl Frame for Hello {
+    const TAG: u8 = tags::HELLO;
+    const NAME: &'static str = "hello";
+    const TAG_ERR: &'static str = "hello frame tag";
+
+    fn encode_into(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.0);
+    }
+
+    fn decode(payload: &[u8]) -> Result<Self, WireError> {
+        if payload.len() != HELLO_LEN && payload.len() != LEGACY_HELLO_LEN {
+            return Err(WireError {
+                expected: Self::NAME,
+                got: WireGot::Len(payload.len()),
+                context: "hello frame length",
+            });
+        }
+        Ok(Hello(payload.to_vec()))
+    }
 }
 
 byte_frame! {

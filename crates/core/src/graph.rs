@@ -38,7 +38,6 @@ use crate::matbeaver::{generate_matrix_p0, generate_matrix_p1, mul_matrix_shares
 use crate::matmul::{triplet_client_with, TripletMode, TripletWalk};
 use crate::nonlinear::Lowering;
 use crate::relu::ReluVariant;
-use crate::session::{ClientSession, ServerSession};
 use crate::ProtocolError;
 use abnn2_gc::{YaoEvaluator, YaoGarbler};
 use abnn2_math::{FragmentScheme, Matrix, Ring};
@@ -573,9 +572,9 @@ fn reshare_inputs<'a, T: Transport, M: Borrow<Matrix>>(
 
 /// Offline phase, server half: the loop over `ServerOfflineWalk::step`.
 /// One §4.1 triplet per linear op and one matrix Beaver triple per
-/// secret×secret matmul op over an established session, which is split
-/// here: the fragment chooser drives the walk and ends with it, the Yao
-/// evaluator crosses into the returned [`ServerOffline`] beside the bundle. The Gilboa cross
+/// secret×secret matmul op, extending the lineage's fragment chooser, which
+/// comes back advanced beside the bundle (the Yao half is not this phase's
+/// business). The Gilboa cross
 /// products behind matrix triples run over a dedicated IKNP pair, set up
 /// lazily at the first matmul op — graphs without matmul ops (MLP/CNN)
 /// send exactly the same bytes as before the extension.
@@ -585,17 +584,17 @@ fn reshare_inputs<'a, T: Transport, M: Borrow<Matrix>>(
 /// Returns [`ProtocolError`] on any subprotocol failure.
 pub fn server_offline_with<T: Transport, R: Rng + ?Sized>(
     ch: &mut T,
-    session: ServerSession,
+    kk: FragmentChooser,
     model: &ServedModel,
     sg: &SecureGraph,
     exec: ExecConfig,
     rng: &mut R,
-) -> Result<ServerOffline, ProtocolError> {
-    let mut walk = ServerOfflineWalk::new(session.kk, sg.clone(), exec);
+) -> Result<(ServerBundle, FragmentChooser), ProtocolError> {
+    let mut walk = ServerOfflineWalk::new(kk, sg.clone(), exec);
     while !walk.done() {
         walk.step(ch, model, rng)?;
     }
-    Ok(ServerOffline::from_bundle(session.yao, walk.finish()))
+    Ok(walk.finish())
 }
 
 /// The server's offline phase as a resumable walk: the fragment chooser,
@@ -723,10 +722,11 @@ impl ServerOfflineWalk {
         Ok(())
     }
 
-    /// Everything generated: the server half of what crosses into the
-    /// online phase. The spent chooser is dropped here.
-    pub(crate) fn finish(self) -> ServerBundle {
-        ServerBundle { us: self.us, mats: self.mats, batch: self.sg.batch() }
+    /// Everything generated — the server half of what crosses into the
+    /// online phase — and the chooser, advanced past every extension the
+    /// walk ran.
+    pub(crate) fn finish(self) -> (ServerBundle, FragmentChooser) {
+        (ServerBundle { us: self.us, mats: self.mats, batch: self.sg.batch() }, self.kk)
     }
 }
 
@@ -850,29 +850,22 @@ impl<T: Transport, R: Rng + ?Sized> Correlations<R> for Interactive<'_, T> {
 /// Offline phase, client half: `client_offline_walk` over the interactive
 /// protocols — the input mask, one fresh mask per re-sharing op, one §4.1
 /// triplet per linear op, and one matrix Beaver triple per secret×secret
-/// matmul op.
+/// matmul op — extending the lineage's fragment sender in place.
 ///
 /// # Errors
 ///
 /// Returns [`ProtocolError`] on any subprotocol failure.
 pub fn client_offline_with<T: Transport, R: Rng + ?Sized>(
     ch: &mut T,
-    mut session: ClientSession,
+    kk: &mut FragmentSender,
     sg: &SecureGraph,
     exec: ExecConfig,
     rng: &mut R,
-) -> Result<ClientOffline, ProtocolError> {
+) -> Result<ClientBundle, ProtocolError> {
     let config = &sg.graph().config;
-    let mut source = Interactive {
-        ch,
-        kk: &mut session.kk,
-        ots: None,
-        scheme: config.scheme.clone(),
-        ring: config.ring,
-        exec,
-    };
-    let bundle = client_offline_walk(sg, &mut source, rng)?;
-    Ok(ClientOffline::from_bundle(session.yao, bundle))
+    let mut source =
+        Interactive { ch, kk, ots: None, scheme: config.scheme.clone(), ring: config.ring, exec };
+    client_offline_walk(sg, &mut source, rng)
 }
 
 /// Online phase, server half: the loop over `ServerOnlineWalk::step`.

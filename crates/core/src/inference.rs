@@ -19,8 +19,10 @@
 //! The client's reconstructed outputs equal the model's `forward_exact`
 //! bit for bit.
 //!
-//! A session is hello → base-OT setup → {resume | dealt bundle | offline}
-//! → online. The client side of that sequence is written once, in
+//! A session is hello → setup (base OTs for whichever half of the lineage
+//! is neither continued nor idle on this path, [`crate::session`]) →
+//! {resume | dealt bundle | offline} → online → lineage kept. The client
+//! side of that sequence is written once, in
 //! [`SecureClient::run_job`]; the server side once, in
 //! [`SessionDriver`]. The plain, resilient
 //! and serving entry points differ only in how they mint connections and
@@ -35,14 +37,15 @@ use crate::graph::{
     CommCeiling, PublicModel, ServedModel,
 };
 use crate::handshake::{
-    handshake_client_ext, handshake_server_ext, HelloRequest, ResumeToken, SessionParams,
+    handshake_client_ext, handshake_server_ext, Halves, HelloRequest, ResumeToken, SessionParams,
 };
 use crate::relu::ReluVariant;
-use crate::session::{ClientSession, ServerSession};
+use crate::session::{ClientLineage, ServerLineage};
 use crate::ProtocolError;
 use abnn2_gc::{YaoEvaluator, YaoGarbler};
 use abnn2_math::Matrix;
 use abnn2_net::Transport;
+use abnn2_ot::FragmentSender;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -52,11 +55,10 @@ use std::sync::Arc;
 /// connection-independent [`ServerBundle`] (one triplet share `U` per
 /// linear op and one matrix triple per secret×secret matmul, in graph
 /// order). The fragment-OT half of the session ends with the offline
-/// phase. Triplets survive a connection loss; the cheap per-connection
-/// Yao setup does not — so a bundle checkpointed after a cut,
-/// manufactured ahead of time by a precompute pool, or produced by another
-/// offline protocol altogether (`abnn2-baselines`) pairs with any fresh
-/// evaluator.
+/// phase. Triplets survive a connection loss; a lineage does not — so a
+/// bundle checkpointed after a cut, manufactured ahead of time by a
+/// precompute pool, or produced by another offline protocol altogether
+/// (`abnn2-baselines`) pairs with any evaluator, fresh or continued.
 #[derive(Debug, Clone)]
 pub struct ServerOffline {
     pub(crate) yao: YaoEvaluator,
@@ -195,35 +197,47 @@ impl SecureServer {
         batch: usize,
         rng: &mut R,
     ) -> Result<ServerOffline, ProtocolError> {
-        let sg = self.model.secure_graph(batch)?;
+        self.model.secure_graph(batch)?;
         // The server announces parameters for *its own* expected batch: a
         // client announcing a different batch is a negotiation failure,
         // not something to silently adopt.
         let ours = self.params_for(batch);
-        let (_, _, reply) = handshake_server_ext(ch, |_| ours, |_| false, |_, _| false)?;
-        let session = ServerSession::setup_with(ch, reply.mode(), rng)?;
-        server_offline_with(ch, session, &self.model, &sg, self.exec, rng)
+        let (_, _, reply) = handshake_server_ext(
+            ch,
+            |_| ours,
+            |_| false,
+            |_, _| false,
+            false,
+            |_, _| Halves::default(),
+        )?;
+        let lineage = ServerLineage::setup_with(ch, reply.mode(), rng)?;
+        self.offline_with(ch, lineage, batch, rng)
     }
 
-    /// Triplet generation over an already-established session. Split from
-    /// session setup so a serving layer can attribute the two to separate
-    /// instrumentation phases (base OTs are per-connection and cheap;
-    /// triplets are the expensive, poolable part). The `rng` feeds the
-    /// server's matrix-triple shares for secret×secret matmul ops; plain
-    /// MLP/CNN graphs never draw from it.
+    /// Triplet generation over a lineage that holds both halves. Split
+    /// from setup so a caller can attribute the two to separate
+    /// instrumentation phases (base OTs run once per lineage; triplets
+    /// once per prediction, and are the poolable part). The `rng` feeds
+    /// the server's matrix-triple shares for secret×secret matmul ops;
+    /// plain MLP/CNN graphs never draw from it.
     ///
     /// # Errors
     ///
-    /// Returns [`ProtocolError`] on any subprotocol failure.
+    /// [`ProtocolError::Dimension`] for a lineage without both halves;
+    /// [`ProtocolError`] on any subprotocol failure.
     pub fn offline_with<T: Transport, R: Rng + ?Sized>(
         &self,
         ch: &mut T,
-        session: ServerSession,
+        lineage: ServerLineage,
         batch: usize,
         rng: &mut R,
     ) -> Result<ServerOffline, ProtocolError> {
         let sg = self.model.secure_graph(batch)?;
-        server_offline_with(ch, session, &self.model, &sg, self.exec, rng)
+        let (Some(kk), Some(yao)) = (lineage.kk, lineage.yao) else {
+            return Err(ProtocolError::Dimension("the offline phase needs both lineage halves"));
+        };
+        let (bundle, _) = server_offline_with(ch, kk, &self.model, &sg, self.exec, rng)?;
+        Ok(ServerOffline::from_bundle(yao, bundle))
     }
 
     /// Online phase: consumes offline state, processes one batch, opening
@@ -300,21 +314,31 @@ impl SecureServer {
     }
 }
 
+/// A client's lineage together with the token of the session that left it:
+/// what the server parked its half under.
+pub type HeldLineage = (ResumeToken, ClientLineage);
+
 /// What one logical prediction job carries across the connections it is
 /// attempted over: the resume token it presents, what it asks the server
-/// for, and the offline state a reconnect resumes from. A plain
-/// single-connection run uses [`ClientJob::default`].
-#[derive(Debug, Clone, Default)]
+/// for, the offline state a reconnect resumes from, and the lineage it
+/// continues and leaves. A plain single-connection run uses
+/// [`ClientJob::default`].
+#[derive(Debug, Default)]
 pub struct ClientJob {
     token: ResumeToken,
     request_bundle: bool,
     deadlines: SessionDeadlines,
     resumed: bool,
     warm: bool,
+    continued: bool,
     /// Offline state of the latest attempt that completed its offline
     /// half; triplets are connection-independent, so a reconnect resumes
     /// from here when the server still holds the matching half.
     checkpoint: Option<ClientBundle>,
+    /// Before an attempt: the lineage it offers, which the attempt takes —
+    /// so an attempt that fails forfeits it and the next one offers
+    /// nothing. After a successful attempt: the lineage that one left.
+    lineage: Option<HeldLineage>,
 }
 
 impl ClientJob {
@@ -339,6 +363,42 @@ impl ClientJob {
     pub fn warm(&self) -> bool {
         self.warm
     }
+
+    /// Whether the latest attempt continued at least one half of a lineage
+    /// instead of running its base OTs.
+    #[must_use]
+    pub fn continued(&self) -> bool {
+        self.continued
+    }
+
+    /// Has the job's first attempt offer `lineage`, the one an earlier job
+    /// [left](Self::take_lineage).
+    #[must_use]
+    pub fn with_lineage(mut self, lineage: Option<HeldLineage>) -> Self {
+        self.lineage = lineage;
+        self
+    }
+
+    /// The lineage the job's successful attempt left, for the next job;
+    /// `None` after a failure, or when the server parks none. Also `Some`
+    /// for an offered lineage no attempt got to present (every dial
+    /// failed, or the server refused admission): the server never saw it,
+    /// so it is as claimable as before.
+    pub fn take_lineage(&mut self) -> Option<HeldLineage> {
+        self.lineage.take()
+    }
+}
+
+/// What [`SecureClient::establish`] hands the online phase, and what of
+/// the lineage waits beside it for the session's end.
+struct Established {
+    state: ClientOffline,
+    /// The fragment half: spent by the offline phase, or continued past a
+    /// session that had no use for it.
+    kk: Option<FragmentSender>,
+    /// The server parks its halves at the clean end, so ours are worth
+    /// keeping.
+    park: bool,
 }
 
 /// The data-owning party, for any [`PublicModel`] topology.
@@ -397,53 +457,76 @@ impl SecureClient {
         &self.model
     }
 
-    /// The first half of a session: hello, base-OT setup, and then
-    /// whichever source of offline state the server's reply selects —
-    /// the job's checkpoint (resume), a server-dealt bundle, or the
-    /// interactive offline phase. Marks the `handshake`/`setup`/`bundle`/
-    /// `offline` instrumentation phases and arms the offline budget.
+    /// The first half of a session: hello, setup, and then whichever
+    /// source of offline state the server's reply selects — the job's
+    /// checkpoint (resume), a server-dealt bundle, or the interactive
+    /// offline phase. Setup runs base OTs only for a lineage half the reply
+    /// did not continue and the selected path uses. Marks the
+    /// `handshake`/`setup`/`bundle`/`offline` instrumentation phases and
+    /// arms the offline budget.
     fn establish<T: Transport, R: Rng + ?Sized>(
         &self,
         ch: &mut T,
         batch: usize,
         job: &mut ClientJob,
         rng: &mut R,
-    ) -> Result<ClientOffline, ProtocolError> {
+    ) -> Result<Established, ProtocolError> {
         let sg = self.model.secure_graph(batch)?;
         let ours = SessionParams::for_graph(sg.graph(), self.exec.variant, batch);
 
         ch.mark_phase("handshake");
+        // Taken, not borrowed: from the moment the hello leaves, the
+        // server may have claimed its half, and only a session that ends
+        // cleanly puts a lineage back.
+        let (lineage_token, mut lineage) = job.lineage.take().unwrap_or_default();
         let request = HelloRequest {
             resume: job.checkpoint.is_some(),
             bundle: job.request_bundle && job.checkpoint.is_none(),
             silent: self.silent,
+            lineage: lineage_token,
+            held: lineage.halves(),
         };
-        let reply = handshake_client_ext(ch, ours, &job.token, request)?;
+        let reply = match handshake_client_ext(ch, ours, &job.token, request) {
+            Ok(reply) => reply,
+            Err(e) => {
+                // A busy server answers without reading the hello.
+                if matches!(e, ProtocolError::Overloaded { .. }) && request.held.any() {
+                    job.lineage = Some((lineage_token, lineage));
+                }
+                return Err(e);
+            }
+        };
+        lineage.retain(reply.continued);
+        job.continued = reply.continued.any();
 
         ch.set_phase_budget(job.deadlines.offline_budget)?;
         ch.mark_phase("setup");
-        let session = ClientSession::setup_with(ch, reply.mode(), rng)?;
+        lineage.complete(ch, reply.offline(), rng)?;
+        let ClientLineage { mut kk, yao } = lineage;
+        let yao = yao.expect("complete() leaves a Yao half");
 
-        if reply.resume {
+        let bundle = if reply.resume {
             job.resumed = true;
-            let bundle =
-                job.checkpoint.clone().expect("resume is only requested with a checkpoint");
-            return Ok(ClientOffline::from_bundle(session.yao, bundle));
-        }
-        job.warm = reply.bundle;
-        // The server holds neither our checkpoint nor (on the cold path)
-        // a pooled bundle: whatever we held is useless to it.
-        job.checkpoint = None;
-        let state = if reply.bundle {
-            ch.mark_phase("bundle");
-            let Bundle(bytes) = ch.recv_frame()?;
-            ClientOffline::from_bundle(session.yao, ClientBundle::decode(&bytes, &sg)?)
+            job.checkpoint.clone().expect("resume is only requested with a checkpoint")
         } else {
-            ch.mark_phase("offline");
-            client_offline_with(ch, session, &sg, self.exec, rng)?
+            job.warm = reply.bundle;
+            // The server holds neither our checkpoint nor (on the cold
+            // path) a pooled bundle: whatever we held is useless to it.
+            job.checkpoint = None;
+            let bundle = if reply.bundle {
+                ch.mark_phase("bundle");
+                let Bundle(bytes) = ch.recv_frame()?;
+                ClientBundle::decode(&bytes, &sg)?
+            } else {
+                ch.mark_phase("offline");
+                let kk =
+                    kk.as_mut().expect("complete() leaves the offline phase its fragment half");
+                client_offline_with(ch, kk, &sg, self.exec, rng)?
+            };
+            job.checkpoint = Some(bundle.clone());
+            bundle
         };
-        job.checkpoint = Some(state.bundle.clone());
-        Ok(state)
+        Ok(Established { state: ClientOffline::from_bundle(yao, bundle), kk, park: reply.park })
     }
 
     /// One attempt at `job` over one connection — the client side of the
@@ -452,7 +535,8 @@ impl SecureClient {
     /// under its own budget. Returns the raw logits (`out_dim × batch` ring elements at
     /// `f + f_w` fractional bits). On failure the job keeps whatever
     /// checkpoint the attempt reached, so the caller may retry it over a
-    /// fresh connection.
+    /// fresh connection, and loses the lineage it offered; on success it
+    /// holds the lineage this session left, if the server parks them.
     ///
     /// # Errors
     ///
@@ -467,11 +551,16 @@ impl SecureClient {
     ) -> Result<Matrix, ProtocolError> {
         // Reject inputs the model cannot take before any traffic flows.
         self.check_inputs(inputs_fp, inputs_fp.len())?;
-        let state = self.establish(ch, inputs_fp.len(), job, rng)?;
+        let Established { state, kk, park } = self.establish(ch, inputs_fp.len(), job, rng)?;
         ch.mark_phase("online");
         ch.set_phase_budget(job.deadlines.online_budget)?;
-        let y = self.online_raw(ch, state, inputs_fp, rng)?;
+        let (yao, y) = self.online_open(ch, state, inputs_fp, rng)?;
         ch.set_phase_budget(None)?;
+        if park {
+            let mut lineage = ClientLineage { kk, yao: Some(yao) };
+            lineage.park();
+            job.lineage = Some((job.token, lineage));
+        }
         Ok(y)
     }
 
@@ -488,24 +577,29 @@ impl SecureClient {
         batch: usize,
         rng: &mut R,
     ) -> Result<ClientOffline, ProtocolError> {
-        self.establish(ch, batch, &mut ClientJob::default(), rng)
+        Ok(self.establish(ch, batch, &mut ClientJob::default(), rng)?.state)
     }
 
-    /// Triplet generation over an already-established session (see the
+    /// Triplet generation over a lineage that holds both halves (see the
     /// server counterpart for why this is split out).
     ///
     /// # Errors
     ///
-    /// Returns [`ProtocolError`] on any subprotocol failure.
+    /// [`ProtocolError::Dimension`] for a lineage without both halves;
+    /// [`ProtocolError`] on any subprotocol failure.
     pub fn offline_with<T: Transport, R: Rng + ?Sized>(
         &self,
         ch: &mut T,
-        session: ClientSession,
+        lineage: ClientLineage,
         batch: usize,
         rng: &mut R,
     ) -> Result<ClientOffline, ProtocolError> {
         let sg = self.model.secure_graph(batch)?;
-        client_offline_with(ch, session, &sg, self.exec, rng)
+        let (Some(mut kk), Some(yao)) = (lineage.kk, lineage.yao) else {
+            return Err(ProtocolError::Dimension("the offline phase needs both lineage halves"));
+        };
+        let bundle = client_offline_with(ch, &mut kk, &sg, self.exec, rng)?;
+        Ok(ClientOffline::from_bundle(yao, bundle))
     }
 
     fn check_inputs(&self, inputs_fp: &[Vec<u64>], batch: usize) -> Result<(), ProtocolError> {
@@ -557,16 +651,28 @@ impl SecureClient {
         inputs_fp: &[Vec<u64>],
         rng: &mut R,
     ) -> Result<Matrix, ProtocolError> {
+        Ok(self.online_open(ch, state, inputs_fp, rng)?.1)
+    }
+
+    /// [`online_raw`](Self::online_raw), also returning the garbler the
+    /// phase advanced.
+    fn online_open<T: Transport, R: Rng + ?Sized>(
+        &self,
+        ch: &mut T,
+        state: ClientOffline,
+        inputs_fp: &[Vec<u64>],
+        rng: &mut R,
+    ) -> Result<(YaoGarbler, Matrix), ProtocolError> {
         let ring = self.model.config().ring;
         let batch = state.bundle.batch;
         let m = self.model.graph.output_len();
-        let (_, y1) = self.online_to_logits(ch, state, inputs_fp, rng)?;
+        let (yao, y1) = self.online_to_logits(ch, state, inputs_fp, rng)?;
         let OutputShares(y0_bytes) = ch.recv_frame()?;
         if y0_bytes.len() != m * batch * ring.byte_len() {
             return Err(ProtocolError::Malformed("output share length"));
         }
         let y0 = Matrix::new(m, batch, ring.decode_slice(&y0_bytes));
-        Ok(y0.add(&y1, &ring))
+        Ok((yao, y0.add(&y1, &ring)))
     }
 
     /// Classification-only online phase (extension): returns just the

@@ -81,10 +81,12 @@ pub use driver::{
 };
 pub use error::ProtocolError;
 pub use graph::{CommCeiling, PublicModel, SecureGraph, ServedModel, TripletPlan};
-pub use handshake::{HelloReply, HelloRequest, ResumeToken, SessionParams, PROTOCOL_VERSION};
-pub use inference::{ClientJob, SecureClient, SecureServer};
+pub use handshake::{
+    Halves, HelloReply, HelloRequest, ResumeToken, SessionParams, PROTOCOL_VERSION,
+};
+pub use inference::{ClientJob, HeldLineage, SecureClient, SecureServer};
 pub use matbeaver::MatrixTriple;
 pub use matmul::TripletMode;
 pub use relu::ReluVariant;
-pub use resilient::{CheckpointStore, ResilientClient, ResilientServer, RunReport};
-pub use session::{ClientSession, ServerSession};
+pub use resilient::{CheckpointStore, LineageStats, ResilientClient, ResilientServer, RunReport};
+pub use session::{ClientLineage, ServerLineage};

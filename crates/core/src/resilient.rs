@@ -1,13 +1,14 @@
 //! Reconnect-and-resume drivers for secure inference.
 //!
 //! The offline phase is by far the expensive part of an ABNN² prediction
-//! (per-layer dot-product triplets via 1-out-of-N OT); the per-connection
-//! session setup (base OTs) and the online phase are cheap. The resilient
-//! drivers exploit that asymmetry: when a connection dies mid-protocol,
-//! they checkpoint the *triplet shares* — plain ring elements with no
+//! (per-layer dot-product triplets via 1-out-of-N OT). The resilient
+//! drivers exploit that: when a connection dies mid-protocol, they
+//! checkpoint the *triplet shares* — plain ring elements with no
 //! connection-bound state — reconnect under a capped-backoff
 //! [`RetryPolicy`], re-run the handshake presenting a session-resume
-//! token, redo only the cheap base-OT setup, and replay the online phase.
+//! token, set up a fresh Yao half (the dead session's lineage is forfeit:
+//! its positions may have moved on one side only, and a rewound position
+//! is a reused pad), and replay the online phase.
 //! Because the online outputs are a deterministic function of the triplets
 //! and the input (GC label randomness never reaches the opened shares),
 //! the resumed run produces logits bit-identical to an uninterrupted one.
@@ -31,6 +32,7 @@ use crate::config::SessionDeadlines;
 use crate::driver::{drive_frames_with, DriverEffect, SessionDriver, SessionHost};
 use crate::handshake::{ResumeToken, SessionParams};
 use crate::inference::{ClientJob, SecureClient, SecureServer};
+use crate::session::ServerLineage;
 use crate::ProtocolError;
 use abnn2_math::Matrix;
 use abnn2_net::{ResilientDriver, RetryPolicy, Transport, TransportError};
@@ -51,28 +53,78 @@ pub struct RunReport {
     pub resumed: bool,
 }
 
-/// Default checkpoint capacity for a [`ResilientServer`]'s store.
+/// Default entry capacity for a [`ResilientServer`]'s store.
 pub const DEFAULT_CHECKPOINT_CAPACITY: usize = 256;
 
-/// Bounded, thread-safe store of server-side offline checkpoints, keyed by
-/// the client's resume token.
+/// Byte bound of every [`CheckpointStore`]: 128 KiB an entry at the
+/// default capacity, 32 MiB in all. A parked lineage weighs 92 KiB with
+/// the Yao half alone, 205 KiB with the silent fragment half beside it and
+/// 276 KiB with the KK13 one (two AES key schedules and a counter, 736
+/// bytes, per extension column: 128 columns of IKNP, 256 of KK13), so the
+/// entry bound alone would let a store grow to 72 MB; under this one a
+/// store of full KK13 lineages holds 118 of them.
+pub const CHECKPOINT_BYTE_CAPACITY: usize = DEFAULT_CHECKPOINT_CAPACITY * (128 << 10);
+
+/// What a [`CheckpointStore`] has seen of lineages so far, plus what it
+/// holds of them now.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LineageStats {
+    /// Lineages parked by sessions that ended cleanly.
+    pub parked: u64,
+    /// Lineage claims that found the entry.
+    pub claimed: u64,
+    /// Lineage claims for a token the store held no lineage under.
+    pub missed: u64,
+    /// Parked lineages dropped unclaimed: pushed out by the entry or byte
+    /// bound, or overwritten by a later entry under the same token.
+    pub evicted: u64,
+    /// Bytes of lineages parked right now.
+    pub parked_bytes: u64,
+}
+
+/// What a token's entry holds: a dead session's offline state, or a
+/// finished session's OT-extension state. Never both — a session parks a
+/// lineage only by ending cleanly, a checkpoint only by dying — so a token
+/// needs one slot.
+#[derive(Debug)]
+enum Parked {
+    Checkpoint(ServerBundle),
+    Lineage(ServerLineage),
+}
+
+impl Parked {
+    fn bytes(&self) -> usize {
+        match self {
+            Parked::Checkpoint(bundle) => bundle.parked_bytes(),
+            Parked::Lineage(lineage) => lineage.parked_bytes(),
+        }
+    }
+}
+
+/// Bounded, thread-safe store of what sessions leave behind on the server,
+/// keyed by the session's token: the offline checkpoint of a session that
+/// died retryably, for its reconnecting client to resume, or the lineage
+/// ([`crate::session`]) of a session that ended cleanly, for that client's
+/// next session to continue.
 ///
-/// A long-running server accumulates checkpoints from every interrupted
-/// session; without a bound that is an unbounded memory leak driven by
-/// remote behavior. The store enforces a hard `capacity`: inserting beyond
-/// it evicts the least-recently-used entry. An evicted token simply
-/// downgrades the client's next resume attempt to a fresh offline run —
-/// exactly the path a stale token already takes — so eviction is always
-/// safe, never an error.
+/// A long-running server accumulates entries from every session; without a
+/// bound that is an unbounded memory leak driven by remote behavior. The
+/// store enforces a hard `capacity` in entries and
+/// [`CHECKPOINT_BYTE_CAPACITY`] in bytes, each entry reporting its own
+/// size: inserting beyond either evicts least-recently-used entries. An
+/// evicted token simply downgrades the client's next attempt to a fresh
+/// offline run or a fresh setup — exactly the path a stale token already
+/// takes — so eviction is always safe, never an error.
 ///
-/// Resume claims are **single-use and atomic**: [`claim`](Self::claim)
-/// removes the entry, so two concurrent connections presenting the same
-/// token can never both resume from (and interleave over) the same
-/// checkpointed triplets — the loser of the race runs a fresh offline
-/// phase. The entry is re-inserted only when the session later fails
-/// *retryably* (the client will be back); while a session is live its
-/// checkpoint is out of the store, which is what closes the duplicate
-/// window, and on success it is gone for good.
+/// Claims are **single-use and atomic**: [`claim`](Self::claim) and
+/// [`claim_lineage`](Self::claim_lineage) remove the entry, so two
+/// concurrent connections presenting the same token can never both resume
+/// from the same checkpointed triplets or both extend the same lineage —
+/// the loser of the race runs a fresh offline phase, or a fresh setup. A
+/// checkpoint is re-inserted only when the session later fails *retryably*
+/// (the client will be back); a lineage only, advanced, when the session
+/// that claimed it ends cleanly. While a session is live its entry is out
+/// of the store, which is what closes the duplicate window.
 #[derive(Debug)]
 pub struct CheckpointStore {
     inner: Mutex<StoreInner>,
@@ -80,56 +132,145 @@ pub struct CheckpointStore {
 
 #[derive(Debug)]
 struct StoreInner {
-    /// token → (recency stamp, checkpointed bundle).
-    entries: HashMap<ResumeToken, (u64, ServerBundle)>,
+    /// token → (recency stamp, size in bytes, what is parked).
+    entries: HashMap<ResumeToken, (u64, usize, Parked)>,
     /// Monotonic recency counter.
     clock: u64,
     capacity: usize,
+    byte_capacity: usize,
+    /// Sum of the entries' sizes.
+    bytes: usize,
+    lineages: LineageStats,
+}
+
+impl StoreInner {
+    /// Takes `token`'s entry out, keeping the byte totals true.
+    fn take(&mut self, token: &ResumeToken) -> Option<Parked> {
+        let (_, bytes, parked) = self.entries.remove(token)?;
+        self.bytes -= bytes;
+        if matches!(parked, Parked::Lineage(_)) {
+            self.lineages.parked_bytes -= bytes as u64;
+        }
+        Some(parked)
+    }
+
+    /// Takes `token`'s entry out if it is of the kind asked for.
+    fn take_kind(&mut self, token: &ResumeToken, lineage: bool) -> Option<Parked> {
+        let (_, _, parked) = self.entries.get(token)?;
+        if matches!(parked, Parked::Lineage(_)) != lineage {
+            return None;
+        }
+        self.take(token)
+    }
+
+    /// Takes `token`'s entry out unclaimed.
+    fn evict(&mut self, token: &ResumeToken) {
+        if let Some(Parked::Lineage(_)) = self.take(token) {
+            self.lineages.evicted += 1;
+        }
+    }
+
+    /// Inserts (or replaces) `token`'s entry, then evicts least-recently
+    /// used entries until both bounds hold — the new one too, if it alone
+    /// is over the byte bound.
+    fn put(&mut self, token: ResumeToken, parked: Parked) {
+        self.evict(&token);
+        self.clock += 1;
+        let bytes = parked.bytes();
+        self.bytes += bytes;
+        if matches!(parked, Parked::Lineage(_)) {
+            self.lineages.parked_bytes += bytes as u64;
+        }
+        self.entries.insert(token, (self.clock, bytes, parked));
+        while self.entries.len() > self.capacity || self.bytes > self.byte_capacity {
+            let oldest = self
+                .entries
+                .iter()
+                .min_by_key(|(_, (stamp, _, _))| *stamp)
+                .map(|(t, _)| *t)
+                .expect("non-empty over capacity");
+            self.evict(&oldest);
+        }
+    }
 }
 
 impl CheckpointStore {
-    /// Creates a store holding at most `capacity` checkpoints.
+    /// Creates a store holding at most `capacity` entries and
+    /// [`CHECKPOINT_BYTE_CAPACITY`] bytes.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
+        Self::with_byte_capacity(capacity, CHECKPOINT_BYTE_CAPACITY)
+    }
+
+    fn with_byte_capacity(capacity: usize, byte_capacity: usize) -> Self {
         assert!(capacity > 0, "checkpoint capacity must be positive");
         CheckpointStore {
-            inner: Mutex::new(StoreInner { entries: HashMap::new(), clock: 0, capacity }),
+            inner: Mutex::new(StoreInner {
+                entries: HashMap::new(),
+                clock: 0,
+                capacity,
+                byte_capacity,
+                bytes: 0,
+                lineages: LineageStats::default(),
+            }),
         }
     }
 
-    /// Inserts (or replaces) the checkpoint for `token`, evicting the
-    /// least-recently-used entry if the store is at capacity.
+    fn lock(&self) -> std::sync::MutexGuard<'_, StoreInner> {
+        self.inner.lock().expect("no store operation panics while holding the lock")
+    }
+
+    /// Inserts (or replaces) the checkpoint for `token`, evicting
+    /// least-recently-used entries while the store is over a bound.
     pub fn insert(&self, token: ResumeToken, bundle: ServerBundle) {
-        let mut inner = self.inner.lock().expect("checkpoint lock");
-        inner.clock += 1;
-        let stamp = inner.clock;
-        inner.entries.insert(token, (stamp, bundle));
-        while inner.entries.len() > inner.capacity {
-            let oldest = inner
-                .entries
-                .iter()
-                .min_by_key(|(_, (stamp, _))| *stamp)
-                .map(|(t, _)| *t)
-                .expect("non-empty over capacity");
-            inner.entries.remove(&oldest);
-        }
+        self.lock().put(token, Parked::Checkpoint(bundle));
     }
 
     /// Atomically removes and returns the checkpoint for `token`, if the
-    /// store still holds it. At most one of any number of concurrent
-    /// claimants succeeds.
+    /// store still holds one. At most one of any number of concurrent
+    /// claimants succeeds. A lineage under the token stays where it is.
     #[must_use]
     pub fn claim(&self, token: &ResumeToken) -> Option<ServerBundle> {
-        self.inner.lock().expect("checkpoint lock").entries.remove(token).map(|(_, b)| b)
+        match self.lock().take_kind(token, false) {
+            Some(Parked::Checkpoint(bundle)) => Some(bundle),
+            _ => None,
+        }
+    }
+
+    /// Parks the lineage a cleanly ended session leaves under its token,
+    /// replacing whatever sat there.
+    pub fn park_lineage(&self, token: ResumeToken, lineage: ServerLineage) {
+        let mut inner = self.lock();
+        inner.lineages.parked += 1;
+        inner.put(token, Parked::Lineage(lineage));
+    }
+
+    /// Atomically removes and returns the lineage parked under `token`, if
+    /// the store still holds one. At most one of any number of concurrent
+    /// claimants succeeds. A checkpoint under the token stays where it is.
+    #[must_use]
+    pub fn claim_lineage(&self, token: &ResumeToken) -> Option<ServerLineage> {
+        let mut inner = self.lock();
+        match inner.take_kind(token, true) {
+            Some(Parked::Lineage(lineage)) => {
+                inner.lineages.claimed += 1;
+                Some(lineage)
+            }
+            _ => {
+                inner.lineages.missed += 1;
+                None
+            }
+        }
     }
 
     /// Drops the checkpoint for `token`, if present (end-of-job cleanup).
+    /// A lineage under the token is not a checkpoint and stays.
     pub fn remove(&self, token: &ResumeToken) {
-        self.inner.lock().expect("checkpoint lock").entries.remove(token);
+        let _ = self.claim(token);
     }
 
     /// [`insert`](Self::insert) when a session parks a bundle,
@@ -145,7 +286,7 @@ impl CheckpointStore {
     /// Whether the store currently holds `token` (refreshes its recency).
     #[must_use]
     pub fn contains(&self, token: &ResumeToken) -> bool {
-        let mut inner = self.inner.lock().expect("checkpoint lock");
+        let mut inner = self.lock();
         inner.clock += 1;
         let stamp = inner.clock;
         match inner.entries.get_mut(token) {
@@ -157,16 +298,28 @@ impl CheckpointStore {
         }
     }
 
-    /// Number of checkpoints currently held.
+    /// Number of entries currently held, checkpoints and lineages.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("checkpoint lock").entries.len()
+        self.lock().entries.len()
     }
 
     /// Whether the store is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Bytes currently held, checkpoints and lineages.
+    #[cfg(test)]
+    fn bytes(&self) -> usize {
+        self.lock().bytes
+    }
+
+    /// The lineage counters and the parked-bytes gauge.
+    #[must_use]
+    pub fn lineage_stats(&self) -> LineageStats {
+        self.lock().lineages
     }
 }
 
@@ -377,7 +530,8 @@ impl ResilientServer {
 
 /// [`SessionHost`] of one [`ResilientServer`] attempt: adopts the client's
 /// announced batch (a prediction service has no a-priori batch
-/// expectation), resumes from the store, never deals bundles.
+/// expectation), resumes from the store and parks lineages in it, never
+/// deals bundles.
 struct StoreHost<'a> {
     server: &'a SecureServer,
     store: &'a CheckpointStore,
@@ -407,6 +561,18 @@ impl SessionHost for StoreHost<'_> {
 
     fn release_checkpoint(&self, token: ResumeToken, parked: Option<ServerBundle>) {
         self.store.release(token, parked);
+    }
+
+    fn parks_lineages(&self) -> bool {
+        true
+    }
+
+    fn claim_lineage(&self, token: &ResumeToken) -> Option<ServerLineage> {
+        self.store.claim_lineage(token)
+    }
+
+    fn park_lineage(&self, token: ResumeToken, lineage: ServerLineage) {
+        self.store.park_lineage(token, lineage);
     }
 }
 
@@ -561,6 +727,141 @@ mod tests {
                 .sum()
         });
         assert_eq!(winners, 1, "exactly one concurrent claim may succeed");
+    }
+
+    /// A bundle of `elements` ring elements: `8 · elements` parked bytes.
+    fn bundle_of(elements: usize) -> ServerBundle {
+        ServerBundle {
+            us: vec![Matrix::new(elements, 1, vec![0; elements])],
+            mats: Vec::new(),
+            batch: 1,
+        }
+    }
+
+    /// A real lineage's server half: the Yao half alone, or both.
+    fn lineage(kk: bool) -> ServerLineage {
+        let offline = kk.then_some(OfflineMode::Iknp);
+        let (server, _, _) = abnn2_net::run_pair(
+            NetworkModel::instant(),
+            move |ch| {
+                let mut lineage = ServerLineage::default();
+                lineage.complete(ch, offline, &mut StdRng::seed_from_u64(1)).expect("server");
+                lineage
+            },
+            move |ch| {
+                let mut lineage = crate::session::ClientLineage::default();
+                lineage.complete(ch, offline, &mut StdRng::seed_from_u64(2)).expect("client");
+            },
+        );
+        server
+    }
+
+    #[test]
+    fn checkpoint_store_is_bounded_in_bytes_under_the_same_lru() {
+        // Room for 2 000 bytes, and entries to spare.
+        let store = CheckpointStore::with_byte_capacity(16, 2_000);
+        let (t1, t2, t3, t4) = ([1u8; 16], [2u8; 16], [3u8; 16], [4u8; 16]);
+        store.insert(t1, bundle_of(100));
+        store.insert(t2, bundle_of(100));
+        assert_eq!((store.len(), store.bytes()), (2, 1_600));
+        assert!(store.contains(&t1)); // refresh t1 → t2 is now oldest
+        store.insert(t3, bundle_of(100));
+        assert_eq!((store.len(), store.bytes()), (2, 1_600));
+        assert!(store.contains(&t1) && store.contains(&t3));
+        assert!(!store.contains(&t2), "t2 was least recently used");
+        // Replacing an entry counts its new size, not both.
+        store.insert(t1, bundle_of(50));
+        assert_eq!((store.len(), store.bytes()), (2, 1_200));
+        // Claims give the bytes back.
+        assert!(store.claim(&t3).is_some());
+        assert_eq!((store.len(), store.bytes()), (1, 400));
+        // An entry that alone is over the bound is not kept, and costs the
+        // others their place on its way through.
+        store.insert(t4, bundle_of(300));
+        assert_eq!((store.len(), store.bytes()), (0, 0));
+    }
+
+    #[test]
+    fn lineages_report_their_own_size_and_the_byte_bound_evicts_them() {
+        let yao_only = lineage(false);
+        let full = lineage(true);
+        let (small, big) = (yao_only.parked_bytes(), full.parked_bytes());
+        // Two PRG key schedules a column: 128 columns of IKNP, 256 more of
+        // KK13.
+        assert!((64 << 10..128 << 10).contains(&small), "Yao half parks {small} B");
+        assert_eq!(big, 3 * small, "KK13 holds twice IKNP's columns");
+        assert!(
+            CHECKPOINT_BYTE_CAPACITY / big < DEFAULT_CHECKPOINT_CAPACITY,
+            "the byte bound, not the entry bound, is what limits full lineages"
+        );
+
+        let store = CheckpointStore::with_byte_capacity(16, big + small);
+        store.park_lineage([1; 16], yao_only);
+        store.park_lineage([2; 16], full);
+        assert_eq!(store.bytes(), big + small);
+        assert_eq!(store.lineage_stats().parked_bytes, (big + small) as u64);
+        // One more Yao half does not fit beside both: the oldest goes.
+        store.park_lineage([3; 16], lineage(false));
+        assert!(!store.contains(&[1; 16]) && store.contains(&[2; 16]) && store.contains(&[3; 16]));
+        let stats = store.lineage_stats();
+        assert_eq!((stats.parked, stats.evicted, stats.parked_bytes), (3, 1, (big + small) as u64));
+        // A checkpoint pushes lineages out under the same LRU.
+        store.insert([4; 16], bundle_of(small / 8));
+        assert!(!store.contains(&[2; 16]), "the KK13 lineage was least recently used");
+        assert_eq!(store.lineage_stats().evicted, 2);
+        assert_eq!(store.lineage_stats().parked_bytes, small as u64);
+    }
+
+    /// The bug this pins: a completed session settles with
+    /// `release(token, None)`, which used to remove whatever sat under the
+    /// token — the lineage the same session had parked a moment earlier.
+    #[test]
+    fn a_clean_end_forgets_a_checkpoint_but_not_the_lineage_it_parked() {
+        let store = CheckpointStore::new(4);
+        let t = [7u8; 16];
+        store.insert(t, dummy_bundle(7));
+        store.release(t, None);
+        assert!(store.is_empty(), "a checkpoint under a finished session's token goes");
+
+        store.park_lineage(t, ServerLineage::default());
+        store.release(t, None);
+        assert!(store.contains(&t), "the lineage parked at the clean end stays");
+        assert_eq!(store.claim(&t), None, "a lineage is not a checkpoint");
+        assert!(store.claim_lineage(&t).is_some());
+        assert!(store.claim_lineage(&t).is_none(), "and claims once");
+
+        // A session that dies after parking (its last write failed) parks
+        // its checkpoint over the lineage: forfeited, not kept beside it.
+        store.park_lineage(t, ServerLineage::default());
+        store.release(t, Some(dummy_bundle(8)));
+        assert!(store.claim_lineage(&t).is_none());
+        assert_eq!(store.claim(&t), Some(dummy_bundle(8)));
+        let stats = store.lineage_stats();
+        assert_eq!(
+            (stats.parked, stats.claimed, stats.missed, stats.evicted, stats.parked_bytes),
+            (2, 1, 2, 1, 0)
+        );
+    }
+
+    #[test]
+    fn lineage_store_concurrent_claims_yield_one_winner() {
+        let store = Arc::new(CheckpointStore::new(4));
+        let t = [9u8; 16];
+        store.park_lineage(t, ServerLineage::default());
+        let winners: usize = std::thread::scope(|scope| {
+            (0..8)
+                .map(|_| {
+                    let store = Arc::clone(&store);
+                    scope.spawn(move || usize::from(store.claim_lineage(&t).is_some()))
+                })
+                .collect::<Vec<_>>()
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .sum()
+        });
+        assert_eq!(winners, 1, "exactly one concurrent claim may succeed");
+        let stats = store.lineage_stats();
+        assert_eq!((stats.claimed, stats.missed), (1, 7));
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Per-connection protocol sessions: OT extension and Yao state.
+//! OT-extension state as a value: what setup produces, what a session
+//! advances, and what a clean end leaves behind for the next one.
 //!
 //! ABNN² uses two OT sessions with opposite roles:
 //!
@@ -10,108 +11,174 @@
 //!   client garbles and the server evaluates (so the server is the OT
 //!   receiver for its input labels).
 //!
-//! Both are seeded once per connection by base OTs over the Edwards curve.
-//! A session is what setup returns and no more: it is split at the
-//! offline→online edge, the fragment-OT half going to the offline phase
-//! ([`crate::graph::server_offline_with`]) and ending with it, the Yao half
-//! going on into [`crate::inference::ServerOffline`] /
-//! [`crate::inference::ClientOffline`].
+//! Each is seeded by one batch of base OTs over the Edwards curve and then
+//! only extended: the PRG, tweak and COT-pool positions inside move forward
+//! with every extension and never back. A **lineage** is one party's pair
+//! of halves, [`ServerLineage`] or [`ClientLineage`]. Base OTs run once per
+//! lineage, not once per connection: [`complete`](ServerLineage::complete)
+//! runs a batch only for a half that is absent *and* that the session's
+//! path uses, so a fresh session sets up what it needs, a session
+//! continuing a parked lineage sets up nothing, and a warm or resumed one
+//! never sets up the fragment half. During a session the fragment half
+//! drives the offline phase ([`crate::graph::server_offline_with`]) and the
+//! Yao half crosses into [`crate::inference::ServerOffline`] /
+//! [`crate::inference::ClientOffline`]; after a clean end both are parked
+//! ([`park`](ServerLineage::park)) for exactly one successor (§6 of
+//! DESIGN.md has the rules that make that sound).
 
+use crate::handshake::Halves;
 use crate::ProtocolError;
 use abnn2_gc::{YaoEvaluator, YaoGarbler};
 use abnn2_net::Transport;
 use abnn2_ot::{FragmentChooser, FragmentSender, OfflineMode};
 use rand::Rng;
 
-/// Server-side session state (model holder).
-#[derive(Debug, Clone)]
-pub struct ServerSession {
+/// Server-side OT-extension state (model holder). `Clone` because the
+/// session driver runs each step on a copy; a copy that is not kept is
+/// dropped unused, so positions still only move forward.
+#[derive(Debug, Clone, Default)]
+pub struct ServerLineage {
     /// 1-out-of-N OT chooser used by the matmul triplet protocol.
-    pub kk: FragmentChooser,
+    pub kk: Option<FragmentChooser>,
     /// Garbled-circuit evaluator used by activation layers.
-    pub yao: YaoEvaluator,
+    pub yao: Option<YaoEvaluator>,
 }
 
-/// Client-side session state (data owner).
-#[derive(Debug)]
-pub struct ClientSession {
+/// Client-side OT-extension state (data owner). Deliberately not `Clone`:
+/// two copies of a sender would derive the same pads twice.
+#[derive(Debug, Default)]
+pub struct ClientLineage {
     /// 1-out-of-N OT sender used by the matmul triplet protocol.
-    pub kk: FragmentSender,
+    pub kk: Option<FragmentSender>,
     /// Garbled-circuit garbler used by activation layers.
-    pub yao: YaoGarbler,
+    pub yao: Option<YaoGarbler>,
 }
 
-impl ServerSession {
-    /// Runs both base-OT setups with the portable KK13 backend; must pair
-    /// with [`ClientSession::setup`] on the other endpoint.
-    ///
-    /// # Errors
-    ///
-    /// Propagates base-OT failures.
-    pub fn setup<T: Transport, R: Rng + ?Sized>(
-        ch: &mut T,
-        rng: &mut R,
-    ) -> Result<Self, ProtocolError> {
-        Self::setup_with(ch, OfflineMode::Iknp, rng)
-    }
+/// The two parties' lineages share everything but the half types, so the
+/// rules are written once.
+macro_rules! lineage_impl {
+    ($lineage:ident, $kk:ident, $yao:ident) => {
+        impl $lineage {
+            /// A fresh lineage with both halves over the portable KK13
+            /// backend; must pair with the peer's `setup`.
+            ///
+            /// # Errors
+            ///
+            /// Propagates base-OT failures.
+            pub fn setup<T: Transport, R: Rng + ?Sized>(
+                ch: &mut T,
+                rng: &mut R,
+            ) -> Result<Self, ProtocolError> {
+                Self::setup_with(ch, OfflineMode::Iknp, rng)
+            }
 
-    /// Runs both base-OT setups with an explicit offline mode; must pair
-    /// with [`ClientSession::setup_with`] using the *same* mode.
-    ///
-    /// # Errors
-    ///
-    /// Propagates base-OT failures.
-    pub fn setup_with<T: Transport, R: Rng + ?Sized>(
-        ch: &mut T,
-        mode: OfflineMode,
-        rng: &mut R,
-    ) -> Result<Self, ProtocolError> {
-        let kk = FragmentChooser::setup(ch, mode, rng)?;
-        let yao = YaoEvaluator::setup(ch, rng)?;
-        Ok(ServerSession { kk, yao })
-    }
+            /// A fresh lineage with both halves, the fragment half in
+            /// `mode`; must pair with the peer's `setup_with` in the *same*
+            /// mode.
+            ///
+            /// # Errors
+            ///
+            /// Propagates base-OT failures.
+            pub fn setup_with<T: Transport, R: Rng + ?Sized>(
+                ch: &mut T,
+                mode: OfflineMode,
+                rng: &mut R,
+            ) -> Result<Self, ProtocolError> {
+                let mut lineage = Self::default();
+                lineage.complete(ch, Some(mode), rng)?;
+                Ok(lineage)
+            }
 
-    /// The offline mode this session was established with.
-    #[must_use]
-    pub fn mode(&self) -> OfflineMode {
-        self.kk.mode()
-    }
+            /// The setup phase of every session, fresh or continued: runs
+            /// the fragment batch iff the session runs the interactive
+            /// offline phase (`offline` names its mode) and holds no
+            /// fragment half, then the Yao batch iff it holds no Yao half.
+            /// Must pair with the peer's `complete`, given the same `offline`
+            /// by a peer holding the same halves.
+            ///
+            /// # Errors
+            ///
+            /// Propagates base-OT failures.
+            pub fn complete<T: Transport, R: Rng + ?Sized>(
+                &mut self,
+                ch: &mut T,
+                offline: Option<OfflineMode>,
+                rng: &mut R,
+            ) -> Result<(), ProtocolError> {
+                if let Some(mode) = offline {
+                    self.ensure_kk(ch, mode, rng)?;
+                }
+                self.ensure_yao(ch, rng)
+            }
+
+            /// Runs the fragment base-OT batch unless the half is held.
+            pub(crate) fn ensure_kk<T: Transport, R: Rng + ?Sized>(
+                &mut self,
+                ch: &mut T,
+                mode: OfflineMode,
+                rng: &mut R,
+            ) -> Result<(), ProtocolError> {
+                if self.kk.is_none() {
+                    self.kk = Some($kk::setup(ch, mode, rng)?);
+                }
+                Ok(())
+            }
+
+            /// Runs the Yao base-OT batch unless the half is held.
+            pub(crate) fn ensure_yao<T: Transport, R: Rng + ?Sized>(
+                &mut self,
+                ch: &mut T,
+                rng: &mut R,
+            ) -> Result<(), ProtocolError> {
+                if self.yao.is_none() {
+                    self.yao = Some($yao::setup(ch, rng)?);
+                }
+                Ok(())
+            }
+
+            /// Which halves are held.
+            #[must_use]
+            pub fn halves(&self) -> Halves {
+                Halves { kk: self.kk.is_some(), yao: self.yao.is_some() }
+            }
+
+            /// Drops every half not in `keep`: what the peer does not
+            /// continue is of no use to this party either.
+            pub fn retain(&mut self, keep: Halves) {
+                if !keep.kk {
+                    self.kk = None;
+                }
+                if !keep.yao {
+                    self.yao = None;
+                }
+            }
+
+            /// Readies the lineage to outlive its session; both parties
+            /// call this at the session's clean end.
+            pub fn park(&mut self) {
+                if let Some(kk) = &mut self.kk {
+                    kk.park();
+                }
+            }
+
+            /// The offline mode of the fragment half, if held.
+            #[must_use]
+            pub fn mode(&self) -> Option<OfflineMode> {
+                self.kk.as_ref().map(|kk| kk.mode())
+            }
+        }
+    };
 }
 
-impl ClientSession {
-    /// Runs both base-OT setups with the portable KK13 backend; must pair
-    /// with [`ServerSession::setup`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates base-OT failures.
-    pub fn setup<T: Transport, R: Rng + ?Sized>(
-        ch: &mut T,
-        rng: &mut R,
-    ) -> Result<Self, ProtocolError> {
-        Self::setup_with(ch, OfflineMode::Iknp, rng)
-    }
+lineage_impl!(ServerLineage, FragmentChooser, YaoEvaluator);
+lineage_impl!(ClientLineage, FragmentSender, YaoGarbler);
 
-    /// Runs both base-OT setups with an explicit offline mode; must pair
-    /// with [`ServerSession::setup_with`] using the *same* mode.
-    ///
-    /// # Errors
-    ///
-    /// Propagates base-OT failures.
-    pub fn setup_with<T: Transport, R: Rng + ?Sized>(
-        ch: &mut T,
-        mode: OfflineMode,
-        rng: &mut R,
-    ) -> Result<Self, ProtocolError> {
-        let kk = FragmentSender::setup(ch, mode, rng)?;
-        let yao = YaoGarbler::setup(ch, rng)?;
-        Ok(ClientSession { kk, yao })
-    }
-
-    /// The offline mode this session was established with.
+impl ServerLineage {
+    /// Bytes a store holds while this lineage is parked.
     #[must_use]
-    pub fn mode(&self) -> OfflineMode {
-        self.kk.mode()
+    pub fn parked_bytes(&self) -> usize {
+        self.kk.as_ref().map_or(0, FragmentChooser::parked_bytes)
+            + self.yao.as_ref().map_or(0, YaoEvaluator::parked_bytes)
     }
 }
 
@@ -128,11 +195,11 @@ mod tests {
             NetworkModel::instant(),
             |ch| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-                ServerSession::setup(ch, &mut rng).is_ok()
+                ServerLineage::setup(ch, &mut rng).is_ok()
             },
             |ch| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-                ClientSession::setup(ch, &mut rng).is_ok()
+                ClientLineage::setup(ch, &mut rng).is_ok()
             },
         );
         assert!(s && c);
@@ -183,12 +250,12 @@ mod tests {
                 |ch| {
                     let mut rng = rand::rngs::StdRng::seed_from_u64(0x5E7);
                     let mut tap = Tap { inner: ch, log: Vec::new() };
-                    ServerSession::setup_with(&mut tap, mode, &mut rng).expect("server setup");
+                    ServerLineage::setup_with(&mut tap, mode, &mut rng).expect("server setup");
                     tap.log
                 },
                 |ch| {
                     let mut rng = rand::rngs::StdRng::seed_from_u64(0x5E8);
-                    ClientSession::setup_with(ch, mode, &mut rng).expect("client setup");
+                    ClientLineage::setup_with(ch, mode, &mut rng).expect("client setup");
                 },
             );
             assert_eq!(log.len(), 6 * 33, "two batches of A, R batch, ciphertext batch");
@@ -203,18 +270,53 @@ mod tests {
             NetworkModel::instant(),
             |ch| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-                ServerSession::setup_with(ch, OfflineMode::Silent, &mut rng)
-                    .map(|s| s.mode())
+                ServerLineage::setup_with(ch, OfflineMode::Silent, &mut rng)
                     .expect("server setup")
+                    .mode()
             },
             |ch| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-                ClientSession::setup_with(ch, OfflineMode::Silent, &mut rng)
-                    .map(|c| c.mode())
+                ClientLineage::setup_with(ch, OfflineMode::Silent, &mut rng)
                     .expect("client setup")
+                    .mode()
             },
         );
-        assert_eq!(s, OfflineMode::Silent);
-        assert_eq!(c, OfflineMode::Silent);
+        assert_eq!(s, Some(OfflineMode::Silent));
+        assert_eq!(c, Some(OfflineMode::Silent));
+    }
+
+    /// `complete` runs a batch only for a half that is absent and needed:
+    /// a lineage with no offline phase ahead sets up Yao alone (half the
+    /// KK13 bytes, three frames), a second `complete` moves nothing, and
+    /// asking for the fragment half later adds exactly its batch.
+    #[test]
+    fn complete_runs_only_what_is_missing_and_needed() {
+        let (s, c, report) = run_pair(
+            NetworkModel::instant(),
+            |ch| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+                let mut lineage = ServerLineage::default();
+                lineage.complete(ch, None, &mut rng).expect("yao only");
+                let yao_only = (lineage.halves(), ch.snapshot().messages_sent);
+                lineage.complete(ch, None, &mut rng).expect("nothing to do");
+                assert_eq!(ch.snapshot().messages_sent, yao_only.1);
+                lineage.complete(ch, Some(OfflineMode::Iknp), &mut rng).expect("kk added");
+                (yao_only.0, lineage.halves())
+            },
+            |ch| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+                let mut lineage = ClientLineage::default();
+                lineage.complete(ch, None, &mut rng).expect("yao only");
+                lineage.complete(ch, None, &mut rng).expect("nothing to do");
+                lineage.complete(ch, Some(OfflineMode::Iknp), &mut rng).expect("kk added");
+                lineage.halves()
+            },
+        );
+        assert_eq!(s.0, Halves { kk: false, yao: true });
+        assert_eq!(s.1, Halves { kk: true, yao: true });
+        assert_eq!(c, s.1);
+        // The same two batches as a fresh full setup, in the other order.
+        assert_eq!(report.total_bytes(), 36_998);
+        assert_eq!(report.server.messages_sent + report.client.messages_sent, 6);
     }
 }

@@ -81,6 +81,13 @@ impl YaoEvaluator {
         Ok(YaoEvaluator { ot: IknpReceiver::setup(ch, rng)? })
     }
 
+    /// Bytes this evaluator holds between circuits (its OT receiver; the
+    /// garbling layer keeps nothing): what parking it costs a store.
+    #[must_use]
+    pub fn parked_bytes(&self) -> usize {
+        self.ot.parked_bytes()
+    }
+
     /// Wraps an existing OT receiver.
     #[must_use]
     pub fn from_ot(ot: IknpReceiver) -> Self {

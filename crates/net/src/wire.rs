@@ -153,7 +153,7 @@ pub mod tags {
     pub const GC_TABLES: u8 = 0x21;
     /// Packed output-wire decode bits.
     pub const GC_DECODE_MAP: u8 = 0x22;
-    /// 56-byte handshake hello / reply / busy-reject frame.
+    /// 72-byte handshake hello / reply / busy-reject frame.
     pub const HELLO: u8 = 0x30;
     /// KK13 masked triplet messages (the paper's γ(N−1) count).
     pub const TRIPLET_MASKED: u8 = 0x31;
@@ -244,7 +244,7 @@ pub mod tags {
         match tag {
             U64 => Some(8),
             BASE_POINT => Some(64),
-            HELLO => Some(56),
+            HELLO => Some(72),
             MASKED_CLASS => Some(1),
             GC_DECODE_MAP => Some(1 << 24),
             BASE_POINT_BATCH | BASE_CT_BATCH => Some(1 << 20),

@@ -96,6 +96,12 @@ impl Receiver {
         })
     }
 
+    /// Bytes of key schedule and stream position this half holds between
+    /// extensions.
+    pub(crate) fn parked_bytes(&self) -> usize {
+        std::mem::size_of_val(self.prg_pairs.as_slice())
+    }
+
     /// Expands both PRGs of every pair by `m` bits: the column message `u`
     /// for the peer and this party's own `t` columns, still untransposed so
     /// the caller can send `u` before it pays for [`rows`].

@@ -98,6 +98,14 @@ impl FragmentSender {
         let _ = threads;
     }
 
+    /// Readies the state to outlive its session; pairs with
+    /// [`FragmentChooser::park`], called at the same point.
+    pub fn park(&mut self) {
+        if let FragmentSender::Silent(s) = self {
+            s.park();
+        }
+    }
+
     /// Extends to `m` fresh 1-out-of-`n` fragment OTs.
     ///
     /// # Errors
@@ -153,6 +161,28 @@ impl FragmentChooser {
     /// by the next `[benchmark]` PR.
     pub fn set_threads(&mut self, threads: usize) {
         let _ = threads;
+    }
+
+    /// Readies the state to outlive its session: the silent backend drops
+    /// the COTs it pooled and no extension took, so the next session
+    /// starts from the refill reserve alone and every continued session
+    /// runs the same refills, moves the same bytes and parks the same
+    /// size. Both parties call this at the clean end of a session. KK13
+    /// holds nothing between extensions but its PRG positions.
+    pub fn park(&mut self) {
+        if let FragmentChooser::Silent(c) = self {
+            c.park();
+        }
+    }
+
+    /// Bytes this chooser holds between extensions: what parking it costs
+    /// a store.
+    #[must_use]
+    pub fn parked_bytes(&self) -> usize {
+        match self {
+            FragmentChooser::Kk(c) => c.parked_bytes(),
+            FragmentChooser::Silent(c) => c.parked_bytes(),
+        }
     }
 
     /// Runs at most one round of the waiting on the peer that an

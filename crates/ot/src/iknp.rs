@@ -223,6 +223,13 @@ impl IknpSender {
 }
 
 impl IknpReceiver {
+    /// Bytes this receiver holds between extensions: what parking it
+    /// costs a store.
+    #[must_use]
+    pub fn parked_bytes(&self) -> usize {
+        self.ext.parked_bytes()
+    }
+
     /// Runs setup: κ base OTs with this party as base-OT sender holding
     /// random seed pairs.
     ///

@@ -201,6 +201,13 @@ impl KkChooserKeys {
 }
 
 impl KkChooser {
+    /// Bytes this chooser holds between extensions: what parking it costs
+    /// a store.
+    #[must_use]
+    pub fn parked_bytes(&self) -> usize {
+        self.ext.parked_bytes()
+    }
+
     /// One-time setup: 2κ base OTs with this party as base-OT sender holding
     /// random seed pairs.
     ///

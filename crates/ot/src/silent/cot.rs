@@ -147,6 +147,13 @@ impl SilentCotSender {
         Ok(self.pool.drain(..count).collect())
     }
 
+    /// Drops the COTs produced but not taken. Both parties call this at
+    /// the same point (the clean end of a session), so the pools stay in
+    /// lockstep; the reserve that seeds the next refill stays.
+    pub fn drop_pool(&mut self) {
+        self.pool.clear();
+    }
+
     fn refill<T: Transport>(&mut self, ch: &mut T) -> Result<(), OtError> {
         let p = self.params;
         if self.reserve.is_empty() {
@@ -282,6 +289,20 @@ impl SilentCotReceiver {
             self.refill(ch)?;
         }
         Ok(self.pool.len() >= count)
+    }
+
+    /// Drops the COTs produced but not taken; see
+    /// [`SilentCotSender::drop_pool`].
+    pub fn drop_pool(&mut self) {
+        self.pool.clear();
+    }
+
+    /// Bytes this receiver holds between takes: the bootstrap extension's
+    /// key schedules, the refill reserve and the pool.
+    #[must_use]
+    pub fn parked_bytes(&self) -> usize {
+        self.iknp.parked_bytes()
+            + (self.reserve.len() + self.pool.len()) * std::mem::size_of::<(bool, Block)>()
     }
 
     fn refill<T: Transport>(&mut self, ch: &mut T) -> Result<(), OtError> {

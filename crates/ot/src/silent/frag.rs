@@ -87,6 +87,12 @@ impl SilentKkSender {
         Ok(SilentKkSender { cot: SilentCotSender::setup(ch, rng)?, tweak: 0 })
     }
 
+    /// Drops the pooled COTs no extension took; the chooser does the same
+    /// at the same point ([`SilentKkChooser::park`]).
+    pub fn park(&mut self) {
+        self.cot.drop_pool();
+    }
+
     /// Extends to `m` fresh 1-out-of-`n` fragment OTs, consuming pooled
     /// COTs and the chooser's derandomization bits.
     ///
@@ -124,6 +130,18 @@ impl SilentKkChooser {
     /// Propagates base-OT failures.
     pub fn setup<T: Transport, R: Rng + ?Sized>(ch: &mut T, rng: &mut R) -> Result<Self, OtError> {
         Ok(SilentKkChooser { cot: SilentCotReceiver::setup(ch, rng)?, tweak: 0 })
+    }
+
+    /// Drops the pooled COTs no extension took; the sender does the same
+    /// at the same point ([`SilentKkSender::park`]).
+    pub fn park(&mut self) {
+        self.cot.drop_pool();
+    }
+
+    /// Bytes this chooser holds between extensions.
+    #[must_use]
+    pub fn parked_bytes(&self) -> usize {
+        self.cot.parked_bytes()
     }
 
     /// Runs at most one COT refill toward an [`extend`](Self::extend) of

@@ -3,6 +3,7 @@
 //! [`ServeClient`] wraps a [`SecureClient`] with everything a caller
 //! talking to a [`Server`](crate::Server) needs: TCP connection minting,
 //! reconnect-and-resume under a [`RetryPolicy`], warm-bundle negotiation,
+//! the lineage that spares every request after the first its base OTs,
 //! and per-phase instrumentation. Each attempt is one
 //! [`SecureClient::run_job`] — the same session flow every other client
 //! entry point runs — over an instrumented TCP connection, whose phase
@@ -11,7 +12,8 @@
 //! tests) can verify a warm request moved *zero* offline-phase bytes.
 
 use abnn2_core::{
-    ClientJob, ProtocolError, PublicModel, ReluVariant, ResumeToken, SecureClient, SessionDeadlines,
+    ClientJob, HeldLineage, ProtocolError, PublicModel, ReluVariant, ResumeToken, SecureClient,
+    SessionDeadlines,
 };
 use abnn2_math::Matrix;
 use abnn2_net::{
@@ -20,6 +22,7 @@ use abnn2_net::{
 };
 use rand::Rng;
 use std::net::SocketAddr;
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Outcome of one served request.
@@ -32,6 +35,10 @@ pub struct ServeReport {
     /// Whether the final attempt ran warm (server-supplied bundle instead
     /// of an interactive offline phase).
     pub warm: bool,
+    /// Whether the final attempt continued the lineage of this client's
+    /// previous request (at least one half of it) instead of running base
+    /// OTs; a fully continued session moves no `setup`-phase bytes.
+    pub continued: bool,
     /// Per-phase traffic merged across all attempts, in first-seen order.
     pub phases: Vec<(String, PhaseStats)>,
 }
@@ -56,12 +63,38 @@ impl ServeReport {
 }
 
 /// A reconnecting, bundle-aware client for the serving frontend.
+///
+/// It keeps the OT-extension state its last successful request left (the
+/// lineage, `abnn2_core::session`) and offers it to the next one, so base
+/// OTs run on a client's first request only. [`run`](Self::run) takes the
+/// lineage out for the length of the request: of two concurrent requests
+/// one continues it and the other sets up afresh, and a request that fails
+/// leaves nothing behind. A clone starts without one — extension state is
+/// single-writer, and two holders would derive the same pads.
 #[derive(Debug, Clone)]
 pub struct ServeClient {
     client: SecureClient,
     policy: RetryPolicy,
     deadlines: SessionDeadlines,
     request_bundle: bool,
+    lineage: LineageSlot,
+}
+
+/// Where a client keeps its lineage between requests. Cloning the slot
+/// yields an empty one: the halves inside are not `Clone`, on purpose.
+#[derive(Debug, Default)]
+struct LineageSlot(Mutex<Option<HeldLineage>>);
+
+impl Clone for LineageSlot {
+    fn clone(&self) -> Self {
+        LineageSlot::default()
+    }
+}
+
+impl LineageSlot {
+    fn swap(&self, held: Option<HeldLineage>) -> Option<HeldLineage> {
+        std::mem::replace(&mut *self.0.lock().expect("the slot is only ever swapped"), held)
+    }
 }
 
 impl ServeClient {
@@ -77,6 +110,7 @@ impl ServeClient {
             policy: RetryPolicy::default(),
             deadlines: SessionDeadlines::lan(),
             request_bundle: true,
+            lineage: LineageSlot::default(),
         }
     }
 
@@ -145,7 +179,8 @@ impl ServeClient {
         }
         let mut token: ResumeToken = [0; 16];
         rng.fill(&mut token);
-        let mut job = ClientJob::new(token, self.request_bundle, self.deadlines);
+        let mut job = ClientJob::new(token, self.request_bundle, self.deadlines)
+            .with_lineage(self.lineage.swap(None));
 
         let mut attempts = 0u32;
         let mut handles: Vec<InstrumentHandle> = Vec::new();
@@ -184,9 +219,21 @@ impl ServeClient {
             }
         };
 
+        // What the job holds now is what is claimable now: the lineage a
+        // successful attempt left, nothing after one that failed, the
+        // offered one back if the server never read a hello.
+        if let Some(left) = job.take_lineage() {
+            self.lineage.swap(Some(left));
+        }
         let phases = merge_handles(&handles);
         let logits = result?;
-        let report = ServeReport { attempts, resumed: job.resumed(), warm: job.warm(), phases };
+        let report = ServeReport {
+            attempts,
+            resumed: job.resumed(),
+            warm: job.warm(),
+            continued: job.continued(),
+            phases,
+        };
         Ok((logits, report))
     }
 }

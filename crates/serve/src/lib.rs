@@ -9,21 +9,26 @@
 //!   set of **event-loop workers**. Each worker multiplexes up to
 //!   `sessions_per_worker` live sessions, each a suspendable
 //!   [`SessionDriver`](abnn2_core::driver::SessionDriver) state machine
-//!   (handshake → base-OT setup → offline-or-bundle → online) fed by a
+//!   (handshake → setup → offline-or-bundle → online; setup runs base
+//!   OTs on a client's first session only, later ones continue the
+//!   lineage the one before parked) fed by a
 //!   non-blocking [`FrameBuffer`](abnn2_net::FrameBuffer), so peak thread
 //!   count scales with workers, not connected clients; a worker whose
 //!   sessions are all waiting sleeps in `poll(2)`
 //!   ([`abnn2_net::ready`]) until a socket or the acceptor wakes it. When the queue is
 //!   full or the server is draining, new connections are rejected *in
 //!   protocol* (a busy hello frame) so clients see a typed
-//!   [`ProtocolError::Overloaded`], never a hang. Resume checkpoints live
-//!   in one [`CheckpointStore`](abnn2_core::CheckpointStore) reachable
-//!   from any worker, LRU-bounded by `ServeConfig::checkpoint_capacity`.
+//!   [`ProtocolError::Overloaded`], never a hang. Resume checkpoints and
+//!   parked lineages live in one
+//!   [`CheckpointStore`](abnn2_core::CheckpointStore) reachable from any
+//!   worker, LRU-bounded by `ServeConfig::checkpoint_capacity` entries and
+//!   a fixed byte budget.
 //! * [`PrecomputePool`] — a background producer thread that keeps a
 //!   bounded buffer of ready offline-triplet bundle pairs per
 //!   [`BundleKey`] (model digest, scheme digest, batch). The server runs
-//!   one pool shard per worker; a worker takes from its own shard first
-//!   and steals from siblings on a miss. A client that
+//!   one pool shard per worker; a worker takes from its own shard first,
+//!   steals from siblings when it is empty, and deals the pair itself if
+//!   all of them are. A client that
 //!   asks for a bundle in its hello skips the interactive offline phase
 //!   entirely: the server pops a pair, sends the client half in a
 //!   dedicated `"bundle"` instrumentation phase, and proceeds straight to

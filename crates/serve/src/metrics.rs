@@ -9,6 +9,7 @@
 //! sessions, not total sessions served.
 
 use abnn2_core::driver::ReplayCounters;
+use abnn2_core::LineageStats;
 use abnn2_net::{InstrumentHandle, PhaseStats, TagStats};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,6 +42,10 @@ pub struct MetricsSnapshot {
     pub active: u64,
     /// Precompute-pool counters (zeroed when the pool is disabled).
     pub pool: PoolSnapshot,
+    /// What the checkpoint store has seen of lineages — parked at a clean
+    /// end, claimed by the next session, presented but not held, dropped
+    /// unclaimed — and the bytes of them it holds now.
+    pub lineage: LineageStats,
     /// What the session drivers spent on re-running starved steps, summed
     /// over every session that has ended.
     pub driver: ReplayCounters,
@@ -147,6 +152,26 @@ impl MetricsSnapshot {
             self.pool.misses,
         );
         counter(
+            "abnn2_serve_lineage_parked_total",
+            "OT-extension lineages parked by sessions that ended cleanly.",
+            self.lineage.parked,
+        );
+        counter(
+            "abnn2_serve_lineage_claimed_total",
+            "Sessions that continued a parked lineage instead of running base OTs.",
+            self.lineage.claimed,
+        );
+        counter(
+            "abnn2_serve_lineage_missed_total",
+            "Lineage tokens presented that the store held nothing under.",
+            self.lineage.missed,
+        );
+        counter(
+            "abnn2_serve_lineage_evicted_total",
+            "Parked lineages dropped unclaimed (store bounds, or overwritten).",
+            self.lineage.evicted,
+        );
+        counter(
             "abnn2_serve_driver_attempts_total",
             "Session-driver step attempts: one per step plus one per park inside it.",
             self.driver.attempts,
@@ -183,6 +208,12 @@ impl MetricsSnapshot {
         );
         let _ = writeln!(out, "# TYPE abnn2_serve_pool_ready gauge");
         let _ = writeln!(out, "abnn2_serve_pool_ready {}", self.pool.ready);
+        let _ = writeln!(
+            out,
+            "# HELP abnn2_serve_lineage_parked_bytes Bytes of lineages parked in the store."
+        );
+        let _ = writeln!(out, "# TYPE abnn2_serve_lineage_parked_bytes gauge");
+        let _ = writeln!(out, "abnn2_serve_lineage_parked_bytes {}", self.lineage.parked_bytes);
 
         let _ = writeln!(
             out,
@@ -341,7 +372,7 @@ pub struct MetricsRegistry {
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetricsRegistry")
-            .field("snapshot", &self.snapshot(PoolSnapshot::default()))
+            .field("snapshot", &self.snapshot(PoolSnapshot::default(), LineageStats::default()))
             .finish()
     }
 }
@@ -376,6 +407,12 @@ impl MetricsRegistry {
         } else {
             self.failed.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Sessions currently being served by a worker.
+    #[must_use]
+    pub fn active(&self) -> u64 {
+        self.active.load(Ordering::Relaxed)
     }
 
     /// Records a governor eviction (the session also ends as failed via
@@ -415,9 +452,11 @@ impl MetricsRegistry {
     }
 
     /// Point-in-time snapshot; `pool` supplies the precompute-pool gauges
-    /// (pass `PoolSnapshot::default()` when no pool is attached).
+    /// (pass `PoolSnapshot::default()` when no pool is attached) and
+    /// `lineage` the checkpoint store's lineage counters, which the store
+    /// keeps because evictions happen inside it.
     #[must_use]
-    pub fn snapshot(&self, pool: PoolSnapshot) -> MetricsSnapshot {
+    pub fn snapshot(&self, pool: PoolSnapshot, lineage: LineageStats) -> MetricsSnapshot {
         let agg = self.phases.lock().expect("metrics lock");
         MetricsSnapshot {
             accepted: self.accepted.load(Ordering::Relaxed),
@@ -429,6 +468,7 @@ impl MetricsRegistry {
             worker_respawns: self.worker_respawns.load(Ordering::Relaxed),
             active: self.active.load(Ordering::Relaxed),
             pool,
+            lineage,
             driver: *self.driver.lock().expect("metrics lock"),
             phases: agg.totals(),
             tags: agg.tag_totals(),
@@ -459,7 +499,7 @@ mod tests {
         t.send_u64(12345).unwrap();
         let _ = b.recv_u64().unwrap();
 
-        let snap = reg.snapshot(PoolSnapshot::default());
+        let snap = reg.snapshot(PoolSnapshot::default(), LineageStats::default());
         assert_eq!(snap.accepted, 2);
         assert_eq!(snap.rejected, 1);
         assert_eq!(snap.completed, 1);
@@ -497,11 +537,18 @@ mod tests {
             step_ns: 2_000_000_000,
         });
 
-        let text = reg.snapshot(PoolSnapshot::default()).render_prometheus();
+        let lineage =
+            LineageStats { parked: 5, claimed: 3, missed: 2, evicted: 1, parked_bytes: 96_256 };
+        let text = reg.snapshot(PoolSnapshot::default(), lineage).render_prometheus();
         assert!(text.contains("abnn2_serve_driver_attempts_total 7"));
         assert!(text.contains("abnn2_serve_driver_frames_reread_total 3"));
         assert!(text.contains("abnn2_serve_driver_replayed_seconds_total 0.001500"));
         assert!(text.contains("abnn2_serve_driver_step_seconds_total 2.000000"));
+        assert!(text.contains("abnn2_serve_lineage_parked_total 5"));
+        assert!(text.contains("abnn2_serve_lineage_claimed_total 3"));
+        assert!(text.contains("abnn2_serve_lineage_missed_total 2"));
+        assert!(text.contains("abnn2_serve_lineage_evicted_total 1"));
+        assert!(text.contains("abnn2_serve_lineage_parked_bytes 96256"));
         assert!(text.contains("abnn2_serve_connections_accepted_total 1"));
         assert!(text.contains("abnn2_serve_connections_rejected_total 1"));
         assert!(text.contains("abnn2_serve_sessions_completed_total 1"));
@@ -521,6 +568,7 @@ mod tests {
             "abnn2_serve_phase_messages_total",
             "abnn2_serve_tag_messages_total",
             "abnn2_serve_pool_ready",
+            "abnn2_serve_lineage_parked_bytes",
         ] {
             assert!(text.contains(&format!("# TYPE {family} ")), "missing TYPE for {family}");
         }
@@ -547,7 +595,7 @@ mod tests {
             assert_eq!(agg.live.len(), 1, "finished handles must be folded away");
             assert!(!agg.frozen.is_empty());
         }
-        let snap = reg.snapshot(PoolSnapshot::default());
+        let snap = reg.snapshot(PoolSnapshot::default(), LineageStats::default());
         assert_eq!(snap.phase("online").bytes_sent, 27);
         assert_eq!(snap.phase("online").messages_sent, 3);
         // Frozen tag totals survive compaction: 3 × 8 payload bytes.

@@ -4,9 +4,14 @@
 //! ([`abnn2_core::bundle::dealer_bundle_for`]) and parks them in a bounded
 //! per-key buffer. The serving path consumes pairs with a non-blocking
 //! [`take`](PrecomputePool::take): a hit means the session skips the
-//! interactive offline phase; a miss simply falls back to the cold path —
-//! the pool can only make requests faster, never wrong, because warm and
-//! cold bundles satisfy the same triplet invariant `U + V = W·R`.
+//! interactive offline phase. A taker that finds every buffer empty — the
+//! producer fell behind, or its thread lost its core for a few request
+//! times — [`deal`](PrecomputePool::deal)s one pair itself, which costs a
+//! fraction of what the cold path it would otherwise fall back to costs.
+//! Only a key the pool does not produce is a miss, and a miss simply runs
+//! the cold path — the pool can only make requests faster, never wrong,
+//! because warm and cold bundles satisfy the same triplet invariant
+//! `U + V = W·R`.
 
 use abnn2_core::bundle::{dealer_bundle_for, BundleKey, ClientBundle, ServerBundle};
 use abnn2_core::OfflineMode;
@@ -24,9 +29,11 @@ use std::time::{Duration, Instant};
 pub struct PoolSnapshot {
     /// Bundle pairs manufactured since start.
     pub produced: u64,
-    /// Successful [`take`](PrecomputePool::take) calls (warm sessions).
+    /// Warm sessions: successful [`take`](PrecomputePool::take) and
+    /// [`deal`](PrecomputePool::deal) calls.
     pub hits: u64,
-    /// Missed takes (cold sessions while the pool was drained).
+    /// Bundle requests the pool could not serve (a key it does not
+    /// produce, or after shutdown): sessions that ran cold.
     pub misses: u64,
     /// Bundle pairs currently buffered across all keys.
     pub ready: usize,
@@ -52,8 +59,13 @@ struct PoolShared {
 pub struct PrecomputePool {
     shared: Arc<PoolShared>,
     producer: Mutex<Option<JoinHandle<()>>>,
+    model: Arc<ServedModel>,
+    /// What the pool produces: each key with the graph to deal it from.
+    entries: Arc<[(BundleKey, SecureGraph)]>,
     keys: Vec<BundleKey>,
     depth: usize,
+    /// The RNG of [`deal`](Self::deal), apart from the producer's.
+    dealer: Mutex<StdRng>,
 }
 
 impl std::fmt::Debug for PrecomputePool {
@@ -92,7 +104,7 @@ impl PrecomputePool {
         assert!(depth > 0, "pool depth must be positive");
         assert!(!batches.is_empty(), "pool needs at least one batch size");
         assert!(!modes.is_empty(), "pool needs at least one offline mode");
-        let entries: Vec<(BundleKey, SecureGraph)> = batches
+        let entries: Arc<[(BundleKey, SecureGraph)]> = batches
             .iter()
             .flat_map(|&b| {
                 let sg = model.secure_graph(b).expect("pool batch size must fit the served graph");
@@ -110,7 +122,8 @@ impl PrecomputePool {
         });
 
         let producer = {
-            let shared = Arc::clone(&shared);
+            let (shared, model, entries) =
+                (Arc::clone(&shared), Arc::clone(&model), Arc::clone(&entries));
             std::thread::Builder::new()
                 .name("abnn2-pool".into())
                 .spawn(move || {
@@ -120,7 +133,16 @@ impl PrecomputePool {
                 .expect("spawn pool producer")
         };
 
-        PrecomputePool { shared, producer: Mutex::new(Some(producer)), keys, depth }
+        PrecomputePool {
+            shared,
+            producer: Mutex::new(Some(producer)),
+            model,
+            entries,
+            keys,
+            depth,
+            // A stream of its own, whatever the producer has drawn.
+            dealer: Mutex::new(StdRng::seed_from_u64(seed ^ 0x6465_616C)),
+        }
     }
 
     /// The keys this pool produces for.
@@ -129,8 +151,9 @@ impl PrecomputePool {
         &self.keys
     }
 
-    /// Pops a ready pair for `key`, if one is buffered. Never blocks: a
-    /// miss is the caller's cue to run the cold offline path.
+    /// Pops a ready pair for `key`, if one is buffered. Never blocks. An
+    /// empty buffer is not yet a miss: the caller may have sibling shards
+    /// to ask, and [`deal`](Self::deal) behind them.
     #[must_use]
     pub fn take(&self, key: &BundleKey) -> Option<(ServerBundle, ClientBundle)> {
         let mut state = self.shared.state.lock().expect("pool lock");
@@ -140,10 +163,31 @@ impl PrecomputePool {
             self.shared.hits.fetch_add(1, Ordering::Relaxed);
             // The producer may be parked on a full pool; wake it to refill.
             self.shared.changed.notify_all();
-        } else {
-            self.shared.misses.fetch_add(1, Ordering::Relaxed);
         }
         taken
+    }
+
+    /// The last resort of a taker that found every buffer empty: deals one
+    /// pair for `key` on the calling thread. A dealt bundle is plaintext
+    /// arithmetic (0.3 ms for the paper's Fig-4 MLP) where the cold path
+    /// the session would otherwise take is an OT per weight, so a producer
+    /// that fell behind, or whose thread lost its core for a few request
+    /// times, costs one session a fraction of a millisecond and not its
+    /// warm path. Counted as produced and as a hit. `None`, counted as a
+    /// miss, for a key this pool does not produce and after shutdown.
+    #[must_use]
+    pub fn deal(&self, key: &BundleKey) -> Option<(ServerBundle, ClientBundle)> {
+        let entry = self.entries.iter().find(|(k, _)| k == key);
+        let live = !self.shared.state.lock().expect("pool lock").shutdown;
+        let Some((_, sg)) = entry.filter(|_| live) else {
+            self.shared.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
+        };
+        let pair =
+            dealer_bundle_for(&self.model, sg, &mut *self.dealer.lock().expect("dealer lock"));
+        self.shared.produced.fetch_add(1, Ordering::Relaxed);
+        self.shared.hits.fetch_add(1, Ordering::Relaxed);
+        Some(pair)
     }
 
     /// Blocks until at least `count` pairs are buffered for `key`, or
@@ -288,7 +332,7 @@ mod tests {
 
         // A key the pool does not produce is a miss, not a block.
         let other = BundleKey { batch: 77, ..k1 };
-        assert!(pool.take(&other).is_none());
+        assert!(pool.take(&other).is_none() && pool.deal(&other).is_none());
 
         // The taken slot refills.
         assert!(pool.wait_ready(&k1, 2, Duration::from_secs(10)), "pool must refill");
@@ -312,6 +356,35 @@ mod tests {
         pool.shutdown();
         // Post-shutdown takes drain what is buffered, then miss.
         let _ = pool.take(&key);
-        assert!(pool.take(&key).is_none());
+        assert!(pool.take(&key).is_none() && pool.deal(&key).is_none());
+        assert_eq!(pool.snapshot().misses, 1);
+    }
+
+    /// The bug this pins: with sessions down to a few milliseconds, four
+    /// of them fit in one scheduling hiccup of the producer thread, and a
+    /// taker that found the buffer empty sent its session down the cold
+    /// path (one in 20 000 under load). It deals the pair itself instead.
+    #[test]
+    fn a_drained_pool_deals_on_the_takers_thread_instead_of_missing() {
+        let model = Arc::new(ServedModel::from(tiny()));
+        let key = BundleKey::for_graph(&model.graph(), 1);
+        let pool =
+            PrecomputePool::start_with_modes(Arc::clone(&model), &[1], &[OfflineMode::Iknp], 1, 7);
+        // Faster than any producer: every empty buffer is dealt for.
+        let (mut popped, mut dealt) = (0, 0);
+        for _ in 0..50 {
+            match pool.take(&key) {
+                Some(_) => popped += 1,
+                None => {
+                    let (sb, cb) = pool.deal(&key).expect("a produced key is always served");
+                    assert_eq!((sb.batch, cb.batch), (1, 1));
+                    dealt += 1;
+                }
+            }
+        }
+        assert!(dealt > 0, "50 takes in a row outrun a depth-1 pool");
+        let snap = pool.snapshot();
+        assert_eq!((snap.hits, snap.misses), (popped + dealt, 0));
+        assert!(snap.produced >= snap.hits);
     }
 }

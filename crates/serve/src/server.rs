@@ -24,10 +24,11 @@
 //!    and an idle worker wakes for work, not on a timer.
 //! 3. The [`PrecomputePool`] is sharded per worker: each worker prefers
 //!    its own pool shard (and steals from siblings rather than strand
-//!    warm bundles). Resume checkpoints live in one [`CheckpointStore`]
-//!    shared by every worker (a session touches it at most twice, at its
-//!    hello and when it settles), so any worker can resume a session that
-//!    died on another.
+//!    warm bundles). Resume checkpoints and parked lineages live in one
+//!    [`CheckpointStore`] shared by every worker (a session touches it at
+//!    its hello, at its last step and when it settles), so any worker can
+//!    resume a session that died on another, or continue the lineage of
+//!    one that finished on another.
 //! 4. [`Server::begin_drain`] flips admission off while in-flight
 //!    sessions run to completion and wakes every worker to see it; the
 //!    acceptor is woken by a throwaway self-connection when the drain
@@ -64,7 +65,7 @@ use abnn2_core::resilient::DEFAULT_CHECKPOINT_CAPACITY;
 use abnn2_core::OfflineMode;
 use abnn2_core::{
     CheckpointStore, CommCeiling, ExecConfig, ProtocolError, SecureServer, ServedModel,
-    SessionDeadlines,
+    ServerLineage, SessionDeadlines,
 };
 use abnn2_net::ready::{self, Interest, Waker};
 use abnn2_net::{FrameBuffer, InstrumentHandle, TcpTransport, TransportError};
@@ -104,8 +105,9 @@ pub struct ServeConfig {
     pub pool_modes: Vec<OfflineMode>,
     /// Per-session transport deadlines.
     pub deadlines: SessionDeadlines,
-    /// Capacity of the resume-checkpoint store: one LRU bound over every
-    /// parked session, whichever worker parked it.
+    /// Entry capacity of the checkpoint store: one LRU bound over every
+    /// parked checkpoint and lineage, whichever worker parked it (its byte
+    /// bound is `abnn2_core::resilient::CHECKPOINT_BYTE_CAPACITY`).
     pub checkpoint_capacity: usize,
     /// Execution options (activation variant must match the clients').
     pub exec: ExecConfig,
@@ -293,7 +295,7 @@ impl Server {
     /// Live metrics, with pool gauges summed across every worker shard.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.metrics.snapshot(pool_totals(&self.shared))
+        self.shared.metrics.snapshot(pool_totals(&self.shared), self.shared.store.lineage_stats())
     }
 
     /// The resume-checkpoint store shared by all workers.
@@ -390,7 +392,7 @@ fn drain_complete(shared: &Shared) -> bool {
         }
         q.conns.len()
     };
-    queued == 0 && shared.metrics.snapshot(PoolSnapshot::default()).active == 0
+    queued == 0 && shared.metrics.active() == 0
 }
 
 /// Unblocks the acceptor's blocking `accept` with a throwaway
@@ -463,7 +465,7 @@ fn send_busy(shared: &Shared, stream: TcpStream) {
 /// per connection ahead of the rejected peer, plus a cold-pool penalty,
 /// capped so a hint can never park a client for more than five seconds.
 fn retry_after_hint(shared: &Shared) -> u32 {
-    let active = shared.metrics.snapshot(PoolSnapshot::default()).active;
+    let active = shared.metrics.active();
     let queued = shared.queue.lock().expect("queue lock").conns.len() as u64;
     let mut hint = 25 * (active + queued + 1);
     if !shared.pools.is_empty() && pool_totals(shared).ready == 0 {
@@ -473,9 +475,10 @@ fn retry_after_hint(shared: &Shared) -> u32 {
 }
 
 /// Per-worker [`SessionHost`]: parameters from the shared server,
-/// checkpoints from (and back to) the token-sharded store, warm bundles from this
-/// worker's pool shard first, stealing from siblings on a miss so a busy
-/// worker cannot strand warm bundles in an idle worker's shard.
+/// checkpoints and lineages from (and back to) the shared store, warm
+/// bundles from this worker's pool shard first, stealing from siblings on
+/// an empty buffer so a busy worker cannot strand warm bundles in an idle
+/// worker's shard, and dealt on the spot if every shard is drained.
 struct WorkerHost<'a> {
     shared: &'a Shared,
     worker: usize,
@@ -494,6 +497,18 @@ impl SessionHost for WorkerHost<'_> {
         self.shared.store.release(token, parked);
     }
 
+    fn parks_lineages(&self) -> bool {
+        true
+    }
+
+    fn claim_lineage(&self, token: &ResumeToken) -> Option<ServerLineage> {
+        self.shared.store.claim_lineage(token)
+    }
+
+    fn park_lineage(&self, token: ResumeToken, lineage: ServerLineage) {
+        self.shared.store.park_lineage(token, lineage);
+    }
+
     fn take_bundle(
         &self,
         params: &SessionParams,
@@ -507,7 +522,10 @@ impl SessionHost for WorkerHost<'_> {
         // drain a silent-keyed bundle (or vice versa), so per-mode pool
         // accounting stays truthful under a mixed fleet.
         let key = BundleKey::from_params(params).with_mode(mode);
-        (0..pools.len()).find_map(|i| pools[(self.worker + i) % pools.len()].take(&key))
+        let shard = |i: usize| &pools[(self.worker + i) % pools.len()];
+        // Every shard drained (four sessions fit in one hiccup of a
+        // producer thread): deal the pair here rather than go cold.
+        (0..pools.len()).find_map(|i| shard(i).take(&key)).or_else(|| shard(0).deal(&key))
     }
 }
 

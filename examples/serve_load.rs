@@ -207,6 +207,14 @@ fn report_metrics(
         "  pool: produced {} | hits {} | misses {} | ready {}",
         m.pool.produced, m.pool.hits, m.pool.misses, m.pool.ready
     );
+    println!(
+        "  lineages: parked {} | claimed {} | missed {} | evicted {} | {} B parked now",
+        m.lineage.parked,
+        m.lineage.claimed,
+        m.lineage.missed,
+        m.lineage.evicted,
+        m.lineage.parked_bytes
+    );
     println!("  per-phase traffic (server side):");
     for (name, s) in &m.phases {
         println!(

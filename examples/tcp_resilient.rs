@@ -14,8 +14,10 @@
 //! * the **client** (main thread) drives [`ResilientClient`] — a
 //!   reconnect loop around `SecureClient::run_job`: when the cut hits, it
 //!   backs off, reconnects, re-handshakes presenting its session-resume
-//!   token, redoes only the cheap base-OT session setup, and replays the
-//!   online phase against the checkpointed triplets.
+//!   token, sets up a fresh Yao half (one base-OT batch; the cut
+//!   session's OT-extension state is forfeit, and a resumed session has
+//!   no use for a fragment half), and replays the online phase against
+//!   the checkpointed triplets.
 //!
 //! The final logits are asserted equal to
 //! [`QuantizedNetwork::forward_exact`] — the resumed run is

@@ -77,7 +77,9 @@
 # for a second file that hashes (`hash_blocks(`: garble.rs holds the one
 # garbling loop and the one evaluation loop) and crates/core/src for a
 # second `Lowering::of(` (an op becomes a circuit once, in the model's slot
-# for it), reruns the pinned Yao, triplet and OT-extension transcripts and
+# for it), reruns the pinned Yao, triplet, OT-extension and session
+# transcripts (and the lineage rules: single-use claim, forfeit on any
+# non-clean end, fresh-setup fallback), and
 # the garbling loops' parity with their per-gate reference in release under
 # the portable crypto backend, and builds and unit-tests the standalone benchmark package under bench/
 # (its own manifest and lock file, outside the workspace), so
@@ -243,9 +245,10 @@ fi
 # The dev profile keeps overflow checks and debug assertions on and the
 # default backend is AES-NI where the CPU has it: the pinned transcripts
 # must also hold as the served binaries are built, over the software path.
-echo "==> pinned Yao, triplet and OT-extension transcripts: release, portable backend"
+echo "==> pinned Yao, triplet, OT-extension and session transcripts: release, portable backend"
 ABNN2_CRYPTO_BACKEND=portable cargo test -q --release \
-  --test yao_pins --test triplet_pins --test ot_extension_pins
+  --test yao_pins --test triplet_pins --test ot_extension_pins \
+  --test lineage_pins --test lineage
 # Same build, same backend: the lane-wise garbling against its per-gate
 # reference (tables, decode map, both label sets, outputs) and the slot
 # allocator's tests.

@@ -30,7 +30,7 @@
 use abnn2::core::handshake::{handshake_client_ext, HelloRequest, SessionParams};
 use abnn2::core::inference::{ClientOffline, SecureClient, SecureServer};
 use abnn2::core::resilient::{ResilientClient, ResilientServer};
-use abnn2::core::session::ClientSession;
+use abnn2::core::session::ClientLineage;
 use abnn2::core::{ExecConfig, ProtocolError, PublicModel, SessionDeadlines};
 use abnn2::math::{FragmentScheme, Ring};
 use abnn2::net::{
@@ -356,11 +356,11 @@ fn event_loop_cut_while_parked_checkpoints_and_resumes_bit_exact() {
             &mut ch,
             ours,
             &token,
-            HelloRequest { resume: false, bundle: false, silent: false },
+            HelloRequest { resume: false, silent: false, ..HelloRequest::default() },
         )
         .expect("handshake");
         assert!(!reply.resume && !reply.bundle);
-        let session = ClientSession::setup(&mut ch, &mut rng).expect("setup");
+        let session = ClientLineage::setup(&mut ch, &mut rng).expect("setup");
         let state = client.offline_with(&mut ch, session, 1, &mut rng).expect("offline");
         // Flush the coalesced tail of the offline exchange so the server
         // finishes its offline phase and parks at the first online recv;
@@ -386,12 +386,15 @@ fn event_loop_cut_while_parked_checkpoints_and_resumes_bit_exact() {
         &mut ch,
         ours,
         &token,
-        HelloRequest { resume: true, bundle: false, silent: false },
+        HelloRequest { resume: true, silent: false, ..HelloRequest::default() },
     )
     .expect("resume handshake");
     assert!(reply.resume, "server must offer to resume the checkpointed session");
-    let session = ClientSession::setup(&mut ch, &mut rng).expect("setup");
-    let state = ClientOffline::from_bundle(session.yao, checkpoint);
+    // A resumed session has no offline phase: setup runs the Yao batch alone.
+    let mut session = ClientLineage::default();
+    session.complete(&mut ch, reply.offline(), &mut rng).expect("setup");
+    assert!(session.kk.is_none());
+    let state = ClientOffline::from_bundle(session.yao.expect("Yao half"), checkpoint);
     let y = client.online_raw(&mut ch, state, std::slice::from_ref(&x), &mut rng).expect("online");
     assert_eq!(y.col(0), expected, "resumed logits diverge from forward_exact");
 }
@@ -439,11 +442,11 @@ fn event_loop_rides_out_delayed_frames_while_parked() {
         &mut ch,
         ours,
         &token,
-        HelloRequest { resume: false, bundle: false, silent: false },
+        HelloRequest { resume: false, silent: false, ..HelloRequest::default() },
     )
     .expect("handshake");
     assert!(!reply.resume && !reply.bundle);
-    let session = ClientSession::setup(&mut ch, &mut rng).expect("setup");
+    let session = ClientLineage::setup(&mut ch, &mut rng).expect("setup");
     let state = client.offline_with(&mut ch, session, 1, &mut rng).expect("offline");
     let y = client.online_raw(&mut ch, state, std::slice::from_ref(&x), &mut rng).expect("online");
     assert_eq!(y.col(0), expected, "delayed session diverges from forward_exact");
@@ -644,11 +647,11 @@ fn governor_evicts_never_draining_reader_on_outbound_cap() {
             &mut ch,
             ours,
             &token,
-            HelloRequest { resume: false, bundle: false, silent: false },
+            HelloRequest { resume: false, silent: false, ..HelloRequest::default() },
         )
         .expect("handshake");
         assert!(!reply.resume && !reply.bundle);
-        let _session = ClientSession::setup(&mut ch, &mut rng).expect("setup");
+        let _session = ClientLineage::setup(&mut ch, &mut rng).expect("setup");
         ch // hold the connection open, never read again
     };
 
@@ -784,11 +787,11 @@ fn silent_cut_after_expansion_checkpoints_and_resumes_bit_exact() {
             &mut ch,
             ours,
             &token,
-            HelloRequest { resume: false, bundle: false, silent: true },
+            HelloRequest { resume: false, silent: true, ..HelloRequest::default() },
         )
         .expect("handshake");
         assert!(reply.silent, "server must grant silent capability");
-        let session = ClientSession::setup_with(&mut ch, reply.mode(), &mut rng).expect("setup");
+        let session = ClientLineage::setup_with(&mut ch, reply.mode(), &mut rng).expect("setup");
         let state = client.offline_with(&mut ch, session, 1, &mut rng).expect("offline");
         ch.flush().expect("flush");
         state.to_bundle()
@@ -808,13 +811,16 @@ fn silent_cut_after_expansion_checkpoints_and_resumes_bit_exact() {
         &mut ch,
         ours,
         &token,
-        HelloRequest { resume: true, bundle: false, silent: true },
+        HelloRequest { resume: true, silent: true, ..HelloRequest::default() },
     )
     .expect("resume handshake");
     assert!(reply.resume, "server must offer to resume the checkpointed session");
     assert!(reply.silent, "resumed session must stay on the silent backend");
-    let session = ClientSession::setup_with(&mut ch, reply.mode(), &mut rng).expect("setup");
-    let state = ClientOffline::from_bundle(session.yao, checkpoint);
+    // A resumed session has no offline phase: setup runs the Yao batch alone.
+    let mut session = ClientLineage::default();
+    session.complete(&mut ch, reply.offline(), &mut rng).expect("setup");
+    assert!(session.kk.is_none());
+    let state = ClientOffline::from_bundle(session.yao.expect("Yao half"), checkpoint);
     let y = client.online_raw(&mut ch, state, std::slice::from_ref(&x), &mut rng).expect("online");
     assert_eq!(y.col(0), expected, "resumed silent logits diverge from forward_exact");
 }
@@ -961,11 +967,11 @@ fn cut_during_matmul_opening_checkpoints_and_resumes_bit_exact() {
             &mut ch,
             ours,
             &token,
-            HelloRequest { resume: false, bundle: false, silent: false },
+            HelloRequest { resume: false, silent: false, ..HelloRequest::default() },
         )
         .expect("handshake");
         assert!(!reply.resume && !reply.bundle);
-        let session = ClientSession::setup(&mut ch, &mut rng).expect("setup");
+        let session = ClientLineage::setup(&mut ch, &mut rng).expect("setup");
         let state = client.offline_with(&mut ch, session, 1, &mut rng).expect("offline");
         let checkpoint = state.to_bundle();
         let mut fch = FaultyTransport::new(ch, Fault::CutAfterMessages(1));
@@ -990,12 +996,15 @@ fn cut_during_matmul_opening_checkpoints_and_resumes_bit_exact() {
         &mut ch,
         ours,
         &token,
-        HelloRequest { resume: true, bundle: false, silent: false },
+        HelloRequest { resume: true, silent: false, ..HelloRequest::default() },
     )
     .expect("resume handshake");
     assert!(reply.resume, "server must offer to resume the checkpointed session");
-    let session = ClientSession::setup(&mut ch, &mut rng).expect("setup");
-    let state = ClientOffline::from_bundle(session.yao, checkpoint);
+    // A resumed session has no offline phase: setup runs the Yao batch alone.
+    let mut session = ClientLineage::default();
+    session.complete(&mut ch, reply.offline(), &mut rng).expect("setup");
+    assert!(session.kk.is_none());
+    let state = ClientOffline::from_bundle(session.yao.expect("Yao half"), checkpoint);
     let y = client.online_raw(&mut ch, state, std::slice::from_ref(&x), &mut rng).expect("online");
     assert_eq!(y.col(0), expected, "resumed transformer logits diverge from forward_exact");
 }

@@ -57,7 +57,7 @@ fn client_abort_mid_inference_surfaces_to_server() {
             let plain = abnn2::core::handshake::HelloRequest::default();
             abnn2::core::handshake::handshake_client_ext(ch, ours, &[0; 16], plain)
                 .expect("handshake");
-            let _ = abnn2::core::session::ClientSession::setup(ch, &mut rng).expect("setup");
+            let _ = abnn2::core::session::ClientLineage::setup(ch, &mut rng).expect("setup");
         },
     );
     assert!(server_result.is_err(), "server must observe the aborted client");

@@ -15,16 +15,19 @@
 //! * (b) secure logits equal the plaintext oracle bit for bit under both
 //!   `ReluVariant`s and both `OfflineMode`s;
 //! * (c) after the offline phase a dealt session and an interactive one
-//!   exchange the same number of frames under every tag.
+//!   exchange the same number of frames under every tag;
+//! * (d) a second served session that *continues* the first one's
+//!   OT-extension lineage, on fresh inputs, is as exact as the first.
 
 use abnn2::core::graph::weight_product;
 use abnn2::core::inference::{ClientOffline, ServerOffline};
+use abnn2::core::resilient::ResilientServer;
 use abnn2::core::{
-    dealer_bundle_for, ClientBundle, ClientSession, OfflineMode, ReluVariant, SecureClient,
-    SecureServer, ServedModel, ServerBundle, ServerSession,
+    dealer_bundle_for, ClientBundle, ClientJob, ClientLineage, OfflineMode, ReluVariant,
+    SecureClient, SecureServer, ServedModel, ServerBundle, ServerLineage, SessionDeadlines,
 };
 use abnn2::math::{FragmentScheme, Matrix, Ring};
-use abnn2::net::{Endpoint, InstrumentedTransport, NetworkModel, TagStats};
+use abnn2::net::{sim_link, Endpoint, InstrumentedTransport, NetworkModel, RetryPolicy, TagStats};
 use abnn2::nn::conv::im2col;
 use abnn2::nn::graph::{LayerGraph, LayerOp, OpResource};
 use abnn2::nn::quant::{QuantConfig, QuantizedDense, QuantizedNetwork};
@@ -273,9 +276,9 @@ fn run_session(
         let srv = scope.spawn(move || {
             let mut ch = InstrumentedTransport::new(ep_s);
             let mut rng = StdRng::seed_from_u64(seed);
-            let session = ServerSession::setup_with(&mut ch, mode, &mut rng).expect("setup");
+            let session = ServerLineage::setup_with(&mut ch, mode, &mut rng).expect("setup");
             let state = match dealt_s {
-                Some(bundle) => ServerOffline::from_bundle(session.yao, bundle),
+                Some(bundle) => ServerOffline::from_bundle(session.yao.expect("Yao half"), bundle),
                 None => server.offline_with(&mut ch, session, batch, &mut rng).expect("offline"),
             };
             let (bundle, before) = (state.to_bundle(), ch.handle().tags());
@@ -283,9 +286,9 @@ fn run_session(
             (bundle, frames_between(&before, &ch.handle().tags()))
         });
         let mut rng = StdRng::seed_from_u64(seed + 1);
-        let session = ClientSession::setup_with(&mut ep_c, mode, &mut rng).expect("setup");
+        let session = ClientLineage::setup_with(&mut ep_c, mode, &mut rng).expect("setup");
         let state = match dealt_c {
-            Some(bundle) => ClientOffline::from_bundle(session.yao, bundle),
+            Some(bundle) => ClientOffline::from_bundle(session.yao.expect("Yao half"), bundle),
             None => client.offline_with(&mut ep_c, session, batch, &mut rng).expect("offline"),
         };
         let client_bundle = state.to_bundle();
@@ -293,6 +296,51 @@ fn run_session(
         let (server_bundle, online_frames) = srv.join().expect("server thread");
         Outcome { logits, server: server_bundle, client: client_bundle, online_frames }
     })
+}
+
+/// The *continued* column of the product: two whole sessions of one
+/// client through the session driver and a checkpoint store, the second
+/// over the lineage the first parked, each on inputs of its own.
+fn check_continued(
+    model: &Model,
+    batch: usize,
+    variant: ReluVariant,
+    mode: OfflineMode,
+    rng: &mut StdRng,
+) {
+    let what = format!("{} [{variant:?}/{mode:?}/continued]", model.graph().describe());
+    let deadlines = SessionDeadlines::uniform(std::time::Duration::from_secs(30));
+    let server =
+        ResilientServer::new(SecureServer::for_model(model.served()).with_variant(variant))
+            .with_policy(RetryPolicy::no_delay(1))
+            .with_deadlines(deadlines);
+    let client = SecureClient::for_model(model.served().public())
+        .with_variant(variant)
+        .with_silent(mode == OfflineMode::Silent);
+    let (dialer, listener) = sim_link(NetworkModel::instant());
+    let server_seed = rng.gen();
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            let mut rng = StdRng::seed_from_u64(server_seed);
+            for _ in 0..2 {
+                let accept = |_| listener.accept_timeout(std::time::Duration::from_secs(30));
+                server.serve_one(accept, &mut rng).expect("server");
+            }
+        });
+        let mut held = None;
+        for session in 0..2u8 {
+            let inputs: Vec<Vec<u64>> = (0..batch).map(|_| model.input(rng)).collect();
+            let mut job = ClientJob::new([session + 1; 16], false, deadlines).with_lineage(held);
+            let mut ch = dialer.dial().expect("dial");
+            let y = client.run_job(&mut ch, &inputs, &mut job, rng).expect("client");
+            for (k, x) in inputs.iter().enumerate() {
+                assert_eq!(y.col(k), model.forward_exact(x), "{what}: session {session}, {k}");
+            }
+            assert_eq!(job.continued(), session == 1, "{what}: session {session}");
+            held = job.take_lineage();
+            assert!(held.is_some(), "{what}: a store-backed server parks");
+        }
+    });
 }
 
 fn check_graph(model: &Model, batch: usize, rng: &mut StdRng) {
@@ -325,6 +373,7 @@ fn check_graph(model: &Model, batch: usize, rng: &mut StdRng) {
             assert_eq!(dims(&o.client.mats), dims(&dealt_c.mats), "{what} [{path}]: triple dims");
             assert_eq!(dims(&o.server.mats), dims(&dealt_s.mats), "{what} [{path}]: triple dims");
             interactive_frames = o.online_frames;
+            check_continued(model, batch, variant, mode, rng);
         }
         assert!(!interactive_frames.is_empty(), "{what}: the online phase exchanges frames");
         let dealt = Some((dealt_s.clone(), dealt_c.clone()));

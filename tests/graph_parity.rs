@@ -159,6 +159,10 @@ const GOLDEN_CNN: [(&str, u64); 5] = [
 /// direction.
 const CNN_HANDSHAKE_DELTA: u64 = 2 * 56;
 
+/// Protocol v6 appends a 16-byte lineage token to the hello, in each
+/// direction; a cold session that continues nothing moves not a byte more.
+const LINEAGE_TOKEN_DELTA: u64 = 2 * 16;
+
 /// Per-frame-type tag overhead of protocol v3: every message now carries
 /// a one-byte frame tag, so a session's transcript grows by exactly its
 /// frame count over the v2 goldens. Rows are (frame type, frames per
@@ -208,9 +212,9 @@ fn mlp_transcript_matches_pre_refactor_golden_plus_frame_tags() {
         let bytes = mlp_total_bytes(0x41, scheme);
         assert_eq!(
             bytes,
-            golden(&GOLDEN_MLP, name) + tag_overhead(gamma, 3, 2),
+            golden(&GOLDEN_MLP, name) + tag_overhead(gamma, 3, 2) + LINEAGE_TOKEN_DELTA,
             "MLP {name}: transcript must equal the v2 golden plus exactly \
-             one tag byte per frame"
+             one tag byte per frame and the hellos' lineage tokens"
         );
     }
 }
@@ -222,9 +226,13 @@ fn cnn_transcript_matches_pre_refactor_golden_plus_handshake_and_tags() {
         let bytes = cnn_total_bytes(0x42, scheme);
         assert_eq!(
             bytes,
-            golden(&GOLDEN_CNN, name) + CNN_HANDSHAKE_DELTA + tag_overhead(gamma, 3, 3),
+            golden(&GOLDEN_CNN, name)
+                + CNN_HANDSHAKE_DELTA
+                + tag_overhead(gamma, 3, 3)
+                + LINEAGE_TOKEN_DELTA,
             "CNN {name}: transcript must equal the v2 golden plus the \
-             handshake delta plus exactly one tag byte per frame"
+             handshake delta plus exactly one tag byte per frame and the \
+             hellos' lineage tokens"
         );
     }
 }

@@ -7,23 +7,46 @@
 //! its path, over a tiny MLP and an encoder block.
 //!
 //! Two digests per case: `bytes` over every frame's sha256, and `shape`
-//! over every frame's (direction, tag, length). Each is recorded twice:
+//! over every frame's (direction, tag, length). Each was recorded twice:
 //! over the whole transcript, and with the fragment chooser's base-OT
 //! batch (the first `BasePoint`, `BasePointBatch` and `BaseCtBatch`
 //! frames) taken out.
+//!
+//! Since protocol v6 a session sets up only the lineage half its path
+//! uses. A **cold** session still uses both, and all four of its digests
+//! are the parent's. A **warm** or **resumed** session no longer runs the
+//! chooser's batch: its `shape` is asserted against the parent's
+//! `shape, no chooser batch` row, untouched — the transcript is the
+//! parent's with exactly those three frames removed. Its `bytes` are
+//! re-recorded, because the batch that no longer runs no longer advances
+//! either party's RNG, so every random byte behind it is drawn from an
+//! earlier position of the same seeded stream.
+//!
+//! The second half pins **continuation**: three sessions over one lineage
+//! (parked in a store and claimed, twice) move, frame for frame and byte
+//! for byte, what one connection moves that sets up once and runs the same
+//! three predictions back to back over one pair of OT-extension objects —
+//! the "k extensions over one pair" that `ot_extension_pins`,
+//! `triplet_pins` and `yao_pins` pin a layer at a time. So no PRG, tweak
+//! or COT position is revisited or skipped by a park and a claim.
 //!
 //! Lives at the repo root because tier-1 `cargo test -q` runs only the
 //! umbrella package.
 
 use abnn2::core::bundle::{dealer_bundle_for, ClientBundle, ServerBundle};
 use abnn2::core::driver::{drive_blocking, SessionDriver, SessionHost};
+use abnn2::core::frames::OutputShares;
+use abnn2::core::graph::{
+    client_offline_with, client_online_to_logits, server_offline_with, server_online_to_logits,
+};
+use abnn2::core::inference::{ClientOffline, ServerOffline};
 use abnn2::core::resilient::{ResilientClient, ResilientServer};
 use abnn2::core::{
-    ClientJob, OfflineMode, PublicModel, ResumeToken, SecureClient, SecureServer, ServedModel,
-    SessionDeadlines, SessionParams,
+    CheckpointStore, ClientJob, ClientLineage, ExecConfig, OfflineMode, PublicModel, ResumeToken,
+    SecureClient, SecureServer, ServedModel, ServerLineage, SessionDeadlines, SessionParams,
 };
 use abnn2::crypto::sha256::sha256;
-use abnn2::math::{FragmentScheme, Ring};
+use abnn2::math::{FragmentScheme, Matrix, Ring};
 use abnn2::net::wire::tags;
 use abnn2::net::{
     sim_link, CommSnapshot, Endpoint, Fault, FaultyTransport, NetworkModel, RetryPolicy, Transport,
@@ -33,7 +56,7 @@ use abnn2::nn::quant::{QuantConfig, QuantizedNetwork};
 use abnn2::nn::transformer::QuantizedTransformer;
 use abnn2::nn::Network;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -287,8 +310,8 @@ fn resumed_session(case: &Case) -> Vec<Rec> {
     after_hellos(&logs[1])
 }
 
-/// What one case records: both digests over the whole transcript and over
-/// the transcript without the fragment chooser's base-OT batch.
+/// What a cold case records: both digests over the whole transcript and
+/// over the transcript without the fragment chooser's base-OT batch.
 fn record(name: &str, recs: &[Rec]) -> Vec<(String, String)> {
     let trimmed = without_chooser_batch(recs);
     assert_eq!(trimmed.len() + 3, recs.len());
@@ -297,6 +320,19 @@ fn record(name: &str, recs: &[Rec]) -> Vec<(String, String)> {
         (format!("{name} shape"), shape_digest(recs)),
         (format!("{name} bytes, no chooser batch"), bytes_digest(&trimmed)),
         (format!("{name} shape, no chooser batch"), shape_digest(&trimmed)),
+    ]
+}
+
+/// What a warm or resumed case records. Its transcript *is* the one
+/// without the chooser's batch, so its shape goes under the label (and
+/// against the digest) the parent recorded for its own transcript with
+/// that batch removed.
+fn record_without_offline(name: &str, recs: &[Rec]) -> Vec<(String, String)> {
+    let batches = recs.iter().filter(|r| r.tag == tags::BASE_POINT).count();
+    assert_eq!(batches, 1, "{name}: one base-OT batch, Yao's");
+    vec![
+        (format!("{name} shape, no chooser batch"), shape_digest(recs)),
+        (format!("{name} bytes"), bytes_digest(recs)),
     ]
 }
 
@@ -315,10 +351,173 @@ fn all_paths(model: &str, case: &Case) -> Vec<(String, String)> {
     let mut got = Vec::new();
     got.extend(record(&format!("{model} cold kk13"), &fresh_session(case, false, false)));
     got.extend(record(&format!("{model} cold silent"), &fresh_session(case, true, false)));
-    got.extend(record(&format!("{model} warm"), &fresh_session(case, false, true)));
-    got.extend(record(&format!("{model} resumed"), &resumed_session(case)));
+    got.extend(record_without_offline(&format!("{model} warm"), &fresh_session(case, false, true)));
+    got.extend(record_without_offline(&format!("{model} resumed"), &resumed_session(case)));
     got
 }
+
+const PREDICTIONS: u64 = 3;
+
+/// `PREDICTIONS` fresh-then-continued sessions of one client over one
+/// lineage: the server parks it in a store at each clean end and claims it
+/// at the next hello, the client carries its half from job to job. The
+/// client's transcript of each session, after the hellos.
+fn sessions_over_one_lineage(case: &Case, silent: bool) -> Vec<Vec<Rec>> {
+    let (dialer, listener) = sim_link(NetworkModel::instant());
+    let server = ResilientServer::new(SecureServer::for_model(case.served.clone()))
+        .with_policy(RetryPolicy::no_delay(1))
+        .with_deadlines(deadlines())
+        .with_checkpoint_store(Arc::new(CheckpointStore::new(4)));
+    let client = SecureClient::for_model(case.served.public()).with_silent(silent);
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            // One seed stream: session i's driver gets its i-th draw.
+            let mut seeds = StdRng::seed_from_u64(SERVER_SEED);
+            for _ in 0..PREDICTIONS {
+                server
+                    .serve_one(|_| listener.accept_timeout(Duration::from_secs(20)), &mut seeds)
+                    .expect("server");
+            }
+            let stats = server.checkpoint_store().lineage_stats();
+            assert_eq!((stats.parked, stats.claimed, stats.missed), (PREDICTIONS, 2, 0));
+        });
+        let mut held = None;
+        (0..PREDICTIONS)
+            .map(|i| {
+                let (mut tap, log) = Tap::new(dialer.dial().expect("dial"));
+                let mut job = ClientJob::new([0xB0 + i as u8; 16], false, deadlines())
+                    .with_lineage(held.take());
+                let y = client
+                    .run_job(
+                        &mut tap,
+                        std::slice::from_ref(&case.input),
+                        &mut job,
+                        &mut StdRng::seed_from_u64(CLIENT_SEED + i),
+                    )
+                    .expect("client");
+                assert_eq!(y.col(0), case.expected, "session {i} logits");
+                assert_eq!(job.continued(), i > 0);
+                held = job.take_lineage();
+                assert!(held.is_some(), "a store-backed server parks, so the client keeps");
+                after_hellos(&log)
+            })
+            .collect()
+    })
+}
+
+/// The same predictions with nothing parked: one connection, one setup,
+/// then offline and online phase `PREDICTIONS` times over the same two
+/// lineages, each party drawing from the RNG stream its session would.
+/// The client's transcript of each round (the first includes the setup).
+fn rounds_over_one_pair(case: &Case, mode: OfflineMode) -> Vec<Vec<Rec>> {
+    let exec = ExecConfig::new();
+    let sg = case.served.secure_graph(1).expect("batch 1");
+    let ring = case.served.config().ring;
+    let (mut server_ep, client_ep) = Endpoint::pair(NetworkModel::instant());
+    let (mut tap, log) = Tap::new(client_ep);
+    std::thread::scope(|scope| {
+        let (served, sg) = (&case.served, &sg);
+        scope.spawn(move || {
+            let ch = &mut server_ep;
+            let mut seeds = StdRng::seed_from_u64(SERVER_SEED);
+            let mut lineage = ServerLineage::default();
+            for _ in 0..PREDICTIONS {
+                let mut rng = StdRng::seed_from_u64(seeds.next_u64());
+                lineage.complete(ch, Some(mode), &mut rng).expect("setup");
+                let kk = lineage.kk.take().expect("fragment half");
+                let (bundle, kk) =
+                    server_offline_with(ch, kk, served, sg, exec, &mut rng).expect("offline");
+                let state = ServerOffline::from_bundle(lineage.yao.take().expect("Yao"), bundle);
+                let (yao, y0) =
+                    server_online_to_logits(ch, state, served, sg, exec).expect("online");
+                ch.send_frame(&OutputShares(ring.encode_slice(y0.as_slice()))).expect("open");
+                lineage = ServerLineage { kk: Some(kk), yao: Some(yao) };
+                lineage.park();
+            }
+        });
+        let ch = &mut tap;
+        let x = Matrix::new(case.input.len(), 1, case.input.clone());
+        let mut lineage = ClientLineage::default();
+        let mut rounds = Vec::new();
+        for i in 0..PREDICTIONS {
+            let from = log.lock().unwrap().len();
+            let mut rng = StdRng::seed_from_u64(CLIENT_SEED + i);
+            lineage.complete(ch, Some(mode), &mut rng).expect("setup");
+            let kk = lineage.kk.as_mut().expect("fragment half");
+            let bundle = client_offline_with(ch, kk, sg, exec, &mut rng).expect("offline");
+            let state = ClientOffline::from_bundle(lineage.yao.take().expect("Yao"), bundle);
+            let (yao, y1) =
+                client_online_to_logits(ch, state, sg, exec, &x, &mut rng).expect("online");
+            let OutputShares(y0) = ch.recv_frame().expect("output shares");
+            let y0 = Matrix::new(y1.rows(), 1, ring.decode_slice(&y0));
+            assert_eq!(y0.add(&y1, &ring).col(0), case.expected, "round {i} logits");
+            lineage.yao = Some(yao);
+            lineage.park();
+            rounds.push(log.lock().unwrap()[from..].to_vec());
+        }
+        rounds
+    })
+}
+
+/// The frames whose bytes are an OT extension's PRG output under a mask:
+/// IKNP and KK13 column matrices and everything of the silent subsystem.
+fn is_extension_frame(rec: &Rec) -> bool {
+    matches!(rec.tag, tags::IKNP_COLUMNS | tags::KK_COLUMNS)
+        || (tags::SILENT_BASE_COLUMNS..=tags::SILENT_SPCOT_SUMS).contains(&rec.tag)
+}
+
+fn continuation(model: &str, case: &Case) -> Vec<(String, String)> {
+    let mut got = Vec::new();
+    for (name, silent, mode) in
+        [("kk13", false, OfflineMode::Iknp), ("silent", true, OfflineMode::Silent)]
+    {
+        let sessions = sessions_over_one_lineage(case, silent);
+        let rounds = rounds_over_one_pair(case, mode);
+        for (i, (session, round)) in sessions.iter().zip(&rounds).enumerate() {
+            assert_eq!(session.len(), round.len(), "{model} {name} session {i}: frame count");
+            for (at, (s, r)) in session.iter().zip(round).enumerate() {
+                assert_eq!(s, r, "{model} {name} session {i} frame {at}");
+            }
+            let base_ots = session.iter().filter(|r| r.tag == tags::BASE_POINT).count();
+            let fresh = sessions[0].iter().filter(|r| r.tag == tags::BASE_POINT).count();
+            // The encoder's matrix triples set up an IKNP pair of their
+            // own inside every offline phase; the lineage's two batches
+            // run in the first session only.
+            assert_eq!(base_ots, if i == 0 { fresh } else { fresh - 2 });
+        }
+        let later: Vec<Rec> =
+            sessions[1..].iter().flatten().filter(|r| is_extension_frame(r)).cloned().collect();
+        assert!(!later.is_empty());
+        got.push((format!("{model} {name} sessions 2-3 extension frames"), bytes_digest(&later)));
+    }
+    got
+}
+
+#[test]
+fn continued_sessions_move_what_back_to_back_rounds_over_one_pair_move() {
+    let mut got = continuation("mlp", &tiny_mlp());
+    got.extend(continuation("encoder", &encoder_block()));
+    assert_pinned("continued-session extension frames", &got, CONTINUATION_PINS);
+}
+
+const CONTINUATION_PINS: &[(&str, &str)] = &[
+    (
+        "mlp kk13 sessions 2-3 extension frames",
+        "b492b2995b823d251eb3961c3db9378a65ee7cd3f58161a1d19d42d055218897",
+    ),
+    (
+        "mlp silent sessions 2-3 extension frames",
+        "111db7b2abfbf9c56db3a30f29c3fd22c77ccac4c2a317eb76d4a53cbf638706",
+    ),
+    (
+        "encoder kk13 sessions 2-3 extension frames",
+        "eae2b9b7586ffdcdba7c29a8217c2fb42a71ac0caa158abdaf0dd316eb4f341e",
+    ),
+    (
+        "encoder silent sessions 2-3 extension frames",
+        "90ef82de6da231c4c8a3f54ac2ec8c75fa67784b0af7d676c962b10b0fd9c926",
+    ),
+];
 
 #[test]
 fn mlp_session_transcripts_are_pinned() {
@@ -355,26 +554,16 @@ const MLP_PINS: &[(&str, &str)] = &[
         "mlp cold silent shape, no chooser batch",
         "cc36cd8d1ec94f58dcbbada4c5c504047321acb247ce557527287bbe9f72abb4",
     ),
-    ("mlp warm bytes", "612d14399bf0b06e96b9632312092603163abdbfd9afddd809ba666f031a788d"),
-    ("mlp warm shape", "fffedb993fb120dcf90475d2178cfd993579edb30f9972545a9158d168f64fed"),
-    (
-        "mlp warm bytes, no chooser batch",
-        "af15e6d99f352bd9f643b16fd4a5cd7a04f98b6e80351807f4cac972499a028a",
-    ),
     (
         "mlp warm shape, no chooser batch",
         "951fcf85865804ee38e8cb40092b5f1b48d1c354e5960ef2c5068ad0b2bee1bf",
     ),
-    ("mlp resumed bytes", "ec065dabcfae91ea234ceac524a9a9a30fe545738c9cc1392a0f7351d90a348c"),
-    ("mlp resumed shape", "dbe75f748b316e4befa6f8cc85a6f2d23fcdddf79c2423368b84e2c10ac65c70"),
-    (
-        "mlp resumed bytes, no chooser batch",
-        "eb18f0e075279ec2649b8092192bc14e2fb9f62bf140eb82b7743d45372aac48",
-    ),
+    ("mlp warm bytes", "3dcf3323879461ef57c4c5e4cc1e7072b6b2cbc569256d76268dab9dbb4bac82"),
     (
         "mlp resumed shape, no chooser batch",
         "758d13d8a38925c3329fe0fab3979ac76fc6eeb9f8fc6e5c0144f5bdbf2685e0",
     ),
+    ("mlp resumed bytes", "33736f5102f0188000e6ca793a8fc9cdf8af5ed3be7c06b505ca379c621d522b"),
 ];
 
 const ENCODER_PINS: &[(&str, &str)] = &[
@@ -404,24 +593,14 @@ const ENCODER_PINS: &[(&str, &str)] = &[
         "encoder cold silent shape, no chooser batch",
         "df6b834b3176a8f6b63e5de5cd714f765eb5f97b9dee17e77c2e6abfe735050a",
     ),
-    ("encoder warm bytes", "e45e9f05d03493156b1123ca8cd0b6a4fadc9efad348b5ac25b7b2ef3d19f91c"),
-    ("encoder warm shape", "fae38a9b65141734c4244fddf8f519c57f4f9dd3c6a17dd3c3033153984aab1a"),
-    (
-        "encoder warm bytes, no chooser batch",
-        "334982dcc79fe641fcb734e0e9c008f3bc28acd06c049d71d7a2de35e760c707",
-    ),
     (
         "encoder warm shape, no chooser batch",
         "e123cc7413d3c7049e2a1350adb0ba1b74a72baf6adba0843acfb1bc4b8db4ad",
     ),
-    ("encoder resumed bytes", "ea35fbe16f0bbe956718126bb656c89496f7aa03912f2853ccdeed4b45e45a4e"),
-    ("encoder resumed shape", "d4d86d0eb0170673f54b7bb453ec3463d4ef1cb419e0052232615bf5bdb276e4"),
-    (
-        "encoder resumed bytes, no chooser batch",
-        "025cd090642bc39409cc8732ad295a2cfa899242d4d4e4757c8adf1e87c91586",
-    ),
+    ("encoder warm bytes", "2b1080936d8c301e27764ec77e130f8e101aaf647f277531677efd4a82d4487f"),
     (
         "encoder resumed shape, no chooser batch",
         "9981ab868e02e4aa9e28e5225060720b5698ef83cafebd7022bcbe9326914137",
     ),
+    ("encoder resumed bytes", "702e13d40db05e2bee4fc9eea3317f79a5272e1a6101e29540cbdd45f163c46e"),
 ];

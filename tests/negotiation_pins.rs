@@ -5,12 +5,20 @@
 //! per-architecture `Public*Info` surface) for one MLP, one CNN and one
 //! encoder block; a deployed peer built at that commit negotiates with a
 //! peer built from this tree only while they stay byte-for-byte equal.
+//!
+//! Re-recorded for protocol v6: the digests are unchanged, the version
+//! field reads 6, and the hello grew a lineage token. A v5 peer can no
+//! longer run a session, but it must still be *told* so the way it always
+//! was, by a `Negotiation` error on both sides.
 
+use abnn2::core::frames::Hello;
+use abnn2::core::handshake::{handshake_server_ext, Halves};
 use abnn2::core::{
-    BundleKey, OfflineMode, PublicModel, ReluVariant, SessionParams, BUNDLE_LAYOUT_VERSION,
-    PROTOCOL_VERSION,
+    BundleKey, OfflineMode, ProtocolError, PublicModel, ReluVariant, SessionParams,
+    BUNDLE_LAYOUT_VERSION, PROTOCOL_VERSION,
 };
 use abnn2::math::{FragmentScheme, Ring};
+use abnn2::net::{Endpoint, NetworkModel, Transport};
 use abnn2::nn::quant::{QuantConfig, QuantizedDense, QuantizedNetwork};
 use abnn2::nn::transformer::QuantizedTransformer;
 use abnn2::nn::{ConvShape, Network, QuantizedCnn, QuantizedConv};
@@ -67,7 +75,7 @@ fn encoder() -> PublicModel {
 
 #[test]
 fn wire_versions_are_unchanged() {
-    assert_eq!(PROTOCOL_VERSION, 5);
+    assert_eq!(PROTOCOL_VERSION, 6);
     assert_eq!(BUNDLE_LAYOUT_VERSION, 3);
 }
 
@@ -108,7 +116,7 @@ fn digests_and_bundle_keys_match_the_parent_commit() {
     {
         let params = SessionParams::for_public(&model, ReluVariant::Oblivious, batch);
         let expected = SessionParams {
-            version: 5,
+            version: 6,
             ring_bits,
             frac_bits,
             weight_frac_bits,
@@ -124,4 +132,49 @@ fn digests_and_bundle_keys_match_the_parent_commit() {
         assert_eq!(BundleKey::from_params(&params), key);
         assert_eq!(BundleKey::for_graph(&model.graph(), batch), key);
     }
+}
+
+/// A hello in the 56-byte layout a v5 build sends and reads, field for
+/// field.
+fn v5_layout(p: &SessionParams, flags: u8, token: [u8; 16]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(56);
+    frame.extend_from_slice(b"ABN2");
+    frame.extend_from_slice(&p.version.to_le_bytes());
+    frame.extend_from_slice(&[p.variant, flags]);
+    for field in [p.ring_bits, p.frac_bits, p.weight_frac_bits, p.batch] {
+        frame.extend_from_slice(&field.to_le_bytes());
+    }
+    frame.extend_from_slice(&p.scheme_digest);
+    frame.extend_from_slice(&p.model_digest);
+    frame.extend_from_slice(&token);
+    frame
+}
+
+/// A v5 client dials a v6 server. The server reports the version mismatch
+/// and answers in the v5 layout: 56 bytes that a v5 decoder accepts
+/// (length, magic) and that differ from the client's own parameters in the
+/// version field alone, which is exactly what makes that decoder raise its
+/// own `Negotiation` error. (The other direction cannot be symmetric: a v5
+/// *server* stops at the length of a v6 hello, before any version field.)
+#[test]
+fn a_v5_peer_still_gets_the_symmetric_negotiation_error() {
+    let ours = SessionParams::for_public(&mlp(), ReluVariant::Oblivious, 2);
+    let theirs = SessionParams { version: 5, ..ours };
+    let (mut c, mut s) = Endpoint::pair(NetworkModel::instant());
+    c.send_frame(&Hello(v5_layout(&theirs, 1, [9; 16]))).expect("send");
+    let err = handshake_server_ext(
+        &mut s,
+        |batch| SessionParams::for_public(&mlp(), ReluVariant::Oblivious, batch),
+        |_| panic!("a mismatched peer must not reach the store"),
+        |_, _| panic!("a mismatched peer must not reach the pool"),
+        true,
+        |_, _| -> Halves { panic!("a mismatched peer must not reach the store") },
+    )
+    .expect_err("v5 and v6 do not negotiate");
+    assert_eq!(err, ProtocolError::Negotiation { ours, theirs });
+
+    let Hello(reply) = c.recv_frame().expect("the reply is sent before the error is raised");
+    // What the v5 peer reads: its own layout, our parameters, its token
+    // echoed, no request granted.
+    assert_eq!(reply, v5_layout(&ours, 0, [9; 16]));
 }

@@ -5,7 +5,7 @@
 //! logits via reconnect-and-resume.
 
 use abnn2::core::handshake::{
-    handshake_client_ext, handshake_server_ext, HelloRequest, SessionParams,
+    handshake_client_ext, handshake_server_ext, Halves, HelloRequest, SessionParams,
 };
 use abnn2::core::inference::{SecureClient, SecureServer};
 use abnn2::core::resilient::{ResilientClient, ResilientServer};
@@ -180,7 +180,9 @@ fn handshake_rejects_stale_resume_token() {
     let (mut c, mut s) = abnn2::net::Endpoint::pair(NetworkModel::instant());
     std::thread::scope(|scope| {
         scope.spawn(move || {
-            handshake_server_ext(&mut s, |_| ours, |_| false, |_, _| false).unwrap();
+            let no_lineage = |_: &_, _| Halves::default();
+            handshake_server_ext(&mut s, |_| ours, |_| false, |_, _| false, false, no_lineage)
+                .unwrap();
         });
         let request = HelloRequest { resume: true, ..HelloRequest::default() };
         let reply = handshake_client_ext(&mut c, ours, &[9; 16], request).unwrap();

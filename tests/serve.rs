@@ -7,7 +7,7 @@
 use abnn2::core::bundle::{dealer_bundle, ClientBundle};
 use abnn2::core::handshake::{handshake_client_ext, HelloRequest, SessionParams};
 use abnn2::core::inference::ClientOffline;
-use abnn2::core::session::ClientSession;
+use abnn2::core::session::ClientLineage;
 use abnn2::core::{ExecConfig, ProtocolError, PublicModel, SecureClient, SessionDeadlines};
 use abnn2::math::{FragmentScheme, Ring};
 use abnn2::net::{RetryPolicy, TcpTransport, Transport};
@@ -397,11 +397,14 @@ fn manual_resume_request(
         &mut ch,
         ours,
         &token,
-        HelloRequest { resume: true, bundle: false, silent: false },
+        HelloRequest { resume: true, silent: false, ..HelloRequest::default() },
     )?;
-    let session = ClientSession::setup(&mut ch, &mut rng)?;
+    // Setup runs what the reply's path needs: the Yao batch alone for a
+    // resumed session, the fragment batch first for a cold one.
+    let mut session = ClientLineage::default();
+    session.complete(&mut ch, reply.offline(), &mut rng)?;
     let state = if reply.resume {
-        ClientOffline::from_bundle(session.yao, bundle)
+        ClientOffline::from_bundle(session.yao.expect("Yao half"), bundle)
     } else {
         client.offline_with(&mut ch, session, 1, &mut rng)?
     };

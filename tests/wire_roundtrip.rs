@@ -168,6 +168,9 @@ fn gc_frames_round_trip_and_are_total() {
 fn core_frames_round_trip_and_are_total() {
     use abnn2::core::frames::*;
     check_exact_frame(Hello, abnn2::core::handshake::HELLO_LEN, 0x30);
+    // The layout older peers send decodes too, so they can be told why
+    // they are refused.
+    check_frame(&Hello(vec![0x5A; abnn2::core::handshake::LEGACY_HELLO_LEN]));
     check_byte_frame(TripletMasked, 1, 0x31);
     check_byte_frame(BlindedInput, 1, 0x32);
     check_byte_frame(OutputShares, 1, 0x33);
@@ -258,6 +261,129 @@ fn mismatched_frame_types_surface_as_tag_errors() {
     a.send_frame(&U64Frame(99)).unwrap();
     a.flush().unwrap();
     assert_eq!(b.recv_frame::<U64Frame>(), Ok(U64Frame(99)));
+}
+
+/// The hello is the one frame a server parses before it knows anything
+/// about its peer, and since v6 its last 16 bytes and three of its flag
+/// bits steer a claim on the checkpoint store. Whatever a peer puts there
+/// — any length, any flag byte, a zero or unknown lineage token, halves
+/// the server does not hold, the bits only a server sets — the server
+/// answers with a typed handshake error or admits a session that
+/// continues exactly the halves both sides hold and sets up the rest.
+#[test]
+fn every_hello_length_and_lineage_flag_combination_is_an_error_or_a_session() {
+    use abnn2::core::handshake::{
+        handshake_client_ext, handshake_server_ext, Halves, HelloRequest, SessionParams, HELLO_LEN,
+        LEGACY_HELLO_LEN,
+    };
+    use abnn2::core::{ProtocolError, PublicModel};
+    use abnn2::math::{FragmentScheme, Ring};
+    use abnn2::nn::graph::LayerGraph;
+    use abnn2::nn::quant::QuantConfig;
+
+    let config = QuantConfig {
+        ring: Ring::new(32),
+        frac_bits: 8,
+        weight_frac_bits: 2,
+        scheme: FragmentScheme::signed_bit_fields(&[2, 2]),
+    };
+    let model = PublicModel::from(LayerGraph::mlp(&[8, 4, 2], config));
+    let ours = SessionParams::for_public(&model, Default::default(), 1);
+
+    // A well-formed v6 hello as the client puts it on the wire.
+    let (mut c, mut s) = Endpoint::pair(NetworkModel::instant());
+    let good = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let _ = handshake_client_ext(&mut c, ours, &[7; 16], HelloRequest::default());
+        });
+        let frame = Transport::recv(&mut s).expect("client hello");
+        drop(s);
+        frame
+    });
+    assert_eq!((good[0], good.len()), (tags::HELLO, 1 + HELLO_LEN));
+    const FLAGS_AT: usize = 1 + 7;
+    const LINEAGE_AT: usize = 1 + 56;
+
+    // One hello into a server that parks lineages and holds `held` under
+    // token [6; 16]; the result, and the tokens it was asked to claim.
+    let serve = |frame: &[u8], held: Halves| {
+        let (mut c, mut s) = Endpoint::pair(NetworkModel::instant());
+        Transport::send(&mut c, frame).expect("send");
+        let mut claims = Vec::new();
+        let result = handshake_server_ext(
+            &mut s,
+            |_| ours,
+            |_| false,
+            |_, _| false,
+            true,
+            |token, _| {
+                claims.push(*token);
+                if *token == [6; 16] {
+                    held
+                } else {
+                    Halves::default()
+                }
+            },
+        );
+        (result, claims)
+    };
+
+    // Every length: only the two layouts decode, and a legacy-length
+    // prefix of a v6 hello is a v6 peer speaking the old layout — a
+    // session with no lineage, not a crash.
+    let mut gen = Gen(0x6E110);
+    for len in 0..=2 * HELLO_LEN {
+        let mut frame = good[..good.len().min(1 + len)].to_vec();
+        frame.extend(gen.bytes((1 + len).saturating_sub(frame.len())));
+        let (result, claims) = serve(&frame, Halves { kk: true, yao: true });
+        match result {
+            Ok((_, _, reply)) => {
+                assert!(len == HELLO_LEN || len == LEGACY_HELLO_LEN, "length {len} decoded");
+                assert!(!reply.continued.any() && claims.is_empty(), "length {len}");
+            }
+            Err(e) => {
+                assert!(len != HELLO_LEN && len != LEGACY_HELLO_LEN, "length {len}: {e}");
+                assert_eq!(e, ProtocolError::Handshake("hello frame length"), "length {len}");
+            }
+        }
+    }
+
+    // Every flag byte, under the zero token, an unknown one and the held
+    // one, against a server holding nothing, one half or both.
+    let some = [
+        Halves::default(),
+        Halves { kk: false, yao: true },
+        Halves { kk: true, yao: false },
+        Halves { kk: true, yao: true },
+    ];
+    for flags in 0..=u8::MAX {
+        for token in [[0u8; 16], [5; 16], [6; 16]] {
+            for held in some {
+                let mut frame = good.clone();
+                frame[FLAGS_AT] = flags;
+                frame[LINEAGE_AT..].copy_from_slice(&token);
+                let (result, claims) = serve(&frame, held);
+                let (_, _, reply) = result.expect("matching parameters are always admitted");
+                let offered = Halves { kk: flags & 16 != 0, yao: flags & 32 != 0 };
+                let real_offer = offered.any() && token != [0; 16];
+                let want = if token == [6; 16] {
+                    Halves { kk: offered.kk && held.kk, yao: offered.yao && held.yao }
+                } else {
+                    Halves::default()
+                };
+                let what = format!("flags {flags:#010b} token {} held {held:?}", token[0]);
+                assert_eq!(reply.continued, want, "{what}");
+                assert_eq!(claims, if real_offer { vec![token] } else { vec![] }, "{what}");
+                // Nothing else in the reply depends on the lineage bits,
+                // and the busy and park bits mean nothing from a client.
+                assert_eq!(
+                    (reply.resume, reply.bundle, reply.silent, reply.park),
+                    (false, false, flags & 8 != 0, true),
+                    "{what}"
+                );
+            }
+        }
+    }
 }
 
 /// Every tag in the central registry must declare a per-tag payload
