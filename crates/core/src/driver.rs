@@ -57,7 +57,7 @@ use crate::inference::{SecureServer, ServerOffline};
 use crate::session::ServerLineage;
 use crate::ProtocolError;
 use abnn2_gc::YaoEvaluator;
-use abnn2_net::{CommSnapshot, Transport, TransportError};
+use abnn2_net::{CommSnapshot, Frame, Transport, TransportError};
 use abnn2_ot::{FragmentChooser, OfflineMode};
 use rand::rngs::StdRng;
 use std::sync::Arc;
@@ -241,6 +241,23 @@ struct ReplayTransport {
 }
 
 impl ReplayTransport {
+    /// Reads the next buffered frame: its inbox index, counted and noted
+    /// as one event. Past the end of the inbox the attempt is starved.
+    fn read_next(&mut self) -> Result<usize, TransportError> {
+        let at = self.cursor;
+        let Some(frame) = self.inbox.get(at) else {
+            self.starved = true;
+            return Err(TransportError::WouldBlock);
+        };
+        let (tag, len) = (frame.first().copied().unwrap_or(0), frame.len());
+        self.cursor += 1;
+        self.counters.frames_read += 1;
+        if self.note_event(|| DriverEffect::Recv { tag, len }) {
+            self.received += len as u64;
+        }
+        Ok(at)
+    }
+
     fn begin_attempt(&mut self) {
         debug_assert!(self.effects.is_empty(), "effects drained between attempts");
         self.cursor = 0;
@@ -301,18 +318,13 @@ impl Transport for ReplayTransport {
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
-        let Some(frame) = self.inbox.get(self.cursor) else {
-            self.starved = true;
-            return Err(TransportError::WouldBlock);
-        };
-        let frame = frame.clone();
-        self.cursor += 1;
-        self.counters.frames_read += 1;
-        let (tag, len) = (frame.first().copied().unwrap_or(0), frame.len());
-        if self.note_event(|| DriverEffect::Recv { tag, len }) {
-            self.received += len as u64;
-        }
-        Ok(frame)
+        let at = self.read_next()?;
+        Ok(self.inbox[at].clone())
+    }
+
+    fn recv_frame<F: Frame>(&mut self) -> Result<F, TransportError> {
+        let at = self.read_next()?;
+        F::decode_tagged(&self.inbox[at]).map_err(TransportError::from)
     }
 
     fn flush(&mut self) -> Result<(), TransportError> {
@@ -806,6 +818,36 @@ mod tests {
     fn driver_for(server: &Arc<SecureServer>, seed: u64) -> SessionDriver<NullHost> {
         let ours = server.params_for(1);
         SessionDriver::new(Arc::clone(server), NullHost { ours }, StdRng::seed_from_u64(seed))
+    }
+
+    /// A typed read decodes the buffered frame where it lies and is the
+    /// same event as a raw one: one frame read, one `Recv` effect, the
+    /// error the provided `recv_frame` reports for the same bytes, and
+    /// starvation past the end of the inbox.
+    #[test]
+    fn typed_reads_decode_in_place_and_count_like_raw_ones() {
+        let mut scalar = vec![wire::tags::U64];
+        scalar.extend(7u64.to_le_bytes());
+        let stray = vec![0xEE, 1, 2];
+        let mut ch = ReplayTransport {
+            inbox: vec![scalar.clone(), stray.clone(), scalar.clone()],
+            ..ReplayTransport::default()
+        };
+        ch.begin_attempt();
+        assert_eq!(ch.recv_u64(), Ok(7));
+        let provided = wire::U64Frame::decode_tagged(&stray).map_err(TransportError::from);
+        assert!(provided.is_err());
+        assert_eq!(ch.recv_frame::<wire::U64Frame>(), provided);
+        assert_eq!(ch.recv(), Ok(scalar));
+        assert_eq!(ch.recv_u64(), Err(TransportError::WouldBlock));
+        assert!(ch.starved);
+        assert_eq!((ch.cursor, ch.counters.frames_read, ch.received), (3, 3, 9 + 3 + 9));
+        let recv = |tag, len| DriverEffect::Recv { tag, len };
+        assert_eq!(
+            ch.effects,
+            vec![recv(wire::tags::U64, 9), recv(0xEE, 3), recv(wire::tags::U64, 9)]
+        );
+        assert_eq!(ch.inbox.len(), 3, "frames stay buffered until the step completes");
     }
 
     /// A fresh driver with nothing fed parks immediately, emitting only

@@ -14,7 +14,7 @@
 //! are identical across transports by construction.
 
 use crate::channel::CommSnapshot;
-use crate::wire::{Blocks, Frame, U64Frame, WireError, WireGot};
+use crate::wire::{Blocks, Frame, U64Frame};
 use abnn2_crypto::Block;
 use std::borrow::Cow;
 use std::time::Duration;
@@ -233,21 +233,7 @@ pub trait Transport {
     where
         Self: Sized,
     {
-        let msg = self.recv()?;
-        let Some((&tag, payload)) = msg.split_first() else {
-            return Err(
-                WireError { expected: F::NAME, got: WireGot::Empty, context: F::TAG_ERR }.into()
-            );
-        };
-        if tag != F::TAG {
-            return Err(WireError {
-                expected: F::NAME,
-                got: WireGot::Tag(tag),
-                context: F::TAG_ERR,
-            }
-            .into());
-        }
-        F::decode(payload).map_err(TransportError::from)
+        F::decode_tagged(&self.recv()?).map_err(TransportError::from)
     }
 
     /// Sends a single `u64` as a tagged [`U64Frame`].

@@ -119,6 +119,24 @@ pub trait Frame: Sized {
     ///
     /// [`WireError`] if the payload's length or contents are invalid.
     fn decode(payload: &[u8]) -> Result<Self, WireError>;
+
+    /// Parses one whole message: the tag byte, then [`decode`](Self::decode)
+    /// of what follows it.
+    ///
+    /// # Errors
+    ///
+    /// [`WireError`] if the message is empty, tagged as a different frame,
+    /// or fails the frame's payload validation.
+    fn decode_tagged(msg: &[u8]) -> Result<Self, WireError> {
+        let (expected, context) = (Self::NAME, Self::TAG_ERR);
+        match msg.split_first() {
+            None => Err(WireError { expected, got: WireGot::Empty, context }),
+            Some((&tag, _)) if tag != Self::TAG => {
+                Err(WireError { expected, got: WireGot::Tag(tag), context })
+            }
+            Some((_, payload)) => Self::decode(payload),
+        }
+    }
 }
 
 /// The frame tag registry: every tag that may appear on the wire, in one

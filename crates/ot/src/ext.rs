@@ -99,7 +99,7 @@ impl Receiver {
     /// Bytes of key schedule and stream position this half holds between
     /// extensions.
     pub(crate) fn parked_bytes(&self) -> usize {
-        std::mem::size_of_val(self.prg_pairs.as_slice())
+        2 * self.prg_pairs.len() * Prg::HELD_BYTES
     }
 
     /// Expands both PRGs of every pair by `m` bits: the column message `u`
