@@ -52,7 +52,7 @@ use abnn2_crypto::curve::{EdwardsPoint, PointTable};
 use abnn2_crypto::{aes_ni_available, choose_backend, Aes128, Block, CryptoBackend};
 use abnn2_math::{FragmentScheme, Matrix, Ring};
 use abnn2_net::wire::tags;
-use abnn2_net::{run_pair, Endpoint, InstrumentedTransport, NetworkModel};
+use abnn2_net::{run_pair, Endpoint, InstrumentedTransport, NetworkModel, PhaseStats};
 use abnn2_nn::quant::QuantConfig;
 use abnn2_nn::transformer::QuantizedTransformer;
 use abnn2_ot::{
@@ -168,17 +168,10 @@ fn transformer_entries(entries: &mut Vec<String>) {
     });
     let wall = t0.elapsed();
     // The executors mark per-op sub-phases (`offline:op3/matmulss`, …);
-    // fold them back into the two headline phases by label prefix.
-    let sum_prefix = |prefix: &str| -> u64 {
-        handle
-            .phases()
-            .iter()
-            .filter(|(n, _)| n.split(':').next() == Some(prefix))
-            .map(|(_, s)| s.total_bytes())
-            .sum()
-    };
-    let offline = sum_prefix("offline");
-    let online = sum_prefix("online");
+    // each headline phase is the sum over its own.
+    let phases = handle.phases();
+    let offline = PhaseStats::sum_named(&phases, "offline").total_bytes();
+    let online = PhaseStats::sum_named(&phases, "online").total_bytes();
     let openings = handle.tag(tags::MATMUL_OPENINGS).total_bytes();
     eprintln!(
         "[transformer_e2e_cold] offline {offline} B + online {online} B \

@@ -8,6 +8,7 @@
 
 use crate::matmul::{TripletConfig, TripletMode};
 use crate::relu::ReluVariant;
+use abnn2_net::{Transport, TransportError};
 use std::time::Duration;
 
 /// Validates a worker-thread count.
@@ -77,9 +78,7 @@ impl ExecConfig {
 }
 
 /// Deadline budget for a resilient session, applied via
-/// [`Transport::set_read_timeout`](abnn2_net::Transport::set_read_timeout)
-/// and
-/// [`Transport::set_phase_budget`](abnn2_net::Transport::set_phase_budget).
+/// [`Transport::set_read_timeout`] and [`Transport::set_phase_budget`].
 ///
 /// `None` anywhere means "unbounded" for that knob. The defaults
 /// ([`SessionDeadlines::default`]) are deliberately unbounded so plain
@@ -123,6 +122,33 @@ impl SessionDeadlines {
             online_budget: Some(read_timeout * 20),
         }
     }
+
+    /// The phase budget a session is under from the mark `mark` on, for
+    /// the marks that change it: `"setup"` (the hellos are over) arms the
+    /// offline budget across setup, bundle and offline phase, `"online"`
+    /// the online budget, `"done"` lifts it. Both parties and every pump
+    /// place their budgets by this one rule.
+    #[must_use]
+    pub fn budget_from(&self, mark: &str) -> Option<Option<Duration>> {
+        match mark {
+            "setup" => Some(self.offline_budget),
+            "online" => Some(self.online_budget),
+            "done" => Some(None),
+            _ => None,
+        }
+    }
+
+    /// [`budget_from`](Self::budget_from) applied to a blocking transport.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`Transport::set_phase_budget`] reports.
+    pub fn arm<T: Transport>(&self, ch: &mut T, mark: &str) -> Result<(), TransportError> {
+        match self.budget_from(mark) {
+            Some(budget) => ch.set_phase_budget(budget),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -161,5 +187,20 @@ mod tests {
         let u = SessionDeadlines::uniform(Duration::from_millis(100));
         assert_eq!(u.read_timeout, Some(Duration::from_millis(100)));
         assert_eq!(u.online_budget, Some(Duration::from_secs(2)));
+    }
+
+    #[test]
+    fn marks_arm_the_budget_of_the_phase_they_open() {
+        let d = SessionDeadlines {
+            read_timeout: None,
+            offline_budget: Some(Duration::from_secs(3)),
+            online_budget: None,
+        };
+        assert_eq!(d.budget_from("setup"), Some(Some(Duration::from_secs(3))));
+        assert_eq!(d.budget_from("online"), Some(None), "unbounded, but it replaces offline's");
+        assert_eq!(d.budget_from("done"), Some(None));
+        for inside in ["handshake", "bundle", "offline", "offline:op0/dense", "online:op1/relu"] {
+            assert_eq!(d.budget_from(inside), None, "{inside} runs under the budget in force");
+        }
     }
 }

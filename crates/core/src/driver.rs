@@ -54,6 +54,7 @@ use crate::frames::Bundle;
 use crate::graph::{ServerOfflineWalk, ServerOnlineWalk};
 use crate::handshake::{handshake_server_ext, HelloReply, ResumeToken, SessionParams};
 use crate::inference::{SecureServer, ServerOffline};
+use crate::resilient::CheckpointStore;
 use crate::session::ServerLineage;
 use crate::ProtocolError;
 use abnn2_gc::YaoEvaluator;
@@ -63,13 +64,16 @@ use rand::rngs::StdRng;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Where a session's side data (parameters, resume checkpoints, warm
-/// bundles, a parked lineage) comes from, and where its checkpoint or its
-/// lineage goes when it ends. The
-/// serving layer implements this over its per-worker stores,
-/// [`ResilientServer`](crate::ResilientServer) over its
-/// [`CheckpointStore`](crate::CheckpointStore); [`NullHost`] declines
-/// everything for the plain blocking flow.
+/// Where a session's side data comes from: its parameters, a warm bundle,
+/// and the one [`CheckpointStore`] in which sessions leave what outlives
+/// them. The serving layer implements this over its shared store and pool,
+/// [`ResilientServer`](crate::ResilientServer) over its store;
+/// [`NullHost`] declines everything for the plain blocking flow.
+///
+/// What goes into the store and when is the driver's business, not the
+/// host's: it claims a resume checkpoint and a parked lineage at the hello,
+/// parks the lineage in the `Done` step and settles the checkpoint in
+/// [`SessionDriver::settle`]. A host says only which store, if any.
 ///
 /// The driver consults each of the lookups at most once per
 /// session, during the handshake phase, and only for a parameter-matched
@@ -79,8 +83,11 @@ pub trait SessionHost {
     /// Our session parameters for the batch size the client announced.
     fn params_for(&self, batch: usize) -> SessionParams;
 
-    /// Claims (removes) the resume checkpoint for `token`, if held.
-    fn claim_checkpoint(&self, token: &ResumeToken) -> Option<ServerBundle>;
+    /// Claims (removes) the resume checkpoint for `token`, if held: from
+    /// [`store`](Self::store), unless the host keeps checkpoints elsewhere.
+    fn claim_checkpoint(&self, token: &ResumeToken) -> Option<ServerBundle> {
+        self.store()?.claim(token)
+    }
 
     /// Takes a warm precomputed bundle pair matching the negotiated
     /// parameters *and offline mode*, if one is ready. Answering `Some`
@@ -94,34 +101,14 @@ pub trait SessionHost {
         mode: OfflineMode,
     ) -> Option<(ServerBundle, ClientBundle)>;
 
-    /// Ends a session's hold on `token` ([`SessionDriver::settle`]):
-    /// `Some(bundle)` parks the offline state for a reconnecting client to
-    /// resume, `None` forgets the token. Hosts without a checkpoint store
-    /// keep the default, which drops both.
-    fn release_checkpoint(&self, token: ResumeToken, parked: Option<ServerBundle>) {
-        let _ = (token, parked);
-    }
-
-    /// Whether [`park_lineage`](Self::park_lineage) keeps what it is
-    /// given. The hello reply tells the client, which keeps its own halves
-    /// only then. Hosts without a store keep the default: every session
-    /// sets up afresh.
-    fn parks_lineages(&self) -> bool {
-        false
-    }
-
-    /// Claims (removes) the lineage parked under `token`, if held.
-    fn claim_lineage(&self, token: &ResumeToken) -> Option<ServerLineage> {
-        let _ = token;
+    /// The store this host's sessions park in: the checkpoint of one that
+    /// died retryably, for its client to resume, and the lineage of one
+    /// that ended cleanly, for that client's next session to continue. The
+    /// hello reply tells the client whether there is one, and the client
+    /// keeps its own halves only then. Hosts without a store keep the
+    /// default: nothing resumes and every session sets up afresh.
+    fn store(&self) -> Option<&CheckpointStore> {
         None
-    }
-
-    /// Takes the OT-extension state of a session that ended cleanly, for
-    /// the one later session that presents `token` as its lineage. Called
-    /// before the session's last frame can leave, so a client that has its
-    /// logits can always claim.
-    fn park_lineage(&self, token: ResumeToken, lineage: ServerLineage) {
-        let _ = (token, lineage);
     }
 }
 
@@ -138,9 +125,6 @@ pub struct NullHost {
 impl SessionHost for NullHost {
     fn params_for(&self, _batch: usize) -> SessionParams {
         self.ours
-    }
-    fn claim_checkpoint(&self, _token: &ResumeToken) -> Option<ServerBundle> {
-        None
     }
     fn take_bundle(
         &self,
@@ -398,6 +382,8 @@ pub struct SessionDriver<H: SessionHost> {
     token: Option<ResumeToken>,
     batch: Option<usize>,
     checkpoint: Option<ServerBundle>,
+    /// The hello reply accepted the client's resume token.
+    resumed: bool,
     /// The hello reply promised to park this session's lineage.
     park: bool,
     pending: Vec<DriverEffect>,
@@ -429,6 +415,7 @@ impl<H: SessionHost> SessionDriver<H> {
             token: None,
             batch: None,
             checkpoint: None,
+            resumed: false,
             park: false,
             pending: Vec::new(),
             parked_at: None,
@@ -463,8 +450,15 @@ impl<H: SessionHost> SessionDriver<H> {
         self.batch
     }
 
-    /// Settles the session's resume checkpoint with the host once the
-    /// session has ended, however it was driven: a session that died
+    /// Whether the session resumed from a checkpoint claimed under the
+    /// client's token instead of running (or being dealt) an offline phase.
+    #[must_use]
+    pub fn resumed(&self) -> bool {
+        self.resumed
+    }
+
+    /// Settles the session's resume checkpoint with the host's store once
+    /// the session has ended, however it was driven: a session that died
     /// retryably (`Some(e)` with [`ProtocolError::is_retryable`]) parks
     /// its connection-independent offline state under the client's token
     /// — the client will be back — while a completed one (`None`) forgets
@@ -473,18 +467,19 @@ impl<H: SessionHost> SessionDriver<H> {
     /// resume this session.
     ///
     /// The lineage is not settled here. A session that reached `Done`
-    /// parked it in that step, and `release_checkpoint(token, None)`
-    /// leaves it be; a session that ended any other way drops the halves
-    /// it held with the driver, and a checkpoint parked under the token
-    /// replaces what a late failure (the last write) left there. Either
-    /// way no lineage survives a session that did not end cleanly.
+    /// parked it in that step, and forgetting the checkpoint leaves it be
+    /// ([`CheckpointStore::remove`]); a session that ended any other way
+    /// drops the halves it held with the driver, and a checkpoint parked
+    /// under the token replaces what a late failure (the last write) left
+    /// there. Either way no lineage survives a session that did not end
+    /// cleanly.
     pub fn settle(&mut self, error: Option<&ProtocolError>) {
-        let Some(token) = self.token else { return };
+        let (Some(token), Some(store)) = (self.token, self.host.store()) else { return };
         match error {
-            None => self.host.release_checkpoint(token, None),
+            None => store.remove(&token),
             Some(e) if e.is_retryable() => {
                 if let Some(bundle) = self.checkpoint.take() {
-                    self.host.release_checkpoint(token, Some(bundle));
+                    store.insert(token, bundle);
                 }
             }
             Some(_) => {}
@@ -593,9 +588,10 @@ impl<H: SessionHost> SessionDriver<H> {
                         admitted.pooled = host.take_bundle(p, mode);
                         admitted.pooled.is_some()
                     },
-                    host.parks_lineages(),
+                    host.store().is_some(),
                     |t, mode| {
-                        let mut held = host.claim_lineage(t).unwrap_or_default();
+                        let mut held =
+                            host.store().and_then(|s| s.claim_lineage(t)).unwrap_or_default();
                         // A fragment half of the other mode is no use to a
                         // session in this one.
                         if held.mode().is_some_and(|m| m != mode) {
@@ -609,6 +605,7 @@ impl<H: SessionHost> SessionDriver<H> {
                 admitted.lineage.retain(reply.continued);
                 self.token = Some(token);
                 self.batch = Some(batch);
+                self.resumed = reply.resume;
                 self.park = reply.park;
                 State::Setup(Admitted { batch, reply, ..admitted })
             }
@@ -673,10 +670,11 @@ impl<H: SessionHost> SessionDriver<H> {
                 let (yao, y0) = trial.finish();
                 // Parked before the output shares are even queued: a client
                 // that holds its logits finds the lineage in the store.
-                if let (true, Some(token)) = (self.park, self.token) {
+                if let (true, Some(token), Some(store)) = (self.park, self.token, self.host.store())
+                {
                     let mut lineage = ServerLineage { kk: kk.take(), yao: Some(yao) };
                     lineage.park();
-                    self.host.park_lineage(token, lineage);
+                    store.park_lineage(token, lineage);
                 }
                 self.server.open_logits(ch, &y0)?;
                 ch.flush()?;

@@ -430,7 +430,7 @@ pub fn handshake_client_ext<T: Transport>(
 /// Server side of the handshake: receives the client hello, derives our
 /// own parameters for the announced batch via `ours_for`, decides on the
 /// client's [`HelloRequest`] via `can_resume`/`offer_bundle`/
-/// `claim_lineage`, and replies.
+/// `held_halves`, and replies.
 ///
 /// `offer_bundle` is consulted only when the client asked for a bundle and
 /// no resume was accepted (a resumed session already has its offline
@@ -440,7 +440,7 @@ pub fn handshake_client_ext<T: Transport>(
 /// answers `true`, it has *committed* to sending the bundle right after
 /// session setup.
 ///
-/// `claim_lineage` is consulted only when the client offered at least one
+/// `held_halves` is consulted only when the client offered at least one
 /// half under a non-zero lineage token; it receives that token and the
 /// negotiated offline mode, claims whatever is parked there and answers
 /// with the halves it now holds *in that mode*. The reply continues those
@@ -464,7 +464,7 @@ pub fn handshake_server_ext<T: Transport>(
     can_resume: impl FnOnce(&ResumeToken) -> bool,
     offer_bundle: impl FnOnce(&SessionParams, OfflineMode) -> bool,
     parks: bool,
-    claim_lineage: impl FnOnce(&ResumeToken, OfflineMode) -> Halves,
+    held_halves: impl FnOnce(&ResumeToken, OfflineMode) -> Halves,
 ) -> Result<(usize, ResumeToken, HelloReply), ProtocolError> {
     let Hello(hello) = ch.recv_frame().map_err(hello_err)?;
     let hello = HelloFields::decode(&hello)?;
@@ -484,7 +484,7 @@ pub fn handshake_server_ext<T: Transport>(
     let bundle_ok = matched && !resume_ok && flags & FLAG_BUNDLE != 0 && offer_bundle(&ours, mode);
     let offered = Halves::from_flags(flags);
     let continued = if matched && offered.any() && hello.lineage != NO_LINEAGE {
-        offered.and(claim_lineage(&hello.lineage, mode))
+        offered.and(held_halves(&hello.lineage, mode))
     } else {
         Halves::default()
     };

@@ -499,7 +499,7 @@ impl SecureClient {
         lineage.retain(reply.continued);
         job.continued = reply.continued.any();
 
-        ch.set_phase_budget(job.deadlines.offline_budget)?;
+        job.deadlines.arm(ch, "setup")?;
         ch.mark_phase("setup");
         lineage.complete(ch, reply.offline(), rng)?;
         let ClientLineage { mut kk, yao } = lineage;
@@ -553,9 +553,9 @@ impl SecureClient {
         self.check_inputs(inputs_fp, inputs_fp.len())?;
         let Established { state, kk, park } = self.establish(ch, inputs_fp.len(), job, rng)?;
         ch.mark_phase("online");
-        ch.set_phase_budget(job.deadlines.online_budget)?;
+        job.deadlines.arm(ch, "online")?;
         let (yao, y) = self.online_open(ch, state, inputs_fp, rng)?;
-        ch.set_phase_budget(None)?;
+        job.deadlines.arm(ch, "done")?;
         if park {
             let mut lineage = ClientLineage { kk, yao: Some(yao) };
             lineage.park();

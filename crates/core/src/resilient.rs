@@ -39,7 +39,6 @@ use abnn2_net::{ResilientDriver, RetryPolicy, Transport, TransportError};
 use abnn2_ot::OfflineMode;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -267,20 +266,11 @@ impl CheckpointStore {
         }
     }
 
-    /// Drops the checkpoint for `token`, if present (end-of-job cleanup).
-    /// A lineage under the token is not a checkpoint and stays.
+    /// Drops the checkpoint for `token`, if present: what a session that
+    /// ended cleanly, or panicked, leaves of it. A lineage under the token
+    /// is not a checkpoint and stays.
     pub fn remove(&self, token: &ResumeToken) {
         let _ = self.claim(token);
-    }
-
-    /// [`insert`](Self::insert) when a session parks a bundle,
-    /// [`remove`](Self::remove) when it has none to park — the store side
-    /// of [`SessionHost::release_checkpoint`].
-    pub fn release(&self, token: ResumeToken, parked: Option<ServerBundle>) {
-        match parked {
-            Some(bundle) => self.insert(token, bundle),
-            None => self.remove(&token),
-        }
     }
 
     /// Whether the store currently holds `token` (refreshes its recency).
@@ -493,62 +483,43 @@ impl ResilientServer {
         // duplicate token therefore downgrades to a fresh run) and
         // `SessionDriver::settle` decides whether it goes back.
         let mut attempts = 0u32;
-        let resumed = Cell::new(false);
+        let mut resumed = false;
 
         ResilientDriver::new(self.policy).run(accept, |ch, attempt| {
             attempts = attempt + 1;
             ch.set_read_timeout(self.deadlines.read_timeout)?;
-            let host = StoreHost { server: &self.server, store: &self.store, resumed: &resumed };
             let mut driver = SessionDriver::new(
                 Arc::clone(&self.server),
-                host,
+                self,
                 StdRng::seed_from_u64(rng.next_u64()),
             );
             // The driver's phase marks are the protocol points the
             // budgets and the hook key off: `setup` follows the hello
             // exchange, `online` follows the last offline frame.
             let outcome = drive_frames_with(ch, &mut driver, |ch, effect| {
-                match effect {
-                    DriverEffect::Mark(label) if label == "setup" => {
-                        ch.set_phase_budget(self.deadlines.offline_budget)?;
-                    }
-                    DriverEffect::Mark(label) if label == "online" => {
+                if let DriverEffect::Mark(label) = effect {
+                    if label == "online" {
                         after_offline(ch, attempt);
-                        ch.set_phase_budget(self.deadlines.online_budget)?;
                     }
-                    _ => {}
+                    self.deadlines.arm(ch, label)?;
                 }
                 Ok(())
             })
-            .and_then(|_| Ok(ch.set_phase_budget(None)?));
+            .and_then(|_| Ok(self.deadlines.arm(ch, "done")?));
             driver.settle(outcome.as_ref().err());
+            resumed |= driver.resumed();
             outcome
         })?;
-        Ok(RunReport { attempts, resumed: resumed.get() })
+        Ok(RunReport { attempts, resumed })
     }
 }
 
-/// [`SessionHost`] of one [`ResilientServer`] attempt: adopts the client's
-/// announced batch (a prediction service has no a-priori batch
-/// expectation), resumes from the store and parks lineages in it, never
-/// deals bundles.
-struct StoreHost<'a> {
-    server: &'a SecureServer,
-    store: &'a CheckpointStore,
-    resumed: &'a Cell<bool>,
-}
-
-impl SessionHost for StoreHost<'_> {
+/// The host of each attempt: adopts the client's announced batch (a
+/// prediction service has no a-priori batch expectation), resumes from the
+/// store and parks lineages in it, never deals bundles.
+impl SessionHost for &ResilientServer {
     fn params_for(&self, batch: usize) -> SessionParams {
         self.server.params_for(batch)
-    }
-
-    fn claim_checkpoint(&self, token: &ResumeToken) -> Option<ServerBundle> {
-        let claimed = self.store.claim(token);
-        if claimed.is_some() {
-            self.resumed.set(true);
-        }
-        claimed
     }
 
     fn take_bundle(
@@ -559,20 +530,8 @@ impl SessionHost for StoreHost<'_> {
         None
     }
 
-    fn release_checkpoint(&self, token: ResumeToken, parked: Option<ServerBundle>) {
-        self.store.release(token, parked);
-    }
-
-    fn parks_lineages(&self) -> bool {
-        true
-    }
-
-    fn claim_lineage(&self, token: &ResumeToken) -> Option<ServerLineage> {
-        self.store.claim_lineage(token)
-    }
-
-    fn park_lineage(&self, token: ResumeToken, lineage: ServerLineage) {
-        self.store.park_lineage(token, lineage);
+    fn store(&self) -> Option<&CheckpointStore> {
+        Some(&self.store)
     }
 }
 
@@ -812,19 +771,19 @@ mod tests {
         assert_eq!(store.lineage_stats().parked_bytes, small as u64);
     }
 
-    /// The bug this pins: a completed session settles with
-    /// `release(token, None)`, which used to remove whatever sat under the
-    /// token — the lineage the same session had parked a moment earlier.
+    /// The bug this pins: a completed session settles with `remove(token)`,
+    /// which used to remove whatever sat under the token — the lineage the
+    /// same session had parked a moment earlier.
     #[test]
     fn a_clean_end_forgets_a_checkpoint_but_not_the_lineage_it_parked() {
         let store = CheckpointStore::new(4);
         let t = [7u8; 16];
         store.insert(t, dummy_bundle(7));
-        store.release(t, None);
+        store.remove(&t);
         assert!(store.is_empty(), "a checkpoint under a finished session's token goes");
 
         store.park_lineage(t, ServerLineage::default());
-        store.release(t, None);
+        store.remove(&t);
         assert!(store.contains(&t), "the lineage parked at the clean end stays");
         assert_eq!(store.claim(&t), None, "a lineage is not a checkpoint");
         assert!(store.claim_lineage(&t).is_some());
@@ -833,7 +792,7 @@ mod tests {
         // A session that dies after parking (its last write failed) parks
         // its checkpoint over the lineage: forfeited, not kept beside it.
         store.park_lineage(t, ServerLineage::default());
-        store.release(t, Some(dummy_bundle(8)));
+        store.insert(t, dummy_bundle(8));
         assert!(store.claim_lineage(&t).is_none());
         assert_eq!(store.claim(&t), Some(dummy_bundle(8)));
         let stats = store.lineage_stats();

@@ -670,6 +670,20 @@ mod tests {
     fn adder_and_count_is_l_minus_1() {
         assert_eq!(adder_circuit(32).and_count(), 31);
         assert_eq!(sub_circuit(32).and_count(), 31);
+        // What the power-of-two ring spares: the same sum followed by an
+        // explicit reduction (compare, subtract, select), as a modulus that
+        // is not 2^l would need, is four times the gates.
+        let explicit_mod = {
+            let mut b = CircuitBuilder::new();
+            let x = b.garbler_word(32);
+            let y = b.evaluator_word(32);
+            let s = add(&mut b, &x, &y);
+            let wrapped = lt_signed(&mut b, &s, &x);
+            let reduced = sub(&mut b, &s, &y);
+            let out = mux(&mut b, wrapped, &reduced, &s);
+            b.build(out.0)
+        };
+        assert_eq!(explicit_mod.and_count(), 126);
     }
 
     #[test]

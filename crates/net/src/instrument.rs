@@ -49,6 +49,34 @@ impl PhaseStats {
     pub fn total_bytes(&self) -> u64 {
         self.bytes_sent + self.bytes_received
     }
+
+    /// Sum of the entries of `phases` named `name` or `"{name}:…"`: a
+    /// phase together with the sub-phases the graph executor labels under
+    /// it (`offline:op0/dense`, …). Zero if the phase never ran.
+    #[must_use]
+    pub fn sum_named(phases: &[(String, PhaseStats)], name: &str) -> PhaseStats {
+        let prefix = format!("{name}:");
+        let mut total = PhaseStats::default();
+        for (n, s) in phases {
+            if n == name || n.starts_with(&prefix) {
+                total.merge(s);
+            }
+        }
+        total
+    }
+
+    /// Folds `more` into `into` name by name. A name `into` has not seen
+    /// goes to its end, so a list folded over any number of sessions stays
+    /// in first-seen order (and holds each name once, where a session's own
+    /// log opens a fresh entry every time a phase is re-entered).
+    pub fn merge_named(into: &mut Vec<(String, PhaseStats)>, more: &[(String, PhaseStats)]) {
+        for (name, stats) in more {
+            match into.iter_mut().find(|(n, _)| n == name) {
+                Some((_, total)) => total.merge(stats),
+                None => into.push((name.clone(), *stats)),
+            }
+        }
+    }
 }
 
 /// Traffic attributed to one frame tag (see [`crate::wire::tags`]).
@@ -185,32 +213,6 @@ impl InstrumentHandle {
         self.phases.lock().expect("instrument lock").entries.clone()
     }
 
-    /// Stats for the most recent phase with this name, if any.
-    #[must_use]
-    pub fn phase(&self, name: &str) -> Option<PhaseStats> {
-        self.phases
-            .lock()
-            .expect("instrument lock")
-            .entries
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, s)| *s)
-    }
-
-    /// Sum of every phase with this name (a re-entered phase opens a fresh
-    /// entry; this folds them back together).
-    #[must_use]
-    pub fn phase_total(&self, name: &str) -> PhaseStats {
-        let mut total = PhaseStats::default();
-        for (n, s) in self.phases.lock().expect("instrument lock").entries.iter() {
-            if n == name {
-                total.merge(s);
-            }
-        }
-        total
-    }
-
     /// Sum over all phases.
     #[must_use]
     pub fn total(&self) -> PhaseStats {
@@ -266,12 +268,6 @@ impl<T: Transport> InstrumentedTransport<T> {
     /// opens a fresh entry; entries are reported in chronological order.
     pub fn enter_phase(&mut self, name: &str) {
         self.handle.enter_phase(name);
-    }
-
-    /// Stats for the most recent phase with this name, if any.
-    #[must_use]
-    pub fn phase(&self, name: &str) -> Option<PhaseStats> {
-        self.handle.phase(name)
     }
 
     /// All phases in chronological order (current phase last, with its
@@ -353,12 +349,12 @@ mod tests {
         b.send(b"reply").unwrap();
         let _ = a.recv().unwrap();
 
-        let setup = a.phase("setup").unwrap();
+        let setup = PhaseStats::sum_named(&a.phases(), "setup");
         assert_eq!(setup.bytes_sent, 2);
         assert_eq!(setup.messages_sent, 1);
         assert_eq!(setup.bytes_received, 0);
 
-        let online = a.phase("online").unwrap();
+        let online = PhaseStats::sum_named(&a.phases(), "online");
         assert_eq!(online.bytes_sent, 18, "two u64 frames: 2 × (1 tag + 8 payload)");
         assert_eq!(online.messages_sent, 2);
         assert_eq!(online.bytes_received, 5);
@@ -419,7 +415,7 @@ mod tests {
             let watcher = scope.spawn(|| {
                 // Live snapshot from another thread, no &mut access.
                 loop {
-                    if handle.phase_total("offline").messages_sent >= 3 {
+                    if PhaseStats::sum_named(&handle.phases(), "offline").messages_sent >= 3 {
                         return;
                     }
                     std::thread::yield_now();
@@ -436,7 +432,7 @@ mod tests {
 
         let handle2 = handle.clone();
         drop(a);
-        assert_eq!(handle2.phase("offline").unwrap().bytes_sent, 27);
+        assert_eq!(PhaseStats::sum_named(&handle2.phases(), "offline").bytes_sent, 27);
         assert_eq!(handle2.total().bytes_sent, 27);
     }
 
@@ -455,5 +451,34 @@ mod tests {
         assert_eq!(a.messages_received, 8);
         assert_eq!(a.elapsed, Duration::from_millis(10));
         assert_eq!(a.total_bytes(), 6);
+    }
+
+    #[test]
+    fn named_lists_sum_by_prefix_and_merge_in_first_seen_order() {
+        let sent = |bytes_sent| PhaseStats { bytes_sent, ..PhaseStats::default() };
+        let list = |entries: &[(&str, u64)]| -> Vec<(String, PhaseStats)> {
+            entries.iter().map(|&(n, b)| (n.to_string(), sent(b))).collect()
+        };
+        // One session's log: `setup` twice (the initial entry, then the mark).
+        let first = list(&[("setup", 1), ("handshake", 2), ("setup", 4), ("offline:op0/dense", 8)]);
+        let second = list(&[("handshake", 16), ("bundle", 32), ("offline", 64), ("offline2", 128)]);
+        let mut merged = Vec::new();
+        PhaseStats::merge_named(&mut merged, &first);
+        PhaseStats::merge_named(&mut merged, &second);
+        assert_eq!(
+            merged,
+            list(&[
+                ("setup", 5),
+                ("handshake", 18),
+                ("offline:op0/dense", 8),
+                ("bundle", 32),
+                ("offline", 64),
+                ("offline2", 128),
+            ])
+        );
+        // A phase is its own entry and every `name:` sub-phase, nothing else.
+        assert_eq!(PhaseStats::sum_named(&merged, "offline"), sent(8 + 64));
+        assert_eq!(PhaseStats::sum_named(&merged, "setup"), sent(5));
+        assert_eq!(PhaseStats::sum_named(&merged, "online"), PhaseStats::default());
     }
 }

@@ -44,21 +44,11 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Total traffic for the phase, zero if the phase never ran.
-    ///
-    /// Matches the exact phase name *and* any sub-phase labelled
-    /// `"{name}:..."`, so `phase("offline")` still covers the per-op
-    /// labels (`offline:op0/dense`, …) the graph executor emits.
+    /// Total traffic for the phase and its `"{name}:…"` sub-phases
+    /// ([`PhaseStats::sum_named`]), zero if the phase never ran.
     #[must_use]
     pub fn phase(&self, name: &str) -> PhaseStats {
-        let prefix = format!("{name}:");
-        let mut total = PhaseStats::default();
-        for (n, s) in &self.phases {
-            if n == name || n.starts_with(&prefix) {
-                total.merge(s);
-            }
-        }
-        total
+        PhaseStats::sum_named(&self.phases, name)
     }
 }
 
@@ -241,25 +231,9 @@ impl ServeClient {
 /// Folds per-attempt instrument handles into one phase list, first-seen
 /// order preserved.
 fn merge_handles(handles: &[InstrumentHandle]) -> Vec<(String, PhaseStats)> {
-    let mut order: Vec<String> = Vec::new();
-    let mut merged: std::collections::HashMap<String, PhaseStats> =
-        std::collections::HashMap::new();
+    let mut merged = Vec::new();
     for handle in handles {
-        for (name, stats) in handle.phases() {
-            merged
-                .entry(name.clone())
-                .or_insert_with(|| {
-                    order.push(name.clone());
-                    PhaseStats::default()
-                })
-                .merge(&stats);
-        }
+        PhaseStats::merge_named(&mut merged, &handle.phases());
     }
-    order
-        .into_iter()
-        .map(|name| {
-            let stats = merged[&name];
-            (name, stats)
-        })
-        .collect()
+    merged
 }

@@ -26,9 +26,10 @@
 //! * [`PrecomputePool`] — a background producer thread that keeps a
 //!   bounded buffer of ready offline-triplet bundle pairs per
 //!   [`BundleKey`] (model digest, scheme digest, batch). The server runs
-//!   one pool shard per worker; a worker takes from its own shard first,
-//!   steals from siblings when it is empty, and deals the pair itself if
-//!   all of them are. A client that
+//!   one pool, `pool_depth × workers` pairs deep, for all its workers (so
+//!   W workers and a pool are W + 3 threads with the acceptor and the
+//!   supervisor); a worker that finds the buffer empty deals the pair
+//!   itself. A client that
 //!   asks for a bundle in its hello skips the interactive offline phase
 //!   entirely: the server pops a pair, sends the client half in a
 //!   dedicated `"bundle"` instrumentation phase, and proceeds straight to

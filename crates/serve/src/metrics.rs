@@ -11,7 +11,7 @@
 use abnn2_core::driver::ReplayCounters;
 use abnn2_core::LineageStats;
 use abnn2_net::{InstrumentHandle, PhaseStats, TagStats};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -60,21 +60,11 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Total traffic for the phase, zero if the phase never ran.
-    ///
-    /// Matches the exact phase name *and* any sub-phase labelled
-    /// `"{name}:..."`, so `phase("offline")` still covers the per-op
-    /// labels (`offline:op0/dense`, …) the graph executor emits.
+    /// Total traffic for the phase and its `"{name}:…"` sub-phases
+    /// ([`PhaseStats::sum_named`]), zero if the phase never ran.
     #[must_use]
     pub fn phase(&self, name: &str) -> PhaseStats {
-        let prefix = format!("{name}:");
-        let mut total = PhaseStats::default();
-        for (n, s) in &self.phases {
-            if n == name || n.starts_with(&prefix) {
-                total.merge(s);
-            }
-        }
-        total
+        PhaseStats::sum_named(&self.phases, name)
     }
 
     /// Total traffic carried under the frame tag, zero if the tag was
@@ -297,9 +287,8 @@ impl MetricsSnapshot {
 
 #[derive(Default)]
 struct PhaseAggregate {
-    /// Folded totals of finished sessions, keyed by phase name; the value's
-    /// second field is the first-seen rank, for stable reporting order.
-    frozen: HashMap<String, (PhaseStats, usize)>,
+    /// Folded totals of finished sessions, in first-seen phase order.
+    frozen: Vec<(String, PhaseStats)>,
     /// Folded per-frame-tag totals of finished sessions.
     frozen_tags: BTreeMap<u8, TagStats>,
     /// Handles of sessions that may still be producing traffic.
@@ -308,10 +297,7 @@ struct PhaseAggregate {
 
 impl PhaseAggregate {
     fn fold_into_frozen(&mut self, handle: &InstrumentHandle) {
-        for (name, stats) in handle.phases() {
-            let rank = self.frozen.len();
-            self.frozen.entry(name).or_insert((PhaseStats::default(), rank)).0.merge(&stats);
-        }
+        PhaseStats::merge_named(&mut self.frozen, &handle.phases());
         for (tag, stats) in handle.tags() {
             self.frozen_tags.entry(tag).or_default().merge(&stats);
         }
@@ -332,15 +318,9 @@ impl PhaseAggregate {
     fn totals(&self) -> Vec<(String, PhaseStats)> {
         let mut merged = self.frozen.clone();
         for handle in &self.live {
-            for (name, stats) in handle.phases() {
-                let rank = merged.len();
-                merged.entry(name).or_insert((PhaseStats::default(), rank)).0.merge(&stats);
-            }
+            PhaseStats::merge_named(&mut merged, &handle.phases());
         }
-        let mut out: Vec<(String, PhaseStats, usize)> =
-            merged.into_iter().map(|(n, (s, rank))| (n, s, rank)).collect();
-        out.sort_by_key(|&(_, _, rank)| rank);
-        out.into_iter().map(|(n, s, _)| (n, s)).collect()
+        merged
     }
 
     fn tag_totals(&self) -> Vec<(u8, TagStats)> {

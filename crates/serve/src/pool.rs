@@ -4,14 +4,19 @@
 //! ([`abnn2_core::bundle::dealer_bundle_for`]) and parks them in a bounded
 //! per-key buffer. The serving path consumes pairs with a non-blocking
 //! [`take`](PrecomputePool::take): a hit means the session skips the
-//! interactive offline phase. A taker that finds every buffer empty — the
+//! interactive offline phase. A taker that finds the buffer empty — the
 //! producer fell behind, or its thread lost its core for a few request
-//! times — [`deal`](PrecomputePool::deal)s one pair itself, which costs a
-//! fraction of what the cold path it would otherwise fall back to costs.
-//! Only a key the pool does not produce is a miss, and a miss simply runs
-//! the cold path — the pool can only make requests faster, never wrong,
-//! because warm and cold bundles satisfy the same triplet invariant
-//! `U + V = W·R`.
+//! times — deals one pair itself, which costs a fraction of what the cold
+//! path it would otherwise fall back to costs. Only a key the pool does
+//! not produce is a miss, and a miss simply runs the cold path — the pool
+//! can only make requests faster, never wrong, because warm and cold
+//! bundles satisfy the same triplet invariant `U + V = W·R`.
+//!
+//! A server has one pool, whatever its worker count: a session takes from
+//! it once, in its hello, against milliseconds of protocol, so there is no
+//! contention for shards to relieve, and one producer deals a Fig-4 pair in
+//! under half a millisecond against ~6 ms a warm session — about thirteen
+//! workers' worth, past which takers deal for themselves.
 
 use abnn2_core::bundle::{dealer_bundle_for, BundleKey, ClientBundle, ServerBundle};
 use abnn2_core::OfflineMode;
@@ -29,8 +34,8 @@ use std::time::{Duration, Instant};
 pub struct PoolSnapshot {
     /// Bundle pairs manufactured since start.
     pub produced: u64,
-    /// Warm sessions: successful [`take`](PrecomputePool::take) and
-    /// [`deal`](PrecomputePool::deal) calls.
+    /// Warm sessions: [`take`](PrecomputePool::take) calls that returned
+    /// a pair, buffered or dealt on the spot.
     pub hits: u64,
     /// Bundle requests the pool could not serve (a key it does not
     /// produce, or after shutdown): sessions that ran cold.
@@ -62,16 +67,14 @@ pub struct PrecomputePool {
     model: Arc<ServedModel>,
     /// What the pool produces: each key with the graph to deal it from.
     entries: Arc<[(BundleKey, SecureGraph)]>,
-    keys: Vec<BundleKey>,
     depth: usize,
-    /// The RNG of [`deal`](Self::deal), apart from the producer's.
+    /// The RNG a taker deals with, apart from the producer's.
     dealer: Mutex<StdRng>,
 }
 
 impl std::fmt::Debug for PrecomputePool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PrecomputePool")
-            .field("keys", &self.keys)
             .field("depth", &self.depth)
             .field("snapshot", &self.snapshot())
             .finish()
@@ -112,7 +115,6 @@ impl PrecomputePool {
                 modes.iter().map(move |&m| (key.with_mode(m), sg.clone()))
             })
             .collect();
-        let keys: Vec<BundleKey> = entries.iter().map(|(k, _)| *k).collect();
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState { buffers: HashMap::new(), shutdown: false }),
             changed: Condvar::new(),
@@ -138,56 +140,41 @@ impl PrecomputePool {
             producer: Mutex::new(Some(producer)),
             model,
             entries,
-            keys,
             depth,
             // A stream of its own, whatever the producer has drawn.
             dealer: Mutex::new(StdRng::seed_from_u64(seed ^ 0x6465_616C)),
         }
     }
 
-    /// The keys this pool produces for.
-    #[must_use]
-    pub fn keys(&self) -> &[BundleKey] {
-        &self.keys
-    }
-
-    /// Pops a ready pair for `key`, if one is buffered. Never blocks. An
-    /// empty buffer is not yet a miss: the caller may have sibling shards
-    /// to ask, and [`deal`](Self::deal) behind them.
+    /// A pair for `key`: a buffered one if the producer has kept up, else
+    /// one dealt here, on the calling thread. Never blocks on the producer.
+    /// A dealt bundle is plaintext arithmetic (0.3 ms for the paper's Fig-4
+    /// MLP) where the cold path the session would otherwise take is an OT
+    /// per weight, so a producer that fell behind, or whose thread lost its
+    /// core for a few request times, costs one session a fraction of a
+    /// millisecond and not its warm path. Either way a hit (a dealt pair
+    /// also counts as produced). `None`, counted as a miss, for a key this
+    /// pool does not produce and, once what was buffered is gone, after
+    /// shutdown.
     #[must_use]
     pub fn take(&self, key: &BundleKey) -> Option<(ServerBundle, ClientBundle)> {
-        let mut state = self.shared.state.lock().expect("pool lock");
-        let taken = state.buffers.get_mut(key).and_then(Vec::pop);
-        drop(state);
-        if taken.is_some() {
-            self.shared.hits.fetch_add(1, Ordering::Relaxed);
+        let (buffered, live) = {
+            let mut state = self.shared.state.lock().expect("pool lock");
+            (state.buffers.get_mut(key).and_then(Vec::pop), !state.shutdown)
+        };
+        if buffered.is_some() {
             // The producer may be parked on a full pool; wake it to refill.
             self.shared.changed.notify_all();
         }
-        taken
-    }
-
-    /// The last resort of a taker that found every buffer empty: deals one
-    /// pair for `key` on the calling thread. A dealt bundle is plaintext
-    /// arithmetic (0.3 ms for the paper's Fig-4 MLP) where the cold path
-    /// the session would otherwise take is an OT per weight, so a producer
-    /// that fell behind, or whose thread lost its core for a few request
-    /// times, costs one session a fraction of a millisecond and not its
-    /// warm path. Counted as produced and as a hit. `None`, counted as a
-    /// miss, for a key this pool does not produce and after shutdown.
-    #[must_use]
-    pub fn deal(&self, key: &BundleKey) -> Option<(ServerBundle, ClientBundle)> {
-        let entry = self.entries.iter().find(|(k, _)| k == key);
-        let live = !self.shared.state.lock().expect("pool lock").shutdown;
-        let Some((_, sg)) = entry.filter(|_| live) else {
-            self.shared.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        let pair =
-            dealer_bundle_for(&self.model, sg, &mut *self.dealer.lock().expect("dealer lock"));
-        self.shared.produced.fetch_add(1, Ordering::Relaxed);
-        self.shared.hits.fetch_add(1, Ordering::Relaxed);
-        Some(pair)
+        let pair = buffered.or_else(|| {
+            let (_, sg) = self.entries.iter().find(|(k, _)| k == key).filter(|_| live)?;
+            let mut rng = self.dealer.lock().expect("dealer lock");
+            self.shared.produced.fetch_add(1, Ordering::Relaxed);
+            Some(dealer_bundle_for(&self.model, sg, &mut *rng))
+        });
+        let outcome = if pair.is_some() { &self.shared.hits } else { &self.shared.misses };
+        outcome.fetch_add(1, Ordering::Relaxed);
+        pair
     }
 
     /// Blocks until at least `count` pairs are buffered for `key`, or
@@ -332,7 +319,7 @@ mod tests {
 
         // A key the pool does not produce is a miss, not a block.
         let other = BundleKey { batch: 77, ..k1 };
-        assert!(pool.take(&other).is_none() && pool.deal(&other).is_none());
+        assert!(pool.take(&other).is_none());
 
         // The taken slot refills.
         assert!(pool.wait_ready(&k1, 2, Duration::from_secs(10)), "pool must refill");
@@ -355,8 +342,8 @@ mod tests {
         assert!(pool.wait_ready(&key, 1, Duration::from_secs(10)));
         pool.shutdown();
         // Post-shutdown takes drain what is buffered, then miss.
-        let _ = pool.take(&key);
-        assert!(pool.take(&key).is_none() && pool.deal(&key).is_none());
+        assert!(pool.take(&key).is_some());
+        assert!(pool.take(&key).is_none());
         assert_eq!(pool.snapshot().misses, 1);
     }
 
@@ -371,20 +358,12 @@ mod tests {
         let pool =
             PrecomputePool::start_with_modes(Arc::clone(&model), &[1], &[OfflineMode::Iknp], 1, 7);
         // Faster than any producer: every empty buffer is dealt for.
-        let (mut popped, mut dealt) = (0, 0);
         for _ in 0..50 {
-            match pool.take(&key) {
-                Some(_) => popped += 1,
-                None => {
-                    let (sb, cb) = pool.deal(&key).expect("a produced key is always served");
-                    assert_eq!((sb.batch, cb.batch), (1, 1));
-                    dealt += 1;
-                }
-            }
+            let (sb, cb) = pool.take(&key).expect("a produced key is always served");
+            assert_eq!((sb.batch, cb.batch), (1, 1));
         }
-        assert!(dealt > 0, "50 takes in a row outrun a depth-1 pool");
         let snap = pool.snapshot();
-        assert_eq!((snap.hits, snap.misses), (popped + dealt, 0));
+        assert_eq!((snap.hits, snap.misses), (50, 0));
         assert!(snap.produced >= snap.hits);
     }
 }

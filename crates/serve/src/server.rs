@@ -22,13 +22,13 @@
 //!    and its own [`Waker`], which the acceptor signals after queueing a
 //!    connection. Peak thread count scales with *workers*, not clients,
 //!    and an idle worker wakes for work, not on a timer.
-//! 3. The [`PrecomputePool`] is sharded per worker: each worker prefers
-//!    its own pool shard (and steals from siblings rather than strand
-//!    warm bundles). Resume checkpoints and parked lineages live in one
-//!    [`CheckpointStore`] shared by every worker (a session touches it at
-//!    its hello, at its last step and when it settles), so any worker can
-//!    resume a session that died on another, or continue the lineage of
-//!    one that finished on another.
+//! 3. Warm bundles come from one [`PrecomputePool`], resume checkpoints
+//!    and parked lineages live in one [`CheckpointStore`], both shared by
+//!    every worker: a session touches the pool once, in its hello, and the
+//!    store at its hello, at its last step and when it settles, against
+//!    milliseconds of protocol in between, so neither is sharded. Any
+//!    worker can resume a session that died on another, or continue the
+//!    lineage of one that finished on another.
 //! 4. [`Server::begin_drain`] flips admission off while in-flight
 //!    sessions run to completion and wakes every worker to see it; the
 //!    acceptor is woken by a throwaway self-connection when the drain
@@ -45,9 +45,9 @@
 //!    possibly-poisoned checkpoint discarded — while the worker and its
 //!    sibling sessions keep running. A **supervisor** thread watches
 //!    per-worker heartbeats and respawns dead or wedged workers; the
-//!    respawned worker reuses its index, so its pool shard re-homes
-//!    automatically. Busy rejections carry a
-//!    `retry_after_ms` hint derived from queue depth and occupancy.
+//!    respawned worker reuses its index (its waker and heartbeat slot).
+//!    Busy rejections carry a `retry_after_ms` hint derived from queue
+//!    depth and occupancy.
 //!
 //! Byte accounting is preserved exactly: every driver effect is counted
 //! into a per-session [`InstrumentHandle`] meter, so per-phase and per-tag
@@ -57,15 +57,15 @@
 
 use crate::governor::{GovernorConfig, PRE_HANDSHAKE_BYTES, PRE_HANDSHAKE_FRAMES};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-use crate::pool::{PoolSnapshot, PrecomputePool};
+use crate::pool::PrecomputePool;
 use abnn2_core::bundle::{BundleKey, ClientBundle, ServerBundle};
 use abnn2_core::driver::{DriverEffect, DriverStep, SessionDriver, SessionHost};
-use abnn2_core::handshake::{reject_busy_with, ResumeToken, SessionParams};
+use abnn2_core::handshake::{reject_busy_with, SessionParams};
 use abnn2_core::resilient::DEFAULT_CHECKPOINT_CAPACITY;
 use abnn2_core::OfflineMode;
 use abnn2_core::{
     CheckpointStore, CommCeiling, ExecConfig, ProtocolError, SecureServer, ServedModel,
-    ServerLineage, SessionDeadlines,
+    SessionDeadlines,
 };
 use abnn2_net::ready::{self, Interest, Waker};
 use abnn2_net::{FrameBuffer, InstrumentHandle, TcpTransport, TransportError};
@@ -91,9 +91,9 @@ pub struct ServeConfig {
     /// capacity is `workers * sessions_per_worker`; the default of 1
     /// reproduces the classic one-session-per-worker admission behaviour.
     pub sessions_per_worker: usize,
-    /// Ready bundle pairs to keep per batch size *per worker shard*; zero
-    /// disables the precompute pool (every session pays the interactive
-    /// offline phase).
+    /// Ready bundle pairs to keep per batch size *per worker* (the one
+    /// pool holds `pool_depth × workers` per key); zero disables the
+    /// precompute pool (every session pays the interactive offline phase).
     pub pool_depth: usize,
     /// Batch sizes the pool precomputes for.
     pub pool_batches: Vec<usize>,
@@ -148,8 +148,8 @@ struct Shared {
     server: Arc<SecureServer>,
     config: ServeConfig,
     store: CheckpointStore,
-    /// One pool shard per worker (empty when `pool_depth` is zero).
-    pools: Vec<PrecomputePool>,
+    /// `None` when `pool_depth` is zero.
+    pool: Option<PrecomputePool>,
     metrics: MetricsRegistry,
     /// The bound listen address, used for the drain-complete wake dial.
     addr: SocketAddr,
@@ -225,29 +225,23 @@ impl Server {
         let wakers = (0..config.workers).map(|_| Waker::new()).collect::<Result<_, _>>()?;
 
         let server = Arc::new(SecureServer::for_model(model).with_exec(config.exec));
-        let pools = if config.pool_depth > 0 {
-            (0..config.workers)
-                .map(|i| {
-                    PrecomputePool::start_with_modes(
-                        Arc::clone(server.model()),
-                        &config.pool_batches,
-                        &config.pool_modes,
-                        config.pool_depth,
-                        // Distinct stream from the workers, distinct per shard.
-                        (config.seed ^ 0x706F_6F6C).wrapping_add(i as u64),
-                    )
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let pool = (config.pool_depth > 0).then(|| {
+            PrecomputePool::start_with_modes(
+                Arc::clone(server.model()),
+                &config.pool_batches,
+                &config.pool_modes,
+                config.pool_depth * config.workers,
+                // Distinct stream from the workers.
+                config.seed ^ 0x706F_6F6C,
+            )
+        });
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState { conns: VecDeque::new(), draining: false }),
             wakers,
             server,
             config: config.clone(),
             store: CheckpointStore::new(config.checkpoint_capacity),
-            pools,
+            pool,
             metrics: MetricsRegistry::new(),
             addr: bound,
             hearts: (0..config.workers).map(|_| AtomicU64::new(0)).collect(),
@@ -292,10 +286,11 @@ impl Server {
         self.addr
     }
 
-    /// Live metrics, with pool gauges summed across every worker shard.
+    /// Live metrics.
     #[must_use]
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.metrics.snapshot(pool_totals(&self.shared), self.shared.store.lineage_stats())
+        let pool = self.shared.pool.as_ref().map(PrecomputePool::snapshot).unwrap_or_default();
+        self.shared.metrics.snapshot(pool, self.shared.store.lineage_stats())
     }
 
     /// The resume-checkpoint store shared by all workers.
@@ -304,23 +299,22 @@ impl Server {
         &self.shared.store
     }
 
-    /// Blocks until **every worker's pool shard** holds `count` ready
-    /// pairs for batch size `batch` under every configured offline mode
-    /// (or `timeout` passes). Returns false when no pool is attached or
-    /// the target was not reached — callers use this to guarantee a warm
-    /// first request on whichever worker claims it.
+    /// Blocks until the pool holds `count` ready pairs **per worker**
+    /// (`count × workers`, capped at its capacity) for batch size `batch`
+    /// under every configured offline mode, or `timeout` passes. Returns
+    /// false when no pool is attached or the target was not reached —
+    /// callers use this to guarantee a warm first wave, one request on
+    /// every worker at once.
     #[must_use]
     pub fn warm_up(&self, batch: usize, count: usize, timeout: Duration) -> bool {
-        if self.shared.pools.is_empty() {
-            return false;
-        }
+        let Some(pool) = &self.shared.pool else { return false };
+        let config = &self.shared.config;
+        let count = count.min(config.pool_depth) * config.workers;
         let base = BundleKey::from_params(&self.shared.server.params_for(batch));
         let deadline = Instant::now() + timeout;
-        self.shared.pools.iter().all(|p| {
-            self.shared.config.pool_modes.iter().all(|&mode| {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                p.wait_ready(&base.with_mode(mode), count, remaining)
-            })
+        config.pool_modes.iter().all(|&mode| {
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            pool.wait_ready(&base.with_mode(mode), count, remaining)
         })
     }
 
@@ -333,7 +327,7 @@ impl Server {
             q.draining = true;
         }
         self.shared.wake_workers();
-        for pool in &self.shared.pools {
+        if let Some(pool) = &self.shared.pool {
             pool.shutdown();
         }
         // If nothing is in flight the drain is already complete; wake the
@@ -366,18 +360,6 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-fn pool_totals(shared: &Shared) -> PoolSnapshot {
-    shared.pools.iter().fold(PoolSnapshot::default(), |acc, p| {
-        let s = p.snapshot();
-        PoolSnapshot {
-            produced: acc.produced + s.produced,
-            hits: acc.hits + s.hits,
-            misses: acc.misses + s.misses,
-            ready: acc.ready + s.ready,
-        }
-    })
 }
 
 /// Whether the acceptor may stop listening: draining was requested AND
@@ -468,45 +450,19 @@ fn retry_after_hint(shared: &Shared) -> u32 {
     let active = shared.metrics.active();
     let queued = shared.queue.lock().expect("queue lock").conns.len() as u64;
     let mut hint = 25 * (active + queued + 1);
-    if !shared.pools.is_empty() && pool_totals(shared).ready == 0 {
+    if shared.pool.as_ref().is_some_and(|pool| pool.snapshot().ready == 0) {
         hint += 100;
     }
     u32::try_from(hint.min(5_000)).expect("capped at 5000")
 }
 
-/// Per-worker [`SessionHost`]: parameters from the shared server,
-/// checkpoints and lineages from (and back to) the shared store, warm
-/// bundles from this worker's pool shard first, stealing from siblings on
-/// an empty buffer so a busy worker cannot strand warm bundles in an idle
-/// worker's shard, and dealt on the spot if every shard is drained.
-struct WorkerHost<'a> {
-    shared: &'a Shared,
-    worker: usize,
-}
+/// The workers' [`SessionHost`]: parameters from the shared server, the
+/// shared store, warm bundles from the shared pool.
+struct WorkerHost<'a>(&'a Shared);
 
 impl SessionHost for WorkerHost<'_> {
     fn params_for(&self, batch: usize) -> SessionParams {
-        self.shared.server.params_for(batch)
-    }
-
-    fn claim_checkpoint(&self, token: &ResumeToken) -> Option<ServerBundle> {
-        self.shared.store.claim(token)
-    }
-
-    fn release_checkpoint(&self, token: ResumeToken, parked: Option<ServerBundle>) {
-        self.shared.store.release(token, parked);
-    }
-
-    fn parks_lineages(&self) -> bool {
-        true
-    }
-
-    fn claim_lineage(&self, token: &ResumeToken) -> Option<ServerLineage> {
-        self.shared.store.claim_lineage(token)
-    }
-
-    fn park_lineage(&self, token: ResumeToken, lineage: ServerLineage) {
-        self.shared.store.park_lineage(token, lineage);
+        self.0.server.params_for(batch)
     }
 
     fn take_bundle(
@@ -514,18 +470,14 @@ impl SessionHost for WorkerHost<'_> {
         params: &SessionParams,
         mode: OfflineMode,
     ) -> Option<(ServerBundle, ClientBundle)> {
-        let pools = &self.shared.pools;
-        if pools.is_empty() {
-            return None;
-        }
         // Keyed on the negotiated offline mode: an IKNP session can never
         // drain a silent-keyed bundle (or vice versa), so per-mode pool
         // accounting stays truthful under a mixed fleet.
-        let key = BundleKey::from_params(params).with_mode(mode);
-        let shard = |i: usize| &pools[(self.worker + i) % pools.len()];
-        // Every shard drained (four sessions fit in one hiccup of a
-        // producer thread): deal the pair here rather than go cold.
-        (0..pools.len()).find_map(|i| shard(i).take(&key)).or_else(|| shard(0).deal(&key))
+        self.0.pool.as_ref()?.take(&BundleKey::from_params(params).with_mode(mode))
+    }
+
+    fn store(&self) -> Option<&CheckpointStore> {
+        Some(&self.0.store)
     }
 }
 
@@ -600,9 +552,8 @@ fn spawn_worker(shared: &Arc<Shared>, worker: usize, seed: u64) -> JoinHandle<()
 /// Watches worker liveness and respawns casualties. A worker thread that
 /// finished while the server is not draining died abnormally (an injected
 /// chaos panic, or a bug severe enough to escape the per-session
-/// `catch_unwind`); its replacement reuses the same worker index, so the
-/// pool shard and checkpoint shard re-home automatically and queued
-/// connections are simply claimed by the new thread. A worker whose
+/// `catch_unwind`); its replacement reuses the same worker index and
+/// queued connections are simply claimed by the new thread. A worker whose
 /// heartbeat is older than `wedge_timeout` while its thread is still
 /// alive is presumed stuck inside a sweep; it is detached (a truly wedged
 /// thread never reaches the claim loop again) and replaced the same way.
@@ -678,9 +629,8 @@ struct LiveSession<'a> {
     /// and not the worker's own compute (this session's or a sibling's)
     /// — what `SO_RCVTIMEO` measures on the blocking path.
     waiting_since: Instant,
-    /// Deadline of the current phase budget (`Mark("setup")` arms the
-    /// offline budget across setup+bundle+offline, `Mark("online")` the
-    /// online budget — mirroring the blocking server's placement).
+    /// Deadline of the current phase budget, armed off the driver's marks
+    /// by [`SessionDeadlines::budget_from`], the blocking server's rule.
     phase_deadline: Option<Instant>,
     /// Admission ordinal, keyed by the governor's chaos knobs.
     ordinal: u64,
@@ -691,15 +641,11 @@ struct LiveSession<'a> {
     /// Plan-keyed inbound ceiling, computed once the handshake fixes the
     /// batch; `None` until then (the pre-handshake allowance applies).
     quota: Option<CommCeiling>,
-    /// Whether the driver has entered the online phase (`Mark("online")`
-    /// observed), for the chaos session-panic injection.
-    online: bool,
 }
 
 impl<'a> LiveSession<'a> {
     fn new(
         shared: &'a Shared,
-        worker: usize,
         stream: TcpStream,
         rng: &mut StdRng,
     ) -> Result<Self, TransportError> {
@@ -708,7 +654,7 @@ impl<'a> LiveSession<'a> {
         shared.metrics.register(meter.clone());
         let driver = SessionDriver::new(
             Arc::clone(&shared.server),
-            WorkerHost { shared, worker },
+            WorkerHost(shared),
             StdRng::seed_from_u64(rng.next_u64()),
         );
         Ok(LiveSession {
@@ -721,7 +667,6 @@ impl<'a> LiveSession<'a> {
             inbound_frames: 0,
             inbound_bytes: 0,
             quota: None,
-            online: false,
         })
     }
 
@@ -731,7 +676,7 @@ impl<'a> LiveSession<'a> {
         // Chaos: the governed session panics at the top of its first
         // online-phase sweep, exercising the worker's quarantine path.
         if shared.config.governor.inject_panic_session == Some(self.ordinal)
-            && self.online
+            && self.driver.phase() == "online"
             && !shared.chaos_fired.swap(true, Ordering::SeqCst)
         {
             panic!("governor chaos: injected session panic in online phase");
@@ -854,18 +799,8 @@ impl<'a> LiveSession<'a> {
                 DriverEffect::Recv { tag, len } => self.meter.record_recv(tag, len),
                 DriverEffect::Mark(label) => {
                     self.meter.enter_phase(&label);
-                    let deadlines = &shared.config.deadlines;
-                    match label.as_str() {
-                        "setup" => {
-                            self.phase_deadline =
-                                deadlines.offline_budget.map(|b| Instant::now() + b);
-                        }
-                        "online" => {
-                            self.online = true;
-                            self.phase_deadline =
-                                deadlines.online_budget.map(|b| Instant::now() + b);
-                        }
-                        _ => {}
+                    if let Some(budget) = shared.config.deadlines.budget_from(&label) {
+                        self.phase_deadline = budget.map(|b| Instant::now() + b);
                     }
                 }
             }
@@ -879,29 +814,35 @@ impl<'a> LiveSession<'a> {
         Sweep::Finished(true)
     }
 
+    /// A failed session waits only for what a failure itself has to say:
+    /// the hello reply of a failed negotiation, the first bytes this
+    /// connection was ever sent. Anything else queued is protocol output
+    /// to a peer no longer following it and got its one `poll_write` in
+    /// the sweep that ended here — a peer that reads nothing (the first
+    /// KK13 column frame is megabytes) and then sends a stray frame must
+    /// not hold this worker, and every sibling on it, for a courtesy flush.
     fn finish_err(&mut self, e: ProtocolError) -> Sweep {
         // A retryably dead session parks its connection-independent
         // offline state for a future resume.
         self.driver.settle(Some(&e));
-        self.flush_outbound();
+        if matches!(e, ProtocolError::Negotiation { .. }) {
+            self.flush_outbound();
+        }
         Sweep::Finished(false)
     }
 
     /// Governor eviction: park the resumable offline state for a future
     /// resume (an evicted peer is a timed-out peer), count the eviction,
-    /// and give the slot back. Unlike [`finish_err`](Self::finish_err)
-    /// this does NOT wait on `flush_outbound` — the peer being evicted is
-    /// by definition not draining, and a 5-second courtesy flush per
-    /// eviction would let slow peers serialize the very sweep the
-    /// governor protects.
+    /// and give the slot back without waiting on the socket — the peer
+    /// being evicted is by definition not draining.
     fn finish_evict(&mut self, shared: &Shared) -> Sweep {
         self.driver.settle(Some(&ProtocolError::TimedOut));
         shared.metrics.session_evicted();
         Sweep::Finished(false)
     }
 
-    /// Best-effort bounded drain of queued output (the negotiation reply,
-    /// the final logit shares) before the socket closes.
+    /// Best-effort bounded drain of queued output (the final logit shares,
+    /// a negotiation reply) before the socket closes.
     fn flush_outbound(&mut self) {
         let deadline = Instant::now() + Duration::from_secs(5);
         while let Ok(false) = self.fb.poll_write() {
@@ -942,7 +883,7 @@ fn worker_loop(shared: &Shared, worker: usize, seed: u64) {
                 // Counted before the lock drops so `drain_complete`
                 // never sees an empty queue with the pop unaccounted.
                 shared.metrics.session_started();
-                match LiveSession::new(shared, worker, stream, &mut rng) {
+                match LiveSession::new(shared, stream, &mut rng) {
                     Ok(live) => sessions.push(live),
                     Err(_) => shared.metrics.session_ended(false),
                 }
@@ -968,7 +909,7 @@ fn worker_loop(shared: &Shared, worker: usize, seed: u64) {
                 Ok(Sweep::Finished(ok)) => ok,
                 Err(_) => {
                     if let Some(token) = live.driver.token() {
-                        shared.store.release(token, None);
+                        shared.store.remove(&token);
                     }
                     shared.metrics.session_panicked();
                     false

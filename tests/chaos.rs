@@ -671,6 +671,82 @@ fn governor_evicts_never_draining_reader_on_outbound_cap() {
     assert_eq!(m.panicked, 0);
 }
 
+/// The bug this pins: a failed session used to get the same bounded
+/// courtesy flush as a finished one, five seconds of waiting for `POLLOUT`
+/// on everything queued. A peer that completes the hello and setup of a
+/// cold session, never reads the offline phase the server then queues
+/// (megabytes, more than the socket buffers take), and sends one stray
+/// frame fails its session with all of that still queued — and the wait
+/// held the worker thread, and the honest session multiplexed on it, for
+/// the whole five seconds. A failure waits only for a negotiation reply.
+#[test]
+fn a_failed_never_draining_peer_does_not_stall_its_sibling() {
+    let net = Network::new(&[1024, 256, 4], 778);
+    let q = QuantizedNetwork::quantize(
+        &net,
+        QuantConfig {
+            ring: Ring::new(32),
+            frac_bits: 8,
+            weight_frac_bits: 2,
+            scheme: FragmentScheme::signed_bit_fields(&[2, 2]),
+        },
+    );
+    let x: Vec<u64> = (0..1024).map(|j| (j * 37 + 5) & 0xFFF).collect();
+    let expected = q.forward_exact(&x);
+    let info = PublicModel::from(&q);
+    let deadlines = SessionDeadlines::uniform(Duration::from_secs(60));
+    let server = Server::start(
+        q,
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 1,
+            sessions_per_worker: 2,
+            pool_depth: 1,
+            pool_batches: vec![1],
+            deadlines,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("start server");
+    assert!(server.warm_up(1, 1, Duration::from_secs(30)), "pool must warm");
+
+    // Hello and setup of a cold session, then nothing is ever read.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xBAD_F1A5);
+    let ours = SessionParams::for_public(&info, ExecConfig::new().variant, 1);
+    let mut hostile = TcpTransport::connect(server.addr()).expect("connect");
+    hostile.set_read_timeout(Some(Duration::from_secs(60))).expect("timeout");
+    let reply = handshake_client_ext(&mut hostile, ours, &[0x45; 16], HelloRequest::default())
+        .expect("handshake");
+    assert!(!reply.resume && !reply.bundle);
+    let _halves = ClientLineage::setup(&mut hostile, &mut rng).expect("setup");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while server.metrics().phase("offline").bytes_sent < 4 << 20 {
+        assert!(Instant::now() < deadline, "the server never queued its column frame");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    // One frame the fragment sender would never send fails the session.
+    hostile.send(&[0xEE, 1, 2]).expect("stray frame");
+    hostile.flush().expect("flush");
+    let started = Instant::now();
+    let client = ServeClient::for_model(info).with_deadlines(deadlines);
+    let (y, report) =
+        client.run(server.addr(), std::slice::from_ref(&x), &mut rng).expect("honest sibling");
+    let took = started.elapsed();
+    assert_eq!(y.col(0), expected, "sibling logits diverge");
+    assert!(report.warm, "the sibling rides the pooled bundle");
+    assert!(took < Duration::from_secs(1), "the sibling waited {took:?} behind a failed peer");
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.metrics().completed < 1 || server.metrics().active > 0 {
+        assert!(Instant::now() < deadline, "bookkeeping never settled: {:?}", server.metrics());
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    drop(hostile);
+    let m = server.metrics();
+    assert_eq!((m.completed, m.failed, m.evicted, m.panicked), (1, 1, 0, 0));
+}
+
 /// A session that panics mid-online must be quarantined: its worker and
 /// the sibling sessions multiplexed on it keep running, the poisoned
 /// checkpoint is discarded, and every client — including the one whose

@@ -20,7 +20,7 @@ use abnn2::core::driver::{drive_blocking, SessionDriver, SessionHost};
 use abnn2::core::handshake::{handshake_client_ext, Halves, HelloRequest};
 use abnn2::core::{
     CheckpointStore, ClientLineage, LineageStats, OfflineMode, ProtocolError, ResumeToken,
-    SecureClient, SecureServer, ServedModel, ServerLineage, SessionDeadlines, SessionParams,
+    SecureClient, SecureServer, ServedModel, SessionDeadlines, SessionParams,
 };
 use abnn2::math::{FragmentScheme, Ring};
 use abnn2::net::{Fault, FaultyTransport, RetryPolicy, TcpTransport, Transport};
@@ -112,9 +112,6 @@ impl SessionHost for StoreHost<'_> {
     fn params_for(&self, batch: usize) -> SessionParams {
         self.server.params_for(batch)
     }
-    fn claim_checkpoint(&self, token: &ResumeToken) -> Option<ServerBundle> {
-        self.store.claim(token)
-    }
     fn take_bundle(
         &self,
         params: &SessionParams,
@@ -124,17 +121,8 @@ impl SessionHost for StoreHost<'_> {
         let sg = self.server.model().secure_graph(params.batch as usize).ok()?;
         Some(dealer_bundle_for(self.server.model(), &sg, &mut *rng))
     }
-    fn release_checkpoint(&self, token: ResumeToken, parked: Option<ServerBundle>) {
-        self.store.release(token, parked);
-    }
-    fn parks_lineages(&self) -> bool {
-        true
-    }
-    fn claim_lineage(&self, token: &ResumeToken) -> Option<ServerLineage> {
-        self.store.claim_lineage(token)
-    }
-    fn park_lineage(&self, token: ResumeToken, lineage: ServerLineage) {
-        self.store.park_lineage(token, lineage);
+    fn store(&self) -> Option<&CheckpointStore> {
+        Some(self.store)
     }
 }
 
@@ -536,8 +524,8 @@ fn a_host_that_parks_nothing_says_so_and_the_client_keeps_nothing() {
     let addr = listener.local_addr().expect("local addr");
     let server = SecureServer::for_model(ServedModel::from(q.clone()));
     std::thread::scope(|scope| {
-        // `SecureServer::run` drives a session over `NullHost`, whose
-        // lineage methods are the trait's defaults.
+        // `SecureServer::run` drives a session over `NullHost`, which has
+        // no store.
         scope.spawn(|| {
             for seed in 0..2 {
                 let (stream, _) = listener.accept().expect("accept");

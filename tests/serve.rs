@@ -13,7 +13,7 @@ use abnn2::math::{FragmentScheme, Ring};
 use abnn2::net::{RetryPolicy, TcpTransport, Transport};
 use abnn2::nn::quant::{QuantConfig, QuantizedDense, QuantizedNetwork};
 use abnn2::nn::{ConvShape, Network, QuantizedCnn, QuantizedConv};
-use abnn2::serve::{ServeClient, ServeConfig, Server};
+use abnn2::serve::{GovernorConfig, ServeClient, ServeConfig, Server};
 use rand::{Rng, SeedableRng};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -229,6 +229,41 @@ fn warm_pool_serves_cnn_with_zero_offline_bytes() {
     assert!(report.phase("bundle").bytes_received > 0, "client must receive its bundle half");
     assert!(report.phase("online").total_bytes() > 0);
     assert!(server.metrics().pool.hits >= 1, "pool must record the warm hit");
+}
+
+/// The supervisor's dead-worker path: the only worker dies with a
+/// connection in the queue and no lock held, the replacement claims that
+/// connection and serves it, and the drain still finds every thread.
+#[test]
+fn a_dead_worker_is_respawned_and_its_queued_connection_is_served() {
+    let q = tiny_model(260);
+    let x = sample_input(12, 261);
+    let expected = q.forward_exact(&x);
+    let config = ServeConfig {
+        workers: 1,
+        pool_depth: 0,
+        deadlines: fast_deadlines(),
+        governor: GovernorConfig { inject_worker_panic: Some(0), ..GovernorConfig::default() },
+        ..ServeConfig::default()
+    };
+    let mut server = Server::start(q.clone(), "127.0.0.1:0", config).expect("start server");
+
+    let client = ServeClient::for_model(PublicModel::from(&q))
+        .with_deadlines(fast_deadlines())
+        .with_policy(RetryPolicy::no_delay(1));
+    let mut rng = rand::rngs::StdRng::seed_from_u64(262);
+    let (y, report) =
+        client.run(server.addr(), std::slice::from_ref(&x), &mut rng).expect("request");
+    assert_eq!(y.col(0), expected, "the replacement worker's logits must equal forward_exact");
+    assert_eq!(report.attempts, 1, "the queued connection survived the crash");
+
+    wait_until("the session to finish server-side", || server.metrics().completed == 1);
+    let metrics = server.metrics();
+    assert_eq!(metrics.worker_respawns, 1);
+    assert_eq!((metrics.failed, metrics.panicked, metrics.active), (0, 0, 0));
+
+    // Joins the acceptor, the supervisor and the replacement worker.
+    server.shutdown();
 }
 
 #[test]

@@ -3,7 +3,9 @@
 //! suspendable sessions. Every logit must stay bit-exact, and the
 //! server's peak protocol-thread count must scale with `workers`, not
 //! with the number of connected clients — the point of the readiness
-//! driven session engine.
+//! driven session engine. A pool adds one producer thread to that count,
+//! whatever the worker count, and still serves a first wave of one
+//! request per worker warm.
 
 use abnn2::core::PublicModel;
 use abnn2::core::SessionDeadlines;
@@ -13,7 +15,12 @@ use abnn2::nn::Network;
 use abnn2::serve::{ServeClient, ServeConfig, Server};
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
+
+/// Thread names are counted per process, so the tests of this file take
+/// turns.
+static ONE_SERVER_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 fn tiny_model(seed: u64) -> QuantizedNetwork {
     let net = Network::new(&[12, 8, 6, 4], seed);
@@ -32,18 +39,18 @@ fn sample_input(dim: usize, seed: u64) -> Vec<u64> {
     (0..dim).map(|j| (seed.wrapping_mul(31).wrapping_add(j as u64 * 7)) & 0xFFFF).collect()
 }
 
-/// Counts live threads of this process whose name starts with `abnn2-`
-/// (acceptor, supervisor, workers, pool producers). `None` when the
-/// platform has no
-/// readable `/proc/self/task`, in which case the thread-scaling assertion
-/// is skipped — the bit-exactness half of the test still runs everywhere.
-fn protocol_threads() -> Option<usize> {
+/// Counts live threads of this process whose name starts with `prefix`
+/// (`abnn2-`: acceptor, supervisor, workers, pool producer). `None` when
+/// the platform has no readable `/proc/self/task`, in which case the
+/// thread-count assertions are skipped — the bit-exactness half of each
+/// test still runs everywhere.
+fn threads_named(prefix: &str) -> Option<usize> {
     let dir = std::fs::read_dir("/proc/self/task").ok()?;
     Some(
         dir.filter_map(Result::ok)
             .filter(|t| {
                 std::fs::read_to_string(t.path().join("comm"))
-                    .is_ok_and(|comm| comm.trim_end().starts_with("abnn2-"))
+                    .is_ok_and(|comm| comm.trim_end().starts_with(prefix))
             })
             .count(),
     )
@@ -53,6 +60,7 @@ fn protocol_threads() -> Option<usize> {
 fn sixty_four_clients_multiplex_over_four_workers() {
     const CLIENTS: usize = 64;
     const WORKERS: usize = 4;
+    let _turn = ONE_SERVER_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
 
     let q = tiny_model(4242);
     let info = PublicModel::from(&q);
@@ -84,7 +92,7 @@ fn sixty_four_clients_multiplex_over_four_workers() {
     let exact: usize = std::thread::scope(|scope| {
         let monitor = scope.spawn(|| {
             while !done.load(Ordering::Relaxed) {
-                if let Some(n) = protocol_threads() {
+                if let Some(n) = threads_named("abnn2-") {
                     peak_threads.fetch_max(n, Ordering::Relaxed);
                 }
                 let active = server.metrics().active as usize;
@@ -131,7 +139,7 @@ fn sixty_four_clients_multiplex_over_four_workers() {
     // The multiplexing claim: server-side protocol threads are one
     // acceptor, one supervisor, plus `workers` event loops (no pool at
     // depth 0) — O(workers) even with 64 clients connected at once.
-    if let Some(_probe) = protocol_threads() {
+    if let Some(_probe) = threads_named("abnn2-") {
         let peak = peak_threads.load(Ordering::Relaxed);
         assert!(peak > 0, "monitor never sampled the thread population");
         assert!(
@@ -155,4 +163,54 @@ fn sixty_four_clients_multiplex_over_four_workers() {
     assert_eq!(m.failed, 0);
     assert_eq!(m.rejected, 0, "queue was sized for the whole fleet");
     assert_eq!(m.active, 0);
+}
+
+/// One pool beside the one store: four workers share a single producer
+/// thread, `warm_up(batch, 1, ..)` returns once a pair per worker is
+/// ready, and a first wave of one request on every worker at once rides
+/// pooled bundles without a miss.
+#[test]
+fn four_workers_share_one_pool_producer_and_serve_a_first_wave_warm() {
+    const WORKERS: usize = 4;
+    let _turn = ONE_SERVER_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+
+    let q = tiny_model(4343);
+    let info = PublicModel::from(&q);
+    let server = Server::start(
+        q.clone(),
+        "127.0.0.1:0",
+        ServeConfig { workers: WORKERS, pool_depth: 2, ..ServeConfig::default() },
+    )
+    .expect("server start");
+    let addr = server.addr();
+
+    assert!(server.warm_up(1, 1, Duration::from_secs(30)), "pool must warm");
+    assert!(server.metrics().pool.ready >= WORKERS, "a pair per worker: {:?}", server.metrics());
+    // Past its capacity the target is the capacity.
+    assert!(server.warm_up(1, 100, Duration::from_secs(30)));
+    assert_eq!(server.metrics().pool.ready, 2 * WORKERS);
+
+    std::thread::scope(|scope| {
+        for c in 0..WORKERS {
+            let (client, q) = (ServeClient::for_model(info.clone()), &q);
+            scope.spawn(move || {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(8000 + c as u64);
+                let input = sample_input(12, 100 + c as u64);
+                let (y, report) =
+                    client.run(addr, std::slice::from_ref(&input), &mut rng).expect("request");
+                assert_eq!(y.col(0), q.forward_exact(&input), "client {c}: logits diverge");
+                assert!(report.warm, "client {c} must ride a pooled bundle");
+                assert_eq!(report.phase("offline").total_bytes(), 0);
+            });
+        }
+    });
+    let pool = server.metrics().pool;
+    assert_eq!((pool.hits, pool.misses), (WORKERS as u64, 0));
+
+    // A thread names itself as it starts; by now every one has.
+    if threads_named("abnn2-").is_some() {
+        assert_eq!(threads_named("abnn2-pool"), Some(1), "one producer, not one per worker");
+        // Acceptor, supervisor, producer, and the event loops.
+        assert_eq!(threads_named("abnn2-"), Some(WORKERS + 3));
+    }
 }
