@@ -389,8 +389,8 @@ mod tests {
             },
         );
         srv.expect("server");
-        for k in 0..batch {
-            assert_eq!(y.col(k), expected[k], "sample {k}");
+        for (k, want) in expected.iter().enumerate() {
+            assert_eq!(y.col(k), *want, "sample {k}");
         }
     }
 

@@ -4,6 +4,7 @@ use crate::handshake::SessionParams;
 use abnn2_gc::GcError;
 use abnn2_net::TransportError;
 use abnn2_ot::OtError;
+use std::time::Duration;
 
 /// Errors raised by the ABNN² protocols.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,10 +33,12 @@ pub enum ProtocolError {
     /// Caller-supplied dimensions are inconsistent.
     Dimension(&'static str),
     /// The server refused admission: its accept queue is full or it is
-    /// draining for shutdown. Deliberately *not* retryable under the
-    /// resilient drivers' immediate reconnect loop — hammering an
-    /// overloaded server makes the overload worse; callers that want to
-    /// retry should wait at least the server's hint first.
+    /// draining for shutdown. Not [`is_retryable`](Self::is_retryable):
+    /// re-dialing at once would hammer a full queue. It names its own wait
+    /// instead ([`abnn2_net::Retryable::retry_after`]), so
+    /// [`ResilientDriver`](abnn2_net::ResilientDriver) retries it after
+    /// sleeping `retry_after_ms` (its policy's backoff when that is zero),
+    /// each wait using one attempt of the same budget.
     Overloaded {
         /// Server-suggested wait before the next admission attempt,
         /// derived from its live-session occupancy and precompute-pool
@@ -68,6 +71,15 @@ impl ProtocolError {
 impl abnn2_net::Retryable for ProtocolError {
     fn is_retryable(&self) -> bool {
         ProtocolError::is_retryable(self)
+    }
+
+    fn retry_after(&self) -> Option<Duration> {
+        match self {
+            ProtocolError::Overloaded { retry_after_ms } => {
+                Some(Duration::from_millis(u64::from(*retry_after_ms)))
+            }
+            _ => None,
+        }
     }
 }
 
@@ -155,6 +167,7 @@ mod tests {
         use crate::handshake::SessionParams;
         use crate::relu::ReluVariant;
         use abnn2_math::{FragmentScheme, Ring};
+        use abnn2_net::Retryable;
         use abnn2_nn::graph::LayerGraph;
         use abnn2_nn::quant::QuantConfig;
 
@@ -166,6 +179,11 @@ mod tests {
         assert!(!ProtocolError::Malformed("x").is_retryable());
         assert!(!ProtocolError::Dimension("x").is_retryable());
         assert!(!ProtocolError::Handshake("bad magic").is_retryable());
+        // A busy server is not re-dialed at once, but after its hint.
+        let busy = ProtocolError::Overloaded { retry_after_ms: 250 };
+        assert!(!busy.is_retryable());
+        assert_eq!(busy.retry_after(), Some(Duration::from_millis(250)));
+        assert_eq!(ProtocolError::TimedOut.retry_after(), None);
 
         let config = QuantConfig {
             ring: Ring::new(32),

@@ -724,7 +724,7 @@ mod tests {
 
         #[test]
         fn base_n_round_trip_all(w in -50i64..50, n in 2u64..=16, gamma in 2u32..4) {
-            let s = if n % 2 == 0 {
+            let s = if n.is_multiple_of(2) {
                 FragmentScheme::base_n_signed(n, gamma)
             } else {
                 FragmentScheme::balanced(n, gamma)
@@ -738,7 +738,7 @@ mod tests {
         fn base_n_contributions_sum_to_product(w in -50i64..50, r: u64, n in 2u64..=16) {
             let ring = Ring::new(32);
             let r = ring.reduce(r);
-            let s = if n % 2 == 0 {
+            let s = if n.is_multiple_of(2) {
                 FragmentScheme::base_n_signed(n, 3)
             } else {
                 FragmentScheme::balanced(n, 3)

@@ -75,6 +75,15 @@ where
 pub trait Retryable {
     /// Whether reconnecting and retrying could plausibly clear the error.
     fn is_retryable(&self) -> bool;
+
+    /// The wait the peer asked for before the next attempt, when the error
+    /// is a refusal that names one (a busy server's hint). An error with a
+    /// hint is retried after that wait even if it is not
+    /// [`is_retryable`](Self::is_retryable); a zero hint defers to the
+    /// caller's own backoff.
+    fn retry_after(&self) -> Option<Duration> {
+        None
+    }
 }
 
 impl Retryable for TransportError {
@@ -171,8 +180,12 @@ impl ResilientDriver {
     ///
     /// `connect(attempt)` establishes a fresh transport for the given
     /// 0-based attempt; `body(&mut transport, attempt)` runs the protocol.
-    /// A fatal (non-retryable) error from either closure aborts
-    /// immediately; the last error is returned when attempts run out.
+    /// An error that carries a [`retry_after`](Retryable::retry_after) hint
+    /// is retried after sleeping the hint (the policy's backoff when it is
+    /// zero) instead of the policy's backoff; each such wait uses one
+    /// attempt of the same budget. Any other fatal (non-retryable) error
+    /// from either closure aborts immediately; the last error is returned
+    /// when attempts run out.
     ///
     /// # Errors
     ///
@@ -188,7 +201,8 @@ impl ResilientDriver {
         let mut last_err: Option<E> = None;
         for attempt in 0..attempts {
             if attempt > 0 {
-                let pause = self.policy.backoff(attempt);
+                let hint = last_err.as_ref().and_then(E::retry_after).filter(|d| !d.is_zero());
+                let pause = hint.unwrap_or_else(|| self.policy.backoff(attempt));
                 if !pause.is_zero() {
                     std::thread::sleep(pause);
                 }
@@ -208,7 +222,7 @@ impl ResilientDriver {
             match body(&mut transport, attempt) {
                 Ok(out) => return Ok(out),
                 Err(e) => {
-                    if !e.is_retryable() {
+                    if !e.is_retryable() && e.retry_after().is_none() {
                         return Err(e);
                     }
                     last_err = Some(e);
@@ -332,6 +346,49 @@ mod tests {
         );
         assert_eq!(out, Err(TransportError::Malformed("protocol bug")));
         assert_eq!(bodies, 1, "fatal errors must not be retried");
+    }
+
+    /// A refusal that names its own wait, beside a link error.
+    #[derive(Debug, PartialEq)]
+    enum Refusal {
+        Busy(Duration),
+        Link(TransportError),
+    }
+
+    impl Retryable for Refusal {
+        fn is_retryable(&self) -> bool {
+            matches!(self, Refusal::Link(e) if e.is_retryable())
+        }
+        fn retry_after(&self) -> Option<Duration> {
+            match self {
+                Refusal::Busy(wait) => Some(*wait),
+                Refusal::Link(_) => None,
+            }
+        }
+    }
+
+    impl From<TransportError> for Refusal {
+        fn from(e: TransportError) -> Self {
+            Refusal::Link(e)
+        }
+    }
+
+    #[test]
+    fn driver_waits_out_a_hint_and_each_wait_uses_an_attempt() {
+        let wait = Duration::from_millis(20);
+        let driver = ResilientDriver::new(RetryPolicy::no_delay(3));
+        let mut bodies = 0u32;
+        let start = Instant::now();
+        let out: Result<(), Refusal> = driver.run(
+            |_attempt| Ok(()),
+            |_t, _attempt| {
+                bodies += 1;
+                Err(Refusal::Busy(wait))
+            },
+        );
+        assert_eq!(out, Err(Refusal::Busy(wait)));
+        assert_eq!(bodies, 3, "one budget for busy and broken attempts alike");
+        assert!(start.elapsed() >= 2 * wait, "the hint, not the zero backoff, spaced the dials");
     }
 
     #[test]

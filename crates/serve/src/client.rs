@@ -23,7 +23,6 @@ use abnn2_net::{
 use rand::Rng;
 use std::net::SocketAddr;
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// Outcome of one served request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,12 +151,13 @@ impl ServeClient {
     ///
     /// [`ProtocolError::Overloaded`] when the server refuses admission
     /// and the retry budget is exhausted. A busy rejection carries the
-    /// server's `retry_after_ms` hint; this driver honors it — sleeping
-    /// the hinted amount (or its own jittered backoff when the hint is
-    /// zero) before re-dialing, each wait consuming one attempt from the
-    /// retry policy — so turned-away clients back off instead of
-    /// hot-looping against a full queue. Otherwise the first fatal error
-    /// or the last transient one once the retry policy is exhausted.
+    /// server's `retry_after_ms` hint, which the retry loop honors —
+    /// sleeping the hinted amount (or the policy's jittered backoff when
+    /// the hint is zero) before re-dialing, each wait consuming one
+    /// attempt of the retry policy — so turned-away clients back off
+    /// instead of hot-looping against a full queue. Otherwise the first
+    /// fatal error or the last transient one once the retry policy is
+    /// exhausted.
     pub fn run<R: Rng + ?Sized>(
         &self,
         addr: SocketAddr,
@@ -174,40 +174,15 @@ impl ServeClient {
 
         let mut attempts = 0u32;
         let mut handles: Vec<InstrumentHandle> = Vec::new();
-        let mut shed_waits = 0u32;
-
-        // Admission loop: a busy rejection is not retryable inside the
-        // resilient driver (re-dialing instantly would hammer a full
-        // queue), so it is retried out here, after honoring the server's
-        // backoff hint.
-        let result = loop {
-            let base_attempts = attempts;
-            let pass = ResilientDriver::new(self.policy).run(
-                |_attempt| TcpTransport::connect(addr).map(InstrumentedTransport::new),
-                |ch, attempt| {
-                    attempts = base_attempts + attempt + 1;
-                    handles.push(ch.handle());
-                    ch.set_read_timeout(self.deadlines.read_timeout)?;
-                    self.client.run_job(ch, inputs_fp, &mut job, rng)
-                },
-            );
-            match pass {
-                Err(ProtocolError::Overloaded { retry_after_ms })
-                    if shed_waits + 1 < self.policy.max_attempts.max(1) =>
-                {
-                    let wait = if retry_after_ms > 0 {
-                        Duration::from_millis(u64::from(retry_after_ms))
-                    } else {
-                        self.policy.backoff(shed_waits)
-                    };
-                    if !wait.is_zero() {
-                        std::thread::sleep(wait);
-                    }
-                    shed_waits += 1;
-                }
-                other => break other,
-            }
-        };
+        let result = ResilientDriver::new(self.policy).run(
+            |_attempt| TcpTransport::connect(addr).map(InstrumentedTransport::new),
+            |ch, attempt| {
+                attempts = attempt + 1;
+                handles.push(ch.handle());
+                ch.set_read_timeout(self.deadlines.read_timeout)?;
+                self.client.run_job(ch, inputs_fp, &mut job, rng)
+            },
+        );
 
         // What the job holds now is what is claimable now: the lineage a
         // successful attempt left, nothing after one that failed, the

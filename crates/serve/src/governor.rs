@@ -15,16 +15,17 @@
 //!   queued bytes in the worker's [`FrameBuffer`](abnn2_net::FrameBuffer).
 //!   Past [`max_outbound_bytes`](GovernorConfig::max_outbound_bytes) the
 //!   session is evicted instead of buffering the whole offline phase.
-//! * **inbound quota** — once the handshake fixes the batch, the planner
+//! * **inbound quota** (always on) — once the handshake fixes the batch,
+//!   the planner
 //!   ([`SecureGraph::inbound_ceiling`](abnn2_core::SecureGraph::inbound_ceiling))
 //!   knows an upper bound on what a well-formed client ever sends. A peer
 //!   exceeding that ceiling (frames or bytes) is evicted; before the
-//!   handshake a small fixed allowance applies.
+//!   handshake [`PRE_HANDSHAKE_FRAMES`] / [`PRE_HANDSHAKE_BYTES`] apply.
 //!
-//! The supervisor side: workers heartbeat every loop iteration, and a
-//! `wedge_timeout` (plus thread-death detection) lets the supervisor
-//! respawn a worker and re-home its queue. The two `inject_*` knobs exist
-//! for chaos tests and the `--governor-smoke` CI job; they default off.
+//! A panicking session is quarantined by its worker, and a worker whose
+//! loop panics restarts it on its own thread (the `server` module docs).
+//! The two `inject_*` knobs exercise those paths for chaos tests and the
+//! `--governor-smoke` CI job; they default off.
 
 use std::time::Duration;
 
@@ -32,7 +33,8 @@ use std::time::Duration;
 ///
 /// All limits are optional; `GovernorConfig::default()` enforces only the
 /// outbound cap (256 MiB) — generous enough that no honest workload ever
-/// hits it. Tests and operators tighten from there.
+/// hits it — beside the inbound quota, which is always on. Tests and
+/// operators tighten from there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GovernorConfig {
     /// Evict a `NeedRecv`-parked session that has received no inbound
@@ -42,24 +44,13 @@ pub struct GovernorConfig {
     /// buffer but not yet drained by the peer's socket) exceeds this.
     /// `None` disables the cap.
     pub max_outbound_bytes: Option<u64>,
-    /// Enforce the plan-keyed inbound quota: after the handshake fixes
-    /// the batch, the session may receive at most the planner's
-    /// [`CommCeiling`](abnn2_core::CommCeiling) (frames and bytes);
-    /// before the handshake, [`PRE_HANDSHAKE_FRAMES`] /
-    /// [`PRE_HANDSHAKE_BYTES`] apply.
-    pub inbound_quota: bool,
-    /// Supervisor: respawn a worker whose heartbeat is older than this
-    /// while its thread is still alive (wedged). `None` means only dead
-    /// threads are respawned. Long crypto steps are legitimate — keep
-    /// this well above the slowest single protocol step.
-    pub wedge_timeout: Option<Duration>,
     /// Chaos: panic inside the sweep of the Nth admitted session (0-based
     /// admission ordinal) once it reaches the online phase. Exercises the
     /// quarantine path; `None` in production.
     pub inject_panic_session: Option<u64>,
-    /// Chaos: panic the given worker's thread once, while the accept
-    /// queue is non-empty and before it claims a connection. Exercises
-    /// the supervisor respawn path; `None` in production.
+    /// Chaos: panic the given worker's loop once, while the accept queue
+    /// is non-empty and before it claims a connection. Exercises the
+    /// worker's restart path; `None` in production.
     pub inject_worker_panic: Option<usize>,
 }
 
@@ -73,8 +64,6 @@ impl Default for GovernorConfig {
         GovernorConfig {
             idle_timeout: None,
             max_outbound_bytes: Some(256 * 1024 * 1024),
-            inbound_quota: true,
-            wedge_timeout: None,
             inject_panic_session: None,
             inject_worker_panic: None,
         }
@@ -83,13 +72,12 @@ impl Default for GovernorConfig {
 
 impl GovernorConfig {
     /// Budgets for tests: tight idle/outbound limits so misbehaving peers
-    /// are evicted within `idle`, quotas on.
+    /// are evicted within `idle`.
     #[must_use]
     pub fn strict(idle: Duration, max_outbound_bytes: u64) -> Self {
         GovernorConfig {
             idle_timeout: Some(idle),
             max_outbound_bytes: Some(max_outbound_bytes),
-            inbound_quota: true,
             ..GovernorConfig::default()
         }
     }

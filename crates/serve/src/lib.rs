@@ -27,9 +27,8 @@
 //!   bounded buffer of ready offline-triplet bundle pairs per
 //!   [`BundleKey`] (model digest, scheme digest, batch). The server runs
 //!   one pool, `pool_depth × workers` pairs deep, for all its workers (so
-//!   W workers and a pool are W + 3 threads with the acceptor and the
-//!   supervisor); a worker that finds the buffer empty deals the pair
-//!   itself. A client that
+//!   W workers and a pool are W + 2 threads with the acceptor); a worker
+//!   that finds the buffer empty deals the pair itself. A client that
 //!   asks for a bundle in its hello skips the interactive offline phase
 //!   entirely: the server pops a pair, sends the client half in a
 //!   dedicated `"bundle"` instrumentation phase, and proceeds straight to
@@ -39,14 +38,14 @@
 //!   sessions ([`ServeClient::with_bundles`]`(false)`) keep the paper's
 //!   guarantee.
 //! * [`GovernorConfig`] — per-session resource budgets enforced by every
-//!   worker sweep (idle-park eviction, outbound-queue byte cap,
-//!   plan-keyed inbound quotas) plus the supervisor rules: each session
-//!   step runs under `catch_unwind` so a panicking session is
-//!   quarantined — torn down, its checkpoint discarded — while its worker
-//!   and sibling sessions keep running, and a supervisor thread respawns
-//!   dead or wedged workers. Overload rejections carry a
+//!   worker sweep (idle-park eviction, outbound-queue byte cap, the
+//!   always-on plan-keyed inbound quota). Each session step runs under
+//!   `catch_unwind` so a panicking session is quarantined — torn down,
+//!   its checkpoint discarded — while its worker and sibling sessions
+//!   keep running; a panic that escapes a worker's loop restarts the loop
+//!   on the worker's own thread. Overload rejections carry a
 //!   `retry_after_ms` hint derived from queue depth and occupancy, which
-//!   [`ServeClient`] honors with bounded backoff.
+//!   [`ServeClient`] waits out within its retry budget.
 //! * [`MetricsRegistry`] — thread-safe serving metrics: admission
 //!   counters, live session gauge, pool hit/miss counters, what the
 //!   session drivers spent re-running parked steps

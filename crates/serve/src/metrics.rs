@@ -35,8 +35,8 @@ pub struct MetricsSnapshot {
     /// Sessions quarantined after panicking mid-protocol; their worker
     /// and sibling sessions kept running. Also counted in `failed`.
     pub panicked: u64,
-    /// Event-loop workers the supervisor respawned after detecting a
-    /// dead or wedged worker thread.
+    /// Event-loop worker restarts: panics that escaped a worker's loop
+    /// and were caught on its own thread.
     pub worker_respawns: u64,
     /// Sessions currently being served by a worker.
     pub active: u64,
@@ -123,7 +123,7 @@ impl MetricsSnapshot {
         );
         counter(
             "abnn2_serve_worker_respawns_total",
-            "Event-loop workers respawned by the supervisor.",
+            "Event-loop worker loops restarted after a panic.",
             self.worker_respawns,
         );
         counter(
@@ -407,7 +407,7 @@ impl MetricsRegistry {
         self.panicked.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a worker respawn by the supervisor.
+    /// Records a worker loop restarted after a panic.
     pub fn worker_respawned(&self) {
         self.worker_respawns.fetch_add(1, Ordering::Relaxed);
     }

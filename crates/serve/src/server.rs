@@ -43,11 +43,13 @@
 //!    Each session sweep runs under
 //!    `catch_unwind`: a panicking session is quarantined — torn down, its
 //!    possibly-poisoned checkpoint discarded — while the worker and its
-//!    sibling sessions keep running. A **supervisor** thread watches
-//!    per-worker heartbeats and respawns dead or wedged workers; the
-//!    respawned worker reuses its index (its waker and heartbeat slot).
-//!    Busy rejections carry a `retry_after_ms` hint derived from queue
-//!    depth and occupancy.
+//!    sibling sessions keep running. A panic that escapes a worker's loop
+//!    is caught on the worker's own thread, which **restarts** the loop
+//!    after a short pause at the same index (its waker) with a freshly
+//!    salted seed; there is no supervisor thread. Busy rejections carry a
+//!    `retry_after_ms` hint derived from queue depth and occupancy.
+//!
+//! A server with W workers runs W + 1 threads, W + 2 with a pool.
 //!
 //! Byte accounting is preserved exactly: every driver effect is counted
 //! into a per-session [`InstrumentHandle`] meter, so per-phase and per-tag
@@ -111,7 +113,7 @@ pub struct ServeConfig {
     pub checkpoint_capacity: usize,
     /// Execution options (activation variant must match the clients').
     pub exec: ExecConfig,
-    /// Per-session resource budgets and supervisor rules.
+    /// Per-session resource budgets and chaos knobs.
     pub governor: GovernorConfig,
     /// Seed for the per-worker and pool RNGs.
     pub seed: u64,
@@ -142,8 +144,8 @@ struct QueueState {
 
 struct Shared {
     queue: Mutex<QueueState>,
-    /// One per worker, by index (a respawned worker inherits its
-    /// predecessor's): signalled when the queue or the drain flag changed.
+    /// One per worker, by index (a restarted loop keeps its worker's):
+    /// signalled when the queue or the drain flag changed.
     wakers: Vec<Waker>,
     server: Arc<SecureServer>,
     config: ServeConfig,
@@ -153,11 +155,6 @@ struct Shared {
     metrics: MetricsRegistry,
     /// The bound listen address, used for the drain-complete wake dial.
     addr: SocketAddr,
-    /// Per-worker heartbeat: millis since `started`, bumped every loop
-    /// iteration, read by the supervisor to detect wedged workers.
-    hearts: Vec<AtomicU64>,
-    /// Epoch for the heartbeat clock.
-    started: Instant,
     /// Admission ordinal assigned to each live session, keyed by the
     /// governor's chaos knobs.
     session_seq: AtomicU64,
@@ -171,13 +168,13 @@ impl Shared {
     }
 }
 
-/// How long a worker sleeps at most with nothing to do, so its heartbeat
-/// keeps beating and a lost wake costs a bounded delay, never a hang.
-const HEARTBEAT_SLICE: Duration = Duration::from_millis(100);
+/// The longest one `poll(2)` of a worker lasts when no session deadline
+/// is nearer, so a lost wake costs a bounded delay, never a hang.
+const MAX_POLL_WAIT: Duration = Duration::from_millis(100);
 
-fn now_millis(shared: &Shared) -> u64 {
-    u64::try_from(shared.started.elapsed().as_millis()).unwrap_or(u64::MAX)
-}
+/// How long a worker whose loop panicked waits before re-entering it, so
+/// a worker that dies on every pass cannot spin a core.
+const RESTART_PAUSE: Duration = Duration::from_millis(25);
 
 /// A running multi-client inference service. Dropping the handle drains
 /// and joins all threads.
@@ -185,10 +182,7 @@ pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
-    /// Worker handle table shared with the supervisor, which swaps in
-    /// fresh handles when it respawns a worker.
-    workers: Arc<Mutex<Vec<Option<JoinHandle<()>>>>>,
-    supervisor: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Server {
@@ -244,8 +238,6 @@ impl Server {
             pool,
             metrics: MetricsRegistry::new(),
             addr: bound,
-            hearts: (0..config.workers).map(|_| AtomicU64::new(0)).collect(),
-            started: Instant::now(),
             session_seq: AtomicU64::new(0),
             chaos_fired: AtomicBool::new(false),
         });
@@ -257,27 +249,9 @@ impl Server {
                 .spawn(move || acceptor_loop(&listener, &shared))
                 .expect("spawn acceptor")
         };
-        let workers: Arc<Mutex<Vec<Option<JoinHandle<()>>>>> = Arc::new(Mutex::new(
-            (0..config.workers)
-                .map(|i| Some(spawn_worker(&shared, i, config.seed.wrapping_add(1 + i as u64))))
-                .collect(),
-        ));
-        let supervisor = {
-            let shared = Arc::clone(&shared);
-            let table = Arc::clone(&workers);
-            std::thread::Builder::new()
-                .name("abnn2-supervisor".into())
-                .spawn(move || supervisor_loop(&shared, &table))
-                .expect("spawn supervisor")
-        };
+        let workers = (0..config.workers).map(|i| spawn_worker(&shared, i)).collect();
 
-        Ok(Server {
-            addr: bound,
-            shared,
-            acceptor: Some(acceptor),
-            workers,
-            supervisor: Some(supervisor),
-        })
+        Ok(Server { addr: bound, shared, acceptor: Some(acceptor), workers })
     }
 
     /// The bound listen address.
@@ -345,12 +319,7 @@ impl Server {
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
-        // The supervisor joins every worker once the drain completes.
-        if let Some(h) = self.supervisor.take() {
-            let _ = h.join();
-        }
-        let mut table = self.workers.lock().expect("worker table");
-        for h in table.iter_mut().filter_map(Option::take) {
+        for h in self.workers.drain(..) {
             let _ = h.join();
         }
     }
@@ -541,79 +510,33 @@ impl ParkClocks {
     }
 }
 
-fn spawn_worker(shared: &Arc<Shared>, worker: usize, seed: u64) -> JoinHandle<()> {
+/// Starts worker `worker` on a thread that is also its own restarter. A
+/// panic that escapes [`worker_loop`] (an injected chaos panic, or a bug
+/// outside every session's guarded sweep) is caught here and counted, and
+/// after [`RESTART_PAUSE`] the loop re-enters at the same index — the same
+/// waker — with the next generation's seed, so a restart never replays
+/// the randomness its predecessor was seeded with. It restarts during a
+/// drain too, so a connection queued when the loop died is still claimed.
+/// The loop's live sessions carry over: each was swept under its own
+/// guard, and dropping them would leave them counted active forever.
+fn spawn_worker(shared: &Arc<Shared>, worker: usize) -> JoinHandle<()> {
     let shared = Arc::clone(shared);
     std::thread::Builder::new()
         .name(format!("abnn2-worker-{worker}"))
-        .spawn(move || worker_loop(&shared, worker, seed))
+        .spawn(move || {
+            let seed = shared.config.seed.wrapping_add(1 + worker as u64);
+            let mut sessions = Vec::new();
+            for generation in 0u64.. {
+                let seed = seed.wrapping_add(0x5750_0000_0000_0000_u64.wrapping_mul(generation));
+                let run = || worker_loop(&shared, worker, seed, &mut sessions);
+                if catch_unwind(AssertUnwindSafe(run)).is_ok() {
+                    return;
+                }
+                shared.metrics.worker_respawned();
+                std::thread::sleep(RESTART_PAUSE);
+            }
+        })
         .expect("spawn worker")
-}
-
-/// Watches worker liveness and respawns casualties. A worker thread that
-/// finished while the server is not draining died abnormally (an injected
-/// chaos panic, or a bug severe enough to escape the per-session
-/// `catch_unwind`); its replacement reuses the same worker index and
-/// queued connections are simply claimed by the new thread. A worker whose
-/// heartbeat is older than `wedge_timeout` while its thread is still
-/// alive is presumed stuck inside a sweep; it is detached (a truly wedged
-/// thread never reaches the claim loop again) and replaced the same way.
-/// On drain the supervisor joins every worker and exits.
-fn supervisor_loop(shared: &Arc<Shared>, table: &Mutex<Vec<Option<JoinHandle<()>>>>) {
-    let mut generation: u64 = 0;
-    loop {
-        std::thread::sleep(Duration::from_millis(25));
-        let draining = shared.queue.lock().expect("queue lock").draining;
-        let mut t = table.lock().expect("worker table");
-        if draining {
-            // Workers exit on their own during a drain; once the last one
-            // is finished, reap them all and retire.
-            if t.iter().all(|h| h.as_ref().is_none_or(JoinHandle::is_finished)) {
-                for h in t.iter_mut().filter_map(Option::take) {
-                    let _ = h.join();
-                }
-                return;
-            }
-            continue;
-        }
-        for i in 0..t.len() {
-            let dead = t[i].as_ref().is_some_and(JoinHandle::is_finished);
-            let wedged = !dead
-                && t[i].is_some()
-                && shared.config.governor.wedge_timeout.is_some_and(|w| {
-                    let age =
-                        now_millis(shared).saturating_sub(shared.hearts[i].load(Ordering::Relaxed));
-                    age > u64::try_from(w.as_millis()).unwrap_or(u64::MAX)
-                });
-            if !(dead || wedged) {
-                continue;
-            }
-            // Draining is monotonic: re-check so a worker that exited
-            // legitimately between the snapshot above and here is not
-            // resurrected mid-drain.
-            if shared.queue.lock().expect("queue lock").draining {
-                break;
-            }
-            if dead {
-                if let Some(h) = t[i].take() {
-                    let _ = h.join();
-                }
-            } else {
-                // Wedged but alive: detach the stuck thread. It holds no
-                // lock (heartbeats are bumped right after lock release),
-                // so the replacement can serve immediately.
-                drop(t[i].take());
-            }
-            generation += 1;
-            shared.hearts[i].store(now_millis(shared), Ordering::Relaxed);
-            let seed = shared
-                .config
-                .seed
-                .wrapping_add(1 + i as u64)
-                .wrapping_add(0x5750_0000_0000_0000_u64.wrapping_mul(generation));
-            t[i] = Some(spawn_worker(shared, i, seed));
-            shared.metrics.worker_respawned();
-        }
-    }
 }
 
 /// One multiplexed session: a suspendable driver, its non-blocking frame
@@ -733,15 +656,14 @@ impl<'a> LiveSession<'a> {
                     Some(Expiry::Evict) => return self.finish_evict(shared),
                     None => {}
                 }
-                let governor = &shared.config.governor;
                 // Outbound cap: the peer is not draining its socket and
                 // the frame buffer is absorbing the difference.
-                if let Some(cap) = governor.max_outbound_bytes {
-                    if self.fb.pending_write_bytes() as u64 > cap {
-                        return self.finish_evict(shared);
-                    }
-                }
-                if governor.inbound_quota && self.over_inbound_quota(shared) {
+                let over_outbound = shared
+                    .config
+                    .governor
+                    .max_outbound_bytes
+                    .is_some_and(|cap| self.fb.pending_write_bytes() as u64 > cap);
+                if over_outbound || self.over_inbound_quota(shared) {
                     return self.finish_evict(shared);
                 }
                 Sweep::Parked
@@ -857,15 +779,17 @@ impl<'a> LiveSession<'a> {
     }
 }
 
-fn worker_loop(shared: &Shared, worker: usize, seed: u64) {
+fn worker_loop<'a>(
+    shared: &'a Shared,
+    worker: usize,
+    seed: u64,
+    sessions: &mut Vec<LiveSession<'a>>,
+) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut sessions: Vec<LiveSession<'_>> = Vec::new();
     loop {
-        shared.hearts[worker].store(now_millis(shared), Ordering::Relaxed);
-
         // Chaos: die right before claiming, while the queue is non-empty
         // and no lock is held — the queued connection must survive the
-        // crash and be served by the supervisor's replacement worker.
+        // crash and be served by the restarted loop.
         if shared.config.governor.inject_worker_panic == Some(worker) {
             let armed = !shared.queue.lock().expect("queue lock").conns.is_empty();
             if armed && !shared.chaos_fired.swap(true, Ordering::SeqCst) {
@@ -932,13 +856,13 @@ fn worker_loop(shared: &Shared, worker: usize, seed: u64) {
 
         // Every session is parked: sleep until a socket is ready, the
         // acceptor or a drain wakes us, or the nearest session deadline —
-        // in bounded slices, so the heartbeat keeps beating while idle.
+        // and at most `MAX_POLL_WAIT`, in case a wake was lost.
         let now = Instant::now();
         let timeout = sessions
             .iter()
             .filter_map(|live| live.park_clocks(shared).next())
             .map(|at| at.saturating_duration_since(now))
-            .fold(HEARTBEAT_SLICE, Duration::min);
+            .fold(MAX_POLL_WAIT, Duration::min);
         let interests: Vec<Interest> = sessions.iter().map(LiveSession::interest).collect();
         ready::wait(Some(&shared.wakers[worker]), &interests, timeout);
     }

@@ -157,7 +157,6 @@ fn governor_for(args: &Args) -> GovernorConfig {
         GovernorConfig {
             idle_timeout: Some(Duration::from_secs(30)),
             max_outbound_bytes: Some(8 * 1024 * 1024),
-            inbound_quota: true,
             ..GovernorConfig::default()
         }
     } else {

@@ -29,13 +29,15 @@
 # (tests/transport_contract.rs), and the blocking-vs-event-loop framing
 # parity corpus (tests/framing_parity.rs).
 #
-# --governor-smoke exercises the session governor and worker supervisor:
-# the hostile-peer chaos tests (slowloris eviction, never-draining
-# reader hitting the outbound cap, mid-online panic quarantined while
-# bit-exact siblings finish), the retry_after_ms load-shed round-trip,
-# and the load generator with governor budgets on plus an injected
-# mid-online panic — the clean siblings must still verify bit-exact and
-# the metrics must show exactly one quarantined session.
+# --governor-smoke exercises the session governor, panic quarantine and
+# worker restart: the hostile-peer chaos tests (slowloris eviction,
+# never-draining reader hitting the outbound cap, mid-online panic
+# quarantined while bit-exact siblings finish), the retry_after_ms
+# load-shed round-trip, a worker loop that dies with a connection queued
+# and restarts on its own thread with a fresh seed, and the load generator
+# with governor budgets on plus an injected mid-online panic — the clean
+# siblings must still verify bit-exact and the metrics must show exactly
+# one quarantined session.
 #
 # --silent-ot-smoke exercises the silent-OT offline subsystem in release
 # mode: the η-sweep bit-exactness acceptance (tests/silent_ot.rs), the
@@ -257,12 +259,9 @@ ABNN2_CRYPTO_BACKEND=portable cargo test -q --release -p abnn2-gc --lib -- garbl
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-# The root package plus every crate whose test targets are lint-clean, so
-# they cannot regress (math, he, baselines and the table binaries are not
-# there yet).
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -p abnn2 -p abnn2-crypto -p abnn2-ot -p abnn2-gc -p abnn2-nn \
-  -p abnn2-core -p abnn2-net -p abnn2-serve -- -D warnings
+# Every workspace member, test targets and the table binaries included.
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
@@ -293,10 +292,11 @@ if [[ "${WIRE_FUZZ_SMOKE:-0}" == "1" ]]; then
 fi
 
 if [[ "${GOVERNOR_SMOKE:-0}" == "1" ]]; then
-  echo "==> governor smoke: hostile-peer eviction, panic quarantine, load shedding"
+  echo "==> governor smoke: hostile-peer eviction, panic quarantine, worker restart, load shedding"
   cargo test --release --test chaos governor_
   cargo test --release --test chaos mid_online_panic
   cargo test --release --test serve retry_after
+  cargo test --release --test serve worker
   cargo run --release --example serve_load -- \
     --clients 8 --requests 2 --sessions-per-worker 4 --governor --inject-panic 3
 fi

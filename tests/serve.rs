@@ -8,9 +8,11 @@ use abnn2::core::bundle::{dealer_bundle, ClientBundle};
 use abnn2::core::handshake::{handshake_client_ext, HelloRequest, SessionParams};
 use abnn2::core::inference::ClientOffline;
 use abnn2::core::session::ClientLineage;
-use abnn2::core::{ExecConfig, ProtocolError, PublicModel, SecureClient, SessionDeadlines};
+use abnn2::core::{
+    ClientJob, ExecConfig, ProtocolError, PublicModel, SecureClient, SessionDeadlines,
+};
 use abnn2::math::{FragmentScheme, Ring};
-use abnn2::net::{RetryPolicy, TcpTransport, Transport};
+use abnn2::net::{CommSnapshot, RetryPolicy, TcpTransport, Transport, TransportError};
 use abnn2::nn::quant::{QuantConfig, QuantizedDense, QuantizedNetwork};
 use abnn2::nn::{ConvShape, Network, QuantizedCnn, QuantizedConv};
 use abnn2::serve::{GovernorConfig, ServeClient, ServeConfig, Server};
@@ -231,9 +233,9 @@ fn warm_pool_serves_cnn_with_zero_offline_bytes() {
     assert!(server.metrics().pool.hits >= 1, "pool must record the warm hit");
 }
 
-/// The supervisor's dead-worker path: the only worker dies with a
-/// connection in the queue and no lock held, the replacement claims that
-/// connection and serves it, and the drain still finds every thread.
+/// The dead-worker path: the only worker's loop dies with a connection in
+/// the queue and no lock held, the restarted loop claims that connection
+/// and serves it, and the drain still finds every thread.
 #[test]
 fn a_dead_worker_is_respawned_and_its_queued_connection_is_served() {
     let q = tiny_model(260);
@@ -262,8 +264,76 @@ fn a_dead_worker_is_respawned_and_its_queued_connection_is_served() {
     assert_eq!(metrics.worker_respawns, 1);
     assert_eq!((metrics.failed, metrics.panicked, metrics.active), (0, 0, 0));
 
-    // Joins the acceptor, the supervisor and the replacement worker.
+    // Joins the acceptor and the worker, whose thread outlived its loop.
     server.shutdown();
+}
+
+/// Keeps every frame the server sends, in order.
+struct Recording {
+    inner: TcpTransport,
+    received: Vec<Vec<u8>>,
+}
+
+impl Transport for Recording {
+    fn send(&mut self, payload: &[u8]) -> Result<(), TransportError> {
+        self.inner.send(payload)
+    }
+    fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
+        let frame = self.inner.recv()?;
+        self.received.push(frame.clone());
+        Ok(frame)
+    }
+    fn flush(&mut self) -> Result<(), TransportError> {
+        self.inner.flush()
+    }
+    fn snapshot(&self) -> CommSnapshot {
+        self.inner.snapshot()
+    }
+    fn set_read_timeout(&mut self, timeout: Option<Duration>) -> Result<(), TransportError> {
+        self.inner.set_read_timeout(timeout)
+    }
+    fn set_phase_budget(&mut self, budget: Option<Duration>) -> Result<(), TransportError> {
+        self.inner.set_phase_budget(budget)
+    }
+}
+
+/// A restarted worker loop is seeded afresh: one cold session from one
+/// seeded client reads the same server frames from two one-worker servers
+/// of one `seed` and different ones from a third whose worker died with
+/// the connection queued, so the restart did not replay the randomness
+/// its predecessor was seeded with.
+#[test]
+fn a_restarted_worker_never_replays_its_predecessors_randomness() {
+    let q = tiny_model(270);
+    let x = sample_input(12, 271);
+    let expected = q.forward_exact(&x);
+    let server_frames = |inject_worker_panic| {
+        let config = ServeConfig {
+            workers: 1,
+            pool_depth: 0,
+            deadlines: fast_deadlines(),
+            governor: GovernorConfig { inject_worker_panic, ..GovernorConfig::default() },
+            ..ServeConfig::default()
+        };
+        let server = Server::start(q.clone(), "127.0.0.1:0", config).expect("start server");
+        let inner = TcpTransport::connect(server.addr()).expect("connect");
+        let mut ch = Recording { inner, received: Vec::new() };
+        ch.set_read_timeout(fast_deadlines().read_timeout).expect("read timeout");
+        let mut job = ClientJob::new([0x7E; 16], false, fast_deadlines());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(272);
+        let y = SecureClient::for_model(PublicModel::from(&q))
+            .run_job(&mut ch, std::slice::from_ref(&x), &mut job, &mut rng)
+            .expect("cold session");
+        assert_eq!(y.col(0), expected);
+        (ch.received, server.metrics().worker_respawns)
+    };
+    let (a, restarts_a) = server_frames(None);
+    let (b, restarts_b) = server_frames(Some(0));
+    let (c, _) = server_frames(None);
+    assert_eq!((restarts_a, restarts_b), (0, 1));
+    assert!(a.len() > 3, "a cold session reads its setup and offline frames");
+    assert!(a == c, "one seed, one client: the same server frames");
+    assert!(a != b, "the restarted loop drew the frames of its predecessor's seed");
 }
 
 #[test]

@@ -40,7 +40,7 @@ fn sample_input(dim: usize, seed: u64) -> Vec<u64> {
 }
 
 /// Counts live threads of this process whose name starts with `prefix`
-/// (`abnn2-`: acceptor, supervisor, workers, pool producer). `None` when
+/// (`abnn2-`: acceptor, workers, pool producer). `None` when
 /// the platform has no readable `/proc/self/task`, in which case the
 /// thread-count assertions are skipped — the bit-exactness half of each
 /// test still runs everywhere.
@@ -137,15 +137,15 @@ fn sixty_four_clients_multiplex_over_four_workers() {
     );
 
     // The multiplexing claim: server-side protocol threads are one
-    // acceptor, one supervisor, plus `workers` event loops (no pool at
-    // depth 0) — O(workers) even with 64 clients connected at once.
+    // acceptor plus `workers` event loops (no pool at depth 0) —
+    // O(workers) even with 64 clients connected at once.
     if let Some(_probe) = threads_named("abnn2-") {
         let peak = peak_threads.load(Ordering::Relaxed);
         assert!(peak > 0, "monitor never sampled the thread population");
         assert!(
-            peak <= WORKERS + 2,
+            peak <= WORKERS + 1,
             "protocol threads must scale with workers, not clients: peak {peak} > {}",
-            WORKERS + 2
+            WORKERS + 1
         );
     }
 
@@ -210,7 +210,7 @@ fn four_workers_share_one_pool_producer_and_serve_a_first_wave_warm() {
     // A thread names itself as it starts; by now every one has.
     if threads_named("abnn2-").is_some() {
         assert_eq!(threads_named("abnn2-pool"), Some(1), "one producer, not one per worker");
-        // Acceptor, supervisor, producer, and the event loops.
-        assert_eq!(threads_named("abnn2-"), Some(WORKERS + 3));
+        // Acceptor, producer, and the event loops.
+        assert_eq!(threads_named("abnn2-"), Some(WORKERS + 2));
     }
 }
