@@ -97,7 +97,12 @@ pub const HANDSHAKE_MAGIC: [u8; 4] = *b"ABN2";
 /// session's path uses: a cold session that continues nothing is
 /// byte-identical to v5 after the hello, a warm or resumed one no longer
 /// carries the fragment chooser's batch.
-pub const PROTOCOL_VERSION: u16 = 6;
+///
+/// v7: the circuit builder folds public constants and builds squares as
+/// squares, so the softmax, GELU and LayerNorm circuits garble fewer ANDs
+/// and their `GcTables`/`GcDecodeMap` frames differ from a v6 peer's for
+/// the same model. The hello layout and every other circuit are unchanged.
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// Length of the hello frame in bytes.
 pub const HELLO_LEN: usize = 72;

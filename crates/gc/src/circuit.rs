@@ -31,8 +31,8 @@ impl Word {
 /// A gate in topological order. Input wires always precede the output wire.
 ///
 /// Wires are stored as `u32`: a gate is 16 bytes instead of 32. A circuit
-/// keeps the gates of one lane only (3 217 gates, 51 KB, for the GELU body
-/// however many neurons it runs over; 47 008 for a softmax row of eight),
+/// keeps the gates of one lane only (930 gates, 15 KB, for the GELU body
+/// however many neurons it runs over; 27 767 for a softmax row of eight),
 /// so what either party holds per re-share op does not grow with the width
 /// of the layer. [`CircuitBuilder`] refuses to number a wire past
 /// `u32::MAX`.
@@ -143,6 +143,27 @@ fn assign_slots(gates: &[Gate], pinned: &[bool]) -> (Vec<u32>, usize) {
         }
     }
     (slot, n_slots as usize)
+}
+
+/// `gates` less the free gates neither an output nor an AND gate reads: a
+/// constant pair no op ended up reading, an inverter whose AND folded
+/// away, the low sum bits a shift discards. Every AND stays, read or not:
+/// which ANDs a circuit garbles, and so its table stream, is its author's.
+fn live_gates(mut gates: Vec<Gate>, n_wires: usize, outputs: &[u32]) -> Vec<Gate> {
+    let mut live = vec![false; n_wires];
+    for &w in outputs {
+        live[w as usize] = true;
+    }
+    for gate in gates.iter().rev() {
+        let (a, b, out) = gate.wires();
+        if live[out] || matches!(gate, Gate::And { .. }) {
+            live[out] = true;
+            live[a] = true;
+            live[b] = true;
+        }
+    }
+    gates.retain(|gate| live[gate.wires().2]);
+    gates
 }
 
 /// An immutable boolean circuit with two-party input ownership: one
@@ -286,12 +307,21 @@ impl Circuit {
 
 /// Incremental circuit builder.
 ///
+/// It folds public constants: `xor`, `and` and `inv` on an operand of known
+/// value, or on two equal operands, return an existing wire (or an
+/// inverter) instead of a gate, so `x ∧ 0`, `x ∧ 1` and `x ∧ x` cost no AND.
+/// Every wire of known value is one of the circuit's two constant wires
+/// ([`constant`](Self::constant)), and [`build`](Self::build) drops the
+/// free gates neither an output nor an AND reads.
+///
 /// ```
 /// use abnn2_gc::CircuitBuilder;
 /// let mut b = CircuitBuilder::new();
 /// let x = b.garbler_input();
 /// let y = b.evaluator_input();
 /// let z = b.and(x, y);
+/// let one = b.constant(true);
+/// assert_eq!(b.and(z, one), z);
 /// let c = b.build(vec![z]);
 /// assert_eq!(c.eval(&[true], &[true]), vec![true]);
 /// ```
@@ -301,6 +331,8 @@ pub struct CircuitBuilder {
     n_wires: usize,
     garbler_inputs: Vec<u32>,
     evaluator_inputs: Vec<u32>,
+    /// The constant-0 and constant-1 wires, once an op has needed one.
+    constants: Option<[WireId; 2]>,
 }
 
 impl CircuitBuilder {
@@ -321,6 +353,55 @@ impl CircuitBuilder {
     fn stored(&self, w: WireId) -> u32 {
         assert!(w < self.n_wires, "undefined wire");
         w as u32
+    }
+
+    /// Appends `gate(a, b, out)` on a fresh output wire, folding nothing.
+    fn emit(&mut self, gate: fn(u32, u32, u32) -> Gate, a: WireId, b: WireId) -> WireId {
+        let (a, b) = (self.stored(a), self.stored(b));
+        let out = self.fresh();
+        self.gates.push(gate(a, b, out as u32));
+        out
+    }
+
+    /// The wire holding the public bit `value`. The circuit has one such
+    /// pair, realized the first time either is asked for from its first
+    /// declared input: `w ⊕ w = 0` and `¬0 = 1`, two free gates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no input has been declared yet.
+    pub fn constant(&mut self, value: bool) -> WireId {
+        let [zero, one] = match self.constants {
+            Some(pair) => pair,
+            None => {
+                let inputs = self.garbler_inputs.iter().chain(&self.evaluator_inputs);
+                let anchor = *inputs.min().expect("a constant needs a declared input") as WireId;
+                let zero = self.emit(|a, b, out| Gate::Xor { a, b, out }, anchor, anchor);
+                let one = self.emit(|a, _, out| Gate::Inv { a, out }, zero, zero);
+                *self.constants.insert([zero, one])
+            }
+        };
+        if value {
+            one
+        } else {
+            zero
+        }
+    }
+
+    /// The public value of `w`, if it is one of the constant wires.
+    fn known(&self, w: WireId) -> Option<bool> {
+        assert!(w < self.n_wires, "undefined wire");
+        let [zero, one] = self.constants?;
+        (w == zero || w == one).then_some(w == one)
+    }
+
+    /// `(a, b)` with an operand of known value first, if there is one.
+    fn known_first(&self, a: WireId, b: WireId) -> (WireId, WireId) {
+        if self.known(b).is_some() {
+            (b, a)
+        } else {
+            (a, b)
+        }
     }
 
     /// Declares one garbler-owned input bit.
@@ -347,25 +428,36 @@ impl CircuitBuilder {
         Word((0..bits).map(|_| self.evaluator_input()).collect())
     }
 
-    /// Adds an XOR gate (free).
+    /// `a ⊕ b`: an XOR gate (free), or `x ⊕ 0 = x`, `x ⊕ 1 = ¬x`,
+    /// `x ⊕ x = 0` without one.
     pub fn xor(&mut self, a: WireId, b: WireId) -> WireId {
-        let out = self.fresh();
-        self.gates.push(Gate::Xor { a: self.stored(a), b: self.stored(b), out: self.stored(out) });
-        out
+        let (a, b) = self.known_first(a, b);
+        match self.known(a) {
+            _ if a == b => self.constant(false),
+            None => self.emit(|a, b, out| Gate::Xor { a, b, out }, a, b),
+            Some(false) => b,
+            Some(true) => self.inv(b),
+        }
     }
 
-    /// Adds an AND gate (two garbled ciphertexts).
+    /// `a ∧ b`: an AND gate (two garbled ciphertexts), or `x ∧ 0 = 0`,
+    /// `x ∧ 1 = x`, `x ∧ x = x` without one.
     pub fn and(&mut self, a: WireId, b: WireId) -> WireId {
-        let out = self.fresh();
-        self.gates.push(Gate::And { a: self.stored(a), b: self.stored(b), out: self.stored(out) });
-        out
+        let (a, b) = self.known_first(a, b);
+        match self.known(a) {
+            _ if a == b => a,
+            None => self.emit(|a, b, out| Gate::And { a, b, out }, a, b),
+            Some(false) => a,
+            Some(true) => b,
+        }
     }
 
-    /// Adds an inverter (free).
+    /// `¬a`: an inverter (free), or the other constant wire.
     pub fn inv(&mut self, a: WireId) -> WireId {
-        let out = self.fresh();
-        self.gates.push(Gate::Inv { a: self.stored(a), out: self.stored(out) });
-        out
+        match self.known(a) {
+            None => self.emit(|a, _, out| Gate::Inv { a, out }, a, a),
+            Some(value) => self.constant(!value),
+        }
     }
 
     /// `a ∨ b = ¬(¬a ∧ ¬b)` — one AND gate.
@@ -418,16 +510,17 @@ impl CircuitBuilder {
             cut.collect()
         };
         let outputs: Vec<u32> = outputs.iter().map(|&w| w as u32).collect();
+        let gates = live_gates(self.gates, self.n_wires, &outputs);
         let mut pinned = vec![false; self.n_wires];
         for &w in self.garbler_inputs.iter().chain(&self.evaluator_inputs).chain(&outputs) {
             pinned[w as usize] = true;
         }
-        let (slot, n_slots) = assign_slots(&self.gates, &pinned);
+        let (slot, n_slots) = assign_slots(&gates, &pinned);
         let body = Body {
-            n_ands: self.gates.iter().filter(|g| matches!(g, Gate::And { .. })).count(),
+            n_ands: gates.iter().filter(|g| matches!(g, Gate::And { .. })).count(),
             garbler: split(&self.garbler_inputs, garbler_runs),
             evaluator: split(&self.evaluator_inputs, evaluator_runs),
-            gates: self.gates,
+            gates,
             n_wires: self.n_wires,
             slot,
             n_slots,
@@ -480,11 +573,93 @@ mod tests {
         let x = b.garbler_input();
         let y = b.evaluator_input();
         let a = b.and(x, y);
+        // Read by no output: numbered, but dropped at build.
         let _ = b.xor(a, x);
         let c = b.build(vec![a]);
         assert_eq!(c.and_count(), 1);
-        assert_eq!(c.gate_count(), 2);
+        assert_eq!(c.gate_count(), 1);
         assert_eq!(c.wire_count(), 4);
+    }
+
+    #[test]
+    fn ops_on_constants_and_equal_operands_fold() {
+        let mut b = CircuitBuilder::new();
+        let (x, y) = (b.garbler_input(), b.evaluator_input());
+        let zero = b.xor(y, y);
+        let one = b.constant(true);
+        assert_eq!((b.constant(false), b.inv(zero), b.inv(one)), (zero, one, zero));
+        assert_eq!((b.and(x, zero), b.and(one, x), b.and(x, x)), (zero, x, x));
+        assert_eq!((b.xor(zero, x), b.xor(x, x), b.xor(one, one)), (x, zero, zero));
+        assert_eq!((b.and(zero, one), b.xor(zero, one)), (zero, one));
+        let nx = b.xor(x, one);
+        let c = b.build(vec![nx, zero, one]);
+        // The pair from the first input, `x`, and one inverter: no AND.
+        assert_eq!(
+            c.body.gates,
+            [
+                Gate::Xor { a: 0, b: 0, out: 2 },
+                Gate::Inv { a: 2, out: 3 },
+                Gate::Inv { a: 0, out: 4 }
+            ]
+        );
+        assert_eq!(c.eval(&[true], &[false]), [false, false, true]);
+        assert_eq!(c.eval(&[false], &[true]), [true, false, true]);
+    }
+
+    /// Random op sequences over the inputs, the constants and repeated
+    /// operands evaluate as a plain interpreter of the same ops, and folding
+    /// never adds an AND.
+    #[test]
+    fn folded_circuits_evaluate_as_the_ops_they_were_built_from() {
+        use rand::{Rng, SeedableRng};
+        #[derive(Clone, Copy)]
+        enum Op {
+            Xor(usize, usize),
+            And(usize, usize),
+            Inv(usize),
+        }
+        for seed in 0..400 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (n_g, n_e) = (rng.gen_range(1..4usize), rng.gen_range(0..3usize));
+            let mut b = CircuitBuilder::new();
+            // `wires[i]` carries value `i` of the interpreter: the inputs,
+            // the two constants, then one value per op.
+            let mut wires: Vec<WireId> = (0..n_g).map(|_| b.garbler_input()).collect();
+            wires.extend((0..n_e).map(|_| b.evaluator_input()));
+            wires.extend([b.constant(false), b.constant(true)]);
+            let mut ops = Vec::new();
+            for _ in 0..rng.gen_range(0..60) {
+                let x = rng.gen_range(0..wires.len());
+                // One operand in four is the other one again.
+                let y = if rng.gen_range(0..4) == 0 { x } else { rng.gen_range(0..wires.len()) };
+                let (op, out) = match rng.gen_range(0..3) {
+                    0 => (Op::Xor(x, y), b.xor(wires[x], wires[y])),
+                    1 => (Op::And(x, y), b.and(wires[x], wires[y])),
+                    _ => (Op::Inv(x), b.inv(wires[x])),
+                };
+                ops.push(op);
+                wires.push(out);
+            }
+            let outputs: Vec<usize> =
+                (0..rng.gen_range(1..6)).map(|_| rng.gen_range(0..wires.len())).collect();
+            let c = b.build(outputs.iter().map(|&v| wires[v]).collect());
+            let ands = ops.iter().filter(|op| matches!(op, Op::And(..))).count();
+            assert!(c.and_count() <= ands, "seed {seed}: {} ANDs for {ands}", c.and_count());
+            for _ in 0..8 {
+                let inputs: Vec<bool> = (0..n_g + n_e).map(|_| rng.gen()).collect();
+                let mut values = inputs.clone();
+                values.extend([false, true]);
+                for &op in &ops {
+                    values.push(match op {
+                        Op::Xor(x, y) => values[x] ^ values[y],
+                        Op::And(x, y) => values[x] & values[y],
+                        Op::Inv(x) => !values[x],
+                    });
+                }
+                let want: Vec<bool> = outputs.iter().map(|&v| values[v]).collect();
+                assert_eq!(c.eval(&inputs[..n_g], &inputs[n_g..]), want, "seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -79,7 +79,8 @@
 # for a second file that hashes (`hash_blocks(`: garble.rs holds the one
 # garbling loop and the one evaluation loop) and crates/core/src for a
 # second `Lowering::of(` (an op becomes a circuit once, in the model's slot
-# for it), reruns the pinned Yao, triplet, OT-extension and session
+# for it), crates/gc/src for `zero_wire(` (a circuit's constants are the
+# builder's one folded pair), reruns the pinned Yao, triplet, OT-extension and session
 # transcripts (and the lineage rules: single-use claim, forfeit on any
 # non-clean end, fresh-setup fallback), and
 # the garbling loops' parity with their per-gate reference in release under
@@ -244,6 +245,18 @@ if [[ $(grep -c . <<<"$lowerings") != 1 ]]; then
   exit 1
 fi
 
+# A circuit's constants are the builder's: `CircuitBuilder::constant` holds
+# its one zero/one wire pair and folds every gate on them. A `zero_wire(`
+# (`w ⊕ w` on some anchor wire) is a constant the builder cannot fold on.
+echo "==> one-constant-pair gate: crates/gc/src takes constants from the builder"
+zero_wires=$(find crates/gc/src -name '*.rs' -print0 |
+  xargs -0 awk '!/^[[:space:]]*\/\// && /zero_wire\(/ { print FILENAME ":" FNR ": " $0 }')
+if [[ -n "$zero_wires" ]]; then
+  echo "$zero_wires" >&2
+  echo "zero_wire( is called in crates/gc/src (constants come from CircuitBuilder::constant)" >&2
+  exit 1
+fi
+
 # The dev profile keeps overflow checks and debug assertions on and the
 # default backend is AES-NI where the CPU has it: the pinned transcripts
 # must also hold as the served binaries are built, over the software path.
@@ -252,9 +265,11 @@ ABNN2_CRYPTO_BACKEND=portable cargo test -q --release \
   --test yao_pins --test triplet_pins --test ot_extension_pins \
   --test lineage_pins --test lineage
 # Same build, same backend: the lane-wise garbling against its per-gate
-# reference (tables, decode map, both label sets, outputs) and the slot
-# allocator's tests.
-ABNN2_CRYPTO_BACKEND=portable cargo test -q --release -p abnn2-gc --lib -- garble:: slot
+# reference (tables, decode map, both label sets, outputs), the slot
+# allocator's tests, the builder's constant folding and the circuits'
+# AND and gate pins.
+ABNN2_CRYPTO_BACKEND=portable cargo test -q --release -p abnn2-gc --lib -- \
+  garble:: slot circuit:: circuits::
 
 echo "==> cargo fmt --check"
 cargo fmt --check

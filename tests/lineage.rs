@@ -497,6 +497,7 @@ fn a_busy_rejection_leaves_both_halves_claimable() {
 
     // The worker and the queue slot held by peers that never speak: the
     // acceptor answers busy without reading a hello.
+    let failed = server.metrics().failed;
     let stalls = {
         let worker = TcpStream::connect(server.addr()).expect("stall 1");
         wait_until("the worker to take the first stall", || server.metrics().active >= 1);
@@ -509,7 +510,10 @@ fn a_busy_rejection_leaves_both_halves_claimable() {
     assert!(matches!(err, ProtocolError::Overloaded { .. }), "got {err:?}");
     assert_eq!(server.metrics().lineage.claimed, 0, "a busy reply consumes nothing");
     drop(stalls);
-    wait_until("the stalls to clear", || server.metrics().active == 0);
+    // Both stalls ended, not just the one on the worker: `active` reads 0
+    // for a moment while the second still holds the one queue slot, and
+    // the single attempt below has no retry to wait that out.
+    wait_until("both stalls to end", || server.metrics().failed >= failed + 2);
 
     let report = predict(&client, server.addr(), &q, &mut rng);
     assert_eq!((report.continued, setup_bytes(&report)), (true, 0), "both halves still there");

@@ -22,6 +22,13 @@
 //! either party's RNG, so every random byte behind it is drawn from an
 //! earlier position of the same seeded stream.
 //!
+//! Since protocol v7 the circuit builder folds public constants and builds
+//! squares as squares, so the encoder's softmax, GELU and LayerNorm
+//! circuits garble fewer ANDs: their `GcTables` frames are shorter and
+//! every digest of `ENCODER_PINS` is re-recorded. The MLP's circuits have
+//! no constants to fold, so `MLP_PINS` and the continuation test are the
+//! parent's.
+//!
 //! The second half pins **continuation**: three sessions over one lineage
 //! (parked in a store and claimed, twice) move, frame for frame and byte
 //! for byte, what one connection moves that sets up once and runs the same
@@ -567,40 +574,40 @@ const MLP_PINS: &[(&str, &str)] = &[
 ];
 
 const ENCODER_PINS: &[(&str, &str)] = &[
-    ("encoder cold kk13 bytes", "886c8c56a5cb84afa18063b744a776e3df0f6de6fb73e1c0802045733eb519fc"),
-    ("encoder cold kk13 shape", "b63bcc839c9c54786f6dc57da8026a4be02995b052fb5d3b1a2c311087a0576d"),
+    ("encoder cold kk13 bytes", "2387475226d1191539929069fe71915a792d3c9f9c68cf0b555acce79e56e800"),
+    ("encoder cold kk13 shape", "20c8a5a565f077fde4f7ee889c5fcbf3222b1dac244745f952e2505037cf298f"),
     (
         "encoder cold kk13 bytes, no chooser batch",
-        "82d40a40dbd4f455c4e31f4a0d25dba0ef51b3487b3920f5dcea25b299e06f1e",
+        "17ecd56ff734a12d800b71f41db2e02cdc8e5bd650d54b8e9ca7a7f4fca85514",
     ),
     (
         "encoder cold kk13 shape, no chooser batch",
-        "d56f073cb4cbc1d040f6120da89534aa099047a367e93fd76233d87b3ffa6cde",
+        "e93104a908e48eb4b99d32564dcdac289ec121c8ca3a9a6858e6bea51a332c47",
     ),
     (
         "encoder cold silent bytes",
-        "ea562d1a12dffb0f1e9ddf87ec4de148508c87227882206f9e659559c956be96",
+        "cabf4767cbf9e7d9dd0e7dcaf9fa7ca7bb1f37fdfc0f0f7fbe856d487eaa98b0",
     ),
     (
         "encoder cold silent shape",
-        "5d9be9708b8a18969c761743b1bb7879519c4a56e30a350153a5661de50778f3",
+        "af9123ca658d46bc0a2ca4e11a9e7d5b19292ccd49602f6813cb89f28184cfc8",
     ),
     (
         "encoder cold silent bytes, no chooser batch",
-        "b2299ff41e5163b04ed73e01fd5f99b9e7c3602cb80cb23c32e368ba020cbf78",
+        "cbcce5409cf7014c5a44e0bd80b18cbe9caceede8db208947c1b03a22fbb67e2",
     ),
     (
         "encoder cold silent shape, no chooser batch",
-        "df6b834b3176a8f6b63e5de5cd714f765eb5f97b9dee17e77c2e6abfe735050a",
+        "6c1745f2e253a7860f1e0fbc6b5984bfa7c3ad65172a762cb64f6e277373ec51",
     ),
     (
         "encoder warm shape, no chooser batch",
-        "e123cc7413d3c7049e2a1350adb0ba1b74a72baf6adba0843acfb1bc4b8db4ad",
+        "0f9bbbf76805ea5574b48edb8eacbf430b3696a0697e8acedc2767300836c296",
     ),
-    ("encoder warm bytes", "2b1080936d8c301e27764ec77e130f8e101aaf647f277531677efd4a82d4487f"),
+    ("encoder warm bytes", "8fc436340d2043670078ed07b618dbcfb9ad27d1bc52e95444c5d9a21019c9f9"),
     (
         "encoder resumed shape, no chooser batch",
-        "9981ab868e02e4aa9e28e5225060720b5698ef83cafebd7022bcbe9326914137",
+        "2c0926794c4729ee5a0093e58ed3d47b37e207cfb4e2c9ceecba92230569a2d8",
     ),
-    ("encoder resumed bytes", "702e13d40db05e2bee4fc9eea3317f79a5272e1a6101e29540cbdd45f163c46e"),
+    ("encoder resumed bytes", "fb3de46818052f75c7990afdadfbb4ad78e494ac506e4d68ab79c0718b48049d"),
 ];

@@ -10,6 +10,13 @@
 //! field reads 6, and the hello grew a lineage token. A v5 peer can no
 //! longer run a session, but it must still be *told* so the way it always
 //! was, by a `Negotiation` error on both sides.
+//!
+//! Re-recorded for protocol v7: the version field reads 7 and nothing else
+//! here moved. The bump is for the garbled circuits: the builder folds
+//! public constants, so for the same encoder a v6 and a v7 peer put
+//! different `GcTables` and `GcDecodeMap` frames on the wire, and a v6
+//! peer, whose hello has the same 72 bytes, gets the same symmetric
+//! `Negotiation` error a v5 peer gets.
 
 use abnn2::core::frames::Hello;
 use abnn2::core::handshake::{handshake_server_ext, Halves};
@@ -75,7 +82,7 @@ fn encoder() -> PublicModel {
 
 #[test]
 fn wire_versions_are_unchanged() {
-    assert_eq!(PROTOCOL_VERSION, 6);
+    assert_eq!(PROTOCOL_VERSION, 7);
     assert_eq!(BUNDLE_LAYOUT_VERSION, 3);
 }
 
@@ -116,7 +123,7 @@ fn digests_and_bundle_keys_match_the_parent_commit() {
     {
         let params = SessionParams::for_public(&model, ReluVariant::Oblivious, batch);
         let expected = SessionParams {
-            version: 6,
+            version: 7,
             ring_bits,
             frac_bits,
             weight_frac_bits,
@@ -150,7 +157,7 @@ fn v5_layout(p: &SessionParams, flags: u8, token: [u8; 16]) -> Vec<u8> {
     frame
 }
 
-/// A v5 client dials a v6 server. The server reports the version mismatch
+/// A v5 client dials a v7 server. The server reports the version mismatch
 /// and answers in the v5 layout: 56 bytes that a v5 decoder accepts
 /// (length, magic) and that differ from the client's own parameters in the
 /// version field alone, which is exactly what makes that decoder raise its
@@ -170,11 +177,48 @@ fn a_v5_peer_still_gets_the_symmetric_negotiation_error() {
         true,
         |_, _| -> Halves { panic!("a mismatched peer must not reach the store") },
     )
-    .expect_err("v5 and v6 do not negotiate");
+    .expect_err("v5 and v7 do not negotiate");
     assert_eq!(err, ProtocolError::Negotiation { ours, theirs });
 
     let Hello(reply) = c.recv_frame().expect("the reply is sent before the error is raised");
     // What the v5 peer reads: its own layout, our parameters, its token
     // echoed, no request granted.
     assert_eq!(reply, v5_layout(&ours, 0, [9; 16]));
+}
+
+/// A hello in the 72-byte layout a v6 build sends and reads, which is
+/// still the layout: the v5 fields, then the lineage token.
+fn v6_layout(p: &SessionParams, flags: u8, token: [u8; 16], lineage: [u8; 16]) -> Vec<u8> {
+    let mut frame = v5_layout(p, flags, token);
+    frame.extend_from_slice(&lineage);
+    frame
+}
+
+/// A v6 client dials a v7 server, asking to resume and offering both
+/// lineage halves. The server decodes the hello (the layout did not
+/// change), reports the version mismatch, claims nothing, and answers in
+/// that layout with its own parameters, so the v6 peer's decoder raises
+/// its own `Negotiation` error.
+#[test]
+fn a_v6_peer_gets_the_symmetric_negotiation_error() {
+    let ours = SessionParams::for_public(&mlp(), ReluVariant::Oblivious, 2);
+    let theirs = SessionParams { version: 6, ..ours };
+    let (mut c, mut s) = Endpoint::pair(NetworkModel::instant());
+    // Resume (bit 0) and both lineage halves (bits 4 and 5).
+    let flags = 0b0011_0001;
+    c.send_frame(&Hello(v6_layout(&theirs, flags, [9; 16], [5; 16]))).expect("send");
+    let err = handshake_server_ext(
+        &mut s,
+        |batch| SessionParams::for_public(&mlp(), ReluVariant::Oblivious, batch),
+        |_| panic!("a mismatched peer must not reach the store"),
+        |_, _| panic!("a mismatched peer must not reach the pool"),
+        true,
+        |_, _| -> Halves { panic!("a mismatched peer must not reach the store") },
+    )
+    .expect_err("v6 and v7 do not negotiate");
+    assert_eq!(err, ProtocolError::Negotiation { ours, theirs });
+
+    let Hello(reply) = c.recv_frame().expect("the reply is sent before the error is raised");
+    // Our parameters, its token echoed, no lineage, nothing granted.
+    assert_eq!(reply, v6_layout(&ours, 0, [9; 16], [0; 16]));
 }
