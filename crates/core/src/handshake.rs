@@ -102,7 +102,14 @@ pub const HANDSHAKE_MAGIC: [u8; 4] = *b"ABN2";
 /// squares, so the softmax, GELU and LayerNorm circuits garble fewer ANDs
 /// and their `GcTables`/`GcDecodeMap` frames differ from a v6 peer's for
 /// the same model. The hello layout and every other circuit are unchanged.
-pub const PROTOCOL_VERSION: u16 = 7;
+///
+/// v8: the random oracle expands a digest into a mask under its fixed key
+/// (block `k` of the mask is `H(k, digest)`) instead of AES-CTR keyed by
+/// the digest, so the `TripletMasked` frames, the masks keyed by a
+/// `SilentDerand` exchange and the vector C-OT payload differ from a v7
+/// peer's for the same keys. Sizes, tags and the hello layout are
+/// unchanged.
+pub const PROTOCOL_VERSION: u16 = 8;
 
 /// Length of the hello frame in bytes.
 pub const HELLO_LEN: usize = 72;

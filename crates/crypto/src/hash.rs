@@ -10,7 +10,9 @@
 //! ```
 //!
 //! with a Merkle–Damgård chain for inputs longer than one block and a
-//! length/tweak finalization. The permutation key is a nothing-up-my-sleeve
+//! length/tweak finalization, and outputs longer than one block taken as
+//! `H(0, d), H(1, d), …` of that digest `d` under the same permutation, so
+//! no output pays a key schedule. The permutation key is a nothing-up-my-sleeve
 //! constant. This is *heuristically* a random oracle (as in the paper's RO
 //! model); see the crate-level security note.
 
@@ -85,9 +87,14 @@ impl RoHash {
         for col in (0..width).step_by(16) {
             let take = (width - col).min(16);
             for (h, row) in h.iter_mut().zip(rows.chunks_exact(width)) {
-                let mut buf = [0u8; 16];
-                buf[..take].copy_from_slice(&row[col..col + take]);
-                *h ^= Block::from_bytes(buf);
+                *h ^= match row[col..col + take].try_into() {
+                    Ok(whole) => Block::from_bytes(whole),
+                    Err(_) => {
+                        let mut buf = [0u8; 16];
+                        buf[..take].copy_from_slice(&row[col..]);
+                        Block::from_bytes(buf)
+                    }
+                };
             }
             self.hash_blocks(&mut h);
         }
@@ -108,13 +115,15 @@ impl RoHash {
     }
 
     /// Hashes every `width`-byte row of `rows`, row `i` under `tweak(i)`,
-    /// and expands each digest to a `len`-byte mask via AES-CTR keyed by
-    /// the digest: mask `i` lands in `out[i·len..(i+1)·len]`.
+    /// and expands each digest `d` to a `len`-byte mask whose block `k` is
+    /// `H(k, d)`, the same fixed-key oracle again: mask `i` lands in
+    /// `out[i·len..(i+1)·len]`.
     ///
     /// This is the "output of the random oracle can pack multiple
     /// multiplications" packing from SecureML/§4.1.3 — one oracle call
     /// yields a mask of arbitrary width — for a whole batch of OT keys at
-    /// once: `2 + ⌈width/16⌉` backend calls however many rows there are.
+    /// once, with no key schedule per digest: `⌈width/16⌉ + 1` backend
+    /// calls for the digests and one per 128 mask blocks.
     ///
     /// # Panics
     ///
@@ -128,20 +137,38 @@ impl RoHash {
         len: usize,
         out: &mut [u8],
     ) {
-        let seeds = self.digests(rows, width, rows.len() / width, tweak);
-        crate::backend::backend().expand_seeds(&seeds, len, out);
-    }
-
-    /// [`hash_expand_rows`](Self::hash_expand_rows) of one row of any
-    /// length, the empty one included.
-    #[must_use]
-    pub fn hash_expand(&self, tweak: u128, data: &[u8], out_len: usize) -> Vec<u8> {
-        let seed = self.hash_bytes(tweak, data);
-        let mut out = vec![0u8; out_len];
-        crate::backend::backend().expand_seeds(&[seed], out_len, &mut out);
-        out
+        let digests = self.digests(rows, width, rows.len() / width, tweak);
+        assert_eq!(out.len(), digests.len() * len, "one len-byte mask per row");
+        if len == 0 {
+            return;
+        }
+        // Mask blocks in output order, a stack buffer of them per backend
+        // call: block k of digest d hashes σ = d ⊕ k, and the last block of
+        // a mask keeps only the bytes the mask has room for.
+        let mut sigmas = digests
+            .iter()
+            .flat_map(|&d| (0..len.div_ceil(16) as u128).map(move |k| d ^ Block::from(k)));
+        let mut pieces = out.chunks_mut(len).flat_map(|mask| mask.chunks_mut(16));
+        let mut buf = [Block::ZERO; EXPAND_CHUNK];
+        loop {
+            let mut filled = 0;
+            for (x, sigma) in buf.iter_mut().zip(&mut sigmas) {
+                *x = sigma;
+                filled += 1;
+            }
+            if filled == 0 {
+                break;
+            }
+            self.hash_blocks(&mut buf[..filled]);
+            for (x, piece) in buf[..filled].iter().zip(&mut pieces) {
+                piece.copy_from_slice(&x.to_bytes()[..piece.len()]);
+            }
+        }
     }
 }
+
+/// Mask blocks [`RoHash::hash_expand_rows`] hashes per backend call.
+const EXPAND_CHUNK: usize = 128;
 
 impl Default for RoHash {
     fn default() -> Self {
@@ -178,22 +205,34 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// One row through the batched expansion.
+    fn expand(h: &RoHash, tweak: u128, row: &[u8], len: usize) -> Vec<u8> {
+        let mut out = vec![0u8; len];
+        h.hash_expand_rows(row, row.len(), |_| tweak, len, &mut out);
+        out
+    }
+
     #[test]
     fn expand_produces_requested_length_and_is_deterministic() {
         let h = RoHash::new();
-        let a = h.hash_expand(1, b"seed", 100);
-        let b = h.hash_expand(1, b"seed", 100);
+        let a = expand(&h, 1, b"seed", 100);
+        let b = expand(&h, 1, b"seed", 100);
         assert_eq!(a.len(), 100);
         assert_eq!(a, b);
-        let c = h.hash_expand(2, b"seed", 100);
+        let c = expand(&h, 2, b"seed", 100);
         assert_ne!(a, c);
     }
 
     #[test]
     fn expand_prefix_consistency() {
         let h = RoHash::new();
-        let long = h.hash_expand(1, b"seed", 64);
-        let short = h.hash_expand(1, b"seed", 32);
+        let long = expand(&h, 1, b"seed", 64);
+        let short = expand(&h, 1, b"seed", 32);
         assert_eq!(&long[..32], &short[..]);
+        // Block k of a mask is the fixed-key oracle at tweak k on the digest.
+        let digest = h.hash_bytes(1, b"seed");
+        for (k, block) in long.chunks_exact(16).enumerate() {
+            assert_eq!(block, h.hash_block(k as u128, digest).to_bytes(), "block {k}");
+        }
     }
 }

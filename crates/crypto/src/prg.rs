@@ -50,13 +50,13 @@ impl Prg {
         self.counter = self.counter.wrapping_add(out.len() as u128);
     }
 
-    /// Next `n` pseudorandom bytes.
+    /// Overwrites `out` with the next `out.len()` pseudorandom bytes, in
+    /// place: what [`bytes`](Self::bytes) returns, without the `Vec`.
     ///
-    /// Generates whole blocks (the partial tail block's remainder is
-    /// discarded, as the stream always has), batched through the backend.
-    #[must_use = "the generated bytes should be used"]
-    pub fn bytes(&mut self, n: usize) -> Vec<u8> {
-        let mut out = vec![0u8; n];
+    /// Generates whole blocks, batched through the backend, and discards
+    /// the partial tail block's remainder as the stream always has: the
+    /// position advances by `⌈out.len()/16⌉` blocks.
+    pub fn fill_bytes(&mut self, out: &mut [u8]) {
         let mut blocks = [Block::ZERO; 64];
         for chunk in out.chunks_mut(16 * blocks.len()) {
             let blocks = &mut blocks[..chunk.len().div_ceil(16)];
@@ -65,30 +65,14 @@ impl Prg {
                 bytes.copy_from_slice(&block.to_bytes()[..bytes.len()]);
             }
         }
+    }
+
+    /// Next `n` pseudorandom bytes.
+    #[must_use = "the generated bytes should be used"]
+    pub fn bytes(&mut self, n: usize) -> Vec<u8> {
+        let mut out = vec![0u8; n];
+        self.fill_bytes(&mut out);
         out
-    }
-
-    /// Next `n` pseudorandom bits, one per byte (0/1 values).
-    #[must_use = "the generated bits should be used"]
-    pub fn bits(&mut self, n: usize) -> Vec<u8> {
-        let bytes = self.bytes(n.div_ceil(8));
-        (0..n).map(|i| (bytes[i / 8] >> (i % 8)) & 1).collect()
-    }
-
-    /// Next `n` pseudorandom `u64` values masked to the low `bits` bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is zero or greater than 64.
-    #[must_use = "the generated values should be used"]
-    pub fn ring_elements(&mut self, n: usize, bits: u32) -> Vec<u64> {
-        assert!((1..=64).contains(&bits));
-        let mask = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
-        let bytes = self.bytes(n * 8);
-        bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunk of 8")) & mask)
-            .collect()
     }
 }
 
@@ -118,23 +102,25 @@ mod tests {
         assert_eq!(p.bytes(17).len(), 17);
     }
 
+    /// `fill_bytes` is `bytes` in place, and both are the block stream cut
+    /// to length: the same bytes at every length around the 1 024-byte
+    /// chunk of one backend call, over successive calls, each advancing the
+    /// position by ⌈n/16⌉ blocks (a 392-byte KK13 column ends mid-block).
     #[test]
-    fn bits_are_binary() {
-        let mut p = Prg::from_seed(Block::from(3u128));
-        let bits = p.bits(1000);
-        assert_eq!(bits.len(), 1000);
-        assert!(bits.iter().all(|&b| b <= 1));
-        // A fixed seed should produce a roughly balanced stream.
-        let ones: usize = bits.iter().map(|&b| b as usize).sum();
-        assert!((300..700).contains(&ones), "ones = {ones}");
-    }
-
-    #[test]
-    fn ring_elements_respect_mask() {
-        let mut p = Prg::from_seed(Block::from(4u128));
-        assert!(p.ring_elements(100, 12).iter().all(|&x| x < (1 << 12)));
-        let all64 = p.ring_elements(10, 64);
-        assert_eq!(all64.len(), 10);
+    fn fill_bytes_is_bytes_in_place() {
+        let seed = Block::from(3u128);
+        let (mut a, mut b, mut stream) =
+            (Prg::from_seed(seed), Prg::from_seed(seed), Prg::from_seed(seed));
+        for n in [0usize, 15, 16, 1023, 1024, 1025, 392, 1, 17] {
+            let mut out = vec![0xA5u8; n];
+            a.fill_bytes(&mut out);
+            let want: Vec<u8> =
+                (0..n.div_ceil(16)).flat_map(|_| stream.next_block().to_bytes()).take(n).collect();
+            assert_eq!(out, want, "{n} bytes");
+            assert_eq!(b.bytes(n), want, "{n} bytes");
+        }
+        let next = stream.next_block();
+        assert_eq!((a.next_block(), b.next_block()), (next, next));
     }
 
     /// A clone is a position, not a key schedule: it costs two words and a

@@ -51,15 +51,16 @@ pub fn xor_in_place(dst: &mut [u8], src: &[u8]) {
 /// with zero rows, so neither dimension has to be a multiple of eight. An
 /// empty `dst` asks for nothing.
 ///
+/// Whole 64×64 tiles go as 64 words in, [`transpose64`], 64 words out;
+/// only the rows past the last multiple of 64 on either side take the 8×8
+/// block path.
+///
 /// # Panics
 ///
 /// Panics if a buffer is not a whole number of rows, if `dst` has more rows
 /// than `src` has bit columns, or if `dst_stride` is not exactly the bytes
 /// that the source row count packs into.
 pub(crate) fn transpose_bits(src: &[u8], src_stride: usize, dst: &mut [u8], dst_stride: usize) {
-    /// Blocks a tile spans along the long side: 64 bytes of that side's
-    /// rows, one cache line each.
-    const TILE: usize = 64;
     if dst.is_empty() {
         return;
     }
@@ -74,6 +75,24 @@ pub(crate) fn transpose_bits(src: &[u8], src_stride: usize, dst: &mut [u8], dst_
         src_rows.div_ceil(8),
         "destination rows must hold one bit per source row"
     );
+    // Tile (a, b): source rows 64·a.., bytes 8·b.. of each, to destination
+    // rows 64·b.., bytes 8·a.. of each. Walking a band of 64 source rows
+    // end to end reads each row front to back.
+    let (tiles_a, tiles_b) = (src_rows / 64, dst_rows / 64);
+    let mut tile = [0u64; 64];
+    for a in 0..tiles_a {
+        for b in 0..tiles_b {
+            for (k, word) in tile.iter_mut().enumerate() {
+                let at = (64 * a + k) * src_stride + 8 * b;
+                *word = u64::from_le_bytes(src[at..at + 8].try_into().expect("eight bytes"));
+            }
+            transpose64(&mut tile);
+            for (k, word) in tile.iter().enumerate() {
+                let at = (64 * b + k) * dst_stride + 8 * a;
+                dst[at..at + 8].copy_from_slice(&word.to_le_bytes());
+            }
+        }
+    }
     // Block (r8, c): source rows 8·r8.., byte c of each, to destination
     // rows 8·c.., byte r8 of each.
     let mut block = |r8: usize, c: usize| {
@@ -86,24 +105,39 @@ pub(crate) fn transpose_bits(src: &[u8], src_stride: usize, dst: &mut [u8], dst_
             dst[(8 * c + b) * dst_stride + r8] = byte;
         }
     };
-    // A block touches eight rows on each side. Walk so that consecutive
-    // blocks stay in the same eight rows of whichever side has the long
-    // ones, a cache line of them per tile, and the short side's share of
-    // the tile is a few contiguous kilobytes: both then sit in L1 whatever
-    // the long stride is (columns of 2^k OTs alias to a handful of sets).
     let src_bytes = dst_rows.div_ceil(8);
-    for t in (0..src_stride.max(dst_stride)).step_by(TILE) {
-        if src_stride >= dst_stride {
-            for r8 in 0..dst_stride {
-                for c in t..(t + TILE).min(src_bytes) {
-                    block(r8, c);
-                }
-            }
-        } else {
-            for c in 0..src_bytes {
-                for r8 in t..(t + TILE).min(dst_stride) {
-                    block(r8, c);
-                }
+    for r8 in 8 * tiles_a..dst_stride {
+        for c in 0..src_bytes {
+            block(r8, c);
+        }
+    }
+    for r8 in 0..8 * tiles_a {
+        for c in 8 * tiles_b..src_bytes {
+            block(r8, c);
+        }
+    }
+}
+
+/// Transposes the 64×64 bit matrix whose row `k` is word `k` (bit `l` is
+/// column `l`) in place: Eklundh's six rounds, each swapping the
+/// off-diagonal `w×w` halves of every `2w×2w` block with one masked XOR
+/// per pair of rows.
+fn transpose64(x: &mut [u64; 64]) {
+    const ROUNDS: [(usize, u64); 6] = [
+        (32, 0x0000_0000_FFFF_FFFF),
+        (16, 0x0000_FFFF_0000_FFFF),
+        (8, 0x00FF_00FF_00FF_00FF),
+        (4, 0x0F0F_0F0F_0F0F_0F0F),
+        (2, 0x3333_3333_3333_3333),
+        (1, 0x5555_5555_5555_5555),
+    ];
+    for (w, mask) in ROUNDS {
+        for pair in x.chunks_exact_mut(2 * w) {
+            let (top, bottom) = pair.split_at_mut(w);
+            for (t, b) in top.iter_mut().zip(bottom) {
+                let d = ((*t >> w) ^ *b) & mask;
+                *t ^= d << w;
+                *b ^= d;
             }
         }
     }
@@ -185,34 +219,40 @@ mod tests {
         assert_eq!(a, vec![1, 2, 3]);
     }
 
+    /// The bit-at-a-time definition of [`transpose_bits`]: `dst_rows` rows
+    /// of the source's bit columns.
+    fn transpose_by_bits(src: &[u8], src_stride: usize, dst_rows: usize) -> Vec<u8> {
+        let src_rows = src.len() / src_stride;
+        let dst_stride = src_rows.div_ceil(8);
+        let mut dst = vec![0u8; dst_rows * dst_stride];
+        for (i, row) in src.chunks_exact(src_stride).enumerate() {
+            for j in 0..dst_rows {
+                set_bit(&mut dst[j * dst_stride..], i, get_bit(row, j));
+            }
+        }
+        dst
+    }
+
     proptest! {
-        /// The bit-by-bit oracle for the kernel, run both ways: columns to
-        /// rows as every extension does, and rows back to columns as KK13's
-        /// codeword matrix does. `m` spans 8- and 64-bit tails and columns
-        /// of several words.
+        /// The kernel against its bit-at-a-time definition, run both ways:
+        /// columns to rows as every extension does, and rows back to
+        /// columns. `m` covers 8- and 64-bit tails on short columns and,
+        /// up to a KK13 matrix of 8 299 OTs, whole 64×64 tiles with ragged
+        /// edges on either side.
         #[test]
-        fn transpose_is_correct(m in 1usize..600, wide: bool, seed: u64) {
+        fn transpose_is_correct(m in 1usize..8300, short: bool, wide: bool, seed: u64) {
             use rand::{Rng, SeedableRng};
+            let m = if short { m % 600 + 1 } else { m };
             let k = if wide { 256 } else { 128 };
             let (col_bytes, row_bytes) = (m.div_ceil(8), k / 8);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let cols: Vec<u8> = (0..k * col_bytes).map(|_| rng.gen()).collect();
             let mut rows = vec![0u8; m * row_bytes];
             transpose_bits(&cols, col_bytes, &mut rows, row_bytes);
-            for (i, col) in cols.chunks_exact(col_bytes).enumerate() {
-                for (j, row) in rows.chunks_exact(row_bytes).enumerate() {
-                    prop_assert_eq!(get_bit(row, i), get_bit(col, j));
-                }
-            }
+            prop_assert_eq!(&rows, &transpose_by_bits(&cols, col_bytes, m), "m={} k={}", m, k);
             let mut back = vec![0u8; k * col_bytes];
             transpose_bits(&rows, row_bytes, &mut back, col_bytes);
-            for (i, (col, got)) in
-                cols.chunks_exact(col_bytes).zip(back.chunks_exact(col_bytes)).enumerate()
-            {
-                for j in 0..8 * col_bytes {
-                    prop_assert_eq!(get_bit(got, j), j < m && get_bit(col, j), "column {} bit {}", i, j);
-                }
-            }
+            prop_assert_eq!(back, transpose_by_bits(&rows, row_bytes, k), "m={} k={} back", m, k);
         }
     }
 }

@@ -18,8 +18,9 @@
 //! which tweaks and hashes turn rows into keys — stays in its own module.
 //!
 //! Matrices are flat: columns back to back in one `Vec<u8>` (the layout of
-//! `u` on the wire), rows as `Vec<[u8; W]>`, one [`transpose_bits`] between
-//! them in either direction.
+//! `u` on the wire), each PRG column written where it lies, rows as
+//! `Vec<[u8; W]>`, one [`transpose_bits`] from the one to the other. Both
+//! codes are built by columns, so no code matrix is ever transposed.
 
 use crate::bits::{get_bit, pack_bits, transpose_bits, xor_in_place};
 use crate::{base, OtError};
@@ -66,12 +67,17 @@ impl<const W: usize> Sender<W> {
         if m == 0 {
             return Ok(Vec::new());
         }
-        let mut q = Vec::with_capacity(u.len());
-        for (i, (prg, ui)) in self.prgs.iter_mut().zip(u.chunks_exact(col_bytes)).enumerate() {
-            let at = q.len();
-            q.extend_from_slice(&prg.bytes(col_bytes));
+        let mut q = vec![0u8; u.len()];
+        for (i, ((prg, qi), ui)) in self
+            .prgs
+            .iter_mut()
+            .zip(q.chunks_exact_mut(col_bytes))
+            .zip(u.chunks_exact(col_bytes))
+            .enumerate()
+        {
+            prg.fill_bytes(qi);
             if get_bit(&self.s, i) {
-                xor_in_place(&mut q[at..], ui);
+                xor_in_place(qi, ui);
             }
         }
         Ok(rows(&q, m))
@@ -118,15 +124,18 @@ impl Receiver {
             code.len() == col_bytes || code.len() == self.prg_pairs.len() * col_bytes,
             "code matrix has neither one column nor one per PRG pair"
         );
-        let mut u = Vec::with_capacity(self.prg_pairs.len() * col_bytes);
-        let mut t = Vec::with_capacity(u.capacity());
-        for ((prg0, prg1), d) in self.prg_pairs.iter_mut().zip(code.chunks_exact(col_bytes).cycle())
+        let mut u = vec![0u8; self.prg_pairs.len() * col_bytes];
+        let mut t = vec![0u8; u.len()];
+        for (((prg0, prg1), d), (ui, ti)) in self
+            .prg_pairs
+            .iter_mut()
+            .zip(code.chunks_exact(col_bytes).cycle())
+            .zip(u.chunks_exact_mut(col_bytes).zip(t.chunks_exact_mut(col_bytes)))
         {
-            let at = u.len();
-            t.extend_from_slice(&prg0.bytes(col_bytes));
-            u.extend_from_slice(&prg1.bytes(col_bytes));
-            xor_in_place(&mut u[at..], &t[at..]);
-            xor_in_place(&mut u[at..], d);
+            prg0.fill_bytes(ti);
+            prg1.fill_bytes(ui);
+            xor_in_place(ui, ti);
+            xor_in_place(ui, d);
         }
         (u, t)
     }
@@ -140,7 +149,9 @@ pub(crate) fn rows<const W: usize>(cols: &[u8], m: usize) -> Vec<[u8; W]> {
 }
 
 /// `8·W` columns of `rows.len()` bits, bits past that clear, from one
-/// `W`-byte row per OT: [`rows`] run the other way.
+/// `W`-byte row per OT: [`rows`] run the other way, the definition KK13's
+/// code columns are tested against.
+#[cfg(test)]
 pub(crate) fn columns<const W: usize>(rows: &[[u8; W]]) -> Vec<u8> {
     let col_bytes = rows.len().div_ceil(8);
     let mut cols = vec![0u8; 8 * W * col_bytes];

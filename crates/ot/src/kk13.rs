@@ -13,6 +13,7 @@
 //! symbol masks to implement the one-batch "N−1 messages" optimization
 //! (§4.1.3), where the mask for symbol 0 is itself the sender's share.
 
+use crate::bits::xor_in_place;
 use crate::frames::KkColumns;
 use crate::{ext, OtError};
 use abnn2_crypto::RoHash;
@@ -41,14 +42,42 @@ pub fn codeword(v: u64) -> [u8; 32] {
     std::array::from_fn(|b| if parity((v >> 3) & b as u64) == 1 { !low } else { low })
 }
 
-/// The codewords of `symbols`, each ANDed with `and`: the chooser's code
-/// table (`and` all ones) and the sender's `c(v) ∧ s`.
+/// The codewords of `symbols`, each ANDed with `and`: the sender's
+/// `c(v) ∧ s`.
 fn codewords(symbols: Range<u64>, and: &[u8; 32]) -> Vec<[u8; 32]> {
     let masked = |v| {
         let c = codeword(v);
         std::array::from_fn(|i| c[i] & and[i])
     };
     symbols.map(masked).collect()
+}
+
+/// The chooser's code matrix by columns, `⌈m/8⌉` bytes each with the bits
+/// past `m` clear, whose row `j` is `codeword(choices[j])`.
+///
+/// Bit `j` of column `i` is `parity(choices[j] & i)`: the XOR of the
+/// choices' bit-planes that the bits of `i` name. So column `i` is column
+/// `i & (i − 1)` with one more plane XORed in, and the matrix costs one
+/// column XOR per column and no transpose.
+fn code_columns(choices: &[u64]) -> Vec<u8> {
+    let col_bytes = choices.len().div_ceil(8);
+    // Plane b: bit j is bit b of choice j.
+    let mut planes = vec![0u8; 8 * col_bytes];
+    for (byte, group) in choices.chunks(8).enumerate() {
+        for (k, &w) in group.iter().enumerate() {
+            for (b, plane) in planes.chunks_exact_mut(col_bytes).enumerate() {
+                plane[byte] |= (((w >> b) & 1) as u8) << k;
+            }
+        }
+    }
+    let mut cols = vec![0u8; CODE_LEN * col_bytes];
+    for i in 1..CODE_LEN {
+        let (built, rest) = cols.split_at_mut(i * col_bytes);
+        let col = &mut rest[..col_bytes];
+        col.copy_from_slice(&built[(i & (i - 1)) * col_bytes..][..col_bytes]);
+        xor_in_place(col, &planes[i.trailing_zeros() as usize * col_bytes..][..col_bytes]);
+    }
+    cols
 }
 
 /// OT-extension **sender**: after `extend`, can derive the mask for *every*
@@ -143,16 +172,14 @@ impl KkSenderKeys {
     /// `ots.len() · symbols.len() · len` bytes.
     pub fn masks(&self, ots: Range<usize>, symbols: Range<u64>, len: usize, out: &mut [u8]) {
         let codewords = codewords(symbols, &self.s);
-        let mut rows = Vec::with_capacity(ots.len() * codewords.len() * 32);
-        for j in ots.clone() {
+        let mut rows: Vec<[u8; 32]> = Vec::with_capacity(ots.len() * codewords.len());
+        for q in &self.rows[ots.clone()] {
             // Sender key for symbol v: H(j, q_j ⊕ (c(v) ∧ s)). For the
             // chooser's actual symbol this cancels to its t0 row.
-            for c in &codewords {
-                rows.extend(self.rows[j].iter().zip(c).map(|(q, c)| q ^ c));
-            }
+            rows.extend(codewords.iter().map(|c| std::array::from_fn(|i| q[i] ^ c[i])));
         }
         let tweak = |i| u128::from(self.base_tweak + (ots.start + i / codewords.len()) as u64);
-        RoHash::shared().hash_expand_rows(&rows, 32, tweak, len, out);
+        RoHash::shared().hash_expand_rows(rows.as_flattened(), 32, tweak, len, out);
     }
 
     /// [`masks`](Self::masks) of one symbol in one OT.
@@ -237,10 +264,7 @@ impl KkChooser {
         assert!(choices.iter().all(|&c| c < n), "choice symbol out of range");
         let m = choices.len();
 
-        // D matrix: row j is codeword(w_j); the extension wants its columns.
-        let codewords = codewords(0..n, &[0xff; 32]);
-        let d: Vec<[u8; 32]> = choices.iter().map(|&w| codewords[w as usize]).collect();
-        let (u, t_cols) = self.ext.columns(&ext::columns(&d), m);
+        let (u, t_cols) = self.ext.columns(&code_columns(choices), m);
         ch.send_frame(&KkColumns(u))?;
 
         let rows = ext::rows(&t_cols, m);
@@ -283,6 +307,21 @@ mod tests {
             for i in 0..CODE_LEN {
                 let want = (v & i as u64).count_ones() % 2 == 1;
                 assert_eq!(crate::bits::get_bit(&c, i), want, "symbol {v} bit {i}");
+            }
+        }
+    }
+
+    /// The bit-plane columns are the transpose of the codeword rows, for
+    /// every radix and at batch sizes around the 8- and 64-bit edges.
+    #[test]
+    fn code_columns_are_the_codeword_rows_transposed() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+        for n in 2..=MAX_N {
+            let table = codewords(0..n, &[0xff; 32]);
+            for m in [1usize, 7, 63, 64, 65, 4097] {
+                let choices: Vec<u64> = (0..m).map(|_| rng.gen_range(0..n)).collect();
+                let rows: Vec<[u8; 32]> = choices.iter().map(|&w| table[w as usize]).collect();
+                assert_eq!(code_columns(&choices), ext::columns(&rows), "n={n} m={m}");
             }
         }
     }

@@ -69,8 +69,9 @@
 #
 # Every run also greps the protocol crates for scalar AES calls
 # (`encrypt_block`, `hash_block`, `next_block`, a one-shot
-# `Prg::from_seed(..).bytes(..)`), which belong to crates/crypto, test
-# modules and benches only, and crates/baselines for the per-layer online
+# `Prg::from_seed(..).bytes(..)`) and AES key schedules (`Aes128::new(`),
+# which belong to crates/crypto, test modules and benches only, and
+# crates/baselines for the per-layer online
 # helpers (`layer_share`, `relu_server`, `relu_client`: the online phase is
 # core's, the baselines call it whole), and crates/net/src for a second file
 # that checks a frame length (`MAX_FRAME_LEN`, `tags::max_len(`,
@@ -164,20 +165,22 @@ bash bench/run.sh --quick
 # block at a time runs software AES on AES-NI hosts and pays a key schedule
 # or a dispatch per block. Everything outside the crypto crate, the test
 # modules and the bench binaries goes through a slice (`hash_blocks`,
-# `hash_expand_rows`, `fill_blocks`, `encrypt_blocks`).
-echo "==> scalar-AES gate: no one-block crypto call in a protocol path"
+# `hash_expand_rows`, `fill_blocks`, `encrypt_blocks`), and keys nothing
+# with `Aes128::new(`: the one fixed-key oracle expands every mask, so a
+# key schedule per mask or per digest cannot come back.
+echo "==> scalar-AES gate: no one-block crypto call or fresh AES key in a protocol path"
 scalar_aes=$(find src examples crates -name '*.rs' \
   -not -path 'crates/crypto/*' -not -path 'crates/bench/*' -print0 |
   xargs -0 awk '
     FNR == 1 { in_tests = 0 }
     /#\[cfg\(test\)\]/ { in_tests = 1 }
     !in_tests && !/^[[:space:]]*\/\// &&
-      /(\.|Aes128::)encrypt_block\(|(\.|RoHash::)hash_block\(|(\.|Prg::)next_block\(|Prg::from_seed\(.*\)[[:space:]]*\.bytes\(/ {
+      /(\.|Aes128::)encrypt_block\(|(\.|RoHash::)hash_block\(|(\.|Prg::)next_block\(|Prg::from_seed\(.*\)[[:space:]]*\.bytes\(|Aes128::new\(/ {
         print FILENAME ":" FNR ": " $0
       }')
 if [[ -n "$scalar_aes" ]]; then
   echo "$scalar_aes" >&2
-  echo "scalar AES call outside crates/crypto, test modules and benches (see above)" >&2
+  echo "scalar AES call or AES key schedule outside crates/crypto, test modules and benches (see above)" >&2
   exit 1
 fi
 
@@ -260,10 +263,14 @@ fi
 # The dev profile keeps overflow checks and debug assertions on and the
 # default backend is AES-NI where the CPU has it: the pinned transcripts
 # must also hold as the served binaries are built, over the software path.
-echo "==> pinned Yao, triplet, OT-extension and session transcripts: release, portable backend"
+echo "==> pinned Yao, triplet, OT-extension and session transcripts, oracle and OT kernels: release, portable backend"
 ABNN2_CRYPTO_BACKEND=portable cargo test -q --release \
   --test yao_pins --test triplet_pins --test ot_extension_pins \
-  --test lineage_pins --test lineage
+  --test lineage_pins --test lineage --test crypto_backend
+# The OT-extension kernels in release over software AES: the tiled
+# transpose against its bit-at-a-time definition, KK13's code columns
+# against the transposed codeword rows.
+ABNN2_CRYPTO_BACKEND=portable cargo test -q --release -p abnn2-ot --lib -- bits:: kk13::
 # Same build, same backend: the lane-wise garbling against its per-gate
 # reference (tables, decode map, both label sets, outputs), the slot
 # allocator's tests, the builder's constant folding and the circuits'

@@ -29,6 +29,15 @@
 //! no constants to fold, so `MLP_PINS` and the continuation test are the
 //! parent's.
 //!
+//! Since protocol v8 the random oracle expands a digest into a fragment-OT
+//! mask under its fixed key (block `k` is `H(k, digest)`) instead of
+//! AES-CTR keyed by the digest, so every `TripletMasked` frame carries
+//! other bytes. Every `bytes` digest of a path that runs the interactive
+//! offline phase (cold KK13, cold silent, resumed) and the four
+//! continuation rows are re-recorded. Every `shape` digest is the
+//! parent's, and so is each model's `warm bytes`: a dealt bundle takes no
+//! mask from the oracle.
+//!
 //! The second half pins **continuation**: three sessions over one lineage
 //! (parked in a store and claimed, twice) move, frame for frame and byte
 //! for byte, what one connection moves that sets up once and runs the same
@@ -510,19 +519,19 @@ fn continued_sessions_move_what_back_to_back_rounds_over_one_pair_move() {
 const CONTINUATION_PINS: &[(&str, &str)] = &[
     (
         "mlp kk13 sessions 2-3 extension frames",
-        "b492b2995b823d251eb3961c3db9378a65ee7cd3f58161a1d19d42d055218897",
+        "414e97c15ef41515ba6dfe1cca814a8abccdfe33fb00a147e1d342598e7ec627",
     ),
     (
         "mlp silent sessions 2-3 extension frames",
-        "111db7b2abfbf9c56db3a30f29c3fd22c77ccac4c2a317eb76d4a53cbf638706",
+        "1146282d8c406ad337d05f08ebfddd2c75c28a478184a4d27e6d5a03dd5069f9",
     ),
     (
         "encoder kk13 sessions 2-3 extension frames",
-        "eae2b9b7586ffdcdba7c29a8217c2fb42a71ac0caa158abdaf0dd316eb4f341e",
+        "15e49c8074fd5e40790a16fd95400b2c45060a799a88cb1694e9e0a14c7b609a",
     ),
     (
         "encoder silent sessions 2-3 extension frames",
-        "90ef82de6da231c4c8a3f54ac2ec8c75fa67784b0af7d676c962b10b0fd9c926",
+        "14a2b9249f4da15db6603c3bc88274b02421c086f52acf43efb513ff87a5f3e6",
     ),
 ];
 
@@ -541,21 +550,21 @@ fn encoder_session_transcripts_are_pinned() {
 }
 
 const MLP_PINS: &[(&str, &str)] = &[
-    ("mlp cold kk13 bytes", "765312588214f87345c98cfd9825b762546b694da89776508e9f7f4e6eeaabde"),
+    ("mlp cold kk13 bytes", "bccc1f62bf7c06b6ebb2fb428991fbe4898cc533fca2443fb27b2d9f123d3dca"),
     ("mlp cold kk13 shape", "6b417eb57cdd7cc12c35d7656b1e38b52bbfcdf07a0b3c640c74f070e355d872"),
     (
         "mlp cold kk13 bytes, no chooser batch",
-        "a9b7be8602d2cfbca6ef8caa49f0febfb46a4b994e90846da63fa42fbf665ff3",
+        "4adee65a005ef85f90efc4be1e496b311208f0cdc177d7ae7510fbc4cacb567e",
     ),
     (
         "mlp cold kk13 shape, no chooser batch",
         "0c6bcff5bc988f426697b480d6b26bb8a24f375e259e1266c39135fb186be6f9",
     ),
-    ("mlp cold silent bytes", "da7ea72dd1922ed16b7a43da9089c4340d77dc3520776d8352c2223b07406bfa"),
+    ("mlp cold silent bytes", "5643d79da77cec45724929573d43ffbcf3d454a93dec36209d9abff0329146de"),
     ("mlp cold silent shape", "5788a8ab2c36fce07dc4cecfa76fc15fa635a16ea4bd096ea8c3c9187873f8ef"),
     (
         "mlp cold silent bytes, no chooser batch",
-        "274edb7482ba0f1d027513ee8c9c9c5de646d62cac671e0e3ca57b1d00008996",
+        "934869b2c11324e17f6be861f912030020d9d39462b7a9342c5aef662c8cc5d6",
     ),
     (
         "mlp cold silent shape, no chooser batch",
@@ -570,15 +579,15 @@ const MLP_PINS: &[(&str, &str)] = &[
         "mlp resumed shape, no chooser batch",
         "758d13d8a38925c3329fe0fab3979ac76fc6eeb9f8fc6e5c0144f5bdbf2685e0",
     ),
-    ("mlp resumed bytes", "33736f5102f0188000e6ca793a8fc9cdf8af5ed3be7c06b505ca379c621d522b"),
+    ("mlp resumed bytes", "ab584c606a703e5bb8ac4fd698c8a28c1ee94585d5b13da4640c23cc3ee63bb5"),
 ];
 
 const ENCODER_PINS: &[(&str, &str)] = &[
-    ("encoder cold kk13 bytes", "2387475226d1191539929069fe71915a792d3c9f9c68cf0b555acce79e56e800"),
+    ("encoder cold kk13 bytes", "a59eea7e5e2de726d9151ae38330810b721b0dfa116ac2ef85c9875813663cee"),
     ("encoder cold kk13 shape", "20c8a5a565f077fde4f7ee889c5fcbf3222b1dac244745f952e2505037cf298f"),
     (
         "encoder cold kk13 bytes, no chooser batch",
-        "17ecd56ff734a12d800b71f41db2e02cdc8e5bd650d54b8e9ca7a7f4fca85514",
+        "6de15ba6a28fb2cc265c6cd83100f9ef13070c11eb248d39e5daa4209f686175",
     ),
     (
         "encoder cold kk13 shape, no chooser batch",
@@ -586,7 +595,7 @@ const ENCODER_PINS: &[(&str, &str)] = &[
     ),
     (
         "encoder cold silent bytes",
-        "cabf4767cbf9e7d9dd0e7dcaf9fa7ca7bb1f37fdfc0f0f7fbe856d487eaa98b0",
+        "85318c6a9aab99e964f63a914980affc1ae7c36f0be7ec416591b2d1fac6521b",
     ),
     (
         "encoder cold silent shape",
@@ -594,7 +603,7 @@ const ENCODER_PINS: &[(&str, &str)] = &[
     ),
     (
         "encoder cold silent bytes, no chooser batch",
-        "cbcce5409cf7014c5a44e0bd80b18cbe9caceede8db208947c1b03a22fbb67e2",
+        "b8661a546105c003000a20ecd1b98d4e3ca59c02c4efcf65c30c3fa4c7e2d4e1",
     ),
     (
         "encoder cold silent shape, no chooser batch",
@@ -609,5 +618,5 @@ const ENCODER_PINS: &[(&str, &str)] = &[
         "encoder resumed shape, no chooser batch",
         "2c0926794c4729ee5a0093e58ed3d47b37e207cfb4e2c9ceecba92230569a2d8",
     ),
-    ("encoder resumed bytes", "fb3de46818052f75c7990afdadfbb4ad78e494ac506e4d68ab79c0718b48049d"),
+    ("encoder resumed bytes", "0fbc6c7bbabdb64460922d5d409f9ffd623aaea1093b9ba8e0b7f8752bf28941"),
 ];

@@ -17,6 +17,14 @@
 //! different `GcTables` and `GcDecodeMap` frames on the wire, and a v6
 //! peer, whose hello has the same 72 bytes, gets the same symmetric
 //! `Negotiation` error a v5 peer gets.
+//!
+//! Re-recorded for protocol v8: the version field reads 8 and nothing else
+//! here moved. The bump is for the fragment-OT masks: the random oracle
+//! expands a digest under its fixed key instead of AES-CTR keyed by the
+//! digest, so for the same keys a v7 and a v8 peer derive different
+//! `TripletMasked`, `SilentDerand`-keyed and vector C-OT masks, and a v7
+//! peer, whose hello has the same 72 bytes, gets the same symmetric
+//! `Negotiation` error.
 
 use abnn2::core::frames::Hello;
 use abnn2::core::handshake::{handshake_server_ext, Halves};
@@ -82,7 +90,7 @@ fn encoder() -> PublicModel {
 
 #[test]
 fn wire_versions_are_unchanged() {
-    assert_eq!(PROTOCOL_VERSION, 7);
+    assert_eq!(PROTOCOL_VERSION, 8);
     assert_eq!(BUNDLE_LAYOUT_VERSION, 3);
 }
 
@@ -123,7 +131,7 @@ fn digests_and_bundle_keys_match_the_parent_commit() {
     {
         let params = SessionParams::for_public(&model, ReluVariant::Oblivious, batch);
         let expected = SessionParams {
-            version: 7,
+            version: 8,
             ring_bits,
             frac_bits,
             weight_frac_bits,
@@ -157,7 +165,7 @@ fn v5_layout(p: &SessionParams, flags: u8, token: [u8; 16]) -> Vec<u8> {
     frame
 }
 
-/// A v5 client dials a v7 server. The server reports the version mismatch
+/// A v5 client dials a v8 server. The server reports the version mismatch
 /// and answers in the v5 layout: 56 bytes that a v5 decoder accepts
 /// (length, magic) and that differ from the client's own parameters in the
 /// version field alone, which is exactly what makes that decoder raise its
@@ -177,7 +185,7 @@ fn a_v5_peer_still_gets_the_symmetric_negotiation_error() {
         true,
         |_, _| -> Halves { panic!("a mismatched peer must not reach the store") },
     )
-    .expect_err("v5 and v7 do not negotiate");
+    .expect_err("v5 and v8 do not negotiate");
     assert_eq!(err, ProtocolError::Negotiation { ours, theirs });
 
     let Hello(reply) = c.recv_frame().expect("the reply is sent before the error is raised");
@@ -194,15 +202,15 @@ fn v6_layout(p: &SessionParams, flags: u8, token: [u8; 16], lineage: [u8; 16]) -
     frame
 }
 
-/// A v6 client dials a v7 server, asking to resume and offering both
-/// lineage halves. The server decodes the hello (the layout did not
-/// change), reports the version mismatch, claims nothing, and answers in
-/// that layout with its own parameters, so the v6 peer's decoder raises
-/// its own `Negotiation` error.
-#[test]
-fn a_v6_peer_gets_the_symmetric_negotiation_error() {
+/// A client of an earlier version that still sends the 72-byte hello
+/// dials a v8 server, asking to resume and offering both lineage halves.
+/// The server decodes the hello (the layout did not change), reports the
+/// version mismatch, claims nothing, and answers in that layout with its
+/// own parameters, so the peer's decoder raises its own `Negotiation`
+/// error before any base OT runs or any mask is derived.
+fn a_72_byte_hello_of_version_gets_the_symmetric_negotiation_error(version: u16) {
     let ours = SessionParams::for_public(&mlp(), ReluVariant::Oblivious, 2);
-    let theirs = SessionParams { version: 6, ..ours };
+    let theirs = SessionParams { version, ..ours };
     let (mut c, mut s) = Endpoint::pair(NetworkModel::instant());
     // Resume (bit 0) and both lineage halves (bits 4 and 5).
     let flags = 0b0011_0001;
@@ -215,10 +223,22 @@ fn a_v6_peer_gets_the_symmetric_negotiation_error() {
         true,
         |_, _| -> Halves { panic!("a mismatched peer must not reach the store") },
     )
-    .expect_err("v6 and v7 do not negotiate");
+    .expect_err("different versions do not negotiate");
     assert_eq!(err, ProtocolError::Negotiation { ours, theirs });
 
     let Hello(reply) = c.recv_frame().expect("the reply is sent before the error is raised");
     // Our parameters, its token echoed, no lineage, nothing granted.
     assert_eq!(reply, v6_layout(&ours, 0, [9; 16], [0; 16]));
+}
+
+#[test]
+fn a_v6_peer_gets_the_symmetric_negotiation_error() {
+    a_72_byte_hello_of_version_gets_the_symmetric_negotiation_error(6);
+}
+
+/// v7 differs from v8 in the masks alone, so this is the peer most likely
+/// to dial a v8 server.
+#[test]
+fn a_v7_peer_gets_the_symmetric_negotiation_error() {
+    a_72_byte_hello_of_version_gets_the_symmetric_negotiation_error(7);
 }

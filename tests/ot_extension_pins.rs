@@ -8,6 +8,13 @@
 //! one above that commit's 4096-OT threading threshold. A peer built there
 //! interoperates with this tree only while they stay byte-for-byte equal.
 //!
+//! Re-recorded for protocol v8: the KK13 `sender masks` and `chooser masks`
+//! rows moved, because a digest now expands into a mask under the fixed-key
+//! oracle (block `k` is `H(k, digest)`) instead of AES-CTR keyed by the
+//! digest. Every `KkColumns` row and the whole IKNP table are the parent's,
+//! unmodified: the in-place PRG columns, the tiled transpose and the
+//! chooser's code matrix built by bit-plane columns moved no byte.
+//!
 //! Lives at the repo root because tier-1 `cargo test -q` runs only the
 //! umbrella package.
 
@@ -203,75 +210,75 @@ const IKNP_PINS: &[(&str, &str)] = &[
 
 const KK13_PINS: &[(&str, &str)] = &[
     ("m=1 n=2 KkColumns", "d47420d2e1ad2dd57abcb057d8a29d1cdb3a8e4d1bdfbee9103107895fc732eb"),
-    ("m=1 n=2 sender masks", "23f2773532514c95f160ba9087e103b99c8f5aec5e96a07326fbed3433d17724"),
-    ("m=1 n=2 chooser masks", "1c5c45d1fe097c59c5e47aa011046e297ce0e587e835b3df32f46223fbda77ee"),
+    ("m=1 n=2 sender masks", "158e8800e106977de31b72cc0df656b461edf567232d7bbbad0806c81a8b46dd"),
+    ("m=1 n=2 chooser masks", "4168901002f9b1e9689aaec05c903197dcaa6d3ad1f3cfd26659f8fd22793c4d"),
     ("m=1 n=3 KkColumns", "c5d54f110bf907aa72d87379e2acfbca7bf07f1e381caf3a5de87d2d8da51b00"),
-    ("m=1 n=3 sender masks", "6083a0db6fb1a7d61fb5e346bb9a830343460611784946c64fb4bbfeeffda956"),
-    ("m=1 n=3 chooser masks", "57fb2f5a00dd30512893db7d06b2e7ae7e9c9cffdc92ab7d3bd602c1a69d2eac"),
+    ("m=1 n=3 sender masks", "e41e4f19d686377952410f7e77e923e64bab858df36c910dc34a6f644830d1e5"),
+    ("m=1 n=3 chooser masks", "ca8f20a4592ec1fb9320ffc45e297d3cdeb5652168b28d7fac7f44fbd0bc3c63"),
     ("m=1 n=4 KkColumns", "f6cbe07c6c80bf8e7f0664441a81915e2e225e95b8458a8c74bcef9825943f39"),
-    ("m=1 n=4 sender masks", "57230f0e54bb623ab7b2113ddd21756a7060aed1d67d59ef49c40a569487496e"),
-    ("m=1 n=4 chooser masks", "411a724f3ac1211eadf954309875f717c27832ed1ba189fbf1936db934a37482"),
+    ("m=1 n=4 sender masks", "2815de972ba0783bf8ad035516f23bd08b47faf9016e2a302c4cd7035f28bd6d"),
+    ("m=1 n=4 chooser masks", "a465907d4d2c747f21c89e76dbae7a513dae1b603dc75b624913fab9fb2e05ce"),
     ("m=1 n=256 KkColumns", "ddfb7cb39b1ae4feef730a6d32e46555c5f7d1b4419f434f03d8529e1630173f"),
-    ("m=1 n=256 sender masks", "85f078536590b56a36f62679868530f739e1381b5ee85d5a74065c761a455863"),
-    ("m=1 n=256 chooser masks", "b73ffbcf274fb33d0370557fcb705bab6a4a912e70bbc1ae9e17e08c4f4ff74c"),
+    ("m=1 n=256 sender masks", "b26fd7d46b0f6f1803795a64a4897273e864ce39f2d4eed3b97c42a4e99946df"),
+    ("m=1 n=256 chooser masks", "208ea8bff7b7d837e66c502bb494499f76c177d197da7c85ffda618299842094"),
     ("m=13 n=2 KkColumns", "02669c296f5a304ad6ac14b3f6f3452036c98a7a8f2b90d9ea7ccca647b31f7d"),
-    ("m=13 n=2 sender masks", "cecc5d89fead6d0df8aa0418dd5c3b1d696c63eb6c34362b96571c10e462211d"),
-    ("m=13 n=2 chooser masks", "35b58c3f253b7fb5dc38cb10b9233c6dfebc841aa878ad223b8bc02384af1d40"),
+    ("m=13 n=2 sender masks", "8b747386d3ee20ba6722b1e09e5a70209161ab5ac2f5c988408dc6aac6b63b04"),
+    ("m=13 n=2 chooser masks", "7423b3720ccc3dbfbc0a764882220e66d65d3d688c0e139a7c57884c5a28327d"),
     ("m=13 n=3 KkColumns", "9156947f53f2d2f95b138e0d07bc5aa0f848e0dc4ba27a37448e192d6242a8b7"),
-    ("m=13 n=3 sender masks", "862fa230ad036af768dc5ed9f2f063dedc0f77d962df6094e6743a7d8fa3c100"),
-    ("m=13 n=3 chooser masks", "c32c994eb9873ed17eb831dc730e9d6c6be34d058ef131f4745d9676cbaa6d21"),
+    ("m=13 n=3 sender masks", "d9baacc87ffda6d799d4955e9f672c907882ec6a7bb0c0fc3c2092709ef11f10"),
+    ("m=13 n=3 chooser masks", "6135272d740e2009dd254317b9e780b81a93168bb092fe86b750db2519002694"),
     ("m=13 n=4 KkColumns", "879429e67a8c201077177e7494b85aa0ba482b18a29933717cb5b507fdd56e92"),
-    ("m=13 n=4 sender masks", "f2e22c092d87aef83376f82694cca6a2cf13ef7149a133030dfbb8d01e0b0fa5"),
-    ("m=13 n=4 chooser masks", "8d49d2f36129192115433e907722830ad431eae963400b03984cda4d5976a5a6"),
+    ("m=13 n=4 sender masks", "076e30fe3446c255a9a0bb4baae92f71932c8d808ba224b83212667997d9e11c"),
+    ("m=13 n=4 chooser masks", "90a1d10c9610d2652e5b970b986613d476460a4bb4044527d78bc21deb58817a"),
     ("m=13 n=256 KkColumns", "63c8c042c7e70a9316929f050114a84029e1992ac46dca9fb28014ccbd10f63c"),
-    ("m=13 n=256 sender masks", "7f5d1d7c225e2efd59b041ee2c6a9362a5a1df19cb315d945891ea9a42bb9848"),
+    ("m=13 n=256 sender masks", "e5e6e738d35eea2bac5ec18a4f62407b3634e413d87e0dbcf04c060934952a91"),
     (
         "m=13 n=256 chooser masks",
-        "cfe7cee23f8f7c3fc51d16b4edeb3649253b51881c9783933dba4d087d9d70dd",
+        "eeff7cd0eb875f8b6501177d01b2887527a7e89f3afc83c602ff74ef5de8bfe3",
     ),
     ("m=300 n=2 KkColumns", "f8d04c2d05a5039f9c4caa10e3d69acfce08435a9cbf8f921a8cce822cecf111"),
-    ("m=300 n=2 sender masks", "4c3269fde3f1ded6d2294fa92586063489d1199024e701e6d7a26ded327368ad"),
-    ("m=300 n=2 chooser masks", "e951cdd8f12e9ba29d73872516412b6cf41e69eda319acdde16f4450642bf4e9"),
+    ("m=300 n=2 sender masks", "f0eadf9e5d434384dda094b16d9b3349291bb126b94e46a91d109130922e7c77"),
+    ("m=300 n=2 chooser masks", "489f2a894b4d3fc406bb254d1db2733bd91b9518dbe3c34f91db24316131cea7"),
     ("m=300 n=3 KkColumns", "37e27ae1acad9de21cdf321bbfde3437905de1b97a883c1c60587c56aa3b8efc"),
-    ("m=300 n=3 sender masks", "f58dc37aab8c82ae9426c98877d551be3e240600b70b46d57b81820c49c01a3f"),
-    ("m=300 n=3 chooser masks", "088f99dc41b477a61cbbfc4ec189c28bd4a42ed71b8893d1244a68f7e222b27b"),
+    ("m=300 n=3 sender masks", "72a7fc446c3a982ccebf235a2db0e4c37f5491cd58cc47cdaef5516d0c0a6b44"),
+    ("m=300 n=3 chooser masks", "7e493dc027333297758b1e99f5431a5588bd9cd3c419dbbebf80f6c33db8f470"),
     ("m=300 n=4 KkColumns", "16de865da60553ec6ff0dc17d07be52e151417de1358a370f8dcb1e631aeedf8"),
-    ("m=300 n=4 sender masks", "a2162ef15c45638bf89806f3f4b9ade62e66870a5e8ab80a9fb20b4d6bbe7b61"),
-    ("m=300 n=4 chooser masks", "da837fdc42b9e416ae80ec92dcc85b36041a3778c52c2e3d84e4d65e0c616f7e"),
+    ("m=300 n=4 sender masks", "1b3e8d9e94aac40a2933b484d893cce3a8e8c1660c1430f1f7cf9687adf28942"),
+    ("m=300 n=4 chooser masks", "1ef822b7e0179de4870e985bf9626fbe4361eb757b04dcfe1ea4cc13a24caaac"),
     ("m=300 n=256 KkColumns", "54ed074bd9e943985f062caa1d00db8191a74d92c7081c07802adfe71434d709"),
     (
         "m=300 n=256 sender masks",
-        "005010315f1a47f98da41be5938f67384edac06f78a772b61fc4008fcf1ad8bf",
+        "dd456cbda1b9912d0d87b0f0b5f6145f0e32fdf42f52525cbbe8ebc56027743b",
     ),
     (
         "m=300 n=256 chooser masks",
-        "d979691ba7be327c2fbdb3b0921ce218f6756b5b32455d2221334b8329f70395",
+        "bddfd890bf94eb3d46c482109474e9f746f8202e1193bd6a3b800e801131d7e0",
     ),
     ("m=4097 n=2 KkColumns", "ededfba080c68096c222e02679f0a9a3227bfaa311aa3c6cf11d66427bf78879"),
-    ("m=4097 n=2 sender masks", "cbf0146d2be50eae42e49b0d49dd08a70f354b28d290bc742917bf53e7920d0d"),
+    ("m=4097 n=2 sender masks", "6c14b78e67633881c3a1e6861592ef716aa6de12db0b0a3498b5c3b7281cd555"),
     (
         "m=4097 n=2 chooser masks",
-        "559b08cc91cdf89c62b2156710766429b26f0db97d3ba3029fa5f846c30f6bdc",
+        "e33aead64f7758dada43bf75aef71ef43a0713e6269059ddb01d686a1f86ba6f",
     ),
     ("m=4097 n=3 KkColumns", "ab59d48d4abdb9aa89bb953078da02adab9d3b97b84b600a4c12a6697de8085f"),
-    ("m=4097 n=3 sender masks", "cfa9f10bd51ca2ea215e502b5c55e66484b09dcc52e7cd9cbe71594bec1e58d7"),
+    ("m=4097 n=3 sender masks", "c43f107d8d210898d4ef526f150de023dc6d86abc033e2eb4f0830bb8922331e"),
     (
         "m=4097 n=3 chooser masks",
-        "2eeeaa3fd73e58459283ae5ed9073235490170f39548f51dd07514503ff5f7f2",
+        "3655c35a11ade74c579425185bab1ef8d25df5fbbf95563af2a32a2522853ad1",
     ),
     ("m=4097 n=4 KkColumns", "80cb045e0e91ba276c3bc6835c5db1fac7585a52622b36c656cab99c95545dd1"),
-    ("m=4097 n=4 sender masks", "d410ee717de7cbda05341703587b1fa072ac691c19781e7b986c2f16c94f6802"),
+    ("m=4097 n=4 sender masks", "d8315808f2e01b696708b9dd05bd63c6cd90b086a1340ec4c73036154e32d1e2"),
     (
         "m=4097 n=4 chooser masks",
-        "312b86379f2f91ce4574de9869b4d8023f2edafb30baadacbbd91bf0a5c926fb",
+        "bfd9c2630c5f2860676b88b8c41f1fe535186834f8b46ffb495a7f85f265e0dd",
     ),
     ("m=4097 n=256 KkColumns", "96ff09a6d0ad6d0ad3e9e2a3e29412edc9cfeb17385c9e33ac9f5c41bd23dcc7"),
     (
         "m=4097 n=256 sender masks",
-        "09646858d7d8e02280ad4d182c510b0666dd6ef596c32cbeffeec0d673761914",
+        "07c33e6327b1064743ab1249bd45fee641d057004f1e1cd3c8383663b5faee90",
     ),
     (
         "m=4097 n=256 chooser masks",
-        "15c14fbdf943afebe7401690abca9bcbc9851f10f68cb372bb702e2b087cdd97",
+        "0894fb788fcc386185e72612a9a93d04e1fa802e3201a1032e8c48c7d211408e",
     ),
 ];
