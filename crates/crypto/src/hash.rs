@@ -70,18 +70,12 @@ impl RoHash {
         crate::backend::backend().mmo_hash_blocks(&self.pi, sigmas);
     }
 
-    /// The Merkle–Damgård digest of `n` rows of `width` bytes back to back
-    /// in `rows`, row `i` under `tweak(i)`, chained column by column — one
+    /// The Merkle–Damgård chain states of `n` rows of `width` bytes back
+    /// to back in `rows`, chained column by column: one
     /// [`hash_blocks`](Self::hash_blocks) pass over all rows per 16-byte
-    /// column (the last zero-padded), then the finalization pass that
-    /// mixes in each row's tweak and the width, so padding cannot collide.
-    fn digests(
-        &self,
-        rows: &[u8],
-        width: usize,
-        n: usize,
-        tweak: impl Fn(usize) -> u128,
-    ) -> Vec<Block> {
+    /// column, the last zero-padded. State `i` after column `c` is
+    /// `H(state ⊕ column c of row i)` from a zero state.
+    fn chains(&self, rows: &[u8], width: usize, n: usize) -> Vec<Block> {
         assert_eq!(rows.len(), width * n, "n rows of width bytes");
         let mut h = vec![Block::ZERO; n];
         for col in (0..width).step_by(16) {
@@ -98,12 +92,23 @@ impl RoHash {
             }
             self.hash_blocks(&mut h);
         }
+        h
+    }
+
+    /// Finalizes chain states over `width`-byte inputs into digests, in
+    /// place: state `i` takes `tweak(i)` and the width, so padding cannot
+    /// collide, then one [`hash_blocks`](Self::hash_blocks) pass.
+    ///
+    /// A caller that chains 16-byte blocks itself (state `H(state ⊕ x)`
+    /// per block from a zero state) gets the digest
+    /// [`hash_expand_rows`](Self::hash_expand_rows) computes for the row of
+    /// those blocks' bytes.
+    pub fn finish_chains(&self, states: &mut [Block], width: usize, tweak: impl Fn(usize) -> u128) {
         let length = ((width as u128) << 64).rotate_left(32);
-        for (i, h) in h.iter_mut().enumerate() {
+        for (i, h) in states.iter_mut().enumerate() {
             *h ^= Block::from(tweak(i) ^ length);
         }
-        self.hash_blocks(&mut h);
-        h
+        self.hash_blocks(states);
     }
 
     /// Hashes an arbitrary byte string to one block under a tweak: the
@@ -111,7 +116,9 @@ impl RoHash {
     /// [`hash_expand_rows`](Self::hash_expand_rows).
     #[must_use]
     pub fn hash_bytes(&self, tweak: u128, data: &[u8]) -> Block {
-        self.digests(data, data.len(), 1, |_| tweak)[0]
+        let mut h = self.chains(data, data.len(), 1);
+        self.finish_chains(&mut h, data.len(), |_| tweak);
+        h[0]
     }
 
     /// Hashes every `width`-byte row of `rows`, row `i` under `tweak(i)`,
@@ -123,7 +130,9 @@ impl RoHash {
     /// multiplications" packing from SecureML/§4.1.3 — one oracle call
     /// yields a mask of arbitrary width — for a whole batch of OT keys at
     /// once, with no key schedule per digest: `⌈width/16⌉ + 1` backend
-    /// calls for the digests and one per 128 mask blocks.
+    /// calls for the digests and one per 128 mask blocks. It is the byte-row
+    /// front end of [`finish_chains`](Self::finish_chains) and
+    /// [`expand_digests`](Self::expand_digests).
     ///
     /// # Panics
     ///
@@ -137,8 +146,19 @@ impl RoHash {
         len: usize,
         out: &mut [u8],
     ) {
-        let digests = self.digests(rows, width, rows.len() / width, tweak);
-        assert_eq!(out.len(), digests.len() * len, "one len-byte mask per row");
+        let mut digests = self.chains(rows, width, rows.len() / width);
+        self.finish_chains(&mut digests, width, tweak);
+        self.expand_digests(&digests, len, out);
+    }
+
+    /// Expands each digest `d` to a `len`-byte mask whose block `k` is
+    /// `H(k, d)`: mask `i` lands in `out[i·len..(i+1)·len]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `out` holds one `len`-byte mask per digest.
+    pub fn expand_digests(&self, digests: &[Block], len: usize, out: &mut [u8]) {
+        assert_eq!(out.len(), digests.len() * len, "one len-byte mask per digest");
         if len == 0 {
             return;
         }
@@ -221,6 +241,26 @@ mod tests {
         assert_eq!(a, b);
         let c = expand(&h, 2, b"seed", 100);
         assert_ne!(a, c);
+    }
+
+    /// Chaining 16-byte blocks directly, then finishing and expanding the
+    /// states, is the byte-row path over those blocks' bytes.
+    #[test]
+    fn block_chains_finish_to_the_row_digests() {
+        let h = RoHash::new();
+        let blocks = [Block::from(3u128), Block::ONES, Block::from(7u128 << 90)];
+        let row: Vec<u8> = blocks.iter().flat_map(|b| b.to_bytes()).collect();
+        let mut state = [Block::ZERO];
+        for &b in &blocks {
+            state[0] ^= b;
+            h.hash_blocks(&mut state);
+        }
+        h.finish_chains(&mut state, row.len(), |_| 9);
+        assert_eq!(state[0], h.hash_bytes(9, &row));
+        let (mut got, mut want) = (vec![0u8; 40], vec![0u8; 40]);
+        h.expand_digests(&state, 40, &mut got);
+        h.hash_expand_rows(&row, row.len(), |_| 9, 40, &mut want);
+        assert_eq!(got, want);
     }
 
     #[test]

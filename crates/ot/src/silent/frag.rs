@@ -13,7 +13,7 @@
 //! which extension produced its masks.
 
 use super::{SilentCotReceiver, SilentCotSender};
-use crate::bits::{get_bit, pack_bits};
+use crate::bits::get_bit;
 use crate::frames::SilentDerand;
 use crate::kk13::MAX_N;
 use crate::OtError;
@@ -39,10 +39,9 @@ pub fn choice_bits(n: u64) -> usize {
     (64 - (n - 1).leading_zeros()) as usize
 }
 
-/// The key tweak of COT `at` in a batch that spends `bits` COTs per OT
-/// and whose first OT is number `base`: (OT number, bit position).
-fn bit_tweak(base: u64, bits: usize, at: usize) -> Block {
-    Block::from(BIT_TWEAK | (u128::from(base + (at / bits) as u64) << 8) | (at % bits) as u128)
+/// The key tweak of bit `b` of OT number `ot`: (OT number, bit position).
+fn bit_tweak(ot: u64, b: usize) -> Block {
+    Block::from(BIT_TWEAK | (u128::from(ot) << 8) | b as u128)
 }
 
 /// Fragment-OT **sender** over silent COTs (the ABNN² client).
@@ -177,17 +176,22 @@ impl SilentKkChooser {
         let bits = choice_bits(n);
         assert!(choices.iter().all(|&c| c < n), "choice symbol out of range");
         let m = choices.len();
-        let xz = self.cot.take(ch, m * bits)?;
-        let mut derand = vec![false; m * bits];
+        let cots = self.cot.take(ch, m * bits)?;
+        // d = x ⊕ v bit for bit: the symbols' bits packed as the choice
+        // bits are, OT-major, then XORed a word at a time.
+        let mut words = cots.choices;
         for (j, &w) in choices.iter().enumerate() {
-            for b in 0..bits {
-                derand[j * bits + b] = xz[j * bits + b].0 ^ ((w >> b) & 1 == 1);
+            let (i, s) = (j * bits / 64, j * bits % 64);
+            words[i] ^= w << s;
+            if s + bits > 64 {
+                words[i + 1] ^= w >> (64 - s);
             }
         }
-        ch.send_frame(&SilentDerand(pack_bits(&derand)))?;
+        let derand = words.iter().flat_map(|w| w.to_le_bytes()).take((m * bits).div_ceil(8));
+        ch.send_frame(&SilentDerand(derand.collect()))?;
         let base_tweak = self.tweak;
         self.tweak += m as u64;
-        Ok(SilentChooserKeys { zs: xz.into_iter().map(|(_, z)| z).collect(), bits, base_tweak })
+        Ok(SilentChooserKeys { zs: cots.blocks, bits, base_tweak })
     }
 }
 
@@ -206,36 +210,60 @@ impl SilentSenderKeys {
 
     /// The `len`-byte masks of the symbols in `symbols` for the OTs in
     /// `ots`, OT-major, back to back in `out`: both per-bit keys of every
-    /// choice bit in one hash batch, then one oracle batch over each
-    /// symbol's concatenation of them.
+    /// choice bit in one hash batch, then the chain over each symbol's
+    /// concatenation of them, `κ_{0,v_0} ‖ … ‖ κ_{B−1,v_{B−1}}`, on the key
+    /// blocks themselves. Its state after column `b` depends on `v mod
+    /// 2^{b+1}` alone, so column `b` hashes `2^{b+1}` states an OT, one
+    /// batch for all OTs: `2^{B+1} − 2` chain hashes an OT where a chain
+    /// per symbol takes `B·2^B`. A radix below `2^B` or a sub-range of
+    /// symbols still chains all `2^B` and keeps the ones asked for.
     ///
     /// # Panics
     ///
     /// Panics if a range is out of bounds or `out` is not
     /// `ots.len() · symbols.len() · len` bytes.
     pub fn masks(&self, ots: Range<usize>, symbols: Range<u64>, len: usize, out: &mut [u8]) {
-        let bits = self.bits;
+        let (bits, hash) = (self.bits, RoHash::shared());
         assert!(symbols.end <= 1 << bits, "symbol range exceeds the fragment radix");
         // κ_{b,0} then κ_{b,1} for every choice bit b of every OT.
         let mut keys = Vec::with_capacity(ots.len() * bits * 2);
-        for at in ots.start * bits..ots.end * bits {
-            let tweak = bit_tweak(self.base_tweak, bits, at);
-            let zero =
-                if get_bit(&self.derand, at) { self.ys[at] ^ self.delta } else { self.ys[at] };
-            keys.extend([zero ^ tweak, zero ^ self.delta ^ tweak]);
-        }
-        RoHash::shared().hash_blocks(&mut keys);
-        let nsym = (symbols.end - symbols.start) as usize;
-        let mut rows = Vec::with_capacity(ots.len() * nsym * bits * 16);
-        for keys in keys.chunks_exact(bits * 2) {
-            for v in symbols.clone() {
-                for (b, pair) in keys.chunks_exact(2).enumerate() {
-                    rows.extend_from_slice(&pair[(v >> b) as usize & 1].to_bytes());
-                }
+        for j in ots.clone() {
+            let ot = self.base_tweak + j as u64;
+            for (b, at) in (j * bits..(j + 1) * bits).enumerate() {
+                let tweak = bit_tweak(ot, b);
+                let y = self.ys[at];
+                let zero = if get_bit(&self.derand, at) { y ^ self.delta } else { y };
+                keys.extend([zero ^ tweak, zero ^ self.delta ^ tweak]);
             }
         }
+        hash.hash_blocks(&mut keys);
+        // States of column b sit `2^{b+1}` an OT at the front of `states`:
+        // the state of prefix v of OT j at `j·2^{b+1} + v`, written from the
+        // top index down over column b−1's so none is overwritten unread.
+        let full = 1usize << bits;
+        let mut states = vec![Block::ZERO; ots.len() * full];
+        for b in 0..bits {
+            let half = 1 << b;
+            for (j, keys) in keys.chunks_exact(2 * bits).enumerate().rev() {
+                let (k0, k1) = (keys[2 * b], keys[2 * b + 1]);
+                for v in (0..half).rev() {
+                    let s = states[j * half + v];
+                    states[2 * j * half + half + v] = s ^ k1;
+                    states[2 * j * half + v] = s ^ k0;
+                }
+            }
+            hash.hash_blocks(&mut states[..ots.len() * 2 * half]);
+        }
+        let nsym = (symbols.end - symbols.start) as usize;
+        if nsym < full {
+            for i in 0..ots.len() * nsym {
+                states[i] = states[i / nsym * full + symbols.start as usize + i % nsym];
+            }
+            states.truncate(ots.len() * nsym);
+        }
         let tweak = |i| MASK_TWEAK | u128::from(self.base_tweak + (ots.start + i / nsym) as u64);
-        RoHash::shared().hash_expand_rows(&rows, bits * 16, tweak, len, out);
+        hash.finish_chains(&mut states, bits * 16, tweak);
+        hash.expand_digests(&states, len, out);
     }
 
     /// [`masks`](Self::masks) of one symbol in one OT.
@@ -262,21 +290,32 @@ impl SilentChooserKeys {
 
     /// The `len`-byte masks of the symbols this chooser selected in the
     /// OTs in `ots`, back to back in `out`: every per-bit key in one hash
-    /// batch, then one oracle batch over each OT's concatenation of them.
+    /// batch, then the chain over each OT's keys on the key blocks, one
+    /// batch per column for all OTs.
     ///
     /// # Panics
     ///
     /// Panics if `ots` is out of range or `out` is not `ots.len() · len`
     /// bytes.
     pub fn masks(&self, ots: Range<usize>, len: usize, out: &mut [u8]) {
-        let bits = self.bits;
-        let mut keys: Vec<Block> = (ots.start * bits..ots.end * bits)
-            .map(|at| self.zs[at] ^ bit_tweak(self.base_tweak, bits, at))
-            .collect();
-        RoHash::shared().hash_blocks(&mut keys);
-        let rows = keys.iter().map(|k| k.to_bytes()).collect::<Vec<_>>();
+        let (bits, hash) = (self.bits, RoHash::shared());
+        let mut keys = Vec::with_capacity(ots.len() * bits);
+        for j in ots.clone() {
+            let ot = self.base_tweak + j as u64;
+            let zs = &self.zs[j * bits..(j + 1) * bits];
+            keys.extend(zs.iter().enumerate().map(|(b, &z)| z ^ bit_tweak(ot, b)));
+        }
+        hash.hash_blocks(&mut keys);
+        let mut states = vec![Block::ZERO; ots.len()];
+        for b in 0..bits {
+            for (s, keys) in states.iter_mut().zip(keys.chunks_exact(bits)) {
+                *s ^= keys[b];
+            }
+            hash.hash_blocks(&mut states);
+        }
         let tweak = |i| MASK_TWEAK | u128::from(self.base_tweak + (ots.start + i) as u64);
-        RoHash::shared().hash_expand_rows(rows.as_flattened(), bits * 16, tweak, len, out);
+        hash.finish_chains(&mut states, bits * 16, tweak);
+        hash.expand_digests(&states, len, out);
     }
 
     /// [`masks`](Self::masks) of one OT.
@@ -392,5 +431,87 @@ mod tests {
         let long = sk.mask(0, 2, 64);
         let short = ck.mask(0, 32);
         assert_eq!(&long[..32], &short[..]);
+    }
+
+    /// The key tweak of COT `at` as the byte-row path derived it.
+    fn row_bit_tweak(base: u64, bits: usize, at: usize) -> Block {
+        Block::from(BIT_TWEAK | (u128::from(base + (at / bits) as u64) << 8) | (at % bits) as u128)
+    }
+
+    /// The sender's masks by their definition: each symbol's row of key
+    /// bytes, `κ_{0,v_0} ‖ … ‖ κ_{B−1,v_{B−1}}`, through `hash_expand_rows`.
+    fn sender_masks_by_rows(
+        k: &SilentSenderKeys,
+        ots: Range<usize>,
+        symbols: Range<u64>,
+        len: usize,
+    ) -> Vec<u8> {
+        let bits = k.bits;
+        let mut keys = Vec::new();
+        for at in ots.start * bits..ots.end * bits {
+            let tweak = row_bit_tweak(k.base_tweak, bits, at);
+            let zero = if get_bit(&k.derand, at) { k.ys[at] ^ k.delta } else { k.ys[at] };
+            keys.extend([zero ^ tweak, zero ^ k.delta ^ tweak]);
+        }
+        RoHash::shared().hash_blocks(&mut keys);
+        let nsym = (symbols.end - symbols.start) as usize;
+        let mut rows = Vec::new();
+        for keys in keys.chunks_exact(bits * 2) {
+            for v in symbols.clone() {
+                for (b, pair) in keys.chunks_exact(2).enumerate() {
+                    rows.extend_from_slice(&pair[(v >> b) as usize & 1].to_bytes());
+                }
+            }
+        }
+        let tweak = |i| MASK_TWEAK | u128::from(k.base_tweak + (ots.start + i / nsym) as u64);
+        let mut out = vec![0u8; ots.len() * nsym * len];
+        RoHash::shared().hash_expand_rows(&rows, bits * 16, tweak, len, &mut out);
+        out
+    }
+
+    /// The chooser's masks by their definition: its row of key bytes
+    /// through `hash_expand_rows`.
+    fn chooser_masks_by_rows(k: &SilentChooserKeys, ots: Range<usize>, len: usize) -> Vec<u8> {
+        let bits = k.bits;
+        let mut keys: Vec<Block> = (ots.start * bits..ots.end * bits)
+            .map(|at| k.zs[at] ^ row_bit_tweak(k.base_tweak, bits, at))
+            .collect();
+        RoHash::shared().hash_blocks(&mut keys);
+        let rows: Vec<u8> = keys.iter().flat_map(|k| k.to_bytes()).collect();
+        let tweak = |i| MASK_TWEAK | u128::from(k.base_tweak + (ots.start + i) as u64);
+        let mut out = vec![0u8; ots.len() * len];
+        RoHash::shared().hash_expand_rows(&rows, bits * 16, tweak, len, &mut out);
+        out
+    }
+
+    /// Prefix-shared chains against one row per symbol, at every radix
+    /// (3, 5 and 200 among them), full and partial symbol and OT ranges,
+    /// and mask lengths around a block.
+    #[test]
+    fn chained_masks_match_the_byte_rows() {
+        let mut rng = StdRng::seed_from_u64(34);
+        for n in 2..=MAX_N {
+            let bits = choice_bits(n);
+            let m = 3;
+            let ys: Vec<Block> = (0..m * bits).map(|_| Block::random(&mut rng)).collect();
+            let derand: Vec<u8> = (0..(m * bits).div_ceil(8)).map(|_| rng.gen()).collect();
+            let base_tweak = rng.gen_range(0..1u64 << 40);
+            let delta = Block::random(&mut rng);
+            let sk = SilentSenderKeys { ys: ys.clone(), derand, delta, bits, base_tweak };
+            let ck = SilentChooserKeys { zs: ys, bits, base_tweak };
+            for len in [0, 1, 4, 16, 17, 64] {
+                for (ots, symbols) in [(0..m, 0..n), (1..3, n / 3..n - n / 4), (2..3, n - 1..n)] {
+                    let mut got =
+                        vec![0u8; ots.len() * (symbols.end - symbols.start) as usize * len];
+                    sk.masks(ots.clone(), symbols.clone(), len, &mut got);
+                    let want = sender_masks_by_rows(&sk, ots.clone(), symbols.clone(), len);
+                    assert_eq!(got, want, "sender n={n} len={len} {ots:?} {symbols:?}");
+                    let mut got = vec![0u8; ots.len() * len];
+                    ck.masks(ots.clone(), len, &mut got);
+                    let want = chooser_masks_by_rows(&ck, ots.clone(), len);
+                    assert_eq!(got, want, "chooser n={n} len={len} {ots:?}");
+                }
+            }
+        }
     }
 }

@@ -263,14 +263,16 @@ fi
 # The dev profile keeps overflow checks and debug assertions on and the
 # default backend is AES-NI where the CPU has it: the pinned transcripts
 # must also hold as the served binaries are built, over the software path.
-echo "==> pinned Yao, triplet, OT-extension and session transcripts, oracle and OT kernels: release, portable backend"
+echo "==> pinned Yao, triplet, OT-extension and session transcripts, oracle, OT kernels and silent refills: release, portable backend"
 ABNN2_CRYPTO_BACKEND=portable cargo test -q --release \
   --test yao_pins --test triplet_pins --test ot_extension_pins \
-  --test lineage_pins --test lineage --test crypto_backend
+  --test lineage_pins --test lineage --test crypto_backend --test silent_refill_alloc
 # The OT-extension kernels in release over software AES: the tiled
 # transpose against its bit-at-a-time definition, KK13's code columns
-# against the transposed codeword rows.
-ABNN2_CRYPTO_BACKEND=portable cargo test -q --release -p abnn2-ot --lib -- bits:: kk13::
+# against the transposed codeword rows, the in-place GGM forest against one
+# tree at a time, the prefix-shared silent mask chains against their byte
+# rows, and the silent pool across refills and clones.
+ABNN2_CRYPTO_BACKEND=portable cargo test -q --release -p abnn2-ot --lib -- bits:: kk13:: silent::
 # Same build, same backend: the lane-wise garbling against its per-gate
 # reference (tables, decode map, both label sets, outputs), the slot
 # allocator's tests, the builder's constant folding and the circuits'
