@@ -29,10 +29,10 @@
 //!   one event-loop thread can multiplex many sessions over
 //!   readiness-based I/O, with the blocking path a thin
 //!   [`driver::drive_blocking`] adapter,
-//! * [`resilient`] — reconnect loops around those two flows that
-//!   checkpoint the offline phase and replay the online phase after a
-//!   connection loss, producing logits bit-identical to an uninterrupted
-//!   run,
+//! * [`resilient`] — [`ResilientServer`], a reconnect loop around the
+//!   server flow over any acceptor that checkpoints the offline phase in a
+//!   bounded [`CheckpointStore`] and replays the online phase after a
+//!   connection loss, for logits bit-identical to an uninterrupted run,
 //! * [`bundle`] — portable offline-phase state ([`ServerBundle`] /
 //!   [`ClientBundle`]) keyed by [`BundleKey`], plus [`dealer_bundle`]
 //!   dealer-mode generation — the substrate for `abnn2-serve`'s precompute
@@ -88,5 +88,5 @@ pub use inference::{ClientJob, HeldLineage, SecureClient, SecureServer};
 pub use matbeaver::MatrixTriple;
 pub use matmul::TripletMode;
 pub use relu::ReluVariant;
-pub use resilient::{CheckpointStore, LineageStats, ResilientClient, ResilientServer, RunReport};
+pub use resilient::{CheckpointStore, LineageStats, ResilientServer, RunReport};
 pub use session::{ClientLineage, ServerLineage};

@@ -1,40 +1,36 @@
-//! Reconnect-and-resume drivers for secure inference.
+//! Reconnect-and-resume: [`ResilientServer`] and the [`CheckpointStore`].
 //!
 //! The offline phase is by far the expensive part of an ABNN² prediction
-//! (per-layer dot-product triplets via 1-out-of-N OT). The resilient
-//! drivers exploit that: when a connection dies mid-protocol, they
-//! checkpoint the *triplet shares* — plain ring elements with no
-//! connection-bound state — reconnect under a capped-backoff
-//! [`RetryPolicy`], re-run the handshake presenting a session-resume
-//! token, set up a fresh Yao half (the dead session's lineage is forfeit:
-//! its positions may have moved on one side only, and a rewound position
-//! is a reused pad), and replay the online phase.
-//! Because the online outputs are a deterministic function of the triplets
-//! and the input (GC label randomness never reaches the opened shares),
-//! the resumed run produces logits bit-identical to an uninterrupted one.
+//! (per-layer dot-product triplets via 1-out-of-N OT). When a connection
+//! dies mid-protocol, both parties keep the *triplet shares* — plain ring
+//! elements with no connection-bound state — the client reconnects under a
+//! capped-backoff [`RetryPolicy`] presenting a session-resume token, both
+//! set up a fresh Yao half (the dead session's lineage is forfeit: its
+//! positions may have moved on one side only, and a rewound position is a
+//! reused pad), and they replay the online phase. Its outputs are a
+//! deterministic function of the triplets and the input (GC label
+//! randomness never reaches the opened shares), so the resumed logits are
+//! bit-identical to an uninterrupted run's.
 //!
-//! Neither driver implements the protocol: each is a
-//! [`ResilientDriver`] retry loop around the one session flow its party
-//! has — [`SecureClient::run_job`] over a [`ClientJob`] that carries the
-//! token and checkpoint between attempts, and a
-//! [`SessionDriver`] whose host is the server's [`CheckpointStore`].
+//! [`ResilientServer`] is a [`ResilientDriver`] retry loop around a
+//! [`SessionDriver`] whose host is its [`CheckpointStore`]. The client half
+//! is `abnn2_serve::ServeClient`, the same loop around
+//! [`SecureClient::run_job`](crate::SecureClient::run_job) over any dialer.
 //!
 //! Failure handling is strictly typed: transient errors
 //! ([`ProtocolError::is_retryable`]) trigger reconnection until the policy
 //! is exhausted; fatal ones ([`ProtocolError::Negotiation`],
-//! [`ProtocolError::Malformed`], …) abort immediately. A peer that answers
-//! a resume request with "unknown token" (it lost its checkpoint) is not
-//! an error — the client falls back to a fresh offline phase on the same
-//! connection.
+//! [`ProtocolError::Malformed`], …) abort immediately. A resume token the
+//! store no longer holds is not an error: the session downgrades to a
+//! fresh offline phase on the same connection.
 
 use crate::bundle::{ClientBundle, ServerBundle};
 use crate::config::SessionDeadlines;
 use crate::driver::{drive_frames_with, DriverEffect, SessionDriver, SessionHost};
 use crate::handshake::{ResumeToken, SessionParams};
-use crate::inference::{ClientJob, SecureClient, SecureServer};
+use crate::inference::SecureServer;
 use crate::session::ServerLineage;
 use crate::ProtocolError;
-use abnn2_math::Matrix;
 use abnn2_net::{ResilientDriver, RetryPolicy, Transport, TransportError};
 use abnn2_ot::OfflineMode;
 use rand::rngs::StdRng;
@@ -42,7 +38,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Outcome summary of a resilient run.
+/// Outcome summary of a [`ResilientServer`] job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunReport {
     /// Connection attempts consumed (1 = no failure).
@@ -313,82 +309,17 @@ impl CheckpointStore {
     }
 }
 
-/// Client-side resilient driver: wraps a [`SecureClient`] with
-/// reconnection, deadlines, and offline-phase checkpointing.
-#[derive(Debug, Clone)]
-pub struct ResilientClient {
-    client: SecureClient,
-    policy: RetryPolicy,
-    deadlines: SessionDeadlines,
-}
-
-impl ResilientClient {
-    /// Wraps `client` with the default retry policy and LAN deadlines.
-    #[must_use]
-    pub fn new(client: SecureClient) -> Self {
-        ResilientClient {
-            client,
-            policy: RetryPolicy::default(),
-            deadlines: SessionDeadlines::lan(),
-        }
-    }
-
-    /// Replaces the retry policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: RetryPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Replaces the deadline budget.
-    #[must_use]
-    pub fn with_deadlines(mut self, deadlines: SessionDeadlines) -> Self {
-        self.deadlines = deadlines;
-        self
-    }
-
-    /// Runs one batch of predictions over connections minted by `connect`,
-    /// reconnecting and resuming as needed. Returns the raw logits (ring
-    /// elements, `out_dim × batch`) plus a [`RunReport`].
-    ///
-    /// `connect(attempt)` is called once per attempt (0-based) and must
-    /// return a fresh transport to the same server.
-    ///
-    /// # Errors
-    ///
-    /// The first fatal [`ProtocolError`], or the last transient one once
-    /// the retry policy is exhausted.
-    pub fn run_raw<T, C, R>(
-        &self,
-        connect: C,
-        inputs_fp: &[Vec<u64>],
-        rng: &mut R,
-    ) -> Result<(Matrix, RunReport), ProtocolError>
-    where
-        T: Transport,
-        C: FnMut(u32) -> Result<T, TransportError>,
-        R: Rng + ?Sized,
-    {
-        if inputs_fp.is_empty() {
-            return Err(ProtocolError::Dimension("batch must be positive"));
-        }
-        let mut token: ResumeToken = [0; 16];
-        rng.fill(&mut token);
-        let mut job = ClientJob::new(token, false, self.deadlines);
-
-        let mut attempts = 0u32;
-        let logits = ResilientDriver::new(self.policy).run(connect, |ch, attempt| {
-            attempts = attempt + 1;
-            ch.set_read_timeout(self.deadlines.read_timeout)?;
-            self.client.run_job(ch, inputs_fp, &mut job, rng)
-        })?;
-        Ok((logits, RunReport { attempts, resumed: job.resumed() }))
-    }
-}
-
 /// Server-side resilient driver: accepts reconnections for one logical
 /// prediction job, checkpointing its triplet shares between attempts in a
 /// bounded, shareable [`CheckpointStore`].
+///
+/// This is the one server that takes its connections from any acceptor: a
+/// `FnMut(u32) -> Result<T, _>` over any [`Transport`]. The chaos, resume
+/// and pin suites hand it `FaultyTransport`s over in-process endpoints
+/// (seeded two-sided fault plans, latency models on a virtual clock, a cut
+/// armed from the `after_offline` hook), metering or plain endpoints, and
+/// faulty TCP streams; `abnn2_serve::Server`'s event loop only pumps TCP
+/// sockets through a frame buffer, so it cannot stand in here.
 #[derive(Debug)]
 pub struct ResilientServer {
     server: Arc<SecureServer>,
@@ -538,11 +469,11 @@ impl SessionHost for &ResilientServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abnn2_math::{FragmentScheme, Ring};
-    use abnn2_net::{sim_link, Fault, FaultyTransport, NetworkModel};
+    use crate::inference::{ClientJob, SecureClient};
+    use abnn2_math::{FragmentScheme, Matrix, Ring};
+    use abnn2_net::{sim_link, Endpoint, Fault, FaultyTransport, NetworkModel};
     use abnn2_nn::quant::{QuantConfig, QuantizedNetwork};
     use abnn2_nn::{Network, SyntheticMnist};
-    use rand::SeedableRng;
     use std::time::Duration;
 
     fn tiny_model(seed: u64) -> QuantizedNetwork {
@@ -568,51 +499,25 @@ mod tests {
         SessionDeadlines::uniform(Duration::from_secs(2))
     }
 
-    #[test]
-    fn no_failure_single_attempt() {
-        let q = tiny_model(90);
-        let inputs = sample_inputs(&q, 1, 91);
-        let expected = q.forward_exact(&inputs[0]);
-
-        let (dialer, listener) = sim_link(NetworkModel::instant());
-        let server = ResilientServer::new(SecureServer::for_model(q))
-            .with_policy(RetryPolicy::no_delay(2))
-            .with_deadlines(fast_deadlines());
-        let client = ResilientClient::new(SecureClient::for_model(server.server.public_model()))
-            .with_policy(RetryPolicy::no_delay(2))
-            .with_deadlines(fast_deadlines());
-
-        std::thread::scope(|scope| {
-            let srv = scope.spawn(move || {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(92);
-                server.serve_one(|_| listener.accept_timeout(Duration::from_secs(5)), &mut rng)
-            });
-            let mut rng = rand::rngs::StdRng::seed_from_u64(93);
-            let (y, report) = client.run_raw(|_| dialer.dial(), &inputs, &mut rng).unwrap();
-            assert_eq!(y.col(0), expected);
-            assert_eq!(report, RunReport { attempts: 1, resumed: false });
-            let srv_report = srv.join().unwrap().unwrap();
-            assert_eq!(srv_report, RunReport { attempts: 1, resumed: false });
-        });
-    }
-
+    /// The server half of a resume, against the client primitives the
+    /// networked client composes: one [`ClientJob`] carried across the
+    /// attempts of a bare [`ResilientDriver`] loop around
+    /// [`SecureClient::run_job`].
     #[test]
     fn mid_online_cut_resumes_with_identical_logits() {
         let q = tiny_model(94);
         let inputs = sample_inputs(&q, 2, 95);
         let expected: Vec<Vec<u64>> = inputs.iter().map(|x| q.forward_exact(x)).collect();
+        let client = SecureClient::for_model(&q);
 
         let (dialer, listener) = sim_link(NetworkModel::instant());
         let server = ResilientServer::new(SecureServer::for_model(q))
             .with_policy(RetryPolicy::no_delay(3))
             .with_deadlines(fast_deadlines());
-        let client = ResilientClient::new(SecureClient::for_model(server.server.public_model()))
-            .with_policy(RetryPolicy::no_delay(3))
-            .with_deadlines(fast_deadlines());
 
         std::thread::scope(|scope| {
             let srv = scope.spawn(move || {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(96);
+                let mut rng = StdRng::seed_from_u64(96);
                 server.serve_one_with(
                     |_| {
                         listener
@@ -629,16 +534,50 @@ mod tests {
                     &mut rng,
                 )
             });
-            let mut rng = rand::rngs::StdRng::seed_from_u64(97);
-            let (y, report) = client.run_raw(|_| dialer.dial(), &inputs, &mut rng).unwrap();
+            let mut rng = StdRng::seed_from_u64(97);
+            let mut job = ClientJob::new([0x5A; 16], false, fast_deadlines());
+            let mut attempts = 0u32;
+            let y: Matrix = ResilientDriver::new(RetryPolicy::no_delay(3))
+                .run(
+                    |_| dialer.dial(),
+                    |ch, attempt| {
+                        attempts = attempt + 1;
+                        ch.set_read_timeout(fast_deadlines().read_timeout)?;
+                        client.run_job(ch, &inputs, &mut job, &mut rng)
+                    },
+                )
+                .unwrap();
             for (k, exp) in expected.iter().enumerate() {
                 assert_eq!(&y.col(k), exp, "sample {k} must match forward_exact after resume");
             }
-            assert!(report.attempts >= 2, "client must have reconnected");
-            assert!(report.resumed, "client must have resumed from checkpoint");
+            assert!(attempts >= 2, "client must have reconnected");
+            assert!(job.resumed(), "client must have resumed from checkpoint");
             let srv_report = srv.join().unwrap().unwrap();
+            assert!(srv_report.attempts >= 2, "server must have accepted a reconnection");
             assert!(srv_report.resumed, "server must have accepted the resume token");
         });
+    }
+
+    /// An acceptor that never yields a connection spends the whole budget
+    /// and reports its last error, typed.
+    #[test]
+    fn retry_budget_exhaustion_reports_last_error() {
+        let server = ResilientServer::new(SecureServer::for_model(tiny_model(98)))
+            .with_policy(RetryPolicy::no_delay(2))
+            .with_deadlines(fast_deadlines());
+        let mut accepts = 0u32;
+        let mut rng = StdRng::seed_from_u64(100);
+        let err = server
+            .serve_one(
+                |_| {
+                    accepts += 1;
+                    Err::<Endpoint, _>(TransportError::Closed)
+                },
+                &mut rng,
+            )
+            .unwrap_err();
+        assert_eq!(err, ProtocolError::Channel);
+        assert_eq!(accepts, 2, "every attempt of the budget must be spent");
     }
 
     fn dummy_bundle(tag: u64) -> ServerBundle {
@@ -827,92 +766,5 @@ mod tests {
     #[should_panic(expected = "capacity must be positive")]
     fn checkpoint_store_rejects_zero_capacity() {
         let _ = CheckpointStore::new(0);
-    }
-
-    #[test]
-    fn resume_after_eviction_downgrades_to_fresh_run() {
-        let q = tiny_model(102);
-        let inputs = sample_inputs(&q, 1, 103);
-        let expected = q.forward_exact(&inputs[0]);
-
-        let (dialer, listener) = sim_link(NetworkModel::instant());
-        // Capacity-1 store: a rogue insert between the cut and the
-        // reconnect evicts the job's own checkpoint.
-        let store = Arc::new(CheckpointStore::new(1));
-        let server = ResilientServer::new(SecureServer::for_model(q))
-            .with_policy(RetryPolicy::no_delay(3))
-            .with_deadlines(fast_deadlines())
-            .with_checkpoint_store(Arc::clone(&store));
-        // A real backoff (≥150ms after jitter) gives the watcher thread
-        // below time to evict before the reconnect presents the token.
-        let client_policy = RetryPolicy {
-            max_attempts: 3,
-            base_delay: Duration::from_millis(300),
-            max_delay: Duration::from_millis(300),
-            jitter_seed: 1,
-        };
-        let client = ResilientClient::new(SecureClient::for_model(server.server.public_model()))
-            .with_policy(client_policy)
-            .with_deadlines(fast_deadlines());
-
-        std::thread::scope(|scope| {
-            let srv = scope.spawn(move || {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(104);
-                server.serve_one_with(
-                    |_| {
-                        listener
-                            .accept_timeout(Duration::from_secs(5))
-                            .map(|ep| FaultyTransport::new(ep, Fault::None))
-                    },
-                    |ch, attempt| {
-                        if attempt == 0 {
-                            // Die two messages into the online phase; the
-                            // server then checkpoints the job under the
-                            // client's token.
-                            ch.set_fault(Fault::CutAfterMessages(ch.sends() + 2));
-                        }
-                    },
-                    &mut rng,
-                )
-            });
-            // Watcher: the moment the failure checkpoint appears, shove a
-            // rogue entry into the capacity-1 store to evict it.
-            let evict_store = Arc::clone(&store);
-            let watcher = scope.spawn(move || {
-                for _ in 0..5000 {
-                    if evict_store.len() == 1 {
-                        evict_store.insert([0xEE; 16], dummy_bundle(0));
-                        return true;
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                false
-            });
-            let mut rng = rand::rngs::StdRng::seed_from_u64(105);
-            let (y, report) = client.run_raw(|_| dialer.dial(), &inputs, &mut rng).unwrap();
-            assert_eq!(y.col(0), expected, "downgraded fresh run must stay bit-exact");
-            assert!(report.attempts >= 2, "client must have reconnected");
-            assert!(watcher.join().unwrap(), "watcher must have seen the checkpoint");
-            let srv_report = srv.join().unwrap().unwrap();
-            assert!(
-                !srv_report.resumed,
-                "evicted token must downgrade to a fresh offline run, not resume"
-            );
-        });
-    }
-
-    #[test]
-    fn retry_budget_exhaustion_reports_last_error() {
-        let q = tiny_model(98);
-        let inputs = sample_inputs(&q, 1, 99);
-        let client = ResilientClient::new(SecureClient::for_model(&q))
-            .with_policy(RetryPolicy::no_delay(2))
-            .with_deadlines(fast_deadlines());
-
-        let mut rng = rand::rngs::StdRng::seed_from_u64(100);
-        let err = client
-            .run_raw(|_| Err::<abnn2_net::Endpoint, _>(TransportError::Closed), &inputs, &mut rng)
-            .unwrap_err();
-        assert_eq!(err, ProtocolError::Channel);
     }
 }

@@ -318,6 +318,7 @@ impl<T: Transport> Transport for InstrumentedTransport<T> {
 
     fn mark_phase(&mut self, label: &str) {
         self.enter_phase(label);
+        self.inner.mark_phase(label);
     }
 
     fn snapshot(&self) -> CommSnapshot {

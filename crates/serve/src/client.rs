@@ -1,15 +1,13 @@
-//! Client driver for the serving frontend.
+//! The one reconnecting client.
 //!
-//! [`ServeClient`] wraps a [`SecureClient`] with everything a caller
-//! talking to a [`Server`](crate::Server) needs: TCP connection minting,
-//! reconnect-and-resume under a [`RetryPolicy`], warm-bundle negotiation,
-//! the lineage that spares every request after the first its base OTs,
-//! and per-phase instrumentation. Each attempt is one
-//! [`SecureClient::run_job`] — the same session flow every other client
-//! entry point runs — over an instrumented TCP connection, whose phase
-//! marks become the report's phases. The returned [`ServeReport`] carries the
-//! merged phase stats across all attempts, so callers (and the acceptance
-//! tests) can verify a warm request moved *zero* offline-phase bytes.
+//! [`ServeClient`] wraps a [`SecureClient`] with reconnect-and-resume under
+//! a [`RetryPolicy`], warm-bundle negotiation, the lineage that spares
+//! every request after the first its base OTs, and per-phase
+//! instrumentation, over TCP to a [`Server`](crate::Server) or over any
+//! dialer ([`ServeClient::run_with`]). Each attempt is one
+//! [`SecureClient::run_job`] over a metered connection, and the
+//! [`ServeReport`] merges every attempt's phases, so a caller can verify a
+//! warm request moved *zero* offline-phase bytes.
 
 use abnn2_core::{
     ClientJob, HeldLineage, ProtocolError, PublicModel, ReluVariant, ResumeToken, SecureClient,
@@ -18,7 +16,7 @@ use abnn2_core::{
 use abnn2_math::Matrix;
 use abnn2_net::{
     InstrumentHandle, InstrumentedTransport, PhaseStats, ResilientDriver, RetryPolicy,
-    TcpTransport, Transport,
+    TcpTransport, Transport, TransportError,
 };
 use rand::Rng;
 use std::net::SocketAddr;
@@ -51,7 +49,7 @@ impl ServeReport {
     }
 }
 
-/// A reconnecting, bundle-aware client for the serving frontend.
+/// The one reconnecting, bundle-aware client, over TCP or any dialer.
 ///
 /// It keeps the OT-extension state its last successful request left (the
 /// lineage, `abnn2_core::session`) and offers it to the next one, so base
@@ -149,18 +147,30 @@ impl ServeClient {
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::Overloaded`] when the server refuses admission
-    /// and the retry budget is exhausted. A busy rejection carries the
-    /// server's `retry_after_ms` hint, which the retry loop honors —
-    /// sleeping the hinted amount (or the policy's jittered backoff when
-    /// the hint is zero) before re-dialing, each wait consuming one
-    /// attempt of the retry policy — so turned-away clients back off
-    /// instead of hot-looping against a full queue. Otherwise the first
-    /// fatal error or the last transient one once the retry policy is
-    /// exhausted.
+    /// [`ProtocolError::Overloaded`] when the server still refuses
+    /// admission once the retry budget is spent: each busy rejection's
+    /// `retry_after_ms` hint (or the policy's backoff, if zero) is slept
+    /// before the next dial, one attempt per wait. Otherwise the first
+    /// fatal error, or the last transient one.
     pub fn run<R: Rng + ?Sized>(
         &self,
         addr: SocketAddr,
+        inputs_fp: &[Vec<u64>],
+        rng: &mut R,
+    ) -> Result<(Matrix, ServeReport), ProtocolError> {
+        self.run_with(|_attempt| TcpTransport::connect(addr), inputs_fp, rng)
+    }
+
+    /// [`run`](Self::run) over `connect(attempt)` (0-based), a fresh
+    /// transport to the same server per attempt. Each is metered for the
+    /// report's phases, and its own phase marks still reach it.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](Self::run).
+    pub fn run_with<T: Transport, R: Rng + ?Sized>(
+        &self,
+        mut connect: impl FnMut(u32) -> Result<T, TransportError>,
         inputs_fp: &[Vec<u64>],
         rng: &mut R,
     ) -> Result<(Matrix, ServeReport), ProtocolError> {
@@ -175,7 +185,7 @@ impl ServeClient {
         let mut attempts = 0u32;
         let mut handles: Vec<InstrumentHandle> = Vec::new();
         let result = ResilientDriver::new(self.policy).run(
-            |_attempt| TcpTransport::connect(addr).map(InstrumentedTransport::new),
+            |attempt| connect(attempt).map(InstrumentedTransport::new),
             |ch, attempt| {
                 attempts = attempt + 1;
                 handles.push(ch.handle());
@@ -183,6 +193,10 @@ impl ServeClient {
                 self.client.run_job(ch, inputs_fp, &mut job, rng)
             },
         );
+        let mut phases = Vec::new();
+        for handle in &handles {
+            PhaseStats::merge_named(&mut phases, &handle.phases());
+        }
 
         // What the job holds now is what is claimable now: the lineage a
         // successful attempt left, nothing after one that failed, the
@@ -190,7 +204,6 @@ impl ServeClient {
         if let Some(left) = job.take_lineage() {
             self.lineage.swap(Some(left));
         }
-        let phases = merge_handles(&handles);
         let logits = result?;
         let report = ServeReport {
             attempts,
@@ -201,14 +214,4 @@ impl ServeClient {
         };
         Ok((logits, report))
     }
-}
-
-/// Folds per-attempt instrument handles into one phase list, first-seen
-/// order preserved.
-fn merge_handles(handles: &[InstrumentHandle]) -> Vec<(String, PhaseStats)> {
-    let mut merged = Vec::new();
-    for handle in handles {
-        PhaseStats::merge_named(&mut merged, &handle.phases());
-    }
-    merged
 }

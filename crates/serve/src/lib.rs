@@ -52,9 +52,9 @@
 //!   ([`ReplayCounters`](abnn2_core::driver::ReplayCounters)), and
 //!   per-phase traffic aggregated across every connection's
 //!   [`InstrumentHandle`](abnn2_net::InstrumentHandle).
-//! * [`ServeClient`] — the matching client driver: reconnect-and-resume
-//!   (shared with PR 2), warm-bundle negotiation, and a per-request
-//!   [`ServeReport`] with per-phase byte counts.
+//! * [`ServeClient`] — the one reconnecting client, over TCP or any
+//!   dialer: reconnect-and-resume, warm-bundle negotiation, and a
+//!   per-request [`ServeReport`] with per-phase byte counts.
 //!
 //! Logits are bit-identical to
 //! [`QuantizedNetwork::forward_exact`](abnn2_nn::quant::QuantizedNetwork::forward_exact)

@@ -11,8 +11,10 @@
 //!   [`Fault`] that cuts the connection two messages into the online
 //!   phase — after the expensive offline triplet generation has
 //!   completed and been checkpointed.
-//! * the **client** (main thread) drives [`ResilientClient`] — a
-//!   reconnect loop around `SecureClient::run_job`: when the cut hits, it
+//! * the **client** (main thread) drives [`ServeClient::run_with`] — the
+//!   one reconnecting client, a reconnect loop around
+//!   `SecureClient::run_job` over any dialer (here one that prints each
+//!   attempt and connects a fresh socket): when the cut hits, it
 //!   backs off, reconnects, re-handshakes presenting its session-resume
 //!   token, sets up a fresh Yao half (one base-OT batch; the cut
 //!   session's OT-extension state is forfeit, and a resumed session has
@@ -27,13 +29,14 @@
 //! cargo run --release --example tcp_resilient
 //! ```
 
-use abnn2::core::inference::{SecureClient, SecureServer};
-use abnn2::core::resilient::{ResilientClient, ResilientServer};
+use abnn2::core::inference::SecureServer;
+use abnn2::core::resilient::ResilientServer;
 use abnn2::core::SessionDeadlines;
 use abnn2::math::{FragmentScheme, Ring};
 use abnn2::net::{Fault, FaultyTransport, RetryPolicy, TcpTransport, TransportError};
 use abnn2::nn::quant::{QuantConfig, QuantizedNetwork};
 use abnn2::nn::{Network, SyntheticMnist};
+use abnn2::serve::ServeClient;
 use rand::SeedableRng;
 use std::net::TcpListener;
 use std::time::Duration;
@@ -96,12 +99,13 @@ fn main() {
         )
     });
 
-    let client = ResilientClient::new(SecureClient::for_model(&q))
+    let client = ServeClient::for_model(&q)
+        .with_bundles(false)
         .with_policy(policy)
         .with_deadlines(deadlines);
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
     let (y, report) = client
-        .run_raw(
+        .run_with(
             |attempt| {
                 println!("[client] attempt {attempt}: connecting");
                 TcpTransport::connect(addr)

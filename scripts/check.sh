@@ -6,7 +6,8 @@
 #                      [--silent-ot-smoke] [--transformer-smoke] [--bench]
 #
 # --chaos-seeds N widens the seeded chaos suite (tests/chaos.rs) from its
-# default of 64 seeds without recompiling.
+# default of 64 seeds without recompiling, and runs examples/tcp_resilient.rs
+# (a mid-online cut over real TCP, resumed bit-exact by ServeClient::run_with).
 #
 # --serve-smoke additionally drives the serving frontend end to end:
 # examples/serve_load.rs starts a server and fires 8 concurrent TCP
@@ -105,6 +106,7 @@ while [[ $# -gt 0 ]]; do
     --chaos-seeds)
       [[ $# -ge 2 ]] || { echo "--chaos-seeds requires a value" >&2; exit 2; }
       export CHAOS_SEEDS="$2"
+      CHAOS_RESUME=1
       shift 2
       ;;
     --serve-smoke)
@@ -289,6 +291,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
+
+if [[ "${CHAOS_RESUME:-0}" == "1" ]]; then
+  echo "==> chaos: reconnect-and-resume over real TCP"
+  cargo run --release --example tcp_resilient
+fi
 
 if [[ "${SERVE_SMOKE:-0}" == "1" ]]; then
   echo "==> serve smoke: 8 concurrent clients x 2 requests"

@@ -29,7 +29,7 @@
 
 use abnn2::core::handshake::{handshake_client_ext, HelloRequest, SessionParams};
 use abnn2::core::inference::{ClientOffline, SecureClient, SecureServer};
-use abnn2::core::resilient::{ResilientClient, ResilientServer};
+use abnn2::core::resilient::ResilientServer;
 use abnn2::core::session::ClientLineage;
 use abnn2::core::{ExecConfig, ProtocolError, PublicModel, SessionDeadlines};
 use abnn2::math::{FragmentScheme, Ring};
@@ -115,7 +115,9 @@ fn run_seed(
     let server = ResilientServer::new(SecureServer::for_model(q.clone()))
         .with_policy(policy)
         .with_deadlines(deadlines);
-    let client = ResilientClient::new(SecureClient::for_model(q).with_silent(silent))
+    let client = ServeClient::for_model(q)
+        .with_bundles(false)
+        .with_silent(silent)
         .with_policy(policy)
         .with_deadlines(deadlines);
 
@@ -133,7 +135,7 @@ fn run_seed(
         });
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed.wrapping_add(2000));
-        let client_result = client.run_raw(
+        let client_result = client.run_with(
             |attempt| {
                 dialer.dial().map(|ep| FaultyTransport::with_plan(ep, plan_for(seed, attempt, 1)))
             },
@@ -475,7 +477,8 @@ fn chaos_smoke_on_lan_model() {
         let server = ResilientServer::new(SecureServer::for_model(q.clone()))
             .with_policy(RetryPolicy::no_delay(3))
             .with_deadlines(deadlines);
-        let client = ResilientClient::new(SecureClient::for_model(&q))
+        let client = ServeClient::for_model(&q)
+            .with_bundles(false)
             .with_policy(RetryPolicy::no_delay(3))
             .with_deadlines(deadlines);
         std::thread::scope(|scope| {
@@ -491,7 +494,7 @@ fn chaos_smoke_on_lan_model() {
                 );
             });
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 60);
-            if let Ok((y, _)) = client.run_raw(
+            if let Ok((y, _)) = client.run_with(
                 |attempt| {
                     dialer
                         .dial()

@@ -90,10 +90,11 @@ fn optimized_and_oblivious_relu_agree() {
 /// after a cut walks the same slots.
 #[test]
 fn one_model_serves_every_variant_batch_and_a_resume_bit_exact() {
-    use abnn2::core::resilient::{ResilientClient, ResilientServer};
+    use abnn2::core::resilient::ResilientServer;
     use abnn2::core::{ServedModel, SessionDeadlines};
     use abnn2::net::{sim_link, Fault, FaultyTransport, RetryPolicy};
     use abnn2::nn::quant::QuantizedDense;
+    use abnn2::serve::ServeClient;
     use std::time::Duration;
 
     // 6 → 5 → 4 → 3 with an all-negative first layer: any non-negative
@@ -159,7 +160,8 @@ fn one_model_serves_every_variant_batch_and_a_resume_bit_exact() {
     let server = ResilientServer::new(SecureServer::for_model(served.clone()))
         .with_policy(RetryPolicy::no_delay(3))
         .with_deadlines(deadlines);
-    let client = ResilientClient::new(SecureClient::for_model(served.public()))
+    let client = ServeClient::for_model(served.public())
+        .with_bundles(false)
         .with_policy(RetryPolicy::no_delay(3))
         .with_deadlines(deadlines);
     std::thread::scope(|scope| {
@@ -181,7 +183,7 @@ fn one_model_serves_every_variant_batch_and_a_resume_bit_exact() {
         });
         let mut rng = rand::rngs::StdRng::seed_from_u64(161);
         let inputs = [mixed.clone()];
-        let (y, report) = client.run_raw(|_| dialer.dial(), &inputs, &mut rng).expect("client");
+        let (y, report) = client.run_with(|_| dialer.dial(), &inputs, &mut rng).expect("client");
         assert_eq!(y.col(0), q.forward_exact(&mixed), "resumed logits");
         assert!(report.resumed, "got {report:?}");
         assert!(srv.join().expect("server thread").expect("server").resumed);

@@ -1,13 +1,14 @@
 //! Flow parity: the plain, resilient and serving entry points are callers
 //! of one session flow per party (`SecureClient::run_job` on the client,
-//! `SessionDriver` on the server), so for one model and one input they
-//! must put the same frames on the wire — same count and same payload
-//! bytes under every frame tag — and the protocol points the server-side
-//! hooks key off must fire once per attempt no matter how often the
-//! driver replays a phase.
+//! `SessionDriver` on the server), and `ServeClient` is the one
+//! reconnecting client for both networked servers, so for one model and
+//! one input they must put the same frames on the wire — same count and
+//! same payload bytes under every frame tag — and the protocol points the
+//! server-side hooks key off must fire once per attempt no matter how
+//! often the driver replays a phase.
 
 use abnn2::core::driver::{drive_frames, DriverEffect, NullHost, SessionDriver};
-use abnn2::core::resilient::{ResilientClient, ResilientServer, RunReport};
+use abnn2::core::resilient::{ResilientServer, RunReport};
 use abnn2::core::{SecureClient, SecureServer, SessionDeadlines};
 use abnn2::math::{FragmentScheme, Ring};
 use abnn2::net::wire::tags;
@@ -69,14 +70,15 @@ fn plain_tags(q: &QuantizedNetwork, x: &[u64]) -> Vec<(u8, TagStats)> {
     handle.tags()
 }
 
-/// Server-side per-tag traffic of a zero-fault `ResilientClient` job
-/// against `ResilientServer`.
+/// Server-side per-tag traffic of a zero-fault `ServeClient` job over an
+/// in-process dialer against `ResilientServer`.
 fn resilient_tags(q: &QuantizedNetwork, x: &[u64]) -> Vec<(u8, TagStats)> {
     let (dialer, listener) = sim_link(NetworkModel::instant());
     let server = ResilientServer::new(SecureServer::for_model(q.clone()))
         .with_policy(RetryPolicy::no_delay(1))
         .with_deadlines(deadlines());
-    let client = ResilientClient::new(SecureClient::for_model(q))
+    let client = ServeClient::for_model(q)
+        .with_bundles(false)
         .with_policy(RetryPolicy::no_delay(1))
         .with_deadlines(deadlines());
     let handle: Mutex<Option<InstrumentHandle>> = Mutex::new(None);
@@ -95,11 +97,11 @@ fn resilient_tags(q: &QuantizedNetwork, x: &[u64]) -> Vec<(u8, TagStats)> {
             )
         });
         let (y, report) = client
-            .run_raw(|_| dialer.dial(), &[x.to_vec()], &mut StdRng::seed_from_u64(4))
+            .run_with(|_| dialer.dial(), &[x.to_vec()], &mut StdRng::seed_from_u64(4))
             .expect("client");
         assert_eq!(y.col(0), q.forward_exact(x));
-        assert_eq!(report, RunReport { attempts: 1, resumed: false });
-        assert_eq!(srv.join().unwrap().expect("server"), report);
+        assert_eq!((report.attempts, report.resumed), (1, false));
+        assert_eq!(srv.join().unwrap().expect("server"), RunReport { attempts: 1, resumed: false });
     });
     let tags = handle.lock().unwrap().take().expect("one connection").tags();
     tags
@@ -193,7 +195,8 @@ fn after_offline_hook_fires_once_per_attempt() {
     let server = ResilientServer::new(SecureServer::for_model(q.clone()))
         .with_policy(RetryPolicy::no_delay(3))
         .with_deadlines(deadlines());
-    let client = ResilientClient::new(SecureClient::for_model(&q))
+    let client = ServeClient::for_model(&q)
+        .with_bundles(false)
         .with_policy(RetryPolicy::no_delay(3))
         .with_deadlines(deadlines());
     let fired = std::thread::scope(|scope| {
@@ -216,12 +219,12 @@ fn after_offline_hook_fires_once_per_attempt() {
             (report, fired)
         });
         let (y, report) = client
-            .run_raw(|_| dialer.dial(), std::slice::from_ref(&x), &mut StdRng::seed_from_u64(9))
+            .run_with(|_| dialer.dial(), std::slice::from_ref(&x), &mut StdRng::seed_from_u64(9))
             .expect("client");
         assert_eq!(y.col(0), q.forward_exact(&x));
-        assert_eq!(report, RunReport { attempts: 2, resumed: true });
+        assert_eq!((report.attempts, report.resumed), (2, true));
         let (srv_report, fired) = srv.join().unwrap();
-        assert_eq!(srv_report.expect("server"), report);
+        assert_eq!(srv_report.expect("server"), RunReport { attempts: 2, resumed: true });
         fired
     });
     assert_eq!(fired, [0, 1]);

@@ -16,15 +16,16 @@
 //!   `ReluVariant`s and both `OfflineMode`s;
 //! * (c) after the offline phase a dealt session and an interactive one
 //!   exchange the same number of frames under every tag;
-//! * (d) a second served session that *continues* the first one's
-//!   OT-extension lineage, on fresh inputs, is as exact as the first.
+//! * (d) a `ServeClient`'s second request, which *continues* the
+//!   OT-extension lineage its first one left in the client's slot, on
+//!   fresh inputs and over an in-process dialer, is as exact as the first.
 
 use abnn2::core::graph::weight_product;
 use abnn2::core::inference::{ClientOffline, ServerOffline};
 use abnn2::core::resilient::ResilientServer;
 use abnn2::core::{
-    dealer_bundle_for, ClientBundle, ClientJob, ClientLineage, OfflineMode, ReluVariant,
-    SecureClient, SecureServer, ServedModel, ServerBundle, ServerLineage, SessionDeadlines,
+    dealer_bundle_for, ClientBundle, ClientLineage, OfflineMode, ReluVariant, SecureClient,
+    SecureServer, ServedModel, ServerBundle, ServerLineage, SessionDeadlines,
 };
 use abnn2::math::{FragmentScheme, Matrix, Ring};
 use abnn2::net::{sim_link, Endpoint, InstrumentedTransport, NetworkModel, RetryPolicy, TagStats};
@@ -33,6 +34,7 @@ use abnn2::nn::graph::{LayerGraph, LayerOp, OpResource};
 use abnn2::nn::quant::{QuantConfig, QuantizedDense, QuantizedNetwork};
 use abnn2::nn::transformer::QuantizedTransformer;
 use abnn2::nn::{ConvShape, Network, QuantizedCnn, QuantizedConv};
+use abnn2::serve::ServeClient;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -298,9 +300,10 @@ fn run_session(
     })
 }
 
-/// The *continued* column of the product: two whole sessions of one
-/// client through the session driver and a checkpoint store, the second
-/// over the lineage the first parked, each on inputs of its own.
+/// The *continued* column of the product: two whole requests of one
+/// `ServeClient` through the session driver and a checkpoint store, the
+/// second over the lineage the first parked and the client kept in its
+/// slot, each on inputs of its own.
 fn check_continued(
     model: &Model,
     batch: usize,
@@ -314,9 +317,12 @@ fn check_continued(
         ResilientServer::new(SecureServer::for_model(model.served()).with_variant(variant))
             .with_policy(RetryPolicy::no_delay(1))
             .with_deadlines(deadlines);
-    let client = SecureClient::for_model(model.served().public())
+    let client = ServeClient::for_model(model.served().public())
+        .with_bundles(false)
         .with_variant(variant)
-        .with_silent(mode == OfflineMode::Silent);
+        .with_silent(mode == OfflineMode::Silent)
+        .with_policy(RetryPolicy::no_delay(1))
+        .with_deadlines(deadlines);
     let (dialer, listener) = sim_link(NetworkModel::instant());
     let server_seed = rng.gen();
     std::thread::scope(|scope| {
@@ -327,18 +333,13 @@ fn check_continued(
                 server.serve_one(accept, &mut rng).expect("server");
             }
         });
-        let mut held = None;
         for session in 0..2u8 {
             let inputs: Vec<Vec<u64>> = (0..batch).map(|_| model.input(rng)).collect();
-            let mut job = ClientJob::new([session + 1; 16], false, deadlines).with_lineage(held);
-            let mut ch = dialer.dial().expect("dial");
-            let y = client.run_job(&mut ch, &inputs, &mut job, rng).expect("client");
+            let (y, report) = client.run_with(|_| dialer.dial(), &inputs, rng).expect("client");
             for (k, x) in inputs.iter().enumerate() {
                 assert_eq!(y.col(k), model.forward_exact(x), "{what}: session {session}, {k}");
             }
-            assert_eq!(job.continued(), session == 1, "{what}: session {session}");
-            held = job.take_lineage();
-            assert!(held.is_some(), "{what}: a store-backed server parks");
+            assert_eq!(report.continued, session == 1, "{what}: session {session}");
         }
     });
 }

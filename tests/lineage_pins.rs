@@ -56,7 +56,7 @@ use abnn2::core::graph::{
     client_offline_with, client_online_to_logits, server_offline_with, server_online_to_logits,
 };
 use abnn2::core::inference::{ClientOffline, ServerOffline};
-use abnn2::core::resilient::{ResilientClient, ResilientServer};
+use abnn2::core::resilient::ResilientServer;
 use abnn2::core::{
     CheckpointStore, ClientJob, ClientLineage, ExecConfig, OfflineMode, PublicModel, ResumeToken,
     SecureClient, SecureServer, ServedModel, ServerLineage, SessionDeadlines, SessionParams,
@@ -71,6 +71,7 @@ use abnn2::net::{
 use abnn2::nn::quant::{QuantConfig, QuantizedNetwork};
 use abnn2::nn::transformer::QuantizedTransformer;
 use abnn2::nn::Network;
+use abnn2::serve::ServeClient;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::sync::{Arc, Mutex};
@@ -286,7 +287,8 @@ fn resumed_session(case: &Case) -> Vec<Rec> {
     let server = ResilientServer::new(SecureServer::for_model(case.served.clone()))
         .with_policy(RetryPolicy::no_delay(3))
         .with_deadlines(deadlines());
-    let client = ResilientClient::new(SecureClient::for_model(case.served.public()))
+    let client = ServeClient::for_model(case.served.public())
+        .with_bundles(false)
         .with_policy(RetryPolicy::no_delay(3))
         .with_deadlines(deadlines());
     let logs: Mutex<Vec<Log>> = Mutex::new(Vec::new());
@@ -307,7 +309,7 @@ fn resumed_session(case: &Case) -> Vec<Rec> {
             )
         });
         let (y, report) = client
-            .run_raw(
+            .run_with(
                 |_| {
                     let (tap, log) = Tap::new(dialer.dial()?);
                     logs.lock().unwrap().push(log);

@@ -2,25 +2,29 @@
 //! `TimedOut` (never hang) at every protocol entry point, configuration
 //! mismatches must fail negotiation at connect time on both sides, and a
 //! mid-online connection loss must be survivable with bit-identical
-//! logits via reconnect-and-resume.
+//! logits via reconnect-and-resume (`ServeClient::run_with` against
+//! `ResilientServer` over in-process links), even when the checkpoint is
+//! evicted before the reconnect.
 
 use abnn2::core::handshake::{
     handshake_client_ext, handshake_server_ext, Halves, HelloRequest, SessionParams,
 };
 use abnn2::core::inference::{SecureClient, SecureServer};
-use abnn2::core::resilient::{ResilientClient, ResilientServer};
-use abnn2::core::PublicModel;
-use abnn2::core::{ProtocolError, ReluVariant, SessionDeadlines};
+use abnn2::core::resilient::{CheckpointStore, ResilientServer};
+use abnn2::core::{ProtocolError, PublicModel, ReluVariant, ServerBundle, SessionDeadlines};
 use abnn2::gc::{GcError, YaoGarbler};
-use abnn2::math::{FragmentScheme, Ring};
+use abnn2::math::{FragmentScheme, Matrix, Ring};
 use abnn2::net::{
-    run_pair, sim_link, Fault, FaultyTransport, NetworkModel, RetryPolicy, TcpTransport, Transport,
+    run_pair, sim_link, Endpoint, Fault, FaultyTransport, NetworkModel, RetryPolicy, TcpTransport,
+    Transport, TransportError,
 };
 use abnn2::nn::quant::{QuantConfig, QuantizedDense, QuantizedNetwork};
 use abnn2::nn::{ConvShape, Network, QuantizedCnn, QuantizedConv};
 use abnn2::ot::{KkChooser, OtError};
+use abnn2::serve::ServeClient;
 use rand::{Rng, SeedableRng};
 use std::net::TcpListener;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Connects to a freshly spawned peer that accepts and then stays silent
@@ -192,50 +196,62 @@ fn handshake_rejects_stale_resume_token() {
 
 /// The headline property: cut the link mid-online-phase, reconnect, resume
 /// from the checkpointed offline state, and get logits bit-identical to
-/// `forward_exact` — end to end over the dialer/listener reconnect path.
+/// `forward_exact` — end to end over the dialer/listener reconnect path,
+/// at batch 1 and batch 2.
 #[test]
 fn reconnect_resume_is_bit_identical() {
-    let q = tiny_model(15);
-    let inputs: Vec<Vec<u64>> = vec![vec![3 << 8, 1 << 8, 7, 250, 0, 9, 1 << 7, 40, 2, 5, 6, 80]];
-    let expected = q.forward_exact(&inputs[0]);
+    let batches: [Vec<Vec<u64>>; 2] = [
+        vec![vec![3 << 8, 1 << 8, 7, 250, 0, 9, 1 << 7, 40, 2, 5, 6, 80]],
+        vec![
+            vec![1 << 8, 4, 3 << 7, 60, 11, 0, 200, 1 << 9, 8, 70, 2, 33],
+            vec![0, 90, 5, 1 << 8, 17, 3 << 8, 44, 6, 1 << 7, 12, 250, 1],
+        ],
+    ];
+    for (round, inputs) in (0u64..).zip(&batches) {
+        let q = tiny_model(15);
+        let expected: Vec<Vec<u64>> = inputs.iter().map(|x| q.forward_exact(x)).collect();
 
-    let deadlines = SessionDeadlines::uniform(Duration::from_secs(2));
-    let (dialer, listener) = sim_link(NetworkModel::instant());
-    let server = ResilientServer::new(SecureServer::for_model(q))
-        .with_policy(RetryPolicy::no_delay(3))
-        .with_deadlines(deadlines);
-    let client_info = {
-        let q2 = tiny_model(15);
-        PublicModel::from(&q2)
-    };
-    let client = ResilientClient::new(SecureClient::for_model(client_info))
-        .with_policy(RetryPolicy::no_delay(3))
-        .with_deadlines(deadlines);
+        let deadlines = SessionDeadlines::uniform(Duration::from_secs(2));
+        let (dialer, listener) = sim_link(NetworkModel::instant());
+        let server = ResilientServer::new(SecureServer::for_model(q))
+            .with_policy(RetryPolicy::no_delay(3))
+            .with_deadlines(deadlines);
+        let client_info = {
+            let q2 = tiny_model(15);
+            PublicModel::from(&q2)
+        };
+        let client = ServeClient::for_model(client_info)
+            .with_bundles(false)
+            .with_policy(RetryPolicy::no_delay(3))
+            .with_deadlines(deadlines);
 
-    std::thread::scope(|scope| {
-        let srv = scope.spawn(move || {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(16);
-            server.serve_one_with(
-                |_| {
-                    listener
-                        .accept_timeout(Duration::from_secs(5))
-                        .map(|ep| FaultyTransport::new(ep, Fault::None))
-                },
-                |ch, attempt| {
-                    if attempt == 0 {
-                        ch.set_fault(Fault::CutAfterMessages(ch.sends() + 2));
-                    }
-                },
-                &mut rng,
-            )
+        std::thread::scope(|scope| {
+            let srv = scope.spawn(move || {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(16 + 10 * round);
+                server.serve_one_with(
+                    |_| {
+                        listener
+                            .accept_timeout(Duration::from_secs(5))
+                            .map(|ep| FaultyTransport::new(ep, Fault::None))
+                    },
+                    |ch, attempt| {
+                        if attempt == 0 {
+                            ch.set_fault(Fault::CutAfterMessages(ch.sends() + 2));
+                        }
+                    },
+                    &mut rng,
+                )
+            });
+            let mut rng = rand::rngs::StdRng::seed_from_u64(17 + 10 * round);
+            let (y, report) = client.run_with(|_| dialer.dial(), inputs, &mut rng).unwrap();
+            for (k, want) in expected.iter().enumerate() {
+                assert_eq!(&y.col(k), want, "batch {}: resumed sample {k}", inputs.len());
+            }
+            assert!(report.attempts >= 2 && report.resumed, "got {report:?}");
+            let srv_report = srv.join().unwrap().unwrap();
+            assert!(srv_report.resumed);
         });
-        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        let (y, report) = client.run_raw(|_| dialer.dial(), &inputs, &mut rng).unwrap();
-        assert_eq!(y.col(0), expected, "resumed logits must equal forward_exact");
-        assert!(report.attempts >= 2 && report.resumed, "got {report:?}");
-        let srv_report = srv.join().unwrap().unwrap();
-        assert!(srv_report.resumed);
-    });
+    }
 }
 
 /// A small conv→pool→dense CNN: conv out 2×4×4 → pool 2 → 2×2×2 = 8 →
@@ -288,7 +304,8 @@ fn cnn_reconnect_resume_is_bit_identical() {
     let server = ResilientServer::new(SecureServer::for_model(cnn.clone()))
         .with_policy(RetryPolicy::no_delay(3))
         .with_deadlines(deadlines);
-    let client = ResilientClient::new(SecureClient::for_model(&cnn))
+    let client = ServeClient::for_model(&cnn)
+        .with_bundles(false)
         .with_policy(RetryPolicy::no_delay(3))
         .with_deadlines(deadlines);
 
@@ -311,7 +328,7 @@ fn cnn_reconnect_resume_is_bit_identical() {
         });
         let mut rng = rand::rngs::StdRng::seed_from_u64(43);
         let inputs = vec![image.clone()];
-        let (y, report) = client.run_raw(|_| dialer.dial(), &inputs, &mut rng).unwrap();
+        let (y, report) = client.run_with(|_| dialer.dial(), &inputs, &mut rng).unwrap();
         assert_eq!(y.col(0), expected, "resumed CNN logits must equal forward_exact");
         assert!(report.attempts >= 2 && report.resumed, "got {report:?}");
         let srv_report = srv.join().unwrap().unwrap();
@@ -319,17 +336,104 @@ fn cnn_reconnect_resume_is_bit_identical() {
     });
 }
 
+/// A run whose every attempt fails reports the last attempt's error,
+/// typed: a silent peer times out, a dialer that never connects is a
+/// channel error.
 #[test]
 fn retry_exhaustion_is_typed_not_a_hang() {
     let q = tiny_model(18);
-    let client = ResilientClient::new(SecureClient::for_model(&q))
+    let client = ServeClient::for_model(&q)
+        .with_bundles(false)
         .with_policy(RetryPolicy::no_delay(3))
         .with_deadlines(SessionDeadlines::uniform(READ_TIMEOUT));
     let mut rng = rand::rngs::StdRng::seed_from_u64(19);
     let start = Instant::now();
     let err = client
-        .run_raw(|_| Ok(silent_peer_transport(READ_TIMEOUT)), &[vec![0; 12]], &mut rng)
+        .run_with(|_| Ok(silent_peer_transport(READ_TIMEOUT)), &[vec![0; 12]], &mut rng)
         .unwrap_err();
     assert_eq!(err, ProtocolError::TimedOut);
     assert!(start.elapsed() < HARD_CAP, "took {:?}", start.elapsed());
+
+    let err = client
+        .run_with(|_| Err::<Endpoint, _>(TransportError::Closed), &[vec![0; 12]], &mut rng)
+        .unwrap_err();
+    assert_eq!(err, ProtocolError::Channel);
+}
+
+/// A checkpoint evicted between the cut and the reconnect downgrades the
+/// resume to a fresh offline run on the same connection — still bit-exact,
+/// never an error.
+#[test]
+fn resume_after_eviction_downgrades_to_fresh_run() {
+    let q = tiny_model(102);
+    let inputs: Vec<Vec<u64>> = vec![vec![5, 1 << 8, 90, 3 << 7, 0, 41, 7, 1 << 9, 13, 2, 66, 8]];
+    let expected = q.forward_exact(&inputs[0]);
+
+    let deadlines = SessionDeadlines::uniform(Duration::from_secs(2));
+    let (dialer, listener) = sim_link(NetworkModel::instant());
+    // Capacity-1 store: a rogue insert between the cut and the
+    // reconnect evicts the job's own checkpoint.
+    let store = Arc::new(CheckpointStore::new(1));
+    let client = ServeClient::for_model(&q)
+        .with_bundles(false)
+        .with_policy(RetryPolicy {
+            // A real backoff (≥150ms after jitter) gives the watcher thread
+            // below time to evict before the reconnect presents the token.
+            max_attempts: 3,
+            base_delay: Duration::from_millis(300),
+            max_delay: Duration::from_millis(300),
+            jitter_seed: 1,
+        })
+        .with_deadlines(deadlines);
+    let server = ResilientServer::new(SecureServer::for_model(q))
+        .with_policy(RetryPolicy::no_delay(3))
+        .with_deadlines(deadlines)
+        .with_checkpoint_store(Arc::clone(&store));
+
+    std::thread::scope(|scope| {
+        let srv = scope.spawn(move || {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(104);
+            server.serve_one_with(
+                |_| {
+                    listener
+                        .accept_timeout(Duration::from_secs(5))
+                        .map(|ep| FaultyTransport::new(ep, Fault::None))
+                },
+                |ch, attempt| {
+                    if attempt == 0 {
+                        // Die two messages into the online phase; the
+                        // server then checkpoints the job under the
+                        // client's token.
+                        ch.set_fault(Fault::CutAfterMessages(ch.sends() + 2));
+                    }
+                },
+                &mut rng,
+            )
+        });
+        // Watcher: the moment the failure checkpoint appears, shove a
+        // rogue entry into the capacity-1 store to evict it.
+        let evict_store = Arc::clone(&store);
+        let watcher = scope.spawn(move || {
+            for _ in 0..5000 {
+                if evict_store.len() == 1 {
+                    let us = vec![Matrix::new(1, 1, vec![0])];
+                    let rogue = ServerBundle { us, mats: Vec::new(), batch: 1 };
+                    evict_store.insert([0xEE; 16], rogue);
+                    return true;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            false
+        });
+        let mut rng = rand::rngs::StdRng::seed_from_u64(105);
+        let (y, report) = client.run_with(|_| dialer.dial(), &inputs, &mut rng).unwrap();
+        assert_eq!(y.col(0), expected, "downgraded fresh run must stay bit-exact");
+        assert!(report.attempts >= 2, "client must have reconnected");
+        assert!(watcher.join().unwrap(), "watcher must have seen the checkpoint");
+        let srv_report = srv.join().unwrap().unwrap();
+        assert!(
+            !srv_report.resumed,
+            "evicted token must downgrade to a fresh offline run, not resume"
+        );
+    });
 }

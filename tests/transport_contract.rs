@@ -2,12 +2,14 @@
 //! on round-trip delivery, typed-helper framing, error classification
 //! (`Closed` vs `Malformed`) and application-byte accounting. The same
 //! checks run against the simulated [`Endpoint`], a real localhost
-//! [`TcpTransport`] pair, and a [`FaultyTransport`] with an empty fault
-//! plan (which must be fully transparent).
+//! [`TcpTransport`] pair, and the two decorators — a [`FaultyTransport`]
+//! with an empty fault plan and an [`InstrumentedTransport`] — which must
+//! be fully transparent.
 
 use abnn2::crypto::Block;
 use abnn2::net::{
-    Endpoint, Fault, FaultyTransport, NetworkModel, TcpTransport, Transport, TransportError,
+    CommSnapshot, Endpoint, Fault, FaultyTransport, InstrumentedTransport, NetworkModel,
+    TcpTransport, Transport, TransportError,
 };
 use std::net::TcpListener;
 use std::thread;
@@ -148,6 +150,68 @@ mod faulty_transparent {
         let (a, mut b) = pair();
         check_disconnect(a, &mut b);
     }
+}
+
+mod instrumented {
+    use super::*;
+
+    fn pair() -> (InstrumentedTransport<Endpoint>, InstrumentedTransport<Endpoint>) {
+        let (a, b) = Endpoint::pair(NetworkModel::instant());
+        (InstrumentedTransport::new(a), InstrumentedTransport::new(b))
+    }
+
+    #[test]
+    fn round_trip_and_stats() {
+        let (mut a, mut b) = pair();
+        check_round_trip_and_stats(&mut a, &mut b);
+    }
+
+    #[test]
+    fn malformed_frames() {
+        let (mut a, mut b) = pair();
+        check_malformed_frames(&mut a, &mut b);
+    }
+
+    #[test]
+    fn disconnect() {
+        let (a, mut b) = pair();
+        check_disconnect(a, &mut b);
+    }
+}
+
+/// An endpoint that records the phase marks that reach it.
+struct MarkLog {
+    inner: Endpoint,
+    marks: Vec<String>,
+}
+
+impl Transport for MarkLog {
+    fn send(&mut self, payload: &[u8]) -> Result<(), TransportError> {
+        self.inner.send(payload)
+    }
+    fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
+        self.inner.recv()
+    }
+    fn snapshot(&self) -> CommSnapshot {
+        self.inner.snapshot()
+    }
+    fn mark_phase(&mut self, label: &str) {
+        self.marks.push(label.to_string());
+    }
+}
+
+/// A phase mark is metered by the instrumented decorator and still reaches
+/// the innermost transport through it and the faulty one.
+#[test]
+fn phase_marks_reach_the_innermost_transport_through_both_decorators() {
+    let (a, _b) = Endpoint::pair(NetworkModel::instant());
+    let log = MarkLog { inner: a, marks: Vec::new() };
+    let mut ch = InstrumentedTransport::new(FaultyTransport::new(log, Fault::None));
+    ch.mark_phase("offline");
+    ch.mark_phase("online");
+    let names: Vec<String> = ch.phases().into_iter().map(|(name, _)| name).collect();
+    assert_eq!(names, ["setup", "offline", "online"]);
+    assert_eq!(ch.into_inner().into_inner().marks, ["offline", "online"]);
 }
 
 /// The decorators compose over TCP exactly as over the simulator.
