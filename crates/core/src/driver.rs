@@ -42,8 +42,9 @@
 //! the inbox, and the machine goes on to the next step — so an inbox that
 //! already holds the whole session runs to `Done` in one call, and a
 //! starved attempt repeats at most the part of one step that precedes its
-//! last receive (inside a re-share op: frame parsing and the IKNP column
-//! PRG). [`ReplayCounters`] measures exactly that repetition. The
+//! last receive (inside a re-share op: parsing the small frames and the
+//! IKNP column PRG; the garbled tables are re-read where they lie, not
+//! copied). [`ReplayCounters`] measures exactly that repetition. The
 //! transcript is byte-identical to the blocking path —
 //! `tests/graph_parity.rs` pins that equivalence against pre-refactor
 //! goldens — and [`drive_blocking`] is the blocking flow as a thin adapter
@@ -202,8 +203,10 @@ pub struct ReplayCounters {
 /// inbox prefix it reads.
 #[derive(Debug, Default)]
 struct ReplayTransport {
-    /// Buffered inbound frames; consumed only when a step completes.
-    inbox: Vec<Vec<u8>>,
+    /// Buffered inbound frames; consumed only when a step completes. Each
+    /// is shared, so every attempt of a step that reads it with
+    /// [`Transport::recv_shared`] reads the one allocation.
+    inbox: Vec<Arc<Vec<u8>>>,
     /// Next inbox index the current attempt will read.
     cursor: usize,
     /// Events already externalized by earlier attempts of this step.
@@ -303,17 +306,17 @@ impl Transport for ReplayTransport {
 
     fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
         let at = self.read_next()?;
-        Ok(self.inbox[at].clone())
+        Ok(Vec::clone(&self.inbox[at]))
+    }
+
+    fn recv_shared(&mut self) -> Result<Arc<Vec<u8>>, TransportError> {
+        let at = self.read_next()?;
+        Ok(Arc::clone(&self.inbox[at]))
     }
 
     fn recv_frame<F: Frame>(&mut self) -> Result<F, TransportError> {
         let at = self.read_next()?;
         F::decode_tagged(&self.inbox[at]).map_err(TransportError::from)
-    }
-
-    fn recv_frame_into<F: Frame>(&mut self, frame: &mut F) -> Result<(), TransportError> {
-        let at = self.read_next()?;
-        frame.decode_tagged_into(&self.inbox[at]).map_err(TransportError::from)
     }
 
     fn flush(&mut self) -> Result<(), TransportError> {
@@ -429,7 +432,7 @@ impl<H: SessionHost> SessionDriver<H> {
 
     /// Buffers one complete inbound frame for the next [`step`](Self::step).
     pub fn feed(&mut self, frame: Vec<u8>) {
-        self.replay.inbox.push(frame);
+        self.replay.inbox.push(Arc::new(frame));
     }
 
     /// Drains the effects produced so far, in execution order. `Send` and
@@ -833,7 +836,7 @@ mod tests {
         scalar.extend(7u64.to_le_bytes());
         let stray = vec![0xEE, 1, 2];
         let mut ch = ReplayTransport {
-            inbox: vec![scalar.clone(), stray.clone(), scalar.clone()],
+            inbox: [&scalar, &stray, &scalar].map(|f| Arc::new(f.clone())).to_vec(),
             ..ReplayTransport::default()
         };
         ch.begin_attempt();
@@ -851,6 +854,32 @@ mod tests {
             vec![recv(wire::tags::U64, 9), recv(0xEE, 3), recv(wire::tags::U64, 9)]
         );
         assert_eq!(ch.inbox.len(), 3, "frames stay buffered until the step completes");
+    }
+
+    /// A shared read hands out the buffered frame itself: an attempt that
+    /// starves after it and the attempt that replays the step read the
+    /// same allocation, and the frame leaves the inbox only with the step.
+    #[test]
+    fn a_replayed_attempt_rereads_the_same_allocation() {
+        let tables = vec![wire::tags::GC_TABLES; 64];
+        let mut ch =
+            ReplayTransport { inbox: vec![Arc::new(tables.clone())], ..ReplayTransport::default() };
+        ch.begin_attempt();
+        let first = ch.recv_shared().expect("buffered");
+        assert_eq!(ch.recv_shared(), Err(TransportError::WouldBlock));
+        ch.effects.clear();
+        ch.end_attempt(false);
+        ch.inbox.push(Arc::new(vec![wire::tags::U64; 9]));
+        ch.begin_attempt();
+        let replayed = ch.recv_shared().expect("still buffered");
+        assert!(Arc::ptr_eq(&first, &replayed), "the replay reads the starved attempt's buffer");
+        assert_eq!(*replayed, tables);
+        assert_eq!(ch.recv_shared().map(|f| f.len()), Ok(9));
+        ch.end_attempt(true);
+        assert!(ch.inbox.is_empty(), "the completed step consumed both frames");
+        assert_eq!(ch.counters.frames_read, 3);
+        let fresh = DriverEffect::Recv { tag: wire::tags::U64, len: 9 };
+        assert_eq!(ch.effects, vec![fresh], "the re-read frame is not a fresh event");
     }
 
     /// A fresh driver with nothing fed parks immediately, emitting only

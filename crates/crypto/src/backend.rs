@@ -1,17 +1,26 @@
 //! Backend-dispatched batched crypto primitives.
 //!
-//! Every hot loop in the OT and garbling stacks bottoms out in one of three
+//! Every hot loop in the OT and garbling stacks bottoms out in one of four
 //! AES shapes: raw block encryption (label encryption), the MMO compression
 //! `π(σ) ⊕ σ` under the fixed key (random-oracle hashing, every fragment-OT
-//! mask included), and CTR-mode stream expansion under one key (the column
-//! PRGs). [`CryptoBackend`] exposes exactly those three as slice-batched
-//! operations so one implementation choice accelerates all of them:
+//! mask included), CTR-mode stream expansion under one key (the column
+//! PRGs), and the half-gates AND gate over one row of lanes, garbled (four
+//! MMO hashes a lane) or evaluated (two). [`CryptoBackend`] exposes exactly
+//! those four as slice-batched operations so one implementation choice
+//! accelerates all of them:
 //!
 //! * [`Portable`] — the T-table software AES that has always been here. It
 //!   is the test oracle: every other backend must be bit-identical to it.
+//!   Its AND gate is the σ loop: whitened hash inputs of up to 64 lanes
+//!   written out, one [`mmo_hash_blocks`](CryptoBackend::mmo_hash_blocks)
+//!   pass, then the half-gate algebra.
 //! * [`AesNi`] — hardware AES via `aesenc`/`aesenclast`, 8 blocks in
-//!   flight per iteration to cover the instruction latency. Only
-//!   constructed after `is_x86_feature_detected!("aes")` succeeds.
+//!   flight per iteration to cover the instruction latency. Its AND gate is
+//!   one fused kernel: 16 blocks in flight (4 lanes garbled or 8
+//!   evaluated), the colour bits as lane masks, and one store per output
+//!   label and table row; σ never leaves the registers, and evaluation
+//!   prefetches each lane's table rows a few gates ahead. Only constructed
+//!   after `is_x86_feature_detected!("aes")` succeeds.
 //!
 //! The process-wide backend is chosen once, on first use, by [`backend`]:
 //! AES-NI when the CPU has it, otherwise portable. The `ABNN2_CRYPTO_BACKEND`
@@ -23,6 +32,73 @@
 
 use crate::{Aes128, Block};
 use std::sync::OnceLock;
+
+/// One half-gates AND gate (Zahur–Rosulek–Evans) over a row of lanes, for
+/// [`CryptoBackend::garble_and`] and [`CryptoBackend::eval_and`]: where its
+/// label rows start in a label matrix, how many lanes they hold, and where
+/// each lane's table rows sit in the table stream.
+///
+/// Lane `l` reads labels `a + l` and `b + l` and writes label `out + l`;
+/// the output row may be an operand's row (an output takes a dying
+/// operand's slot) but must not partly overlap one. Lane `l` is gate
+/// `g = gate + l · stride` of the stream: its generator row is the 16 bytes
+/// at `32 · g`, its evaluator row the 16 after them, each in
+/// [`Block::to_bytes`] order, and its two hashes are tweaked by `2g` and
+/// `2g + 1`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AndGate {
+    /// First label of the row of operand `a`.
+    pub a: usize,
+    /// First label of the row of operand `b`.
+    pub b: usize,
+    /// First label of the output row.
+    pub out: usize,
+    /// Lanes in each row.
+    pub width: usize,
+    /// Stream index of lane 0's instance of the gate.
+    pub gate: usize,
+    /// Stream indices between two consecutive lanes' instances.
+    pub stride: usize,
+}
+
+impl AndGate {
+    /// Checks every row against a matrix of `labels` labels and a stream of
+    /// `table_bytes` bytes, before any backend touches them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a label row or a lane's table rows fall outside them, or
+    /// the output row partly overlaps an operand row.
+    pub fn check(&self, labels: usize, table_bytes: usize) {
+        let w = self.width;
+        for row in [self.a, self.b, self.out] {
+            assert!(row.checked_add(w).is_some_and(|end| end <= labels), "AND label row {row}+{w}");
+        }
+        let apart = |row: usize| row == self.out || row + w <= self.out || self.out + w <= row;
+        assert!(apart(self.a) && apart(self.b), "AND output row overlaps an operand row");
+        if w > 0 {
+            let end = (w - 1)
+                .checked_mul(self.stride)
+                .and_then(|s| s.checked_add(self.gate)?.checked_add(1)?.checked_mul(32));
+            assert!(end.is_some_and(|end| end <= table_bytes), "AND table rows of {self:?}");
+        }
+    }
+
+    /// The stream index of lane `l`'s instance.
+    fn index(&self, l: usize) -> usize {
+        self.gate + l * self.stride
+    }
+
+    /// The two hash tweaks of lane `l`.
+    fn tweaks(&self, l: usize) -> (Block, Block) {
+        let t = 2 * self.index(l) as u128;
+        (Block::from(t), Block::from(t + 1))
+    }
+}
+
+/// Lanes per σ batch of [`Portable`]'s AND gate: four hash inputs a lane
+/// stay in L1.
+const PORTABLE_AND_LANES: usize = 64;
 
 /// Slice-batched fixed-key-AES primitives.
 ///
@@ -38,6 +114,37 @@ pub trait CryptoBackend: Send + Sync {
     /// Batched Matyas–Meyer–Oseas compression: each `sigmas[i]` holds the
     /// whitened input σᵢ on entry and `π(σᵢ) ⊕ σᵢ` on return.
     fn mmo_hash_blocks(&self, pi: &Aes128, sigmas: &mut [Block]);
+
+    /// Garbles one AND gate over a row of lanes with the free-XOR offset
+    /// `delta` (low bit set): from the zero labels of its operands in
+    /// `labels`, writes each lane's output zero label into `labels` and its
+    /// generator and evaluator rows into `tables`. A lane hashes
+    /// `H(2g, a)`, `H(2g, a ⊕ Δ)`, `H(2g + 1, b)` and `H(2g + 1, b ⊕ Δ)`
+    /// with `H(t, x) = π(x ⊕ t) ⊕ x ⊕ t` under `pi`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gate` fails [`AndGate::check`] against `labels` and
+    /// `tables`.
+    fn garble_and(
+        &self,
+        pi: &Aes128,
+        labels: &mut [Block],
+        gate: AndGate,
+        delta: Block,
+        tables: &mut [u8],
+    );
+
+    /// Evaluates one AND gate over a row of lanes: from the active labels
+    /// of its operands in `labels` and each lane's table rows in `tables`,
+    /// writes the output labels into `labels`. A lane hashes `H(2g, a)` and
+    /// `H(2g + 1, b)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gate` fails [`AndGate::check`] against `labels` and
+    /// `tables`.
+    fn eval_and(&self, pi: &Aes128, labels: &mut [Block], gate: AndGate, tables: &[u8]);
 
     /// CTR-mode fill: `out[i] = AES_key(counter + i)` (wrapping).
     fn prg_fill(&self, aes: &Aes128, counter: u128, out: &mut [Block]) {
@@ -69,6 +176,66 @@ impl CryptoBackend for Portable {
             *s = pi.encrypt_block(*s) ^ *s;
         }
     }
+
+    fn garble_and(
+        &self,
+        pi: &Aes128,
+        labels: &mut [Block],
+        gate: AndGate,
+        delta: Block,
+        tables: &mut [u8],
+    ) {
+        gate.check(labels.len(), tables.len());
+        let mut sigma = [Block::ZERO; 4 * PORTABLE_AND_LANES];
+        for first in (0..gate.width).step_by(PORTABLE_AND_LANES) {
+            let lanes = first..gate.width.min(first + PORTABLE_AND_LANES);
+            let sigma = &mut sigma[..4 * lanes.len()];
+            for (l, s) in lanes.clone().zip(sigma.chunks_exact_mut(4)) {
+                let (za, zb) = (labels[gate.a + l], labels[gate.b + l]);
+                let (t0, t1) = gate.tweaks(l);
+                s.copy_from_slice(&[za ^ t0, za ^ delta ^ t0, zb ^ t1, zb ^ delta ^ t1]);
+            }
+            self.mmo_hash_blocks(pi, sigma);
+            for (l, h) in lanes.zip(sigma.chunks_exact(4)) {
+                let (za, zb) = (labels[gate.a + l], labels[gate.b + l]);
+                let (pa, pb) = (za.lsb(), zb.lsb());
+                let (ha0, ha1, hb0, hb1) = (h[0], h[1], h[2], h[3]);
+                // Generator half gate.
+                let tg = ha0 ^ ha1 ^ if pb { delta } else { Block::ZERO };
+                let wg = ha0 ^ if pa { tg } else { Block::ZERO };
+                // Evaluator half gate.
+                let te = hb0 ^ hb1 ^ za;
+                let we = hb0 ^ if pb { te ^ za } else { Block::ZERO };
+                labels[gate.out + l] = wg ^ we;
+                let rows = &mut tables[32 * gate.index(l)..][..32];
+                rows[..16].copy_from_slice(&tg.to_bytes());
+                rows[16..].copy_from_slice(&te.to_bytes());
+            }
+        }
+    }
+
+    fn eval_and(&self, pi: &Aes128, labels: &mut [Block], gate: AndGate, tables: &[u8]) {
+        gate.check(labels.len(), tables.len());
+        let mut sigma = [Block::ZERO; 2 * PORTABLE_AND_LANES];
+        for first in (0..gate.width).step_by(PORTABLE_AND_LANES) {
+            let lanes = first..gate.width.min(first + PORTABLE_AND_LANES);
+            let sigma = &mut sigma[..2 * lanes.len()];
+            for (l, s) in lanes.clone().zip(sigma.chunks_exact_mut(2)) {
+                let (t0, t1) = gate.tweaks(l);
+                s.copy_from_slice(&[labels[gate.a + l] ^ t0, labels[gate.b + l] ^ t1]);
+            }
+            self.mmo_hash_blocks(pi, sigma);
+            for (l, h) in lanes.zip(sigma.chunks_exact(2)) {
+                let (wa, wb) = (labels[gate.a + l], labels[gate.b + l]);
+                let rows = &tables[32 * gate.index(l)..][..32];
+                let row = |at: usize| Block::from_bytes(rows[at..at + 16].try_into().expect("16"));
+                let (tg, te) = (row(0), row(16));
+                let wg = h[0] ^ if wa.lsb() { tg } else { Block::ZERO };
+                let we = h[1] ^ if wb.lsb() { te ^ wa } else { Block::ZERO };
+                labels[gate.out + l] = wg ^ we;
+            }
+        }
+    }
 }
 
 /// Hardware AES-NI backend. Not publicly constructible: the only instance
@@ -80,16 +247,25 @@ pub struct AesNi(());
 
 #[cfg(target_arch = "x86_64")]
 mod aesni {
-    use super::{Aes128, Block};
+    use super::{Aes128, AndGate, Block};
     use core::arch::x86_64::{
-        __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_loadu_si128, _mm_setzero_si128,
-        _mm_storeu_si128, _mm_xor_si128,
+        __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_and_si128, _mm_cvtsi64_si128,
+        _mm_loadu_si128, _mm_prefetch, _mm_setzero_si128, _mm_shuffle_epi32, _mm_storeu_si128,
+        _mm_sub_epi64, _mm_xor_si128, _MM_HINT_T0,
     };
 
     /// Blocks kept in flight per main-loop iteration: enough independent
     /// chains to hide `aesenc` latency on every µarch that has the
     /// instruction.
     const LANES: usize = 8;
+
+    /// AND gates garbled per iteration of the fused kernel: four hashes
+    /// each, 16 blocks in flight.
+    const GARBLE_LANES: usize = 4;
+
+    /// AND gates evaluated per iteration of the fused kernel: two hashes
+    /// each, 16 blocks in flight.
+    const EVAL_LANES: usize = 8;
 
     #[inline]
     #[target_feature(enable = "aes,sse2")]
@@ -101,10 +277,10 @@ mod aesni {
         rk
     }
 
-    /// Runs the 10 AES rounds over `LANES` independent states.
+    /// Runs the 10 AES rounds over `N` independent states.
     #[inline]
     #[target_feature(enable = "aes,sse2")]
-    unsafe fn rounds(rk: &[__m128i; 11], s: &mut [__m128i; LANES]) {
+    unsafe fn rounds<const N: usize>(rk: &[__m128i; 11], s: &mut [__m128i; N]) {
         for x in s.iter_mut() {
             *x = _mm_xor_si128(*x, rk[0]);
         }
@@ -157,6 +333,178 @@ mod aesni {
         }
     }
 
+    /// A label's colour bit as a lane mask: all ones if its low bit is set,
+    /// else zero.
+    ///
+    /// # Safety
+    ///
+    /// Requires the `sse2` CPU feature.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    unsafe fn colour(x: __m128i) -> __m128i {
+        let bit = _mm_and_si128(x, _mm_cvtsi64_si128(1));
+        _mm_shuffle_epi32::<0x44>(_mm_sub_epi64(_mm_setzero_si128(), bit))
+    }
+
+    /// The two hash tweaks of stream index `g`: `2g` and `2g + 1`.
+    ///
+    /// # Safety
+    ///
+    /// Requires the `sse2` CPU feature.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    unsafe fn tweaks(g: usize) -> (__m128i, __m128i) {
+        // `AndGate::check` bounds 32·(g + 1) by a slice length, so 2g + 1
+        // fits an i64.
+        let t = 2 * g as i64;
+        (_mm_cvtsi64_si128(t), _mm_cvtsi64_si128(t + 1))
+    }
+
+    /// Garbles lanes `first .. first + L` of `gate`; `S` is `4 · L`, the
+    /// blocks in flight.
+    ///
+    /// # Safety
+    ///
+    /// Requires the `aes` and `sse2` CPU features; `labels` and `tables`
+    /// must point at a matrix and a stream `gate` passed
+    /// [`AndGate::check`] against, and `first + L <= gate.width`.
+    #[inline]
+    #[target_feature(enable = "aes,sse2")]
+    unsafe fn garble_lanes<const L: usize, const S: usize>(
+        rk: &[__m128i; 11],
+        labels: *mut __m128i,
+        tables: *mut __m128i,
+        gate: AndGate,
+        delta: __m128i,
+        first: usize,
+    ) {
+        const { assert!(S == 4 * L) };
+        let mut za = [_mm_setzero_si128(); L];
+        let mut zb = [_mm_setzero_si128(); L];
+        let mut sigma = [_mm_setzero_si128(); S];
+        for j in 0..L {
+            let (t0, t1) = tweaks(gate.index(first + j));
+            za[j] = _mm_loadu_si128(labels.add(gate.a + first + j));
+            zb[j] = _mm_loadu_si128(labels.add(gate.b + first + j));
+            let (sa, sb) = (_mm_xor_si128(za[j], t0), _mm_xor_si128(zb[j], t1));
+            sigma[4 * j] = sa;
+            sigma[4 * j + 1] = _mm_xor_si128(sa, delta);
+            sigma[4 * j + 2] = sb;
+            sigma[4 * j + 3] = _mm_xor_si128(sb, delta);
+        }
+        let mut h = sigma;
+        rounds(rk, &mut h);
+        for (h, s) in h.iter_mut().zip(&sigma) {
+            *h = _mm_xor_si128(*h, *s);
+        }
+        for j in 0..L {
+            let (ha0, ha1, hb0, hb1) = (h[4 * j], h[4 * j + 1], h[4 * j + 2], h[4 * j + 3]);
+            let (pa, pb) = (colour(za[j]), colour(zb[j]));
+            // Generator half gate.
+            let tg = _mm_xor_si128(_mm_xor_si128(ha0, ha1), _mm_and_si128(delta, pb));
+            let wg = _mm_xor_si128(ha0, _mm_and_si128(tg, pa));
+            // Evaluator half gate: te ⊕ a is hb0 ⊕ hb1.
+            let hb = _mm_xor_si128(hb0, hb1);
+            let te = _mm_xor_si128(hb, za[j]);
+            let we = _mm_xor_si128(hb0, _mm_and_si128(hb, pb));
+            _mm_storeu_si128(labels.add(gate.out + first + j), _mm_xor_si128(wg, we));
+            let row = tables.add(2 * gate.index(first + j));
+            _mm_storeu_si128(row, tg);
+            _mm_storeu_si128(row.add(1), te);
+        }
+    }
+
+    /// Evaluates lanes `first .. first + L` of `gate`; `S` is `2 · L`, the
+    /// blocks in flight.
+    ///
+    /// # Safety
+    ///
+    /// As [`garble_lanes`].
+    #[inline]
+    #[target_feature(enable = "aes,sse2")]
+    unsafe fn eval_lanes<const L: usize, const S: usize>(
+        rk: &[__m128i; 11],
+        labels: *mut __m128i,
+        tables: *const __m128i,
+        gate: AndGate,
+        first: usize,
+    ) {
+        const { assert!(S == 2 * L) };
+        let mut wa = [_mm_setzero_si128(); L];
+        let mut wb = [_mm_setzero_si128(); L];
+        let mut sigma = [_mm_setzero_si128(); S];
+        for j in 0..L {
+            let (t0, t1) = tweaks(gate.index(first + j));
+            wa[j] = _mm_loadu_si128(labels.add(gate.a + first + j));
+            wb[j] = _mm_loadu_si128(labels.add(gate.b + first + j));
+            sigma[2 * j] = _mm_xor_si128(wa[j], t0);
+            sigma[2 * j + 1] = _mm_xor_si128(wb[j], t1);
+        }
+        let mut h = sigma;
+        rounds(rk, &mut h);
+        for j in 0..L {
+            let row = tables.add(2 * gate.index(first + j));
+            // This lane's rows four ANDs on. A pass of 64 lanes reads 64
+            // table streams a body's tables apart, more than the hardware
+            // prefetcher follows. A prefetch never faults, so past the end
+            // of the stream it is harmless (`wrapping_add`: no bounds
+            // requirement).
+            _mm_prefetch::<_MM_HINT_T0>(row.wrapping_add(8).cast());
+            let (tg, te) = (_mm_loadu_si128(row), _mm_loadu_si128(row.add(1)));
+            let ha = _mm_xor_si128(h[2 * j], sigma[2 * j]);
+            let hb = _mm_xor_si128(h[2 * j + 1], sigma[2 * j + 1]);
+            let wg = _mm_xor_si128(ha, _mm_and_si128(tg, colour(wa[j])));
+            let we = _mm_xor_si128(hb, _mm_and_si128(_mm_xor_si128(te, wa[j]), colour(wb[j])));
+            _mm_storeu_si128(labels.add(gate.out + first + j), _mm_xor_si128(wg, we));
+        }
+    }
+
+    /// # Safety
+    ///
+    /// Requires the `aes` and `sse2` CPU features, and `gate` must have
+    /// passed [`AndGate::check`] against `labels` and `tables`.
+    #[target_feature(enable = "aes,sse2")]
+    pub unsafe fn garble_and(
+        pi: &Aes128,
+        labels: &mut [Block],
+        gate: AndGate,
+        delta: Block,
+        tables: &mut [u8],
+    ) {
+        let rk = load_round_keys(pi);
+        // Block is repr(transparent) over u128, whose in-memory bytes are
+        // `Block::to_bytes`: a table row is stored as the wire carries it.
+        let delta = _mm_loadu_si128(std::ptr::from_ref(&delta).cast());
+        let (labels, tables) = (labels.as_mut_ptr().cast(), tables.as_mut_ptr().cast());
+        let mut l = 0;
+        while l + GARBLE_LANES <= gate.width {
+            garble_lanes::<GARBLE_LANES, { 4 * GARBLE_LANES }>(&rk, labels, tables, gate, delta, l);
+            l += GARBLE_LANES;
+        }
+        while l < gate.width {
+            garble_lanes::<1, 4>(&rk, labels, tables, gate, delta, l);
+            l += 1;
+        }
+    }
+
+    /// # Safety
+    ///
+    /// As [`garble_and`].
+    #[target_feature(enable = "aes,sse2")]
+    pub unsafe fn eval_and(pi: &Aes128, labels: &mut [Block], gate: AndGate, tables: &[u8]) {
+        let rk = load_round_keys(pi);
+        let (labels, tables) = (labels.as_mut_ptr().cast(), tables.as_ptr().cast());
+        let mut l = 0;
+        while l + EVAL_LANES <= gate.width {
+            eval_lanes::<EVAL_LANES, { 2 * EVAL_LANES }>(&rk, labels, tables, gate, l);
+            l += EVAL_LANES;
+        }
+        while l < gate.width {
+            eval_lanes::<1, 2>(&rk, labels, tables, gate, l);
+            l += 1;
+        }
+    }
+
     /// # Safety
     ///
     /// Requires the `aes` and `sse2` CPU features.
@@ -201,6 +549,28 @@ impl CryptoBackend for AesNi {
     fn mmo_hash_blocks(&self, pi: &Aes128, sigmas: &mut [Block]) {
         // SAFETY: AesNi is only handed out after `aes_ni_available()`.
         unsafe { aesni::mmo_hash_blocks(pi, sigmas) }
+    }
+
+    fn garble_and(
+        &self,
+        pi: &Aes128,
+        labels: &mut [Block],
+        gate: AndGate,
+        delta: Block,
+        tables: &mut [u8],
+    ) {
+        gate.check(labels.len(), tables.len());
+        // SAFETY: AesNi is only handed out after `aes_ni_available()`, and
+        // the check above keeps every label and table access of the kernel
+        // inside `labels` and `tables`.
+        unsafe { aesni::garble_and(pi, labels, gate, delta, tables) }
+    }
+
+    fn eval_and(&self, pi: &Aes128, labels: &mut [Block], gate: AndGate, tables: &[u8]) {
+        gate.check(labels.len(), tables.len());
+        // SAFETY: as in `garble_and`: the CPU has AES-NI and the check
+        // bounds every access.
+        unsafe { aesni::eval_and(pi, labels, gate, tables) }
     }
 }
 

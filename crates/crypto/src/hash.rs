@@ -16,6 +16,7 @@
 //! constant. This is *heuristically* a random oracle (as in the paper's RO
 //! model); see the crate-level security note.
 
+use crate::backend::AndGate;
 use crate::{Aes128, Block};
 use std::sync::OnceLock;
 
@@ -68,6 +69,29 @@ impl RoHash {
     /// per-call [`hash_block`](Self::hash_block) on every backend.
     pub fn hash_blocks(&self, sigmas: &mut [Block]) {
         crate::backend::backend().mmo_hash_blocks(&self.pi, sigmas);
+    }
+
+    /// Garbles one half-gates AND gate over a row of lanes under this
+    /// oracle, through the selected backend's fused kernel: see
+    /// [`CryptoBackend::garble_and`](crate::CryptoBackend::garble_and).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gate` fails [`AndGate::check`] against `labels` and
+    /// `tables`.
+    pub fn garble_and(&self, labels: &mut [Block], gate: AndGate, delta: Block, tables: &mut [u8]) {
+        crate::backend::backend().garble_and(&self.pi, labels, gate, delta, tables);
+    }
+
+    /// Evaluates one half-gates AND gate over a row of lanes under this
+    /// oracle: see [`CryptoBackend::eval_and`](crate::CryptoBackend::eval_and).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gate` fails [`AndGate::check`] against `labels` and
+    /// `tables`.
+    pub fn eval_and(&self, labels: &mut [Block], gate: AndGate, tables: &[u8]) {
+        crate::backend::backend().eval_and(&self.pi, labels, gate, tables);
     }
 
     /// The Merkle–Damgård chain states of `n` rows of `width` bytes back

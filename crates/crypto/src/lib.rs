@@ -34,7 +34,7 @@ pub mod prg;
 pub mod sha256;
 
 pub use aes::Aes128;
-pub use backend::{aes_ni_available, backend, choose_backend, CryptoBackend};
+pub use backend::{aes_ni_available, backend, choose_backend, AndGate, CryptoBackend};
 pub use block::Block;
 pub use hash::RoHash;
 pub use prg::Prg;

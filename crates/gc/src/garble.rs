@@ -6,7 +6,7 @@
 //! of every label acts as the permute bit.
 
 use crate::circuit::{Body, Circuit, Gate};
-use abnn2_crypto::{Block, RoHash};
+use abnn2_crypto::{AndGate, Block, RoHash};
 use abnn2_net::TransportError;
 use abnn2_ot::bits::{get_bit, set_bit};
 use rand::Rng;
@@ -19,25 +19,33 @@ use rand::Rng;
 /// one that knows the layout inside them.
 #[derive(Debug, Clone)]
 pub struct GarbledCircuit {
-    /// Two blocks per AND gate, in gate order: gate `i`'s generator and
-    /// evaluator rows are `tables[2i]` and `tables[2i + 1]`.
-    pub tables: Vec<Block>,
+    /// 32 bytes per AND gate, in gate order: gate `i`'s generator row is
+    /// `tables[32i..32i + 16]` and its evaluator row the 16 bytes after
+    /// it, each in [`Block::to_bytes`] order.
+    pub tables: Vec<u8>,
     /// One decode bit per output wire, packed little-endian:
     /// `value = lsb(label) ⊕ decode`.
     pub decode: Vec<u8>,
 }
 
-impl GarbledCircuit {
-    /// Whether the material has the sizes `circuit` garbles to.
-    pub(crate) fn check(&self, circuit: &Circuit) -> Result<(), TransportError> {
-        if self.tables.len() != 2 * circuit.and_count() {
-            return Err(TransportError::Malformed("AND table stream length"));
-        }
-        if self.decode.len() != circuit.output_count().div_ceil(8) {
-            return Err(TransportError::Malformed("output decode length"));
-        }
-        Ok(())
+/// Bytes of the AND table stream `circuit` garbles to.
+pub(crate) fn table_bytes(circuit: &Circuit) -> usize {
+    32 * circuit.and_count()
+}
+
+/// Whether `tables` and `decode` have the sizes `circuit` garbles to.
+pub(crate) fn check_material(
+    circuit: &Circuit,
+    tables: &[u8],
+    decode: &[u8],
+) -> Result<(), TransportError> {
+    if tables.len() != table_bytes(circuit) {
+        return Err(TransportError::Malformed("AND table stream length"));
     }
+    if decode.len() != circuit.output_count().div_ceil(8) {
+        return Err(TransportError::Malformed("output decode length"));
+    }
+    Ok(())
 }
 
 /// The garbler's private label material.
@@ -120,23 +128,29 @@ impl<'a> Rows<'a> {
 /// input label pairs.
 ///
 /// The gates run once per pass of 64 lanes, each over a whole row of
-/// labels: a free gate is one XOR along the row, an AND gate one batch of
-/// four hashes a lane. The offset Δ and the input labels are drawn first,
-/// in flat input order, and lane `g`'s `k`-th AND gate is gate `g · A + k`
-/// of the table stream and of the hash tweaks.
+/// labels: a free gate is one XOR along the row, an AND gate one call of
+/// the backend's half-gates kernel. The offset Δ and the input labels are
+/// drawn first, in flat input order, and lane `g`'s `k`-th AND gate is gate
+/// `g · A + k` of the table stream and of the hash tweaks.
 pub fn garble<R: Rng + ?Sized>(circuit: &Circuit, rng: &mut R) -> (GarbledCircuit, GarblerLabels) {
-    let mut tables = Vec::new();
+    let mut tables = vec![0u8; table_bytes(circuit)];
     let (decode, labels) = garble_into(circuit, rng, &mut tables);
     (GarbledCircuit { tables, decode }, labels)
 }
 
-/// [`garble`] writing the AND tables into `tables` (resized to fit, its
-/// allocation kept), returning the decode bits and the input labels.
+/// [`garble`] writing the AND tables into `tables`, which the caller sized
+/// ([`table_bytes`]) and whose every byte this overwrites, returning the
+/// decode bits and the input labels.
+///
+/// # Panics
+///
+/// Panics if `tables` is not [`table_bytes`] long.
 pub(crate) fn garble_into<R: Rng + ?Sized>(
     circuit: &Circuit,
     rng: &mut R,
-    tables: &mut Vec<Block>,
+    tables: &mut [u8],
 ) -> (Vec<u8>, GarblerLabels) {
+    assert_eq!(tables.len(), table_bytes(circuit), "AND table stream length");
     let hash = RoHash::shared();
     let body = &*circuit.body;
     let delta = Block::random(rng).with_lsb(true);
@@ -149,12 +163,8 @@ pub(crate) fn garble_into<R: Rng + ?Sized>(
         evaluator_inputs: pairs(circuit.evaluator_input_count()),
     };
 
-    tables.clear();
-    tables.reserve_exact(2 * circuit.and_count());
-    tables.resize(2 * circuit.and_count(), Block::ZERO);
     let mut decode = vec![0u8; circuit.output_count().div_ceil(8)];
     let mut zero = vec![Block::ZERO; body.n_slots * PASS.min(circuit.lanes)];
-    let mut sigma = [Block::ZERO; 4 * PASS];
     for first in (0..circuit.lanes).step_by(PASS) {
         let mut rows = Rows::new(circuit, first, &mut zero);
         rows.load(&body.garbler, |i| labels.garbler_inputs[i].0);
@@ -177,30 +187,9 @@ pub(crate) fn garble_into<R: Rng + ?Sized>(
                     }
                 }
                 Gate::And { .. } => {
-                    // A gate's two table rows are tweaked by their indices.
-                    let table = |l: usize| 2 * (and + l * body.n_ands);
-                    let sigma = &mut sigma[..4 * width];
-                    for (l, s) in sigma.chunks_exact_mut(4).enumerate() {
-                        let (za, zb) = (zero[a + l], zero[b + l]);
-                        let (t0, t1) =
-                            (Block::from(table(l) as u128), Block::from(table(l) as u128 + 1));
-                        s.copy_from_slice(&[za ^ t0, za ^ delta ^ t0, zb ^ t1, zb ^ delta ^ t1]);
-                    }
-                    hash.hash_blocks(sigma);
-                    for (l, h) in sigma.chunks_exact(4).enumerate() {
-                        let (za, zb) = (zero[a + l], zero[b + l]);
-                        let (pa, pb) = (za.lsb(), zb.lsb());
-                        let (ha0, ha1, hb0, hb1) = (h[0], h[1], h[2], h[3]);
-                        // Generator half gate.
-                        let tg = ha0 ^ ha1 ^ if pb { delta } else { Block::ZERO };
-                        let wg = ha0 ^ if pa { tg } else { Block::ZERO };
-                        // Evaluator half gate.
-                        let te = hb0 ^ hb1 ^ za;
-                        let we = hb0 ^ if pb { te ^ za } else { Block::ZERO };
-                        zero[out + l] = wg ^ we;
-                        tables[table(l)] = tg;
-                        tables[table(l) + 1] = te;
-                    }
+                    // Lane `l`'s instance is gate `and + l · A` of the stream.
+                    let gate = AndGate { a, b, out, width, gate: and, stride: body.n_ands };
+                    hash.garble_and(zero, gate, delta, tables);
                     and += 1;
                 }
             }
@@ -224,20 +213,34 @@ pub fn evaluate(
     garbler_labels: &[Block],
     evaluator_labels: &[Block],
 ) -> Result<Vec<bool>, TransportError> {
+    evaluate_in_place(circuit, &garbled.tables, &garbled.decode, garbler_labels, evaluator_labels)
+}
+
+/// [`evaluate`] over material where it lies: `tables` the AND table stream
+/// (the payload of a received tables frame), `decode` the decode bits.
+///
+/// # Errors
+///
+/// As [`evaluate`].
+pub(crate) fn evaluate_in_place(
+    circuit: &Circuit,
+    tables: &[u8],
+    decode: &[u8],
+    garbler_labels: &[Block],
+    evaluator_labels: &[Block],
+) -> Result<Vec<bool>, TransportError> {
     if garbler_labels.len() != circuit.garbler_input_count() {
         return Err(TransportError::Malformed("garbler label count"));
     }
     if evaluator_labels.len() != circuit.evaluator_input_count() {
         return Err(TransportError::Malformed("evaluator label count"));
     }
-    garbled.check(circuit)?;
+    check_material(circuit, tables, decode)?;
 
     let hash = RoHash::shared();
     let body = &*circuit.body;
-    let tables = &garbled.tables;
     let mut values = vec![false; circuit.output_count()];
     let mut label = vec![Block::ZERO; body.n_slots * PASS.min(circuit.lanes)];
-    let mut sigma = [Block::ZERO; 2 * PASS];
     for first in (0..circuit.lanes).step_by(PASS) {
         let mut rows = Rows::new(circuit, first, &mut label);
         rows.load(&body.garbler, |i| garbler_labels[i]);
@@ -255,26 +258,13 @@ pub fn evaluate(
                 }
                 Gate::Inv { .. } => label.copy_within(a..a + width, out),
                 Gate::And { .. } => {
-                    let table = |l: usize| 2 * (and + l * body.n_ands);
-                    let sigma = &mut sigma[..2 * width];
-                    for (l, s) in sigma.chunks_exact_mut(2).enumerate() {
-                        let (t0, t1) =
-                            (Block::from(table(l) as u128), Block::from(table(l) as u128 + 1));
-                        s.copy_from_slice(&[label[a + l] ^ t0, label[b + l] ^ t1]);
-                    }
-                    hash.hash_blocks(sigma);
-                    for (l, h) in sigma.chunks_exact(2).enumerate() {
-                        let (wa, wb) = (label[a + l], label[b + l]);
-                        let (tg, te) = (tables[table(l)], tables[table(l) + 1]);
-                        let wg = h[0] ^ if wa.lsb() { tg } else { Block::ZERO };
-                        let we = h[1] ^ if wb.lsb() { te ^ wa } else { Block::ZERO };
-                        label[out + l] = wg ^ we;
-                    }
+                    let gate = AndGate { a, b, out, width, gate: and, stride: body.n_ands };
+                    hash.eval_and(label, gate, tables);
                     and += 1;
                 }
             }
         }
-        rows.outputs(|i, label| values[i] = label.lsb() ^ get_bit(&garbled.decode, i));
+        rows.outputs(|i, label| values[i] = label.lsb() ^ get_bit(decode, i));
     }
     Ok(values)
 }
@@ -300,7 +290,7 @@ mod tests {
         for &w in circuit.garbler_inputs().iter().chain(circuit.evaluator_inputs()) {
             zero[w] = Block::random(rng);
         }
-        let mut tables = Vec::with_capacity(2 * circuit.and_count());
+        let mut tables = Vec::with_capacity(table_bytes(circuit));
         let mut and_idx: u128 = 0;
         for lane in 0..circuit.lanes() {
             for gate in &circuit.body.gates {
@@ -327,8 +317,8 @@ mod tests {
                         let te = hb0 ^ hb1 ^ za;
                         let we = hb0 ^ if pb { te ^ za } else { Block::ZERO };
                         zero[out] = wg ^ we;
-                        tables.push(tg);
-                        tables.push(te);
+                        tables.extend(tg.to_bytes());
+                        tables.extend(te.to_bytes());
                     }
                 }
             }
@@ -370,7 +360,10 @@ mod tests {
                     Gate::Inv { .. } => label[out] = label[a],
                     Gate::And { .. } => {
                         let (t0, t1) = (row, row + 1);
-                        let (tg, te) = (garbled.tables[t0], garbled.tables[t1]);
+                        let block = |t: usize| {
+                            Block::from_bytes(garbled.tables[16 * t..][..16].try_into().unwrap())
+                        };
+                        let (tg, te) = (block(t0), block(t1));
                         row += 2;
                         let (wa, wb) = (label[a], label[b]);
                         let mut h = [wa ^ Block::from(t0 as u128), wb ^ Block::from(t1 as u128)];
@@ -516,8 +509,8 @@ mod tests {
         .expect("evaluate");
         // Flip both half-gate ciphertexts of every AND gate so the tampering
         // hits rows the evaluator actually uses regardless of select bits.
-        for row in gc.tables.iter_mut() {
-            *row ^= Block::from(1u128);
+        for row in gc.tables.chunks_exact_mut(16) {
+            row[0] ^= 1;
         }
         // Surfacing an error also counts as detection.
         if let Ok(corrupted) = evaluate(&c, &gc, &labels.select_garbler(&g_bits), &{

@@ -7,22 +7,22 @@
 //! share `z₀`).
 
 use crate::circuit::Circuit;
-use crate::frames::{GcDecodeMap, GcLabels, GcTables};
-use crate::garble::{evaluate, garble_into, GarbledCircuit};
-use abnn2_crypto::Block;
-use abnn2_net::{Transport, TransportError};
+use crate::frames::{table_payload, GcDecodeMap, GcLabels, GcTables};
+use crate::garble::{check_material, evaluate_in_place, garble_into, table_bytes};
+use abnn2_net::{Frame, Transport, TransportError};
 use abnn2_ot::{IknpReceiver, IknpSender};
 use rand::Rng;
 use std::cell::Cell;
 
 thread_local! {
-    /// The AND tables of the circuit this thread last garbled or evaluated,
-    /// kept for the next one. A session's tables are MBs; a fresh buffer a
-    /// circuit (two on a server whose step is replayed) lets the allocator
-    /// hand them back to the kernel and fault them in again, more or less
-    /// often by the order of the frees. One buffer a thread, not a party,
-    /// so a parked lineage holds none.
-    static TABLES: Cell<Vec<Block>> = const { Cell::new(Vec::new()) };
+    /// The AND-tables frame this thread last garbled — its tag byte, then
+    /// the tables — kept for the next circuit. A session's tables are MBs;
+    /// a fresh buffer a circuit lets the allocator hand them back to the
+    /// kernel and fault them in again, more or less often by the order of
+    /// the frees. One buffer a thread, not a party, so a parked lineage
+    /// holds none. The evaluator keeps none: it evaluates from the message
+    /// it received.
+    static TABLES: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
 }
 
 /// The garbling party (ABNN²'s client). Owns the OT-sender state used to
@@ -76,11 +76,17 @@ impl YaoGarbler {
         my_bits: &[bool],
         rng: &mut R,
     ) -> Result<(), TransportError> {
-        let mut tables = GcTables(TABLES.take());
-        let (decode, labels) = garble_into(circuit, rng, &mut tables.0);
-        ch.send_frame(&GcLabels(labels.select_garbler(my_bits)))?;
-        ch.send_frame(&tables)?;
-        TABLES.set(tables.0);
+        // Every table byte is garbled over, so a kept buffer is only
+        // resized: what it held is never read.
+        let mut frame = TABLES.take();
+        frame.resize(1 + table_bytes(circuit), 0);
+        frame[0] = GcTables::TAG;
+        let (decode, labels) = garble_into(circuit, rng, &mut frame[1..]);
+        // The buffer is the frame: the transport gets it as garbled.
+        let sent =
+            ch.send_frame(&GcLabels(labels.select_garbler(my_bits))).and_then(|()| ch.send(&frame));
+        TABLES.set(frame);
+        sent?;
         ch.send_frame(&GcDecodeMap(decode))?;
         self.ot.send_chosen(ch, &labels.evaluator_inputs)
     }
@@ -126,19 +132,15 @@ impl YaoEvaluator {
         my_bits: &[bool],
     ) -> Result<Vec<bool>, TransportError> {
         let GcLabels(garbler_labels) = ch.recv_frame()?;
-        let mut tables = GcTables(TABLES.take());
-        let received = ch.recv_frame_into(&mut tables);
-        let mut gc = GarbledCircuit { tables: tables.0, decode: Vec::new() };
-        // A starved step returns here and runs again: keep the buffer then too.
-        let out = received.and_then(|()| {
-            gc.decode = ch.recv_frame::<GcDecodeMap>()?.0;
-            // Reject material for another circuit before spending the label OTs.
-            gc.check(circuit)?;
-            let my_labels = self.ot.recv(ch, my_bits)?;
-            evaluate(circuit, &gc, &garbler_labels, &my_labels)
-        });
-        TABLES.set(gc.tables);
-        out
+        // The tables are evaluated where they landed; a replayed attempt
+        // of this step is handed the same message again.
+        let message = ch.recv_shared()?;
+        let tables = table_payload(&message)?;
+        let GcDecodeMap(decode) = ch.recv_frame()?;
+        // Reject material for another circuit before spending the label OTs.
+        check_material(circuit, tables, &decode)?;
+        let my_labels = self.ot.recv(ch, my_bits)?;
+        evaluate_in_place(circuit, tables, &decode, &garbler_labels, &my_labels)
     }
 }
 
@@ -238,14 +240,14 @@ mod tests {
 
     #[test]
     fn circuits_of_different_sizes_share_each_threads_table_buffer() {
-        // Large, small, large in one session: both parties reuse the
-        // buffer their thread kept, and the small circuit's tables must
+        // Large, small, large in one session: the garbler reuses the
+        // buffer its thread kept, and the small circuit's tables must
         // not carry the large one's tail.
         let bits = 16;
         let ring = Ring::new(bits as u32);
         let big = circuits::relu_reshare_circuit(bits);
         let small = circuits::relu_sign_circuit(bits);
-        let sizes = 2 * big.and_count();
+        let sizes = 1 + table_bytes(&big);
         assert!(small.and_count() < big.and_count());
         let plan = [(big.clone(), true), (small.clone(), false), (big, true)];
         let (y1, z1, y) = (0x3C3Cu64, 0x00FFu64, -1234i64);
@@ -268,12 +270,9 @@ mod tests {
             move |ch| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(42);
                 let mut e = YaoEvaluator::setup(ch, &mut rng).expect("setup");
-                let outs: Vec<Vec<bool>> = plan
-                    .iter()
+                plan.iter()
                     .map(|(circuit, _)| e.run(ch, circuit, &u64_to_bits(y0, bits)).expect("run"))
-                    .collect();
-                assert!(TABLES.take().capacity() >= sizes, "evaluator kept its buffer");
-                outs
+                    .collect::<Vec<Vec<bool>>>()
             },
         );
         assert_eq!(ring.add(bits_to_u64(&outs[0]), z1), 0, "ReLU of a negative");

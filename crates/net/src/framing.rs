@@ -13,7 +13,8 @@
 //!   is in, against the tag's registry ceiling
 //!   ([`tags::max_len`], [`tags::UNREGISTERED_MAX_LEN`]) *before* the
 //!   payload is allocated; the payload is then read straight into the
-//!   `Vec` the caller receives. A source that has no bytes right now
+//!   spare capacity of the `Vec` the caller receives, never zero-filled
+//!   first. A source that has no bytes right now
 //!   (`WouldBlock`/`TimedOut`) leaves the state where it is:
 //!   `Ok(None)`, with [`mid_frame`](FrameCodec::mid_frame) telling a
 //!   blocking caller whether the framing boundary is still intact;
@@ -36,8 +37,9 @@ enum ReadState {
     Header { buf: [u8; 4], filled: usize },
     /// Length known; awaiting the tag byte that bounds the allocation.
     Tag { len: usize },
-    /// Accumulating the payload of a frame whose length passed both bounds.
-    Payload { buf: Vec<u8>, filled: usize },
+    /// Accumulating the payload of a frame whose length passed both bounds,
+    /// in a vector with room for exactly `len` bytes.
+    Payload { buf: Vec<u8>, len: usize },
 }
 
 const BOUNDARY: ReadState = ReadState::Header { buf: [0; 4], filled: 0 };
@@ -56,6 +58,24 @@ fn fill(src: &mut impl Read, buf: &mut [u8], filled: &mut usize) -> Result<bool,
         }
     }
     Ok(true)
+}
+
+/// Appends to `buf` until it holds `len` bytes (`Ok(true)`) or the source
+/// has nothing more right now (`Ok(false)`), reading into its spare
+/// capacity: the payload is never zero-filled first. EOF and every other
+/// error are a vanished peer.
+fn fill_payload(
+    src: &mut impl Read,
+    buf: &mut Vec<u8>,
+    len: usize,
+) -> Result<bool, TransportError> {
+    let want = (len - buf.len()) as u64;
+    match src.take(want).read_to_end(buf) {
+        Ok(_) if buf.len() == len => Ok(true),
+        Ok(_) => Err(TransportError::Closed),
+        Err(e) if would_block(&e) => Ok(false),
+        Err(_) => Err(TransportError::Closed),
+    }
 }
 
 /// A non-blocking socket with nothing to give or take, or a blocking one
@@ -120,7 +140,7 @@ impl FrameCodec {
             let full = match &mut self.read {
                 ReadState::Header { buf, filled } => fill(src, buf, filled),
                 ReadState::Tag { .. } => fill(src, &mut tag, &mut 0),
-                ReadState::Payload { buf, filled } => fill(src, buf, filled),
+                ReadState::Payload { buf, len } => fill_payload(src, buf, *len),
             };
             match full {
                 Ok(true) => {}
@@ -145,9 +165,9 @@ impl FrameCodec {
                         return Err(self
                             .fail(TransportError::Malformed("frame length exceeds tag ceiling")));
                     }
-                    let mut buf = vec![0u8; len];
-                    buf[0] = tag[0];
-                    ReadState::Payload { buf, filled: 1 }
+                    let mut buf = Vec::with_capacity(len);
+                    buf.push(tag[0]);
+                    ReadState::Payload { buf, len }
                 }
                 ReadState::Payload { buf, .. } => return Ok(Some(buf)),
             };

@@ -17,6 +17,7 @@ use crate::channel::CommSnapshot;
 use crate::wire::{Blocks, Frame, U64Frame};
 use abnn2_crypto::Block;
 use std::borrow::Cow;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Transport-level failure, split by root cause so protocol layers can
@@ -118,6 +119,20 @@ pub trait Transport {
     /// violated (e.g. an oversized TCP frame header).
     fn recv(&mut self) -> Result<Vec<u8>, TransportError>;
 
+    /// Receives the next message without copying it: the buffer
+    /// [`recv`](Transport::recv) returns, shared. A transport that keeps
+    /// its messages overrides this to hand out the one it holds — the
+    /// session driver's replay channel, whose repeated attempts of a step
+    /// then read the same allocation — so a large frame (the garbled
+    /// tables) can be read where it landed.
+    ///
+    /// # Errors
+    ///
+    /// As [`recv`](Transport::recv).
+    fn recv_shared(&mut self) -> Result<Arc<Vec<u8>>, TransportError> {
+        self.recv().map(Arc::new)
+    }
+
     /// Flushes any write-coalescing buffer down to the wire.
     ///
     /// Message-queue transports deliver eagerly and keep the no-op default;
@@ -202,7 +217,9 @@ pub trait Transport {
     /// This — with [`recv_frame`](Transport::recv_frame) — is the only
     /// sanctioned way to move protocol payloads; raw
     /// [`send`](Transport::send)/[`recv`](Transport::recv) are reserved for
-    /// transport-internal uses in this crate.
+    /// transport-internal uses in this crate, and for the garbled tables,
+    /// which are sent as the buffer they were garbled into and read with
+    /// [`recv_shared`](Transport::recv_shared).
     ///
     /// # Errors
     ///
@@ -234,20 +251,6 @@ pub trait Transport {
         Self: Sized,
     {
         F::decode_tagged(&self.recv()?).map_err(TransportError::from)
-    }
-
-    /// [`recv_frame`](Transport::recv_frame) into `frame`, keeping the
-    /// buffer it holds ([`Frame::decode_into`]): a receiver that keeps one
-    /// frame across messages does not allocate per message.
-    ///
-    /// # Errors
-    ///
-    /// As [`recv_frame`](Transport::recv_frame).
-    fn recv_frame_into<F: Frame>(&mut self, frame: &mut F) -> Result<(), TransportError>
-    where
-        Self: Sized,
-    {
-        frame.decode_tagged_into(&self.recv()?).map_err(TransportError::from)
     }
 
     /// Sends a single `u64` as a tagged [`U64Frame`].

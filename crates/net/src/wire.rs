@@ -7,8 +7,9 @@
 //! [`decode`] that validates the payload and can only fail with a typed
 //! [`WireError`], never panic. [`Transport::send_frame`] and
 //! [`Transport::recv_frame`] are the only sanctioned way to move protocol
-//! payloads; they prepend/verify the tag and reuse the connection's scratch
-//! buffer so hot loops do not allocate per message.
+//! payloads (but for the garbled tables, which are sent as the buffer they
+//! were garbled into); they prepend/verify the tag and reuse the
+//! connection's scratch buffer so hot loops do not allocate per message.
 //!
 //! A mis-paired send/recv (one side sends garbled tables where the other
 //! expects input labels) is caught at the tag byte and surfaces as a
@@ -121,18 +122,6 @@ pub trait Frame: Sized {
     /// [`WireError`] if the payload's length or contents are invalid.
     fn decode(payload: &[u8]) -> Result<Self, WireError>;
 
-    /// [`decode`](Self::decode) into `self`, keeping the allocation `self`
-    /// already holds where the frame is a vector (the block frames). Same
-    /// checks and errors; `self` is unchanged on error.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] if the payload's length or contents are invalid.
-    fn decode_into(&mut self, payload: &[u8]) -> Result<(), WireError> {
-        *self = Self::decode(payload)?;
-        Ok(())
-    }
-
     /// Parses one whole message: the tag byte, then [`decode`](Self::decode)
     /// of what follows it.
     ///
@@ -142,16 +131,6 @@ pub trait Frame: Sized {
     /// or fails the frame's payload validation.
     fn decode_tagged(msg: &[u8]) -> Result<Self, WireError> {
         Self::decode(untag::<Self>(msg)?)
-    }
-
-    /// [`decode_tagged`](Self::decode_tagged) through
-    /// [`decode_into`](Self::decode_into).
-    ///
-    /// # Errors
-    ///
-    /// As [`decode_tagged`](Self::decode_tagged).
-    fn decode_tagged_into(&mut self, msg: &[u8]) -> Result<(), WireError> {
-        self.decode_into(untag::<Self>(msg)?)
     }
 }
 
@@ -394,12 +373,6 @@ macro_rules! block_frame {
             }
 
             fn decode(payload: &[u8]) -> Result<Self, $crate::wire::WireError> {
-                let mut frame = $name(Vec::new());
-                $crate::wire::Frame::decode_into(&mut frame, payload)?;
-                Ok(frame)
-            }
-
-            fn decode_into(&mut self, payload: &[u8]) -> Result<(), $crate::wire::WireError> {
                 if !payload.len().is_multiple_of(16 * $unit) {
                     return Err($crate::wire::WireError {
                         expected: Self::NAME,
@@ -407,12 +380,12 @@ macro_rules! block_frame {
                         context: concat!($fname, " frame length"),
                     });
                 }
-                self.0.clear();
-                self.0.reserve_exact(payload.len() / 16);
-                self.0.extend(payload.chunks_exact(16).map(|c| {
-                    $crate::wire::WireBlock::from_bytes(c.try_into().expect("16 bytes"))
-                }));
-                Ok(())
+                Ok($name(
+                    payload
+                        .chunks_exact(16)
+                        .map(|c| $crate::wire::WireBlock::from_bytes(c.try_into().expect("16 bytes")))
+                        .collect(),
+                ))
             }
         }
     };
@@ -523,27 +496,6 @@ mod tests {
     fn blocks_frame_rejects_ragged_payload() {
         let err = Blocks::decode(&[0u8; 17]).unwrap_err();
         assert_eq!(err.context, "block batch frame length");
-    }
-
-    crate::block_frame! {
-        struct Pairs, tag = tags::BLOCKS, name = "pairs", unit = 2
-    }
-
-    #[test]
-    fn block_frames_decode_into_the_buffer_they_hold() {
-        let mut msg = vec![Pairs::TAG];
-        Pairs((1..=4u128).map(Block::from).collect()).encode_into(&mut msg);
-        let mut frame = Pairs((0..10u128).map(Block::from).collect());
-        let held = frame.0.as_ptr();
-        frame.decode_tagged_into(&msg).unwrap();
-        assert_eq!(frame, Pairs::decode_tagged(&msg).unwrap());
-        assert_eq!(frame.0.as_ptr(), held, "the longer buffer is reused");
-        let before = frame.clone();
-        let ragged = [Pairs::TAG].into_iter().chain([0u8; 16]).collect::<Vec<u8>>();
-        assert_eq!(frame.decode_tagged_into(&ragged).unwrap_err().context, "pairs frame length");
-        msg[0] = tags::U64;
-        assert_eq!(frame.decode_tagged_into(&msg).unwrap_err().got, WireGot::Tag(tags::U64));
-        assert_eq!(frame, before, "a rejected message leaves the frame as it was");
     }
 
     #[test]

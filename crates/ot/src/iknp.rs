@@ -107,12 +107,12 @@ impl IknpSender {
     ) -> Result<(), TransportError> {
         let qs = self.extend_rows(ch, pairs.len())?;
         let base_tweak = self.bump_tweak(pairs.len());
-        let hs = self.hash_both(&qs, base_tweak);
-        let cts = pairs
-            .iter()
-            .zip(hs.chunks_exact(2))
-            .flat_map(|(pair, h)| [pair.0 ^ h[0], pair.1 ^ h[1]])
-            .collect();
+        // The hashes become the ciphertexts where they lie.
+        let mut cts = self.hash_both(&qs, base_tweak);
+        for (h, pair) in cts.chunks_exact_mut(2).zip(pairs) {
+            h[0] ^= pair.0;
+            h[1] ^= pair.1;
+        }
         ch.send_frame(&IknpCts(cts))
     }
 
@@ -293,15 +293,13 @@ impl IknpReceiver {
         blocks(ext::rows(t_cols, m))
     }
 
-    /// One batched hash pass over `H(t, t_j)` for every row.
-    fn hash_rows(&self, ts: &[Block], base_tweak: u64) -> Vec<Block> {
-        let mut sigmas: Vec<Block> = ts
-            .iter()
-            .enumerate()
-            .map(|(j, t)| *t ^ Block::from((base_tweak + j as u64) as u128))
-            .collect();
-        RoHash::shared().hash_blocks(&mut sigmas);
-        sigmas
+    /// One batched hash pass over `H(t, t_j)` for every row, in place.
+    fn hash_rows(&self, mut ts: Vec<Block>, base_tweak: u64) -> Vec<Block> {
+        for (j, t) in ts.iter_mut().enumerate() {
+            *t ^= Block::from((base_tweak + j as u64) as u128);
+        }
+        RoHash::shared().hash_blocks(&mut ts);
+        ts
     }
 
     /// Receives chosen-message OTs: one block per choice bit.
@@ -320,13 +318,12 @@ impl IknpReceiver {
         if cts.len() != 2 * choices.len() {
             return Err(TransportError::Malformed("IKNP ciphertext batch has wrong length"));
         }
-        let hs = self.hash_rows(&Self::rows_of(&t_cols, choices.len()), base_tweak);
-        Ok(hs
-            .iter()
-            .zip(choices)
-            .enumerate()
-            .map(|(j, (h, &c))| cts[2 * j + c as usize] ^ *h)
-            .collect())
+        // The chosen ciphertexts are selected into the hashes.
+        let mut hs = self.hash_rows(Self::rows_of(&t_cols, choices.len()), base_tweak);
+        for (j, (h, &c)) in hs.iter_mut().zip(choices).enumerate() {
+            *h ^= cts[2 * j + c as usize];
+        }
+        Ok(hs)
     }
 
     /// Random OT receiver: learns `x_c` for pseudorandom pairs.
@@ -341,7 +338,7 @@ impl IknpReceiver {
     ) -> Result<Vec<Block>, TransportError> {
         let t_cols = self.extend_columns(ch, choices, IknpColumns)?;
         let base_tweak = self.bump_tweak(choices.len());
-        Ok(self.hash_rows(&Self::rows_of(&t_cols, choices.len()), base_tweak))
+        Ok(self.hash_rows(Self::rows_of(&t_cols, choices.len()), base_tweak))
     }
 
     /// Correlated OT receiver: learns `x0 + c·delta` per OT.
@@ -362,7 +359,7 @@ impl IknpReceiver {
             return Err(TransportError::Malformed("C-OT correction batch has wrong length"));
         }
         let corrections = ring.decode_slice(&corr_bytes);
-        let hs = self.hash_rows(&Self::rows_of(&t_cols, choices.len()), base_tweak);
+        let hs = self.hash_rows(Self::rows_of(&t_cols, choices.len()), base_tweak);
         Ok(hs
             .iter()
             .zip(choices)

@@ -78,7 +78,8 @@
 # that checks a frame length (`MAX_FRAME_LEN`, `tags::max_len(`,
 # `UNREGISTERED_MAX_LEN`: the length-prefixed stream is parsed in
 # framing.rs, TcpTransport and FrameBuffer are its two faces), crates/gc/src
-# for a second file that hashes (`hash_blocks(`: garble.rs holds the one
+# for a `hash_blocks(` and the protocol crates for a second call of either
+# backend AND kernel (`garble_and(`, `eval_and(`: garble.rs holds the one
 # garbling loop and the one evaluation loop) and crates/core/src for a
 # second `Lowering::of(` (an op becomes a circuit once, in the model's slot
 # for it), crates/gc/src for `zero_wire(` (a circuit's constants are the
@@ -226,21 +227,35 @@ for bound in 'MAX_FRAME_LEN' 'tags::max_len(' 'UNREGISTERED_MAX_LEN'; do
 done
 
 # Garbling runs one group's gates across all lanes, in one place: the loop
-# in `garble` and the loop in `evaluate`, both in garble.rs, are the only
-# code of the crate that hashes, so a per-gate or per-circuit copy next to
-# them shows up as a second file. And an op is lowered to its circuit in
-# one place, `SecureGraph::lowering`, which fills the model's slot for it;
-# a second `Lowering::of(` is a session building circuits of its own again.
-echo "==> one-garbling-loop gate: crates/gc/src hashes in one file, crates/core/src lowers in one place"
+# in `garble` and the loop in `evaluate`, both in garble.rs, each call one
+# backend half-gates kernel per AND gate (`garble_and`, `eval_and`), and
+# nothing else in the crate hashes. A per-gate or per-circuit copy next to
+# them shows up as a second kernel call or as a `hash_blocks(` call. And
+# an op is lowered to its circuit in one place, `SecureGraph::lowering`,
+# which fills the model's slot for it; a second `Lowering::of(` is a
+# session building circuits of its own again.
+echo "==> one-garbling-loop gate: each AND kernel is called once, from garble.rs; crates/core/src lowers in one place"
 hashing=$(find crates/gc/src -name '*.rs' -print0 |
   xargs -0 awk '
     FNR == 1 { in_tests = 0 }
     /#\[cfg\(test\)\]/ { in_tests = 1 }
-    !in_tests && !/^[[:space:]]*\/\// && /hash_blocks\(/ { print FILENAME }' | sort -u | tr '\n' ' ')
-if [[ "$hashing" != "crates/gc/src/garble.rs " ]]; then
-  echo "hash_blocks( is called in: ${hashing:-no file} (expected crates/gc/src/garble.rs only)" >&2
+    !in_tests && !/^[[:space:]]*\/\// && /hash_blocks\(/ { print FILENAME ":" FNR ": " $0 }')
+if [[ -n "$hashing" ]]; then
+  echo "$hashing" >&2
+  echo "hash_blocks( is called in crates/gc/src (an AND gate is one backend kernel call)" >&2
   exit 1
 fi
+for kernel in 'garble_and(' 'eval_and('; do
+  callers=$(find src examples crates -name '*.rs' -not -path 'crates/crypto/*' -print0 |
+    xargs -0 awk -v kernel="$kernel" '
+      FNR == 1 { in_tests = 0 }
+      /#\[cfg\(test\)\]/ { in_tests = 1 }
+      !in_tests && !/^[[:space:]]*\/\// && index($0, kernel) { print FILENAME }' | sort | tr '\n' ' ')
+  if [[ "$callers" != "crates/gc/src/garble.rs " ]]; then
+    echo "$kernel is called in: ${callers:-no file} (expected once, in crates/gc/src/garble.rs)" >&2
+    exit 1
+  fi
+done
 lowerings=$(find crates/core/src -name '*.rs' -print0 |
   xargs -0 awk '
     FNR == 1 { in_tests = 0 }
