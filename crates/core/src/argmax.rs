@@ -55,8 +55,9 @@ pub fn argmax_server<T: Transport>(
 ///
 /// # Errors
 ///
-/// [`ProtocolError::Dimension`] for no logits or more than 256; otherwise
-/// disconnection or garbling failure.
+/// [`ProtocolError::Dimension`] for no logits or more than 256;
+/// [`ProtocolError::Malformed`] if the unmasked index is not a class;
+/// otherwise disconnection or garbling failure.
 pub fn argmax_client<T: Transport, RNG: Rng + ?Sized>(
     ch: &mut T,
     yao: &mut YaoGarbler,
@@ -77,7 +78,11 @@ pub fn argmax_client<T: Transport, RNG: Rng + ?Sized>(
     yao.run(ch, &circuit, &my_bits, rng)?;
     // The frame layer enforces the exact one-byte payload.
     let MaskedClass(masked) = ch.recv_frame()?;
-    Ok(((u64::from(masked[0])) ^ mask) as usize)
+    let class = (u64::from(masked[0]) ^ mask) as usize;
+    if class >= n {
+        return Err(ProtocolError::Malformed("masked class index out of range"));
+    }
+    Ok(class)
 }
 
 #[cfg(test)]
@@ -156,6 +161,51 @@ mod tests {
             },
         );
         assert_eq!(got, (0..n).collect::<Vec<usize>>());
+    }
+
+    /// Flips the top bit of every `MaskedClass` payload the wrapped party
+    /// receives.
+    struct FlipClass<'a, T>(&'a mut T);
+
+    impl<T: Transport> Transport for FlipClass<'_, T> {
+        fn send(&mut self, payload: &[u8]) -> Result<(), abnn2_net::TransportError> {
+            self.0.send(payload)
+        }
+        fn recv(&mut self) -> Result<Vec<u8>, abnn2_net::TransportError> {
+            let mut msg = self.0.recv()?;
+            if let [abnn2_net::wire::tags::MASKED_CLASS, byte] = msg.as_mut_slice() {
+                *byte ^= 0x80;
+            }
+            Ok(msg)
+        }
+        fn snapshot(&self) -> abnn2_net::CommSnapshot {
+            self.0.snapshot()
+        }
+    }
+
+    /// A masked index of ten classes has four bits, so a flipped eighth
+    /// bit unmasks to a class of 128 or more: a typed error, never an
+    /// out-of-range class.
+    #[test]
+    fn out_of_range_masked_class_is_malformed() {
+        let ring = Ring::new(32);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(310);
+        let y1 = ring.sample_vec(&mut rng, 10);
+        let y0 = ring.sub_vec(&[0; 10], &y1);
+        let ((), got, _) = run_pair(
+            NetworkModel::instant(),
+            move |ch| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(311);
+                let mut yao = YaoEvaluator::setup(ch, &mut rng).expect("setup");
+                argmax_server(ch, &mut yao, &y0, ring).expect("server");
+            },
+            move |ch| {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(312);
+                let mut yao = YaoGarbler::setup(ch, &mut rng).expect("setup");
+                argmax_client(&mut FlipClass(ch), &mut yao, &y1, ring, &mut rng)
+            },
+        );
+        assert_eq!(got, Err(ProtocolError::Malformed("masked class index out of range")));
     }
 
     /// One class more needs a ninth index bit, which the one-byte frame

@@ -30,8 +30,7 @@
 //! must be used instead.
 
 use crate::graph::{
-    client_offline_walk, weight_product, Correlations, MatmulPlan, SecureGraph, ServedModel,
-    TripletPlan,
+    client_offline_walk, Correlations, MatmulPlan, SecureGraph, ServedModel, TripletPlan,
 };
 use crate::handshake::{graph_digests, SessionParams};
 use crate::matbeaver::{deal_matrix_triple, MatrixTriple};
@@ -226,9 +225,9 @@ impl<R: Rng + ?Sized> Correlations<R> for Dealer<'_> {
         r: &Matrix,
         rng: &mut R,
     ) -> Result<Matrix, ProtocolError> {
-        let (weights, _) = self.model.linear_params(plan.linear);
+        let (w, _) = self.model.linear_params(plan.linear, plan.m, plan.n)?;
         let v = Matrix::random(plan.m, plan.o, &self.ring, rng);
-        self.us.push(weight_product(weights, plan.m, plan.n, r, self.ring).sub(&v, &self.ring));
+        self.us.push(w.mul(r, &self.ring).sub(&v, &self.ring));
         Ok(v)
     }
 
@@ -317,8 +316,8 @@ mod tests {
         assert_eq!(server.batch, 3);
         for l in 0..q.layers.len() {
             let layer = &q.layers[l];
-            let wr =
-                weight_product(&layer.weights, layer.out_dim, layer.in_dim, &client.rs[l], ring);
+            let w = layer.weights.iter().map(|&w| ring.from_i64(w)).collect();
+            let wr = Matrix::new(layer.out_dim, layer.in_dim, w).mul(&client.rs[l], &ring);
             let sum = server.us[l].add(&client.vs[l], &ring);
             assert_eq!(sum, wr, "layer {l}: U + V must equal W·R");
         }

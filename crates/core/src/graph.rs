@@ -14,8 +14,9 @@
 //! The executor's state invariant, per party:
 //!
 //! * the server walks with its additive share of the current activation —
-//!   after a linear op it holds `W·x⁰ + b + U`, after a re-share op the
-//!   garbled circuit's output share;
+//!   after a linear op it holds `W·x⁰ + b + U`, one [`Matrix::mul`] of the
+//!   ring weight matrix [`ServedModel`] keeps for the op, after a re-share
+//!   op the garbled circuit's output share;
 //! * the client's share is *known offline*: the input mask `R⁰`, then `V`
 //!   after each linear op, then the fresh mask it fed the re-sharing
 //!   circuit. That is why the triplet randomness for every linear op is
@@ -144,18 +145,21 @@ impl PublicModel {
 
 /// A server-side model of any supported topology: its [`PublicModel`]
 /// plus the weights and bias of every linear op in graph order, lowered
-/// once at construction. Conv filters are stored as the
-/// `out_channels × (channels·kh·kw)` matrix im2col multiplies against;
-/// the transformer's per-token projections are expanded block-diagonally.
+/// once at construction. Each op's weights are the `m × n` ring matrix
+/// [`Matrix::mul`] takes: conv filters as the
+/// `out_channels × (channels·kh·kw)` matrix im2col multiplies against,
+/// the transformer's per-token projections expanded block-diagonally.
+///
+/// Construction panics if a layer's weights are not `out_dim × in_dim`.
 #[derive(Debug, Clone)]
 pub struct ServedModel {
     pub(crate) public: PublicModel,
-    linears: Vec<QuantizedDense>,
+    linears: Vec<(Matrix, Vec<u64>)>,
 }
 
 impl From<QuantizedNetwork> for ServedModel {
     fn from(net: QuantizedNetwork) -> Self {
-        ServedModel { public: PublicModel::from(&net), linears: net.layers }
+        ServedModel::new(PublicModel::from(&net), net.layers)
     }
 }
 
@@ -169,18 +173,27 @@ impl From<QuantizedCnn> for ServedModel {
             weights: conv.weights,
             bias: conv.bias,
         };
-        ServedModel { public, linears: std::iter::once(filters).chain(net.dense).collect() }
+        ServedModel::new(public, std::iter::once(filters).chain(net.dense))
     }
 }
 
 impl From<QuantizedTransformer> for ServedModel {
     fn from(model: QuantizedTransformer) -> Self {
-        let linears = (0..model.graph().linear_count()).map(|li| model.linear_params(li)).collect();
-        ServedModel { public: PublicModel::from(&model), linears }
+        let linears = (0..model.graph().linear_count()).map(|li| model.linear_params(li));
+        ServedModel::new(PublicModel::from(&model), linears)
     }
 }
 
 impl ServedModel {
+    fn new(public: PublicModel, layers: impl IntoIterator<Item = QuantizedDense>) -> Self {
+        let ring = public.config().ring;
+        let lower = |l: QuantizedDense| {
+            let weights = l.weights.iter().map(|&w| ring.from_i64(w)).collect();
+            (Matrix::new(l.out_dim, l.in_dim, weights), l.bias)
+        };
+        ServedModel { linears: layers.into_iter().map(lower).collect(), public }
+    }
+
     /// The layer graph this model lowers to.
     #[must_use]
     pub fn graph(&self) -> LayerGraph {
@@ -208,11 +221,23 @@ impl ServedModel {
         self.public.secure_graph(batch)
     }
 
-    /// Weights and bias of the `index`-th linear op, in graph order
-    /// (row-major `m × n` weights, one bias entry per output row).
-    pub(crate) fn linear_params(&self, index: usize) -> (&[i64], &[u64]) {
-        let l = &self.linears[index];
-        (&l.weights, &l.bias)
+    /// Weight matrix and bias of the `index`-th linear op, in graph order,
+    /// which the graph says is `m × n` (one bias entry per output row).
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Dimension`] if the model has no such op or its
+    /// shape is not the graph's.
+    pub(crate) fn linear_params(
+        &self,
+        index: usize,
+        m: usize,
+        n: usize,
+    ) -> Result<(&Matrix, &[u64]), ProtocolError> {
+        match self.linears.get(index) {
+            Some((w, bias)) if (w.rows(), w.cols(), bias.len()) == (m, n, m) => Ok((w, bias)),
+            _ => Err(ProtocolError::Dimension("model does not match graph")),
+        }
     }
 }
 
@@ -448,64 +473,6 @@ pub struct CommCeiling {
     pub bytes: u64,
 }
 
-/// `W·X + b + U` — the server's online share of any linear op. `weights`
-/// is row-major `m × n`, `bias` has one entry per output row (broadcast
-/// over the `o` input columns).
-///
-/// # Panics
-///
-/// Panics if `weights`, `bias`, `x` or `u` disagree with `m × n` and
-/// `x.cols()`.
-#[must_use]
-pub fn linear_share(
-    weights: &[i64],
-    bias: &[u64],
-    m: usize,
-    n: usize,
-    x: &Matrix,
-    u: &Matrix,
-    ring: Ring,
-) -> Matrix {
-    assert_eq!(weights.len(), m * n, "weight shape mismatch");
-    assert_eq!(bias.len(), m, "bias shape mismatch");
-    assert_eq!(x.rows(), n, "input rows mismatch");
-    assert_eq!((u.rows(), u.cols()), (m, x.cols()), "triplet share shape mismatch");
-    let o = x.cols();
-    let mut y = Matrix::zeros(m, o);
-    for i in 0..m {
-        let row = &weights[i * n..(i + 1) * n];
-        for k in 0..o {
-            let mut acc = ring.add(bias[i], u.get(i, k));
-            for (j, &w) in row.iter().enumerate() {
-                acc = acc.wrapping_add(x.get(j, k).wrapping_mul(w as u64));
-            }
-            y.set(i, k, ring.reduce(acc));
-        }
-    }
-    y
-}
-
-/// `W·R` over the ring — the right-hand side of the triplet relation,
-/// shared by the dealer ([`crate::bundle::dealer_bundle_for`]) and tests.
-#[must_use]
-pub fn weight_product(weights: &[i64], m: usize, n: usize, r: &Matrix, ring: Ring) -> Matrix {
-    assert_eq!(weights.len(), m * n, "weight shape mismatch");
-    assert_eq!(r.rows(), n, "randomness rows mismatch");
-    let o = r.cols();
-    let mut wr = Matrix::zeros(m, o);
-    for i in 0..m {
-        let row = &weights[i * n..(i + 1) * n];
-        for k in 0..o {
-            let mut acc = 0u64;
-            for (j, &w) in row.iter().enumerate() {
-                acc = acc.wrapping_add(r.get(j, k).wrapping_mul(w as u64));
-            }
-            wr.set(i, k, ring.reduce(acc));
-        }
-    }
-    wr
-}
-
 fn check_shapes(
     matrices: &[Matrix],
     shapes: &[(usize, usize)],
@@ -672,14 +639,11 @@ impl ServerOfflineWalk {
                     Some(triplet) => triplet,
                     slot @ None => {
                         let plan = &self.plans[self.us.len()];
-                        let (weights, _) = model.linear_params(plan.linear);
-                        if weights.len() != m * n {
-                            return Err(ProtocolError::Dimension("model does not match graph"));
-                        }
+                        let (w, _) = model.linear_params(plan.linear, m, n)?;
                         ch.mark_phase(&format!("offline:op{i}/{}", plan.kind));
                         let cfg = self.exec.triplet(plan.mode);
                         slot.insert(TripletWalk::new(
-                            weights,
+                            w.as_slice().iter().map(|&w| config.ring.to_i64(w)),
                             plan.m,
                             plan.n,
                             plan.o,
@@ -896,8 +860,8 @@ pub fn server_online_to_logits<T: Transport>(
 
 /// The server's online phase as a resumable walk over the tape machine.
 /// [`step`](Self::step) runs one unit: the blinded input, then one tape op
-/// — a local [`linear_share`], or a re-share op's opening and circuit,
-/// which is where the server waits. The walk is `Clone` for the same
+/// — a linear op's local [`Matrix::mul`], or a re-share op's opening and
+/// circuit, which is where the server waits. The walk is `Clone` for the same
 /// reason as [`ServerOfflineWalk`]; a copy shares the offline bundle and
 /// the model's circuits, and duplicates only the evaluator and the tape.
 #[derive(Debug, Clone)]
@@ -975,11 +939,20 @@ impl ServerOnlineWalk {
         ch.mark_phase(&format!("online:op{i}/{}", op.kind()));
         let out = match op.resource() {
             OpResource::Triplet { m, n } => {
-                let (weights, bias) = model.linear_params(self.linears);
+                // `W·X + b + U`: the product, then the bias (broadcast over
+                // the columns) and the triplet share in one pass.
+                let (w, bias) = model.linear_params(self.linears, m, n)?;
                 let x = linear_input(op, &self.tape[op.sources(i)[0]]);
                 let u = &self.bundle.us[self.linears];
                 self.linears += 1;
-                linear_share(weights, bias, m, n, &x, u, ring)
+                let (mut y, o) = (w.mul(&x, &ring), u.cols());
+                let rows = y.as_mut_slice().chunks_exact_mut(o).zip(u.as_slice().chunks_exact(o));
+                for ((y_row, u_row), &b) in rows.zip(bias) {
+                    for (y, &u) in y_row.iter_mut().zip(u_row) {
+                        *y = ring.add(ring.add(*y, b), u);
+                    }
+                }
+                y
             }
             OpResource::Output => {
                 self.done = true;
@@ -1140,22 +1113,5 @@ mod tests {
             PublicModel::from(g).secure_graph(1).err(),
             Some(ProtocolError::Dimension("relu shift does not fit the ring"))
         );
-    }
-
-    #[test]
-    fn linear_share_and_weight_product_agree_with_triplet_relation() {
-        let ring = Ring::new(32);
-        let weights: Vec<i64> = vec![1, -2, 3, 0, 5, -1];
-        let bias = vec![7u64, 11];
-        let r = Matrix::new(3, 2, vec![1, 2, 3, 4, 5, 6]);
-        let u = Matrix::new(2, 2, vec![9, 8, 7, 6]);
-        let y = linear_share(&weights, &bias, 2, 3, &r, &u, ring);
-        let wr = weight_product(&weights, 2, 3, &r, ring);
-        for (i, &b) in bias.iter().enumerate() {
-            for k in 0..2 {
-                let expect = ring.add(ring.add(wr.get(i, k), b), u.get(i, k));
-                assert_eq!(y.get(i, k), expect);
-            }
-        }
     }
 }

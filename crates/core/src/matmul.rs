@@ -139,7 +139,7 @@ pub fn triplet_server_with<T: Transport>(
     ring: Ring,
     cfg: TripletConfig,
 ) -> Result<Matrix, ProtocolError> {
-    let mut walk = TripletWalk::new(weights, m, n, o, scheme, ring, cfg)?;
+    let mut walk = TripletWalk::new(weights.iter().copied(), m, n, o, scheme, ring, cfg)?;
     loop {
         if let Some(u) = walk.step(ch, kk)? {
             return Ok(u);
@@ -177,13 +177,14 @@ pub(crate) struct TripletWalk {
 }
 
 impl TripletWalk {
-    /// Checks `weights` (row-major `m×n`) against the scheme's domain.
+    /// Checks `weights` (row-major `m×n`) against the scheme's domain and
+    /// decomposes each into its fragment digits.
     ///
     /// # Errors
     ///
     /// [`ProtocolError::Dimension`] on a length or domain mismatch.
     pub(crate) fn new(
-        weights: &[i64],
+        weights: impl ExactSizeIterator<Item = i64>,
         m: usize,
         n: usize,
         o: usize,
@@ -194,9 +195,10 @@ impl TripletWalk {
         if weights.len() != m * n {
             return Err(ProtocolError::Dimension("weights length must be m*n"));
         }
-        if !weights.iter().all(|&w| scheme.contains(w)) {
-            return Err(ProtocolError::Dimension("weight outside scheme domain"));
-        }
+        let digits = weights
+            .map(|w| scheme.contains(w).then(|| scheme.decompose(w)))
+            .collect::<Option<_>>()
+            .ok_or(ProtocolError::Dimension("weight outside scheme domain"))?;
         Ok(TripletWalk {
             m,
             n,
@@ -204,7 +206,7 @@ impl TripletWalk {
             ring,
             cfg,
             radices: scheme.fragments().iter().map(|f| f.n).collect(),
-            digits: weights.iter().map(|&w| scheme.decompose(w)).collect(),
+            digits,
             next: 0,
             pending: None,
             u: Matrix::zeros(m, o),

@@ -301,17 +301,6 @@ impl BigUint {
         self.div_rem(m).1
     }
 
-    /// `(self + other) mod m`, assuming both inputs are already below `m`.
-    #[must_use]
-    pub fn add_mod(&self, other: &BigUint, m: &BigUint) -> BigUint {
-        let s = self.add(other);
-        if s.cmp(m) == Ordering::Less {
-            s
-        } else {
-            s.sub(m)
-        }
-    }
-
     /// Modular inverse via the extended Euclidean algorithm.
     ///
     /// Returns `None` if `gcd(self, m) != 1`.

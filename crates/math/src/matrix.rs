@@ -1,9 +1,10 @@
 //! Dense row-major matrices over ℤ_{2^ℓ}.
 //!
 //! The linear layers of the paper's workloads are matrix–matrix products
-//! `W (m×n) · X (n×o)` where `o` is the prediction batch size. Elements are
-//! raw `u64` ring residues; the [`Ring`] is passed to the operations that
-//! need a modulus.
+//! `W (m×n) · X (n×o)` where `o` is the prediction batch size (or a conv's
+//! output positions); [`Matrix::mul`] computes every one of them. Elements
+//! are raw `u64` ring residues; the [`Ring`] is passed to the operations
+//! that need a modulus.
 
 use crate::Ring;
 use rand::Rng;
@@ -155,6 +156,10 @@ impl Matrix {
 
     /// Matrix product `self · rhs` mod `2^ℓ`.
     ///
+    /// A one-column `rhs` (a matrix-vector product) is one [`Ring::dot`]
+    /// per row over contiguous slices; wider ones accumulate each row of
+    /// `self` against the rows of `rhs`, skipping zero entries.
+    ///
     /// # Panics
     ///
     /// Panics if the inner dimensions disagree.
@@ -165,6 +170,12 @@ impl Matrix {
             "inner dimension mismatch: {}x{} · {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
+        if rhs.cols == 1 {
+            let data = (0..self.rows)
+                .map(|i| ring.dot(&self.data[i * self.cols..][..self.cols], &rhs.data))
+                .collect();
+            return Matrix::column(data);
+        }
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         for i in 0..self.rows {
             for k in 0..self.cols {
@@ -291,6 +302,46 @@ mod tests {
                     prop_assert_eq!(c.get(i, j), expect);
                 }
             }
+        }
+
+        /// Both of `mul`'s paths against a triple loop that shares no code
+        /// with them: exact `u128` products, reduced once at the end.
+        #[test]
+        fn matmul_matches_a_naive_triple_loop(
+            seed: u64,
+            which_ring in 0usize..3,
+            which_cols in 0usize..4,
+            m in 1usize..10,
+            n in 1usize..40,
+            ternary: bool,
+        ) {
+            let bits = [16, 32, 64][which_ring];
+            let o = [1, 2, 8, 36][which_cols];
+            let ring = Ring::new(bits);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut a = if ternary {
+                // Mostly zero, else ±1: the shape of a ternary weight matrix.
+                let w = [0, 0, 0, 1, ring.from_i64(-1)];
+                Matrix::new(m, n, (0..m * n).map(|_| w[rng.gen_range(0..w.len())]).collect())
+            } else {
+                Matrix::random(m, n, &ring, &mut rng)
+            };
+            let zero_row = rng.gen_range(0..m);
+            (0..n).for_each(|k| a.set(zero_row, k, 0));
+            let b = Matrix::random(n, o, &ring, &mut rng);
+            let c = a.mul(&b, &ring);
+            prop_assert_eq!((c.rows(), c.cols()), (m, o));
+            let mask = u64::MAX >> (64 - bits);
+            for i in 0..m {
+                for j in 0..o {
+                    let mut acc = 0u128;
+                    for k in 0..n {
+                        acc = acc.wrapping_add(u128::from(a.get(i, k)) * u128::from(b.get(k, j)));
+                    }
+                    prop_assert_eq!(c.get(i, j), acc as u64 & mask);
+                }
+            }
+            prop_assert!(c.row(zero_row).iter().all(|&v| v == 0));
         }
 
         #[test]

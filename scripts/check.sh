@@ -82,7 +82,8 @@
 # backend AND kernel (`garble_and(`, `eval_and(`: garble.rs holds the one
 # garbling loop and the one evaluation loop) and crates/core/src for a
 # second `Lowering::of(` (an op becomes a circuit once, in the model's slot
-# for it), crates/gc/src for `zero_wire(` (a circuit's constants are the
+# for it) or a `wrapping_mul(` outside `splitmix64` (a linear op is one
+# `Matrix::mul`), crates/gc/src for `zero_wire(` (a circuit's constants are the
 # CircuitBuilder's folded pair), crates/ot/src and crates/gc/src for a
 # `pub enum …Error` (below the session every failure is a `TransportError`),
 # reruns the pinned Yao, triplet, OT-extension and session
@@ -264,6 +265,26 @@ lowerings=$(find crates/core/src -name '*.rs' -print0 |
 if [[ $(grep -c . <<<"$lowerings") != 1 ]]; then
   echo "$lowerings" >&2
   echo "Lowering::of( is called in the places above (expected exactly one)" >&2
+  exit 1
+fi
+
+# A linear op is one `Matrix::mul` of the ring weight matrix the served
+# model keeps: the server's online share, the dealer's `W·R` and matrix
+# Beaver all call it. A multiply-add loop in crates/core/src would be a
+# second product; the one `wrapping_mul` there is `splitmix64`'s.
+echo "==> one-ring-product gate: crates/core/src multiplies only in splitmix64"
+products=$(find crates/core/src -name '*.rs' -print0 |
+  xargs -0 awk '
+    FNR == 1 { in_tests = 0; in_mix = 0 }
+    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    /^fn splitmix64\(/ { in_mix = 1 }
+    !in_tests && !in_mix && !/^[[:space:]]*\/\// && /wrapping_mul\(/ {
+      print FILENAME ":" FNR ": " $0
+    }
+    in_mix && /^}/ { in_mix = 0 }')
+if [[ -n "$products" ]]; then
+  echo "$products" >&2
+  echo "wrapping_mul( outside splitmix64 in crates/core/src (a linear op is one Matrix::mul)" >&2
   exit 1
 fi
 

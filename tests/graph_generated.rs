@@ -20,7 +20,6 @@
 //!   OT-extension lineage its first one left in the client's slot, on
 //!   fresh inputs and over an in-process dialer, is as exact as the first.
 
-use abnn2::core::graph::weight_product;
 use abnn2::core::inference::{ClientOffline, ServerOffline};
 use abnn2::core::resilient::ResilientServer;
 use abnn2::core::{
@@ -64,16 +63,18 @@ impl Model {
         }
     }
 
-    /// Weights of every linear op in graph order, conv as the filter
-    /// matrix im2col multiplies against.
-    fn linear_weights(&self) -> Vec<Vec<i64>> {
-        match self {
+    /// Weights of every linear op in graph order, embedded in the ring,
+    /// conv as the filter matrix im2col multiplies against.
+    fn linear_weights(&self) -> Vec<Vec<u64>> {
+        let ring = self.graph().config.ring;
+        let weights: Vec<Vec<i64>> = match self {
             Model::Mlp(m) => m.layers.iter().map(|l| l.weights.clone()).collect(),
             Model::Cnn(m) => std::iter::once(m.conv.weights.clone())
                 .chain(m.dense.iter().map(|l| l.weights.clone()))
                 .collect(),
             Model::Encoder(m) => (0..7).map(|li| m.linear_params(li).weights).collect(),
-        }
+        };
+        weights.iter().map(|w| w.iter().map(|&w| ring.from_i64(w)).collect()).collect()
     }
 
     fn forward_exact(&self, x: &[u64]) -> Vec<u64> {
@@ -213,7 +214,7 @@ fn assert_correlated(model: &Model, sb: &ServerBundle, cb: &ClientBundle, what: 
                     _ => slot.clone(),
                 };
                 let (u, v) = (us.next().expect("U per linear op"), vs.next().expect("V"));
-                let wr = weight_product(&weights[li], m, n, &r, ring);
+                let wr = Matrix::new(m, n, weights[li].clone()).mul(&r, &ring);
                 assert_eq!(u.add(v, &ring), wr, "{what}: op {i} ({}) U + V != W·R", op.kind());
                 li += 1;
                 tape.push(v);
