@@ -69,12 +69,6 @@ impl ExecConfig {
     pub fn triplet(&self, mode: TripletMode) -> TripletConfig {
         TripletConfig::new(mode).with_threads(self.threads)
     }
-
-    /// The triplet configuration with the paper's batch-size selection rule.
-    #[must_use]
-    pub fn triplet_for_batch(&self, o: usize) -> TripletConfig {
-        TripletConfig::for_batch(o).with_threads(self.threads)
-    }
 }
 
 /// Deadline budget for a resilient session, applied via
@@ -166,10 +160,9 @@ mod tests {
     fn builders_compose() {
         let cfg = ExecConfig::new().with_variant(ReluVariant::Optimized).with_threads(4);
         assert_eq!(cfg.variant, ReluVariant::Optimized);
-        assert_eq!(cfg.triplet_for_batch(1).threads, 4);
-        assert_eq!(cfg.triplet_for_batch(1).mode, TripletMode::OneBatch);
-        assert_eq!(cfg.triplet_for_batch(3).mode, TripletMode::MultiBatch);
+        assert_eq!(cfg.triplet(TripletMode::OneBatch).threads, 4);
         assert_eq!(cfg.triplet(TripletMode::OneBatch).mode, TripletMode::OneBatch);
+        assert_eq!(cfg.triplet(TripletMode::MultiBatch).mode, TripletMode::MultiBatch);
     }
 
     #[test]

@@ -832,27 +832,25 @@ mod tests {
     /// starvation past the end of the inbox.
     #[test]
     fn typed_reads_decode_in_place_and_count_like_raw_ones() {
-        let mut scalar = vec![wire::tags::U64];
-        scalar.extend(7u64.to_le_bytes());
+        use crate::frames::MaskedClass;
+        let class = vec![wire::tags::MASKED_CLASS, 7];
         let stray = vec![0xEE, 1, 2];
         let mut ch = ReplayTransport {
-            inbox: [&scalar, &stray, &scalar].map(|f| Arc::new(f.clone())).to_vec(),
+            inbox: [&class, &stray, &class].map(|f| Arc::new(f.clone())).to_vec(),
             ..ReplayTransport::default()
         };
         ch.begin_attempt();
-        assert_eq!(ch.recv_u64(), Ok(7));
-        let provided = wire::U64Frame::decode_tagged(&stray).map_err(TransportError::from);
+        assert_eq!(ch.recv_frame(), Ok(MaskedClass(vec![7])));
+        let provided = MaskedClass::decode_tagged(&stray).map_err(TransportError::from);
         assert!(provided.is_err());
-        assert_eq!(ch.recv_frame::<wire::U64Frame>(), provided);
-        assert_eq!(ch.recv(), Ok(scalar));
-        assert_eq!(ch.recv_u64(), Err(TransportError::WouldBlock));
+        assert_eq!(ch.recv_frame::<MaskedClass>(), provided);
+        assert_eq!(ch.recv(), Ok(class));
+        assert_eq!(ch.recv_frame::<MaskedClass>(), Err(TransportError::WouldBlock));
         assert!(ch.starved);
-        assert_eq!((ch.cursor, ch.counters.frames_read, ch.received), (3, 3, 9 + 3 + 9));
+        assert_eq!((ch.cursor, ch.counters.frames_read, ch.received), (3, 3, 2 + 3 + 2));
         let recv = |tag, len| DriverEffect::Recv { tag, len };
-        assert_eq!(
-            ch.effects,
-            vec![recv(wire::tags::U64, 9), recv(0xEE, 3), recv(wire::tags::U64, 9)]
-        );
+        let class_tag = wire::tags::MASKED_CLASS;
+        assert_eq!(ch.effects, vec![recv(class_tag, 2), recv(0xEE, 3), recv(class_tag, 2)]);
         assert_eq!(ch.inbox.len(), 3, "frames stay buffered until the step completes");
     }
 

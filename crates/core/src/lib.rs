@@ -3,7 +3,6 @@
 //! This crate implements the paper's contribution on top of the substrate
 //! crates (`abnn2-ot`, `abnn2-gc`, `abnn2-net`, `abnn2-nn`):
 //!
-//! * [`sharing`] — additive secret sharing over ℤ_{2^ℓ} (§2.3),
 //! * [`matmul`] — the quantized matrix-multiplication triplet protocols of
 //!   §4.1: the fragment-wise 1-out-of-N OT method, the **multi-batch**
 //!   message packing (§4.1.2), and the **one-batch** correlated-OT trick
@@ -65,7 +64,6 @@ pub mod nonlinear;
 pub mod relu;
 pub mod resilient;
 pub mod session;
-pub mod sharing;
 
 /// Offline OT-extension backend selection, re-exported for frontends
 /// that key pools and negotiate capability without depending on

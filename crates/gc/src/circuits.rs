@@ -219,15 +219,6 @@ pub fn sar_word(x: &Word, k: usize) -> Word {
     Word(out)
 }
 
-/// Vectorized Algorithm-2 ReLU: `n` neurons in one circuit.
-///
-/// Garbler inputs: all `y₁` words then all `z₁` words; evaluator inputs:
-/// all `y₀` words; outputs: all `z₀` words — each group in neuron order.
-#[must_use]
-pub fn relu_reshare_vec_circuit(bits: usize, n: usize) -> Circuit {
-    relu_trunc_reshare_vec_circuit(bits, n, 0)
-}
-
 /// Vectorized Algorithm-2 ReLU with a built-in fixed-point truncation: each
 /// neuron computes `z₀ = ReLU((y₀ + y₁) ≫ₐ shift) − z₁`.
 ///

@@ -558,7 +558,7 @@ mod tests {
         fn garbled_equals_plaintext_on_vec_relu(seed: u64, y0: u64, y1: u64, z1: u64) {
             let bits = 12;
             let n = 3;
-            let c = circuits::relu_reshare_vec_circuit(bits, n);
+            let c = circuits::relu_trunc_reshare_vec_circuit(bits, n, 0);
             let mask = (1u64 << bits) - 1;
             let mut g_bits = Vec::new();
             for k in 0..n as u64 {

@@ -300,6 +300,7 @@ pub fn sim_link(model: NetworkModel) -> (SimDialer, SimListener) {
 mod tests {
     use super::*;
     use crate::wire::tags;
+    use crate::wire::tests::{GcLabels, MaskedClass};
     use abnn2_crypto::Block;
 
     #[test]
@@ -316,20 +317,20 @@ mod tests {
     }
 
     #[test]
-    fn u64_round_trip() {
+    fn exact_frame_round_trip() {
         let (mut a, mut b) = Endpoint::pair(NetworkModel::instant());
-        a.send_u64(0xdead_beef).unwrap();
-        assert_eq!(b.recv_u64().unwrap(), 0xdead_beef);
-        // One tag byte plus the 8-byte payload.
-        assert_eq!(a.snapshot().bytes_sent, 9);
+        a.send_frame(&MaskedClass(vec![0xA7])).unwrap();
+        assert_eq!(b.recv_frame(), Ok(MaskedClass(vec![0xA7])));
+        // One tag byte plus the 1-byte payload.
+        assert_eq!(a.snapshot().bytes_sent, 2);
     }
 
     #[test]
     fn block_round_trip() {
         let (mut a, mut b) = Endpoint::pair(NetworkModel::instant());
-        let blocks = vec![Block::from(1u128), Block::from(2u128)];
-        a.send_blocks(&blocks).unwrap();
-        assert_eq!(b.recv_blocks().unwrap(), blocks);
+        let blocks = GcLabels(vec![Block::from(1u128), Block::from(2u128)]);
+        a.send_frame(&blocks).unwrap();
+        assert_eq!(b.recv_frame(), Ok(blocks));
         assert_eq!(a.snapshot().bytes_sent, 33);
     }
 
@@ -342,26 +343,29 @@ mod tests {
     }
 
     #[test]
-    fn mistagged_u64_rejected() {
+    fn mistagged_frame_rejected() {
         let (mut a, mut b) = Endpoint::pair(NetworkModel::instant());
         a.send(b"abc").unwrap();
-        assert_eq!(b.recv_u64(), Err(TransportError::Malformed("u64 frame tag")));
+        let got = b.recv_frame::<MaskedClass>();
+        assert_eq!(got, Err(TransportError::Malformed("masked class index frame tag")));
     }
 
     #[test]
-    fn short_u64_payload_rejected() {
+    fn short_exact_payload_rejected() {
         let (mut a, mut b) = Endpoint::pair(NetworkModel::instant());
-        a.send(&[tags::U64, 1, 2, 3]).unwrap();
-        assert_eq!(b.recv_u64(), Err(TransportError::Malformed("u64 frame length")));
+        a.send(&[tags::MASKED_CLASS]).unwrap();
+        let got = b.recv_frame::<MaskedClass>();
+        assert_eq!(got, Err(TransportError::Malformed("masked class index frame length")));
     }
 
     #[test]
     fn malformed_blocks_rejected() {
         let (mut a, mut b) = Endpoint::pair(NetworkModel::instant());
-        let mut ragged = vec![tags::BLOCKS];
+        let mut ragged = vec![tags::GC_LABELS];
         ragged.extend_from_slice(&[0u8; 17]);
         a.send(&ragged).unwrap();
-        assert_eq!(b.recv_blocks(), Err(TransportError::Malformed("block batch frame length")));
+        let got = b.recv_frame::<GcLabels>();
+        assert_eq!(got, Err(TransportError::Malformed("garbler input labels frame length")));
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! according to a [`FaultPlan`] — a composable sequence of [`Fault`]s
 //! covering both directions: cut the connection after N sends or N
 //! receives, cut once cumulative bytes exceed a budget, truncate or corrupt
-//! individual messages, or delay a message's delivery. All typed helpers
-//! (`send_u64`, `send_blocks`) route through `send`/`send_owned` and
-//! `recv`, so a single interception point per direction covers every
-//! protocol message kind — truncating "message 3" truncates a GC table or
-//! an OT matrix just the same.
+//! individual messages, or delay a message's delivery. The typed frame
+//! helpers (`send_frame`, `recv_frame`) route through `send` and `recv`,
+//! so a single interception point per direction covers every protocol
+//! message kind — truncating "message 3" truncates a GC table or an OT
+//! matrix just the same.
 //!
 //! Plans compose: every fault in the plan is consulted for every message,
 //! cuts first (any cut that fires wins), then perturbations accumulate in
@@ -334,7 +334,9 @@ impl<T: Transport> Transport for FaultyTransport<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::tests::{GcLabels, MaskedClass};
     use crate::{Endpoint, NetworkModel};
+    use abnn2_crypto::Block;
 
     fn faulty_pair(fault: Fault) -> (FaultyTransport<Endpoint>, Endpoint) {
         let (a, b) = Endpoint::pair(NetworkModel::instant());
@@ -344,9 +346,9 @@ mod tests {
     #[test]
     fn none_is_transparent() {
         let (mut a, mut b) = faulty_pair(Fault::None);
-        a.send_u64(5).unwrap();
-        assert_eq!(b.recv_u64().unwrap(), 5);
-        assert_eq!(a.snapshot().bytes_sent, 9);
+        a.send_frame(&MaskedClass(vec![5])).unwrap();
+        assert_eq!(b.recv_frame(), Ok(MaskedClass(vec![5])));
+        assert_eq!(a.snapshot().bytes_sent, 2);
     }
 
     #[test]
@@ -386,23 +388,24 @@ mod tests {
 
     #[test]
     fn helpers_route_through_fault_plan() {
-        // send_u64 / send_blocks must hit the same interception point. The
+        // send_frame must hit the same interception point as send. The
         // truncated frame keeps its tag byte, so the payload check fires.
         let (mut a, mut b) = faulty_pair(Fault::TruncateMessage { index: 0, keep: 4 });
-        a.send_u64(u64::MAX).unwrap();
-        assert_eq!(b.recv_u64(), Err(TransportError::Malformed("u64 frame length")));
-        let _ = a;
+        a.send_frame(&GcLabels(vec![Block::from(u128::MAX)])).unwrap();
+        let got = b.recv_frame::<GcLabels>();
+        assert_eq!(got, Err(TransportError::Malformed("garbler input labels frame length")));
     }
 
     #[test]
     fn flipped_tag_is_a_typed_frame_error() {
         let (mut a, mut b) = faulty_pair(Fault::FlipTag { index: 1 });
-        a.send_u64(1).unwrap();
-        a.send_u64(2).unwrap();
-        assert_eq!(b.recv_u64().unwrap(), 1);
+        a.send_frame(&MaskedClass(vec![1])).unwrap();
+        a.send_frame(&MaskedClass(vec![2])).unwrap();
+        assert_eq!(b.recv_frame(), Ok(MaskedClass(vec![1])));
         // The payload is intact but the tag no longer matches: typed error
         // naming the expected frame, not a garbage value.
-        assert_eq!(b.recv_u64(), Err(TransportError::Malformed("u64 frame tag")));
+        let got = b.recv_frame::<MaskedClass>();
+        assert_eq!(got, Err(TransportError::Malformed("masked class index frame tag")));
     }
 
     #[test]

@@ -337,6 +337,7 @@ impl<T: Transport> Transport for InstrumentedTransport<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::tests::{GcLabels, MaskedClass};
     use crate::{Endpoint, NetworkModel};
 
     #[test]
@@ -345,8 +346,8 @@ mod tests {
         let mut a = InstrumentedTransport::new(a);
         a.send(b"xy").unwrap();
         a.enter_phase("online");
-        a.send_u64(1).unwrap();
-        a.send_u64(2).unwrap();
+        a.send_frame(&MaskedClass(vec![1])).unwrap();
+        a.send_frame(&MaskedClass(vec![2])).unwrap();
         b.send(b"reply").unwrap();
         let _ = a.recv().unwrap();
 
@@ -356,13 +357,13 @@ mod tests {
         assert_eq!(setup.bytes_received, 0);
 
         let online = PhaseStats::sum_named(&a.phases(), "online");
-        assert_eq!(online.bytes_sent, 18, "two u64 frames: 2 × (1 tag + 8 payload)");
+        assert_eq!(online.bytes_sent, 4, "two class frames: 2 × (1 tag + 1 payload)");
         assert_eq!(online.messages_sent, 2);
         assert_eq!(online.bytes_received, 5);
         assert_eq!(online.messages_received, 1);
 
         // Global counters come from the inner transport, unchanged.
-        assert_eq!(a.snapshot().bytes_sent, 20);
+        assert_eq!(a.snapshot().bytes_sent, 6);
     }
 
     #[test]
@@ -371,21 +372,21 @@ mod tests {
         let (a, mut b) = Endpoint::pair(NetworkModel::instant());
         let mut a = InstrumentedTransport::new(a);
         let handle = a.handle();
-        a.send_u64(1).unwrap();
-        a.send_u64(2).unwrap();
-        a.send_blocks(&[abnn2_crypto::Block::from(7u128)]).unwrap();
-        b.send_u64(3).unwrap();
-        let _ = a.recv_u64().unwrap();
+        a.send_frame(&MaskedClass(vec![1])).unwrap();
+        a.send_frame(&MaskedClass(vec![2])).unwrap();
+        a.send_frame(&GcLabels(vec![abnn2_crypto::Block::from(7u128)])).unwrap();
+        b.send_frame(&MaskedClass(vec![3])).unwrap();
+        let _ = a.recv_frame::<MaskedClass>().unwrap();
 
         // Tag counters exclude the tag byte: pure payload bytes.
-        let u64s = handle.tag(tags::U64);
-        assert_eq!(u64s.bytes_sent, 16);
-        assert_eq!(u64s.messages_sent, 2);
-        assert_eq!(u64s.bytes_received, 8);
-        assert_eq!(u64s.messages_received, 1);
-        let blocks = handle.tag(tags::BLOCKS);
-        assert_eq!(blocks.bytes_sent, 16);
-        assert_eq!(blocks.messages_sent, 1);
+        let classes = handle.tag(tags::MASKED_CLASS);
+        assert_eq!(classes.bytes_sent, 2);
+        assert_eq!(classes.messages_sent, 2);
+        assert_eq!(classes.bytes_received, 1);
+        assert_eq!(classes.messages_received, 1);
+        let labels = handle.tag(tags::GC_LABELS);
+        assert_eq!(labels.bytes_sent, 16);
+        assert_eq!(labels.messages_sent, 1);
         assert_eq!(handle.tag(tags::HELLO), TagStats::default());
         assert_eq!(handle.tags().len(), 2);
         for _ in 0..3 {
@@ -422,8 +423,8 @@ mod tests {
                     std::thread::yield_now();
                 }
             });
-            for v in 0..3u64 {
-                a.send_u64(v).unwrap();
+            for v in 0..3u8 {
+                a.send_frame(&MaskedClass(vec![v])).unwrap();
             }
             watcher.join().unwrap();
         });
@@ -433,8 +434,8 @@ mod tests {
 
         let handle2 = handle.clone();
         drop(a);
-        assert_eq!(PhaseStats::sum_named(&handle2.phases(), "offline").bytes_sent, 27);
-        assert_eq!(handle2.total().bytes_sent, 27);
+        assert_eq!(PhaseStats::sum_named(&handle2.phases(), "offline").bytes_sent, 6);
+        assert_eq!(handle2.total().bytes_sent, 6);
     }
 
     #[test]

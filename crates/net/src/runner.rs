@@ -236,26 +236,25 @@ impl ResilientDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::Transport;
 
     #[test]
     fn results_and_report() {
         let (a, b, report) = run_pair(
             NetworkModel::instant(),
             |ch| {
-                ch.send_u64(21).unwrap();
-                ch.recv_u64().unwrap()
+                ch.send(&[21]).unwrap();
+                ch.recv().unwrap()[0]
             },
             |ch| {
-                let v = ch.recv_u64().unwrap();
-                ch.send_u64(v * 2).unwrap();
+                let v = ch.recv().unwrap()[0];
+                ch.send(&[v * 2]).unwrap();
                 v
             },
         );
         assert_eq!(a, 42);
         assert_eq!(b, 21);
-        // Two u64 frames: 2 × (1 tag + 8 payload) bytes.
-        assert_eq!(report.total_bytes(), 18);
+        // Two one-byte messages.
+        assert_eq!(report.total_bytes(), 2);
         assert!(report.simulated_time() <= report.wall + Duration::from_millis(50));
     }
 
@@ -266,14 +265,14 @@ mod tests {
             NetworkModel::wan_secureml(),
             |ch| {
                 for i in 0..rounds {
-                    ch.send_u64(i).unwrap();
-                    ch.recv_u64().unwrap();
+                    ch.send(&i.to_le_bytes()).unwrap();
+                    ch.recv().unwrap();
                 }
             },
             |ch| {
                 for _ in 0..rounds {
-                    let v = ch.recv_u64().unwrap();
-                    ch.send_u64(v).unwrap();
+                    let v = ch.recv().unwrap();
+                    ch.send(&v).unwrap();
                 }
             },
         );

@@ -285,6 +285,7 @@ impl Drop for TcpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::tests::{GcLabels, MaskedClass};
     use abnn2_crypto::Block;
     use std::net::TcpListener;
     use std::thread;
@@ -305,21 +306,21 @@ mod tests {
         thread::scope(|scope| {
             scope.spawn(|| {
                 c.send(b"ping").unwrap();
-                c.send_u64(7).unwrap();
-                c.send_blocks(&[Block::from(9u128)]).unwrap();
+                c.send_frame(&MaskedClass(vec![7])).unwrap();
+                c.send_frame(&GcLabels(vec![Block::from(9u128)])).unwrap();
                 assert_eq!(c.recv().unwrap(), b"pong");
             });
             assert_eq!(s.recv().unwrap(), b"ping");
-            assert_eq!(s.recv_u64().unwrap(), 7);
-            assert_eq!(s.recv_blocks().unwrap(), vec![Block::from(9u128)]);
+            assert_eq!(s.recv_frame(), Ok(MaskedClass(vec![7])));
+            assert_eq!(s.recv_frame(), Ok(GcLabels(vec![Block::from(9u128)])));
             s.send(b"pong").unwrap();
             s.flush().unwrap();
         });
-        // Payload-only accounting: 4 raw + (1+8) u64 frame + (1+16) block
+        // Payload-only accounting: 4 raw + (1+1) class frame + (1+16) block
         // frame bytes sent by the client.
-        assert_eq!(c.snapshot().bytes_sent, 30);
+        assert_eq!(c.snapshot().bytes_sent, 23);
         assert_eq!(c.snapshot().messages_sent, 3);
-        assert_eq!(s.snapshot().bytes_received, 30);
+        assert_eq!(s.snapshot().bytes_received, 23);
     }
 
     #[test]
@@ -327,14 +328,14 @@ mod tests {
         let (mut s, mut c) = tcp_pair();
         thread::scope(|scope| {
             scope.spawn(|| {
-                for v in 0..1000u64 {
-                    c.send_u64(v).unwrap();
+                for v in 0..1000u128 {
+                    c.send_frame(&GcLabels(vec![Block::from(v)])).unwrap();
                 }
                 // Messages are still coalescing; the recv below flushes them.
                 assert_eq!(c.recv().unwrap(), b"done");
             });
-            for v in 0..1000u64 {
-                assert_eq!(s.recv_u64().unwrap(), v);
+            for v in 0..1000u128 {
+                assert_eq!(s.recv_frame(), Ok(GcLabels(vec![Block::from(v)])));
             }
             s.send(b"done").unwrap();
             s.flush().unwrap();

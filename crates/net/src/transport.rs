@@ -14,9 +14,7 @@
 //! are identical across transports by construction.
 
 use crate::channel::CommSnapshot;
-use crate::wire::{Blocks, Frame, U64Frame};
-use abnn2_crypto::Block;
-use std::borrow::Cow;
+use crate::wire::Frame;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -78,9 +76,10 @@ impl std::error::Error for TransportError {}
 ///
 /// Implementors provide the byte-message primitives ([`send`](Transport::send),
 /// [`recv`](Transport::recv), [`snapshot`](Transport::snapshot)); the typed
-/// helpers (`u64`s, 128-bit [`Block`]s) are provided methods layered on top,
-/// so every implementation — including decorators — inherits consistent
-/// framing and error semantics.
+/// frame methods ([`send_frame`](Transport::send_frame),
+/// [`recv_frame`](Transport::recv_frame)) are provided methods layered on
+/// top, so every implementation — including decorators — inherits
+/// consistent framing and error semantics.
 pub trait Transport {
     /// Sends one message to the peer.
     ///
@@ -219,7 +218,9 @@ pub trait Transport {
     /// [`send`](Transport::send)/[`recv`](Transport::recv) are reserved for
     /// transport-internal uses in this crate, and for the garbled tables,
     /// which are sent as the buffer they were garbled into and read with
-    /// [`recv_shared`](Transport::recv_shared).
+    /// [`recv_shared`](Transport::recv_shared). The frame types are the
+    /// protocols' own (`abnn2_ot::frames`, `abnn2_gc::frames`,
+    /// `abnn2_core::frames`); this crate defines none.
     ///
     /// # Errors
     ///
@@ -251,58 +252,5 @@ pub trait Transport {
         Self: Sized,
     {
         F::decode_tagged(&self.recv()?).map_err(TransportError::from)
-    }
-
-    /// Sends a single `u64` as a tagged [`U64Frame`].
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Closed`] if the peer is gone.
-    fn send_u64(&mut self, v: u64) -> Result<(), TransportError>
-    where
-        Self: Sized,
-    {
-        self.send_frame(&U64Frame(v))
-    }
-
-    /// Receives a single `u64` frame.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Closed`] if the peer is gone;
-    /// [`TransportError::Malformed`] on a wrong tag or a payload that is
-    /// not exactly 8 bytes.
-    fn recv_u64(&mut self) -> Result<u64, TransportError>
-    where
-        Self: Sized,
-    {
-        Ok(self.recv_frame::<U64Frame>()?.0)
-    }
-
-    /// Sends a slice of 128-bit blocks as one tagged [`Blocks`] frame
-    /// (borrowing the slice; no copy besides serialization).
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Closed`] if the peer is gone.
-    fn send_blocks(&mut self, blocks: &[Block]) -> Result<(), TransportError>
-    where
-        Self: Sized,
-    {
-        self.send_frame(&Blocks(Cow::Borrowed(blocks)))
-    }
-
-    /// Receives a tagged [`Blocks`] frame.
-    ///
-    /// # Errors
-    ///
-    /// [`TransportError::Closed`] if the peer is gone;
-    /// [`TransportError::Malformed`] on a wrong tag or a payload length
-    /// that is not a multiple of 16 bytes.
-    fn recv_blocks(&mut self) -> Result<Vec<Block>, TransportError>
-    where
-        Self: Sized,
-    {
-        Ok(self.recv_frame::<Blocks>()?.0.into_owned())
     }
 }

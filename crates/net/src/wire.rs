@@ -24,6 +24,11 @@
 //! requires a `PROTOCOL_VERSION` bump in the handshake (see DESIGN.md §3f
 //! for the full frame table and the version-bump policy).
 //!
+//! This crate holds the codec, the registry and the two frame macros
+//! ([`byte_frame!`](crate::byte_frame), [`block_frame!`](crate::block_frame))
+//! but defines no frame: each frame type lives with the protocol that
+//! sends it (`abnn2_ot::frames`, `abnn2_gc::frames`, `abnn2_core::frames`).
+//!
 //! [`TAG`]: Frame::TAG
 //! [`NAME`]: Frame::NAME
 //! [`encode_into`]: Frame::encode_into
@@ -31,9 +36,6 @@
 //! [`Transport`]: crate::Transport
 //! [`Transport::send_frame`]: crate::Transport::send_frame
 //! [`Transport::recv_frame`]: crate::Transport::recv_frame
-
-use abnn2_crypto::Block;
-use std::borrow::Cow;
 
 /// What actually arrived when a frame failed to decode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,9 +155,11 @@ fn untag<F: Frame>(msg: &[u8]) -> Result<&[u8], WireError> {
 /// Re-numbering, adding, or removing a tag changes the transcript and MUST
 /// be accompanied by a `PROTOCOL_VERSION` bump (DESIGN.md §3f).
 pub mod tags {
-    /// Little-endian `u64` scalar (lengths, counts, seeds).
+    /// Reserved: a generic `u64` scalar frame that no protocol sent. The
+    /// tag stays registered so no later frame reuses it.
     pub const U64: u8 = 0x01;
-    /// Untyped batch of 128-bit blocks (generic helper traffic).
+    /// Reserved: a generic block-batch frame that no protocol sent. The
+    /// tag stays registered so no later frame reuses it.
     pub const BLOCKS: u8 = 0x02;
     /// Base-OT sender's 64-byte Edwards setup point.
     pub const BASE_POINT: u8 = 0x10;
@@ -350,7 +354,7 @@ macro_rules! byte_frame {
     };
 }
 
-/// Defines a frame whose payload is a vector of 128-bit [`Block`]s, with a
+/// Defines a frame whose payload is a vector of 128-bit [`WireBlock`]s, with a
 /// granularity of `unit` blocks per logical element (e.g. 2 blocks per
 /// garbled AND gate).
 #[macro_export]
@@ -394,69 +398,19 @@ macro_rules! block_frame {
 /// Re-export so the frame macros can name `Block` from any crate.
 pub use abnn2_crypto::Block as WireBlock;
 
-/// A single little-endian `u64`, the scalar workhorse frame behind
-/// [`Transport::send_u64`](crate::Transport::send_u64).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct U64Frame(pub u64);
-
-impl Frame for U64Frame {
-    const TAG: u8 = tags::U64;
-    const NAME: &'static str = "u64";
-    const TAG_ERR: &'static str = "u64 frame tag";
-
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.0.to_le_bytes());
-    }
-
-    fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        let arr: [u8; 8] = payload.try_into().map_err(|_| WireError {
-            expected: Self::NAME,
-            got: WireGot::Len(payload.len()),
-            context: "u64 frame length",
-        })?;
-        Ok(U64Frame(u64::from_le_bytes(arr)))
-    }
-}
-
-/// An untyped batch of 128-bit blocks, the frame behind
-/// [`Transport::send_blocks`](crate::Transport::send_blocks). Borrows on
-/// encode (no copy of the block slice), owns on decode.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Blocks<'a>(pub Cow<'a, [Block]>);
-
-impl Frame for Blocks<'_> {
-    const TAG: u8 = tags::BLOCKS;
-    const NAME: &'static str = "block batch";
-    const TAG_ERR: &'static str = "block batch frame tag";
-
-    fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.reserve(self.0.len() * 16);
-        for b in self.0.iter() {
-            buf.extend_from_slice(&b.to_bytes());
-        }
-    }
-
-    fn decode(payload: &[u8]) -> Result<Self, WireError> {
-        if !payload.len().is_multiple_of(16) {
-            return Err(WireError {
-                expected: Self::NAME,
-                got: WireGot::Len(payload.len()),
-                context: "block batch frame length",
-            });
-        }
-        Ok(Blocks(Cow::Owned(
-            payload
-                .chunks_exact(16)
-                .map(|c| Block::from_bytes(c.try_into().expect("16 bytes")))
-                .collect(),
-        )))
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::transport::TransportError;
+
+    // Two frames as their protocols define them (`abnn2_core::frames` and
+    // `abnn2_gc::frames`), one of each shape, for this crate's own tests:
+    // an exact-length byte frame and a block frame.
+    crate::byte_frame! {
+        pub(crate) struct MaskedClass, tag = tags::MASKED_CLASS, name = "masked class index", exact = 1
+    }
+    crate::block_frame! {
+        pub(crate) struct GcLabels, tag = tags::GC_LABELS, name = "garbler input labels", unit = 1
+    }
 
     #[test]
     fn tag_registry_has_no_collisions() {
@@ -469,33 +423,10 @@ mod tests {
     }
 
     #[test]
-    fn u64_frame_round_trips() {
-        let mut buf = vec![U64Frame::TAG];
-        U64Frame(0xdead_beef_cafe).encode_into(&mut buf);
-        assert_eq!(buf.len(), 9);
-        assert_eq!(U64Frame::decode(&buf[1..]).unwrap(), U64Frame(0xdead_beef_cafe));
-    }
-
-    #[test]
-    fn u64_frame_rejects_bad_length() {
-        let err = U64Frame::decode(&[1, 2, 3]).unwrap_err();
-        assert_eq!(err.got, WireGot::Len(3));
-        assert_eq!(TransportError::from(err), TransportError::Malformed("u64 frame length"));
-    }
-
-    #[test]
-    fn blocks_frame_round_trips_borrowed() {
-        let blocks = vec![Block::from(1u128), Block::from(2u128)];
-        let mut buf = Vec::new();
-        Blocks(Cow::Borrowed(&blocks)).encode_into(&mut buf);
-        let back = Blocks::decode(&buf).unwrap();
-        assert_eq!(back.0.as_ref(), blocks.as_slice());
-    }
-
-    #[test]
     fn blocks_frame_rejects_ragged_payload() {
-        let err = Blocks::decode(&[0u8; 17]).unwrap_err();
-        assert_eq!(err.context, "block batch frame length");
+        let err = GcLabels::decode(&[0u8; 17]).unwrap_err();
+        assert_eq!(err.got, WireGot::Len(17));
+        assert_eq!(err.context, "garbler input labels frame length");
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use fragment::{
 };
 pub use iknp::{IknpReceiver, IknpSender};
 pub use kk13::{KkChooser, KkSender};
-pub use silent::{LpnParams, SilentCotReceiver, SilentCotSender, SilentKkChooser, SilentKkSender};
+pub use silent::{SilentCotReceiver, SilentCotSender, SilentKkChooser, SilentKkSender};
 
 /// Computational security parameter κ (bits).
 pub const KAPPA: usize = 128;

@@ -18,7 +18,7 @@
 //! external randomness, so a cloned receiver replays bit-identically — the
 //! property the session driver's checkpoint/resume machinery relies on.
 
-use super::{spcot, LpnParams};
+use super::{spcot, D, K, N, RESERVE, TREES, TREE_DEPTH};
 use crate::bits::{get_bit, set_bit};
 use crate::frames::{SilentDerand, SilentSpcotMasks, SilentSpcotSums};
 use crate::iknp::{IknpReceiver, IknpSender};
@@ -28,7 +28,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, LazyLock};
 
 /// Tweak domain for SPCOT level masks: bit 127 set, bits 126/125 clear.
 const SPCOT_TWEAK: u128 = 1 << 127;
@@ -36,33 +36,26 @@ const SPCOT_TWEAK: u128 = 1 << 127;
 /// Fixed public seed of the LPN local code ("ABNN2 LPN code." as bytes).
 const LPN_CODE_SEED: [u8; 16] = *b"ABNN2 LPN code.\0";
 
-/// Derives the public `D`-local code: `params.d` base indices per output
+/// Derives the public `D`-local code: `D` base indices per output
 /// position, from a fixed PRG seed so both parties expand identically.
-fn lpn_indices(params: LpnParams) -> Vec<u16> {
+fn lpn_indices() -> Vec<u16> {
     // Eight little-endian 16-bit words per stream block.
-    let mut blocks = vec![Block::ZERO; (params.n * params.d).div_ceil(8)];
+    let mut blocks = vec![Block::ZERO; (N * D).div_ceil(8)];
     Prg::from_seed(Block::from_bytes(LPN_CODE_SEED)).fill_blocks(&mut blocks);
-    let mask = (params.k - 1) as u16;
+    let mask = (K - 1) as u16;
     let mut indices = Vec::with_capacity(blocks.len() * 8);
     for b in &blocks {
         indices.extend((0..8).map(|i| (b.as_u128() >> (16 * i)) as u16 & mask));
     }
-    indices.truncate(params.n * params.d);
+    indices.truncate(N * D);
     indices
 }
 
-/// The code of `params`, derived on first use and kept for the life of
-/// the process (one per preset a process runs), so a refill borrows it.
-fn lpn_code(params: LpnParams) -> &'static [u16] {
-    static CODES: Mutex<Vec<(LpnParams, &'static [u16])>> = Mutex::new(Vec::new());
-    // An entry is pushed whole, so a panic elsewhere leaves the list valid.
-    let mut codes = CODES.lock().unwrap_or_else(PoisonError::into_inner);
-    if let Some(&(_, code)) = codes.iter().find(|(p, _)| *p == params) {
-        return code;
-    }
-    let code: &'static [u16] = Vec::leak(lpn_indices(params));
-    codes.push((params, code));
-    code
+/// The code, derived on first use and kept for the life of the process,
+/// so a refill borrows it.
+fn lpn_code() -> &'static [u16] {
+    static CODE: LazyLock<Vec<u16>> = LazyLock::new(lpn_indices);
+    &CODE
 }
 
 /// A run of COTs: one block each and, on the receiver's side, one choice
@@ -193,7 +186,6 @@ impl Pool {
 /// produced COT. In ABNN² this is the client (the fragment-OT sender).
 pub struct SilentCotSender {
     iknp: IknpSender,
-    params: LpnParams,
     delta: Block,
     rng: StdRng,
     pool: Pool,
@@ -215,7 +207,6 @@ impl std::fmt::Debug for SilentCotSender {
 #[derive(Clone)]
 pub struct SilentCotReceiver {
     iknp: IknpReceiver,
-    params: LpnParams,
     rng: StdRng,
     pool: Pool,
     tweak: u64,
@@ -241,31 +232,10 @@ impl SilentCotSender {
         ch: &mut T,
         rng: &mut R,
     ) -> Result<Self, TransportError> {
-        Self::setup_with_params(ch, LpnParams::default(), rng)
-    }
-
-    /// [`setup`](Self::setup) with an explicit [`LpnParams`] preset. Both
-    /// parties must pass the same preset — the refill schedule and every
-    /// frame size derive from it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates base-OT failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the preset violates [`LpnParams::validate`].
-    pub fn setup_with_params<T: Transport, R: Rng + ?Sized>(
-        ch: &mut T,
-        params: LpnParams,
-        rng: &mut R,
-    ) -> Result<Self, TransportError> {
-        params.validate();
         let iknp = IknpSender::setup(ch, rng)?;
         let delta = iknp.delta();
         Ok(SilentCotSender {
             iknp,
-            params,
             delta,
             rng: StdRng::seed_from_u64(rng.next_u64()),
             pool: Pool::default(),
@@ -304,18 +274,17 @@ impl SilentCotSender {
     }
 
     fn refill<T: Transport>(&mut self, ch: &mut T) -> Result<(), TransportError> {
-        let p = self.params;
         let (base, at) = match self.pool.reserve() {
             Some(reserve) => reserve,
             None => {
-                let blocks = self.iknp.extend_cot(ch, p.reserve())?;
+                let blocks = self.iknp.extend_cot(ch, RESERVE)?;
                 (Arc::new(Cots { blocks, choices: Vec::new() }), 0)
             }
         };
-        let (v, ys) = base.blocks[at..at + p.reserve()].split_at(p.k);
+        let (v, ys) = base.blocks[at..at + RESERVE].split_at(K);
 
         let SilentDerand(derand) = ch.recv_frame()?;
-        if derand.len() != (p.t * p.tree_depth).div_ceil(8) {
+        if derand.len() != (TREES * TREE_DEPTH).div_ceil(8) {
             return Err(TransportError::Malformed("SPCOT derandomization batch has wrong length"));
         }
         // Both whitened mask keys of every tree level in one hash batch;
@@ -329,18 +298,18 @@ impl SilentCotSender {
         self.tweak += ys.len() as u64;
         RoHash::shared().hash_blocks(&mut keys);
 
-        let mut out = vec![Block::ZERO; p.n];
-        for root in &mut out[..p.t] {
+        let mut out = vec![Block::ZERO; N];
+        for root in &mut out[..TREES] {
             *root = Block::random(&mut self.rng);
         }
-        let mut sums = Vec::with_capacity(p.t * 16);
-        spcot::expand(RoHash::shared(), &mut out, p.tree_depth, |l, level| {
+        let mut sums = Vec::with_capacity(TREES * 16);
+        spcot::expand(RoHash::shared(), &mut out, TREE_DEPTH, |l, level| {
             for (tree, nodes) in level.chunks_exact(2 << l).enumerate() {
                 let (k0, k1) = spcot::side_sums(nodes);
-                let at = 2 * (tree * p.tree_depth + l);
+                let at = 2 * (tree * TREE_DEPTH + l);
                 keys[at] ^= k0;
                 keys[at + 1] ^= k1;
-                if l + 1 == p.tree_depth {
+                if l + 1 == TREE_DEPTH {
                     sums.extend_from_slice(&(self.delta ^ k0 ^ k1).to_bytes());
                 }
             }
@@ -349,12 +318,12 @@ impl SilentCotSender {
         ch.send_frame(&SilentSpcotMasks(masks))?;
         ch.send_frame(&SilentSpcotSums(sums))?;
 
-        for (y, code) in out.iter_mut().zip(lpn_code(p).chunks_exact(p.d)) {
+        for (y, code) in out.iter_mut().zip(lpn_code().chunks_exact(D)) {
             for &i in code {
                 *y ^= v[i as usize];
             }
         }
-        self.pool.push(Cots { blocks: out, choices: Vec::new() }, p.reserve());
+        self.pool.push(Cots { blocks: out, choices: Vec::new() }, RESERVE);
         Ok(())
     }
 }
@@ -370,30 +339,9 @@ impl SilentCotReceiver {
         ch: &mut T,
         rng: &mut R,
     ) -> Result<Self, TransportError> {
-        Self::setup_with_params(ch, LpnParams::default(), rng)
-    }
-
-    /// [`setup`](Self::setup) with an explicit [`LpnParams`] preset. Both
-    /// parties must pass the same preset — the refill schedule and every
-    /// frame size derive from it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates base-OT failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the preset violates [`LpnParams::validate`].
-    pub fn setup_with_params<T: Transport, R: Rng + ?Sized>(
-        ch: &mut T,
-        params: LpnParams,
-        rng: &mut R,
-    ) -> Result<Self, TransportError> {
-        params.validate();
         let iknp = IknpReceiver::setup(ch, rng)?;
         Ok(SilentCotReceiver {
             iknp,
-            params,
             rng: StdRng::seed_from_u64(rng.next_u64()),
             pool: Pool::default(),
             tweak: 0,
@@ -447,13 +395,11 @@ impl SilentCotReceiver {
     }
 
     fn refill<T: Transport>(&mut self, ch: &mut T) -> Result<(), TransportError> {
-        let p = self.params;
         let (base, at) = match self.pool.reserve() {
             Some(reserve) => reserve,
             None => {
-                let choices: Vec<bool> = (0..p.reserve()).map(|_| self.rng.gen()).collect();
-                let mut cots =
-                    Cots { blocks: Vec::new(), choices: vec![0; p.reserve().div_ceil(64)] };
+                let choices: Vec<bool> = (0..RESERVE).map(|_| self.rng.gen()).collect();
+                let mut cots = Cots { blocks: Vec::new(), choices: vec![0; RESERVE.div_ceil(64)] };
                 for (i, &c) in choices.iter().enumerate() {
                     cots.choices[i / 64] |= u64::from(c) << (i % 64);
                 }
@@ -462,14 +408,14 @@ impl SilentCotReceiver {
             }
         };
         // Base COT `i` of the code is `at + i`, SPCOT COT `j` is `at + k + j`.
-        let uw = at..at + p.k;
-        let xz = at + p.k..at + p.reserve();
+        let uw = at..at + K;
+        let xz = at + K..at + RESERVE;
 
         let alphas: Vec<usize> =
-            (0..p.t).map(|_| self.rng.gen_range(0..1u64 << p.tree_depth) as usize).collect();
+            (0..TREES).map(|_| self.rng.gen_range(0..1u64 << TREE_DEPTH) as usize).collect();
         let complement = |j: usize| {
-            let (tree, l) = (j / p.tree_depth, j % p.tree_depth);
-            ((alphas[tree] >> (p.tree_depth - 1 - l)) & 1) ^ 1
+            let (tree, l) = (j / TREE_DEPTH, j % TREE_DEPTH);
+            ((alphas[tree] >> (TREE_DEPTH - 1 - l)) & 1) ^ 1
         };
         let mut derand = vec![0u8; xz.len().div_ceil(8)];
         for (j, i) in xz.clone().enumerate() {
@@ -478,11 +424,11 @@ impl SilentCotReceiver {
         ch.send_frame(&SilentDerand(derand))?;
 
         let SilentSpcotMasks(masks) = ch.recv_frame()?;
-        if masks.len() != p.t * p.tree_depth * 32 {
+        if masks.len() != TREES * TREE_DEPTH * 32 {
             return Err(TransportError::Malformed("SPCOT mask batch has wrong length"));
         }
         let SilentSpcotSums(sums) = ch.recv_frame()?;
-        if sums.len() != p.t * 16 {
+        if sums.len() != TREES * 16 {
             return Err(TransportError::Malformed("SPCOT correction batch has wrong length"));
         }
         // The complement sum of every tree level, unmasked in one hash batch.
@@ -502,15 +448,15 @@ impl SilentCotReceiver {
             .map(|s| Block::from_bytes(s.try_into().expect("16 bytes")))
             .collect();
 
-        let mut out = vec![Block::ZERO; p.n];
-        spcot::reconstruct(RoHash::shared(), &mut out, p.tree_depth, &alphas, &ks, &punctured);
-        let mut choices = vec![0u64; p.n.div_ceil(64)];
+        let mut out = vec![Block::ZERO; N];
+        spcot::reconstruct(RoHash::shared(), &mut out, TREE_DEPTH, &alphas, &ks, &punctured);
+        let mut choices = vec![0u64; N.div_ceil(64)];
         for (tree, &alpha) in alphas.iter().enumerate() {
-            let j = (tree << p.tree_depth) + alpha;
+            let j = (tree << TREE_DEPTH) + alpha;
             choices[j / 64] |= 1 << (j % 64);
         }
         let (u, w) = (&base, &base.blocks[uw.clone()]);
-        for (j, (z, code)) in out.iter_mut().zip(lpn_code(p).chunks_exact(p.d)).enumerate() {
+        for (j, (z, code)) in out.iter_mut().zip(lpn_code().chunks_exact(D)).enumerate() {
             let mut x = 0u64;
             for &i in code {
                 x ^= u64::from(u.choice(uw.start + i as usize));
@@ -518,7 +464,7 @@ impl SilentCotReceiver {
             }
             choices[j / 64] ^= x << (j % 64);
         }
-        self.pool.push(Cots { blocks: out, choices }, p.reserve());
+        self.pool.push(Cots { blocks: out, choices }, RESERVE);
         Ok(())
     }
 }
@@ -526,6 +472,7 @@ impl SilentCotReceiver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::silent::REFILL_YIELD;
     use abnn2_net::{run_pair, Endpoint, NetworkModel};
 
     fn run_cot<A: Send, B: Send>(
@@ -575,7 +522,7 @@ mod tests {
     fn pool_survives_multiple_refills() {
         // Drain past one refill's yield so a second refill (self-seeded
         // from the reserve, no new bootstrap) must run.
-        let m = LpnParams::CI.refill_yield() + 10;
+        let m = REFILL_YIELD + 10;
         let ((ys, delta), xzs) = run_cot(
             move |s, ch| {
                 let a = s.take(ch, m).expect("take 1");
@@ -598,7 +545,7 @@ mod tests {
     /// sides; a dropped pool keeps the reserve alone.
     #[test]
     fn takes_across_refills_stay_in_step() {
-        let y = LpnParams::CI.refill_yield();
+        let y = REFILL_YIELD;
         let sizes = [3, 2 * y + 70, 61, y - 200, 1];
         let ((ys, delta), (xzs, held, parked)) = run_cot(
             move |s, ch| {
@@ -621,8 +568,7 @@ mod tests {
         );
         assert_eq!(ys.len(), sizes.iter().sum::<usize>());
         assert_correlated(&ys, delta, &xzs);
-        let reserve = LpnParams::CI.reserve();
-        assert_eq!((held, parked), (reserve, reserve * 16 + reserve.div_ceil(8)));
+        assert_eq!((held, parked), (RESERVE, RESERVE * 16 + RESERVE.div_ceil(8)));
     }
 
     /// A clone is a position in the shared pool: it and the original hand
@@ -659,13 +605,10 @@ mod tests {
 
     #[test]
     fn lpn_code_is_deterministic_and_in_range() {
-        for p in [LpnParams::CI, LpnParams { k: 256, t: 4, n: 1024, tree_depth: 8, d: 5 }] {
-            p.validate();
-            let a = lpn_code(p);
-            assert_eq!(a, &lpn_indices(p)[..], "{p:?}: the cached code is the fresh one");
-            assert!(std::ptr::eq(a, lpn_code(p)), "{p:?}: derived once");
-            assert_eq!(a.len(), p.n * p.d);
-            assert!(a.iter().all(|&i| (i as usize) < p.k));
-        }
+        let a = lpn_code();
+        assert_eq!(a, &lpn_indices()[..], "the cached code is the fresh one");
+        assert!(std::ptr::eq(a, lpn_code()), "derived once");
+        assert_eq!(a.len(), N * D);
+        assert!(a.iter().all(|&i| (i as usize) < K));
     }
 }

@@ -7,7 +7,7 @@
 //! the wire. The pipeline, bottom to top:
 //!
 //! 1. **Bootstrap** — one raw IKNP COT extension ([`IknpSender::extend_cot`])
-//!    seeds the first refill with [`LpnParams::reserve`] base COTs; the IKNP
+//!    seeds the first refill with [`RESERVE`] base COTs; the IKNP
 //!    sender's global secret `s` becomes the silent correlation Δ. Every
 //!    later refill reseeds itself from its own output (self-bootstrapping),
 //!    so the IKNP column matrix is paid exactly once per session.
@@ -35,15 +35,16 @@
 //!
 //! # Parameters
 //!
-//! All sizes live in the [`LpnParams`] preset struct; both parties must run
-//! the same preset since the refill schedule is derived deterministically
-//! from it. [`LpnParams::CI`] (the default) is a *toy* instantiation sized
-//! for tests and the repo's CI budget, not a production-hardened LPN
-//! choice; see DESIGN.md §3i for the wire-cost accounting and the security
-//! discussion. Per refill, each side consumes [`LpnParams::reserve`]
-//! `= k + t·d` of its own outputs and nets [`LpnParams::refill_yield`]
-//! fresh COTs for ≈ 4.9 KB on the wire (CI preset) — two orders of
-//! magnitude below the 16 B/COT an IKNP extension would move.
+//! The sizes are constants, so both parties derive the same refill
+//! schedule and every frame size from the code alone: `K = 512`,
+//! `TREES = 16`, [`N`] `= 8192`, depth 9, `D = 8`. This is a *toy*
+//! instantiation sized for tests and the repo's CI budget, not a
+//! production-hardened LPN choice; see DESIGN.md §3i for the wire-cost
+//! accounting, the security discussion and the Ferret-regime sizes a
+//! deployment would set here. Per refill, each side consumes [`RESERVE`]
+//! `= K + TREES·depth` of its own outputs and nets [`REFILL_YIELD`] fresh
+//! COTs for ≈ 4.9 KB on the wire — two orders of magnitude below the
+//! 16 B/COT an IKNP extension would move.
 //!
 //! [`IknpSender::extend_cot`]: crate::iknp::IknpSender::extend_cot
 
@@ -54,76 +55,34 @@ mod spcot;
 pub use cot::{SilentCotReceiver, SilentCotSender};
 pub use frag::{SilentChooserKeys, SilentKkChooser, SilentKkSender, SilentSenderKeys};
 
-/// A primal-LPN parameter preset for the silent expansion.
-///
-/// Invariants (checked by [`validate`](Self::validate)): the trees tile the
-/// output (`t · 2^tree_depth = n`), `k` is a power of two not above 2¹⁶
-/// (the code samples indices by masking a `u16`), and one refill nets a
-/// positive yield (`n > k + t·tree_depth`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LpnParams {
-    /// LPN dimension: base COTs compressed by the local code per refill.
-    pub k: usize,
-    /// Regular-noise weight: SPCOT trees (= secret points) per refill.
-    pub t: usize,
-    /// LPN output length: COTs produced by one refill before the reserve
-    /// is set aside.
-    pub n: usize,
-    /// GGM tree depth: each tree covers `2^tree_depth = n / t` leaves.
-    pub tree_depth: usize,
-    /// Code locality: base positions XORed into each LPN output.
-    pub d: usize,
-}
+/// LPN dimension: base COTs the local code compresses per refill.
+const K: usize = 512;
+/// Regular-noise weight: SPCOT trees (= secret points) per refill.
+const TREES: usize = 16;
+/// GGM tree depth: each tree covers `2^TREE_DEPTH = N / TREES` leaves.
+const TREE_DEPTH: usize = 9;
+/// Code locality: base positions XORed into each LPN output.
+const D: usize = 8;
 
-impl LpnParams {
-    /// CI-sized preset (`k = 512, t = 16, n = 8192, depth = 9, D = 8`):
-    /// small enough that a full refill runs in a unit test, **not** a
-    /// security-bearing choice. This is the default.
-    pub const CI: LpnParams = LpnParams { k: 512, t: 16, n: 8192, tree_depth: 9, d: 8 };
+/// LPN output length: COTs one refill produces, reserve included.
+pub const N: usize = 8192;
 
-    /// Production-scale preset (`k = 2¹⁵, t = 64, n = 2²¹, depth = 15,
-    /// D = 8`), in the regime of the Ferret one-tree parameters for ≥ 128-
-    /// bit primal-LPN security with regular noise. Each refill nets ≈ 2M
-    /// COTs for ≈ 66 KB of wire traffic; the ≈ 33 MB expanded code table
-    /// and multi-second refill cost are why CI does not run it.
-    pub const PRODUCTION: LpnParams =
-        LpnParams { k: 1 << 15, t: 64, n: 1 << 21, tree_depth: 15, d: 8 };
+/// Base COTs one refill consumes: `K` for the code plus one per tree level
+/// for the SPCOT masks, reserved out of the previous refill's output.
+pub const RESERVE: usize = K + TREES * TREE_DEPTH;
 
-    /// Base COTs one refill consumes: `k` for the code plus one per tree
-    /// level for the SPCOT masks. Reserved out of the previous refill's
-    /// output.
-    #[must_use]
-    pub const fn reserve(&self) -> usize {
-        self.k + self.t * self.tree_depth
-    }
+/// Net fresh COTs one refill adds to the consumable pool.
+pub const REFILL_YIELD: usize = N - RESERVE;
 
-    /// Net fresh COTs one refill adds to the consumable pool.
-    #[must_use]
-    pub const fn refill_yield(&self) -> usize {
-        self.n - self.reserve()
-    }
-
-    /// Checks the structural invariants listed on the type.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any invariant fails.
-    pub fn validate(&self) {
-        assert_eq!(self.t << self.tree_depth, self.n, "trees must tile the output");
-        assert!(
-            self.k.is_power_of_two() && self.k <= 1 << 16,
-            "unbiased u16 index sampling needs k = 2^j ≤ 2^16"
-        );
-        assert!(self.n > self.reserve(), "a refill must net a positive yield");
-        assert!(self.d >= 1, "the code must touch at least one base position");
-    }
-}
-
-impl Default for LpnParams {
-    fn default() -> Self {
-        LpnParams::CI
-    }
-}
+const _: () = {
+    assert!(TREES << TREE_DEPTH == N, "trees must tile the output");
+    assert!(
+        K.is_power_of_two() && K <= 1 << 16,
+        "unbiased u16 index sampling needs K = 2^j ≤ 2^16"
+    );
+    assert!(N > RESERVE, "a refill must net a positive yield");
+    assert!(D >= 1, "the code must touch at least one base position");
+};
 
 #[cfg(test)]
 mod tests {
@@ -135,25 +94,11 @@ mod tests {
     use std::sync::mpsc;
     use std::time::Duration;
 
+    /// The refill schedule the pinned silent transcripts were taken on.
     #[test]
     fn ci_parameters_are_consistent() {
-        LpnParams::CI.validate();
-        assert_eq!(LpnParams::default(), LpnParams::CI);
-        assert_eq!(LpnParams::CI.reserve(), 656);
-        assert_eq!(LpnParams::CI.refill_yield(), 7536);
-    }
-
-    #[test]
-    fn production_parameters_are_consistent() {
-        LpnParams::PRODUCTION.validate();
-        assert_eq!(LpnParams::PRODUCTION.reserve(), 32768 + 64 * 15);
-        assert!(LpnParams::PRODUCTION.refill_yield() > 2_000_000);
-    }
-
-    #[test]
-    #[should_panic(expected = "trees must tile the output")]
-    fn mismatched_tree_tiling_is_rejected() {
-        LpnParams { n: 8191, ..LpnParams::CI }.validate();
+        assert_eq!((K, TREES, N, TREE_DEPTH, D), (512, 16, 8192, 9, 8));
+        assert_eq!((RESERVE, REFILL_YIELD), (656, 7536));
     }
 
     /// Resizes the `skip`-th frame tagged `tag` its party sends (counting

@@ -459,7 +459,14 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abnn2_core::frames::OutputShares;
+    use abnn2_net::wire::tags;
     use abnn2_net::{Endpoint, InstrumentedTransport, NetworkModel, Transport};
+
+    /// One output-shares frame of 8 payload bytes.
+    fn shares(v: u64) -> OutputShares {
+        OutputShares(v.to_le_bytes().to_vec())
+    }
 
     #[test]
     fn counters_and_phase_aggregation() {
@@ -476,8 +483,8 @@ mod tests {
         let mut t = InstrumentedTransport::new(a);
         reg.register(t.handle());
         t.enter_phase("online");
-        t.send_u64(12345).unwrap();
-        let _ = b.recv_u64().unwrap();
+        t.send_frame(&shares(12345)).unwrap();
+        let _ = b.recv().unwrap();
 
         let snap = reg.snapshot(PoolSnapshot::default(), LineageStats::default());
         assert_eq!(snap.accepted, 2);
@@ -485,13 +492,13 @@ mod tests {
         assert_eq!(snap.completed, 1);
         assert_eq!(snap.failed, 1);
         assert_eq!(snap.active, 0);
-        // One u64 frame: 1 tag byte + 8 payload bytes.
+        // One shares frame: 1 tag byte + 8 payload bytes.
         assert_eq!(snap.phase("online").bytes_sent, 9);
         assert_eq!(snap.phase("nonexistent"), PhaseStats::default());
         // Per-tag counters exclude the tag byte.
-        assert_eq!(snap.tag(abnn2_net::wire::tags::U64).bytes_sent, 8);
-        assert_eq!(snap.tag(abnn2_net::wire::tags::U64).messages_sent, 1);
-        assert_eq!(snap.tag(abnn2_net::wire::tags::BLOCKS), TagStats::default());
+        assert_eq!(snap.tag(tags::OUTPUT_SHARES).bytes_sent, 8);
+        assert_eq!(snap.tag(tags::OUTPUT_SHARES).messages_sent, 1);
+        assert_eq!(snap.tag(tags::GC_TABLES), TagStats::default());
     }
 
     #[test]
@@ -506,8 +513,8 @@ mod tests {
         let mut t = InstrumentedTransport::new(a);
         reg.register(t.handle());
         t.enter_phase("online");
-        t.send_u64(42).unwrap();
-        let _ = b.recv_u64().unwrap();
+        t.send_frame(&shares(42)).unwrap();
+        let _ = b.recv().unwrap();
 
         reg.driver_finished(ReplayCounters {
             attempts: 7,
@@ -533,13 +540,13 @@ mod tests {
         assert!(text.contains("abnn2_serve_connections_rejected_total 1"));
         assert!(text.contains("abnn2_serve_sessions_completed_total 1"));
         assert!(text.contains("abnn2_serve_sessions_active 0"));
-        // One u64 frame in the online phase: 9 bytes with the tag byte...
+        // One shares frame in the online phase: 9 bytes with the tag byte...
         assert!(
             text.contains("abnn2_serve_phase_bytes_total{phase=\"online\",direction=\"sent\"} 9")
         );
         // ...and 8 without it under the tag family, labelled by wire name.
-        let tag = abnn2_net::wire::tags::U64;
-        let name = abnn2_net::wire::tags::name(tag);
+        let tag = tags::OUTPUT_SHARES;
+        let name = tags::name(tag);
         assert!(text.contains(&format!(
             "abnn2_serve_tag_bytes_total{{tag=\"0x{tag:02x}\",name=\"{name}\",direction=\"sent\"}} 8"
         )));
@@ -562,8 +569,8 @@ mod tests {
             let mut t = InstrumentedTransport::new(a);
             reg.register(t.handle());
             t.enter_phase("online");
-            t.send_u64(7).unwrap();
-            let _ = b.recv_u64().unwrap();
+            t.send_frame(&shares(7)).unwrap();
+            let _ = b.recv().unwrap();
             // Dropping the transport finishes its handle.
         }
         // Registration compacts; a fresh live session keeps counting.
@@ -579,6 +586,6 @@ mod tests {
         assert_eq!(snap.phase("online").bytes_sent, 27);
         assert_eq!(snap.phase("online").messages_sent, 3);
         // Frozen tag totals survive compaction: 3 × 8 payload bytes.
-        assert_eq!(snap.tag(abnn2_net::wire::tags::U64).bytes_sent, 24);
+        assert_eq!(snap.tag(tags::OUTPUT_SHARES).bytes_sent, 24);
     }
 }

@@ -77,7 +77,10 @@
 # core's, the baselines call it whole), and crates/net/src for a second file
 # that checks a frame length (`MAX_FRAME_LEN`, `tags::max_len(`,
 # `UNREGISTERED_MAX_LEN`: the length-prefixed stream is parsed in
-# framing.rs, TcpTransport and FrameBuffer are its two faces), crates/gc/src
+# framing.rs, TcpTransport and FrameBuffer are its two faces) or a frame type
+# defined outside test modules (an `impl Frame for`, a `byte_frame!` or
+# `block_frame!` invocation: a frame lives with the protocol that sends it),
+# crates/gc/src
 # for a `hash_blocks(` and the protocol crates for a second call of either
 # backend AND kernel (`garble_and(`, `eval_and(`: garble.rs holds the one
 # garbling loop and the one evaluation loop) and crates/core/src for a
@@ -226,6 +229,26 @@ for bound in 'MAX_FRAME_LEN' 'tags::max_len(' 'UNREGISTERED_MAX_LEN'; do
     exit 1
   fi
 done
+
+# The transport crate carries the frame codec, the tag registry and the two
+# frame macros, and no frame of its own: every frame type lives with the
+# protocol that sends it (crates/ot, crates/gc, crates/core). A frame defined
+# in crates/net/src outside a test module is a frame no protocol owns.
+echo "==> frames-live-with-their-protocol gate: crates/net/src defines no frame type"
+net_frames=$(find crates/net/src -name '*.rs' -print0 |
+  xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && !/^[[:space:]]*\/\// &&
+      (/(^|[^A-Za-z0-9_$])impl(<[^>]*>)?[[:space:]]+((crate::)?wire::)?Frame[[:space:]]+for[[:space:]]/ ||
+       /(^|[^A-Za-z0-9_])(byte|block)_frame![[:space:]]*[({]/) {
+        print FILENAME ":" FNR ": " $0
+      }')
+if [[ -n "$net_frames" ]]; then
+  echo "$net_frames" >&2
+  echo "frame type defined in crates/net/src (define it with the protocol that sends it)" >&2
+  exit 1
+fi
 
 # Garbling runs one group's gates across all lanes, in one place: the loop
 # in `garble` and the loop in `evaluate`, both in garble.rs, each call one

@@ -372,18 +372,12 @@ fn resume_after_eviction_downgrades_to_fresh_run() {
     let deadlines = SessionDeadlines::uniform(Duration::from_secs(2));
     let (dialer, listener) = sim_link(NetworkModel::instant());
     // Capacity-1 store: a rogue insert between the cut and the
-    // reconnect evicts the job's own checkpoint.
+    // reconnect's hello evicts the job's own checkpoint.
     let store = Arc::new(CheckpointStore::new(1));
+    let rogue_token = [0xEE; 16];
     let client = ServeClient::for_model(&q)
         .with_bundles(false)
-        .with_policy(RetryPolicy {
-            // A real backoff (≥150ms after jitter) gives the watcher thread
-            // below time to evict before the reconnect presents the token.
-            max_attempts: 3,
-            base_delay: Duration::from_millis(300),
-            max_delay: Duration::from_millis(300),
-            jitter_seed: 1,
-        })
+        .with_policy(RetryPolicy::no_delay(3))
         .with_deadlines(deadlines);
     let server = ResilientServer::new(SecureServer::for_model(q))
         .with_policy(RetryPolicy::no_delay(3))
@@ -391,13 +385,25 @@ fn resume_after_eviction_downgrades_to_fresh_run() {
         .with_checkpoint_store(Arc::clone(&store));
 
     std::thread::scope(|scope| {
+        let evict_store = Arc::clone(&store);
         let srv = scope.spawn(move || {
             let mut rng = rand::rngs::StdRng::seed_from_u64(104);
-            server.serve_one_with(
-                |_| {
-                    listener
-                        .accept_timeout(Duration::from_secs(5))
-                        .map(|ep| FaultyTransport::new(ep, Fault::None))
+            // What the store held when the reconnect was accepted.
+            let mut held_at_reconnect = None;
+            let report = server.serve_one_with(
+                |attempt| {
+                    let ep = listener.accept_timeout(Duration::from_secs(5))?;
+                    if attempt == 1 {
+                        // Attempt 0's settle has parked the checkpoint and
+                        // the reconnect's hello is still unread: shove a
+                        // rogue entry into the capacity-1 store to evict it.
+                        held_at_reconnect =
+                            Some((evict_store.len(), evict_store.contains(&rogue_token)));
+                        let us = vec![Matrix::new(1, 1, vec![0])];
+                        let rogue = ServerBundle { us, mats: Vec::new(), batch: 1 };
+                        evict_store.insert(rogue_token, rogue);
+                    }
+                    Ok(FaultyTransport::new(ep, Fault::None))
                 },
                 |ch, attempt| {
                     if attempt == 0 {
@@ -408,29 +414,20 @@ fn resume_after_eviction_downgrades_to_fresh_run() {
                     }
                 },
                 &mut rng,
-            )
-        });
-        // Watcher: the moment the failure checkpoint appears, shove a
-        // rogue entry into the capacity-1 store to evict it.
-        let evict_store = Arc::clone(&store);
-        let watcher = scope.spawn(move || {
-            for _ in 0..5000 {
-                if evict_store.len() == 1 {
-                    let us = vec![Matrix::new(1, 1, vec![0])];
-                    let rogue = ServerBundle { us, mats: Vec::new(), batch: 1 };
-                    evict_store.insert([0xEE; 16], rogue);
-                    return true;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            false
+            );
+            (report, held_at_reconnect)
         });
         let mut rng = rand::rngs::StdRng::seed_from_u64(105);
         let (y, report) = client.run_with(|_| dialer.dial(), &inputs, &mut rng).unwrap();
         assert_eq!(y.col(0), expected, "downgraded fresh run must stay bit-exact");
         assert!(report.attempts >= 2, "client must have reconnected");
-        assert!(watcher.join().unwrap(), "watcher must have seen the checkpoint");
-        let srv_report = srv.join().unwrap().unwrap();
+        let (srv_report, held_at_reconnect) = srv.join().unwrap();
+        assert_eq!(
+            held_at_reconnect,
+            Some((1, false)),
+            "the store must hold exactly the job's checkpoint when the reconnect is accepted"
+        );
+        let srv_report = srv_report.unwrap();
         assert!(
             !srv_report.resumed,
             "evicted token must downgrade to a fresh offline run, not resume"

@@ -6,12 +6,13 @@
 //! Past that buffer a refill allocates its frames and a few blocks a tree
 //! level. This binary counts what each thread allocates, so a per-refill
 //! code, a second leaf buffer or per-level vectors that come back fail here
-//! (each is 128-256 KB on the CI preset).
+//! (each is 128-256 KB at these sizes).
 //!
 //! Its own test binary, because a `#[global_allocator]` is process-wide.
 
 use abnn2::net::{run_pair, NetworkModel};
-use abnn2::ot::{LpnParams, SilentCotReceiver, SilentCotSender};
+use abnn2::ot::silent::{N, REFILL_YIELD};
+use abnn2::ot::{SilentCotReceiver, SilentCotSender};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -68,24 +69,23 @@ const FEW_KB: usize = 24 << 10;
 
 #[test]
 fn a_steady_state_refill_allocates_its_output_and_a_few_kb() {
-    let p = LpnParams::CI;
     // Draining one refill's yield runs the bootstrap and the refill it
     // seeds (deriving the code); one more COT runs a self-seeded refill.
     let (sender, receiver, _) = run_pair(
         NetworkModel::instant(),
         move |ch| {
             let mut s = SilentCotSender::setup(ch, &mut StdRng::seed_from_u64(1)).expect("setup");
-            s.take(ch, p.refill_yield()).expect("first refill");
+            s.take(ch, REFILL_YIELD).expect("first refill");
             allocated_by(|| s.take(ch, 1).expect("steady refill"))
         },
         move |ch| {
             let mut r = SilentCotReceiver::setup(ch, &mut StdRng::seed_from_u64(2)).expect("setup");
-            r.take(ch, p.refill_yield()).expect("first refill");
+            r.take(ch, REFILL_YIELD).expect("first refill");
             allocated_by(|| r.take(ch, 1).expect("steady refill"))
         },
     );
-    let blocks = p.n * 16;
-    let bits = p.n.div_ceil(64) * 8;
+    let blocks = N * 16;
+    let bits = N.div_ceil(64) * 8;
     assert!(sender >= blocks && sender <= blocks + FEW_KB, "sender refill allocated {sender} B");
     assert!(
         receiver >= blocks + bits && receiver <= blocks + bits + FEW_KB,

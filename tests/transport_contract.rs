@@ -1,12 +1,15 @@
 //! Transport contract suite: every [`Transport`] implementation must agree
-//! on round-trip delivery, typed-helper framing, error classification
+//! on round-trip delivery, typed-frame framing, error classification
 //! (`Closed` vs `Malformed`) and application-byte accounting. The same
 //! checks run against the simulated [`Endpoint`], a real localhost
 //! [`TcpTransport`] pair, and the two decorators — a [`FaultyTransport`]
 //! with an empty fault plan and an [`InstrumentedTransport`] — which must
 //! be fully transparent.
 
+use abnn2::core::frames::{MaskedClass, OutputShares};
 use abnn2::crypto::Block;
+use abnn2::gc::frames::GcLabels;
+use abnn2::net::wire::tags;
 use abnn2::net::{
     CommSnapshot, Endpoint, Fault, FaultyTransport, InstrumentedTransport, NetworkModel,
     TcpTransport, Transport, TransportError,
@@ -14,18 +17,21 @@ use abnn2::net::{
 use std::net::TcpListener;
 use std::thread;
 
-/// Bidirectional delivery of raw bytes, `u64`s, blocks, and the empty
-/// message, plus payload-only accounting — identical for every transport.
+/// Bidirectional delivery of raw bytes, a byte frame, a block frame and
+/// the empty message, plus payload-only accounting — identical for every
+/// transport.
 fn check_round_trip_and_stats<A: Transport, B: Transport>(a: &mut A, b: &mut B) {
+    let shares = OutputShares(0xDEAD_BEEF_u64.to_le_bytes().to_vec());
+    let labels = GcLabels(vec![Block::from(1u128), Block::from(2u128)]);
     a.send(b"ping").unwrap();
-    a.send_u64(0xDEAD_BEEF).unwrap();
-    a.send_blocks(&[Block::from(1u128), Block::from(2u128)]).unwrap();
+    a.send_frame(&shares).unwrap();
+    a.send_frame(&labels).unwrap();
     a.send(b"").unwrap();
     a.flush().unwrap();
 
     assert_eq!(b.recv().unwrap(), b"ping");
-    assert_eq!(b.recv_u64().unwrap(), 0xDEAD_BEEF);
-    assert_eq!(b.recv_blocks().unwrap(), vec![Block::from(1u128), Block::from(2u128)]);
+    assert_eq!(b.recv_frame(), Ok(shares));
+    assert_eq!(b.recv_frame(), Ok(labels));
     assert_eq!(b.recv().unwrap(), b"");
 
     b.send_owned(vec![7u8; 3]).unwrap();
@@ -33,8 +39,7 @@ fn check_round_trip_and_stats<A: Transport, B: Transport>(a: &mut A, b: &mut B) 
     assert_eq!(a.recv().unwrap(), vec![7u8; 3]);
 
     // Application payload bytes only: raw sends are untagged (4 + 0),
-    // typed helpers are frames with a one-byte tag (9 + 33); 3 the other
-    // way.
+    // typed frames carry a one-byte tag (9 + 33); 3 the other way.
     let snap_a = a.snapshot();
     assert_eq!(snap_a.bytes_sent, 46);
     assert_eq!(snap_a.messages_sent, 4);
@@ -42,28 +47,31 @@ fn check_round_trip_and_stats<A: Transport, B: Transport>(a: &mut A, b: &mut B) 
     assert_eq!(b.snapshot().bytes_received, 46);
 }
 
-/// Typed receive helpers must reject mistagged and wrong-length messages
-/// as `Malformed`, naming the violated frame kind, and leave the
-/// connection usable.
+/// Typed receives must reject mistagged and wrong-length messages as
+/// `Malformed`, naming the violated frame kind, and leave the connection
+/// usable.
 fn check_malformed_frames<A: Transport, B: Transport>(a: &mut A, b: &mut B) {
     a.send(b"123").unwrap();
     a.flush().unwrap();
-    assert_eq!(b.recv_u64(), Err(TransportError::Malformed("u64 frame tag")));
+    let got = b.recv_frame::<MaskedClass>();
+    assert_eq!(got, Err(TransportError::Malformed("masked class index frame tag")));
 
-    a.send(&[abnn2::net::wire::tags::U64, 1, 2, 3]).unwrap();
+    a.send(&[tags::MASKED_CLASS]).unwrap();
     a.flush().unwrap();
-    assert_eq!(b.recv_u64(), Err(TransportError::Malformed("u64 frame length")));
+    let got = b.recv_frame::<MaskedClass>();
+    assert_eq!(got, Err(TransportError::Malformed("masked class index frame length")));
 
-    let mut blocks = vec![abnn2::net::wire::tags::BLOCKS];
+    let mut blocks = vec![tags::GC_LABELS];
     blocks.extend_from_slice(&[0u8; 17]);
     a.send(&blocks).unwrap();
     a.flush().unwrap();
-    assert_eq!(b.recv_blocks(), Err(TransportError::Malformed("block batch frame length")));
+    let got = b.recv_frame::<GcLabels>();
+    assert_eq!(got, Err(TransportError::Malformed("garbler input labels frame length")));
 
     // A framing violation is not a disconnection: traffic continues.
-    a.send_u64(99).unwrap();
+    a.send_frame(&MaskedClass(vec![99])).unwrap();
     a.flush().unwrap();
-    assert_eq!(b.recv_u64().unwrap(), 99);
+    assert_eq!(b.recv_frame(), Ok(MaskedClass(vec![99])));
 }
 
 /// Dropping one side must surface as `Closed` — never a hang or a panic.
@@ -220,9 +228,10 @@ fn faulty_over_tcp_truncates_one_message() {
     let (s, c) = tcp_pair();
     let mut s = FaultyTransport::new(s, Fault::TruncateMessage { index: 0, keep: 2 });
     let mut c = c;
-    s.send_u64(u64::MAX).unwrap();
+    s.send_frame(&GcLabels(vec![Block::from(u128::MAX)])).unwrap();
     s.flush().unwrap();
     // keep = 2 leaves the tag byte plus one payload byte: the tag check
     // passes, the length check rejects.
-    assert_eq!(c.recv_u64(), Err(TransportError::Malformed("u64 frame length")));
+    let got = c.recv_frame::<GcLabels>();
+    assert_eq!(got, Err(TransportError::Malformed("garbler input labels frame length")));
 }

@@ -14,9 +14,8 @@
 //! reproduces without a seed dump.
 
 use abnn2::crypto::Block;
-use abnn2::net::wire::{tags, Blocks, Frame, U64Frame, WireGot};
+use abnn2::net::wire::{tags, Frame, WireGot};
 use abnn2::net::{Endpoint, NetworkModel, TcpTransport, Transport, TransportError};
-use std::borrow::Cow;
 use std::io::Write;
 use std::time::Duration;
 
@@ -125,21 +124,6 @@ fn check_exact_frame<F: Frame + PartialEq + std::fmt::Debug>(
 }
 
 #[test]
-fn net_frames_round_trip_and_are_total() {
-    let mut gen = Gen(0xABCD);
-    for _ in 0..8 {
-        check_frame(&U64Frame(gen.next_u64()));
-    }
-    for k in [0usize, 1, 4] {
-        check_frame(&Blocks(Cow::Owned(gen.blocks(k))));
-    }
-    let err = U64Frame::decode(&[0u8; 7]).unwrap_err();
-    assert_eq!(err.got, WireGot::Len(7));
-    let err = Blocks::decode(&[0u8; 15]).unwrap_err();
-    assert_eq!(err.context, "block batch frame length");
-}
-
-#[test]
 fn ot_frames_round_trip_and_are_total() {
     use abnn2::ot::frames::*;
     check_exact_frame(BasePoint, 64, 0x10);
@@ -195,8 +179,6 @@ fn frame_tags_match_the_registry() {
         );
         assert!(F::TAG_ERR.ends_with("frame tag"), "{}", F::TAG_ERR);
     }
-    check::<U64Frame>();
-    check::<Blocks>();
     {
         use abnn2::ot::frames::*;
         check::<BasePoint>();
@@ -237,30 +219,30 @@ fn frame_tags_match_the_registry() {
 /// buys.
 #[test]
 fn mismatched_frame_types_surface_as_tag_errors() {
-    use abnn2::core::frames::Hello;
+    use abnn2::core::frames::{Hello, MaskedClass};
     use abnn2::gc::frames::GcTables;
     let (mut a, mut b) = Endpoint::pair(NetworkModel::instant());
 
-    a.send_frame(&U64Frame(7)).unwrap();
+    a.send_frame(&MaskedClass(vec![7])).unwrap();
     a.flush().unwrap();
     assert_eq!(
         b.recv_frame::<Hello>(),
         Err(TransportError::Malformed("hello frame tag")),
-        "u64 where hello expected"
+        "masked class where hello expected"
     );
 
     a.send_frame(&GcTables(vec![Block::from(1u128), Block::from(2u128)])).unwrap();
     a.flush().unwrap();
     assert_eq!(
-        b.recv_frame::<U64Frame>(),
-        Err(TransportError::Malformed("u64 frame tag")),
-        "garbled tables where u64 expected"
+        b.recv_frame::<MaskedClass>(),
+        Err(TransportError::Malformed("masked class index frame tag")),
+        "garbled tables where masked class expected"
     );
 
     // The violation is not a disconnection: traffic continues.
-    a.send_frame(&U64Frame(99)).unwrap();
+    a.send_frame(&MaskedClass(vec![99])).unwrap();
     a.flush().unwrap();
-    assert_eq!(b.recv_frame::<U64Frame>(), Ok(U64Frame(99)));
+    assert_eq!(b.recv_frame::<MaskedClass>(), Ok(MaskedClass(vec![99])));
 }
 
 /// The hello is the one frame a server parses before it knows anything
@@ -423,10 +405,11 @@ fn oversized_frame_is_rejected_by_tag_ceiling_before_allocation() {
     let mut ch = TcpTransport::from_stream(stream).expect("transport");
     ch.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
 
-    // A u64 frame (ceiling: 8 payload bytes) claiming just under 1 GiB.
+    // A masked class frame (ceiling: 1 payload byte) claiming just under
+    // 1 GiB.
     let len: u32 = (1 << 30) - 1;
     sender.write_all(&len.to_le_bytes()).expect("header");
-    sender.write_all(&[tags::U64]).expect("tag");
+    sender.write_all(&[tags::MASKED_CLASS]).expect("tag");
     sender.flush().expect("flush");
     let err = Transport::recv(&mut ch).expect_err("oversized frame must not decode");
     assert_eq!(err, TransportError::Malformed("frame length exceeds tag ceiling"));
@@ -436,19 +419,20 @@ fn oversized_frame_is_rejected_by_tag_ceiling_before_allocation() {
 /// payload is interpreted, whatever the frame type.
 #[test]
 fn corrupted_tag_byte_is_caught_for_every_registered_tag() {
+    use abnn2::core::frames::MaskedClass;
     let (mut a, mut b) = Endpoint::pair(NetworkModel::instant());
     for &(tag, _) in tags::ALL {
-        // A well-formed u64 frame re-tagged as `tag ^ 0xA5` (never a valid
-        // registry tag for u64) must fail u64 reception on the tag byte.
-        let mut raw = vec![tag ^ 0xA5];
-        raw.extend_from_slice(&7u64.to_le_bytes());
+        // A well-formed masked class frame re-tagged as `tag ^ 0xA5` must
+        // fail masked class reception on the tag byte, unless the flip
+        // lands on the class tag itself.
+        let raw = vec![tag ^ 0xA5, 7];
         Transport::send(&mut a, &raw).unwrap();
         a.flush().unwrap();
-        let got = b.recv_u64();
-        if tag ^ 0xA5 == tags::U64 {
-            assert_eq!(got, Ok(7));
+        let got = b.recv_frame::<MaskedClass>();
+        if tag ^ 0xA5 == tags::MASKED_CLASS {
+            assert_eq!(got, Ok(MaskedClass(vec![7])));
         } else {
-            assert_eq!(got, Err(TransportError::Malformed("u64 frame tag")));
+            assert_eq!(got, Err(TransportError::Malformed("masked class index frame tag")));
         }
     }
 }
