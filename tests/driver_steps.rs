@@ -13,10 +13,12 @@
 //! number of frames in a phase).
 
 use abnn2::core::driver::{drive_frames, DriverEffect, DriverStep, SessionDriver, SessionHost};
+use abnn2::core::relu::ReluVariant;
 use abnn2::core::{
     dealer_bundle_for, ClientBundle, ClientJob, OfflineMode, ReplayCounters, ResumeToken,
     SecureClient, SecureServer, ServedModel, ServerBundle, SessionDeadlines, SessionParams,
 };
+use abnn2::crypto::sha256::sha256;
 use abnn2::math::{FragmentScheme, Ring};
 use abnn2::net::{CommSnapshot, Endpoint, NetworkModel, Transport, TransportError};
 use abnn2::nn::quant::{QuantConfig, QuantizedDense, QuantizedNetwork};
@@ -255,4 +257,142 @@ fn feed_granularity_does_not_change_what_the_server_sends() {
             }
         }
     }
+}
+
+/// One effect sequence as a digest: each mark and each sent frame by its
+/// bytes, each flush, and each consumed frame by tag and length, in order.
+fn effects_digest(effects: &[DriverEffect]) -> String {
+    let mut log = Vec::new();
+    for effect in effects {
+        match effect {
+            DriverEffect::Mark(label) => {
+                log.push(b'M');
+                log.extend(sha256(label.as_bytes()));
+            }
+            DriverEffect::Send(bytes) => {
+                log.push(b'S');
+                log.extend(sha256(bytes));
+            }
+            DriverEffect::Flush => log.push(b'F'),
+            DriverEffect::Recv { tag, len } => {
+                log.push(b'R');
+                log.push(*tag);
+                log.extend((*len as u64).to_le_bytes());
+            }
+        }
+    }
+    sha256(&log).iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Every effect a fresh driver produces when fed `group()` more recorded
+/// frames before each `step()`.
+fn effects_fed(
+    server: &Arc<SecureServer>,
+    deal: bool,
+    inbox: &[Vec<u8>],
+    mut group: impl FnMut() -> usize,
+) -> Vec<DriverEffect> {
+    let mut driver = new_driver(server, deal);
+    let mut frames = inbox.iter();
+    let mut effects = Vec::new();
+    loop {
+        frames.by_ref().take(group().max(1)).for_each(|f| driver.feed(f.clone()));
+        let step = driver.step();
+        effects.extend(driver.take_effects());
+        match step {
+            DriverStep::Done => return effects,
+            DriverStep::Failed(e) => panic!("fed session failed: {e}"),
+            DriverStep::NeedRecv => {}
+        }
+    }
+}
+
+/// The digest of one case's effect sequence, the same live (one frame fed
+/// per park) and fed from the recording all at once, one frame per
+/// `step()` and in seeded random groups.
+fn effects_case(
+    model: &(ServedModel, Vec<u64>, Vec<u64>),
+    silent: bool,
+    deal: bool,
+    variant: ReluVariant,
+) -> String {
+    let (served, x, expected) = model;
+    let server = Arc::new(SecureServer::for_model(served.clone()).with_variant(variant));
+    let client =
+        SecureClient::for_model(server.public_model()).with_silent(silent).with_variant(variant);
+    let (sch, mut cch) = Endpoint::pair(NetworkModel::instant());
+    let (live, inbox) = std::thread::scope(|scope| {
+        let served = scope.spawn(|| {
+            let mut ch = Recording { inner: sch, inbox: Vec::new() };
+            let mut effects = Vec::new();
+            drive_frames(&mut ch, &mut new_driver(&server, deal), |e| effects.push(e.clone()))
+                .expect("live server");
+            (effects, ch.inbox)
+        });
+        let mut job = ClientJob::new([7; 16], deal, SessionDeadlines::default());
+        let y = client
+            .run_job(&mut cch, std::slice::from_ref(x), &mut job, &mut StdRng::seed_from_u64(903))
+            .expect("live client");
+        assert_eq!(&y.col(0), expected, "live logits must be bit-exact");
+        served.join().expect("server thread")
+    });
+    let digest = effects_digest(&live);
+    let mut rng = StdRng::seed_from_u64(905);
+    let schedules: [&mut dyn FnMut() -> usize; 3] =
+        [&mut || inbox.len(), &mut || 1, &mut || rng.gen_range(1..=4)];
+    for (i, group) in schedules.into_iter().enumerate() {
+        let fed = effects_fed(&server, deal, &inbox, group);
+        assert_eq!(effects_digest(&fed), digest, "feed schedule {i} moved an effect");
+    }
+    digest
+}
+
+/// Where every mark, send, flush and consumed frame falls in a session,
+/// whatever its feed schedule: phase budgets, chaos hooks and metering
+/// key off these positions. Recorded with the replaying driver.
+#[test]
+fn effect_sequences_are_pinned() {
+    let pins = [
+        ("mlp", false, false, "f99b90314c6a7acf2db20ef0ff64a1e088cf16e7cacea7aaef2d95081df3f154"),
+        ("mlp", false, true, "abcf2dcf8bcb72484d0aaf37659e9be635637b58271e66dc7684a890028df625"),
+        ("mlp", true, false, "2cdfbe3083749e2fb09f6e2b3c52cfa1c0145a50ff4c139059947bccfd11bb6c"),
+        ("mlp", true, true, "c3b1ab7b6dc65194e1d507754aedd2de86166585e42ce8c1a2e39dd64cd18de3"),
+        ("cnn", false, false, "927a2e0b641b01b42035edf1fba542d91b4fd287e03e6312c892537d295b026e"),
+        ("cnn", false, true, "a51aa27a2a66f7622c0c4f377dd4c764dda01d59c050a676d96d4aa692f401ea"),
+        ("cnn", true, false, "2562d43bbe4089837a35b3672f0027604434f5c4c95a2e55ebe07c6b5769a1c4"),
+        ("cnn", true, true, "b3a60a439171b90dfa9091bf2899b01b84697598900d77210aa59e737abb34a7"),
+        (
+            "encoder",
+            false,
+            false,
+            "91e77bb8767be71a42d9f374cbc3d46c54456b9e69f368defa5421ef92572d57",
+        ),
+        (
+            "encoder",
+            false,
+            true,
+            "cbde63a586b2cbe4743e021ebca6e7f17a7c622faf4f53207cce3e21ad401100",
+        ),
+        (
+            "encoder",
+            true,
+            false,
+            "578c752086f5ce188b4b50a5f8e76a427c699870e7c77076e4ef200e6ededc35",
+        ),
+        ("encoder", true, true, "a786ea2db599ed088df276eafb3bf5c54cb3bcfbb56f385d978857b263e8ec93"),
+    ];
+    let models = [("mlp", mlp()), ("cnn", cnn()), ("encoder", encoder())];
+    let mut failed = Vec::new();
+    for (name, silent, deal, pin) in pins {
+        let model = &models.iter().find(|(n, _)| *n == name).expect("a model").1;
+        let digest = effects_case(model, silent, deal, ReluVariant::Oblivious);
+        if digest != pin {
+            failed.push(format!("{name}, silent {silent}, dealt {deal}: {digest}"));
+        }
+    }
+    let digest = effects_case(&models[0].1, false, false, ReluVariant::Optimized);
+    if digest != "3c2a759d7572d981527ba7eb8f384c55ef5560dc0f068b75b3ae7c72da249a60" {
+        failed.push(format!("mlp, optimized ReLU: {digest}"));
+    }
+    assert!(failed.is_empty(), "effect sequences moved:\n{}", failed.join("\n"));
 }
