@@ -10,45 +10,27 @@
 //! instead of blocking a thread, which lets one event-loop worker
 //! multiplex many live sessions over readiness-based I/O.
 //!
-//! # How suspension works
+//! # A step is a flight
 //!
-//! The protocol stack (base OT, IKNP, KK13, garbled circuits) is written
-//! as straight-line blocking code against the [`Transport`] trait, and
-//! rewriting it in continuation-passing style would fork every
-//! cryptographic code path. The driver instead cuts the server side into
-//! **steps** — the hello, each base-OT batch, each unit of the offline and
-//! online walks in [`crate::graph`] (one fragment group of a linear op, one
-//! matrix triple, the blinded input, one tape op) — and exploits three
-//! properties of a step:
+//! The driver cuts the server side into **steps** at its send→recv edges:
+//! the hello, each flight of a base-OT batch, and each unit of the offline
+//! and online walks in [`crate::graph`] (one half of a fragment group or a
+//! silent refill, one flight of a matrix triple, the blinded input, one
+//! flight of a tape op). A step emits its marks, takes the `k` frames it
+//! waits for, computes, and sends; the state it starts from declares `k`
+//! (`needs`). A protocol function that sends and then receives is two
+//! halves — a `start` that ends with the send and returns a plain pending
+//! value, and a `finish` that takes the received frames — and its
+//! blocking form is the one followed by the other.
 //!
-//! 1. it is a **deterministic** function of the state it starts from, the
-//!    RNG stream, and the few inbound frames it consumes;
-//! 2. the state it starts from is a plain value that is cheap to copy: the
-//!    OT state its phase writes (the fragment chooser offline, the Yao
-//!    evaluator online — each walk owns that and nothing of the other),
-//!    the tape and the partial triplet share; the offline bundle and the
-//!    pending op's circuit are shared, not copied, and the evaluator waits
-//!    beside the offline walk until the edge;
-//! 3. the cuts sit where the server starts waiting, so nearly every step
-//!    receives first and computes afterwards.
-//!
-//! Each [`step`](SessionDriver::step) call runs the current step on a
-//! *trial copy* of that state against the buffered inbox. A recv past the
-//! end of the inbox raises [`TransportError::WouldBlock`], marks the
-//! attempt starved, discards the copy and parks the driver; effects
-//! performed before the starvation point are externalized once and
-//! suppressed by count when the step is attempted again. When the step
-//! returns `Ok`, the copy becomes the state, the frames it consumed leave
-//! the inbox, and the machine goes on to the next step — so an inbox that
-//! already holds the whole session runs to `Done` in one call, and a
-//! starved attempt repeats at most the part of one step that precedes its
-//! last receive (inside a re-share op: parsing the small frames and the
-//! IKNP column PRG; the garbled tables are re-read where they lie, not
-//! copied). [`ReplayCounters`] measures exactly that repetition. The
-//! transcript is byte-identical to the blocking path —
-//! `tests/graph_parity.rs` pins that equivalence against pre-refactor
-//! goldens — and [`drive_blocking`] is the blocking flow as a thin adapter
-//! over the driver.
+//! [`step`](SessionDriver::step) runs a step only once its `k` frames are
+//! in the inbox, so no step starves and none runs twice: each frame is
+//! read once, moved out of the inbox, and an inbox that already holds the
+//! whole session runs to `Done` in one call. The transcript is
+//! byte-identical to the blocking path — `tests/graph_parity.rs` pins that
+//! equivalence against pre-refactor goldens, `tests/driver_steps.rs` the
+//! effect sequence under every feed schedule — and [`drive_blocking`] is
+//! the blocking flow as a thin adapter over the driver.
 
 use crate::bundle::{ClientBundle, ServerBundle};
 use crate::frames::Bundle;
@@ -59,11 +41,13 @@ use crate::resilient::CheckpointStore;
 use crate::session::ServerLineage;
 use crate::ProtocolError;
 use abnn2_gc::YaoEvaluator;
-use abnn2_net::{CommSnapshot, Frame, Transport, TransportError};
+use abnn2_net::{CommSnapshot, Transport, TransportError};
+use abnn2_ot::base::PendingSend;
 use abnn2_ot::{FragmentChooser, OfflineMode};
 use rand::rngs::StdRng;
+use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Where a session's side data comes from: its parameters, a warm bundle,
 /// and the one [`CheckpointStore`] in which sessions leave what outlives
@@ -79,7 +63,7 @@ use std::time::{Duration, Instant};
 /// The driver consults each of the lookups at most once per
 /// session, during the handshake phase, and only for a parameter-matched
 /// peer — so a claim or take may have side effects (removal from a store)
-/// without risking double consumption on replay.
+/// without risking double consumption.
 pub trait SessionHost {
     /// Our session parameters for the batch size the client announced.
     fn params_for(&self, batch: usize) -> SessionParams;
@@ -173,154 +157,44 @@ pub enum DriverStep {
     Failed(ProtocolError),
 }
 
-/// What a driver has spent on running steps more than once, so far. The
-/// three counts are deterministic for a given feed schedule; the two
-/// clocks are wall time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ReplayCounters {
-    /// Step attempts: one per step, plus one per park inside it.
-    pub attempts: u64,
-    /// Inbound frames handed to protocol code, re-reads by later attempts
-    /// of the same step included.
-    pub frames_read: u64,
-    /// Inbound frames consumed by completed steps.
-    pub frames_consumed: u64,
-    /// Time attempts spent re-running what an earlier attempt of the same
-    /// step had already done: from the attempt's start until it has
-    /// repeated every event its predecessors externalized. Zero for a
-    /// step's first attempt.
-    pub replayed_ns: u64,
-    /// All other time inside attempts.
-    pub step_ns: u64,
-}
-
-/// Deterministic replay channel: protocol code runs against the buffered
-/// inbox; a recv past its end raises [`TransportError::WouldBlock`] and
-/// flags starvation, and outbound traffic is captured as
-/// [`DriverEffect`]s. Events performed by an earlier starved attempt of
-/// the same step are suppressed by count on replay — sound because each
-/// step is a deterministic function of the state it starts from and the
-/// inbox prefix it reads.
+/// The driver's channel: the frames fed so far, each read once and moved
+/// out in order, and the effects of the step that runs.
 #[derive(Debug, Default)]
-struct ReplayTransport {
-    /// Buffered inbound frames; consumed only when a step completes. Each
-    /// is shared, so every attempt of a step that reads it with
-    /// [`Transport::recv_shared`] reads the one allocation.
-    inbox: Vec<Arc<Vec<u8>>>,
-    /// Next inbox index the current attempt will read.
-    cursor: usize,
-    /// Events already externalized by earlier attempts of this step.
-    committed: usize,
-    /// Events performed so far by the current attempt.
-    events: usize,
-    /// Fresh effects from the current attempt, in order.
+struct Inbox {
+    frames: VecDeque<Vec<u8>>,
     effects: Vec<DriverEffect>,
-    /// The current attempt read past the end of the inbox.
-    starved: bool,
     sent: u64,
     received: u64,
     messages_sent: u64,
-    counters: ReplayCounters,
-    /// When the current attempt began, and how long it then took to catch
-    /// up with `committed`.
-    attempt_start: Option<Instant>,
-    catch_up: Duration,
 }
 
-impl ReplayTransport {
-    /// Reads the next buffered frame: its inbox index, counted and noted
-    /// as one event. Past the end of the inbox the attempt is starved.
-    fn read_next(&mut self) -> Result<usize, TransportError> {
-        let at = self.cursor;
-        let Some(frame) = self.inbox.get(at) else {
-            self.starved = true;
-            return Err(TransportError::WouldBlock);
-        };
-        let (tag, len) = (frame.first().copied().unwrap_or(0), frame.len());
-        self.cursor += 1;
-        self.counters.frames_read += 1;
-        if self.note_event(|| DriverEffect::Recv { tag, len }) {
-            self.received += len as u64;
-        }
-        Ok(at)
-    }
-
-    fn begin_attempt(&mut self) {
-        debug_assert!(self.effects.is_empty(), "effects drained between attempts");
-        self.cursor = 0;
-        self.events = 0;
-        self.starved = false;
-        self.counters.attempts += 1;
-        self.attempt_start = Some(Instant::now());
-        self.catch_up = Duration::ZERO;
-    }
-
-    /// Closes the attempt's clocks; a completed step (`done`) releases the
-    /// frames it consumed, a starved one remembers how far it got.
-    fn end_attempt(&mut self, done: bool) {
-        let elapsed = self.attempt_start.take().map_or(Duration::ZERO, |t| t.elapsed());
-        let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-        self.counters.replayed_ns += ns(self.catch_up);
-        self.counters.step_ns += ns(elapsed.saturating_sub(self.catch_up));
-        if done {
-            self.inbox.drain(..self.cursor);
-            self.counters.frames_consumed += self.cursor as u64;
-            self.committed = 0;
-        } else {
-            self.committed = self.events;
-        }
-    }
-
-    /// Counts one event; returns whether it is fresh (not yet
-    /// externalized by an earlier attempt) and records its effect if so.
-    fn note_event(&mut self, effect: impl FnOnce() -> DriverEffect) -> bool {
-        let fresh = self.events >= self.committed;
-        self.events += 1;
-        if fresh {
-            self.effects.push(effect());
-        } else if self.events == self.committed {
-            self.catch_up = self.attempt_start.map_or(Duration::ZERO, |t| t.elapsed());
-        }
-        fresh
-    }
-}
-
-impl Transport for ReplayTransport {
+impl Transport for Inbox {
     fn send(&mut self, payload: &[u8]) -> Result<(), TransportError> {
-        let len = payload.len() as u64;
-        if self.note_event(|| DriverEffect::Send(payload.to_vec())) {
-            self.sent += len;
-            self.messages_sent += 1;
-        }
-        Ok(())
+        self.send_owned(payload.to_vec())
     }
 
     fn send_owned(&mut self, payload: Vec<u8>) -> Result<(), TransportError> {
-        let len = payload.len() as u64;
-        if self.note_event(|| DriverEffect::Send(payload)) {
-            self.sent += len;
-            self.messages_sent += 1;
-        }
+        self.sent += payload.len() as u64;
+        self.messages_sent += 1;
+        self.effects.push(DriverEffect::Send(payload));
         Ok(())
     }
 
+    /// The next frame. A step runs only once the frames it waits for are
+    /// here, so reading past them is a step that miscounts its `k`.
     fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
-        let at = self.read_next()?;
-        Ok(Vec::clone(&self.inbox[at]))
-    }
-
-    fn recv_shared(&mut self) -> Result<Arc<Vec<u8>>, TransportError> {
-        let at = self.read_next()?;
-        Ok(Arc::clone(&self.inbox[at]))
-    }
-
-    fn recv_frame<F: Frame>(&mut self) -> Result<F, TransportError> {
-        let at = self.read_next()?;
-        F::decode_tagged(&self.inbox[at]).map_err(TransportError::from)
+        let frame = self
+            .frames
+            .pop_front()
+            .ok_or(TransportError::Malformed("a step read past the frames it waits for"))?;
+        self.received += frame.len() as u64;
+        let tag = frame.first().copied().unwrap_or(0);
+        self.effects.push(DriverEffect::Recv { tag, len: frame.len() });
+        Ok(frame)
     }
 
     fn flush(&mut self) -> Result<(), TransportError> {
-        self.note_event(|| DriverEffect::Flush);
+        self.effects.push(DriverEffect::Flush);
         Ok(())
     }
 
@@ -334,8 +208,7 @@ impl Transport for ReplayTransport {
     }
 
     fn mark_phase(&mut self, label: &str) {
-        let label = label.to_string();
-        self.note_event(|| DriverEffect::Mark(label));
+        self.effects.push(DriverEffect::Mark(label.to_string()));
     }
 }
 
@@ -348,24 +221,25 @@ struct Admitted {
     pooled: Option<(ServerBundle, ClientBundle)>,
     /// The halves this session continues; setup fills in the rest.
     lineage: ServerLineage,
+    /// The base-OT batch whose point `A` is out.
+    transfer: Option<PendingSend>,
 }
 
 /// The machine's position in the protocol. Each live variant holds the
 /// state its next step starts from.
 enum State {
     Handshake,
-    /// The fragment base-OT batch, if the session runs the interactive
-    /// offline phase and continues no fragment half.
+    /// The client's hello comes next.
+    Hello,
+    /// The base-OT batches the session needs, one flight at a time: the
+    /// fragment chooser's if it runs the interactive offline phase and
+    /// continues no fragment half, then Yao's if it continues no Yao half.
     Setup(Admitted),
-    /// The Yao base-OT batch, if the session continues no Yao half. A step
-    /// of its own: the fragment batch's RNG draws are committed, so a park
-    /// here re-runs only this batch.
-    SetupYao(Admitted),
     /// The walk owns the fragment chooser; the evaluator waits beside it
-    /// for the online phase, untouched and never copied with the walk.
+    /// for the online phase.
     Offline {
         walk: Box<ServerOfflineWalk>,
-        yao: Box<YaoEvaluator>,
+        yao: YaoEvaluator,
     },
     /// The walk owns the evaluator; the fragment chooser (spent by the
     /// offline phase, or continued past a session that had no use for it)
@@ -378,6 +252,19 @@ enum State {
     Failed(ProtocolError),
 }
 
+impl State {
+    /// Frames the next step takes from the inbox.
+    fn needs(&self) -> usize {
+        match self {
+            State::Hello => 1,
+            State::Setup(admitted) => usize::from(admitted.transfer.is_some()),
+            State::Offline { walk, .. } => walk.needs(),
+            State::Online { walk, .. } => walk.needs(),
+            State::Handshake | State::Done | State::Failed(_) => 0,
+        }
+    }
+}
+
 /// Resumable server-side protocol session. See the module docs for the
 /// step mechanics; see [`drive_blocking`] for the synchronous adapter
 /// and `abnn2-serve` for the event-loop host.
@@ -385,7 +272,7 @@ pub struct SessionDriver<H: SessionHost> {
     server: Arc<SecureServer>,
     host: H,
     rng: StdRng,
-    replay: ReplayTransport,
+    inbox: Inbox,
     state: State,
     token: Option<ResumeToken>,
     batch: Option<usize>,
@@ -395,15 +282,13 @@ pub struct SessionDriver<H: SessionHost> {
     /// The hello reply promised to park this session's lineage.
     park: bool,
     pending: Vec<DriverEffect>,
-    /// Inbox length at the last starvation, to skip no-progress attempts.
-    parked_at: Option<usize>,
 }
 
 impl<H: SessionHost> std::fmt::Debug for SessionDriver<H> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SessionDriver")
             .field("phase", &self.phase())
-            .field("inbox", &self.replay.inbox.len())
+            .field("inbox", &self.inbox.frames.len())
             .field("pending_effects", &self.pending.len())
             .finish()
     }
@@ -418,7 +303,7 @@ impl<H: SessionHost> SessionDriver<H> {
             server,
             host,
             rng,
-            replay: ReplayTransport::default(),
+            inbox: Inbox::default(),
             state: State::Handshake,
             token: None,
             batch: None,
@@ -426,13 +311,12 @@ impl<H: SessionHost> SessionDriver<H> {
             resumed: false,
             park: false,
             pending: Vec::new(),
-            parked_at: None,
         }
     }
 
     /// Buffers one complete inbound frame for the next [`step`](Self::step).
     pub fn feed(&mut self, frame: Vec<u8>) {
-        self.replay.inbox.push(Arc::new(frame));
+        self.inbox.frames.push_back(frame);
     }
 
     /// Drains the effects produced so far, in execution order. `Send` and
@@ -494,12 +378,6 @@ impl<H: SessionHost> SessionDriver<H> {
         }
     }
 
-    /// What the session has spent on re-running starved steps so far.
-    #[must_use]
-    pub fn replay_counters(&self) -> ReplayCounters {
-        self.replay.counters
-    }
-
     /// The error a failed driver stopped with.
     #[must_use]
     pub fn error(&self) -> Option<ProtocolError> {
@@ -515,8 +393,8 @@ impl<H: SessionHost> SessionDriver<H> {
     #[must_use]
     pub fn phase(&self) -> &'static str {
         match self.state {
-            State::Handshake => "handshake",
-            State::Setup(_) | State::SetupYao(_) => "setup",
+            State::Handshake | State::Hello => "handshake",
+            State::Setup(_) => "setup",
             State::Offline { .. } => "offline",
             State::Online { .. } => "online",
             State::Done => "done",
@@ -524,9 +402,10 @@ impl<H: SessionHost> SessionDriver<H> {
         }
     }
 
-    /// Advances the machine as far as the buffered inbox allows: steps
-    /// complete and chain until one parks on a missing frame, fails, or
-    /// the session finishes. Idempotent once `Done`/`Failed` is reached.
+    /// Advances the machine as far as the buffered inbox allows: each step
+    /// runs once its frames are there, and steps chain until one waits on
+    /// a frame that has not arrived, fails, or the session finishes.
+    /// Idempotent once `Done`/`Failed` is reached.
     pub fn step(&mut self) -> DriverStep {
         loop {
             match self.state {
@@ -534,57 +413,36 @@ impl<H: SessionHost> SessionDriver<H> {
                 State::Failed(e) => return DriverStep::Failed(e),
                 _ => {}
             }
-            // Another attempt with no new frames since the last starvation
-            // cannot make progress; skip the wasted work.
-            if let Some(n) = self.parked_at {
-                if self.replay.inbox.len() == n {
-                    return DriverStep::NeedRecv;
-                }
+            let needs = self.state.needs();
+            let held = self.inbox.frames.len();
+            if held < needs {
+                return DriverStep::NeedRecv;
             }
-            self.parked_at = None;
-
-            // Each attempt runs on a clone of the RNG so a starved
-            // attempt leaves the stream untouched and the next one is
-            // bit-reproducible.
-            let mut rng = self.rng.clone();
-            self.replay.begin_attempt();
-            let outcome = self.run_step(&mut rng);
-            self.replay.end_attempt(outcome.is_ok());
-            self.pending.append(&mut self.replay.effects);
-            match outcome {
-                Ok(next) => {
-                    self.rng = rng;
-                    if let Some(next) = next {
-                        self.state = next;
-                    }
-                }
-                Err(_) if self.replay.starved => {
-                    self.parked_at = Some(self.replay.inbox.len());
-                    return DriverStep::NeedRecv;
-                }
-                Err(e) => {
-                    self.state = State::Failed(e);
-                }
-            }
+            let state = std::mem::replace(&mut self.state, State::Done);
+            self.state = self.run_step(state).unwrap_or_else(State::Failed);
+            debug_assert!(
+                matches!(self.state, State::Failed(_)) || held - self.inbox.frames.len() == needs,
+                "a step takes exactly the frames it waits for"
+            );
+            self.pending.append(&mut self.inbox.effects);
         }
     }
 
-    /// Runs the current step over the replay channel, returning the state
-    /// the next one starts from (`None`: the current state, advanced in
-    /// place). A walk step runs on a copy of the walk and the other steps
-    /// change driver fields only after their last recv, so a starved
-    /// attempt leaves the driver unchanged.
-    fn run_step(&mut self, rng: &mut StdRng) -> Result<Option<State>, ProtocolError> {
-        let ch = &mut self.replay;
-        let next = match &mut self.state {
+    /// Runs the step `state` starts from over the inbox, returning the
+    /// state the next one starts from.
+    fn run_step(&mut self, state: State) -> Result<State, ProtocolError> {
+        let ch = &mut self.inbox;
+        let rng = &mut self.rng;
+        Ok(match state {
             State::Handshake => {
                 ch.mark_phase("handshake");
+                State::Hello
+            }
+            State::Hello => {
                 let host = &self.host;
                 let mut admitted = Admitted::default();
-                // The host closures run exactly once: the handshake's
-                // only suspension point is its initial recv, before they
-                // are consulted, and everything after that recv is
-                // non-blocking.
+                // The host closures run once: the hello is here, and the
+                // step runs once.
                 let (batch, token, reply) = handshake_server_ext(
                     ch,
                     |b| host.params_for(b),
@@ -615,72 +473,46 @@ impl<H: SessionHost> SessionDriver<H> {
                 self.batch = Some(batch);
                 self.resumed = reply.resume;
                 self.park = reply.park;
+                ch.mark_phase("setup");
                 State::Setup(Admitted { batch, reply, ..admitted })
             }
-            State::Setup(admitted) => {
-                ch.mark_phase("setup");
-                if let Some(mode) = admitted.reply.offline() {
-                    admitted.lineage.ensure_kk(ch, mode, rng)?;
-                }
-                State::SetupYao(std::mem::take(admitted))
-            }
-            State::SetupYao(admitted) => {
-                admitted.lineage.ensure_yao(ch, rng)?;
-                let Admitted { batch, reply, claimed, pooled, lineage } = std::mem::take(admitted);
-                let ServerLineage { kk, yao } = lineage;
-                let yao = yao.expect("the Yao half is continued or was just set up");
-                // A resumed or dealt bundle goes straight to the edge, with
-                // whatever fragment chooser the lineage carries riding along
-                // unused.
-                if reply.resume {
-                    let bundle = claimed.expect("accepted resume implies a claimed checkpoint");
-                    if bundle.batch != batch {
-                        return Err(ProtocolError::Malformed("resumed checkpoint batch mismatch"));
-                    }
-                    self.checkpoint = Some(bundle.clone());
-                    enter_online(ch, &self.server, ServerOffline::from_bundle(yao, bundle), kk)?
-                } else if reply.bundle {
-                    let (sb, cb) = pooled.expect("accepted bundle implies a pooled pair");
-                    ch.mark_phase("bundle");
-                    ch.send_frame(&Bundle(cb.encode(self.server.model.config().ring)))?;
-                    ch.flush()?;
-                    self.checkpoint = Some(sb.clone());
-                    enter_online(ch, &self.server, ServerOffline::from_bundle(yao, sb), kk)?
+            State::Setup(mut admitted) => {
+                let lineage = &mut admitted.lineage;
+                if let Some(transfer) = admitted.transfer.take() {
+                    transfer.finish(ch)?;
+                } else if let (Some(mode), None) = (admitted.reply.offline(), &lineage.kk) {
+                    let (kk, transfer) = FragmentChooser::setup_start(ch, mode, rng)?;
+                    (lineage.kk, admitted.transfer) = (Some(kk), Some(transfer));
+                } else if lineage.yao.is_none() {
+                    let (yao, transfer) = YaoEvaluator::setup_start(ch, rng)?;
+                    (lineage.yao, admitted.transfer) = (Some(yao), Some(transfer));
                 } else {
-                    ch.mark_phase("offline");
-                    let sg = self.server.model.secure_graph(batch)?;
-                    let kk = kk.expect("the fragment half is continued or was just set up");
-                    let walk = ServerOfflineWalk::new(kk, sg, self.server.exec);
-                    State::Offline { walk: Box::new(walk), yao: Box::new(yao) }
+                    return self.admit(admitted);
                 }
+                State::Setup(admitted)
             }
-            State::Offline { walk, yao } => {
-                let mut trial = walk.clone();
-                trial.step(ch, &self.server.model, rng)?;
-                if !trial.done() {
-                    *walk = trial;
-                    return Ok(None);
+            State::Offline { mut walk, yao } => {
+                walk.step(ch, &self.server.model, rng)?;
+                if !walk.done() {
+                    return Ok(State::Offline { walk, yao });
                 }
                 // The edge: the walk's bundle and the evaluator cross into
                 // the online walk, the chooser waits beside it.
-                let (bundle, kk) = trial.finish();
+                let (bundle, kk) = walk.finish();
                 self.checkpoint = Some(bundle.clone());
-                let yao = YaoEvaluator::clone(yao);
                 enter_online(ch, &self.server, ServerOffline::from_bundle(yao, bundle), Some(kk))?
             }
-            State::Online { walk, kk } => {
-                let mut trial = walk.clone();
-                trial.step(ch, &self.server.model)?;
-                if !trial.done() {
-                    *walk = trial;
-                    return Ok(None);
+            State::Online { mut walk, kk } => {
+                walk.step(ch, &self.server.model)?;
+                if !walk.done() {
+                    return Ok(State::Online { walk, kk });
                 }
-                let (yao, y0) = trial.finish();
+                let (yao, y0) = walk.finish();
                 // Parked before the output shares are even queued: a client
                 // that holds its logits finds the lineage in the store.
                 if let (true, Some(token), Some(store)) = (self.park, self.token, self.host.store())
                 {
-                    let mut lineage = ServerLineage { kk: kk.take(), yao: Some(yao) };
+                    let mut lineage = ServerLineage { kk, yao: Some(yao) };
                     lineage.park();
                     store.park_lineage(token, lineage);
                 }
@@ -689,8 +521,39 @@ impl<H: SessionHost> SessionDriver<H> {
                 State::Done
             }
             State::Done | State::Failed(_) => unreachable!("step() returns before run_step"),
-        };
-        Ok(Some(next))
+        })
+    }
+
+    /// The end of setup, both halves held: a resumed or dealt bundle goes
+    /// straight to the online walk, with whatever fragment chooser the
+    /// lineage carries riding along unused; otherwise the offline walk
+    /// starts.
+    fn admit(&mut self, admitted: Admitted) -> Result<State, ProtocolError> {
+        let ch = &mut self.inbox;
+        let Admitted { batch, reply, claimed, pooled, lineage, .. } = admitted;
+        let ServerLineage { kk, yao } = lineage;
+        let yao = yao.expect("the Yao half is continued or was just set up");
+        if reply.resume {
+            let bundle = claimed.expect("accepted resume implies a claimed checkpoint");
+            if bundle.batch != batch {
+                return Err(ProtocolError::Malformed("resumed checkpoint batch mismatch"));
+            }
+            self.checkpoint = Some(bundle.clone());
+            enter_online(ch, &self.server, ServerOffline::from_bundle(yao, bundle), kk)
+        } else if reply.bundle {
+            let (sb, cb) = pooled.expect("accepted bundle implies a pooled pair");
+            ch.mark_phase("bundle");
+            ch.send_frame(&Bundle(cb.encode(self.server.model.config().ring)))?;
+            ch.flush()?;
+            self.checkpoint = Some(sb.clone());
+            enter_online(ch, &self.server, ServerOffline::from_bundle(yao, sb), kk)
+        } else {
+            ch.mark_phase("offline");
+            let sg = self.server.model.secure_graph(batch)?;
+            let kk = kk.expect("the fragment half is continued or was just set up");
+            let walk = ServerOfflineWalk::new(kk, sg, self.server.exec);
+            Ok(State::Offline { walk: Box::new(walk), yao })
+        }
     }
 }
 
@@ -698,7 +561,7 @@ impl<H: SessionHost> SessionDriver<H> {
 /// bundle): marks the phase and starts the online walk over `state`, with
 /// the lineage's fragment half kept for the park.
 fn enter_online(
-    ch: &mut ReplayTransport,
+    ch: &mut Inbox,
     server: &SecureServer,
     state: ServerOffline,
     kk: Option<FragmentChooser>,
@@ -715,12 +578,6 @@ pub struct DriveStats {
     /// How many times the driver parked on a missing frame and was fed
     /// one from the transport.
     pub suspensions: u32,
-    /// [`ReplayCounters::attempts`] of the finished session.
-    pub attempts: u64,
-    /// [`ReplayCounters::frames_read`] of the finished session.
-    pub frames_read: u64,
-    /// [`ReplayCounters::frames_consumed`] of the finished session.
-    pub frames_consumed: u64,
 }
 
 /// Runs a [`SessionDriver`] to completion over a blocking transport,
@@ -768,11 +625,7 @@ pub(crate) fn drive_frames_with<T: Transport, H: SessionHost>(
             }
         }
         match step {
-            DriverStep::Done => {
-                let ReplayCounters { attempts, frames_read, frames_consumed, .. } =
-                    driver.replay_counters();
-                return Ok(DriveStats { suspensions, attempts, frames_read, frames_consumed });
-            }
+            DriverStep::Done => return Ok(DriveStats { suspensions }),
             DriverStep::Failed(e) => return Err(e),
             DriverStep::NeedRecv => {
                 suspensions += 1;
@@ -826,58 +679,31 @@ mod tests {
         SessionDriver::new(Arc::clone(server), NullHost { ours }, StdRng::seed_from_u64(seed))
     }
 
-    /// A typed read decodes the buffered frame where it lies and is the
-    /// same event as a raw one: one frame read, one `Recv` effect, the
-    /// error the provided `recv_frame` reports for the same bytes, and
-    /// starvation past the end of the inbox.
+    /// The inbox hands out each frame once, in order, moved out: a typed
+    /// read is the same event as a raw one (one `Recv` effect, the error
+    /// `recv_frame` reports for the same bytes), and a read past the last
+    /// frame is an error, never a park.
     #[test]
-    fn typed_reads_decode_in_place_and_count_like_raw_ones() {
+    fn inbox_reads_move_each_frame_out() {
         use crate::frames::MaskedClass;
+        use abnn2_net::Frame;
         let class = vec![wire::tags::MASKED_CLASS, 7];
         let stray = vec![0xEE, 1, 2];
-        let mut ch = ReplayTransport {
-            inbox: [&class, &stray, &class].map(|f| Arc::new(f.clone())).to_vec(),
-            ..ReplayTransport::default()
+        let mut ch = Inbox {
+            frames: [&class, &stray, &class].map(|f| f.clone()).into(),
+            ..Inbox::default()
         };
-        ch.begin_attempt();
         assert_eq!(ch.recv_frame(), Ok(MaskedClass(vec![7])));
         let provided = MaskedClass::decode_tagged(&stray).map_err(TransportError::from);
         assert!(provided.is_err());
         assert_eq!(ch.recv_frame::<MaskedClass>(), provided);
         assert_eq!(ch.recv(), Ok(class));
-        assert_eq!(ch.recv_frame::<MaskedClass>(), Err(TransportError::WouldBlock));
-        assert!(ch.starved);
-        assert_eq!((ch.cursor, ch.counters.frames_read, ch.received), (3, 3, 2 + 3 + 2));
+        assert!(ch.frames.is_empty(), "every read moved its frame out");
+        assert!(matches!(ch.recv(), Err(TransportError::Malformed(_))));
+        assert_eq!(ch.snapshot().bytes_received, 2 + 3 + 2);
         let recv = |tag, len| DriverEffect::Recv { tag, len };
         let class_tag = wire::tags::MASKED_CLASS;
         assert_eq!(ch.effects, vec![recv(class_tag, 2), recv(0xEE, 3), recv(class_tag, 2)]);
-        assert_eq!(ch.inbox.len(), 3, "frames stay buffered until the step completes");
-    }
-
-    /// A shared read hands out the buffered frame itself: an attempt that
-    /// starves after it and the attempt that replays the step read the
-    /// same allocation, and the frame leaves the inbox only with the step.
-    #[test]
-    fn a_replayed_attempt_rereads_the_same_allocation() {
-        let tables = vec![wire::tags::GC_TABLES; 64];
-        let mut ch =
-            ReplayTransport { inbox: vec![Arc::new(tables.clone())], ..ReplayTransport::default() };
-        ch.begin_attempt();
-        let first = ch.recv_shared().expect("buffered");
-        assert_eq!(ch.recv_shared(), Err(TransportError::WouldBlock));
-        ch.effects.clear();
-        ch.end_attempt(false);
-        ch.inbox.push(Arc::new(vec![wire::tags::U64; 9]));
-        ch.begin_attempt();
-        let replayed = ch.recv_shared().expect("still buffered");
-        assert!(Arc::ptr_eq(&first, &replayed), "the replay reads the starved attempt's buffer");
-        assert_eq!(*replayed, tables);
-        assert_eq!(ch.recv_shared().map(|f| f.len()), Ok(9));
-        ch.end_attempt(true);
-        assert!(ch.inbox.is_empty(), "the completed step consumed both frames");
-        assert_eq!(ch.counters.frames_read, 3);
-        let fresh = DriverEffect::Recv { tag: wire::tags::U64, len: 9 };
-        assert_eq!(ch.effects, vec![fresh], "the re-read frame is not a fresh event");
     }
 
     /// A fresh driver with nothing fed parks immediately, emitting only
@@ -895,9 +721,8 @@ mod tests {
     }
 
     /// Frame-at-a-time event pump: every inbound frame is fed
-    /// individually, so the driver suspends at each protocol recv and
-    /// attempts many steps more than once — yet the session produces
-    /// bit-exact logits and sends the hello reply exactly once.
+    /// individually, so the driver parks once per frame — and the session
+    /// produces bit-exact logits and sends the hello reply exactly once.
     #[test]
     fn suspension_at_every_recv_is_bit_exact() {
         let q = tiny_model();
@@ -907,7 +732,7 @@ mod tests {
         let client = SecureClient::for_model(server.public_model());
         let (mut sch, mut cch) = Endpoint::pair(NetworkModel::instant());
 
-        let (stats, hello_replies, y) = std::thread::scope(|scope| {
+        let (stats, hello_replies, recvs, y) = std::thread::scope(|scope| {
             let x2 = x.clone();
             let cli = scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(11);
@@ -917,28 +742,25 @@ mod tests {
                     .expect("online")
             });
             let mut driver = driver_for(&server, 10);
-            let mut hello_replies = 0u32;
-            let stats = drive_frames(&mut sch, &mut driver, |effect| {
-                if let DriverEffect::Send(bytes) = effect {
-                    if bytes.first() == Some(&wire::tags::HELLO) {
-                        hello_replies += 1;
-                    }
+            let (mut hello_replies, mut recvs) = (0u32, 0u32);
+            let stats = drive_frames(&mut sch, &mut driver, |effect| match effect {
+                DriverEffect::Send(bytes) if bytes.first() == Some(&wire::tags::HELLO) => {
+                    hello_replies += 1;
                 }
+                DriverEffect::Recv { .. } => recvs += 1,
+                _ => {}
             })
             .expect("server");
-            (stats, hello_replies, cli.join().expect("client thread"))
+            (stats, hello_replies, recvs, cli.join().expect("client thread"))
         });
 
         assert_eq!(y.col(0), expected, "driver-served logits must equal forward_exact");
-        assert_eq!(hello_replies, 1, "replay must suppress duplicate hello replies");
+        assert_eq!(hello_replies, 1, "one hello reply");
         // The session has real protocol depth: hello, base OTs, KK13
         // extensions, GC rounds, blinded input — each a separate park.
         assert!(stats.suspensions >= 8, "expected many suspension points, got {stats:?}");
-        // Every frame was parked for and consumed once; what was read
-        // twice is bounded per step, not by the length of a phase.
-        assert_eq!(u64::from(stats.suspensions), stats.frames_consumed);
-        assert!(stats.frames_read <= 3 * stats.frames_consumed, "{stats:?}");
-        assert!(stats.attempts > stats.frames_consumed, "parks mean repeated attempts");
+        // Every frame was parked for and read once.
+        assert_eq!(stats.suspensions, recvs);
     }
 
     /// `drive_blocking` replaces the old straight-line server flow.

@@ -103,11 +103,7 @@ impl From<TransportError> for ProtocolError {
     fn from(e: TransportError) -> Self {
         match e {
             TransportError::Closed => ProtocolError::Channel,
-            // WouldBlock is an event-loop starvation signal; the session
-            // driver detects starvation by its own flag before the value
-            // can escape, so mapping the stray case to the retryable
-            // TimedOut is honest. This is the one place that maps it.
-            TransportError::TimedOut | TransportError::WouldBlock => ProtocolError::TimedOut,
+            TransportError::TimedOut => ProtocolError::TimedOut,
             TransportError::Malformed(what) => ProtocolError::Malformed(what),
         }
     }
@@ -126,7 +122,6 @@ mod tests {
         );
         assert!(ProtocolError::Dimension("batch").to_string().contains("batch"));
         assert_eq!(ProtocolError::from(TransportError::TimedOut), ProtocolError::TimedOut);
-        assert_eq!(ProtocolError::from(TransportError::WouldBlock), ProtocolError::TimedOut);
     }
 
     #[test]

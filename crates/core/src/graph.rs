@@ -35,9 +35,12 @@ use crate::bundle::{ClientBundle, ServerBundle};
 use crate::config::ExecConfig;
 use crate::frames::BlindedInput;
 use crate::inference::{ClientOffline, ServerOffline};
-use crate::matbeaver::{generate_matrix_p0, generate_matrix_p1, mul_matrix_shares, MatrixTriple};
+use crate::matbeaver::{
+    generate_matrix_p0_start, generate_matrix_p1, mul_matrix_shares, open_matrix_shares,
+    MatrixTriple, Opened, PendingTriple,
+};
 use crate::matmul::{triplet_client_with, TripletMode, TripletWalk};
-use crate::nonlinear::Lowering;
+use crate::nonlinear::{Lowering, ServerOp};
 use crate::relu::ReluVariant;
 use crate::ProtocolError;
 use abnn2_gc::{YaoEvaluator, YaoGarbler};
@@ -48,6 +51,7 @@ use abnn2_nn::graph::{LayerGraph, LayerOp, OpResource};
 use abnn2_nn::quant::{QuantConfig, QuantizedDense, QuantizedNetwork};
 use abnn2_nn::transformer::QuantizedTransformer;
 use abnn2_nn::QuantizedCnn;
+use abnn2_ot::base::{PendingRecv, PendingSend};
 use abnn2_ot::{FragmentChooser, FragmentSender, IknpReceiver, IknpSender};
 use rand::Rng;
 use std::borrow::{Borrow, Cow};
@@ -505,36 +509,51 @@ fn linear_input<'a>(op: &LayerOp, slot: &'a Matrix) -> Cow<'a, Matrix> {
     }
 }
 
-/// The shares entering op `i`'s re-sharing circuit: its source slots as
-/// they are, or — for a secret×secret matmul — this party's share of the
-/// untruncated product, after the matrix-Beaver open-and-combine over the
-/// next triple of `mats`. With `transpose_b` the right operand is stored
-/// `n × k`; transposition is linear, so each party transposes its share
-/// locally and the triple never sees the storage layout.
-fn reshare_inputs<'a, T: Transport, M: Borrow<Matrix>>(
+/// The client's shares entering op `i`'s re-sharing circuit: its source
+/// slots as they are, or — for a secret×secret matmul — its share of the
+/// untruncated product, after the open-and-combine.
+fn reshare_inputs<'a, T: Transport>(
     ch: &mut T,
     op: &LayerOp,
     i: usize,
-    tape: &'a [M],
+    tape: &'a [&Matrix],
     mats: &mut std::slice::Iter<'_, MatrixTriple>,
     ring: Ring,
-    party: u8,
 ) -> Result<Vec<Cow<'a, [u64]>>, ProtocolError> {
-    let slot = |s: usize| Borrow::<Matrix>::borrow(&tape[s]).as_slice();
-    let src = op.sources(i);
     let OpResource::MatTriple { m, k, n } = op.resource() else {
-        return Ok(src.iter().map(|&s| Cow::Borrowed(slot(s))).collect());
+        return Ok(reshare_sources(op, i, tape).into_iter().map(Cow::Borrowed).collect());
     };
-    let a = Matrix::new(m, k, slot(src[0]).to_vec());
+    let (a, b, triple) = matmul_operands(op, i, (m, k, n), tape, mats)?;
+    Ok(vec![Cow::Owned(mul_matrix_shares(ch, triple, &a, &b, ring, 1)?.into_vec())])
+}
+
+/// The shares entering op `i`'s re-sharing circuit: its source slots.
+fn reshare_sources<'a, M: Borrow<Matrix>>(op: &LayerOp, i: usize, tape: &'a [M]) -> Vec<&'a [u64]> {
+    op.sources(i).iter().map(|&s| Borrow::<Matrix>::borrow(&tape[s]).as_slice()).collect()
+}
+
+/// The operands `A` (`m × k`) and `B` (`k × n`) of secret×secret matmul op
+/// `i`, from this party's tape, and the next triple of `mats` for their
+/// matrix-Beaver open-and-combine. With `transpose_b` the right operand is
+/// stored `n × k`; transposition is linear, so each party transposes its
+/// share locally and the triple never sees the storage layout.
+fn matmul_operands<'t, M: Borrow<Matrix>>(
+    op: &LayerOp,
+    i: usize,
+    (m, k, n): (usize, usize, usize),
+    tape: &[M],
+    mats: &mut std::slice::Iter<'t, MatrixTriple>,
+) -> Result<(Matrix, Matrix, &'t MatrixTriple), ProtocolError> {
+    let src = reshare_sources(op, i, tape);
+    let a = Matrix::new(m, k, src[0].to_vec());
     let b = if matches!(op, LayerOp::MatMulSS { transpose_b: true, .. }) {
-        Matrix::new(n, k, slot(src[1]).to_vec()).transpose()
+        Matrix::new(n, k, src[1].to_vec()).transpose()
     } else {
-        Matrix::new(k, n, slot(src[1]).to_vec())
+        Matrix::new(k, n, src[1].to_vec())
     };
     let triple =
         mats.next().ok_or(ProtocolError::Malformed("offline state does not fit the graph"))?;
-    let product = mul_matrix_shares(ch, triple, &a, &b, ring, party)?;
-    Ok(vec![Cow::Owned(product.into_vec())])
+    Ok((a, b, triple))
 }
 
 /// Offline phase, server half: the loop over `ServerOfflineWalk::step`.
@@ -567,41 +586,88 @@ pub fn server_offline_with<T: Transport, R: Rng + ?Sized>(
 /// The server's offline phase as a resumable walk: the fragment chooser,
 /// the position in the op sequence and everything generated so far —
 /// nothing of Yao, which this phase never touches. [`step`](Self::step) runs
-/// one unit — one [`TripletWalk`] step of a linear op, or one matrix
-/// triple — so the server waits on the client at most once per call
-/// (matrix triples and silent refills aside, only at its start). Blocking
-/// callers loop on it ([`server_offline_with`]); the session driver steps
-/// a copy and keeps it only if the step did not starve, which is why the
-/// walk is `Clone` and holds the model by parameter, not by reference.
-#[derive(Debug, Clone)]
+/// one unit — one [`TripletWalk`] step of a linear op, one flight of the
+/// matrix triples' base OTs, or one half of a matrix triple: it takes the
+/// [`needs`](Self::needs) frames it waits for, then sends. Blocking
+/// callers loop on it ([`server_offline_with`]); the session driver runs a
+/// step once its frames have arrived.
+#[derive(Debug)]
 pub(crate) struct ServerOfflineWalk {
     sg: SecureGraph,
     exec: ExecConfig,
-    plans: Arc<[TripletPlan]>,
-    /// The half of the session the triplets extend, copied with the walk.
+    plans: Vec<TripletPlan>,
+    /// The half of the session the triplets extend.
     kk: FragmentChooser,
     /// The IKNP pair behind matrix triples, set up at the first matmul op.
-    ots: Option<(IknpReceiver, IknpSender)>,
+    ots: TripleOts,
     us: Vec<Matrix>,
     mats: Vec<MatrixTriple>,
     /// Index of the op the next unit belongs to.
     next: usize,
     /// The linear op in progress, between its fragment groups.
     triplet: Option<TripletWalk>,
+    /// The matrix triple in progress, between its halves.
+    triple: Option<PendingTriple>,
+}
+
+/// The IKNP pair behind matrix triples, one base-OT flight at a time: the
+/// receiver's batch (this party sends), then the sender's (it chooses).
+#[derive(Debug, Default)]
+enum TripleOts {
+    #[default]
+    Unset,
+    /// The receiver's point `A` is out; the client's `Rᵢ` come next.
+    Offered(IknpReceiver, PendingSend),
+    /// The receiver is keyed; the client's point `A` comes next.
+    Keyed(IknpReceiver),
+    /// The sender's `Rᵢ` are out; the client's ciphertexts come next.
+    Choosing(IknpReceiver, PendingRecv),
+    Ready(IknpReceiver, IknpSender),
+}
+
+impl TripleOts {
+    /// Frames the next [`step`](Self::step) takes.
+    fn needs(&self) -> usize {
+        usize::from(!matches!(self, TripleOts::Unset | TripleOts::Ready(..)))
+    }
+
+    /// Runs the next flight of the setup; a no-op once `Ready`.
+    fn step<T: Transport, R: Rng + ?Sized>(
+        self,
+        ch: &mut T,
+        rng: &mut R,
+    ) -> Result<Self, ProtocolError> {
+        Ok(match self {
+            TripleOts::Unset => {
+                let (r, pending) = IknpReceiver::setup_start(ch, rng)?;
+                TripleOts::Offered(r, pending)
+            }
+            TripleOts::Offered(r, pending) => {
+                pending.finish(ch)?;
+                TripleOts::Keyed(r)
+            }
+            TripleOts::Keyed(r) => TripleOts::Choosing(r, IknpSender::setup_start(ch, rng)?),
+            TripleOts::Choosing(r, pending) => {
+                TripleOts::Ready(r, IknpSender::setup_finish(ch, pending)?)
+            }
+            ready @ TripleOts::Ready(..) => ready,
+        })
+    }
 }
 
 impl ServerOfflineWalk {
     pub(crate) fn new(kk: FragmentChooser, sg: SecureGraph, exec: ExecConfig) -> Self {
         let mut walk = ServerOfflineWalk {
-            plans: sg.plan().into(),
+            plans: sg.plan(),
             us: Vec::with_capacity(sg.graph().linear_count()),
             mats: Vec::with_capacity(sg.graph().matmul_count()),
             sg,
             exec,
             kk,
-            ots: None,
+            ots: TripleOts::Unset,
             next: 0,
             triplet: None,
+            triple: None,
         };
         walk.skip_idle_ops();
         walk
@@ -620,6 +686,15 @@ impl ServerOfflineWalk {
     /// Whether every op's offline state has been generated.
     pub(crate) fn done(&self) -> bool {
         self.next == self.sg.graph().ops.len()
+    }
+
+    /// Frames the next [`step`](Self::step) takes.
+    pub(crate) fn needs(&self) -> usize {
+        match (&self.triplet, &self.triple) {
+            (Some(triplet), _) => triplet.needs(),
+            (None, Some(_)) => 2,
+            (None, None) => self.ots.needs(),
+        }
     }
 
     /// Runs the next unit; a no-op once [`done`](Self::done). `rng` feeds
@@ -658,26 +733,22 @@ impl ServerOfflineWalk {
                 self.triplet = None;
             }
             OpResource::MatTriple { m, k, n } => {
-                ch.mark_phase(&format!("offline:op{i}/{}", op.kind()));
-                let pair = match &mut self.ots {
-                    Some(pair) => pair,
-                    slot @ None => {
-                        let r = IknpReceiver::setup(ch, rng)?;
-                        let s = IknpSender::setup(ch, rng)?;
-                        slot.insert((r, s))
+                let Some(triple) = self.triple.take() else {
+                    // The op's first step finds the pair unset or ready.
+                    if matches!(self.ots, TripleOts::Unset | TripleOts::Ready(..)) {
+                        ch.mark_phase(&format!("offline:op{i}/{}", op.kind()));
                     }
+                    self.ots = std::mem::take(&mut self.ots).step(ch, rng)?;
+                    if let TripleOts::Ready(r, _) = &mut self.ots {
+                        let p0 = generate_matrix_p0_start(ch, r, m, k, n, config.ring, rng)?;
+                        self.triple = Some(p0);
+                    }
+                    return Ok(());
                 };
-                let ring = config.ring;
-                self.mats.push(generate_matrix_p0(
-                    ch,
-                    &mut pair.0,
-                    &mut pair.1,
-                    m,
-                    k,
-                    n,
-                    ring,
-                    rng,
-                )?);
+                let TripleOts::Ready(_, s) = &mut self.ots else {
+                    unreachable!("a triple starts on a ready pair")
+                };
+                self.mats.push(triple.finish(ch, s, config.ring)?);
             }
             OpResource::FreshMask { .. } | OpResource::Output => {}
         }
@@ -859,17 +930,17 @@ pub fn server_online_to_logits<T: Transport>(
 }
 
 /// The server's online phase as a resumable walk over the tape machine.
-/// [`step`](Self::step) runs one unit: the blinded input, then one tape op
-/// — a linear op's local [`Matrix::mul`], or a re-share op's opening and
-/// circuit, which is where the server waits. The walk is `Clone` for the same
-/// reason as [`ServerOfflineWalk`]; a copy shares the offline bundle and
-/// the model's circuits, and duplicates only the evaluator and the tape.
-#[derive(Debug, Clone)]
+/// [`step`](Self::step) runs one unit: marking the input, the blinded
+/// input, a linear op's local [`Matrix::mul`], or one flight of a re-share
+/// op — its matrix-Beaver opening, or a step of its [`ServerOp`] — and,
+/// like [`ServerOfflineWalk`]'s, takes the [`needs`](Self::needs) frames
+/// it waits for, then sends.
+#[derive(Debug)]
 pub(crate) struct ServerOnlineWalk {
     sg: SecureGraph,
     exec: ExecConfig,
-    bundle: Arc<ServerBundle>,
-    /// The Yao party the re-share ops run, copied with the walk.
+    bundle: ServerBundle,
+    /// The Yao party the re-share ops run.
     yao: YaoEvaluator,
     /// The server's share of every slot computed so far; empty until the
     /// blinded input has arrived.
@@ -877,7 +948,20 @@ pub(crate) struct ServerOnlineWalk {
     /// Triplet shares and matrix triples consumed so far.
     linears: usize,
     matmuls: usize,
+    /// What the unit in progress waits for.
+    flight: Option<Flight>,
     done: bool,
+}
+
+/// What the online walk's unit in progress waits for.
+#[derive(Debug)]
+enum Flight {
+    /// The blinded input.
+    Input,
+    /// The client's matrix-Beaver opening, ours being out.
+    Opened(Opened),
+    /// The re-share op's next flight.
+    Op(ServerOp),
 }
 
 impl ServerOnlineWalk {
@@ -904,6 +988,7 @@ impl ServerOnlineWalk {
             yao,
             linears: 0,
             matmuls: 0,
+            flight: None,
             done: false,
         })
     }
@@ -913,28 +998,72 @@ impl ServerOnlineWalk {
         self.done
     }
 
+    /// Frames the next [`step`](Self::step) takes.
+    pub(crate) fn needs(&self) -> usize {
+        match &self.flight {
+            None => 0,
+            Some(Flight::Input | Flight::Opened(_)) => 1,
+            Some(Flight::Op(op)) => op.needs(),
+        }
+    }
+
     /// Runs the next unit; a no-op once [`done`](Self::done).
     pub(crate) fn step<T: Transport>(
         &mut self,
         ch: &mut T,
         model: &ServedModel,
     ) -> Result<(), ProtocolError> {
+        let (ring, batch) = (self.sg.graph().config.ring, self.sg.batch());
+        let i = self.tape.len().wrapping_sub(1);
+        let op = match self.flight.take() {
+            Some(Flight::Input) => {
+                let n0 = self.sg.graph().input_len();
+                let BlindedInput(x0_bytes) = ch.recv_frame()?;
+                if x0_bytes.len() != n0 * batch * ring.byte_len() {
+                    return Err(ProtocolError::Malformed("blinded input length"));
+                }
+                self.tape.push(Matrix::new(n0, batch, ring.decode_slice(&x0_bytes)));
+                return Ok(());
+            }
+            Some(Flight::Opened(opened)) => {
+                let product = opened.combine(ch, &self.bundle.mats[self.matmuls], ring, 0)?;
+                self.matmuls += 1;
+                let lowering = self.sg.lowering(i, self.exec.variant)?;
+                lowering.server_start(ch, &[product.as_slice()], ring, batch)?
+            }
+            Some(Flight::Op(op)) => op.step(ch, &mut self.yao, ring)?,
+            None if self.tape.is_empty() => {
+                ch.mark_phase("online:input");
+                self.flight = Some(Flight::Input);
+                return Ok(());
+            }
+            None if self.done => return Ok(()),
+            None => match self.start_op(ch, model, i)? {
+                Some(op) => op,
+                None => return Ok(()),
+            },
+        };
+        match op {
+            ServerOp::Done(z0) => {
+                self.tape.push(Matrix::new(self.sg.graph().ops[i].out_len(), batch, z0));
+            }
+            op => self.flight = Some(Flight::Op(op)),
+        }
+        Ok(())
+    }
+
+    /// The first unit of op `i`: all of a linear op, the opening of a
+    /// secret×secret matmul, or — returned for the caller to land — a
+    /// re-share op up to its first wait.
+    fn start_op<T: Transport>(
+        &mut self,
+        ch: &mut T,
+        model: &ServedModel,
+        i: usize,
+    ) -> Result<Option<ServerOp>, ProtocolError> {
         let graph = self.sg.graph();
         let (config, batch) = (&graph.config, self.sg.batch());
         let ring = config.ring;
-        let Some(i) = self.tape.len().checked_sub(1) else {
-            ch.mark_phase("online:input");
-            let n0 = graph.input_len();
-            let BlindedInput(x0_bytes) = ch.recv_frame()?;
-            if x0_bytes.len() != n0 * batch * ring.byte_len() {
-                return Err(ProtocolError::Malformed("blinded input length"));
-            }
-            self.tape.push(Matrix::new(n0, batch, ring.decode_slice(&x0_bytes)));
-            return Ok(());
-        };
-        if self.done {
-            return Ok(());
-        }
         let op = graph.ops.get(i).ok_or(ProtocolError::Dimension("graph missing output op"))?;
         ch.mark_phase(&format!("online:op{i}/{}", op.kind()));
         let out = match op.resource() {
@@ -956,19 +1085,23 @@ impl ServerOnlineWalk {
             }
             OpResource::Output => {
                 self.done = true;
-                return Ok(());
+                return Ok(None);
             }
-            OpResource::MatTriple { .. } | OpResource::FreshMask { .. } => {
-                let lowering = self.sg.lowering(i, self.exec.variant)?;
+            OpResource::MatTriple { m, k, n } => {
                 let mut mats = self.bundle.mats[self.matmuls..].iter();
-                let shares = reshare_inputs(ch, op, i, &self.tape, &mut mats, ring, 0)?;
-                let z0 = lowering.server(ch, &mut self.yao, &shares, ring, batch)?;
-                self.matmuls = self.bundle.mats.len() - mats.len();
-                Matrix::new(op.out_len(), batch, z0)
+                let (a, b, triple) = matmul_operands(op, i, (m, k, n), &self.tape, &mut mats)?;
+                let opened = open_matrix_shares(ch, triple, &a, &b, ring)?;
+                self.flight = Some(Flight::Opened(opened));
+                return Ok(None);
+            }
+            OpResource::FreshMask { .. } => {
+                let lowering = self.sg.lowering(i, self.exec.variant)?;
+                let shares = reshare_sources(op, i, &self.tape);
+                return lowering.server_start(ch, &shares, ring, batch).map(Some);
             }
         };
         self.tape.push(out);
-        Ok(())
+        Ok(None)
     }
 
     /// The evaluator and the server's share of the output op's input.
@@ -1028,7 +1161,7 @@ pub fn client_online_to_logits<T: Transport, R: Rng + ?Sized>(
             OpResource::Triplet { .. } => vs.next().expect("triplet shapes were checked"),
             OpResource::Output => return Ok((yao, tape[i].clone())),
             OpResource::MatTriple { .. } | OpResource::FreshMask { .. } => {
-                let shares = reshare_inputs(ch, op, i, &tape, &mut mats, ring, 1)?;
+                let shares = reshare_inputs(ch, op, i, &tape, &mut mats, ring)?;
                 let lowering = sg.lowering(i, exec.variant)?;
                 let z1 = rs.next().expect("mask shapes were checked");
                 lowering.client(ch, &mut yao, &shares, z1.as_slice(), ring, batch, rng)?;

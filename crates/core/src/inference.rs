@@ -59,25 +59,24 @@ use std::sync::Arc;
 /// bundle checkpointed after a cut, manufactured ahead of time by a
 /// precompute pool, or produced by another offline protocol altogether
 /// (`abnn2-baselines`) pairs with any evaluator, fresh or continued.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ServerOffline {
     pub(crate) yao: YaoEvaluator,
-    /// Read-only from here on, so the online walk and its copies share it.
-    pub(crate) bundle: Arc<ServerBundle>,
+    pub(crate) bundle: ServerBundle,
 }
 
 impl ServerOffline {
     /// Pairs a Yao evaluator with an offline bundle.
     #[must_use]
     pub fn from_bundle(yao: YaoEvaluator, bundle: ServerBundle) -> Self {
-        ServerOffline { yao, bundle: Arc::new(bundle) }
+        ServerOffline { yao, bundle }
     }
 
     /// Copies out the bundle (for checkpointing; the state itself is
     /// consumed by the online phase).
     #[must_use]
     pub fn to_bundle(&self) -> ServerBundle {
-        ServerBundle::clone(&self.bundle)
+        self.bundle.clone()
     }
 }
 

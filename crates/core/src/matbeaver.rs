@@ -33,6 +33,7 @@ use crate::frames::MatmulOpenings;
 use crate::ProtocolError;
 use abnn2_math::{Matrix, Ring};
 use abnn2_net::Transport;
+use abnn2_ot::iknp::PendingOts;
 use abnn2_ot::{IknpReceiver, IknpSender};
 use rand::Rng;
 
@@ -62,17 +63,29 @@ impl MatrixTriple {
 }
 
 /// Gilboa OT product: this party holds `xs`; the peer holds `ys`; outputs
-/// are shares of `xs[i]·ys[i]`. This side is the *chooser* on its bits.
-fn gilboa_chooser<T: Transport>(
+/// are shares of `xs[i]·ys[i]`. This side is the *chooser* on its bits, and
+/// this is its half up to the wait: the columns of one correlated OT per
+/// bit. [`gilboa_chooser_finish`] takes the corrections.
+fn gilboa_chooser_start<T: Transport>(
     ch: &mut T,
     ot: &mut IknpReceiver,
     xs: &[u64],
     ring: Ring,
-) -> Result<Vec<u64>, ProtocolError> {
+) -> Result<PendingOts, ProtocolError> {
     let l = ring.bits() as usize;
     let choices: Vec<bool> =
         xs.iter().flat_map(|&x| (0..l).map(move |b| (x >> b) & 1 == 1)).collect();
-    let got = ot.recv_correlated(ch, &choices, ring)?;
+    Ok(ot.recv_start(ch, &choices)?)
+}
+
+/// The chooser's shares of the products [`gilboa_chooser_start`] began.
+fn gilboa_chooser_finish<T: Transport>(
+    ch: &mut T,
+    ots: PendingOts,
+    ring: Ring,
+) -> Result<Vec<u64>, ProtocolError> {
+    let l = ring.bits() as usize;
+    let got = ots.finish_correlated(ch, ring)?;
     Ok(got
         .chunks_exact(l)
         .map(|chunk| chunk.iter().fold(0u64, |acc, &v| ring.add(acc, v)))
@@ -132,7 +145,8 @@ fn fold_cross(shares: &[u64], m: usize, k: usize, n: usize, ring: Ring) -> Matri
 
 /// Interactive matrix-triple generation, "party 0" (server) side: samples
 /// `X₀, Y₀`, runs the Gilboa cross products (chooser on `X₀` first, then
-/// sender from `Y₀`), and assembles `Z₀ = X₀·Y₀ + ⟨X₀·Y₁⟩ + ⟨X₁·Y₀⟩`.
+/// sender from `Y₀`), and assembles `Z₀ = X₀·Y₀ + ⟨X₀·Y₁⟩ + ⟨X₁·Y₀⟩`:
+/// [`generate_matrix_p0_start`], then [`PendingTriple::finish`].
 ///
 /// # Errors
 ///
@@ -148,19 +162,62 @@ pub fn generate_matrix_p0<T: Transport, R: Rng + ?Sized>(
     ring: Ring,
     rng: &mut R,
 ) -> Result<MatrixTriple, ProtocolError> {
+    generate_matrix_p0_start(ch, ot_r, m, k, n, ring, rng)?.finish(ch, ot_s, ring)
+}
+
+/// [`generate_matrix_p0`] up to its one wait: samples `X₀, Y₀` and sends
+/// the chooser's columns for `X₀·Y₁`.
+///
+/// # Errors
+///
+/// Returns [`ProtocolError`] on OT failure.
+pub(crate) fn generate_matrix_p0_start<T: Transport, R: Rng + ?Sized>(
+    ch: &mut T,
+    ot_r: &mut IknpReceiver,
+    m: usize,
+    k: usize,
+    n: usize,
+    ring: Ring,
+    rng: &mut R,
+) -> Result<PendingTriple, ProtocolError> {
     let x0 = Matrix::random(m, k, &ring, rng);
     let y0 = Matrix::random(k, n, &ring, rng);
     // X₀·Y₁: we choose on bits of X₀'s flattened cross entries.
     let (xs, _) = flatten_cross(&x0, &y0);
-    let t1 = gilboa_chooser(ch, ot_r, &xs, ring)?;
-    // X₁·Y₀: we supply correlations from Y₀'s flattened cross entries.
-    let (_, ys) = flatten_cross(&x0, &y0);
-    let w2 = gilboa_sender(ch, ot_s, &ys, ring)?;
-    let z0 = x0
-        .mul(&y0, &ring)
-        .add(&fold_cross(&t1, m, k, n, ring), &ring)
-        .add(&fold_cross(&w2, m, k, n, ring), &ring);
-    Ok(MatrixTriple { x: x0, y: y0, z: z0 })
+    let t1 = gilboa_chooser_start(ch, ot_r, &xs, ring)?;
+    Ok(PendingTriple { x0, y0, t1 })
+}
+
+/// The server's triple shares, sampled, with its `X₀·Y₁` columns out:
+/// the client's corrections, then its own columns for `X₁·Y₀`, come next.
+#[derive(Debug)]
+pub(crate) struct PendingTriple {
+    x0: Matrix,
+    y0: Matrix,
+    t1: PendingOts,
+}
+
+impl PendingTriple {
+    /// The rest of [`generate_matrix_p0`]: receives the corrections,
+    /// answers the client's columns from `Y₀` and assembles `Z₀`.
+    pub(crate) fn finish<T: Transport>(
+        self,
+        ch: &mut T,
+        ot_s: &mut IknpSender,
+        ring: Ring,
+    ) -> Result<MatrixTriple, ProtocolError> {
+        let PendingTriple { x0, y0, t1 } = self;
+        let (m, k, n) = (x0.rows(), x0.cols(), y0.cols());
+        let t1 = gilboa_chooser_finish(ch, t1, ring)?;
+        // X₁·Y₀: we supply correlations from Y₀'s flattened cross entries.
+        let (_, ys) = flatten_cross(&x0, &y0);
+        let w2 = gilboa_sender(ch, ot_s, &ys, ring)?;
+        let z0 = x0
+            .mul(&y0, &ring)
+            .add(&fold_cross(&t1, m, k, n, ring), &ring)
+            .add(&fold_cross(&w2, m, k, n, ring), &ring);
+        Ok(MatrixTriple { x: x0, y: y0, z: z0 })
+    }
 }
 
 /// Interactive matrix-triple generation, "party 1" (client) side — the
@@ -186,7 +243,8 @@ pub fn generate_matrix_p1<T: Transport, R: Rng + ?Sized>(
     let (_, ys) = flatten_cross(&x1, &y1);
     let w1 = gilboa_sender(ch, ot_s, &ys, ring)?;
     let (xs, _) = flatten_cross(&x1, &y1);
-    let t2 = gilboa_chooser(ch, ot_r, &xs, ring)?;
+    let ots = gilboa_chooser_start(ch, ot_r, &xs, ring)?;
+    let t2 = gilboa_chooser_finish(ch, ots, ring)?;
     let z1 = x1
         .mul(&y1, &ring)
         .add(&fold_cross(&w1, m, k, n, ring), &ring)
@@ -217,7 +275,8 @@ pub fn deal_matrix_triple<R: Rng + ?Sized>(
 /// and `B` (`k × n`) with a precomputed triple. Both parties call this
 /// symmetrically (`party` ∈ {0, 1}); one [`MatmulOpenings`] frame each way.
 /// Returns this party's additive share of `A·B` (pre-truncation — the
-/// caller feeds it to the reconstruct-truncate-reshare circuit).
+/// caller feeds it to the reconstruct-truncate-reshare circuit):
+/// [`open_matrix_shares`], then [`Opened::combine`].
 ///
 /// # Errors
 ///
@@ -231,28 +290,70 @@ pub fn mul_matrix_shares<T: Transport>(
     ring: Ring,
     party: u8,
 ) -> Result<Matrix, ProtocolError> {
+    open_matrix_shares(ch, triple, a, b, ring)?.combine(ch, triple, ring, party)
+}
+
+/// This party's openings `D = A − X` and `E = B − Y`, sent; the peer's
+/// come next.
+#[derive(Debug)]
+pub(crate) struct Opened {
+    d: Matrix,
+    e: Matrix,
+}
+
+/// [`mul_matrix_shares`] up to its wait: sends this party's opening.
+///
+/// # Errors
+///
+/// As [`mul_matrix_shares`].
+pub(crate) fn open_matrix_shares<T: Transport>(
+    ch: &mut T,
+    triple: &MatrixTriple,
+    a: &Matrix,
+    b: &Matrix,
+    ring: Ring,
+) -> Result<Opened, ProtocolError> {
     let (m, k, n) = triple.dims();
     if a.rows() != m || a.cols() != k || b.rows() != k || b.cols() != n {
         return Err(ProtocolError::Dimension("operands do not fit the matrix triple"));
     }
-    let d_own = a.sub(&triple.x, &ring);
-    let e_own = b.sub(&triple.y, &ring);
+    let opened = Opened { d: a.sub(&triple.x, &ring), e: b.sub(&triple.y, &ring) };
     let mut opening = Vec::with_capacity(m * k + k * n);
-    opening.extend_from_slice(d_own.as_slice());
-    opening.extend_from_slice(e_own.as_slice());
+    opening.extend_from_slice(opened.d.as_slice());
+    opening.extend_from_slice(opened.e.as_slice());
     ch.send_frame(&MatmulOpenings(ring.encode_slice(&opening)))?;
-    let MatmulOpenings(theirs_bytes) = ch.recv_frame()?;
-    if theirs_bytes.len() != (m * k + k * n) * ring.byte_len() {
-        return Err(ProtocolError::Malformed("matmul opening length"));
+    Ok(opened)
+}
+
+impl Opened {
+    /// The rest of [`mul_matrix_shares`]: receives the peer's opening and
+    /// combines this party's share of `A·B`.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Malformed`] on a bad peer opening.
+    pub(crate) fn combine<T: Transport>(
+        self,
+        ch: &mut T,
+        triple: &MatrixTriple,
+        ring: Ring,
+        party: u8,
+    ) -> Result<Matrix, ProtocolError> {
+        let (m, k, n) = triple.dims();
+        let MatmulOpenings(theirs_bytes) = ch.recv_frame()?;
+        if theirs_bytes.len() != (m * k + k * n) * ring.byte_len() {
+            return Err(ProtocolError::Malformed("matmul opening length"));
+        }
+        let theirs = ring.decode_slice(&theirs_bytes);
+        let d = self.d.add(&Matrix::new(m, k, theirs[..m * k].to_vec()), &ring);
+        let e = self.e.add(&Matrix::new(k, n, theirs[m * k..].to_vec()), &ring);
+        let mut p =
+            triple.z.add(&d.mul(&triple.y, &ring), &ring).add(&triple.x.mul(&e, &ring), &ring);
+        if party == 0 {
+            p = p.add(&d.mul(&e, &ring), &ring);
+        }
+        Ok(p)
     }
-    let theirs = ring.decode_slice(&theirs_bytes);
-    let d = d_own.add(&Matrix::new(m, k, theirs[..m * k].to_vec()), &ring);
-    let e = e_own.add(&Matrix::new(k, n, theirs[m * k..].to_vec()), &ring);
-    let mut p = triple.z.add(&d.mul(&triple.y, &ring), &ring).add(&triple.x.mul(&e, &ring), &ring);
-    if party == 0 {
-        p = p.add(&d.mul(&e, &ring), &ring);
-    }
-    Ok(p)
 }
 
 #[cfg(test)]

@@ -17,9 +17,9 @@ use crate::frames::TripletMasked;
 use crate::ProtocolError;
 use abnn2_math::{FragmentScheme, Matrix, Ring};
 use abnn2_net::Transport;
+use abnn2_ot::silent::PendingRefill;
 use abnn2_ot::{FragmentChooser, FragmentChooserKeys, FragmentSender};
 use rand::Rng;
-use std::sync::Arc;
 
 /// Which §4.1 message layout to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,16 +148,16 @@ pub fn triplet_server_with<T: Transport>(
 }
 
 /// The server half of one triplet as a resumable walk over the scheme's
-/// fragment groups. Every [`step`](Self::step) waits on the peer at most
-/// once and only at its start, so a suspended caller that re-runs a
-/// starved step from a copy of this state has next to nothing to redo:
+/// fragment groups. Every [`step`](Self::step) first takes the
+/// [`needs`](Self::needs) frames it waits for, then sends:
 ///
-/// * with no fragment in flight, extend the next one and send its columns
+/// * with nothing in flight, extend the next fragment and send its columns
 ///   (KK13 never waits here; a silent chooser whose COT pool runs short
-///   spends the step on one refill instead);
-/// * with one in flight, receive its [`TripletMasked`] batch and decode it
-///   into the partial share `U`.
-#[derive(Debug, Clone)]
+///   starts a refill instead);
+/// * with a refill in flight, finish it (two frames);
+/// * with a fragment in flight, receive its [`TripletMasked`] batch and
+///   decode it into the partial share `U`.
+#[derive(Debug)]
 pub(crate) struct TripletWalk {
     m: usize,
     n: usize,
@@ -165,13 +165,15 @@ pub(crate) struct TripletWalk {
     ring: Ring,
     cfg: TripletConfig,
     /// Each fragment group's radix, then each weight's digit in every
-    /// group. Never written after construction, so copies share them.
-    radices: Arc<[u64]>,
-    digits: Arc<[Vec<u64>]>,
+    /// group.
+    radices: Vec<u64>,
+    digits: Vec<Vec<u64>>,
     /// Next fragment group to extend.
     next: usize,
-    /// OT keys of the fragment in flight (written once, shared likewise).
-    pending: Option<Arc<FragmentChooserKeys>>,
+    /// The silent refill in flight.
+    refill: Option<PendingRefill>,
+    /// OT keys of the fragment in flight.
+    pending: Option<FragmentChooserKeys>,
     /// Sum of the fragments decoded so far.
     u: Matrix,
 }
@@ -208,9 +210,19 @@ impl TripletWalk {
             radices: scheme.fragments().iter().map(|f| f.n).collect(),
             digits,
             next: 0,
+            refill: None,
             pending: None,
             u: Matrix::zeros(m, o),
         })
+    }
+
+    /// Frames the next [`step`](Self::step) takes.
+    pub(crate) fn needs(&self) -> usize {
+        if self.refill.is_some() {
+            2
+        } else {
+            usize::from(self.pending.is_some())
+        }
     }
 
     /// Runs one unit (see the type docs) and returns the finished share
@@ -225,11 +237,16 @@ impl TripletWalk {
         ch: &mut T,
         kk: &mut FragmentChooser,
     ) -> Result<Option<Matrix>, ProtocolError> {
+        if let Some(refill) = self.refill.take() {
+            kk.refill_finish(ch, refill)?;
+            return Ok(None);
+        }
         let Some(keys) = self.pending.take() else {
             let (g, radix) = (self.next, self.radices[self.next]);
-            if kk.prepare(ch, self.digits.len(), radix)? {
+            self.refill = kk.refill_start(ch, self.digits.len(), radix)?;
+            if self.refill.is_none() {
                 let choices: Vec<u64> = self.digits.iter().map(|d| d[g]).collect();
-                self.pending = Some(Arc::new(kk.extend(ch, &choices, radix)?));
+                self.pending = Some(kk.extend(ch, &choices, radix)?);
                 self.next += 1;
             }
             return Ok(None);

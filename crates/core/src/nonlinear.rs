@@ -15,24 +15,31 @@
 //!   the source slot out window-major). It runs once per op of a model:
 //!   the graph walks in [`crate::graph`] read the result from the model's
 //!   slot for that op and never match on op kinds themselves — a new op
-//!   kind (ROADMAP item 3's `Lut`) is one arm there. A circuit is one
+//!   kind (ROADMAP item 7's `Lut`) is one arm there. A circuit is one
 //!   sample's; the walk widens it to its batch when it runs
 //!   ([`Circuit::with_lanes`] shares the gates).
 //! * The paper's two-round optimized ReLU ([`crate::relu`]) is the one
 //!   lowering that is not a single circuit.
+//! * [`ServerOp`] is the server half of either lowering between the
+//!   flights of its exchange: each of its steps takes the frames it waits
+//!   for, then sends, so the session driver runs it one step at a time and
+//!   the blocking halves run it to the end.
 //! * [`softmax_server`]/[`softmax_client`], [`gelu_server`]/[`gelu_client`]
 //!   and [`layernorm_server`]/[`layernorm_client`] run one op standalone on
 //!   explicit shapes, for the benchmark probes.
 
-use crate::relu::{sign_first_circuits, sign_first_client, sign_first_server, ReluVariant};
+use crate::frames::{NegShares, SignBits};
+use crate::relu::{sign_first_circuits, sign_first_client, ReluVariant};
 use crate::ProtocolError;
 use abnn2_gc::circuit::bits_to_u64;
+use abnn2_gc::yao::PendingRun;
 use abnn2_gc::{circuits, Circuit, YaoEvaluator, YaoGarbler};
 use abnn2_math::Ring;
 use abnn2_net::Transport;
 use abnn2_nn::conv::pool_windows;
 use abnn2_nn::graph::LayerOp;
 use abnn2_nn::quant::QuantConfig;
+use abnn2_ot::bits::pack_bits;
 use rand::Rng;
 
 /// The words→wires codec, the one place a ring word becomes the `bool` per
@@ -74,18 +81,144 @@ pub fn reshare_server<T: Transport, S: AsRef<[u64]>>(
     shares: &[S],
     ring: Ring,
 ) -> Result<Vec<u64>, ProtocolError> {
-    let bits = ring.bits() as usize;
-    let mut ebits = Vec::with_capacity(circuit.evaluator_input_count());
-    for s in shares {
-        push_words(&mut ebits, s.as_ref(), bits);
+    let circuit = circuit.with_lanes(circuit.lanes());
+    ServerOp::evaluate(ch, circuit, shares, ring, Then::Shares)?.run(ch, yao, ring)
+}
+
+/// The server half of a lowered op between the flights of its exchange.
+/// Every variant but `Done` waits on the client for [`needs`](Self::needs)
+/// frames; [`step`](Self::step) takes them and sends what answers them.
+#[derive(Debug)]
+pub(crate) enum ServerOp {
+    /// The evaluator's input bits for `circuit`; the garbler's labels,
+    /// tables and decode map come next.
+    Material { circuit: Circuit, bits: Vec<bool>, then: Then },
+    /// The label OTs' columns are out; their ciphertexts come next.
+    Labels { circuit: Circuit, run: PendingRun, then: Then },
+    /// The optimized ReLU's signs are out; the client's shares of the
+    /// negative neurons come next. `reshare` is one neuron's circuit.
+    Signed { non_neg: Vec<bool>, y0: Vec<u64>, reshare: Circuit },
+    /// The op's fresh shares `z₀`.
+    Done(Vec<u64>),
+}
+
+/// What a circuit's output bits are for.
+#[derive(Debug)]
+pub(crate) enum Then {
+    /// The fresh shares themselves.
+    Shares,
+    /// The optimized ReLU's signs, one per neuron of `y0`.
+    Signs { y0: Vec<u64>, reshare: Circuit },
+    /// The non-negative neurons' shares, merged with the negative ones'.
+    Merge { non_neg: Vec<bool>, neg: Vec<u64> },
+}
+
+impl ServerOp {
+    /// Algorithm 2 over `circuit` and one share-0 vector per operand: a
+    /// wait for the garbled material, or — for a circuit with no outputs,
+    /// which moves nothing on either side — what `then` makes of none.
+    fn evaluate<T: Transport, S: AsRef<[u64]>>(
+        ch: &mut T,
+        circuit: Circuit,
+        shares: &[S],
+        ring: Ring,
+        then: Then,
+    ) -> Result<Self, ProtocolError> {
+        let mut bits = Vec::with_capacity(circuit.evaluator_input_count());
+        for s in shares {
+            push_words(&mut bits, s.as_ref(), ring.bits() as usize);
+        }
+        if bits.len() != circuit.evaluator_input_count() {
+            return Err(MISFIT);
+        }
+        if circuit.output_count() == 0 {
+            return then.outputs(ch, Vec::new(), ring);
+        }
+        Ok(ServerOp::Material { circuit, bits, then })
     }
-    if ebits.len() != circuit.evaluator_input_count() {
-        return Err(MISFIT);
+
+    /// Frames the next [`step`](Self::step) takes.
+    pub(crate) fn needs(&self) -> usize {
+        match self {
+            ServerOp::Material { .. } => 3,
+            ServerOp::Labels { .. } | ServerOp::Signed { .. } => 1,
+            ServerOp::Done(_) => 0,
+        }
     }
-    if circuit.output_count() == 0 {
-        return Ok(Vec::new());
+
+    /// Takes the frames the op waits for and sends what answers them.
+    pub(crate) fn step<T: Transport>(
+        self,
+        ch: &mut T,
+        yao: &mut YaoEvaluator,
+        ring: Ring,
+    ) -> Result<Self, ProtocolError> {
+        Ok(match self {
+            ServerOp::Material { circuit, bits, then } => {
+                ServerOp::Labels { run: yao.run_start(ch, &circuit, &bits)?, circuit, then }
+            }
+            ServerOp::Labels { circuit, run, then } => {
+                let out = run.finish(ch, &circuit)?;
+                then.outputs(ch, out, ring)?
+            }
+            ServerOp::Signed { non_neg, y0, reshare } => {
+                // Negative neurons: the client re-shares zero by sending −z1.
+                let neg_count = non_neg.iter().filter(|&&b| !b).count();
+                let NegShares(neg_bytes) = ch.recv_frame()?;
+                if neg_bytes.len() != neg_count * ring.byte_len() {
+                    return Err(ProtocolError::Malformed("negative-neuron share batch length"));
+                }
+                // Phase 2: reconstruct-and-reshare only the non-negative
+                // subset.
+                let y0_pos: Vec<u64> =
+                    y0.iter().zip(&non_neg).filter(|p| *p.1).map(|p| *p.0).collect();
+                let circuit = reshare.with_lanes(y0_pos.len());
+                let neg = ring.decode_slice(&neg_bytes);
+                ServerOp::evaluate(ch, circuit, &[y0_pos], ring, Then::Merge { non_neg, neg })?
+            }
+            done @ ServerOp::Done(_) => done,
+        })
     }
-    Ok(bits_to_words(&yao.run(ch, circuit, &ebits)?, bits))
+
+    /// Runs the op to its fresh shares over a blocking channel.
+    pub(crate) fn run<T: Transport>(
+        mut self,
+        ch: &mut T,
+        yao: &mut YaoEvaluator,
+        ring: Ring,
+    ) -> Result<Vec<u64>, ProtocolError> {
+        loop {
+            match self {
+                ServerOp::Done(z0) => return Ok(z0),
+                op => self = op.step(ch, yao, ring)?,
+            }
+        }
+    }
+}
+
+impl Then {
+    /// What a circuit's output bits make of the op: its shares, or (the
+    /// signs, sent) the optimized ReLU's wait for the negative neurons.
+    fn outputs<T: Transport>(
+        self,
+        ch: &mut T,
+        out: Vec<bool>,
+        ring: Ring,
+    ) -> Result<ServerOp, ProtocolError> {
+        let bits = ring.bits() as usize;
+        Ok(match self {
+            Then::Shares => ServerOp::Done(bits_to_words(&out, bits)),
+            Then::Signs { y0, reshare } => {
+                ch.send_frame(&SignBits(pack_bits(&out)))?;
+                ServerOp::Signed { non_neg: out, y0, reshare }
+            }
+            Then::Merge { non_neg, neg } => {
+                let (mut pos, mut neg) = (bits_to_words(&out, bits).into_iter(), neg.into_iter());
+                let z0 = non_neg.iter().map(|&p| if p { pos.next() } else { neg.next() });
+                ServerOp::Done(z0.map(|z| z.expect("one share per neuron")).collect())
+            }
+        })
+    }
 }
 
 /// Client (garbler) half of Algorithm 2 for any re-share circuit: holds
@@ -196,7 +329,7 @@ impl Lowering {
     }
 
     /// Server half of the lowered op over its operand shares, `batch`
-    /// samples wide.
+    /// samples wide: [`server_start`](Self::server_start), run to the end.
     pub(crate) fn server<T: Transport, S: AsRef<[u64]>>(
         &self,
         ch: &mut T,
@@ -205,17 +338,36 @@ impl Lowering {
         ring: Ring,
         batch: usize,
     ) -> Result<Vec<u64>, ProtocolError> {
+        self.server_start(ch, shares, ring, batch)?.run(ch, yao, ring)
+    }
+
+    /// [`server`](Self::server) up to its first wait.
+    pub(crate) fn server_start<T: Transport, S: AsRef<[u64]>>(
+        &self,
+        ch: &mut T,
+        shares: &[S],
+        ring: Ring,
+        batch: usize,
+    ) -> Result<ServerOp, ProtocolError> {
         match self {
             Lowering::Reshare { circuit, gather } => {
                 let circuit = circuit.with_lanes(circuit.lanes() * batch);
                 match gather {
-                    None => reshare_server(ch, yao, &circuit, shares, ring),
-                    Some(idx) => reshare_server(ch, yao, &circuit, &gathered(shares, idx)?, ring),
+                    None => ServerOp::evaluate(ch, circuit, shares, ring, Then::Shares),
+                    Some(idx) => {
+                        ServerOp::evaluate(ch, circuit, &gathered(shares, idx)?, ring, Then::Shares)
+                    }
                 }
             }
             Lowering::SignFirst { sign, reshare } => {
+                // Phase 1: the comparison circuit reveals per-neuron signs.
                 let [y0] = shares else { return Err(MISFIT) };
-                sign_first_server(ch, yao, sign, reshare, y0.as_ref(), ring)
+                let y0 = y0.as_ref();
+                if y0.is_empty() {
+                    return Ok(ServerOp::Done(Vec::new()));
+                }
+                let then = Then::Signs { y0: y0.to_vec(), reshare: reshare.with_lanes(1) };
+                ServerOp::evaluate(ch, sign.with_lanes(y0.len()), &[y0], ring, then)
             }
         }
     }

@@ -16,12 +16,12 @@
 //!   (the paper accepts this; we default to `Oblivious`).
 
 use crate::frames::{NegShares, SignBits};
-use crate::nonlinear::{reshare_client, reshare_server, words_to_bits};
+use crate::nonlinear::{reshare_client, reshare_server, words_to_bits, Lowering};
 use crate::ProtocolError;
 use abnn2_gc::{circuits, Circuit, YaoEvaluator, YaoGarbler};
 use abnn2_math::Ring;
 use abnn2_net::Transport;
-use abnn2_ot::bits::{get_bit, pack_bits};
+use abnn2_ot::bits::get_bit;
 use rand::Rng;
 
 /// Which §4.2 activation protocol to run. Both parties must agree.
@@ -56,7 +56,7 @@ pub fn relu_server<T: Transport>(
         }
         ReluVariant::Optimized => {
             let (sign, reshare) = sign_first_circuits(bits, shift);
-            sign_first_server(ch, yao, &sign, &reshare, y0, ring)
+            Lowering::SignFirst { sign, reshare }.server(ch, yao, &[y0], ring, 1)
         }
     }
 }
@@ -66,42 +66,6 @@ pub fn relu_server<T: Transport>(
 pub(crate) fn sign_first_circuits(bits: usize, shift: usize) -> (Circuit, Circuit) {
     let sign = circuits::relu_sign_vec_circuit(bits, 1);
     (sign, circuits::reconstruct_trunc_reshare_vec_circuit(bits, 1, shift))
-}
-
-/// Server half of the optimized ReLU over one neuron's `sign` and `reshare`
-/// circuits, widened here to the neurons each phase runs on.
-pub(crate) fn sign_first_server<T: Transport>(
-    ch: &mut T,
-    yao: &mut YaoEvaluator,
-    sign: &Circuit,
-    reshare: &Circuit,
-    y0: &[u64],
-    ring: Ring,
-) -> Result<Vec<u64>, ProtocolError> {
-    let n = y0.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    // Phase 1: comparison circuit reveals per-neuron signs.
-    let bits = ring.bits() as usize;
-    let non_neg = yao.run(ch, &sign.with_lanes(n), &words_to_bits(y0, bits))?;
-    ch.send_frame(&SignBits(pack_bits(&non_neg)))?;
-
-    // Negative neurons: the client re-shares zero by sending −z1.
-    let neg_count = non_neg.iter().filter(|&&b| !b).count();
-    let NegShares(neg_bytes) = ch.recv_frame()?;
-    if neg_bytes.len() != neg_count * ring.byte_len() {
-        return Err(ProtocolError::Malformed("negative-neuron share batch length"));
-    }
-    let mut neg_shares = ring.decode_slice(&neg_bytes).into_iter();
-
-    // Phase 2: reconstruct-and-reshare only the non-negative subset.
-    let y0_pos: Vec<u64> = (0..n).filter(|&j| non_neg[j]).map(|j| y0[j]).collect();
-    let circuit = reshare.with_lanes(y0_pos.len());
-    let mut pos_shares = reshare_server(ch, yao, &circuit, &[y0_pos], ring)?.into_iter();
-
-    let z0 = non_neg.iter().map(|&p| if p { pos_shares.next() } else { neg_shares.next() });
-    Ok(z0.map(|z| z.expect("one share per neuron")).collect())
 }
 
 /// Client (garbler) side: holds shares `y1` and supplies its fresh output
@@ -136,7 +100,8 @@ pub fn relu_client<T: Transport, RNG: Rng + ?Sized>(
     }
 }
 
-/// Client half of the optimized ReLU, see [`sign_first_server`].
+/// Client half of the optimized ReLU; the server half is
+/// [`ServerOp`](crate::nonlinear::ServerOp)'s.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sign_first_client<T: Transport, RNG: Rng + ?Sized>(
     ch: &mut T,

@@ -33,10 +33,15 @@ use abnn2_net::Transport;
 use abnn2_ot::{FragmentChooser, FragmentSender, OfflineMode};
 use rand::Rng;
 
-/// Server-side OT-extension state (model holder). `Clone` because the
-/// session driver runs each step on a copy; a copy that is not kept is
-/// dropped unused, so positions still only move forward.
-#[derive(Debug, Clone, Default)]
+/// Server-side OT-extension state (model holder). Deliberately not
+/// `Clone`, for the reason [`ClientLineage`] is not: two copies of an OT
+/// half could extend one PRG stream twice.
+///
+/// ```compile_fail
+/// fn copies<T: Clone>() {}
+/// copies::<abnn2_core::ServerLineage>();
+/// ```
+#[derive(Debug, Default)]
 pub struct ServerLineage {
     /// 1-out-of-N OT chooser used by the matmul triplet protocol.
     pub kk: Option<FragmentChooser>,

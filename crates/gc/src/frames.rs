@@ -4,9 +4,9 @@
 //! labels, the AND-gate tables, and the output decode bits — and the
 //! evaluator receives them through
 //! [`Transport::recv_frame`](abnn2_net::Transport::recv_frame), except the
-//! tables: those it reads where they landed
-//! ([`Transport::recv_shared`](abnn2_net::Transport::recv_shared)),
-//! checked by [`GcTables`]' rules. Frame-level checks cover block
+//! tables: those it evaluates from the message
+//! [`Transport::recv`](abnn2_net::Transport::recv) returns, checked by
+//! [`GcTables`]' rules. Frame-level checks cover block
 //! granularity; circuit-dependent exact counts stay with
 //! [`YaoEvaluator`](crate::yao::YaoEvaluator), which reports them as
 //! [`TransportError::Malformed`].

@@ -9,7 +9,10 @@
 use crate::circuit::Circuit;
 use crate::frames::{table_payload, GcDecodeMap, GcLabels, GcTables};
 use crate::garble::{check_material, evaluate_in_place, garble_into, table_bytes};
+use abnn2_crypto::Block;
 use abnn2_net::{Frame, Transport, TransportError};
+use abnn2_ot::base::{self, PendingSend};
+use abnn2_ot::iknp::PendingOts;
 use abnn2_ot::{IknpReceiver, IknpSender};
 use rand::Rng;
 use std::cell::Cell;
@@ -32,8 +35,14 @@ pub struct YaoGarbler {
     ot: IknpSender,
 }
 
-/// The evaluating party (ABNN²'s server). Owns the OT-receiver state.
-#[derive(Debug, Clone)]
+/// The evaluating party (ABNN²'s server). Owns the OT-receiver state, so it
+/// is not `Clone`: two copies would extend one OT stream twice.
+///
+/// ```compile_fail
+/// fn copies<T: Clone>() {}
+/// copies::<abnn2_gc::YaoEvaluator>();
+/// ```
+#[derive(Debug)]
 pub struct YaoEvaluator {
     ot: IknpReceiver,
 }
@@ -102,7 +111,21 @@ impl YaoEvaluator {
         ch: &mut T,
         rng: &mut R,
     ) -> Result<Self, TransportError> {
-        IknpReceiver::setup(ch, rng).map(YaoEvaluator::from_ot)
+        base::finished(Self::setup_start(ch, rng)?, ch)
+    }
+
+    /// [`setup`](Self::setup) up to its wait, as
+    /// [`IknpReceiver::setup_start`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates OT setup failures.
+    pub fn setup_start<T: Transport, R: Rng + ?Sized>(
+        ch: &mut T,
+        rng: &mut R,
+    ) -> Result<(Self, PendingSend), TransportError> {
+        let (ot, pending) = IknpReceiver::setup_start(ch, rng)?;
+        Ok((YaoEvaluator::from_ot(ot), pending))
     }
 
     /// Bytes this evaluator holds between circuits (its OT receiver; the
@@ -119,7 +142,8 @@ impl YaoEvaluator {
     }
 
     /// Receives a garbled circuit, obtains labels for `my_bits` via OT,
-    /// evaluates, and returns the decoded output bits.
+    /// evaluates, and returns the decoded output bits:
+    /// [`run_start`](Self::run_start), then [`PendingRun::finish`].
     ///
     /// # Errors
     ///
@@ -131,16 +155,62 @@ impl YaoEvaluator {
         circuit: &Circuit,
         my_bits: &[bool],
     ) -> Result<Vec<bool>, TransportError> {
+        self.run_start(ch, circuit, my_bits)?.finish(ch, circuit)
+    }
+
+    /// The first half of [`run`](Self::run): receives the garbler's labels,
+    /// tables and decode map, and sends the IKNP columns for the labels of
+    /// `my_bits`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on disconnection or material that does not match
+    /// `circuit`.
+    pub fn run_start<T: Transport>(
+        &mut self,
+        ch: &mut T,
+        circuit: &Circuit,
+        my_bits: &[bool],
+    ) -> Result<PendingRun, TransportError> {
         let GcLabels(garbler_labels) = ch.recv_frame()?;
-        // The tables are evaluated where they landed; a replayed attempt
-        // of this step is handed the same message again.
-        let message = ch.recv_shared()?;
-        let tables = table_payload(&message)?;
+        // The tables are evaluated where they landed, once checked.
+        let tables = ch.recv()?;
+        table_payload(&tables)?;
         let GcDecodeMap(decode) = ch.recv_frame()?;
         // Reject material for another circuit before spending the label OTs.
-        check_material(circuit, tables, &decode)?;
-        let my_labels = self.ot.recv(ch, my_bits)?;
-        evaluate_in_place(circuit, tables, &decode, &garbler_labels, &my_labels)
+        check_material(circuit, table_payload(&tables)?, &decode)?;
+        let ots = self.ot.recv_start(ch, my_bits)?;
+        Ok(PendingRun { garbler_labels, tables, decode, ots })
+    }
+}
+
+/// A circuit's garbled material, received, and the evaluator's label OTs,
+/// waiting for the garbler's ciphertexts.
+#[derive(Debug)]
+pub struct PendingRun {
+    garbler_labels: Vec<Block>,
+    /// The tables frame as it arrived, tag byte first.
+    tables: Vec<u8>,
+    decode: Vec<u8>,
+    ots: PendingOts,
+}
+
+impl PendingRun {
+    /// The second half of [`YaoEvaluator::run`]: receives the evaluator's
+    /// labels, evaluates `circuit` (the one the run started with) and
+    /// returns the decoded output bits.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on disconnection or OT failure.
+    pub fn finish<T: Transport>(
+        self,
+        ch: &mut T,
+        circuit: &Circuit,
+    ) -> Result<Vec<bool>, TransportError> {
+        let my_labels = self.ots.finish(ch)?;
+        let tables = table_payload(&self.tables)?;
+        evaluate_in_place(circuit, tables, &self.decode, &self.garbler_labels, &my_labels)
     }
 }
 

@@ -54,8 +54,9 @@
 //! [`Transport::recv_frame`]); raw `send`/`recv` below the frame layer are
 //! reserved for transport-internal traffic and tests in this crate. The
 //! one exception is the garbled-table frame, which the garbler sends as
-//! the buffer it garbled (tag byte included) and the evaluator reads where
-//! it landed ([`Transport::recv_shared`]), checked by its frame's rules.
+//! the buffer it garbled (tag byte included) and the evaluator evaluates
+//! from the message [`Transport::recv`] returns, checked by its frame's
+//! rules.
 //!
 //! ```
 //! use abnn2_net::{run_pair, NetworkModel};

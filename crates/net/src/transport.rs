@@ -15,7 +15,6 @@
 
 use crate::channel::CommSnapshot;
 use crate::wire::Frame;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Transport-level failure, split by root cause so protocol layers can
@@ -38,11 +37,6 @@ pub enum TransportError {
     /// phase deadline budget was exhausted. The connection may still be
     /// alive: a silent peer is distinguishable from a dead one.
     TimedOut,
-    /// A non-blocking transport has no message available *right now*. Only
-    /// raised by readiness-driven transports (the session driver's replay
-    /// channel); blocking transports never surface it. Event loops treat it
-    /// as "park and retry when readable", never as a failure.
-    WouldBlock,
 }
 
 impl TransportError {
@@ -51,10 +45,7 @@ impl TransportError {
     /// indicates a protocol bug or a hostile peer and is fatal.
     #[must_use]
     pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            TransportError::Closed | TransportError::TimedOut | TransportError::WouldBlock
-        )
+        matches!(self, TransportError::Closed | TransportError::TimedOut)
     }
 }
 
@@ -64,7 +55,6 @@ impl std::fmt::Display for TransportError {
             TransportError::Closed => write!(f, "peer transport closed"),
             TransportError::Malformed(what) => write!(f, "malformed message: {what}"),
             TransportError::TimedOut => write!(f, "peer silent past deadline"),
-            TransportError::WouldBlock => write!(f, "no message available (would block)"),
         }
     }
 }
@@ -117,20 +107,6 @@ pub trait Transport {
     /// [`TransportError::Malformed`] if the transport's own framing is
     /// violated (e.g. an oversized TCP frame header).
     fn recv(&mut self) -> Result<Vec<u8>, TransportError>;
-
-    /// Receives the next message without copying it: the buffer
-    /// [`recv`](Transport::recv) returns, shared. A transport that keeps
-    /// its messages overrides this to hand out the one it holds — the
-    /// session driver's replay channel, whose repeated attempts of a step
-    /// then read the same allocation — so a large frame (the garbled
-    /// tables) can be read where it landed.
-    ///
-    /// # Errors
-    ///
-    /// As [`recv`](Transport::recv).
-    fn recv_shared(&mut self) -> Result<Arc<Vec<u8>>, TransportError> {
-        self.recv().map(Arc::new)
-    }
 
     /// Flushes any write-coalescing buffer down to the wire.
     ///
@@ -217,8 +193,8 @@ pub trait Transport {
     /// sanctioned way to move protocol payloads; raw
     /// [`send`](Transport::send)/[`recv`](Transport::recv) are reserved for
     /// transport-internal uses in this crate, and for the garbled tables,
-    /// which are sent as the buffer they were garbled into and read with
-    /// [`recv_shared`](Transport::recv_shared). The frame types are the
+    /// which are sent as the buffer they were garbled into and evaluated
+    /// from the message [`recv`](Transport::recv) returns. The frame types are the
     /// protocols' own (`abnn2_ot::frames`, `abnn2_gc::frames`,
     /// `abnn2_core::frames`); this crate defines none.
     ///

@@ -45,7 +45,7 @@ fn kdf(index: u64, point: &[u8; 64]) -> Block {
 }
 
 /// Runs the sender side, transferring `pairs[i].0` or `pairs[i].1` according
-/// to the chooser's bit.
+/// to the chooser's bit: [`send_start`], then [`PendingSend::finish`].
 ///
 /// # Errors
 ///
@@ -56,35 +56,70 @@ pub fn send<T: Transport, R: Rng + ?Sized>(
     pairs: &[(Block, Block)],
     rng: &mut R,
 ) -> Result<(), TransportError> {
+    send_start(ch, pairs.to_vec(), rng)?.finish(ch)
+}
+
+/// A sender whose point `A` is out, waiting for the chooser's `Rᵢ`.
+#[derive(Debug)]
+pub struct PendingSend {
+    y: [u8; 32],
+    t: EdwardsPoint,
+    pairs: Vec<(Block, Block)>,
+}
+
+/// The sender's first half: draws `y` and sends `A = yB`.
+///
+/// # Errors
+///
+/// Returns [`TransportError`] on disconnection.
+pub fn send_start<T: Transport, R: Rng + ?Sized>(
+    ch: &mut T,
+    pairs: Vec<(Block, Block)>,
+    rng: &mut R,
+) -> Result<PendingSend, TransportError> {
     let y = random_scalar(rng);
     let a = PointTable::base().mul(&y);
     let t = a.scalar_mul(&y);
     ch.send_frame(&BasePoint(a.to_bytes().to_vec()))?;
-
-    let BasePointBatch(r_bytes) = ch.recv_frame()?;
-    if r_bytes.len() != 64 * pairs.len() {
-        return Err(TransportError::Malformed("chooser point batch has wrong length"));
-    }
-    // Both KDF inputs of every OT, normalised with one inversion.
-    let mut shared = Vec::with_capacity(2 * pairs.len());
-    for pt in r_bytes.chunks_exact(64) {
-        let r_i =
-            EdwardsPoint::from_bytes(pt.try_into().expect("64 bytes")).map_err(|_| NOT_ON_CURVE)?;
-        let yr = r_i.scalar_mul(&y);
-        shared.push(yr);
-        shared.push(yr.sub(&t));
-    }
-    let mut cts = Vec::with_capacity(pairs.len() * 32);
-    for (i, (pair, keys)) in
-        pairs.iter().zip(EdwardsPoint::batch_to_bytes(&shared).chunks_exact(2)).enumerate()
-    {
-        cts.extend_from_slice(&(pair.0 ^ kdf(i as u64, &keys[0])).to_bytes());
-        cts.extend_from_slice(&(pair.1 ^ kdf(i as u64, &keys[1])).to_bytes());
-    }
-    ch.send_frame(&BaseCtBatch(cts))
+    Ok(PendingSend { y, t, pairs })
 }
 
-/// Runs the chooser side, learning one block per choice bit.
+impl PendingSend {
+    /// The sender's second half: receives the chooser's `Rᵢ` and sends
+    /// both ciphertexts of every pair.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TransportError`] on disconnection, or `Malformed` if the
+    /// chooser sends invalid curve points.
+    pub fn finish<T: Transport>(self, ch: &mut T) -> Result<(), TransportError> {
+        let PendingSend { y, t, pairs } = self;
+        let BasePointBatch(r_bytes) = ch.recv_frame()?;
+        if r_bytes.len() != 64 * pairs.len() {
+            return Err(TransportError::Malformed("chooser point batch has wrong length"));
+        }
+        // Both KDF inputs of every OT, normalised with one inversion.
+        let mut shared = Vec::with_capacity(2 * pairs.len());
+        for pt in r_bytes.chunks_exact(64) {
+            let r_i = EdwardsPoint::from_bytes(pt.try_into().expect("64 bytes"))
+                .map_err(|_| NOT_ON_CURVE)?;
+            let yr = r_i.scalar_mul(&y);
+            shared.push(yr);
+            shared.push(yr.sub(&t));
+        }
+        let mut cts = Vec::with_capacity(pairs.len() * 32);
+        for (i, (pair, keys)) in
+            pairs.iter().zip(EdwardsPoint::batch_to_bytes(&shared).chunks_exact(2)).enumerate()
+        {
+            cts.extend_from_slice(&(pair.0 ^ kdf(i as u64, &keys[0])).to_bytes());
+            cts.extend_from_slice(&(pair.1 ^ kdf(i as u64, &keys[1])).to_bytes());
+        }
+        ch.send_frame(&BaseCtBatch(cts))
+    }
+}
+
+/// Runs the chooser side, learning one block per choice bit:
+/// [`recv_start`], then [`PendingRecv::finish`].
 ///
 /// # Errors
 ///
@@ -94,6 +129,42 @@ pub fn recv<T: Transport, R: Rng + ?Sized>(
     choices: &[bool],
     rng: &mut R,
 ) -> Result<Vec<Block>, TransportError> {
+    recv_start(ch, choices.to_vec(), rng)?.finish(ch)
+}
+
+/// The blocking setup of an OT half whose base OTs this party sends: the
+/// half its `setup_start` returned, once the transfer has finished.
+///
+/// # Errors
+///
+/// As [`PendingSend::finish`].
+pub fn finished<X, T: Transport>(
+    (half, pending): (X, PendingSend),
+    ch: &mut T,
+) -> Result<X, TransportError> {
+    pending.finish(ch)?;
+    Ok(half)
+}
+
+/// A chooser whose `Rᵢ` are out, waiting for the ciphertexts.
+#[derive(Debug)]
+pub struct PendingRecv {
+    a: EdwardsPoint,
+    xs: Vec<[u8; 32]>,
+    pub(crate) choices: Vec<bool>,
+}
+
+/// The chooser's first half: receives `A`, draws the `xᵢ` and sends the
+/// `Rᵢ`.
+///
+/// # Errors
+///
+/// Returns [`TransportError`] on disconnection or an invalid `A`.
+pub fn recv_start<T: Transport, R: Rng + ?Sized>(
+    ch: &mut T,
+    choices: Vec<bool>,
+    rng: &mut R,
+) -> Result<PendingRecv, TransportError> {
     let BasePoint(a_bytes) = ch.recv_frame()?;
     let a_arr: [u8; 64] = a_bytes.as_slice().try_into().expect("frame-validated 64 bytes");
     let a = EdwardsPoint::from_bytes(&a_arr).map_err(|_| NOT_ON_CURVE)?;
@@ -112,26 +183,39 @@ pub fn recv<T: Transport, R: Rng + ?Sized>(
         })
         .collect();
     ch.send_frame(&BasePointBatch(EdwardsPoint::batch_to_bytes(&rs).concat()))?;
-    // The keys need nothing from the sender's reply, so they are derived
-    // before blocking on it; the flush hands the sender its `Rᵢ` now (a
-    // coalescing transport would otherwise hold them until our recv), so
-    // its `y·Rᵢ` run while we work.
+    // The flush hands the sender its `Rᵢ` now (a coalescing transport
+    // would otherwise hold them until our recv), so its `y·Rᵢ` run while
+    // `finish` derives the keys.
     ch.flush()?;
-    let a_table = PointTable::new(&a);
-    let shared: Vec<EdwardsPoint> = xs.iter().map(|x| a_table.mul(x)).collect();
-    let keys = EdwardsPoint::batch_to_bytes(&shared);
+    Ok(PendingRecv { a, xs, choices })
+}
 
-    let BaseCtBatch(cts) = ch.recv_frame()?;
-    if cts.len() != 32 * choices.len() {
-        return Err(TransportError::Malformed("ciphertext batch has wrong length"));
+impl PendingRecv {
+    /// The chooser's second half: derives the keys, which need nothing from
+    /// the sender's reply, then receives the ciphertexts and decrypts one
+    /// block per choice bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TransportError`] on disconnection or malformed sender
+    /// messages.
+    pub fn finish<T: Transport>(self, ch: &mut T) -> Result<Vec<Block>, TransportError> {
+        let a_table = PointTable::new(&self.a);
+        let shared: Vec<EdwardsPoint> = self.xs.iter().map(|x| a_table.mul(x)).collect();
+        let keys = EdwardsPoint::batch_to_bytes(&shared);
+
+        let BaseCtBatch(cts) = ch.recv_frame()?;
+        if cts.len() != 32 * self.choices.len() {
+            return Err(TransportError::Malformed("ciphertext batch has wrong length"));
+        }
+        let mut out = Vec::with_capacity(self.choices.len());
+        for (i, (&c, key)) in self.choices.iter().zip(&keys).enumerate() {
+            let off = 32 * i + if c { 16 } else { 0 };
+            let ct = Block::from_bytes(cts[off..off + 16].try_into().expect("16 bytes"));
+            out.push(ct ^ kdf(i as u64, key));
+        }
+        Ok(out)
     }
-    let mut out = Vec::with_capacity(choices.len());
-    for (i, (&c, key)) in choices.iter().zip(&keys).enumerate() {
-        let off = 32 * i + if c { 16 } else { 0 };
-        let ct = Block::from_bytes(cts[off..off + 16].try_into().expect("16 bytes"));
-        out.push(ct ^ kdf(i as u64, key));
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

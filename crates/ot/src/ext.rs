@@ -39,7 +39,6 @@ pub(crate) struct Sender<const W: usize> {
 
 /// The half that holds both PRGs of every column (IKNP's receiver, KK13's
 /// chooser).
-#[derive(Clone)]
 pub(crate) struct Receiver {
     prg_pairs: Vec<(Prg, Prg)>,
 }
@@ -50,12 +49,27 @@ impl<const W: usize> Sender<W> {
         ch: &mut T,
         rng: &mut R,
     ) -> Result<Self, TransportError> {
-        let s_bits: Vec<bool> = (0..8 * W).map(|_| rng.gen()).collect();
-        let seeds = base::recv(ch, &s_bits, rng)?;
-        Ok(Sender {
-            s: pack_bits(&s_bits).try_into().expect("8·W bits pack into W bytes"),
-            prgs: seeds.into_iter().map(Prg::from_seed).collect(),
-        })
+        let pending = Self::setup_start(ch, rng)?;
+        Self::setup_finish(ch, pending)
+    }
+
+    /// [`setup`](Self::setup) up to its wait: draws `s` and sends the
+    /// base-OT chooser's points.
+    pub(crate) fn setup_start<T: Transport, R: Rng + ?Sized>(
+        ch: &mut T,
+        rng: &mut R,
+    ) -> Result<base::PendingRecv, TransportError> {
+        base::recv_start(ch, (0..8 * W).map(|_| rng.gen()).collect(), rng)
+    }
+
+    /// [`setup`](Self::setup) from its wait: receives the seeds.
+    pub(crate) fn setup_finish<T: Transport>(
+        ch: &mut T,
+        pending: base::PendingRecv,
+    ) -> Result<Self, TransportError> {
+        let s = pack_bits(&pending.choices).try_into().expect("8·W bits pack into W bytes");
+        let prgs = pending.finish(ch)?.into_iter().map(Prg::from_seed).collect();
+        Ok(Sender { s, prgs })
     }
 
     /// The rows `q_j` of `m` OTs from the peer's column message `u`.
@@ -85,21 +99,20 @@ impl<const W: usize> Sender<W> {
 }
 
 impl Receiver {
-    /// `columns` base OTs with this party offering fresh seed pairs.
-    pub(crate) fn setup<T: Transport, R: Rng + ?Sized>(
+    /// `columns` base OTs with this party offering fresh seed pairs, up to
+    /// the wait for the chooser's points: the PRGs are this party's own
+    /// seeds, so the half is whole before the transfer
+    /// ([`base::PendingSend::finish`]) completes.
+    pub(crate) fn setup_start<T: Transport, R: Rng + ?Sized>(
         ch: &mut T,
         columns: usize,
         rng: &mut R,
-    ) -> Result<Self, TransportError> {
+    ) -> Result<(Self, base::PendingSend), TransportError> {
         let seed_pairs: Vec<(Block, Block)> =
             (0..columns).map(|_| (Block::random(rng), Block::random(rng))).collect();
-        base::send(ch, &seed_pairs, rng)?;
-        Ok(Receiver {
-            prg_pairs: seed_pairs
-                .into_iter()
-                .map(|(a, b)| (Prg::from_seed(a), Prg::from_seed(b)))
-                .collect(),
-        })
+        let prg_pairs =
+            seed_pairs.iter().map(|&(a, b)| (Prg::from_seed(a), Prg::from_seed(b))).collect();
+        Ok((Receiver { prg_pairs }, base::send_start(ch, seed_pairs, rng)?))
     }
 
     /// Bytes of key schedule and stream position this half holds between

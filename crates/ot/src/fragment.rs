@@ -7,8 +7,11 @@
 //! portable fallback and correctness oracle, silent OT the low-bandwidth
 //! default for capable peers.
 
+use crate::base::{self, PendingSend};
 use crate::kk13::{KkChooser, KkChooserKeys, KkSender, KkSenderKeys};
-use crate::silent::{SilentChooserKeys, SilentKkChooser, SilentKkSender, SilentSenderKeys};
+use crate::silent::{
+    PendingRefill, SilentChooserKeys, SilentKkChooser, SilentKkSender, SilentSenderKeys,
+};
 use abnn2_net::{Transport, TransportError};
 use rand::Rng;
 use std::ops::Range;
@@ -35,7 +38,7 @@ pub enum FragmentSender {
 }
 
 /// Fragment-OT chooser dispatched over the negotiated mode (ABNN² server).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum FragmentChooser {
     /// KK13 Walsh–Hadamard extension.
     Kk(KkChooser),
@@ -138,10 +141,29 @@ impl FragmentChooser {
         mode: OfflineMode,
         rng: &mut R,
     ) -> Result<Self, TransportError> {
+        base::finished(Self::setup_start(ch, mode, rng)?, ch)
+    }
+
+    /// [`setup`](Self::setup) up to its wait: the chooser, and the base-OT
+    /// batch whose [`finish`](PendingSend::finish) completes the transfer
+    /// before the first extension.
+    ///
+    /// # Errors
+    ///
+    /// Propagates base-OT failures.
+    pub fn setup_start<T: Transport, R: Rng + ?Sized>(
+        ch: &mut T,
+        mode: OfflineMode,
+        rng: &mut R,
+    ) -> Result<(Self, PendingSend), TransportError> {
         Ok(match mode {
-            OfflineMode::Iknp => FragmentChooser::Kk(KkChooser::setup(ch, rng)?),
+            OfflineMode::Iknp => {
+                let (c, pending) = KkChooser::setup_start(ch, rng)?;
+                (FragmentChooser::Kk(c), pending)
+            }
             OfflineMode::Silent => {
-                FragmentChooser::Silent(Box::new(SilentKkChooser::setup(ch, rng)?))
+                let (c, pending) = SilentKkChooser::setup_start(ch, rng)?;
+                (FragmentChooser::Silent(Box::new(c)), pending)
             }
         })
     }
@@ -184,28 +206,49 @@ impl FragmentChooser {
         }
     }
 
-    /// Runs at most one round of the waiting on the peer that an
-    /// [`extend`](Self::extend) of `m` OTs at radix `n` would otherwise do
-    /// inline — one silent-OT refill; KK13 never waits — and returns
-    /// whether that `extend` will now send without receiving. A resumable
-    /// caller loops on this so each wait is a step of its own.
+    /// Starts the one wait on the peer that an [`extend`](Self::extend) of
+    /// `m` OTs at radix `n` would otherwise run inline — a silent-OT
+    /// refill; KK13 never waits — or `None` once that `extend` will send
+    /// without receiving. A resumable caller finishes each refill
+    /// ([`refill_finish`](Self::refill_finish)) as a step of its own and
+    /// asks again.
     ///
     /// # Errors
     ///
-    /// Returns an error on disconnection or malformed peer messages.
+    /// Returns an error on disconnection.
     ///
     /// # Panics
     ///
     /// Panics if `n` is outside `2..=256`.
-    pub fn prepare<T: Transport>(
+    pub fn refill_start<T: Transport>(
         &mut self,
         ch: &mut T,
         m: usize,
         n: u64,
-    ) -> Result<bool, TransportError> {
+    ) -> Result<Option<PendingRefill>, TransportError> {
         match self {
-            FragmentChooser::Kk(_) => Ok(true),
-            FragmentChooser::Silent(c) => c.prepare(ch, m, n),
+            FragmentChooser::Kk(_) => Ok(None),
+            FragmentChooser::Silent(c) => c.refill_start(ch, m, n),
+        }
+    }
+
+    /// Finishes a refill [`refill_start`](Self::refill_start) began.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on disconnection or malformed refill messages.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a KK13 chooser, which never starts one.
+    pub fn refill_finish<T: Transport>(
+        &mut self,
+        ch: &mut T,
+        refill: PendingRefill,
+    ) -> Result<(), TransportError> {
+        match self {
+            FragmentChooser::Kk(_) => unreachable!("KK13 never refills"),
+            FragmentChooser::Silent(c) => c.refill_finish(ch, refill),
         }
     }
 

@@ -8,7 +8,7 @@
 
 use crate::bits::pack_bits;
 use crate::frames::{IknpColumns, IknpCts, OtCorrections, OtVecPayload, SilentBaseColumns};
-use crate::{ext, KAPPA};
+use crate::{base, ext, KAPPA};
 use abnn2_crypto::{Block, RoHash};
 use abnn2_math::Ring;
 use abnn2_net::{Frame, Transport, TransportError};
@@ -27,8 +27,8 @@ impl std::fmt::Debug for IknpSender {
     }
 }
 
-/// Receiver side of IKNP extension (holds the choice bits).
-#[derive(Clone)]
+/// Receiver side of IKNP extension (holds the choice bits). Not `Clone`:
+/// two copies would extend one pair of PRG streams twice.
 pub struct IknpReceiver {
     ext: ext::Receiver,
     tweak: u64,
@@ -56,6 +56,32 @@ impl IknpSender {
         rng: &mut R,
     ) -> Result<Self, TransportError> {
         Ok(IknpSender { ext: ext::Sender::setup(ch, rng)?, tweak: 0 })
+    }
+
+    /// [`setup`](Self::setup) up to its wait: sends the base-OT chooser's
+    /// points. [`setup_finish`](Self::setup_finish) takes the reply.
+    ///
+    /// # Errors
+    ///
+    /// Propagates base-OT failures.
+    pub fn setup_start<T: Transport, R: Rng + ?Sized>(
+        ch: &mut T,
+        rng: &mut R,
+    ) -> Result<base::PendingRecv, TransportError> {
+        ext::Sender::<{ KAPPA / 8 }>::setup_start(ch, rng)
+    }
+
+    /// [`setup`](Self::setup) from its wait: receives the base-OT
+    /// ciphertexts.
+    ///
+    /// # Errors
+    ///
+    /// Propagates base-OT failures.
+    pub fn setup_finish<T: Transport>(
+        ch: &mut T,
+        pending: base::PendingRecv,
+    ) -> Result<Self, TransportError> {
+        Ok(IknpSender { ext: ext::Sender::setup_finish(ch, pending)?, tweak: 0 })
     }
 
     /// The global correlation block `s`: for every extension row,
@@ -246,17 +272,32 @@ impl IknpReceiver {
         ch: &mut T,
         rng: &mut R,
     ) -> Result<Self, TransportError> {
-        Ok(IknpReceiver { ext: ext::Receiver::setup(ch, KAPPA, rng)?, tweak: 0 })
+        base::finished(Self::setup_start(ch, rng)?, ch)
+    }
+
+    /// [`setup`](Self::setup) up to its wait: the receiver, whole already
+    /// (its seeds are its own), and the base-OT batch whose
+    /// [`finish`](base::PendingSend::finish) completes the transfer. No
+    /// extension may run before it does.
+    ///
+    /// # Errors
+    ///
+    /// Propagates base-OT failures.
+    pub fn setup_start<T: Transport, R: Rng + ?Sized>(
+        ch: &mut T,
+        rng: &mut R,
+    ) -> Result<(Self, base::PendingSend), TransportError> {
+        let (ext, pending) = ext::Receiver::setup_start(ch, KAPPA, rng)?;
+        Ok((IknpReceiver { ext, tweak: 0 }, pending))
     }
 
     /// Core extension step, the same for every variant: sends the masked
     /// columns as frame `F` and returns this party's `t` columns still
     /// untransposed, to be turned into rows ([`rows_of`](Self::rows_of))
-    /// after the send and, where the sender answers, after the receive. The
-    /// sender gets to start on its own transpose one transpose sooner, and
-    /// a suspended caller that is re-run up to its receive repeats only the
-    /// column PRG. Which frames cross the wire, their order and their bytes
-    /// do not depend on where the transpose runs.
+    /// after the send and, where the sender answers, after the receive, so
+    /// the sender gets to start on its own transpose one transpose sooner.
+    /// Which frames cross the wire, their order and their bytes do not
+    /// depend on where the transpose runs.
     fn extend_columns<T: Transport, F: Frame>(
         &mut self,
         ch: &mut T,
@@ -294,7 +335,7 @@ impl IknpReceiver {
     }
 
     /// One batched hash pass over `H(t, t_j)` for every row, in place.
-    fn hash_rows(&self, mut ts: Vec<Block>, base_tweak: u64) -> Vec<Block> {
+    fn hash_rows(mut ts: Vec<Block>, base_tweak: u64) -> Vec<Block> {
         for (j, t) in ts.iter_mut().enumerate() {
             *t ^= Block::from((base_tweak + j as u64) as u128);
         }
@@ -303,6 +344,7 @@ impl IknpReceiver {
     }
 
     /// Receives chosen-message OTs: one block per choice bit.
+    /// [`recv_start`](Self::recv_start), then [`PendingOts::finish`].
     ///
     /// # Errors
     ///
@@ -312,18 +354,24 @@ impl IknpReceiver {
         ch: &mut T,
         choices: &[bool],
     ) -> Result<Vec<Block>, TransportError> {
+        self.recv_start(ch, choices)?.finish(ch)
+    }
+
+    /// The first half of [`recv`](Self::recv) and
+    /// [`recv_correlated`](Self::recv_correlated): sends the masked
+    /// columns. The sender's answer is the pending value's to take.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on disconnection.
+    pub fn recv_start<T: Transport>(
+        &mut self,
+        ch: &mut T,
+        choices: &[bool],
+    ) -> Result<PendingOts, TransportError> {
         let t_cols = self.extend_columns(ch, choices, IknpColumns)?;
         let base_tweak = self.bump_tweak(choices.len());
-        let IknpCts(cts) = ch.recv_frame()?;
-        if cts.len() != 2 * choices.len() {
-            return Err(TransportError::Malformed("IKNP ciphertext batch has wrong length"));
-        }
-        // The chosen ciphertexts are selected into the hashes.
-        let mut hs = self.hash_rows(Self::rows_of(&t_cols, choices.len()), base_tweak);
-        for (j, (h, &c)) in hs.iter_mut().zip(choices).enumerate() {
-            *h ^= cts[2 * j + c as usize];
-        }
-        Ok(hs)
+        Ok(PendingOts { t_cols, base_tweak, choices: choices.to_vec() })
     }
 
     /// Random OT receiver: learns `x_c` for pseudorandom pairs.
@@ -338,10 +386,12 @@ impl IknpReceiver {
     ) -> Result<Vec<Block>, TransportError> {
         let t_cols = self.extend_columns(ch, choices, IknpColumns)?;
         let base_tweak = self.bump_tweak(choices.len());
-        Ok(self.hash_rows(Self::rows_of(&t_cols, choices.len()), base_tweak))
+        Ok(Self::hash_rows(Self::rows_of(&t_cols, choices.len()), base_tweak))
     }
 
     /// Correlated OT receiver: learns `x0 + c·delta` per OT.
+    /// [`recv_start`](Self::recv_start), then
+    /// [`PendingOts::finish_correlated`].
     ///
     /// # Errors
     ///
@@ -352,27 +402,7 @@ impl IknpReceiver {
         choices: &[bool],
         ring: Ring,
     ) -> Result<Vec<u64>, TransportError> {
-        let t_cols = self.extend_columns(ch, choices, IknpColumns)?;
-        let base_tweak = self.bump_tweak(choices.len());
-        let OtCorrections(corr_bytes) = ch.recv_frame()?;
-        if corr_bytes.len() != ring.byte_len() * choices.len() {
-            return Err(TransportError::Malformed("C-OT correction batch has wrong length"));
-        }
-        let corrections = ring.decode_slice(&corr_bytes);
-        let hs = self.hash_rows(Self::rows_of(&t_cols, choices.len()), base_tweak);
-        Ok(hs
-            .iter()
-            .zip(choices)
-            .zip(&corrections)
-            .map(|((h, &c), &corr)| {
-                let mask = ring.reduce(h.as_u128() as u64);
-                if c {
-                    ring.add(corr, mask)
-                } else {
-                    mask
-                }
-            })
-            .collect())
+        self.recv_start(ch, choices)?.finish_correlated(ch, ring)
     }
 
     /// Vector correlated OT receiver: learns `x0 + c·delta` element-wise
@@ -418,6 +448,73 @@ impl IknpReceiver {
         let t = self.tweak;
         self.tweak += m as u64;
         t
+    }
+}
+
+/// Receiver OTs whose columns are out, waiting for the sender's answer.
+#[derive(Debug)]
+pub struct PendingOts {
+    t_cols: Vec<u8>,
+    base_tweak: u64,
+    choices: Vec<bool>,
+}
+
+impl PendingOts {
+    /// The rest of [`IknpReceiver::recv`]: receives the ciphertexts and
+    /// decrypts the chosen block of each.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on disconnection or malformed sender messages.
+    pub fn finish<T: Transport>(self, ch: &mut T) -> Result<Vec<Block>, TransportError> {
+        let IknpCts(cts) = ch.recv_frame()?;
+        if cts.len() != 2 * self.choices.len() {
+            return Err(TransportError::Malformed("IKNP ciphertext batch has wrong length"));
+        }
+        // The chosen ciphertexts are selected into the hashes.
+        let mut hs = self.hashes();
+        for (j, (h, &c)) in hs.iter_mut().zip(&self.choices).enumerate() {
+            *h ^= cts[2 * j + c as usize];
+        }
+        Ok(hs)
+    }
+
+    /// The rest of [`IknpReceiver::recv_correlated`]: receives the
+    /// corrections and learns `x0 + c·delta` per OT.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on disconnection or malformed sender messages.
+    pub fn finish_correlated<T: Transport>(
+        self,
+        ch: &mut T,
+        ring: Ring,
+    ) -> Result<Vec<u64>, TransportError> {
+        let OtCorrections(corr_bytes) = ch.recv_frame()?;
+        if corr_bytes.len() != ring.byte_len() * self.choices.len() {
+            return Err(TransportError::Malformed("C-OT correction batch has wrong length"));
+        }
+        let corrections = ring.decode_slice(&corr_bytes);
+        Ok(self
+            .hashes()
+            .iter()
+            .zip(&self.choices)
+            .zip(&corrections)
+            .map(|((h, &c), &corr)| {
+                let mask = ring.reduce(h.as_u128() as u64);
+                if c {
+                    ring.add(corr, mask)
+                } else {
+                    mask
+                }
+            })
+            .collect())
+    }
+
+    /// `H(t, t_j)` of every row.
+    fn hashes(&self) -> Vec<Block> {
+        let rows = IknpReceiver::rows_of(&self.t_cols, self.choices.len());
+        IknpReceiver::hash_rows(rows, self.base_tweak)
     }
 }
 

@@ -14,8 +14,8 @@
 //! (§4.1.3), where the mask for symbol 0 is itself the sender's share.
 
 use crate::bits::xor_in_place;
-use crate::ext;
 use crate::frames::KkColumns;
+use crate::{base, ext};
 use abnn2_crypto::RoHash;
 use abnn2_net::{Transport, TransportError};
 use rand::Rng;
@@ -95,7 +95,7 @@ impl std::fmt::Debug for KkSender {
 
 /// OT-extension **chooser**: learns only the mask of its chosen symbol per
 /// OT. In ABNN² this is the server (model owner) choosing weight fragments.
-#[derive(Clone)]
+/// Not `Clone`: two copies would extend one pair of PRG streams twice.
 pub struct KkChooser {
     ext: ext::Receiver,
     tweak: u64,
@@ -252,7 +252,21 @@ impl KkChooser {
         ch: &mut T,
         rng: &mut R,
     ) -> Result<Self, TransportError> {
-        Ok(KkChooser { ext: ext::Receiver::setup(ch, CODE_LEN, rng)?, tweak: 0 })
+        base::finished(Self::setup_start(ch, rng)?, ch)
+    }
+
+    /// [`setup`](Self::setup) up to its wait, as
+    /// [`IknpReceiver::setup_start`](crate::IknpReceiver::setup_start).
+    ///
+    /// # Errors
+    ///
+    /// Propagates base-OT failures.
+    pub fn setup_start<T: Transport, R: Rng + ?Sized>(
+        ch: &mut T,
+        rng: &mut R,
+    ) -> Result<(Self, base::PendingSend), TransportError> {
+        let (ext, pending) = ext::Receiver::setup_start(ch, CODE_LEN, rng)?;
+        Ok((KkChooser { ext, tweak: 0 }, pending))
     }
 
     /// Extends with one choice symbol per OT; all symbols must be below `n`.

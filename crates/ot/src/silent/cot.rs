@@ -11,14 +11,17 @@
 //!
 //! A refill allocates one buffer of `n` blocks (and the receiver `n` bits):
 //! the GGM forest grows inside it, LPN adds the code into it, and it
-//! becomes the pool, shared by every clone of the generator, so a pool is a
-//! position in it. The public LPN code is derived once per process.
+//! becomes the pool, so a pool is a position in it. The public LPN code is
+//! derived once per process.
 //!
 //! The receiver carries its own seeded [`StdRng`]: after setup it draws no
-//! external randomness, so a cloned receiver replays bit-identically — the
-//! property the session driver's checkpoint/resume machinery relies on.
+//! external randomness. Its refill is two halves,
+//! [`refill_start`](SilentCotReceiver::refill_start) (the derandomization
+//! bits out) and [`refill_finish`](SilentCotReceiver::refill_finish) (the
+//! sender's masks and sums in), so a resumable caller waits between them.
 
 use super::{spcot, D, K, N, RESERVE, TREES, TREE_DEPTH};
+use crate::base::{self, PendingSend};
 use crate::bits::{get_bit, set_bit};
 use crate::frames::{SilentDerand, SilentSpcotMasks, SilentSpcotSums};
 use crate::iknp::{IknpReceiver, IknpSender};
@@ -112,8 +115,7 @@ impl Cots {
     }
 }
 
-/// A generator's COTs between takes, shared with its clones: the newest
-/// refill's output (or the bootstrap's) and a cursor into it. Its COTs
+/// A generator's COTs between takes: the newest refill's output (or the bootstrap's) and a cursor into it. Its COTs
 /// `pos..end` are the pool and `end..` the reserve that seeds the next
 /// refill; a refill that runs before the pool is taken leaves what is left
 /// of it in `older`, so no COT is copied until it is taken.
@@ -203,8 +205,7 @@ impl std::fmt::Debug for SilentCotSender {
 
 /// Receiver side of the silent COT generator: holds one `(x, z)` pair per
 /// produced COT. In ABNN² this is the server (the fragment-OT chooser).
-/// A clone shares the pooled COTs and keeps its own position.
-#[derive(Clone)]
+/// Not `Clone`: two copies would extend one IKNP stream twice.
 pub struct SilentCotReceiver {
     iknp: IknpReceiver,
     rng: StdRng,
@@ -339,13 +340,27 @@ impl SilentCotReceiver {
         ch: &mut T,
         rng: &mut R,
     ) -> Result<Self, TransportError> {
-        let iknp = IknpReceiver::setup(ch, rng)?;
-        Ok(SilentCotReceiver {
+        base::finished(Self::setup_start(ch, rng)?, ch)
+    }
+
+    /// [`setup`](Self::setup) up to its wait, as
+    /// [`IknpReceiver::setup_start`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates base-OT failures.
+    pub fn setup_start<T: Transport, R: Rng + ?Sized>(
+        ch: &mut T,
+        rng: &mut R,
+    ) -> Result<(Self, PendingSend), TransportError> {
+        let (iknp, pending) = IknpReceiver::setup_start(ch, rng)?;
+        let receiver = SilentCotReceiver {
             iknp,
             rng: StdRng::seed_from_u64(rng.next_u64()),
             pool: Pool::default(),
             tweak: 0,
-        })
+        };
+        Ok((receiver, pending))
     }
 
     /// Takes `count` COT receiver pairs `(x, z)` from the pool, running
@@ -355,27 +370,10 @@ impl SilentCotReceiver {
     ///
     /// Returns an error on disconnection or malformed refill messages.
     pub fn take<T: Transport>(&mut self, ch: &mut T, count: usize) -> Result<Cots, TransportError> {
-        while !self.refill_toward(ch, count)? {}
-        Ok(self.pool.take(count))
-    }
-
-    /// Runs at most one refill toward a pool of `count` COTs and returns
-    /// whether the pool now holds them. A refill is the only point where
-    /// [`take`](Self::take) waits on the peer, so a caller that must not
-    /// wait twice in one call advances the pool with this first.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on disconnection or malformed refill messages.
-    pub fn refill_toward<T: Transport>(
-        &mut self,
-        ch: &mut T,
-        count: usize,
-    ) -> Result<bool, TransportError> {
-        if self.pool.len() < count {
-            self.refill(ch)?;
+        while let Some(refill) = self.refill_start(ch, count)? {
+            self.refill_finish(ch, refill)?;
         }
-        Ok(self.pool.len() >= count)
+        Ok(self.pool.take(count))
     }
 
     /// Drops the COTs produced but not taken; see
@@ -394,7 +392,22 @@ impl SilentCotReceiver {
         self.iknp.parked_bytes() + cots * 16 + cots.div_ceil(8)
     }
 
-    fn refill<T: Transport>(&mut self, ch: &mut T) -> Result<(), TransportError> {
+    /// Starts a refill if the pool holds fewer than `count` COTs: the
+    /// bootstrap columns if this is the first, then the derandomization
+    /// bits. `None` if the pool holds them already. A refill is the only
+    /// point where [`take`](Self::take) waits on the peer.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on disconnection.
+    pub fn refill_start<T: Transport>(
+        &mut self,
+        ch: &mut T,
+        count: usize,
+    ) -> Result<Option<PendingRefill>, TransportError> {
+        if self.pool.len() >= count {
+            return Ok(None);
+        }
         let (base, at) = match self.pool.reserve() {
             Some(reserve) => reserve,
             None => {
@@ -407,22 +420,33 @@ impl SilentCotReceiver {
                 (Arc::new(cots), 0)
             }
         };
+        let alphas: Vec<usize> =
+            (0..TREES).map(|_| self.rng.gen_range(0..1u64 << TREE_DEPTH) as usize).collect();
+        let refill = PendingRefill { base, at, alphas };
+        let mut derand = vec![0u8; (RESERVE - K).div_ceil(8)];
+        for j in 0..RESERVE - K {
+            set_bit(&mut derand, j, refill.base.choice(at + K + j) ^ (refill.complement(j) == 1));
+        }
+        ch.send_frame(&SilentDerand(derand))?;
+        Ok(Some(refill))
+    }
+
+    /// Finishes a refill [`refill_start`](Self::refill_start) began: takes
+    /// the sender's level masks and corrections and makes the output the
+    /// pool.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on disconnection or malformed refill messages.
+    pub fn refill_finish<T: Transport>(
+        &mut self,
+        ch: &mut T,
+        refill: PendingRefill,
+    ) -> Result<(), TransportError> {
+        let PendingRefill { ref base, at, ref alphas } = refill;
         // Base COT `i` of the code is `at + i`, SPCOT COT `j` is `at + k + j`.
         let uw = at..at + K;
         let xz = at + K..at + RESERVE;
-
-        let alphas: Vec<usize> =
-            (0..TREES).map(|_| self.rng.gen_range(0..1u64 << TREE_DEPTH) as usize).collect();
-        let complement = |j: usize| {
-            let (tree, l) = (j / TREE_DEPTH, j % TREE_DEPTH);
-            ((alphas[tree] >> (TREE_DEPTH - 1 - l)) & 1) ^ 1
-        };
-        let mut derand = vec![0u8; xz.len().div_ceil(8)];
-        for (j, i) in xz.clone().enumerate() {
-            set_bit(&mut derand, j, base.choice(i) ^ (complement(j) == 1));
-        }
-        ch.send_frame(&SilentDerand(derand))?;
-
         let SilentSpcotMasks(masks) = ch.recv_frame()?;
         if masks.len() != TREES * TREE_DEPTH * 32 {
             return Err(TransportError::Malformed("SPCOT mask batch has wrong length"));
@@ -440,7 +464,7 @@ impl SilentCotReceiver {
         self.tweak += ks.len() as u64;
         RoHash::shared().hash_blocks(&mut ks);
         for (j, (k, mask)) in ks.iter_mut().zip(masks.chunks_exact(32)).enumerate() {
-            let off = complement(j) * 16;
+            let off = refill.complement(j) * 16;
             *k ^= Block::from_bytes(mask[off..off + 16].try_into().expect("16 bytes"));
         }
         let punctured: Vec<Block> = sums
@@ -449,13 +473,13 @@ impl SilentCotReceiver {
             .collect();
 
         let mut out = vec![Block::ZERO; N];
-        spcot::reconstruct(RoHash::shared(), &mut out, TREE_DEPTH, &alphas, &ks, &punctured);
+        spcot::reconstruct(RoHash::shared(), &mut out, TREE_DEPTH, alphas, &ks, &punctured);
         let mut choices = vec![0u64; N.div_ceil(64)];
         for (tree, &alpha) in alphas.iter().enumerate() {
             let j = (tree << TREE_DEPTH) + alpha;
             choices[j / 64] |= 1 << (j % 64);
         }
-        let (u, w) = (&base, &base.blocks[uw.clone()]);
+        let (u, w) = (base, &base.blocks[uw.clone()]);
         for (j, (z, code)) in out.iter_mut().zip(lpn_code().chunks_exact(D)).enumerate() {
             let mut x = 0u64;
             for &i in code {
@@ -466,6 +490,26 @@ impl SilentCotReceiver {
         }
         self.pool.push(Cots { blocks: out, choices }, RESERVE);
         Ok(())
+    }
+}
+
+/// A receiver refill whose derandomization bits are out, waiting for the
+/// sender's level masks and corrections.
+#[derive(Debug)]
+pub struct PendingRefill {
+    /// The COTs the refill consumes, from position `at`.
+    base: Arc<Cots>,
+    at: usize,
+    /// Each tree's punctured leaf.
+    alphas: Vec<usize>,
+}
+
+impl PendingRefill {
+    /// The complement of the path bit SPCOT COT `j` stands for: the side
+    /// whose sum the receiver unmasks.
+    fn complement(&self, j: usize) -> usize {
+        let (tree, l) = (j / TREE_DEPTH, j % TREE_DEPTH);
+        ((self.alphas[tree] >> (TREE_DEPTH - 1 - l)) & 1) ^ 1
     }
 }
 
@@ -540,7 +584,7 @@ mod tests {
     }
 
     /// Takes across several refills, and refills that run while the pool
-    /// still holds COTs (`refill_toward`, which leaves an older refill's
+    /// still holds COTs (one `refill_start`, which leaves an older refill's
     /// rest in the pool), hand out every COT once and in step on both
     /// sides; a dropped pool keeps the reserve alone.
     #[test]
@@ -558,7 +602,9 @@ mod tests {
             move |r, ch| {
                 let mut xzs = Cots::default();
                 for n in sizes {
-                    r.refill_toward(ch, n).expect("refill");
+                    if let Some(refill) = r.refill_start(ch, n).expect("refill") {
+                        r.refill_finish(ch, refill).expect("refill");
+                    }
                     let got = r.take(ch, n).expect("take");
                     xzs.extend_from(&got, 0..n);
                 }
@@ -569,38 +615,6 @@ mod tests {
         assert_eq!(ys.len(), sizes.iter().sum::<usize>());
         assert_correlated(&ys, delta, &xzs);
         assert_eq!((held, parked), (RESERVE, RESERVE * 16 + RESERVE.div_ceil(8)));
-    }
-
-    /// A clone is a position in the shared pool: it and the original hand
-    /// out the same next COTs, and dropping one's pool leaves the other's.
-    #[test]
-    fn a_clone_mid_pool_continues_where_the_original_stood() {
-        let (_, (a, b, c)) = run_cot(
-            |s, ch| {
-                s.take(ch, 100).expect("take");
-            },
-            |r, ch| {
-                let _ = r.take(ch, 40).expect("take");
-                let mut copy = r.clone();
-                assert!(Arc::ptr_eq(&copy.pool.last, &r.pool.last), "a clone copies the pool");
-                let a = r.take_local(30);
-                let b = copy.take_local(30);
-                copy.drop_pool();
-                assert_eq!(copy.pool.len(), 0);
-                let c = r.take_local(30);
-                (a, b, c)
-            },
-        );
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a.len(), 30);
-    }
-
-    impl SilentCotReceiver {
-        /// A take the pool holds: no refill, so no channel.
-        fn take_local(&mut self, count: usize) -> Cots {
-            self.pool.take(count)
-        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! the KK13 key-handle API so the γ(N−1) triplet protocol is oblivious to
 //! which extension produced its masks.
 
-use super::{SilentCotReceiver, SilentCotSender};
+use super::{PendingRefill, SilentCotReceiver, SilentCotSender};
+use crate::base::{self, PendingSend};
 use crate::bits::get_bit;
 use crate::frames::SilentDerand;
 use crate::kk13::MAX_N;
@@ -51,7 +52,7 @@ pub struct SilentKkSender {
 }
 
 /// Fragment-OT **chooser** over silent COTs (the ABNN² server).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SilentKkChooser {
     cot: SilentCotReceiver,
     tweak: u64,
@@ -126,7 +127,7 @@ impl SilentKkSender {
 
 impl SilentKkChooser {
     /// One-time setup: bootstraps the silent COT generator with an internal
-    /// replay-deterministic RNG.
+    /// seeded RNG.
     ///
     /// # Errors
     ///
@@ -135,7 +136,21 @@ impl SilentKkChooser {
         ch: &mut T,
         rng: &mut R,
     ) -> Result<Self, TransportError> {
-        Ok(SilentKkChooser { cot: SilentCotReceiver::setup(ch, rng)?, tweak: 0 })
+        base::finished(Self::setup_start(ch, rng)?, ch)
+    }
+
+    /// [`setup`](Self::setup) up to its wait, as
+    /// [`IknpReceiver::setup_start`](crate::IknpReceiver::setup_start).
+    ///
+    /// # Errors
+    ///
+    /// Propagates base-OT failures.
+    pub fn setup_start<T: Transport, R: Rng + ?Sized>(
+        ch: &mut T,
+        rng: &mut R,
+    ) -> Result<(Self, PendingSend), TransportError> {
+        let (cot, pending) = SilentCotReceiver::setup_start(ch, rng)?;
+        Ok((SilentKkChooser { cot, tweak: 0 }, pending))
     }
 
     /// Drops the pooled COTs no extension took; the sender does the same
@@ -150,24 +165,37 @@ impl SilentKkChooser {
         self.cot.parked_bytes()
     }
 
-    /// Runs at most one COT refill toward an [`extend`](Self::extend) of
-    /// `m` OTs at radix `n` and returns whether that `extend` will now run
-    /// without waiting on the peer.
+    /// Starts a COT refill if an [`extend`](Self::extend) of `m` OTs at
+    /// radix `n` would otherwise wait on the peer; `None` once it would
+    /// not.
     ///
     /// # Errors
     ///
-    /// Returns an error on disconnection or malformed refill messages.
+    /// Returns an error on disconnection.
     ///
     /// # Panics
     ///
     /// Panics if `n` is outside `2..=256`.
-    pub fn prepare<T: Transport>(
+    pub fn refill_start<T: Transport>(
         &mut self,
         ch: &mut T,
         m: usize,
         n: u64,
-    ) -> Result<bool, TransportError> {
-        self.cot.refill_toward(ch, m * choice_bits(n))
+    ) -> Result<Option<PendingRefill>, TransportError> {
+        self.cot.refill_start(ch, m * choice_bits(n))
+    }
+
+    /// Finishes a refill [`refill_start`](Self::refill_start) began.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on disconnection or malformed refill messages.
+    pub fn refill_finish<T: Transport>(
+        &mut self,
+        ch: &mut T,
+        refill: PendingRefill,
+    ) -> Result<(), TransportError> {
+        self.cot.refill_finish(ch, refill)
     }
 
     /// Extends with one choice symbol per OT; all symbols must be below `n`.

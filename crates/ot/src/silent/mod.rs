@@ -52,7 +52,7 @@ mod cot;
 mod frag;
 mod spcot;
 
-pub use cot::{SilentCotReceiver, SilentCotSender};
+pub use cot::{PendingRefill, SilentCotReceiver, SilentCotSender};
 pub use frag::{SilentChooserKeys, SilentKkChooser, SilentKkSender, SilentSenderKeys};
 
 /// LPN dimension: base COTs the local code compresses per refill.

@@ -47,9 +47,7 @@
 //!   `retry_after_ms` hint derived from queue depth and occupancy, which
 //!   [`ServeClient`] waits out within its retry budget.
 //! * [`MetricsRegistry`] — thread-safe serving metrics: admission
-//!   counters, live session gauge, pool hit/miss counters, what the
-//!   session drivers spent re-running parked steps
-//!   ([`ReplayCounters`](abnn2_core::driver::ReplayCounters)), and
+//!   counters, live session gauge, pool hit/miss and lineage counters, and
 //!   per-phase traffic aggregated across every connection's
 //!   [`InstrumentHandle`](abnn2_net::InstrumentHandle).
 //! * [`ServeClient`] — the one reconnecting client, over TCP or any

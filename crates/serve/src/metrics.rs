@@ -8,7 +8,6 @@
 //! registration, so the registry's memory stays proportional to *live*
 //! sessions, not total sessions served.
 
-use abnn2_core::driver::ReplayCounters;
 use abnn2_core::LineageStats;
 use abnn2_net::{InstrumentHandle, PhaseStats, TagStats};
 use std::collections::BTreeMap;
@@ -46,9 +45,6 @@ pub struct MetricsSnapshot {
     /// end, claimed by the next session, presented but not held, dropped
     /// unclaimed — and the bytes of them it holds now.
     pub lineage: LineageStats,
-    /// What the session drivers spent on re-running starved steps, summed
-    /// over every session that has ended.
-    pub driver: ReplayCounters,
     /// Per-phase traffic summed over every session ever registered, in
     /// first-seen phase order (`handshake`, `setup`, `bundle`/`offline`,
     /// `online` for a typical server).
@@ -75,8 +71,8 @@ impl MetricsSnapshot {
     }
 
     /// Renders the snapshot in the Prometheus text exposition format
-    /// (version 0.0.4): admission counters, the session drivers' replay
-    /// counters, the active-session and pool-ready gauges, and per-phase /
+    /// (version 0.0.4): admission and lineage counters, the
+    /// active-session and pool-ready gauges, and per-phase /
     /// per-frame-tag traffic as labelled counters. Tags are labelled with
     /// both the raw byte and the wire name from
     /// [`abnn2_net::wire::tags::name`]; tag byte counts
@@ -161,32 +157,6 @@ impl MetricsSnapshot {
             "Parked lineages dropped unclaimed (store bounds, or overwritten).",
             self.lineage.evicted,
         );
-        counter(
-            "abnn2_serve_driver_attempts_total",
-            "Session-driver step attempts: one per step plus one per park inside it.",
-            self.driver.attempts,
-        );
-        counter(
-            "abnn2_serve_driver_frames_reread_total",
-            "Inbound frames handed to protocol code again after a starved attempt.",
-            self.driver.frames_read - self.driver.frames_consumed,
-        );
-        for (name, help, ns) in [
-            (
-                "abnn2_serve_driver_replayed_seconds_total",
-                "Time attempts spent repeating what an earlier attempt of the same step did.",
-                self.driver.replayed_ns,
-            ),
-            (
-                "abnn2_serve_driver_step_seconds_total",
-                "All other time session drivers spent inside step attempts.",
-                self.driver.step_ns,
-            ),
-        ] {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let _ = writeln!(out, "{name} {:.6}", ns as f64 / 1e9);
-        }
 
         let _ =
             writeln!(out, "# HELP abnn2_serve_sessions_active Sessions currently being served.");
@@ -345,7 +315,6 @@ pub struct MetricsRegistry {
     panicked: AtomicU64,
     worker_respawns: AtomicU64,
     active: AtomicU64,
-    driver: Mutex<ReplayCounters>,
     phases: Mutex<PhaseAggregate>,
 }
 
@@ -412,16 +381,6 @@ impl MetricsRegistry {
         self.worker_respawns.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Adds an ended session's driver counters to the totals.
-    pub fn driver_finished(&self, c: ReplayCounters) {
-        let mut total = self.driver.lock().expect("metrics lock");
-        total.attempts += c.attempts;
-        total.frames_read += c.frames_read;
-        total.frames_consumed += c.frames_consumed;
-        total.replayed_ns += c.replayed_ns;
-        total.step_ns += c.step_ns;
-    }
-
     /// Adds a session's instrument handle to the per-phase aggregation.
     /// Finished sessions are folded into the frozen totals as a side
     /// effect, bounding live-handle growth.
@@ -449,7 +408,6 @@ impl MetricsRegistry {
             active: self.active.load(Ordering::Relaxed),
             pool,
             lineage,
-            driver: *self.driver.lock().expect("metrics lock"),
             phases: agg.totals(),
             tags: agg.tag_totals(),
         }
@@ -516,21 +474,9 @@ mod tests {
         t.send_frame(&shares(42)).unwrap();
         let _ = b.recv().unwrap();
 
-        reg.driver_finished(ReplayCounters {
-            attempts: 7,
-            frames_read: 12,
-            frames_consumed: 9,
-            replayed_ns: 1_500_000,
-            step_ns: 2_000_000_000,
-        });
-
         let lineage =
             LineageStats { parked: 5, claimed: 3, missed: 2, evicted: 1, parked_bytes: 96_256 };
         let text = reg.snapshot(PoolSnapshot::default(), lineage).render_prometheus();
-        assert!(text.contains("abnn2_serve_driver_attempts_total 7"));
-        assert!(text.contains("abnn2_serve_driver_frames_reread_total 3"));
-        assert!(text.contains("abnn2_serve_driver_replayed_seconds_total 0.001500"));
-        assert!(text.contains("abnn2_serve_driver_step_seconds_total 2.000000"));
         assert!(text.contains("abnn2_serve_lineage_parked_total 5"));
         assert!(text.contains("abnn2_serve_lineage_claimed_total 3"));
         assert!(text.contains("abnn2_serve_lineage_missed_total 2"));

@@ -610,7 +610,7 @@ impl<'a> LiveSession<'a> {
         // frames of a session routinely arrive in the same sweep as the
         // peer's close, and the driver must consume them before the error
         // is allowed to matter — exactly when the blocking path would have
-        // seen it, at the next starved recv.
+        // seen it, when the driver next waits on a frame.
         let mut read_err: Option<ProtocolError> = None;
         loop {
             match self.fb.poll_read() {
@@ -839,7 +839,6 @@ fn worker_loop<'a>(
                     false
                 }
             };
-            shared.metrics.driver_finished(live.driver.replay_counters());
             shared.metrics.session_ended(ok);
             ended += 1;
             false

@@ -4,6 +4,12 @@
 #   ./scripts/check.sh [--chaos-seeds N] [--serve-smoke] [--cnn-serve-smoke] \
 #                      [--async-serve-smoke] [--wire-fuzz-smoke] [--governor-smoke] \
 #                      [--silent-ot-smoke] [--transformer-smoke] [--bench]
+#   ./scripts/check.sh --loc
+#
+# --loc prints the non-test line count of each crate of the session stack
+# (net, ot, gc, core, serve) and their total, and exits without building:
+# the non-blank lines of every file under crates/<crate>/src up to the
+# file's first column-0 `#[cfg(test)]`.
 #
 # --chaos-seeds N widens the seeded chaos suite (tests/chaos.rs) from its
 # default of 64 seeds without recompiling, and runs examples/tcp_resilient.rs
@@ -107,6 +113,21 @@
 # invocation runs offline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+if [[ "${1:-}" == --loc ]]; then
+  total=0
+  for crate in net ot gc core serve; do
+    lines=$(find "crates/$crate/src" -name '*.rs' -print0 | sort -z | xargs -0 awk '
+      FNR == 1 { in_tests = 0 }
+      /^#\[cfg\(test\)\]/ { in_tests = 1 }
+      !in_tests && NF { n++ }
+      END { print n + 0 }')
+    printf '%-10s %6d\n' "$crate" "$lines"
+    total=$((total + lines))
+  done
+  printf '%-10s %6d\n' total "$total"
+  exit 0
+fi
 
 while [[ $# -gt 0 ]]; do
   case "$1" in

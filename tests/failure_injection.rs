@@ -238,12 +238,10 @@ fn invalid_curve_point_rejected_by_base_ot() {
 #[test]
 fn transport_errors_convert_through_the_stack() {
     // The one mapping from the transport's errors into the session's: each
-    // cause keeps its shape, the event loop's stray WouldBlock becomes
-    // TimedOut, and retryability survives the conversion.
+    // cause keeps its shape, and retryability survives the conversion.
     for (e, want) in [
         (TransportError::Closed, ProtocolError::Channel),
         (TransportError::TimedOut, ProtocolError::TimedOut),
-        (TransportError::WouldBlock, ProtocolError::TimedOut),
         (
             TransportError::Malformed("u64 frame length"),
             ProtocolError::Malformed("u64 frame length"),
