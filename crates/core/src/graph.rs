@@ -51,7 +51,7 @@ use abnn2_nn::graph::{LayerGraph, LayerOp, OpResource};
 use abnn2_nn::quant::{QuantConfig, QuantizedDense, QuantizedNetwork};
 use abnn2_nn::transformer::QuantizedTransformer;
 use abnn2_nn::QuantizedCnn;
-use abnn2_ot::base::{PendingRecv, PendingSend};
+use abnn2_ot::base::{self, PendingRecv, PendingSend};
 use abnn2_ot::{FragmentChooser, FragmentSender, IknpReceiver, IknpSender};
 use rand::Rng;
 use std::borrow::{Borrow, Cow};
@@ -477,24 +477,16 @@ pub struct CommCeiling {
     pub bytes: u64,
 }
 
-fn check_shapes(
-    matrices: &[Matrix],
-    shapes: &[(usize, usize)],
-    what: &'static str,
-) -> Result<(), ProtocolError> {
-    if matrices.len() != shapes.len()
-        || matrices.iter().zip(shapes).any(|(m, &(r, c))| m.rows() != r || m.cols() != c)
-    {
-        return Err(ProtocolError::Malformed(what));
-    }
-    Ok(())
+/// What offline state of the wrong shape is.
+fn check_shapes(matrices: &[Matrix], shapes: &[(usize, usize)]) -> Result<(), ProtocolError> {
+    let shape = |m: &Matrix| (m.rows(), m.cols());
+    matrices.iter().map(shape).eq(shapes.iter().copied()).then_some(()).ok_or(MISFIT)
 }
 
 fn check_mat_shapes(mats: &[MatrixTriple], plans: &[MatmulPlan]) -> Result<(), ProtocolError> {
-    if mats.len() != plans.len() || mats.iter().zip(plans).any(|(t, p)| !t.fits(p.m, p.k, p.n)) {
-        return Err(ProtocolError::Malformed("offline state does not fit the graph"));
-    }
-    Ok(())
+    (mats.len() == plans.len() && mats.iter().zip(plans).all(|(t, p)| t.fits(p.m, p.k, p.n)))
+        .then_some(())
+        .ok_or(MISFIT)
 }
 
 /// The input-column matrix a linear op multiplies its weights against:
@@ -509,52 +501,30 @@ fn linear_input<'a>(op: &LayerOp, slot: &'a Matrix) -> Cow<'a, Matrix> {
     }
 }
 
-/// The client's shares entering op `i`'s re-sharing circuit: its source
-/// slots as they are, or — for a secret×secret matmul — its share of the
-/// untruncated product, after the open-and-combine.
-fn reshare_inputs<'a, T: Transport>(
-    ch: &mut T,
-    op: &LayerOp,
-    i: usize,
-    tape: &'a [&Matrix],
-    mats: &mut std::slice::Iter<'_, MatrixTriple>,
-    ring: Ring,
-) -> Result<Vec<Cow<'a, [u64]>>, ProtocolError> {
-    let OpResource::MatTriple { m, k, n } = op.resource() else {
-        return Ok(reshare_sources(op, i, tape).into_iter().map(Cow::Borrowed).collect());
-    };
-    let (a, b, triple) = matmul_operands(op, i, (m, k, n), tape, mats)?;
-    Ok(vec![Cow::Owned(mul_matrix_shares(ch, triple, &a, &b, ring, 1)?.into_vec())])
-}
-
 /// The shares entering op `i`'s re-sharing circuit: its source slots.
 fn reshare_sources<'a, M: Borrow<Matrix>>(op: &LayerOp, i: usize, tape: &'a [M]) -> Vec<&'a [u64]> {
     op.sources(i).iter().map(|&s| Borrow::<Matrix>::borrow(&tape[s]).as_slice()).collect()
 }
 
-/// The operands `A` (`m × k`) and `B` (`k × n`) of secret×secret matmul op
-/// `i`, from this party's tape, and the next triple of `mats` for their
-/// matrix-Beaver open-and-combine. With `transpose_b` the right operand is
-/// stored `n × k`; transposition is linear, so each party transposes its
-/// share locally and the triple never sees the storage layout.
-fn matmul_operands<'t, M: Borrow<Matrix>>(
+/// The operands `A` (`m × k`) and `B` (`k × n`) of matmul op `i` from this
+/// party's tape. With `transpose_b` the right operand is stored `n × k`;
+/// each party transposes its share, so the triple never sees the layout.
+fn matmul_operands<M: Borrow<Matrix>>(
     op: &LayerOp,
     i: usize,
     (m, k, n): (usize, usize, usize),
     tape: &[M],
-    mats: &mut std::slice::Iter<'t, MatrixTriple>,
-) -> Result<(Matrix, Matrix, &'t MatrixTriple), ProtocolError> {
+) -> (Matrix, Matrix) {
     let src = reshare_sources(op, i, tape);
-    let a = Matrix::new(m, k, src[0].to_vec());
     let b = if matches!(op, LayerOp::MatMulSS { transpose_b: true, .. }) {
         Matrix::new(n, k, src[1].to_vec()).transpose()
     } else {
         Matrix::new(k, n, src[1].to_vec())
     };
-    let triple =
-        mats.next().ok_or(ProtocolError::Malformed("offline state does not fit the graph"))?;
-    Ok((a, b, triple))
+    (Matrix::new(m, k, src[0].to_vec()), b)
 }
+
+const MISFIT: ProtocolError = ProtocolError::Malformed("offline state does not fit the graph");
 
 /// Offline phase, server half: the loop over `ServerOfflineWalk::step`.
 /// One §4.1 triplet per linear op and one matrix Beaver triple per
@@ -562,8 +532,7 @@ fn matmul_operands<'t, M: Borrow<Matrix>>(
 /// comes back advanced beside the bundle (the Yao half is not this phase's
 /// business). The Gilboa cross
 /// products behind matrix triples run over a dedicated IKNP pair, set up
-/// lazily at the first matmul op — graphs without matmul ops (MLP/CNN)
-/// send exactly the same bytes as before the extension.
+/// at the first matmul op.
 ///
 /// # Errors
 ///
@@ -585,12 +554,10 @@ pub fn server_offline_with<T: Transport, R: Rng + ?Sized>(
 
 /// The server's offline phase as a resumable walk: the fragment chooser,
 /// the position in the op sequence and everything generated so far —
-/// nothing of Yao, which this phase never touches. [`step`](Self::step) runs
-/// one unit — one [`TripletWalk`] step of a linear op, one flight of the
-/// matrix triples' base OTs, or one half of a matrix triple: it takes the
-/// [`needs`](Self::needs) frames it waits for, then sends. Blocking
-/// callers loop on it ([`server_offline_with`]); the session driver runs a
-/// step once its frames have arrived.
+/// nothing of Yao, which this phase never touches. [`step`](Self::step)
+/// takes the [`needs`](Self::needs) frames its unit waits for — one
+/// [`TripletWalk`] step, one flight of the matrix triples' base OTs, or
+/// one half of a matrix triple — then sends.
 #[derive(Debug)]
 pub(crate) struct ServerOfflineWalk {
     sg: SecureGraph,
@@ -606,46 +573,32 @@ pub(crate) struct ServerOfflineWalk {
     next: usize,
     /// The linear op in progress, between its fragment groups.
     triplet: Option<TripletWalk>,
-    /// The matrix triple in progress, between its halves.
+    /// The matrix triple between its halves.
     triple: Option<PendingTriple>,
 }
 
-/// The IKNP pair behind matrix triples, one base-OT flight at a time: the
-/// receiver's batch (this party sends), then the sender's (it chooses).
+/// The IKNP pair behind matrix triples, a base-OT flight at a time; from
+/// `Offered` to `Choosing` a frame of the client's is due.
 #[derive(Debug, Default)]
 enum TripleOts {
     #[default]
     Unset,
-    /// The receiver's point `A` is out; the client's `Rᵢ` come next.
-    Offered(IknpReceiver, PendingSend),
-    /// The receiver is keyed; the client's point `A` comes next.
+    Offered((IknpReceiver, PendingSend)),
     Keyed(IknpReceiver),
-    /// The sender's `Rᵢ` are out; the client's ciphertexts come next.
     Choosing(IknpReceiver, PendingRecv),
     Ready(IknpReceiver, IknpSender),
 }
 
 impl TripleOts {
-    /// Frames the next [`step`](Self::step) takes.
-    fn needs(&self) -> usize {
-        usize::from(!matches!(self, TripleOts::Unset | TripleOts::Ready(..)))
-    }
-
-    /// Runs the next flight of the setup; a no-op once `Ready`.
+    /// The next flight of the setup; a no-op once `Ready`.
     fn step<T: Transport, R: Rng + ?Sized>(
         self,
         ch: &mut T,
         rng: &mut R,
     ) -> Result<Self, ProtocolError> {
         Ok(match self {
-            TripleOts::Unset => {
-                let (r, pending) = IknpReceiver::setup_start(ch, rng)?;
-                TripleOts::Offered(r, pending)
-            }
-            TripleOts::Offered(r, pending) => {
-                pending.finish(ch)?;
-                TripleOts::Keyed(r)
-            }
+            TripleOts::Unset => TripleOts::Offered(IknpReceiver::setup_start(ch, rng)?),
+            TripleOts::Offered(started) => TripleOts::Keyed(base::finished(started, ch)?),
             TripleOts::Keyed(r) => TripleOts::Choosing(r, IknpSender::setup_start(ch, rng)?),
             TripleOts::Choosing(r, pending) => {
                 TripleOts::Ready(r, IknpSender::setup_finish(ch, pending)?)
@@ -688,12 +641,13 @@ impl ServerOfflineWalk {
         self.next == self.sg.graph().ops.len()
     }
 
-    /// Frames the next [`step`](Self::step) takes.
     pub(crate) fn needs(&self) -> usize {
         match (&self.triplet, &self.triple) {
             (Some(triplet), _) => triplet.needs(),
             (None, Some(_)) => 2,
-            (None, None) => self.ots.needs(),
+            (None, None) => {
+                usize::from(!matches!(self.ots, TripleOts::Unset | TripleOts::Ready(..)))
+            }
         }
     }
 
@@ -922,7 +876,7 @@ pub fn server_online_to_logits<T: Transport>(
     sg: &SecureGraph,
     exec: ExecConfig,
 ) -> Result<(YaoEvaluator, Matrix), ProtocolError> {
-    let mut walk = ServerOnlineWalk::new(state, sg.clone(), exec)?;
+    let mut walk = ServerOnlineWalk::new(ch, state, sg.clone(), exec)?;
     while !walk.done() {
         walk.step(ch, model)?;
     }
@@ -930,11 +884,10 @@ pub fn server_online_to_logits<T: Transport>(
 }
 
 /// The server's online phase as a resumable walk over the tape machine.
-/// [`step`](Self::step) runs one unit: marking the input, the blinded
-/// input, a linear op's local [`Matrix::mul`], or one flight of a re-share
-/// op — its matrix-Beaver opening, or a step of its [`ServerOp`] — and,
-/// like [`ServerOfflineWalk`]'s, takes the [`needs`](Self::needs) frames
-/// it waits for, then sends.
+/// Like [`ServerOfflineWalk`]'s, [`step`](Self::step) takes the
+/// [`needs`](Self::needs) frames its unit waits for — the blinded input, a
+/// linear op's local [`Matrix::mul`], a matrix-Beaver opening, a step of a
+/// re-share op's [`ServerOp`] — then sends.
 #[derive(Debug)]
 pub(crate) struct ServerOnlineWalk {
     sg: SecureGraph,
@@ -948,28 +901,21 @@ pub(crate) struct ServerOnlineWalk {
     /// Triplet shares and matrix triples consumed so far.
     linears: usize,
     matmuls: usize,
-    /// What the unit in progress waits for.
+    /// The re-share op in progress.
     flight: Option<Flight>,
     done: bool,
 }
 
-/// What the online walk's unit in progress waits for.
 #[derive(Debug)]
 enum Flight {
-    /// The blinded input.
-    Input,
-    /// The client's matrix-Beaver opening, ours being out.
     Opened(Opened),
-    /// The re-share op's next flight.
     Op(ServerOp),
 }
 
 impl ServerOnlineWalk {
-    /// # Errors
-    ///
-    /// [`ProtocolError::Malformed`] if the offline state does not fit the
-    /// graph.
-    pub(crate) fn new(
+    /// The walk, its input marked; `Malformed` if `state` does not fit.
+    pub(crate) fn new<T: Transport>(
+        ch: &mut T,
         state: ServerOffline,
         sg: SecureGraph,
         exec: ExecConfig,
@@ -978,8 +924,9 @@ impl ServerOnlineWalk {
         if bundle.batch != sg.batch() {
             return Err(ProtocolError::Malformed("offline state batch mismatch"));
         }
-        check_shapes(&bundle.us, &sg.triplet_shapes(), "offline state does not fit the graph")?;
+        check_shapes(&bundle.us, &sg.triplet_shapes())?;
         check_mat_shapes(&bundle.mats, &sg.matmul_plans())?;
+        ch.mark_phase("online:input");
         Ok(ServerOnlineWalk {
             tape: Vec::with_capacity(sg.graph().ops.len() + 1),
             sg,
@@ -998,11 +945,10 @@ impl ServerOnlineWalk {
         self.done
     }
 
-    /// Frames the next [`step`](Self::step) takes.
     pub(crate) fn needs(&self) -> usize {
         match &self.flight {
-            None => 0,
-            Some(Flight::Input | Flight::Opened(_)) => 1,
+            None => usize::from(self.tape.is_empty()),
+            Some(Flight::Opened(_)) => 1,
             Some(Flight::Op(op)) => op.needs(),
         }
     }
@@ -1013,95 +959,71 @@ impl ServerOnlineWalk {
         ch: &mut T,
         model: &ServedModel,
     ) -> Result<(), ProtocolError> {
-        let (ring, batch) = (self.sg.graph().config.ring, self.sg.batch());
-        let i = self.tape.len().wrapping_sub(1);
-        let op = match self.flight.take() {
-            Some(Flight::Input) => {
-                let n0 = self.sg.graph().input_len();
-                let BlindedInput(x0_bytes) = ch.recv_frame()?;
-                if x0_bytes.len() != n0 * batch * ring.byte_len() {
-                    return Err(ProtocolError::Malformed("blinded input length"));
-                }
-                self.tape.push(Matrix::new(n0, batch, ring.decode_slice(&x0_bytes)));
-                return Ok(());
+        let graph = self.sg.graph();
+        let (ring, batch) = (graph.config.ring, self.sg.batch());
+        let Some(i) = self.tape.len().checked_sub(1) else {
+            let n0 = graph.input_len();
+            let BlindedInput(x0_bytes) = ch.recv_frame()?;
+            if x0_bytes.len() != n0 * batch * ring.byte_len() {
+                return Err(ProtocolError::Malformed("blinded input length"));
             }
+            self.tape.push(Matrix::new(n0, batch, ring.decode_slice(&x0_bytes)));
+            return Ok(());
+        };
+        let op = graph.ops.get(i).ok_or(ProtocolError::Dimension("graph missing output op"))?;
+        let next = match self.flight.take() {
             Some(Flight::Opened(opened)) => {
                 let product = opened.combine(ch, &self.bundle.mats[self.matmuls], ring, 0)?;
                 self.matmuls += 1;
                 let lowering = self.sg.lowering(i, self.exec.variant)?;
-                lowering.server_start(ch, &[product.as_slice()], ring, batch)?
+                lowering.server(ch, &[product.as_slice()], ring, batch)?
             }
-            Some(Flight::Op(op)) => op.step(ch, &mut self.yao, ring)?,
-            None if self.tape.is_empty() => {
-                ch.mark_phase("online:input");
-                self.flight = Some(Flight::Input);
-                return Ok(());
-            }
+            Some(Flight::Op(next)) => next.step(ch, &mut self.yao, ring)?,
             None if self.done => return Ok(()),
-            None => match self.start_op(ch, model, i)? {
-                Some(op) => op,
-                None => return Ok(()),
-            },
-        };
-        match op {
-            ServerOp::Done(z0) => {
-                self.tape.push(Matrix::new(self.sg.graph().ops[i].out_len(), batch, z0));
-            }
-            op => self.flight = Some(Flight::Op(op)),
-        }
-        Ok(())
-    }
-
-    /// The first unit of op `i`: all of a linear op, the opening of a
-    /// secret×secret matmul, or — returned for the caller to land — a
-    /// re-share op up to its first wait.
-    fn start_op<T: Transport>(
-        &mut self,
-        ch: &mut T,
-        model: &ServedModel,
-        i: usize,
-    ) -> Result<Option<ServerOp>, ProtocolError> {
-        let graph = self.sg.graph();
-        let (config, batch) = (&graph.config, self.sg.batch());
-        let ring = config.ring;
-        let op = graph.ops.get(i).ok_or(ProtocolError::Dimension("graph missing output op"))?;
-        ch.mark_phase(&format!("online:op{i}/{}", op.kind()));
-        let out = match op.resource() {
-            OpResource::Triplet { m, n } => {
-                // `W·X + b + U`: the product, then the bias (broadcast over
-                // the columns) and the triplet share in one pass.
-                let (w, bias) = model.linear_params(self.linears, m, n)?;
-                let x = linear_input(op, &self.tape[op.sources(i)[0]]);
-                let u = &self.bundle.us[self.linears];
-                self.linears += 1;
-                let (mut y, o) = (w.mul(&x, &ring), u.cols());
-                let rows = y.as_mut_slice().chunks_exact_mut(o).zip(u.as_slice().chunks_exact(o));
-                for ((y_row, u_row), &b) in rows.zip(bias) {
-                    for (y, &u) in y_row.iter_mut().zip(u_row) {
-                        *y = ring.add(ring.add(*y, b), u);
+            None => {
+                ch.mark_phase(&format!("online:op{i}/{}", op.kind()));
+                match op.resource() {
+                    OpResource::Triplet { m, n } => {
+                        // `W·X + b + U`: the product, then the bias (over
+                        // the columns) and the triplet share in one pass.
+                        let (w, bias) = model.linear_params(self.linears, m, n)?;
+                        let x = linear_input(op, &self.tape[op.sources(i)[0]]);
+                        let u = &self.bundle.us[self.linears];
+                        self.linears += 1;
+                        let (mut y, o) = (w.mul(&x, &ring), u.cols());
+                        let rows =
+                            y.as_mut_slice().chunks_exact_mut(o).zip(u.as_slice().chunks_exact(o));
+                        for ((y_row, u_row), &b) in rows.zip(bias) {
+                            for (y, &u) in y_row.iter_mut().zip(u_row) {
+                                *y = ring.add(ring.add(*y, b), u);
+                            }
+                        }
+                        self.tape.push(y);
+                        return Ok(());
+                    }
+                    OpResource::Output => {
+                        self.done = true;
+                        return Ok(());
+                    }
+                    OpResource::MatTriple { m, k, n } => {
+                        let (a, b) = matmul_operands(op, i, (m, k, n), &self.tape);
+                        let triple = self.bundle.mats.get(self.matmuls).ok_or(MISFIT)?;
+                        let opened = open_matrix_shares(ch, triple, &a, &b, ring)?;
+                        self.flight = Some(Flight::Opened(opened));
+                        return Ok(());
+                    }
+                    OpResource::FreshMask { .. } => {
+                        let shares = reshare_sources(op, i, &self.tape);
+                        self.sg.lowering(i, self.exec.variant)?.server(ch, &shares, ring, batch)?
                     }
                 }
-                y
-            }
-            OpResource::Output => {
-                self.done = true;
-                return Ok(None);
-            }
-            OpResource::MatTriple { m, k, n } => {
-                let mut mats = self.bundle.mats[self.matmuls..].iter();
-                let (a, b, triple) = matmul_operands(op, i, (m, k, n), &self.tape, &mut mats)?;
-                let opened = open_matrix_shares(ch, triple, &a, &b, ring)?;
-                self.flight = Some(Flight::Opened(opened));
-                return Ok(None);
-            }
-            OpResource::FreshMask { .. } => {
-                let lowering = self.sg.lowering(i, self.exec.variant)?;
-                let shares = reshare_sources(op, i, &self.tape);
-                return lowering.server_start(ch, &shares, ring, batch).map(Some);
             }
         };
-        self.tape.push(out);
-        Ok(None)
+        match next {
+            ServerOp::Done(z0) => self.tape.push(Matrix::new(op.out_len(), batch, z0)),
+            next => self.flight = Some(Flight::Op(next)),
+        }
+        Ok(())
     }
 
     /// The evaluator and the server's share of the output op's input.
@@ -1139,8 +1061,8 @@ pub fn client_online_to_logits<T: Transport, R: Rng + ?Sized>(
     if batch != sg.batch() {
         return Err(ProtocolError::Malformed("offline state batch mismatch"));
     }
-    check_shapes(&rs, &sg.mask_shapes(), "offline state does not fit the graph")?;
-    check_shapes(&vs, &sg.triplet_shapes(), "offline state does not fit the graph")?;
+    check_shapes(&rs, &sg.mask_shapes())?;
+    check_shapes(&vs, &sg.triplet_shapes())?;
     check_mat_shapes(&mats, &sg.matmul_plans())?;
     if x.rows() != sg.graph().input_len() || x.cols() != batch {
         return Err(ProtocolError::Dimension("input dimension mismatch"));
@@ -1160,8 +1082,14 @@ pub fn client_online_to_logits<T: Transport, R: Rng + ?Sized>(
         let out = match op.resource() {
             OpResource::Triplet { .. } => vs.next().expect("triplet shapes were checked"),
             OpResource::Output => return Ok((yao, tape[i].clone())),
-            OpResource::MatTriple { .. } | OpResource::FreshMask { .. } => {
-                let shares = reshare_inputs(ch, op, i, &tape, &mut mats, ring)?;
+            resource @ (OpResource::MatTriple { .. } | OpResource::FreshMask { .. }) => {
+                let shares = if let OpResource::MatTriple { m, k, n } = resource {
+                    let (a, b) = matmul_operands(op, i, (m, k, n), &tape);
+                    let triple = mats.next().ok_or(MISFIT)?;
+                    vec![Cow::Owned(mul_matrix_shares(ch, triple, &a, &b, ring, 1)?.into_vec())]
+                } else {
+                    reshare_sources(op, i, &tape).into_iter().map(Cow::Borrowed).collect()
+                };
                 let lowering = sg.lowering(i, exec.variant)?;
                 let z1 = rs.next().expect("mask shapes were checked");
                 lowering.client(ch, &mut yao, &shares, z1.as_slice(), ring, batch, rng)?;

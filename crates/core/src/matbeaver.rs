@@ -62,34 +62,17 @@ impl MatrixTriple {
     }
 }
 
-/// Gilboa OT product: this party holds `xs`; the peer holds `ys`; outputs
-/// are shares of `xs[i]·ys[i]`. This side is the *chooser* on its bits, and
-/// this is its half up to the wait: the columns of one correlated OT per
-/// bit. [`gilboa_chooser_finish`] takes the corrections.
-fn gilboa_chooser_start<T: Transport>(
-    ch: &mut T,
-    ot: &mut IknpReceiver,
-    xs: &[u64],
-    ring: Ring,
-) -> Result<PendingOts, ProtocolError> {
+/// Gilboa OT product: one correlated OT per bit of `xs[i]`, this party
+/// choosing on it, gives shares of `xs[i]·ys[i]` (`ys` the peer's).
+fn gilboa_choices(xs: &[u64], ring: Ring) -> Vec<bool> {
     let l = ring.bits() as usize;
-    let choices: Vec<bool> =
-        xs.iter().flat_map(|&x| (0..l).map(move |b| (x >> b) & 1 == 1)).collect();
-    Ok(ot.recv_start(ch, &choices)?)
+    xs.iter().flat_map(|&x| (0..l).map(move |b| (x >> b) & 1 == 1)).collect()
 }
 
-/// The chooser's shares of the products [`gilboa_chooser_start`] began.
-fn gilboa_chooser_finish<T: Transport>(
-    ch: &mut T,
-    ots: PendingOts,
-    ring: Ring,
-) -> Result<Vec<u64>, ProtocolError> {
+/// One share per product: the sum of its `ℓ` OT outputs.
+fn gilboa_sums(outputs: &[u64], ring: Ring) -> Vec<u64> {
     let l = ring.bits() as usize;
-    let got = ots.finish_correlated(ch, ring)?;
-    Ok(got
-        .chunks_exact(l)
-        .map(|chunk| chunk.iter().fold(0u64, |acc, &v| ring.add(acc, v)))
-        .collect())
+    outputs.chunks_exact(l).map(|c| c.iter().fold(0u64, |acc, &v| ring.add(acc, v))).collect()
 }
 
 /// Gilboa OT product, sender side: supplies correlations `2^b·ys[i]`.
@@ -106,10 +89,7 @@ fn gilboa_sender<T: Transport>(
         .map(|d| ring.reduce(d))
         .collect();
     let x0s = ot.send_correlated(ch, &deltas, ring)?;
-    Ok(x0s
-        .chunks_exact(l)
-        .map(|chunk| ring.neg(chunk.iter().fold(0u64, |acc, &v| ring.add(acc, v))))
-        .collect())
+    Ok(gilboa_sums(&x0s, ring).into_iter().map(|s| ring.neg(s)).collect())
 }
 
 /// Flattens the cross-term operands in the shared `((i·n) + j)·k + κ`
@@ -145,8 +125,8 @@ fn fold_cross(shares: &[u64], m: usize, k: usize, n: usize, ring: Ring) -> Matri
 
 /// Interactive matrix-triple generation, "party 0" (server) side: samples
 /// `X₀, Y₀`, runs the Gilboa cross products (chooser on `X₀` first, then
-/// sender from `Y₀`), and assembles `Z₀ = X₀·Y₀ + ⟨X₀·Y₁⟩ + ⟨X₁·Y₀⟩`:
-/// [`generate_matrix_p0_start`], then [`PendingTriple::finish`].
+/// sender from `Y₀`), and assembles `Z₀ = X₀·Y₀ + ⟨X₀·Y₁⟩ + ⟨X₁·Y₀⟩`, in
+/// two halves either side of its one wait.
 ///
 /// # Errors
 ///
@@ -167,10 +147,6 @@ pub fn generate_matrix_p0<T: Transport, R: Rng + ?Sized>(
 
 /// [`generate_matrix_p0`] up to its one wait: samples `X₀, Y₀` and sends
 /// the chooser's columns for `X₀·Y₁`.
-///
-/// # Errors
-///
-/// Returns [`ProtocolError`] on OT failure.
 pub(crate) fn generate_matrix_p0_start<T: Transport, R: Rng + ?Sized>(
     ch: &mut T,
     ot_r: &mut IknpReceiver,
@@ -184,7 +160,7 @@ pub(crate) fn generate_matrix_p0_start<T: Transport, R: Rng + ?Sized>(
     let y0 = Matrix::random(k, n, &ring, rng);
     // X₀·Y₁: we choose on bits of X₀'s flattened cross entries.
     let (xs, _) = flatten_cross(&x0, &y0);
-    let t1 = gilboa_chooser_start(ch, ot_r, &xs, ring)?;
+    let t1 = ot_r.recv_start(ch, &gilboa_choices(&xs, ring))?;
     Ok(PendingTriple { x0, y0, t1 })
 }
 
@@ -208,7 +184,7 @@ impl PendingTriple {
     ) -> Result<MatrixTriple, ProtocolError> {
         let PendingTriple { x0, y0, t1 } = self;
         let (m, k, n) = (x0.rows(), x0.cols(), y0.cols());
-        let t1 = gilboa_chooser_finish(ch, t1, ring)?;
+        let t1 = gilboa_sums(&t1.finish_correlated(ch, ring)?, ring);
         // X₁·Y₀: we supply correlations from Y₀'s flattened cross entries.
         let (_, ys) = flatten_cross(&x0, &y0);
         let w2 = gilboa_sender(ch, ot_s, &ys, ring)?;
@@ -243,8 +219,7 @@ pub fn generate_matrix_p1<T: Transport, R: Rng + ?Sized>(
     let (_, ys) = flatten_cross(&x1, &y1);
     let w1 = gilboa_sender(ch, ot_s, &ys, ring)?;
     let (xs, _) = flatten_cross(&x1, &y1);
-    let ots = gilboa_chooser_start(ch, ot_r, &xs, ring)?;
-    let t2 = gilboa_chooser_finish(ch, ots, ring)?;
+    let t2 = gilboa_sums(&ot_r.recv_correlated(ch, &gilboa_choices(&xs, ring), ring)?, ring);
     let z1 = x1
         .mul(&y1, &ring)
         .add(&fold_cross(&w1, m, k, n, ring), &ring)
@@ -275,8 +250,8 @@ pub fn deal_matrix_triple<R: Rng + ?Sized>(
 /// and `B` (`k × n`) with a precomputed triple. Both parties call this
 /// symmetrically (`party` ∈ {0, 1}); one [`MatmulOpenings`] frame each way.
 /// Returns this party's additive share of `A·B` (pre-truncation — the
-/// caller feeds it to the reconstruct-truncate-reshare circuit):
-/// [`open_matrix_shares`], then [`Opened::combine`].
+/// caller feeds it to the reconstruct-truncate-reshare circuit), in two
+/// halves either side of its one wait.
 ///
 /// # Errors
 ///
@@ -302,10 +277,6 @@ pub(crate) struct Opened {
 }
 
 /// [`mul_matrix_shares`] up to its wait: sends this party's opening.
-///
-/// # Errors
-///
-/// As [`mul_matrix_shares`].
 pub(crate) fn open_matrix_shares<T: Transport>(
     ch: &mut T,
     triple: &MatrixTriple,
@@ -318,9 +289,7 @@ pub(crate) fn open_matrix_shares<T: Transport>(
         return Err(ProtocolError::Dimension("operands do not fit the matrix triple"));
     }
     let opened = Opened { d: a.sub(&triple.x, &ring), e: b.sub(&triple.y, &ring) };
-    let mut opening = Vec::with_capacity(m * k + k * n);
-    opening.extend_from_slice(opened.d.as_slice());
-    opening.extend_from_slice(opened.e.as_slice());
+    let opening = [opened.d.as_slice(), opened.e.as_slice()].concat();
     ch.send_frame(&MatmulOpenings(ring.encode_slice(&opening)))?;
     Ok(opened)
 }
@@ -328,10 +297,6 @@ pub(crate) fn open_matrix_shares<T: Transport>(
 impl Opened {
     /// The rest of [`mul_matrix_shares`]: receives the peer's opening and
     /// combines this party's share of `A·B`.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::Malformed`] on a bad peer opening.
     pub(crate) fn combine<T: Transport>(
         self,
         ch: &mut T,

@@ -148,15 +148,10 @@ pub fn triplet_server_with<T: Transport>(
 }
 
 /// The server half of one triplet as a resumable walk over the scheme's
-/// fragment groups. Every [`step`](Self::step) first takes the
-/// [`needs`](Self::needs) frames it waits for, then sends:
-///
-/// * with nothing in flight, extend the next fragment and send its columns
-///   (KK13 never waits here; a silent chooser whose COT pool runs short
-///   starts a refill instead);
-/// * with a refill in flight, finish it (two frames);
-/// * with a fragment in flight, receive its [`TripletMasked`] batch and
-///   decode it into the partial share `U`.
+/// fragment groups. A [`step`](Self::step) extends the next fragment and
+/// sends its columns (or, silent and short of COTs, starts a refill),
+/// finishes a refill, or receives a fragment's [`TripletMasked`] batch and
+/// decodes it into the partial share `U`.
 #[derive(Debug)]
 pub(crate) struct TripletWalk {
     m: usize,
@@ -216,13 +211,9 @@ impl TripletWalk {
         })
     }
 
-    /// Frames the next [`step`](Self::step) takes.
+    /// Frames the next step takes: a refill's two, or a fragment's one.
     pub(crate) fn needs(&self) -> usize {
-        if self.refill.is_some() {
-            2
-        } else {
-            usize::from(self.pending.is_some())
-        }
+        2 * usize::from(self.refill.is_some()) + usize::from(self.pending.is_some())
     }
 
     /// Runs one unit (see the type docs) and returns the finished share

@@ -20,10 +20,8 @@
 //!   ([`Circuit::with_lanes`] shares the gates).
 //! * The paper's two-round optimized ReLU ([`crate::relu`]) is the one
 //!   lowering that is not a single circuit.
-//! * [`ServerOp`] is the server half of either lowering between the
-//!   flights of its exchange: each of its steps takes the frames it waits
-//!   for, then sends, so the session driver runs it one step at a time and
-//!   the blocking halves run it to the end.
+//! * `ServerOp` is the server half of either lowering, one flight of its
+//!   exchange per step.
 //! * [`softmax_server`]/[`softmax_client`], [`gelu_server`]/[`gelu_client`]
 //!   and [`layernorm_server`]/[`layernorm_client`] run one op standalone on
 //!   explicit shapes, for the benchmark probes.
@@ -81,42 +79,37 @@ pub fn reshare_server<T: Transport, S: AsRef<[u64]>>(
     shares: &[S],
     ring: Ring,
 ) -> Result<Vec<u64>, ProtocolError> {
-    let circuit = circuit.with_lanes(circuit.lanes());
-    ServerOp::evaluate(ch, circuit, shares, ring, Then::Shares)?.run(ch, yao, ring)
+    let op =
+        ServerOp::evaluate(ch, circuit.with_lanes(circuit.lanes()), shares, ring, Then::Shares);
+    op?.run(ch, yao, ring)
 }
 
-/// The server half of a lowered op between the flights of its exchange.
-/// Every variant but `Done` waits on the client for [`needs`](Self::needs)
-/// frames; [`step`](Self::step) takes them and sends what answers them.
+/// The server half of a lowered op between flights: [`step`](Self::step)
+/// takes the [`needs`](Self::needs) frames due and sends the answer.
 #[derive(Debug)]
 pub(crate) enum ServerOp {
-    /// The evaluator's input bits for `circuit`; the garbler's labels,
-    /// tables and decode map come next.
-    Material { circuit: Circuit, bits: Vec<bool>, then: Then },
-    /// The label OTs' columns are out; their ciphertexts come next.
-    Labels { circuit: Circuit, run: PendingRun, then: Then },
-    /// The optimized ReLU's signs are out; the client's shares of the
-    /// negative neurons come next. `reshare` is one neuron's circuit.
+    /// A circuit on the evaluator's inputs `bits`: its garbled material
+    /// comes next, then — the label OTs' columns out — their ciphertexts.
+    Eval { circuit: Circuit, bits: Vec<bool>, run: Option<Box<PendingRun>>, then: Then },
+    /// The optimized ReLU's signs are out; the negative neurons' shares
+    /// come next. `reshare` is one neuron's circuit.
     Signed { non_neg: Vec<bool>, y0: Vec<u64>, reshare: Circuit },
     /// The op's fresh shares `z₀`.
     Done(Vec<u64>),
 }
 
-/// What a circuit's output bits are for.
+/// A circuit's outputs: fresh shares, or the optimized ReLU's signs or
+/// non-negative neurons.
 #[derive(Debug)]
 pub(crate) enum Then {
-    /// The fresh shares themselves.
     Shares,
-    /// The optimized ReLU's signs, one per neuron of `y0`.
     Signs { y0: Vec<u64>, reshare: Circuit },
-    /// The non-negative neurons' shares, merged with the negative ones'.
     Merge { non_neg: Vec<bool>, neg: Vec<u64> },
 }
 
 impl ServerOp {
-    /// Algorithm 2 over `circuit` and one share-0 vector per operand: a
-    /// wait for the garbled material, or — for a circuit with no outputs,
-    /// which moves nothing on either side — what `then` makes of none.
+    /// Algorithm 2 over `circuit` and one share-0 vector per operand; a
+    /// circuit with no outputs moves nothing on either side.
     fn evaluate<T: Transport, S: AsRef<[u64]>>(
         ch: &mut T,
         circuit: Circuit,
@@ -134,14 +127,14 @@ impl ServerOp {
         if circuit.output_count() == 0 {
             return then.outputs(ch, Vec::new(), ring);
         }
-        Ok(ServerOp::Material { circuit, bits, then })
+        Ok(ServerOp::Eval { circuit, bits, run: None, then })
     }
 
     /// Frames the next [`step`](Self::step) takes.
     pub(crate) fn needs(&self) -> usize {
         match self {
-            ServerOp::Material { .. } => 3,
-            ServerOp::Labels { .. } | ServerOp::Signed { .. } => 1,
+            ServerOp::Eval { run: None, .. } => 3,
+            ServerOp::Eval { .. } | ServerOp::Signed { .. } => 1,
             ServerOp::Done(_) => 0,
         }
     }
@@ -154,10 +147,11 @@ impl ServerOp {
         ring: Ring,
     ) -> Result<Self, ProtocolError> {
         Ok(match self {
-            ServerOp::Material { circuit, bits, then } => {
-                ServerOp::Labels { run: yao.run_start(ch, &circuit, &bits)?, circuit, then }
+            ServerOp::Eval { circuit, bits, run: None, then } => {
+                let run = Some(Box::new(yao.run_start(ch, &circuit, &bits)?));
+                ServerOp::Eval { circuit, bits, run, then }
             }
-            ServerOp::Labels { circuit, run, then } => {
+            ServerOp::Eval { circuit, run: Some(run), then, .. } => {
                 let out = run.finish(ch, &circuit)?;
                 then.outputs(ch, out, ring)?
             }
@@ -180,7 +174,7 @@ impl ServerOp {
         })
     }
 
-    /// Runs the op to its fresh shares over a blocking channel.
+    /// The op run to its fresh shares over a blocking channel.
     pub(crate) fn run<T: Transport>(
         mut self,
         ch: &mut T,
@@ -197,8 +191,7 @@ impl ServerOp {
 }
 
 impl Then {
-    /// What a circuit's output bits make of the op: its shares, or (the
-    /// signs, sent) the optimized ReLU's wait for the negative neurons.
+    /// What the output bits `out` make of the op.
     fn outputs<T: Transport>(
         self,
         ch: &mut T,
@@ -329,20 +322,8 @@ impl Lowering {
     }
 
     /// Server half of the lowered op over its operand shares, `batch`
-    /// samples wide: [`server_start`](Self::server_start), run to the end.
+    /// samples wide, up to its first wait.
     pub(crate) fn server<T: Transport, S: AsRef<[u64]>>(
-        &self,
-        ch: &mut T,
-        yao: &mut YaoEvaluator,
-        shares: &[S],
-        ring: Ring,
-        batch: usize,
-    ) -> Result<Vec<u64>, ProtocolError> {
-        self.server_start(ch, shares, ring, batch)?.run(ch, yao, ring)
-    }
-
-    /// [`server`](Self::server) up to its first wait.
-    pub(crate) fn server_start<T: Transport, S: AsRef<[u64]>>(
         &self,
         ch: &mut T,
         shares: &[S],
@@ -360,7 +341,7 @@ impl Lowering {
                 }
             }
             Lowering::SignFirst { sign, reshare } => {
-                // Phase 1: the comparison circuit reveals per-neuron signs.
+                // Phase 1 reveals per-neuron signs.
                 let [y0] = shares else { return Err(MISFIT) };
                 let y0 = y0.as_ref();
                 if y0.is_empty() {
@@ -629,7 +610,10 @@ mod tests {
             &vals,
             900,
             |ch, yao, p0| {
-                lower(&matmul_op(5, 1, 4), BITS).server(ch, yao, &[p0], ring, 1).expect("server")
+                lower(&matmul_op(5, 1, 4), BITS)
+                    .server(ch, &[p0], ring, 1)
+                    .and_then(|op| op.run(ch, yao, ring))
+                    .expect("server")
             },
             |ch, yao, p1, z1| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(902);
@@ -761,7 +745,10 @@ mod tests {
             |ch, yao, p0| {
                 let before = ch.snapshot();
                 let lowering = lower(&matmul_op(0, 0, 0), BITS);
-                let z0 = lowering.server(ch, yao, &[p0], ring, 1).expect("server");
+                let z0 = lowering
+                    .server(ch, &[p0], ring, 1)
+                    .and_then(|op| op.run(ch, yao, ring))
+                    .expect("server");
                 assert_eq!(ch.snapshot(), before, "server half moved bytes");
                 z0
             },
@@ -794,7 +781,10 @@ mod tests {
             move |ch| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(221);
                 let mut yao = YaoEvaluator::setup(ch, &mut rng).expect("setup");
-                lower(&pool, 32).server(ch, &mut yao, &[x0], ring, 1).expect("server")
+                lower(&pool, 32)
+                    .server(ch, &[x0], ring, 1)
+                    .and_then(|op| op.run(ch, &mut yao, ring))
+                    .expect("server")
             },
             move |ch| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(222);
@@ -823,9 +813,11 @@ mod tests {
             move |ch| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(230);
                 let mut yao = YaoEvaluator::setup(ch, &mut rng).expect("setup");
-                let short = lower(&pool, 32).server(ch, &mut yao, &[[0u64; 15]], ring, 1);
+                let short = lower(&pool, 32).server(ch, &[[0u64; 15]], ring, 1);
                 assert!(matches!(short, Err(ProtocolError::Dimension(_))));
-                lower(&pool, 32).server(ch, &mut yao, &[[0u64; 16]], ring, 1)
+                lower(&pool, 32)
+                    .server(ch, &[[0u64; 16]], ring, 1)
+                    .and_then(|op| op.run(ch, &mut yao, ring))
             },
             move |ch| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(231);

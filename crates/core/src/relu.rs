@@ -56,7 +56,7 @@ pub fn relu_server<T: Transport>(
         }
         ReluVariant::Optimized => {
             let (sign, reshare) = sign_first_circuits(bits, shift);
-            Lowering::SignFirst { sign, reshare }.server(ch, yao, &[y0], ring, 1)
+            Lowering::SignFirst { sign, reshare }.server(ch, &[y0], ring, 1)?.run(ch, yao, ring)
         }
     }
 }

@@ -110,31 +110,9 @@ macro_rules! lineage_impl {
                 offline: Option<OfflineMode>,
                 rng: &mut R,
             ) -> Result<(), ProtocolError> {
-                if let Some(mode) = offline {
-                    self.ensure_kk(ch, mode, rng)?;
-                }
-                self.ensure_yao(ch, rng)
-            }
-
-            /// Runs the fragment base-OT batch unless the half is held.
-            pub(crate) fn ensure_kk<T: Transport, R: Rng + ?Sized>(
-                &mut self,
-                ch: &mut T,
-                mode: OfflineMode,
-                rng: &mut R,
-            ) -> Result<(), ProtocolError> {
-                if self.kk.is_none() {
+                if let (Some(mode), None) = (offline, &self.kk) {
                     self.kk = Some($kk::setup(ch, mode, rng)?);
                 }
-                Ok(())
-            }
-
-            /// Runs the Yao base-OT batch unless the half is held.
-            pub(crate) fn ensure_yao<T: Transport, R: Rng + ?Sized>(
-                &mut self,
-                ch: &mut T,
-                rng: &mut R,
-            ) -> Result<(), ProtocolError> {
                 if self.yao.is_none() {
                     self.yao = Some($yao::setup(ch, rng)?);
                 }

@@ -64,7 +64,7 @@ pub fn send<T: Transport, R: Rng + ?Sized>(
 pub struct PendingSend {
     y: [u8; 32],
     t: EdwardsPoint,
-    pairs: Vec<(Block, Block)>,
+    pub(crate) pairs: Vec<(Block, Block)>,
 }
 
 /// The sender's first half: draws `y` and sends `A = yB`.

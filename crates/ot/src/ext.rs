@@ -110,9 +110,10 @@ impl Receiver {
     ) -> Result<(Self, base::PendingSend), TransportError> {
         let seed_pairs: Vec<(Block, Block)> =
             (0..columns).map(|_| (Block::random(rng), Block::random(rng))).collect();
+        let pending = base::send_start(ch, seed_pairs, rng)?;
         let prg_pairs =
-            seed_pairs.iter().map(|&(a, b)| (Prg::from_seed(a), Prg::from_seed(b))).collect();
-        Ok((Receiver { prg_pairs }, base::send_start(ch, seed_pairs, rng)?))
+            pending.pairs.iter().map(|&(a, b)| (Prg::from_seed(a), Prg::from_seed(b))).collect();
+        Ok((Receiver { prg_pairs }, pending))
     }
 
     /// Bytes of key schedule and stream position this half holds between
