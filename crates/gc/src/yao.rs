@@ -196,8 +196,8 @@ pub struct PendingRun {
 }
 
 impl PendingRun {
-    /// The second half of [`YaoEvaluator::run`]: receives the evaluator's
-    /// labels, evaluates `circuit` (the one the run started with) and
+    /// The second half of [`YaoEvaluator::run`]: receives the label OTs'
+    /// ciphertexts, evaluates `circuit` (the one the run started with) and
     /// returns the decoded output bits.
     ///
     /// # Errors
