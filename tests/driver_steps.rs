@@ -297,6 +297,17 @@ fn effects_case(
     deal: bool,
     variant: ReluVariant,
 ) -> String {
+    effects_digest(&case_effects(model, silent, deal, variant))
+}
+
+/// One case's live effect sequence, checked to be the one every feed
+/// schedule of its recording produces.
+fn case_effects(
+    model: &(ServedModel, Vec<u64>, Vec<u64>),
+    silent: bool,
+    deal: bool,
+    variant: ReluVariant,
+) -> Vec<DriverEffect> {
     let (served, x, expected) = model;
     let server = Arc::new(SecureServer::for_model(served.clone()).with_variant(variant));
     let client =
@@ -325,7 +336,7 @@ fn effects_case(
         let fed = effects_fed(&server, deal, &inbox, group);
         assert_eq!(effects_digest(&fed), digest, "feed schedule {i} moved an effect");
     }
-    digest
+    live
 }
 
 /// Where every mark, send, flush and consumed frame falls in a session,
@@ -376,4 +387,163 @@ fn effect_sequences_are_pinned() {
         failed.push(format!("mlp, optimized ReLU: {digest}"));
     }
     assert!(failed.is_empty(), "effect sequences moved:\n{}", failed.join("\n"));
+}
+
+/// Hex SHA-256 of `items`, each length-prefixed.
+fn digest_of<'a>(items: impl Iterator<Item = &'a [u8]>) -> String {
+    let mut log = Vec::new();
+    for item in items {
+        log.extend((item.len() as u64).to_le_bytes());
+        log.extend(sha256(item));
+    }
+    sha256(&log).iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The frames the server sends, in order, and the tag and length of every
+/// frame it consumes, in order, as two digests; marks and flushes are left
+/// out, and so is how the two directions interleave.
+fn direction_digests(effects: &[DriverEffect]) -> (String, String) {
+    let sent = effects.iter().filter_map(|e| match e {
+        DriverEffect::Send(bytes) => Some(bytes.as_slice()),
+        _ => None,
+    });
+    let recvs: Vec<[u8; 9]> = effects
+        .iter()
+        .filter_map(|e| match e {
+            DriverEffect::Recv { tag, len } => {
+                let mut item = [*tag; 9];
+                item[1..].copy_from_slice(&(*len as u64).to_le_bytes());
+                Some(item)
+            }
+            _ => None,
+        })
+        .collect();
+    (digest_of(sent), digest_of(recvs.iter().map(<[u8; 9]>::as_slice)))
+}
+
+/// What each direction of the wire carries, frame by frame, in every case:
+/// which frames the server sends and which it reads, whatever order the
+/// two interleave in. A change that only moves a send earlier or later
+/// keeps both digests.
+#[test]
+fn direction_sequences_are_pinned() {
+    use ReluVariant::{Oblivious, Optimized};
+    let pins = [
+        (
+            "mlp",
+            false,
+            false,
+            Oblivious,
+            "56e3713cc10ae82812980003ff7b1114591467af7ab3b80fbe325bd209e9dfd1",
+            "704a74c463598e934884b3183275d8614f9262dc0c02f7e0b0e067fa7d6ede9a",
+        ),
+        (
+            "mlp",
+            false,
+            true,
+            Oblivious,
+            "a6783eee06dc443232d8eebdefc2a579aea88075cf075817a8edbe51c9affb57",
+            "3db75ac750b77d82dcad606e9535cb7b8331a20595665376fa9c24eb96a2ed31",
+        ),
+        (
+            "mlp",
+            true,
+            false,
+            Oblivious,
+            "e708494e11c6d775a0adc39e410401508020f9ccb21df459a955e6dd9c97d3d0",
+            "ca70e6f973d502c5bf2c614a54817294e3802b18733e41508788d4db652d55d5",
+        ),
+        (
+            "mlp",
+            true,
+            true,
+            Oblivious,
+            "f7c6e3ec7df620d063351ae92f0866e80bf6417b562053988dc0161fc5af818d",
+            "3db75ac750b77d82dcad606e9535cb7b8331a20595665376fa9c24eb96a2ed31",
+        ),
+        (
+            "cnn",
+            false,
+            false,
+            Oblivious,
+            "1b3f571b18bcedbe419bf40525a39f5b9c2e4c60868b384ddff40121cd103de7",
+            "e39c8a104a4df374c87ef2a7c7ee65b78ef5302976a11f5069ebbf443c16ff1e",
+        ),
+        (
+            "cnn",
+            false,
+            true,
+            Oblivious,
+            "6381f833af06b9feeeb7faabecca47ced2903255693d25cd920ab938e30cfe66",
+            "3a03d3f4b6cabae89623bf41ad2d9f1120e69ebc3ddd9cf9f8133c5a0d2c881b",
+        ),
+        (
+            "cnn",
+            true,
+            false,
+            Oblivious,
+            "a35e34467cfb5df0827cfb99bdc318fb9737ec1be87a1fb2266765497dbfdc84",
+            "2e77c6c6fd1314147c454d7b0b6c4b4c2a9b4fa0362a375ec6887fa609459722",
+        ),
+        (
+            "cnn",
+            true,
+            true,
+            Oblivious,
+            "411b69b25e0eabbd1f71ea750fce43a70760e1b0f903b684732bb196edcc9fe5",
+            "3a03d3f4b6cabae89623bf41ad2d9f1120e69ebc3ddd9cf9f8133c5a0d2c881b",
+        ),
+        (
+            "encoder",
+            false,
+            false,
+            Oblivious,
+            "404b08d73a8c3e9f1d46101adaf8f9f2be0370e508aae545d52354cc648ee228",
+            "f418d3348c78b198227845d0efc4dc0146264408a80ddc4789f1d7fbe35f9c7f",
+        ),
+        (
+            "encoder",
+            false,
+            true,
+            Oblivious,
+            "338a908c20186c19bf3bb006fe09d39dbc9cdc4ad8ee679d2419427c61ecc4d7",
+            "437e44b7fa2304951b88b07cfbed9b89d848c2f2611c9d13b5fbbee6df9e4722",
+        ),
+        (
+            "encoder",
+            true,
+            false,
+            Oblivious,
+            "f7210ca4503fc4332c06d9cb46170fe7a9af660b5823aefcd45b7f5d52bf1b32",
+            "d6504d68bebcf9e5c30e2d9ea66a2649124fc20ae40c03aa6be6fae0132fed8b",
+        ),
+        (
+            "encoder",
+            true,
+            true,
+            Oblivious,
+            "df0347b73b4c90db555cc060a3e91221bbdbf684651fc162bd8f4cb9695f3cee",
+            "437e44b7fa2304951b88b07cfbed9b89d848c2f2611c9d13b5fbbee6df9e4722",
+        ),
+        (
+            "mlp",
+            false,
+            false,
+            Optimized,
+            "31d06c35feb5a43e30ddc5acc66da8dfcf428a8f66c100c5cbf18bcd7adb971b",
+            "d357c63a1f8e4dbbda769517a347d2162e49811b140914a6bd184da56a2eb1ec",
+        ),
+    ];
+    let models = [("mlp", mlp()), ("cnn", cnn()), ("encoder", encoder())];
+    let mut failed = Vec::new();
+    for (name, silent, deal, variant, sent_pin, recv_pin) in pins {
+        let model = &models.iter().find(|(n, _)| *n == name).expect("a model").1;
+        let (sent, recvd) = direction_digests(&case_effects(model, silent, deal, variant));
+        if (sent.as_str(), recvd.as_str()) != (sent_pin, recv_pin) {
+            failed.push(format!(
+                "{name}, silent {silent}, dealt {deal}, {variant:?}: {sent} {recvd}"
+            ));
+        }
+    }
+    assert!(failed.is_empty(), "direction sequences moved:\n{}", failed.join("\n"));
 }
