@@ -39,7 +39,7 @@ use crate::matbeaver::{
     generate_matrix_p0_start, generate_matrix_p1, mul_matrix_shares, open_matrix_shares,
     MatrixTriple, Opened, PendingTriple,
 };
-use crate::matmul::{triplet_client_with, TripletMode, TripletWalk};
+use crate::matmul::{triplet_client_with, SendAhead, TripletMode, TripletWalk};
 use crate::nonlinear::{Lowering, ServerOp};
 use crate::relu::ReluVariant;
 use crate::ProtocolError;
@@ -554,10 +554,19 @@ pub fn server_offline_with<T: Transport, R: Rng + ?Sized>(
 
 /// The server's offline phase as a resumable walk: the fragment chooser,
 /// the position in the op sequence and everything generated so far —
-/// nothing of Yao, which this phase never touches. [`step`](Self::step)
-/// takes the [`needs`](Self::needs) frames its unit waits for — one
-/// [`TripletWalk`] step, one flight of the matrix triples' base OTs, or
-/// one half of a matrix triple — then sends.
+/// nothing of Yao, which this phase never touches.
+///
+/// The walk sends ahead: every [`step`](Self::step) ends by extending
+/// every fragment group of every linear op it can reach, in op order,
+/// each group's columns sent before any reply is read, and the
+/// [`SendAhead`] keeps what the client owes for them. A step takes the
+/// [`needs`](Self::needs) frames of the oldest debt — one group's
+/// [`TripletMasked`](crate::frames::TripletMasked), or a silent refill's
+/// two — before it sends. Sending stops at a silent refill, which the
+/// chooser must finish before it extends again, and at a matrix-triple op,
+/// whose steps (one flight of its base OTs, or one half of the triple)
+/// run once nothing is owed. Each direction's frames are the serial walk's
+/// in the serial order; only how they interleave moves.
 #[derive(Debug)]
 pub(crate) struct ServerOfflineWalk {
     sg: SecureGraph,
@@ -569,10 +578,12 @@ pub(crate) struct ServerOfflineWalk {
     ots: TripleOts,
     us: Vec<Matrix>,
     mats: Vec<MatrixTriple>,
-    /// Index of the op the next unit belongs to.
+    /// Index of the next op to start.
     next: usize,
-    /// The linear op in progress, between its fragment groups.
-    triplet: Option<TripletWalk>,
+    /// Linear ops started, in flight or done.
+    linear: usize,
+    /// The linear ops in flight and what the client owes for them.
+    ahead: SendAhead,
     /// The matrix triple between its halves.
     triple: Option<PendingTriple>,
 }
@@ -619,7 +630,8 @@ impl ServerOfflineWalk {
             kk,
             ots: TripleOts::Unset,
             next: 0,
-            triplet: None,
+            linear: 0,
+            ahead: SendAhead::default(),
             triple: None,
         };
         walk.skip_idle_ops();
@@ -638,76 +650,88 @@ impl ServerOfflineWalk {
 
     /// Whether every op's offline state has been generated.
     pub(crate) fn done(&self) -> bool {
-        self.next == self.sg.graph().ops.len()
+        self.next == self.sg.graph().ops.len() && self.ahead.is_empty()
     }
 
     pub(crate) fn needs(&self) -> usize {
-        match (&self.triplet, &self.triple) {
-            (Some(triplet), _) => triplet.needs(),
-            (None, Some(_)) => 2,
-            (None, None) => {
-                usize::from(!matches!(self.ots, TripleOts::Unset | TripleOts::Ready(..)))
-            }
+        if !self.ahead.is_empty() {
+            return self.ahead.needs();
+        }
+        match &self.triple {
+            Some(_) => 2,
+            None => usize::from(!matches!(self.ots, TripleOts::Unset | TripleOts::Ready(..))),
         }
     }
 
-    /// Runs the next unit; a no-op once [`done`](Self::done). `rng` feeds
-    /// the matrix-triple shares and their IKNP setup only.
+    /// Takes the oldest debt's frames, or runs the matrix-triple op's next
+    /// unit once nothing is owed, then sends ahead; a no-op once
+    /// [`done`](Self::done). `rng` feeds the matrix-triple shares and
+    /// their IKNP setup only.
     pub(crate) fn step<T: Transport, R: Rng + ?Sized>(
         &mut self,
         ch: &mut T,
         model: &ServedModel,
         rng: &mut R,
     ) -> Result<(), ProtocolError> {
-        let i = self.next;
-        let Some(op) = self.sg.graph().ops.get(i) else { return Ok(()) };
-        let config = &self.sg.graph().config;
-        match op.resource() {
-            OpResource::Triplet { m, n } => {
-                let triplet = match &mut self.triplet {
-                    Some(triplet) => triplet,
-                    slot @ None => {
-                        let plan = &self.plans[self.us.len()];
-                        let (w, _) = model.linear_params(plan.linear, m, n)?;
-                        ch.mark_phase(&format!("offline:op{i}/{}", plan.kind));
-                        let cfg = self.exec.triplet(plan.mode);
-                        slot.insert(TripletWalk::new(
-                            w.as_slice().iter().map(|&w| config.ring.to_i64(w)),
-                            plan.m,
-                            plan.n,
-                            plan.o,
-                            &config.scheme,
-                            config.ring,
-                            cfg,
-                        )?)
-                    }
-                };
-                let Some(u) = triplet.step(ch, &mut self.kk)? else { return Ok(()) };
+        if !self.ahead.is_empty() {
+            if let Some(u) = self.ahead.take(ch, &mut self.kk)? {
                 self.us.push(u);
-                self.triplet = None;
             }
-            OpResource::MatTriple { m, k, n } => {
-                let Some(triple) = self.triple.take() else {
+        } else if let Some(op) = self.sg.graph().ops.get(self.next) {
+            if let OpResource::MatTriple { m, k, n } = op.resource() {
+                let ring = self.sg.graph().config.ring;
+                if let Some(triple) = self.triple.take() {
+                    let TripleOts::Ready(_, s) = &mut self.ots else {
+                        unreachable!("a triple starts on a ready pair")
+                    };
+                    self.mats.push(triple.finish(ch, s, ring)?);
+                    self.next += 1;
+                    self.skip_idle_ops();
+                } else {
                     // The op's first step finds the pair unset or ready.
                     if matches!(self.ots, TripleOts::Unset | TripleOts::Ready(..)) {
-                        ch.mark_phase(&format!("offline:op{i}/{}", op.kind()));
+                        ch.mark_phase(&format!("offline:op{}/{}", self.next, op.kind()));
                     }
                     self.ots = std::mem::take(&mut self.ots).step(ch, rng)?;
                     if let TripleOts::Ready(r, _) = &mut self.ots {
-                        let p0 = generate_matrix_p0_start(ch, r, m, k, n, config.ring, rng)?;
-                        self.triple = Some(p0);
+                        self.triple = Some(generate_matrix_p0_start(ch, r, m, k, n, ring, rng)?);
                     }
                     return Ok(());
-                };
-                let TripleOts::Ready(_, s) = &mut self.ots else {
-                    unreachable!("a triple starts on a ready pair")
-                };
-                self.mats.push(triple.finish(ch, s, config.ring)?);
+                }
             }
-            OpResource::FreshMask { .. } | OpResource::Output => {}
         }
-        self.next += 1;
-        self.skip_idle_ops();
+        self.send_ahead(ch, model)
+    }
+
+    /// Sends every fragment group it can without a reply: the groups of
+    /// the linear ops in flight, then of each linear op up to the next
+    /// matrix-triple op, each op's phase marked at its first send.
+    fn send_ahead<T: Transport>(
+        &mut self,
+        ch: &mut T,
+        model: &ServedModel,
+    ) -> Result<(), ProtocolError> {
+        while self.ahead.send(ch, &mut self.kk)? {
+            let i = self.next;
+            let Some(op) = self.sg.graph().ops.get(i) else { return Ok(()) };
+            let OpResource::Triplet { m, n } = op.resource() else { return Ok(()) };
+            let config = &self.sg.graph().config;
+            let plan = &self.plans[self.linear];
+            let (w, _) = model.linear_params(plan.linear, m, n)?;
+            ch.mark_phase(&format!("offline:op{i}/{}", plan.kind));
+            self.ahead.push(TripletWalk::new(
+                w.as_slice().iter().map(|&w| config.ring.to_i64(w)),
+                plan.m,
+                plan.n,
+                plan.o,
+                &config.scheme,
+                config.ring,
+                self.exec.triplet(plan.mode),
+            )?);
+            self.linear += 1;
+            self.next += 1;
+            self.skip_idle_ops();
+        }
         Ok(())
     }
 

@@ -20,6 +20,7 @@ use abnn2_net::Transport;
 use abnn2_ot::silent::PendingRefill;
 use abnn2_ot::{FragmentChooser, FragmentChooserKeys, FragmentSender};
 use rand::Rng;
+use std::collections::VecDeque;
 
 /// Which §4.1 message layout to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,8 +122,9 @@ pub fn triplet_server<T: Transport>(
     triplet_server_with(ch, kk, weights, m, n, o, scheme, ring, mode.into())
 }
 
-/// [`triplet_server`] with explicit execution options (thread count): the
-/// loop over `TripletWalk::step`.
+/// [`triplet_server`] with explicit execution options (thread count): one
+/// `TripletWalk` through a `SendAhead`, every fragment group's columns sent
+/// before the first reply is read.
 ///
 /// # Errors
 ///
@@ -139,19 +141,22 @@ pub fn triplet_server_with<T: Transport>(
     ring: Ring,
     cfg: TripletConfig,
 ) -> Result<Matrix, ProtocolError> {
-    let mut walk = TripletWalk::new(weights.iter().copied(), m, n, o, scheme, ring, cfg)?;
+    let mut ahead = SendAhead::default();
+    ahead.push(TripletWalk::new(weights.iter().copied(), m, n, o, scheme, ring, cfg)?);
     loop {
-        if let Some(u) = walk.step(ch, kk)? {
+        ahead.send(ch, kk)?;
+        if let Some(u) = ahead.take(ch, kk)? {
             return Ok(u);
         }
     }
 }
 
-/// The server half of one triplet as a resumable walk over the scheme's
-/// fragment groups. A [`step`](Self::step) extends the next fragment and
-/// sends its columns (or, silent and short of COTs, starts a refill),
-/// finishes a refill, or receives a fragment's [`TripletMasked`] batch and
-/// decodes it into the partial share `U`.
+/// The server half of one triplet, a fragment group at a time:
+/// [`send`](Self::send) extends the next group and sends its columns (or
+/// starts the silent refill that extension waits for), and
+/// [`decode`](Self::decode) takes a group's [`TripletMasked`] batch with
+/// the keys its extension returned and adds it into the partial share `U`.
+/// Every group can be sent before the first is decoded.
 #[derive(Debug)]
 pub(crate) struct TripletWalk {
     m: usize,
@@ -165,12 +170,19 @@ pub(crate) struct TripletWalk {
     digits: Vec<Vec<u64>>,
     /// Next fragment group to extend.
     next: usize,
-    /// The silent refill in flight.
-    refill: Option<PendingRefill>,
-    /// OT keys of the fragment in flight.
-    pending: Option<FragmentChooserKeys>,
+    /// Fragment groups decoded so far.
+    decoded: usize,
     /// Sum of the fragments decoded so far.
     u: Matrix,
+}
+
+/// What the client owes the server for one of its sends: the
+/// [`TripletMasked`] batch of an extended group, decoded with its keys, or
+/// a silent refill's two frames.
+#[derive(Debug)]
+enum Owed {
+    Masked(FragmentChooserKeys),
+    Refill(PendingRefill),
 }
 
 impl TripletWalk {
@@ -205,44 +217,42 @@ impl TripletWalk {
             radices: scheme.fragments().iter().map(|f| f.n).collect(),
             digits,
             next: 0,
-            refill: None,
-            pending: None,
+            decoded: 0,
             u: Matrix::zeros(m, o),
         })
     }
 
-    /// Frames the next step takes: a refill's two, or a fragment's one.
-    pub(crate) fn needs(&self) -> usize {
-        2 * usize::from(self.refill.is_some()) + usize::from(self.pending.is_some())
+    /// Whether every fragment group has been extended.
+    fn sent_all(&self) -> bool {
+        self.next == self.radices.len()
     }
 
-    /// Runs one unit (see the type docs) and returns the finished share
-    /// `U` after the last fragment's.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError`] on disconnection or malformed client
-    /// messages.
-    pub(crate) fn step<T: Transport>(
+    /// Extends the next fragment group and sends its columns, or starts the
+    /// silent refill that extension would wait for.
+    fn send<T: Transport>(
         &mut self,
         ch: &mut T,
         kk: &mut FragmentChooser,
-    ) -> Result<Option<Matrix>, ProtocolError> {
-        if let Some(refill) = self.refill.take() {
-            kk.refill_finish(ch, refill)?;
-            return Ok(None);
+    ) -> Result<Owed, ProtocolError> {
+        let (g, radix) = (self.next, self.radices[self.next]);
+        if let Some(refill) = kk.refill_start(ch, self.digits.len(), radix)? {
+            return Ok(Owed::Refill(refill));
         }
-        let Some(keys) = self.pending.take() else {
-            let (g, radix) = (self.next, self.radices[self.next]);
-            self.refill = kk.refill_start(ch, self.digits.len(), radix)?;
-            if self.refill.is_none() {
-                let choices: Vec<u64> = self.digits.iter().map(|d| d[g]).collect();
-                self.pending = Some(kk.extend(ch, &choices, radix)?);
-                self.next += 1;
-            }
-            return Ok(None);
-        };
-        let (g, digits) = (self.next - 1, &self.digits);
+        let choices: Vec<u64> = self.digits.iter().map(|d| d[g]).collect();
+        let keys = kk.extend(ch, &choices, radix)?;
+        self.next += 1;
+        Ok(Owed::Masked(keys))
+    }
+
+    /// Receives the next fragment group's [`TripletMasked`] batch and
+    /// decodes it with that group's `keys`; the finished share `U` after
+    /// the last group.
+    fn decode<T: Transport>(
+        &mut self,
+        ch: &mut T,
+        keys: &FragmentChooserKeys,
+    ) -> Result<Option<Matrix>, ProtocolError> {
+        let (g, digits) = (self.decoded, &self.digits);
         let (m, n, o, ring) = (self.m, self.n, self.o, self.ring);
         let (radix, t_start) = (self.radices[g] as usize, self.cfg.mode.first_sent());
         let (width, elem_len) = (ring.byte_len(), o * ring.byte_len());
@@ -279,7 +289,93 @@ impl TripletWalk {
         for part in run_sharded(m * n, self.cfg.threads, &decode_range) {
             add_assign(self.u.as_mut_slice(), &part, ring);
         }
-        Ok((self.next == self.radices.len()).then(|| self.u.clone()))
+        self.decoded += 1;
+        Ok((self.decoded == self.radices.len())
+            .then(|| std::mem::replace(&mut self.u, Matrix::zeros(0, 0))))
+    }
+}
+
+/// Triplets sent ahead of their replies: the [`TripletWalk`]s not yet
+/// finished, in op order, and what the client owes for their sends, in the
+/// order it owes it. [`send`](Self::send) sends every group it can before
+/// anything comes back; [`take`](Self::take) takes the oldest debt's
+/// frames.
+#[derive(Debug, Default)]
+pub(crate) struct SendAhead {
+    walks: VecDeque<TripletWalk>,
+    owed: VecDeque<Owed>,
+}
+
+impl SendAhead {
+    /// Queues a triplet behind the ones in flight; [`send`](Self::send)
+    /// sends its groups once theirs are out.
+    pub(crate) fn push(&mut self, walk: TripletWalk) {
+        self.walks.push_back(walk);
+    }
+
+    /// Whether nothing is queued or owed.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.walks.is_empty() && self.owed.is_empty()
+    }
+
+    /// Frames the next [`take`](Self::take) waits for: a refill's two or a
+    /// group's one.
+    pub(crate) fn needs(&self) -> usize {
+        match self.owed.front() {
+            Some(Owed::Refill(_)) => 2,
+            Some(Owed::Masked(_)) => 1,
+            None => 0,
+        }
+    }
+
+    /// Sends every queued group not yet out, in order, and returns whether
+    /// all are out. It stops at a silent refill: the chooser extends again
+    /// only once the refill is [`take`](Self::take)n.
+    pub(crate) fn send<T: Transport>(
+        &mut self,
+        ch: &mut T,
+        kk: &mut FragmentChooser,
+    ) -> Result<bool, ProtocolError> {
+        if self.owed.iter().any(|o| matches!(o, Owed::Refill(_))) {
+            return Ok(false);
+        }
+        for walk in self.walks.iter_mut().filter(|w| !w.sent_all()) {
+            while !walk.sent_all() {
+                let owed = walk.send(ch, kk)?;
+                let refill = matches!(owed, Owed::Refill(_));
+                self.owed.push_back(owed);
+                if refill {
+                    return Ok(false);
+                }
+            }
+        }
+        Ok(true)
+    }
+
+    /// Takes the oldest debt's frames: finishes a refill, or decodes a
+    /// group into the oldest triplet, returning its share `U` once that was
+    /// its last group.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError`] on disconnection or a malformed client message.
+    pub(crate) fn take<T: Transport>(
+        &mut self,
+        ch: &mut T,
+        kk: &mut FragmentChooser,
+    ) -> Result<Option<Matrix>, ProtocolError> {
+        match self.owed.pop_front() {
+            Some(Owed::Refill(refill)) => kk.refill_finish(ch, refill)?,
+            Some(Owed::Masked(keys)) => {
+                let walk = self.walks.front_mut().expect("a group is owed to a walk");
+                if let Some(u) = walk.decode(ch, &keys)? {
+                    self.walks.pop_front();
+                    return Ok(Some(u));
+                }
+            }
+            None => {}
+        }
+        Ok(None)
     }
 }
 

@@ -4,7 +4,6 @@
 //! columns; garbling and the protocols use the same PRG for mask expansion.
 
 use crate::{Aes128, Block};
-use std::sync::Arc;
 
 /// A deterministic PRG: the byte stream `AES_seed(0), AES_seed(1), …`.
 ///
@@ -15,24 +14,28 @@ use std::sync::Arc;
 /// assert_eq!(a.next_block(), b.next_block());
 /// ```
 ///
-/// A clone shares the key schedule and copies the position: OT-extension
-/// state is hundreds of these, and the session driver copies it once per
-/// protocol step.
-#[derive(Debug, Clone)]
+/// Not `Clone`: a copy would hand out the same stream a second time, and
+/// OT-extension keys derived from it twice are no longer secret.
+///
+/// ```compile_fail
+/// use abnn2_crypto::{Block, Prg};
+/// let a = Prg::from_seed(Block::from(5u128));
+/// let b = a.clone();
+/// ```
+#[derive(Debug)]
 pub struct Prg {
-    aes: Arc<Aes128>,
+    aes: Aes128,
     counter: u128,
 }
 
 impl Prg {
-    /// Bytes one generator holds: its position and the key schedule it
-    /// shares with its clones.
-    pub const HELD_BYTES: usize = std::mem::size_of::<Prg>() + std::mem::size_of::<Aes128>();
+    /// Bytes one generator holds: its key schedule and its position.
+    pub const HELD_BYTES: usize = std::mem::size_of::<Prg>();
 
     /// Creates a PRG keyed by `seed` starting at counter zero.
     #[must_use]
     pub fn from_seed(seed: Block) -> Self {
-        Prg { aes: Arc::new(Aes128::new(seed)), counter: 0 }
+        Prg { aes: Aes128::new(seed), counter: 0 }
     }
 
     /// Next 128 pseudorandom bits.
@@ -53,16 +56,22 @@ impl Prg {
     /// Overwrites `out` with the next `out.len()` pseudorandom bytes, in
     /// place: what [`bytes`](Self::bytes) returns, without the `Vec`.
     ///
-    /// Generates whole blocks, batched through the backend, and discards
-    /// the partial tail block's remainder as the stream always has: the
-    /// position advances by `⌈out.len()/16⌉` blocks.
+    /// Generates whole blocks, batched through the backend, copies them 16
+    /// bytes at a time and discards the partial tail block's remainder as
+    /// the stream always has: the position advances by `⌈out.len()/16⌉`
+    /// blocks.
     pub fn fill_bytes(&mut self, out: &mut [u8]) {
         let mut blocks = [Block::ZERO; 64];
         for chunk in out.chunks_mut(16 * blocks.len()) {
             let blocks = &mut blocks[..chunk.len().div_ceil(16)];
             self.fill_blocks(blocks);
-            for (bytes, block) in chunk.chunks_mut(16).zip(blocks.iter()) {
-                bytes.copy_from_slice(&block.to_bytes()[..bytes.len()]);
+            let mut whole = chunk.chunks_exact_mut(16);
+            for (bytes, block) in (&mut whole).zip(blocks.iter()) {
+                bytes.copy_from_slice(&block.to_bytes());
+            }
+            let tail = whole.into_remainder();
+            if let Some(last) = blocks.last().filter(|_| !tail.is_empty()) {
+                tail.copy_from_slice(&last.to_bytes()[..tail.len()]);
             }
         }
     }
@@ -121,21 +130,6 @@ mod tests {
         }
         let next = stream.next_block();
         assert_eq!((a.next_block(), b.next_block()), (next, next));
-    }
-
-    /// A clone is a position, not a key schedule: it costs two words and a
-    /// counter to make, continues where the original stood, and the two
-    /// advance apart.
-    #[test]
-    fn a_clone_shares_the_schedule_and_keeps_its_own_position() {
-        assert!(std::mem::size_of::<Prg>() <= 32, "a clone copies the key schedule again");
-        let mut a = Prg::from_seed(Block::from(6u128));
-        let _ = a.bytes(40);
-        let mut b = a.clone();
-        assert!(Arc::ptr_eq(&a.aes, &b.aes));
-        let next = a.bytes(64);
-        assert_eq!(b.bytes(64), next);
-        assert_ne!(a.bytes(16), next[..16]);
     }
 
     #[test]

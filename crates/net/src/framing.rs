@@ -1,6 +1,7 @@
 //! The length-prefixed stream, once: the socket-free codec under both
-//! [`TcpTransport`](crate::TcpTransport) (blocking) and
-//! [`FrameBuffer`](crate::FrameBuffer) (event loop).
+//! [`TcpTransport`](crate::TcpTransport) (blocking calls) and
+//! [`FrameBuffer`](crate::FrameBuffer) (event loop), each over a
+//! non-blocking socket.
 //!
 //! A frame on the wire is a 4-byte little-endian payload length followed by
 //! the payload, whose first byte is the frame's tag. [`FrameCodec`] holds
@@ -14,10 +15,11 @@
 //!   ([`tags::max_len`], [`tags::UNREGISTERED_MAX_LEN`]) *before* the
 //!   payload is allocated; the payload is then read straight into the
 //!   spare capacity of the `Vec` the caller receives, never zero-filled
-//!   first. A source that has no bytes right now
-//!   (`WouldBlock`/`TimedOut`) leaves the state where it is:
+//!   first. A source that has no bytes right now (`WouldBlock`) leaves
+//!   the state where it is:
 //!   `Ok(None)`, with [`mid_frame`](FrameCodec::mid_frame) telling a
-//!   blocking caller whether the framing boundary is still intact;
+//!   caller that gives up (a deadline) whether the framing boundary is
+//!   still intact;
 //! * a **writer** queue: length prefix and payload appended to one buffer
 //!   that drains into any [`Write`] with as few calls as the sink
 //!   accepts, keeping its place across partial writes;
@@ -78,10 +80,9 @@ fn fill_payload(
     }
 }
 
-/// A non-blocking socket with nothing to give or take, or a blocking one
-/// whose `SO_RCVTIMEO` expired.
+/// A non-blocking socket with nothing to give or take.
 fn would_block(e: &std::io::Error) -> bool {
-    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+    e.kind() == ErrorKind::WouldBlock
 }
 
 /// Reader, writer queue and error latch of one length-prefixed stream. See
@@ -187,30 +188,31 @@ impl FrameCodec {
         self.wbuf.extend_from_slice(&(len as u32).to_le_bytes());
     }
 
-    /// Writes `bytes` to a blocking `dst` once the queue has drained, not
-    /// through the queue: `Ok(false)` if `dst` refused bytes partway (a
-    /// send timeout), after which the stream has lost its boundary.
+    /// Writes `bytes` to `dst` once the queue has drained, not through the
+    /// queue, until they are all written or `dst` would block; returns how
+    /// many were written. The caller writes the rest before anything else.
     ///
     /// # Errors
     ///
     /// [`TransportError::Closed`] (latched) on a sink error.
     pub(crate) fn write_through(
         &mut self,
-        mut bytes: &[u8],
+        bytes: &[u8],
         dst: &mut impl Write,
-    ) -> Result<bool, TransportError> {
+    ) -> Result<usize, TransportError> {
         self.check()?;
         debug_assert_eq!(self.queued(), 0, "queued bytes go first");
-        while !bytes.is_empty() {
-            match dst.write(bytes) {
+        let mut written = 0;
+        while written < bytes.len() {
+            match dst.write(&bytes[written..]) {
                 Ok(0) => return Err(self.fail(TransportError::Closed)),
-                Ok(n) => bytes = &bytes[n..],
+                Ok(n) => written += n,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) if would_block(&e) => return Ok(false),
+                Err(e) if would_block(&e) => break,
                 Err(_) => return Err(self.fail(TransportError::Closed)),
             }
         }
-        Ok(true)
+        Ok(written)
     }
 
     /// Queued bytes the sink has not accepted yet.

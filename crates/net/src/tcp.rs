@@ -1,5 +1,5 @@
-//! Real TCP implementation of [`Transport`] with length-prefixed framing and
-//! a write-coalescing buffer.
+//! Real TCP implementation of [`Transport`] with length-prefixed framing, a
+//! write-coalescing buffer, and reads while it writes.
 //!
 //! ## Framing
 //!
@@ -10,32 +10,47 @@
 //! hostile peer. The parser, the write queue and the error latch are the one
 //! codec in `framing.rs`, shared with the event-loop
 //! [`FrameBuffer`](crate::FrameBuffer); this type is its blocking face and
-//! adds only what blocking needs: read deadlines, byte counters and the
-//! scratch slot.
+//! adds only what blocking needs: the wait, deadlines, the inbox, byte
+//! counters and the scratch slot.
 //!
 //! ## Write coalescing
 //!
 //! The OT and GC layers emit thousands of small messages (often single
 //! `u64`s). Issuing one `write(2)` per 8-byte message would dominate runtime
 //! with syscalls, so outgoing frames accumulate in a buffer flushed when it
-//! exceeds a fixed threshold, before any blocking receive, and on drop. A
-//! frame at least that large skips the buffer: the queue is flushed and the
-//! frame written from the caller's bytes, so the buffer never grows to the
-//! size of the garbled tables.
-//! Flushing before a receive keeps the protocol deadlock-free: each party's
-//! pending requests always reach the peer before either side blocks.
+//! exceeds a fixed threshold, before any receive that has to wait, and on
+//! drop. A frame at least that large skips the buffer: the queue is flushed
+//! and the frame written from the caller's bytes, so the buffer never grows
+//! to the size of the garbled tables.
+//!
+//! ## Full duplex
+//!
+//! A party may send ahead: the server's offline walk sends every fragment
+//! group's columns, megabytes, before it reads the first reply, while the
+//! client writes its replies. Two parties that each block in a write nobody
+//! reads would deadlock once both socket buffers fill, and flushing before
+//! a receive does not prevent that. So the socket is non-blocking and every
+//! call that has to wait does so in [`ready::wait`] for room to write *and*
+//! for input: a send or flush the socket cannot take whole reads the frames
+//! arriving meanwhile into an inbox, and [`recv`](Transport::recv) returns
+//! the inbox's frames before it reads the socket. Neither party's write
+//! ever waits on the other's.
 //!
 //! ## Accounting
 //!
 //! [`CommSnapshot`] counts **application payload bytes only** — the 4-byte
 //! frame headers are excluded, so byte counts are identical to the simulated
-//! [`Endpoint`](crate::Endpoint) run of the same protocol. `vtime` reports
-//! real wall-clock time since the transport was created.
+//! [`Endpoint`](crate::Endpoint) run of the same protocol. A frame counts as
+//! received when `recv` returns it, wherever it waited. `vtime` reports real
+//! wall-clock time since the transport was created. The wait needs
+//! `poll(2)`, so this type is Unix-only, as [`ready`] is.
 
 use crate::channel::CommSnapshot;
 use crate::framing::FrameCodec;
+use crate::ready::{self, Interest};
 use crate::transport::{Transport, TransportError};
-use std::io::{ErrorKind, Read, Write};
+use std::collections::VecDeque;
+use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -46,74 +61,57 @@ pub const MAX_FRAME_LEN: usize = 1 << 30;
 const FLUSH_THRESHOLD: usize = 1 << 16;
 
 /// [`Transport`] over a real TCP stream. See the module docs for framing,
-/// coalescing, and accounting semantics.
+/// coalescing, full duplex and accounting semantics.
 ///
 /// ## Deadlines
 ///
-/// [`set_read_timeout`](Transport::set_read_timeout) bounds each blocking
-/// read via `SO_RCVTIMEO`; [`set_phase_budget`](Transport::set_phase_budget)
-/// starts a wall-clock budget covering every subsequent operation. Both
-/// surface as [`TransportError::TimedOut`], so a silent-but-connected peer
-/// is distinguishable from a dead one (`Closed`).
+/// [`set_read_timeout`](Transport::set_read_timeout) bounds how long any
+/// wait may pass with no byte moving either way;
+/// [`set_phase_budget`](Transport::set_phase_budget) starts a wall-clock
+/// budget covering every subsequent operation. Both are the timeout of the
+/// wait and surface as [`TransportError::TimedOut`], so a
+/// silent-but-connected peer is distinguishable from a dead one (`Closed`).
 ///
 /// ## Error stickiness
 ///
 /// Once the connection fails (`Closed`; a length prefix over
 /// [`MAX_FRAME_LEN`] or over its tag's ceiling, after which the unread
-/// payload would parse as the next header; or a timeout that interrupted a
-/// frame mid-read, after which the framing boundary is lost), the error is
-/// latched and every subsequent operation reports it, exactly as
+/// payload would parse as the next header; a timeout that interrupted a
+/// frame mid-read, after which the framing boundary is lost; or a timeout
+/// while output waited for room, part of which may be on the wire), the
+/// error is latched and every subsequent operation reports it, exactly as
 /// [`FrameBuffer`](crate::FrameBuffer) does. This also surfaces write/flush
 /// failures that would otherwise only be observable — and silently
-/// swallowed — during drop. A timeout at a frame boundary, and a tag
-/// mismatch reported by [`recv_frame`](Transport::recv_frame) over an
+/// swallowed — during drop. A timeout in a receive at a frame boundary, and
+/// a tag mismatch reported by [`recv_frame`](Transport::recv_frame) over an
 /// intact frame, leave the connection usable.
 pub struct TcpTransport {
     stream: TcpStream,
     /// Frame reader, pending framed output and the sticky error latch.
     codec: FrameCodec,
+    /// Frames read while output waited for room, oldest first.
+    inbox: VecDeque<Vec<u8>>,
     /// Reusable frame-serialization buffer (see [`Transport::take_scratch`]).
     scratch: Vec<u8>,
     bytes_sent: u64,
     bytes_received: u64,
     messages_sent: u64,
     created: Instant,
-    deadline: ReadDeadline,
-}
-
-/// The `SO_RCVTIMEO` bookkeeping of one socket.
-#[derive(Default)]
-struct ReadDeadline {
-    /// Per-read timeout requested via `set_read_timeout`.
-    per_read: Option<Duration>,
+    /// Per-wait timeout requested via `set_read_timeout`.
+    read_timeout: Option<Duration>,
     /// Wall-clock deadline of the current phase budget, if any.
-    phase: Option<Instant>,
-    /// `SO_RCVTIMEO` currently applied to the socket (avoids a syscall per
-    /// read when the effective timeout has not changed).
-    applied: Option<Duration>,
+    phase_deadline: Option<Instant>,
 }
 
-/// The socket as the codec's source: every `read` first applies the
-/// effective `SO_RCVTIMEO`, the tighter of the per-read timeout and the
-/// remaining phase budget, and is `TimedOut` if the budget is already spent.
-struct Deadlined<'a>(&'a TcpStream, &'a mut ReadDeadline);
+/// The socket as the codec's source, noting whether any read returned
+/// bytes: progress that restarts the read timeout.
+struct Moved<'a>(&'a TcpStream, bool);
 
-impl Read for Deadlined<'_> {
+impl Read for Moved<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let Deadlined(stream, deadline) = self;
-        let mut effective = deadline.per_read;
-        if let Some(dl) = deadline.phase {
-            let remaining = dl
-                .checked_duration_since(Instant::now())
-                .filter(|r| !r.is_zero())
-                .ok_or(ErrorKind::TimedOut)?;
-            effective = Some(effective.map_or(remaining, |t| t.min(remaining)));
-        }
-        if effective != deadline.applied {
-            stream.set_read_timeout(effective)?;
-            deadline.applied = effective;
-        }
-        stream.read(buf)
+        let n = self.0.read(buf)?;
+        self.1 |= n > 0;
+        Ok(n)
     }
 }
 
@@ -128,8 +126,9 @@ impl std::fmt::Debug for TcpTransport {
 }
 
 impl TcpTransport {
-    /// Wraps an already-connected stream. Disables Nagle's algorithm: the
-    /// write-coalescing buffer already batches small messages, and the
+    /// Wraps an already-connected stream, switching it to non-blocking
+    /// mode (every wait is [`ready::wait`]). Disables Nagle's algorithm:
+    /// the write-coalescing buffer already batches small messages, and the
     /// protocols are latency-bound request/response exchanges.
     ///
     /// # Errors
@@ -137,18 +136,21 @@ impl TcpTransport {
     /// Returns [`TransportError::Closed`] if the socket options cannot be set
     /// (the stream is unusable).
     pub fn from_stream(stream: TcpStream) -> Result<Self, TransportError> {
+        stream.set_nonblocking(true).map_err(|_| TransportError::Closed)?;
         stream.set_nodelay(true).map_err(|_| TransportError::Closed)?;
         Ok(Self {
             stream,
             // Room for one flush's worth up front: the small frames that
             // coalesce here never grow the queue by reallocation.
             codec: FrameCodec::new(FLUSH_THRESHOLD),
+            inbox: VecDeque::new(),
             scratch: Vec::new(),
             bytes_sent: 0,
             bytes_received: 0,
             messages_sent: 0,
             created: Instant::now(),
-            deadline: ReadDeadline::default(),
+            read_timeout: None,
+            phase_deadline: None,
         })
     }
 
@@ -183,13 +185,93 @@ impl TcpTransport {
         self.stream.local_addr().map_err(|_| TransportError::Closed)
     }
 
-    /// Writes every queued frame to the socket. A blocking socket that
-    /// refuses bytes has hit a send timeout, which loses the boundary.
+    /// Waits until the socket has input, or room for output if `writable`,
+    /// or the deadline passes: the read timeout counted from `since` (when
+    /// a byte last moved) or the phase budget, whichever is first. May
+    /// return early; the caller tries again.
+    fn wait(&self, writable: bool, since: Instant) -> Result<(), TransportError> {
+        let idle = self.read_timeout.and_then(|t| since.checked_add(t));
+        let deadline = idle.into_iter().chain(self.phase_deadline);
+        let timeout = match deadline.min() {
+            Some(dl) => dl
+                .checked_duration_since(Instant::now())
+                .filter(|left| !left.is_zero())
+                .ok_or(TransportError::TimedOut)?,
+            None => Duration::MAX,
+        };
+        ready::wait(None, &[Interest::new(&self.stream, true, writable)], timeout);
+        Ok(())
+    }
+
+    /// Reads every frame the socket holds into the inbox; whether any
+    /// bytes came.
+    fn read_into_inbox(&mut self) -> Result<bool, TransportError> {
+        let mut src = Moved(&self.stream, false);
+        while let Some(frame) = self.codec.read_from(&mut src)? {
+            self.inbox.push_back(frame);
+        }
+        Ok(src.1)
+    }
+
+    /// Waits for room to write, reading what arrives meanwhile. A deadline
+    /// that passes here is latched: part of the output may be on the wire.
+    fn wait_writable(&mut self, since: &mut Instant) -> Result<(), TransportError> {
+        self.wait(true, *since).map_err(|e| self.codec.fail(e))?;
+        if self.read_into_inbox()? {
+            *since = Instant::now();
+        }
+        Ok(())
+    }
+
+    /// The next frame from the socket.
+    fn read_frame(&mut self) -> Result<Vec<u8>, TransportError> {
+        let mut since = Instant::now();
+        loop {
+            let mut src = Moved(&self.stream, false);
+            if let Some(frame) = self.codec.read_from(&mut src)? {
+                return Ok(frame);
+            }
+            if src.1 {
+                since = Instant::now();
+            }
+            if let Err(e) = self.wait(false, since) {
+                // Mid-frame the boundary is lost, so the timeout is
+                // latched; at a boundary the connection stays usable.
+                return Err(if self.codec.mid_frame() { self.codec.fail(e) } else { e });
+            }
+        }
+    }
+
+    /// Writes every queued frame to the socket.
     fn flush_queue(&mut self) -> Result<(), TransportError> {
-        if self.codec.drain_into(&mut &self.stream)? {
-            Ok(())
-        } else {
-            Err(self.codec.fail(TransportError::TimedOut))
+        let mut since = Instant::now();
+        loop {
+            let queued = self.codec.queued();
+            if self.codec.drain_into(&mut &self.stream)? {
+                return Ok(());
+            }
+            if self.codec.queued() < queued {
+                since = Instant::now();
+            }
+            self.wait_writable(&mut since)?;
+        }
+    }
+
+    /// Writes a large frame's payload from the caller's buffer, its length
+    /// prefix already queued.
+    fn write_through(&mut self, payload: &[u8]) -> Result<(), TransportError> {
+        self.flush_queue()?;
+        let (mut written, mut since) = (0, Instant::now());
+        loop {
+            let n = self.codec.write_through(&payload[written..], &mut &self.stream)?;
+            written += n;
+            if written == payload.len() {
+                return Ok(());
+            }
+            if n > 0 {
+                since = Instant::now();
+            }
+            self.wait_writable(&mut since)?;
         }
     }
 }
@@ -197,7 +279,7 @@ impl TcpTransport {
 impl Transport for TcpTransport {
     fn send(&mut self, payload: &[u8]) -> Result<(), TransportError> {
         self.codec.check()?;
-        if self.deadline.phase.is_some_and(|dl| Instant::now() >= dl) {
+        if self.phase_deadline.is_some_and(|dl| Instant::now() >= dl) {
             return Err(self.codec.fail(TransportError::TimedOut));
         }
         self.bytes_sent += payload.len() as u64;
@@ -213,27 +295,26 @@ impl Transport for TcpTransport {
         // into the queue, it would grow the queue to its size for the rest
         // of the connection.
         self.codec.push_header(payload.len());
-        self.flush_queue()?;
-        if self.codec.write_through(payload, &mut &self.stream)? {
-            Ok(())
-        } else {
-            Err(self.codec.fail(TransportError::TimedOut))
-        }
+        self.write_through(payload)
     }
 
     fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
-        // Push our pending requests out before blocking on the peer's reply.
-        self.flush_queue()?;
-        match self.codec.read_from(&mut Deadlined(&self.stream, &mut self.deadline))? {
-            Some(payload) => {
-                self.bytes_received += payload.len() as u64;
-                Ok(payload)
-            }
-            // A deadline expired. Mid-frame the boundary is lost, so the
-            // timeout is latched; at a boundary the connection stays usable.
-            None if self.codec.mid_frame() => Err(self.codec.fail(TransportError::TimedOut)),
-            None => Err(TransportError::TimedOut),
+        self.codec.check()?;
+        if self.phase_deadline.is_some_and(|dl| Instant::now() >= dl) {
+            return Err(if self.codec.mid_frame() {
+                self.codec.fail(TransportError::TimedOut)
+            } else {
+                TransportError::TimedOut
+            });
         }
+        // Push our pending requests out before waiting on the peer's reply.
+        self.flush_queue()?;
+        let frame = match self.inbox.pop_front() {
+            Some(frame) => frame,
+            None => self.read_frame()?,
+        };
+        self.bytes_received += frame.len() as u64;
+        Ok(frame)
     }
 
     fn flush(&mut self) -> Result<(), TransportError> {
@@ -242,12 +323,12 @@ impl Transport for TcpTransport {
     }
 
     fn set_read_timeout(&mut self, timeout: Option<Duration>) -> Result<(), TransportError> {
-        self.deadline.per_read = timeout;
+        self.read_timeout = timeout;
         Ok(())
     }
 
     fn set_phase_budget(&mut self, budget: Option<Duration>) -> Result<(), TransportError> {
-        self.deadline.phase = budget.map(|b| Instant::now() + b);
+        self.phase_deadline = budget.map(|b| Instant::now() + b);
         Ok(())
     }
 
@@ -368,6 +449,42 @@ mod tests {
         assert_eq!(c.snapshot().bytes_sent, total as u64);
         assert_eq!(c.snapshot().messages_sent, sizes.len() as u64);
         assert_eq!(s.snapshot().bytes_received, total as u64);
+    }
+
+    /// Two parties that each send 16 MiB before either receives both
+    /// finish: a send the socket cannot take reads the peer's frames
+    /// meanwhile. Large frames are written through, small ones coalesce
+    /// between them. A watchdog fails the test instead of letting a
+    /// regression hang it.
+    #[test]
+    fn both_parties_sending_ahead_do_not_deadlock() {
+        let frame = |side: u8, i: usize| {
+            let len = if i.is_multiple_of(2) { 1 << 20 } else { 100 };
+            let mut f: Vec<u8> = (0..len).map(|j| (i * 31 + j) as u8 ^ side).collect();
+            f[0] = 0xEE;
+            f
+        };
+        let (done_tx, done) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let (mut s, mut c) = tcp_pair();
+            let party = |ch: &mut TcpTransport, side: u8| {
+                for i in 0..32 {
+                    ch.send(&frame(side, i)).unwrap();
+                }
+                for i in 0..32 {
+                    assert_eq!(ch.recv().unwrap(), frame(side ^ 1, i), "frame {i}");
+                }
+            };
+            thread::scope(|scope| {
+                scope.spawn(|| party(&mut c, 1));
+                party(&mut s, 0);
+            });
+            let _ = done_tx.send((s.snapshot(), c.snapshot()));
+        });
+        let (s, c) = done.recv_timeout(Duration::from_secs(60)).expect("the two sends deadlocked");
+        let total = 16 * (1 << 20) + 16 * 100;
+        assert_eq!((s.bytes_sent, s.bytes_received), (total, total));
+        assert_eq!((c.bytes_sent, c.bytes_received), (total, total));
     }
 
     #[test]

@@ -132,9 +132,9 @@ pub trait Transport {
     ///
     /// The default implementation ignores the timeout (in-process message
     /// queues cannot go silent without the peer being dropped, which already
-    /// surfaces as `Closed`); real-socket transports honor it via
-    /// `SO_RCVTIMEO`. Decorators MUST forward this call to their inner
-    /// transport.
+    /// surfaces as `Closed`); real-socket transports honor it as the
+    /// timeout of their readiness wait. Decorators MUST forward this call to
+    /// their inner transport.
     ///
     /// # Errors
     ///

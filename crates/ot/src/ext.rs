@@ -29,8 +29,8 @@ use abnn2_net::{Transport, TransportError};
 use rand::Rng;
 
 /// The half that holds the correlation secret `s` and one PRG per column
-/// (IKNP's sender, KK13's sender).
-#[derive(Clone)]
+/// (IKNP's sender, KK13's sender). Not `Clone`: two copies would extend
+/// one set of PRG streams twice.
 pub(crate) struct Sender<const W: usize> {
     /// The secret `s`, packed: bit `i` selected seed `i`.
     pub(crate) s: [u8; W],

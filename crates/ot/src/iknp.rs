@@ -14,8 +14,8 @@ use abnn2_math::Ring;
 use abnn2_net::{Frame, Transport, TransportError};
 use rand::Rng;
 
-/// Sender side of IKNP extension (holds the message pairs).
-#[derive(Clone)]
+/// Sender side of IKNP extension (holds the message pairs). Not `Clone`:
+/// two copies would extend one set of PRG streams twice.
 pub struct IknpSender {
     ext: ext::Sender<{ KAPPA / 8 }>,
     tweak: u64,

@@ -13,8 +13,12 @@
 //!   *multiplexed* session may occupy a slot without progress.
 //! * **outbound cap** — a peer that stops draining its socket leaves
 //!   queued bytes in the worker's [`FrameBuffer`](abnn2_net::FrameBuffer).
-//!   Past [`max_outbound_bytes`](GovernorConfig::max_outbound_bytes) the
-//!   session is evicted instead of buffering the whole offline phase.
+//!   The server sends every offline column frame ahead of the client's
+//!   replies, so an honest cold session's queue may hold a whole offline
+//!   phase's columns at once (3.2 MB a fragment group on the Fig-4 model's
+//!   first layer). Past
+//!   [`max_outbound_bytes`](GovernorConfig::max_outbound_bytes) the
+//!   session is evicted.
 //! * **inbound quota** (always on) — once the handshake fixes the batch,
 //!   the planner
 //!   ([`SecureGraph::inbound_ceiling`](abnn2_core::SecureGraph::inbound_ceiling))
@@ -42,7 +46,8 @@ pub struct GovernorConfig {
     pub idle_timeout: Option<Duration>,
     /// Evict a session whose outbound queue (bytes accepted by the frame
     /// buffer but not yet drained by the peer's socket) exceeds this.
-    /// `None` disables the cap.
+    /// Set it above the offline phase's column bytes, which a cold session
+    /// queues all at once. `None` disables the cap.
     pub max_outbound_bytes: Option<u64>,
     /// Chaos: panic inside the sweep of the Nth admitted session (0-based
     /// admission ordinal) once it reaches the online phase. Exercises the

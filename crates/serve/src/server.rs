@@ -550,7 +550,7 @@ struct LiveSession<'a> {
     /// is fed and reads is one). The read and
     /// idle timeouts run from here, so they measure the peer's silence
     /// and not the worker's own compute (this session's or a sibling's)
-    /// — what `SO_RCVTIMEO` measures on the blocking path.
+    /// — what the read timeout measures on the blocking path.
     waiting_since: Instant,
     /// Deadline of the current phase budget, armed off the driver's marks
     /// by [`SessionDeadlines::budget_from`], the blocking server's rule.

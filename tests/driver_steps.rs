@@ -10,6 +10,12 @@
 //! finish inside a single `step()`, the one-frame-per-park feed must park
 //! once per frame, and under every schedule each frame is read exactly
 //! once: a step runs only when its frames have arrived.
+//!
+//! The pins: each direction's frame sequence (what the server sends, what
+//! it reads), the whole effect sequence with its marks, and the number of
+//! flights the server sends, a flight being a run of sends that no read
+//! interrupts. The cold offline walk sends ahead, so its phase is one
+//! server flight where it was one per fragment group.
 
 use abnn2::core::driver::{drive_frames, DriverEffect, DriverStep, SessionDriver, SessionHost};
 use abnn2::core::relu::ReluVariant;
@@ -341,23 +347,29 @@ fn case_effects(
 
 /// Where every mark, send, flush and consumed frame falls in a session,
 /// whatever its feed schedule: phase budgets, chaos hooks and metering
-/// key off these positions. Recorded with the replaying driver.
+/// key off these positions. The six dealt rows date from the replaying
+/// driver. The six cold rows and the optimized-ReLU row (also cold) were
+/// re-recorded when the offline walk began sending ahead: its sends moved
+/// before the replies they used to wait for, and each linear op's
+/// `offline:` mark moved to its first send, while
+/// `direction_sequences_are_pinned` shows that neither direction's frames
+/// changed.
 #[test]
 fn effect_sequences_are_pinned() {
     let pins = [
-        ("mlp", false, false, "f99b90314c6a7acf2db20ef0ff64a1e088cf16e7cacea7aaef2d95081df3f154"),
+        ("mlp", false, false, "e0c8482a52afa09773cbabee4ac84e602d0f08c5a6861be1af731e3e5dbf8547"),
         ("mlp", false, true, "abcf2dcf8bcb72484d0aaf37659e9be635637b58271e66dc7684a890028df625"),
-        ("mlp", true, false, "2cdfbe3083749e2fb09f6e2b3c52cfa1c0145a50ff4c139059947bccfd11bb6c"),
+        ("mlp", true, false, "bc333b7a7faef889853aeac274eb88e1a301e41dec491bc7b01761b5cab00eee"),
         ("mlp", true, true, "c3b1ab7b6dc65194e1d507754aedd2de86166585e42ce8c1a2e39dd64cd18de3"),
-        ("cnn", false, false, "927a2e0b641b01b42035edf1fba542d91b4fd287e03e6312c892537d295b026e"),
+        ("cnn", false, false, "0295e5a313eb2e86426e79cd370f5c11d1a0e8f57737c9fb44905ca51ac8935f"),
         ("cnn", false, true, "a51aa27a2a66f7622c0c4f377dd4c764dda01d59c050a676d96d4aa692f401ea"),
-        ("cnn", true, false, "2562d43bbe4089837a35b3672f0027604434f5c4c95a2e55ebe07c6b5769a1c4"),
+        ("cnn", true, false, "3a3d32313c225bf78bd68873e28b9d5a357f64902fac10d4ec8523bb1ebf8a60"),
         ("cnn", true, true, "b3a60a439171b90dfa9091bf2899b01b84697598900d77210aa59e737abb34a7"),
         (
             "encoder",
             false,
             false,
-            "91e77bb8767be71a42d9f374cbc3d46c54456b9e69f368defa5421ef92572d57",
+            "2aa70ced3116113a37b43194a55b99b0d12c30c707f284f9f9daa70f8a1a1e28",
         ),
         (
             "encoder",
@@ -369,7 +381,7 @@ fn effect_sequences_are_pinned() {
             "encoder",
             true,
             false,
-            "578c752086f5ce188b4b50a5f8e76a427c699870e7c77076e4ef200e6ededc35",
+            "3b26a7186ecfa09519f74b1b088ac8c17e814868a990c002a3c452557bae6d98",
         ),
         ("encoder", true, true, "a786ea2db599ed088df276eafb3bf5c54cb3bcfbb56f385d978857b263e8ec93"),
     ];
@@ -383,7 +395,7 @@ fn effect_sequences_are_pinned() {
         }
     }
     let digest = effects_case(&models[0].1, false, false, ReluVariant::Optimized);
-    if digest != "3c2a759d7572d981527ba7eb8f384c55ef5560dc0f068b75b3ae7c72da249a60" {
+    if digest != "40ef453ced8d3a0178c5c9f15dc3248c73e176f337a352193523fa42a404b3b0" {
         failed.push(format!("mlp, optimized ReLU: {digest}"));
     }
     assert!(failed.is_empty(), "effect sequences moved:\n{}", failed.join("\n"));
@@ -546,4 +558,72 @@ fn direction_sequences_are_pinned() {
         }
     }
     assert!(failed.is_empty(), "direction sequences moved:\n{}", failed.join("\n"));
+}
+
+/// Flights in `effects`: maximal runs of `Send`s that no consumed frame
+/// interrupts (marks and flushes do not).
+fn flights(effects: &[DriverEffect]) -> usize {
+    let mut count = 0;
+    let mut in_flight = false;
+    for effect in effects {
+        match effect {
+            DriverEffect::Send(_) if !in_flight => (count, in_flight) = (count + 1, true),
+            DriverEffect::Recv { .. } => in_flight = false,
+            _ => {}
+        }
+    }
+    count
+}
+
+/// The cold KK13 offline phase is one server flight: the walk sends every
+/// fragment group's columns of every linear op before it reads the first
+/// reply (the MLP and the CNN have no matrix-triple op to stop it).
+#[test]
+fn cold_kk13_offline_is_one_server_flight() {
+    for (name, model) in [("mlp", mlp()), ("cnn", cnn())] {
+        let effects = case_effects(&model, false, false, ReluVariant::Oblivious);
+        let mark = |f: &dyn Fn(&str) -> bool| {
+            effects
+                .iter()
+                .position(|e| matches!(e, DriverEffect::Mark(label) if f(label)))
+                .expect("the phase is marked")
+        };
+        let offline = mark(&|label| label.starts_with("offline:"));
+        let online = mark(&|label| label == "online");
+        assert_eq!(flights(&effects[offline..online]), 1, "{name}: offline flights");
+    }
+}
+
+/// How many flights the server sends in each whole session. Sending the
+/// offline columns ahead took five from every cold session (MLP 11 → 6,
+/// CNN 12 → 7, encoder 30 → 18 over IKNP, one more each over silent OT,
+/// optimized-ReLU MLP 15 → 10); a dealt session runs no offline walk.
+#[test]
+fn server_flights_are_pinned() {
+    use ReluVariant::{Oblivious, Optimized};
+    let pins = [
+        ("mlp", false, false, Oblivious, 6),
+        ("mlp", false, true, Oblivious, 5),
+        ("mlp", true, false, Oblivious, 7),
+        ("mlp", true, true, Oblivious, 5),
+        ("cnn", false, false, Oblivious, 7),
+        ("cnn", false, true, Oblivious, 6),
+        ("cnn", true, false, Oblivious, 8),
+        ("cnn", true, true, Oblivious, 6),
+        ("encoder", false, false, Oblivious, 18),
+        ("encoder", false, true, Oblivious, 11),
+        ("encoder", true, false, Oblivious, 19),
+        ("encoder", true, true, Oblivious, 11),
+        ("mlp", false, false, Optimized, 10),
+    ];
+    let models = [("mlp", mlp()), ("cnn", cnn()), ("encoder", encoder())];
+    let mut failed = Vec::new();
+    for (name, silent, deal, variant, pin) in pins {
+        let model = &models.iter().find(|(n, _)| *n == name).expect("a model").1;
+        let count = flights(&case_effects(model, silent, deal, variant));
+        if count != pin {
+            failed.push(format!("{name}, silent {silent}, dealt {deal}, {variant:?}: {count}"));
+        }
+    }
+    assert!(failed.is_empty(), "server flight counts moved:\n{}", failed.join("\n"));
 }

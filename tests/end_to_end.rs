@@ -5,10 +5,13 @@
 use abnn2::core::inference::{SecureClient, SecureServer};
 use abnn2::core::relu::ReluVariant;
 use abnn2::math::{FragmentScheme, Ring};
-use abnn2::net::{run_pair, NetworkModel};
+use abnn2::net::{run_pair, NetworkModel, TcpTransport};
 use abnn2::nn::quant::{QuantConfig, QuantizedNetwork};
 use abnn2::nn::{Network, SyntheticMnist};
+use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::net::TcpListener;
+use std::time::Duration;
 
 fn trained_quantized(
     scheme: FragmentScheme,
@@ -270,4 +273,43 @@ fn logits_track_plaintext_classification() {
     for (k, input) in inputs.iter().enumerate() {
         assert_eq!(abnn2::nn::model::argmax(&logits[k]), q.predict(input), "sample {k}");
     }
+}
+
+/// A cold session of the Fig-4 shape over a real socket: the server sends
+/// every offline column frame ahead (megabytes) while the client writes its
+/// masked replies back, so both transports must read while they write. The
+/// blocking `SecureServer::run` against a blocking `SecureClient`, under a
+/// watchdog that fails the test instead of letting a deadlock hang it.
+#[test]
+fn cold_session_sending_ahead_over_tcp_is_bit_exact() {
+    let config = QuantConfig {
+        ring: Ring::new(32),
+        frac_bits: 8,
+        weight_frac_bits: 2,
+        scheme: FragmentScheme::signed_bit_fields(&[2, 2]),
+    };
+    let q = QuantizedNetwork::quantize(&Network::new(&[784, 128, 128, 10], 37), config);
+    let x = inputs_fp(&q, 1, 38).remove(0);
+    let expected = q.forward_exact(&x);
+    let (done_tx, done) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let server = SecureServer::for_model(q);
+        let client = SecureClient::for_model(server.public_model());
+        let y = std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let (stream, _) = listener.accept().expect("accept");
+                let mut ch = TcpTransport::from_stream(stream).expect("wrap");
+                server.run(&mut ch, 1, &mut StdRng::seed_from_u64(1)).expect("server");
+            });
+            let mut ch = TcpTransport::connect(addr).expect("connect");
+            let mut rng = StdRng::seed_from_u64(2);
+            let state = client.offline(&mut ch, 1, &mut rng).expect("offline");
+            client.online_raw(&mut ch, state, &[x], &mut rng).expect("online")
+        });
+        let _ = done_tx.send(y.col(0));
+    });
+    let logits = done.recv_timeout(Duration::from_secs(120)).expect("the TCP session hung");
+    assert_eq!(logits, expected);
 }
