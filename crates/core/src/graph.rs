@@ -571,7 +571,8 @@ pub fn server_offline_with<T: Transport, R: Rng + ?Sized>(
 pub(crate) struct ServerOfflineWalk {
     sg: SecureGraph,
     exec: ExecConfig,
-    plans: Vec<TripletPlan>,
+    /// The plans of the linear ops not started yet.
+    plans: std::vec::IntoIter<TripletPlan>,
     /// The half of the session the triplets extend.
     kk: FragmentChooser,
     /// The IKNP pair behind matrix triples, set up at the first matmul op.
@@ -580,8 +581,6 @@ pub(crate) struct ServerOfflineWalk {
     mats: Vec<MatrixTriple>,
     /// Index of the next op to start.
     next: usize,
-    /// Linear ops started, in flight or done.
-    linear: usize,
     /// The linear ops in flight and what the client owes for them.
     ahead: SendAhead,
     /// The matrix triple between its halves.
@@ -622,7 +621,7 @@ impl TripleOts {
 impl ServerOfflineWalk {
     pub(crate) fn new(kk: FragmentChooser, sg: SecureGraph, exec: ExecConfig) -> Self {
         let mut walk = ServerOfflineWalk {
-            plans: sg.plan(),
+            plans: sg.plan().into_iter(),
             us: Vec::with_capacity(sg.graph().linear_count()),
             mats: Vec::with_capacity(sg.graph().matmul_count()),
             sg,
@@ -630,7 +629,6 @@ impl ServerOfflineWalk {
             kk,
             ots: TripleOts::Unset,
             next: 0,
-            linear: 0,
             ahead: SendAhead::default(),
             triple: None,
         };
@@ -716,7 +714,7 @@ impl ServerOfflineWalk {
             let Some(op) = self.sg.graph().ops.get(i) else { return Ok(()) };
             let OpResource::Triplet { m, n } = op.resource() else { return Ok(()) };
             let config = &self.sg.graph().config;
-            let plan = &self.plans[self.linear];
+            let plan = self.plans.next().expect("one plan per linear op");
             let (w, _) = model.linear_params(plan.linear, m, n)?;
             ch.mark_phase(&format!("offline:op{i}/{}", plan.kind));
             self.ahead.push(TripletWalk::new(
@@ -728,7 +726,6 @@ impl ServerOfflineWalk {
                 config.ring,
                 self.exec.triplet(plan.mode),
             )?);
-            self.linear += 1;
             self.next += 1;
             self.skip_idle_ops();
         }

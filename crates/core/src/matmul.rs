@@ -339,7 +339,7 @@ impl SendAhead {
         if self.owed.iter().any(|o| matches!(o, Owed::Refill(_))) {
             return Ok(false);
         }
-        for walk in self.walks.iter_mut().filter(|w| !w.sent_all()) {
+        for walk in &mut self.walks {
             while !walk.sent_all() {
                 let owed = walk.send(ch, kk)?;
                 let refill = matches!(owed, Owed::Refill(_));

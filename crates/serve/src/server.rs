@@ -406,7 +406,6 @@ fn acceptor_loop(listener: &TcpListener, shared: &Shared) {
 /// the peer is being turned away either way.
 fn send_busy(shared: &Shared, stream: TcpStream) {
     let hint = retry_after_hint(shared);
-    let _ = stream.set_nonblocking(false);
     if let Ok(mut ch) = TcpTransport::from_stream(stream) {
         let _ = reject_busy_with(&mut ch, shared.server.params_for(0), hint);
     }

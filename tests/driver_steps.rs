@@ -594,10 +594,10 @@ fn cold_kk13_offline_is_one_server_flight() {
     }
 }
 
-/// How many flights the server sends in each whole session. Sending the
-/// offline columns ahead took five from every cold session (MLP 11 → 6,
-/// CNN 12 → 7, encoder 30 → 18 over IKNP, one more each over silent OT,
-/// optimized-ReLU MLP 15 → 10); a dealt session runs no offline walk.
+/// How many flights the server sends in each whole session. A cold
+/// session's offline walk sends its linear ops' columns in one flight up
+/// to the next silent refill or matrix-triple op, not one flight per
+/// fragment group; a dealt session runs no offline walk.
 #[test]
 fn server_flights_are_pinned() {
     use ReluVariant::{Oblivious, Optimized};
