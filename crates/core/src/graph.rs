@@ -997,7 +997,7 @@ impl ServerOnlineWalk {
                 let product = opened.combine(ch, &self.bundle.mats[self.matmuls], ring, 0)?;
                 self.matmuls += 1;
                 let lowering = self.sg.lowering(i, self.exec.variant)?;
-                lowering.server(ch, &[product.as_slice()], ring, batch)?
+                lowering.server(ch, &mut self.yao, &[product.as_slice()], ring, batch)?
             }
             Some(Flight::Op(next)) => next.step(ch, &mut self.yao, ring)?,
             None if self.done => return Ok(()),
@@ -1035,7 +1035,8 @@ impl ServerOnlineWalk {
                     }
                     OpResource::FreshMask { .. } => {
                         let shares = reshare_sources(op, i, &self.tape);
-                        self.sg.lowering(i, self.exec.variant)?.server(ch, &shares, ring, batch)?
+                        let lowering = self.sg.lowering(i, self.exec.variant)?;
+                        lowering.server(ch, &mut self.yao, &shares, ring, batch)?
                     }
                 }
             }

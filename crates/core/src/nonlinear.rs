@@ -21,7 +21,8 @@
 //! * The paper's two-round optimized ReLU ([`crate::relu`]) is the one
 //!   lowering that is not a single circuit.
 //! * `ServerOp` is the server half of either lowering, one flight of its
-//!   exchange per step.
+//!   exchange per step. A circuit's label-OT columns leave when the op is
+//!   entered: they depend only on the server's share.
 //! * [`softmax_server`]/[`softmax_client`], [`gelu_server`]/[`gelu_client`]
 //!   and [`layernorm_server`]/[`layernorm_client`] run one op standalone on
 //!   explicit shapes, for the benchmark probes.
@@ -79,39 +80,40 @@ pub fn reshare_server<T: Transport, S: AsRef<[u64]>>(
     shares: &[S],
     ring: Ring,
 ) -> Result<Vec<u64>, ProtocolError> {
-    let op =
-        ServerOp::evaluate(ch, circuit.with_lanes(circuit.lanes()), shares, ring, Then::Shares);
-    op?.run(ch, yao, ring)
+    let circuit = circuit.with_lanes(circuit.lanes());
+    ServerOp::evaluate(ch, yao, circuit, shares, ring, Then::Shares)?.run(ch, yao, ring)
 }
 
 /// The server half of a lowered op between flights: [`step`](Self::step)
 /// takes the [`needs`](Self::needs) frames due and sends the answer.
 #[derive(Debug)]
 pub(crate) enum ServerOp {
-    /// A circuit on the evaluator's inputs `bits`: its garbled material
-    /// comes next, then — the label OTs' columns out — their ciphertexts.
-    Eval { circuit: Circuit, bits: Vec<bool>, run: Option<Box<PendingRun>>, then: Then },
-    /// The optimized ReLU's signs are out; the negative neurons' shares
-    /// come next. `reshare` is one neuron's circuit.
-    Signed { non_neg: Vec<bool>, y0: Vec<u64>, reshare: Circuit },
+    /// A circuit whose label OTs' columns are out: its garbled material
+    /// and the OTs' ciphertexts come next.
+    Eval { circuit: Circuit, run: PendingRun, then: Box<Then> },
+    /// The optimized ReLU's signs are out, and with them the columns of
+    /// `pos`, the re-share of the neurons that passed. The negative
+    /// neurons' shares come next, then `pos`'s frames.
+    Signed { non_neg: Vec<bool>, pos: Box<ServerOp> },
     /// The op's fresh shares `z₀`.
     Done(Vec<u64>),
 }
 
-/// A circuit's outputs: fresh shares, or the optimized ReLU's signs or
-/// non-negative neurons.
+/// A circuit's outputs: fresh shares, or the optimized ReLU's signs.
 #[derive(Debug)]
 pub(crate) enum Then {
     Shares,
     Signs { y0: Vec<u64>, reshare: Circuit },
-    Merge { non_neg: Vec<bool>, neg: Vec<u64> },
 }
 
 impl ServerOp {
-    /// Algorithm 2 over `circuit` and one share-0 vector per operand; a
-    /// circuit with no outputs moves nothing on either side.
+    /// Algorithm 2 over `circuit` and one share-0 vector per operand, up
+    /// to its wait: the label OTs' columns depend only on the server's
+    /// share, so they leave now. A circuit with no outputs moves nothing
+    /// on either side.
     fn evaluate<T: Transport, S: AsRef<[u64]>>(
         ch: &mut T,
+        yao: &mut YaoEvaluator,
         circuit: Circuit,
         shares: &[S],
         ring: Ring,
@@ -125,16 +127,17 @@ impl ServerOp {
             return Err(MISFIT);
         }
         if circuit.output_count() == 0 {
-            return then.outputs(ch, Vec::new(), ring);
+            return then.outputs(ch, yao, Vec::new(), ring);
         }
-        Ok(ServerOp::Eval { circuit, bits, run: None, then })
+        let run = yao.run_start(ch, &bits)?;
+        Ok(ServerOp::Eval { circuit, run, then: Box::new(then) })
     }
 
     /// Frames the next [`step`](Self::step) takes.
     pub(crate) fn needs(&self) -> usize {
         match self {
-            ServerOp::Eval { run: None, .. } => 3,
-            ServerOp::Eval { .. } | ServerOp::Signed { .. } => 1,
+            ServerOp::Eval { .. } => 4,
+            ServerOp::Signed { pos, .. } => 1 + pos.needs(),
             ServerOp::Done(_) => 0,
         }
     }
@@ -147,28 +150,23 @@ impl ServerOp {
         ring: Ring,
     ) -> Result<Self, ProtocolError> {
         Ok(match self {
-            ServerOp::Eval { circuit, bits, run: None, then } => {
-                let run = Some(Box::new(yao.run_start(ch, &circuit, &bits)?));
-                ServerOp::Eval { circuit, bits, run, then }
-            }
-            ServerOp::Eval { circuit, run: Some(run), then, .. } => {
+            ServerOp::Eval { circuit, run, then } => {
                 let out = run.finish(ch, &circuit)?;
-                then.outputs(ch, out, ring)?
+                then.outputs(ch, yao, out, ring)?
             }
-            ServerOp::Signed { non_neg, y0, reshare } => {
+            ServerOp::Signed { non_neg, pos } => {
                 // Negative neurons: the client re-shares zero by sending −z1.
                 let neg_count = non_neg.iter().filter(|&&b| !b).count();
                 let NegShares(neg_bytes) = ch.recv_frame()?;
                 if neg_bytes.len() != neg_count * ring.byte_len() {
                     return Err(ProtocolError::Malformed("negative-neuron share batch length"));
                 }
-                // Phase 2: reconstruct-and-reshare only the non-negative
-                // subset.
-                let y0_pos: Vec<u64> =
-                    y0.iter().zip(&non_neg).filter(|p| *p.1).map(|p| *p.0).collect();
-                let circuit = reshare.with_lanes(y0_pos.len());
-                let neg = ring.decode_slice(&neg_bytes);
-                ServerOp::evaluate(ch, circuit, &[y0_pos], ring, Then::Merge { non_neg, neg })?
+                let (mut pos, mut neg) = (
+                    pos.run(ch, yao, ring)?.into_iter(),
+                    ring.decode_slice(&neg_bytes).into_iter(),
+                );
+                let z0 = non_neg.iter().map(|&p| if p { pos.next() } else { neg.next() });
+                ServerOp::Done(z0.map(|z| z.expect("one share per neuron")).collect())
             }
             done @ ServerOp::Done(_) => done,
         })
@@ -195,20 +193,21 @@ impl Then {
     fn outputs<T: Transport>(
         self,
         ch: &mut T,
+        yao: &mut YaoEvaluator,
         out: Vec<bool>,
         ring: Ring,
     ) -> Result<ServerOp, ProtocolError> {
-        let bits = ring.bits() as usize;
         Ok(match self {
-            Then::Shares => ServerOp::Done(bits_to_words(&out, bits)),
+            Then::Shares => ServerOp::Done(bits_to_words(&out, ring.bits() as usize)),
             Then::Signs { y0, reshare } => {
                 ch.send_frame(&SignBits(pack_bits(&out)))?;
-                ServerOp::Signed { non_neg: out, y0, reshare }
-            }
-            Then::Merge { non_neg, neg } => {
-                let (mut pos, mut neg) = (bits_to_words(&out, bits).into_iter(), neg.into_iter());
-                let z0 = non_neg.iter().map(|&p| if p { pos.next() } else { neg.next() });
-                ServerOp::Done(z0.map(|z| z.expect("one share per neuron")).collect())
+                // Phase 2 re-shares only the non-negative subset. Its
+                // lanes are known with the signs, so its columns go in the
+                // same flight.
+                let y0_pos: Vec<u64> = y0.iter().zip(&out).filter(|p| *p.1).map(|p| *p.0).collect();
+                let circuit = reshare.with_lanes(y0_pos.len());
+                let pos = ServerOp::evaluate(ch, yao, circuit, &[y0_pos], ring, Then::Shares)?;
+                ServerOp::Signed { non_neg: out, pos: Box::new(pos) }
             }
         })
     }
@@ -326,6 +325,7 @@ impl Lowering {
     pub(crate) fn server<T: Transport, S: AsRef<[u64]>>(
         &self,
         ch: &mut T,
+        yao: &mut YaoEvaluator,
         shares: &[S],
         ring: Ring,
         batch: usize,
@@ -334,9 +334,10 @@ impl Lowering {
             Lowering::Reshare { circuit, gather } => {
                 let circuit = circuit.with_lanes(circuit.lanes() * batch);
                 match gather {
-                    None => ServerOp::evaluate(ch, circuit, shares, ring, Then::Shares),
+                    None => ServerOp::evaluate(ch, yao, circuit, shares, ring, Then::Shares),
                     Some(idx) => {
-                        ServerOp::evaluate(ch, circuit, &gathered(shares, idx)?, ring, Then::Shares)
+                        let shares = gathered(shares, idx)?;
+                        ServerOp::evaluate(ch, yao, circuit, &shares, ring, Then::Shares)
                     }
                 }
             }
@@ -348,7 +349,7 @@ impl Lowering {
                     return Ok(ServerOp::Done(Vec::new()));
                 }
                 let then = Then::Signs { y0: y0.to_vec(), reshare: reshare.with_lanes(1) };
-                ServerOp::evaluate(ch, sign.with_lanes(y0.len()), &[y0], ring, then)
+                ServerOp::evaluate(ch, yao, sign.with_lanes(y0.len()), &[y0], ring, then)
             }
         }
     }
@@ -611,7 +612,7 @@ mod tests {
             900,
             |ch, yao, p0| {
                 lower(&matmul_op(5, 1, 4), BITS)
-                    .server(ch, &[p0], ring, 1)
+                    .server(ch, yao, &[p0], ring, 1)
                     .and_then(|op| op.run(ch, yao, ring))
                     .expect("server")
             },
@@ -746,7 +747,7 @@ mod tests {
                 let before = ch.snapshot();
                 let lowering = lower(&matmul_op(0, 0, 0), BITS);
                 let z0 = lowering
-                    .server(ch, &[p0], ring, 1)
+                    .server(ch, yao, &[p0], ring, 1)
                     .and_then(|op| op.run(ch, yao, ring))
                     .expect("server");
                 assert_eq!(ch.snapshot(), before, "server half moved bytes");
@@ -782,7 +783,7 @@ mod tests {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(221);
                 let mut yao = YaoEvaluator::setup(ch, &mut rng).expect("setup");
                 lower(&pool, 32)
-                    .server(ch, &[x0], ring, 1)
+                    .server(ch, &mut yao, &[x0], ring, 1)
                     .and_then(|op| op.run(ch, &mut yao, ring))
                     .expect("server")
             },
@@ -813,10 +814,10 @@ mod tests {
             move |ch| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(230);
                 let mut yao = YaoEvaluator::setup(ch, &mut rng).expect("setup");
-                let short = lower(&pool, 32).server(ch, &[[0u64; 15]], ring, 1);
+                let short = lower(&pool, 32).server(ch, &mut yao, &[[0u64; 15]], ring, 1);
                 assert!(matches!(short, Err(ProtocolError::Dimension(_))));
                 lower(&pool, 32)
-                    .server(ch, &[[0u64; 16]], ring, 1)
+                    .server(ch, &mut yao, &[[0u64; 16]], ring, 1)
                     .and_then(|op| op.run(ch, &mut yao, ring))
             },
             move |ch| {
@@ -829,7 +830,8 @@ mod tests {
                 assert!(matches!(err, ProtocolError::Dimension(_)));
             },
         );
-        // Server fails because the garbler never sent material.
+        // Server fails because the garbler never sent material (its
+        // columns went out, unanswered).
         assert!(z0_res.is_err());
     }
 }

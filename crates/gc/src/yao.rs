@@ -1,15 +1,16 @@
 //! Yao's two-party protocol over a channel: garble → transfer → evaluate.
 //!
-//! The garbler ships the garbled tables, its own selected input labels and
-//! the output decode bits in one message; the evaluator fetches its input
-//! labels through IKNP OT and evaluates locally. Outputs are revealed to the
-//! **evaluator only** (in ABNN² the server evaluates and learns its fresh
-//! share `z₀`).
+//! The evaluator fetches its input labels through IKNP OT: its columns
+//! depend only on its own bits, so they go first. The garbler ships its
+//! own selected input labels, the garbled tables and the output decode
+//! bits as three frames, then answers the columns with the label
+//! ciphertexts; the evaluator evaluates locally. Outputs are revealed to
+//! the **evaluator only** (in ABNN² the server evaluates and learns its
+//! fresh share `z₀`).
 
 use crate::circuit::Circuit;
 use crate::frames::{table_payload, GcDecodeMap, GcLabels, GcTables};
 use crate::garble::{check_material, evaluate_in_place, garble_into, table_bytes};
-use abnn2_crypto::Block;
 use abnn2_net::{Frame, Transport, TransportError};
 use abnn2_ot::base::{self, PendingSend};
 use abnn2_ot::iknp::PendingOts;
@@ -141,7 +142,7 @@ impl YaoEvaluator {
         YaoEvaluator { ot }
     }
 
-    /// Receives a garbled circuit, obtains labels for `my_bits` via OT,
+    /// Obtains labels for `my_bits` via OT, receives a garbled circuit,
     /// evaluates, and returns the decoded output bits:
     /// [`run_start`](Self::run_start), then [`PendingRun::finish`].
     ///
@@ -155,73 +156,69 @@ impl YaoEvaluator {
         circuit: &Circuit,
         my_bits: &[bool],
     ) -> Result<Vec<bool>, TransportError> {
-        self.run_start(ch, circuit, my_bits)?.finish(ch, circuit)
+        self.run_start(ch, my_bits)?.finish(ch, circuit)
     }
 
-    /// The first half of [`run`](Self::run): receives the garbler's labels,
-    /// tables and decode map, and sends the IKNP columns for the labels of
-    /// `my_bits`.
+    /// The first half of [`run`](Self::run): sends the IKNP columns for
+    /// the labels of `my_bits`, which need nothing from the garbler.
     ///
     /// # Errors
     ///
-    /// Returns an error on disconnection or material that does not match
-    /// `circuit`.
+    /// Returns an error on disconnection.
     pub fn run_start<T: Transport>(
         &mut self,
         ch: &mut T,
-        circuit: &Circuit,
         my_bits: &[bool],
     ) -> Result<PendingRun, TransportError> {
-        let GcLabels(garbler_labels) = ch.recv_frame()?;
-        // The tables are evaluated where they landed, once checked.
-        let tables = ch.recv()?;
-        table_payload(&tables)?;
-        let GcDecodeMap(decode) = ch.recv_frame()?;
-        // Reject material for another circuit before spending the label OTs.
-        check_material(circuit, table_payload(&tables)?, &decode)?;
-        let ots = self.ot.recv_start(ch, my_bits)?;
-        Ok(PendingRun { garbler_labels, tables, decode, ots })
+        Ok(PendingRun { ots: self.ot.recv_start(ch, my_bits)? })
     }
 }
 
-/// A circuit's garbled material, received, and the evaluator's label OTs,
-/// waiting for the garbler's ciphertexts.
+/// The evaluator's label OTs, their columns sent, waiting for the garbled
+/// material and the ciphertexts.
 #[derive(Debug)]
 pub struct PendingRun {
-    garbler_labels: Vec<Block>,
-    /// The tables frame as it arrived, tag byte first.
-    tables: Vec<u8>,
-    decode: Vec<u8>,
     ots: PendingOts,
 }
 
 impl PendingRun {
-    /// The second half of [`YaoEvaluator::run`]: receives the label OTs'
-    /// ciphertexts, evaluates `circuit` (the one the run started with) and
-    /// returns the decoded output bits.
+    /// The second half of [`YaoEvaluator::run`]: receives the garbler's
+    /// labels, tables and decode map and the label OTs' ciphertexts,
+    /// evaluates `circuit` (the one whose evaluator bits the run started
+    /// with) and returns the decoded output bits.
     ///
     /// # Errors
     ///
-    /// Returns an error on disconnection or OT failure.
+    /// Returns an error on disconnection, OT failure, or material that does
+    /// not match `circuit`.
     pub fn finish<T: Transport>(
         self,
         ch: &mut T,
         circuit: &Circuit,
     ) -> Result<Vec<bool>, TransportError> {
+        let GcLabels(garbler_labels) = ch.recv_frame()?;
+        // The tables are evaluated where they landed, once checked.
+        let tables = ch.recv()?;
+        let tables = table_payload(&tables)?;
+        let GcDecodeMap(decode) = ch.recv_frame()?;
+        // Reject material for another circuit before decrypting the labels.
+        check_material(circuit, tables, &decode)?;
         let my_labels = self.ots.finish(ch)?;
-        let tables = table_payload(&self.tables)?;
-        evaluate_in_place(circuit, tables, &self.decode, &self.garbler_labels, &my_labels)
+        evaluate_in_place(circuit, tables, &decode, &garbler_labels, &my_labels)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circuit::CircuitBuilder;
     use crate::circuit::{bits_to_u64, u64_to_bits};
     use crate::circuits;
     use abnn2_math::Ring;
     use abnn2_net::{run_pair, NetworkModel};
     use rand::SeedableRng;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn yao_run(circuit: &Circuit, g_bits: Vec<bool>, e_bits: Vec<bool>) -> Vec<bool> {
         let c1 = circuit.clone();
@@ -348,5 +345,70 @@ mod tests {
         assert_eq!(ring.add(bits_to_u64(&outs[0]), z1), 0, "ReLU of a negative");
         assert_eq!(outs[1], vec![false], "sign of a negative");
         assert_eq!(outs[2], outs[0]);
+    }
+
+    /// One garbler bit and one evaluator bit into `ands` AND gates (the
+    /// first of them on the bits, each next one on the inverted garbler
+    /// bit and the evaluator bit, all XORed together), read out `outputs`
+    /// times.
+    fn and_circuit(ands: usize, outputs: usize) -> Circuit {
+        let mut b = CircuitBuilder::new();
+        let (g, e) = (b.garbler_input(), b.evaluator_input());
+        let mut acc = b.and(g, e);
+        let mut x = g;
+        for _ in 1..ands {
+            x = b.inv(x);
+            let t = b.and(x, e);
+            acc = b.xor(acc, t);
+        }
+        b.build(vec![acc; outputs])
+    }
+
+    /// The evaluator runs `expected` while the garbler garbles `garbled`,
+    /// under a watchdog: neither side may panic or hang. Returns what each
+    /// reports.
+    fn mismatched(
+        expected: Circuit,
+        garbled: Circuit,
+    ) -> (Result<(), TransportError>, Result<Vec<bool>, TransportError>) {
+        let (tx, rx) = mpsc::channel();
+        let pair = std::thread::spawn(move || {
+            let (garbler, evaluator, _) = run_pair(
+                NetworkModel::instant(),
+                move |ch| {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(51);
+                    let mut g = YaoGarbler::setup(ch, &mut rng)?;
+                    g.run(ch, &garbled, &[true], &mut rng)
+                },
+                move |ch| {
+                    let mut rng = rand::rngs::StdRng::seed_from_u64(52);
+                    let mut e = YaoEvaluator::setup(ch, &mut rng)?;
+                    e.run(ch, &expected, &[true])
+                },
+            );
+            tx.send((garbler, evaluator)).expect("report");
+        });
+        let reports = rx.recv_timeout(Duration::from_secs(60)).expect("a party panicked or hung");
+        pair.join().expect("both parties finished");
+        reports
+    }
+
+    #[test]
+    fn tables_for_another_and_count_are_refused_after_the_columns() {
+        let (expected, garbled) = (and_circuit(1, 1), and_circuit(2, 1));
+        assert_ne!(expected.and_count(), garbled.and_count());
+        let (garbler, evaluator) = mismatched(expected, garbled);
+        assert_eq!(evaluator, Err(TransportError::Malformed("AND table stream length")));
+        assert!(garbler.is_ok() || matches!(garbler, Err(TransportError::Closed)), "{garbler:?}");
+    }
+
+    #[test]
+    fn a_decode_map_for_another_output_count_is_refused_after_the_columns() {
+        // Nine outputs decode from two bytes, one from one.
+        let (expected, garbled) = (and_circuit(1, 1), and_circuit(1, 9));
+        assert_eq!(expected.and_count(), garbled.and_count());
+        let (garbler, evaluator) = mismatched(expected, garbled);
+        assert_eq!(evaluator, Err(TransportError::Malformed("output decode length")));
+        assert!(garbler.is_ok() || matches!(garbler, Err(TransportError::Closed)), "{garbler:?}");
     }
 }

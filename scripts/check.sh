@@ -363,10 +363,13 @@ fi
 # The dev profile keeps overflow checks and debug assertions on and the
 # default backend is AES-NI where the CPU has it: the pinned transcripts
 # must also hold as the served binaries are built, over the software path.
-echo "==> pinned Yao, triplet, OT-extension and session transcripts, oracle, OT kernels and silent refills: release, portable backend"
+# driver_steps and end_to_end add the session effect, direction, flight
+# and one-way-trip pins, with the debug check of each step's frames off.
+echo "==> pinned Yao, triplet, OT-extension, session and driver-step transcripts, oracle, OT kernels and silent refills: release, portable backend"
 ABNN2_CRYPTO_BACKEND=portable cargo test -q --release \
   --test yao_pins --test triplet_pins --test ot_extension_pins \
-  --test lineage_pins --test lineage --test crypto_backend --test silent_refill_alloc
+  --test lineage_pins --test lineage --test crypto_backend --test silent_refill_alloc \
+  --test driver_steps --test end_to_end
 # The OT-extension kernels in release over software AES: the tiled
 # transpose against its bit-at-a-time definition, KK13's code columns
 # against the transposed codeword rows, the in-place GGM forest against one

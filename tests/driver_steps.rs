@@ -25,6 +25,7 @@ use abnn2::core::{
 };
 use abnn2::crypto::sha256::sha256;
 use abnn2::math::{FragmentScheme, Ring};
+use abnn2::net::wire::tags;
 use abnn2::net::{CommSnapshot, Endpoint, NetworkModel, Transport, TransportError};
 use abnn2::nn::quant::{QuantConfig, QuantizedDense, QuantizedNetwork};
 use abnn2::nn::transformer::QuantizedTransformer;
@@ -351,39 +352,41 @@ fn case_effects(
 /// driver. The six cold rows and the optimized-ReLU row (also cold) were
 /// re-recorded when the offline walk began sending ahead: its sends moved
 /// before the replies they used to wait for, and each linear op's
-/// `offline:` mark moved to its first send, while
-/// `direction_sequences_are_pinned` shows that neither direction's frames
-/// changed.
+/// `offline:` mark moved to its first send. All thirteen rows were
+/// re-recorded when the evaluator's label-OT columns began leaving as a
+/// re-share op is entered, ahead of the garbled material: every case runs
+/// an online re-share op. Both times `direction_sequences_are_pinned`
+/// showed that neither direction's frames changed.
 #[test]
 fn effect_sequences_are_pinned() {
     let pins = [
-        ("mlp", false, false, "e0c8482a52afa09773cbabee4ac84e602d0f08c5a6861be1af731e3e5dbf8547"),
-        ("mlp", false, true, "abcf2dcf8bcb72484d0aaf37659e9be635637b58271e66dc7684a890028df625"),
-        ("mlp", true, false, "bc333b7a7faef889853aeac274eb88e1a301e41dec491bc7b01761b5cab00eee"),
-        ("mlp", true, true, "c3b1ab7b6dc65194e1d507754aedd2de86166585e42ce8c1a2e39dd64cd18de3"),
-        ("cnn", false, false, "0295e5a313eb2e86426e79cd370f5c11d1a0e8f57737c9fb44905ca51ac8935f"),
-        ("cnn", false, true, "a51aa27a2a66f7622c0c4f377dd4c764dda01d59c050a676d96d4aa692f401ea"),
-        ("cnn", true, false, "3a3d32313c225bf78bd68873e28b9d5a357f64902fac10d4ec8523bb1ebf8a60"),
-        ("cnn", true, true, "b3a60a439171b90dfa9091bf2899b01b84697598900d77210aa59e737abb34a7"),
+        ("mlp", false, false, "6c37df90a31e1a2a487039b08e7b5d84b3dce32e779ad09aecef38025eff7cd6"),
+        ("mlp", false, true, "453c9c5c775dc5ac47d68aac2e239477307418e3600fc3109e340f5529a05f95"),
+        ("mlp", true, false, "9399c90619750b18982e4ae648828c20d16e94ae51146022be19748b3ec0a523"),
+        ("mlp", true, true, "fc184212b4252133dc53d1ea69da22e720db3899d89772fe1f33d8a8b625ffbe"),
+        ("cnn", false, false, "07e95a0b528c624fd3e334f5b7c9cf115aec818e232fb916520fc6f8aed83c01"),
+        ("cnn", false, true, "f21dbc2960b1a786578e0e19c311d738a4d060bd2f76769f43a40a123943bcef"),
+        ("cnn", true, false, "b52a17d64bbbc14471107d344e6efa050e4a01b8fdab9ba4a51d095838a07d32"),
+        ("cnn", true, true, "a513a1cf39e5691b1f1027f6fa2a24a125ad9085403f942e3f12e4c3c5f57dce"),
         (
             "encoder",
             false,
             false,
-            "2aa70ced3116113a37b43194a55b99b0d12c30c707f284f9f9daa70f8a1a1e28",
+            "2b85e0cdb7548cc78eb0eb54f34dcf5959ee3b2ed1d0233964ed71f9bea4b60b",
         ),
         (
             "encoder",
             false,
             true,
-            "cbde63a586b2cbe4743e021ebca6e7f17a7c622faf4f53207cce3e21ad401100",
+            "441965fce095e5730b5bbe1625a1c20a303f3d75acb56df6507f7ed11bac72da",
         ),
         (
             "encoder",
             true,
             false,
-            "3b26a7186ecfa09519f74b1b088ac8c17e814868a990c002a3c452557bae6d98",
+            "d62b3546ba4f2464348a8b9c9f6d60e4620ed5a6af5ff6550b75792a302a205c",
         ),
-        ("encoder", true, true, "a786ea2db599ed088df276eafb3bf5c54cb3bcfbb56f385d978857b263e8ec93"),
+        ("encoder", true, true, "b1c64003c796b32cca38a425a66aeacd56a11d49f5d6933280e77d4e2381bd0a"),
     ];
     let models = [("mlp", mlp()), ("cnn", cnn()), ("encoder", encoder())];
     let mut failed = Vec::new();
@@ -395,7 +398,7 @@ fn effect_sequences_are_pinned() {
         }
     }
     let digest = effects_case(&models[0].1, false, false, ReluVariant::Optimized);
-    if digest != "40ef453ced8d3a0178c5c9f15dc3248c73e176f337a352193523fa42a404b3b0" {
+    if digest != "a63dbb27a49362a2bca0a8bbcb524b479fd568aab58a7bc25239675ab80d2d41" {
         failed.push(format!("mlp, optimized ReLU: {digest}"));
     }
     assert!(failed.is_empty(), "effect sequences moved:\n{}", failed.join("\n"));
@@ -597,7 +600,10 @@ fn cold_kk13_offline_is_one_server_flight() {
 /// How many flights the server sends in each whole session. A cold
 /// session's offline walk sends its linear ops' columns in one flight up
 /// to the next silent refill or matrix-triple op, not one flight per
-/// fragment group; a dealt session runs no offline walk.
+/// fragment group; a dealt session runs no offline walk. Online, a
+/// re-share op's label-OT columns leave when it is entered: that keeps
+/// each oblivious op at one flight, and the optimized ReLU sends its
+/// second circuit's columns with the signs, one flight less per op.
 #[test]
 fn server_flights_are_pinned() {
     use ReluVariant::{Oblivious, Optimized};
@@ -614,7 +620,7 @@ fn server_flights_are_pinned() {
         ("encoder", false, true, Oblivious, 11),
         ("encoder", true, false, Oblivious, 19),
         ("encoder", true, true, Oblivious, 11),
-        ("mlp", false, false, Optimized, 10),
+        ("mlp", false, false, Optimized, 8),
     ];
     let models = [("mlp", mlp()), ("cnn", cnn()), ("encoder", encoder())];
     let mut failed = Vec::new();
@@ -626,4 +632,43 @@ fn server_flights_are_pinned() {
         }
     }
     assert!(failed.is_empty(), "server flight counts moved:\n{}", failed.join("\n"));
+}
+
+/// The evaluator's label-OT columns leave when a re-share op is entered,
+/// before the garbled material they are for is read: after the
+/// `online:input` mark, the k-th `GcLabels` read follows at least k
+/// `IknpColumns` sends, in every case.
+#[test]
+fn label_columns_leave_before_the_material() {
+    use ReluVariant::{Oblivious, Optimized};
+    let models = [("mlp", mlp()), ("cnn", cnn()), ("encoder", encoder())];
+    let mut cases = Vec::new();
+    for (name, model) in &models {
+        for (silent, deal) in [(false, false), (false, true), (true, false), (true, true)] {
+            cases.push((*name, model, silent, deal, Oblivious));
+        }
+    }
+    cases.push(("mlp", &models[0].1, false, false, Optimized));
+    for (name, model, silent, deal, variant) in cases {
+        let what = format!("{name}, silent {silent}, dealt {deal}, {variant:?}");
+        let effects = case_effects(model, silent, deal, variant);
+        let online = effects
+            .iter()
+            .position(|e| matches!(e, DriverEffect::Mark(label) if label == "online:input"))
+            .expect("the online phase is marked");
+        let (mut columns, mut labels) = (0, 0);
+        for effect in &effects[online..] {
+            match effect {
+                DriverEffect::Send(bytes) if bytes.first() == Some(&tags::IKNP_COLUMNS) => {
+                    columns += 1;
+                }
+                DriverEffect::Recv { tag: tags::GC_LABELS, .. } => {
+                    labels += 1;
+                    assert!(columns >= labels, "{what}: labels {labels} read before their columns");
+                }
+                _ => {}
+            }
+        }
+        assert!(labels > 0, "{what}: no re-share op ran");
+    }
 }

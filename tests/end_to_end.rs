@@ -9,7 +9,7 @@ use abnn2::net::{run_pair, NetworkModel, TcpTransport};
 use abnn2::nn::quant::{QuantConfig, QuantizedNetwork};
 use abnn2::nn::{Network, SyntheticMnist};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::net::TcpListener;
 use std::time::Duration;
 
@@ -312,4 +312,63 @@ fn cold_session_sending_ahead_over_tcp_is_bit_exact() {
     });
     let logits = done.recv_timeout(Duration::from_secs(120)).expect("the TCP session hung");
     assert_eq!(logits, expected);
+}
+
+/// One session of the 196-16-16-10 (2,2) MLP over a 100 s RTT link with
+/// bandwidth too large to charge: each phase's virtual time, split as the
+/// table binaries split it, is its one-way trips times 50 s, compute being
+/// milliseconds. Returns the offline and online phases in trips.
+fn trips_per_phase(variant: ReluVariant) -> (f64, f64) {
+    let config = QuantConfig {
+        ring: Ring::new(32),
+        frac_bits: 8,
+        weight_frac_bits: 2,
+        scheme: FragmentScheme::signed_bit_fields(&[2, 2]),
+    };
+    let q = QuantizedNetwork::quantize(&Network::new(&[196, 16, 16, 10], 41), config);
+    let mut rng = StdRng::seed_from_u64(42);
+    // Pixels in [0, 1) at 8 fractional bits.
+    let x: Vec<u64> = (0..196).map(|_| rng.gen_range(0..256)).collect();
+    let expected = q.forward_exact(&x);
+    let server = SecureServer::for_model(q).with_variant(variant);
+    let client = SecureClient::for_model(server.public_model()).with_variant(variant);
+    let rtt = Duration::from_secs(100);
+    let ((s_mid, s_end), (c_mid, c_end, y), _) = run_pair(
+        NetworkModel::new(rtt, 1e15),
+        move |ch| {
+            let mut rng = StdRng::seed_from_u64(43);
+            let state = server.offline(ch, 1, &mut rng).expect("server offline");
+            let mid = ch.snapshot();
+            server.online(ch, state).expect("server online");
+            (mid, ch.snapshot())
+        },
+        move |ch| {
+            let mut rng = StdRng::seed_from_u64(44);
+            let state = client.offline(ch, 1, &mut rng).expect("client offline");
+            let mid = ch.snapshot();
+            let y = client.online_raw(ch, state, &[x], &mut rng).expect("client online");
+            (mid, ch.snapshot(), y)
+        },
+    );
+    assert_eq!(y.col(0), expected, "{variant:?}: logits must be bit-exact");
+    let offline = s_mid.vtime.max(c_mid.vtime);
+    let online = s_end.vtime.max(c_end.vtime).saturating_sub(offline);
+    let trip = (rtt / 2).as_secs_f64();
+    (offline.as_secs_f64() / trip, online.as_secs_f64() / trip)
+}
+
+/// The served code's cost in the paper's WAN terms: one-way trips a phase
+/// takes on the virtual clock. The evaluator's label-OT columns leave when
+/// a re-share op is entered, so the optimized ReLU's second circuit no
+/// longer waits a round trip for them (13 online trips before); on the
+/// oblivious path that moved work off the critical path, not a trip.
+#[test]
+fn one_way_trips_per_phase_on_a_wan() {
+    let (offline, online) = trips_per_phase(ReluVariant::Oblivious);
+    println!("oblivious: offline {offline:.3} trips, online {online:.3} trips");
+    assert_eq!(offline.round(), 7.0, "oblivious offline trips: {offline}");
+    assert_eq!(online.round(), 5.0, "oblivious online trips: {online}");
+    let (_, online) = trips_per_phase(ReluVariant::Optimized);
+    println!("optimized: online {online:.3} trips");
+    assert_eq!(online.round(), 9.0, "optimized online trips: {online}");
 }
