@@ -347,21 +347,16 @@ mod tests {
         assert_eq!(outs[2], outs[0]);
     }
 
-    /// One garbler bit and one evaluator bit into `ands` AND gates (the
-    /// first of them on the bits, each next one on the inverted garbler
-    /// bit and the evaluator bit, all XORed together), read out `outputs`
-    /// times.
+    /// A chain of `ands` AND gates over one garbler bit and one
+    /// evaluator bit, its end read out `outputs` times.
     fn and_circuit(ands: usize, outputs: usize) -> Circuit {
         let mut b = CircuitBuilder::new();
         let (g, e) = (b.garbler_input(), b.evaluator_input());
-        let mut acc = b.and(g, e);
-        let mut x = g;
-        for _ in 1..ands {
-            x = b.inv(x);
-            let t = b.and(x, e);
-            acc = b.xor(acc, t);
+        let mut end = g;
+        for _ in 0..ands {
+            end = b.and(end, e);
         }
-        b.build(vec![acc; outputs])
+        b.build(vec![end; outputs])
     }
 
     /// The evaluator runs `expected` while the garbler garbles `garbled`,
