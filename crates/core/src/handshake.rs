@@ -109,7 +109,15 @@ pub const HANDSHAKE_MAGIC: [u8; 4] = *b"ABN2";
 /// `SilentDerand` exchange and the vector C-OT payload differ from a v7
 /// peer's for the same keys. Sizes, tags and the hello layout are
 /// unchanged.
-pub const PROTOCOL_VERSION: u16 = 8;
+///
+/// v9: a matrix Beaver triple is one flight each way over the lineage's
+/// Yao OT extension: the server sends one `IknpColumns` frame choosing on
+/// the bits of `X₀`'s cross entries, then `Y₀`'s, and the client answers
+/// with one `OtCorrections` frame. No IKNP pair of the triple's own is set
+/// up, so a cold session of a matmul graph runs two base-OT batches fewer
+/// and a continued one none. MLP and CNN transcripts differ from v8 in the
+/// version field alone; bundles keep layout version 3.
+pub const PROTOCOL_VERSION: u16 = 9;
 
 /// Length of the hello frame in bytes.
 pub const HELLO_LEN: usize = 72;

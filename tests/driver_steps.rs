@@ -356,37 +356,39 @@ fn case_effects(
 /// re-recorded when the evaluator's label-OT columns began leaving as a
 /// re-share op is entered, ahead of the garbled material: every case runs
 /// an online re-share op. Both times `direction_sequences_are_pinned`
-/// showed that neither direction's frames changed.
+/// showed that neither direction's frames changed. All thirteen rows were
+/// re-recorded again for the protocol v9 version bump alone: the server's
+/// hello reply carries the version field, so every first send moved.
 #[test]
 fn effect_sequences_are_pinned() {
     let pins = [
-        ("mlp", false, false, "6c37df90a31e1a2a487039b08e7b5d84b3dce32e779ad09aecef38025eff7cd6"),
-        ("mlp", false, true, "453c9c5c775dc5ac47d68aac2e239477307418e3600fc3109e340f5529a05f95"),
-        ("mlp", true, false, "9399c90619750b18982e4ae648828c20d16e94ae51146022be19748b3ec0a523"),
-        ("mlp", true, true, "fc184212b4252133dc53d1ea69da22e720db3899d89772fe1f33d8a8b625ffbe"),
-        ("cnn", false, false, "07e95a0b528c624fd3e334f5b7c9cf115aec818e232fb916520fc6f8aed83c01"),
-        ("cnn", false, true, "f21dbc2960b1a786578e0e19c311d738a4d060bd2f76769f43a40a123943bcef"),
-        ("cnn", true, false, "b52a17d64bbbc14471107d344e6efa050e4a01b8fdab9ba4a51d095838a07d32"),
-        ("cnn", true, true, "a513a1cf39e5691b1f1027f6fa2a24a125ad9085403f942e3f12e4c3c5f57dce"),
+        ("mlp", false, false, "6ce63fbce355fd844412201f4dc6a37bc6b26bfdee81095dad6173718ac3b9a5"),
+        ("mlp", false, true, "031e896050312295e4af4d8e1cd505be1fa54ec864a5359b0185d70fafe6bedc"),
+        ("mlp", true, false, "56ac106841de7303327a6eadc7c19f21460be39d63f7073458a8515ea4996d31"),
+        ("mlp", true, true, "1e2bf60b949e3ed17a9559ef2015334f972f42ab42542c987ca83f204fa9357e"),
+        ("cnn", false, false, "dc61c6a91f75709eb83a082a3961bd06b0b1f1e2791257ea4b83cc2b9b1b4e77"),
+        ("cnn", false, true, "dc6aa823e0a44fbb449ec846c5c62aca90f0665e7b1cbdc9b66a2c8e389b7c0d"),
+        ("cnn", true, false, "75d9f41fcfd0d437e0b5075aca0dc7797292e91efd86baa2d79589795d623db8"),
+        ("cnn", true, true, "c3c62b45925e3ed45fab780b8ff8caa7f00a1e55482f22b67284509c61b5d2ab"),
         (
             "encoder",
             false,
             false,
-            "2b85e0cdb7548cc78eb0eb54f34dcf5959ee3b2ed1d0233964ed71f9bea4b60b",
+            "1db32f50b43996478786749690f2d42e51038db8d655e48ee3d7bfb828b3182b",
         ),
         (
             "encoder",
             false,
             true,
-            "441965fce095e5730b5bbe1625a1c20a303f3d75acb56df6507f7ed11bac72da",
+            "85aba56cab8ac304d807de13931aa1596c9ea84b4ed5d0050afcdc0bd676d490",
         ),
         (
             "encoder",
             true,
             false,
-            "d62b3546ba4f2464348a8b9c9f6d60e4620ed5a6af5ff6550b75792a302a205c",
+            "bb35dbc052dd2a87d02d28fcd93dc385856d66e5349834b71db5f2c77061a926",
         ),
-        ("encoder", true, true, "b1c64003c796b32cca38a425a66aeacd56a11d49f5d6933280e77d4e2381bd0a"),
+        ("encoder", true, true, "fe1b20724e40e4109c9a4c2d8035566845d6d697292470c21783ce78bbd8ea21"),
     ];
     let models = [("mlp", mlp()), ("cnn", cnn()), ("encoder", encoder())];
     let mut failed = Vec::new();
@@ -398,7 +400,7 @@ fn effect_sequences_are_pinned() {
         }
     }
     let digest = effects_case(&models[0].1, false, false, ReluVariant::Optimized);
-    if digest != "a63dbb27a49362a2bca0a8bbcb524b479fd568aab58a7bc25239675ab80d2d41" {
+    if digest != "38ff348db5c54a133b4ab3fe6cd2d8b4f7686d09ff1a7e14b2849d89e11b3446" {
         failed.push(format!("mlp, optimized ReLU: {digest}"));
     }
     assert!(failed.is_empty(), "effect sequences moved:\n{}", failed.join("\n"));
@@ -439,7 +441,9 @@ fn direction_digests(effects: &[DriverEffect]) -> (String, String) {
 /// What each direction of the wire carries, frame by frame, in every case:
 /// which frames the server sends and which it reads, whatever order the
 /// two interleave in. A change that only moves a send earlier or later
-/// keeps both digests.
+/// keeps both digests. Every row's sent digest was re-recorded for the
+/// protocol v9 version bump alone (the server's hello reply carries the
+/// version field); no read digest moved with it.
 #[test]
 fn direction_sequences_are_pinned() {
     use ReluVariant::{Oblivious, Optimized};
@@ -449,7 +453,7 @@ fn direction_sequences_are_pinned() {
             false,
             false,
             Oblivious,
-            "56e3713cc10ae82812980003ff7b1114591467af7ab3b80fbe325bd209e9dfd1",
+            "52bae0b14b9ae9fcde3be58646f255fef9f660e1229b501c3bd0921f70d1b9fd",
             "704a74c463598e934884b3183275d8614f9262dc0c02f7e0b0e067fa7d6ede9a",
         ),
         (
@@ -457,7 +461,7 @@ fn direction_sequences_are_pinned() {
             false,
             true,
             Oblivious,
-            "a6783eee06dc443232d8eebdefc2a579aea88075cf075817a8edbe51c9affb57",
+            "111d53209946816e31dbb1057409174a13a8a00b6fdadc993e81bf7d7fd51b44",
             "3db75ac750b77d82dcad606e9535cb7b8331a20595665376fa9c24eb96a2ed31",
         ),
         (
@@ -465,7 +469,7 @@ fn direction_sequences_are_pinned() {
             true,
             false,
             Oblivious,
-            "e708494e11c6d775a0adc39e410401508020f9ccb21df459a955e6dd9c97d3d0",
+            "e26869993a4b19216f9f557d8119c343a7260992f778e2026744a5a46bbc1b97",
             "ca70e6f973d502c5bf2c614a54817294e3802b18733e41508788d4db652d55d5",
         ),
         (
@@ -473,7 +477,7 @@ fn direction_sequences_are_pinned() {
             true,
             true,
             Oblivious,
-            "f7c6e3ec7df620d063351ae92f0866e80bf6417b562053988dc0161fc5af818d",
+            "a08cc30db4c238fda5bd07d210c45a8a5a44a021db7093a4f41e1cea3ae3fe87",
             "3db75ac750b77d82dcad606e9535cb7b8331a20595665376fa9c24eb96a2ed31",
         ),
         (
@@ -481,7 +485,7 @@ fn direction_sequences_are_pinned() {
             false,
             false,
             Oblivious,
-            "1b3f571b18bcedbe419bf40525a39f5b9c2e4c60868b384ddff40121cd103de7",
+            "c9bf14de0779fbd067b8440492de7bed545f93040e5d9e7f97bac47239b5d151",
             "e39c8a104a4df374c87ef2a7c7ee65b78ef5302976a11f5069ebbf443c16ff1e",
         ),
         (
@@ -489,7 +493,7 @@ fn direction_sequences_are_pinned() {
             false,
             true,
             Oblivious,
-            "6381f833af06b9feeeb7faabecca47ced2903255693d25cd920ab938e30cfe66",
+            "4a289fa5417a1f1c11316555972aec70042b533b1514a9d4bc443d12ba13844c",
             "3a03d3f4b6cabae89623bf41ad2d9f1120e69ebc3ddd9cf9f8133c5a0d2c881b",
         ),
         (
@@ -497,7 +501,7 @@ fn direction_sequences_are_pinned() {
             true,
             false,
             Oblivious,
-            "a35e34467cfb5df0827cfb99bdc318fb9737ec1be87a1fb2266765497dbfdc84",
+            "2fd75feb8654040af7939389d09be3ca8c6875c18a5751df42bc19db55c77b45",
             "2e77c6c6fd1314147c454d7b0b6c4b4c2a9b4fa0362a375ec6887fa609459722",
         ),
         (
@@ -505,7 +509,7 @@ fn direction_sequences_are_pinned() {
             true,
             true,
             Oblivious,
-            "411b69b25e0eabbd1f71ea750fce43a70760e1b0f903b684732bb196edcc9fe5",
+            "2e99187ddd36b77a0140b351e410263eec240f6065cee873c19c6885596209c0",
             "3a03d3f4b6cabae89623bf41ad2d9f1120e69ebc3ddd9cf9f8133c5a0d2c881b",
         ),
         (
@@ -513,7 +517,7 @@ fn direction_sequences_are_pinned() {
             false,
             false,
             Oblivious,
-            "404b08d73a8c3e9f1d46101adaf8f9f2be0370e508aae545d52354cc648ee228",
+            "7774a4a0754e16a86c5916d4e1896ca619b111be3c27deadba1c606c15858400",
             "f418d3348c78b198227845d0efc4dc0146264408a80ddc4789f1d7fbe35f9c7f",
         ),
         (
@@ -521,7 +525,7 @@ fn direction_sequences_are_pinned() {
             false,
             true,
             Oblivious,
-            "338a908c20186c19bf3bb006fe09d39dbc9cdc4ad8ee679d2419427c61ecc4d7",
+            "dc6083c8f4cbeaf0a9699b22f77330da9c3f202d38afc177c6e32a75607cc415",
             "437e44b7fa2304951b88b07cfbed9b89d848c2f2611c9d13b5fbbee6df9e4722",
         ),
         (
@@ -529,7 +533,7 @@ fn direction_sequences_are_pinned() {
             true,
             false,
             Oblivious,
-            "f7210ca4503fc4332c06d9cb46170fe7a9af660b5823aefcd45b7f5d52bf1b32",
+            "9161bd5932d48ce1826bebbad712110d0632900b5f8f0d10bb30cb7fc62f1f43",
             "d6504d68bebcf9e5c30e2d9ea66a2649124fc20ae40c03aa6be6fae0132fed8b",
         ),
         (
@@ -537,7 +541,7 @@ fn direction_sequences_are_pinned() {
             true,
             true,
             Oblivious,
-            "df0347b73b4c90db555cc060a3e91221bbdbf684651fc162bd8f4cb9695f3cee",
+            "8d49aee8c1edf96951ddafa474d7891df1e3ca25dceecfda952880f32dad4318",
             "437e44b7fa2304951b88b07cfbed9b89d848c2f2611c9d13b5fbbee6df9e4722",
         ),
         (
@@ -545,7 +549,7 @@ fn direction_sequences_are_pinned() {
             false,
             false,
             Optimized,
-            "31d06c35feb5a43e30ddc5acc66da8dfcf428a8f66c100c5cbf18bcd7adb971b",
+            "917de6cb61bcab330ce7091c87cd7c97fc664c56556ec2f7764ad6e7a602b801",
             "d357c63a1f8e4dbbda769517a347d2162e49811b140914a6bd184da56a2eb1ec",
         ),
     ];

@@ -25,6 +25,14 @@
 //! `TripletMasked`, `SilentDerand`-keyed and vector C-OT masks, and a v7
 //! peer, whose hello has the same 72 bytes, gets the same symmetric
 //! `Negotiation` error.
+//!
+//! Re-recorded for protocol v9: the version field reads 9 and nothing else
+//! here moved. The bump is for matrix Beaver triples, which now draw their
+//! correlated OTs from the lineage's Yao extension in one flight each way
+//! instead of an IKNP pair of their own, so a v8 and a v9 peer put
+//! different frames on the wire for any graph with a secret×secret matmul,
+//! and a v8 peer, whose hello has the same 72 bytes, gets the same
+//! symmetric `Negotiation` error.
 
 use abnn2::core::frames::Hello;
 use abnn2::core::handshake::{handshake_server_ext, Halves};
@@ -90,7 +98,7 @@ fn encoder() -> PublicModel {
 
 #[test]
 fn wire_versions_are_unchanged() {
-    assert_eq!(PROTOCOL_VERSION, 8);
+    assert_eq!(PROTOCOL_VERSION, 9);
     assert_eq!(BUNDLE_LAYOUT_VERSION, 3);
 }
 
@@ -131,7 +139,7 @@ fn digests_and_bundle_keys_match_the_parent_commit() {
     {
         let params = SessionParams::for_public(&model, ReluVariant::Oblivious, batch);
         let expected = SessionParams {
-            version: 8,
+            version: 9,
             ring_bits,
             frac_bits,
             weight_frac_bits,
@@ -165,7 +173,7 @@ fn v5_layout(p: &SessionParams, flags: u8, token: [u8; 16]) -> Vec<u8> {
     frame
 }
 
-/// A v5 client dials a v8 server. The server reports the version mismatch
+/// A v5 client dials a v9 server. The server reports the version mismatch
 /// and answers in the v5 layout: 56 bytes that a v5 decoder accepts
 /// (length, magic) and that differ from the client's own parameters in the
 /// version field alone, which is exactly what makes that decoder raise its
@@ -185,7 +193,7 @@ fn a_v5_peer_still_gets_the_symmetric_negotiation_error() {
         true,
         |_, _| -> Halves { panic!("a mismatched peer must not reach the store") },
     )
-    .expect_err("v5 and v8 do not negotiate");
+    .expect_err("v5 and v9 do not negotiate");
     assert_eq!(err, ProtocolError::Negotiation { ours, theirs });
 
     let Hello(reply) = c.recv_frame().expect("the reply is sent before the error is raised");
@@ -203,7 +211,7 @@ fn v6_layout(p: &SessionParams, flags: u8, token: [u8; 16], lineage: [u8; 16]) -
 }
 
 /// A client of an earlier version that still sends the 72-byte hello
-/// dials a v8 server, asking to resume and offering both lineage halves.
+/// dials a v9 server, asking to resume and offering both lineage halves.
 /// The server decodes the hello (the layout did not change), reports the
 /// version mismatch, claims nothing, and answers in that layout with its
 /// own parameters, so the peer's decoder raises its own `Negotiation`
@@ -236,9 +244,14 @@ fn a_v6_peer_gets_the_symmetric_negotiation_error() {
     a_72_byte_hello_of_version_gets_the_symmetric_negotiation_error(6);
 }
 
-/// v7 differs from v8 in the masks alone, so this is the peer most likely
-/// to dial a v8 server.
 #[test]
 fn a_v7_peer_gets_the_symmetric_negotiation_error() {
     a_72_byte_hello_of_version_gets_the_symmetric_negotiation_error(7);
+}
+
+/// v8 differs from v9 in the matrix triples alone, so this is the peer
+/// most likely to dial a v9 server.
+#[test]
+fn a_v8_peer_gets_the_symmetric_negotiation_error() {
+    a_72_byte_hello_of_version_gets_the_symmetric_negotiation_error(8);
 }
