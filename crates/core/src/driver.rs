@@ -207,7 +207,8 @@ enum State {
     Handshake,
     /// The base-OT batches the session still needs, a flight at a time.
     Setup(Box<Admitted>),
-    /// The evaluator waits beside the offline walk for the online phase.
+    /// The evaluator waits beside the offline walk for the online phase,
+    /// lending the walk its OT receiver for the matrix triples.
     Offline {
         walk: Box<ServerOfflineWalk>,
         yao: YaoEvaluator,
@@ -432,8 +433,8 @@ impl<H: SessionHost> SessionDriver<H> {
                 }
                 State::Setup(admitted)
             }
-            State::Offline { mut walk, yao } => {
-                walk.step(ch, &self.server.model, rng)?;
+            State::Offline { mut walk, mut yao } => {
+                walk.step(ch, &self.server.model, &mut yao, rng)?;
                 if !walk.done() {
                     return Ok(State::Offline { walk, yao });
                 }

@@ -2,7 +2,8 @@
 //!
 //! The paper describes one protocol pipeline — OT-based dot-product
 //! triplets offline (§4.1), share-and-reconstruct non-linear layers online
-//! (§4.2) — and both served topologies run it. This module is the single
+//! (§4.2) — and all three served topologies (MLP, CNN, encoder) run it.
+//! This module is the single
 //! implementation: [`SecureGraph`] pins a validated graph to a batch size,
 //! the **planner** ([`SecureGraph::plan`]) emits one [`TripletPlan`] per
 //! linear op (dimensions, batch `o`, message-layout mode), and the
@@ -36,7 +37,7 @@ use crate::config::ExecConfig;
 use crate::frames::BlindedInput;
 use crate::inference::{ClientOffline, ServerOffline};
 use crate::matbeaver::{
-    generate_matrix_p0_start, generate_matrix_p1, mul_matrix_shares, open_matrix_shares,
+    generate_matrix_p0_start, generate_matrix_p1_over, mul_matrix_shares, open_matrix_shares,
     MatrixTriple, Opened, PendingTriple,
 };
 use crate::matmul::{triplet_client_with, SendAhead, TripletMode, TripletWalk};
@@ -51,8 +52,7 @@ use abnn2_nn::graph::{LayerGraph, LayerOp, OpResource};
 use abnn2_nn::quant::{QuantConfig, QuantizedDense, QuantizedNetwork};
 use abnn2_nn::transformer::QuantizedTransformer;
 use abnn2_nn::QuantizedCnn;
-use abnn2_ot::base::{self, PendingRecv, PendingSend};
-use abnn2_ot::{FragmentChooser, FragmentSender, IknpReceiver, IknpSender};
+use abnn2_ot::{FragmentChooser, FragmentSender, IknpSender};
 use rand::Rng;
 use std::borrow::{Borrow, Cow};
 use std::sync::{Arc, OnceLock};
@@ -433,10 +433,11 @@ impl SecureGraph {
             frames += gamma + 8;
         }
         for p in self.matmul_plans() {
-            // Interactive matrix-triple generation: m·n·k scalar Gilboa
-            // products at ℓ correlated OTs each. The client's IKNP column
-            // matrices (16 bytes per OT), corrections (one ring element per
-            // OT) and base-OT setup stay under 64 bytes per OT.
+            // Interactive matrix-triple generation: two cross products of
+            // m·n·k scalar Gilboa products at ℓ correlated OTs each. The
+            // server chooses in both, so the client sends one correction
+            // (one ring element) per OT and no columns; 64 bytes per
+            // product-bit covers both products with room to spare.
             let ots = (p.m * p.k * p.n) as u64 * ring_bits;
             bytes += ots * 64;
             // Online openings `D‖E` plus framing.
@@ -529,10 +530,9 @@ const MISFIT: ProtocolError = ProtocolError::Malformed("offline state does not f
 /// Offline phase, server half: the loop over `ServerOfflineWalk::step`.
 /// One §4.1 triplet per linear op and one matrix Beaver triple per
 /// secret×secret matmul op, extending the lineage's fragment chooser, which
-/// comes back advanced beside the bundle (the Yao half is not this phase's
-/// business). The Gilboa cross
-/// products behind matrix triples run over a dedicated IKNP pair, set up
-/// at the first matmul op.
+/// comes back advanced beside the bundle. The Gilboa cross products behind
+/// matrix triples extend the Yao half's OT receiver in place; graphs
+/// without a matmul op leave it untouched.
 ///
 /// # Errors
 ///
@@ -540,6 +540,7 @@ const MISFIT: ProtocolError = ProtocolError::Malformed("offline state does not f
 pub fn server_offline_with<T: Transport, R: Rng + ?Sized>(
     ch: &mut T,
     kk: FragmentChooser,
+    yao: &mut YaoEvaluator,
     model: &ServedModel,
     sg: &SecureGraph,
     exec: ExecConfig,
@@ -547,14 +548,15 @@ pub fn server_offline_with<T: Transport, R: Rng + ?Sized>(
 ) -> Result<(ServerBundle, FragmentChooser), ProtocolError> {
     let mut walk = ServerOfflineWalk::new(kk, sg.clone(), exec);
     while !walk.done() {
-        walk.step(ch, model, rng)?;
+        walk.step(ch, model, yao, rng)?;
     }
     Ok(walk.finish())
 }
 
 /// The server's offline phase as a resumable walk: the fragment chooser,
-/// the position in the op sequence and everything generated so far —
-/// nothing of Yao, which this phase never touches.
+/// the position in the op sequence and everything generated so far. The
+/// Yao evaluator is not the walk's: a step borrows its OT receiver for a
+/// matrix triple.
 ///
 /// The walk sends ahead: every [`step`](Self::step) ends by extending
 /// every fragment group of every linear op it can reach, in op order,
@@ -564,7 +566,7 @@ pub fn server_offline_with<T: Transport, R: Rng + ?Sized>(
 /// [`TripletMasked`](crate::frames::TripletMasked), or a silent refill's
 /// two — before it sends. Sending stops at a silent refill, which the
 /// chooser must finish before it extends again, and at a matrix-triple op,
-/// whose steps (one flight of its base OTs, or one half of the triple)
+/// whose two steps (its columns out, then the client's corrections in)
 /// run once nothing is owed. Each direction's frames are the serial walk's
 /// in the serial order; only how they interleave moves.
 #[derive(Debug)]
@@ -575,8 +577,6 @@ pub(crate) struct ServerOfflineWalk {
     plans: std::vec::IntoIter<TripletPlan>,
     /// The half of the session the triplets extend.
     kk: FragmentChooser,
-    /// The IKNP pair behind matrix triples, set up at the first matmul op.
-    ots: TripleOts,
     us: Vec<Matrix>,
     mats: Vec<MatrixTriple>,
     /// Index of the next op to start.
@@ -585,37 +585,6 @@ pub(crate) struct ServerOfflineWalk {
     ahead: SendAhead,
     /// The matrix triple between its halves.
     triple: Option<PendingTriple>,
-}
-
-/// The IKNP pair behind matrix triples, a base-OT flight at a time; from
-/// `Offered` to `Choosing` a frame of the client's is due.
-#[derive(Debug, Default)]
-enum TripleOts {
-    #[default]
-    Unset,
-    Offered((IknpReceiver, PendingSend)),
-    Keyed(IknpReceiver),
-    Choosing(IknpReceiver, PendingRecv),
-    Ready(IknpReceiver, IknpSender),
-}
-
-impl TripleOts {
-    /// The next flight of the setup; a no-op once `Ready`.
-    fn step<T: Transport, R: Rng + ?Sized>(
-        self,
-        ch: &mut T,
-        rng: &mut R,
-    ) -> Result<Self, ProtocolError> {
-        Ok(match self {
-            TripleOts::Unset => TripleOts::Offered(IknpReceiver::setup_start(ch, rng)?),
-            TripleOts::Offered(started) => TripleOts::Keyed(base::finished(started, ch)?),
-            TripleOts::Keyed(r) => TripleOts::Choosing(r, IknpSender::setup_start(ch, rng)?),
-            TripleOts::Choosing(r, pending) => {
-                TripleOts::Ready(r, IknpSender::setup_finish(ch, pending)?)
-            }
-            ready @ TripleOts::Ready(..) => ready,
-        })
-    }
 }
 
 impl ServerOfflineWalk {
@@ -627,7 +596,6 @@ impl ServerOfflineWalk {
             sg,
             exec,
             kk,
-            ots: TripleOts::Unset,
             next: 0,
             ahead: SendAhead::default(),
             triple: None,
@@ -655,20 +623,18 @@ impl ServerOfflineWalk {
         if !self.ahead.is_empty() {
             return self.ahead.needs();
         }
-        match &self.triple {
-            Some(_) => 2,
-            None => usize::from(!matches!(self.ots, TripleOts::Unset | TripleOts::Ready(..))),
-        }
+        usize::from(self.triple.is_some())
     }
 
     /// Takes the oldest debt's frames, or runs the matrix-triple op's next
-    /// unit once nothing is owed, then sends ahead; a no-op once
-    /// [`done`](Self::done). `rng` feeds the matrix-triple shares and
-    /// their IKNP setup only.
+    /// half once nothing is owed, then sends ahead; a no-op once
+    /// [`done`](Self::done). `yao`'s OT receiver carries the matrix
+    /// triples' OTs, and `rng` feeds their shares only.
     pub(crate) fn step<T: Transport, R: Rng + ?Sized>(
         &mut self,
         ch: &mut T,
         model: &ServedModel,
+        yao: &mut YaoEvaluator,
         rng: &mut R,
     ) -> Result<(), ProtocolError> {
         if !self.ahead.is_empty() {
@@ -679,21 +645,13 @@ impl ServerOfflineWalk {
             if let OpResource::MatTriple { m, k, n } = op.resource() {
                 let ring = self.sg.graph().config.ring;
                 if let Some(triple) = self.triple.take() {
-                    let TripleOts::Ready(_, s) = &mut self.ots else {
-                        unreachable!("a triple starts on a ready pair")
-                    };
-                    self.mats.push(triple.finish(ch, s, ring)?);
+                    self.mats.push(triple.finish(ch, ring)?);
                     self.next += 1;
                     self.skip_idle_ops();
                 } else {
-                    // The op's first step finds the pair unset or ready.
-                    if matches!(self.ots, TripleOts::Unset | TripleOts::Ready(..)) {
-                        ch.mark_phase(&format!("offline:op{}/{}", self.next, op.kind()));
-                    }
-                    self.ots = std::mem::take(&mut self.ots).step(ch, rng)?;
-                    if let TripleOts::Ready(r, _) = &mut self.ots {
-                        self.triple = Some(generate_matrix_p0_start(ch, r, m, k, n, ring, rng)?);
-                    }
+                    ch.mark_phase(&format!("offline:op{}/{}", self.next, op.kind()));
+                    let ot = yao.ot_mut();
+                    self.triple = Some(generate_matrix_p0_start(ch, ot, m, k, n, ring, rng)?);
                     return Ok(());
                 }
             }
@@ -811,8 +769,8 @@ pub(crate) fn client_offline_walk<R: Rng + ?Sized>(
 struct Interactive<'a, T> {
     ch: &'a mut T,
     kk: &'a mut FragmentSender,
-    /// Mirror of the server's lazily set-up IKNP pair (sender first).
-    ots: Option<(IknpSender, IknpReceiver)>,
+    /// The Yao garbler's OT sender, which the matrix triples extend.
+    ot: &'a mut IknpSender,
     scheme: FragmentScheme,
     ring: Ring,
     exec: ExecConfig,
@@ -836,31 +794,15 @@ impl<T: Transport, R: Rng + ?Sized> Correlations<R> for Interactive<'_, T> {
         rng: &mut R,
     ) -> Result<MatrixTriple, ProtocolError> {
         self.ch.mark_phase(&format!("offline:op{}/matmulss", plan.op));
-        let pair = match &mut self.ots {
-            Some(pair) => pair,
-            slot @ None => {
-                let s = IknpSender::setup(self.ch, rng)?;
-                let r = IknpReceiver::setup(self.ch, rng)?;
-                slot.insert((s, r))
-            }
-        };
-        generate_matrix_p1(
-            self.ch,
-            &mut pair.0,
-            &mut pair.1,
-            plan.m,
-            plan.k,
-            plan.n,
-            self.ring,
-            rng,
-        )
+        generate_matrix_p1_over(self.ch, self.ot, plan.m, plan.k, plan.n, self.ring, rng)
     }
 }
 
 /// Offline phase, client half: `client_offline_walk` over the interactive
 /// protocols — the input mask, one fresh mask per re-sharing op, one §4.1
 /// triplet per linear op, and one matrix Beaver triple per secret×secret
-/// matmul op — extending the lineage's fragment sender in place.
+/// matmul op — extending the lineage's fragment sender and, for the matrix
+/// triples, the Yao half's OT sender in place.
 ///
 /// # Errors
 ///
@@ -868,13 +810,14 @@ impl<T: Transport, R: Rng + ?Sized> Correlations<R> for Interactive<'_, T> {
 pub fn client_offline_with<T: Transport, R: Rng + ?Sized>(
     ch: &mut T,
     kk: &mut FragmentSender,
+    yao: &mut YaoGarbler,
     sg: &SecureGraph,
     exec: ExecConfig,
     rng: &mut R,
 ) -> Result<ClientBundle, ProtocolError> {
     let config = &sg.graph().config;
-    let mut source =
-        Interactive { ch, kk, ots: None, scheme: config.scheme.clone(), ring: config.ring, exec };
+    let (scheme, ring) = (config.scheme.clone(), config.ring);
+    let mut source = Interactive { ch, kk, ot: yao.ot_mut(), scheme, ring, exec };
     client_offline_walk(sg, &mut source, rng)
 }
 

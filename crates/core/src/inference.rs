@@ -232,10 +232,10 @@ impl SecureServer {
         rng: &mut R,
     ) -> Result<ServerOffline, ProtocolError> {
         let sg = self.model.secure_graph(batch)?;
-        let (Some(kk), Some(yao)) = (lineage.kk, lineage.yao) else {
+        let (Some(kk), Some(mut yao)) = (lineage.kk, lineage.yao) else {
             return Err(ProtocolError::Dimension("the offline phase needs both lineage halves"));
         };
-        let (bundle, _) = server_offline_with(ch, kk, &self.model, &sg, self.exec, rng)?;
+        let (bundle, _) = server_offline_with(ch, kk, &mut yao, &self.model, &sg, self.exec, rng)?;
         Ok(ServerOffline::from_bundle(yao, bundle))
     }
 
@@ -502,7 +502,7 @@ impl SecureClient {
         ch.mark_phase("setup");
         lineage.complete(ch, reply.offline(), rng)?;
         let ClientLineage { mut kk, yao } = lineage;
-        let yao = yao.expect("complete() leaves a Yao half");
+        let mut yao = yao.expect("complete() leaves a Yao half");
 
         let bundle = if reply.resume {
             job.resumed = true;
@@ -520,7 +520,7 @@ impl SecureClient {
                 ch.mark_phase("offline");
                 let kk =
                     kk.as_mut().expect("complete() leaves the offline phase its fragment half");
-                client_offline_with(ch, kk, &sg, self.exec, rng)?
+                client_offline_with(ch, kk, &mut yao, &sg, self.exec, rng)?
             };
             job.checkpoint = Some(bundle.clone());
             bundle
@@ -594,10 +594,10 @@ impl SecureClient {
         rng: &mut R,
     ) -> Result<ClientOffline, ProtocolError> {
         let sg = self.model.secure_graph(batch)?;
-        let (Some(mut kk), Some(yao)) = (lineage.kk, lineage.yao) else {
+        let (Some(mut kk), Some(mut yao)) = (lineage.kk, lineage.yao) else {
             return Err(ProtocolError::Dimension("the offline phase needs both lineage halves"));
         };
-        let bundle = client_offline_with(ch, &mut kk, &sg, self.exec, rng)?;
+        let bundle = client_offline_with(ch, &mut kk, &mut yao, &sg, self.exec, rng)?;
         Ok(ClientOffline::from_bundle(yao, bundle))
     }
 

@@ -14,10 +14,15 @@
 //!
 //! * **interactive** ([`generate_matrix_p0`]/[`generate_matrix_p1`]) — the
 //!   cross terms `X₀·Y₁` and `X₁·Y₀` reduce to `m·n·k` scalar Gilboa OT
-//!   products (ℓ correlated OTs per cross term) over dedicated IKNP
-//!   sessions; the flattening order
-//!   `((i·n) + j)·k + κ` is part of the wire contract and must match on
-//!   both sides,
+//!   products each (ℓ correlated OTs per product). The server is the
+//!   chooser in both, on `X₀`'s bits and then `Y₀`'s, which is the
+//!   direction of the Yao half of the session's lineage: the triple runs
+//!   over the evaluator's IKNP receiver and the garbler's IKNP sender
+//!   ([`abnn2_gc::YaoEvaluator::ot_mut`], [`abnn2_gc::YaoGarbler::ot_mut`]),
+//!   one `IknpColumns` frame out and one `OtCorrections` frame back, under
+//!   tweaks the extension's next circuits do not reuse. The flattening
+//!   order `((i·n) + j)·k + κ` is part of the wire contract and must match
+//!   on both sides,
 //! * **dealer** ([`deal_matrix_triple`]) — a trusted dealer samples both
 //!   halves locally (warm-pool bundles, [`crate::bundle`]).
 //!
@@ -109,14 +114,16 @@ fn flatten_cross(x: &Matrix, y: &Matrix) -> (Vec<u64>, Vec<u64>) {
     (xs, ys)
 }
 
-/// Folds per-cross-product shares back into an `m × n` matrix: chunk
-/// `(i, j)` of length `k` sums into `out[i, j]`.
+/// Folds both cross products' shares into an `m × n` matrix: the first
+/// `m·n·k` entries are `X₀·Y₁`'s, the rest `X₁·Y₀`'s, and chunk `(i, j)` of
+/// length `k` of each sums into `out[i, j]`.
 fn fold_cross(shares: &[u64], m: usize, k: usize, n: usize, ring: Ring) -> Matrix {
     let mut out = Matrix::zeros(m, n);
+    let (xy, yx) = shares.split_at(m * n * k);
     for i in 0..m {
         for j in 0..n {
-            let base = ((i * n) + j) * k;
-            let sum = shares[base..base + k].iter().fold(0u64, |acc, &v| ring.add(acc, v));
+            let at = ((i * n) + j) * k..((i * n) + j + 1) * k;
+            let sum = xy[at.clone()].iter().chain(&yx[at]).fold(0u64, |acc, &v| ring.add(acc, v));
             out.set(i, j, sum);
         }
     }
@@ -124,9 +131,11 @@ fn fold_cross(shares: &[u64], m: usize, k: usize, n: usize, ring: Ring) -> Matri
 }
 
 /// Interactive matrix-triple generation, "party 0" (server) side: samples
-/// `X₀, Y₀`, runs the Gilboa cross products (chooser on `X₀` first, then
-/// sender from `Y₀`), and assembles `Z₀ = X₀·Y₀ + ⟨X₀·Y₁⟩ + ⟨X₁·Y₀⟩`, in
-/// two halves either side of its one wait.
+/// `X₀, Y₀`, chooses in both Gilboa cross products — on `X₀`'s bits for
+/// `X₀·Y₁`, on `Y₀`'s for `X₁·Y₀` — and assembles
+/// `Z₀ = X₀·Y₀ + ⟨X₀·Y₁⟩ + ⟨X₁·Y₀⟩`, in two halves either side of its one
+/// wait. `_ot_s` is accepted and ignored: the server sends no OT here.
+/// It exists for `bench/`, which still passes it, as `set_threads` does.
 ///
 /// # Errors
 ///
@@ -135,18 +144,19 @@ fn fold_cross(shares: &[u64], m: usize, k: usize, n: usize, ring: Ring) -> Matri
 pub fn generate_matrix_p0<T: Transport, R: Rng + ?Sized>(
     ch: &mut T,
     ot_r: &mut IknpReceiver,
-    ot_s: &mut IknpSender,
+    _ot_s: &mut IknpSender,
     m: usize,
     k: usize,
     n: usize,
     ring: Ring,
     rng: &mut R,
 ) -> Result<MatrixTriple, ProtocolError> {
-    generate_matrix_p0_start(ch, ot_r, m, k, n, ring, rng)?.finish(ch, ot_s, ring)
+    generate_matrix_p0_start(ch, ot_r, m, k, n, ring, rng)?.finish(ch, ring)
 }
 
 /// [`generate_matrix_p0`] up to its one wait: samples `X₀, Y₀` and sends
-/// the chooser's columns for `X₀·Y₁`.
+/// one `IknpColumns` frame choosing on `X₀`'s flattened cross entries,
+/// then `Y₀`'s.
 pub(crate) fn generate_matrix_p0_start<T: Transport, R: Rng + ?Sized>(
     ch: &mut T,
     ot_r: &mut IknpReceiver,
@@ -158,47 +168,42 @@ pub(crate) fn generate_matrix_p0_start<T: Transport, R: Rng + ?Sized>(
 ) -> Result<PendingTriple, ProtocolError> {
     let x0 = Matrix::random(m, k, &ring, rng);
     let y0 = Matrix::random(k, n, &ring, rng);
-    // X₀·Y₁: we choose on bits of X₀'s flattened cross entries.
-    let (xs, _) = flatten_cross(&x0, &y0);
-    let t1 = ot_r.recv_start(ch, &gilboa_choices(&xs, ring))?;
-    Ok(PendingTriple { x0, y0, t1 })
+    let (xs, ys) = flatten_cross(&x0, &y0);
+    let ots = ot_r.recv_start(ch, &gilboa_choices(&[xs, ys].concat(), ring))?;
+    Ok(PendingTriple { x0, y0, ots })
 }
 
-/// The server's triple shares, sampled, with its `X₀·Y₁` columns out:
-/// the client's corrections, then its own columns for `X₁·Y₀`, come next.
+/// The server's triple shares, sampled, with its columns out: the client's
+/// corrections come next.
 #[derive(Debug)]
 pub(crate) struct PendingTriple {
     x0: Matrix,
     y0: Matrix,
-    t1: PendingOts,
+    ots: PendingOts,
 }
 
 impl PendingTriple {
-    /// The rest of [`generate_matrix_p0`]: receives the corrections,
-    /// answers the client's columns from `Y₀` and assembles `Z₀`.
+    /// The rest of [`generate_matrix_p0`]: receives the corrections and
+    /// assembles `Z₀`.
     pub(crate) fn finish<T: Transport>(
         self,
         ch: &mut T,
-        ot_s: &mut IknpSender,
         ring: Ring,
     ) -> Result<MatrixTriple, ProtocolError> {
-        let PendingTriple { x0, y0, t1 } = self;
+        let PendingTriple { x0, y0, ots } = self;
         let (m, k, n) = (x0.rows(), x0.cols(), y0.cols());
-        let t1 = gilboa_sums(&t1.finish_correlated(ch, ring)?, ring);
-        // X₁·Y₀: we supply correlations from Y₀'s flattened cross entries.
-        let (_, ys) = flatten_cross(&x0, &y0);
-        let w2 = gilboa_sender(ch, ot_s, &ys, ring)?;
-        let z0 = x0
-            .mul(&y0, &ring)
-            .add(&fold_cross(&t1, m, k, n, ring), &ring)
-            .add(&fold_cross(&w2, m, k, n, ring), &ring);
+        let cross = gilboa_sums(&ots.finish_correlated(ch, ring)?, ring);
+        let z0 = x0.mul(&y0, &ring).add(&fold_cross(&cross, m, k, n, ring), &ring);
         Ok(MatrixTriple { x: x0, y: y0, z: z0 })
     }
 }
 
 /// Interactive matrix-triple generation, "party 1" (client) side — the
-/// mirror of [`generate_matrix_p0`]: sender from `Y₁` first, then chooser
-/// on `X₁`.
+/// mirror of [`generate_matrix_p0`]: the Gilboa sender in both cross
+/// products, answering the server's columns with one `OtCorrections` frame
+/// over `2^b·Y₁`, then `2^b·X₁`. `_ot_r` is accepted and ignored: the
+/// client chooses in no OT here. It exists for `bench/`, which still
+/// passes it, as `set_threads` does.
 ///
 /// # Errors
 ///
@@ -207,7 +212,20 @@ impl PendingTriple {
 pub fn generate_matrix_p1<T: Transport, R: Rng + ?Sized>(
     ch: &mut T,
     ot_s: &mut IknpSender,
-    ot_r: &mut IknpReceiver,
+    _ot_r: &mut IknpReceiver,
+    m: usize,
+    k: usize,
+    n: usize,
+    ring: Ring,
+    rng: &mut R,
+) -> Result<MatrixTriple, ProtocolError> {
+    generate_matrix_p1_over(ch, ot_s, m, k, n, ring, rng)
+}
+
+/// [`generate_matrix_p1`] over the one OT sender it uses.
+pub(crate) fn generate_matrix_p1_over<T: Transport, R: Rng + ?Sized>(
+    ch: &mut T,
+    ot_s: &mut IknpSender,
     m: usize,
     k: usize,
     n: usize,
@@ -216,14 +234,9 @@ pub fn generate_matrix_p1<T: Transport, R: Rng + ?Sized>(
 ) -> Result<MatrixTriple, ProtocolError> {
     let x1 = Matrix::random(m, k, &ring, rng);
     let y1 = Matrix::random(k, n, &ring, rng);
-    let (_, ys) = flatten_cross(&x1, &y1);
-    let w1 = gilboa_sender(ch, ot_s, &ys, ring)?;
-    let (xs, _) = flatten_cross(&x1, &y1);
-    let t2 = gilboa_sums(&ot_r.recv_correlated(ch, &gilboa_choices(&xs, ring), ring)?, ring);
-    let z1 = x1
-        .mul(&y1, &ring)
-        .add(&fold_cross(&w1, m, k, n, ring), &ring)
-        .add(&fold_cross(&t2, m, k, n, ring), &ring);
+    let (xs, ys) = flatten_cross(&x1, &y1);
+    let cross = gilboa_sender(ch, ot_s, &[ys, xs].concat(), ring)?;
+    let z1 = x1.mul(&y1, &ring).add(&fold_cross(&cross, m, k, n, ring), &ring);
     Ok(MatrixTriple { x: x1, y: y1, z: z1 })
 }
 
@@ -324,34 +337,38 @@ impl Opened {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relu::{relu_client, relu_server, ReluVariant};
+    use abnn2_gc::{YaoEvaluator, YaoGarbler};
     use abnn2_net::{run_pair, Endpoint, NetworkModel};
     use rand::SeedableRng;
 
+    /// One triple of shape `(m, k, n)` over a fresh Yao pair's OT
+    /// extension, as a session's offline walk runs it; `f0`/`f1` go on over
+    /// the same channel and Yao parties.
     fn with_matrix_triples<A: Send, B: Send>(
         m: usize,
         k: usize,
         n: usize,
-        f0: impl FnOnce(&mut Endpoint, MatrixTriple) -> A + Send,
-        f1: impl FnOnce(&mut Endpoint, MatrixTriple) -> B + Send,
+        f0: impl FnOnce(&mut Endpoint, &mut YaoEvaluator, MatrixTriple) -> A + Send,
+        f1: impl FnOnce(&mut Endpoint, &mut YaoGarbler, MatrixTriple) -> B + Send,
     ) -> (A, B) {
         let ring = Ring::new(32);
         let (a, b, _) = run_pair(
             NetworkModel::instant(),
             move |ch| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(500);
-                let mut ot_r = IknpReceiver::setup(ch, &mut rng).expect("setup r");
-                let mut ot_s = IknpSender::setup(ch, &mut rng).expect("setup s");
-                let t = generate_matrix_p0(ch, &mut ot_r, &mut ot_s, m, k, n, ring, &mut rng)
+                let mut yao = YaoEvaluator::setup(ch, &mut rng).expect("setup");
+                let t = generate_matrix_p0_start(ch, yao.ot_mut(), m, k, n, ring, &mut rng)
+                    .and_then(|pending| pending.finish(ch, ring))
                     .expect("gen");
-                f0(ch, t)
+                f0(ch, &mut yao, t)
             },
             move |ch| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(501);
-                let mut ot_s = IknpSender::setup(ch, &mut rng).expect("setup s");
-                let mut ot_r = IknpReceiver::setup(ch, &mut rng).expect("setup r");
-                let t = generate_matrix_p1(ch, &mut ot_s, &mut ot_r, m, k, n, ring, &mut rng)
+                let mut yao = YaoGarbler::setup(ch, &mut rng).expect("setup");
+                let t = generate_matrix_p1_over(ch, yao.ot_mut(), m, k, n, ring, &mut rng)
                     .expect("gen");
-                f1(ch, t)
+                f1(ch, &mut yao, t)
             },
         );
         (a, b)
@@ -367,10 +384,45 @@ mod tests {
     #[test]
     fn interactive_triples_satisfy_the_relation() {
         let ring = Ring::new(32);
-        let (t0, t1) = with_matrix_triples(3, 4, 2, |_, t| t, |_, t| t);
+        let (t0, t1) = with_matrix_triples(3, 4, 2, |_, _, t| t, |_, _, t| t);
         assert_eq!(t0.dims(), (3, 4, 2));
         assert!(t0.fits(3, 4, 2) && !t0.fits(4, 3, 2));
         assert_triple_relation(&t0, &t1, ring);
+    }
+
+    /// The triple's Gilboa OTs and a ReLU circuit's label OTs draw from one
+    /// IKNP extension: the triple moves the shared tweak past its `2·m·n·k·ℓ`
+    /// OTs, so the circuit after it reuses no tweak, and both come out right.
+    #[test]
+    fn a_triple_then_a_relu_over_one_ot_extension_are_both_correct() {
+        let ring = Ring::new(32);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(505);
+        let y: Vec<u64> = [5i64, -7, 0, 300, -1].map(|v| ring.reduce(v as u64)).to_vec();
+        let y1: Vec<u64> = y.iter().map(|_| ring.reduce(rng.gen())).collect();
+        let z1: Vec<u64> = y.iter().map(|_| ring.reduce(rng.gen())).collect();
+        let y0: Vec<u64> = y.iter().zip(&y1).map(|(&v, &r)| ring.sub(v, r)).collect();
+        let client_z1 = z1.clone();
+        let ((t0, z0), t1) = with_matrix_triples(
+            2,
+            3,
+            2,
+            move |ch, yao, t| {
+                assert_eq!(format!("{:?}", yao.ot_mut()), "IknpReceiver { tweak: 768 }");
+                let z0 = relu_server(ch, yao, &y0, ring, 0, ReluVariant::Oblivious).expect("relu");
+                (t, z0)
+            },
+            move |ch, yao, t| {
+                assert_eq!(format!("{:?}", yao.ot_mut()), "IknpSender { tweak: 768 }");
+                let mut rng = rand::rngs::StdRng::seed_from_u64(506);
+                let (variant, z1) = (ReluVariant::Oblivious, &client_z1);
+                relu_client(ch, yao, &y1, z1, ring, 0, variant, &mut rng).expect("relu");
+                t
+            },
+        );
+        assert_triple_relation(&t0, &t1, ring);
+        let got: Vec<u64> = z0.iter().zip(&z1).map(|(&a, &b)| ring.add(a, b)).collect();
+        let relu: Vec<u64> = y.iter().map(|&v| if ring.to_i64(v) < 0 { 0 } else { v }).collect();
+        assert_eq!(got, relu);
     }
 
     #[test]
@@ -396,8 +448,8 @@ mod tests {
             m,
             k,
             n,
-            move |ch, t| mul_matrix_shares(ch, &t, &a0, &b0, ring, 0).expect("mul p0"),
-            move |ch, t| mul_matrix_shares(ch, &t, &a1, &b1, ring, 1).expect("mul p1"),
+            move |ch, _, t| mul_matrix_shares(ch, &t, &a0, &b0, ring, 0).expect("mul p0"),
+            move |ch, _, t| mul_matrix_shares(ch, &t, &a1, &b1, ring, 1).expect("mul p1"),
         );
         assert_eq!(p0.add(&p1, &ring), a.mul(&b, &ring));
     }

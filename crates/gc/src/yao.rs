@@ -69,6 +69,13 @@ impl YaoGarbler {
         YaoGarbler { ot }
     }
 
+    /// The OT sender, for a subprotocol that shares this session's
+    /// extension (the matrix triples' Gilboa products): each extension
+    /// moves its tweak past the OTs it used, so no later label OT reuses one.
+    pub fn ot_mut(&mut self) -> &mut IknpSender {
+        &mut self.ot
+    }
+
     /// Garbles `circuit`, transfers everything, and serves the evaluator's
     /// input-label OTs. Returns nothing: outputs go to the evaluator.
     ///
@@ -140,6 +147,11 @@ impl YaoEvaluator {
     #[must_use]
     pub fn from_ot(ot: IknpReceiver) -> Self {
         YaoEvaluator { ot }
+    }
+
+    /// The OT receiver, shared as [`YaoGarbler::ot_mut`] shares the sender.
+    pub fn ot_mut(&mut self) -> &mut IknpReceiver {
+        &mut self.ot
     }
 
     /// Obtains labels for `my_bits` via OT, receives a garbled circuit,

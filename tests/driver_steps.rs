@@ -358,7 +358,10 @@ fn case_effects(
 /// an online re-share op. Both times `direction_sequences_are_pinned`
 /// showed that neither direction's frames changed. All thirteen rows were
 /// re-recorded again for the protocol v9 version bump alone: the server's
-/// hello reply carries the version field, so every first send moved.
+/// hello reply carries the version field, so every first send moved. The
+/// two cold encoder rows were then re-recorded for v9's matrix triples,
+/// which run over the Yao half's OT extension in one flight each way
+/// instead of over an IKNP pair of their own.
 #[test]
 fn effect_sequences_are_pinned() {
     let pins = [
@@ -374,7 +377,7 @@ fn effect_sequences_are_pinned() {
             "encoder",
             false,
             false,
-            "1db32f50b43996478786749690f2d42e51038db8d655e48ee3d7bfb828b3182b",
+            "443c93321fcbe793e2249dd4f9620bc995d385f8f03dada2d17a0f82c1b5691d",
         ),
         (
             "encoder",
@@ -386,7 +389,7 @@ fn effect_sequences_are_pinned() {
             "encoder",
             true,
             false,
-            "bb35dbc052dd2a87d02d28fcd93dc385856d66e5349834b71db5f2c77061a926",
+            "40f0952c119a638eb68be8a2e5f9edfc4a7725830b9fbc218f3b06ddc442c289",
         ),
         ("encoder", true, true, "fe1b20724e40e4109c9a4c2d8035566845d6d697292470c21783ce78bbd8ea21"),
     ];
@@ -443,7 +446,11 @@ fn direction_digests(effects: &[DriverEffect]) -> (String, String) {
 /// two interleave in. A change that only moves a send earlier or later
 /// keeps both digests. Every row's sent digest was re-recorded for the
 /// protocol v9 version bump alone (the server's hello reply carries the
-/// version field); no read digest moved with it.
+/// version field); no read digest moved with it. Both digests of the two
+/// cold encoder rows were then re-recorded for v9's matrix triples: the
+/// server sends one `IknpColumns` frame a triple and reads one
+/// `OtCorrections` frame, where it set up an IKNP pair of two base-OT
+/// batches and ran two OT extensions.
 #[test]
 fn direction_sequences_are_pinned() {
     use ReluVariant::{Oblivious, Optimized};
@@ -517,8 +524,8 @@ fn direction_sequences_are_pinned() {
             false,
             false,
             Oblivious,
-            "7774a4a0754e16a86c5916d4e1896ca619b111be3c27deadba1c606c15858400",
-            "f418d3348c78b198227845d0efc4dc0146264408a80ddc4789f1d7fbe35f9c7f",
+            "174da0ebed482f92cc23ffe3fcd559f158f8c43419981cf3d4b3a9bdfcc54aa0",
+            "71c64e26ced0a0b43d5a52a6235d6a817ccd6e2384c051a34f870c68e3edd444",
         ),
         (
             "encoder",
@@ -533,8 +540,8 @@ fn direction_sequences_are_pinned() {
             true,
             false,
             Oblivious,
-            "9161bd5932d48ce1826bebbad712110d0632900b5f8f0d10bb30cb7fc62f1f43",
-            "d6504d68bebcf9e5c30e2d9ea66a2649124fc20ae40c03aa6be6fae0132fed8b",
+            "646248b94891cdafb4a1c55ef3913d1ba9a54fdab2c4103b9bbae6e64c2cc4a4",
+            "2ed5165423d780bc62cf9e081d9eb5dfabd6b0eab4e526579c491f83de32b8c2",
         ),
         (
             "encoder",
@@ -607,7 +614,10 @@ fn cold_kk13_offline_is_one_server_flight() {
 /// fragment group; a dealt session runs no offline walk. Online, a
 /// re-share op's label-OT columns leave when it is entered: that keeps
 /// each oblivious op at one flight, and the optimized ReLU sends its
-/// second circuit's columns with the signs, one flight less per op.
+/// second circuit's columns with the signs, one flight less per op. The
+/// two cold encoder rows were re-recorded (18 to 15, 19 to 16) when
+/// protocol v9's matrix triples stopped setting up an IKNP pair of their
+/// own: a triple is one server flight of columns, then the corrections.
 #[test]
 fn server_flights_are_pinned() {
     use ReluVariant::{Oblivious, Optimized};
@@ -620,9 +630,9 @@ fn server_flights_are_pinned() {
         ("cnn", false, true, Oblivious, 6),
         ("cnn", true, false, Oblivious, 8),
         ("cnn", true, true, Oblivious, 6),
-        ("encoder", false, false, Oblivious, 18),
+        ("encoder", false, false, Oblivious, 15),
         ("encoder", false, true, Oblivious, 11),
-        ("encoder", true, false, Oblivious, 19),
+        ("encoder", true, false, Oblivious, 16),
         ("encoder", true, true, Oblivious, 11),
         ("mlp", false, false, Optimized, 8),
     ];
