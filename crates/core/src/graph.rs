@@ -3,8 +3,8 @@
 //! The paper describes one protocol pipeline — OT-based dot-product
 //! triplets offline (§4.1), share-and-reconstruct non-linear layers online
 //! (§4.2) — and all three served topologies (MLP, CNN, encoder) run it.
-//! This module is the single
-//! implementation: [`SecureGraph`] pins a validated graph to a batch size,
+//! This module is the single implementation: [`SecureGraph`] pins a
+//! validated graph to a batch size,
 //! the **planner** ([`SecureGraph::plan`]) emits one [`TripletPlan`] per
 //! linear op (dimensions, batch `o`, message-layout mode), and the
 //! **executor** halves ([`server_offline_with`] / [`server_online_to_logits`]

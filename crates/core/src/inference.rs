@@ -23,10 +23,15 @@
 //! is neither continued nor idle on this path, [`crate::session`]) →
 //! {resume | dealt bundle | offline} → online → lineage kept. The client
 //! side of that sequence is written once, in
-//! [`SecureClient::run_job`]; the server side once, in
-//! [`SessionDriver`]. The plain, resilient
-//! and serving entry points differ only in how they mint connections and
-//! in the [`ClientJob`] they carry across them.
+//! [`SecureClient::run_job`]. The server side is written twice: in
+//! [`SessionDriver`], which [`SecureServer::run`], the resilient server
+//! and the serving frontend step, and as the blocking hello → setup →
+//! offline flow of [`SecureServer::offline`] (with
+//! [`SecureServer::online`] after it), which the table harness, the
+//! examples and tests call to time or drive the two phases apart; it
+//! never resumes, deals or parks. The plain, resilient and serving entry
+//! points differ only in how they mint connections and in the
+//! [`ClientJob`] they carry across them.
 
 use crate::bundle::{ClientBundle, ServerBundle};
 use crate::config::{ExecConfig, SessionDeadlines};

@@ -57,7 +57,8 @@
 # plaintext oracle across eta in {2,3,4,8}; warm-from-pool with zero
 # offline-phase bytes), the transformer chaos tests (tag-flip sweep over
 # the new frames; cut during a MATMUL_OPENINGS exchange -> checkpoint ->
-# bit-exact resume), and the load generator serving the encoder block
+# bit-exact resume; cut inside a matrix triple -> typed errors on both
+# sides -> bit-exact retry), and the load generator serving the encoder block
 # through the event-loop workers.
 #
 # --bench regenerates the machine-readable benchmark files:
@@ -363,12 +364,16 @@ fi
 # The dev profile keeps overflow checks and debug assertions on and the
 # default backend is AES-NI where the CPU has it: the pinned transcripts
 # must also hold as the served binaries are built, over the software path.
-# driver_steps and end_to_end add the session effect, direction, flight
-# and one-way-trip pins, with the debug check of each step's frames off.
+# graph_generated checks the ring products of generated graphs, silent_ot
+# and comm_shape the silent transcripts and byte pins, negotiation_pins the
+# hello's version field; driver_steps and end_to_end add the session
+# effect, direction, flight and one-way-trip pins, with the debug check of
+# each step's frames off. The CI portable-backend job runs the same list.
 echo "==> pinned Yao, triplet, OT-extension, session and driver-step transcripts, oracle, OT kernels and silent refills: release, portable backend"
 ABNN2_CRYPTO_BACKEND=portable cargo test -q --release \
-  --test yao_pins --test triplet_pins --test ot_extension_pins \
-  --test lineage_pins --test lineage --test crypto_backend --test silent_refill_alloc \
+  --test triplet_pins --test ot_extension_pins --test yao_pins \
+  --test lineage_pins --test lineage --test negotiation_pins --test crypto_backend \
+  --test silent_refill_alloc --test graph_generated --test silent_ot --test comm_shape \
   --test driver_steps --test end_to_end
 # The OT-extension kernels in release over software AES: the tiled
 # transpose against its bit-at-a-time definition, KK13's code columns
@@ -445,6 +450,7 @@ if [[ "${TRANSFORMER_SMOKE:-0}" == "1" ]]; then
   cargo test --release --test transformer
   cargo test --release --test chaos transformer_tag_flip
   cargo test --release --test chaos cut_during_matmul
+  cargo test --release --test chaos cut_inside_a_matrix_triple
   cargo run --release --example serve_load -- --transformer --clients 4 --requests 2
 fi
 

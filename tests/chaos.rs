@@ -33,9 +33,10 @@ use abnn2::core::resilient::ResilientServer;
 use abnn2::core::session::ClientLineage;
 use abnn2::core::{ExecConfig, ProtocolError, PublicModel, SessionDeadlines};
 use abnn2::math::{FragmentScheme, Ring};
+use abnn2::net::wire::tags;
 use abnn2::net::{
-    sim_link, Endpoint, Fault, FaultPlan, FaultyTransport, NetworkModel, RetryPolicy, TcpTransport,
-    Transport,
+    sim_link, CommSnapshot, Endpoint, Fault, FaultPlan, FaultyTransport, NetworkModel, RetryPolicy,
+    TcpTransport, Transport, TransportError,
 };
 use abnn2::nn::quant::{QuantConfig, QuantizedNetwork};
 use abnn2::nn::transformer::QuantizedTransformer;
@@ -1086,6 +1087,86 @@ fn cut_during_matmul_opening_checkpoints_and_resumes_bit_exact() {
     let state = ClientOffline::from_bundle(session.yao.expect("Yao half"), checkpoint);
     let y = client.online_raw(&mut ch, state, std::slice::from_ref(&x), &mut rng).expect("online");
     assert_eq!(y.col(0), expected, "resumed transformer logits diverge from forward_exact");
+}
+
+/// The client end of a link that dies when the client first sends an
+/// `OtCorrections` frame: the send fails as a dropped connection, the
+/// endpoint is dropped so the server reads `Closed`, and every later call
+/// fails too. Notes whether an `IknpColumns` frame arrived before the cut.
+struct CutAtCorrections {
+    link: Option<Endpoint>,
+    columns_arrived: bool,
+}
+
+impl Transport for CutAtCorrections {
+    fn send(&mut self, payload: &[u8]) -> Result<(), TransportError> {
+        if payload.first() == Some(&tags::OT_CORRECTIONS) {
+            self.link = None;
+        }
+        self.link.as_mut().ok_or(TransportError::Closed)?.send(payload)
+    }
+
+    fn recv(&mut self) -> Result<Vec<u8>, TransportError> {
+        let frame = self.link.as_mut().ok_or(TransportError::Closed)?.recv()?;
+        self.columns_arrived |= frame.first() == Some(&tags::IKNP_COLUMNS);
+        Ok(frame)
+    }
+
+    fn snapshot(&self) -> CommSnapshot {
+        self.link.as_ref().map(Endpoint::snapshot).unwrap_or_default()
+    }
+}
+
+/// A cold encoder session cut **inside an interactive matrix triple** —
+/// the server's `IknpColumns` frame has arrived, the client's
+/// `OtCorrections` answer never leaves — fails on both sides as a
+/// retryable `Channel` error, never a hang, a panic or a desynchronized
+/// stream. Nothing of the offline phase survives the cut, so the retry is
+/// a cold session over a fresh connection, and its logits are
+/// bit-identical to the plaintext oracle. Over both offline modes: the
+/// triple runs over the Yao half's OT extension in either.
+#[test]
+fn cut_inside_a_matrix_triple_fails_typed_and_the_retry_is_bit_exact() {
+    let (model, x) = tiny_chaos_transformer();
+    let expected = model.forward_exact(&x);
+    let server = SecureServer::for_model(model.clone());
+    for silent in [false, true] {
+        let client = SecureClient::for_model(&model).with_silent(silent);
+        let (a, b) = Endpoint::pair(NetworkModel::instant());
+        let mut sch = a;
+        let mut cch = CutAtCorrections { link: Some(b), columns_arrived: false };
+        let (sres, cres) = std::thread::scope(|scope| {
+            let srv = scope
+                .spawn(|| server.run(&mut sch, 1, &mut rand::rngs::StdRng::seed_from_u64(0xC07)));
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0xC08);
+            let cres = client.offline(&mut cch, 1, &mut rng).map(|_| ());
+            cch.link = None;
+            (srv.join().expect("server thread must not panic"), cres)
+        });
+        assert!(cch.columns_arrived, "silent {silent}: the cut came before the triple's columns");
+        for (side, res) in [("server", sres), ("client", cres)] {
+            let err = res.expect_err("a session cut mid-triple cannot complete");
+            assert_eq!(err, ProtocolError::Channel, "silent {silent}: {side}");
+            assert!(err.is_retryable(), "silent {silent}: {side} must be told to retry");
+        }
+
+        let (mut sch, mut cch) = Endpoint::pair(NetworkModel::instant());
+        let y = std::thread::scope(|scope| {
+            let srv = scope
+                .spawn(|| server.run(&mut sch, 1, &mut rand::rngs::StdRng::seed_from_u64(0xC09)));
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0A);
+            let y = client.offline(&mut cch, 1, &mut rng).and_then(|state| {
+                client.online_raw(&mut cch, state, std::slice::from_ref(&x), &mut rng)
+            });
+            srv.join().expect("server thread must not panic").expect("retried server");
+            y.expect("retried client")
+        });
+        assert_eq!(
+            y.col(0),
+            expected,
+            "silent {silent}: retried logits diverge from forward_exact"
+        );
+    }
 }
 
 /// A mixed fleet on one server: silent-capable and legacy IKNP clients
