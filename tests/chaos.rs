@@ -1132,9 +1132,8 @@ fn cut_inside_a_matrix_triple_fails_typed_and_the_retry_is_bit_exact() {
     let server = SecureServer::for_model(model.clone());
     for silent in [false, true] {
         let client = SecureClient::for_model(&model).with_silent(silent);
-        let (a, b) = Endpoint::pair(NetworkModel::instant());
-        let mut sch = a;
-        let mut cch = CutAtCorrections { link: Some(b), columns_arrived: false };
+        let (mut sch, link) = Endpoint::pair(NetworkModel::instant());
+        let mut cch = CutAtCorrections { link: Some(link), columns_arrived: false };
         let (sres, cres) = std::thread::scope(|scope| {
             let srv = scope
                 .spawn(|| server.run(&mut sch, 1, &mut rand::rngs::StdRng::seed_from_u64(0xC07)));
