@@ -6,6 +6,7 @@
 //! environment variable `ABNN2_BENCH_QUICK=1`) to run reduced parameter
 //! sweeps on slow machines.
 
+use abnn2_core::driver::{drive_frames_with, DriverEffect};
 use abnn2_core::inference::{SecureClient, SecureServer};
 use abnn2_core::relu::ReluVariant;
 use abnn2_math::{FragmentScheme, Matrix, Ring};
@@ -165,7 +166,9 @@ impl E2eStats {
     }
 }
 
-/// Runs a full secure inference (ABNN²) and reports phase timings.
+/// Runs a full secure inference (ABNN²) and reports phase timings: the
+/// server side is the session driver every server runs, its phases split
+/// at the driver's `online` mark.
 #[must_use]
 pub fn run_abnn2_e2e(
     net: &QuantizedNetwork,
@@ -182,10 +185,16 @@ pub fn run_abnn2_e2e(
         model,
         move |ch| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 1);
-            let state = server.offline(ch, batch, &mut rng).expect("offline");
-            let mid = ch.snapshot();
-            server.online(ch, state).expect("online");
-            mid
+            let mut driver = server.driver(batch, &mut rng).expect("driver");
+            let mut mid = None;
+            drive_frames_with(ch, &mut driver, |ch, effect| {
+                if matches!(effect, DriverEffect::Mark(label) if label == "online") {
+                    mid = Some(ch.snapshot());
+                }
+                Ok(())
+            })
+            .expect("server");
+            mid.expect("the session reached its online phase")
         },
         move |ch| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 2);
@@ -287,5 +296,26 @@ pub fn split_phases(
         bytes: total_bytes,
         offline_bytes,
         online_bytes: total_bytes.saturating_sub(offline_bytes),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The byte split every table row and `BENCH_silent_ot.json` read: the
+    /// Fig-4 network at batch 1 and 2 under (2,2) fragments, and ternary at
+    /// batch 1. Byte counts depend on the shapes only, not on the inputs.
+    #[test]
+    fn abnn2_e2e_splits_the_phases_at_pinned_bytes() {
+        let split = |scheme: FragmentScheme, batch: usize| {
+            let net = paper_quantized(scheme, 32);
+            let st = run_abnn2_e2e(&net, batch, NetworkModel::instant(), ReluVariant::Oblivious, 7);
+            (st.offline_bytes, st.online_bytes)
+        };
+        let eta4 = || FragmentScheme::signed_bit_fields(&[2, 2]);
+        assert_eq!(split(eta4(), 1), (10_422_564, 1_429_620));
+        assert_eq!(split(eta4(), 2), (15_143_204, 2_859_228));
+        assert_eq!(split(FragmentScheme::ternary(), 1), (4_757_790, 1_429_620));
     }
 }

@@ -85,10 +85,11 @@ pub trait SessionHost {
     }
 }
 
-/// A host that never resumes and never deals bundles: the
-/// [`SecureServer::run`] flow, where the server announces fixed
-/// parameters regardless of the client's batch (a mismatch is a
-/// negotiation failure, not something to adopt).
+/// A host that never resumes, deals or parks: the one
+/// [`SecureServer::driver`] builds for [`SecureServer::run`] and for
+/// callers that time the phases of a plain session apart. The server
+/// announces fixed parameters regardless of the client's batch (a
+/// mismatch is a negotiation failure, not something to adopt).
 #[derive(Debug, Clone)]
 pub struct NullHost {
     /// The parameters announced to every client.
@@ -547,9 +548,14 @@ pub fn drive_frames<T: Transport, H: SessionHost>(
 }
 
 /// [`drive_frames`] whose observer may also act on the transport — arm a
-/// phase budget, inject a fault — at the exact protocol point an effect
-/// marks, and fail the session by returning an error.
-pub(crate) fn drive_frames_with<T: Transport, H: SessionHost>(
+/// phase budget, inject a fault, snapshot the traffic at the `online` mark
+/// — at the exact protocol point an effect marks, and fail the session by
+/// returning an error.
+///
+/// # Errors
+///
+/// As [`drive_frames`], and whatever error `observe` returns.
+pub fn drive_frames_with<T: Transport, H: SessionHost>(
     ch: &mut T,
     driver: &mut SessionDriver<H>,
     mut observe: impl FnMut(&mut T, &DriverEffect) -> Result<(), ProtocolError>,
@@ -578,9 +584,9 @@ pub(crate) fn drive_frames_with<T: Transport, H: SessionHost>(
 }
 
 /// Runs a [`SessionDriver`] to completion over a blocking transport: the
-/// pre-event-loop server flow, now a thin adapter over [`drive_frames`].
-/// Effects map one-to-one onto transport calls, so the wire transcript is
-/// byte-identical to the historical straight-line implementation.
+/// server flow of [`SecureServer::run`], a thin adapter over
+/// [`drive_frames`]. Effects map one-to-one onto transport calls, so the
+/// wire transcript is the event loop's.
 ///
 /// # Errors
 ///

@@ -9,8 +9,14 @@
 //! linear op (dimensions, batch `o`, message-layout mode), and the
 //! **executor** halves ([`server_offline_with`] / [`server_online_to_logits`]
 //! and [`client_offline_with`] / [`client_online_to_logits`]) walk the same
-//! op sequence consuming planned state. `SecureServer`/`SecureClient`
-//! drive these functions for every topology.
+//! op sequence consuming planned state, for every topology. The server's
+//! two functions are loops over the resumable walks the session driver
+//! ([`crate::driver::SessionDriver`]) steps, one flight at a time:
+//! [`server_online_to_logits`] is the online phase of
+//! [`SecureServer::online`](crate::SecureServer::online), and
+//! [`server_offline_with`] the one public server offline loop, for a
+//! caller that builds its own lineage pair. [`SecureClient`](crate::SecureClient)
+//! calls the client's two.
 //!
 //! The executor's state invariant, per party:
 //!

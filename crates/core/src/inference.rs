@@ -21,31 +21,29 @@
 //!
 //! A session is hello → setup (base OTs for whichever half of the lineage
 //! is neither continued nor idle on this path, [`crate::session`]) →
-//! {resume | dealt bundle | offline} → online → lineage kept. The client
-//! side of that sequence is written once, in
-//! [`SecureClient::run_job`]. The server side is written twice: in
-//! [`SessionDriver`], which [`SecureServer::run`], the resilient server
-//! and the serving frontend step, and as the blocking hello → setup →
-//! offline flow of [`SecureServer::offline`] (with
-//! [`SecureServer::online`] after it), which the table harness, the
-//! examples and tests call to time or drive the two phases apart; it
-//! never resumes, deals or parks. The plain, resilient and serving entry
-//! points differ only in how they mint connections and in the
-//! [`ClientJob`] they carry across them.
+//! {resume | dealt bundle | offline} → online → lineage kept. Each side of
+//! that sequence is written once: the client's in
+//! [`SecureClient::run_job`], the server's in [`SessionDriver`], which
+//! [`SecureServer::run`], the resilient server and the serving frontend
+//! step. A caller that times the two phases apart drives
+//! [`SecureServer::driver`] and splits at its `online` mark.
+//! [`SecureServer::online`] is the server's online phase alone, over
+//! offline state the caller brings (a dealt bundle, another offline
+//! protocol's). The plain, resilient and serving entry points differ only
+//! in how they mint connections and in the [`ClientJob`] they carry across
+//! them.
 
 use crate::bundle::{ClientBundle, ServerBundle};
 use crate::config::{ExecConfig, SessionDeadlines};
 use crate::driver::{drive_blocking, NullHost, SessionDriver};
 use crate::frames::{Bundle, OutputShares};
 use crate::graph::{
-    client_offline_with, client_online_to_logits, server_offline_with, server_online_to_logits,
-    CommCeiling, PublicModel, ServedModel,
+    client_offline_with, client_online_to_logits, server_online_to_logits, CommCeiling,
+    PublicModel, ServedModel,
 };
-use crate::handshake::{
-    handshake_client_ext, handshake_server_ext, Halves, HelloRequest, ResumeToken, SessionParams,
-};
+use crate::handshake::{handshake_client_ext, HelloRequest, ResumeToken, SessionParams};
 use crate::relu::ReluVariant;
-use crate::session::{ClientLineage, ServerLineage};
+use crate::session::ClientLineage;
 use crate::ProtocolError;
 use abnn2_gc::{YaoEvaluator, YaoGarbler};
 use abnn2_math::Matrix;
@@ -183,69 +181,10 @@ impl SecureServer {
         Ok(self.model.secure_graph(batch)?.inbound_ceiling())
     }
 
-    /// Offline phase: handshake, session setup, and per-op triplet
-    /// generation for a batch of `batch` predictions.
-    ///
-    /// The handshake pins down protocol version, ring, fixed-point and
-    /// fragmentation parameters, activation variant, batch size and model
-    /// graph *before* any base OT flows, so a misconfigured pairing fails
-    /// with [`ProtocolError::Negotiation`] at connect time instead of
-    /// garbling mid-protocol.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProtocolError`] on any subprotocol failure.
-    pub fn offline<T: Transport, R: Rng + ?Sized>(
-        &self,
-        ch: &mut T,
-        batch: usize,
-        rng: &mut R,
-    ) -> Result<ServerOffline, ProtocolError> {
-        self.model.secure_graph(batch)?;
-        // The server announces parameters for *its own* expected batch: a
-        // client announcing a different batch is a negotiation failure,
-        // not something to silently adopt.
-        let ours = self.params_for(batch);
-        let (_, _, reply) = handshake_server_ext(
-            ch,
-            |_| ours,
-            |_| false,
-            |_, _| false,
-            false,
-            |_, _| Halves::default(),
-        )?;
-        let lineage = ServerLineage::setup_with(ch, reply.mode(), rng)?;
-        self.offline_with(ch, lineage, batch, rng)
-    }
-
-    /// Triplet generation over a lineage that holds both halves. Split
-    /// from setup so a caller can attribute the two to separate
-    /// instrumentation phases (base OTs run once per lineage; triplets
-    /// once per prediction, and are the poolable part). The `rng` feeds
-    /// the server's matrix-triple shares for secret×secret matmul ops;
-    /// plain MLP/CNN graphs never draw from it.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::Dimension`] for a lineage without both halves;
-    /// [`ProtocolError`] on any subprotocol failure.
-    pub fn offline_with<T: Transport, R: Rng + ?Sized>(
-        &self,
-        ch: &mut T,
-        lineage: ServerLineage,
-        batch: usize,
-        rng: &mut R,
-    ) -> Result<ServerOffline, ProtocolError> {
-        let sg = self.model.secure_graph(batch)?;
-        let (Some(kk), Some(mut yao)) = (lineage.kk, lineage.yao) else {
-            return Err(ProtocolError::Dimension("the offline phase needs both lineage halves"));
-        };
-        let (bundle, _) = server_offline_with(ch, kk, &mut yao, &self.model, &sg, self.exec, rng)?;
-        Ok(ServerOffline::from_bundle(yao, bundle))
-    }
-
-    /// Online phase: consumes offline state, processes one batch, opening
-    /// the logit shares toward the client (the paper's Fig-2 flow).
+    /// Online phase over offline state the caller brings — a dealt bundle,
+    /// or another offline protocol's (the MiniONN and QUOTIENT baselines):
+    /// processes one batch, opening the logit shares toward the client (the
+    /// paper's Fig-2 flow), and flushes the last frame out.
     ///
     /// # Errors
     ///
@@ -257,7 +196,9 @@ impl SecureServer {
     ) -> Result<(), ProtocolError> {
         let sg = self.model.secure_graph(state.bundle.batch)?;
         let (_, y0) = server_online_to_logits(ch, state, &self.model, &sg, self.exec)?;
-        self.open_logits(ch, &y0)
+        self.open_logits(ch, &y0)?;
+        ch.flush()?;
+        Ok(())
     }
 
     /// Opens the server's logit share `y0` toward the client: the last
@@ -274,7 +215,7 @@ impl SecureServer {
 
     /// Classification-only online phase (extension): instead of opening the
     /// logits, a masked-argmax circuit reveals *only the class index* to
-    /// the client.
+    /// the client. Flushes the last frame out, like [`online`](Self::online).
     ///
     /// # Errors
     ///
@@ -291,13 +232,39 @@ impl SecureServer {
         for k in 0..batch {
             crate::argmax::argmax_server(ch, &mut yao, &y0.col(k), ring)?;
         }
+        ch.flush()?;
         Ok(())
     }
 
-    /// One whole session for a batch of `batch` predictions, run through
-    /// the suspendable [`SessionDriver`] so the blocking and event-loop
-    /// paths exercise one protocol implementation (the wire transcript is
-    /// pinned by `tests/graph_parity.rs`).
+    /// A [`SessionDriver`] at the hello of one session for a batch of
+    /// `batch` predictions: the whole server flow — hello → setup → offline
+    /// → online — announcing [`params_for(batch)`](Self::params_for) to the
+    /// client, whose different batch is a negotiation failure, not something
+    /// to adopt. It never resumes, deals or parks. Drive it with
+    /// [`drive_blocking`], or with
+    /// [`drive_frames_with`](crate::driver::drive_frames_with) to act on its
+    /// effects: a caller that times the two phases apart takes its split at
+    /// the `online` [`Mark`](crate::DriverEffect::Mark).
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Dimension`] if `batch` is invalid for the model.
+    pub fn driver<R: Rng + ?Sized>(
+        &self,
+        batch: usize,
+        rng: &mut R,
+    ) -> Result<SessionDriver<NullHost>, ProtocolError> {
+        self.model.secure_graph(batch)?;
+        Ok(SessionDriver::new(
+            Arc::new(self.clone()),
+            NullHost { ours: self.params_for(batch) },
+            StdRng::seed_from_u64(rng.next_u64()),
+        ))
+    }
+
+    /// One whole session for a batch of `batch` predictions: the
+    /// [`driver`](Self::driver) run to its end over a blocking transport
+    /// (the wire transcript is pinned by `tests/graph_parity.rs`).
     ///
     /// # Errors
     ///
@@ -308,13 +275,7 @@ impl SecureServer {
         batch: usize,
         rng: &mut R,
     ) -> Result<(), ProtocolError> {
-        self.model.secure_graph(batch)?;
-        let mut driver = SessionDriver::new(
-            Arc::new(self.clone()),
-            NullHost { ours: self.params_for(batch) },
-            StdRng::seed_from_u64(rng.next_u64()),
-        );
-        drive_blocking(ch, &mut driver)
+        drive_blocking(ch, &mut self.driver(batch, rng)?)
     }
 }
 
@@ -569,8 +530,11 @@ impl SecureClient {
     }
 
     /// Offline phase: handshake, session setup, and per-op triplet
-    /// generation (see the server counterpart) — the first half of
-    /// [`run_job`](Self::run_job) for a plain job.
+    /// generation — the first half of [`run_job`](Self::run_job) for a
+    /// plain job. The handshake pins down protocol version, ring,
+    /// fixed-point and fragmentation parameters, activation variant, batch
+    /// size and model graph *before* any base OT flows, so a misconfigured
+    /// pairing fails with [`ProtocolError::Negotiation`] at connect time.
     ///
     /// # Errors
     ///
@@ -584,8 +548,10 @@ impl SecureClient {
         Ok(self.establish(ch, batch, &mut ClientJob::default(), rng)?.state)
     }
 
-    /// Triplet generation over a lineage that holds both halves (see the
-    /// server counterpart for why this is split out).
+    /// Triplet generation over a lineage that holds both halves, with no
+    /// hello before it: the client half of a hand-built session whose
+    /// server runs [`server_offline_with`](crate::graph::server_offline_with)
+    /// over the same lineage pair.
     ///
     /// # Errors
     ///
@@ -747,6 +713,8 @@ impl SecureClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::server_offline_with;
+    use crate::session::ServerLineage;
     use abnn2_math::{FragmentScheme, Ring};
     use abnn2_net::{run_pair, Endpoint, NetworkModel};
     use abnn2_nn::conv::{ConvShape, QuantizedCnn, QuantizedConv};
@@ -856,12 +824,18 @@ mod tests {
             NetworkModel::instant(),
             move |ch| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(58);
-                let state = server.offline(ch, batch, &mut rng)?;
-                server.online_classify(ch, state)
+                let ServerLineage { kk, yao } = ServerLineage::setup(ch, &mut rng)?;
+                let (kk, mut yao) = (kk.expect("fragment half"), yao.expect("Yao half"));
+                let (model, exec) = (&server.model, server.exec);
+                let sg = model.secure_graph(batch)?;
+                let (bundle, _) =
+                    server_offline_with(ch, kk, &mut yao, model, &sg, exec, &mut rng)?;
+                server.online_classify(ch, ServerOffline::from_bundle(yao, bundle))
             },
             move |ch| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(59);
-                let state = client.offline(ch, batch, &mut rng).expect("offline");
+                let lineage = ClientLineage::setup(ch, &mut rng).expect("setup");
+                let state = client.offline_with(ch, lineage, batch, &mut rng).expect("offline");
                 client.online_classify(ch, state, &inputs_fp2, &mut rng).expect("online")
             },
         );
@@ -878,9 +852,10 @@ mod tests {
         let (mut a, _b) = Endpoint::pair(NetworkModel::instant());
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         assert_eq!(
-            server.offline(&mut a, 0, &mut rng).err(),
+            server.run(&mut a, 0, &mut rng).err(),
             Some(ProtocolError::Dimension("batch must be positive"))
         );
+        assert_eq!(a.snapshot().bytes_sent, 0, "no traffic before the check");
     }
 
     fn small_cnn(seed: u64, scheme: FragmentScheme) -> QuantizedCnn {

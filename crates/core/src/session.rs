@@ -20,11 +20,15 @@
 //! path uses, so a fresh session sets up what it needs, a session
 //! continuing a parked lineage sets up nothing, and a warm or resumed one
 //! never sets up the fragment half. During a session the fragment half
-//! drives the offline phase ([`crate::graph::server_offline_with`]) and the
-//! Yao half crosses into [`crate::inference::ServerOffline`] /
-//! [`crate::inference::ClientOffline`]; after a clean end both are parked
-//! ([`park`](ServerLineage::park)) for exactly one successor (§6 of
-//! DESIGN.md has the rules that make that sound).
+//! drives the offline phase (the server's offline walk in
+//! [`crate::driver::SessionDriver`], [`crate::graph::client_offline_with`]
+//! on the client) and the Yao half crosses into
+//! [`crate::inference::ServerOffline`] / [`crate::inference::ClientOffline`];
+//! after a clean end both are parked ([`park`](ServerLineage::park)) for
+//! exactly one successor (§6 of DESIGN.md has the rules that make that
+//! sound). [`setup_with`](ServerLineage::setup_with) builds a lineage with
+//! no hello before it, for tests and harnesses that drive the phases by
+//! hand.
 
 use crate::handshake::Halves;
 use crate::ProtocolError;

@@ -1,11 +1,14 @@
 //! Protocol behaviour across network conditions, and the optimized-ReLU
 //! trade-off: how LAN/WAN latency and bandwidth shift the bottleneck
-//! between the OT-heavy offline phase and the GC-heavy online phase.
+//! between the OT-heavy offline phase and the GC-heavy online phase. The
+//! server runs the session driver every server runs; its offline/online
+//! split is the driver's `online` mark.
 //!
 //! ```sh
 //! cargo run --release --example network_settings
 //! ```
 
+use abnn2::core::driver::{drive_frames_with, DriverEffect};
 use abnn2::core::inference::{SecureClient, SecureServer};
 use abnn2::core::relu::ReluVariant;
 use abnn2::math::{FragmentScheme, Ring};
@@ -47,10 +50,16 @@ fn main() {
                 model,
                 move |ch| {
                     let mut rng = rand::rngs::StdRng::seed_from_u64(41);
-                    let state = server.offline(ch, 1, &mut rng).expect("offline");
-                    let mid = ch.snapshot();
-                    server.online(ch, state).expect("online");
-                    mid
+                    let mut driver = server.driver(1, &mut rng).expect("driver");
+                    let mut mid = None;
+                    drive_frames_with(ch, &mut driver, |ch, effect| {
+                        if matches!(effect, DriverEffect::Mark(label) if label == "online") {
+                            mid = Some(ch.snapshot());
+                        }
+                        Ok(())
+                    })
+                    .expect("server");
+                    mid.expect("the session reached its online phase")
                 },
                 move |ch| {
                     let mut rng = rand::rngs::StdRng::seed_from_u64(42);

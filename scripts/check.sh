@@ -73,7 +73,9 @@
 # batched and one row at a time, and a 128x128 triplet split into
 # extension, masks and pack+decode; with the ≥4× AES-NI speedup and the
 # ≥3× of batched masks over the one-row loop asserted at generation time
-# where the CPU has AES-NI).
+# where the CPU has AES-NI). It then runs `table5 --quick` and the
+# `network_settings` example, which otherwise only compile in every gate:
+# both split a session's phases at the session driver's `online` mark.
 #
 # Every run also greps the protocol crates for scalar AES calls
 # (`encrypt_block`, `hash_block`, `next_block`, a one-shot
@@ -461,6 +463,9 @@ if [[ "${RUN_BENCH:-0}" == "1" ]]; then
   cargo run --release -p abnn2-bench --bin bench_json -- --transformer BENCH_transformer.json
   echo "==> bench: regenerating BENCH_crypto.json"
   cargo run --release -p abnn2-bench --bin bench_json -- --crypto BENCH_crypto.json
+  echo "==> bench: table5 --quick and network_settings (phases split at the driver's online mark)"
+  cargo run --release -p abnn2-bench --bin table5 -- --quick
+  cargo run --release --example network_settings
 fi
 
 echo "All checks passed."

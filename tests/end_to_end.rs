@@ -2,11 +2,16 @@
 //! plaintext oracle, and agreement between ABNN² and both end-to-end
 //! baselines on identical models and inputs.
 
-use abnn2::core::inference::{SecureClient, SecureServer};
+use abnn2::core::dealer_bundle;
+use abnn2::core::driver::{drive_frames_with, DriverEffect};
+use abnn2::core::inference::{ClientOffline, SecureClient, SecureServer, ServerOffline};
 use abnn2::core::relu::ReluVariant;
+use abnn2::core::ServedModel;
+use abnn2::gc::{YaoEvaluator, YaoGarbler};
 use abnn2::math::{FragmentScheme, Ring};
 use abnn2::net::{run_pair, NetworkModel, TcpTransport};
 use abnn2::nn::quant::{QuantConfig, QuantizedNetwork};
+use abnn2::nn::transformer::QuantizedTransformer;
 use abnn2::nn::{Network, SyntheticMnist};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -314,11 +319,72 @@ fn cold_session_sending_ahead_over_tcp_is_bit_exact() {
     assert_eq!(logits, expected);
 }
 
-/// One session of the 196-16-16-10 (2,2) MLP over a 100 s RTT link with
-/// bandwidth too large to charge: each phase's virtual time, split as the
-/// table binaries split it, is its one-way trips times 50 s, compute being
-/// milliseconds. Returns the offline and online phases in trips.
-fn trips_per_phase(variant: ReluVariant) -> (f64, f64) {
+/// The server's online phase over a bundle it brings (here dealt) returns
+/// with its last frame on the wire, not in `TcpTransport`'s coalescing
+/// buffer: the server keeps its transport open until the client holds what
+/// the phase opened — the logit shares of `online`, the one-byte masked
+/// class of `online_classify` — under a watchdog that fails the test
+/// instead of letting the two parties wait on each other.
+#[test]
+fn online_phase_flushes_its_last_frame_over_tcp() {
+    let q = trained_quantized(FragmentScheme::signed_bit_fields(&[2, 2]), 2, 32, 46);
+    let x = inputs_fp(&q, 1, 47).remove(0);
+    let expected = q.forward_exact(&x);
+    let class = abnn2::nn::model::argmax(&q.config.output_codec().decode_vec(&expected));
+    for classify in [false, true] {
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let (q, x) = (q.clone(), x.clone());
+        std::thread::spawn(move || {
+            let (sb, cb) = dealer_bundle(&q, 1, &mut StdRng::seed_from_u64(48));
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            let addr = listener.local_addr().expect("addr");
+            let server = SecureServer::for_model(q);
+            let client = SecureClient::for_model(server.public_model());
+            let (held_tx, held) = std::sync::mpsc::channel::<()>();
+            let got = std::thread::scope(|scope| {
+                scope.spawn(move || {
+                    let (stream, _) = listener.accept().expect("accept");
+                    let mut ch = TcpTransport::from_stream(stream).expect("wrap");
+                    let yao = YaoEvaluator::setup(&mut ch, &mut StdRng::seed_from_u64(49));
+                    let state = ServerOffline::from_bundle(yao.expect("setup"), sb);
+                    if classify {
+                        server.online_classify(&mut ch, state).expect("server online");
+                    } else {
+                        server.online(&mut ch, state).expect("server online");
+                    }
+                    // The transport stays open until the client has its result.
+                    let _ = held.recv();
+                });
+                let held_tx = held_tx;
+                let mut ch = TcpTransport::connect(addr).expect("connect");
+                let mut rng = StdRng::seed_from_u64(50);
+                let yao = YaoGarbler::setup(&mut ch, &mut rng).expect("setup");
+                let state = ClientOffline::from_bundle(yao, cb);
+                let got = if classify {
+                    let classes = client.online_classify(&mut ch, state, &[x], &mut rng);
+                    classes.map(|c| vec![c[0] as u64])
+                } else {
+                    client.online_raw(&mut ch, state, &[x], &mut rng).map(|y| y.col(0))
+                };
+                let _ = held_tx.send(());
+                got.expect("client online")
+            });
+            let _ = done_tx.send(got);
+        });
+        let got = done
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the client waited for a frame the server never flushed");
+        let want = if classify { vec![class as u64] } else { expected.clone() };
+        assert_eq!(got, want, "classify: {classify}");
+    }
+}
+
+/// A served model, one input and the input's oracle logits.
+type Case = (ServedModel, Vec<u64>, Vec<u64>);
+
+/// The 196-16-16-10 (2,2) MLP the trips are counted on, with one input in
+/// `[0, 1)` at 8 fractional bits.
+fn slim_mlp() -> Case {
     let config = QuantConfig {
         ring: Ring::new(32),
         frac_bits: 8,
@@ -327,20 +393,52 @@ fn trips_per_phase(variant: ReluVariant) -> (f64, f64) {
     };
     let q = QuantizedNetwork::quantize(&Network::new(&[196, 16, 16, 10], 41), config);
     let mut rng = StdRng::seed_from_u64(42);
-    // Pixels in [0, 1) at 8 fractional bits.
     let x: Vec<u64> = (0..196).map(|_| rng.gen_range(0..256)).collect();
     let expected = q.forward_exact(&x);
-    let server = SecureServer::for_model(q).with_variant(variant);
-    let client = SecureClient::for_model(server.public_model()).with_variant(variant);
+    (q.into(), x, expected)
+}
+
+/// An encoder block (sequence 4, width 4, feed-forward 8, 3 classes) with
+/// one input in `[-1, 1)`.
+fn encoder_block() -> Case {
+    let config = QuantConfig {
+        ring: Ring::new(16),
+        frac_bits: 6,
+        weight_frac_bits: 2,
+        scheme: FragmentScheme::optimal(3),
+    };
+    let mut rng = StdRng::seed_from_u64(45);
+    let model = QuantizedTransformer::random(4, 4, 8, 3, config, &mut rng).expect("encoder");
+    let (ring, f) = (model.config.ring, model.config.frac_bits);
+    let x: Vec<u64> = (0..model.seq * model.d)
+        .map(|_| ring.reduce(rng.gen_range(-(1i64 << f)..1i64 << f) as u64))
+        .collect();
+    let expected = model.forward_exact(&x);
+    (model.into(), x, expected)
+}
+
+/// One cold session of `case` over a 100 s RTT link with bandwidth too
+/// large to charge: each phase's virtual time, split as the table binaries
+/// split it, is its one-way trips times 50 s, compute being milliseconds.
+/// Returns the offline and online phases in trips.
+fn trips_per_phase((served, x, expected): Case, variant: ReluVariant, silent: bool) -> (f64, f64) {
+    let server = SecureServer::for_model(served).with_variant(variant);
+    let client =
+        SecureClient::for_model(server.public_model()).with_variant(variant).with_silent(silent);
     let rtt = Duration::from_secs(100);
     let ((s_mid, s_end), (c_mid, c_end, y), _) = run_pair(
         NetworkModel::new(rtt, 1e15),
         move |ch| {
-            let mut rng = StdRng::seed_from_u64(43);
-            let state = server.offline(ch, 1, &mut rng).expect("server offline");
-            let mid = ch.snapshot();
-            server.online(ch, state).expect("server online");
-            (mid, ch.snapshot())
+            let mut driver = server.driver(1, &mut StdRng::seed_from_u64(43)).expect("driver");
+            let mut mid = None;
+            drive_frames_with(ch, &mut driver, |ch, effect| {
+                if matches!(effect, DriverEffect::Mark(label) if label == "online") {
+                    mid = Some(ch.snapshot());
+                }
+                Ok(())
+            })
+            .expect("server");
+            (mid.expect("the session reached its online phase"), ch.snapshot())
         },
         move |ch| {
             let mut rng = StdRng::seed_from_u64(44);
@@ -350,7 +448,7 @@ fn trips_per_phase(variant: ReluVariant) -> (f64, f64) {
             (mid, ch.snapshot(), y)
         },
     );
-    assert_eq!(y.col(0), expected, "{variant:?}: logits must be bit-exact");
+    assert_eq!(y.col(0), expected, "{variant:?}/silent {silent}: logits must be bit-exact");
     let offline = s_mid.vtime.max(c_mid.vtime);
     let online = s_end.vtime.max(c_end.vtime).saturating_sub(offline);
     let trip = (rtt / 2).as_secs_f64();
@@ -358,17 +456,24 @@ fn trips_per_phase(variant: ReluVariant) -> (f64, f64) {
 }
 
 /// The served code's cost in the paper's WAN terms: one-way trips a phase
-/// takes on the virtual clock. The evaluator's label-OT columns leave when
-/// a re-share op is entered, so the optimized ReLU's second circuit no
-/// longer waits a round trip for them (13 online trips before); on the
-/// oblivious path that moved work off the critical path, not a trip.
+/// takes on the virtual clock, for a cold session of the slim MLP over
+/// IKNP and silent OT and of the encoder block over both. The evaluator's
+/// label-OT columns leave when a re-share op is entered, so the optimized
+/// ReLU's second circuit no longer waits a round trip for them (13 online
+/// trips before); on the oblivious path that moved work off the critical
+/// path, not a trip.
 #[test]
 fn one_way_trips_per_phase_on_a_wan() {
-    let (offline, online) = trips_per_phase(ReluVariant::Oblivious);
-    println!("oblivious: offline {offline:.3} trips, online {online:.3} trips");
-    assert_eq!(offline.round(), 7.0, "oblivious offline trips: {offline}");
-    assert_eq!(online.round(), 5.0, "oblivious online trips: {online}");
-    let (_, online) = trips_per_phase(ReluVariant::Optimized);
-    println!("optimized: online {online:.3} trips");
-    assert_eq!(online.round(), 9.0, "optimized online trips: {online}");
+    use ReluVariant::{Oblivious, Optimized};
+    for (what, case, variant, silent, want) in [
+        ("MLP", slim_mlp(), Oblivious, false, (7.0, 5.0)),
+        ("MLP, optimized ReLU", slim_mlp(), Optimized, false, (7.0, 9.0)),
+        ("MLP, silent OT", slim_mlp(), Oblivious, true, (11.0, 5.0)),
+        ("encoder", encoder_block(), Oblivious, false, (13.0, 13.0)),
+        ("encoder, silent OT", encoder_block(), Oblivious, true, (15.0, 13.0)),
+    ] {
+        let (offline, online) = trips_per_phase(case, variant, silent);
+        println!("{what}: offline {offline:.3} trips, online {online:.3} trips");
+        assert_eq!((offline.round(), online.round()), want, "{what}: {offline} / {online}");
+    }
 }

@@ -271,7 +271,7 @@ fn mismatched_batch_dimensions_rejected_before_io() {
     let (mut a, _b) = Endpoint::pair(NetworkModel::instant());
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
     assert_eq!(
-        server.offline(&mut a, 0, &mut rng).err(),
+        server.run(&mut a, 0, &mut rng).err(),
         Some(ProtocolError::Dimension("batch must be positive"))
     );
     let (mut c, _d) = Endpoint::pair(NetworkModel::instant());

@@ -20,11 +20,12 @@
 //!   OT-extension lineage its first one left in the client's slot, on
 //!   fresh inputs and over an in-process dialer, is as exact as the first.
 
+use abnn2::core::graph::server_offline_with;
 use abnn2::core::inference::{ClientOffline, ServerOffline};
 use abnn2::core::resilient::ResilientServer;
 use abnn2::core::{
-    dealer_bundle_for, ClientBundle, ClientLineage, OfflineMode, ReluVariant, SecureClient,
-    SecureServer, ServedModel, ServerBundle, ServerLineage, SessionDeadlines,
+    dealer_bundle_for, ClientBundle, ClientLineage, ExecConfig, OfflineMode, ReluVariant,
+    SecureClient, SecureServer, ServedModel, ServerBundle, ServerLineage, SessionDeadlines,
 };
 use abnn2::math::{FragmentScheme, Matrix, Ring};
 use abnn2::net::{sim_link, Endpoint, InstrumentedTransport, NetworkModel, RetryPolicy, TagStats};
@@ -280,10 +281,16 @@ fn run_session(
             let mut ch = InstrumentedTransport::new(ep_s);
             let mut rng = StdRng::seed_from_u64(seed);
             let session = ServerLineage::setup_with(&mut ch, mode, &mut rng).expect("setup");
-            let state = match dealt_s {
-                Some(bundle) => ServerOffline::from_bundle(session.yao.expect("Yao half"), bundle),
-                None => server.offline_with(&mut ch, session, batch, &mut rng).expect("offline"),
-            };
+            let mut yao = session.yao.expect("Yao half");
+            let bundle = dealt_s.unwrap_or_else(|| {
+                let sg = served.secure_graph(batch).expect("valid batch");
+                let exec = ExecConfig::new().with_variant(variant);
+                let kk = session.kk.expect("fragment half");
+                let offline =
+                    server_offline_with(&mut ch, kk, &mut yao, served, &sg, exec, &mut rng);
+                offline.expect("offline").0
+            });
+            let state = ServerOffline::from_bundle(yao, bundle);
             let (bundle, before) = (state.to_bundle(), ch.handle().tags());
             server.online(&mut ch, state).expect("server online");
             (bundle, frames_between(&before, &ch.handle().tags()))

@@ -116,7 +116,7 @@ fn variant_mismatch_fails_negotiation_on_both_sides() {
         NetworkModel::instant(),
         move |ch| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-            server.offline(ch, 1, &mut rng).map(|_| ())
+            server.run(ch, 1, &mut rng)
         },
         move |ch| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(8);
@@ -145,7 +145,7 @@ fn batch_mismatch_fails_negotiation() {
         NetworkModel::instant(),
         move |ch| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(10);
-            server.offline(ch, 2, &mut rng).map(|_| ())
+            server.run(ch, 2, &mut rng)
         },
         move |ch| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(11);
@@ -164,7 +164,7 @@ fn non_protocol_peer_is_handshake_error() {
         NetworkModel::instant(),
         move |ch| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-            server.offline(ch, 1, &mut rng).map(|_| ())
+            server.run(ch, 1, &mut rng)
         },
         move |ch| {
             ch.send(b"GET / HTTP/1.1\r\nHost: example\r\n\r\n").unwrap();
