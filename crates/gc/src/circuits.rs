@@ -177,33 +177,6 @@ where
     b.build_lanes(outs, groups, &garbler_runs, &share_runs)
 }
 
-/// Algorithm 2's circuit for `f = ReLU` on one neuron (the fully-oblivious
-/// activation): `z₀ = ReLU(y₀ + y₁) − z₁`.
-///
-/// AND-gate cost: (ℓ−1) add + ℓ relu + (ℓ−1) sub = 3ℓ − 2.
-#[must_use]
-pub fn relu_reshare_circuit(bits: usize) -> Circuit {
-    relu_trunc_reshare_vec_circuit(bits, 1, 0)
-}
-
-/// Phase 1 of the paper's *optimized* ReLU: only the comparison
-/// `y₀ + y₁ ≥ 0` is computed inside the circuit and revealed (ℓ−1 ANDs).
-///
-/// Inputs: garbler `y₁`, evaluator `y₀`; output: one bit (1 iff the neuron
-/// is non-negative). Revealing it is the paper's trade-off: negative
-/// neurons then skip the reconstruction circuit entirely.
-#[must_use]
-pub fn relu_sign_circuit(bits: usize) -> Circuit {
-    relu_sign_vec_circuit(bits, 1)
-}
-
-/// Phase 2 of the optimized ReLU on one neuron: reconstruct and re-share,
-/// `z₀ = (y₀ + y₁) − z₁` (2ℓ−2 ANDs).
-#[must_use]
-pub fn reconstruct_reshare_circuit(bits: usize) -> Circuit {
-    reconstruct_trunc_reshare_vec_circuit(bits, 1, 0)
-}
-
 /// Arithmetic shift right by `k` bits — free (pure rewiring): low bits are
 /// dropped and the sign wire is replicated at the top.
 ///
@@ -224,14 +197,16 @@ pub fn sar_word(x: &Word, k: usize) -> Word {
 ///
 /// The arithmetic shift is free inside the circuit (rewiring), which is how
 /// the secure pipeline truncates products *exactly* instead of using
-/// probabilistic local share truncation.
+/// probabilistic local share truncation. AND gates per neuron: (ℓ−1) add +
+/// ℓ relu + (ℓ−1) sub = 3ℓ − 2.
 #[must_use]
 pub fn relu_trunc_reshare_vec_circuit(bits: usize, n: usize, shift: usize) -> Circuit {
     reshare_circuit(bits, 1, n, 1, 1, |b, y| vec![relu(b, &sar_word(&y[0][0], shift))])
 }
 
 /// Vectorized phase-1 comparison for the optimized ReLU: one output bit per
-/// neuron (`1` iff non-negative).
+/// neuron (`1` iff non-negative), ℓ−1 ANDs each. Revealing it is the
+/// paper's trade-off: negative neurons then skip the reconstruction circuit.
 #[must_use]
 pub fn relu_sign_vec_circuit(bits: usize, n: usize) -> Circuit {
     let mut b = CircuitBuilder::new();
@@ -243,7 +218,7 @@ pub fn relu_sign_vec_circuit(bits: usize, n: usize) -> Circuit {
 }
 
 /// Vectorized phase-2 reconstruct-truncate-reshare:
-/// `z₀ = ((y₀ + y₁) ≫ₐ shift) − z₁` per neuron.
+/// `z₀ = ((y₀ + y₁) ≫ₐ shift) − z₁` per neuron (2ℓ−2 ANDs).
 #[must_use]
 pub fn reconstruct_trunc_reshare_vec_circuit(bits: usize, n: usize, shift: usize) -> Circuit {
     reshare_circuit(bits, 1, n, 1, 1, |_, y| vec![sar_word(&y[0][0], shift)])
@@ -752,15 +727,15 @@ mod tests {
 
     #[test]
     fn relu_reshare_and_count() {
-        assert_eq!(relu_reshare_circuit(32).and_count(), 3 * 32 - 2);
-        assert_eq!(relu_sign_circuit(32).and_count(), 31);
-        assert_eq!(reconstruct_reshare_circuit(32).and_count(), 2 * 32 - 2);
+        assert_eq!(relu_trunc_reshare_vec_circuit(32, 1, 0).and_count(), 3 * 32 - 2);
+        assert_eq!(relu_sign_vec_circuit(32, 1).and_count(), 31);
+        assert_eq!(reconstruct_trunc_reshare_vec_circuit(32, 1, 0).and_count(), 2 * 32 - 2);
     }
 
     #[test]
     fn relu_known_values() {
         let ring = Ring::new(16);
-        let c = relu_reshare_circuit(16);
+        let c = relu_trunc_reshare_vec_circuit(16, 1, 0);
         for (y, expect) in [(5i64, 5u64), (-5, 0), (0, 0), (32767, 32767), (-32768, 0)] {
             let y_ring = ring.from_i64(y);
             let y1 = 0x1234u64 & ring.mask();
@@ -774,7 +749,7 @@ mod tests {
     #[test]
     fn sign_circuit_known_values() {
         let ring = Ring::new(8);
-        let c = relu_sign_circuit(8);
+        let c = relu_sign_vec_circuit(8, 1);
         for y in [-128i64, -1, 0, 1, 127] {
             let y_ring = ring.from_i64(y);
             let y1 = 0x5Au64;
@@ -963,7 +938,7 @@ mod tests {
         fn relu_reshare_matches_plaintext(bits in 2usize..=32, y0: u64, y1: u64, z1: u64) {
             let ring = Ring::new(bits as u32);
             let (y0, y1, z1) = (ring.reduce(y0), ring.reduce(y1), ring.reduce(z1));
-            let c = relu_reshare_circuit(bits);
+            let c = relu_trunc_reshare_vec_circuit(bits, 1, 0);
             let z0 = eval_two_words(&c, &[y1, z1], &[y0], bits);
             let y = ring.add(y0, y1);
             let expect = if ring.is_negative(y) { 0 } else { y };

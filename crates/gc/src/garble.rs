@@ -485,7 +485,7 @@ mod tests {
 
     #[test]
     fn relu_circuit_garbles_correctly() {
-        let c = circuits::relu_reshare_circuit(16);
+        let c = circuits::relu_trunc_reshare_vec_circuit(16, 1, 0);
         let g_bits: Vec<bool> =
             u64_to_bits(0xABCD, 16).into_iter().chain(u64_to_bits(0x0102, 16)).collect();
         let e_bits = u64_to_bits(0x7FFF, 16);
@@ -494,7 +494,7 @@ mod tests {
 
     #[test]
     fn corrupted_table_changes_output_or_is_detected() {
-        let c = circuits::relu_reshare_circuit(8);
+        let c = circuits::relu_trunc_reshare_vec_circuit(8, 1, 0);
         let g_bits = vec![false; 16];
         let e_bits = u64_to_bits(0x55, 8);
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
@@ -526,7 +526,7 @@ mod tests {
 
     #[test]
     fn mismatched_material_is_rejected() {
-        let c = circuits::relu_reshare_circuit(8);
+        let c = circuits::relu_trunc_reshare_vec_circuit(8, 1, 0);
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         let (gc, labels) = garble(&c, &mut rng);
         let g = labels.select_garbler(&[false; 16]);

@@ -255,7 +255,7 @@ mod tests {
     fn two_party_relu_reshare() {
         let bits = 16;
         let ring = Ring::new(bits as u32);
-        let circuit = circuits::relu_reshare_circuit(bits);
+        let circuit = circuits::relu_trunc_reshare_vec_circuit(bits, 1, 0);
         for y in [-2000i64, -1, 0, 1, 12345] {
             let y_ring = ring.from_i64(y);
             let y1 = 0x3C3Cu64;
@@ -274,7 +274,7 @@ mod tests {
     fn two_party_sign_circuit() {
         let bits = 12;
         let ring = Ring::new(bits as u32);
-        let circuit = circuits::relu_sign_circuit(bits);
+        let circuit = circuits::relu_sign_vec_circuit(bits, 1);
         for y in [-100i64, 100] {
             let y1 = 0x123u64 & ring.mask();
             let y0 = ring.sub(ring.from_i64(y), y1);
@@ -286,7 +286,7 @@ mod tests {
     #[test]
     fn consecutive_circuits_reuse_session() {
         let bits = 8;
-        let circuit = circuits::reconstruct_reshare_circuit(bits);
+        let circuit = circuits::reconstruct_trunc_reshare_vec_circuit(bits, 1, 0);
         let c1 = circuit.clone();
         let c2 = circuit.clone();
         let ring = Ring::new(8);
@@ -324,8 +324,8 @@ mod tests {
         // not carry the large one's tail.
         let bits = 16;
         let ring = Ring::new(bits as u32);
-        let big = circuits::relu_reshare_circuit(bits);
-        let small = circuits::relu_sign_circuit(bits);
+        let big = circuits::relu_trunc_reshare_vec_circuit(bits, 1, 0);
+        let small = circuits::relu_sign_vec_circuit(bits, 1);
         let sizes = 1 + table_bytes(&big);
         assert!(small.and_count() < big.and_count());
         let plan = [(big.clone(), true), (small.clone(), false), (big, true)];

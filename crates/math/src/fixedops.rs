@@ -217,6 +217,9 @@ mod tests {
                 assert_eq!(sar(&ring, ring.from_i64(v), k), ring.from_i64(v >> k));
             }
         }
+        assert_eq!(ring.to_i64(sar(&ring, ring.from_i64(-8), 2)), -2);
+        assert_eq!(ring.to_i64(sar(&ring, ring.from_i64(7), 1)), 3);
+        assert_eq!(ring.to_i64(sar(&ring, ring.from_i64(-7), 1)), -4); // floor
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! * [`sim_link`] — a dialer/listener factory minting fresh [`Endpoint`]
 //!   pairs, so reconnect-and-resume flows can be exercised in-process,
 //! * [`ResilientDriver`] — connect → run → reconnect cycles under a
-//!   [`RetryPolicy`] (capped exponential backoff with deterministic jitter)
+//!   [`RetryPolicy`] (capped exponential backoff, jittered per run)
 //!   for any error type implementing [`Retryable`].
 //!
 //! Deadlines are first-class: [`Transport::set_read_timeout`] bounds how

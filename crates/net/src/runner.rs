@@ -2,6 +2,8 @@
 
 use crate::transport::TransportError;
 use crate::{CommSnapshot, Endpoint, NetworkModel};
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
 use std::time::{Duration, Instant};
 
 /// End-of-run traffic and timing report for a two-party execution.
@@ -92,14 +94,12 @@ impl Retryable for TransportError {
     }
 }
 
-/// Reconnection schedule: capped exponential backoff with deterministic
-/// jitter.
+/// Reconnection schedule: capped exponential backoff with jitter.
 ///
 /// Attempt `k` (0-based) sleeps `min(base_delay * 2^k, max_delay)` scaled by
-/// a jitter factor in `[0.5, 1.0]` derived from `jitter_seed` and `k`
-/// (SplitMix64), so two parties retrying simultaneously with different seeds
-/// do not reconnect in lockstep, yet every schedule is reproducible in
-/// tests.
+/// a jitter factor in `[0.5, 1.0]` derived from a per-run salt and `k`
+/// (SplitMix64). [`ResilientDriver::run`] draws the salt from the OS, so two
+/// clients retrying at once do not reconnect in lockstep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total connection attempts (first try included). Must be ≥ 1.
@@ -108,8 +108,6 @@ pub struct RetryPolicy {
     pub base_delay: Duration,
     /// Upper bound on any single backoff sleep.
     pub max_delay: Duration,
-    /// Seed for the deterministic jitter stream.
-    pub jitter_seed: u64,
 }
 
 impl Default for RetryPolicy {
@@ -118,7 +116,6 @@ impl Default for RetryPolicy {
             max_attempts: 4,
             base_delay: Duration::from_millis(50),
             max_delay: Duration::from_secs(2),
-            jitter_seed: 0,
         }
     }
 }
@@ -128,24 +125,19 @@ impl RetryPolicy {
     /// must not sleep.
     #[must_use]
     pub fn no_delay(max_attempts: u32) -> Self {
-        RetryPolicy {
-            max_attempts,
-            base_delay: Duration::ZERO,
-            max_delay: Duration::ZERO,
-            jitter_seed: 0,
-        }
+        RetryPolicy { max_attempts, base_delay: Duration::ZERO, max_delay: Duration::ZERO }
     }
 
     /// The backoff sleep before retry number `attempt` (1-based retry index:
-    /// `backoff(1)` precedes the second connection attempt).
+    /// `backoff(1, salt)` precedes the second connection attempt) of the run
+    /// that drew `salt`.
     #[must_use]
-    pub fn backoff(&self, attempt: u32) -> Duration {
+    pub fn backoff(&self, attempt: u32, salt: u64) -> Duration {
         let exp = attempt.saturating_sub(1).min(20);
         let raw = self.base_delay.saturating_mul(1u32 << exp);
         let capped = raw.min(self.max_delay);
-        // SplitMix64 on (seed, attempt) -> jitter factor in [0.5, 1.0].
-        let mut z =
-            self.jitter_seed.wrapping_add(u64::from(attempt)).wrapping_add(0x9E37_79B9_7F4A_7C15);
+        // SplitMix64 on (salt, attempt) -> jitter factor in [0.5, 1.0].
+        let mut z = salt.wrapping_add(u64::from(attempt)).wrapping_add(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
@@ -176,7 +168,7 @@ impl ResilientDriver {
 
     /// Runs `body` over transports minted by `connect`, reconnecting and
     /// retrying on retryable errors until the policy's attempt budget is
-    /// exhausted.
+    /// exhausted. Each run jitters its backoff with a salt of its own.
     ///
     /// `connect(attempt)` establishes a fresh transport for the given
     /// 0-based attempt; `body(&mut transport, attempt)` runs the protocol.
@@ -198,11 +190,12 @@ impl ResilientDriver {
         F: FnMut(&mut T, u32) -> Result<S, E>,
     {
         let attempts = self.policy.max_attempts.max(1);
+        let salt = run_salt();
         let mut last_err: Option<E> = None;
         for attempt in 0..attempts {
             if attempt > 0 {
                 let hint = last_err.as_ref().and_then(E::retry_after).filter(|d| !d.is_zero());
-                let pause = hint.unwrap_or_else(|| self.policy.backoff(attempt));
+                let pause = hint.unwrap_or_else(|| self.policy.backoff(attempt, salt));
                 if !pause.is_zero() {
                     std::thread::sleep(pause);
                 }
@@ -231,6 +224,11 @@ impl ResilientDriver {
         }
         Err(last_err.expect("at least one attempt ran"))
     }
+}
+
+/// A backoff salt from std's OS-keyed [`RandomState`], fresh on every call.
+fn run_salt() -> u64 {
+    RandomState::new().build_hasher().finish()
 }
 
 #[cfg(test)]
@@ -298,19 +296,31 @@ mod tests {
             max_attempts: 8,
             base_delay: Duration::from_millis(100),
             max_delay: Duration::from_millis(450),
-            jitter_seed: 3,
         };
-        // Jitter keeps each sleep within [0.5, 1.0] of the capped nominal.
-        for (attempt, nominal_ms) in [(1u32, 100u64), (2, 200), (3, 400), (4, 450), (9, 450)] {
-            let b = p.backoff(attempt);
-            let nominal = Duration::from_millis(nominal_ms);
-            assert!(b >= nominal / 2, "attempt {attempt}: {b:?} < {:?}", nominal / 2);
-            assert!(b <= nominal, "attempt {attempt}: {b:?} > {nominal:?}");
+        // Jitter keeps each sleep within [0.5, 1.0] of the capped nominal,
+        // whatever the salt.
+        for salt in [0, 3, u64::MAX, run_salt()] {
+            for (attempt, nominal_ms) in [(1u32, 100u64), (2, 200), (3, 400), (4, 450), (9, 450)] {
+                let b = p.backoff(attempt, salt);
+                let nominal = Duration::from_millis(nominal_ms);
+                assert!(b >= nominal / 2, "attempt {attempt}: {b:?} < {:?}", nominal / 2);
+                assert!(b <= nominal, "attempt {attempt}: {b:?} > {nominal:?}");
+            }
         }
-        // Deterministic per (seed, attempt); varies across seeds.
-        assert_eq!(p.backoff(2), p.backoff(2));
-        let q = RetryPolicy { jitter_seed: 4, ..p };
-        assert_ne!(p.backoff(2), q.backoff(2));
+        // A function of (salt, attempt); varies across salts.
+        assert_eq!(p.backoff(2, 3), p.backoff(2, 3));
+        assert_ne!(p.backoff(2, 3), p.backoff(2, 4));
+    }
+
+    /// The bug this pins: the jitter used to come from a policy field that
+    /// defaulted to 0, so every client that did not set it backed off on
+    /// one schedule. Each run of a default driver now salts its own.
+    #[test]
+    fn two_runs_draw_different_salts_and_schedules() {
+        let p = RetryPolicy::default();
+        let (a, b) = (run_salt(), run_salt());
+        assert_ne!(a, b);
+        assert_ne!(p.backoff(1, a), p.backoff(1, b));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!
 //! Data layout: channel-major (CHW) flattened vectors of ring elements.
 
-use crate::quant::sar;
 use crate::QuantizedDense;
+use abnn2_math::fixedops::sar;
 use abnn2_math::{Matrix, Ring};
 use serde::{Deserialize, Serialize};
 
@@ -240,7 +240,7 @@ impl QuantizedCnn {
         let activated: Vec<u64> = acc
             .iter()
             .map(|&v| {
-                let t = sar(ring, v, fw);
+                let t = sar(&ring, v, fw);
                 if ring.is_negative(t) {
                     0
                 } else {
@@ -262,7 +262,7 @@ impl QuantizedCnn {
             a = acc
                 .iter()
                 .map(|&v| {
-                    let t = sar(ring, v, fw);
+                    let t = sar(&ring, v, fw);
                     if ring.is_negative(t) {
                         0
                     } else {

@@ -14,6 +14,7 @@
 
 use crate::data::Sample;
 use crate::model::{argmax, Network};
+use abnn2_math::fixedops::sar;
 use abnn2_math::{FixedPoint, FragmentScheme, Ring};
 use serde::{Deserialize, Serialize};
 
@@ -113,12 +114,6 @@ pub struct QuantizedNetwork {
     pub layers: Vec<QuantizedDense>,
 }
 
-/// Arithmetic shift right by `k` on the signed lift (the truncation step).
-#[must_use]
-pub fn sar(ring: Ring, v: u64, k: u32) -> u64 {
-    ring.from_i64(ring.to_i64(v) >> k)
-}
-
 impl QuantizedNetwork {
     /// Quantizes a trained float network under `config`.
     ///
@@ -182,7 +177,7 @@ impl QuantizedNetwork {
             a = acc
                 .iter()
                 .map(|&v| {
-                    let t = sar(ring, v, fw);
+                    let t = sar(&ring, v, fw);
                     if ring.is_negative(t) {
                         0
                     } else {
@@ -232,14 +227,6 @@ mod tests {
             net.train_epoch(&data.train, 0.05);
         }
         (net, data)
-    }
-
-    #[test]
-    fn sar_matches_signed_shift() {
-        let ring = Ring::new(16);
-        assert_eq!(ring.to_i64(sar(ring, ring.from_i64(-8), 2)), -2);
-        assert_eq!(ring.to_i64(sar(ring, ring.from_i64(7), 1)), 3);
-        assert_eq!(ring.to_i64(sar(ring, ring.from_i64(-7), 1)), -4); // floor
     }
 
     #[test]

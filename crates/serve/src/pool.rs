@@ -84,8 +84,8 @@ impl std::fmt::Debug for PrecomputePool {
 impl PrecomputePool {
     /// Starts a pool keeping up to `depth` ready pairs for each batch size
     /// in `batches` under each offline mode in `modes` (their cross
-    /// product), producing from `model` (MLP or CNN) with a deterministic
-    /// RNG seeded by `seed`. The dealer bundle *content* is
+    /// product), producing from `model` (MLP or CNN) with an RNG drawn from
+    /// the OS. The dealer bundle *content* is
     /// mode-independent — only the key differs — but keying per mode means
     /// a session can only ever drain a bundle pooled for its own
     /// negotiated mode.
@@ -102,7 +102,6 @@ impl PrecomputePool {
         batches: &[usize],
         modes: &[OfflineMode],
         depth: usize,
-        seed: u64,
     ) -> Self {
         assert!(depth > 0, "pool depth must be positive");
         assert!(!batches.is_empty(), "pool needs at least one batch size");
@@ -129,7 +128,7 @@ impl PrecomputePool {
             std::thread::Builder::new()
                 .name("abnn2-pool".into())
                 .spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(seed);
+                    let mut rng = StdRng::from_entropy();
                     producer_loop(&shared, &model, &entries, depth, &mut rng);
                 })
                 .expect("spawn pool producer")
@@ -141,8 +140,7 @@ impl PrecomputePool {
             model,
             entries,
             depth,
-            // A stream of its own, whatever the producer has drawn.
-            dealer: Mutex::new(StdRng::seed_from_u64(seed ^ 0x6465_616C)),
+            dealer: Mutex::new(StdRng::from_entropy()),
         }
     }
 
@@ -300,13 +298,8 @@ mod tests {
     fn pool_fills_serves_hits_and_refills() {
         let model = Arc::new(ServedModel::from(tiny()));
         let graph = model.graph();
-        let pool = PrecomputePool::start_with_modes(
-            Arc::clone(&model),
-            &[1, 2],
-            &[OfflineMode::Iknp],
-            2,
-            99,
-        );
+        let pool =
+            PrecomputePool::start_with_modes(Arc::clone(&model), &[1, 2], &[OfflineMode::Iknp], 2);
         let k1 = BundleKey::for_graph(&graph, 1);
         let k2 = BundleKey::for_graph(&graph, 2);
 
@@ -338,7 +331,7 @@ mod tests {
         let model = Arc::new(ServedModel::from(tiny()));
         let key = BundleKey::for_graph(&model.graph(), 1);
         let pool =
-            PrecomputePool::start_with_modes(Arc::clone(&model), &[1], &[OfflineMode::Iknp], 1, 7);
+            PrecomputePool::start_with_modes(Arc::clone(&model), &[1], &[OfflineMode::Iknp], 1);
         assert!(pool.wait_ready(&key, 1, Duration::from_secs(10)));
         pool.shutdown();
         // Post-shutdown takes drain what is buffered, then miss.
@@ -356,7 +349,7 @@ mod tests {
         let model = Arc::new(ServedModel::from(tiny()));
         let key = BundleKey::for_graph(&model.graph(), 1);
         let pool =
-            PrecomputePool::start_with_modes(Arc::clone(&model), &[1], &[OfflineMode::Iknp], 1, 7);
+            PrecomputePool::start_with_modes(Arc::clone(&model), &[1], &[OfflineMode::Iknp], 1);
         // Faster than any producer: every empty buffer is dealt for.
         for _ in 0..50 {
             let (sb, cb) = pool.take(&key).expect("a produced key is always served");

@@ -45,9 +45,9 @@
 //!    possibly-poisoned checkpoint discarded — while the worker and its
 //!    sibling sessions keep running. A panic that escapes a worker's loop
 //!    is caught on the worker's own thread, which **restarts** the loop
-//!    after a short pause at the same index (its waker) with a freshly
-//!    salted seed; there is no supervisor thread. Busy rejections carry a
-//!    `retry_after_ms` hint derived from queue depth and occupancy.
+//!    after a short pause at the same index (its waker) with coins drawn
+//!    afresh from the OS; there is no supervisor thread. Busy rejections
+//!    carry a `retry_after_ms` hint derived from queue depth and occupancy.
 //!
 //! A server with W workers runs W + 1 threads, W + 2 with a pool.
 //!
@@ -115,8 +115,6 @@ pub struct ServeConfig {
     pub exec: ExecConfig,
     /// Per-session resource budgets and chaos knobs.
     pub governor: GovernorConfig,
-    /// Seed for the per-worker and pool RNGs.
-    pub seed: u64,
 }
 
 impl Default for ServeConfig {
@@ -132,7 +130,6 @@ impl Default for ServeConfig {
             checkpoint_capacity: DEFAULT_CHECKPOINT_CAPACITY,
             exec: ExecConfig::new(),
             governor: GovernorConfig::default(),
-            seed: 0xAB22_5E21,
         }
     }
 }
@@ -225,8 +222,6 @@ impl Server {
                 &config.pool_batches,
                 &config.pool_modes,
                 config.pool_depth * config.workers,
-                // Distinct stream from the workers.
-                config.seed ^ 0x706F_6F6C,
             )
         });
         let shared = Arc::new(Shared {
@@ -513,9 +508,9 @@ impl ParkClocks {
 /// panic that escapes [`worker_loop`] (an injected chaos panic, or a bug
 /// outside every session's guarded sweep) is caught here and counted, and
 /// after [`RESTART_PAUSE`] the loop re-enters at the same index — the same
-/// waker — with the next generation's seed, so a restart never replays
-/// the randomness its predecessor was seeded with. It restarts during a
-/// drain too, so a connection queued when the loop died is still claimed.
+/// waker. Every entry draws its RNG from the OS, so a restart never replays
+/// its predecessor's randomness. It restarts during a drain too, so a
+/// connection queued when the loop died is still claimed.
 /// The loop's live sessions carry over: each was swept under its own
 /// guard, and dropping them would leave them counted active forever.
 fn spawn_worker(shared: &Arc<Shared>, worker: usize) -> JoinHandle<()> {
@@ -523,11 +518,9 @@ fn spawn_worker(shared: &Arc<Shared>, worker: usize) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(format!("abnn2-worker-{worker}"))
         .spawn(move || {
-            let seed = shared.config.seed.wrapping_add(1 + worker as u64);
             let mut sessions = Vec::new();
-            for generation in 0u64.. {
-                let seed = seed.wrapping_add(0x5750_0000_0000_0000_u64.wrapping_mul(generation));
-                let run = || worker_loop(&shared, worker, seed, &mut sessions);
+            loop {
+                let run = || worker_loop(&shared, worker, &mut sessions);
                 if catch_unwind(AssertUnwindSafe(run)).is_ok() {
                     return;
                 }
@@ -778,13 +771,8 @@ impl<'a> LiveSession<'a> {
     }
 }
 
-fn worker_loop<'a>(
-    shared: &'a Shared,
-    worker: usize,
-    seed: u64,
-    sessions: &mut Vec<LiveSession<'a>>,
-) {
-    let mut rng = StdRng::seed_from_u64(seed);
+fn worker_loop<'a>(shared: &'a Shared, worker: usize, sessions: &mut Vec<LiveSession<'a>>) {
+    let mut rng = StdRng::from_entropy();
     loop {
         // Chaos: die right before claiming, while the queue is non-empty
         // and no lock is held — the queued connection must survive the

@@ -71,7 +71,6 @@ fn main() {
         max_attempts: 4,
         base_delay: Duration::from_millis(50),
         max_delay: Duration::from_secs(1),
-        jitter_seed: 7,
     };
 
     let server = ResilientServer::new(SecureServer::for_model(q.clone()))

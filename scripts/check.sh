@@ -363,6 +363,25 @@ if [[ -n "$error_enums" ]]; then
   exit 1
 fi
 
+# A server's coins are its own: every worker, pool and dealer RNG is drawn
+# from the OS. A seed the serving stack names is a value some other server
+# (or anyone reading the code) can name too, and with it the base-OT seeds.
+# A word match, so `seed_from_u64` (each session's seed from one draw of
+# its worker's OS-seeded RNG) passes.
+echo "==> no-seed gate: crates/serve/src names no seed outside tests and comments"
+seeds=$(find crates/serve/src -name '*.rs' -print0 |
+  xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /^#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests && !/^[[:space:]]*\/\// && /(^|[^A-Za-z0-9_])seed([^A-Za-z0-9_]|$)/ {
+      print FILENAME ":" FNR ": " $0
+    }')
+if [[ -n "$seeds" ]]; then
+  echo "$seeds" >&2
+  echo "a seed is named in crates/serve/src (server RNGs come from StdRng::from_entropy)" >&2
+  exit 1
+fi
+
 # The dev profile keeps overflow checks and debug assertions on and the
 # default backend is AES-NI where the CPU has it: the pinned transcripts
 # must also hold as the served binaries are built, over the software path.

@@ -216,7 +216,9 @@ impl<R: RngCore + ?Sized> Rng for R {}
 pub trait SeedableRng: Sized {
     fn seed_from_u64(state: u64) -> Self;
 
-    /// Seeds from process-unique entropy (address-space layout + time).
+    /// Seeds from OS entropy: the 64-bit hash of a fresh std `RandomState`,
+    /// whose keys std draws from the OS once per thread and steps on every
+    /// `new`, so each call seeds differently. Not a CSPRNG seed: 64 bits.
     fn from_entropy() -> Self {
         use std::hash::{BuildHasher, Hasher};
         let h = std::collections::hash_map::RandomState::new().build_hasher();

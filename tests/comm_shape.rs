@@ -345,47 +345,36 @@ fn kk13_masked_message_bytes_match_the_papers_gamma_n_minus_one_count() {
     assert_eq!(handle.tag(tags::BLINDED_INPUT).bytes_sent, 0);
 }
 
-/// WAN latency shows up in simulated time but not in LAN runs — the
-/// network substrate behaves like the paper's `tc`-shaped links.
+/// WAN latency shows up in simulated time — the network substrate behaves
+/// like the paper's `tc`-shaped links. The exchange's critical path is four
+/// one-way trips: the base-OT sender's `A`, the chooser's points, the
+/// ciphertexts with the KK13 columns behind them (one flight), and the
+/// masked reply. Measured compute only adds to the simulated time, so the
+/// bound is the modelled latency alone.
 #[test]
 fn wan_simulation_adds_latency() {
     let scheme = FragmentScheme::ternary();
     let ring = Ring::new(32);
-    let run = |model| {
-        let s = scheme.clone();
-        let s2 = scheme.clone();
-        let (_, _, report) = run_pair(
-            model,
-            move |ch| {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-                let mut kk =
-                    FragmentChooser::setup(ch, OfflineMode::Iknp, &mut rng).expect("setup");
-                triplet_server(
-                    ch,
-                    &mut kk,
-                    &[1, 0, -1, 1],
-                    2,
-                    2,
-                    1,
-                    &s,
-                    ring,
-                    TripletMode::OneBatch,
-                )
+    let wan = NetworkModel::wan_secureml();
+    let s = scheme.clone();
+    let (_, _, report) = run_pair(
+        wan,
+        move |ch| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+            let mut kk = FragmentChooser::setup(ch, OfflineMode::Iknp, &mut rng).expect("setup");
+            triplet_server(ch, &mut kk, &[1, 0, -1, 1], 2, 2, 1, &s, ring, TripletMode::OneBatch)
                 .expect("server")
-            },
-            move |ch| {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(10);
-                let mut kk = FragmentSender::setup(ch, OfflineMode::Iknp, &mut rng).expect("setup");
-                let r = Matrix::random(2, 1, &ring, &mut rng);
-                triplet_client(ch, &mut kk, &r, 2, &s2, ring, TripletMode::OneBatch, &mut rng)
-                    .expect("client")
-            },
-        );
-        report.simulated_time()
-    };
-    let lan = run(NetworkModel::lan());
-    let wan = run(NetworkModel::wan_secureml());
-    assert!(wan > lan + std::time::Duration::from_millis(50), "wan {wan:?} vs lan {lan:?}");
+        },
+        move |ch| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(10);
+            let mut kk = FragmentSender::setup(ch, OfflineMode::Iknp, &mut rng).expect("setup");
+            let r = Matrix::random(2, 1, &ring, &mut rng);
+            triplet_client(ch, &mut kk, &r, 2, &scheme, ring, TripletMode::OneBatch, &mut rng)
+                .expect("client")
+        },
+    );
+    let floor = 4 * wan.one_way_latency();
+    assert!(report.simulated_time() >= floor, "wan {:?} < {floor:?}", report.simulated_time());
 }
 
 /// Runs one triplet generation under `ot` with the client channel

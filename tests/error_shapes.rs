@@ -150,7 +150,7 @@ const CASES: &[Case] = &[
         entry: |ch| {
             let mut yao = YaoEvaluator::setup(ch, &mut rng(8)).expect("evaluator setup");
             arm(ch);
-            below(yao.run(ch, &circuits::relu_reshare_circuit(8), &[false; 8]))
+            below(yao.run(ch, &circuits::relu_trunc_reshare_vec_circuit(8, 1, 0), &[false; 8]))
         },
     },
     Case {

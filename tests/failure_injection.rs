@@ -90,7 +90,7 @@ fn faulty_cut_mid_setup_distinguishes_closed_from_malformed() {
 
 #[test]
 fn truncated_gc_tables_detected() {
-    let circuit = circuits::relu_reshare_circuit(8);
+    let circuit = circuits::relu_trunc_reshare_vec_circuit(8, 1, 0);
     let (evaluator_result, (), _) = run_pair(
         NetworkModel::instant(),
         move |ch| {
@@ -103,7 +103,7 @@ fn truncated_gc_tables_detected() {
             let mut garbler = YaoGarbler::setup(ch, &mut rng).expect("setup");
             // A malicious/buggy garbler for a *different* circuit: the
             // evaluator's size checks must reject the material.
-            let small = circuits::relu_sign_circuit(8);
+            let small = circuits::relu_sign_vec_circuit(8, 1);
             garbler.run(ch, &small, &[false; 8], &mut rng).ok();
         },
     );
@@ -117,7 +117,7 @@ fn truncated_gc_tables_detected() {
 /// middlebox would — must be rejected as `Malformed`, not misevaluated.
 #[test]
 fn faulty_truncated_gc_table_is_malformed() {
-    let circuit = circuits::relu_reshare_circuit(8);
+    let circuit = circuits::relu_trunc_reshare_vec_circuit(8, 1, 0);
     let circuit2 = circuit.clone();
     let (pair_g, pair_e) = Endpoint::pair(NetworkModel::instant());
     let (garbler_result, evaluator_result) = std::thread::scope(|s| {

@@ -297,11 +297,13 @@ impl Transport for Recording {
     }
 }
 
-/// A restarted worker loop is seeded afresh: one cold session from one
-/// seeded client reads the same server frames from two one-worker servers
-/// of one `seed` and different ones from a third whose worker died with
-/// the connection queued, so the restart did not replay the randomness
-/// its predecessor was seeded with.
+/// Every server draws its own coins, and a restarted worker loop draws
+/// afresh: one cold session from one seeded client reads pairwise different
+/// server frames from three one-worker servers of one default config, the
+/// second of whose worker died with the connection queued. The bug this
+/// pins: every worker's RNG used to derive from one constant config seed,
+/// so two default servers sent the same base-OT frames, and so the same
+/// OT secrets.
 #[test]
 fn a_restarted_worker_never_replays_its_predecessors_randomness() {
     let q = tiny_model(270);
@@ -332,8 +334,8 @@ fn a_restarted_worker_never_replays_its_predecessors_randomness() {
     let (c, _) = server_frames(None);
     assert_eq!((restarts_a, restarts_b), (0, 1));
     assert!(a.len() > 3, "a cold session reads its setup and offline frames");
-    assert!(a == c, "one seed, one client: the same server frames");
-    assert!(a != b, "the restarted loop drew the frames of its predecessor's seed");
+    assert!(a != c, "two default servers drew the same coins");
+    assert!(a != b && b != c, "the restarted loop drew another server's coins");
 }
 
 #[test]
