@@ -229,6 +229,15 @@ mod tests {
         (net, data)
     }
 
+    /// The rescale in `forward_exact` floors like a signed shift.
+    #[test]
+    fn sar_matches_signed_shift() {
+        let ring = Ring::new(16);
+        assert_eq!(ring.to_i64(sar(&ring, ring.from_i64(-8), 2)), -2);
+        assert_eq!(ring.to_i64(sar(&ring, ring.from_i64(7), 1)), 3);
+        assert_eq!(ring.to_i64(sar(&ring, ring.from_i64(-7), 1)), -4); // floor
+    }
+
     #[test]
     fn quantized_weights_in_domain() {
         let (net, _) = tiny_trained(21);
