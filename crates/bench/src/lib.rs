@@ -2,9 +2,8 @@
 //!
 //! Each `table{1..5}` binary reproduces one table of the paper's evaluation
 //! (see `DESIGN.md` §4 for the index and `EXPERIMENTS.md` for recorded
-//! paper-vs-measured numbers). All binaries accept `--quick` (or the
-//! environment variable `ABNN2_BENCH_QUICK=1`) to run reduced parameter
-//! sweeps on slow machines.
+//! paper-vs-measured numbers). All binaries accept `--quick` to run
+//! reduced parameter sweeps on slow machines.
 
 use abnn2_core::driver::{drive_frames_with, DriverEffect};
 use abnn2_core::inference::{SecureClient, SecureServer};
@@ -16,11 +15,10 @@ use abnn2_nn::{Network, SyntheticMnist};
 use rand::SeedableRng;
 use std::time::Duration;
 
-/// True when a reduced sweep was requested.
+/// True when a reduced sweep was requested (`--quick`).
 #[must_use]
 pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
-        || std::env::var("ABNN2_BENCH_QUICK").is_ok_and(|v| v == "1")
 }
 
 /// Prints a fixed-width ASCII table.

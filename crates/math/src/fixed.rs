@@ -6,7 +6,6 @@
 //! `encode(x) = round(x · 2^f) mod 2^ℓ`.
 
 use crate::Ring;
-use serde::{Deserialize, Serialize};
 
 /// A fixed-point codec over a [`Ring`].
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// let e = fp.encode(-1.5);
 /// assert_eq!(fp.decode(e), -1.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FixedPoint {
     ring: Ring,
     frac_bits: u32,

@@ -11,10 +11,9 @@
 //! digit values, so a signed digit costs nothing extra.
 
 use crate::Ring;
-use serde::{Deserialize, Serialize};
 
 /// One fragment of a decomposition: a digit in `0..n` scaled by `scale`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fragment {
     /// Radix of the digit; the fragment's OT is a 1-out-of-`n` OT.
     pub n: u64,
@@ -26,7 +25,7 @@ pub struct Fragment {
 }
 
 /// Interpretation of a fragment's choice index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DigitKind {
     /// `value = j`.
     Unsigned,
@@ -66,7 +65,7 @@ impl Fragment {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum Repr {
     /// Contiguous bit fields, lowest field first; if `signed`, the top field
     /// is two's complement.
@@ -94,7 +93,7 @@ enum Repr {
 /// assert_eq!(s.recompose_i64(&digits), -100);
 /// assert_eq!(s.gamma(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FragmentScheme {
     repr: Repr,
     fragments: Vec<Fragment>,

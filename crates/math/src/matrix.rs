@@ -8,7 +8,6 @@
 
 use crate::Ring;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A dense row-major matrix of ring elements.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let y = w.mul(&x, &ring);
 /// assert_eq!(y.as_slice(), &[17, 39]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -5,7 +5,6 @@
 //! shares and plaintext values.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The ring ℤ_{2^ℓ} for a bit length `ℓ ∈ 1..=64`.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(r.add(200, 100), 44); // wraps mod 256
 /// assert_eq!(r.neg(1), 255);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Ring {
     bits: u32,
     mask: u64,

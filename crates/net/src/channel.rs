@@ -2,7 +2,7 @@
 
 use crate::transport::{Transport, TransportError};
 use crate::NetworkModel;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 struct Packet {
@@ -87,8 +87,8 @@ impl Endpoint {
     /// Creates a connected pair of endpoints sharing a network model.
     #[must_use]
     pub fn pair(model: NetworkModel) -> (Endpoint, Endpoint) {
-        let (tx_ab, rx_ab) = unbounded();
-        let (tx_ba, rx_ba) = unbounded();
+        let (tx_ab, rx_ab) = channel();
+        let (tx_ba, rx_ba) = channel();
         let mk = |tx, rx| Endpoint {
             tx,
             rx,
@@ -156,8 +156,8 @@ impl Endpoint {
         let pkt = match self.read_timeout {
             None => self.rx.recv().map_err(|_| TransportError::Closed)?,
             Some(t) => self.rx.recv_timeout(t).map_err(|e| match e {
-                crossbeam::channel::RecvTimeoutError::Timeout => TransportError::TimedOut,
-                crossbeam::channel::RecvTimeoutError::Disconnected => TransportError::Closed,
+                RecvTimeoutError::Timeout => TransportError::TimedOut,
+                RecvTimeoutError::Disconnected => TransportError::Closed,
             })?,
         };
         self.absorb_compute();
@@ -282,8 +282,8 @@ impl SimListener {
     /// [`TransportError::TimedOut`] if nothing dialed in time.
     pub fn accept_timeout(&self, timeout: Duration) -> Result<Endpoint, TransportError> {
         self.rx.recv_timeout(timeout).map_err(|e| match e {
-            crossbeam::channel::RecvTimeoutError::Timeout => TransportError::TimedOut,
-            crossbeam::channel::RecvTimeoutError::Disconnected => TransportError::Closed,
+            RecvTimeoutError::Timeout => TransportError::TimedOut,
+            RecvTimeoutError::Disconnected => TransportError::Closed,
         })
     }
 }
@@ -292,7 +292,7 @@ impl SimListener {
 /// connections are fresh [`Endpoint`] pairs under `model`.
 #[must_use]
 pub fn sim_link(model: NetworkModel) -> (SimDialer, SimListener) {
-    let (tx, rx) = unbounded();
+    let (tx, rx) = channel();
     (SimDialer { tx, model }, SimListener { rx })
 }
 

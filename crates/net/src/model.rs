@@ -1,6 +1,5 @@
 //! Latency/bandwidth profiles matching the paper's test environments.
 
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// A symmetric network profile: one-way latency plus bandwidth.
@@ -9,7 +8,7 @@ use std::time::Duration;
 /// * LAN — same rack, sub-millisecond RTT, ~1 GB/s,
 /// * WAN (Table 3, as in SecureML's setup) — 9 MB/s, 72 ms RTT,
 /// * WAN (Table 5, as in QUOTIENT's setup) — 24.3 MB/s, 40 ms RTT.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     one_way_latency: Duration,
     bandwidth_bytes_per_sec: f64,

@@ -13,10 +13,9 @@
 use crate::QuantizedDense;
 use abnn2_math::fixedops::sar;
 use abnn2_math::{Matrix, Ring};
-use serde::{Deserialize, Serialize};
 
 /// Shape of a CHW feature map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvShape {
     /// Channels.
     pub channels: usize,
@@ -82,7 +81,7 @@ pub fn im2col(x: &[u64], shape: ConvShape, kh: usize, kw: usize, stride: usize) 
 }
 
 /// A quantized 2-D convolution layer (valid padding).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantizedConv {
     /// Number of filters.
     pub out_channels: usize,
@@ -212,7 +211,7 @@ pub fn pool_windows(shape: ConvShape, window: usize) -> Vec<Vec<usize>> {
 
 /// A small quantized CNN: conv → ReLU → max-pool → dense stack, sharing the
 /// fixed-point semantics of [`crate::QuantizedNetwork`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantizedCnn {
     /// Fixed-point pipeline hyper-parameters.
     pub config: crate::QuantConfig,

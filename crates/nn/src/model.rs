@@ -3,7 +3,6 @@
 use crate::data::Sample;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The Fig-4 workload: 784 → 128 → 128 → 10 fully-connected with ReLU
 /// between layers (none after the last).
@@ -13,7 +12,7 @@ pub fn paper_network_dims() -> Vec<usize> {
 }
 
 /// One dense (fully-connected) layer `y = Wx + b`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dense {
     /// Output dimension m.
     pub out_dim: usize,
@@ -56,7 +55,7 @@ impl Dense {
 }
 
 /// A multilayer perceptron with ReLU activations between dense layers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Network {
     /// Dense layers in order; ReLU is applied after every layer except the
     /// last.

@@ -16,10 +16,9 @@ use crate::data::Sample;
 use crate::model::{argmax, Network};
 use abnn2_math::fixedops::sar;
 use abnn2_math::{FixedPoint, FragmentScheme, Ring};
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters of the fixed-point pipeline.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantConfig {
     /// The share/activation ring ℤ_{2^ℓ}.
     pub ring: Ring,
@@ -59,7 +58,7 @@ impl QuantConfig {
 }
 
 /// A dense layer with integer weights and ring-encoded bias.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantizedDense {
     /// Output dimension m.
     pub out_dim: usize,
@@ -106,7 +105,7 @@ impl QuantizedDense {
 
 /// A fully quantized network: the exact object the secure protocol
 /// evaluates.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuantizedNetwork {
     /// Pipeline hyper-parameters.
     pub config: QuantConfig,

@@ -2,15 +2,12 @@
 //!
 //! The [`Server`](crate::Server) event loop is cooperative: one slow,
 //! stalled, or malicious peer must not be able to pin a worker slot or
-//! grow an outbound queue without bound while warm siblings wait. The
-//! governor gives every sweep a budget to enforce:
+//! grow an outbound queue without bound while warm siblings wait. A peer
+//! that goes silent is ended by the server's
+//! [`SessionDeadlines`](abnn2_core::SessionDeadlines): its read timeout
+//! runs while a session is parked waiting on the peer. The governor
+//! checks what the peer does send, or fails to drain, every sweep:
 //!
-//! * **idle parking** — a session parked in `NeedRecv` that has produced
-//!   no inbound frame within [`idle_timeout`](GovernorConfig::idle_timeout)
-//!   is checkpointed (when resumable) and evicted. This is independent of
-//!   the protocol-level [`SessionDeadlines`](abnn2_core::SessionDeadlines):
-//!   deadlines bound one *blocking* read, the governor bounds how long a
-//!   *multiplexed* session may occupy a slot without progress.
 //! * **outbound cap** — a peer that stops draining its socket leaves
 //!   queued bytes in the worker's [`FrameBuffer`](abnn2_net::FrameBuffer).
 //!   The server sends every offline column frame ahead of the client's
@@ -31,19 +28,13 @@
 //! The two `inject_*` knobs exercise those paths for chaos tests and the
 //! `--governor-smoke` CI job; they default off.
 
-use std::time::Duration;
-
 /// Resource budgets enforced per sweep, plus chaos-injection knobs.
 ///
-/// All limits are optional; `GovernorConfig::default()` enforces only the
-/// outbound cap (256 MiB) — generous enough that no honest workload ever
-/// hits it — beside the inbound quota, which is always on. Tests and
-/// operators tighten from there.
+/// `GovernorConfig::default()` sets the outbound cap to 256 MiB — generous
+/// enough that no honest workload ever hits it — beside the inbound quota,
+/// which is always on. Tests and operators tighten from there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GovernorConfig {
-    /// Evict a `NeedRecv`-parked session that has received no inbound
-    /// frame for this long. `None` disables idle eviction.
-    pub idle_timeout: Option<Duration>,
     /// Evict a session whose outbound queue (bytes accepted by the frame
     /// buffer but not yet drained by the peer's socket) exceeds this.
     /// Set it above the offline phase's column bytes, which a cold session
@@ -67,7 +58,6 @@ pub const PRE_HANDSHAKE_BYTES: u64 = 16 * 1024;
 impl Default for GovernorConfig {
     fn default() -> Self {
         GovernorConfig {
-            idle_timeout: None,
             max_outbound_bytes: Some(256 * 1024 * 1024),
             inject_panic_session: None,
             inject_worker_panic: None,

@@ -37,9 +37,10 @@
 //!   not hide the client's input from the server** (DESIGN.md §6); cold
 //!   sessions ([`ServeClient::with_bundles`]`(false)`) keep the paper's
 //!   guarantee.
-//! * [`GovernorConfig`] — per-session resource budgets enforced by every
-//!   worker sweep (idle-park eviction, outbound-queue byte cap, the
-//!   always-on plan-keyed inbound quota). Each session step runs under
+//! * [`GovernorConfig`] — per-session budgets on the peer's input, enforced
+//!   by every worker sweep (outbound-queue byte cap, the always-on
+//!   plan-keyed inbound quota); a silent peer is ended by the read timeout
+//!   of [`ServeConfig::deadlines`]. Each session step runs under
 //!   `catch_unwind` so a panicking session is quarantined — torn down,
 //!   its checkpoint discarded — while its worker and sibling sessions
 //!   keep running; a panic that escapes a worker's loop restarts the loop

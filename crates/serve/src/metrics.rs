@@ -28,8 +28,9 @@ pub struct MetricsSnapshot {
     /// Sessions that ended in a protocol or transport error.
     pub failed: u64,
     /// Sessions the governor evicted for exceeding a resource budget
-    /// (idle park deadline, outbound-queue cap, or inbound quota). Also
-    /// counted in `failed`.
+    /// (outbound-queue cap or inbound quota). Also counted in `failed`; a
+    /// session past its read timeout or phase budget is counted in `failed`
+    /// only.
     pub evicted: u64,
     /// Sessions quarantined after panicking mid-protocol; their worker
     /// and sibling sessions kept running. Also counted in `failed`.

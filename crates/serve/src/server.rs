@@ -34,13 +34,16 @@
 //!    acceptor is woken by a throwaway self-connection when the drain
 //!    completes — no sleep-polling — and [`Server::shutdown`]
 //!    additionally joins every thread.
-//! 5. A **governor** ([`GovernorConfig`]) budgets every sweep: idle-parked
-//!    sessions, non-draining peers, and inbound-quota violators are
-//!    checkpointed (when resumable) and evicted, so one bad peer cannot
-//!    pin a slot its warm siblings need. The read and idle clocks measure
-//!    the *peer's* silence: they start when a sweep leaves the session
-//!    parked, never while the worker is computing for it or a sibling.
-//!    Each session sweep runs under
+//! 5. A parked session has one deadline, the earlier of its phase budget
+//!    and the read timeout ([`SessionDeadlines`]); past it the session
+//!    fails with [`ProtocolError::TimedOut`] and its checkpoint is kept
+//!    for a resume. The read timeout measures the *peer's* silence: it
+//!    starts when a sweep leaves the session parked, never while the
+//!    worker is computing for it or a sibling. A **governor**
+//!    ([`GovernorConfig`]) checks the peer's input every sweep:
+//!    non-draining peers and inbound-quota violators are checkpointed
+//!    (when resumable) and evicted, so one bad peer cannot pin a slot its
+//!    warm siblings need. Each session sweep runs under
 //!    `catch_unwind`: a panicking session is quarantined — torn down, its
 //!    possibly-poisoned checkpoint discarded — while the worker and its
 //!    sibling sessions keep running. A panic that escapes a worker's loop
@@ -452,56 +455,18 @@ enum Sweep {
     Finished(bool),
 }
 
-/// Why a parked session's time is up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Expiry {
-    /// A phase budget or the read timeout ran out: the session fails with
-    /// [`ProtocolError::TimedOut`], as it would on the blocking path.
-    TimedOut,
-    /// The governor's idle-park budget ran out: the session is evicted.
-    Evict,
-}
-
-/// The instants at which a parked session's time is up, as a value, so
-/// the decision is made without reading a clock (and is tested that way).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ParkClocks {
-    timed_out_at: Option<Instant>,
-    evict_at: Option<Instant>,
-}
-
-impl ParkClocks {
-    /// The phase budget runs from the phase's mark; the read timeout and
-    /// the idle-park budget from `waiting_since`, the moment the session
-    /// was last left waiting on its peer.
-    fn new(
-        waiting_since: Instant,
-        phase_deadline: Option<Instant>,
-        read_timeout: Option<Duration>,
-        idle_timeout: Option<Duration>,
-    ) -> Self {
-        let read_deadline = read_timeout.map(|rt| waiting_since + rt);
-        ParkClocks {
-            timed_out_at: phase_deadline.into_iter().chain(read_deadline).min(),
-            evict_at: idle_timeout.map(|it| waiting_since + it),
-        }
-    }
-
-    fn expired(&self, now: Instant) -> Option<Expiry> {
-        if self.timed_out_at.is_some_and(|at| now >= at) {
-            Some(Expiry::TimedOut)
-        } else if self.evict_at.is_some_and(|at| now >= at) {
-            Some(Expiry::Evict)
-        } else {
-            None
-        }
-    }
-
-    /// The first instant at which [`expired`](Self::expired) can turn
-    /// `Some`: how long the worker may sleep on this session's account.
-    fn next(&self) -> Option<Instant> {
-        self.timed_out_at.into_iter().chain(self.evict_at).min()
-    }
+/// When a parked session's time is up: the earlier of its phase budget,
+/// which runs from the phase's mark, and the read timeout, which runs from
+/// `waiting_since`, the moment the session was last left waiting on its
+/// peer. A function of instants, so the decision is made without reading a
+/// clock (and is tested that way).
+fn park_deadline(
+    waiting_since: Instant,
+    phase_deadline: Option<Instant>,
+    read_timeout: Option<Duration>,
+) -> Option<Instant> {
+    let read_deadline = read_timeout.map(|rt| waiting_since + rt);
+    phase_deadline.into_iter().chain(read_deadline).min()
 }
 
 /// Starts worker `worker` on a thread that is also its own restarter. A
@@ -539,10 +504,9 @@ struct LiveSession<'a> {
     meter: InstrumentHandle,
     /// When the session last started waiting on its peer: the end of the
     /// latest sweep in which the driver produced an effect (every frame it
-    /// is fed and reads is one). The read and
-    /// idle timeouts run from here, so they measure the peer's silence
-    /// and not the worker's own compute (this session's or a sibling's)
-    /// — what the read timeout measures on the blocking path.
+    /// is fed and reads is one). The read timeout runs from here, so it
+    /// measures the peer's silence and not the worker's own compute (this
+    /// session's or a sibling's) — what it measures on the blocking path.
     waiting_since: Instant,
     /// Deadline of the current phase budget, armed off the driver's marks
     /// by [`SessionDeadlines::budget_from`], the blocking server's rule.
@@ -643,10 +607,8 @@ impl<'a> LiveSession<'a> {
                 if emitted {
                     self.waiting_since = now;
                 }
-                match self.park_clocks(shared).expired(now) {
-                    Some(Expiry::TimedOut) => return self.finish_err(ProtocolError::TimedOut),
-                    Some(Expiry::Evict) => return self.finish_evict(shared),
-                    None => {}
+                if self.deadline(shared).is_some_and(|at| now >= at) {
+                    return self.finish_err(ProtocolError::TimedOut);
                 }
                 // Outbound cap: the peer is not draining its socket and
                 // the frame buffer is absorbing the difference.
@@ -682,13 +644,8 @@ impl<'a> LiveSession<'a> {
         }
     }
 
-    fn park_clocks(&self, shared: &Shared) -> ParkClocks {
-        ParkClocks::new(
-            self.waiting_since,
-            self.phase_deadline,
-            shared.config.deadlines.read_timeout,
-            shared.config.governor.idle_timeout,
-        )
+    fn deadline(&self, shared: &Shared) -> Option<Instant> {
+        park_deadline(self.waiting_since, self.phase_deadline, shared.config.deadlines.read_timeout)
     }
 
     /// What the worker's `poll` watches for this session: its socket, for
@@ -745,10 +702,10 @@ impl<'a> LiveSession<'a> {
         Sweep::Finished(false)
     }
 
-    /// Governor eviction: park the resumable offline state for a future
-    /// resume (an evicted peer is a timed-out peer), count the eviction,
-    /// and give the slot back without waiting on the socket — the peer
-    /// being evicted is by definition not draining.
+    /// Governor eviction (outbound cap, inbound quota): park the resumable
+    /// offline state for a future resume, as a timed-out session does,
+    /// count the eviction, and give the slot back without waiting on the
+    /// socket — a peer over the outbound cap is by definition not draining.
     fn finish_evict(&mut self, shared: &Shared) -> Sweep {
         self.driver.settle(Some(&ProtocolError::TimedOut));
         shared.metrics.session_evicted();
@@ -846,7 +803,7 @@ fn worker_loop<'a>(shared: &'a Shared, worker: usize, sessions: &mut Vec<LiveSes
         let now = Instant::now();
         let timeout = sessions
             .iter()
-            .filter_map(|live| live.park_clocks(shared).next())
+            .filter_map(|live| live.deadline(shared))
             .map(|at| at.saturating_duration_since(now))
             .fold(MAX_POLL_WAIT, Duration::min);
         let interests: Vec<Interest> = sessions.iter().map(LiveSession::interest).collect();
@@ -860,31 +817,26 @@ mod tests {
 
     const MS: Duration = Duration::from_millis(1);
 
-    /// The bug this pins: the clocks used to run from the last inbound
+    /// The bug this pins: the clock used to run from the last inbound
     /// frame, so a server step (or sibling sweeps) longer than the timeout
     /// expired a peer that had not yet been sent anything to answer.
     #[test]
-    fn read_and_idle_clocks_start_when_the_session_parks_not_when_the_frame_arrived() {
+    fn read_clock_starts_when_the_session_parks_not_when_the_frame_arrived() {
         let frame_arrived = Instant::now();
-        // The step that consumed the frame took 80 ms; both timeouts are
-        // shorter than that.
+        // The step that consumed the frame took 80 ms; the read timeout
+        // is shorter than that.
         let parked = frame_arrived + 80 * MS;
-        let clocks = ParkClocks::new(parked, None, Some(20 * MS), Some(30 * MS));
-        assert_eq!(clocks.expired(parked), None, "the peer has had no time to answer yet");
-        assert_eq!(clocks.expired(parked + 19 * MS), None);
-        assert_eq!(clocks.expired(parked + 20 * MS), Some(Expiry::TimedOut));
-        assert_eq!(clocks.next(), Some(parked + 20 * MS));
+        let deadline = park_deadline(parked, None, Some(20 * MS));
+        assert_eq!(deadline, Some(parked + 20 * MS), "the peer gets its whole read timeout");
     }
 
     #[test]
-    fn idle_budget_evicts_when_it_is_the_tighter_one() {
+    fn the_earlier_of_phase_budget_and_read_timeout_is_the_deadline() {
         let parked = Instant::now();
-        let clocks = ParkClocks::new(parked, None, Some(50 * MS), Some(10 * MS));
-        assert_eq!(clocks.expired(parked + 9 * MS), None);
-        assert_eq!(clocks.expired(parked + 10 * MS), Some(Expiry::Evict));
-        // Once both have passed, the timeout wins, as on the blocking path.
-        assert_eq!(clocks.expired(parked + 50 * MS), Some(Expiry::TimedOut));
-        assert_eq!(clocks.next(), Some(parked + 10 * MS));
+        let phase = parked + 50 * MS;
+        assert_eq!(park_deadline(parked, Some(phase), Some(10 * MS)), Some(parked + 10 * MS));
+        assert_eq!(park_deadline(parked, Some(phase), Some(90 * MS)), Some(phase));
+        assert_eq!(park_deadline(parked, Some(phase), None), Some(phase));
     }
 
     #[test]
@@ -892,16 +844,11 @@ mod tests {
         let marked = Instant::now();
         let deadline = marked + 100 * MS;
         // Parked late in the phase: the budget does not restart.
-        let clocks = ParkClocks::new(marked + 95 * MS, Some(deadline), Some(50 * MS), None);
-        assert_eq!(clocks.expired(marked + 99 * MS), None);
-        assert_eq!(clocks.expired(deadline), Some(Expiry::TimedOut));
-        assert_eq!(clocks.next(), Some(deadline));
+        assert_eq!(park_deadline(marked + 95 * MS, Some(deadline), Some(50 * MS)), Some(deadline));
     }
 
     #[test]
     fn no_budgets_means_no_deadline() {
-        let clocks = ParkClocks::new(Instant::now(), None, None, None);
-        assert_eq!(clocks.expired(Instant::now() + Duration::from_secs(3600)), None);
-        assert_eq!(clocks.next(), None);
+        assert_eq!(park_deadline(Instant::now(), None, None), None);
     }
 }

@@ -31,12 +31,12 @@
 //! smoke test (`./scripts/check.sh --serve-smoke` / `--cnn-serve-smoke` /
 //! `--transformer-smoke`).
 
-use abnn2::core::PublicModel;
+use abnn2::core::{PublicModel, SessionDeadlines};
 use abnn2::math::{FragmentScheme, Ring};
 use abnn2::nn::quant::{QuantConfig, QuantizedDense, QuantizedNetwork};
 use abnn2::nn::transformer::QuantizedTransformer;
 use abnn2::nn::{ConvShape, Network, QuantizedCnn, QuantizedConv, SyntheticMnist};
-use abnn2::serve::{GovernorConfig, ServeClient, ServeConfig, Server};
+use abnn2::serve::{ServeClient, ServeConfig, Server};
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -147,34 +147,41 @@ fn parse_args() -> Args {
     parsed
 }
 
-/// Governor budgets for the run. `--governor` tightens every limit well
-/// below the defaults (while staying above what an honest multiplexed
-/// load needs); `--inject-panic N` kills the Nth admitted session at the
-/// top of its first online sweep, which a clean run must absorb via
-/// quarantine + client retry — zero worker deaths either way.
-fn governor_for(args: &Args) -> GovernorConfig {
-    let mut g = if args.governor {
-        GovernorConfig {
-            idle_timeout: Some(Duration::from_secs(30)),
-            max_outbound_bytes: Some(8 * 1024 * 1024),
-            ..GovernorConfig::default()
-        }
-    } else {
-        GovernorConfig::default()
+/// The server's configuration for the run: four workers, a pool deep
+/// enough for the first wave, and `deadlines`. `--governor` tightens the
+/// limits on a peer well below the defaults (while staying above what an
+/// honest multiplexed load needs): the outbound cap to 8 MiB and the
+/// server's read timeout to at most 30 s. `--inject-panic N` kills the Nth
+/// admitted session at the top of its first online sweep, which a clean
+/// run must absorb via quarantine + client retry — zero worker deaths
+/// either way.
+fn serve_config(args: &Args, deadlines: SessionDeadlines) -> ServeConfig {
+    let mut config = ServeConfig {
+        workers: 4,
+        queue_capacity: 2 * args.clients.max(4),
+        sessions_per_worker: args.sessions_per_worker,
+        pool_depth: args.clients.min(8),
+        deadlines,
+        ..ServeConfig::default()
     };
-    g.inject_panic_session = args.inject_panic;
-    g
+    if args.governor {
+        let read_timeout = Duration::from_secs(30);
+        config.deadlines.read_timeout = deadlines.read_timeout.map(|rt| rt.min(read_timeout));
+        config.governor.max_outbound_bytes = Some(8 * 1024 * 1024);
+    }
+    config.governor.inject_panic_session = args.inject_panic;
+    config
 }
 
 /// Deadlines for the run: the LAN defaults when every worker runs one
 /// session at a time, widened when sessions multiplex — a session can
 /// legitimately wait far longer than a LAN round trip for its worker's
 /// attention while other sessions time-share the event loop.
-fn deadlines_for(sessions_per_worker: usize) -> abnn2::core::SessionDeadlines {
+fn deadlines_for(sessions_per_worker: usize) -> SessionDeadlines {
     if sessions_per_worker > 1 {
-        abnn2::core::SessionDeadlines::uniform(Duration::from_secs(120))
+        SessionDeadlines::uniform(Duration::from_secs(120))
     } else {
-        abnn2::core::SessionDeadlines::lan()
+        SessionDeadlines::lan()
     }
 }
 
@@ -256,15 +263,7 @@ fn run_mlp(args: &Args, metrics_out: Option<&Path>) {
     let codec = q.config.activation_codec();
 
     let deadlines = deadlines_for(spw);
-    let config = ServeConfig {
-        workers: 4,
-        queue_capacity: 2 * n_clients.max(4),
-        sessions_per_worker: spw,
-        pool_depth: n_clients.min(8),
-        deadlines,
-        governor: governor_for(args),
-        ..ServeConfig::default()
-    };
+    let config = serve_config(args, deadlines);
     let server = Server::start(q.clone(), "127.0.0.1:0", config).expect("start server");
     let addr = server.addr();
     println!(
@@ -334,15 +333,7 @@ fn run_cnn(args: &Args, metrics_out: Option<&Path>) {
     let info = PublicModel::from(&cnn);
 
     let deadlines = deadlines_for(spw);
-    let config = ServeConfig {
-        workers: 4,
-        queue_capacity: 2 * n_clients.max(4),
-        sessions_per_worker: spw,
-        pool_depth: n_clients.min(8),
-        deadlines,
-        governor: governor_for(args),
-        ..ServeConfig::default()
-    };
+    let config = serve_config(args, deadlines);
     let server = Server::start(cnn.clone(), "127.0.0.1:0", config).expect("start server");
     let addr = server.addr();
     println!(
@@ -423,15 +414,7 @@ fn run_transformer(args: &Args, metrics_out: Option<&Path>) {
     let info = PublicModel::from(&model);
 
     let deadlines = deadlines_for(spw);
-    let config = ServeConfig {
-        workers: 4,
-        queue_capacity: 2 * n_clients.max(4),
-        sessions_per_worker: spw,
-        pool_depth: n_clients.min(8),
-        deadlines,
-        governor: governor_for(args),
-        ..ServeConfig::default()
-    };
+    let config = serve_config(args, deadlines);
     let server = Server::start(model.clone(), "127.0.0.1:0", config).expect("start server");
     let addr = server.addr();
     println!(

@@ -15,7 +15,8 @@
 # default of 64 seeds without recompiling, and runs examples/tcp_resilient.rs
 # (a mid-online cut over real TCP, resumed bit-exact by ServeClient::run_with).
 #
-# --serve-smoke additionally drives the serving frontend end to end:
+# --serve-smoke additionally drives the serving frontend end to end: the
+# serving integration tests (tests/serve.rs) in release, then
 # examples/serve_load.rs starts a server and fires 8 concurrent TCP
 # clients at it, checking every logit against forward_exact.
 #
@@ -37,7 +38,7 @@
 # parity corpus (tests/framing_parity.rs).
 #
 # --governor-smoke exercises the session governor, panic quarantine and
-# worker restart: the hostile-peer chaos tests (slowloris eviction,
+# worker restart: the hostile-peer chaos tests (slowloris timed out,
 # never-draining reader hitting the outbound cap, mid-online panic
 # quarantined while bit-exact siblings finish), the retry_after_ms
 # load-shed round-trip, a worker loop that dies with a connection queued
@@ -425,7 +426,8 @@ if [[ "${CHAOS_RESUME:-0}" == "1" ]]; then
 fi
 
 if [[ "${SERVE_SMOKE:-0}" == "1" ]]; then
-  echo "==> serve smoke: 8 concurrent clients x 2 requests"
+  echo "==> serve smoke: serving tests, 8 concurrent clients x 2 requests"
+  cargo test --release --test serve
   cargo run --release --example serve_load -- --clients 8 --requests 2
 fi
 

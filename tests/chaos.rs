@@ -43,7 +43,7 @@ use abnn2::nn::transformer::QuantizedTransformer;
 use abnn2::nn::Network;
 use abnn2::serve::{GovernorConfig, ServeClient, ServeConfig, Server};
 use rand::{Rng, SeedableRng};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
@@ -513,11 +513,11 @@ fn chaos_smoke_on_lan_model() {
 }
 
 /// A seeded slowloris — a peer dribbling one byte at a time, never
-/// completing a frame — must be evicted by the governor's idle budget
-/// while a warm sibling multiplexed on the *same worker* rides a pooled
-/// bundle to bit-exact logits with zero offline-phase bytes. The
-/// transport deadlines are deliberately generous: the eviction under test
-/// is the multiplexing budget, not the blocking read timeout.
+/// completing a frame — must be timed out by the server's read timeout,
+/// giving its slot back, while a warm sibling multiplexed on the *same
+/// worker* rides a pooled bundle to bit-exact logits with zero
+/// offline-phase bytes. The phase budgets are deliberately generous: the
+/// clock under test is the parked session's read timeout.
 #[test]
 fn governor_evicts_slowloris_while_warm_sibling_completes() {
     let q = tiny_model();
@@ -532,10 +532,9 @@ fn governor_evicts_slowloris_while_warm_sibling_completes() {
             sessions_per_worker: 2,
             pool_depth: 1,
             pool_batches: vec![1],
-            deadlines: SessionDeadlines::uniform(Duration::from_secs(60)),
-            governor: GovernorConfig {
-                idle_timeout: Some(Duration::from_millis(300)),
-                ..GovernorConfig::default()
+            deadlines: SessionDeadlines {
+                read_timeout: Some(Duration::from_millis(300)),
+                ..SessionDeadlines::uniform(Duration::from_secs(60))
             },
             ..ServeConfig::default()
         },
@@ -547,8 +546,8 @@ fn governor_evicts_slowloris_while_warm_sibling_completes() {
     let server = &server;
     std::thread::scope(|scope| {
         // Slowloris: seeded dribble, one byte per 40 ms, never a complete
-        // frame — `last_inbound` never advances, so the idle budget fires
-        // however busily the bytes trickle.
+        // frame — the driver never gets a frame to answer, so the read
+        // timeout runs from admission however busily the bytes trickle.
         scope.spawn(move || {
             let mut rng = rand::rngs::StdRng::seed_from_u64(0x510_1035);
             let mut sock = std::net::TcpStream::connect(addr).expect("slowloris connect");
@@ -557,13 +556,21 @@ fn governor_evicts_slowloris_while_warm_sibling_completes() {
             let mut bytes = vec![57u8, 0, 0, 0];
             bytes.extend((0..24).map(|_| rng.gen::<u8>()));
             for b in bytes {
-                if server.metrics().evicted >= 1 {
+                if server.metrics().failed >= 1 {
                     break;
                 }
                 if sock.write_all(&[b]).is_err() {
-                    break; // evicted server-side: the socket is gone
+                    break; // timed out server-side: the socket is gone
                 }
                 std::thread::sleep(Duration::from_millis(40));
+            }
+            // Hold the connection open: only the server may end it (a
+            // close here would fail the session on its own).
+            sock.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+            match sock.read(&mut [0u8; 1]) {
+                Ok(0) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+                other => panic!("the server never closed the slowloris: {other:?}"),
             }
         });
 
@@ -587,16 +594,17 @@ fn governor_evicts_slowloris_while_warm_sibling_completes() {
             "warm sibling must move zero offline-phase bytes"
         );
 
-        // The governor must reclaim the slot within its budget.
+        // The read timeout must end the slowloris and give its slot back.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while server.metrics().evicted < 1 {
-            assert!(Instant::now() < deadline, "slowloris never evicted");
+        while server.metrics().failed < 1 || server.metrics().active > 0 {
+            assert!(Instant::now() < deadline, "slowloris never timed out");
             std::thread::sleep(Duration::from_millis(5));
         }
     });
 
     let m = server.metrics();
-    assert!(m.evicted >= 1, "idle budget must evict the slowloris");
+    assert!(m.failed >= 1, "the read timeout must end the slowloris");
+    assert_eq!(m.active, 0, "the slowloris's slot must come back");
     assert_eq!(m.panicked, 0);
     let prom = m.render_prometheus();
     assert!(prom.contains("abnn2_serve_sessions_evicted_total"), "eviction family must render");
