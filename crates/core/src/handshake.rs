@@ -117,7 +117,15 @@ pub const HANDSHAKE_MAGIC: [u8; 4] = *b"ABN2";
 /// up, so a cold session of a matmul graph runs two base-OT batches fewer
 /// and a continued one none. MLP and CNN transcripts differ from v8 in the
 /// version field alone; bundles keep layout version 3.
-pub const PROTOCOL_VERSION: u16 = 9;
+///
+/// v10: the softmax and LayerNorm divisions are non-restoring (one
+/// conditional add/subtract per quotient bit, no remainder mux), the signed
+/// division's sign fixes are conditional negations, and GELU clamps its
+/// slope with a sign bit and an OR of the high bits, so those three circuits
+/// garble fewer ANDs and their `GcTables`/`GcDecodeMap` frames differ from a
+/// v9 peer's for the same model. The hello layout, every other circuit and
+/// the bundle layout (version 3) are unchanged.
+pub const PROTOCOL_VERSION: u16 = 10;
 
 /// Length of the hello frame in bytes.
 pub const HELLO_LEN: usize = 72;

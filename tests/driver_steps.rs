@@ -361,37 +361,39 @@ fn case_effects(
 /// hello reply carries the version field, so every first send moved. The
 /// two cold encoder rows were then re-recorded for v9's matrix triples,
 /// which run over the Yao half's OT extension in one flight each way
-/// instead of over an IKNP pair of their own.
+/// instead of over an IKNP pair of their own. All thirteen rows were
+/// re-recorded for the protocol v10 version bump alone, the first send
+/// again.
 #[test]
 fn effect_sequences_are_pinned() {
     let pins = [
-        ("mlp", false, false, "6ce63fbce355fd844412201f4dc6a37bc6b26bfdee81095dad6173718ac3b9a5"),
-        ("mlp", false, true, "031e896050312295e4af4d8e1cd505be1fa54ec864a5359b0185d70fafe6bedc"),
-        ("mlp", true, false, "56ac106841de7303327a6eadc7c19f21460be39d63f7073458a8515ea4996d31"),
-        ("mlp", true, true, "1e2bf60b949e3ed17a9559ef2015334f972f42ab42542c987ca83f204fa9357e"),
-        ("cnn", false, false, "dc61c6a91f75709eb83a082a3961bd06b0b1f1e2791257ea4b83cc2b9b1b4e77"),
-        ("cnn", false, true, "dc6aa823e0a44fbb449ec846c5c62aca90f0665e7b1cbdc9b66a2c8e389b7c0d"),
-        ("cnn", true, false, "75d9f41fcfd0d437e0b5075aca0dc7797292e91efd86baa2d79589795d623db8"),
-        ("cnn", true, true, "c3c62b45925e3ed45fab780b8ff8caa7f00a1e55482f22b67284509c61b5d2ab"),
+        ("mlp", false, false, "9c4b9e4f6e9c39f89b35055052b8267dd9aaa6ad6ac33087ac9f6fd8f801e477"),
+        ("mlp", false, true, "a7f5ebfbc0411426402e9389466e741fcc66aec7a2fa026ad96c27c887a3e11d"),
+        ("mlp", true, false, "d2b9eee2bd5f8676a2c8bfdd50a124ff83d5d362d01a744f3278f76c9f934fe6"),
+        ("mlp", true, true, "2b05603788ba1efc0453c5113f4ff3fb346ef233296385abccbbd29a4de98697"),
+        ("cnn", false, false, "a1cf7bfd14ca7c6bdd421521a08abdbf32181189ae76888920c6357214490a33"),
+        ("cnn", false, true, "5a98a3b2686df0ddf3f41aa9c8e100404983fff14e4478c1f56d9808bb7c2201"),
+        ("cnn", true, false, "4b0030ecfe2279b30d1cd83a88a768f1341435d50586bb19f370f893568bf503"),
+        ("cnn", true, true, "73632280852508c68962841206d8637a85dacf0061b79e62460566d05ba5c8ff"),
         (
             "encoder",
             false,
             false,
-            "443c93321fcbe793e2249dd4f9620bc995d385f8f03dada2d17a0f82c1b5691d",
+            "e671a4372a7a16daa0fcbc9f3899d0417fc6f9025294fb3ee319bc52c6878e36",
         ),
         (
             "encoder",
             false,
             true,
-            "85aba56cab8ac304d807de13931aa1596c9ea84b4ed5d0050afcdc0bd676d490",
+            "307b388f7bc7c20654a145448afd91bb738ddc140266e5fcebc9e7ce70b82ba9",
         ),
         (
             "encoder",
             true,
             false,
-            "40f0952c119a638eb68be8a2e5f9edfc4a7725830b9fbc218f3b06ddc442c289",
+            "634b02b5af6df89fc7b5fe532c936064548e5c8ecc761a4bc038375980895080",
         ),
-        ("encoder", true, true, "fe1b20724e40e4109c9a4c2d8035566845d6d697292470c21783ce78bbd8ea21"),
+        ("encoder", true, true, "4d029898cc977e24b57b7c3f6671c7c18bf615c9e502f688afaf586eed2c63e3"),
     ];
     let models = [("mlp", mlp()), ("cnn", cnn()), ("encoder", encoder())];
     let mut failed = Vec::new();
@@ -403,7 +405,7 @@ fn effect_sequences_are_pinned() {
         }
     }
     let digest = effects_case(&models[0].1, false, false, ReluVariant::Optimized);
-    if digest != "38ff348db5c54a133b4ab3fe6cd2d8b4f7686d09ff1a7e14b2849d89e11b3446" {
+    if digest != "236cc44c34c61c27299d91af2ed9bf97d4c25e69035251ab73f999a3769f5881" {
         failed.push(format!("mlp, optimized ReLU: {digest}"));
     }
     assert!(failed.is_empty(), "effect sequences moved:\n{}", failed.join("\n"));
@@ -450,7 +452,9 @@ fn direction_digests(effects: &[DriverEffect]) -> (String, String) {
 /// cold encoder rows were then re-recorded for v9's matrix triples: the
 /// server sends one `IknpColumns` frame a triple and reads one
 /// `OtCorrections` frame, where it set up an IKNP pair of two base-OT
-/// batches and ran two OT extensions.
+/// batches and ran two OT extensions. Every row's sent digest was
+/// re-recorded for the protocol v10 version bump alone; no read digest
+/// moved with it.
 #[test]
 fn direction_sequences_are_pinned() {
     use ReluVariant::{Oblivious, Optimized};
@@ -460,7 +464,7 @@ fn direction_sequences_are_pinned() {
             false,
             false,
             Oblivious,
-            "52bae0b14b9ae9fcde3be58646f255fef9f660e1229b501c3bd0921f70d1b9fd",
+            "df09fb9192f25fa3350473802f3f0340a4d9d7b50da97daef0c602356c9b7103",
             "704a74c463598e934884b3183275d8614f9262dc0c02f7e0b0e067fa7d6ede9a",
         ),
         (
@@ -468,7 +472,7 @@ fn direction_sequences_are_pinned() {
             false,
             true,
             Oblivious,
-            "111d53209946816e31dbb1057409174a13a8a00b6fdadc993e81bf7d7fd51b44",
+            "603294928152c6de953c618d5518ce03da3c211bcdb47acf9e1cbb7973a06898",
             "3db75ac750b77d82dcad606e9535cb7b8331a20595665376fa9c24eb96a2ed31",
         ),
         (
@@ -476,7 +480,7 @@ fn direction_sequences_are_pinned() {
             true,
             false,
             Oblivious,
-            "e26869993a4b19216f9f557d8119c343a7260992f778e2026744a5a46bbc1b97",
+            "f33ad6493c1217d7b1f4e325b96fb72454b64b81c4d96aba4631492bbc7b259d",
             "ca70e6f973d502c5bf2c614a54817294e3802b18733e41508788d4db652d55d5",
         ),
         (
@@ -484,7 +488,7 @@ fn direction_sequences_are_pinned() {
             true,
             true,
             Oblivious,
-            "a08cc30db4c238fda5bd07d210c45a8a5a44a021db7093a4f41e1cea3ae3fe87",
+            "78df0d3b7b8c481bb2b47f132ea20776f0ed9c76f1253facd3b59c1a8587a35c",
             "3db75ac750b77d82dcad606e9535cb7b8331a20595665376fa9c24eb96a2ed31",
         ),
         (
@@ -492,7 +496,7 @@ fn direction_sequences_are_pinned() {
             false,
             false,
             Oblivious,
-            "c9bf14de0779fbd067b8440492de7bed545f93040e5d9e7f97bac47239b5d151",
+            "b3122e0c59a749e5762949c7fd66dd838dbfacaf2bc70670da3fcce9fe67a169",
             "e39c8a104a4df374c87ef2a7c7ee65b78ef5302976a11f5069ebbf443c16ff1e",
         ),
         (
@@ -500,7 +504,7 @@ fn direction_sequences_are_pinned() {
             false,
             true,
             Oblivious,
-            "4a289fa5417a1f1c11316555972aec70042b533b1514a9d4bc443d12ba13844c",
+            "3aca38f210820f81db404c287354c65081d4444ed7a5e256389f045967b31d5e",
             "3a03d3f4b6cabae89623bf41ad2d9f1120e69ebc3ddd9cf9f8133c5a0d2c881b",
         ),
         (
@@ -508,7 +512,7 @@ fn direction_sequences_are_pinned() {
             true,
             false,
             Oblivious,
-            "2fd75feb8654040af7939389d09be3ca8c6875c18a5751df42bc19db55c77b45",
+            "6f894ee7046d0ed4eacb9e7bccebfab711e3968f111bd1c7825cc7100a72b73e",
             "2e77c6c6fd1314147c454d7b0b6c4b4c2a9b4fa0362a375ec6887fa609459722",
         ),
         (
@@ -516,7 +520,7 @@ fn direction_sequences_are_pinned() {
             true,
             true,
             Oblivious,
-            "2e99187ddd36b77a0140b351e410263eec240f6065cee873c19c6885596209c0",
+            "0f154b3d537d5444fe6e3c021ce30915da5a913e0ac73de2b2718cd1f052e350",
             "3a03d3f4b6cabae89623bf41ad2d9f1120e69ebc3ddd9cf9f8133c5a0d2c881b",
         ),
         (
@@ -524,7 +528,7 @@ fn direction_sequences_are_pinned() {
             false,
             false,
             Oblivious,
-            "174da0ebed482f92cc23ffe3fcd559f158f8c43419981cf3d4b3a9bdfcc54aa0",
+            "5d4244d0403694514a19a53ed287ec9e7cf64a3a56ea8e8ea6f94ae4481321eb",
             "71c64e26ced0a0b43d5a52a6235d6a817ccd6e2384c051a34f870c68e3edd444",
         ),
         (
@@ -532,7 +536,7 @@ fn direction_sequences_are_pinned() {
             false,
             true,
             Oblivious,
-            "dc6083c8f4cbeaf0a9699b22f77330da9c3f202d38afc177c6e32a75607cc415",
+            "9619c16e61a04916d893abbc805bd3cc2439264e9c71ef2a2a0755c229318e01",
             "437e44b7fa2304951b88b07cfbed9b89d848c2f2611c9d13b5fbbee6df9e4722",
         ),
         (
@@ -540,7 +544,7 @@ fn direction_sequences_are_pinned() {
             true,
             false,
             Oblivious,
-            "646248b94891cdafb4a1c55ef3913d1ba9a54fdab2c4103b9bbae6e64c2cc4a4",
+            "8d9421ffa402635184d7f7b80d4d5f0dcaeb8218c328514f2065b2771fd5535e",
             "2ed5165423d780bc62cf9e081d9eb5dfabd6b0eab4e526579c491f83de32b8c2",
         ),
         (
@@ -548,7 +552,7 @@ fn direction_sequences_are_pinned() {
             true,
             true,
             Oblivious,
-            "8d49aee8c1edf96951ddafa474d7891df1e3ca25dceecfda952880f32dad4318",
+            "49a42113ba540930be81b92a3e6bfb7d5ed34b81a788d33db1239d63056675ec",
             "437e44b7fa2304951b88b07cfbed9b89d848c2f2611c9d13b5fbbee6df9e4722",
         ),
         (
@@ -556,7 +560,7 @@ fn direction_sequences_are_pinned() {
             false,
             false,
             Optimized,
-            "917de6cb61bcab330ce7091c87cd7c97fc664c56556ec2f7764ad6e7a602b801",
+            "458cf4ad4b008c6a208df2a2e89809cdc91ab3cc3bf2d2c6bfdfa7035a17f628",
             "d357c63a1f8e4dbbda769517a347d2162e49811b140914a6bd184da56a2eb1ec",
         ),
     ];

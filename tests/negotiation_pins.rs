@@ -33,6 +33,13 @@
 //! different frames on the wire for any graph with a secret×secret matmul,
 //! and a v8 peer, whose hello has the same 72 bytes, gets the same
 //! symmetric `Negotiation` error.
+//!
+//! Re-recorded for protocol v10: the version field reads 10 and nothing
+//! else here moved. The bump is for the encoder's garbled circuits: the
+//! divisions are non-restoring and GELU's clamp is a bounded one, so for
+//! the same encoder a v9 and a v10 peer put different `GcTables` and
+//! `GcDecodeMap` frames on the wire, and a v9 peer, whose hello has the
+//! same 72 bytes, gets the same symmetric `Negotiation` error.
 
 use abnn2::core::frames::Hello;
 use abnn2::core::handshake::{handshake_server_ext, Halves};
@@ -98,7 +105,7 @@ fn encoder() -> PublicModel {
 
 #[test]
 fn wire_versions_are_unchanged() {
-    assert_eq!(PROTOCOL_VERSION, 9);
+    assert_eq!(PROTOCOL_VERSION, 10);
     assert_eq!(BUNDLE_LAYOUT_VERSION, 3);
 }
 
@@ -139,7 +146,7 @@ fn digests_and_bundle_keys_match_the_parent_commit() {
     {
         let params = SessionParams::for_public(&model, ReluVariant::Oblivious, batch);
         let expected = SessionParams {
-            version: 9,
+            version: 10,
             ring_bits,
             frac_bits,
             weight_frac_bits,
@@ -173,7 +180,7 @@ fn v5_layout(p: &SessionParams, flags: u8, token: [u8; 16]) -> Vec<u8> {
     frame
 }
 
-/// A v5 client dials a v9 server. The server reports the version mismatch
+/// A v5 client dials a v10 server. The server reports the version mismatch
 /// and answers in the v5 layout: 56 bytes that a v5 decoder accepts
 /// (length, magic) and that differ from the client's own parameters in the
 /// version field alone, which is exactly what makes that decoder raise its
@@ -193,7 +200,7 @@ fn a_v5_peer_still_gets_the_symmetric_negotiation_error() {
         true,
         |_, _| -> Halves { panic!("a mismatched peer must not reach the store") },
     )
-    .expect_err("v5 and v9 do not negotiate");
+    .expect_err("v5 and v10 do not negotiate");
     assert_eq!(err, ProtocolError::Negotiation { ours, theirs });
 
     let Hello(reply) = c.recv_frame().expect("the reply is sent before the error is raised");
@@ -211,7 +218,7 @@ fn v6_layout(p: &SessionParams, flags: u8, token: [u8; 16], lineage: [u8; 16]) -
 }
 
 /// A client of an earlier version that still sends the 72-byte hello
-/// dials a v9 server, asking to resume and offering both lineage halves.
+/// dials a v10 server, asking to resume and offering both lineage halves.
 /// The server decodes the hello (the layout did not change), reports the
 /// version mismatch, claims nothing, and answers in that layout with its
 /// own parameters, so the peer's decoder raises its own `Negotiation`
@@ -249,9 +256,14 @@ fn a_v7_peer_gets_the_symmetric_negotiation_error() {
     a_72_byte_hello_of_version_gets_the_symmetric_negotiation_error(7);
 }
 
-/// v8 differs from v9 in the matrix triples alone, so this is the peer
-/// most likely to dial a v9 server.
 #[test]
 fn a_v8_peer_gets_the_symmetric_negotiation_error() {
     a_72_byte_hello_of_version_gets_the_symmetric_negotiation_error(8);
+}
+
+/// v9 differs from v10 in the encoder's circuits alone, so this is the
+/// peer most likely to dial a v10 server.
+#[test]
+fn a_v9_peer_gets_the_symmetric_negotiation_error() {
+    a_72_byte_hello_of_version_gets_the_symmetric_negotiation_error(9);
 }
