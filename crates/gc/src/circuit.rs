@@ -31,8 +31,8 @@ impl Word {
 /// A gate in topological order. Input wires always precede the output wire.
 ///
 /// Wires are stored as `u32`: a gate is 16 bytes instead of 32. A circuit
-/// keeps the gates of one lane only (930 gates, 15 KB, for the GELU body
-/// however many neurons it runs over; 27 767 for a softmax row of eight),
+/// keeps the gates of one lane only (770 gates, 12 KB, for the GELU body
+/// however many neurons it runs over; 20 855 for a softmax row of eight),
 /// so what either party holds per re-share op does not grow with the width
 /// of the layer. [`CircuitBuilder`] refuses to number a wire past
 /// `u32::MAX`.

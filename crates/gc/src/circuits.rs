@@ -17,10 +17,17 @@ use crate::Circuit;
 ///
 /// Panics if the word widths differ.
 pub fn add(b: &mut CircuitBuilder, x: &Word, y: &Word) -> Word {
+    add_with_carry(b, x, y, None)
+}
+
+/// `x + y + c` mod 2^ℓ for a carry-in wire `c`: the full adder of [`add`]
+/// from the first bit on, so ℓ − 1 AND gates as well. With `y` the constant
+/// zero it is an incrementer, one AND a bit.
+fn add_with_carry(b: &mut CircuitBuilder, x: &Word, y: &Word, carry: Option<WireId>) -> Word {
     assert_eq!(x.bits(), y.bits(), "word width mismatch");
     let n = x.bits();
     let mut out = Vec::with_capacity(n);
-    let mut carry: Option<WireId> = None;
+    let mut carry = carry;
     for i in 0..n {
         let (a, bb) = (x.0[i], y.0[i]);
         match carry {
@@ -357,6 +364,19 @@ pub fn shl_word(b: &mut CircuitBuilder, x: &Word, k: usize) -> Word {
 ///
 /// Panics if the word widths differ.
 pub fn mul_word(b: &mut CircuitBuilder, x: &Word, y: &Word) -> Word {
+    product(b, x, y, true)
+}
+
+/// The fixed-point product `mul_word(x, y) ≫ₐ k`. For `k > 0` the
+/// product's lowest bit `x_0 ∧ y_0` is discarded and no carry reads it, so
+/// it is not built: one AND fewer unless a constant folds it.
+fn mul_sar_word(b: &mut CircuitBuilder, x: &Word, y: &Word, k: usize) -> Word {
+    sar_word(&product(b, x, y, k == 0), k)
+}
+
+/// [`mul_word`]'s rows, with the product's bit 0 left zero unless
+/// `low_bit`.
+fn product(b: &mut CircuitBuilder, x: &Word, y: &Word, low_bit: bool) -> Word {
     assert_eq!(x.bits(), y.bits(), "word width mismatch");
     let n = x.bits();
     let zero = b.constant(false);
@@ -364,7 +384,9 @@ pub fn mul_word(b: &mut CircuitBuilder, x: &Word, y: &Word) -> Word {
     for i in 0..n {
         let mut pp = vec![zero; n];
         for j in 0..n - i {
-            pp[i + j] = b.and(y.0[i], x.0[j]);
+            if low_bit || i + j > 0 {
+                pp[i + j] = b.and(y.0[i], x.0[j]);
+            }
         }
         acc = add(b, &acc, &Word(pp));
     }
@@ -392,9 +414,17 @@ pub fn square_word(b: &mut CircuitBuilder, x: &Word) -> Word {
     acc
 }
 
-/// Unsigned ℓ-bit restoring division. A zero divisor yields the all-ones
-/// quotient (every trial subtraction succeeds), matching
-/// `fixedops::udiv`.
+/// Unsigned ℓ-bit non-restoring division. A zero divisor yields the
+/// all-ones quotient, matching `fixedops::udiv`.
+///
+/// The partial remainder `r` is never restored: it stays in `[−y, y)`, so
+/// ℓ + 1 bits hold it and the shifted `2r + x_i` may wrap modulo 2^(ℓ+1)
+/// without changing the next `r`. Each quotient bit is one conditional
+/// add/subtract `r ← 2r + x_i + (y ⊕ s) + s` with `s = ¬sign(r)` (subtract
+/// while `r` is non-negative), and the bit is the new `¬sign(r)`: ℓ ANDs
+/// a bit, 256 at ℓ = 16, where a restoring step's subtractor and
+/// remainder mux cost 2ℓ. A zero divisor keeps `r ≥ 0`, so every bit is
+/// set.
 ///
 /// # Panics
 ///
@@ -403,43 +433,38 @@ pub fn udiv_word(b: &mut CircuitBuilder, x: &Word, y: &Word) -> Word {
     assert_eq!(x.bits(), y.bits(), "word width mismatch");
     let n = x.bits();
     let zero = b.constant(false);
-    let mut rem = Word(vec![zero; n]);
+    let y_ext = Word(y.0.iter().copied().chain([zero]).collect());
+    let mut rem = Word(vec![zero; n + 1]);
     let mut q = vec![zero; n];
+    // `r = 0` is non-negative: the first step subtracts.
+    let mut s = b.constant(true);
     for i in (0..n).rev() {
-        // Shift the next dividend bit into the remainder; the bit shifted
-        // out the top still matters, so compare in n+2 bits (both operands
-        // zero-extended — the subtraction then cannot wrap).
-        let top = rem.0[n - 1];
-        let mut sh = Vec::with_capacity(n);
-        sh.push(x.0[i]);
-        sh.extend_from_slice(&rem.0[..n - 1]);
-        let sh = Word(sh);
-        let a_ext = Word(sh.0.iter().copied().chain([top, zero]).collect());
-        let y_ext = Word(y.0.iter().copied().chain([zero, zero]).collect());
-        let d = sub(b, &a_ext, &y_ext);
-        let ge = b.inv(d.msb());
-        q[i] = ge;
-        // Nothing reads the last remainder: its mux would be n ANDs that
-        // building keeps.
-        if i > 0 {
-            rem = mux(b, ge, &Word(d.0[..n].to_vec()), &sh);
-        }
+        let mut sh = vec![x.0[i]];
+        sh.extend_from_slice(&rem.0[..n]);
+        let operand = Word(y_ext.0.iter().map(|&w| b.xor(w, s)).collect());
+        rem = add_with_carry(b, &Word(sh), &operand, Some(s));
+        s = b.inv(rem.msb());
+        q[i] = s;
     }
     Word(q)
 }
 
+/// `s ? −x : x` as `(x ⊕ s…s) + s`, an incrementer with carry-in `s`
+/// (ℓ − 1 ANDs, where `0 − x` and a mux cost 2ℓ − 1).
+fn negate_if(b: &mut CircuitBuilder, s: WireId, x: &Word) -> Word {
+    let flipped = Word(x.0.iter().map(|&w| b.xor(w, s)).collect());
+    let zero = const_word(b, 0, x.bits());
+    add_with_carry(b, &flipped, &zero, Some(s))
+}
+
 /// Signed division truncating toward zero, as a sign/magnitude wrapper
-/// around [`udiv_word`]. The divisor is interpreted unsigned, matching
-/// `fixedops::sdiv`.
+/// around [`udiv_word`]: both sign fixes are a conditional negation. The
+/// divisor is interpreted unsigned, matching `fixedops::sdiv`.
 pub fn sdiv_word(b: &mut CircuitBuilder, x: &Word, y: &Word) -> Word {
-    let n = x.bits();
     let neg = x.msb();
-    let zero = const_word(b, 0, n);
-    let neg_x = sub(b, &zero, x);
-    let mag = mux(b, neg, &neg_x, x);
+    let mag = negate_if(b, neg, x);
     let q = udiv_word(b, &mag, y);
-    let neg_q = sub(b, &zero, &q);
-    mux(b, neg, &neg_q, &q)
+    negate_if(b, neg, &q)
 }
 
 /// Floor square root of the unsigned lift (digit-by-digit base-4 method,
@@ -481,12 +506,29 @@ pub fn isqrt_word(b: &mut CircuitBuilder, x: &Word) -> Word {
     Word(out)
 }
 
-/// Clamp `x` into the signed interval `[lo, hi]` (2ℓ comparisons + muxes).
-pub fn clamp_word(b: &mut CircuitBuilder, x: &Word, lo: &Word, hi: &Word) -> Word {
-    let below = lt_signed(b, x, lo);
-    let t = mux(b, below, lo, x);
-    let above = lt_signed(b, hi, &t);
-    mux(b, above, hi, &t)
+/// Clamp `x` into `[0, 2^f]` (signed): the circuit twin of
+/// `fixedops::clamp(x, 0, 1 << f)`. One wire `high = x_f ∨ … ∨ x_{ℓ−1}`
+/// says the result is not `x` (it is negative or at least `2^f`); the low
+/// `f` bits are `x`'s gated by `¬high`, bit `f` is `high ⊕ sign` (set
+/// exactly when `x ≥ 2^f`), and the bits above `f` are the builder's
+/// constant zero, so a product with the result folds its rows above `f`.
+/// ℓ − 1 ANDs for a word; a high bit repeated in a run (the sign
+/// replicated by [`sar_word`]) is ORed once.
+///
+/// # Panics
+///
+/// Panics unless `f + 1 < ℓ` (`2^f` must be a positive value).
+pub fn clamp_unit_word(b: &mut CircuitBuilder, x: &Word, f: usize) -> Word {
+    let n = x.bits();
+    assert!(f + 1 < n, "2^{f} is not a positive {n}-bit value");
+    let mut high_bits = x.0[f..].to_vec();
+    high_bits.dedup();
+    let high = high_bits.into_iter().reduce(|acc, w| b.or(acc, w)).expect("f < n");
+    let keep = b.inv(high);
+    let mut out: Vec<WireId> = x.0[..f].iter().map(|&w| b.and(keep, w)).collect();
+    out.push(b.xor(high, x.msb()));
+    out.resize(n, b.constant(false));
+    Word(out)
 }
 
 /// `e^u ≈ ((1 + u/4)⁺)⁴` for `u ≤ 0` at `f` fraction bits — the circuit
@@ -496,7 +538,11 @@ fn exp_pos_word(b: &mut CircuitBuilder, u: &Word, f: usize) -> Word {
     let one = const_word(b, 1 << f, n);
     let q = sar_word(u, 2);
     let s = add(b, &one, &q);
-    let t = relu(b, &s);
+    // `s⁺`, less the ReLU's sign-bit AND: that bit of a ReLU is zero, and
+    // `square_word` reads no word's sign bit.
+    let pos = b.inv(s.msb());
+    let mut t = gate_word(b, pos, &Word(s.0[..n - 1].to_vec()));
+    t.0.push(b.constant(false));
     let t2 = sar_word(&square_word(b, &t), f);
     sar_word(&square_word(b, &t2), f)
 }
@@ -505,16 +551,12 @@ fn exp_pos_word(b: &mut CircuitBuilder, u: &Word, f: usize) -> Word {
 /// `fixedops::gelu`.
 fn gelu_word(b: &mut CircuitBuilder, v: &Word, f: usize) -> Word {
     let n = v.bits();
-    let one = const_word(b, 1 << f, n);
     let three = const_word(b, 3 << f, n);
     let inv6 = const_word(b, ((1u64 << f) + 3) / 6, n);
-    let zero = const_word(b, 0, n);
     let a = add(b, v, &three);
-    let prod = mul_word(b, &a, &inv6);
-    let s = sar_word(&prod, f);
-    let s = clamp_word(b, &s, &zero, &one);
-    let g = mul_word(b, v, &s);
-    sar_word(&g, f)
+    let slope = mul_sar_word(b, &a, &inv6, f);
+    let s = clamp_unit_word(b, &slope, f);
+    mul_sar_word(b, v, &s, f)
 }
 
 /// Fixed-point softmax over one row — the circuit twin of
@@ -556,7 +598,18 @@ fn layernorm_token_words(b: &mut CircuitBuilder, xs: &[Word], f: usize) -> Vec<W
         sum = add(b, &sum, x);
     }
     let mu = sar_word(&sum, log2d);
-    let cs: Vec<Word> = xs.iter().map(|x| sub(b, x, &mu)).collect();
+    // `c²` and, for `f > 0`, `c ≪ f` are functions of `c mod 2^(ℓ−1)`, so
+    // there `c = x − μ` is that: the sign bit's borrow would be a dead AND.
+    let w = if f > 0 { n - 1 } else { n };
+    let zero = b.constant(false);
+    let cs: Vec<Word> = xs
+        .iter()
+        .map(|x| {
+            let mut c = sub(b, &Word(x.0[..w].to_vec()), &Word(mu.0[..w].to_vec()));
+            c.0.resize(n, zero);
+            c
+        })
+        .collect();
     let mut sq: Option<Word> = None;
     for c in &cs {
         let c2 = square_word(b, c);
@@ -723,6 +776,79 @@ mod tests {
             add(b, x, &c)
         };
         assert_eq!(and_cost(16, plus), 8);
+        // Non-restoring division: ℓ ANDs a quotient bit (the restoring loop
+        // paid 2ℓ); the signed one adds two conditional negations of ℓ − 1.
+        for (bits, unsigned, signed) in [(8, 64, 78), (16, 256, 286)] {
+            assert_eq!(and_cost(bits, udiv_word), unsigned);
+            assert_eq!(and_cost(bits, sdiv_word), signed);
+        }
+        // The unit clamp: ℓ − 1 for a word, at any f. GELU clamps a word
+        // shifted by f, whose replicated sign is ORed once: at ℓ = 16 and
+        // f = 6 that is the 6 low bits and 3 ORs of the 4 distinct high ones.
+        for f in [2, 6, 8] {
+            assert_eq!(and_cost(16, |b, x, _| clamp_unit_word(b, x, f)), 15);
+        }
+        assert_eq!(and_cost(16, |b, x, _| clamp_unit_word(b, &sar_word(x, 6), 6)), 9);
+    }
+
+    #[test]
+    fn division_matches_fixedops_on_every_pair_up_to_8_bits() {
+        use abnn2_math::fixedops::{sdiv, udiv};
+        for bits in 2..=8usize {
+            let ring = Ring::new(bits as u32);
+            let mut b = CircuitBuilder::new();
+            let (x, y) = (b.garbler_word(bits), b.evaluator_word(bits));
+            let q = udiv_word(&mut b, &x, &y);
+            let signed = sdiv_word(&mut b, &x, &y);
+            let c = b.build(q.0.into_iter().chain(signed.0).collect());
+            // Every dividend over every divisor, zero and the most negative
+            // dividend included.
+            for a in 0..1u64 << bits {
+                for d in 0..1u64 << bits {
+                    let out = c.eval(&u64_to_bits(a, bits), &u64_to_bits(d, bits));
+                    let got = (bits_to_u64(&out[..bits]), bits_to_u64(&out[bits..]));
+                    let want = (udiv(&ring, a, d), sdiv(&ring, a, d));
+                    assert_eq!(got, want, "{a} / {d} at {bits} bits");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn division_matches_fixedops_on_seeded_16_bit_pairs() {
+        use abnn2_math::fixedops::{sdiv, udiv};
+        use rand::{Rng, SeedableRng};
+        let ring = Ring::new(16);
+        let mut b = CircuitBuilder::new();
+        let (x, y) = (b.garbler_word(16), b.evaluator_word(16));
+        let q = udiv_word(&mut b, &x, &y);
+        let signed = sdiv_word(&mut b, &x, &y);
+        let c = b.build(q.0.into_iter().chain(signed.0).collect());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xD1);
+        for _ in 0..100_000 {
+            // Divisors of every length, so quotients of every length.
+            let a = rng.gen::<u64>() & 0xFFFF;
+            let d = (rng.gen::<u64>() & 0xFFFF) >> rng.gen_range(0..16);
+            let out = c.eval(&u64_to_bits(a, 16), &u64_to_bits(d, 16));
+            let got = (bits_to_u64(&out[..16]), bits_to_u64(&out[16..]));
+            assert_eq!(got, (udiv(&ring, a, d), sdiv(&ring, a, d)), "{a} / {d}");
+        }
+    }
+
+    #[test]
+    fn unit_clamp_matches_fixedops_on_every_16_bit_value() {
+        let ring = Ring::new(16);
+        for f in [2usize, 6, 8] {
+            let mut b = CircuitBuilder::new();
+            let x = b.garbler_word(16);
+            let r = clamp_unit_word(&mut b, &x, f);
+            let c = b.build(r.0);
+            for a in 0..1u64 << 16 {
+                let got = bits_to_u64(&c.eval(&u64_to_bits(a, 16), &[]));
+                let want = abnn2_math::fixedops::clamp(&ring, a, 0, 1 << f);
+                assert_eq!(got, want, "clamp({a}) to [0, 2^{f}]");
+            }
+        }
     }
 
     #[test]
@@ -765,7 +891,11 @@ mod tests {
     // (the garbler `y₁… ‖ z₁`, evaluator `y₀…` layout) and plaintext
     // evaluation against the integer reference, at two shapes each — the
     // first of every pair is the shape the benchmark's `gc.*_ands` rows and
-    // the served models use.
+    // the served models use. The softmax, GELU and LayerNorm pins were
+    // re-recorded for protocol v10, when the divisions became non-restoring,
+    // the signed division's sign fixes conditional negations and GELU's
+    // clamp a sign bit and an OR, and the builders stopped emitting ANDs
+    // nothing reads; their inputs, outputs and plaintext values held.
     // -----------------------------------------------------------------------
 
     fn structure(c: &Circuit) -> [usize; 5] {
@@ -852,12 +982,97 @@ mod tests {
         }
     }
 
+    /// The AND gates of `c`'s body whose output reaches no output: a
+    /// liveness walk back from the outputs over every gate. `build` keeps
+    /// them (they are in the table stream), so a builder must not emit them.
+    fn dead_ands(c: &Circuit) -> Vec<usize> {
+        let body = &*c.body;
+        let mut live = vec![false; body.n_wires];
+        for &w in &body.outputs[0] {
+            live[w as usize] = true;
+        }
+        let mut dead = Vec::new();
+        for (i, gate) in body.gates.iter().enumerate().rev() {
+            let (a, b, out) = gate.wires();
+            if live[out] {
+                live[a] = true;
+                live[b] = true;
+            } else if matches!(gate, crate::circuit::Gate::And { .. }) {
+                dead.push(i);
+            }
+        }
+        dead
+    }
+
+    #[test]
+    fn no_body_garbles_an_and_nothing_reads() {
+        let bodies = [
+            ("gelu", gelu_trunc_reshare_vec_circuit(16, 1, 2, 6)),
+            ("softmax", softmax_reshare_vec_circuit(16, 1, 8, 0, 6)),
+            ("layernorm", layernorm_reshare_vec_circuit(16, 1, 8, 2, 0, 6)),
+            ("layernorm f = 0", layernorm_reshare_vec_circuit(16, 1, 4, 0, 0, 0)),
+            ("relu", relu_trunc_reshare_vec_circuit(32, 1, 4)),
+            ("sign", relu_sign_vec_circuit(32, 1)),
+            ("reconstruct", reconstruct_trunc_reshare_vec_circuit(32, 1, 4)),
+            ("max-pool", max_pool_reshare_vec_circuit(32, 4, 1)),
+        ];
+        for (name, c) in &bodies {
+            assert_eq!(dead_ands(c), [0usize; 0], "{name}");
+        }
+        // The one exception is on the wire: the argmax circuit's last
+        // maximum, one mux of ℓ ANDs, predates the rule and is pinned.
+        assert_eq!(dead_ands(&argmax_mask_circuit(32, 10)).len(), 32);
+    }
+
+    /// The encoder bodies on values drawn from the whole ring, where every
+    /// intermediate may wrap: the `*_is_pinned` tests keep to ±8.0.
+    #[test]
+    fn encoder_bodies_match_fixedops_on_full_range_values() {
+        use abnn2_math::fixedops::{gelu, layernorm_token, sar, softmax_row};
+        let ring = Ring::new(16);
+        let full = 1 << 15;
+        for f in [0usize, 2, 6, 8] {
+            let seed = 0x5100 + f as u64;
+            let (rows, cols, shift) = (32usize, 8usize, 1usize);
+            let c = softmax_reshare_vec_circuit(16, rows, cols, shift, f);
+            let y = seeded_values(ring, rows * cols, full, seed);
+            let want: Vec<u64> = y
+                .chunks(cols)
+                .flat_map(|row| {
+                    let row: Vec<u64> = row.iter().map(|&v| sar(&ring, v, shift as u32)).collect();
+                    softmax_row(&ring, f as u32, &row)
+                })
+                .collect();
+            assert_eq!(eval_reshare(&c, ring, &[&y], seed + 1), want, "softmax f = {f}");
+
+            let (n, shift) = (256usize, 2usize);
+            let c = gelu_trunc_reshare_vec_circuit(16, n, shift, f);
+            let y = seeded_values(ring, n, full, seed + 2);
+            let want: Vec<u64> =
+                y.iter().map(|&v| gelu(&ring, f as u32, sar(&ring, v, shift as u32))).collect();
+            assert_eq!(eval_reshare(&c, ring, &[&y], seed + 3), want, "gelu f = {f}");
+
+            let (tokens, d, shift_a, shift_b) = (32usize, 8usize, 2usize, 1usize);
+            let c = layernorm_reshare_vec_circuit(16, tokens, d, shift_a, shift_b, f);
+            let a = seeded_values(ring, tokens * d, full, seed + 4);
+            let b = seeded_values(ring, tokens * d, full, seed + 5);
+            let want: Vec<u64> = a
+                .chunks(d)
+                .zip(b.chunks(d))
+                .flat_map(|(a, b)| {
+                    layernorm_token(&ring, f as u32, a, b, shift_a as u32, shift_b as u32)
+                })
+                .collect();
+            assert_eq!(eval_reshare(&c, ring, &[&a, &b], seed + 6), want, "layernorm f = {f}");
+        }
+    }
+
     #[test]
     fn softmax_reshare_vec_is_pinned() {
         use abnn2_math::fixedops::{sar, softmax_row};
         for (bits, rows, cols, shift, f, pin) in [
-            (16usize, 8usize, 8usize, 0usize, 6usize, [52872usize, 222136, 2048, 1024, 1024]),
-            (16, 2, 3, 1, 6, [4898, 20568, 192, 96, 96]),
+            (16usize, 8usize, 8usize, 0usize, 6usize, [36808usize, 166840, 2048, 1024, 1024]),
+            (16, 2, 3, 1, 6, [3392, 15384, 192, 96, 96]),
         ] {
             let ring = Ring::new(bits as u32);
             let c = softmax_reshare_vec_circuit(bits, rows, cols, shift, f);
@@ -879,8 +1094,8 @@ mod tests {
     fn gelu_trunc_reshare_vec_is_pinned() {
         use abnn2_math::fixedops::{gelu, sar};
         for (bits, n, shift, f, pin) in [
-            (16usize, 128usize, 2usize, 6usize, [36992usize, 119040, 4096, 2048, 2048]),
-            (16, 1, 0, 6, [289, 932, 32, 16, 16]),
+            (16usize, 128usize, 2usize, 6usize, [29696usize, 98560, 4096, 2048, 2048]),
+            (16, 1, 0, 6, [232, 772, 32, 16, 16]),
         ] {
             let ring = Ring::new(bits as u32);
             let c = gelu_trunc_reshare_vec_circuit(bits, n, shift, f);
@@ -896,8 +1111,8 @@ mod tests {
     fn layernorm_reshare_vec_is_pinned() {
         use abnn2_math::fixedops::layernorm_token;
         for (bits, tokens, d, shift_a, shift_b, f, pin) in [
-            (16, 8, 8, 2, 0, 6, [49776usize, 208432, 3072, 2048, 1024]),
-            (16, 2, 4, 0, 1, 6, [6348, 26560, 384, 256, 128]),
+            (16, 8, 8, 2, 0, 6, [32304usize, 155120, 3072, 2048, 1024]),
+            (16, 2, 4, 0, 1, 6, [4164, 19896, 384, 256, 128]),
         ] {
             let ring = Ring::new(bits as u32);
             let c = layernorm_reshare_vec_circuit(bits, tokens, d, shift_a, shift_b, f);
@@ -1106,20 +1321,22 @@ mod tests {
         }
 
         #[test]
-        fn clamp_and_const_match_fixedops(bits in 4usize..=16, a: u64) {
+        fn clamp_and_const_match_fixedops(bits in 4usize..=16, f in 0usize..14, a: u64, k in 0u64..64) {
+            let f = f % (bits - 1);
             let ring = Ring::new(bits as u32);
-            let a = ring.reduce(a);
-            let lo = ring.from_i64(-3);
-            let hi = ring.from_i64(5);
+            let (a, k) = (ring.reduce(a), ring.reduce(k));
             let mut builder = CircuitBuilder::new();
             let x = builder.garbler_word(bits);
             let _ = builder.evaluator_word(1);
-            let low = const_word(&mut builder, lo, bits);
-            let high = const_word(&mut builder, hi, bits);
-            let r = clamp_word(&mut builder, &x, &low, &high);
-            let c = builder.build(r.0);
-            let got = bits_to_u64(&c.eval(&u64_to_bits(a, bits), &[false]));
-            prop_assert_eq!(got, abnn2_math::fixedops::clamp(&ring, a, lo, hi));
+            let c = const_word(&mut builder, k, bits);
+            let r = clamp_unit_word(&mut builder, &x, f);
+            let c = builder.build(r.0.into_iter().chain(c.0).collect());
+            let out = c.eval(&u64_to_bits(a, bits), &[false]);
+            prop_assert_eq!(
+                bits_to_u64(&out[..bits]),
+                abnn2_math::fixedops::clamp(&ring, a, 0, 1 << f)
+            );
+            prop_assert_eq!(bits_to_u64(&out[bits..]), k);
         }
 
         #[test]

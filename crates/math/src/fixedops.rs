@@ -11,8 +11,9 @@
 //!
 //! * values are ring residues; "signed" means the two's-complement lift,
 //! * `f` is the activation fraction-bit count (`QuantConfig::frac_bits`),
-//! * division by zero yields the all-ones word (restoring division with a
-//!   zero divisor subtracts successfully every round),
+//! * division by zero yields the all-ones word (non-restoring division
+//!   with a zero divisor never drives its remainder negative, so it sets
+//!   every quotient bit),
 //! * `isqrt` is floor-sqrt of the *unsigned* lift; LayerNorm calls it on
 //!   `var + 1` so the divisor is always positive.
 
@@ -74,8 +75,8 @@ pub fn clamp(ring: &Ring, v: u64, lo: u64, hi: u64) -> u64 {
 }
 
 /// Unsigned `ring.bits()`-wide division. A zero divisor yields the all-ones
-/// word, matching restoring division in the circuit (every trial
-/// subtraction of 0 succeeds, so every quotient bit is set).
+/// word, matching non-restoring division in the circuit (subtracting 0
+/// never makes the remainder negative, so every quotient bit is set).
 pub fn udiv(ring: &Ring, x: u64, y: u64) -> u64 {
     let x = ring.reduce(x);
     let y = ring.reduce(y);

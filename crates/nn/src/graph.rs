@@ -175,7 +175,7 @@ pub enum LayerOp {
         b_src: usize,
     },
     /// Row-wise fixed-point softmax over a `rows × cols` matrix (GC
-    /// lowering: max-subtract, polynomial exp, restoring division);
+    /// lowering: max-subtract, polynomial exp, non-restoring division);
     /// re-shares under a fresh client mask.
     Softmax {
         /// Matrix rows (softmax is per row).

@@ -48,6 +48,14 @@
 //! its shape is the parent's. The warm rows and every MLP row are the
 //! parent's.
 //!
+//! Since protocol v10 the encoder's divisions are non-restoring, its
+//! signed division negates conditionally and GELU clamps with a sign bit
+//! and an OR: the softmax, GELU and LayerNorm `GcTables` and
+//! `GcDecodeMap` frames are shorter and carry other bytes, and every
+//! digest of `ENCODER_PINS` is re-recorded. The extension frames do not
+//! move (the circuits' input wires did not change), so the continuation
+//! rows and every MLP row are the parent's.
+//!
 //! The second half pins **continuation**: three sessions over one lineage
 //! (parked in a store and claimed, twice) move, frame for frame and byte
 //! for byte, what one connection moves that sets up once and runs the same
@@ -605,40 +613,40 @@ const MLP_PINS: &[(&str, &str)] = &[
 ];
 
 const ENCODER_PINS: &[(&str, &str)] = &[
-    ("encoder cold kk13 bytes", "f6664f52028e2630a10cfbfaaddf25455a0cd6b329bf22db816e0d8d85f1cc75"),
-    ("encoder cold kk13 shape", "f132c138a8ebbcfc989d7ab7cde2c7678c89ff676448f6978fed931ea4773483"),
+    ("encoder cold kk13 bytes", "dbe57859380d3ca9274d399d61cb4ab3c0fdb3b7452e7fd50727043ed59fc1e8"),
+    ("encoder cold kk13 shape", "95be555a532dcdb0dee6af3e570b61cf0a24d6bacb84da3ff99e6ad5da7604da"),
     (
         "encoder cold kk13 bytes, no chooser batch",
-        "e1556a126f730579e20e08999a0ea458e390f3145dca83b8decd9cfc25c9f9e4",
+        "dd0135eb8fe866be967855c90c1e12cafbabf688fa90e4d53307a13d446d5255",
     ),
     (
         "encoder cold kk13 shape, no chooser batch",
-        "c2685ef1800439dabdd6d50a4e369a2f7d9ff54815aee9fe05eae04692abaf9c",
+        "afe81d9e1dc95d5c79aaab48e50cce3bdb4cac8a4c2e163b18ea86325181bb87",
     ),
     (
         "encoder cold silent bytes",
-        "349c1d617d6c5d8d5d184e89422d8b54f0e5dc4761e6f201a76b8b7ebcc141a4",
+        "37d2d2f23d4427de7b5fde33084b68f8aa3d051f6dd80fbe4ed0a89c9f229356",
     ),
     (
         "encoder cold silent shape",
-        "1998647d23fa75130bf3659034f29ee4f01c8804d689ae93a07fc5fb89dbba63",
+        "6295c6b460bacf6351c3d543562b7d85ece95e18284e1df732abc4f4955ab554",
     ),
     (
         "encoder cold silent bytes, no chooser batch",
-        "c5307356588ec464b4a59a9712625d13a57b85310d6d6e6e7c559490482e0004",
+        "9d25734f5b78d1ae9a0b31b2fc392cfdbd5c116af3dbcd56111ab0dc5c37dedc",
     ),
     (
         "encoder cold silent shape, no chooser batch",
-        "96be28a016f36f51e59251a7d57e261aa3f9406d0b3ad6e6de83d58082ffe8d6",
+        "8e1350579335e7c2c93e1efada7d18ad076fce5338c7ff7a6eabd878d902e0eb",
     ),
     (
         "encoder warm shape, no chooser batch",
-        "0f9bbbf76805ea5574b48edb8eacbf430b3696a0697e8acedc2767300836c296",
+        "6b439d17d6a44a6b25297eb8d599046c723b29fa904124732036fb22c442ad0a",
     ),
-    ("encoder warm bytes", "8fc436340d2043670078ed07b618dbcfb9ad27d1bc52e95444c5d9a21019c9f9"),
+    ("encoder warm bytes", "6465a3b80cc9e58283b19c425f17c99973192c83ab63ec5b10ed8e0966622ec1"),
     (
         "encoder resumed shape, no chooser batch",
-        "2c0926794c4729ee5a0093e58ed3d47b37e207cfb4e2c9ceecba92230569a2d8",
+        "7537e3b6178f49c14709521ac4e5bdc98967204f7411b3d7c604ec3d312615be",
     ),
-    ("encoder resumed bytes", "3b06364bfca4bac264a2ccfe46ed39af9f729273e16bdd44deb6cf65c857edc5"),
+    ("encoder resumed bytes", "cb9a4858bb1b947bb4aa606e2c9b98fa4ec14f4cc4792d79ae77340959a805ba"),
 ];
