@@ -56,7 +56,10 @@
 # --transformer-smoke exercises the generalized op pipeline in release
 # mode: the transformer acceptance suite (logits bit-exact vs the
 # plaintext oracle across eta in {2,3,4,8}; warm-from-pool with zero
-# offline-phase bytes), the transformer chaos tests (tag-flip sweep over
+# offline-phase bytes), the circuit library's exactness tests against
+# abnn2_math::fixedops (exhaustive division to 8 bits, the unit clamp on
+# every 16-bit value, the encoder bodies on full-range values), the
+# transformer chaos tests (tag-flip sweep over
 # the new frames; cut during a MATMUL_OPENINGS exchange -> checkpoint ->
 # bit-exact resume; cut inside a matrix triple -> typed errors on both
 # sides -> bit-exact retry), and the load generator serving the encoder block
@@ -97,7 +100,9 @@
 # second `Lowering::of(` (an op becomes a circuit once, in the model's slot
 # for it) or a `wrapping_mul(` outside `splitmix64` (a linear op is one
 # `Matrix::mul`), crates/gc/src for `zero_wire(` (a circuit's constants are the
-# CircuitBuilder's folded pair), crates/ot/src and crates/gc/src for a
+# CircuitBuilder's folded pair) and for a division builder beside
+# `udiv_word`/`sdiv_word` or a remainder `mux(` inside `udiv_word` (one
+# non-restoring quotient), crates/ot/src and crates/gc/src for a
 # `pub enum …Error` (below the session every failure is a `TransportError`),
 # reruns the pinned Yao, triplet, OT-extension and session
 # transcripts (and the lineage rules: single-use claim, forfeit on any
@@ -348,6 +353,28 @@ if [[ -n "$zero_wires" ]]; then
   exit 1
 fi
 
+# A quotient has one builder: `udiv_word`, non-restoring (one conditional
+# add/subtract a quotient bit, no remainder mux), which `sdiv_word` wraps.
+# A second division builder beside it, or a remainder mux back inside it,
+# would garble a second, dearer price for the same op.
+echo "==> one-division gate: crates/gc/src builds a quotient only in udiv_word"
+divisions=$(find crates/gc/src -name '*.rs' -print0 |
+  xargs -0 awk '
+    FNR == 1 { in_tests = 0; in_udiv = 0 }
+    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    /^pub fn udiv_word\(/ { in_udiv = 1 }
+    !in_tests && !/^[[:space:]]*\/\// &&
+      ((/fn [a-z0-9_]*(div|quot|restor)[a-z0-9_]*[(<]/ && !/fn [us]div_word\(/) ||
+       (in_udiv && /mux\(/)) {
+      print FILENAME ":" FNR ": " $0
+    }
+    in_udiv && /^}/ { in_udiv = 0 }')
+if [[ -n "$divisions" ]]; then
+  echo "$divisions" >&2
+  echo "a quotient is built outside udiv_word, or udiv_word restores its remainder" >&2
+  exit 1
+fi
+
 # Below the session a failure has one shape: OT and GC report the
 # transport's own `TransportError` (a short batch is `Malformed`), and the
 # session maps it once into `ProtocolError`. An error enum of their own
@@ -471,6 +498,7 @@ fi
 if [[ "${TRANSFORMER_SMOKE:-0}" == "1" ]]; then
   echo "==> transformer smoke: eta-sweep bit-exactness, warm pool, chaos, served load"
   cargo test --release --test transformer
+  cargo test --release -p abnn2-gc circuits
   cargo test --release --test chaos transformer_tag_flip
   cargo test --release --test chaos cut_during_matmul
   cargo test --release --test chaos cut_inside_a_matrix_triple
